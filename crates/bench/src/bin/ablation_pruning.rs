@@ -36,7 +36,7 @@ fn main() {
         db: midas.db(),
         sample: &sample,
         catalog: &midas.fct_state().edges,
-        kernel: Some(midas.kernel()),
+        kernel: midas.kernel(),
     };
     let csgs: Vec<WeightedCsg> = midas
         .clusters()

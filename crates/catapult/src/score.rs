@@ -135,9 +135,9 @@ fn set_quality_impl(
     let denom = universe.len().max(1) as f64;
     let covered = match kernel {
         Some(kernel) => {
-            let graphs: Vec<(midas_graph::GraphId, &LabeledGraph)> = universe
+            let graphs: Vec<(midas_graph::GraphId, &midas_graph::Csr)> = universe
                 .iter()
-                .map(|&id| (id, db.get(id).expect("live id").as_ref()))
+                .map(|&id| (id, db.csr(id).expect("live id")))
                 .collect();
             let prepared: Vec<midas_graph::CachedPattern> =
                 patterns.iter().map(|p| kernel.prepare(p)).collect();

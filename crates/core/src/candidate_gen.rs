@@ -130,7 +130,7 @@ pub fn generate_promising_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use midas_graph::{ClosureGraph, GraphBuilder, GraphDb};
+    use midas_graph::{ClosureGraph, GraphBuilder, GraphDb, MatchKernel};
     use midas_index::{FctIndex, IfeIndex, PatternId};
     use midas_mining::EdgeCatalog;
     use rand::SeedableRng;
@@ -146,6 +146,7 @@ mod tests {
         ife: IfeIndex,
         catalog: EdgeCatalog,
         sample: BTreeSet<GraphId>,
+        kernel: MatchKernel,
     }
 
     fn world(graphs: Vec<LabeledGraph>) -> World {
@@ -170,6 +171,7 @@ mod tests {
             ife,
             catalog,
             sample,
+            kernel: MatchKernel::new(1),
         }
     }
 
@@ -180,7 +182,7 @@ mod tests {
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
-            kernel: None,
+            kernel: &w.kernel,
         }
     }
 

@@ -1,7 +1,6 @@
 //! MIDAS configuration — the knobs of §7.1's "Parameter settings".
 
 use midas_catapult::PatternBudget;
-use midas_graph::MatcherKind;
 use midas_mining::MiningConfig;
 use midas_obs::TelemetryConfig;
 
@@ -48,11 +47,6 @@ pub struct MidasConfig {
     /// the `MIDAS_THREADS` environment variable if set, otherwise the
     /// machine's available parallelism.
     pub threads: usize,
-    /// Subgraph-matching implementation for the kernel: the plan-compiled
-    /// CSR matcher (default) or the reference VF2 twin.
-    /// [`crate::Midas::bootstrap`] folds in the `MIDAS_MATCHER=plan|vf2`
-    /// env override, mirroring how `telemetry` handles its env knobs.
-    pub matcher: MatcherKind,
     /// Master RNG seed; every stochastic component derives from it.
     pub seed: u64,
     /// Telemetry knobs (spans, counters, trace export, log level).
@@ -80,7 +74,6 @@ impl Default for MidasConfig {
             ks_alpha: 0.05,
             small_pattern_slots: 0,
             threads: 0,
-            matcher: MatcherKind::Plan,
             seed: 0,
             telemetry: TelemetryConfig::default(),
         }

@@ -34,7 +34,7 @@ use crate::swap::{multi_scan_swap, SwapParams};
 use midas_catapult::score::SetQuality;
 use midas_catapult::{select_patterns, WeightedCsg};
 use midas_cluster::{ClusterSet, FeatureSpace};
-use midas_graph::{BatchUpdate, GraphDb, GraphId, KernelError, LabeledGraph, MatchKernel};
+use midas_graph::{BatchUpdate, Csr, GraphDb, GraphId, KernelError, LabeledGraph, MatchKernel};
 use midas_index::{FctIndex, IfeIndex, PatternId};
 use midas_mining::incremental::FctState;
 use midas_mining::TreeKey;
@@ -123,9 +123,6 @@ impl Midas {
     /// Returns `Err` only if the database is empty.
     pub fn bootstrap(db: GraphDb, mut config: MidasConfig) -> Result<Self, String> {
         config.telemetry = config.telemetry.from_env();
-        if let Some(matcher) = midas_graph::MatcherKind::from_env() {
-            config.matcher = matcher;
-        }
         config.telemetry.activate();
         Midas::bootstrap_inner(db, config)
     }
@@ -192,7 +189,7 @@ impl Midas {
             &config.selection(),
         ));
         let monitor = GraphletMonitor::build(&db);
-        let kernel = MatchKernel::with_matcher(config.threads, config.matcher);
+        let kernel = MatchKernel::new(config.threads);
         let (fct_index, ife_index) = build_indices(&db, &fct_state, &patterns, &config, &kernel);
         let mut midas = Midas {
             config,
@@ -476,7 +473,7 @@ impl Midas {
                     db: &self.db,
                     sample: &sample,
                     catalog: &self.fct_state.edges,
-                    kernel: Some(&self.kernel),
+                    kernel: &self.kernel,
                 };
                 let csgs: Vec<WeightedCsg> = dirty
                     .iter()
@@ -661,12 +658,12 @@ impl Midas {
             .iter()
             .map(|&id| (id, self.db.get(id).expect("inserted id").clone()))
             .collect();
-        let inserted_refs: Vec<(GraphId, &LabeledGraph)> = inserted_graphs
+        let inserted_csrs: Vec<(GraphId, &Csr)> = inserted
             .iter()
-            .map(|(id, g)| (*id, g.as_ref()))
+            .map(|&id| (id, self.db.csr(id).expect("inserted id")))
             .collect();
         self.fct_index
-            .try_add_graphs_kernel(&self.kernel, &inserted_refs)?;
+            .try_add_graphs_kernel(&self.kernel, &inserted_csrs)?;
         for (id, graph) in &inserted_graphs {
             self.ife_index.add_graph(*id, graph);
         }
@@ -694,15 +691,16 @@ impl Midas {
                 target.push((k.clone(), t));
             }
         }
-        let graph_refs: Vec<(GraphId, &LabeledGraph)> =
-            self.db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+        let csr_refs: Vec<(GraphId, &Csr)> = self.db.csrs().collect();
         let pattern_refs: Vec<(PatternId, &LabeledGraph)> = self.patterns.iter().collect();
         self.fct_index.try_refresh_features_kernel(
             &self.kernel,
             &target,
-            &graph_refs,
+            &csr_refs,
             &pattern_refs,
         )?;
+        let graph_refs: Vec<(GraphId, &LabeledGraph)> =
+            self.db.iter().map(|(id, g)| (id, g.as_ref())).collect();
         let infrequent: BTreeSet<midas_graph::EdgeLabel> = self
             .fct_state
             .edges
@@ -808,7 +806,8 @@ fn build_indices(
             features.push((k, t));
         }
     }
-    let fct_index = FctIndex::build_with(kernel, features, &graph_refs, &pattern_refs);
+    let csr_refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
+    let fct_index = FctIndex::build_with(kernel, features, &csr_refs, &pattern_refs);
     let infrequent: BTreeSet<midas_graph::EdgeLabel> = fct_state
         .edges
         .infrequent(config.sup_min, db_len)

@@ -8,7 +8,7 @@ use midas_catapult::score::{
     diversity, lcov_pattern, pattern_score, PatternScoreParts, SetQuality,
 };
 use midas_graph::{GraphDb, GraphId, LabeledGraph, MatchKernel};
-use midas_index::scov::{covered_graphs, covered_graphs_with};
+use midas_index::scov::covered_graphs_with;
 use midas_index::{FctIndex, IfeIndex};
 use midas_mining::EdgeCatalog;
 use std::collections::BTreeSet;
@@ -25,21 +25,25 @@ pub struct ScovContext<'a> {
     pub sample: &'a BTreeSet<GraphId>,
     /// The edge catalog (for `lcov`).
     pub catalog: &'a EdgeCatalog,
-    /// Optional parallel + memoized kernel for the VF2 verification step.
-    /// `None` runs the serial uncached reference path — the two always
-    /// produce the same sets (pinned by property tests).
-    pub kernel: Option<&'a MatchKernel>,
+    /// The parallel + memoized kernel for the isomorphism verification
+    /// step. The serial VF2 reference ([`covered_graphs`]) produces the
+    /// same sets; the property tests and the oracle pin this.
+    ///
+    /// [`covered_graphs`]: midas_index::scov::covered_graphs
+    pub kernel: &'a MatchKernel,
 }
 
 impl ScovContext<'_> {
     /// The sampled graphs containing `pattern`.
     pub fn covered(&self, pattern: &LabeledGraph) -> BTreeSet<GraphId> {
-        match self.kernel {
-            Some(kernel) => {
-                covered_graphs_with(kernel, self.fct, self.ife, self.db, pattern, self.sample)
-            }
-            None => covered_graphs(self.fct, self.ife, self.db, pattern, self.sample),
-        }
+        covered_graphs_with(
+            self.kernel,
+            self.fct,
+            self.ife,
+            self.db,
+            pattern,
+            self.sample,
+        )
     }
 
     /// `scov(p, D_s) = |G_p ∩ D_s| / |D_s|`.
@@ -138,7 +142,7 @@ mod tests {
             db: &w.db,
             sample: &sample,
             catalog: &w.catalog,
-            kernel: None,
+            kernel: &MatchKernel::new(1),
         };
         assert!((ctx.scov(&path(&[0, 1])) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(ctx.scov(&path(&[7, 7])), 0.0);
@@ -160,7 +164,7 @@ mod tests {
             db: &w.db,
             sample: &sample,
             catalog: &w.catalog,
-            kernel: None,
+            kernel: &MatchKernel::new(1),
         };
         let s = ctx.midas_score(&path(&[0, 1]), &[path(&[3, 4])]);
         assert!(s > 0.0);

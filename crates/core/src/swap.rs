@@ -247,7 +247,7 @@ pub fn multi_scan_swap_weighted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use midas_graph::{GraphBuilder, GraphDb};
+    use midas_graph::{GraphBuilder, GraphDb, MatchKernel};
     use midas_mining::EdgeCatalog;
 
     fn path(labels: &[u32]) -> LabeledGraph {
@@ -312,7 +312,7 @@ mod tests {
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
-            kernel: None,
+            kernel: &MatchKernel::new(1),
         };
         let outcome = multi_scan_swap(
             &mut store,
@@ -344,7 +344,7 @@ mod tests {
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
-            kernel: None,
+            kernel: &MatchKernel::new(1),
         };
         let before = crate::metrics::quality_of(&store.graphs(), &w.db, &w.catalog, &w.sample);
         multi_scan_swap(
@@ -376,7 +376,7 @@ mod tests {
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
-            kernel: None,
+            kernel: &MatchKernel::new(1),
         };
         // Candidate covering nothing.
         let outcome = multi_scan_swap(
@@ -403,7 +403,7 @@ mod tests {
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
-            kernel: None,
+            kernel: &MatchKernel::new(1),
         };
         let outcome = multi_scan_swap(
             &mut store,
@@ -437,7 +437,7 @@ mod tests {
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
-            kernel: None,
+            kernel: &MatchKernel::new(1),
         };
         let mut log = QueryLog::new(16);
         for _ in 0..5 {
@@ -477,7 +477,7 @@ mod tests {
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
-            kernel: None,
+            kernel: &MatchKernel::new(1),
         };
         let outcome = multi_scan_swap(
             &mut store,

@@ -9,8 +9,8 @@
 //!
 //! # Keying
 //!
-//! Entries are keyed **graph-first**: a sharded map `GraphId → (signature,
-//! pattern-key → count)`. The inner key is the pattern's [`CanonicalCode`],
+//! Entries are keyed **graph-first**: a sharded map `GraphId → (pattern-key
+//! → count)`. The inner key is the pattern's [`CanonicalCode`],
 //! so isomorphic patterns — common, since candidates are generated from
 //! random walks on many CSGs — share one entry per graph. Graph-first
 //! nesting makes invalidation O(1) per touched graph:
@@ -18,7 +18,8 @@
 //!
 //! # Cap soundness
 //!
-//! Counts are saturating ([`count_embeddings`]'s `cap`). Each entry stores
+//! Counts are saturating ([`crate::plan::MatchPlan::count_embeddings`]'s
+//! `cap`). Each entry stores
 //! the cap it was computed at. A stored value serves a request when it is
 //! *exact* (`count < stored_cap`, so `min(count, cap)` is the true answer)
 //! or *saturated at or above the requested cap* (`cap ≤ stored_cap ≤ count`
@@ -32,14 +33,17 @@
 //! graph id when applying a batch (inserted ids are fresh and can't collide
 //! with stale entries because [`crate::db::GraphDb`] never reuses ids, but
 //! invalidating both keeps the contract independent of that detail).
+//!
+//! The memo stores counts only. Misses run the pattern's compiled plan
+//! over the CSR view the caller borrows from [`crate::db::GraphDb::csr`],
+//! so the database owns the only CSR of each graph.
 
 use crate::canonical::{canonical_code, CanonicalCode};
 use crate::csr::Csr;
 use crate::db::GraphId;
 use crate::fasthash::FxHashMap;
 use crate::graph::LabeledGraph;
-use crate::isomorphism::{count_embeddings, GraphSignature};
-use crate::plan::{self, MatcherKind};
+use crate::plan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -47,13 +51,12 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 /// threads rarely contend on one lock.
 const SHARDS: usize = 64;
 
-/// A pattern prepared for cached matching: the graph plus its canonical key
-/// and quick-reject signature, each computed once.
+/// A pattern prepared for cached matching: the graph plus its canonical
+/// key, computed once.
 #[derive(Debug, Clone)]
 pub struct CachedPattern {
     graph: Arc<LabeledGraph>,
     key: CanonicalCode,
-    sig: GraphSignature,
     fingerprint: u64,
     /// Pattern-local memo of the compiled plan, so the per-probe cost is
     /// one atomic load instead of a global-cache round trip.
@@ -61,7 +64,7 @@ pub struct CachedPattern {
 }
 
 impl CachedPattern {
-    /// Prepares `pattern` (canonical code + signature).
+    /// Prepares `pattern` (canonical code + fingerprint).
     pub fn new(pattern: &LabeledGraph) -> Self {
         let key = canonical_code(pattern);
         let fingerprint = {
@@ -73,7 +76,6 @@ impl CachedPattern {
         CachedPattern {
             graph: Arc::new(pattern.clone()),
             key,
-            sig: GraphSignature::of(pattern),
             fingerprint,
             plan: std::sync::OnceLock::new(),
         }
@@ -93,11 +95,6 @@ impl CachedPattern {
     /// The canonical key shared by all patterns isomorphic to this one.
     pub fn key(&self) -> &CanonicalCode {
         &self.key
-    }
-
-    /// The pattern's quick-reject signature.
-    pub fn signature(&self) -> &GraphSignature {
-        &self.sig
     }
 
     /// The pattern's compiled match plan, compiled at most once per
@@ -137,14 +134,32 @@ impl StoredCount {
     }
 }
 
+/// The production miss computation: `pattern`'s compiled plan over the
+/// target's CSR view.
+fn plan_count(pattern: &CachedPattern, target: &Csr, cap: u64) -> u64 {
+    pattern.plan_ref().count_embeddings(target, cap)
+}
+
+/// One memo miss: runs `compute` tagged so tail exemplars attribute to
+/// this (pattern, graph); the guard unwinds the thread-local tag.
+fn compute_miss(
+    pattern: &CachedPattern,
+    id: GraphId,
+    target: &Csr,
+    cap: u64,
+    compute: impl FnOnce(&CachedPattern, &Csr, u64) -> u64,
+) -> StoredCount {
+    let _ctx =
+        midas_obs::enabled().then(|| midas_obs::exemplar::with_context(pattern.fingerprint, id.0));
+    StoredCount {
+        cap,
+        count: compute(pattern, target, cap),
+    }
+}
+
 /// Everything memoized about one data graph.
 #[derive(Debug, Default)]
 struct GraphEntry {
-    /// Lazily computed quick-reject signature of the graph.
-    sig: Option<Arc<GraphSignature>>,
-    /// Lazily built CSR view of the graph, for the plan-compiled matcher.
-    /// Dropped with the entry on invalidation, like the signature.
-    csr: Option<Arc<Csr>>,
     /// Capped embedding counts per pattern, as `(fingerprint, key, count)`
     /// rows. A flat vector beats a per-graph hash map here: the feature
     /// set probed against one graph is small (a TG-matrix row, typically
@@ -205,9 +220,9 @@ struct Shard {
 /// `cache.invalidations` when telemetry is enabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Requests answered from a stored entry (including prefilter zeros).
+    /// Requests answered from a stored entry.
     pub hits: u64,
-    /// Requests that ran a VF2 search (or were rejected by the prefilter).
+    /// Requests that ran the compiled plan.
     pub misses: u64,
     /// Fresh `(pattern, graph)` entries stored (cap upgrades of an existing
     /// entry do not count).
@@ -313,201 +328,72 @@ impl EmbeddingCache {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Counts embeddings of `pattern` in `(id, target)`, saturating at
-    /// `cap`, consulting and updating the memo. This is the VF2 reference
-    /// route; [`Self::count_embeddings_with`] selects the matcher.
+    /// Counts embeddings of `pattern` in graph `id`, whose CSR view is
+    /// `target` (borrowed from [`crate::db::GraphDb::csr`]), saturating at
+    /// `cap`, consulting and updating the memo.
     pub fn count_embeddings(
         &self,
         pattern: &CachedPattern,
         id: GraphId,
-        target: &LabeledGraph,
+        target: &Csr,
         cap: u64,
     ) -> u64 {
-        self.count_embeddings_impl(pattern, id, target, cap, |p, t, c| {
-            count_embeddings(p, t, c)
-        })
+        self.count_embeddings_impl(pattern, id, target, cap, plan_count)
     }
 
-    /// [`Self::count_embeddings`] routed through the selected matcher. The
-    /// plan route memoizes the target's [`Csr`] in the graph entry next to
-    /// its signature, so a cold matrix column builds each view once.
-    pub fn count_embeddings_with(
-        &self,
-        matcher: MatcherKind,
-        pattern: &CachedPattern,
-        id: GraphId,
-        target: &LabeledGraph,
-        cap: u64,
-    ) -> u64 {
-        match matcher {
-            MatcherKind::Vf2 => self.count_embeddings(pattern, id, target, cap),
-            MatcherKind::Plan => self.count_embeddings_plan(pattern, id, target, cap),
-        }
-    }
-
-    /// The plan-matcher body of [`Self::count_embeddings_with`]: same memo
-    /// protocol as the VF2 seam (stored-entry fast path, epoch-gated
-    /// insertion), but the miss computation runs the compiled plan over
-    /// the memoized CSR view. No [`GraphSignature`] is built on this
-    /// route — the plan interpreter's own size/label-demand prefilter
-    /// costs two array compares against the CSR label index, cheaper than
-    /// building and storing the signature it would replace.
-    fn count_embeddings_plan(
-        &self,
-        pattern: &CachedPattern,
-        id: GraphId,
-        target: &LabeledGraph,
-        cap: u64,
-    ) -> u64 {
-        if cap == 0 {
-            return 0;
-        }
-        let mut target_csr: Option<Arc<Csr>> = None;
-        let observed_generation;
-        {
-            let shard = self.read_shard(id);
-            observed_generation = shard.generation;
-            if let Some(entry) = shard.map.get(&id) {
-                if let Some(stored) = entry.find(pattern.fingerprint, &pattern.key) {
-                    if let Some(answer) = stored.serve(cap) {
-                        self.record_hits(1);
-                        return answer;
-                    }
-                }
-                target_csr = entry.csr.clone();
-            }
-        }
-        let csr = target_csr
-            .get_or_insert_with(|| Arc::new(Csr::from_graph(target)))
-            .clone();
-        let stored = {
-            let _ctx = midas_obs::enabled()
-                .then(|| midas_obs::exemplar::with_context(pattern.fingerprint, id.0));
-            StoredCount {
-                cap,
-                count: pattern.plan_ref().count_embeddings(&csr, cap),
-            }
-        };
-        self.record_misses(1);
-        let answer = stored.serve(cap).expect("fresh entry serves its own cap");
-        let mut shard = self.write_shard(id);
-        if shard.generation != observed_generation {
-            // Invalidated mid-compute: serve, don't memoize (see
-            // `count_embeddings_impl`).
-            return answer;
-        }
-        let entry = shard.map.entry(id).or_default();
-        if let Some(csr) = target_csr {
-            entry.csr.get_or_insert(csr);
-        }
-        if entry.store(pattern.fingerprint, &pattern.key, stored) {
-            self.record_insertions(1);
-        }
-        answer
-    }
-
-    /// The body of [`Self::count_embeddings`] with the VF2 search
+    /// The body of [`Self::count_embeddings`] with the miss computation
     /// injectable, so tests can interleave an invalidation with a running
     /// computation deterministically.
     fn count_embeddings_impl(
         &self,
         pattern: &CachedPattern,
         id: GraphId,
-        target: &LabeledGraph,
+        target: &Csr,
         cap: u64,
-        compute: impl FnOnce(&LabeledGraph, &LabeledGraph, u64) -> u64,
+        compute: impl FnOnce(&CachedPattern, &Csr, u64) -> u64,
     ) -> u64 {
         if cap == 0 {
             return 0;
         }
-        // Fast path: stored entry (and memoized target signature). The
-        // shard epoch observed here gates the later insertion.
-        let mut target_sig: Option<Arc<GraphSignature>> = None;
+        // Fast path: stored entry. The shard epoch observed here gates the
+        // later insertion.
         let observed_generation;
         {
             let shard = self.read_shard(id);
             observed_generation = shard.generation;
-            if let Some(entry) = shard.map.get(&id) {
-                if let Some(stored) = entry.find(pattern.fingerprint, &pattern.key) {
-                    if let Some(answer) = stored.serve(cap) {
-                        self.record_hits(1);
-                        return answer;
-                    }
-                }
-                target_sig = entry.sig.clone();
+            if let Some(answer) = shard
+                .map
+                .get(&id)
+                .and_then(|entry| entry.find(pattern.fingerprint, &pattern.key))
+                .and_then(|stored| stored.serve(cap))
+            {
+                self.record_hits(1);
+                return answer;
             }
         }
-        let target_sig = target_sig.unwrap_or_else(|| Arc::new(GraphSignature::of(target)));
-        let stored = if !pattern.sig.may_embed_in(&target_sig) {
-            // Prefilter proof of zero: exact at any cap.
-            midas_obs::counter_add!("vf2.prefilter_rejects", 1);
-            StoredCount {
-                cap: u64::MAX,
-                count: 0,
-            }
-        } else {
-            // Tag the VF2 run so tail exemplars attribute to this
-            // (pattern, graph); the guard unwinds the thread-local tag.
-            let _ctx = midas_obs::enabled()
-                .then(|| midas_obs::exemplar::with_context(pattern.fingerprint, id.0));
-            StoredCount {
-                cap,
-                count: compute(&pattern.graph, target, cap),
-            }
-        };
+        let stored = compute_miss(pattern, id, target, cap, compute);
         self.record_misses(1);
-        let answer = stored.serve(cap).expect("fresh entry serves its own cap");
-        let mut shard = self.write_shard(id);
-        if shard.generation != observed_generation {
-            // The graph was invalidated (and possibly re-added under the
-            // same id) while we were computing: the answer is still correct
-            // for the caller's `target`, but memoizing it could shadow the
-            // re-added graph with stale counts. Skip the insert.
-            return answer;
-        }
-        let entry = shard.map.entry(id).or_default();
-        entry.sig.get_or_insert(target_sig);
-        if entry.store(pattern.fingerprint, &pattern.key, stored) {
-            self.record_insertions(1);
-        }
-        answer
+        self.memoize(id, observed_generation, [(pattern, stored)]);
+        stored.serve(cap).expect("fresh entry serves its own cap")
     }
 
-    /// Counts embeddings of every pattern in `(id, target)` in one pass:
-    /// a single read-lock sweep serves all memoized answers, the matcher
-    /// runs only for the gaps, and a single write lock stores the fresh
+    /// Counts embeddings of every pattern in graph `id` in one pass: a
+    /// single read-lock sweep serves all memoized answers, the plan runs
+    /// only for the gaps, and a single write lock stores the fresh
     /// entries. Equivalent to (but cheaper than) one
     /// [`Self::count_embeddings`] call per pattern — this is the inner
-    /// loop of a matrix-column build. The VF2 reference route; see
-    /// [`Self::count_embeddings_many_with`].
+    /// loop of a matrix-column build.
     pub fn count_embeddings_many(
         &self,
         patterns: &[CachedPattern],
         id: GraphId,
-        target: &LabeledGraph,
-        cap: u64,
-    ) -> Vec<u64> {
-        self.count_embeddings_many_with(MatcherKind::Vf2, patterns, id, target, cap)
-    }
-
-    /// [`Self::count_embeddings_many`] routed through the selected
-    /// matcher. Under [`MatcherKind::Plan`] the target's CSR view is built
-    /// (or fetched from the memo) once for the whole batch, and each gap
-    /// runs its canonical-class plan over it.
-    pub fn count_embeddings_many_with(
-        &self,
-        matcher: MatcherKind,
-        patterns: &[CachedPattern],
-        id: GraphId,
-        target: &LabeledGraph,
+        target: &Csr,
         cap: u64,
     ) -> Vec<u64> {
         if cap == 0 {
             return vec![0; patterns.len()];
         }
         let mut out: Vec<Option<u64>> = vec![None; patterns.len()];
-        let mut target_sig: Option<Arc<GraphSignature>>;
-        let mut target_csr: Option<Arc<Csr>>;
         let mut hits = 0u64;
         let observed_generation;
         {
@@ -517,17 +403,8 @@ impl EmbeddingCache {
                 // Never-seen graph: every pattern is a miss, so skip the
                 // hit bookkeeping entirely (the bootstrap hot path).
                 drop(shard);
-                return self.count_many_all_cold(
-                    matcher,
-                    patterns,
-                    id,
-                    target,
-                    cap,
-                    observed_generation,
-                );
+                return self.count_many_all_cold(patterns, id, target, cap, observed_generation);
             };
-            target_sig = entry.sig.clone();
-            target_csr = entry.csr.clone();
             for (slot, p) in out.iter_mut().zip(patterns) {
                 if let Some(answer) = entry
                     .find(p.fingerprint, &p.key)
@@ -541,142 +418,70 @@ impl EmbeddingCache {
         if hits > 0 {
             self.record_hits(hits);
         }
-        if out.iter().all(Option::is_some) {
-            return out.into_iter().map(|s| s.expect("checked")).collect();
-        }
-        // The signature prefilter is a VF2-route optimization; the plan
-        // interpreter carries its own cheaper prefilter, so the plan
-        // route skips signatures entirely (see `count_embeddings_plan`).
-        if matcher == MatcherKind::Vf2 && target_sig.is_none() {
-            target_sig = Some(Arc::new(GraphSignature::of(target)));
-        }
-        // Past the all-hits return there is at least one gap, so the plan
-        // route always needs the CSR view; build it once for the batch.
-        if matcher == MatcherKind::Plan && target_csr.is_none() {
-            target_csr = Some(Arc::new(Csr::from_graph(target)));
-        }
-        let mut fresh: Vec<(usize, StoredCount)> = Vec::new();
-        for (i, p) in patterns.iter().enumerate() {
-            if out[i].is_some() {
-                continue;
-            }
-            let rejected = matches!(
-                (&matcher, &target_sig),
-                (MatcherKind::Vf2, Some(sig)) if !p.sig.may_embed_in(sig)
-            );
-            let stored = if rejected {
-                midas_obs::counter_add!("vf2.prefilter_rejects", 1);
-                StoredCount {
-                    cap: u64::MAX,
-                    count: 0,
-                }
-            } else {
-                let _ctx = midas_obs::enabled()
-                    .then(|| midas_obs::exemplar::with_context(p.fingerprint, id.0));
-                let count = match matcher {
-                    MatcherKind::Vf2 => count_embeddings(&p.graph, target, cap),
-                    MatcherKind::Plan => {
-                        let csr = target_csr.as_deref().expect("built above for plan route");
-                        p.plan_ref().count_embeddings(csr, cap)
-                    }
-                };
-                StoredCount { cap, count }
-            };
-            out[i] = Some(stored.serve(cap).expect("fresh entry serves its own cap"));
-            fresh.push((i, stored));
-        }
-        self.record_misses(fresh.len() as u64);
-        let mut shard = self.write_shard(id);
-        if shard.generation != observed_generation {
-            // Invalidated mid-compute: serve, don't memoize (see
-            // `count_embeddings_impl`).
-            return out.into_iter().map(|s| s.expect("filled")).collect();
-        }
-        let entry = shard.map.entry(id).or_default();
-        if let Some(sig) = target_sig {
-            entry.sig.get_or_insert(sig);
-        }
-        if let Some(csr) = target_csr {
-            entry.csr.get_or_insert(csr);
-        }
-        let mut inserted = 0u64;
-        entry.counts.reserve(fresh.len());
-        for (i, stored) in fresh {
-            let p = &patterns[i];
-            if entry.store(p.fingerprint, &p.key, stored) {
-                inserted += 1;
+        let mut fresh: Vec<(&CachedPattern, StoredCount)> = Vec::new();
+        for (slot, p) in out.iter_mut().zip(patterns) {
+            if slot.is_none() {
+                let stored = compute_miss(p, id, target, cap, plan_count);
+                *slot = Some(stored.serve(cap).expect("fresh entry serves its own cap"));
+                fresh.push((p, stored));
             }
         }
-        if inserted > 0 {
-            self.record_insertions(inserted);
+        if !fresh.is_empty() {
+            self.record_misses(fresh.len() as u64);
+            self.memoize(id, observed_generation, fresh);
         }
         out.into_iter().map(|s| s.expect("filled")).collect()
     }
 
-    /// Bootstrap arm of [`Self::count_embeddings_many_with`]: the graph
-    /// has no memo entry yet, so every pattern is a miss. Counts go
-    /// straight into the output vector — no `Option` slots, no hit scan —
-    /// which matters because the bulk build visits every graph exactly
-    /// once and therefore runs entirely through this path.
+    /// Bootstrap arm of [`Self::count_embeddings_many`]: the graph has no
+    /// memo entry yet, so every pattern is a miss. Counts go straight into
+    /// the output vector — no `Option` slots, no hit scan — which matters
+    /// because the bulk build visits every graph exactly once and
+    /// therefore runs entirely through this path.
     fn count_many_all_cold(
         &self,
-        matcher: MatcherKind,
         patterns: &[CachedPattern],
         id: GraphId,
-        target: &LabeledGraph,
+        target: &Csr,
         cap: u64,
         observed_generation: u64,
     ) -> Vec<u64> {
-        let target_sig =
-            (matcher == MatcherKind::Vf2).then(|| Arc::new(GraphSignature::of(target)));
-        let target_csr = (matcher == MatcherKind::Plan).then(|| Arc::new(Csr::from_graph(target)));
-        let mut out: Vec<u64> = Vec::with_capacity(patterns.len());
-        let mut rows: Vec<StoredCount> = Vec::with_capacity(patterns.len());
-        for p in patterns {
-            let rejected = matches!(
-                (&matcher, &target_sig),
-                (MatcherKind::Vf2, Some(sig)) if !p.sig.may_embed_in(sig)
-            );
-            let stored = if rejected {
-                midas_obs::counter_add!("vf2.prefilter_rejects", 1);
-                StoredCount {
-                    cap: u64::MAX,
-                    count: 0,
-                }
-            } else {
-                let _ctx = midas_obs::enabled()
-                    .then(|| midas_obs::exemplar::with_context(p.fingerprint, id.0));
-                let count = match matcher {
-                    MatcherKind::Vf2 => count_embeddings(&p.graph, target, cap),
-                    MatcherKind::Plan => {
-                        let csr = target_csr.as_deref().expect("built above for plan route");
-                        p.plan_ref().count_embeddings(csr, cap)
-                    }
-                };
-                StoredCount { cap, count }
-            };
-            out.push(stored.serve(cap).expect("fresh entry serves its own cap"));
-            rows.push(stored);
-        }
+        let rows: Vec<StoredCount> = patterns
+            .iter()
+            .map(|p| compute_miss(p, id, target, cap, plan_count))
+            .collect();
+        let out = rows
+            .iter()
+            .map(|stored| stored.serve(cap).expect("fresh entry serves its own cap"))
+            .collect();
         self.record_misses(rows.len() as u64);
+        self.memoize(id, observed_generation, patterns.iter().zip(rows));
+        out
+    }
+
+    /// Stores freshly computed rows for graph `id` under one write lock —
+    /// unless the shard was invalidated since `observed_generation` was
+    /// read. In that case the graph may have been re-added under the same
+    /// id while the rows were computed: they are still correct for the
+    /// caller's target, but memoizing them could shadow the re-added graph
+    /// with stale counts, so they are dropped.
+    fn memoize<'p>(
+        &self,
+        id: GraphId,
+        observed_generation: u64,
+        rows: impl IntoIterator<Item = (&'p CachedPattern, StoredCount)>,
+    ) {
         let mut shard = self.write_shard(id);
         if shard.generation != observed_generation {
-            // Invalidated mid-compute: serve, don't memoize (see
-            // `count_embeddings_impl`).
-            return out;
+            return;
         }
         let entry = shard.map.entry(id).or_default();
-        if let Some(sig) = target_sig {
-            entry.sig.get_or_insert(sig);
-        }
-        if let Some(csr) = target_csr {
-            entry.csr.get_or_insert(csr);
-        }
-        // `store` still dedupes: a racing thread may have populated the
-        // entry between our read probe and this write lock.
+        let rows = rows.into_iter();
+        entry.counts.reserve(rows.size_hint().0);
+        // `store` dedupes: a racing thread may have populated the entry
+        // between our read probe and this write lock.
         let mut inserted = 0u64;
-        entry.counts.reserve(rows.len());
-        for (p, stored) in patterns.iter().zip(rows) {
+        for (p, stored) in rows {
             if entry.store(p.fingerprint, &p.key, stored) {
                 inserted += 1;
             }
@@ -684,26 +489,12 @@ impl EmbeddingCache {
         if inserted > 0 {
             self.record_insertions(inserted);
         }
-        out
     }
 
-    /// Whether `pattern ⊆ target`, through the memo (a cap-1 count).
-    pub fn is_subgraph(&self, pattern: &CachedPattern, id: GraphId, target: &LabeledGraph) -> bool {
+    /// Whether `pattern ⊆ target`, through the memo: a cap-1 count, which
+    /// the plan interpreter answers by stopping at the first embedding.
+    pub fn is_subgraph(&self, pattern: &CachedPattern, id: GraphId, target: &Csr) -> bool {
         self.count_embeddings(pattern, id, target, 1) > 0
-    }
-
-    /// [`Self::is_subgraph`] routed through the selected matcher. Under
-    /// [`MatcherKind::Plan`] the cap-1 count stops at the first embedding
-    /// (the interpreter's early exit), so this is the boolean coverage
-    /// fast path.
-    pub fn is_subgraph_with(
-        &self,
-        matcher: MatcherKind,
-        pattern: &CachedPattern,
-        id: GraphId,
-        target: &LabeledGraph,
-    ) -> bool {
-        self.count_embeddings_with(matcher, pattern, id, target, 1) > 0
     }
 
     /// Drops everything memoized about `id`. Call for every graph a batch
@@ -783,6 +574,7 @@ impl EmbeddingCache {
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
+    use crate::isomorphism::count_embeddings;
 
     fn path(labels: &[u32]) -> LabeledGraph {
         let vs: Vec<u32> = (0..labels.len() as u32).collect();
@@ -802,7 +594,7 @@ mod tests {
     fn memoizes_counts() {
         let cache = EmbeddingCache::new();
         let p = CachedPattern::new(&path(&[0, 0]));
-        let t = triangle();
+        let t = Csr::from_graph(&triangle());
         let id = GraphId(7);
         assert_eq!(cache.count_embeddings(&p, id, &t, 64), 6);
         assert_eq!(cache.stats().misses, 1);
@@ -832,7 +624,7 @@ mod tests {
                 .build(),
         );
         assert_eq!(a.key(), b.key());
-        let t = path(&[0, 1, 0, 1, 0]);
+        let t = Csr::from_graph(&path(&[0, 1, 0, 1, 0]));
         let id = GraphId(0);
         let first = cache.count_embeddings(&a, id, &t, 64);
         let second = cache.count_embeddings(&b, id, &t, 64);
@@ -845,7 +637,7 @@ mod tests {
     fn cap_upgrades_are_sound() {
         let cache = EmbeddingCache::new();
         let p = CachedPattern::new(&path(&[0, 0]));
-        let t = triangle();
+        let t = Csr::from_graph(&triangle());
         let id = GraphId(1);
         // Boolean query first: stored saturated at cap 1.
         assert!(cache.is_subgraph(&p, id, &t));
@@ -862,9 +654,11 @@ mod tests {
 
     #[test]
     fn prefilter_zero_is_exact() {
+        // The plan's label-demand prefilter proves zero; a zero below the
+        // cap is exact, so it serves every later cap.
         let cache = EmbeddingCache::new();
         let p = CachedPattern::new(&path(&[0, 9]));
-        let t = triangle();
+        let t = Csr::from_graph(&triangle());
         let id = GraphId(2);
         assert_eq!(cache.count_embeddings(&p, id, &t, 1), 0);
         assert_eq!(cache.count_embeddings(&p, id, &t, u64::MAX), 0);
@@ -876,7 +670,7 @@ mod tests {
     fn invalidation_drops_one_graph_only() {
         let cache = EmbeddingCache::new();
         let p = CachedPattern::new(&path(&[0, 0]));
-        let t = triangle();
+        let t = Csr::from_graph(&triangle());
         cache.count_embeddings(&p, GraphId(0), &t, 64);
         cache.count_embeddings(&p, GraphId(1), &t, 64);
         assert_eq!(cache.cached_graphs(), 2);
@@ -911,7 +705,7 @@ mod tests {
     fn hit_rate_accounting_across_insert_delete_cycle() {
         let cache = EmbeddingCache::new();
         let p = CachedPattern::new(&path(&[0, 0]));
-        let t = triangle();
+        let t = Csr::from_graph(&triangle());
         assert_eq!(cache.stats().generation, 0);
         assert_eq!(cache.stats().hit_rate(), 0.0);
 
@@ -956,7 +750,7 @@ mod tests {
     fn clear_counts_every_stored_graph() {
         let cache = EmbeddingCache::new();
         let p = CachedPattern::new(&path(&[0, 0]));
-        let t = triangle();
+        let t = Csr::from_graph(&triangle());
         for id in 0..3 {
             cache.count_embeddings(&p, GraphId(id), &t, 64);
         }
@@ -975,13 +769,14 @@ mod tests {
             .iter()
             .map(CachedPattern::new)
             .collect();
-        let t = triangle();
+        let g = triangle();
+        let t = Csr::from_graph(&g);
         let id = GraphId(3);
         // Partially warm the memo, then batch over everything.
         cache.count_embeddings(&patterns[0], id, &t, 64);
         let batch = cache.count_embeddings_many(&patterns, id, &t, 64);
         for (p, &got) in patterns.iter().zip(&batch) {
-            assert_eq!(got, count_embeddings(p.graph(), &t, 64));
+            assert_eq!(got, count_embeddings(p.graph(), &g, 64));
         }
         // Second batch: all hits, no new misses.
         let misses = cache.stats().misses;
@@ -991,47 +786,37 @@ mod tests {
     }
 
     #[test]
-    fn plan_and_vf2_routes_share_the_memo() {
-        // Entries are keyed by canonical code, not by matcher: the two
-        // routes compute the same answers (the oracle pins this), so a
-        // count stored by one must serve the other.
+    fn single_batched_and_boolean_routes_share_the_memo() {
+        // Entries are keyed by canonical code and graph id only, so an
+        // answer stored by one entry point serves the others.
         let cache = EmbeddingCache::new();
         let p = CachedPattern::new(&path(&[0, 0]));
-        let t = triangle();
+        let g = triangle();
+        let t = Csr::from_graph(&g);
         let id = GraphId(11);
-        assert_eq!(
-            cache.count_embeddings_with(MatcherKind::Plan, &p, id, &t, 64),
-            6
-        );
+        assert_eq!(cache.count_embeddings(&p, id, &t, 64), 6);
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(
-            cache.count_embeddings_with(MatcherKind::Vf2, &p, id, &t, 64),
-            6
+            cache.count_embeddings_many(std::slice::from_ref(&p), id, &t, 64),
+            vec![6]
         );
-        assert_eq!(cache.stats().hits, 1);
-        // Cap upgrades through the plan route stay sound.
-        assert!(cache.is_subgraph_with(MatcherKind::Plan, &p, id, &t));
-        assert_eq!(
-            cache.count_embeddings_with(MatcherKind::Plan, &p, id, &t, 1000),
-            6
-        );
-        // The batched plan route equals the serial VF2 reference,
+        assert!(cache.is_subgraph(&p, id, &t));
+        assert_eq!(cache.stats().hits, 2);
+        // The cold batched route equals the serial VF2 reference,
         // including the prefilter-zero case.
         let patterns: Vec<CachedPattern> = [path(&[0, 0]), path(&[0, 9]), triangle()]
             .iter()
             .map(CachedPattern::new)
             .collect();
-        let batch =
-            cache.count_embeddings_many_with(MatcherKind::Plan, &patterns, GraphId(12), &t, 64);
+        let batch = cache.count_embeddings_many(&patterns, GraphId(12), &t, 64);
         for (p, &got) in patterns.iter().zip(&batch) {
-            assert_eq!(got, count_embeddings(p.graph(), &t, 64));
+            assert_eq!(got, count_embeddings(p.graph(), &g, 64));
         }
-        // Plan-route invalidation drops the memoized CSR with the entry.
+        // After invalidation the entry is recomputed, not served.
         cache.invalidate_graph(id);
-        assert_eq!(
-            cache.count_embeddings_with(MatcherKind::Plan, &p, id, &t, 64),
-            6
-        );
+        let misses = cache.stats().misses;
+        assert_eq!(cache.count_embeddings(&p, id, &t, 64), 6);
+        assert_eq!(cache.stats().misses, misses + 1);
     }
 
     #[test]
@@ -1039,17 +824,17 @@ mod tests {
         // Regression: a graph removed and re-added under a reused GraphId
         // must never be served counts computed against the old graph. The
         // injectable compute hook deterministically interleaves the
-        // invalidation with a VF2 search that is already in flight.
+        // invalidation with a plan search that is already in flight.
         let cache = EmbeddingCache::new();
         let id = GraphId(5);
-        let old = triangle(); // 6 embeddings of 0-0
-        let new = path(&[9, 9]); // none
+        let old = Csr::from_graph(&triangle()); // 6 embeddings of 0-0
+        let new = Csr::from_graph(&path(&[9, 9])); // none
         let p = CachedPattern::new(&path(&[0, 0]));
         let stale = cache.count_embeddings_impl(&p, id, &old, 64, |pat, t, c| {
             // Mid-compute, the batch deletes `id` and re-adds a different
             // graph under it (the contract calls invalidate for both).
             cache.invalidate_graph(id);
-            count_embeddings(pat, t, c)
+            plan_count(pat, t, c)
         });
         // The in-flight caller still gets the correct answer for ITS graph…
         assert_eq!(stale, 6);
@@ -1067,7 +852,7 @@ mod tests {
         // pass must observe the epoch moved and skip memoization.
         let cache = EmbeddingCache::new();
         let id = GraphId(6);
-        let old = triangle();
+        let old = Csr::from_graph(&triangle());
         let patterns: Vec<CachedPattern> = [path(&[0, 0]), triangle()]
             .iter()
             .map(CachedPattern::new)
@@ -1079,7 +864,7 @@ mod tests {
         let first = cache.count_embeddings_many(&patterns, id, &old, 64);
         assert_eq!(first, vec![6, 6]);
         cache.invalidate_graph(id);
-        let new = path(&[9, 9]);
+        let new = Csr::from_graph(&path(&[9, 9]));
         assert_eq!(
             cache.count_embeddings_many(&patterns, id, &new, 64),
             vec![0, 0]
@@ -1093,7 +878,7 @@ mod tests {
         // serving consistent answers.
         let cache = std::sync::Arc::new(EmbeddingCache::new());
         let p = CachedPattern::new(&path(&[0, 0]));
-        let t = triangle();
+        let t = Csr::from_graph(&triangle());
         let id = GraphId(3);
         assert_eq!(cache.count_embeddings(&p, id, &t, 64), 6);
         let poisoner = std::sync::Arc::clone(&cache);
@@ -1120,27 +905,26 @@ mod tests {
             .iter()
             .map(CachedPattern::new)
             .collect();
-        let targets: Vec<(GraphId, LabeledGraph)> = (0..32)
+        let targets: Vec<(GraphId, LabeledGraph, Csr)> = (0..32)
             .map(|i| {
-                (
-                    GraphId(i),
-                    if i % 2 == 0 {
-                        triangle()
-                    } else {
-                        path(&[0, 0, 0, 0])
-                    },
-                )
+                let g = if i % 2 == 0 {
+                    triangle()
+                } else {
+                    path(&[0, 0, 0, 0])
+                };
+                let csr = Csr::from_graph(&g);
+                (GraphId(i), g, csr)
             })
             .collect();
-        let results = crate::exec::par_map(8, &targets, |(id, t)| {
+        let results = crate::exec::par_map(8, &targets, |(id, _, t)| {
             patterns
                 .iter()
                 .map(|p| cache.count_embeddings(p, *id, t, 64))
                 .collect::<Vec<u64>>()
         });
-        for ((_, t), row) in targets.iter().zip(&results) {
+        for ((_, g, _), row) in targets.iter().zip(&results) {
             for (p, &got) in patterns.iter().zip(row) {
-                assert_eq!(got, count_embeddings(p.graph(), t, 64));
+                assert_eq!(got, count_embeddings(p.graph(), g, 64));
             }
         }
     }

@@ -69,9 +69,10 @@ impl BatchUpdate {
 /// all downstream algorithms deterministic.
 ///
 /// Every stored graph also carries a [`Csr`] twin ([`GraphDb::csr`]) built
-/// at insertion and dropped at deletion, so the plan-compiled matcher
-/// ([`crate::plan`]) always finds an up-to-date label-sliced view — the
-/// two maps move through [`GraphDb::insert`] / [`GraphDb::remove`] /
+/// at insertion and dropped at deletion. It is the only CSR of a data
+/// graph: the [`crate::MatchKernel`] and its memo borrow it, so the
+/// plan-compiled matcher ([`crate::plan`]) always finds an up-to-date
+/// label-sliced view — the two maps move through [`GraphDb::insert`] / [`GraphDb::remove`] /
 /// [`GraphDb::apply`] together and can never diverge.
 #[derive(Debug, Clone, Default)]
 pub struct GraphDb {
@@ -138,8 +139,14 @@ impl GraphDb {
 
     /// The CSR twin of graph `id`, if the graph is live. Kept in lockstep
     /// with [`GraphDb::get`] by insert/remove/apply.
-    pub fn csr(&self, id: GraphId) -> Option<&Arc<Csr>> {
-        self.csrs.get(&id)
+    pub fn csr(&self, id: GraphId) -> Option<&Csr> {
+        self.csrs.get(&id).map(Arc::as_ref)
+    }
+
+    /// Iterates `(id, CSR twin)` in ascending id order — the shape the
+    /// [`crate::MatchKernel`] bulk operations take.
+    pub fn csrs(&self) -> impl Iterator<Item = (GraphId, &Csr)> {
+        self.csrs.iter().map(|(&id, csr)| (id, csr.as_ref()))
     }
 
     /// Whether `id` resolves to a live graph.

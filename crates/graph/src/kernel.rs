@@ -15,24 +15,27 @@
 //!   have no stable [`GraphId`] (e.g. canned-pattern columns of the
 //!   TP-matrix), parallel but uncached.
 //!
-//! Every operation is semantically identical to the serial loop over
-//! [`count_embeddings`] / [`crate::isomorphism::is_subgraph_of`]; the
-//! property tests in the workspace's `tests` crate pin that equivalence.
+//! Data graphs arrive as `(GraphId, &Csr)` pairs borrowed from
+//! [`crate::GraphDb::csr`] / [`crate::GraphDb::csrs`]; the kernel never
+//! builds a CSR of a data graph itself. Every operation runs the
+//! plan-compiled matcher ([`crate::plan`]) and is semantically identical
+//! to the serial loop over the VF2 reference
+//! ([`crate::isomorphism::count_embeddings`] /
+//! [`crate::isomorphism::is_subgraph_of`]); the property tests in the
+//! workspace's `tests` crate and the differential oracle pin that
+//! equivalence.
 
 use crate::cache::{CachedPattern, EmbeddingCache};
 use crate::csr::Csr;
 use crate::db::GraphId;
 use crate::exec::{self, KernelError};
 use crate::graph::LabeledGraph;
-use crate::isomorphism::count_embeddings;
-use crate::plan::MatcherKind;
 use std::sync::Arc;
 
 /// Parallel, memoized bulk isomorphism operations.
 #[derive(Debug, Clone)]
 pub struct MatchKernel {
     threads: usize,
-    matcher: MatcherKind,
     cache: Arc<EmbeddingCache>,
 }
 
@@ -45,39 +48,17 @@ impl Default for MatchKernel {
 impl MatchKernel {
     /// A kernel with a fresh cache. `threads = 0` means auto (see
     /// [`exec::thread_count`]; the `MIDAS_THREADS` environment variable is
-    /// honoured). The matcher comes from `MIDAS_MATCHER` when set,
-    /// defaulting to the plan-compiled path.
+    /// honoured).
     pub fn new(threads: usize) -> Self {
-        Self::with_matcher(threads, MatcherKind::from_env_or_default())
-    }
-
-    /// A kernel with a fresh cache and an explicit matcher.
-    pub fn with_matcher(threads: usize, matcher: MatcherKind) -> Self {
         MatchKernel {
             threads,
-            matcher,
             cache: Arc::new(EmbeddingCache::new()),
-        }
-    }
-
-    /// A kernel sharing an existing cache (matcher from the environment /
-    /// default, as in [`MatchKernel::new`]).
-    pub fn with_cache(threads: usize, cache: Arc<EmbeddingCache>) -> Self {
-        MatchKernel {
-            threads,
-            matcher: MatcherKind::from_env_or_default(),
-            cache,
         }
     }
 
     /// The configured thread override (0 = auto).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The matcher implementation this kernel drives.
-    pub fn matcher(&self) -> MatcherKind {
-        self.matcher
     }
 
     /// The shared embedding memo.
@@ -101,13 +82,12 @@ impl MatchKernel {
     pub fn count_in_graphs(
         &self,
         pattern: &LabeledGraph,
-        graphs: &[(GraphId, &LabeledGraph)],
+        graphs: &[(GraphId, &Csr)],
         cap: u64,
     ) -> Vec<u64> {
         let prepared = self.prepare(pattern);
         exec::par_map(self.threads, graphs, |&(id, g)| {
-            self.cache
-                .count_embeddings_with(self.matcher, &prepared, id, g, cap)
+            self.cache.count_embeddings(&prepared, id, g, cap)
         })
     }
 
@@ -117,25 +97,20 @@ impl MatchKernel {
     pub fn count_grid(
         &self,
         patterns: &[CachedPattern],
-        graphs: &[(GraphId, &LabeledGraph)],
+        graphs: &[(GraphId, &Csr)],
         cap: u64,
     ) -> Vec<Vec<u64>> {
         exec::par_map(self.threads, graphs, |&(id, g)| {
-            self.cache
-                .count_embeddings_many_with(self.matcher, patterns, id, g, cap)
+            self.cache.count_embeddings_many(patterns, id, g, cap)
         })
     }
 
     /// Whether `pattern` is contained in each graph, in input order —
-    /// the VF2 verification step of coverage.
-    pub fn covered_in(
-        &self,
-        pattern: &LabeledGraph,
-        graphs: &[(GraphId, &LabeledGraph)],
-    ) -> Vec<bool> {
+    /// the verification step of coverage.
+    pub fn covered_in(&self, pattern: &LabeledGraph, graphs: &[(GraphId, &Csr)]) -> Vec<bool> {
         let prepared = self.prepare(pattern);
         exec::par_map(self.threads, graphs, |&(id, g)| {
-            self.cache.is_subgraph_with(self.matcher, &prepared, id, g)
+            self.cache.is_subgraph(&prepared, id, g)
         })
     }
 
@@ -145,36 +120,27 @@ impl MatchKernel {
     pub fn any_covered_in(
         &self,
         patterns: &[CachedPattern],
-        graphs: &[(GraphId, &LabeledGraph)],
+        graphs: &[(GraphId, &Csr)],
     ) -> Vec<bool> {
         exec::par_map(self.threads, graphs, |&(id, g)| {
-            patterns
-                .iter()
-                .any(|p| self.cache.is_subgraph_with(self.matcher, p, id, g))
+            patterns.iter().any(|p| self.cache.is_subgraph(p, id, g))
         })
     }
 
     /// Counts embeddings of `pattern` in targets without stable ids
-    /// (canned patterns): parallel, uncached, in input order.
+    /// (canned patterns): parallel, uncached, in input order. The plan is
+    /// compiled once (memoized per canonical class); the targets have no
+    /// [`GraphId`], so their CSR views are built per call.
     pub fn count_plain_many(
         &self,
         pattern: &LabeledGraph,
         targets: &[&LabeledGraph],
         cap: u64,
     ) -> Vec<u64> {
-        match self.matcher {
-            MatcherKind::Vf2 => {
-                exec::par_map(self.threads, targets, |t| count_embeddings(pattern, t, cap))
-            }
-            MatcherKind::Plan => {
-                // Compile once (memoized per canonical class); targets
-                // have no stable id, so their CSR views are per-call.
-                let plan = self.prepare(pattern).plan();
-                exec::par_map(self.threads, targets, |t| {
-                    plan.count_embeddings(&Csr::from_graph(t), cap)
-                })
-            }
-        }
+        let plan = self.prepare(pattern).plan();
+        exec::par_map(self.threads, targets, |t| {
+            plan.count_embeddings(&Csr::from_graph(t), cap)
+        })
     }
 
     /// Fault-isolating twin of [`MatchKernel::count_in_graphs`]: a panic in
@@ -183,13 +149,12 @@ impl MatchKernel {
     pub fn try_count_in_graphs(
         &self,
         pattern: &LabeledGraph,
-        graphs: &[(GraphId, &LabeledGraph)],
+        graphs: &[(GraphId, &Csr)],
         cap: u64,
     ) -> Result<Vec<u64>, KernelError> {
         let prepared = self.prepare(pattern);
         exec::try_par_map(self.threads, graphs, |&(id, g)| {
-            self.cache
-                .count_embeddings_with(self.matcher, &prepared, id, g, cap)
+            self.cache.count_embeddings(&prepared, id, g, cap)
         })
     }
 
@@ -197,37 +162,11 @@ impl MatchKernel {
     pub fn try_count_grid(
         &self,
         patterns: &[CachedPattern],
-        graphs: &[(GraphId, &LabeledGraph)],
+        graphs: &[(GraphId, &Csr)],
         cap: u64,
     ) -> Result<Vec<Vec<u64>>, KernelError> {
         exec::try_par_map(self.threads, graphs, |&(id, g)| {
-            self.cache
-                .count_embeddings_many_with(self.matcher, patterns, id, g, cap)
-        })
-    }
-
-    /// Fault-isolating twin of [`MatchKernel::covered_in`].
-    pub fn try_covered_in(
-        &self,
-        pattern: &LabeledGraph,
-        graphs: &[(GraphId, &LabeledGraph)],
-    ) -> Result<Vec<bool>, KernelError> {
-        let prepared = self.prepare(pattern);
-        exec::try_par_map(self.threads, graphs, |&(id, g)| {
-            self.cache.is_subgraph_with(self.matcher, &prepared, id, g)
-        })
-    }
-
-    /// Fault-isolating twin of [`MatchKernel::any_covered_in`].
-    pub fn try_any_covered_in(
-        &self,
-        patterns: &[CachedPattern],
-        graphs: &[(GraphId, &LabeledGraph)],
-    ) -> Result<Vec<bool>, KernelError> {
-        exec::try_par_map(self.threads, graphs, |&(id, g)| {
-            patterns
-                .iter()
-                .any(|p| self.cache.is_subgraph_with(self.matcher, p, id, g))
+            self.cache.count_embeddings_many(patterns, id, g, cap)
         })
     }
 
@@ -238,59 +177,50 @@ impl MatchKernel {
         targets: &[&LabeledGraph],
         cap: u64,
     ) -> Result<Vec<u64>, KernelError> {
-        match self.matcher {
-            MatcherKind::Vf2 => {
-                exec::try_par_map(self.threads, targets, |t| count_embeddings(pattern, t, cap))
-            }
-            MatcherKind::Plan => {
-                let plan = self.prepare(pattern).plan();
-                exec::try_par_map(self.threads, targets, |t| {
-                    plan.count_embeddings(&Csr::from_graph(t), cap)
-                })
-            }
-        }
+        let plan = self.prepare(pattern).plan();
+        exec::try_par_map(self.threads, targets, |t| {
+            plan.count_embeddings(&Csr::from_graph(t), cap)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::GraphDb;
     use crate::graph::GraphBuilder;
-    use crate::isomorphism::is_subgraph_of;
+    use crate::isomorphism::{count_embeddings, is_subgraph_of};
 
     fn path(labels: &[u32]) -> LabeledGraph {
         let vs: Vec<u32> = (0..labels.len() as u32).collect();
         GraphBuilder::new().vertices(labels).path(&vs).build()
     }
 
-    fn mini_db() -> Vec<(GraphId, LabeledGraph)> {
-        (0..40u64)
-            .map(|i| {
-                let g = match i % 4 {
-                    0 => path(&[0, 1, 2]),
-                    1 => path(&[0, 1, 0, 1]),
-                    2 => path(&[2, 2]),
-                    _ => GraphBuilder::new()
-                        .vertices(&[0, 0, 0])
-                        .edge(0, 1)
-                        .edge(1, 2)
-                        .edge(0, 2)
-                        .build(),
-                };
-                (GraphId(i), g)
-            })
-            .collect()
+    fn mini_db() -> GraphDb {
+        GraphDb::from_graphs((0..40u64).map(|i| {
+            match i % 4 {
+                0 => path(&[0, 1, 2]),
+                1 => path(&[0, 1, 0, 1]),
+                2 => path(&[2, 2]),
+                _ => GraphBuilder::new()
+                    .vertices(&[0, 0, 0])
+                    .edge(0, 1)
+                    .edge(1, 2)
+                    .edge(0, 2)
+                    .build(),
+            }
+        }))
     }
 
     #[test]
     fn bulk_ops_match_serial_loops() {
         let db = mini_db();
-        let refs: Vec<(GraphId, &LabeledGraph)> = db.iter().map(|(id, g)| (*id, g)).collect();
+        let refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         let kernel = MatchKernel::new(4);
         for pattern in [path(&[0, 1]), path(&[0, 0]), path(&[9, 9])] {
             let counts = kernel.count_in_graphs(&pattern, &refs, 64);
             let covered = kernel.covered_in(&pattern, &refs);
-            for (i, &(_, g)) in refs.iter().enumerate() {
+            for (i, (_, g)) in db.iter().enumerate() {
                 assert_eq!(counts[i], count_embeddings(&pattern, g, 64));
                 assert_eq!(covered[i], is_subgraph_of(&pattern, g));
             }
@@ -300,14 +230,14 @@ mod tests {
     #[test]
     fn grid_matches_nested_loops() {
         let db = mini_db();
-        let refs: Vec<(GraphId, &LabeledGraph)> = db.iter().map(|(id, g)| (*id, g)).collect();
+        let refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         let kernel = MatchKernel::new(3);
         let patterns: Vec<CachedPattern> = [path(&[0, 1]), path(&[0, 0, 0])]
             .iter()
             .map(|p| kernel.prepare(p))
             .collect();
         let grid = kernel.count_grid(&patterns, &refs, 64);
-        for (i, &(_, g)) in refs.iter().enumerate() {
+        for (i, (_, g)) in db.iter().enumerate() {
             for (j, p) in patterns.iter().enumerate() {
                 assert_eq!(grid[i][j], count_embeddings(p.graph(), g, 64));
             }
@@ -317,7 +247,7 @@ mod tests {
     #[test]
     fn repeated_scans_hit_the_cache() {
         let db = mini_db();
-        let refs: Vec<(GraphId, &LabeledGraph)> = db.iter().map(|(id, g)| (*id, g)).collect();
+        let refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         let kernel = MatchKernel::new(2);
         let p = path(&[0, 1]);
         kernel.count_in_graphs(&p, &refs, 64);

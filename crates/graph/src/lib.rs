@@ -12,8 +12,10 @@
 //!   [`GraphId`]s and batch insert/delete ([`BatchUpdate`]), matching the
 //!   paper's `D ⊕ ΔD` model (§3.1).
 //! * [`isomorphism`] — VF2-style subgraph isomorphism: containment tests,
-//!   embedding counting and embedding enumeration (used for coverage,
-//!   the TG/TP matrices of §5.1, and the formulation simulator).
+//!   embedding counting and embedding enumeration. It is the reference the
+//!   differential oracle and the property tests check the production
+//!   matcher against, and it serves the one-off calls of mining,
+//!   clustering and the formulation simulator.
 //! * [`ged`] — graph edit distance: an exact branch-and-bound solver for
 //!   small graphs, the label lower bound `GED_l`, and the paper's tightened
 //!   bound `GED'_l` (Lemma 6.1).
@@ -27,17 +29,19 @@
 //! * [`canonical`] — canonical codes for small graphs, used to
 //!   de-duplicate candidate patterns.
 //! * [`csr`] — per-graph compressed-sparse-row views with per-label
-//!   adjacency slices, built by [`GraphDb`] at insertion and consumed by
-//!   the plan-compiled matcher.
+//!   adjacency slices. [`GraphDb`] builds the only CSR of each data graph
+//!   at insertion; the kernel and its memo borrow it.
 //! * [`plan`] — patterns compiled once into static [`MatchPlan`]s
 //!   (vertex order + per-level candidate filters) and interpreted over
-//!   CSR label slices; the default matcher (`MIDAS_MATCHER=plan|vf2`),
-//!   with VF2 kept as the reference twin.
+//!   CSR label slices; the only production matcher.
+//! * [`kernel`] — [`MatchKernel`], the parallel + memoized bulk
+//!   operations (TG-matrix rows and grids, coverage scans) that run the
+//!   plan matcher over `(GraphId, &Csr)` pairs from [`GraphDb`].
 //! * [`exec`] — scoped-thread `par_map`/`par_chunks` helpers shared by
 //!   every parallel `(graph × pattern)` scan in the workspace.
 //! * [`cache`] — a sharded [`EmbeddingCache`] memoizing capped embedding
-//!   counts per `(pattern canonical key, GraphId)`, invalidated per graph
-//!   on batch updates.
+//!   counts (and nothing else) per `(pattern canonical key, GraphId)`,
+//!   invalidated per graph on batch updates.
 //!
 //! All stochastic components take explicit seeds; nothing in this crate
 //! reads ambient randomness, so every experiment is reproducible.
@@ -73,4 +77,4 @@ pub use graph::{EdgeLabel, GraphBuilder, LabeledGraph, VertexId};
 pub use graphlets::{GraphletCounts, GraphletDistribution, GraphletKind};
 pub use kernel::MatchKernel;
 pub use labels::{Interner, LabelId};
-pub use plan::{MatchPlan, MatcherKind};
+pub use plan::MatchPlan;

@@ -41,43 +41,6 @@ use crate::labels::LabelId;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
-/// Which matcher implementation the kernel and cache drive.
-///
-/// `MIDAS_MATCHER=plan|vf2` selects one at runtime; the compiled plan path
-/// is the default, VF2 stays available as the reference twin the
-/// differential oracle pins against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatcherKind {
-    /// Plan-compiled matching over CSR label slices (this module).
-    #[default]
-    Plan,
-    /// VF2-style backtracking ([`crate::isomorphism`]), the reference.
-    Vf2,
-}
-
-impl MatcherKind {
-    /// Parses the `MIDAS_MATCHER` environment variable (`plan` / `vf2`,
-    /// case-insensitive); `None` when unset or unrecognized.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("MIDAS_MATCHER")
-            .ok()?
-            .trim()
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "plan" => Some(MatcherKind::Plan),
-            "vf2" => Some(MatcherKind::Vf2),
-            _ => None,
-        }
-    }
-
-    /// The environment override when set, otherwise the default
-    /// ([`MatcherKind::Plan`]).
-    pub fn from_env_or_default() -> Self {
-        Self::from_env().unwrap_or_default()
-    }
-}
-
 /// One level of a compiled plan: the pattern vertex bound at this depth
 /// and the static filters its candidates must pass.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -5,7 +5,7 @@ use crate::sparse::SparseMatrix;
 use crate::trie::Trie;
 use crate::{PatternId, EMBED_CAP};
 use midas_graph::isomorphism::count_embeddings;
-use midas_graph::{GraphId, KernelError, LabeledGraph, MatchKernel};
+use midas_graph::{Csr, GraphId, KernelError, LabeledGraph, MatchKernel};
 use midas_mining::TreeKey;
 use std::collections::BTreeMap;
 
@@ -55,20 +55,19 @@ impl FctIndex {
     }
 
     /// Parallel + memoized form of [`FctIndex::build`]: embedding counts
-    /// run through `kernel` (data-graph columns cached by
-    /// `(pattern key, GraphId)`; canned-pattern columns parallel only).
-    /// Produces a matrix identical to the serial build.
+    /// run through `kernel` over the data graphs' CSR views (borrowed from
+    /// [`midas_graph::GraphDb::csrs`], cached by `(pattern key, GraphId)`;
+    /// canned-pattern columns parallel only). Produces a matrix identical
+    /// to the serial build.
     ///
     /// All features are registered first and the whole TG-matrix is filled
     /// by a single [`MatchKernel::count_grid`] pass — one memo round-trip
     /// per *graph* for every feature at once, instead of one per
-    /// `(feature, graph)` pair. With the plan-compiled matcher this is the
-    /// difference between rebuilding a graph's CSR view once versus once
-    /// per feature.
+    /// `(feature, graph)` pair.
     pub fn build_with(
         kernel: &MatchKernel,
         features: impl IntoIterator<Item = (TreeKey, LabeledGraph)>,
-        graphs: &[(GraphId, &LabeledGraph)],
+        graphs: &[(GraphId, &Csr)],
         patterns: &[(PatternId, &LabeledGraph)],
     ) -> Self {
         let mut index = Self::new();
@@ -183,42 +182,6 @@ impl FctIndex {
         id
     }
 
-    /// Parallel + memoized form of [`FctIndex::add_feature_with`]: the
-    /// feature's TG row is computed by the kernel (cached per graph), the TP
-    /// row in parallel. No-op if the key is present.
-    pub fn add_feature_kernel(
-        &mut self,
-        kernel: &MatchKernel,
-        key: TreeKey,
-        tree: &LabeledGraph,
-        graphs: &[(GraphId, &LabeledGraph)],
-        patterns: &[(PatternId, &LabeledGraph)],
-    ) -> FeatureId {
-        if let Some(existing) = self.trie.lookup(key.tokens()) {
-            return existing;
-        }
-        let id = FeatureId(self.next_feature);
-        self.next_feature += 1;
-        self.trie.insert(key.tokens(), id);
-        let graph_counts = kernel.count_in_graphs(tree, graphs, EMBED_CAP);
-        for (&(gid, _), count) in graphs.iter().zip(graph_counts) {
-            self.tg.set(id, gid, count as u32);
-        }
-        let pattern_targets: Vec<&LabeledGraph> = patterns.iter().map(|&(_, p)| p).collect();
-        let pattern_counts = kernel.count_plain_many(tree, &pattern_targets, EMBED_CAP);
-        for (&(pid, _), count) in patterns.iter().zip(pattern_counts) {
-            self.tp.set(id, pid, count as u32);
-        }
-        self.features.insert(
-            id,
-            Feature {
-                key,
-                tree: tree.clone(),
-            },
-        );
-        id
-    }
-
     /// Removes a feature row (maintenance rule 2).
     pub fn remove_feature(&mut self, key: &TreeKey) -> Option<FeatureId> {
         let id = self.trie.remove(key.tokens())?;
@@ -234,28 +197,6 @@ impl FctIndex {
         for (&fid, feature) in &self.features {
             let count = count_embeddings(&feature.tree, graph, EMBED_CAP) as u32;
             self.tg.set(fid, id, count);
-        }
-    }
-
-    /// Batch, parallel + memoized form of [`FctIndex::add_graph`]
-    /// (maintenance rule 3 over a whole `Δ⁺`): every feature is prepared
-    /// once, then counted in every new graph through the kernel.
-    pub fn add_graphs_kernel(&mut self, kernel: &MatchKernel, graphs: &[(GraphId, &LabeledGraph)]) {
-        if graphs.is_empty() || self.features.is_empty() {
-            return;
-        }
-        let prepared: Vec<(FeatureId, midas_graph::CachedPattern)> = self
-            .features
-            .iter()
-            .map(|(&fid, f)| (fid, kernel.prepare(&f.tree)))
-            .collect();
-        let cached: Vec<midas_graph::CachedPattern> =
-            prepared.iter().map(|(_, p)| p.clone()).collect();
-        let grid = kernel.count_grid(&cached, graphs, EMBED_CAP);
-        for (&(gid, _), row) in graphs.iter().zip(grid) {
-            for (&(fid, _), count) in prepared.iter().zip(row) {
-                self.tg.set(fid, gid, count as u32);
-            }
         }
     }
 
@@ -307,75 +248,17 @@ impl FctIndex {
         }
     }
 
-    /// Parallel + memoized form of [`FctIndex::refresh_features`].
-    pub fn refresh_features_kernel(
-        &mut self,
-        kernel: &MatchKernel,
-        target: &[(TreeKey, &LabeledGraph)],
-        graphs: &[(GraphId, &LabeledGraph)],
-        patterns: &[(PatternId, &LabeledGraph)],
-    ) {
-        let want: BTreeMap<&TreeKey, &LabeledGraph> = target.iter().map(|(k, t)| (k, *t)).collect();
-        let stale: Vec<TreeKey> = self
-            .features
-            .values()
-            .filter(|f| !want.contains_key(&f.key))
-            .map(|f| f.key.clone())
-            .collect();
-        for key in stale {
-            self.remove_feature(&key);
-        }
-        for (key, tree) in target {
-            if self.trie.lookup(key.tokens()).is_none() {
-                self.add_feature_kernel(kernel, key.clone(), tree, graphs, patterns);
-            }
-        }
-    }
-
-    /// Fault-isolating twin of [`FctIndex::add_feature_kernel`]: every
-    /// fallible count runs *before* any index mutation, so a contained
-    /// worker panic (surfaced as [`KernelError`]) leaves the index exactly
-    /// as it was.
-    pub fn try_add_feature_kernel(
-        &mut self,
-        kernel: &MatchKernel,
-        key: TreeKey,
-        tree: &LabeledGraph,
-        graphs: &[(GraphId, &LabeledGraph)],
-        patterns: &[(PatternId, &LabeledGraph)],
-    ) -> Result<FeatureId, KernelError> {
-        if let Some(existing) = self.trie.lookup(key.tokens()) {
-            return Ok(existing);
-        }
-        let graph_counts = kernel.try_count_in_graphs(tree, graphs, EMBED_CAP)?;
-        let pattern_targets: Vec<&LabeledGraph> = patterns.iter().map(|&(_, p)| p).collect();
-        let pattern_counts = kernel.try_count_plain_many(tree, &pattern_targets, EMBED_CAP)?;
-        let id = FeatureId(self.next_feature);
-        self.next_feature += 1;
-        self.trie.insert(key.tokens(), id);
-        for (&(gid, _), count) in graphs.iter().zip(graph_counts) {
-            self.tg.set(id, gid, count as u32);
-        }
-        for (&(pid, _), count) in patterns.iter().zip(pattern_counts) {
-            self.tp.set(id, pid, count as u32);
-        }
-        self.features.insert(
-            id,
-            Feature {
-                key,
-                tree: tree.clone(),
-            },
-        );
-        Ok(id)
-    }
-
-    /// Fault-isolating twin of [`FctIndex::add_graphs_kernel`]: the count
-    /// grid is computed before any column is written, so on [`KernelError`]
-    /// the TG-matrix is untouched.
+    /// Batch, parallel + memoized form of [`FctIndex::add_graph`]
+    /// (maintenance rule 3 over a whole `Δ⁺`): every feature is prepared
+    /// once, then counted in every new graph's CSR view through the
+    /// kernel.
+    ///
+    /// The count grid is computed before any column is written, so on
+    /// [`KernelError`] the TG-matrix is untouched.
     pub fn try_add_graphs_kernel(
         &mut self,
         kernel: &MatchKernel,
-        graphs: &[(GraphId, &LabeledGraph)],
+        graphs: &[(GraphId, &Csr)],
     ) -> Result<(), KernelError> {
         if graphs.is_empty() || self.features.is_empty() {
             return Ok(());
@@ -396,7 +279,7 @@ impl FctIndex {
         Ok(())
     }
 
-    /// Fault-isolating twin of [`FctIndex::refresh_features_kernel`]: the
+    /// Parallel + memoized form of [`FctIndex::refresh_features`]: the
     /// TG/TP rows of every *new* feature are counted up front; only once all
     /// counts succeed are stale rows dropped and new rows inserted. On
     /// [`KernelError`] the index is unchanged.
@@ -404,7 +287,7 @@ impl FctIndex {
         &mut self,
         kernel: &MatchKernel,
         target: &[(TreeKey, &LabeledGraph)],
-        graphs: &[(GraphId, &LabeledGraph)],
+        graphs: &[(GraphId, &Csr)],
         patterns: &[(PatternId, &LabeledGraph)],
     ) -> Result<(), KernelError> {
         let pattern_targets: Vec<&LabeledGraph> = patterns.iter().map(|&(_, p)| p).collect();
@@ -616,11 +499,17 @@ mod tests {
             graph_refs.iter().copied(),
             pattern_refs.iter().copied(),
         );
+        let csrs: Vec<Csr> = graphs.iter().map(Csr::from_graph).collect();
+        let csr_refs: Vec<(GraphId, &Csr)> = csrs
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (gid(i as u64), c))
+            .collect();
         let kernel = MatchKernel::new(4);
         let parallel = FctIndex::build_with(
             &kernel,
             features.iter().map(|t| (tree_key(t), t.clone())),
-            &graph_refs,
+            &csr_refs,
             &pattern_refs,
         );
         assert_eq!(serial.feature_count(), parallel.feature_count());
@@ -642,13 +531,16 @@ mod tests {
         for (i, g) in news.iter().enumerate() {
             serial.add_graph(gid(10 + i as u64), g);
         }
-        let refs: Vec<(GraphId, &LabeledGraph)> = news
+        let csrs: Vec<Csr> = news.iter().map(Csr::from_graph).collect();
+        let refs: Vec<(GraphId, &Csr)> = csrs
             .iter()
             .enumerate()
-            .map(|(i, g)| (gid(10 + i as u64), g))
+            .map(|(i, c)| (gid(10 + i as u64), c))
             .collect();
         let kernel = MatchKernel::new(2);
-        cached.add_graphs_kernel(&kernel, &refs);
+        cached
+            .try_add_graphs_kernel(&kernel, &refs)
+            .expect("no fault injected");
         for (fid, _) in serial.features() {
             for &(gid, _) in &refs {
                 assert_eq!(serial.tg().get(fid, gid), cached.tg().get(fid, gid));
@@ -656,7 +548,9 @@ mod tests {
         }
         // A second pass is served from the memo and stays identical.
         let before = kernel.cache().stats().misses;
-        cached.add_graphs_kernel(&kernel, &refs);
+        cached
+            .try_add_graphs_kernel(&kernel, &refs)
+            .expect("no fault injected");
         assert_eq!(kernel.cache().stats().misses, before);
     }
 

@@ -6,14 +6,14 @@
 //!
 //! Given a pattern, we compute its feature-count profile (over FCTs,
 //! frequent edges, and infrequent edges), intersect the graphs whose counts
-//! dominate it, and only run VF2 on the survivors — exactly the
+//! dominate it, and only verify isomorphism on the survivors — exactly the
 //! `(p₃, G₈), (p₃, G₉)` pruning of the paper's example.
 
 use crate::fct_index::FctIndex;
 use crate::ife_index::IfeIndex;
 use crate::EMBED_CAP;
 use midas_graph::isomorphism::{count_embeddings, is_subgraph_of};
-use midas_graph::{EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
+use midas_graph::{Csr, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use std::collections::BTreeSet;
 
 /// A pattern's feature-count profile against the current indices.
@@ -112,9 +112,10 @@ pub fn covered_graphs(
 }
 
 /// Parallel + memoized form of [`covered_graphs`]: the dominance filter is
-/// unchanged, the surviving candidates are verified through `kernel`
-/// (cached per `(pattern, GraphId)`, VF2 in parallel on misses). Always
-/// returns the same set as the serial path.
+/// unchanged, the surviving candidates' CSR views (from [`GraphDb::csr`])
+/// are verified through `kernel` (cached per `(pattern, GraphId)`, the
+/// compiled plan in parallel on misses). Always returns the same set as
+/// the serial VF2 reference path.
 pub fn covered_graphs_with(
     kernel: &MatchKernel,
     fct: &FctIndex,
@@ -124,9 +125,9 @@ pub fn covered_graphs_with(
     universe: &BTreeSet<GraphId>,
 ) -> BTreeSet<GraphId> {
     let profile = profile_pattern(fct, ife, pattern);
-    let candidates: Vec<(GraphId, &LabeledGraph)> = candidate_graphs(fct, ife, &profile, universe)
+    let candidates: Vec<(GraphId, &Csr)> = candidate_graphs(fct, ife, &profile, universe)
         .into_iter()
-        .filter_map(|id| db.get(id).map(|g| (id, g.as_ref())))
+        .filter_map(|id| db.csr(id).map(|g| (id, g)))
         .collect();
     kernel
         .covered_in(pattern, &candidates)
@@ -134,23 +135,6 @@ pub fn covered_graphs_with(
         .zip(&candidates)
         .filter_map(|(hit, &(id, _))| hit.then_some(id))
         .collect()
-}
-
-/// Subgraph coverage `scov(p, D) = |G_p| / |D|` over `universe` (§2.2),
-/// where the denominator is `denominator` (usually `|D|`, or `|D_s|` when
-/// sampling).
-pub fn scov(
-    fct: &FctIndex,
-    ife: &IfeIndex,
-    db: &GraphDb,
-    pattern: &LabeledGraph,
-    universe: &BTreeSet<GraphId>,
-    denominator: usize,
-) -> f64 {
-    if denominator == 0 {
-        return 0.0;
-    }
-    covered_graphs(fct, ife, db, pattern, universe).len() as f64 / denominator as f64
 }
 
 #[cfg(test)]
@@ -266,14 +250,18 @@ mod tests {
     }
 
     #[test]
-    fn scov_respects_universe_and_denominator() {
+    fn covered_graphs_respects_universe() {
         let (fct, ife, db) = setup();
         let universe: BTreeSet<GraphId> = db.ids().collect();
         let pattern = path(&[0, 1]); // in G0 and G1
-        assert!((scov(&fct, &ife, &db, &pattern, &universe, db.len()) - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(
+            covered_graphs(&fct, &ife, &db, &pattern, &universe),
+            db.ids().take(2).collect()
+        );
         // Restrict the universe to G2 only.
         let small: BTreeSet<GraphId> = db.ids().skip(2).collect();
-        assert_eq!(scov(&fct, &ife, &db, &pattern, &small, small.len()), 0.0);
-        assert_eq!(scov(&fct, &ife, &db, &pattern, &universe, 0), 0.0);
+        assert!(covered_graphs(&fct, &ife, &db, &pattern, &small).is_empty());
+        let kernel = MatchKernel::new(1);
+        assert!(covered_graphs_with(&kernel, &fct, &ife, &db, &pattern, &small).is_empty());
     }
 }

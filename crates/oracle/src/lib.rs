@@ -18,10 +18,11 @@
 //!    recounting graphlets over a reference world.
 //! 4. **`ged_bounds`** — the GED lower-bound chain
 //!    `label ≤ tight ≤ exact` on random and adversarial boundary pairs.
-//! 5. **`multi_scan_swap`** — kernel-backed vs serial-reference swap runs
-//!    must agree exactly; set measures guarded by sw3–sw5 must not
-//!    degrade; a single accepted swap must replay sw1 against
-//!    brute-force coverage.
+//! 5. **`multi_scan_swap`** — swap runs scored through a shared, warm
+//!    kernel and through a fresh single-thread one must agree exactly;
+//!    the scoring context's `scov` must equal brute-force VF2 coverage;
+//!    set measures guarded by sw3–sw5 must not degrade; a single
+//!    accepted swap must replay sw1 against brute-force coverage.
 //! 6. **`plan_vs_vf2`** — the plan-compiled CSR matcher
 //!    ([`midas_graph::plan`]) vs the VF2 reference on random pairs:
 //!    capped counts at several caps, coverage booleans, and the full
@@ -57,7 +58,7 @@ use midas_graph::ged::{ged_exact, ged_label_lower_bound, ged_tight_lower_bound};
 use midas_graph::graphlets::{count_graphlets, GraphletCounts};
 use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
 use midas_graph::plan::{count_embeddings_plan, find_embeddings_plan, is_subgraph_plan};
-use midas_graph::{GraphBuilder, GraphDb, GraphId, LabeledGraph, MatchKernel};
+use midas_graph::{Csr, GraphBuilder, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::{FctIndex, IfeIndex, PatternId};
 use midas_mining::incremental::FctState;
 use midas_mining::{EdgeCatalog, MiningConfig, TreeKey};
@@ -273,13 +274,14 @@ impl Oracle {
         let kernel = MatchKernel::new(4);
         let graphs: Vec<(GraphId, &LabeledGraph)> =
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+        let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         let mut cases = 0;
         // Two rounds: round 0 fills the memo, round 1 must serve hits
         // that still agree with serial recomputation.
         for round in 0..2 {
             for (pi, p) in patterns.iter().enumerate() {
-                let fast_counts = kernel.count_in_graphs(p, &graphs, COUNT_CAP);
-                let fast_covered = kernel.covered_in(p, &graphs);
+                let fast_counts = kernel.count_in_graphs(p, &csrs, COUNT_CAP);
+                let fast_covered = kernel.covered_in(p, &csrs);
                 for (k, &(id, g)) in graphs.iter().enumerate() {
                     cases += 2;
                     let want = count_embeddings(p, g, COUNT_CAP);
@@ -310,16 +312,14 @@ impl Oracle {
         // entry keyed on (pattern, id) would serve the old graph's count.
         let replacements = query_set(&db, 3, (2, 4), self.seed ^ 0x02);
         for (i, replacement) in replacements.iter().enumerate() {
-            let (id, old) = {
-                let (id, g) = db.iter().nth(i).expect("world has >= 3 graphs");
-                (id, g.as_ref().clone())
-            };
+            let (id, old) = csrs[i];
             let p = &patterns[i % patterns.len()];
             // Warm the memo on the old content, then invalidate and probe
-            // the replacement under the same id.
-            let _ = kernel.count_in_graphs(p, &[(id, &old)], COUNT_CAP);
+            // the replacement's CSR under the same id.
+            let _ = kernel.count_in_graphs(p, &[(id, old)], COUNT_CAP);
             kernel.invalidate_graph(id);
-            let fast = kernel.count_in_graphs(p, &[(id, replacement)], COUNT_CAP);
+            let replacement_csr = Csr::from_graph(replacement);
+            let fast = kernel.count_in_graphs(p, &[(id, &replacement_csr)], COUNT_CAP);
             let want = count_embeddings(p, replacement, COUNT_CAP);
             cases += 1;
             if fast[0] != want {
@@ -576,7 +576,8 @@ impl Oracle {
         cases
     }
 
-    /// Runs one swap world through both scov paths and audits the result.
+    /// Runs one swap world through a shared and a fresh kernel and audits
+    /// the result.
     fn swap_world(
         &self,
         world: &str,
@@ -592,7 +593,9 @@ impl Oracle {
         let params = SwapParams::default();
         let kernel = MatchKernel::new(2);
 
-        let run = |use_kernel: bool| -> SwapRunResult {
+        // The reference run scores through a fresh single-thread kernel,
+        // the fast run through the shared two-thread one.
+        let run = |kernel: &MatchKernel| -> SwapRunResult {
             let mut store = PatternStore::new();
             for p in &initial {
                 store.insert(p.clone());
@@ -619,7 +622,7 @@ impl Oracle {
                 db: &db,
                 sample: &sample,
                 catalog: &catalog,
-                kernel: if use_kernel { Some(&kernel) } else { None },
+                kernel,
             };
             let outcome = multi_scan_swap(
                 &mut store,
@@ -633,11 +636,46 @@ impl Oracle {
             (outcome, graphs, before, store)
         };
 
-        let (fast_out, fast_set, before_map, _store_fast) = run(true);
-        let (ref_out, ref_set, _, _store_ref) = run(false);
+        let (fast_out, fast_set, before_map, _store_fast) = run(&kernel);
+        let (ref_out, ref_set, _, _store_ref) = run(&MatchKernel::new(1));
         let mut cases = 0;
 
-        // Parity: the memoized-kernel run and the serial reference run
+        // Coverage parity: the scoring context (dominance filter + the
+        // now-warm kernel memo) must agree with brute-force VF2 coverage
+        // on every pattern the swap scored.
+        let fct = FctIndex::build(
+            std::iter::empty::<(TreeKey, &LabeledGraph)>(),
+            refs.iter().copied(),
+            std::iter::empty::<(PatternId, &LabeledGraph)>(),
+        );
+        let ife = IfeIndex::build(
+            BTreeSet::new(),
+            refs.iter().copied(),
+            std::iter::empty::<(PatternId, &LabeledGraph)>(),
+        );
+        let ctx = ScovContext {
+            fct: &fct,
+            ife: &ife,
+            db: &db,
+            sample: &sample,
+            catalog: &catalog,
+            kernel: &kernel,
+        };
+        for (i, p) in initial.iter().chain(&candidates).enumerate() {
+            cases += 1;
+            let (want, got) = (brute_scov(p, &db, &sample), ctx.scov(p));
+            if want != got {
+                out.push(Divergence {
+                    check: "multi_scan_swap",
+                    case: format!("{world}: scov of pattern {i} (kernel vs brute-force VF2)"),
+                    expected: format!("{want:.6}"),
+                    actual: format!("{got:.6}"),
+                    witness: None,
+                });
+            }
+        }
+
+        // Parity: the shared-kernel run and the fresh-kernel reference run
         // must make identical decisions.
         cases += 1;
         if fast_out.swaps != ref_out.swaps
@@ -647,15 +685,15 @@ impl Oracle {
         {
             out.push(Divergence {
                 check: "multi_scan_swap",
-                case: format!("{world}: kernel/serial parity"),
+                case: format!("{world}: shared/fresh kernel parity"),
                 expected: format!(
-                    "swaps {}, scans {}, {} final patterns (serial reference)",
+                    "swaps {}, scans {}, {} final patterns (fresh kernel)",
                     ref_out.swaps,
                     ref_out.scans,
                     ref_set.len()
                 ),
                 actual: format!(
-                    "swaps {}, scans {}, {} final patterns (kernel)",
+                    "swaps {}, scans {}, {} final patterns (shared kernel)",
                     fast_out.swaps,
                     fast_out.scans,
                     fast_set.len()
@@ -937,7 +975,7 @@ fn count_divergence(
     // original pair as witness.
     let violates = |p: &LabeledGraph, g: &LabeledGraph| {
         let fresh = MatchKernel::new(1);
-        let fast = fresh.count_in_graphs(p, &[(GraphId(0), g)], COUNT_CAP);
+        let fast = fresh.count_in_graphs(p, &[(GraphId(0), &Csr::from_graph(g))], COUNT_CAP);
         fast[0] != count_embeddings(p, g, COUNT_CAP)
     };
     let witness = minimize_pair(pattern, graph, violates);

@@ -4,7 +4,7 @@
 //! signature prefilter must never reject a true embedding.
 
 use midas_graph::isomorphism::{count_embeddings, is_subgraph_of, GraphSignature};
-use midas_graph::{CachedPattern, GraphDb, GraphId, LabeledGraph, MatchKernel};
+use midas_graph::{CachedPattern, Csr, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::scov::{covered_graphs, covered_graphs_with};
 use midas_index::{FctIndex, IfeIndex, PatternId};
 use midas_tests::connected_graph_strategy;
@@ -15,6 +15,10 @@ const CAP: u64 = 64;
 
 fn db_refs(db: &GraphDb) -> Vec<(GraphId, &LabeledGraph)> {
     db.iter().map(|(id, g)| (id, g.as_ref())).collect()
+}
+
+fn csr_refs(db: &GraphDb) -> Vec<(GraphId, &Csr)> {
+    db.csrs().collect()
 }
 
 proptest! {
@@ -29,11 +33,12 @@ proptest! {
     ) {
         let db = GraphDb::from_graphs(graphs);
         let refs = db_refs(&db);
+        let csrs = csr_refs(&db);
         let kernel = MatchKernel::new(4);
         for pass in 0..2 {
             for p in &patterns {
-                let got = kernel.count_in_graphs(p, &refs, CAP);
-                let covered = kernel.covered_in(p, &refs);
+                let got = kernel.count_in_graphs(p, &csrs, CAP);
+                let covered = kernel.covered_in(p, &csrs);
                 for (i, &(_, g)) in refs.iter().enumerate() {
                     prop_assert_eq!(got[i], count_embeddings(p, g, CAP), "pass {}", pass);
                     prop_assert_eq!(covered[i], is_subgraph_of(p, g), "pass {}", pass);
@@ -52,7 +57,7 @@ proptest! {
         let refs = db_refs(&db);
         let kernel = MatchKernel::new(3);
         let prepared: Vec<CachedPattern> = patterns.iter().map(|p| kernel.prepare(p)).collect();
-        let grid = kernel.count_grid(&prepared, &refs, CAP);
+        let grid = kernel.count_grid(&prepared, &csr_refs(&db), CAP);
         for (i, &(_, g)) in refs.iter().enumerate() {
             for (j, p) in patterns.iter().enumerate() {
                 prop_assert_eq!(grid[i][j], count_embeddings(p, g, CAP));
@@ -75,7 +80,7 @@ proptest! {
         let mut db = GraphDb::from_graphs(initial);
         let kernel = MatchKernel::new(2);
         // Warm the cache on the initial state.
-        kernel.count_in_graphs(&pattern, &db_refs(&db), CAP);
+        kernel.count_in_graphs(&pattern, &csr_refs(&db), CAP);
 
         // Mutate: optionally delete the first graph, then insert `added`.
         let mut update = midas_graph::BatchUpdate::insert_only(added);
@@ -88,7 +93,7 @@ proptest! {
         }
 
         let refs = db_refs(&db);
-        let got = kernel.count_in_graphs(&pattern, &refs, CAP);
+        let got = kernel.count_in_graphs(&pattern, &csr_refs(&db), CAP);
         for (i, &(_, g)) in refs.iter().enumerate() {
             prop_assert_eq!(got[i], count_embeddings(&pattern, g, CAP));
         }

@@ -1,12 +1,12 @@
 //! Property tests for the plan-compiled matcher: on random connected
 //! (pattern, target) pairs the plan interpreter over CSR label slices
 //! must agree exactly with the serial VF2 reference — counts at every
-//! cap, coverage booleans, full embedding sets, and the kernel routed
-//! through either matcher.
+//! cap, coverage booleans, full embedding sets, and the kernel's bulk
+//! operations against serial VF2 loops.
 
 use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
 use midas_graph::plan::{count_embeddings_plan, find_embeddings_plan, is_subgraph_plan};
-use midas_graph::{Csr, GraphId, LabeledGraph, MatchKernel, MatcherKind};
+use midas_graph::{Csr, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_tests::connected_graph_strategy;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -91,37 +91,31 @@ proptest! {
         }
     }
 
-    /// A kernel routed through the plan matcher and one routed through
-    /// VF2 produce identical bulk results on the same inputs.
+    /// The kernel's bulk operations over the database's CSR views equal
+    /// serial VF2 loops over the same graphs.
     #[test]
     fn kernels_agree_across_matchers(
         graphs in proptest::collection::vec(connected_graph_strategy(6, 3), 2..6),
         patterns in proptest::collection::vec(connected_graph_strategy(4, 3), 1..4),
     ) {
-        let plan = MatchKernel::with_matcher(1, MatcherKind::Plan);
-        let vf2 = MatchKernel::with_matcher(1, MatcherKind::Vf2);
-        let refs: Vec<(GraphId, &LabeledGraph)> = graphs
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (GraphId(i as u64), g))
-            .collect();
+        let kernel = MatchKernel::new(1);
+        let db = GraphDb::from_graphs(graphs.iter().cloned());
+        let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
+        let targets: Vec<&LabeledGraph> = graphs.iter().collect();
         for p in &patterns {
-            prop_assert_eq!(
-                plan.count_in_graphs(p, &refs, 64),
-                vf2.count_in_graphs(p, &refs, 64)
-            );
-            prop_assert_eq!(plan.covered_in(p, &refs), vf2.covered_in(p, &refs));
-            let targets: Vec<&LabeledGraph> = graphs.iter().collect();
-            prop_assert_eq!(
-                plan.count_plain_many(p, &targets, u64::MAX),
-                vf2.count_plain_many(p, &targets, u64::MAX)
-            );
+            let counts: Vec<u64> = graphs.iter().map(|g| count_embeddings(p, g, 64)).collect();
+            prop_assert_eq!(kernel.count_in_graphs(p, &csrs, 64), counts);
+            let covered: Vec<bool> = graphs.iter().map(|g| is_subgraph_of(p, g)).collect();
+            prop_assert_eq!(kernel.covered_in(p, &csrs), covered);
+            let unbounded: Vec<u64> =
+                graphs.iter().map(|g| count_embeddings(p, g, u64::MAX)).collect();
+            prop_assert_eq!(kernel.count_plain_many(p, &targets, u64::MAX), unbounded);
         }
-        let prepared_plan: Vec<_> = patterns.iter().map(|p| plan.prepare(p)).collect();
-        let prepared_vf2: Vec<_> = patterns.iter().map(|p| vf2.prepare(p)).collect();
-        prop_assert_eq!(
-            plan.count_grid(&prepared_plan, &refs, 64),
-            vf2.count_grid(&prepared_vf2, &refs, 64)
-        );
+        let prepared: Vec<_> = patterns.iter().map(|p| kernel.prepare(p)).collect();
+        let grid: Vec<Vec<u64>> = graphs
+            .iter()
+            .map(|g| patterns.iter().map(|p| count_embeddings(p, g, 64)).collect())
+            .collect();
+        prop_assert_eq!(kernel.count_grid(&prepared, &csrs, 64), grid);
     }
 }

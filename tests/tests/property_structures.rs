@@ -5,7 +5,7 @@
 use midas_core::metrics::ScovContext;
 use midas_core::patterns::PatternStore;
 use midas_core::swap::{multi_scan_swap, SwapParams};
-use midas_graph::{ClosureGraph, GraphDb, GraphId, LabeledGraph};
+use midas_graph::{ClosureGraph, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::{FctIndex, IfeIndex, PatternId};
 use midas_mining::EdgeCatalog;
 use midas_tests::connected_graph_strategy;
@@ -135,7 +135,7 @@ proptest! {
             db: &db,
             sample: &sample,
             catalog: &catalog,
-            kernel: None,
+            kernel: &MatchKernel::new(1),
         };
         let before = midas_core::quality_of(&store.graphs(), &db, &catalog, &sample);
         multi_scan_swap(
@@ -186,7 +186,7 @@ proptest! {
             db: &db,
             sample: &sample,
             catalog: &catalog,
-            kernel: None,
+            kernel: &MatchKernel::new(1),
         };
         multi_scan_swap(
             &mut store,
