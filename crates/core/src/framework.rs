@@ -108,7 +108,6 @@ pub struct Midas {
     patterns: PatternStore,
     kernel: MatchKernel,
     batch_counter: u64,
-    obs_server: Option<midas_obs::ObsServer>,
     /// The serving-side pattern snapshot: republished after bootstrap and
     /// at the end of every batch, read lock-free (never blocked by a
     /// batch) by any thread holding [`Midas::snapshot_handle`].
@@ -129,21 +128,17 @@ impl Midas {
 
     /// [`Midas::bootstrap`] for instances *embedded in a host daemon*
     /// (one per tenant in `midas-serve`): the configuration is taken
-    /// exactly as given — no `MIDAS_*` environment overrides, and no
-    /// per-instance observability server (the host process owns the
-    /// single [`midas_obs::ObsServer`]; a second tenant would otherwise
-    /// fight it for the `MIDAS_SERVE` port). Everything else — mining,
-    /// clustering, selection, index builds, snapshot publication — is
-    /// identical, so an embedded instance fed the same batches is
-    /// bit-identical to a standalone one (the oracle's serve-vs-library
-    /// parity check pins this).
+    /// exactly as given — no `MIDAS_*` environment overrides. Everything
+    /// else — mining, clustering, selection, index builds, snapshot
+    /// publication — is identical, so an embedded instance fed the same
+    /// batches is bit-identical to a standalone one (the oracle's
+    /// serve-vs-library parity check pins this).
     ///
     /// Unlike [`Midas::bootstrap`], this never calls
     /// [`TelemetryConfig::activate`]: global telemetry switches belong to
     /// the host process, and a tenant bootstrapping mid-flight must not
     /// flip them out from under the other tenants.
-    pub fn bootstrap_embedded(db: GraphDb, mut config: MidasConfig) -> Result<Self, String> {
-        config.telemetry.serve = false;
+    pub fn bootstrap_embedded(db: GraphDb, config: MidasConfig) -> Result<Self, String> {
         Midas::bootstrap_inner(db, config)
     }
 
@@ -151,33 +146,6 @@ impl Midas {
         if db.is_empty() {
             return Err("cannot bootstrap MIDAS on an empty database".into());
         }
-        // Live observability: bind the HTTP endpoints and arm the flight
-        // recorder before any batch runs, so the very first crash or scrape
-        // already has context.
-        let obs_server = if config.telemetry.serve {
-            midas_obs::flight::install_panic_hook();
-            midas_obs::flight::set_span_capture(true);
-            let addr = TelemetryConfig::serve_addr();
-            match midas_obs::ObsServer::start(&addr) {
-                Ok(server) => {
-                    midas_obs::obs_info!(
-                        "core::framework",
-                        "observability endpoints on http://{}",
-                        server.addr()
-                    );
-                    Some(server)
-                }
-                Err(e) => {
-                    midas_obs::obs_warn!(
-                        "core::framework",
-                        "failed to bind observability server on {addr}: {e}"
-                    );
-                    None
-                }
-            }
-        } else {
-            None
-        };
         let _span = midas_obs::span!("bootstrap");
         let fct_state = FctState::build(&db, config.mining());
         let space = FeatureSpace::from_fct(&fct_state.lattice, config.sup_min, db.len());
@@ -202,7 +170,6 @@ impl Midas {
             patterns,
             kernel,
             batch_counter: 0,
-            obs_server,
             published: Published::default(),
         };
         midas.publish_snapshot();
@@ -219,12 +186,6 @@ impl Midas {
     /// The configuration.
     pub fn config(&self) -> &MidasConfig {
         &self.config
-    }
-
-    /// The bound address of the live observability endpoints, if
-    /// [`TelemetryConfig::serve`] was set (e.g. via `MIDAS_SERVE`).
-    pub fn obs_addr(&self) -> Option<std::net::SocketAddr> {
-        self.obs_server.as_ref().map(|s| s.addr())
     }
 
     /// The current database.
@@ -556,7 +517,7 @@ impl Midas {
         // Flight recorder: always-on (bounded ring, one short lock), so a
         // post-mortem dump has the last batches even when metrics are off.
         midas_obs::flight::record_batch(midas_obs::BatchSummary {
-            seq: self.batch_counter,
+            seq: 0, // numbered process-wide by the recorder
             kind: match kind {
                 Modification::Major => "major",
                 Modification::Minor => "minor",

@@ -86,8 +86,10 @@ const FAULT_FROM_ENV: i64 = i64::MIN;
 /// defers to `MIDAS_FAULT`, any other negative value disables injection.
 static FAULT_OVERRIDE: AtomicI64 = AtomicI64::new(FAULT_FROM_ENV);
 
-/// Global task ordinal; only advanced while a fault target is armed, so the
-/// "Nth task" is deterministic for a fixed workload.
+/// Global task ordinal; only advanced while a fault target is armed. Each
+/// fan-out reserves a block of ordinals up front (see [`fault_ordinals`]),
+/// so the "Nth task" is deterministic for a fixed workload whatever the
+/// thread interleaving.
 static FAULT_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// `MIDAS_FAULT=task:N`, parsed once.
@@ -124,11 +126,22 @@ pub fn set_fault_for_tests(target: Option<u64>) {
     FAULT_COUNTER.store(0, Ordering::Relaxed);
 }
 
+/// Reserves `n` consecutive task ordinals for one fan-out and returns the
+/// first: task `i` of the fan-out is ordinal `first + i`, whichever worker
+/// runs it. Free (returns 0) while the injector is disarmed.
+#[inline]
+fn fault_ordinals(n: usize) -> u64 {
+    if fault_target().is_some() {
+        FAULT_COUNTER.fetch_add(n as u64, Ordering::Relaxed)
+    } else {
+        0
+    }
+}
+
 /// The per-task injection point: panics on the armed task ordinal.
 #[inline]
-fn fault_point() {
+fn fault_point(ordinal: u64) {
     if let Some(target) = fault_target() {
-        let ordinal = FAULT_COUNTER.fetch_add(1, Ordering::Relaxed);
         if ordinal == target {
             midas_obs::flight::record_event(
                 "fault_injected",
@@ -224,13 +237,14 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
+    let first_ordinal = fault_ordinals(items.len());
     let threads = effective_threads(threads, items.len());
     if threads <= 1 {
         return items
             .iter()
             .enumerate()
             .map(|(i, x)| {
-                fault_point();
+                fault_point(first_ordinal + i as u64);
                 f(i, x)
             })
             .collect();
@@ -251,7 +265,7 @@ where
                 let _busy = midas_obs::span!("exec.worker");
                 let base = chunk_idx * chunk_len;
                 for (offset, (item, slot)) in in_chunk.iter().zip(out_chunk).enumerate() {
-                    fault_point();
+                    fault_point(first_ordinal + (base + offset) as u64);
                     *slot = Some(f(base + offset, item));
                 }
             });
@@ -287,9 +301,10 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
+    let first_ordinal = fault_ordinals(items.len());
     let run_task = |i: usize, item: &T| -> Result<U, KernelError> {
         catch_unwind(AssertUnwindSafe(|| {
-            fault_point();
+            fault_point(first_ordinal + i as u64);
             f(i, item)
         }))
         .map_err(|payload| {

@@ -1,20 +1,17 @@
-//! JSON persistence for graph databases and pattern sets.
+//! The graph wire format: pattern sets and update batches as JSON.
 //!
-//! Experiments need reproducible inputs and auditable outputs; this module
-//! serializes a [`GraphDb`] (with its stable ids) and pattern sets as a
-//! single JSON document — fine for the laptop-scale databases this
-//! workspace targets. The encoder/decoder are hand-rolled for exactly the
-//! shapes these types produce (the build environment has no crates.io
-//! access, so a `serde_json` dependency is not an option).
-//!
-//! Format:
-//!
-//! ```json
-//! {"graphs": [[0, {"labels": [0, 1], "edges": [[0, 1]]}], ...]}
-//! ```
+//! A graph is `{"labels": [0, 1], "edges": [[0, 1]]}`; a pattern set is an
+//! array of graphs; a batch is `{"insert": [graph, ...], "delete": [id,
+//! ...]}`. The encoders are hand-rolled for exactly these shapes (the
+//! serving read path renders every `GET /patterns` body with
+//! [`patterns_to_json`]). The decoders work on a document already parsed
+//! by [`midas_obs::json::Value::parse`], the workspace's one JSON parser,
+//! and validate the graphs: edge endpoints in range, no self-loops, no
+//! duplicate edges.
 
-use crate::db::{BatchUpdate, GraphDb, GraphId};
+use crate::db::{BatchUpdate, GraphId};
 use crate::graph::LabeledGraph;
+use midas_obs::json::Value;
 
 /// Serialization/deserialization errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,102 +27,6 @@ impl std::error::Error for Error {}
 /// Result alias for this module.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Serializable snapshot of a database.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DbSnapshot {
-    /// `(id, graph)` pairs in id order.
-    pub graphs: Vec<(u64, LabeledGraph)>,
-}
-
-/// Captures a database into a snapshot.
-pub fn snapshot(db: &GraphDb) -> DbSnapshot {
-    DbSnapshot {
-        graphs: db
-            .iter()
-            .map(|(id, g)| (id.0, g.as_ref().clone()))
-            .collect(),
-    }
-}
-
-/// Restores a database from a snapshot, **preserving the original ids**
-/// (and placing the id counter past the largest restored id).
-pub fn restore(snapshot: &DbSnapshot) -> GraphDb {
-    let mut db = GraphDb::new();
-    // GraphDb only hands out fresh ids; reconstruct by inserting in id
-    // order and verifying density, falling back to remapping gaps.
-    let mut expected_next = 0u64;
-    let dense = snapshot.graphs.iter().all(|&(id, _)| {
-        let ok = id == expected_next;
-        expected_next += 1;
-        ok
-    });
-    if dense {
-        for (_, g) in &snapshot.graphs {
-            db.insert(g.clone());
-        }
-        return db;
-    }
-    // Sparse ids (the source db saw deletions): pad with placeholders that
-    // are immediately removed, keeping surviving ids identical.
-    let mut next = 0u64;
-    for &(id, ref g) in &snapshot.graphs {
-        while next < id {
-            let filler = db.insert(LabeledGraph::new());
-            db.remove(filler);
-            next += 1;
-        }
-        let got = db.insert(g.clone());
-        debug_assert_eq!(got, GraphId(id));
-        next = id + 1;
-    }
-    db
-}
-
-/// Serializes a database to a JSON string.
-pub fn db_to_json(db: &GraphDb) -> Result<String> {
-    let snap = snapshot(db);
-    let mut out = String::new();
-    out.push_str("{\"graphs\":[");
-    for (i, (id, g)) in snap.graphs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        out.push_str(&id.to_string());
-        out.push(',');
-        write_graph(&mut out, g);
-        out.push(']');
-    }
-    out.push_str("]}");
-    Ok(out)
-}
-
-/// Deserializes a database from a JSON string.
-pub fn db_from_json(json: &str) -> Result<GraphDb> {
-    let mut p = Parser::new(json);
-    p.expect('{')?;
-    p.expect_key("graphs")?;
-    let mut graphs = Vec::new();
-    p.expect('[')?;
-    if !p.peek_is(']') {
-        loop {
-            p.expect('[')?;
-            let id = p.parse_u64()?;
-            p.expect(',')?;
-            let graph = p.parse_graph()?;
-            p.expect(']')?;
-            graphs.push((id, graph));
-            if !p.eat(',') {
-                break;
-            }
-        }
-    }
-    p.expect(']')?;
-    p.expect('}')?;
-    p.expect_end()?;
-    Ok(restore(&DbSnapshot { graphs }))
-}
-
 /// Serializes a pattern set to JSON.
 pub fn patterns_to_json(patterns: &[LabeledGraph]) -> Result<String> {
     let mut out = String::new();
@@ -138,24 +39,6 @@ pub fn patterns_to_json(patterns: &[LabeledGraph]) -> Result<String> {
     }
     out.push(']');
     Ok(out)
-}
-
-/// Deserializes a pattern set from JSON.
-pub fn patterns_from_json(json: &str) -> Result<Vec<LabeledGraph>> {
-    let mut p = Parser::new(json);
-    let mut patterns = Vec::new();
-    p.expect('[')?;
-    if !p.peek_is(']') {
-        loop {
-            patterns.push(p.parse_graph()?);
-            if !p.eat(',') {
-                break;
-            }
-        }
-    }
-    p.expect(']')?;
-    p.expect_end()?;
-    Ok(patterns)
 }
 
 /// Serializes a batch update to JSON:
@@ -181,42 +64,6 @@ pub fn batch_to_json(batch: &BatchUpdate) -> Result<String> {
     Ok(out)
 }
 
-/// Deserializes a batch update from JSON (graphs validated exactly like
-/// [`patterns_from_json`]: edge endpoints in range, no self-loops, no
-/// duplicate edges).
-pub fn batch_from_json(json: &str) -> Result<BatchUpdate> {
-    let mut p = Parser::new(json);
-    p.expect('{')?;
-    p.expect_key("insert")?;
-    let mut insert = Vec::new();
-    p.expect('[')?;
-    if !p.peek_is(']') {
-        loop {
-            insert.push(p.parse_graph()?);
-            if !p.eat(',') {
-                break;
-            }
-        }
-    }
-    p.expect(']')?;
-    p.expect(',')?;
-    p.expect_key("delete")?;
-    let mut delete = Vec::new();
-    p.expect('[')?;
-    if !p.peek_is(']') {
-        loop {
-            delete.push(GraphId(p.parse_u64()?));
-            if !p.eat(',') {
-                break;
-            }
-        }
-    }
-    p.expect(']')?;
-    p.expect('}')?;
-    p.expect_end()?;
-    Ok(BatchUpdate { insert, delete })
-}
-
 fn write_graph(out: &mut String, g: &LabeledGraph) {
     out.push_str("{\"labels\":[");
     for (i, l) in g.labels().iter().enumerate() {
@@ -239,149 +86,69 @@ fn write_graph(out: &mut String, g: &LabeledGraph) {
     out.push_str("]}");
 }
 
-/// Recursive-descent parser over the exact grammar this module emits
-/// (whitespace-tolerant).
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Converts a `{"labels": [...], "edges": [[u, v], ...]}` object into a
+/// validated [`LabeledGraph`].
+pub fn graph_from_value(v: &Value) -> std::result::Result<LabeledGraph, String> {
+    let labels: Vec<u32> = v
+        .get("labels")
+        .and_then(Value::as_arr)
+        .ok_or("graph missing \"labels\" array")?
+        .iter()
+        .map(|l| as_u32(l).ok_or_else(|| "label out of u32 range".to_owned()))
+        .collect::<std::result::Result<_, _>>()?;
+    let n = labels.len() as u32;
+    let mut g = LabeledGraph::from_parts(labels, &[]);
+    for pair in v
+        .get("edges")
+        .and_then(Value::as_arr)
+        .ok_or("graph missing \"edges\" array")?
+    {
+        let pair = pair.as_arr().filter(|p| p.len() == 2).ok_or("bad edge")?;
+        let (u, w) = match (as_u32(&pair[0]), as_u32(&pair[1])) {
+            (Some(u), Some(w)) => (u, w),
+            _ => return Err("bad edge endpoint".into()),
+        };
+        if u >= n || w >= n || u == w {
+            return Err(format!("invalid edge ({u}, {w}) for {n} vertices"));
+        }
+        if g.has_edge(u, w) {
+            return Err(format!("duplicate edge ({u}, {w})"));
+        }
+        g.add_edge(u, w);
+    }
+    Ok(g)
 }
 
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        }
-    }
+fn as_u32(v: &Value) -> Option<u32> {
+    v.as_u64().and_then(|n| u32::try_from(n).ok())
+}
 
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
+/// Converts an array of graph objects (a pattern set).
+pub fn graphs_from_value(v: &Value) -> std::result::Result<Vec<LabeledGraph>, String> {
+    v.as_arr()
+        .ok_or("expected an array of graphs")?
+        .iter()
+        .map(graph_from_value)
+        .collect()
+}
 
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn peek_is(&mut self, c: char) -> bool {
-        self.peek() == Some(c as u8)
-    }
-
-    fn eat(&mut self, c: char) -> bool {
-        if self.peek_is(c) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<()> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            let found = self.peek().map(|b| b as char);
-            Err(Error(format!(
-                "expected '{c}' at byte {}, found {found:?}",
-                self.pos
-            )))
-        }
-    }
-
-    fn expect_key(&mut self, key: &str) -> Result<()> {
-        self.skip_ws();
-        let quoted = format!("\"{key}\"");
-        if self.bytes[self.pos..].starts_with(quoted.as_bytes()) {
-            self.pos += quoted.len();
-            self.expect(':')
-        } else {
-            Err(Error(format!("expected key {quoted} at byte {}", self.pos)))
-        }
-    }
-
-    fn expect_end(&mut self) -> Result<()> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(Error(format!("trailing input at byte {}", self.pos)))
-        }
-    }
-
-    fn parse_u64(&mut self) -> Result<u64> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(Error(format!("expected integer at byte {start}")));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are utf8")
-            .parse()
-            .map_err(|e| Error(format!("bad integer at byte {start}: {e}")))
-    }
-
-    fn parse_u32(&mut self) -> Result<u32> {
-        let v = self.parse_u64()?;
-        u32::try_from(v).map_err(|_| Error(format!("integer {v} out of u32 range")))
-    }
-
-    fn parse_graph(&mut self) -> Result<LabeledGraph> {
-        self.expect('{')?;
-        self.expect_key("labels")?;
-        let mut labels = Vec::new();
-        self.expect('[')?;
-        if !self.peek_is(']') {
-            loop {
-                labels.push(self.parse_u32()?);
-                if !self.eat(',') {
-                    break;
-                }
-            }
-        }
-        self.expect(']')?;
-        self.expect(',')?;
-        self.expect_key("edges")?;
-        let mut edges = Vec::new();
-        self.expect('[')?;
-        if !self.peek_is(']') {
-            loop {
-                self.expect('[')?;
-                let u = self.parse_u32()?;
-                self.expect(',')?;
-                let v = self.parse_u32()?;
-                self.expect(']')?;
-                edges.push((u, v));
-                if !self.eat(',') {
-                    break;
-                }
-            }
-        }
-        self.expect(']')?;
-        self.expect('}')?;
-        let n = labels.len() as u32;
-        for &(u, v) in &edges {
-            if u >= n || v >= n || u == v {
-                return Err(Error(format!("invalid edge ({u}, {v}) for {n} vertices")));
-            }
-        }
-        let mut g = LabeledGraph::from_parts(labels, &[]);
-        for &(u, v) in &edges {
-            if g.has_edge(u, v) {
-                return Err(Error(format!("duplicate edge ({u}, {v})")));
-            }
-            g.add_edge(u, v);
-        }
-        Ok(g)
-    }
+/// Converts a `{"insert": [...], "delete": [...]}` document into a
+/// [`BatchUpdate`]. Both keys are optional; a missing one is empty.
+pub fn batch_from_value(doc: &Value) -> std::result::Result<BatchUpdate, String> {
+    let insert = match doc.get("insert") {
+        Some(v) => graphs_from_value(v)?,
+        None => Vec::new(),
+    };
+    let delete = match doc.get("delete") {
+        Some(v) => v
+            .as_arr()
+            .ok_or("\"delete\" must be an array of ids")?
+            .iter()
+            .map(|id| id.as_u64().map(GraphId).ok_or("bad graph id"))
+            .collect::<std::result::Result<Vec<_>, _>>()?,
+        None => Vec::new(),
+    };
+    Ok(BatchUpdate { insert, delete })
 }
 
 #[cfg(test)]
@@ -394,36 +161,23 @@ mod tests {
         GraphBuilder::new().vertices(labels).path(&vs).build()
     }
 
-    #[test]
-    fn db_roundtrips_through_json() {
-        let db = GraphDb::from_graphs([path(&[0, 1, 2]), path(&[3, 3])]);
-        let json = db_to_json(&db).expect("serialize");
-        let back = db_from_json(&json).expect("deserialize");
-        assert_eq!(back.len(), db.len());
-        for ((ia, ga), (ib, gb)) in db.iter().zip(back.iter()) {
-            assert_eq!(ia, ib);
-            assert_eq!(ga.as_ref(), gb.as_ref());
-        }
+    fn parse_graphs(json: &str) -> std::result::Result<Vec<LabeledGraph>, String> {
+        graphs_from_value(&Value::parse(json)?)
     }
 
-    #[test]
-    fn sparse_ids_survive_roundtrip() {
-        let mut db = GraphDb::from_graphs([path(&[0, 1]), path(&[1, 2]), path(&[2, 3])]);
-        let victim = db.ids().nth(1).unwrap();
-        db.remove(victim);
-        let json = db_to_json(&db).expect("serialize");
-        let back = db_from_json(&json).expect("deserialize");
-        let want: Vec<GraphId> = db.ids().collect();
-        let got: Vec<GraphId> = back.ids().collect();
-        assert_eq!(want, got, "ids must be preserved across gaps");
+    fn parse_batch(json: &str) -> std::result::Result<BatchUpdate, String> {
+        batch_from_value(&Value::parse(json)?)
     }
 
     #[test]
     fn patterns_roundtrip() {
         let patterns = vec![path(&[0, 1, 2]), path(&[4, 4])];
         let json = patterns_to_json(&patterns).expect("serialize");
-        let back = patterns_from_json(&json).expect("deserialize");
-        assert_eq!(patterns, back);
+        assert_eq!(
+            json,
+            "[{\"labels\":[0,1,2],\"edges\":[[0,1],[1,2]]},{\"labels\":[4,4],\"edges\":[[0,1]]}]"
+        );
+        assert_eq!(parse_graphs(&json).expect("deserialize"), patterns);
     }
 
     #[test]
@@ -433,56 +187,76 @@ mod tests {
             delete: vec![GraphId(3), GraphId(11)],
         };
         let json = batch_to_json(&batch).expect("serialize");
-        let back = batch_from_json(&json).expect("deserialize");
+        let back = parse_batch(&json).expect("deserialize");
         assert_eq!(back.insert, batch.insert);
         assert_eq!(back.delete, batch.delete);
 
         let empty = BatchUpdate::default();
-        let back = batch_from_json(&batch_to_json(&empty).unwrap()).unwrap();
+        let back = parse_batch(&batch_to_json(&empty).unwrap()).unwrap();
         assert!(back.is_empty());
     }
 
     #[test]
+    fn batch_keys_are_optional() {
+        assert!(parse_batch("{}").unwrap().is_empty());
+        let only_delete = parse_batch("{\"delete\": [4]}").unwrap();
+        assert_eq!(only_delete.delete, vec![GraphId(4)]);
+        assert!(only_delete.insert.is_empty());
+        let only_insert = parse_batch("{\"insert\": [{\"labels\": [1], \"edges\": []}]}").unwrap();
+        assert_eq!(only_insert.insert, vec![path(&[1])]);
+        assert!(only_insert.delete.is_empty());
+    }
+
+    #[test]
     fn malformed_batch_json_is_an_error() {
-        assert!(batch_from_json("{}").is_err());
-        assert!(batch_from_json("{\"insert\":[],\"delete\":[]} x").is_err());
+        assert!(parse_batch("{\"insert\":[],\"delete\":[]} x").is_err());
         assert!(
-            batch_from_json("{\"insert\":[{\"labels\":[0],\"edges\":[[0,1]]}],\"delete\":[]}")
-                .is_err()
+            parse_batch("{\"insert\":[{\"labels\":[0],\"edges\":[[0,1]]}],\"delete\":[]}").is_err()
         );
+        assert!(parse_batch("{\"insert\":{},\"delete\":[]}").is_err());
+        assert!(parse_batch("{\"delete\":3}").is_err());
+        assert!(parse_batch("{\"delete\":[-1]}").is_err());
+        assert!(parse_batch("{\"delete\":[1.5]}").is_err());
     }
 
     #[test]
     fn malformed_json_is_an_error() {
-        assert!(db_from_json("{").is_err());
-        assert!(db_from_json("").is_err());
-        assert!(patterns_from_json("[{}").is_err());
-        assert!(db_from_json("{\"graphs\":[]} trailing").is_err());
+        assert!(parse_graphs("[").is_err());
+        assert!(parse_graphs("").is_err());
+        assert!(parse_graphs("[{}").is_err());
+        assert!(parse_graphs("[] trailing").is_err());
+        assert!(parse_graphs("{}").is_err());
+        assert!(parse_graphs("[{\"edges\": []}]").is_err());
+        assert!(parse_graphs("[{\"labels\": [4294967296], \"edges\": []}]").is_err());
     }
 
     #[test]
     fn whitespace_is_tolerated() {
         let json = "[ { \"labels\" : [ 0 , 1 ] , \"edges\" : [ [ 0 , 1 ] ] } ]";
-        let back = patterns_from_json(json).expect("deserialize");
+        let back = parse_graphs(json).expect("deserialize");
         assert_eq!(back, vec![path(&[0, 1])]);
     }
 
     #[test]
     fn invalid_edges_are_rejected() {
         // Out of range endpoint.
-        assert!(patterns_from_json("[{\"labels\":[0],\"edges\":[[0,1]]}]").is_err());
+        assert!(parse_graphs("[{\"labels\":[0],\"edges\":[[0,1]]}]").is_err());
         // Self loop.
-        assert!(patterns_from_json("[{\"labels\":[0,0],\"edges\":[[1,1]]}]").is_err());
+        assert!(parse_graphs("[{\"labels\":[0,0],\"edges\":[[1,1]]}]").is_err());
         // Duplicate edge.
-        assert!(patterns_from_json("[{\"labels\":[0,0],\"edges\":[[0,1],[1,0]]}]").is_err());
+        assert!(parse_graphs("[{\"labels\":[0,0],\"edges\":[[0,1],[1,0]]}]").is_err());
+        // Endpoint past u32 (must not wrap around to vertex 0).
+        assert!(parse_graphs("[{\"labels\":[0,0],\"edges\":[[4294967296,1]]}]").is_err());
+        // Not a pair.
+        assert!(parse_graphs("[{\"labels\":[0,0,0],\"edges\":[[0,1,2]]}]").is_err());
     }
 
     #[test]
-    fn empty_db_and_empty_patterns() {
-        let db = GraphDb::new();
-        let back = db_from_json(&db_to_json(&db).unwrap()).unwrap();
-        assert!(back.is_empty());
-        let ps = patterns_from_json(&patterns_to_json(&[]).unwrap()).unwrap();
-        assert!(ps.is_empty());
+    fn empty_batch_and_empty_patterns() {
+        assert_eq!(patterns_to_json(&[]).unwrap(), "[]");
+        assert!(parse_graphs("[]").unwrap().is_empty());
+        let empty = batch_to_json(&BatchUpdate::default()).unwrap();
+        assert_eq!(empty, "{\"insert\":[],\"delete\":[]}");
+        assert!(parse_batch(&empty).unwrap().is_empty());
     }
 }

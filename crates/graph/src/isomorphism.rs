@@ -254,9 +254,11 @@ where
     if let Some(start) = start {
         let elapsed_ns = start.elapsed().as_nanos() as u64;
         midas_obs::histogram_record!("vf2.search_ns", elapsed_ns);
-        // Tail attribution: the exemplar reservoir keeps the slowest
-        // searches tagged with the (pattern, graph) context set by the
-        // embedding cache. Handle cached; sub-threshold offers are one
+        // Tail exemplars: the reservoir keeps the slowest searches. VF2
+        // runs only in the reference paths, never inside an embedding-memo
+        // miss, so these are normally unattributed; the production
+        // matcher's (pattern, graph)-attributed series is
+        // `plan.search_ns`. Handle cached; sub-threshold offers are one
         // relaxed load.
         static SLOW: std::sync::OnceLock<&'static midas_obs::exemplar::Series> =
             std::sync::OnceLock::new();

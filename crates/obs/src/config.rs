@@ -13,10 +13,6 @@ use std::path::PathBuf;
 ///   `0|false|off` disables both, unset leaves the config untouched;
 /// * `MIDAS_TRACE_OUT` — setting it enables tracing and names the
 ///   `trace.json` output path (see [`TelemetryConfig::trace_path`]);
-/// * `MIDAS_SERVE` — setting it (to a bind address such as
-///   `127.0.0.1:9898`, or `127.0.0.1:0` for an ephemeral port) enables
-///   [`Self::serve`] and names the address
-///   (see [`TelemetryConfig::serve_addr`]);
 /// * `MIDAS_FLIGHT` — flight-recorder batch capacity (a positive integer);
 /// * `MIDAS_LOG` — log level (see [`crate::log`]);
 /// * `MIDAS_PROFILE_HZ` — sampling-profiler rate in Hz (0 = off; clamped
@@ -33,10 +29,6 @@ pub struct TelemetryConfig {
     /// Also collect Chrome-trace events and write `trace.json` after each
     /// batch. Implies nothing unless [`Self::enabled`] is set.
     pub trace: bool,
-    /// Serve the live observability endpoints (`/metrics`, `/snapshot`,
-    /// `/healthz`, `/flight`) over HTTP. The bind address comes from
-    /// [`TelemetryConfig::serve_addr`].
-    pub serve: bool,
     /// How many batch summaries the flight recorder retains.
     pub flight_capacity: usize,
     /// Log level for the [`crate::obs_warn!`]-family macros.
@@ -54,7 +46,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             enabled: false,
             trace: false,
-            serve: false,
             flight_capacity: crate::flight::DEFAULT_CAPACITY,
             log: LogLevel::Warn,
             profile_hz: 0,
@@ -74,9 +65,8 @@ impl TelemetryConfig {
         }
     }
 
-    /// This config with the `MIDAS_TELEMETRY`/`MIDAS_TRACE_OUT`/
-    /// `MIDAS_SERVE`/`MIDAS_FLIGHT`/`MIDAS_LOG` environment overrides
-    /// applied.
+    /// This config with the environment overrides listed on
+    /// [`TelemetryConfig`] applied.
     pub fn from_env(mut self) -> Self {
         if let Ok(v) = std::env::var("MIDAS_TELEMETRY") {
             if let Some(on) = parse_bool(&v) {
@@ -86,12 +76,6 @@ impl TelemetryConfig {
         }
         if std::env::var_os("MIDAS_TRACE_OUT").is_some() {
             self.trace = true;
-        }
-        if std::env::var_os("MIDAS_SERVE").is_some() {
-            self.serve = true;
-            // Serving implies collecting: an endpoint over a disabled
-            // registry would only ever report zeros.
-            self.enabled = true;
         }
         if let Some(cap) = std::env::var("MIDAS_FLIGHT")
             .ok()
@@ -142,15 +126,6 @@ impl TelemetryConfig {
             .map(PathBuf::from)
             .unwrap_or_else(|| PathBuf::from("trace.json"))
     }
-
-    /// The bind address for the observability endpoints: `MIDAS_SERVE` or
-    /// loopback on an ephemeral port.
-    pub fn serve_addr() -> String {
-        std::env::var("MIDAS_SERVE")
-            .ok()
-            .filter(|s| !s.trim().is_empty())
-            .unwrap_or_else(|| "127.0.0.1:0".to_string())
-    }
 }
 
 /// Parses a non-negative integer environment value; unset or unparsable
@@ -179,18 +154,10 @@ mod tests {
         let c = TelemetryConfig::default();
         assert!(!c.enabled);
         assert!(!c.trace);
-        assert!(!c.serve);
         assert_eq!(c.flight_capacity, crate::flight::DEFAULT_CAPACITY);
         assert_eq!(c.log, LogLevel::Warn);
         assert_eq!(c.profile_hz, 0);
         assert!(!c.slo.any_enabled());
-    }
-
-    #[test]
-    fn serve_addr_defaults_to_ephemeral_loopback() {
-        if std::env::var_os("MIDAS_SERVE").is_none() {
-            assert_eq!(TelemetryConfig::serve_addr(), "127.0.0.1:0");
-        }
     }
 
     #[test]

@@ -31,7 +31,8 @@ pub const EVENT_CAPACITY: usize = 256;
 /// One `apply_batch` outcome, compressed to what a post-mortem needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchSummary {
-    /// Batch sequence number (1-based, process lifetime).
+    /// Batch sequence number (1-based, process lifetime, across every
+    /// `Midas` instance), assigned by [`record_batch`].
     pub seq: u64,
     /// `"major"` or `"minor"`.
     pub kind: &'static str,
@@ -154,12 +155,15 @@ pub fn capacity() -> usize {
     recorder().capacity.load(Ordering::Relaxed)
 }
 
-/// Appends one batch summary, evicting the oldest beyond capacity.
-pub fn record_batch(summary: BatchSummary) {
+/// Appends one batch summary, evicting the oldest beyond capacity. The
+/// caller's `seq` is overwritten with the next process-lifetime number,
+/// taken under the ring lock, so the ring stays in `seq` order even when
+/// several tenants' batches finish concurrently.
+pub fn record_batch(mut summary: BatchSummary) {
     let r = recorder();
-    r.total_batches.fetch_add(1, Ordering::Relaxed);
     let cap = r.capacity.load(Ordering::Relaxed);
     let mut batches = r.batches.lock().unwrap_or_else(|e| e.into_inner());
+    summary.seq = r.total_batches.fetch_add(1, Ordering::Relaxed) + 1;
     while batches.len() >= cap {
         batches.pop_front();
     }
@@ -350,7 +354,12 @@ mod tests {
             }
         });
         assert_eq!(total_batches(), 1600);
-        assert_eq!(batches().len(), 16);
+        // The recorder numbers summaries itself, so the survivors are the
+        // newest 16 in strictly increasing order whatever the interleaving.
+        assert_eq!(
+            batches().iter().map(|b| b.seq).collect::<Vec<_>>(),
+            (1585..=1600).collect::<Vec<u64>>()
+        );
         assert!(events().len() <= EVENT_CAPACITY);
         // The dump stays valid JSON under whatever interleaving happened.
         json::validate(&dump_json()).expect("dump validates");
@@ -396,7 +405,7 @@ mod tests {
         let doc = std::fs::read_to_string(&path).expect("panic dump written");
         let _ = std::fs::remove_file(&path);
         json::validate(&doc).expect("panic dump validates");
-        assert!(doc.contains("\"seq\": 7"));
+        assert!(doc.contains("\"seq\": 1, \"kind\": \"major\", \"distance\": 0.07"));
         assert!(doc.contains("synthetic batch failure"));
         clear();
     }

@@ -16,14 +16,13 @@
 //! maintenance is explicit: `GET` pattern reads never take the tenant's
 //! `Midas` mutex, `POST /updates` without `mode=sync` only enqueues.
 
-use crate::json::{self, Value};
 use crate::tenant::{GenOp, GenSpec, Ingest, Tenant};
 use crate::ServeState;
 use midas_core::MidasConfig;
 use midas_datagen::{DatasetKind, DatasetSpec, MotifKind};
-use midas_graph::{io, BatchUpdate, GraphId};
+use midas_graph::io;
 use midas_obs::httpd::{Request, Response};
-use midas_obs::json as js;
+use midas_obs::json::{self as js, Value};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -212,7 +211,7 @@ fn create_tenant(state: &ServeState, req: &Request) -> Response {
         }
         (kind, DatasetSpec::new(kind, size, seed).generate().db)
     } else if let Some(graphs) = doc.get("graphs") {
-        match json::graphs_from_value(graphs) {
+        match io::graphs_from_value(graphs) {
             Ok(gs) if !gs.is_empty() => (
                 DatasetKind::PubchemLike,
                 midas_graph::GraphDb::from_graphs(gs),
@@ -369,8 +368,8 @@ fn parse_gen_spec(v: &Value) -> Result<GenSpec, String> {
 }
 
 /// `POST /v1/{tenant}/updates[?mode=sync]` — body is either an explicit
-/// batch (`{"insert": [...], "delete": [...]}`, the
-/// [`midas_graph::io::batch_from_json`] format) or a generator spec
+/// batch (`{"insert": [...], "delete": [...]}`, decoded by
+/// [`midas_graph::io::batch_from_value`]) or a generator spec
 /// (`{"generate": {"op": "growth", "percent": 4.0, "seed": 7}}`).
 ///
 /// Default mode enqueues and answers `202` immediately; `mode=sync`
@@ -388,7 +387,7 @@ fn updates(state: &ServeState, tenant: &Arc<Tenant>, req: &Request) -> Response 
                 Err(e) => return Response::bad_request(&e),
             }
         } else if doc.get("insert").is_some() || doc.get("delete").is_some() {
-            match batch_from_value(&doc) {
+            match io::batch_from_value(&doc) {
                 Ok(batch) => Ingest::Batch(batch),
                 Err(e) => return Response::bad_request(&format!("bad batch: {e}")),
             }
@@ -447,25 +446,6 @@ fn updates(state: &ServeState, tenant: &Arc<Tenant>, req: &Request) -> Response 
     }
 }
 
-/// Builds a [`BatchUpdate`] from a parsed `{"insert": ..., "delete": ...}`
-/// document (both keys optional).
-fn batch_from_value(doc: &Value) -> Result<BatchUpdate, String> {
-    let insert = match doc.get("insert") {
-        Some(v) => json::graphs_from_value(v)?,
-        None => Vec::new(),
-    };
-    let delete = match doc.get("delete") {
-        Some(v) => v
-            .as_arr()
-            .ok_or("\"delete\" must be an array of ids")?
-            .iter()
-            .map(|id| id.as_u64().map(GraphId).ok_or("bad graph id"))
-            .collect::<Result<Vec<_>, _>>()?,
-        None => Vec::new(),
-    };
-    Ok(BatchUpdate { insert, delete })
-}
-
 /// `POST /v1/{tenant}/querylog` — body `{"queries": [graph, ...]}`. Each
 /// query is formulated against the tenant's *live* snapshot and its
 /// frozen epoch-0 baseline; the samples feed the global `/sli` document,
@@ -479,7 +459,7 @@ fn querylog(tenant: &Arc<Tenant>, req: &Request) -> Response {
         Ok(v) => v,
         Err(e) => return Response::bad_request(&format!("invalid JSON: {e}")),
     };
-    let queries = match doc.get("queries").map(json::graphs_from_value) {
+    let queries = match doc.get("queries").map(io::graphs_from_value) {
         Some(Ok(qs)) => qs,
         Some(Err(e)) => return Response::bad_request(&format!("bad queries: {e}")),
         None => return Response::bad_request("missing \"queries\""),

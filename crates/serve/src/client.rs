@@ -6,11 +6,10 @@
 //! The typed helpers cover every `/v1` endpoint; the oracle's parity
 //! check and the HTTP load harness are both built on this.
 
-use crate::json::{self, Value};
 use crate::tenant::{GenOp, GenSpec};
 use midas_datagen::MotifKind;
 use midas_graph::{io, BatchUpdate, LabeledGraph};
-use midas_obs::json as js;
+use midas_obs::json::{self as js, Value};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -153,7 +152,7 @@ impl ServeClient {
             graphlets: graphlets_of(&doc)?,
             patterns: doc
                 .get("patterns")
-                .map(json::graphs_from_value)
+                .map(io::graphs_from_value)
                 .ok_or("missing \"patterns\"")??,
         })
     }
@@ -232,7 +231,7 @@ impl ServeClient {
         );
         let doc = self.request("GET", &path, None)?.json()?;
         doc.get("queries")
-            .map(json::graphs_from_value)
+            .map(io::graphs_from_value)
             .ok_or("missing \"queries\"")?
     }
 

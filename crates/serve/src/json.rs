@@ -1,350 +1,45 @@
-//! A minimal JSON document parser for the serving API.
-//!
-//! The wire format of `midas-serve` mixes free-shape envelopes (tenant
-//! creation options, generator specs) with the fixed graph shapes of
-//! [`midas_graph::io`]; the envelope needs a real document model rather
-//! than another single-shape recursive-descent pass. [`Value`] is that
-//! model: the full JSON grammar (objects, arrays, strings with escapes,
-//! numbers, booleans, null) into an owned tree, plus the typed accessors
-//! the API handlers and the HTTP client both use. No serde — the build
-//! environment is offline, and the payloads here are small.
+//! The serving API's JSON types, re-exported from their one home: the
+//! document model and parser in [`midas_obs::json`], the graph decoders in
+//! [`midas_graph::io`].
 
-use midas_graph::LabeledGraph;
-
-/// One parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (integers included), as `f64`.
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object, in document order.
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Parses a complete JSON document (trailing input is an error).
-    pub fn parse(input: &str) -> Result<Value, String> {
-        let mut p = P {
-            b: input.as_bytes(),
-            i: 0,
-        };
-        let v = p.value()?;
-        p.ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing input at byte {}", p.i));
-        }
-        Ok(v)
-    }
-
-    /// Object member lookup (`None` for non-objects / missing keys).
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as a non-negative integer (must be whole).
-    pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
-    }
-
-    /// The array payload, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct P<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> P<'a> {
-    fn ws(&mut self) {
-        while self.b.get(self.i).is_some_and(u8::is_ascii_whitespace) {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> bool {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.i))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.lit("true", Value::Bool(true)),
-            Some(b'f') => self.lit("false", Value::Bool(false)),
-            Some(b'n') => self.lit("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.i)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        if !self.eat(b'}') {
-            loop {
-                self.ws();
-                let key = self.string()?;
-                self.expect(b':')?;
-                members.push((key, self.value()?));
-                if !self.eat(b',') {
-                    break;
-                }
-            }
-            self.expect(b'}')?;
-        }
-        Ok(Value::Obj(members))
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if !self.eat(b']') {
-            loop {
-                items.push(self.value()?);
-                if !self.eat(b',') {
-                    break;
-                }
-            }
-            self.expect(b']')?;
-        }
-        Ok(Value::Arr(items))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i).copied() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    let esc = self.b.get(self.i).copied().ok_or("dangling escape")?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_owned())?;
-                            self.i += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        c => return Err(format!("bad escape '\\{}'", c as char)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (may be multi-byte).
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| "invalid utf-8".to_owned())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .expect("ascii")
-            .parse::<f64>()
-            .map(Value::Num)
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-}
-
-/// Converts a `{"labels": [...], "edges": [[u, v], ...]}` object into a
-/// validated [`LabeledGraph`] (same rules as [`midas_graph::io`]: edge
-/// endpoints in range, no self-loops, no duplicates).
-pub fn graph_from_value(v: &Value) -> Result<LabeledGraph, String> {
-    let labels: Vec<u32> = v
-        .get("labels")
-        .and_then(Value::as_arr)
-        .ok_or("graph missing \"labels\" array")?
-        .iter()
-        .map(|l| {
-            l.as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| "label out of u32 range".to_owned())
-        })
-        .collect::<Result<_, _>>()?;
-    let n = labels.len() as u32;
-    let mut g = LabeledGraph::from_parts(labels, &[]);
-    for pair in v
-        .get("edges")
-        .and_then(Value::as_arr)
-        .ok_or("graph missing \"edges\" array")?
-    {
-        let pair = pair.as_arr().filter(|p| p.len() == 2).ok_or("bad edge")?;
-        let (u, w) = match (pair[0].as_u64(), pair[1].as_u64()) {
-            (Some(u), Some(w)) => (u as u32, w as u32),
-            _ => return Err("bad edge endpoint".into()),
-        };
-        if u >= n || w >= n || u == w {
-            return Err(format!("invalid edge ({u}, {w}) for {n} vertices"));
-        }
-        if g.has_edge(u, w) {
-            return Err(format!("duplicate edge ({u}, {w})"));
-        }
-        g.add_edge(u, w);
-    }
-    Ok(g)
-}
-
-/// Converts an array of graph objects.
-pub fn graphs_from_value(v: &Value) -> Result<Vec<LabeledGraph>, String> {
-    v.as_arr()
-        .ok_or("expected an array of graphs")?
-        .iter()
-        .map(graph_from_value)
-        .collect()
-}
+pub use midas_graph::io::graphs_from_value;
+pub use midas_obs::json::Value;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    //! `servebench`, a workspace of its own that `cargo test` never
+    //! builds, imports exactly these two names; these tests keep that
+    //! surface compiling and decoding the wire format.
 
-    #[test]
-    fn parses_the_grammar() {
-        let v = Value::parse(
-            "{\"a\": [1, 2.5, -3], \"b\": \"x\\ny\", \"c\": true, \"d\": null, \"e\": {}}",
-        )
-        .unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
-        assert_eq!(v.get("b").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(v.get("c"), Some(&Value::Bool(true)));
-        assert_eq!(v.get("d"), Some(&Value::Null));
-        assert_eq!(v.get("e"), Some(&Value::Obj(vec![])));
-        assert_eq!(v.get("missing"), None);
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in ["{", "[1,]", "{\"a\" 1}", "\"unterminated", "1 2", ""] {
-            assert!(Value::parse(bad).is_err(), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn unicode_escapes_and_utf8_pass_through() {
-        let v = Value::parse("\"caf\\u00e9 ☕\"").unwrap();
-        assert_eq!(v.as_str(), Some("café ☕"));
-    }
+    use super::{graphs_from_value, Value};
+    use midas_graph::GraphBuilder;
 
     #[test]
     fn graph_conversion_validates() {
-        let ok = Value::parse("{\"labels\": [0, 1], \"edges\": [[0, 1]]}").unwrap();
-        let g = graph_from_value(&ok).unwrap();
-        assert_eq!(g.vertex_count(), 2);
+        let ok = Value::parse("[{\"labels\": [0, 1], \"edges\": [[0, 1]]}]").unwrap();
+        let gs = graphs_from_value(&ok).unwrap();
+        assert_eq!(gs.len(), 1);
+        assert_eq!(gs[0].vertex_count(), 2);
         for bad in [
-            "{\"labels\": [0], \"edges\": [[0, 1]]}",
-            "{\"labels\": [0, 0], \"edges\": [[1, 1]]}",
-            "{\"labels\": [0, 0], \"edges\": [[0, 1], [1, 0]]}",
-            "{\"edges\": []}",
+            "[{\"labels\": [0], \"edges\": [[0, 1]]}]",
+            "[{\"labels\": [0, 0], \"edges\": [[1, 1]]}]",
+            "[{\"labels\": [0, 0], \"edges\": [[0, 1], [1, 0]]}]",
+            "[{\"edges\": []}]",
+            "{\"labels\": [0], \"edges\": []}",
         ] {
             let v = Value::parse(bad).unwrap();
-            assert!(graph_from_value(&v).is_err(), "{bad}");
+            assert!(graphs_from_value(&v).is_err(), "{bad}");
         }
     }
 
     #[test]
     fn graph_roundtrips_through_io_format() {
-        use midas_graph::GraphBuilder;
         let g = GraphBuilder::new()
             .vertices(&[0, 1, 2])
             .path(&[0, 1, 2])
             .build();
         let json = midas_graph::io::patterns_to_json(std::slice::from_ref(&g)).unwrap();
         let v = Value::parse(&json).unwrap();
-        let back = graphs_from_value(&v).unwrap();
-        assert_eq!(back, vec![g]);
+        assert_eq!(graphs_from_value(&v).unwrap(), vec![g]);
     }
 }

@@ -92,75 +92,57 @@ fn main() {
     let kind = DatasetKind::PubchemLike;
     let db_size = env_u64("MIDAS_LOAD_DB", 160) as usize;
 
-    // HTTP mode: the daemon at MIDAS_LOAD_HTTP owns the Midas instances;
-    // this process only runs users + driver over the wire (while still
-    // feeding its own /sli, since samples are recorded client-side).
-    if let Ok(target) = std::env::var("MIDAS_LOAD_HTTP") {
-        let telemetry = TelemetryConfig {
-            enabled: true,
-            ..TelemetryConfig::default()
-        }
-        .from_env();
-        telemetry.activate();
-        let obs = midas_obs::ObsServer::start(
-            &std::env::var("MIDAS_SERVE").unwrap_or_else(|_| "127.0.0.1:0".into()),
-        )
-        .expect("observability server failed to bind");
-        println!("serving observability endpoints on http://{}", obs.addr());
-        if let Some(path) = std::env::var_os("MIDAS_ADDR_FILE") {
-            std::fs::write(&path, obs.addr().to_string()).expect("write MIDAS_ADDR_FILE");
-        }
-        let cfg = LoadConfig::default().from_env();
-        println!(
-            "load (http): {} users × {} ticks (tick {} ms, pool {}) against {target}",
-            cfg.users, cfg.ticks, cfg.tick_ms, cfg.pool
-        );
-        let report = run_over_http(&target, db_size, &cfg);
-        print_report(&report);
-        let linger = env_u64("MIDAS_LOAD_LINGER_MS", 0);
-        if linger > 0 {
-            println!("lingering {linger} ms so /sli stays scrapeable");
-            std::thread::sleep(Duration::from_millis(linger));
-        }
-        return;
+    // One observability server for both modes: SLI samples are recorded
+    // where the users run, which is this process either way.
+    let telemetry = TelemetryConfig {
+        enabled: true,
+        ..TelemetryConfig::default()
     }
-
-    let dataset = DatasetSpec::new(kind, db_size, 41).generate();
-    let config = MidasConfig {
-        budget: midas_catapult::PatternBudget {
-            eta_min: 3,
-            eta_max: 6,
-            gamma: 10,
-        },
-        sup_min: 0.4,
-        max_tree_edges: 3,
-        coarse_clusters: 5,
-        epsilon: 0.01,
-        telemetry: TelemetryConfig {
-            enabled: true,
-            serve: true,
-            ..TelemetryConfig::default()
-        },
-        ..MidasConfig::default()
-    };
-    let mut midas = Midas::bootstrap(dataset.db, config).expect("non-empty database");
-    let addr = midas
-        .obs_addr()
-        .expect("observability server failed to bind");
-    println!("serving observability endpoints on http://{addr}");
+    .from_env();
+    telemetry.activate();
+    let obs = midas_obs::ObsServer::start(
+        &std::env::var("MIDAS_SERVE").unwrap_or_else(|_| "127.0.0.1:0".into()),
+    )
+    .expect("observability server failed to bind");
+    println!("serving observability endpoints on http://{}", obs.addr());
     println!("  GET /sli       user-facing SLIs: reduction, staleness, latency");
     println!("  GET /metrics   Prometheus exposition (midas_sli_* families)");
     println!("  GET /snapshot  full metrics snapshot as JSON");
     if let Some(path) = std::env::var_os("MIDAS_ADDR_FILE") {
-        std::fs::write(&path, addr.to_string()).expect("write MIDAS_ADDR_FILE");
+        std::fs::write(&path, obs.addr().to_string()).expect("write MIDAS_ADDR_FILE");
     }
 
     let cfg = LoadConfig::default().from_env();
-    println!(
-        "load: {} users × {} ticks (tick {} ms, pool {}, db {})",
-        cfg.users, cfg.ticks, cfg.tick_ms, cfg.pool, db_size
-    );
-    let report = midas_load::run(&mut midas, kind, &cfg);
+    // HTTP mode: the daemon at MIDAS_LOAD_HTTP owns the Midas instances;
+    // this process only runs users + driver over the wire.
+    let report = if let Ok(target) = std::env::var("MIDAS_LOAD_HTTP") {
+        println!(
+            "load (http): {} users × {} ticks (tick {} ms, pool {}) against {target}",
+            cfg.users, cfg.ticks, cfg.tick_ms, cfg.pool
+        );
+        run_over_http(&target, db_size, &cfg)
+    } else {
+        let dataset = DatasetSpec::new(kind, db_size, 41).generate();
+        let config = MidasConfig {
+            budget: midas_catapult::PatternBudget {
+                eta_min: 3,
+                eta_max: 6,
+                gamma: 10,
+            },
+            sup_min: 0.4,
+            max_tree_edges: 3,
+            coarse_clusters: 5,
+            epsilon: 0.01,
+            telemetry,
+            ..MidasConfig::default()
+        };
+        let mut midas = Midas::bootstrap(dataset.db, config).expect("non-empty database");
+        println!(
+            "load: {} users × {} ticks (tick {} ms, pool {}, db {})",
+            cfg.users, cfg.ticks, cfg.tick_ms, cfg.pool, db_size
+        );
+        midas_load::run(&mut midas, kind, &cfg)
+    };
     print_report(&report);
 
     let linger = env_u64("MIDAS_LOAD_LINGER_MS", 0);

@@ -12,11 +12,13 @@
 //!   -d '{"generate": {"op": "growth", "percent": 5, "seed": 7}}'
 //! curl -s http://127.0.0.1:9900/v1/acme/epoch
 //! curl -s http://127.0.0.1:9898/metrics | grep 'tenant="acme"'
+//! curl -s http://127.0.0.1:9898/flight    # recent batches, every tenant
+//! curl -s http://127.0.0.1:9898/slow      # slowest matcher searches, attributed
 //! ```
 //!
 //! Boots a `midas_serve::ServeDaemon` (the `/v1` API) plus the
-//! observability server (`/metrics`, `/sli`, `/healthz`, …) in one
-//! process. Tenants are created over HTTP; each gets its own embedded
+//! observability server (`/metrics`, `/snapshot`, `/healthz`, `/flight`,
+//! `/profile`, `/slow`, `/alerts`, `/sli`) in one process. Tenants are created over HTTP; each gets its own embedded
 //! MIDAS instance, with reads served lock-free off the published
 //! snapshot and maintenance running on the shared worker pool.
 //!
@@ -31,24 +33,31 @@
 //! * `MIDAS_SERVE_TENANTS` — comma-separated `name:kind:size:seed`
 //!   specs to create at boot, e.g. `acme:pubchem_like:120:41`;
 //! * `MIDAS_SERVE_ITERS_MS` — exit after this many milliseconds
-//!   (default: run until killed), for scripted smoke runs.
+//!   (default: run until killed), for scripted smoke runs;
+//! * the telemetry switches of `TelemetryConfig::from_env`, e.g.
+//!   `MIDAS_FLIGHT` (flight-recorder capacity), `MIDAS_PROFILE_HZ`
+//!   (sampling profiler behind `/profile`) and `MIDAS_SLO_PHASE_US` /
+//!   `MIDAS_SLO_VF2_NS` (budgets arming `/alerts`).
 
 use midas_serve::client::ServeClient;
 use midas_serve::{ServeConfig, ServeDaemon};
 use std::time::Duration;
 
 fn main() {
-    // One process-wide telemetry activation: the daemon owns the single
-    // obs server; tenants bootstrap with `bootstrap_embedded`, which
-    // deliberately never starts its own.
+    // One process-wide telemetry activation and the process's single obs
+    // server; tenants bootstrap with `bootstrap_embedded`, which leaves
+    // both alone. The flight recorder is armed before any tenant runs a
+    // batch, so the very first crash or `/flight` scrape has context.
     let telemetry = midas_obs::TelemetryConfig {
         enabled: true,
         ..midas_obs::TelemetryConfig::default()
     }
     .from_env();
     telemetry.activate();
-    let obs_addr = std::env::var("MIDAS_SERVE").unwrap_or_else(|_| "127.0.0.1:0".into());
-    let obs = midas_obs::ObsServer::start(&obs_addr).expect("bind observability server");
+    midas_obs::flight::install_panic_hook();
+    midas_obs::flight::set_span_capture(true);
+    let obs_bind = std::env::var("MIDAS_SERVE").unwrap_or_else(|_| "127.0.0.1:0".into());
+    let obs = midas_obs::ObsServer::start(&obs_bind).expect("bind observability server");
     println!("observability on http://{}", obs.addr());
     if let Some(path) = std::env::var_os("MIDAS_OBS_ADDR_FILE") {
         std::fs::write(&path, obs.addr().to_string()).expect("write MIDAS_OBS_ADDR_FILE");

@@ -9,9 +9,11 @@ Two modes:
 
       check_telemetry.py <metrics.json> <trace.json>
 
-* Live-endpoint gate — runs after the daemon smoke step; validates the
-  saved responses of `GET /metrics` (Prometheus text exposition 0.0.4),
-  `GET /healthz` and `GET /flight`.
+* Live-endpoint gate — runs in the serving-daemon smoke step; validates
+  the saved responses of `GET /metrics` (Prometheus text exposition
+  0.0.4), `GET /healthz`, `GET /flight`, `GET /profile`, `GET /slow`
+  (which must carry attributed `plan.search_ns` exemplars) and
+  `GET /alerts`.
 
       check_telemetry.py --prom <metrics.txt> [--healthz <healthz.json>] [--flight <flight.json>] \
                          [--profile <profile.folded>] [--slow <slow.json>] [--alerts <alerts.json>]
@@ -256,8 +258,11 @@ def check_profile(path, require_nonempty=True):
     print(f"{path}: ok ({len(stacks)} distinct stacks, {samples} samples)")
 
 
-def check_slow(path, require_series=("vf2.search_ns",)):
-    """Validates a saved `GET /slow` body (exemplar reservoirs)."""
+def check_slow(path, require_series=("plan.search_ns",)):
+    """Validates a saved `GET /slow` body (exemplar reservoirs). The
+    required series is the production matcher's: memo misses run the
+    compiled plan under a (pattern, graph) context, so its exemplars must
+    be attributed. VF2 runs only in reference paths and carries none."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc.get("reservoir_k"), int) or doc["reservoir_k"] < 1:

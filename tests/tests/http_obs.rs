@@ -1,11 +1,13 @@
-//! Live observability, end to end: a `Midas` instance bootstrapped with
-//! `serve` on must answer `/metrics` (with quantile series), `/snapshot`,
-//! `/healthz` and `/flight` over plain HTTP, and the flight recorder must
-//! retain exactly its configured capacity after wraparound.
+//! Live observability, end to end: with a `Midas` instance running
+//! batches, an `ObsServer` in the same process must answer `/metrics`
+//! (with quantile series), `/snapshot`, `/healthz` and `/flight` over
+//! plain HTTP, and the flight recorder must retain exactly its configured
+//! capacity after wraparound, numbering batches in one process-wide
+//! sequence across instances.
 //!
-//! The telemetry switch, the flight recorder and `MIDAS_SERVE` are all
-//! process-global, so every test here holds a shared lock and restores
-//! the defaults before releasing it.
+//! The telemetry switch and the flight recorder are process-global, so
+//! every test here holds a shared lock and restores the defaults before
+//! releasing it.
 
 use midas_core::framework::Midas;
 use midas_graph::{BatchUpdate, GraphDb, LabeledGraph};
@@ -56,9 +58,10 @@ fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
 #[test]
 fn served_endpoints_answer_with_quantiles_and_bounded_flight_history() {
     let _g = exclusive();
-    // The documented deployment path: MIDAS_SERVE names the bind address
-    // and (via from_env) flips `serve` + `enabled` on.
-    std::env::set_var("MIDAS_SERVE", "127.0.0.1:0");
+    // The deployment shape: the host binary owns the server, the library
+    // only records into the process-global registry and flight recorder.
+    let server = midas_obs::ObsServer::start("127.0.0.1:0").expect("bind obs server");
+    let addr = server.addr();
     midas_obs::flight::clear();
     midas_obs::flight::set_capacity(8);
 
@@ -66,7 +69,6 @@ fn served_endpoints_answer_with_quantiles_and_bounded_flight_history() {
     cfg.telemetry.enabled = true;
     cfg.telemetry.flight_capacity = 8;
     let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
-    let addr = midas.obs_addr().expect("server bound via MIDAS_SERVE");
 
     // More batches than the flight recorder holds, to force wraparound.
     for i in 0..10u32 {
@@ -113,17 +115,30 @@ fn served_endpoints_answer_with_quantiles_and_bounded_flight_history() {
     let (status, _) = http_get(addr, "/metrics");
     assert_eq!(status, 200, "server survives a 404");
 
-    std::env::remove_var("MIDAS_SERVE");
+    server.shutdown();
     midas_obs::flight::set_capacity(midas_obs::flight::DEFAULT_CAPACITY);
     midas_obs::flight::clear();
     TelemetryConfig::default().activate();
 }
 
 #[test]
-fn serve_off_binds_nothing() {
+fn interleaved_instances_share_one_flight_sequence() {
     let _g = exclusive();
-    std::env::remove_var("MIDAS_SERVE");
-    let midas = Midas::bootstrap(seed_db(), test_config(7)).unwrap();
-    assert!(midas.obs_addr().is_none());
-    TelemetryConfig::default().activate();
+    midas_obs::flight::clear();
+    // Two tenants' worth of instances, batches interleaved the way a
+    // multi-tenant daemon's maintenance pool runs them.
+    let mut a = Midas::bootstrap_embedded(seed_db(), test_config(7)).unwrap();
+    let mut b = Midas::bootstrap_embedded(seed_db(), test_config(8)).unwrap();
+    for i in 0..3u32 {
+        a.apply_batch(BatchUpdate::insert_only(wave(i)));
+        b.apply_batch(BatchUpdate::insert_only(wave(i + 10)));
+    }
+    let seqs: Vec<u64> = midas_obs::flight::batches().iter().map(|s| s.seq).collect();
+    assert_eq!(
+        seqs,
+        vec![1, 2, 3, 4, 5, 6],
+        "process-wide, strictly increasing"
+    );
+    assert_eq!(midas_obs::flight::total_batches(), 6);
+    midas_obs::flight::clear();
 }

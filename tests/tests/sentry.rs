@@ -172,7 +172,8 @@ fn injected_slowdown_flips_alerts_and_healthz_to_firing() {
     let _g = exclusive();
     // The documented fault-injection path: every env knob flows through
     // TelemetryConfig::from_env inside Midas::bootstrap.
-    std::env::set_var("MIDAS_SERVE", "127.0.0.1:0");
+    let server = midas_obs::ObsServer::start("127.0.0.1:0").expect("bind obs server");
+    let addr = server.addr();
     std::env::set_var("MIDAS_FAULT", "slow:200000"); // +200 ms in batch.index
     std::env::set_var("MIDAS_SLO_PHASE_US", "1000"); // 1 ms budget
     std::env::set_var("MIDAS_PROFILE_HZ", "200");
@@ -182,7 +183,6 @@ fn injected_slowdown_flips_alerts_and_healthz_to_firing() {
     let mut cfg = test_config(7);
     cfg.telemetry.enabled = true;
     let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
-    let addr = midas.obs_addr().expect("server bound via MIDAS_SERVE");
 
     // Two batches, each sleeping 200 ms inside the batch.index span: both
     // land in the current fast window, so the alert must fire well within
@@ -237,7 +237,7 @@ fn injected_slowdown_flips_alerts_and_healthz_to_firing() {
         "sampler attributes time to batch.index:\n{body}"
     );
 
-    std::env::remove_var("MIDAS_SERVE");
+    server.shutdown();
     std::env::remove_var("MIDAS_SLO_PHASE_US");
     std::env::remove_var("MIDAS_PROFILE_HZ");
     registry().span("batch.index").durations().reset();
