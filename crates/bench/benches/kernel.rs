@@ -29,14 +29,6 @@ const QUICK_BATCH_SIZE: usize = 20;
 const THREADS: usize = 4;
 const FEATURES: usize = 12;
 
-/// `MIDAS_BENCH_QUICK=1|true|on` — CI-sized scenario, no
-/// `BENCH_kernel.json` rewrite (history still appends, flagged `quick`).
-fn quick_mode() -> bool {
-    std::env::var("MIDAS_BENCH_QUICK")
-        .map(|v| matches!(v.trim(), "1" | "true" | "on" | "yes"))
-        .unwrap_or(false)
-}
-
 struct Scenario {
     db: GraphDb,
     batch: Vec<(GraphId, LabeledGraph)>,
@@ -148,7 +140,9 @@ fn append_history(
 }
 
 fn main() {
-    let quick = quick_mode();
+    // `MIDAS_BENCH_QUICK=1|true|on` — CI-sized scenario, no
+    // `BENCH_kernel.json` rewrite (history still appends, flagged `quick`).
+    let quick = midas_obs::config::env().bench_quick;
     let (db_size, batch_size) = if quick {
         (QUICK_DB_SIZE, QUICK_BATCH_SIZE)
     } else {

@@ -27,12 +27,6 @@ const SCENARIO: &str = "pubchem_like_u8";
 const DB_SIZE: usize = 240;
 const QUICK_DB_SIZE: usize = 100;
 
-fn quick_mode() -> bool {
-    std::env::var("MIDAS_BENCH_QUICK")
-        .map(|v| matches!(v.trim(), "1" | "true" | "on" | "yes"))
-        .unwrap_or(false)
-}
-
 fn report_json(quick: bool, db_size: usize, r: &LoadReport) -> String {
     format!(
         "{{\n  \"scenario\": \"{SCENARIO}\",\n  \"config\": {{\"users\": {}, \"ticks\": {}, \"db_size\": {db_size}, \"quick\": {quick}}},\n  \"queries\": {},\n  \"steps_live\": {},\n  \"steps_baseline\": {},\n  \"formulation_reduction\": {:.6},\n  \"staleness\": {{\"batches_p50\": {}, \"batches_p99\": {}, \"batches_max\": {}, \"drift_mean\": {:.8}, \"drift_max\": {:.8}}},\n  \"latency_ns\": {{\"read_p50\": {}, \"read_p99\": {}, \"read_max\": {}, \"formulate_p50\": {}, \"formulate_p99\": {}, \"formulate_max\": {}}},\n  \"final_epoch\": {},\n  \"wall_ms\": {}\n}}\n",
@@ -85,7 +79,7 @@ fn append_history(quick: bool, db_size: usize, r: &LoadReport) {
 }
 
 fn main() {
-    let quick = quick_mode();
+    let quick = midas_obs::config::env().bench_quick;
     let (db_size, cfg) = if quick {
         (
             QUICK_DB_SIZE,

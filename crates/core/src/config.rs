@@ -44,14 +44,14 @@ pub struct MidasConfig {
     /// see [`crate::small_patterns`]). Zero disables the feature.
     pub small_pattern_slots: usize,
     /// Worker threads for the parallel isomorphism kernel. `0` means auto:
-    /// the `MIDAS_THREADS` environment variable if set, otherwise the
-    /// machine's available parallelism.
+    /// the machine's available parallelism.
     pub threads: usize,
     /// Master RNG seed; every stochastic component derives from it.
     pub seed: u64,
     /// Telemetry knobs (spans, counters, trace export, log level).
     /// [`crate::Midas::bootstrap`] applies this after folding in the
-    /// `MIDAS_TELEMETRY`/`MIDAS_TRACE_OUT`/`MIDAS_LOG` env overrides.
+    /// process's `MIDAS_*` telemetry settings
+    /// ([`TelemetryConfig::with_env`]).
     pub telemetry: TelemetryConfig,
 }
 

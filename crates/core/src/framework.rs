@@ -38,7 +38,7 @@ use midas_graph::{BatchUpdate, Csr, GraphDb, GraphId, KernelError, LabeledGraph,
 use midas_index::{FctIndex, IfeIndex, PatternId};
 use midas_mining::incremental::FctState;
 use midas_mining::TreeKey;
-use midas_obs::{MetricsSnapshot, TelemetryConfig};
+use midas_obs::MetricsSnapshot;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -121,7 +121,7 @@ impl Midas {
     ///
     /// Returns `Err` only if the database is empty.
     pub fn bootstrap(db: GraphDb, mut config: MidasConfig) -> Result<Self, String> {
-        config.telemetry = config.telemetry.from_env();
+        config.telemetry = config.telemetry.with_env(midas_obs::config::env());
         config.telemetry.activate();
         Midas::bootstrap_inner(db, config)
     }
@@ -135,9 +135,9 @@ impl Midas {
     /// serve-vs-library parity check pins this).
     ///
     /// Unlike [`Midas::bootstrap`], this never calls
-    /// [`TelemetryConfig::activate`]: global telemetry switches belong to
-    /// the host process, and a tenant bootstrapping mid-flight must not
-    /// flip them out from under the other tenants.
+    /// [`midas_obs::TelemetryConfig::activate`]: global telemetry switches
+    /// belong to the host process, and a tenant bootstrapping mid-flight
+    /// must not flip them out from under the other tenants.
     pub fn bootstrap_embedded(db: GraphDb, config: MidasConfig) -> Result<Self, String> {
         Midas::bootstrap_inner(db, config)
     }
@@ -389,8 +389,8 @@ impl Midas {
         let index_start = Instant::now();
         // Injected slowdown (`MIDAS_FAULT=slow:US`): burns wall-clock inside
         // this span so the SLO burn-rate alerts have a reproducible trigger.
-        if let Some(us) = env_fault_slow_us() {
-            std::thread::sleep(Duration::from_micros(us));
+        if let Some(delay) = midas_graph::exec::slow_fault() {
+            std::thread::sleep(delay);
         }
         if let Some(Err(e)) = contain("batch.index", &mut batch_error, || {
             self.maintain_indices(&inserted, &deleted_ids)
@@ -534,7 +534,7 @@ impl Midas {
         let telemetry = if telemetry_on {
             let snap = MetricsSnapshot::capture().since(&baseline);
             if midas_obs::tracing_enabled() {
-                let path = TelemetryConfig::trace_path();
+                let path = midas_obs::trace::output_path();
                 match midas_obs::trace::write_trace(&path) {
                     Ok(n) => midas_obs::obs_debug!(
                         "core::framework",
@@ -676,21 +676,6 @@ impl Midas {
         );
         Ok(())
     }
-}
-
-/// `MIDAS_FAULT=slow:US` — injected per-batch slowdown in microseconds,
-/// burned inside the `batch.index` span. The variable is shared with the
-/// kernel's panic injector (`MIDAS_FAULT=task:N`); each consumer parses
-/// only its own prefix, so the two faults are mutually exclusive by
-/// construction. Read fresh on every batch (no caching) so tests and
-/// operators can arm/disarm it mid-process.
-fn env_fault_slow_us() -> Option<u64> {
-    std::env::var("MIDAS_FAULT")
-        .ok()
-        .as_deref()
-        .and_then(|s| s.trim().strip_prefix("slow:"))
-        .and_then(|n| n.trim().parse::<u64>().ok())
-        .filter(|&us| us > 0)
 }
 
 /// Logs a contained worker failure to telemetry and the flight recorder.

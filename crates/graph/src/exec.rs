@@ -6,10 +6,8 @@
 //! call site is a data-parallel one-liner instead of hand-rolled chunk
 //! arithmetic:
 //!
-//! * [`par_map`] — map a function over a slice, preserving order.
-//! * [`par_map_indexed`] — same, with the element index available.
-//! * [`par_chunks`] — run a closure once per contiguous chunk, for
-//!   reductions that want per-thread accumulators.
+//! * [`par_map`] — map a function over a slice, preserving order;
+//! * [`try_par_map`] — the same, with every task's panic contained.
 //!
 //! Threads are plain `std::thread::scope` workers (no pool): the work items
 //! here are chunky (VF2 searches over whole graphs), so spawn overhead is
@@ -23,10 +21,10 @@
 //!
 //! # Thread-count selection
 //!
-//! [`thread_count`] resolves, in order: an explicit override (> 0), the
-//! `MIDAS_THREADS` environment variable (> 0), then
-//! `std::thread::available_parallelism()`. Work is never split wider than
-//! the item count, and `1` means "run inline on the caller's thread".
+//! [`thread_count`] resolves an explicit override (> 0, the
+//! `MidasConfig::threads` knob), else `std::thread::available_parallelism()`.
+//! Work is never split wider than the item count, and `1` means "run
+//! inline on the caller's thread".
 //!
 //! The fan-outs additionally degrade to the serial path
 //! ([`effective_threads`]) when the host has a single core or the fan-out
@@ -36,19 +34,22 @@
 //!
 //! # Fault isolation
 //!
-//! [`try_par_map`] / [`try_par_map_indexed`] run every task under
-//! [`std::panic::catch_unwind`]: a panicking task poisons only its own
-//! result slot and the whole fan-out returns a [`KernelError`] naming the
-//! first failed task, instead of aborting the process or wedging the
-//! caller. The `MIDAS_FAULT=task:N` environment variable (or
+//! [`try_par_map`] runs every task under [`std::panic::catch_unwind`]: a
+//! panicking task poisons only its own result slot and the whole fan-out
+//! returns a [`KernelError`] naming the first failed task, instead of
+//! aborting the process or wedging the caller. `MIDAS_FAULT=task:N` (or
 //! [`set_fault_for_tests`]) arms a deterministic injector that panics the
 //! Nth task executed through this module — the hook the oracle harness and
-//! CI use to prove containment end to end.
+//! CI use to prove containment end to end. `MIDAS_FAULT=slow:US` instead
+//! arms [`slow_fault`], the per-batch slowdown the framework burns inside
+//! its `batch.index` span.
 
+pub use midas_obs::config::Fault;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+use std::time::Duration;
 
 /// A contained task failure surfaced by the fallible fan-outs
 /// ([`try_par_map`] and friends) instead of an abort or a wedged scope.
@@ -79,12 +80,15 @@ impl std::fmt::Display for KernelError {
 
 impl std::error::Error for KernelError {}
 
-/// Sentinel for "no programmatic fault override": fall back to the env var.
-const FAULT_FROM_ENV: i64 = i64::MIN;
+/// Override sentinel: defer to `MIDAS_FAULT`.
+const FROM_ENV: u64 = u64::MAX;
+/// Override sentinel: disarmed.
+const OFF: u64 = u64::MAX - 1;
 
-/// Programmatic override of the fault target (tests); `FAULT_FROM_ENV`
-/// defers to `MIDAS_FAULT`, any other negative value disables injection.
-static FAULT_OVERRIDE: AtomicI64 = AtomicI64::new(FAULT_FROM_ENV);
+/// Programmatic overrides of the `task:` target and the `slow:`
+/// microseconds (see [`set_fault_for_tests`]).
+static TASK_OVERRIDE: AtomicU64 = AtomicU64::new(FROM_ENV);
+static SLOW_OVERRIDE: AtomicU64 = AtomicU64::new(FROM_ENV);
 
 /// Global task ordinal; only advanced while a fault target is armed. Each
 /// fan-out reserves a block of ordinals up front (see [`fault_ordinals`]),
@@ -92,37 +96,45 @@ static FAULT_OVERRIDE: AtomicI64 = AtomicI64::new(FAULT_FROM_ENV);
 /// thread interleaving.
 static FAULT_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// `MIDAS_FAULT=task:N`, parsed once.
-fn env_fault_target() -> Option<u64> {
-    static PARSED: OnceLock<Option<u64>> = OnceLock::new();
-    *PARSED.get_or_init(|| {
-        std::env::var("MIDAS_FAULT")
-            .ok()
-            .as_deref()
-            .and_then(|s| s.trim().strip_prefix("task:"))
-            .and_then(|n| n.trim().parse::<u64>().ok())
-    })
-}
-
-fn fault_target() -> Option<u64> {
-    match FAULT_OVERRIDE.load(Ordering::Relaxed) {
-        FAULT_FROM_ENV => env_fault_target(),
-        n if n >= 0 => Some(n as u64),
-        _ => None,
+/// The armed fault's value for one kind: the override, else the
+/// process's `MIDAS_FAULT` when it is of that kind.
+fn armed(overridden: &AtomicU64, from_env: fn(Fault) -> Option<u64>) -> Option<u64> {
+    match overridden.load(Ordering::Relaxed) {
+        FROM_ENV => midas_obs::config::env().fault.and_then(from_env),
+        OFF => None,
+        n => Some(n),
     }
 }
 
-/// Arms (`Some(n)`: panic the `n`-th task from now) or disarms (`None`)
-/// the fault injector, overriding `MIDAS_FAULT`, and resets the task
-/// counter. Process-global — callers must serialize tests around it.
-pub fn set_fault_for_tests(target: Option<u64>) {
-    FAULT_OVERRIDE.store(
-        match target {
-            Some(n) => n as i64,
-            None => -1,
-        },
-        Ordering::Relaxed,
-    );
+fn fault_target() -> Option<u64> {
+    armed(&TASK_OVERRIDE, |f| match f {
+        Fault::Task(n) => Some(n),
+        Fault::Slow(_) => None,
+    })
+}
+
+/// The armed `slow:US` delay, if any.
+pub fn slow_fault() -> Option<Duration> {
+    armed(&SLOW_OVERRIDE, |f| match f {
+        Fault::Slow(us) => Some(us),
+        Fault::Task(_) => None,
+    })
+    .filter(|&us| us > 0)
+    .map(Duration::from_micros)
+}
+
+/// Arms `fault` (`Task(n)`: panic the `n`-th task from now; `Slow(us)`:
+/// the [`slow_fault`] delay) or disarms both (`None`), overriding
+/// `MIDAS_FAULT`, and resets the task counter. Process-global — callers
+/// must serialize tests around it.
+pub fn set_fault_for_tests(fault: Option<Fault>) {
+    let (task, slow) = match fault {
+        Some(Fault::Task(n)) => (n.min(OFF - 1), OFF),
+        Some(Fault::Slow(us)) => (OFF, us.min(OFF - 1)),
+        None => (OFF, OFF),
+    };
+    TASK_OVERRIDE.store(task, Ordering::Relaxed);
+    SLOW_OVERRIDE.store(slow, Ordering::Relaxed);
     FAULT_COUNTER.store(0, Ordering::Relaxed);
 }
 
@@ -167,26 +179,14 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Resolves the number of worker threads to use for `items` work items.
 ///
 /// `override_threads` wins when non-zero (this is the `MidasConfig::threads`
-/// knob); otherwise the `MIDAS_THREADS` environment variable (when set to a
-/// positive integer); otherwise the machine's available parallelism.
+/// knob); otherwise the machine's available parallelism.
 pub fn thread_count(override_threads: usize, items: usize) -> usize {
     let configured = if override_threads > 0 {
         override_threads
     } else {
-        env_threads().unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+        available_cores()
     };
     configured.min(items).max(1)
-}
-
-fn env_threads() -> Option<usize> {
-    std::env::var("MIDAS_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
 }
 
 /// Fan-outs narrower than this run inline: spawning scoped worker threads
@@ -231,7 +231,7 @@ where
 }
 
 /// Maps `f(index, item)` over `items` in parallel, preserving input order.
-pub fn par_map_indexed<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
+fn par_map_indexed<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -291,11 +291,7 @@ where
 /// Fallible [`par_map_indexed`]. Remaining healthy tasks still run to
 /// completion (the scope joins every worker); only their results are
 /// discarded when an error is reported.
-pub fn try_par_map_indexed<T, U, F>(
-    threads: usize,
-    items: &[T],
-    f: F,
-) -> Result<Vec<U>, KernelError>
+fn try_par_map_indexed<T, U, F>(threads: usize, items: &[T], f: F) -> Result<Vec<U>, KernelError>
 where
     T: Sync,
     U: Send,
@@ -349,42 +345,6 @@ where
         .collect()
 }
 
-/// Runs `f(chunk_start, chunk)` once per contiguous chunk, in parallel, and
-/// returns the per-chunk results in order. Useful for reductions: each
-/// worker builds a private accumulator, the caller merges the handful of
-/// results.
-pub fn par_chunks<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &[T]) -> U + Sync,
-{
-    let threads = effective_threads(threads, items.len());
-    if threads <= 1 {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        return vec![f(0, items)];
-    }
-    midas_obs::counter_add!("exec.fanouts", 1);
-    midas_obs::counter_add!("exec.tasks", items.len() as u64);
-    let chunk_len = items.len().div_ceil(threads);
-    let mut out: Vec<Option<U>> = Vec::new();
-    out.resize_with(items.len().div_ceil(chunk_len), || None);
-    std::thread::scope(|scope| {
-        for (chunk_idx, (chunk, slot)) in items.chunks(chunk_len).zip(out.iter_mut()).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                let _busy = midas_obs::span!("exec.worker");
-                *slot = Some(f(chunk_idx * chunk_len, chunk));
-            });
-        }
-    });
-    out.into_iter()
-        .map(|slot| slot.expect("worker filled every slot"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,22 +366,10 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_partitions_exactly() {
-        let items: Vec<usize> = (0..103).collect();
-        for threads in [1, 2, 5, 16] {
-            let sums = par_chunks(threads, &items, |start, chunk| {
-                assert_eq!(chunk[0], start);
-                chunk.iter().sum::<usize>()
-            });
-            assert_eq!(sums.iter().sum::<usize>(), items.iter().sum::<usize>());
-        }
-    }
-
-    #[test]
     fn empty_input_is_fine() {
         let none: Vec<u32> = Vec::new();
         assert!(par_map(8, &none, |&x| x).is_empty());
-        assert!(par_chunks(8, &none, |_, c: &[u32]| c.len()).is_empty());
+        assert_eq!(try_par_map(8, &none, |&x| x), Ok(Vec::new()));
     }
 
     #[test]

@@ -47,8 +47,7 @@ impl Default for MatchKernel {
 
 impl MatchKernel {
     /// A kernel with a fresh cache. `threads = 0` means auto (see
-    /// [`exec::thread_count`]; the `MIDAS_THREADS` environment variable is
-    /// honoured).
+    /// [`exec::thread_count`]).
     pub fn new(threads: usize) -> Self {
         MatchKernel {
             threads,

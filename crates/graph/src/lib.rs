@@ -37,7 +37,7 @@
 //! * [`kernel`] — [`MatchKernel`], the parallel + memoized bulk
 //!   operations (TG-matrix rows and grids, coverage scans) that run the
 //!   plan matcher over `(GraphId, &Csr)` pairs from [`GraphDb`].
-//! * [`exec`] — scoped-thread `par_map`/`par_chunks` helpers shared by
+//! * [`exec`] — scoped-thread `par_map`/`try_par_map` helpers shared by
 //!   every parallel `(graph × pattern)` scan in the workspace.
 //! * [`cache`] — a sharded [`EmbeddingCache`] memoizing capped embedding
 //!   counts (and nothing else) per `(pattern canonical key, GraphId)`,

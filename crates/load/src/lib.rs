@@ -62,8 +62,8 @@ use rand::{RngExt, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Load-harness parameters. [`LoadConfig::from_env`] reads the
-/// `MIDAS_LOAD_*` knobs documented in the README.
+/// Load-harness parameters. [`LoadConfig::with_env`] applies the
+/// `MIDAS_LOAD_*` settings (see the table in `midas_obs::config`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadConfig {
     /// Concurrent simulated users.
@@ -110,26 +110,20 @@ impl LoadConfig {
     }
 
     /// Applies the `MIDAS_LOAD_USERS` / `MIDAS_LOAD_TICKS` /
-    /// `MIDAS_LOAD_TICK_MS` / `MIDAS_LOAD_POOL` / `MIDAS_LOAD_SEED`
-    /// environment overrides on top of `self`.
-    pub fn from_env(mut self) -> Self {
-        fn env_u64(name: &str) -> Option<u64> {
-            std::env::var(name).ok().and_then(|s| s.trim().parse().ok())
+    /// `MIDAS_LOAD_TICK_MS` / `MIDAS_LOAD_POOL` settings of `env` on top
+    /// of `self`.
+    pub fn with_env(mut self, env: &midas_obs::Env) -> Self {
+        if let Some(v) = env.load_users {
+            self.users = v.max(1);
         }
-        if let Some(v) = env_u64("MIDAS_LOAD_USERS") {
-            self.users = (v as usize).max(1);
-        }
-        if let Some(v) = env_u64("MIDAS_LOAD_TICKS") {
+        if let Some(v) = env.load_ticks {
             self.ticks = v.max(1);
         }
-        if let Some(v) = env_u64("MIDAS_LOAD_TICK_MS") {
+        if let Some(v) = env.load_tick_ms {
             self.tick_ms = v;
         }
-        if let Some(v) = env_u64("MIDAS_LOAD_POOL") {
-            self.pool = (v as usize).max(1);
-        }
-        if let Some(v) = env_u64("MIDAS_LOAD_SEED") {
-            self.seed = v;
+        if let Some(v) = env.load_pool {
+            self.pool = v.max(1);
         }
         self
     }
@@ -417,17 +411,20 @@ mod tests {
 
     #[test]
     fn config_env_overrides_apply() {
-        // Serialized by cargo's per-process test env: set + unset around.
-        std::env::set_var("MIDAS_LOAD_USERS", "3");
-        std::env::set_var("MIDAS_LOAD_TICKS", "9");
-        let cfg = LoadConfig::default().from_env();
-        std::env::remove_var("MIDAS_LOAD_USERS");
-        std::env::remove_var("MIDAS_LOAD_TICKS");
+        let (env, _) = midas_obs::Env::parse([
+            ("MIDAS_LOAD_USERS", "3"),
+            ("MIDAS_LOAD_TICKS", "9"),
+            ("MIDAS_LOAD_TICK_MS", "7"),
+            ("MIDAS_LOAD_POOL", "0"),
+        ]);
+        let cfg = LoadConfig::default().with_env(&env);
         assert_eq!(cfg.users, 3);
         assert_eq!(cfg.ticks, 9);
-        // Absent vars leave the preset alone.
-        let cfg = LoadConfig::quick().from_env();
-        assert_eq!(cfg.users, LoadConfig::quick().users);
+        assert_eq!(cfg.tick_ms, 7);
+        assert_eq!(cfg.pool, 1, "the pool never shrinks to zero");
+        // Absent settings leave the preset alone.
+        let cfg = LoadConfig::quick().with_env(&midas_obs::Env::default());
+        assert_eq!(cfg, LoadConfig::quick());
     }
 
     #[test]

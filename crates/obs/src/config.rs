@@ -1,27 +1,184 @@
-//! Telemetry configuration embedded in `MidasConfig`.
+//! Process configuration: the one reader of `MIDAS_*` environment
+//! variables, and the telemetry config embedded in `MidasConfig`.
+//!
+//! [`Env::parse`] turns `(name, value)` pairs into typed settings;
+//! [`env`] runs it once over the process environment. Every consumer —
+//! [`TelemetryConfig::with_env`], the daemon's and load harness's
+//! configs, the exec-layer fault injector, the binaries and benches —
+//! takes its values from that one parse, and tests pass a literal list
+//! instead of mutating the process environment. An unparsable value or an
+//! unknown `MIDAS_*` name is reported once through [`crate::obs_warn!`]
+//! and leaves the default in place.
+//!
+//! | Variable                    | Value                     | Effect |
+//! |-----------------------------|---------------------------|--------|
+//! | `MIDAS_TELEMETRY`           | `1\|true\|on` / `0\|false\|off` | metrics **and** tracing on / off |
+//! | `MIDAS_TRACE_OUT`           | path                      | enables tracing; `trace.json` destination (default `./trace.json`) |
+//! | `MIDAS_LOG`                 | `off\|error\|warn\|info\|debug\|trace` | log level (default `warn`) |
+//! | `MIDAS_FLIGHT`              | integer > 0               | flight-recorder batch capacity (default 64) |
+//! | `MIDAS_FLIGHT_DUMP`         | path                      | panic dump destination (default `./midas-flight-dump.json`) |
+//! | `MIDAS_PROFILE_HZ`          | integer                   | sampling-profiler rate behind `/profile` (0 = off, max 1000) |
+//! | `MIDAS_SLO_PHASE_US`        | integer                   | per-phase span budget arming `/alerts` (0 = off) |
+//! | `MIDAS_SLO_VF2_NS`          | integer                   | single-search budget arming `/alerts` (0 = off) |
+//! | `MIDAS_FAULT`               | `task:N` / `slow:US`      | panic the N-th exec task / sleep US µs inside `batch.index` |
+//! | `MIDAS_SERVE_ADDR`          | `host:port`               | daemon listen address, `/v1/*` and obs endpoints (default `127.0.0.1:0`) |
+//! | `MIDAS_SERVE_HTTP_WORKERS`  | integer                   | daemon HTTP workers (default 8) |
+//! | `MIDAS_SERVE_MAINT_WORKERS` | integer                   | daemon maintenance workers (default 2) |
+//! | `MIDAS_SERVE_TENANTS`       | `name:kind:size[:seed],…` | tenants `serve_daemon` creates at boot |
+//! | `MIDAS_ADDR_FILE`           | path                      | `serve_daemon`/`load_sim` write the bound address here |
+//! | `MIDAS_LOAD_USERS`          | integer                   | load-harness users (default 8) |
+//! | `MIDAS_LOAD_TICKS`          | integer                   | load-harness driver ticks (default 6) |
+//! | `MIDAS_LOAD_TICK_MS`        | integer                   | pause after each driver batch (default 50) |
+//! | `MIDAS_LOAD_POOL`           | integer                   | queries drawn per tick (default 32) |
+//! | `MIDAS_LOAD_DB`             | integer                   | `load_sim` database size (default 160) |
+//! | `MIDAS_LOAD_LINGER_MS`      | integer                   | `load_sim` keeps its endpoints up this long after the run |
+//! | `MIDAS_LOAD_HTTP`           | `addr[/tenant]`           | `load_sim` drives a running daemon instead of an in-process instance |
+//! | `MIDAS_BENCH_QUICK`         | `1\|true\|on`             | CI-sized `kernel`/`load` bench scenarios |
 
 use crate::alerts::SloConfig;
 use crate::log::LogLevel;
 use std::path::PathBuf;
+use std::sync::OnceLock;
+
+/// An armed `MIDAS_FAULT` injector (see `midas_graph::exec`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// `task:N` — panic the N-th task run through the exec fan-outs.
+    Task(u64),
+    /// `slow:US` — sleep US microseconds inside every `batch.index` span.
+    Slow(u64),
+}
+
+impl Fault {
+    /// Parses `task:N` or `slow:US`. Anything else returns `None`.
+    fn parse(s: &str) -> Option<Fault> {
+        let (kind, n) = s.trim().split_once(':')?;
+        let n = n.trim().parse().ok()?;
+        match kind {
+            "task" => Some(Fault::Task(n)),
+            "slow" => Some(Fault::Slow(n)),
+            _ => None,
+        }
+    }
+}
+
+/// Every `MIDAS_*` setting, typed: one field per row of the module
+/// table, named after the variable without its prefix (`MIDAS_LOAD_DB` is
+/// `load_db`). `None` (or `false`) means unset.
+#[allow(missing_docs)]
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Env {
+    pub telemetry: Option<bool>,
+    pub trace_out: Option<PathBuf>,
+    pub log: Option<LogLevel>,
+    pub flight: Option<usize>,
+    pub flight_dump: Option<PathBuf>,
+    pub profile_hz: Option<u32>,
+    pub slo_phase_us: Option<u64>,
+    pub slo_vf2_ns: Option<u64>,
+    pub fault: Option<Fault>,
+    pub serve_addr: Option<String>,
+    pub serve_http_workers: Option<usize>,
+    pub serve_maint_workers: Option<usize>,
+    pub serve_tenants: Option<String>,
+    pub addr_file: Option<PathBuf>,
+    pub load_users: Option<usize>,
+    pub load_ticks: Option<u64>,
+    pub load_tick_ms: Option<u64>,
+    pub load_pool: Option<usize>,
+    pub load_db: Option<usize>,
+    pub load_linger_ms: Option<u64>,
+    pub load_http: Option<String>,
+    pub bench_quick: bool,
+}
+
+/// Stores `parsed` into `slot`; `false` when the value did not parse.
+fn set<T>(slot: &mut Option<T>, parsed: Option<T>) -> bool {
+    parsed.map(|v| *slot = Some(v)).is_some()
+}
+
+fn number<T: std::str::FromStr>(s: &str) -> Option<T> {
+    s.trim().parse().ok()
+}
+
+fn text(s: &str) -> Option<String> {
+    Some(s.to_owned()).filter(|s| !s.is_empty())
+}
+
+impl Env {
+    /// Parses `(name, value)` pairs. Names without the `MIDAS_` prefix
+    /// are ignored. Returns the settings plus one warning per unknown
+    /// `MIDAS_*` name or unparsable value (whose setting stays unset).
+    pub fn parse<I, K, V>(vars: I) -> (Env, Vec<String>)
+    where
+        I: IntoIterator<Item = (K, V)>,
+        K: AsRef<str>,
+        V: AsRef<str>,
+    {
+        let mut env = Env::default();
+        let mut warnings = Vec::new();
+        for (name, value) in vars {
+            let (name, v) = (name.as_ref(), value.as_ref());
+            if !name.starts_with("MIDAS_") {
+                continue;
+            }
+            let ok = match name {
+                "MIDAS_TELEMETRY" => set(&mut env.telemetry, parse_bool(v)),
+                "MIDAS_TRACE_OUT" => set(&mut env.trace_out, text(v).map(PathBuf::from)),
+                "MIDAS_LOG" => set(&mut env.log, LogLevel::parse(v)),
+                "MIDAS_FLIGHT" => set(&mut env.flight, number(v).filter(|&c| c > 0)),
+                "MIDAS_FLIGHT_DUMP" => set(&mut env.flight_dump, text(v).map(PathBuf::from)),
+                "MIDAS_PROFILE_HZ" => set(&mut env.profile_hz, number(v)),
+                "MIDAS_SLO_PHASE_US" => set(&mut env.slo_phase_us, number(v)),
+                "MIDAS_SLO_VF2_NS" => set(&mut env.slo_vf2_ns, number(v)),
+                "MIDAS_FAULT" => set(&mut env.fault, Fault::parse(v)),
+                "MIDAS_SERVE_ADDR" => set(&mut env.serve_addr, text(v)),
+                "MIDAS_SERVE_HTTP_WORKERS" => set(&mut env.serve_http_workers, number(v)),
+                "MIDAS_SERVE_MAINT_WORKERS" => set(&mut env.serve_maint_workers, number(v)),
+                "MIDAS_SERVE_TENANTS" => set(&mut env.serve_tenants, text(v)),
+                "MIDAS_ADDR_FILE" => set(&mut env.addr_file, text(v).map(PathBuf::from)),
+                "MIDAS_LOAD_USERS" => set(&mut env.load_users, number(v)),
+                "MIDAS_LOAD_TICKS" => set(&mut env.load_ticks, number(v)),
+                "MIDAS_LOAD_TICK_MS" => set(&mut env.load_tick_ms, number(v)),
+                "MIDAS_LOAD_POOL" => set(&mut env.load_pool, number(v)),
+                "MIDAS_LOAD_DB" => set(&mut env.load_db, number(v)),
+                "MIDAS_LOAD_LINGER_MS" => set(&mut env.load_linger_ms, number(v)),
+                "MIDAS_LOAD_HTTP" => set(&mut env.load_http, text(v)),
+                "MIDAS_BENCH_QUICK" => parse_bool(v).map(|q| env.bench_quick = q).is_some(),
+                _ => {
+                    warnings.push(format!("unknown variable {name}; ignored"));
+                    continue;
+                }
+            };
+            if !ok {
+                warnings.push(format!(
+                    "{name}={v:?} is not a valid value; using the default"
+                ));
+            }
+        }
+        (env, warnings)
+    }
+}
+
+/// The process environment's settings: [`Env::parse`] over the process's
+/// `MIDAS_*` variables on first call, with each warning logged once.
+pub fn env() -> &'static Env {
+    static ENV: OnceLock<Env> = OnceLock::new();
+    ENV.get_or_init(|| {
+        let lossy = |s: std::ffi::OsString| s.to_string_lossy().into_owned();
+        let (env, warnings) = Env::parse(std::env::vars_os().map(|(k, v)| (lossy(k), lossy(v))));
+        for w in warnings {
+            crate::obs_warn!("obs::config", "{w}");
+        }
+        env
+    })
+}
 
 /// Telemetry knobs carried by `MidasConfig` (the struct stays `Copy`, so
-/// paths and addresses live in environment variables, not here).
-///
-/// Environment overrides, applied by [`TelemetryConfig::from_env`]:
-///
-/// * `MIDAS_TELEMETRY` — `1|true|on` enables metrics **and** tracing,
-///   `0|false|off` disables both, unset leaves the config untouched;
-/// * `MIDAS_TRACE_OUT` — setting it enables tracing and names the
-///   `trace.json` output path (see [`TelemetryConfig::trace_path`]);
-/// * `MIDAS_FLIGHT` — flight-recorder batch capacity (a positive integer);
-/// * `MIDAS_LOG` — log level (see [`crate::log`]);
-/// * `MIDAS_PROFILE_HZ` — sampling-profiler rate in Hz (0 = off; clamped
-///   to [`crate::profile::MAX_HZ`]);
-/// * `MIDAS_SLO_PHASE_US` / `MIDAS_SLO_VF2_NS` — per-phase span and VF2
-///   search latency budgets (0 = that alert family off);
-/// * `MIDAS_SLO_BUDGET_PPM` / `MIDAS_SLO_BURN_MILLI` — the error budget
-///   (parts-per-million over budget allowed) and the burn-rate alert
-///   threshold ×1000 (see [`crate::alerts`]).
+/// paths live in [`Env`], not here). [`TelemetryConfig::with_env`]
+/// applies the `MIDAS_TELEMETRY`, `MIDAS_TRACE_OUT`, `MIDAS_FLIGHT`,
+/// `MIDAS_LOG`, `MIDAS_PROFILE_HZ` and `MIDAS_SLO_*` rows of the module
+/// table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Master switch for counters/gauges/histograms/span statistics.
@@ -65,45 +222,29 @@ impl TelemetryConfig {
         }
     }
 
-    /// This config with the environment overrides listed on
-    /// [`TelemetryConfig`] applied.
-    pub fn from_env(mut self) -> Self {
-        if let Ok(v) = std::env::var("MIDAS_TELEMETRY") {
-            if let Some(on) = parse_bool(&v) {
-                self.enabled = on;
-                self.trace = on;
-            }
+    /// This config with the telemetry settings of `env` applied.
+    pub fn with_env(mut self, env: &Env) -> Self {
+        if let Some(on) = env.telemetry {
+            self.enabled = on;
+            self.trace = on;
         }
-        if std::env::var_os("MIDAS_TRACE_OUT").is_some() {
+        if env.trace_out.is_some() {
             self.trace = true;
         }
-        if let Some(cap) = std::env::var("MIDAS_FLIGHT")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&c| c > 0)
-        {
+        if let Some(cap) = env.flight {
             self.flight_capacity = cap;
         }
-        if let Some(level) = std::env::var("MIDAS_LOG")
-            .ok()
-            .and_then(|s| LogLevel::parse(&s))
-        {
+        if let Some(level) = env.log {
             self.log = level;
         }
-        if let Some(hz) = env_u64("MIDAS_PROFILE_HZ") {
-            self.profile_hz = hz.min(u64::from(u32::MAX)) as u32;
+        if let Some(hz) = env.profile_hz {
+            self.profile_hz = hz;
         }
-        if let Some(us) = env_u64("MIDAS_SLO_PHASE_US") {
+        if let Some(us) = env.slo_phase_us {
             self.slo.phase_budget_us = us;
         }
-        if let Some(ns) = env_u64("MIDAS_SLO_VF2_NS") {
+        if let Some(ns) = env.slo_vf2_ns {
             self.slo.vf2_budget_ns = ns;
-        }
-        if let Some(ppm) = env_u64("MIDAS_SLO_BUDGET_PPM").filter(|&p| p > 0) {
-            self.slo.allowed_ppm = ppm.min(1_000_000) as u32;
-        }
-        if let Some(milli) = env_u64("MIDAS_SLO_BURN_MILLI").filter(|&m| m > 0) {
-            self.slo.burn_milli = milli.min(u64::from(u32::MAX)) as u32;
         }
         self
     }
@@ -119,24 +260,9 @@ impl TelemetryConfig {
         crate::alerts::configure(self.slo);
         crate::profile::set_rate(if self.enabled { self.profile_hz } else { 0 });
     }
-
-    /// Where `trace.json` goes: `MIDAS_TRACE_OUT` or `./trace.json`.
-    pub fn trace_path() -> PathBuf {
-        std::env::var_os("MIDAS_TRACE_OUT")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("trace.json"))
-    }
 }
 
-/// Parses a non-negative integer environment value; unset or unparsable
-/// returns `None`.
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-}
-
-/// Parses a boolean environment value. Unknown strings return `None`.
+/// Parses a boolean setting. Unknown strings return `None`.
 pub fn parse_bool(s: &str) -> Option<bool> {
     match s.trim().to_ascii_lowercase().as_str() {
         "1" | "true" | "on" | "yes" => Some(true),
@@ -184,5 +310,112 @@ mod tests {
         TelemetryConfig::default().activate();
         assert!(!crate::enabled());
         assert!(!crate::tracing_enabled());
+    }
+
+    /// Every settable name parses alone and together, and has a row in
+    /// the module table.
+    #[test]
+    fn parser_table_covers_every_name() {
+        let table = [
+            ("MIDAS_TELEMETRY", "on"),
+            ("MIDAS_TRACE_OUT", "t.json"),
+            ("MIDAS_LOG", "debug"),
+            ("MIDAS_FLIGHT", "8"),
+            ("MIDAS_FLIGHT_DUMP", "d.json"),
+            ("MIDAS_PROFILE_HZ", "97"),
+            ("MIDAS_SLO_PHASE_US", "1000"),
+            ("MIDAS_SLO_VF2_NS", "5"),
+            ("MIDAS_FAULT", "slow:200"),
+            ("MIDAS_SERVE_ADDR", "127.0.0.1:9"),
+            ("MIDAS_SERVE_HTTP_WORKERS", "3"),
+            ("MIDAS_SERVE_MAINT_WORKERS", "5"),
+            ("MIDAS_SERVE_TENANTS", "a:emol_like:9"),
+            ("MIDAS_ADDR_FILE", "addr"),
+            ("MIDAS_LOAD_USERS", "3"),
+            ("MIDAS_LOAD_TICKS", "9"),
+            ("MIDAS_LOAD_TICK_MS", "30"),
+            ("MIDAS_LOAD_POOL", "16"),
+            ("MIDAS_LOAD_DB", "80"),
+            ("MIDAS_LOAD_LINGER_MS", "0"),
+            ("MIDAS_LOAD_HTTP", "h:1/t"),
+            ("MIDAS_BENCH_QUICK", "1"),
+        ];
+        let module_doc = include_str!("config.rs");
+        for (name, value) in table {
+            let (env, warnings) = Env::parse([(name, value)]);
+            assert!(warnings.is_empty(), "{name}: {warnings:?}");
+            assert_ne!(env, Env::default(), "{name}={value} changed nothing");
+            let row = format!("//! | `{name}`");
+            assert!(module_doc.contains(&row), "{name} has no table row");
+        }
+        let (all, warnings) = Env::parse(table);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        let expected = Env {
+            telemetry: Some(true),
+            trace_out: Some("t.json".into()),
+            log: Some(LogLevel::Debug),
+            flight: Some(8),
+            flight_dump: Some("d.json".into()),
+            profile_hz: Some(97),
+            slo_phase_us: Some(1000),
+            slo_vf2_ns: Some(5),
+            fault: Some(Fault::Slow(200)),
+            serve_addr: Some("127.0.0.1:9".into()),
+            serve_http_workers: Some(3),
+            serve_maint_workers: Some(5),
+            serve_tenants: Some("a:emol_like:9".into()),
+            addr_file: Some("addr".into()),
+            load_users: Some(3),
+            load_ticks: Some(9),
+            load_tick_ms: Some(30),
+            load_pool: Some(16),
+            load_db: Some(80),
+            load_linger_ms: Some(0),
+            load_http: Some("h:1/t".into()),
+            bench_quick: true,
+        };
+        assert_eq!(all, expected);
+    }
+
+    #[test]
+    fn malformed_values_and_unknown_names_warn_and_keep_defaults() {
+        let (env, warnings) = Env::parse([
+            ("MIDAS_FLIGHT", "abc"),
+            ("MIDAS_FLIGHT", "0"),
+            ("MIDAS_FAULT", "task:x"),
+            ("MIDAS_FAULT", "crash:3"),
+            ("MIDAS_LOG", "verbose"),
+            ("MIDAS_SERVE_HTTP_WORKERS", "-1"),
+            ("MIDAS_SLO_PHASE_MS", "50"),
+            ("MIDAS_THREADS", "4"),
+            ("HOME", "/home/x"),
+        ]);
+        assert_eq!(env, Env::default());
+        assert_eq!(warnings.len(), 8, "{warnings:?}");
+        assert!(warnings[0].contains("MIDAS_FLIGHT=\"abc\""), "{warnings:?}");
+        assert!(warnings[2].contains("MIDAS_FAULT=\"task:x\""));
+        assert!(warnings[6].contains("unknown variable MIDAS_SLO_PHASE_MS"));
+        assert!(warnings[7].contains("unknown variable MIDAS_THREADS"));
+    }
+
+    #[test]
+    fn with_env_applies_the_telemetry_rows() {
+        let (env, _) = Env::parse([
+            ("MIDAS_TRACE_OUT", "t.json"),
+            ("MIDAS_FLIGHT", "8"),
+            ("MIDAS_LOG", "off"),
+            ("MIDAS_PROFILE_HZ", "97"),
+            ("MIDAS_SLO_PHASE_US", "1000"),
+            ("MIDAS_SLO_VF2_NS", "5"),
+        ]);
+        let c = TelemetryConfig::default().with_env(&env);
+        assert!(!c.enabled && c.trace, "a trace path implies tracing only");
+        assert_eq!(c.flight_capacity, 8);
+        assert_eq!(c.log, LogLevel::Off);
+        assert_eq!(c.profile_hz, 97);
+        assert_eq!((c.slo.phase_budget_us, c.slo.vf2_budget_ns), (1000, 5));
+        let (off, _) = Env::parse([("MIDAS_TELEMETRY", "0")]);
+        let c = TelemetryConfig::on().with_env(&off);
+        assert!(!c.enabled && !c.trace);
     }
 }

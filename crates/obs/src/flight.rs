@@ -13,8 +13,8 @@
 //! Writes are lock-light: one short `Mutex` push per batch or event, no
 //! allocation beyond the ring itself, and the rings are hard-bounded so a
 //! runaway loop cannot exhaust memory. [`install_panic_hook`] chains onto
-//! the existing hook and writes [`dump_json`] to `MIDAS_FLIGHT_DUMP` (or
-//! `midas-flight-dump.json`) before the process dies.
+//! the existing hook and writes [`dump_json`] to a file before the
+//! process dies.
 
 use crate::json;
 use std::collections::VecDeque;
@@ -258,19 +258,11 @@ pub fn dump_json() -> String {
     out
 }
 
-/// Where the panic dump goes: `MIDAS_FLIGHT_DUMP` or
-/// `./midas-flight-dump.json`.
-pub fn dump_path() -> std::path::PathBuf {
-    std::env::var_os("MIDAS_FLIGHT_DUMP")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("midas-flight-dump.json"))
-}
-
-/// Installs (once) a panic hook that writes [`dump_json`] to
-/// [`dump_path`] and then defers to the previously installed hook. A
-/// second call is a no-op; a panic inside the dump itself cannot recurse
-/// (the guard flag stays set).
-pub fn install_panic_hook() {
+/// Installs (once) a panic hook that writes [`dump_json`] to `path` and
+/// then defers to the previously installed hook. A second call is a
+/// no-op; a panic inside the dump itself cannot recurse (the guard flag
+/// stays set).
+pub fn install_panic_hook(path: std::path::PathBuf) {
     static INSTALLED: AtomicBool = AtomicBool::new(false);
     if INSTALLED.swap(true, Ordering::SeqCst) {
         return;
@@ -280,7 +272,6 @@ pub fn install_panic_hook() {
         static DUMPING: AtomicBool = AtomicBool::new(false);
         if !DUMPING.swap(true, Ordering::SeqCst) {
             record_event("PANIC", info.to_string());
-            let path = dump_path();
             if std::fs::write(&path, dump_json()).is_ok() {
                 eprintln!("[midas flight] wrote flight dump to {}", path.display());
             }
@@ -393,15 +384,13 @@ mod tests {
         let _g = crate::tests::exclusive();
         clear();
         let path = std::env::temp_dir().join(format!("midas-flight-{}.json", std::process::id()));
-        std::env::set_var("MIDAS_FLIGHT_DUMP", &path);
-        install_panic_hook();
+        install_panic_hook(path.clone());
         record_batch(summary(7));
         // Panic inside a thread so the test itself survives; silence the
         // default hook's backtrace noise by keeping the chain (our hook
         // defers to it, which prints one line).
         let result = std::thread::spawn(|| panic!("synthetic batch failure")).join();
         assert!(result.is_err());
-        std::env::remove_var("MIDAS_FLIGHT_DUMP");
         let doc = std::fs::read_to_string(&path).expect("panic dump written");
         let _ = std::fs::remove_file(&path);
         json::validate(&doc).expect("panic dump validates");

@@ -1,123 +1,65 @@
-//! The embedded observability HTTP server — zero dependencies, built on
-//! the shared serving core in [`crate::httpd`].
+//! The observability router: the read-only telemetry endpoints a host
+//! daemon mounts next to its own API.
 //!
-//! A long-running MIDAS daemon needs a runtime window: the file exporters
-//! of [`crate::snapshot`]/[`crate::trace`] only escape the process at
-//! end-of-batch, so an operator watching a live workload would otherwise
-//! be blind between snapshots. [`ObsServer`] binds an address (commonly
-//! `127.0.0.1:0` in tests, a fixed port in production) and serves:
+//! The file exporters of [`crate::snapshot`]/[`crate::trace`] only escape
+//! the process at end-of-batch, so an operator watching a live workload
+//! needs a runtime window. [`route`] answers these paths on the host's
+//! listener (the serving daemon's `midas_serve::api::route` falls through
+//! to it), so one address serves the API and every obs endpoint:
 //!
 //! | Endpoint    | Content                                                  |
 //! |-------------|----------------------------------------------------------|
 //! | `/metrics`  | Prometheus text exposition ([`crate::prom::render`])     |
 //! | `/snapshot` | The full [`MetricsSnapshot`] JSON                        |
-//! | `/healthz`  | Drift state, firing alerts + last-batch status, JSON     |
 //! | `/flight`   | Flight-recorder dump ([`crate::flight::dump_json`])      |
 //! | `/profile`  | Folded profiler stacks ([`crate::profile::folded`])      |
 //! | `/slow`     | Tail-latency exemplars ([`crate::exemplar::render_json`])|
 //! | `/alerts`   | Burn-rate alert states ([`crate::alerts::render_json`])  |
 //! | `/sli`      | User-facing SLIs ([`crate::sli::render_json`])           |
 //!
-//! Listener, bounded accept queue, worker pool and request parsing all
-//! live in [`crate::httpd`] (shared with the pattern-serving daemon);
-//! this module is just the GET-only observability router on top. All
+//! `/healthz` belongs to the host, which renders it with [`healthz`]: its
+//! own members plus drift state, firing alerts and the last batch. All
 //! data served is read-only over the global registry and flight
 //! recorder, so a slow scraper never blocks a maintenance batch.
 
-use crate::httpd::{Handler, HttpServer, Request, Response};
+use crate::httpd::{Request, Response};
 use crate::snapshot::MetricsSnapshot;
 use crate::{flight, prom};
-use std::net::SocketAddr;
-use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
-/// Worker threads draining the accept queue.
-const WORKERS: usize = 4;
-
-/// The embedded observability server. Dropping (or [`shutdown`]) stops
-/// the accept loop and joins every thread.
-///
-/// [`shutdown`]: ObsServer::shutdown
-#[derive(Debug)]
-pub struct ObsServer {
-    inner: HttpServer,
+/// Answers `req` when its (normalized) path is one of the endpoints in
+/// the module table: the payload for `GET`, and — RFC 9110 — `405` with
+/// an `Allow: GET` header for any other method. `None` for every other
+/// path, which the host routes itself.
+pub fn route(req: &Request) -> Option<Response> {
+    let payload: fn() -> Response = match req.path.as_str() {
+        "/metrics" => || Response {
+            status: 200,
+            content_type: "text/plain; version=0.0.4; charset=utf-8".into(),
+            body: prom::render_live(&MetricsSnapshot::capture()),
+            extra_headers: Vec::new(),
+        },
+        "/snapshot" => || Response::json(200, MetricsSnapshot::capture().to_json()),
+        "/flight" => || Response::json(200, flight::dump_json()),
+        "/profile" => || Response::text(200, crate::profile::folded()),
+        "/slow" => || Response::json(200, crate::exemplar::render_json()),
+        "/alerts" => || Response::json(200, crate::alerts::render_json()),
+        "/sli" => || Response::json(200, crate::sli::render_json()),
+        _ => return None,
+    };
+    Some(if req.method == "GET" {
+        payload()
+    } else {
+        Response::text(405, "method not allowed\n").with_header("Allow: GET")
+    })
 }
 
-impl ObsServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts serving. The bound address — with the real port — is
-    /// [`ObsServer::addr`].
-    pub fn start(addr: &str) -> std::io::Result<ObsServer> {
-        let started = Instant::now();
-        let handler: Handler = Arc::new(move |req: &Request| {
-            if req.method != "GET" {
-                // RFC 9110: a known resource that only supports GET
-                // answers 405 with an `Allow` header; an unknown one is
-                // still just a 404.
-                if KNOWN_PATHS.contains(&req.path.as_str()) {
-                    Response::text(405, "method not allowed\n").with_header("Allow: GET")
-                } else {
-                    Response::not_found()
-                }
-            } else {
-                route(&req.path, started)
-            }
-        });
-        let inner = HttpServer::start(addr, "midas-obs", WORKERS, handler)?;
-        Ok(ObsServer { inner })
-    }
-
-    /// The bound address (real port even when started on `:0`).
-    pub fn addr(&self) -> SocketAddr {
-        self.inner.addr()
-    }
-
-    /// Stops accepting, drains the workers, and joins every thread.
-    pub fn shutdown(self) {
-        self.inner.shutdown();
-    }
-}
-
-/// Every resource the server exposes (canonical, slash-free form).
-const KNOWN_PATHS: [&str; 8] = [
-    "/metrics",
-    "/snapshot",
-    "/healthz",
-    "/flight",
-    "/profile",
-    "/slow",
-    "/alerts",
-    "/sli",
-];
-
-/// Dispatches one GET path (already normalized) to its payload.
-fn route(path: &str, started: Instant) -> Response {
-    match path {
-        "/metrics" => {
-            let body = prom::render_live(&MetricsSnapshot::capture());
-            Response {
-                status: 200,
-                content_type: "text/plain; version=0.0.4; charset=utf-8".into(),
-                body,
-                extra_headers: Vec::new(),
-            }
-        }
-        "/snapshot" => Response::json(200, MetricsSnapshot::capture().to_json()),
-        "/healthz" => Response::json(200, healthz(started)),
-        "/flight" => Response::json(200, flight::dump_json()),
-        "/profile" => Response::text(200, crate::profile::folded()),
-        "/slow" => Response::json(200, crate::exemplar::render_json()),
-        "/alerts" => Response::json(200, crate::alerts::render_json()),
-        "/sli" => Response::json(200, crate::sli::render_json()),
-        _ => Response::not_found(),
-    }
-}
-
-/// The health document: drift state, uptime, firing alerts, and the last
-/// batch outcome. `status` degrades from `"ok"` to `"alerting"` when any
-/// burn-rate alert is firing, so a plain healthcheck probe sees SLO burn
-/// without parsing `/alerts`.
-fn healthz(started: Instant) -> String {
+/// The health document: `status`, `uptime_s`, the host's own `members`
+/// (rendered `"key": value` pairs, comma-separated), then drift, firing
+/// alerts and the last batch outcome. `status` degrades from `"ok"` to
+/// `"alerting"` when any burn-rate alert is firing, so a plain
+/// healthcheck probe sees SLO burn without parsing `/alerts`.
+pub fn healthz(uptime: Duration, members: &str) -> Response {
     let drift = crate::registry::registry().gauge("monitor.drift").get();
     let firing = crate::alerts::firing();
     let status = if firing.is_empty() { "ok" } else { "alerting" };
@@ -126,8 +68,7 @@ fn healthz(started: Instant) -> String {
         .map(|n| crate::json::quote(n))
         .collect::<Vec<_>>()
         .join(", ");
-    let last = flight::last_batch();
-    let last_json = match &last {
+    let last_json = match flight::last_batch() {
         Some(b) => format!(
             "{{\"seq\": {}, \"kind\": {}, \"distance\": {}, \"pmt_us\": {}, \"swaps\": {}, \"unix_ms\": {}}}",
             b.seq,
@@ -139,32 +80,47 @@ fn healthz(started: Instant) -> String {
         ),
         None => "null".to_owned(),
     };
-    format!(
-        "{{\n  \"status\": {},\n  \"uptime_s\": {},\n  \"telemetry_enabled\": {},\n  \"drift\": {},\n  \"alerts_firing\": [{}],\n  \"batches\": {},\n  \"last_batch\": {}\n}}\n",
-        crate::json::quote(status),
-        started.elapsed().as_secs(),
-        crate::enabled(),
-        crate::json::number(drift),
-        firing_json,
-        flight::total_batches(),
-        last_json
+    Response::json(
+        200,
+        format!(
+            "{{\"status\": {}, \"uptime_s\": {}, {members}, \"telemetry_enabled\": {}, \"drift\": {}, \"alerts_firing\": [{}], \"batches\": {}, \"last_batch\": {}}}\n",
+            crate::json::quote(status),
+            uptime.as_secs(),
+            crate::enabled(),
+            crate::json::number(drift),
+            firing_json,
+            flight::total_batches(),
+            last_json
+        ),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::httpd::tests::roundtrip;
+    use crate::httpd::HttpServer;
     use crate::json;
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
-    use std::time::Duration;
+    use std::net::SocketAddr;
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    /// A minimal host, mounted the way the serving daemon mounts the
+    /// router: its own `/healthz`, everything else through [`route`].
+    fn serve() -> HttpServer {
+        let started = Instant::now();
+        let handler: crate::httpd::Handler = Arc::new(move |req: &Request| {
+            if req.method == "GET" && req.path == "/healthz" {
+                return healthz(started.elapsed(), "\"host\": \"test\"");
+            }
+            route(req).unwrap_or_else(Response::not_found)
+        });
+        HttpServer::start("127.0.0.1:0", "obs-test", 4, handler).expect("bind")
+    }
 
     /// Minimal test client: one GET, returns (status line, body).
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).expect("read response");
+        let raw = roundtrip(addr, &format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n"));
         let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
         let status = head.lines().next().unwrap_or("").to_owned();
         (status, body.to_owned())
@@ -193,7 +149,7 @@ mod tests {
             unix_ms: crate::flight::unix_ms(),
         });
 
-        let server = ObsServer::start("127.0.0.1:0").expect("bind");
+        let server = serve();
         let addr = server.addr();
 
         let (status, body) = get(addr, "/metrics");
@@ -263,7 +219,7 @@ mod tests {
         for _ in 0..8 {
             h.record_windowed_at(1_000_000, now);
         }
-        let server = ObsServer::start("127.0.0.1:0").expect("bind");
+        let server = serve();
         let (status, body) = get(server.addr(), "/healthz");
         assert!(status.contains("200"));
         json::validate(&body).expect("healthz JSON");
@@ -279,7 +235,7 @@ mod tests {
     #[test]
     fn concurrent_scrapes_all_answer() {
         let _g = crate::tests::exclusive();
-        let server = ObsServer::start("127.0.0.1:0").expect("bind");
+        let server = serve();
         let addr = server.addr();
         std::thread::scope(|scope| {
             for _ in 0..8 {
@@ -296,11 +252,8 @@ mod tests {
     #[test]
     fn non_get_is_rejected() {
         let _g = crate::tests::exclusive();
-        let server = ObsServer::start("127.0.0.1:0").expect("bind");
-        let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        write!(stream, "POST /metrics HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).expect("read");
+        let server = serve();
+        let raw = roundtrip(server.addr(), "POST /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(raw.starts_with("HTTP/1.1 405"), "{raw}");
         assert!(
             raw.contains("\r\nAllow: GET\r\n"),
@@ -308,10 +261,7 @@ mod tests {
         );
 
         // Non-GET on an *unknown* path is a plain 404, no Allow header.
-        let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        write!(stream, "POST /nope HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).expect("read");
+        let raw = roundtrip(server.addr(), "POST /nope HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(raw.starts_with("HTTP/1.1 404"), "{raw}");
         assert!(!raw.contains("Allow:"), "{raw}");
         server.shutdown();
@@ -322,7 +272,7 @@ mod tests {
         // Regression: `GET /metrics?job=x` and `GET /healthz/` used to 404
         // (only the query string was stripped, never trailing slashes).
         let _g = crate::tests::exclusive();
-        let server = ObsServer::start("127.0.0.1:0").expect("bind");
+        let server = serve();
         let addr = server.addr();
         for path in [
             "/healthz/",
@@ -340,13 +290,5 @@ mod tests {
             assert!(status.contains("404"), "{path}: {status}");
         }
         server.shutdown();
-    }
-
-    #[test]
-    fn shutdown_is_idempotent_and_drop_safe() {
-        let server = ObsServer::start("127.0.0.1:0").expect("bind");
-        let addr = server.addr();
-        drop(server); // Drop path joins threads
-        assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());
     }
 }

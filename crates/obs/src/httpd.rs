@@ -1,10 +1,10 @@
 //! Reusable zero-dependency HTTP serving core.
 //!
-//! [`crate::http::ObsServer`] started life as a GET-only scrape endpoint;
-//! the pattern-serving daemon (`midas-serve`) needs the same machinery —
-//! listener, bounded accept queue, worker pool, request parsing, response
-//! formatting — but with request *bodies* (`POST /v1/{tenant}/updates`)
-//! and an application-defined router. This module is that shared core:
+//! The pattern-serving daemon (`midas-serve`) needs a listener, bounded
+//! accept queue, worker pool, request parsing and response formatting,
+//! with request *bodies* (`POST /v1/{tenant}/updates`) and an
+//! application-defined router (which mounts [`crate::http::route`] for
+//! the observability endpoints). This module is that core:
 //!
 //! * [`HttpServer::start`] binds an address and spawns one accept thread
 //!   plus a configurable worker pool; every parsed request is dispatched
@@ -459,7 +459,7 @@ fn handle_connection(stream: TcpStream, handler: &Handler) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::mpsc;
     use std::time::Instant;
@@ -478,7 +478,8 @@ mod tests {
         HttpServer::start("127.0.0.1:0", "test-httpd", workers, handler).expect("bind")
     }
 
-    fn roundtrip(addr: SocketAddr, raw: &str) -> String {
+    /// Sends `raw` on a fresh connection and returns the whole response.
+    pub(crate) fn roundtrip(addr: SocketAddr, raw: &str) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.write_all(raw.as_bytes()).unwrap();
         let mut out = String::new();

@@ -21,8 +21,9 @@
 //!   a `trace.json` loadable in `chrome://tracing` / Perfetto.
 //!
 //! Plus a leveled [`obs_error!`]/[`obs_warn!`]/[`obs_info!`]/[`obs_debug!`]
-//! logger gated by the `MIDAS_LOG` environment variable, replacing ad-hoc
-//! `eprintln!` diagnostics.
+//! logger (level from `MIDAS_LOG`), replacing ad-hoc `eprintln!`
+//! diagnostics. [`config`] is the one reader of `MIDAS_*` environment
+//! variables and holds the table of them.
 //!
 //! # Cost when disabled
 //!
@@ -69,9 +70,8 @@ pub mod span;
 pub mod trace;
 
 pub use alerts::{AlertEval, AlertState, SloConfig};
-pub use config::TelemetryConfig;
+pub use config::{Env, Fault, TelemetryConfig};
 pub use flight::{BatchSummary, FlightEvent};
-pub use http::ObsServer;
 pub use httpd::{Handler, HttpServer, Request, Response};
 pub use log::LogLevel;
 pub use registry::{Counter, Gauge, Histogram};

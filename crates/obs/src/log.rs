@@ -3,10 +3,9 @@
 //!
 //! Lines go to **stderr** as `[midas LEVEL target] message`, so binary
 //! stdout (experiment tables, JSON reports) stays machine-readable. The
-//! level defaults to [`LogLevel::Warn`] and is overridden by the
-//! `MIDAS_LOG` environment variable (`off|error|warn|info|debug|trace`,
-//! case-insensitive) read once on first use, or programmatically by
-//! [`set_log_level`].
+//! level defaults to [`LogLevel::Warn`] and is set by [`set_log_level`]
+//! (which [`crate::TelemetryConfig::activate`] calls with the `MIDAS_LOG`
+//! setting, `off|error|warn|info|debug|trace`, case-insensitive).
 //!
 //! The macros evaluate their format arguments only when the level is
 //! enabled, so a `obs_debug!` in a maintenance loop costs one relaxed
@@ -70,26 +69,14 @@ impl LogLevel {
     }
 }
 
-/// Sentinel meaning "not yet initialized from the environment".
-const UNINIT: u8 = u8::MAX;
+static LEVEL: AtomicU8 = AtomicU8::new(LogLevel::Warn as u8);
 
-static LEVEL: AtomicU8 = AtomicU8::new(UNINIT);
-
-/// The active log level (reads `MIDAS_LOG` on first call).
+/// The active log level.
 pub fn log_level() -> LogLevel {
-    let v = LEVEL.load(Ordering::Relaxed);
-    if v != UNINIT {
-        return LogLevel::from_u8(v);
-    }
-    let level = std::env::var("MIDAS_LOG")
-        .ok()
-        .and_then(|s| LogLevel::parse(&s))
-        .unwrap_or(LogLevel::Warn);
-    LEVEL.store(level as u8, Ordering::Relaxed);
-    level
+    LogLevel::from_u8(LEVEL.load(Ordering::Relaxed))
 }
 
-/// Overrides the log level (wins over `MIDAS_LOG`).
+/// Sets the log level.
 pub fn set_log_level(level: LogLevel) {
     LEVEL.store(level as u8, Ordering::Relaxed);
 }

@@ -16,7 +16,7 @@
 
 use crate::json;
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -146,6 +146,21 @@ pub fn render_trace(events: &[TraceEvent], dropped: u64) -> String {
     out.push_str(&format!("  \"droppedEvents\": {dropped},\n"));
     out.push_str("  \"displayTimeUnit\": \"ms\"\n}\n");
     out
+}
+
+static OUTPUT: Mutex<Option<PathBuf>> = Mutex::new(None);
+
+/// Overrides [`output_path`] (`Some`) or restores its default (`None`).
+pub fn set_output_path(path: Option<PathBuf>) {
+    *OUTPUT.lock().unwrap_or_else(|e| e.into_inner()) = path;
+}
+
+/// Where the per-batch `trace.json` goes: the [`set_output_path`]
+/// override, else `MIDAS_TRACE_OUT`, else `./trace.json`.
+pub fn output_path() -> PathBuf {
+    let set = OUTPUT.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    set.or_else(|| crate::config::env().trace_out.clone())
+        .unwrap_or_else(|| PathBuf::from("trace.json"))
 }
 
 /// Drains the buffer into `path` as Chrome trace JSON. Returns the number

@@ -53,7 +53,7 @@ use midas_core::monitor::GraphletMonitor;
 use midas_core::swap::{multi_scan_swap, SwapOutcome, SwapParams};
 use midas_core::{Midas, MidasConfig, PatternStore};
 use midas_datagen::{deletion_batch, growth_batch, query_set, DatasetKind, DatasetSpec};
-use midas_graph::exec::set_fault_for_tests;
+use midas_graph::exec::{set_fault_for_tests, Fault};
 use midas_graph::ged::{ged_exact, ged_label_lower_bound, ged_tight_lower_bound};
 use midas_graph::graphlets::{count_graphlets, GraphletCounts};
 use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
@@ -1138,7 +1138,7 @@ pub fn fault_containment_pass(seed: u64, target: u64) -> Result<String, String> 
     ));
     for attempt in 0..3u64 {
         midas_obs::flight::clear();
-        set_fault_for_tests(Some(target));
+        set_fault_for_tests(Some(Fault::Task(target)));
         let update = growth_batch(&params, 10, seed ^ (0xFA_u64 + attempt));
         let report = midas.apply_batch(update);
         set_fault_for_tests(None);

@@ -10,6 +10,7 @@
 //! requested, contained the injected panic); `1` on divergence or a
 //! containment failure; `2` on bad usage.
 
+use midas_obs::Fault;
 use midas_oracle::{fault_containment_pass, Oracle};
 use std::process::ExitCode;
 
@@ -48,24 +49,19 @@ fn main() -> ExitCode {
     // Fault-containment pass first, when requested via the environment:
     // the differential checks below disarm the injector, so the armed
     // window must come before them.
-    if let Ok(spec) = std::env::var("MIDAS_FAULT") {
-        match spec
-            .trim()
-            .strip_prefix("task:")
-            .and_then(|n| n.trim().parse::<u64>().ok())
-        {
-            Some(target) => match fault_containment_pass(seed, target) {
-                Ok(line) => eprintln!("fault containment: {line}"),
-                Err(e) => {
-                    eprintln!("fault containment FAILED: {e}");
-                    failed = true;
-                }
-            },
-            None => {
-                eprintln!("MIDAS_FAULT is set but not of the form task:N ({spec:?})");
-                return ExitCode::from(2);
+    match midas_obs::config::env().fault {
+        Some(Fault::Task(target)) => match fault_containment_pass(seed, target) {
+            Ok(line) => eprintln!("fault containment: {line}"),
+            Err(e) => {
+                eprintln!("fault containment FAILED: {e}");
+                failed = true;
             }
+        },
+        Some(fault) => {
+            eprintln!("MIDAS_FAULT must be task:N for the oracle, got {fault:?}");
+            return ExitCode::from(2);
         }
+        None => {}
     }
 
     let report = Oracle::new(seed).run_all();

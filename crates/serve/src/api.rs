@@ -2,7 +2,7 @@
 //!
 //! | Method | Path                      | Effect                                              |
 //! |--------|---------------------------|-----------------------------------------------------|
-//! | GET    | `/healthz`                | Daemon liveness + tenant count                      |
+//! | GET    | `/healthz`                | Liveness, tenant count, drift, alerts, last batch   |
 //! | GET    | `/v1/tenants`             | List tenants with epochs and sizes                  |
 //! | POST   | `/v1/tenants`             | Create a tenant (dataset spec or explicit graphs)   |
 //! | GET    | `/v1/{t}/patterns`        | Current pattern snapshot (lock-free read)           |
@@ -11,6 +11,7 @@
 //! | POST   | `/v1/{t}/updates`         | Enqueue (or `?mode=sync` apply) an update batch     |
 //! | POST   | `/v1/{t}/querylog`        | Log formulated queries, feeding the `/sli` metrics  |
 //! | DELETE | `/v1/{t}`                 | Remove a tenant                                     |
+//! | GET    | `/metrics`, `/snapshot`, `/flight`, `/profile`, `/slow`, `/alerts`, `/sli` | [`midas_obs::http::route`] |
 //!
 //! Handlers run on the HTTP worker pool; everything that can block on
 //! maintenance is explicit: `GET` pattern reads never take the tenant's
@@ -106,8 +107,12 @@ pub fn route(state: &ServeState, req: &Request) -> Response {
         }
         ("POST", ["v1", tenant, "querylog"]) => with_tenant(state, tenant, |t| querylog(t, req)),
         ("DELETE", ["v1", tenant]) => delete_tenant(state, tenant),
-        ("GET" | "POST" | "DELETE", _) => Response::not_found(),
-        _ => Response::text(405, "method not allowed\n").with_header("Allow: GET, POST, DELETE"),
+        (method, _) => midas_obs::http::route(req).unwrap_or_else(|| match method {
+            "GET" | "POST" | "DELETE" => Response::not_found(),
+            _ => {
+                Response::text(405, "method not allowed\n").with_header("Allow: GET, POST, DELETE")
+            }
+        }),
     }
 }
 
@@ -129,12 +134,11 @@ fn with_tenant(
 }
 
 fn healthz(state: &ServeState) -> Response {
-    Response::json(
-        200,
-        format!(
-            "{{\"status\": \"ok\", \"tenants\": {}, \"uptime_s\": {}, \"maintenance_workers\": {}}}\n",
+    midas_obs::http::healthz(
+        state.uptime(),
+        &format!(
+            "\"tenants\": {}, \"maintenance_workers\": {}",
             state.tenant_count(),
-            state.uptime().as_secs(),
             state.maintenance_workers()
         ),
     )

@@ -21,6 +21,9 @@
 //!   function of the request sequence), while distinct tenants apply
 //!   concurrently on distinct workers.
 //!
+//! The daemon listens on one address: [`api::route`] answers the `/v1`
+//! API and `/healthz`, and falls through to [`midas_obs::http::route`]
+//! for the observability endpoints (`/metrics`, `/flight`, `/sli`, …).
 //! See `DESIGN.md` §14 for the architecture and the API table in
 //! [`api`].
 
@@ -72,26 +75,21 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Applies `MIDAS_SERVE_ADDR`, `MIDAS_SERVE_HTTP_WORKERS` and
-    /// `MIDAS_SERVE_MAINT_WORKERS` on top of the current values.
-    pub fn from_env(mut self) -> Self {
-        if let Ok(addr) = std::env::var("MIDAS_SERVE_ADDR") {
-            if !addr.is_empty() {
-                self.addr = addr;
-            }
+    /// Applies the `MIDAS_SERVE_ADDR`, `MIDAS_SERVE_HTTP_WORKERS` and
+    /// `MIDAS_SERVE_MAINT_WORKERS` settings of `env` on top of the
+    /// current values.
+    pub fn with_env(mut self, env: &midas_obs::Env) -> Self {
+        if let Some(addr) = &env.serve_addr {
+            self.addr = addr.clone();
         }
-        if let Some(n) = env_usize("MIDAS_SERVE_HTTP_WORKERS") {
+        if let Some(n) = env.serve_http_workers {
             self.http_workers = n.max(1);
         }
-        if let Some(n) = env_usize("MIDAS_SERVE_MAINT_WORKERS") {
+        if let Some(n) = env.serve_maint_workers {
             self.maintenance_workers = n.max(1);
         }
         self
     }
-}
-
-fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key).ok()?.trim().parse().ok()
 }
 
 /// A tenant-table slot. `Reserved` exists so concurrent creates of the
@@ -507,10 +505,18 @@ mod tests {
             http_workers: 3,
             maintenance_workers: 5,
         };
-        // No env set: values pass through.
-        let same = config.clone().from_env();
-        assert_eq!(same.http_workers, 3);
-        assert_eq!(same.maintenance_workers, 5);
+        // No settings: values pass through.
+        let same = config.clone().with_env(&midas_obs::Env::default());
+        assert_eq!((same.http_workers, same.maintenance_workers), (3, 5));
+        let (env, _) = midas_obs::Env::parse([
+            ("MIDAS_SERVE_ADDR", "127.0.0.1:9"),
+            ("MIDAS_SERVE_HTTP_WORKERS", "0"),
+            ("MIDAS_SERVE_MAINT_WORKERS", "4"),
+        ]);
+        let set = config.with_env(&env);
+        assert_eq!(set.addr, "127.0.0.1:9");
+        assert_eq!(set.http_workers, 1, "pools never shrink to zero");
+        assert_eq!(set.maintenance_workers, 4);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Closed-loop load simulation with live user-facing SLIs.
 //!
 //! ```sh
-//! MIDAS_SERVE=127.0.0.1:9898 MIDAS_LOAD_USERS=8 MIDAS_LOAD_TICKS=12 \
+//! MIDAS_SERVE_ADDR=127.0.0.1:9898 MIDAS_LOAD_USERS=8 MIDAS_LOAD_TICKS=12 \
 //!     cargo run --release -p midas-examples --bin load_sim
 //! # while it runs (or during the linger window):
 //! curl -s http://127.0.0.1:9898/sli       # reduction, staleness, latency
@@ -16,33 +16,20 @@
 //! `GET /sli` and as `midas_sli_*` Prometheus families, and the exact
 //! end-of-run report is printed.
 //!
-//! Environment knobs:
-//!
-//! * `MIDAS_LOAD_USERS` / `MIDAS_LOAD_TICKS` / `MIDAS_LOAD_TICK_MS` /
-//!   `MIDAS_LOAD_POOL` / `MIDAS_LOAD_SEED` — harness shape (defaults:
-//!   8 users, 6 ticks);
-//! * `MIDAS_LOAD_DB` — database size to bootstrap on (default 160);
-//! * `MIDAS_LOAD_LINGER_MS` — keep the process (and the endpoints) alive
-//!   this long after the run, so scripts can scrape `/sli` (default 0);
-//! * `MIDAS_SERVE` — bind address (default `127.0.0.1:0`, printed and
-//!   written to `MIDAS_ADDR_FILE` when set);
-//! * `MIDAS_LOAD_HTTP` — `addr[/tenant]` of a running `serve_daemon`:
-//!   instead of bootstrapping in-process, drive the closed loop over
-//!   HTTP against that daemon (the tenant — default `loadsim` — is
-//!   created on the fly when it does not exist yet).
+//! The endpoints come from one `midas_serve::ServeDaemon` in this
+//! process, started in both modes (it hosts no tenants). With
+//! `MIDAS_LOAD_HTTP=addr[/tenant]` the closed loop runs over HTTP against
+//! a running `serve_daemon` instead of an in-process instance (the
+//! tenant — default `loadsim` — is created when it does not exist yet).
+//! The `MIDAS_LOAD_*`, `MIDAS_SERVE_ADDR` and `MIDAS_ADDR_FILE` settings
+//! are in the environment table of `crates/obs/src/config.rs`.
 
 use midas_core::{Midas, MidasConfig};
 use midas_datagen::{DatasetKind, DatasetSpec};
 use midas_load::{LoadConfig, LoadReport};
 use midas_obs::TelemetryConfig;
+use midas_serve::{ServeConfig, ServeDaemon};
 use std::time::Duration;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(default)
-}
 
 /// Prints the end-of-run report. "load report" is the sentinel CI's
 /// load-smoke job waits for before scraping the lingering server.
@@ -89,38 +76,37 @@ fn run_over_http(target: &str, db_size: usize, cfg: &LoadConfig) -> LoadReport {
 }
 
 fn main() {
+    let env = midas_obs::config::env();
     let kind = DatasetKind::PubchemLike;
-    let db_size = env_u64("MIDAS_LOAD_DB", 160) as usize;
+    let db_size = env.load_db.unwrap_or(160);
 
-    // One observability server for both modes: SLI samples are recorded
-    // where the users run, which is this process either way.
+    // One listener for both modes: SLI samples are recorded where the
+    // users run, which is this process either way.
     let telemetry = TelemetryConfig {
         enabled: true,
         ..TelemetryConfig::default()
     }
-    .from_env();
+    .with_env(env);
     telemetry.activate();
-    let obs = midas_obs::ObsServer::start(
-        &std::env::var("MIDAS_SERVE").unwrap_or_else(|_| "127.0.0.1:0".into()),
-    )
-    .expect("observability server failed to bind");
-    println!("serving observability endpoints on http://{}", obs.addr());
-    println!("  GET /sli       user-facing SLIs: reduction, staleness, latency");
-    println!("  GET /metrics   Prometheus exposition (midas_sli_* families)");
-    println!("  GET /snapshot  full metrics snapshot as JSON");
-    if let Some(path) = std::env::var_os("MIDAS_ADDR_FILE") {
-        std::fs::write(&path, obs.addr().to_string()).expect("write MIDAS_ADDR_FILE");
+    let daemon = ServeDaemon::start(ServeConfig::default().with_env(env))
+        .expect("observability endpoints failed to bind");
+    println!(
+        "serving /sli (reduction, staleness, latency), /metrics and /snapshot on http://{}",
+        daemon.addr()
+    );
+    if let Some(path) = &env.addr_file {
+        std::fs::write(path, daemon.addr().to_string()).expect("write MIDAS_ADDR_FILE");
     }
 
-    let cfg = LoadConfig::default().from_env();
+    let cfg = LoadConfig::default().with_env(env);
     // HTTP mode: the daemon at MIDAS_LOAD_HTTP owns the Midas instances;
     // this process only runs users + driver over the wire.
-    let report = if let Ok(target) = std::env::var("MIDAS_LOAD_HTTP") {
+    let report = if let Some(target) = &env.load_http {
         println!(
             "load (http): {} users × {} ticks (tick {} ms, pool {}) against {target}",
             cfg.users, cfg.ticks, cfg.tick_ms, cfg.pool
         );
-        run_over_http(&target, db_size, &cfg)
+        run_over_http(target, db_size, &cfg)
     } else {
         let dataset = DatasetSpec::new(kind, db_size, 41).generate();
         let config = MidasConfig {
@@ -145,7 +131,7 @@ fn main() {
     };
     print_report(&report);
 
-    let linger = env_u64("MIDAS_LOAD_LINGER_MS", 0);
+    let linger = env.load_linger_ms.unwrap_or(0);
     if linger > 0 {
         println!("lingering {linger} ms so /sli stays scrapeable");
         std::thread::sleep(Duration::from_millis(linger));

@@ -96,6 +96,6 @@ fn main() {
     );
     println!(
         "\nwrote metrics.json; trace at {}",
-        TelemetryConfig::trace_path().display()
+        midas_obs::trace::output_path().display()
     );
 }

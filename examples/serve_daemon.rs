@@ -1,8 +1,7 @@
 //! The multi-tenant pattern-serving daemon, runnable.
 //!
 //! ```sh
-//! MIDAS_SERVE_ADDR=127.0.0.1:9900 MIDAS_SERVE=127.0.0.1:9898 \
-//!     cargo run --release -p midas-examples --bin serve_daemon
+//! MIDAS_SERVE_ADDR=127.0.0.1:9900 cargo run --release -p midas-examples --bin serve_daemon
 //! # from another shell:
 //! curl -s http://127.0.0.1:9900/healthz
 //! curl -s -X POST http://127.0.0.1:9900/v1/tenants \
@@ -11,118 +10,86 @@
 //! curl -s -X POST 'http://127.0.0.1:9900/v1/acme/updates?mode=sync' \
 //!   -d '{"generate": {"op": "growth", "percent": 5, "seed": 7}}'
 //! curl -s http://127.0.0.1:9900/v1/acme/epoch
-//! curl -s http://127.0.0.1:9898/metrics | grep 'tenant="acme"'
-//! curl -s http://127.0.0.1:9898/flight    # recent batches, every tenant
-//! curl -s http://127.0.0.1:9898/slow      # slowest matcher searches, attributed
+//! curl -s http://127.0.0.1:9900/metrics | grep 'tenant="acme"'
+//! curl -s http://127.0.0.1:9900/flight    # recent batches, every tenant
+//! curl -s http://127.0.0.1:9900/slow      # slowest matcher searches, attributed
 //! ```
 //!
-//! Boots a `midas_serve::ServeDaemon` (the `/v1` API) plus the
-//! observability server (`/metrics`, `/snapshot`, `/healthz`, `/flight`,
-//! `/profile`, `/slow`, `/alerts`, `/sli`) in one process. Tenants are created over HTTP; each gets its own embedded
-//! MIDAS instance, with reads served lock-free off the published
-//! snapshot and maintenance running on the shared worker pool.
+//! Boots one `midas_serve::ServeDaemon`: a single listener serving the
+//! `/v1` API, `/healthz`, and the observability endpoints (`/metrics`,
+//! `/snapshot`, `/flight`, `/profile`, `/slow`, `/alerts`, `/sli`).
+//! Tenants are created over HTTP (or at boot from `MIDAS_SERVE_TENANTS`,
+//! comma-separated `name:kind:size[:seed]` specs); each gets its own
+//! embedded MIDAS instance, with reads served lock-free off the published
+//! snapshot and maintenance running on the shared worker pool. It runs
+//! until killed.
 //!
-//! Environment knobs:
-//!
-//! * `MIDAS_SERVE_ADDR` — the API bind address (default `127.0.0.1:0`,
-//!   printed, and written to `MIDAS_ADDR_FILE` when that is set);
-//! * `MIDAS_SERVE_HTTP_WORKERS` / `MIDAS_SERVE_MAINT_WORKERS` — pool
-//!   sizes (defaults 8 and 2);
-//! * `MIDAS_SERVE` — the observability bind address (default
-//!   `127.0.0.1:0`; written to `MIDAS_OBS_ADDR_FILE` when that is set);
-//! * `MIDAS_SERVE_TENANTS` — comma-separated `name:kind:size:seed`
-//!   specs to create at boot, e.g. `acme:pubchem_like:120:41`;
-//! * `MIDAS_SERVE_ITERS_MS` — exit after this many milliseconds
-//!   (default: run until killed), for scripted smoke runs;
-//! * the telemetry switches of `TelemetryConfig::from_env`, e.g.
-//!   `MIDAS_FLIGHT` (flight-recorder capacity), `MIDAS_PROFILE_HZ`
-//!   (sampling profiler behind `/profile`) and `MIDAS_SLO_PHASE_US` /
-//!   `MIDAS_SLO_VF2_NS` (budgets arming `/alerts`).
+//! Its settings — `MIDAS_SERVE_*`, `MIDAS_ADDR_FILE` and the telemetry
+//! rows — are in the environment table of `crates/obs/src/config.rs`.
 
+use midas_obs::{flight, TelemetryConfig};
 use midas_serve::client::ServeClient;
 use midas_serve::{ServeConfig, ServeDaemon};
 use std::time::Duration;
 
-fn main() {
-    // One process-wide telemetry activation and the process's single obs
-    // server; tenants bootstrap with `bootstrap_embedded`, which leaves
-    // both alone. The flight recorder is armed before any tenant runs a
-    // batch, so the very first crash or `/flight` scrape has context.
-    let telemetry = midas_obs::TelemetryConfig {
-        enabled: true,
-        ..midas_obs::TelemetryConfig::default()
-    }
-    .from_env();
-    telemetry.activate();
-    midas_obs::flight::install_panic_hook();
-    midas_obs::flight::set_span_capture(true);
-    let obs_bind = std::env::var("MIDAS_SERVE").unwrap_or_else(|_| "127.0.0.1:0".into());
-    let obs = midas_obs::ObsServer::start(&obs_bind).expect("bind observability server");
-    println!("observability on http://{}", obs.addr());
-    if let Some(path) = std::env::var_os("MIDAS_OBS_ADDR_FILE") {
-        std::fs::write(&path, obs.addr().to_string()).expect("write MIDAS_OBS_ADDR_FILE");
-    }
+/// Splits a boot-time tenant spec `name:kind:size[:seed]` (seed
+/// defaults to 41); `None` when it is malformed.
+fn tenant_spec(spec: &str) -> Option<(&str, &str, usize, u64)> {
+    let (name, kind, size, seed) = match spec.split(':').collect::<Vec<_>>().as_slice() {
+        [name, kind, size] => (*name, *kind, *size, "41"),
+        [name, kind, size, seed] => (*name, *kind, *size, *seed),
+        _ => return None,
+    };
+    Some((name, kind, size.parse().ok()?, seed.parse().ok()?))
+}
 
-    let daemon = ServeDaemon::start(ServeConfig::default().from_env()).expect("bind serving API");
+fn main() {
+    // One process-wide telemetry activation; tenants bootstrap with
+    // `bootstrap_embedded`, which leaves it alone. The flight recorder is
+    // armed before any tenant runs a batch, so the very first crash or
+    // `/flight` scrape has context.
+    let env = midas_obs::config::env();
+    TelemetryConfig {
+        enabled: true,
+        ..TelemetryConfig::default()
+    }
+    .with_env(env)
+    .activate();
+    let dump = env.flight_dump.clone();
+    flight::install_panic_hook(dump.unwrap_or_else(|| "midas-flight-dump.json".into()));
+    flight::set_span_capture(true);
+
+    let daemon = ServeDaemon::start(ServeConfig::default().with_env(env)).expect("bind daemon");
     let addr = daemon.addr();
-    println!("serving API on http://{addr}");
-    println!("  GET    /healthz                    daemon liveness");
-    println!("  GET    /v1/tenants                 list tenants");
-    println!("  POST   /v1/tenants                 create a tenant");
-    println!("  GET    /v1/{{tenant}}/patterns       lock-free pattern snapshot");
-    println!("  GET    /v1/{{tenant}}/epoch          staleness probe");
-    println!("  GET    /v1/{{tenant}}/queries        sample a query workload");
-    println!("  POST   /v1/{{tenant}}/updates        apply/enqueue a batch (?mode=sync)");
-    println!("  POST   /v1/{{tenant}}/querylog       log formulated queries into /sli");
-    println!("  DELETE /v1/{{tenant}}                remove a tenant");
-    if let Some(path) = std::env::var_os("MIDAS_ADDR_FILE") {
-        std::fs::write(&path, addr.to_string()).expect("write MIDAS_ADDR_FILE");
+    // The route table is the module doc of `crates/serve/src/api.rs`.
+    println!("serving /healthz, /v1/* and the observability endpoints on http://{addr}");
+    if let Some(path) = &env.addr_file {
+        std::fs::write(path, addr.to_string()).expect("write MIDAS_ADDR_FILE");
     }
 
     // Optional boot-time tenants, through the same API path as curl.
-    if let Ok(specs) = std::env::var("MIDAS_SERVE_TENANTS") {
-        let client = ServeClient::new(addr.to_string());
-        for spec in specs.split(',').filter(|s| !s.trim().is_empty()) {
-            let parts: Vec<&str> = spec.trim().split(':').collect();
-            let (name, kind, size, seed) = match parts.as_slice() {
-                [n, k, s, seed] => (*n, *k, s.parse().unwrap_or(100), seed.parse().unwrap_or(41)),
-                [n, k, s] => (*n, *k, s.parse().unwrap_or(100), 41),
-                _ => {
-                    eprintln!(
-                        "skipping malformed tenant spec {spec:?} (want name:kind:size[:seed])"
-                    );
-                    continue;
-                }
-            };
-            match client.create_tenant(name, kind, size, seed, "small") {
-                Ok(reply) if reply.status == 201 => {
-                    println!("created tenant {name} ({kind}, {size} graphs)")
-                }
-                Ok(reply) => eprintln!(
-                    "tenant {name} failed: HTTP {} {}",
-                    reply.status,
-                    reply.body.trim()
-                ),
-                Err(e) => eprintln!("tenant {name} failed: {e}"),
+    let client = ServeClient::new(addr.to_string());
+    let specs = env.serve_tenants.as_deref().unwrap_or("");
+    for spec in specs.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+        let Some((name, kind, size, seed)) = tenant_spec(spec) else {
+            eprintln!("skipping malformed tenant spec {spec:?} (want name:kind:size[:seed])");
+            continue;
+        };
+        match client.create_tenant(name, kind, size, seed, "small") {
+            Ok(reply) if reply.status == 201 => {
+                println!("created tenant {name} ({kind}, {size} graphs)")
             }
+            Ok(reply) => eprintln!(
+                "tenant {name} failed: HTTP {} {}",
+                reply.status,
+                reply.body.trim()
+            ),
+            Err(e) => eprintln!("tenant {name} failed: {e}"),
         }
     }
 
-    match std::env::var("MIDAS_SERVE_ITERS_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-    {
-        Some(ms) => {
-            println!("serving for {ms} ms, then exiting");
-            std::thread::sleep(Duration::from_millis(ms));
-            daemon.shutdown();
-            obs.shutdown();
-        }
-        None => {
-            println!("serving until killed (ctrl-c)");
-            loop {
-                std::thread::sleep(Duration::from_secs(3600));
-            }
-        }
+    println!("serving until killed (ctrl-c)");
+    loop {
+        std::thread::sleep(Duration::from_secs(3600));
     }
 }

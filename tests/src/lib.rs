@@ -2,8 +2,36 @@
 
 use midas_catapult::PatternBudget;
 use midas_core::MidasConfig;
-use midas_graph::{GraphBuilder, LabeledGraph};
+use midas_graph::{GraphBuilder, GraphDb, LabeledGraph};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests of one binary that touch process-global state
+/// (the telemetry switches, the flight recorder, the fault injector).
+pub fn exclusive() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A 24-graph database of five-vertex paths over three label patterns.
+pub fn seed_db() -> GraphDb {
+    GraphDb::from_graphs((0..24).map(|i| path(&[0, 1, 2, 0, (i % 3) as u32])))
+}
+
+/// A four-graph insertion wave that varies with `seed`.
+pub fn wave(seed: u32) -> Vec<LabeledGraph> {
+    (0..4)
+        .map(|i| path(&[seed % 5, (i + seed) % 5, 2]))
+        .collect()
+}
+
+/// One GET against a serving daemon: (status, body).
+pub fn http_get(addr: std::net::SocketAddr, target: &str) -> (u16, String) {
+    let reply = midas_serve::ServeClient::new(addr.to_string())
+        .request("GET", target, None)
+        .expect("GET");
+    (reply.status, reply.body)
+}
 
 /// A small MIDAS configuration for integration tests.
 pub fn test_config(seed: u64) -> MidasConfig {

@@ -8,7 +8,7 @@
 //! function: everything that arms it runs sequentially in here, and no
 //! other test in this process fans out through the kernel while armed.
 
-use midas_graph::exec::{set_fault_for_tests, try_par_map};
+use midas_graph::exec::{set_fault_for_tests, slow_fault, try_par_map, Fault};
 use midas_graph::KernelError;
 use midas_oracle::fault_containment_pass;
 
@@ -31,7 +31,7 @@ fn injected_worker_panic_is_contained_end_to_end() {
     // others complete, and the first failure (in slot order) is reported.
     let quiet = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    set_fault_for_tests(Some(2));
+    set_fault_for_tests(Some(Fault::Task(2)));
     let items: Vec<u64> = (0..16).collect();
     let result = try_par_map(4, &items, |&x| x * 2);
     set_fault_for_tests(None);
@@ -45,4 +45,12 @@ fn injected_worker_panic_is_contained_end_to_end() {
     // poisoned global state behind.
     let clean = try_par_map(4, &items, |&x| x * 2).expect("disarmed run is clean");
     assert_eq!(clean, (0..16).map(|x| x * 2).collect::<Vec<u64>>());
+
+    // Phase 4: `slow:US` arms the batch.index delay and never a task
+    // panic; disarming clears it.
+    set_fault_for_tests(Some(Fault::Slow(250)));
+    assert_eq!(slow_fault(), Some(std::time::Duration::from_micros(250)));
+    assert!(try_par_map(4, &items, |&x| x).is_ok());
+    set_fault_for_tests(None);
+    assert_eq!(slow_fault(), None);
 }

@@ -1,66 +1,26 @@
 //! Live observability, end to end: with a `Midas` instance running
-//! batches, an `ObsServer` in the same process must answer `/metrics`
+//! batches, a `ServeDaemon` in the same process must answer `/metrics`
 //! (with quantile series), `/snapshot`, `/healthz` and `/flight` over
-//! plain HTTP, and the flight recorder must retain exactly its configured
-//! capacity after wraparound, numbering batches in one process-wide
-//! sequence across instances.
+//! plain HTTP on its one listener, and the flight recorder must retain
+//! exactly its configured capacity after wraparound, numbering batches in
+//! one process-wide sequence across instances.
 //!
 //! The telemetry switch and the flight recorder are process-global, so
 //! every test here holds a shared lock and restores the defaults before
 //! releasing it.
 
 use midas_core::framework::Midas;
-use midas_graph::{BatchUpdate, GraphDb, LabeledGraph};
+use midas_graph::BatchUpdate;
 use midas_obs::{json, TelemetryConfig};
-use midas_tests::{path, test_config};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
-
-static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn seed_db() -> GraphDb {
-    GraphDb::from_graphs((0..24).map(|i| path(&[0, 1, 2, 0, (i % 3) as u32])))
-}
-
-fn wave(seed: u32) -> Vec<LabeledGraph> {
-    (0..4)
-        .map(|i| path(&[seed % 5, (i + seed) % 5, 2]))
-        .collect()
-}
-
-/// Minimal HTTP/1.1 GET over a std TcpStream: returns (status, body).
-fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to obs server");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: midas\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
+use midas_serve::{ServeConfig, ServeDaemon};
+use midas_tests::{exclusive, http_get, seed_db, test_config, wave};
 
 #[test]
 fn served_endpoints_answer_with_quantiles_and_bounded_flight_history() {
     let _g = exclusive();
-    // The deployment shape: the host binary owns the server, the library
+    // The deployment shape: the host binary owns the daemon, the library
     // only records into the process-global registry and flight recorder.
-    let server = midas_obs::ObsServer::start("127.0.0.1:0").expect("bind obs server");
+    let server = ServeDaemon::start(ServeConfig::default()).expect("bind daemon");
     let addr = server.addr();
     midas_obs::flight::clear();
     midas_obs::flight::set_capacity(8);
@@ -102,6 +62,7 @@ fn served_endpoints_answer_with_quantiles_and_bounded_flight_history() {
     json::validate(&body).expect("healthz is valid JSON");
     assert!(body.contains("\"status\": \"ok\""));
     assert!(body.contains("\"batches\": 10"));
+    assert!(body.contains("\"tenants\": 0"), "one document: {body}");
 
     // /snapshot — the full registry snapshot, also valid JSON.
     let (status, body) = http_get(addr, "/snapshot");

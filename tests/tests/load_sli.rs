@@ -10,13 +10,9 @@
 use midas_core::{Midas, PatternSnapshot};
 use midas_datagen::{DatasetKind, DatasetSpec, MotifKind};
 use midas_load::LoadConfig;
-use midas_tests::test_config;
+use midas_tests::{exclusive, test_config};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// The telemetry switch is process-global; the one test that flips it
-/// holds this lock (future telemetry tests in this binary must too).
-static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 fn bootstrap(db_size: usize) -> Midas {
     let dataset = DatasetSpec::new(DatasetKind::PubchemLike, db_size, 11).generate();
@@ -143,7 +139,9 @@ fn held_snapshots_age_but_never_mutate() {
 fn load_harness_streams_slis_while_batches_run() {
     // End to end through the public API: the closed loop produces queries,
     // the sli registry metrics advance, and /sli renders them.
-    let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // The telemetry switch is process-global; every test in this binary
+    // that flips it holds this lock.
+    let _guard = exclusive();
     // Enable *after* bootstrap: Midas::bootstrap activates its own
     // TelemetryConfig (disabled in test_config) over the global switch.
     let mut midas = bootstrap(50);

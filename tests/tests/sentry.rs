@@ -10,52 +10,13 @@
 //! restores the defaults before releasing it.
 
 use midas_core::framework::Midas;
-use midas_graph::{BatchUpdate, GraphDb, LabeledGraph};
+use midas_graph::exec::set_fault_for_tests;
+use midas_graph::BatchUpdate;
 use midas_obs::alerts::{self, AlertState, SloConfig, FAST_SLOTS};
 use midas_obs::registry::registry;
-use midas_obs::{exemplar, json, profile, TelemetryConfig};
-use midas_tests::{path, test_config};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
-
-static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn seed_db() -> GraphDb {
-    GraphDb::from_graphs((0..24).map(|i| path(&[0, 1, 2, 0, (i % 3) as u32])))
-}
-
-fn wave(seed: u32) -> Vec<LabeledGraph> {
-    (0..4)
-        .map(|i| path(&[seed % 5, (i + seed) % 5, 2]))
-        .collect()
-}
-
-/// Minimal HTTP/1.1 GET over a std TcpStream: returns (status, body).
-fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to obs server");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: midas\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
+use midas_obs::{exemplar, json, profile, Env, TelemetryConfig};
+use midas_serve::{ServeConfig, ServeDaemon};
+use midas_tests::{exclusive, http_get, seed_db, test_config, wave};
 
 #[test]
 fn profiler_attributes_samples_to_nested_span_stacks() {
@@ -170,18 +131,24 @@ fn alert_windows_rotate_exactly_at_the_fast_boundary() {
 #[test]
 fn injected_slowdown_flips_alerts_and_healthz_to_firing() {
     let _g = exclusive();
-    // The documented fault-injection path: every env knob flows through
-    // TelemetryConfig::from_env inside Midas::bootstrap.
-    let server = midas_obs::ObsServer::start("127.0.0.1:0").expect("bind obs server");
+    // The documented fault-injection path: the settings parse from the
+    // same `MIDAS_*` spellings an operator exports, and flow through
+    // TelemetryConfig::with_env into Midas::bootstrap.
+    let server = ServeDaemon::start(ServeConfig::default()).expect("bind daemon");
     let addr = server.addr();
-    std::env::set_var("MIDAS_FAULT", "slow:200000"); // +200 ms in batch.index
-    std::env::set_var("MIDAS_SLO_PHASE_US", "1000"); // 1 ms budget
-    std::env::set_var("MIDAS_PROFILE_HZ", "200");
+    let (env, warnings) = Env::parse([
+        ("MIDAS_FAULT", "slow:200000"), // +200 ms in batch.index
+        ("MIDAS_SLO_PHASE_US", "1000"), // 1 ms budget
+        ("MIDAS_PROFILE_HZ", "200"),
+    ]);
+    assert!(warnings.is_empty(), "{warnings:?}");
+    set_fault_for_tests(env.fault);
     registry().span("batch.index").durations().reset();
     profile::reset();
 
     let mut cfg = test_config(7);
     cfg.telemetry.enabled = true;
+    cfg.telemetry = cfg.telemetry.with_env(&env);
     let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
 
     // Two batches, each sleeping 200 ms inside the batch.index span: both
@@ -190,7 +157,7 @@ fn injected_slowdown_flips_alerts_and_healthz_to_firing() {
     for i in 0..2u32 {
         midas.apply_batch(BatchUpdate::insert_only(wave(i)));
     }
-    std::env::remove_var("MIDAS_FAULT");
+    set_fault_for_tests(None);
 
     let firing = alerts::firing();
     assert!(
@@ -238,8 +205,6 @@ fn injected_slowdown_flips_alerts_and_healthz_to_firing() {
     );
 
     server.shutdown();
-    std::env::remove_var("MIDAS_SLO_PHASE_US");
-    std::env::remove_var("MIDAS_PROFILE_HZ");
     registry().span("batch.index").durations().reset();
     profile::reset();
     TelemetryConfig::default().activate();

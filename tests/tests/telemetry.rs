@@ -6,20 +6,9 @@
 //! shared lock and restores the disabled default before releasing it.
 
 use midas_core::framework::Midas;
-use midas_graph::{BatchUpdate, GraphBuilder, GraphDb, LabeledGraph};
+use midas_graph::{BatchUpdate, GraphBuilder, LabeledGraph};
 use midas_obs::{json, MetricsSnapshot, TelemetryConfig};
-use midas_tests::{path, test_config};
-use std::sync::{Mutex, MutexGuard};
-
-static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn seed_db() -> GraphDb {
-    GraphDb::from_graphs((0..24).map(|i| path(&[0, 1, 2, 0, (i % 3) as u32])))
-}
+use midas_tests::{exclusive, path, seed_db, test_config};
 
 fn dense_wave() -> Vec<LabeledGraph> {
     let brick = GraphBuilder::new()
@@ -110,14 +99,14 @@ fn metrics_snapshot_exports_valid_json() {
 fn trace_export_is_valid_chrome_trace() {
     let _g = exclusive();
     let trace_file = std::env::temp_dir().join(format!("midas-trace-{}.json", std::process::id()));
-    std::env::set_var("MIDAS_TRACE_OUT", &trace_file);
+    midas_obs::trace::set_output_path(Some(trace_file.clone()));
     let mut cfg = test_config(13);
     cfg.telemetry.enabled = true;
     cfg.telemetry.trace = true;
     let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
     let _report = midas.apply_batch(BatchUpdate::insert_only(dense_wave()));
     TelemetryConfig::default().activate();
-    std::env::remove_var("MIDAS_TRACE_OUT");
+    midas_obs::trace::set_output_path(None);
 
     let doc = std::fs::read_to_string(&trace_file).expect("trace.json written");
     let _ = std::fs::remove_file(&trace_file);
