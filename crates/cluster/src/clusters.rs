@@ -3,7 +3,7 @@
 //! lines 1–2 and 6–7).
 
 use crate::features::{FeatureSpace, FeatureVector};
-use crate::fine::fine_cluster;
+use crate::fine::{fine_cluster, MccsMemo};
 use crate::kmeans::{dist2_to_centroid, kmeans};
 use midas_graph::{ClosureGraph, GraphDb, GraphId, LabeledGraph};
 use midas_mining::TreeLattice;
@@ -89,8 +89,9 @@ impl Default for ClusterConfig {
     }
 }
 
-/// All clusters of a database, plus the frozen feature space and the cached
-/// per-member feature vectors needed for incremental centroid updates.
+/// All clusters of a database, plus the frozen feature space, the cached
+/// per-member feature vectors needed for incremental centroid updates, and
+/// the MCCS scores fine clustering has already searched.
 #[derive(Debug, Clone)]
 pub struct ClusterSet {
     config: ClusterConfig,
@@ -98,6 +99,7 @@ pub struct ClusterSet {
     clusters: BTreeMap<ClusterId, Cluster>,
     membership: HashMap<GraphId, ClusterId>,
     member_vectors: HashMap<GraphId, FeatureVector>,
+    mccs_memo: MccsMemo,
     next_id: u64,
 }
 
@@ -130,6 +132,7 @@ impl ClusterSet {
             coarse.entry(slot).or_default().push(id);
         }
         // Fine-cluster oversized groups.
+        let mut mccs_memo = MccsMemo::new(config.mccs_budget);
         let mut groups: Vec<Vec<GraphId>> = Vec::new();
         for members in coarse.into_values() {
             if members.len() <= config.max_cluster_size {
@@ -142,7 +145,7 @@ impl ClusterSet {
                 groups.extend(fine_cluster(
                     &with_graphs,
                     config.max_cluster_size,
-                    config.mccs_budget,
+                    &mut mccs_memo,
                 ));
             }
         }
@@ -152,6 +155,7 @@ impl ClusterSet {
             clusters: BTreeMap::new(),
             membership: HashMap::new(),
             member_vectors: HashMap::new(),
+            mccs_memo,
             next_id: 0,
         };
         for (i, &id) in ids.iter().enumerate() {
@@ -243,6 +247,19 @@ impl ClusterSet {
         self.clusters.values().map(|c| c.len()).sum()
     }
 
+    /// The MCCS scores fine clustering has searched, for pairs of graphs
+    /// that are still clustered.
+    pub fn mccs_memo(&self) -> &MccsMemo {
+        &self.mccs_memo
+    }
+
+    /// Forgets every cached MCCS score; later splits search them again.
+    /// The groups do not change, only the time they take, which is how
+    /// the differential oracle checks the memo.
+    pub fn clear_mccs_memo(&mut self) {
+        self.mccs_memo = MccsMemo::new(self.config.mccs_budget);
+    }
+
     /// Assigns a newly inserted graph to the nearest cluster by centroid
     /// distance (Algorithm 1 line 1), updates that cluster's CSG (§4.4 step
     /// 1) and centroid, and fine-clusters if the size cap is exceeded.
@@ -300,10 +317,11 @@ impl ClusterSet {
     }
 
     /// Removes a deleted graph from its cluster (Algorithm 1 line 2),
-    /// updating the CSG (§4.4 step 2) and centroid. Returns the affected
-    /// cluster id, or `None` if the graph was not clustered. Empty clusters
-    /// are dropped.
+    /// updating the CSG (§4.4 step 2) and centroid, and forgets its MCCS
+    /// scores. Returns the affected cluster id, or `None` if the graph was
+    /// not clustered. Empty clusters are dropped.
     pub fn remove(&mut self, id: GraphId, graph: &LabeledGraph) -> Option<ClusterId> {
+        self.mccs_memo.remove_graph(id);
         let cid = self.membership.remove(&id)?;
         let v = self.member_vectors.remove(&id).unwrap_or_default();
         let cluster = self.clusters.get_mut(&cid).expect("membership consistent");
@@ -328,6 +346,7 @@ impl ClusterSet {
     /// Splits an oversized cluster via fine clustering; the original cluster
     /// is replaced by the resulting groups (fresh ids, fresh CSGs).
     fn split(&mut self, db: &GraphDb, cid: ClusterId) -> Vec<ClusterId> {
+        let _span = midas_obs::span!("batch.cluster.split");
         let cluster = self.clusters.remove(&cid).expect("cluster exists");
         let members: Vec<GraphId> = cluster.members.iter().copied().collect();
         for id in &members {
@@ -340,7 +359,7 @@ impl ClusterSet {
         let groups = fine_cluster(
             &with_graphs,
             self.config.max_cluster_size,
-            self.config.mccs_budget,
+            &mut self.mccs_memo,
         );
         midas_obs::obs_debug!(
             "cluster::clusters",
@@ -486,20 +505,8 @@ mod tests {
         let mut db = two_family_db();
         let (mut set, mut lattice) = build_set(&db, 2, 100);
         set.take_dirty();
-        // Insert a new C-O graph; extend lattice supports first (as the
-        // framework does).
-        let newcomer = path(&[0, 1, 0]);
-        let id = db.insert(newcomer);
-        let graph = db.get(id).unwrap().clone();
-        let keys: Vec<_> = lattice.iter().map(|(k, _)| k.clone()).collect();
-        for key in keys {
-            let tree = lattice.get(&key).unwrap().tree.clone();
-            if midas_graph::isomorphism::is_subgraph_of(&tree, &graph) {
-                let mut entry = lattice.get(&key).unwrap().clone();
-                entry.support.insert(id);
-                lattice.insert(key, entry);
-            }
-        }
+        // Insert a new C-O graph.
+        let (id, graph) = insert_with_supports(&mut db, &mut lattice, path(&[0, 1, 0]));
         let affected = set.assign(&db, &lattice, id, &graph);
         assert_eq!(affected.len(), 1);
         let cid = set.cluster_of(id).unwrap();
@@ -531,6 +538,80 @@ mod tests {
         assert!(affected.len() >= 2, "split must create clusters");
         assert!(set.iter().all(|(_, c)| c.len() <= 3));
         assert_eq!(set.total_members(), 4);
+    }
+
+    /// Inserts `graph` into `db` and extends the lattice supports first, as
+    /// the framework does before [`ClusterSet::assign`].
+    fn insert_with_supports(
+        db: &mut GraphDb,
+        lattice: &mut TreeLattice,
+        graph: LabeledGraph,
+    ) -> (GraphId, Arc<LabeledGraph>) {
+        let id = db.insert(graph);
+        let graph = db.get(id).unwrap().clone();
+        let keys: Vec<_> = lattice.iter().map(|(k, _)| k.clone()).collect();
+        for key in keys {
+            let entry = lattice.get(&key).unwrap();
+            if midas_graph::isomorphism::is_subgraph_of(&entry.tree, &graph) {
+                let mut e = entry.clone();
+                e.support.insert(id);
+                lattice.insert(key, e);
+            }
+        }
+        (id, graph)
+    }
+
+    /// Three identical graphs in one cluster of at most 3, then two
+    /// inserts that each split the big cluster 3 + 1 around the same seed.
+    fn split_twice() -> (GraphDb, ClusterSet, Vec<usize>) {
+        let mut db = GraphDb::from_graphs((0..3).map(|_| path(&[0, 1])));
+        let (mut set, mut lattice) = build_set(&db, 1, 3);
+        let mut memo_sizes = Vec::new();
+        for _ in 0..2 {
+            let (id, graph) = insert_with_supports(&mut db, &mut lattice, path(&[0, 1]));
+            let affected = set.assign(&db, &lattice, id, &graph);
+            let mut sizes: Vec<usize> = affected
+                .iter()
+                .map(|&c| set.get(c).unwrap().len())
+                .collect();
+            sizes.sort_unstable();
+            assert_eq!(sizes, [1, 3], "each insert splits 3 + 1");
+            memo_sizes.push(set.mccs_memo().len());
+        }
+        (db, set, memo_sizes)
+    }
+
+    #[test]
+    fn back_to_back_splits_score_no_pair_twice() {
+        let (_, set, memo_sizes) = split_twice();
+        let memo = set.mccs_memo();
+        // First split: the seed against its 3 peers. Second split: the
+        // same seed again, 2 pairs served and only the newcomer searched.
+        assert_eq!(memo_sizes, [3, 4]);
+        assert_eq!(memo.computed(), 4);
+        assert_eq!(memo.hits(), 2);
+        assert_eq!(memo.computed() as usize, memo.len(), "no pair scored twice");
+    }
+
+    #[test]
+    fn remove_forgets_every_memo_pair_of_the_graph() {
+        let (db, mut set, _) = split_twice();
+        let seed = set.mccs_memo().entries().next().unwrap().0;
+        let member = set.mccs_memo().entries().map(|e| e.1).max().unwrap();
+        for id in [member, seed] {
+            assert!(set
+                .mccs_memo()
+                .entries()
+                .any(|(s, m, _)| s == id || m == id));
+            set.remove(id, db.get(id).unwrap());
+            assert!(
+                !set.mccs_memo()
+                    .entries()
+                    .any(|(s, m, _)| s == id || m == id),
+                "memo still names {id}"
+            );
+        }
+        assert!(set.mccs_memo().is_empty(), "the seed's row went with it");
     }
 
     #[test]
@@ -591,20 +672,8 @@ mod tests {
     #[test]
     fn centroid_updates_match_rebuild() {
         let mut db = two_family_db();
-        let (mut set, lattice) = build_set(&db, 2, 100);
-        let id = db.insert(path(&[0, 1, 0, 1]));
-        let graph = db.get(id).unwrap().clone();
-        // Update lattice supports as the framework would.
-        let mut lattice = lattice;
-        let keys: Vec<_> = lattice.iter().map(|(k, _)| k.clone()).collect();
-        for key in keys {
-            let entry = lattice.get(&key).unwrap();
-            if midas_graph::isomorphism::is_subgraph_of(&entry.tree, &graph) {
-                let mut e = entry.clone();
-                e.support.insert(id);
-                lattice.insert(key, e);
-            }
-        }
+        let (mut set, mut lattice) = build_set(&db, 2, 100);
+        let (id, graph) = insert_with_supports(&mut db, &mut lattice, path(&[0, 1, 0, 1]));
         set.assign(&db, &lattice, id, &graph);
         let cid = set.cluster_of(id).unwrap();
         let cluster = set.get(cid).unwrap();

@@ -4,7 +4,7 @@
 //! in the workspace is cross-checked against its slow reference twin on a
 //! seeded, fully reproducible world from `midas-datagen`.
 //!
-//! The seven checks ([`Oracle::run_all`]):
+//! The eight checks ([`Oracle::run_all`]):
 //!
 //! 1. **`kernel_vs_serial`** — [`MatchKernel`] / `EmbeddingCache` counts
 //!    and containment vs the serial VF2 walkers
@@ -31,6 +31,11 @@
 //!    [`Midas`] fed the same bootstrap graphs and the same explicit
 //!    batch sequence through sync updates: the served pattern set,
 //!    epoch, and database size must be **bit-identical** at every step.
+//! 8. **`fine_cluster_memo`** — a [`ClusterSet`] whose MCCS memo persists
+//!    across splits vs a shadow that forgets it before every insert, over
+//!    growth, mixed deletion and novel-wave batches that each split a
+//!    cluster: membership, group order and CSG member sets must be
+//!    identical, and the memo may only name graphs still clustered.
 //!
 //! Divergences are reported as structured JSON (reusing `midas_obs::json`)
 //! with the offending graph pair **minimized** by greedy vertex removal
@@ -48,17 +53,22 @@
 #![warn(rust_2018_idioms)]
 
 use midas_catapult::score::diversity;
+use midas_cluster::{ClusterConfig, ClusterSet, FeatureSpace};
 use midas_core::metrics::ScovContext;
 use midas_core::monitor::GraphletMonitor;
 use midas_core::swap::{multi_scan_swap, SwapOutcome, SwapParams};
 use midas_core::{Midas, MidasConfig, PatternStore};
-use midas_datagen::{deletion_batch, growth_batch, query_set, DatasetKind, DatasetSpec};
+use midas_datagen::updates::boronic_ester_family;
+use midas_datagen::{
+    deletion_batch, growth_batch, novel_family_batch, query_set, DatasetKind, DatasetSpec,
+};
 use midas_graph::exec::{set_fault_for_tests, Fault};
 use midas_graph::ged::{ged_exact, ged_label_lower_bound, ged_tight_lower_bound};
 use midas_graph::graphlets::{count_graphlets, GraphletCounts};
 use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
+use midas_graph::mccs::mccs_similarity;
 use midas_graph::plan::{count_embeddings_plan, find_embeddings_plan, is_subgraph_plan};
-use midas_graph::{Csr, GraphBuilder, GraphDb, GraphId, LabeledGraph, MatchKernel};
+use midas_graph::{BatchUpdate, Csr, GraphBuilder, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::{FctIndex, IfeIndex, PatternId};
 use midas_mining::incremental::FctState;
 use midas_mining::{EdgeCatalog, MiningConfig, TreeKey};
@@ -228,7 +238,7 @@ where
     }
 }
 
-/// The differential oracle: a seeded world plus the six checks.
+/// The differential oracle: a seeded world plus the eight checks.
 pub struct Oracle {
     seed: u64,
 }
@@ -249,7 +259,7 @@ impl Oracle {
             checks: Vec::new(),
             divergences: Vec::new(),
         };
-        let checks: [(&'static str, CheckFn); 7] = [
+        let checks: [(&'static str, CheckFn); 8] = [
             ("kernel_vs_serial", Oracle::check_kernel_vs_serial),
             ("incremental_mining", Oracle::check_incremental_mining),
             ("graphlet_monitor", Oracle::check_monitor),
@@ -257,6 +267,7 @@ impl Oracle {
             ("multi_scan_swap", Oracle::check_swap),
             ("plan_vs_vf2", Oracle::check_plan_vs_vf2),
             ("serve_vs_library", Oracle::check_serve_vs_library),
+            ("fine_cluster_memo", Oracle::check_fine_cluster_memo),
         ];
         for (name, check) in checks {
             let cases = check(self, &mut report.divergences);
@@ -922,6 +933,115 @@ impl Oracle {
         daemon.shutdown();
         cases
     }
+
+    /// Check 8: fine clustering through the persistent MCCS memo against
+    /// a shadow [`ClusterSet`] that clears its memo before every insert,
+    /// so each of its splits searches every pair afresh.
+    ///
+    /// Both sets replay the same batches in Algorithm 1's order (FCT
+    /// first, then cluster removes and assigns). Each batch inserts more
+    /// graphs than the clusters have free slots, so it splits at least
+    /// once; the deletion batches insert too, since only an insert splits.
+    fn check_fine_cluster_memo(&self, out: &mut Vec<Divergence>) -> usize {
+        let mut db = DatasetSpec::new(DatasetKind::AidsLike, 30, self.seed ^ 0x80)
+            .generate()
+            .db;
+        let mining = MiningConfig {
+            sup_min: 0.3,
+            max_edges: 3,
+        };
+        let config = ClusterConfig {
+            coarse_clusters: 2,
+            max_cluster_size: 4,
+            ..ClusterConfig::default()
+        };
+        let params = DatasetKind::AidsLike.params();
+        let mut fct = FctState::build(&db, mining);
+        let space = FeatureSpace::from_fct(&fct.lattice, mining.sup_min, db.len());
+        let mut primary = ClusterSet::build(&db, &fct.lattice, space, config);
+        let mut shadow = primary.clone();
+        shadow.clear_mccs_memo();
+        let mut cases = 0;
+        for step in 0..4 {
+            // Pigeonhole: a delete frees at most one slot, so inserting more
+            // graphs than the free slots plus the deletes forces a split.
+            let drop = [0, 4, 0, 6][step];
+            let free: usize = primary
+                .iter()
+                .map(|(_, c)| config.max_cluster_size - c.len())
+                .sum();
+            let grow = free + drop + 1;
+            let seed = self.seed ^ (0x81 + step as u64);
+            let insert = if step < 2 {
+                growth_batch(&params, grow, seed).insert
+            } else {
+                novel_family_batch(boronic_ester_family(), grow, seed).insert
+            };
+            let delete = deletion_batch(&db, drop, seed).delete;
+            let update = BatchUpdate { insert, delete };
+            let deleted: Vec<(GraphId, Arc<LabeledGraph>)> = update
+                .delete
+                .iter()
+                .filter_map(|&id| db.get(id).map(|g| (id, Arc::clone(g))))
+                .collect();
+            let (inserted, _) = db.apply(update);
+            let deleted_refs: Vec<(GraphId, &LabeledGraph)> =
+                deleted.iter().map(|(id, g)| (*id, g.as_ref())).collect();
+            fct.apply_batch(&db, &inserted, &deleted_refs);
+            for (id, g) in &deleted {
+                primary.remove(*id, g);
+                shadow.remove(*id, g);
+            }
+            let mut splits = 0;
+            for &id in &inserted {
+                let graph = db.get(id).expect("inserted id").clone();
+                let scored = primary.mccs_memo().computed() + primary.mccs_memo().hits();
+                primary.assign(&db, &fct.lattice, id, &graph);
+                shadow.clear_mccs_memo();
+                shadow.assign(&db, &fct.lattice, id, &graph);
+                splits += usize::from(
+                    primary.mccs_memo().computed() + primary.mccs_memo().hits() > scored,
+                );
+            }
+            cases += 1;
+            if splits == 0 {
+                out.push(memo_divergence(
+                    format!("step {step}: coverage"),
+                    "at least one split",
+                    "no split",
+                    None,
+                ));
+            }
+            cases += 1;
+            out.extend(cluster_diff(step, &db, &primary, &shadow));
+            cases += 1;
+            let dead = primary
+                .mccs_memo()
+                .entries()
+                .filter(|&(s, m, _)| {
+                    primary.cluster_of(s).is_none() || primary.cluster_of(m).is_none()
+                })
+                .count();
+            if dead > 0 {
+                out.push(memo_divergence(
+                    format!("step {step}: eviction"),
+                    "memo names only clustered graphs",
+                    &format!("{dead} pairs name an unclustered graph"),
+                    None,
+                ));
+            }
+        }
+        cases += 1;
+        if primary.mccs_memo().hits() == 0 {
+            out.push(memo_divergence(
+                "coverage".into(),
+                "the memo serves at least one score",
+                "no memo hit",
+                None,
+            ));
+        }
+        cases
+    }
 }
 
 /// One differential check: collects divergences, returns its case count.
@@ -1027,6 +1147,95 @@ fn serve_divergence(case: &str, expected: &str, actual: &str) -> Divergence {
         expected: expected.to_owned(),
         actual: actual.to_owned(),
         witness: None,
+    }
+}
+
+/// The first difference between two cluster sets, comparing cluster ids
+/// with their members in group order and each cluster's CSG member set.
+/// The shadow is the expectation; the witness comes from [`memo_witness`].
+fn cluster_diff(
+    step: usize,
+    db: &GraphDb,
+    primary: &ClusterSet,
+    shadow: &ClusterSet,
+) -> Option<Divergence> {
+    let groups = |set: &ClusterSet| -> Vec<(u64, Vec<GraphId>, Vec<GraphId>)> {
+        set.iter()
+            .map(|(cid, c)| {
+                let members = c.members().iter().copied().collect();
+                let csg = c.csg().members().iter().copied().collect();
+                (cid.0, members, csg)
+            })
+            .collect()
+    };
+    let (want, got) = (groups(shadow), groups(primary));
+    if want == got {
+        return None;
+    }
+    let at = want
+        .iter()
+        .zip(&got)
+        .position(|(w, g)| w != g)
+        .unwrap_or(want.len().min(got.len()));
+    let show = |g: Option<&(u64, Vec<GraphId>, Vec<GraphId>)>| match g {
+        Some((cid, members, csg)) => {
+            format!("C{cid}: members {members:?}, CSG members {csg:?}")
+        }
+        None => "no cluster".to_owned(),
+    };
+    Some(memo_divergence(
+        format!("step {step}: cluster #{at} of {}", want.len()),
+        &show(want.get(at)),
+        &show(got.get(at)),
+        memo_witness(db, primary, got.get(at).map(|g| g.1.as_slice())),
+    ))
+}
+
+/// A witness pair for a `fine_cluster_memo` divergence: the first cached
+/// score (in id order) that a fresh search disagrees with, or else the
+/// seed of the diverging group with the first other member. Minimized on
+/// order dependence, the property an unordered memo key would get wrong.
+fn memo_witness(
+    db: &GraphDb,
+    set: &ClusterSet,
+    group: Option<&[GraphId]>,
+) -> Option<(LabeledGraph, LabeledGraph)> {
+    let budget = set.config().mccs_budget;
+    let mut entries: Vec<(GraphId, GraphId, f64)> = set.mccs_memo().entries().collect();
+    entries.sort_by_key(|&(s, m, _)| (s, m));
+    let stale = entries.into_iter().find_map(|(s, m, cached)| {
+        let (a, b) = (db.get(s)?, db.get(m)?);
+        (mccs_similarity(a, b, budget) != cached).then_some((s, m))
+    });
+    let (a, b) = stale.or_else(|| {
+        let group = group?;
+        let seed = *group.iter().max_by_key(|&&id| {
+            (
+                db.get(id).map_or(0, |g| g.edge_count()),
+                std::cmp::Reverse(id),
+            )
+        })?;
+        Some((seed, *group.iter().find(|&&id| id != seed)?))
+    })?;
+    let violates = |a: &LabeledGraph, b: &LabeledGraph| {
+        mccs_similarity(a, b, budget) != mccs_similarity(b, a, budget)
+    };
+    Some(minimize_pair(db.get(a)?, db.get(b)?, violates))
+}
+
+/// A `fine_cluster_memo` divergence.
+fn memo_divergence(
+    case: String,
+    expected: &str,
+    actual: &str,
+    witness: Option<(LabeledGraph, LabeledGraph)>,
+) -> Divergence {
+    Divergence {
+        check: "fine_cluster_memo",
+        case,
+        expected: expected.to_owned(),
+        actual: actual.to_owned(),
+        witness,
     }
 }
 

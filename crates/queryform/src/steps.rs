@@ -10,7 +10,7 @@
 //! largest patterns first, packing as many vertex-disjoint embeddings as
 //! fit.
 
-use midas_graph::isomorphism::{for_each_embedding, Control};
+use midas_graph::isomorphism::{for_each_embedding, is_subgraph_of, Control};
 use midas_graph::{LabeledGraph, VertexId};
 
 /// Result of formulating one query against a pattern set.
@@ -42,12 +42,19 @@ impl FormulationResult {
 /// descending size, plus one pass per usable pattern promoted to the
 /// front (the user may recognize a specialized pattern before a generic
 /// big one); the best packing wins.
+///
+/// Patterns that do not embed in `query` are dropped up front, so no pass
+/// searches for them. The result is the same: such a pattern places
+/// nothing in any pass, so promoting it only repeats the size-ordered
+/// pass, which never wins under the strict `<`; the stable sort keeps the
+/// other patterns' relative order.
 pub fn formulate(query: &LabeledGraph, patterns: &[LabeledGraph]) -> FormulationResult {
-    let usable: Vec<&LabeledGraph> = patterns
+    let mut by_size: Vec<&LabeledGraph> = patterns
         .iter()
-        .filter(|p| p.edge_count() > 0 && p.edge_count() <= query.edge_count())
+        .filter(|p| {
+            p.edge_count() > 0 && p.edge_count() <= query.edge_count() && is_subgraph_of(p, query)
+        })
         .collect();
-    let mut by_size = usable.clone();
     by_size.sort_by_key(|p| std::cmp::Reverse(p.edge_count()));
 
     let mut best = pack(query, &by_size);
@@ -108,6 +115,44 @@ fn pack(query: &LabeledGraph, order: &[&LabeledGraph]) -> FormulationResult {
 mod tests {
     use super::*;
     use midas_graph::GraphBuilder;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// [`formulate`] without the embedding prefilter: every size-eligible
+    /// pattern gets its own promoted pass.
+    fn formulate_unfiltered(query: &LabeledGraph, patterns: &[LabeledGraph]) -> FormulationResult {
+        let mut by_size: Vec<&LabeledGraph> = patterns
+            .iter()
+            .filter(|p| p.edge_count() > 0 && p.edge_count() <= query.edge_count())
+            .collect();
+        by_size.sort_by_key(|p| std::cmp::Reverse(p.edge_count()));
+        let mut best = pack(query, &by_size);
+        for promoted in 0..by_size.len() {
+            let mut order = by_size.clone();
+            let front = order.remove(promoted);
+            order.insert(0, front);
+            let attempt = pack(query, &order);
+            if attempt.steps < best.steps {
+                best = attempt;
+            }
+        }
+        best
+    }
+
+    fn random_graph(rng: &mut StdRng, vertices: usize, labels: &[u32], p: f64) -> LabeledGraph {
+        let mut g = LabeledGraph::new();
+        for _ in 0..vertices {
+            g.add_vertex(labels[rng.random_range(0..labels.len())]);
+        }
+        for u in 0..vertices as u32 {
+            for v in (u + 1)..vertices as u32 {
+                if rng.random_bool(p) {
+                    g.add_edge(u, v);
+                }
+            }
+        }
+        g
+    }
 
     fn path(labels: &[u32]) -> LabeledGraph {
         let vs: Vec<u32> = (0..labels.len() as u32).collect();
@@ -181,6 +226,56 @@ mod tests {
         let q = path(&[0, 1, 0]);
         let r = formulate(&q, &[path(&[3, 3])]);
         assert_eq!(r.patterns_used, 0);
+    }
+
+    #[test]
+    fn embedding_prefilter_matches_unfiltered_formulation() {
+        let mut rng = StdRng::seed_from_u64(0x51ed);
+        let (mut skipped, mut placed) = (0, 0);
+        for round in 0..300 {
+            let n = rng.random_range(3..=9);
+            let query = random_graph(&mut rng, n, &[0, 1, 2], 0.4);
+            let mut patterns = Vec::new();
+            for _ in 0..rng.random_range(0..=8) {
+                let pattern = match rng.random_range(0..4) {
+                    // Embeds: an induced subgraph of the query.
+                    0 | 1 => {
+                        let keep: Vec<u32> =
+                            (0..n as u32).filter(|_| rng.random_bool(0.5)).collect();
+                        query.induced_subgraph(&keep)
+                    }
+                    // Usually does not embed: query labels plus one it lacks.
+                    2 => {
+                        let size = rng.random_range(2..=4);
+                        random_graph(&mut rng, size, &[0, 1, 2, 9], 0.6)
+                    }
+                    // Often larger than the query.
+                    _ => {
+                        let size = rng.random_range(n..=n + 3);
+                        random_graph(&mut rng, size, &[0, 1, 2], 0.6)
+                    }
+                };
+                let embeds = is_subgraph_of(&pattern, &query);
+                let fits = pattern.edge_count() > 0 && pattern.edge_count() <= query.edge_count();
+                skipped += usize::from(fits && !embeds);
+                patterns.push(pattern);
+            }
+            let result = formulate(&query, &patterns);
+            assert_eq!(
+                result,
+                formulate_unfiltered(&query, &patterns),
+                "round {round}: {query:?} with {patterns:?}"
+            );
+            placed += usize::from(result.used_any_pattern());
+        }
+        assert!(
+            skipped > 50,
+            "too few size-eligible non-embedding patterns: {skipped}"
+        );
+        assert!(
+            placed > 100,
+            "too few formulations used a pattern: {placed}"
+        );
     }
 
     #[test]

@@ -12,8 +12,8 @@ fn full_oracle_run_is_clean_on_the_ci_seed() {
         "oracle divergences: {}",
         report.to_json()
     );
-    // All seven checks ran and actually compared something.
-    assert_eq!(report.checks.len(), 7);
+    // All eight checks ran and actually compared something.
+    assert_eq!(report.checks.len(), 8);
     for check in &report.checks {
         assert!(check.cases > 0, "check {} ran zero cases", check.name);
     }
@@ -28,6 +28,7 @@ fn full_oracle_run_is_clean_on_the_ci_seed() {
             "multi_scan_swap",
             "plan_vs_vf2",
             "serve_vs_library",
+            "fine_cluster_memo",
         ]
     );
 }

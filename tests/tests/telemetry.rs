@@ -129,3 +129,26 @@ fn disabled_telemetry_leaves_no_trace_in_reports() {
         .counters
         .is_empty());
 }
+
+#[test]
+fn fine_clustering_splits_report_their_span_and_memo_counters() {
+    let _g = exclusive();
+    let mut cfg = test_config(19);
+    cfg.telemetry.enabled = true;
+    // Small clusters: the 16-graph wave overflows its cluster repeatedly.
+    cfg.max_cluster_size = 8;
+    let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    let report = midas.apply_batch(BatchUpdate::insert_only(dense_wave()));
+    TelemetryConfig::default().activate();
+
+    let telemetry = &report.telemetry;
+    let splits = telemetry.span("batch.cluster.split").count;
+    assert!(splits >= 2, "the wave must split more than once: {splits}");
+    assert_eq!(telemetry.counter("cluster.splits"), splits);
+    // Later splits re-pick the same seed, so the memo serves its pairs.
+    assert!(telemetry.counter("cluster.mccs_computed") > 0);
+    assert!(telemetry.counter("cluster.mccs_memo_hits") > 0);
+    assert!(
+        telemetry.span("batch.cluster.split").total_us <= telemetry.span("batch.cluster").total_us
+    );
+}
