@@ -210,8 +210,8 @@ impl Midas {
     }
 
     /// A cloneable handle onto the published pattern snapshot, for reader
-    /// threads that outlive any `&Midas` borrow (the closed-loop load
-    /// harness's simulated users). Reads through the handle are never
+    /// threads that outlive any `&Midas` borrow (a serving tenant's HTTP
+    /// workers). Reads through the handle are never
     /// blocked by [`Midas::apply_batch`]: a batch assembles its new
     /// snapshot off to the side and swaps one `Arc` at the very end.
     pub fn snapshot_handle(&self) -> Published<PatternSnapshot> {

@@ -123,14 +123,6 @@ impl GraphletDistribution {
         self.freqs
     }
 
-    /// Rebuilds a distribution from [`GraphletDistribution::as_array`]
-    /// output — the wire-format constructor: the serving daemon ships the
-    /// eight frequencies in its snapshot payloads and HTTP clients
-    /// reconstruct the distribution to compute drift-at-read-time.
-    pub fn from_freqs(freqs: [f64; 8]) -> Self {
-        GraphletDistribution { freqs }
-    }
-
     /// Euclidean distance `dist(ψ_D, ψ_{D⊕ΔD})` used by the selective
     /// maintenance test (§3.4). The paper notes alternative distances do not
     /// change behaviour significantly.

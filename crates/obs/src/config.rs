@@ -3,12 +3,12 @@
 //!
 //! [`Env::parse`] turns `(name, value)` pairs into typed settings;
 //! [`env`] runs it once over the process environment. Every consumer —
-//! [`TelemetryConfig::with_env`], the daemon's and load harness's
-//! configs, the exec-layer fault injector, the binaries and benches —
-//! takes its values from that one parse, and tests pass a literal list
-//! instead of mutating the process environment. An unparsable value or an
-//! unknown `MIDAS_*` name is reported once through [`crate::obs_warn!`]
-//! and leaves the default in place.
+//! [`TelemetryConfig::with_env`], the daemon's config, the exec-layer
+//! fault injector, the binaries and benches — takes its values from that
+//! one parse, and tests pass a literal list instead of mutating the
+//! process environment. An unparsable value or an unknown `MIDAS_*` name
+//! is reported once through [`crate::obs_warn!`] and leaves the default
+//! in place.
 //!
 //! | Variable                    | Value                     | Effect |
 //! |-----------------------------|---------------------------|--------|
@@ -25,15 +25,8 @@
 //! | `MIDAS_SERVE_HTTP_WORKERS`  | integer                   | daemon HTTP workers (default 8) |
 //! | `MIDAS_SERVE_MAINT_WORKERS` | integer                   | daemon maintenance workers (default 2) |
 //! | `MIDAS_SERVE_TENANTS`       | `name:kind:size[:seed],…` | tenants `serve_daemon` creates at boot |
-//! | `MIDAS_ADDR_FILE`           | path                      | `serve_daemon`/`load_sim` write the bound address here |
-//! | `MIDAS_LOAD_USERS`          | integer                   | load-harness users (default 8) |
-//! | `MIDAS_LOAD_TICKS`          | integer                   | load-harness driver ticks (default 6) |
-//! | `MIDAS_LOAD_TICK_MS`        | integer                   | pause after each driver batch (default 50) |
-//! | `MIDAS_LOAD_POOL`           | integer                   | queries drawn per tick (default 32) |
-//! | `MIDAS_LOAD_DB`             | integer                   | `load_sim` database size (default 160) |
-//! | `MIDAS_LOAD_LINGER_MS`      | integer                   | `load_sim` keeps its endpoints up this long after the run |
-//! | `MIDAS_LOAD_HTTP`           | `addr[/tenant]`           | `load_sim` drives a running daemon instead of an in-process instance |
-//! | `MIDAS_BENCH_QUICK`         | `1\|true\|on`             | CI-sized `kernel`/`load` bench scenarios |
+//! | `MIDAS_ADDR_FILE`           | path                      | `serve_daemon` writes its bound address here once it listens |
+//! | `MIDAS_BENCH_QUICK`         | `1\|true\|on`             | CI-sized `kernel` bench scenarios |
 
 use crate::alerts::SloConfig;
 use crate::log::LogLevel;
@@ -63,8 +56,8 @@ impl Fault {
 }
 
 /// Every `MIDAS_*` setting, typed: one field per row of the module
-/// table, named after the variable without its prefix (`MIDAS_LOAD_DB` is
-/// `load_db`). `None` (or `false`) means unset.
+/// table, named after the variable without its prefix (`MIDAS_SERVE_ADDR`
+/// is `serve_addr`). `None` (or `false`) means unset.
 #[allow(missing_docs)]
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Env {
@@ -82,13 +75,6 @@ pub struct Env {
     pub serve_maint_workers: Option<usize>,
     pub serve_tenants: Option<String>,
     pub addr_file: Option<PathBuf>,
-    pub load_users: Option<usize>,
-    pub load_ticks: Option<u64>,
-    pub load_tick_ms: Option<u64>,
-    pub load_pool: Option<usize>,
-    pub load_db: Option<usize>,
-    pub load_linger_ms: Option<u64>,
-    pub load_http: Option<String>,
     pub bench_quick: bool,
 }
 
@@ -137,13 +123,6 @@ impl Env {
                 "MIDAS_SERVE_MAINT_WORKERS" => set(&mut env.serve_maint_workers, number(v)),
                 "MIDAS_SERVE_TENANTS" => set(&mut env.serve_tenants, text(v)),
                 "MIDAS_ADDR_FILE" => set(&mut env.addr_file, text(v).map(PathBuf::from)),
-                "MIDAS_LOAD_USERS" => set(&mut env.load_users, number(v)),
-                "MIDAS_LOAD_TICKS" => set(&mut env.load_ticks, number(v)),
-                "MIDAS_LOAD_TICK_MS" => set(&mut env.load_tick_ms, number(v)),
-                "MIDAS_LOAD_POOL" => set(&mut env.load_pool, number(v)),
-                "MIDAS_LOAD_DB" => set(&mut env.load_db, number(v)),
-                "MIDAS_LOAD_LINGER_MS" => set(&mut env.load_linger_ms, number(v)),
-                "MIDAS_LOAD_HTTP" => set(&mut env.load_http, text(v)),
                 "MIDAS_BENCH_QUICK" => parse_bool(v).map(|q| env.bench_quick = q).is_some(),
                 _ => {
                     warnings.push(format!("unknown variable {name}; ignored"));
@@ -331,13 +310,6 @@ mod tests {
             ("MIDAS_SERVE_MAINT_WORKERS", "5"),
             ("MIDAS_SERVE_TENANTS", "a:emol_like:9"),
             ("MIDAS_ADDR_FILE", "addr"),
-            ("MIDAS_LOAD_USERS", "3"),
-            ("MIDAS_LOAD_TICKS", "9"),
-            ("MIDAS_LOAD_TICK_MS", "30"),
-            ("MIDAS_LOAD_POOL", "16"),
-            ("MIDAS_LOAD_DB", "80"),
-            ("MIDAS_LOAD_LINGER_MS", "0"),
-            ("MIDAS_LOAD_HTTP", "h:1/t"),
             ("MIDAS_BENCH_QUICK", "1"),
         ];
         let module_doc = include_str!("config.rs");
@@ -365,13 +337,6 @@ mod tests {
             serve_maint_workers: Some(5),
             serve_tenants: Some("a:emol_like:9".into()),
             addr_file: Some("addr".into()),
-            load_users: Some(3),
-            load_ticks: Some(9),
-            load_tick_ms: Some(30),
-            load_pool: Some(16),
-            load_db: Some(80),
-            load_linger_ms: Some(0),
-            load_http: Some("h:1/t".into()),
             bench_quick: true,
         };
         assert_eq!(all, expected);

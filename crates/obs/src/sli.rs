@@ -28,7 +28,9 @@
 //! histograms and windows, and [`render_json`] (the `GET /sli` endpoint)
 //! serves the digest. Per-tick summaries additionally go to a bounded
 //! ring here (mirrored into the flight recorder as `sli.tick` events) so
-//! `/sli` can show the recent trajectory, not just totals.
+//! `/sli` can show the recent trajectory, not just totals. The serving
+//! daemon is the producer: `POST /v1/{t}/querylog` records one sample per
+//! query, and each batch a tenant applies closes one tick.
 //!
 //! Like every probe in this crate, recording is gated on
 //! [`crate::enabled`] and costs one relaxed load when telemetry is off.
@@ -47,7 +49,7 @@ pub const DRIFT_MICRO: f64 = 1e6;
 /// How many per-tick summaries the ring keeps for `/sli`.
 pub const TICK_CAPACITY: usize = 128;
 
-/// One formulated query, as experienced by a simulated (or real) user.
+/// One formulated query, as experienced by a user of the pattern panel.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QuerySample {
     /// Time to read the pattern snapshot, nanoseconds.
@@ -97,12 +99,14 @@ pub fn reduction_from_steps(steps_live: u64, steps_baseline: u64) -> f64 {
     }
 }
 
-/// Aggregate of one driver tick (one applied batch) of the load loop.
+/// Aggregate of one tick: the queries logged against one tenant since its
+/// previous batch, closed when its next batch applies.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TickSummary {
-    /// Driver tick number (1-based).
+    /// Tick number (1-based, process lifetime, across every tenant);
+    /// assigned by [`record_tick`].
     pub tick: u64,
-    /// Pattern-snapshot epoch after this tick's batch.
+    /// Pattern-snapshot epoch the closing batch published.
     pub epoch: u64,
     /// Queries formulated during the tick.
     pub queries: u64,
@@ -120,13 +124,26 @@ pub struct TickSummary {
     pub unix_ms: u64,
 }
 
-fn tick_ring() -> &'static Mutex<VecDeque<TickSummary>> {
-    static RING: Mutex<VecDeque<TickSummary>> = Mutex::new(VecDeque::new());
+/// The recent ticks plus the number the next one gets.
+struct TickRing {
+    ticks: VecDeque<TickSummary>,
+    next: u64,
+}
+
+fn tick_ring() -> &'static Mutex<TickRing> {
+    static RING: Mutex<TickRing> = Mutex::new(TickRing {
+        ticks: VecDeque::new(),
+        next: 1,
+    });
     &RING
 }
 
 /// Records one per-tick summary: ring + `sli.ticks` counter + reduction
 /// gauge + one flight-recorder event. No-op while telemetry is disabled.
+///
+/// The caller's `tick` is overwritten with the next process-lifetime
+/// number, taken under the ring lock, so the ring stays in `tick` order
+/// even when several tenants close ticks concurrently.
 ///
 /// A zero-baseline tick (empty query pool, zero-query tick) computed
 /// naively as `1 − live/baseline` arrives as NaN or ±∞; both fields are
@@ -144,6 +161,15 @@ pub fn record_tick(t: TickSummary) {
     if !t.staleness_drift_max.is_finite() {
         t.staleness_drift_max = 0.0;
     }
+    {
+        let mut ring = tick_ring().lock().unwrap_or_else(|e| e.into_inner());
+        t.tick = ring.next;
+        ring.next += 1;
+        if ring.ticks.len() == TICK_CAPACITY {
+            ring.ticks.pop_front();
+        }
+        ring.ticks.push_back(t);
+    }
     registry().counter("sli.ticks").add(1);
     registry().gauge("sli.tick_reduction").set(t.reduction);
     crate::flight::record_event(
@@ -153,11 +179,6 @@ pub fn record_tick(t: TickSummary) {
             t.tick, t.epoch, t.queries, t.reduction, t.staleness_batches_max, t.staleness_drift_max
         ),
     );
-    let mut ring = tick_ring().lock().unwrap_or_else(|e| e.into_inner());
-    if ring.len() == TICK_CAPACITY {
-        ring.pop_front();
-    }
-    ring.push_back(t);
 }
 
 /// The recorded tick summaries, oldest first.
@@ -165,18 +186,18 @@ pub fn ticks() -> Vec<TickSummary> {
     tick_ring()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
+        .ticks
         .iter()
         .copied()
         .collect()
 }
 
-/// Clears the tick ring (tests; the counters/histograms are reset through
-/// the registry as usual).
+/// Clears the tick ring and restarts numbering at 1 (tests; the
+/// counters/histograms are reset through the registry as usual).
 pub fn clear_ticks() {
-    tick_ring()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clear();
+    let mut ring = tick_ring().lock().unwrap_or_else(|e| e.into_inner());
+    ring.ticks.clear();
+    ring.next = 1;
 }
 
 /// Lifetime + windowed snapshot of one `sli.*` histogram.
@@ -333,6 +354,32 @@ mod tests {
         let doc = render_json();
         json::validate(&doc).expect("sli JSON validates");
         assert!(doc.contains("\"last_tick\": 0.25"), "{doc}");
+        clear_ticks();
+    }
+
+    #[test]
+    fn concurrent_producers_get_ordered_tick_numbers() {
+        // Two tenants closing ticks at once, each handing over its own
+        // numbering: the ring numbers them itself, in ring order.
+        let _g = crate::tests::exclusive();
+        crate::set_enabled(true);
+        clear_ticks();
+        std::thread::scope(|scope| {
+            for epoch in [1u64, 2] {
+                scope.spawn(move || {
+                    for i in 0..50u64 {
+                        record_tick(TickSummary {
+                            tick: 50 - i,
+                            epoch,
+                            ..TickSummary::default()
+                        });
+                    }
+                });
+            }
+        });
+        crate::set_enabled(false);
+        let numbers: Vec<u64> = ticks().iter().map(|t| t.tick).collect();
+        assert_eq!(numbers, (1..=100).collect::<Vec<u64>>());
         clear_ticks();
     }
 

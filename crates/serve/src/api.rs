@@ -317,7 +317,7 @@ fn epoch(tenant: &Arc<Tenant>) -> Response {
 
 /// `GET /v1/{tenant}/queries?n=16&min=3&max=8&seed=7` — samples a query
 /// workload (connected subgraphs of database graphs) from the tenant's
-/// current database; the load harness refreshes its pool from here.
+/// current database: the queries a client posts back to `/querylog`.
 fn queries(tenant: &Arc<Tenant>, req: &Request) -> Response {
     let n = req
         .query_param("n")
@@ -453,7 +453,9 @@ fn updates(state: &ServeState, tenant: &Arc<Tenant>, req: &Request) -> Response 
 /// `POST /v1/{tenant}/querylog` — body `{"queries": [graph, ...]}`. Each
 /// query is formulated against the tenant's *live* snapshot and its
 /// frozen epoch-0 baseline; the samples feed the global `/sli` document,
-/// the `midas_sli_*` families, and the per-tenant query counter.
+/// the `midas_sli_*` families, the tenant's current SLI tick, and the
+/// per-tenant query counter. Every sample carries the time of the one
+/// snapshot read the request made.
 fn querylog(tenant: &Arc<Tenant>, req: &Request) -> Response {
     let body = match req.body_str() {
         Some(b) if !b.trim().is_empty() => b,
@@ -468,7 +470,9 @@ fn querylog(tenant: &Arc<Tenant>, req: &Request) -> Response {
         Some(Err(e)) => return Response::bad_request(&format!("bad queries: {e}")),
         None => return Response::bad_request("missing \"queries\""),
     };
+    let read_start = Instant::now();
     let snap = tenant.snapshot();
+    let read_ns = read_start.elapsed().as_nanos() as u64;
     let mut steps_live = 0u64;
     let mut steps_baseline = 0u64;
     for q in &queries {
@@ -480,8 +484,8 @@ fn querylog(tenant: &Arc<Tenant>, req: &Request) -> Response {
         steps_baseline += base;
         // Staleness vs the snapshot published *now*, after formulation.
         let latest = tenant.snapshot();
-        midas_obs::sli::record_query(&midas_obs::QuerySample {
-            read_ns: 0,
+        tenant.observe(&midas_obs::QuerySample {
+            read_ns,
             formulate_ns,
             steps_live: live,
             steps_baseline: base,

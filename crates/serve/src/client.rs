@@ -4,7 +4,7 @@
 //! crates), speaking `Connection: close` HTTP/1.1: one TCP connection
 //! per request, status line + headers + `Content-Length`-delimited body.
 //! The typed helpers cover every `/v1` endpoint; the oracle's parity
-//! check and the HTTP load harness are both built on this.
+//! check, the integration tests and servebench are built on this.
 
 use crate::tenant::{GenOp, GenSpec};
 use midas_datagen::MotifKind;
@@ -44,9 +44,6 @@ pub struct PatternsPayload {
     pub published_unix_ms: u64,
     /// Maintenance jobs queued behind this snapshot.
     pub pending_batches: u64,
-    /// Graphlet frequency vector at publish time (drift math client-side
-    /// via [`midas_graph::graphlets::GraphletDistribution::from_freqs`]).
-    pub graphlets: [f64; 8],
     /// The canned pattern set.
     pub patterns: Vec<LabeledGraph>,
 }
@@ -60,8 +57,6 @@ pub struct EpochPayload {
     pub db_len: u64,
     /// Maintenance jobs queued behind this snapshot.
     pub pending_batches: u64,
-    /// Graphlet frequency vector at publish time.
-    pub graphlets: [f64; 8],
 }
 
 /// A blocking client bound to one daemon address.
@@ -149,7 +144,6 @@ impl ServeClient {
             db_len: field_u64(&doc, "db_len")?,
             published_unix_ms: field_u64(&doc, "published_unix_ms")?,
             pending_batches: field_u64(&doc, "pending_batches")?,
-            graphlets: graphlets_of(&doc)?,
             patterns: doc
                 .get("patterns")
                 .map(io::graphs_from_value)
@@ -166,7 +160,6 @@ impl ServeClient {
             epoch: field_u64(&doc, "epoch")?,
             db_len: field_u64(&doc, "db_len")?,
             pending_batches: field_u64(&doc, "pending_batches")?,
-            graphlets: graphlets_of(&doc)?,
         })
     }
 
@@ -269,21 +262,6 @@ fn field_u64(doc: &Value, key: &str) -> Result<u64, String> {
     doc.get(key)
         .and_then(Value::as_u64)
         .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-fn graphlets_of(doc: &Value) -> Result<[f64; 8], String> {
-    let arr = doc
-        .get("graphlets")
-        .and_then(Value::as_arr)
-        .ok_or("missing \"graphlets\"")?;
-    if arr.len() != 8 {
-        return Err(format!("graphlets has {} entries, want 8", arr.len()));
-    }
-    let mut out = [0.0; 8];
-    for (slot, v) in out.iter_mut().zip(arr) {
-        *slot = v.as_f64().ok_or("non-numeric graphlet frequency")?;
-    }
-    Ok(out)
 }
 
 /// The wire name of a motif (inverse of the updates endpoint's parser).

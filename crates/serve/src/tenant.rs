@@ -17,10 +17,16 @@
 //!   set is a pure function of the batch sequence, which is what the
 //!   oracle's serve-vs-library parity check pins — while different
 //!   tenants apply on different workers concurrently.
+//!
+//! The tenant also produces the user-side SLIs of [`midas_obs::sli`]:
+//! `POST /v1/{tenant}/querylog` feeds [`Tenant::observe`] one sample per
+//! query, and every batch [`Tenant::drain`] applies closes one tick over
+//! the samples logged since the previous batch.
 
 use midas_core::{Midas, MidasConfig, PatternSnapshot, Published};
 use midas_datagen::{DatasetKind, MotifKind};
 use midas_graph::{BatchUpdate, GraphDb, LabeledGraph};
+use midas_obs::sli::{self, QuerySample, TickSummary};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -64,9 +70,46 @@ pub enum Ingest {
     Generate(GenSpec),
 }
 
+/// Shared per-tick accumulators (drained once per applied batch).
+#[derive(Default)]
+struct TickCounters {
+    queries: AtomicU64,
+    steps_live: AtomicU64,
+    steps_baseline: AtomicU64,
+    staleness_batches_max: AtomicU64,
+    /// Worst drift this tick, stored as `f64` bits (valid for
+    /// `fetch_max` because non-negative IEEE-754 floats order like their
+    /// bit patterns).
+    drift_max_bits: AtomicU64,
+}
+
+impl TickCounters {
+    fn observe(&self, s: &QuerySample) {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.steps_live.fetch_add(s.steps_live, Ordering::Relaxed);
+        self.steps_baseline
+            .fetch_add(s.steps_baseline, Ordering::Relaxed);
+        self.staleness_batches_max
+            .fetch_max(s.staleness_batches, Ordering::Relaxed);
+        self.drift_max_bits
+            .fetch_max(s.staleness_drift.max(0.0).to_bits(), Ordering::Relaxed);
+    }
+
+    fn drain(&self) -> (u64, u64, u64, u64, f64) {
+        (
+            self.queries.swap(0, Ordering::Relaxed),
+            self.steps_live.swap(0, Ordering::Relaxed),
+            self.steps_baseline.swap(0, Ordering::Relaxed),
+            self.staleness_batches_max.swap(0, Ordering::Relaxed),
+            f64::from_bits(self.drift_max_bits.swap(0, Ordering::Relaxed)),
+        )
+    }
+}
+
 /// A named serving tenant: one embedded `Midas`, its lock-free snapshot
 /// handle, a frozen epoch-0 baseline pattern set (for SLI reduction
-/// math), and a FIFO of pending maintenance jobs.
+/// math), a FIFO of pending maintenance jobs, and the SLI counters of the
+/// tick in progress.
 pub struct Tenant {
     /// The tenant name (validated by [`crate::api::valid_name`]).
     pub name: String,
@@ -78,6 +121,7 @@ pub struct Tenant {
     pending: Mutex<VecDeque<Ingest>>,
     busy: AtomicBool,
     queued: AtomicU64,
+    ticks: TickCounters,
     created_unix_ms: u64,
 }
 
@@ -113,6 +157,7 @@ impl Tenant {
             pending: Mutex::new(VecDeque::new()),
             busy: AtomicBool::new(false),
             queued: AtomicU64::new(0),
+            ticks: TickCounters::default(),
             created_unix_ms: midas_obs::flight::unix_ms(),
         };
         tenant.export_gauges();
@@ -129,6 +174,13 @@ impl Tenant {
     /// querylog endpoint formulates against).
     pub fn baseline(&self) -> &[LabeledGraph] {
         &self.baseline
+    }
+
+    /// Records one logged query: into the `sli.*` metrics, and into the
+    /// tick the tenant's next applied batch closes.
+    pub fn observe(&self, sample: &QuerySample) {
+        sli::record_query(sample);
+        self.ticks.observe(sample);
     }
 
     /// Tenant creation time, unix milliseconds.
@@ -165,9 +217,10 @@ impl Tenant {
     }
 
     /// Applies every pending job in FIFO order, publishing one snapshot
-    /// per batch. At most one thread drains a tenant at a time (busy
-    /// CAS); a loser returns immediately — the winner re-checks the
-    /// queue after releasing the claim, so no enqueued job is stranded.
+    /// and recording one SLI tick per batch. At most one thread drains a
+    /// tenant at a time (busy CAS); a loser returns immediately — the
+    /// winner re-checks the queue after releasing the claim, so no
+    /// enqueued job is stranded.
     pub fn drain(&self) {
         loop {
             if self.busy.swap(true, Ordering::AcqRel) {
@@ -181,6 +234,19 @@ impl Tenant {
                 };
                 if !batch.is_empty() {
                     let _report = midas.apply_batch(batch);
+                    let (queries, steps_live, steps_baseline, stale_max, drift_max) =
+                        self.ticks.drain();
+                    sli::record_tick(TickSummary {
+                        tick: 0, // numbered by record_tick
+                        epoch: midas.pattern_snapshot().epoch,
+                        queries,
+                        steps_live,
+                        steps_baseline,
+                        reduction: sli::reduction_from_steps(steps_live, steps_baseline),
+                        staleness_batches_max: stale_max,
+                        staleness_drift_max: drift_max,
+                        unix_ms: midas_obs::flight::unix_ms(),
+                    });
                     if midas_obs::enabled() {
                         midas_obs::registry::registry()
                             .counter(&crate::metric(&self.name, "serve.batches"))

@@ -13,6 +13,9 @@
 //! curl -s http://127.0.0.1:9900/metrics | grep 'tenant="acme"'
 //! curl -s http://127.0.0.1:9900/flight    # recent batches, every tenant
 //! curl -s http://127.0.0.1:9900/slow      # slowest matcher searches, attributed
+//! curl -s 'http://127.0.0.1:9900/v1/acme/queries?n=16' \
+//!   | curl -s -X POST http://127.0.0.1:9900/v1/acme/querylog -d @-
+//! curl -s http://127.0.0.1:9900/sli       # user-side SLIs, one tick per batch
 //! ```
 //!
 //! Boots one `midas_serve::ServeDaemon`: a single listener serving the

@@ -1,12 +1,17 @@
 //! Cross-crate integration tests for the `midas-serve` daemon: tenant
-//! isolation under concurrent maintenance, and the HTTP load harness
-//! driving a real daemon end to end.
+//! isolation under concurrent maintenance, and the daemon producing its
+//! own user-side SLIs from `/querylog` and applied batches.
 
-use midas_load::{run_http, LoadConfig};
+use midas_obs::json::Value;
+use midas_obs::registry::registry;
 use midas_serve::client::ServeClient;
 use midas_serve::{GenOp, GenSpec, ServeConfig, ServeDaemon};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
+
+// Every test in this binary holds `midas_tests::exclusive()`: the SLI
+// test counts process-wide ticks, and any batch applied concurrently
+// while its telemetry is on would add one.
 
 fn start() -> (ServeDaemon, ServeClient) {
     let daemon = ServeDaemon::start(ServeConfig::default()).expect("start daemon");
@@ -22,6 +27,7 @@ fn start() -> (ServeDaemon, ServeClient) {
 /// half-applied state).
 #[test]
 fn tenant_maintenance_does_not_block_or_leak_into_other_tenants() {
+    let _guard = midas_tests::exclusive();
     let (daemon, client) = start();
     assert_eq!(
         client
@@ -105,41 +111,79 @@ fn tenant_maintenance_does_not_block_or_leak_into_other_tenants() {
     daemon.shutdown();
 }
 
-/// The HTTP load harness runs its closed loop against a daemon-hosted
-/// tenant while a *second* tenant stays frozen — `run_http` and tenant
-/// isolation composed.
+/// The daemon is the SLI producer: each `/querylog` sample lands in the
+/// `sli.*` metrics with a measured snapshot read, and each applied batch
+/// closes one tick, numbered in order and stamped with the epoch it
+/// published. A second tenant stays untouched.
 #[test]
-fn http_load_harness_drives_one_tenant_while_another_stays_frozen() {
+fn querylog_rounds_tick_one_tenant_while_another_stays_frozen() {
+    let _guard = midas_tests::exclusive();
     let (daemon, client) = start();
+    for (name, kind, size, seed) in [
+        ("driven", "pubchem_like", 30, 7),
+        ("frozen", "emol_like", 20, 9),
+    ] {
+        let created = client
+            .create_tenant(name, kind, size, seed, "small")
+            .unwrap();
+        assert_eq!(created.status, 201, "{}", created.body);
+    }
+
+    midas_obs::set_enabled(true);
+    let queries_before = registry().counter("sli.queries").get();
+    let ticks_before = registry().counter("sli.ticks").get();
+    let (_, read_ns_before, _) = registry().histogram("sli.read_ns").totals();
+    let mut logged = Vec::new();
+    for round in 1..=2u64 {
+        let queries = client.queries("driven", 8, (3, 6), round).unwrap();
+        assert!(!queries.is_empty());
+        let (_, steps_baseline) = client.querylog("driven", &queries).unwrap();
+        assert!(steps_baseline > 0);
+        logged.push(queries.len() as u64);
+        let spec = GenSpec {
+            op: GenOp::Growth,
+            percent: 10.0,
+            count: 0,
+            motif: None,
+            seed: 100 + round,
+        };
+        let reply = client.post_generate("driven", &spec, true).unwrap();
+        assert_eq!(reply.status, 200, "{}", reply.body);
+    }
+    let sli = client.request("GET", "/sli", None).unwrap();
+    midas_obs::set_enabled(false);
+
     assert_eq!(
-        client
-            .create_tenant("driven", "pubchem_like", 30, 7, "small")
-            .unwrap()
-            .status,
-        201
+        registry().counter("sli.queries").get() - queries_before,
+        logged.iter().sum::<u64>(),
+        "every logged query is one SLI sample"
     );
-    assert_eq!(
-        client
-            .create_tenant("frozen", "emol_like", 20, 9, "small")
-            .unwrap()
-            .status,
-        201
+    assert_eq!(registry().counter("sli.ticks").get() - ticks_before, 2);
+    let (_, read_ns_after, _) = registry().histogram("sli.read_ns").totals();
+    assert!(
+        read_ns_after > read_ns_before,
+        "samples carry the read time"
     );
 
-    let cfg = LoadConfig {
-        users: 2,
-        ticks: 3,
-        tick_ms: 10,
-        pool: 8,
-        ..LoadConfig::default()
-    };
-    let report = run_http(&daemon.addr().to_string(), "driven", &cfg).expect("http load run");
-    assert_eq!(report.ticks, 3);
-    assert_eq!(report.final_epoch, 3);
-    assert!(report.queries > 0);
-    assert!(report.reduction.is_finite());
+    let doc = sli.json().expect("/sli is valid JSON");
+    let ticks = doc.get("recent_ticks").and_then(Value::as_arr).unwrap();
+    let field = |t: &Value, k: &str| t.get(k).and_then(Value::as_u64).unwrap();
+    let numbers: Vec<u64> = ticks.iter().map(|t| field(t, "tick")).collect();
+    assert!(
+        numbers.windows(2).all(|w| w[0] < w[1]),
+        "recent_ticks out of order: {numbers:?}"
+    );
+    let last_two = &ticks[ticks.len() - 2..];
+    let epochs: Vec<u64> = last_two.iter().map(|t| field(t, "epoch")).collect();
+    let counts: Vec<u64> = last_two.iter().map(|t| field(t, "queries")).collect();
+    assert_eq!(
+        epochs,
+        [1, 2],
+        "a tick carries the epoch its batch published"
+    );
+    assert_eq!(counts, logged, "a tick closes the queries logged before it");
 
-    let frozen = client.epoch("frozen").unwrap();
-    assert_eq!(frozen.epoch, 0, "load on one tenant leaked into another");
+    assert_eq!(client.epoch("driven").unwrap().epoch, 2);
+    assert_eq!(client.epoch("frozen").unwrap().epoch, 0);
     daemon.shutdown();
 }
