@@ -91,7 +91,7 @@ fn serial_build(s: &Scenario) -> FctIndex {
 
 fn kernel_build(s: &Scenario, kernel: &MatchKernel) -> FctIndex {
     let csrs: Vec<(GraphId, &Csr)> = s.db.csrs().collect();
-    FctIndex::build_with(kernel, s.features.iter().cloned(), &csrs, &[])
+    FctIndex::build_with(kernel, s.features.iter().cloned(), &csrs, &[]).expect("no fault injected")
 }
 
 /// Batch maintenance through the kernel (maintenance rule 3 over `Δ⁺`).

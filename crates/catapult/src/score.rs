@@ -155,6 +155,34 @@ fn set_quality_impl(
             })
             .count(),
     };
+    let measures = set_measures(patterns, catalog, universe);
+    SetQuality {
+        scov: covered as f64 / denom,
+        lcov: measures.lcov,
+        div: measures.div,
+        cog: measures.cog,
+    }
+}
+
+/// The three set-level measures that need no containment scan.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SetMeasures {
+    /// `f_lcov(P)` over the universe.
+    pub lcov: f64,
+    /// `f_div(P)`: minimum pairwise diversity (0 for an empty set).
+    pub div: f64,
+    /// `f_cog(P)`: maximum cognitive load.
+    pub cog: f64,
+}
+
+/// `f_lcov`, `f_div` and `f_cog` of `patterns` over `universe` — the part
+/// of [`set_quality`] that the swap criteria sw3–sw5 (§6.2) compare
+/// before and after a hypothetical swap.
+pub fn set_measures(
+    patterns: &[LabeledGraph],
+    catalog: &EdgeCatalog,
+    universe: &BTreeSet<midas_graph::GraphId>,
+) -> SetMeasures {
     let mut label_union: BTreeSet<midas_graph::GraphId> = BTreeSet::new();
     for p in patterns {
         for label in p.edge_labels() {
@@ -180,9 +208,8 @@ fn set_quality_impl(
         .iter()
         .map(|p| p.cognitive_load())
         .fold(0.0, f64::max);
-    SetQuality {
-        scov: covered as f64 / denom,
-        lcov: label_union.len() as f64 / denom,
+    SetMeasures {
+        lcov: label_union.len() as f64 / universe.len().max(1) as f64,
         div: if div.is_finite() { div } else { 0.0 },
         cog,
     }

@@ -161,9 +161,8 @@ impl ClusterSet {
         for (i, &id) in ids.iter().enumerate() {
             set.member_vectors.insert(id, vectors[i].clone());
         }
-        // Build CSGs in parallel (one closure per cluster).
-        let csgs: Vec<ClosureGraph> = build_csgs_parallel(db, &groups);
-        for (members, csg) in groups.into_iter().zip(csgs) {
+        for members in groups {
+            let csg = build_csg(db, &members);
             set.install_cluster(members, csg);
         }
         set
@@ -368,11 +367,12 @@ impl ClusterSet {
             groups.len()
         );
         midas_obs::counter_add!("cluster.splits", 1);
-        let csgs = build_csgs_parallel(db, &groups);
         groups
             .into_iter()
-            .zip(csgs)
-            .map(|(group, csg)| self.install_cluster(group, csg))
+            .map(|group| {
+                let csg = build_csg(db, &group);
+                self.install_cluster(group, csg)
+            })
             .collect()
     }
 
@@ -395,13 +395,8 @@ fn norm2(c: &[f64]) -> f64 {
     c.iter().map(|x| x * x).sum()
 }
 
-/// Builds one CSG per group, distributing groups across threads with the
-/// shared execution helpers ([`midas_graph::exec`]).
-fn build_csgs_parallel(db: &GraphDb, groups: &[Vec<GraphId>]) -> Vec<ClosureGraph> {
-    midas_graph::exec::par_map(0, groups, |group| build_one_csg(db, group))
-}
-
-fn build_one_csg(db: &GraphDb, group: &[GraphId]) -> ClosureGraph {
+/// Builds the CSG of one group, on the caller's thread.
+fn build_csg(db: &GraphDb, group: &[GraphId]) -> ClosureGraph {
     ClosureGraph::from_graphs(
         group
             .iter()

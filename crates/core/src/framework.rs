@@ -34,7 +34,9 @@ use crate::swap::{multi_scan_swap, SwapParams};
 use midas_catapult::score::SetQuality;
 use midas_catapult::{select_patterns, WeightedCsg};
 use midas_cluster::{ClusterSet, FeatureSpace};
-use midas_graph::{BatchUpdate, Csr, GraphDb, GraphId, KernelError, LabeledGraph, MatchKernel};
+use midas_graph::{
+    BatchUpdate, Csr, EdgeLabel, GraphDb, GraphId, KernelError, LabeledGraph, MatchKernel,
+};
 use midas_index::{FctIndex, IfeIndex, PatternId};
 use midas_mining::incremental::FctState;
 use midas_mining::TreeKey;
@@ -158,7 +160,8 @@ impl Midas {
         ));
         let monitor = GraphletMonitor::build(&db);
         let kernel = MatchKernel::new(config.threads);
-        let (fct_index, ife_index) = build_indices(&db, &fct_state, &patterns, &config, &kernel);
+        let (fct_index, ife_index) = build_indices(&db, &fct_state, &patterns, &config, &kernel)
+            .map_err(|e| format!("index build failed: {e}"))?;
         let mut midas = Midas {
             config,
             db,
@@ -417,20 +420,16 @@ impl Midas {
         let mut candidates_generated = 0;
         let mut swaps = 0;
         if kind == Modification::Major && !self.patterns.is_empty() && batch_error.is_none() {
+            let ids_before: BTreeSet<PatternId> = self.patterns.iter().map(|(id, _)| id).collect();
             contain("batch.maintenance", &mut batch_error, || {
                 // Candidate generation from dirty CSGs (§5, lines 9–10).
                 let candidates_span = midas_obs::span!("batch.candidates");
                 let cand_start = Instant::now();
                 let dirty = self.clusters.take_dirty();
                 let sample = self.sample();
-                // The swap step mutates the indices' pattern columns while the
-                // scoring context reads feature rows; a snapshot keeps borrows
-                // disjoint (feature rows do not change during swapping).
-                let fct_snapshot = self.fct_index.clone();
-                let ife_snapshot = self.ife_index.clone();
                 let ctx = ScovContext {
-                    fct: &fct_snapshot,
-                    ife: &ife_snapshot,
+                    fct: &self.fct_index,
+                    ife: &self.ife_index,
                     db: &self.db,
                     sample: &sample,
                     catalog: &self.fct_state.edges,
@@ -482,12 +481,10 @@ impl Midas {
                                 ks_alpha: self.config.ks_alpha,
                                 ..SwapParams::default()
                             },
-                            &mut self.fct_index,
-                            &mut self.ife_index,
                         );
                         outcome.swaps
                     }
-                    SwapStrategy::Random => self.random_swap(candidates, &mut rng),
+                    SwapStrategy::Random => random_swap(&mut self.patterns, candidates, &mut rng),
                 };
                 swap_time = swap_start.elapsed();
                 drop(swap_span);
@@ -499,6 +496,9 @@ impl Midas {
                     self.batch_counter
                 );
             });
+            // Also after a contained panic: the store holds whatever the
+            // swap step reached, and the columns must match it.
+            self.commit_pattern_columns(&ids_before);
         }
         // On a minor modification the dirty flags are deliberately *kept*:
         // clusters stay marked as modified until the next major round
@@ -572,27 +572,24 @@ impl Midas {
         }
     }
 
-    /// The *Random* baseline's swap step: each candidate replaces a
-    /// uniformly random pattern, no criteria checked.
-    fn random_swap(&mut self, candidates: Vec<LabeledGraph>, rng: &mut StdRng) -> usize {
-        use rand::RngExt;
-        let mut swaps = 0;
-        for candidate in candidates {
-            if self.patterns.is_empty() {
-                break;
-            }
-            let ids: Vec<PatternId> = self.patterns.iter().map(|(id, _)| id).collect();
-            let victim = ids[rng.random_range(0..ids.len())];
-            self.patterns.remove(victim);
-            self.fct_index.remove_pattern(victim);
-            self.ife_index.remove_pattern(victim);
-            if let Some(new_id) = self.patterns.insert(candidate.clone()) {
-                self.fct_index.add_pattern(new_id, &candidate);
-                self.ife_index.add_pattern(new_id, &candidate);
-                swaps += 1;
+    /// Commits the swap step's pattern-column delta to both indices: ids
+    /// in `before` that left the store lose their TP/EP columns, ids that
+    /// arrived gain one. The store never reuses an id, so the diff is
+    /// exact, and a pattern swapped in and out within the batch gets no
+    /// column.
+    fn commit_pattern_columns(&mut self, before: &BTreeSet<PatternId>) {
+        for &gone in before {
+            if self.patterns.get(gone).is_none() {
+                self.fct_index.remove_pattern(gone);
+                self.ife_index.remove_pattern(gone);
             }
         }
-        swaps
+        for (id, pattern) in self.patterns.iter() {
+            if !before.contains(&id) {
+                self.fct_index.add_pattern(id, pattern);
+                self.ife_index.add_pattern(id, pattern);
+            }
+        }
     }
 
     /// Refreshes both indices after a batch: graph columns for `Δ⁺`/`Δ⁻`
@@ -615,43 +612,20 @@ impl Midas {
             self.fct_index.remove_graph(id);
             self.ife_index.remove_graph(id);
         }
-        let inserted_graphs: Vec<(GraphId, Arc<LabeledGraph>)> = inserted
-            .iter()
-            .map(|&id| (id, self.db.get(id).expect("inserted id").clone()))
-            .collect();
         let inserted_csrs: Vec<(GraphId, &Csr)> = inserted
             .iter()
             .map(|&id| (id, self.db.csr(id).expect("inserted id")))
             .collect();
         self.fct_index
             .try_add_graphs_kernel(&self.kernel, &inserted_csrs)?;
-        for (id, graph) in &inserted_graphs {
-            self.ife_index.add_graph(*id, graph);
+        for &id in inserted {
+            self.ife_index
+                .add_graph(id, self.db.get(id).expect("inserted id"));
         }
-        // Feature rows: FCT ∪ E_freq (Def. 5.1); IFE rows: E_inf (Def. 5.2).
-        let db_len = self.db.len();
-        let fct_trees: Vec<(TreeKey, LabeledGraph)> = self
-            .fct_state
-            .fct(db_len)
-            .into_iter()
-            .map(|(k, e)| (k.clone(), e.tree.clone()))
-            .collect();
-        let freq_edges: Vec<(TreeKey, LabeledGraph)> = self
-            .fct_state
-            .edges
-            .frequent(self.config.sup_min, db_len)
-            .into_iter()
-            .map(|(label, _)| {
-                let tree = midas_mining::canonical::edge_tree(label.0, label.1);
-                (midas_mining::tree_key(&tree), tree)
-            })
-            .collect();
-        let mut target: Vec<(TreeKey, &LabeledGraph)> = Vec::new();
-        for (k, t) in fct_trees.iter().chain(freq_edges.iter()) {
-            if !target.iter().any(|(existing, _)| existing == k) {
-                target.push((k.clone(), t));
-            }
-        }
+        let (features, infrequent) =
+            index_features(&self.fct_state, self.config.sup_min, self.db.len());
+        let target: Vec<(TreeKey, &LabeledGraph)> =
+            features.iter().map(|(k, t)| (k.clone(), t)).collect();
         let csr_refs: Vec<(GraphId, &Csr)> = self.db.csrs().collect();
         let pattern_refs: Vec<(PatternId, &LabeledGraph)> = self.patterns.iter().collect();
         self.fct_index.try_refresh_features_kernel(
@@ -662,13 +636,6 @@ impl Midas {
         )?;
         let graph_refs: Vec<(GraphId, &LabeledGraph)> =
             self.db.iter().map(|(id, g)| (id, g.as_ref())).collect();
-        let infrequent: BTreeSet<midas_graph::EdgeLabel> = self
-            .fct_state
-            .edges
-            .infrequent(self.config.sup_min, db_len)
-            .into_iter()
-            .map(|(label, _)| label)
-            .collect();
         self.ife_index.refresh_edges(
             infrequent,
             graph_refs.iter().copied(),
@@ -720,52 +687,78 @@ pub enum SwapStrategy {
     Random,
 }
 
+/// The *Random* baseline's swap step: each candidate replaces a
+/// uniformly random pattern, no criteria checked.
+fn random_swap(store: &mut PatternStore, candidates: Vec<LabeledGraph>, rng: &mut StdRng) -> usize {
+    use rand::RngExt;
+    let mut swaps = 0;
+    for candidate in candidates {
+        if store.is_empty() {
+            break;
+        }
+        let ids: Vec<PatternId> = store.iter().map(|(id, _)| id).collect();
+        let victim = ids[rng.random_range(0..ids.len())];
+        store.remove(victim);
+        if store.insert(candidate).is_some() {
+            swaps += 1;
+        }
+    }
+    swaps
+}
+
+/// The two index feature sets: FCT-Index rows, FCT ∪ E_freq (Def. 5.1)
+/// deduplicated by key with the first occurrence kept, and the IFE-Index's
+/// tracked labels, E_inf (Def. 5.2).
+fn index_features(
+    fct_state: &FctState,
+    sup_min: f64,
+    db_len: usize,
+) -> (Vec<(TreeKey, LabeledGraph)>, BTreeSet<EdgeLabel>) {
+    let fct_trees = fct_state
+        .fct(db_len)
+        .into_iter()
+        .map(|(k, e)| (k.clone(), e.tree.clone()));
+    let freq_edges = fct_state
+        .edges
+        .frequent(sup_min, db_len)
+        .into_iter()
+        .map(|(label, _)| {
+            let tree = midas_mining::canonical::edge_tree(label.0, label.1);
+            (midas_mining::tree_key(&tree), tree)
+        });
+    let mut seen = BTreeSet::new();
+    let features = fct_trees
+        .chain(freq_edges)
+        .filter(|(k, _)| seen.insert(k.clone()))
+        .collect();
+    let infrequent = fct_state
+        .edges
+        .infrequent(sup_min, db_len)
+        .into_iter()
+        .map(|(label, _)| label)
+        .collect();
+    (features, infrequent)
+}
+
 fn build_indices(
     db: &GraphDb,
     fct_state: &FctState,
     patterns: &PatternStore,
     config: &MidasConfig,
     kernel: &MatchKernel,
-) -> (FctIndex, IfeIndex) {
-    let db_len = db.len();
+) -> Result<(FctIndex, IfeIndex), KernelError> {
     let graph_refs: Vec<(GraphId, &LabeledGraph)> =
         db.iter().map(|(id, g)| (id, g.as_ref())).collect();
     let pattern_refs: Vec<(PatternId, &LabeledGraph)> = patterns.iter().collect();
-    let fct_trees: Vec<(TreeKey, LabeledGraph)> = fct_state
-        .fct(db_len)
-        .into_iter()
-        .map(|(k, e)| (k.clone(), e.tree.clone()))
-        .collect();
-    let freq_edges: Vec<(TreeKey, LabeledGraph)> = fct_state
-        .edges
-        .frequent(config.sup_min, db_len)
-        .into_iter()
-        .map(|(label, _)| {
-            let tree = midas_mining::canonical::edge_tree(label.0, label.1);
-            (midas_mining::tree_key(&tree), tree)
-        })
-        .collect();
-    let mut seen = BTreeSet::new();
-    let mut features: Vec<(TreeKey, LabeledGraph)> = Vec::new();
-    for (k, t) in fct_trees.into_iter().chain(freq_edges) {
-        if seen.insert(k.clone()) {
-            features.push((k, t));
-        }
-    }
+    let (features, infrequent) = index_features(fct_state, config.sup_min, db.len());
     let csr_refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
-    let fct_index = FctIndex::build_with(kernel, features, &csr_refs, &pattern_refs);
-    let infrequent: BTreeSet<midas_graph::EdgeLabel> = fct_state
-        .edges
-        .infrequent(config.sup_min, db_len)
-        .into_iter()
-        .map(|(label, _)| label)
-        .collect();
+    let fct_index = FctIndex::build_with(kernel, features, &csr_refs, &pattern_refs)?;
     let ife_index = IfeIndex::build(
         infrequent,
         graph_refs.iter().copied(),
         pattern_refs.iter().copied(),
     );
-    (fct_index, ife_index)
+    Ok((fct_index, ife_index))
 }
 
 #[cfg(test)]
@@ -882,6 +875,44 @@ mod tests {
         // With candidates present, random swapping must swap.
         if report.candidates_generated > 0 {
             assert!(report.swaps > 0);
+        }
+    }
+
+    #[test]
+    fn swap_commits_pattern_column_delta() {
+        let mut midas = Midas::bootstrap(seed_db(), config()).unwrap();
+        let before: BTreeSet<PatternId> = midas.pattern_store().iter().map(|(id, _)| id).collect();
+        // A novel dense family (a major modification); the Random strategy
+        // swaps every candidate in.
+        let brick = GraphBuilder::new()
+            .vertices(&[3, 3, 3, 3])
+            .path(&[0, 1, 2, 3])
+            .edge(0, 2)
+            .edge(1, 3)
+            .edge(0, 3)
+            .build();
+        let report = midas.apply_batch_with_strategy(
+            BatchUpdate::insert_only(vec![brick; 12]),
+            SwapStrategy::Random,
+        );
+        assert!(
+            report.swaps > 0,
+            "{} candidates",
+            report.candidates_generated
+        );
+        let after: BTreeSet<PatternId> = midas.pattern_store().iter().map(|(id, _)| id).collect();
+        // Swapped-out ids lost their columns.
+        for gone in before.difference(&after) {
+            assert!(midas.fct_index().tp().col(*gone).next().is_none());
+            assert!(midas.ife_index().ep().col(*gone).next().is_none());
+        }
+        // Every live id's columns are its counts, swapped-in ids included.
+        assert!(after.difference(&before).next().is_some());
+        for (id, p) in midas.pattern_store().iter() {
+            let tp: Vec<_> = midas.fct_index().tp().col(id).collect();
+            assert_eq!(tp, midas.fct_index().pattern_counts(p), "TP column of {id}");
+            let ep: Vec<_> = midas.ife_index().ep().col(id).collect();
+            assert_eq!(ep, midas.ife_index().pattern_counts(p), "EP column of {id}");
         }
     }
 

@@ -15,13 +15,17 @@
 //! `σ₀ = 0.25`, scan `t` uses `κ_t = 1 − 2σ_{t−1}` and improves the bound
 //! to `σ_t = 0.25 / (1 − σ_{t−1})`, stopping once `σ ≥ 0.5`, candidates run
 //! out, or a scan makes no swap. The first scan uses the configured `κ`.
+//!
+//! Swap decides against a read-only [`ScovContext`] and mutates only the
+//! [`PatternStore`]; the framework then commits the TP/EP column delta of
+//! the ids that left and arrived to both indices in one step.
 
 use crate::ks::distributions_similar;
 use crate::metrics::ScovContext;
 use crate::patterns::PatternStore;
-use midas_catapult::score::diversity;
-use midas_graph::{GraphId, LabeledGraph};
-use midas_index::{FctIndex, IfeIndex, PatternId};
+use midas_catapult::score::set_measures;
+use midas_graph::LabeledGraph;
+use midas_index::PatternId;
 use std::collections::BTreeSet;
 
 /// Swap parameters.
@@ -69,55 +73,14 @@ pub struct SwapOutcome {
     pub replaced: Vec<(PatternId, PatternId)>,
 }
 
-/// Set-level measures needed by sw3–sw5, computed over the sample.
-fn set_measures(patterns: &[LabeledGraph], ctx: &ScovContext<'_>) -> (f64, f64, f64) {
-    let div = patterns
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let others: Vec<LabeledGraph> = patterns
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, q)| q.clone())
-                .collect();
-            diversity(p, &others)
-        })
-        .fold(f64::INFINITY, f64::min);
-    let div = if div.is_finite() { div } else { 0.0 };
-    let cog = patterns
-        .iter()
-        .map(|p| p.cognitive_load())
-        .fold(0.0, f64::max);
-    // f_lcov over the sample: fraction of sampled graphs containing at
-    // least one pattern edge label.
-    let mut union: BTreeSet<GraphId> = BTreeSet::new();
-    for p in patterns {
-        for label in p.edge_labels() {
-            if let Some(stats) = ctx.catalog.get(label) {
-                union.extend(stats.support.intersection(ctx.sample).copied());
-            }
-        }
-    }
-    let lcov = if ctx.sample.is_empty() {
-        0.0
-    } else {
-        union.len() as f64 / ctx.sample.len() as f64
-    };
-    (div, cog, lcov)
-}
-
-/// Runs the multi-scan swap, mutating `store` and keeping the TP/EP matrix
-/// columns of both indices in sync.
+/// Runs the multi-scan swap, mutating only `store`.
 pub fn multi_scan_swap(
     store: &mut PatternStore,
     candidates: Vec<LabeledGraph>,
     ctx: &ScovContext<'_>,
     params: &SwapParams,
-    fct_index: &mut FctIndex,
-    ife_index: &mut IfeIndex,
 ) -> SwapOutcome {
-    multi_scan_swap_weighted(store, candidates, ctx, params, fct_index, ife_index, None)
+    multi_scan_swap_weighted(store, candidates, ctx, params, None)
 }
 
 /// The query-log-aware variant (§3.5's extension): pattern and candidate
@@ -129,8 +92,6 @@ pub fn multi_scan_swap_weighted(
     candidates: Vec<LabeledGraph>,
     ctx: &ScovContext<'_>,
     params: &SwapParams,
-    fct_index: &mut FctIndex,
-    ife_index: &mut IfeIndex,
     log: Option<&crate::query_log::QueryLog>,
 ) -> SwapOutcome {
     let log_weight = |p: &LabeledGraph| log.map_or(1.0, |l| l.weight(p));
@@ -194,11 +155,11 @@ pub fn multi_scan_swap_weighted(
                 .map(|(_, p)| p.clone())
                 .collect();
             after.push(candidate.clone());
-            let (div_before, cog_before, lcov_before) = set_measures(&before, ctx);
-            let (div_after, cog_after, lcov_after) = set_measures(&after, ctx);
-            let sw3 = div_after >= (1.0 + params.alpha_div) * div_before;
-            let sw4 = cog_before * (1.0 + params.alpha_cog) >= cog_after;
-            let sw5 = lcov_after >= (1.0 + params.alpha_lcov) * lcov_before;
+            let m_before = set_measures(&before, ctx.catalog, ctx.sample);
+            let m_after = set_measures(&after, ctx.catalog, ctx.sample);
+            let sw3 = m_after.div >= (1.0 + params.alpha_div) * m_before.div;
+            let sw4 = m_before.cog * (1.0 + params.alpha_cog) >= m_after.cog;
+            let sw5 = m_after.lcov >= (1.0 + params.alpha_lcov) * m_before.lcov;
             let sizes_before = store.sizes();
             let mut sizes_after: Vec<usize> = before.iter().map(|p| p.edge_count()).collect();
             // Replace the victim's size by the candidate's.
@@ -214,13 +175,9 @@ pub fn multi_scan_swap_weighted(
             }
             // Swap.
             store.remove(victim_id);
-            fct_index.remove_pattern(victim_id);
-            ife_index.remove_pattern(victim_id);
             let new_id = store
                 .insert(candidate.clone())
                 .expect("candidates were deduplicated against the store");
-            fct_index.add_pattern(new_id, candidate);
-            ife_index.add_pattern(new_id, candidate);
             outcome.replaced.push((victim_id, new_id));
             outcome.swaps += 1;
             swaps_this_scan += 1;
@@ -247,7 +204,8 @@ pub fn multi_scan_swap_weighted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use midas_graph::{GraphBuilder, GraphDb, MatchKernel};
+    use midas_graph::{GraphBuilder, GraphDb, GraphId, MatchKernel};
+    use midas_index::{FctIndex, IfeIndex};
     use midas_mining::EdgeCatalog;
 
     fn path(labels: &[u32]) -> LabeledGraph {
@@ -303,25 +261,18 @@ mod tests {
         // (covers 1 graph), candidate S-S-S covers 5.
         let mut graphs = vec![path(&[0, 1, 2])];
         graphs.extend(vec![path(&[3, 3, 3]); 5]);
-        let mut w = world(graphs);
+        let w = world(graphs);
         let mut store = PatternStore::new();
         store.insert(path(&[0, 1, 2])).unwrap();
         let ctx = ScovContext {
-            fct: &w.fct.clone(),
-            ife: &w.ife.clone(),
+            fct: &w.fct,
+            ife: &w.ife,
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
             kernel: &MatchKernel::new(1),
         };
-        let outcome = multi_scan_swap(
-            &mut store,
-            vec![path(&[3, 3, 3])],
-            &ctx,
-            &params(),
-            &mut w.fct,
-            &mut w.ife,
-        );
+        let outcome = multi_scan_swap(&mut store, vec![path(&[3, 3, 3])], &ctx, &params());
         assert_eq!(outcome.swaps, 1);
         assert_eq!(store.len(), 1);
         assert!(store.contains_isomorphic(&path(&[3, 3, 3])));
@@ -332,15 +283,13 @@ mod tests {
         let mut graphs = vec![path(&[0, 1, 2]); 2];
         graphs.extend(vec![path(&[3, 3, 3]); 6]);
         graphs.extend(vec![path(&[0, 1]); 2]);
-        let mut w = world(graphs);
+        let w = world(graphs);
         let mut store = PatternStore::new();
         store.insert(path(&[0, 1, 2])).unwrap();
         store.insert(path(&[0, 1, 0])).unwrap();
-        let fct_snapshot = w.fct.clone();
-        let ife_snapshot = w.ife.clone();
         let ctx = ScovContext {
-            fct: &fct_snapshot,
-            ife: &ife_snapshot,
+            fct: &w.fct,
+            ife: &w.ife,
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
@@ -352,8 +301,6 @@ mod tests {
             vec![path(&[3, 3, 3]), path(&[3, 3])],
             &ctx,
             &params(),
-            &mut w.fct,
-            &mut w.ife,
         );
         let after = crate::metrics::quality_of(&store.graphs(), &w.db, &w.catalog, &w.sample);
         assert!(after.scov >= before.scov, "sw1 guarantees coverage gain");
@@ -365,57 +312,39 @@ mod tests {
     #[test]
     fn useless_candidates_cause_no_swaps() {
         let graphs = vec![path(&[0, 1, 2]); 5];
-        let mut w = world(graphs);
+        let w = world(graphs);
         let mut store = PatternStore::new();
         store.insert(path(&[0, 1, 2])).unwrap();
-        let fct_snapshot = w.fct.clone();
-        let ife_snapshot = w.ife.clone();
         let ctx = ScovContext {
-            fct: &fct_snapshot,
-            ife: &ife_snapshot,
+            fct: &w.fct,
+            ife: &w.ife,
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
             kernel: &MatchKernel::new(1),
         };
         // Candidate covering nothing.
-        let outcome = multi_scan_swap(
-            &mut store,
-            vec![path(&[7, 7, 7])],
-            &ctx,
-            &params(),
-            &mut w.fct,
-            &mut w.ife,
-        );
+        let outcome = multi_scan_swap(&mut store, vec![path(&[7, 7, 7])], &ctx, &params());
         assert_eq!(outcome.swaps, 0);
         assert!(store.contains_isomorphic(&path(&[0, 1, 2])));
     }
 
     #[test]
     fn empty_inputs_are_noops() {
-        let mut w = world(vec![path(&[0, 1])]);
+        let w = world(vec![path(&[0, 1])]);
         let mut store = PatternStore::new();
-        let fct_snapshot = w.fct.clone();
-        let ife_snapshot = w.ife.clone();
         let ctx = ScovContext {
-            fct: &fct_snapshot,
-            ife: &ife_snapshot,
+            fct: &w.fct,
+            ife: &w.ife,
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
             kernel: &MatchKernel::new(1),
         };
-        let outcome = multi_scan_swap(
-            &mut store,
-            vec![path(&[0, 1])],
-            &ctx,
-            &params(),
-            &mut w.fct,
-            &mut w.ife,
-        );
+        let outcome = multi_scan_swap(&mut store, vec![path(&[0, 1])], &ctx, &params());
         assert_eq!(outcome.swaps, 0, "empty store: nothing to swap");
         store.insert(path(&[0, 1])).unwrap();
-        let outcome2 = multi_scan_swap(&mut store, vec![], &ctx, &params(), &mut w.fct, &mut w.ife);
+        let outcome2 = multi_scan_swap(&mut store, vec![], &ctx, &params());
         assert_eq!(outcome2.swaps, 0, "no candidates: nothing to do");
     }
 
@@ -426,14 +355,12 @@ mod tests {
         let mut graphs = vec![path(&[0, 1, 2])];
         graphs.extend(vec![path(&[3, 3, 3]); 4]);
         graphs.extend(vec![path(&[4, 4, 4]); 4]);
-        let mut w = world(graphs);
+        let w = world(graphs);
         let mut store = PatternStore::new();
         store.insert(path(&[0, 1, 2])).unwrap();
-        let fct_snapshot = w.fct.clone();
-        let ife_snapshot = w.ife.clone();
         let ctx = ScovContext {
-            fct: &fct_snapshot,
-            ife: &ife_snapshot,
+            fct: &w.fct,
+            ife: &w.ife,
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
@@ -448,8 +375,6 @@ mod tests {
             vec![path(&[3, 3, 3]), path(&[4, 4, 4])],
             &ctx,
             &params(),
-            &mut w.fct,
-            &mut w.ife,
             Some(&log),
         );
         assert!(outcome.swaps >= 1);
@@ -462,37 +387,38 @@ mod tests {
 
     #[test]
     fn indices_track_pattern_columns() {
+        // Swap leaves the index columns to the framework: it reports the
+        // replaced ids and mutates only the store.
         let mut graphs = vec![path(&[0, 1, 2])];
         graphs.extend(vec![path(&[3, 3, 3]); 5]);
-        let mut w = world(graphs);
+        let w = world(graphs);
+        let edge = path(&[0, 1]);
+        let refs: Vec<(GraphId, &LabeledGraph)> =
+            w.db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+        let mut fct = FctIndex::build(
+            [(midas_mining::tree_key(&edge), &edge)],
+            refs.iter().copied(),
+            std::iter::empty::<(PatternId, &LabeledGraph)>(),
+        );
         let mut store = PatternStore::new();
         let old_id = store.insert(path(&[0, 1, 2])).unwrap();
-        w.fct.add_pattern(old_id, &path(&[0, 1, 2]));
-        w.ife.add_pattern(old_id, &path(&[0, 1, 2]));
-        let fct_snapshot = w.fct.clone();
-        let ife_snapshot = w.ife.clone();
+        fct.add_pattern(old_id, &path(&[0, 1, 2]));
+        let tp_before: Vec<_> = fct.tp().iter().collect();
+        assert_eq!(tp_before.len(), 1, "the old pattern has a column");
         let ctx = ScovContext {
-            fct: &fct_snapshot,
-            ife: &ife_snapshot,
+            fct: &fct,
+            ife: &w.ife,
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
             kernel: &MatchKernel::new(1),
         };
-        let outcome = multi_scan_swap(
-            &mut store,
-            vec![path(&[3, 3, 3])],
-            &ctx,
-            &params(),
-            &mut w.fct,
-            &mut w.ife,
-        );
+        let outcome = multi_scan_swap(&mut store, vec![path(&[3, 3, 3])], &ctx, &params());
         assert_eq!(outcome.swaps, 1);
         let (removed, added) = outcome.replaced[0];
         assert_eq!(removed, old_id);
-        assert!(w.fct.tp().col(removed).next().is_none());
-        // The new pattern's column may be empty (no features), but the
-        // store must hold it.
+        assert!(store.get(removed).is_none());
         assert!(store.get(added).is_some());
+        assert_eq!(fct.tp().iter().collect::<Vec<_>>(), tp_before);
     }
 }

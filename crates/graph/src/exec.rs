@@ -6,8 +6,12 @@
 //! call site is a data-parallel one-liner instead of hand-rolled chunk
 //! arithmetic:
 //!
-//! * [`par_map`] — map a function over a slice, preserving order;
-//! * [`try_par_map`] — the same, with every task's panic contained.
+//! * [`try_par_map`] — map a function over a slice, preserving order,
+//!   with every task's panic contained;
+//! * [`par_map`] — the same, re-raising a contained failure as a panic.
+//!
+//! Both run one body, so a task's fault ordinal (below) does not depend
+//! on which of the two a caller uses.
 //!
 //! Threads are plain `std::thread::scope` workers (no pool): the work items
 //! here are chunky (VF2 searches over whole graphs), so spawn overhead is
@@ -220,60 +224,17 @@ pub fn effective_threads(override_threads: usize, items: usize) -> usize {
 /// Maps `f` over `items` in parallel, preserving input order.
 ///
 /// `threads = 0` means auto (see [`thread_count`]). Falls back to a plain
-/// sequential map when one thread suffices.
+/// sequential map when one thread suffices. This is [`try_par_map`] with
+/// a contained task failure re-raised as a panic carrying the
+/// [`KernelError`] text, for callers whose phase-level backstop records
+/// it (the framework's `contain`).
 pub fn par_map<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_indexed(threads, items, |_, item| f(item))
-}
-
-/// Maps `f(index, item)` over `items` in parallel, preserving input order.
-fn par_map_indexed<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let first_ordinal = fault_ordinals(items.len());
-    let threads = effective_threads(threads, items.len());
-    if threads <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| {
-                fault_point(first_ordinal + i as u64);
-                f(i, x)
-            })
-            .collect();
-    }
-    midas_obs::counter_add!("exec.fanouts", 1);
-    midas_obs::counter_add!("exec.tasks", items.len() as u64);
-    let mut out: Vec<Option<U>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    let chunk_len = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (chunk_idx, (in_chunk, out_chunk)) in items
-            .chunks(chunk_len)
-            .zip(out.chunks_mut(chunk_len))
-            .enumerate()
-        {
-            let f = &f;
-            scope.spawn(move || {
-                let _busy = midas_obs::span!("exec.worker");
-                let base = chunk_idx * chunk_len;
-                for (offset, (item, slot)) in in_chunk.iter().zip(out_chunk).enumerate() {
-                    fault_point(first_ordinal + (base + offset) as u64);
-                    *slot = Some(f(base + offset, item));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|slot| slot.expect("worker filled every slot"))
-        .collect()
+    try_par_map(threads, items, f).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible [`par_map`]: every task runs under `catch_unwind`, a panic
@@ -288,8 +249,10 @@ where
     try_par_map_indexed(threads, items, |_, item| f(item))
 }
 
-/// Fallible [`par_map_indexed`]. Remaining healthy tasks still run to
-/// completion (the scope joins every worker); only their results are
+/// Maps `f(index, item)` over `items` in parallel, preserving input order
+/// — the one fan-out body behind [`par_map`] and [`try_par_map`]. Every
+/// task runs under `catch_unwind`; remaining healthy tasks still run to
+/// completion (the scope joins every worker), and only their results are
 /// discarded when an error is reported.
 fn try_par_map_indexed<T, U, F>(threads: usize, items: &[T], f: F) -> Result<Vec<U>, KernelError>
 where
@@ -361,8 +324,26 @@ mod tests {
     #[test]
     fn par_map_indexed_sees_true_indices() {
         let items = vec!["a"; 257];
-        let idxs = par_map_indexed(4, &items, |i, _| i);
+        let idxs = try_par_map_indexed(4, &items, |i, _| i).expect("no faults");
         assert_eq!(idxs, (0..257).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_map_reraises_a_contained_failure() {
+        let items: Vec<u64> = (0..100).collect();
+        for threads in [1, 4] {
+            let payload = catch_unwind(|| {
+                par_map(threads, &items, |&x| {
+                    if x == 37 {
+                        panic!("boom at {x}");
+                    }
+                    x
+                })
+            })
+            .expect_err("task 37 panics");
+            let message = panic_message(payload);
+            assert_eq!(message, "kernel task 37 panicked: boom at 37");
+        }
     }
 
     #[test]

@@ -5,15 +5,19 @@
 //! [`EmbeddingCache`] — behind bulk operations shaped like the scans the
 //! MIDAS pipeline actually runs:
 //!
-//! * [`MatchKernel::count_in_graphs`] — one pattern against many data
+//! * [`MatchKernel::try_count_in_graphs`] — one pattern against many data
 //!   graphs (a TG-matrix row, Def. 5.1);
-//! * [`MatchKernel::count_grid`] — many patterns against many data graphs
-//!   (TG-matrix columns for a batch of inserted graphs);
+//! * [`MatchKernel::try_count_grid`] — many patterns against many data
+//!   graphs (TG-matrix columns for a batch of inserted graphs);
 //! * [`MatchKernel::covered_in`] — coverage verification after the
 //!   dominance filter (§6.1);
-//! * [`MatchKernel::count_plain_many`] — one pattern against targets that
-//!   have no stable [`GraphId`] (e.g. canned-pattern columns of the
-//!   TP-matrix), parallel but uncached.
+//! * [`MatchKernel::try_count_plain_many`] — one pattern against targets
+//!   that have no stable [`GraphId`] (a new feature's TP-matrix row),
+//!   parallel but uncached.
+//!
+//! The counting operations are fallible: a contained worker panic comes
+//! back as a [`KernelError`]. The boolean scans re-raise it as a panic
+//! (see [`exec::par_map`]).
 //!
 //! Data graphs arrive as `(GraphId, &Csr)` pairs borrowed from
 //! [`crate::GraphDb::csr`] / [`crate::GraphDb::csrs`]; the kernel never
@@ -76,34 +80,6 @@ impl MatchKernel {
         CachedPattern::new(pattern)
     }
 
-    /// Counts embeddings of `pattern` in each graph (saturating at `cap`),
-    /// in input order — one TG-matrix row.
-    pub fn count_in_graphs(
-        &self,
-        pattern: &LabeledGraph,
-        graphs: &[(GraphId, &Csr)],
-        cap: u64,
-    ) -> Vec<u64> {
-        let prepared = self.prepare(pattern);
-        exec::par_map(self.threads, graphs, |&(id, g)| {
-            self.cache.count_embeddings(&prepared, id, g, cap)
-        })
-    }
-
-    /// Counts embeddings of every pattern in every graph: result `[i][j]`
-    /// is the count of `patterns[j]` in `graphs[i]`, saturating at `cap`.
-    /// Parallel over graphs (the long axis in matrix maintenance).
-    pub fn count_grid(
-        &self,
-        patterns: &[CachedPattern],
-        graphs: &[(GraphId, &Csr)],
-        cap: u64,
-    ) -> Vec<Vec<u64>> {
-        exec::par_map(self.threads, graphs, |&(id, g)| {
-            self.cache.count_embeddings_many(patterns, id, g, cap)
-        })
-    }
-
     /// Whether `pattern` is contained in each graph, in input order —
     /// the verification step of coverage.
     pub fn covered_in(&self, pattern: &LabeledGraph, graphs: &[(GraphId, &Csr)]) -> Vec<bool> {
@@ -126,25 +102,11 @@ impl MatchKernel {
         })
     }
 
-    /// Counts embeddings of `pattern` in targets without stable ids
-    /// (canned patterns): parallel, uncached, in input order. The plan is
-    /// compiled once (memoized per canonical class); the targets have no
-    /// [`GraphId`], so their CSR views are built per call.
-    pub fn count_plain_many(
-        &self,
-        pattern: &LabeledGraph,
-        targets: &[&LabeledGraph],
-        cap: u64,
-    ) -> Vec<u64> {
-        let plan = self.prepare(pattern).plan();
-        exec::par_map(self.threads, targets, |t| {
-            plan.count_embeddings(&Csr::from_graph(t), cap)
-        })
-    }
-
-    /// Fault-isolating twin of [`MatchKernel::count_in_graphs`]: a panic in
-    /// any per-graph task (including an injected `MIDAS_FAULT` one) is
-    /// contained and surfaced as a [`KernelError`] instead of aborting.
+    /// Counts embeddings of `pattern` in each graph (saturating at `cap`),
+    /// in input order — one TG-matrix row. A panic in any per-graph task
+    /// (including an injected `MIDAS_FAULT` one) is contained and surfaced
+    /// as a [`KernelError`] instead of aborting; the same holds for every
+    /// `try_` operation below.
     pub fn try_count_in_graphs(
         &self,
         pattern: &LabeledGraph,
@@ -157,7 +119,9 @@ impl MatchKernel {
         })
     }
 
-    /// Fault-isolating twin of [`MatchKernel::count_grid`].
+    /// Counts embeddings of every pattern in every graph: result `[i][j]`
+    /// is the count of `patterns[j]` in `graphs[i]`, saturating at `cap`.
+    /// Parallel over graphs (the long axis in matrix maintenance).
     pub fn try_count_grid(
         &self,
         patterns: &[CachedPattern],
@@ -169,7 +133,10 @@ impl MatchKernel {
         })
     }
 
-    /// Fault-isolating twin of [`MatchKernel::count_plain_many`].
+    /// Counts embeddings of `pattern` in targets without stable ids
+    /// (canned patterns): parallel, uncached, in input order. The plan is
+    /// compiled once (memoized per canonical class); the targets have no
+    /// [`GraphId`], so their CSR views are built per call.
     pub fn try_count_plain_many(
         &self,
         pattern: &LabeledGraph,
@@ -217,7 +184,7 @@ mod tests {
         let refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         let kernel = MatchKernel::new(4);
         for pattern in [path(&[0, 1]), path(&[0, 0]), path(&[9, 9])] {
-            let counts = kernel.count_in_graphs(&pattern, &refs, 64);
+            let counts = kernel.try_count_in_graphs(&pattern, &refs, 64).unwrap();
             let covered = kernel.covered_in(&pattern, &refs);
             for (i, (_, g)) in db.iter().enumerate() {
                 assert_eq!(counts[i], count_embeddings(&pattern, g, 64));
@@ -235,7 +202,7 @@ mod tests {
             .iter()
             .map(|p| kernel.prepare(p))
             .collect();
-        let grid = kernel.count_grid(&patterns, &refs, 64);
+        let grid = kernel.try_count_grid(&patterns, &refs, 64).unwrap();
         for (i, (_, g)) in db.iter().enumerate() {
             for (j, p) in patterns.iter().enumerate() {
                 assert_eq!(grid[i][j], count_embeddings(p.graph(), g, 64));
@@ -249,13 +216,13 @@ mod tests {
         let refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         let kernel = MatchKernel::new(2);
         let p = path(&[0, 1]);
-        kernel.count_in_graphs(&p, &refs, 64);
+        kernel.try_count_in_graphs(&p, &refs, 64).unwrap();
         let misses_after_first = kernel.cache().stats().misses;
-        kernel.count_in_graphs(&p, &refs, 64);
+        kernel.try_count_in_graphs(&p, &refs, 64).unwrap();
         assert_eq!(kernel.cache().stats().misses, misses_after_first);
         // Invalidation forces exactly the touched graph to recompute.
         kernel.invalidate_graph(GraphId(0));
-        kernel.count_in_graphs(&p, &refs, 64);
+        kernel.try_count_in_graphs(&p, &refs, 64).unwrap();
         assert_eq!(kernel.cache().stats().misses, misses_after_first + 1);
     }
 }

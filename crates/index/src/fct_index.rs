@@ -5,7 +5,7 @@ use crate::sparse::SparseMatrix;
 use crate::trie::Trie;
 use crate::{PatternId, EMBED_CAP};
 use midas_graph::isomorphism::count_embeddings;
-use midas_graph::{Csr, GraphId, KernelError, LabeledGraph, MatchKernel};
+use midas_graph::{Csr, GraphId, KernelError, LabeledGraph, MatchKernel, MatchPlan};
 use midas_mining::TreeKey;
 use std::collections::BTreeMap;
 
@@ -20,6 +20,16 @@ pub struct Feature {
     pub key: TreeKey,
     /// The feature tree (frequent edges are 2-vertex trees).
     pub tree: LabeledGraph,
+    /// The tree's match plan, compiled once when the row is created and
+    /// run by [`FctIndex::pattern_counts`].
+    plan: MatchPlan,
+}
+
+impl Feature {
+    fn new(key: TreeKey, tree: LabeledGraph) -> Self {
+        let plan = MatchPlan::compile(&tree);
+        Feature { key, tree, plan }
+    }
 }
 
 /// The FCT-Index: canonical-string trie with embedding-count matrices over
@@ -56,20 +66,21 @@ impl FctIndex {
 
     /// Parallel + memoized form of [`FctIndex::build`]: embedding counts
     /// run through `kernel` over the data graphs' CSR views (borrowed from
-    /// [`midas_graph::GraphDb::csrs`], cached by `(pattern key, GraphId)`;
-    /// canned-pattern columns parallel only). Produces a matrix identical
-    /// to the serial build.
+    /// [`midas_graph::GraphDb::csrs`], cached by `(pattern key, GraphId)`);
+    /// canned-pattern columns come from [`FctIndex::pattern_counts`].
+    /// Produces a matrix identical to the serial build.
     ///
     /// All features are registered first and the whole TG-matrix is filled
-    /// by a single [`MatchKernel::count_grid`] pass — one memo round-trip
-    /// per *graph* for every feature at once, instead of one per
-    /// `(feature, graph)` pair.
+    /// by a single [`MatchKernel::try_count_grid`] pass — one memo
+    /// round-trip per *graph* for every feature at once, instead of one per
+    /// `(feature, graph)` pair. A contained worker panic returns the
+    /// [`KernelError`].
     pub fn build_with(
         kernel: &MatchKernel,
         features: impl IntoIterator<Item = (TreeKey, LabeledGraph)>,
         graphs: &[(GraphId, &Csr)],
         patterns: &[(PatternId, &LabeledGraph)],
-    ) -> Self {
+    ) -> Result<Self, KernelError> {
         let mut index = Self::new();
         // Register rows first (deduplicating by key, like the serial build).
         let mut rows: Vec<(FeatureId, LabeledGraph)> = Vec::new();
@@ -80,13 +91,7 @@ impl FctIndex {
             let id = FeatureId(index.next_feature);
             index.next_feature += 1;
             index.trie.insert(key.tokens(), id);
-            index.features.insert(
-                id,
-                Feature {
-                    key,
-                    tree: tree.clone(),
-                },
-            );
+            index.features.insert(id, Feature::new(key, tree.clone()));
             rows.push((id, tree));
         }
         // One grid pass fills every TG column; the matrix itself is bulk
@@ -94,7 +99,7 @@ impl FctIndex {
         if !rows.is_empty() && !graphs.is_empty() {
             let cached: Vec<midas_graph::CachedPattern> =
                 rows.iter().map(|(_, t)| kernel.prepare(t)).collect();
-            let grid = kernel.count_grid(&cached, graphs, EMBED_CAP);
+            let grid = kernel.try_count_grid(&cached, graphs, EMBED_CAP)?;
             index.tg =
                 SparseMatrix::from_triples(graphs.iter().zip(grid).flat_map(|(&(gid, _), row)| {
                     rows.iter()
@@ -102,17 +107,18 @@ impl FctIndex {
                         .map(move |(&(fid, _), count)| (fid, gid, count as u32))
                 }));
         }
-        // TP rows per feature (pattern sets are tiny; no memo benefit).
-        let pattern_targets: Vec<&LabeledGraph> = patterns.iter().map(|&(_, p)| p).collect();
-        let mut tp_triples: Vec<(FeatureId, PatternId, u32)> = Vec::new();
-        for (fid, tree) in &rows {
-            let counts = kernel.count_plain_many(tree, &pattern_targets, EMBED_CAP);
-            for (&(pid, _), count) in patterns.iter().zip(counts) {
-                tp_triples.push((*fid, pid, count as u32));
-            }
-        }
+        // TP columns (pattern sets are tiny; no memo benefit).
+        let tp_triples: Vec<(FeatureId, PatternId, u32)> = patterns
+            .iter()
+            .flat_map(|&(pid, p)| {
+                index
+                    .pattern_counts(p)
+                    .into_iter()
+                    .map(move |(fid, count)| (fid, pid, count))
+            })
+            .collect();
         index.tp = SparseMatrix::from_triples(tp_triples);
-        index
+        Ok(index)
     }
 
     /// Number of features (rows).
@@ -172,13 +178,7 @@ impl FctIndex {
             let count = count_embeddings(tree, p, EMBED_CAP) as u32;
             self.tp.set(id, pid, count);
         }
-        self.features.insert(
-            id,
-            Feature {
-                key,
-                tree: tree.clone(),
-            },
-        );
+        self.features.insert(id, Feature::new(key, tree.clone()));
         id
     }
 
@@ -205,10 +205,26 @@ impl FctIndex {
         self.tg.remove_col(id);
     }
 
-    /// Adds a canned-pattern column (maintenance rule 3).
+    /// The embedding count of every feature in `pattern`, saturating at
+    /// [`EMBED_CAP`]: non-zero entries only, in feature-id order. This is
+    /// the pattern's TP-matrix column and the FCT half of its
+    /// [`crate::scov::PatternProfile`]. The pattern's CSR is built once
+    /// and each feature's compiled plan runs over it.
+    pub fn pattern_counts(&self, pattern: &LabeledGraph) -> Vec<(FeatureId, u32)> {
+        let target = Csr::from_graph(pattern);
+        self.features
+            .iter()
+            .filter_map(|(&fid, feature)| {
+                let count = feature.plan.count_embeddings(&target, EMBED_CAP) as u32;
+                (count > 0).then_some((fid, count))
+            })
+            .collect()
+    }
+
+    /// Adds the column of a pattern id not yet in the TP-matrix
+    /// (maintenance rule 3).
     pub fn add_pattern(&mut self, id: PatternId, pattern: &LabeledGraph) {
-        for (&fid, feature) in &self.features {
-            let count = count_embeddings(&feature.tree, pattern, EMBED_CAP) as u32;
+        for (fid, count) in self.pattern_counts(pattern) {
             self.tp.set(fid, id, count);
         }
     }
@@ -216,36 +232,6 @@ impl FctIndex {
     /// Removes a canned-pattern column (maintenance rule 4).
     pub fn remove_pattern(&mut self, id: PatternId) {
         self.tp.remove_col(id);
-    }
-
-    /// Reconciles the feature rows against a new feature set: rows for
-    /// vanished keys are dropped, rows for new keys are added (counting over
-    /// the supplied graphs and patterns). This is the batch form of rules
-    /// 1–2 used after FCT maintenance.
-    pub fn refresh_features<'a, G, P>(
-        &mut self,
-        target: &[(TreeKey, &LabeledGraph)],
-        graphs: G,
-        patterns: P,
-    ) where
-        G: IntoIterator<Item = (GraphId, &'a LabeledGraph)> + Clone,
-        P: IntoIterator<Item = (PatternId, &'a LabeledGraph)> + Clone,
-    {
-        let want: BTreeMap<&TreeKey, &LabeledGraph> = target.iter().map(|(k, t)| (k, *t)).collect();
-        let stale: Vec<TreeKey> = self
-            .features
-            .values()
-            .filter(|f| !want.contains_key(&f.key))
-            .map(|f| f.key.clone())
-            .collect();
-        for key in stale {
-            self.remove_feature(&key);
-        }
-        for (key, tree) in target {
-            if self.trie.lookup(key.tokens()).is_none() {
-                self.add_feature_with(key.clone(), tree, graphs.clone(), patterns.clone());
-            }
-        }
     }
 
     /// Batch, parallel + memoized form of [`FctIndex::add_graph`]
@@ -279,10 +265,13 @@ impl FctIndex {
         Ok(())
     }
 
-    /// Parallel + memoized form of [`FctIndex::refresh_features`]: the
-    /// TG/TP rows of every *new* feature are counted up front; only once all
-    /// counts succeed are stale rows dropped and new rows inserted. On
-    /// [`KernelError`] the index is unchanged.
+    /// Reconciles the feature rows against a new feature set (the batch
+    /// form of rules 1–2, run after FCT maintenance): rows for vanished
+    /// keys are dropped, rows for new keys are added, counted through
+    /// `kernel` over `graphs` and `patterns`. The TG/TP rows of every
+    /// *new* feature are counted up front; only once all counts succeed
+    /// are stale rows dropped and new rows inserted. On [`KernelError`]
+    /// the index is unchanged.
     pub fn try_refresh_features_kernel(
         &mut self,
         kernel: &MatchKernel,
@@ -321,13 +310,8 @@ impl FctIndex {
             for (&(pid, _), count) in patterns.iter().zip(pattern_counts) {
                 self.tp.set(id, pid, count as u32);
             }
-            self.features.insert(
-                id,
-                Feature {
-                    key: key.clone(),
-                    tree: tree.clone(),
-                },
-            );
+            self.features
+                .insert(id, Feature::new(key.clone(), tree.clone()));
         }
         Ok(())
     }
@@ -461,22 +445,32 @@ mod tests {
         let con = path(&[0, 1, 2]);
         let on = path(&[1, 2]);
         let target = vec![(tree_key(&con), &con), (tree_key(&on), &on)];
-        index.refresh_features(
-            &target,
-            graphs
-                .iter()
-                .enumerate()
-                .map(|(i, g)| (gid(i as u64 + 1), g)),
-            patterns
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (pid(i as u64 + 1), p)),
-        );
+        let csrs: Vec<Csr> = graphs.iter().map(Csr::from_graph).collect();
+        let graph_refs: Vec<(GraphId, &Csr)> = csrs
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (gid(i as u64 + 1), c))
+            .collect();
+        let pattern_refs: Vec<(PatternId, &LabeledGraph)> = patterns
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (pid(i as u64 + 1), p))
+            .collect();
+        let con_id = index.feature_by_key(&tree_key(&con)).unwrap();
+        index
+            .try_refresh_features_kernel(&MatchKernel::new(2), &target, &graph_refs, &pattern_refs)
+            .expect("no fault injected");
         assert_eq!(index.feature_count(), 2);
         assert!(index.feature_by_key(&tree_key(&path(&[0, 1]))).is_none());
+        assert_eq!(
+            index.feature_by_key(&tree_key(&con)),
+            Some(con_id),
+            "kept row"
+        );
         let on_id = index.feature_by_key(&tree_key(&on)).unwrap();
         assert_eq!(index.tg().get(on_id, gid(1)), 1);
         assert_eq!(index.tg().get(on_id, gid(2)), 0);
+        assert_eq!(index.tp().get(on_id, pid(1)), 1, "new row's TP entry");
     }
 
     #[test]
@@ -511,7 +505,8 @@ mod tests {
             features.iter().map(|t| (tree_key(t), t.clone())),
             &csr_refs,
             &pattern_refs,
-        );
+        )
+        .expect("no fault injected");
         assert_eq!(serial.feature_count(), parallel.feature_count());
         for (fid, _) in serial.features() {
             for &(gid, _) in &graph_refs {

@@ -74,10 +74,24 @@ impl IfeIndex {
         self.eg.remove_col(id);
     }
 
-    /// Adds a canned-pattern column (rule 3).
+    /// The occurrence count of every tracked edge label in `pattern`:
+    /// non-zero entries only, in label order. This is the pattern's
+    /// EP-matrix column and the IFE half of its
+    /// [`crate::scov::PatternProfile`].
+    pub fn pattern_counts(&self, pattern: &LabeledGraph) -> Vec<(EdgeLabel, u32)> {
+        self.tracked
+            .iter()
+            .filter_map(|&label| {
+                let count = occurrences(pattern, label);
+                (count > 0).then_some((label, count))
+            })
+            .collect()
+    }
+
+    /// Adds the column of a pattern id not yet in the EP-matrix (rule 3).
     pub fn add_pattern(&mut self, id: PatternId, pattern: &LabeledGraph) {
-        for &label in &self.tracked {
-            self.ep.set(label, id, occurrences(pattern, label));
+        for (label, count) in self.pattern_counts(pattern) {
+            self.ep.set(label, id, count);
         }
     }
 

@@ -12,13 +12,13 @@
 //!   edges.
 //!
 //! Both are maintained incrementally under database and pattern-set changes
-//! (§5.1 "Index Maintenance", rules 1–4) and power two accelerations:
-//!
-//! * [`scov`] — containment filtering for subgraph coverage (§6.1): a
-//!   pattern can only be contained in graphs whose feature counts dominate
-//!   the pattern's, cutting subgraph-isomorphism checks drastically.
-//! * [`pf_matrix`] — the pattern-feature matrix behind the tightened GED
-//!   lower bound `GED'_l = GED_l + n` (Lemma 6.1).
+//! (§5.1 "Index Maintenance", rules 1–4) and power [`scov`], the
+//! containment filter for subgraph coverage (§6.1): a pattern can only be
+//! contained in graphs whose feature counts dominate the pattern's, cutting
+//! subgraph-isomorphism checks drastically. A pattern's own counts (its
+//! TP/EP column, and the profile [`scov`] filters with) come from one
+//! routine per index: [`FctIndex::pattern_counts`] and
+//! [`IfeIndex::pattern_counts`].
 //!
 //! Embedding counts saturate at [`EMBED_CAP`]; the dominance filter only
 //! compares counts computed under the same cap, so saturation never causes
@@ -29,14 +29,12 @@
 
 pub mod fct_index;
 pub mod ife_index;
-pub mod pf_matrix;
 pub mod scov;
 pub mod sparse;
 pub mod trie;
 
 pub use fct_index::{FctIndex, FeatureId};
 pub use ife_index::IfeIndex;
-pub use pf_matrix::PfMatrix;
 pub use sparse::SparseMatrix;
 pub use trie::Trie;
 

@@ -11,8 +11,7 @@
 
 use crate::fct_index::FctIndex;
 use crate::ife_index::IfeIndex;
-use crate::EMBED_CAP;
-use midas_graph::isomorphism::{count_embeddings, is_subgraph_of};
+use midas_graph::isomorphism::is_subgraph_of;
 use midas_graph::{Csr, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use std::collections::BTreeSet;
 
@@ -25,27 +24,13 @@ pub struct PatternProfile {
     pub ife_counts: Vec<(EdgeLabel, u32)>,
 }
 
-/// Computes the profile of an arbitrary (candidate) pattern by counting
-/// feature embeddings directly — features are tiny, so this is cheap.
+/// Computes the profile of an arbitrary (candidate) pattern: the same
+/// counts [`FctIndex::add_pattern`] and [`IfeIndex::add_pattern`] write as
+/// the pattern's TP/EP column.
 pub fn profile_pattern(fct: &FctIndex, ife: &IfeIndex, pattern: &LabeledGraph) -> PatternProfile {
-    let fct_counts = fct
-        .features()
-        .filter_map(|(id, feature)| {
-            let c = count_embeddings(&feature.tree, pattern, EMBED_CAP) as u32;
-            (c > 0).then_some((id, c))
-        })
-        .collect();
-    let ife_counts = ife
-        .tracked()
-        .iter()
-        .filter_map(|&label| {
-            let c = pattern.edge_labels().filter(|&l| l == label).count() as u32;
-            (c > 0).then_some((label, c))
-        })
-        .collect();
     PatternProfile {
-        fct_counts,
-        ife_counts,
+        fct_counts: fct.pattern_counts(pattern),
+        ife_counts: ife.pattern_counts(pattern),
     }
 }
 

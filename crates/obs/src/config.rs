@@ -2,7 +2,7 @@
 //! variables, and the telemetry config embedded in `MidasConfig`.
 //!
 //! [`Env::parse`] turns `(name, value)` pairs into typed settings;
-//! [`env`] runs it once over the process environment. Every consumer —
+//! [`env()`] runs it once over the process environment. Every consumer —
 //! [`TelemetryConfig::with_env`], the daemon's config, the exec-layer
 //! fault injector, the binaries and benches — takes its values from that
 //! one parse, and tests pass a literal list instead of mutating the

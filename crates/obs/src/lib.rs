@@ -13,7 +13,7 @@
 //!   by name through the [`counter!`]/[`counter_add!`]/[`gauge_set!`]/
 //!   [`histogram_record!`] macros (each probe site caches its handle in a
 //!   `OnceLock`, so an enabled probe is one atomic op);
-//! * [`span`] — RAII [`Span`] timers that nest into a per-thread span
+//! * [`mod@span`] — RAII [`Span`] timers that nest into a per-thread span
 //!   stack; each completed span feeds a named duration statistic and,
 //!   when tracing is on, a Chrome-trace event;
 //! * exporters — [`MetricsSnapshot`] renders the registry as the same

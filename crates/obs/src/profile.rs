@@ -3,7 +3,7 @@
 //! Spans already tell us *that* a phase was slow; the profiler tells us
 //! *where the time went inside it* without any per-operation probes. A
 //! background sampler thread wakes `MIDAS_PROFILE_HZ` times a second,
-//! walks every live thread's span stack ([`crate::span`] registers them
+//! walks every live thread's span stack ([`mod@crate::span`] registers them
 //! in a global roster), and aggregates each observed stack as a
 //! collapsed ("folded") string — `outer;inner` — with a hit count. The
 //! result is directly flamegraph-ready ([`folded`], served at

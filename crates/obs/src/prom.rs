@@ -74,7 +74,7 @@ fn number(v: f64) -> String {
 ///
 /// The [`crate::registry`] is name-keyed and has no label dimension, so
 /// multi-tenant series (one counter per tenant) register under names
-/// carrying an embedded label block; the renderer ([`family_of`]) splits
+/// carrying an embedded label block; the renderer (`family_of`) splits
 /// it back apart so the exposition carries real Prometheus labels —
 /// `midas_serve_reads{tenant="acme"}` — instead of a mangled flat name.
 pub fn labeled(base: &str, labels: &[(&str, &str)]) -> String {

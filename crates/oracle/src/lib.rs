@@ -46,8 +46,8 @@
 //! isolation end to end: it arms the deterministic injector behind
 //! `MIDAS_FAULT=task:N`, drives a maintenance batch through [`Midas`],
 //! and requires the worker panic to surface as a contained
-//! [`KernelError`] on the report — process alive, flight recorder
-//! carrying the event — instead of an abort.
+//! [`KernelError`](midas_graph::KernelError) on the report — process
+//! alive, flight recorder carrying the event — instead of an abort.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -80,6 +80,10 @@ use std::sync::Arc;
 
 /// Saturation cap for embedding counts in the kernel check.
 const COUNT_CAP: u64 = 64;
+
+/// The checks run with the fault injector disarmed, so a kernel error is
+/// a bug in the harness.
+const NO_FAULT: &str = "no fault is armed during the checks";
 
 /// One fast-path/reference disagreement.
 #[derive(Debug, Clone)]
@@ -291,7 +295,9 @@ impl Oracle {
         // that still agree with serial recomputation.
         for round in 0..2 {
             for (pi, p) in patterns.iter().enumerate() {
-                let fast_counts = kernel.count_in_graphs(p, &csrs, COUNT_CAP);
+                let fast_counts = kernel
+                    .try_count_in_graphs(p, &csrs, COUNT_CAP)
+                    .expect(NO_FAULT);
                 let fast_covered = kernel.covered_in(p, &csrs);
                 for (k, &(id, g)) in graphs.iter().enumerate() {
                     cases += 2;
@@ -327,10 +333,12 @@ impl Oracle {
             let p = &patterns[i % patterns.len()];
             // Warm the memo on the old content, then invalidate and probe
             // the replacement's CSR under the same id.
-            let _ = kernel.count_in_graphs(p, &[(id, old)], COUNT_CAP);
+            let _ = kernel.try_count_in_graphs(p, &[(id, old)], COUNT_CAP);
             kernel.invalidate_graph(id);
             let replacement_csr = Csr::from_graph(replacement);
-            let fast = kernel.count_in_graphs(p, &[(id, &replacement_csr)], COUNT_CAP);
+            let fast = kernel
+                .try_count_in_graphs(p, &[(id, &replacement_csr)], COUNT_CAP)
+                .expect(NO_FAULT);
             let want = count_embeddings(p, replacement, COUNT_CAP);
             cases += 1;
             if fast[0] != want {
@@ -615,34 +623,25 @@ impl Oracle {
                 store.iter().map(|(id, p)| (id, p.clone())).collect();
             let pattern_refs: Vec<(PatternId, &LabeledGraph)> =
                 before.iter().map(|(&id, p)| (id, p)).collect();
-            let mut fct = FctIndex::build(
+            let fct = FctIndex::build(
                 std::iter::empty::<(TreeKey, &LabeledGraph)>(),
                 refs.iter().copied(),
                 pattern_refs.iter().copied(),
             );
-            let mut ife = IfeIndex::build(
+            let ife = IfeIndex::build(
                 BTreeSet::new(),
                 refs.iter().copied(),
                 pattern_refs.iter().copied(),
             );
-            let fct_snapshot = fct.clone();
-            let ife_snapshot = ife.clone();
             let ctx = ScovContext {
-                fct: &fct_snapshot,
-                ife: &ife_snapshot,
+                fct: &fct,
+                ife: &ife,
                 db: &db,
                 sample: &sample,
                 catalog: &catalog,
                 kernel,
             };
-            let outcome = multi_scan_swap(
-                &mut store,
-                candidates.clone(),
-                &ctx,
-                &params,
-                &mut fct,
-                &mut ife,
-            );
+            let outcome = multi_scan_swap(&mut store, candidates.clone(), &ctx, &params);
             let graphs = store.graphs();
             (outcome, graphs, before, store)
         };
@@ -1095,7 +1094,9 @@ fn count_divergence(
     // original pair as witness.
     let violates = |p: &LabeledGraph, g: &LabeledGraph| {
         let fresh = MatchKernel::new(1);
-        let fast = fresh.count_in_graphs(p, &[(GraphId(0), &Csr::from_graph(g))], COUNT_CAP);
+        let fast = fresh
+            .try_count_in_graphs(p, &[(GraphId(0), &Csr::from_graph(g))], COUNT_CAP)
+            .expect(NO_FAULT);
         fast[0] != count_embeddings(p, g, COUNT_CAP)
     };
     let witness = minimize_pair(pattern, graph, violates);
@@ -1265,9 +1266,9 @@ fn graphs_isomorphic(a: &LabeledGraph, b: &LabeledGraph) -> bool {
         && is_subgraph_of(a, b)
 }
 
-/// Mirror of the swap module's private `set_measures`: the exact
-/// quantities sw3–sw5 guard (min diversity, max cognitive load, sampled
-/// label coverage).
+/// Independent reference for `midas_catapult::score::set_measures`: the
+/// exact quantities sw3–sw5 guard (min diversity, max cognitive load,
+/// sampled label coverage).
 fn set_measures(
     patterns: &[LabeledGraph],
     catalog: &EdgeCatalog,

@@ -4,7 +4,9 @@
 use midas_core::{Midas, ModificationKind};
 use midas_datagen::updates::{deletion_percent, growth_percent, novel_family_batch};
 use midas_datagen::{DatasetKind, DatasetSpec, MotifKind};
+use midas_graph::isomorphism::count_embeddings;
 use midas_graph::{BatchUpdate, GraphId};
+use midas_index::EMBED_CAP;
 use midas_tests::test_config;
 use std::collections::BTreeSet;
 
@@ -110,6 +112,29 @@ fn substrate_stays_consistent_across_batches() {
         let live: BTreeSet<_> = midas.pattern_store().iter().map(|(id, _)| id).collect();
         for (_, pid, _) in midas.fct_index().tp().iter() {
             assert!(live.contains(&pid), "stale pattern column {pid}");
+        }
+        for (_, pid, _) in midas.ife_index().ep().iter() {
+            assert!(live.contains(&pid), "stale EP column {pid}");
+        }
+        // Every live pattern's TP/EP column equals a fresh count, so the
+        // framework committed the swap step's column delta.
+        for (pid, pattern) in midas.pattern_store().iter() {
+            for (fid, feature) in midas.fct_index().features() {
+                let fresh = count_embeddings(&feature.tree, pattern, EMBED_CAP) as u32;
+                assert_eq!(
+                    midas.fct_index().tp().get(fid, pid),
+                    fresh,
+                    "TP[{fid:?}, {pid}] in round {round}"
+                );
+            }
+            for &label in midas.ife_index().tracked() {
+                let fresh = pattern.edge_labels().filter(|&l| l == label).count() as u32;
+                assert_eq!(
+                    midas.ife_index().ep().get(label, pid),
+                    fresh,
+                    "EP[{label:?}, {pid}] in round {round}"
+                );
+            }
         }
     }
 }

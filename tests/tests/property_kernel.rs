@@ -37,7 +37,7 @@ proptest! {
         let kernel = MatchKernel::new(4);
         for pass in 0..2 {
             for p in &patterns {
-                let got = kernel.count_in_graphs(p, &csrs, CAP);
+                let got = kernel.try_count_in_graphs(p, &csrs, CAP).unwrap();
                 let covered = kernel.covered_in(p, &csrs);
                 for (i, &(_, g)) in refs.iter().enumerate() {
                     prop_assert_eq!(got[i], count_embeddings(p, g, CAP), "pass {}", pass);
@@ -57,7 +57,7 @@ proptest! {
         let refs = db_refs(&db);
         let kernel = MatchKernel::new(3);
         let prepared: Vec<CachedPattern> = patterns.iter().map(|p| kernel.prepare(p)).collect();
-        let grid = kernel.count_grid(&prepared, &csr_refs(&db), CAP);
+        let grid = kernel.try_count_grid(&prepared, &csr_refs(&db), CAP).unwrap();
         for (i, &(_, g)) in refs.iter().enumerate() {
             for (j, p) in patterns.iter().enumerate() {
                 prop_assert_eq!(grid[i][j], count_embeddings(p, g, CAP));
@@ -80,7 +80,7 @@ proptest! {
         let mut db = GraphDb::from_graphs(initial);
         let kernel = MatchKernel::new(2);
         // Warm the cache on the initial state.
-        kernel.count_in_graphs(&pattern, &csr_refs(&db), CAP);
+        kernel.try_count_in_graphs(&pattern, &csr_refs(&db), CAP).unwrap();
 
         // Mutate: optionally delete the first graph, then insert `added`.
         let mut update = midas_graph::BatchUpdate::insert_only(added);
@@ -93,7 +93,7 @@ proptest! {
         }
 
         let refs = db_refs(&db);
-        let got = kernel.count_in_graphs(&pattern, &csr_refs(&db), CAP);
+        let got = kernel.try_count_in_graphs(&pattern, &csr_refs(&db), CAP).unwrap();
         for (i, &(_, g)) in refs.iter().enumerate() {
             prop_assert_eq!(got[i], count_embeddings(&pattern, g, CAP));
         }

@@ -104,18 +104,18 @@ proptest! {
         let targets: Vec<&LabeledGraph> = graphs.iter().collect();
         for p in &patterns {
             let counts: Vec<u64> = graphs.iter().map(|g| count_embeddings(p, g, 64)).collect();
-            prop_assert_eq!(kernel.count_in_graphs(p, &csrs, 64), counts);
+            prop_assert_eq!(kernel.try_count_in_graphs(p, &csrs, 64), Ok(counts));
             let covered: Vec<bool> = graphs.iter().map(|g| is_subgraph_of(p, g)).collect();
             prop_assert_eq!(kernel.covered_in(p, &csrs), covered);
             let unbounded: Vec<u64> =
                 graphs.iter().map(|g| count_embeddings(p, g, u64::MAX)).collect();
-            prop_assert_eq!(kernel.count_plain_many(p, &targets, u64::MAX), unbounded);
+            prop_assert_eq!(kernel.try_count_plain_many(p, &targets, u64::MAX), Ok(unbounded));
         }
         let prepared: Vec<_> = patterns.iter().map(|p| kernel.prepare(p)).collect();
         let grid: Vec<Vec<u64>> = graphs
             .iter()
             .map(|g| patterns.iter().map(|p| count_embeddings(p, g, 64)).collect())
             .collect();
-        prop_assert_eq!(kernel.count_grid(&prepared, &csrs, 64), grid);
+        prop_assert_eq!(kernel.try_count_grid(&prepared, &csrs, 64), Ok(grid));
     }
 }

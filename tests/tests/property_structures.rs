@@ -5,10 +5,12 @@
 use midas_core::metrics::ScovContext;
 use midas_core::patterns::PatternStore;
 use midas_core::swap::{multi_scan_swap, SwapParams};
-use midas_graph::{ClosureGraph, GraphDb, GraphId, LabeledGraph, MatchKernel};
-use midas_index::{FctIndex, IfeIndex, PatternId};
+use midas_graph::isomorphism::count_embeddings;
+use midas_graph::{ClosureGraph, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
+use midas_index::scov::profile_pattern;
+use midas_index::{FctIndex, FeatureId, IfeIndex, PatternId, EMBED_CAP};
 use midas_mining::EdgeCatalog;
-use midas_tests::connected_graph_strategy;
+use midas_tests::{connected_graph_strategy, tree_strategy};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -98,6 +100,67 @@ proptest! {
         prop_assert_eq!(before, after);
     }
 
+    /// One pattern profile: each index's `pattern_counts` equals the
+    /// per-feature VF2 count at `EMBED_CAP` (per-label occurrences on the
+    /// IFE side), it is the profile the dominance filter uses, and it is
+    /// exactly the TP/EP column `add_pattern` writes.
+    #[test]
+    fn pattern_counts_match_vf2_and_the_written_columns(
+        trees in proptest::collection::vec(tree_strategy(4, 3), 1..6),
+        graphs in proptest::collection::vec(connected_graph_strategy(6, 3), 1..5),
+        pattern in connected_graph_strategy(6, 3),
+    ) {
+        let refs: Vec<(GraphId, &LabeledGraph)> = graphs
+            .iter()
+            .enumerate()
+            .map(|(i, g)| (GraphId(i as u64), g))
+            .collect();
+        let mut fct = FctIndex::build(
+            trees
+                .iter()
+                .filter(|t| t.edge_count() > 0)
+                .map(|t| (midas_mining::tree_key(t), t)),
+            refs.iter().copied(),
+            std::iter::empty::<(PatternId, &LabeledGraph)>(),
+        );
+        let tracked: BTreeSet<EdgeLabel> = graphs.iter().flat_map(|g| g.edge_labels()).collect();
+        let mut ife = IfeIndex::build(
+            tracked,
+            refs.iter().copied(),
+            std::iter::empty::<(PatternId, &LabeledGraph)>(),
+        );
+
+        let fct_counts = fct.pattern_counts(&pattern);
+        let vf2: Vec<(FeatureId, u32)> = fct
+            .features()
+            .filter_map(|(fid, f)| {
+                let c = count_embeddings(&f.tree, &pattern, EMBED_CAP) as u32;
+                (c > 0).then_some((fid, c))
+            })
+            .collect();
+        prop_assert_eq!(&fct_counts, &vf2);
+        let ife_counts = ife.pattern_counts(&pattern);
+        let occurrences: Vec<(EdgeLabel, u32)> = ife
+            .tracked()
+            .iter()
+            .filter_map(|&label| {
+                let c = pattern.edge_labels().filter(|&l| l == label).count() as u32;
+                (c > 0).then_some((label, c))
+            })
+            .collect();
+        prop_assert_eq!(&ife_counts, &occurrences);
+
+        let profile = profile_pattern(&fct, &ife, &pattern);
+        prop_assert_eq!(&profile.fct_counts, &fct_counts);
+        prop_assert_eq!(&profile.ife_counts, &ife_counts);
+
+        let id = PatternId(7);
+        fct.add_pattern(id, &pattern);
+        ife.add_pattern(id, &pattern);
+        prop_assert_eq!(fct.tp().col(id).collect::<Vec<_>>(), fct_counts);
+        prop_assert_eq!(ife.ep().col(id).collect::<Vec<_>>(), ife_counts);
+    }
+
     /// The swap never decreases sample-level coverage, diversity or label
     /// coverage, and never increases cognitive load (sw1–sw5 as a
     /// property).
@@ -112,12 +175,12 @@ proptest! {
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
         let catalog = EdgeCatalog::build(refs.iter().copied());
         let sample: BTreeSet<GraphId> = db.ids().collect();
-        let mut fct = FctIndex::build(
+        let fct = FctIndex::build(
             std::iter::empty::<(midas_mining::TreeKey, &LabeledGraph)>(),
             refs.iter().copied(),
             std::iter::empty::<(PatternId, &LabeledGraph)>(),
         );
-        let mut ife = IfeIndex::build(
+        let ife = IfeIndex::build(
             BTreeSet::new(),
             refs.iter().copied(),
             std::iter::empty::<(PatternId, &LabeledGraph)>(),
@@ -127,25 +190,16 @@ proptest! {
             store.insert(p);
         }
         prop_assume!(!store.is_empty());
-        let fct_snapshot = fct.clone();
-        let ife_snapshot = ife.clone();
         let ctx = ScovContext {
-            fct: &fct_snapshot,
-            ife: &ife_snapshot,
+            fct: &fct,
+            ife: &ife,
             db: &db,
             sample: &sample,
             catalog: &catalog,
             kernel: &MatchKernel::new(1),
         };
         let before = midas_core::quality_of(&store.graphs(), &db, &catalog, &sample);
-        multi_scan_swap(
-            &mut store,
-            candidates,
-            &ctx,
-            &SwapParams::default(),
-            &mut fct,
-            &mut ife,
-        );
+        multi_scan_swap(&mut store, candidates, &ctx, &SwapParams::default());
         let after = midas_core::quality_of(&store.graphs(), &db, &catalog, &sample);
         prop_assert!(after.scov >= before.scov - 1e-9, "sw1: {} -> {}", before.scov, after.scov);
         prop_assert!(after.div >= before.div - 1e-9, "sw3: {} -> {}", before.div, after.div);
@@ -164,12 +218,12 @@ proptest! {
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
         let catalog = EdgeCatalog::build(refs.iter().copied());
         let sample: BTreeSet<GraphId> = db.ids().collect();
-        let mut fct = FctIndex::build(
+        let fct = FctIndex::build(
             std::iter::empty::<(midas_mining::TreeKey, &LabeledGraph)>(),
             refs.iter().copied(),
             std::iter::empty::<(PatternId, &LabeledGraph)>(),
         );
-        let mut ife = IfeIndex::build(
+        let ife = IfeIndex::build(
             BTreeSet::new(),
             refs.iter().copied(),
             std::iter::empty::<(PatternId, &LabeledGraph)>(),
@@ -178,24 +232,15 @@ proptest! {
         store.insert(midas_tests::path(&[0, 1, 0]));
         store.insert(midas_tests::path(&[1, 0, 1]));
         let gamma = store.len();
-        let fct_snapshot = fct.clone();
-        let ife_snapshot = ife.clone();
         let ctx = ScovContext {
-            fct: &fct_snapshot,
-            ife: &ife_snapshot,
+            fct: &fct,
+            ife: &ife,
             db: &db,
             sample: &sample,
             catalog: &catalog,
             kernel: &MatchKernel::new(1),
         };
-        multi_scan_swap(
-            &mut store,
-            candidates,
-            &ctx,
-            &SwapParams::default(),
-            &mut fct,
-            &mut ife,
-        );
+        multi_scan_swap(&mut store, candidates, &ctx, &SwapParams::default());
         prop_assert_eq!(store.len(), gamma);
     }
 }

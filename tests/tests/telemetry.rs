@@ -152,3 +152,26 @@ fn fine_clustering_splits_report_their_span_and_memo_counters() {
         telemetry.span("batch.cluster.split").total_us <= telemetry.span("batch.cluster").total_us
     );
 }
+
+#[test]
+fn single_thread_bootstrap_fans_out_nothing() {
+    let _g = exclusive();
+    let mut cfg = test_config(23);
+    cfg.telemetry.enabled = true;
+    cfg.threads = 1;
+    cfg.coarse_clusters = 10;
+    // Small clusters: fine clustering leaves more groups than the spawn
+    // threshold, so a CSG build that ignored `threads` would fan out.
+    cfg.max_cluster_size = 2;
+    let before = MetricsSnapshot::capture();
+    let midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    let delta = MetricsSnapshot::capture().since(&before);
+    TelemetryConfig::default().activate();
+
+    assert!(
+        midas.clusters().len() >= midas_graph::exec::SPAWN_THRESHOLD,
+        "only {} clusters",
+        midas.clusters().len()
+    );
+    assert_eq!(delta.counter("exec.fanouts"), 0);
+}
