@@ -221,7 +221,10 @@ fn main() {
             BatchSize::LargeInput,
         )
     });
-    let warm_batch = MatchKernel::new(THREADS);
+    // One worker: the row measures the warm memo, and a fan-out's thread
+    // spawns would dominate it on a small host. The name is kept so the
+    // history stays one series.
+    let warm_batch = MatchKernel::new(1);
     kernel_add_graphs(&mut base.clone(), &warm_batch, &batch_csr_refs); // warm once
     c.bench_function("apply_batch/parallel_cached_repeat", |b| {
         // The same batch re-applied with a warm memo — the steady state

@@ -7,6 +7,11 @@
 //! pattern set does not) falls below `(1 + κ)` times the smallest exclusive
 //! coverage of any existing pattern, the candidate cannot become a
 //! *promising FCP* (Def. 5.5) and generation stops.
+//!
+//! The Def. 5.5 test needs each candidate's covered graphs anyway, so every
+//! [`Candidate`] leaves generation with its covered count, and
+//! [`CoverageState`] keeps each pattern's: the §6.2 swap scores both sides
+//! from these counts without running the coverage filter again.
 
 use crate::metrics::ScovContext;
 use crate::patterns::PatternStore;
@@ -18,11 +23,37 @@ use midas_graph::{GraphId, LabeledGraph};
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// A promising candidate with its covered count over the sample,
+/// `|G_scov(c) ∩ D_s|`.
+#[derive(Debug, Clone)]
+pub struct Candidate {
+    /// The candidate pattern.
+    pub graph: LabeledGraph,
+    /// How many sampled graphs contain it.
+    pub covered: usize,
+}
+
+impl Candidate {
+    /// Counts each graph's coverage through `ctx` — for candidates that
+    /// did not come out of [`generate_promising_candidates`].
+    pub fn scored(ctx: &ScovContext<'_>, graphs: Vec<LabeledGraph>) -> Vec<Candidate> {
+        graphs
+            .into_iter()
+            .map(|graph| Candidate {
+                covered: ctx.covered(&graph).len(),
+                graph,
+            })
+            .collect()
+    }
+}
+
 /// Coverage bookkeeping for the current pattern set over the sample.
 #[derive(Debug, Clone, Default)]
 pub struct CoverageState {
     /// `⋃_{p ∈ P} G_scov(p)` over the sample.
     pub covered_union: BTreeSet<GraphId>,
+    /// Per pattern: `|G_scov(p)|` over the sample.
+    pub covered: BTreeMap<midas_index::PatternId, usize>,
     /// Per pattern: `|G_scov(p) \ ⋃_{p' ≠ p} G_scov(p')|`.
     pub exclusive: BTreeMap<midas_index::PatternId, usize>,
     /// The minimum exclusive coverage across patterns (0 when `P` is
@@ -38,6 +69,7 @@ pub fn coverage_state(store: &PatternStore, ctx: &ScovContext<'_>) -> CoverageSt
     for (_, covered) in &per_pattern {
         covered_union.extend(covered.iter().copied());
     }
+    let covered = per_pattern.iter().map(|(id, c)| (*id, c.len())).collect();
     let mut exclusive = BTreeMap::new();
     for (id, covered) in &per_pattern {
         let others: BTreeSet<GraphId> = per_pattern
@@ -50,6 +82,7 @@ pub fn coverage_state(store: &PatternStore, ctx: &ScovContext<'_>) -> CoverageSt
     let min_exclusive = exclusive.values().copied().min().unwrap_or(0);
     CoverageState {
         covered_union,
+        covered,
         exclusive,
         min_exclusive,
     }
@@ -72,7 +105,7 @@ pub struct GenerationParams {
 
 /// Generates promising FCPs from the given weighted CSGs with Eq. 2
 /// pruning, deduplicated up to isomorphism and against the current pattern
-/// set.
+/// set, each with the covered count its Def. 5.5 test computed.
 pub fn generate_promising_candidates(
     csgs: &[WeightedCsg],
     store: &PatternStore,
@@ -80,7 +113,7 @@ pub fn generate_promising_candidates(
     state: &CoverageState,
     params: &GenerationParams,
     rng: &mut StdRng,
-) -> Vec<LabeledGraph> {
+) -> Vec<Candidate> {
     let threshold = ((1.0 + params.kappa) * state.min_exclusive as f64).ceil() as usize;
     let mut out = Vec::new();
     let mut codes = BTreeSet::new();
@@ -110,16 +143,16 @@ pub fn generate_promising_candidates(
                 // Promising-FCP test (Def. 5.5): the candidate's marginal
                 // coverage must reach (1 + κ) × the smallest exclusive
                 // coverage of an existing pattern.
-                let marginal = ctx
-                    .covered(&candidate)
-                    .difference(&state.covered_union)
-                    .count();
-                if marginal < threshold {
+                let covered = ctx.covered(&candidate);
+                if covered.difference(&state.covered_union).count() < threshold {
                     continue;
                 }
                 let code = canonical_code(&candidate);
                 if codes.insert(code) {
-                    out.push(candidate);
+                    out.push(Candidate {
+                        graph: candidate,
+                        covered: covered.len(),
+                    });
                 }
             }
         }
@@ -219,6 +252,7 @@ mod tests {
         let c = ctx(&w);
         let state = coverage_state(&store, &c);
         assert_eq!(state.covered_union.len(), 3);
+        assert_eq!((state.covered[&p1], state.covered[&p2]), (2, 2));
         assert_eq!(state.exclusive[&p1], 1);
         assert_eq!(state.exclusive[&p2], 1);
         assert_eq!(state.min_exclusive, 1);
@@ -236,6 +270,9 @@ mod tests {
         let candidates =
             generate_promising_candidates(&[csg], &store, &c, &state, &params(0.1), &mut rng);
         assert!(!candidates.is_empty());
+        for cand in &candidates {
+            assert_eq!(cand.covered, c.covered(&cand.graph).len());
+        }
     }
 
     #[test]
@@ -250,8 +287,8 @@ mod tests {
         let candidates =
             generate_promising_candidates(&[csg], &store, &c, &state, &params(0.0), &mut rng);
         assert!(
-            candidates.iter().all(|p| p.edge_count() != 2
-                || !midas_graph::canonical::are_isomorphic(p, &path(&[0, 1, 2]))),
+            candidates.iter().all(|c| c.graph.edge_count() != 2
+                || !midas_graph::canonical::are_isomorphic(&c.graph, &path(&[0, 1, 2]))),
             "existing pattern must not reappear"
         );
     }
@@ -293,7 +330,9 @@ mod tests {
         let candidates =
             generate_promising_candidates(&[csg], &store, &c, &state, &params(0.1), &mut rng);
         assert!(
-            candidates.iter().any(|p| p.sorted_labels().contains(&3)),
+            candidates
+                .iter()
+                .any(|c| c.graph.sorted_labels().contains(&3)),
             "S-family candidate expected: {candidates:?}"
         );
     }

@@ -23,7 +23,9 @@
 //! `batch.swap`), the batch records `pmt_us`/`pgt_us` counters, and the
 //! report carries a [`MetricsSnapshot`] delta scoped to just that batch.
 
-use crate::candidate_gen::{coverage_state, generate_promising_candidates, GenerationParams};
+use crate::candidate_gen::{
+    coverage_state, generate_promising_candidates, Candidate, GenerationParams,
+};
 use crate::config::MidasConfig;
 use crate::metrics::ScovContext;
 use crate::monitor::{classify, GraphletMonitor, Modification};
@@ -311,13 +313,15 @@ impl Midas {
         update: BatchUpdate,
         strategy: SwapStrategy,
     ) -> MaintenanceReport {
-        let total_start = Instant::now();
         let telemetry_on = midas_obs::enabled();
         let baseline = if telemetry_on {
             MetricsSnapshot::capture()
         } else {
             MetricsSnapshot::default()
         };
+        // PMT starts after the telemetry baseline: the snapshot is the
+        // instrumentation's own cost, not maintenance work.
+        let total_start = Instant::now();
         self.batch_counter += 1;
 
         // Ingest: apply ΔD and keep the graphlet monitor current.
@@ -474,6 +478,7 @@ impl Midas {
                         let outcome = multi_scan_swap(
                             &mut self.patterns,
                             candidates,
+                            &state,
                             &ctx,
                             &SwapParams {
                                 kappa: self.config.kappa,
@@ -689,7 +694,7 @@ pub enum SwapStrategy {
 
 /// The *Random* baseline's swap step: each candidate replaces a
 /// uniformly random pattern, no criteria checked.
-fn random_swap(store: &mut PatternStore, candidates: Vec<LabeledGraph>, rng: &mut StdRng) -> usize {
+fn random_swap(store: &mut PatternStore, candidates: Vec<Candidate>, rng: &mut StdRng) -> usize {
     use rand::RngExt;
     let mut swaps = 0;
     for candidate in candidates {
@@ -699,7 +704,7 @@ fn random_swap(store: &mut PatternStore, candidates: Vec<LabeledGraph>, rng: &mu
         let ids: Vec<PatternId> = store.iter().map(|(id, _)| id).collect();
         let victim = ids[rng.random_range(0..ids.len())];
         store.remove(victim);
-        if store.insert(candidate).is_some() {
+        if store.insert(candidate.graph).is_some() {
             swaps += 1;
         }
     }

@@ -48,14 +48,22 @@ impl ScovContext<'_> {
 
     /// `scov(p, D_s) = |G_p ∩ D_s| / |D_s|`.
     pub fn scov(&self, pattern: &LabeledGraph) -> f64 {
+        self.scov_of(self.covered(pattern).len())
+    }
+
+    /// `scov` from an already computed covered count `|G_p ∩ D_s|`; 0 on
+    /// an empty sample.
+    pub fn scov_of(&self, covered: usize) -> f64 {
         if self.sample.is_empty() {
             return 0.0;
         }
-        self.covered(pattern).len() as f64 / self.sample.len() as f64
+        covered as f64 / self.sample.len() as f64
     }
 
     /// The MIDAS pattern score `s'_p = scov × lcov × div / cog` (§6.1),
-    /// with diversity measured against `others`.
+    /// with diversity measured against `others`. Every part is recomputed,
+    /// coverage included; [`crate::swap`] scores from carried covered
+    /// counts instead.
     pub fn midas_score(&self, pattern: &LabeledGraph, others: &[LabeledGraph]) -> f64 {
         pattern_score(PatternScoreParts {
             coverage: self.scov(pattern),

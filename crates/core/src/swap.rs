@@ -19,14 +19,25 @@
 //! Swap decides against a read-only [`ScovContext`] and mutates only the
 //! [`PatternStore`]; the framework then commits the TP/EP column delta of
 //! the ids that left and arrived to both indices in one step.
+//!
+//! Each side is scored once per call: only `div` in `s'_p = scov × lcov ×
+//! div / cog` depends on the current set, so `scov` (from the covered
+//! counts candidate generation already computed), `lcov`, `cog` and the
+//! log weight form one table, and each scan recomputes only diversity.
+//! sw3–sw5's measures of the current set are recomputed only when a swap
+//! changes it.
 
+use crate::candidate_gen::{Candidate, CoverageState};
 use crate::ks::distributions_similar;
 use crate::metrics::ScovContext;
 use crate::patterns::PatternStore;
-use midas_catapult::score::set_measures;
+use crate::query_log::QueryLog;
+use midas_catapult::score::{
+    diversity, lcov_pattern, pattern_score, set_measures, PatternScoreParts,
+};
 use midas_graph::LabeledGraph;
 use midas_index::PatternId;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Swap parameters.
 #[derive(Debug, Clone, Copy)]
@@ -73,14 +84,52 @@ pub struct SwapOutcome {
     pub replaced: Vec<(PatternId, PatternId)>,
 }
 
-/// Runs the multi-scan swap, mutating only `store`.
+/// The set-independent parts of a pattern's score: everything in `s'_p`
+/// but `div`, and the query-log weight.
+#[derive(Debug, Clone, Copy)]
+struct ScoreRow {
+    scov: f64,
+    lcov: f64,
+    cog: f64,
+    weight: f64,
+}
+
+impl ScoreRow {
+    fn new(
+        ctx: &ScovContext<'_>,
+        pattern: &LabeledGraph,
+        covered: usize,
+        log: Option<&QueryLog>,
+    ) -> Self {
+        ScoreRow {
+            scov: ctx.scov_of(covered),
+            lcov: lcov_pattern(pattern, ctx.catalog, ctx.db.len()),
+            cog: pattern.cognitive_load(),
+            weight: log.map_or(1.0, |l| l.weight(pattern)),
+        }
+    }
+
+    /// The (log-weighted) `s'_p` at diversity `div`.
+    fn score(&self, div: f64) -> f64 {
+        pattern_score(PatternScoreParts {
+            coverage: self.scov,
+            lcov: self.lcov,
+            div,
+            cog: self.cog,
+        }) * self.weight
+    }
+}
+
+/// Runs the multi-scan swap, mutating only `store`. `coverage` is the
+/// store's [`CoverageState`] over `ctx.sample`.
 pub fn multi_scan_swap(
     store: &mut PatternStore,
-    candidates: Vec<LabeledGraph>,
+    candidates: Vec<Candidate>,
+    coverage: &CoverageState,
     ctx: &ScovContext<'_>,
     params: &SwapParams,
 ) -> SwapOutcome {
-    multi_scan_swap_weighted(store, candidates, ctx, params, None)
+    multi_scan_swap_weighted(store, candidates, coverage, ctx, params, None)
 }
 
 /// The query-log-aware variant (§3.5's extension): pattern and candidate
@@ -89,35 +138,48 @@ pub fn multi_scan_swap(
 /// default.
 pub fn multi_scan_swap_weighted(
     store: &mut PatternStore,
-    candidates: Vec<LabeledGraph>,
+    candidates: Vec<Candidate>,
+    coverage: &CoverageState,
     ctx: &ScovContext<'_>,
     params: &SwapParams,
-    log: Option<&crate::query_log::QueryLog>,
+    log: Option<&QueryLog>,
 ) -> SwapOutcome {
-    let log_weight = |p: &LabeledGraph| log.map_or(1.0, |l| l.weight(p));
     let mut outcome = SwapOutcome::default();
     if candidates.is_empty() || store.is_empty() {
         return outcome;
     }
-    // Remaining candidate pool across scans, with cached coverage/score.
-    let mut pool: Vec<LabeledGraph> = candidates;
+    // The score table; a swapped-in candidate carries its row over.
+    let mut pattern_rows: BTreeMap<PatternId, ScoreRow> = store
+        .iter()
+        .map(|(id, p)| {
+            let covered = *coverage
+                .covered
+                .get(&id)
+                .expect("the coverage state is the store's");
+            (id, ScoreRow::new(ctx, p, covered, log))
+        })
+        .collect();
+    // Remaining candidate pool across scans, in the last scan's rank order.
+    let mut pool: Vec<(ScoreRow, LabeledGraph)> = candidates
+        .into_iter()
+        .map(|c| (ScoreRow::new(ctx, &c.graph, c.covered, log), c.graph))
+        .collect();
+    let mut m_before = set_measures(&store.graphs(), ctx.catalog, ctx.sample);
     let mut sigma = 0.25f64;
     let mut kappa = params.kappa;
     loop {
         let _scan_span = midas_obs::span!("batch.swap.scan");
         outcome.scans += 1;
+        let rank_span = midas_obs::span!("batch.swap.rank");
         // Rank candidates by s' descending against the current set.
         let current = store.graphs();
-        let mut ranked: Vec<(f64, f64, LabeledGraph)> = pool
-            .iter()
-            .map(|c| {
-                let score = ctx.midas_score(c, &current) * log_weight(c);
-                (score, ctx.scov(c), c.clone())
-            })
+        let mut ranked: Vec<(f64, (ScoreRow, LabeledGraph))> = pool
+            .into_iter()
+            .map(|(row, c)| (row.score(diversity(&c, &current)), (row, c)))
             .collect();
         ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
         // Rank patterns by s' ascending.
-        let mut pq_patterns: Vec<(f64, f64, PatternId)> = store
+        let mut pq_patterns: Vec<(f64, PatternId)> = store
             .iter()
             .map(|(id, p)| {
                 let others: Vec<LabeledGraph> = store
@@ -125,48 +187,45 @@ pub fn multi_scan_swap_weighted(
                     .filter(|(other, _)| *other != id)
                     .map(|(_, q)| q.clone())
                     .collect();
-                (ctx.midas_score(p, &others) * log_weight(p), ctx.scov(p), id)
+                (pattern_rows[&id].score(diversity(p, &others)), id)
             })
             .collect();
         pq_patterns.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite scores"));
+        drop(rank_span);
 
+        let _check_span = midas_obs::span!("batch.swap.check");
         let mut swaps_this_scan = 0;
         let mut consumed: BTreeSet<usize> = BTreeSet::new();
         let mut victim_idx = 0usize;
-        'candidates: for (ci, (cand_score, cand_scov, candidate)) in ranked.iter().enumerate() {
+        'candidates: for (ci, (cand_score, (cand_row, candidate))) in ranked.iter().enumerate() {
             if victim_idx >= pq_patterns.len() {
                 break;
             }
-            let (victim_score, victim_scov, victim_id) = pq_patterns[victim_idx];
+            let (victim_score, victim_id) = pq_patterns[victim_idx];
             // sw2 failure terminates the scan (sorted candidates).
             if *cand_score < (1.0 + params.lambda) * victim_score {
                 break 'candidates;
             }
             // sw1: benefit vs loss (Def. 6.2 — the coverage delta).
-            if *cand_scov < (1.0 + kappa) * victim_scov {
+            if cand_row.scov < (1.0 + kappa) * pattern_rows[&victim_id].scov {
                 continue; // try the next candidate against the same victim
             }
             // sw3–sw5 and the KS guard on the hypothetical P'.
-            let victim_graph = store.get(victim_id).expect("live pattern").clone();
-            let before: Vec<LabeledGraph> = store.graphs();
+            let victim_size = store.get(victim_id).expect("live pattern").edge_count();
             let mut after: Vec<LabeledGraph> = store
                 .iter()
                 .filter(|(id, _)| *id != victim_id)
                 .map(|(_, p)| p.clone())
                 .collect();
             after.push(candidate.clone());
-            let m_before = set_measures(&before, ctx.catalog, ctx.sample);
             let m_after = set_measures(&after, ctx.catalog, ctx.sample);
             let sw3 = m_after.div >= (1.0 + params.alpha_div) * m_before.div;
             let sw4 = m_before.cog * (1.0 + params.alpha_cog) >= m_after.cog;
             let sw5 = m_after.lcov >= (1.0 + params.alpha_lcov) * m_before.lcov;
             let sizes_before = store.sizes();
-            let mut sizes_after: Vec<usize> = before.iter().map(|p| p.edge_count()).collect();
+            let mut sizes_after = sizes_before.clone();
             // Replace the victim's size by the candidate's.
-            if let Some(pos) = sizes_after
-                .iter()
-                .position(|&s| s == victim_graph.edge_count())
-            {
+            if let Some(pos) = sizes_after.iter().position(|&s| s == victim_size) {
                 sizes_after[pos] = candidate.edge_count();
             }
             let ks_ok = distributions_similar(&sizes_before, &sizes_after, params.ks_alpha);
@@ -178,6 +237,9 @@ pub fn multi_scan_swap_weighted(
             let new_id = store
                 .insert(candidate.clone())
                 .expect("candidates were deduplicated against the store");
+            pattern_rows.remove(&victim_id);
+            pattern_rows.insert(new_id, *cand_row);
+            m_before = set_measures(&store.graphs(), ctx.catalog, ctx.sample);
             outcome.replaced.push((victim_id, new_id));
             outcome.swaps += 1;
             swaps_this_scan += 1;
@@ -189,7 +251,7 @@ pub fn multi_scan_swap_weighted(
             .into_iter()
             .enumerate()
             .filter(|(i, _)| !consumed.contains(i))
-            .map(|(_, (_, _, c))| c)
+            .map(|(_, (_, c))| c)
             .collect();
         // SWAP_α schedule (Lemma 6.3).
         if swaps_this_scan == 0 || pool.is_empty() || sigma >= 0.5 {
@@ -255,6 +317,18 @@ mod tests {
         }
     }
 
+    /// Scores `graphs` and the store through `ctx`, then swaps.
+    fn swap(
+        store: &mut PatternStore,
+        graphs: Vec<LabeledGraph>,
+        ctx: &ScovContext<'_>,
+        log: Option<&QueryLog>,
+    ) -> SwapOutcome {
+        let coverage = crate::candidate_gen::coverage_state(store, ctx);
+        let candidates = Candidate::scored(ctx, graphs);
+        multi_scan_swap_weighted(store, candidates, &coverage, ctx, &params(), log)
+    }
+
     #[test]
     fn beneficial_swap_happens() {
         // DB dominated by S-S-S chains; current pattern is a stale C-O-N
@@ -272,7 +346,7 @@ mod tests {
             catalog: &w.catalog,
             kernel: &MatchKernel::new(1),
         };
-        let outcome = multi_scan_swap(&mut store, vec![path(&[3, 3, 3])], &ctx, &params());
+        let outcome = swap(&mut store, vec![path(&[3, 3, 3])], &ctx, None);
         assert_eq!(outcome.swaps, 1);
         assert_eq!(store.len(), 1);
         assert!(store.contains_isomorphic(&path(&[3, 3, 3])));
@@ -296,11 +370,11 @@ mod tests {
             kernel: &MatchKernel::new(1),
         };
         let before = crate::metrics::quality_of(&store.graphs(), &w.db, &w.catalog, &w.sample);
-        multi_scan_swap(
+        swap(
             &mut store,
             vec![path(&[3, 3, 3]), path(&[3, 3])],
             &ctx,
-            &params(),
+            None,
         );
         let after = crate::metrics::quality_of(&store.graphs(), &w.db, &w.catalog, &w.sample);
         assert!(after.scov >= before.scov, "sw1 guarantees coverage gain");
@@ -324,7 +398,7 @@ mod tests {
             kernel: &MatchKernel::new(1),
         };
         // Candidate covering nothing.
-        let outcome = multi_scan_swap(&mut store, vec![path(&[7, 7, 7])], &ctx, &params());
+        let outcome = swap(&mut store, vec![path(&[7, 7, 7])], &ctx, None);
         assert_eq!(outcome.swaps, 0);
         assert!(store.contains_isomorphic(&path(&[0, 1, 2])));
     }
@@ -341,16 +415,15 @@ mod tests {
             catalog: &w.catalog,
             kernel: &MatchKernel::new(1),
         };
-        let outcome = multi_scan_swap(&mut store, vec![path(&[0, 1])], &ctx, &params());
+        let outcome = swap(&mut store, vec![path(&[0, 1])], &ctx, None);
         assert_eq!(outcome.swaps, 0, "empty store: nothing to swap");
         store.insert(path(&[0, 1])).unwrap();
-        let outcome2 = multi_scan_swap(&mut store, vec![], &ctx, &params());
+        let outcome2 = swap(&mut store, vec![], &ctx, None);
         assert_eq!(outcome2.swaps, 0, "no candidates: nothing to do");
     }
 
     #[test]
     fn query_log_weighting_changes_priorities() {
-        use crate::query_log::QueryLog;
         // Two candidates with similar coverage; the log favours one.
         let mut graphs = vec![path(&[0, 1, 2])];
         graphs.extend(vec![path(&[3, 3, 3]); 4]);
@@ -370,11 +443,10 @@ mod tests {
         for _ in 0..5 {
             log.record(path(&[4, 4, 4, 4]));
         }
-        let outcome = crate::swap::multi_scan_swap_weighted(
+        let outcome = swap(
             &mut store,
             vec![path(&[3, 3, 3]), path(&[4, 4, 4])],
             &ctx,
-            &params(),
             Some(&log),
         );
         assert!(outcome.swaps >= 1);
@@ -413,7 +485,7 @@ mod tests {
             catalog: &w.catalog,
             kernel: &MatchKernel::new(1),
         };
-        let outcome = multi_scan_swap(&mut store, vec![path(&[3, 3, 3])], &ctx, &params());
+        let outcome = swap(&mut store, vec![path(&[3, 3, 3])], &ctx, None);
         assert_eq!(outcome.swaps, 1);
         let (removed, added) = outcome.replaced[0];
         assert_eq!(removed, old_id);

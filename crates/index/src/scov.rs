@@ -9,8 +9,9 @@
 //! dominate it, and only verify isomorphism on the survivors — exactly the
 //! `(p₃, G₈), (p₃, G₉)` pruning of the paper's example.
 
-use crate::fct_index::FctIndex;
+use crate::fct_index::{FctIndex, FeatureId};
 use crate::ife_index::IfeIndex;
+use crate::sparse::SparseMatrix;
 use midas_graph::isomorphism::is_subgraph_of;
 use midas_graph::{Csr, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use std::collections::BTreeSet;
@@ -19,7 +20,7 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, Default)]
 pub struct PatternProfile {
     /// Counts over FCT-Index features (only non-zero entries).
-    pub fct_counts: Vec<(crate::FeatureId, u32)>,
+    pub fct_counts: Vec<(FeatureId, u32)>,
     /// Counts over tracked infrequent edges (only non-zero entries).
     pub ife_counts: Vec<(EdgeLabel, u32)>,
 }
@@ -34,50 +35,42 @@ pub fn profile_pattern(fct: &FctIndex, ife: &IfeIndex, pattern: &LabeledGraph) -
     }
 }
 
-/// Returns the ids of graphs whose index columns dominate `profile` —
-/// the candidate set that still needs isomorphism verification.
+/// Returns the ids of graphs in `universe` whose TG/EG columns dominate
+/// `profile` — the candidate set that still needs isomorphism
+/// verification — in ascending order.
 ///
-/// `universe` bounds the candidates (e.g. a sampled database `D_s`); pass
-/// `None` to consider every graph appearing in the matrices. When the
-/// profile is empty the filter is vacuous and the whole universe returns.
+/// `universe` bounds the candidates (e.g. a sampled database `D_s`). When
+/// the profile is empty the filter is vacuous and the whole universe
+/// returns. Matrix rows iterate in `GraphId` order, so each profile entry
+/// narrows the sorted survivors with one merge pass over its row.
 pub fn candidate_graphs(
-    fct: &FctIndex,
-    ife: &IfeIndex,
+    tg: &SparseMatrix<FeatureId, GraphId>,
+    eg: &SparseMatrix<EdgeLabel, GraphId>,
     profile: &PatternProfile,
     universe: &BTreeSet<GraphId>,
-) -> BTreeSet<GraphId> {
-    fn intersect(candidates: &mut Option<BTreeSet<GraphId>>, survivors: BTreeSet<GraphId>) {
-        *candidates = Some(match candidates.take() {
-            None => survivors,
-            Some(old) => old.intersection(&survivors).copied().collect(),
+) -> Vec<GraphId> {
+    fn narrow(survivors: &mut Vec<GraphId>, row: impl Iterator<Item = (GraphId, u32)>, need: u32) {
+        let mut row = row.peekable();
+        survivors.retain(|&id| {
+            while row.next_if(|&(g, _)| g < id).is_some() {}
+            row.next_if(|&(g, _)| g == id)
+                .is_some_and(|(_, c)| c >= need)
         });
     }
-    let mut candidates: Option<BTreeSet<GraphId>> = None;
+    let mut survivors: Vec<GraphId> = universe.iter().copied().collect();
     for &(fid, need) in &profile.fct_counts {
-        let survivors: BTreeSet<GraphId> = fct
-            .tg()
-            .row(fid)
-            .filter(|&(id, c)| c >= need && universe.contains(&id))
-            .map(|(id, _)| id)
-            .collect();
-        intersect(&mut candidates, survivors);
-        if candidates.as_ref().is_some_and(|c| c.is_empty()) {
-            return BTreeSet::new();
+        if survivors.is_empty() {
+            break;
         }
+        narrow(&mut survivors, tg.row(fid), need);
     }
     for &(label, need) in &profile.ife_counts {
-        let survivors: BTreeSet<GraphId> = ife
-            .eg()
-            .row(label)
-            .filter(|&(id, c)| c >= need && universe.contains(&id))
-            .map(|(id, _)| id)
-            .collect();
-        intersect(&mut candidates, survivors);
-        if candidates.as_ref().is_some_and(|c| c.is_empty()) {
-            return BTreeSet::new();
+        if survivors.is_empty() {
+            break;
         }
+        narrow(&mut survivors, eg.row(label), need);
     }
-    candidates.unwrap_or_else(|| universe.clone())
+    survivors
 }
 
 /// Computes the exact set of graphs in `universe` containing `pattern`,
@@ -90,7 +83,7 @@ pub fn covered_graphs(
     universe: &BTreeSet<GraphId>,
 ) -> BTreeSet<GraphId> {
     let profile = profile_pattern(fct, ife, pattern);
-    candidate_graphs(fct, ife, &profile, universe)
+    candidate_graphs(fct.tg(), ife.eg(), &profile, universe)
         .into_iter()
         .filter(|&id| db.get(id).is_some_and(|g| is_subgraph_of(pattern, g)))
         .collect()
@@ -110,7 +103,7 @@ pub fn covered_graphs_with(
     universe: &BTreeSet<GraphId>,
 ) -> BTreeSet<GraphId> {
     let profile = profile_pattern(fct, ife, pattern);
-    let candidates: Vec<(GraphId, &Csr)> = candidate_graphs(fct, ife, &profile, universe)
+    let candidates: Vec<(GraphId, &Csr)> = candidate_graphs(fct.tg(), ife.eg(), &profile, universe)
         .into_iter()
         .filter_map(|id| db.csr(id).map(|g| (id, g)))
         .collect();
@@ -170,10 +163,9 @@ mod tests {
         let universe: BTreeSet<GraphId> = db.ids().collect();
         let pattern = path(&[0, 1, 2]); // C-O-N
         let profile = profile_pattern(&fct, &ife, &pattern);
-        let candidates = candidate_graphs(&fct, &ife, &profile, &universe);
+        let candidates = candidate_graphs(fct.tg(), ife.eg(), &profile, &universe);
         // Only G0 has both a C-O and an O-N embedding.
-        assert_eq!(candidates.len(), 1);
-        assert!(candidates.contains(&db.ids().next().unwrap()));
+        assert_eq!(candidates, vec![db.ids().next().unwrap()]);
     }
 
     #[test]
@@ -228,8 +220,8 @@ mod tests {
         let profile = profile_pattern(&fct, &ife, &pattern);
         assert!(profile.fct_counts.is_empty());
         assert!(profile.ife_counts.is_empty());
-        let candidates = candidate_graphs(&fct, &ife, &profile, &universe);
-        assert_eq!(candidates, universe);
+        let candidates = candidate_graphs(fct.tg(), ife.eg(), &profile, &universe);
+        assert_eq!(candidates, universe.iter().copied().collect::<Vec<_>>());
         // But verification still rejects everything.
         assert!(covered_graphs(&fct, &ife, &db, &pattern, &universe).is_empty());
     }

@@ -4,7 +4,7 @@
 //! in the workspace is cross-checked against its slow reference twin on a
 //! seeded, fully reproducible world from `midas-datagen`.
 //!
-//! The eight checks ([`Oracle::run_all`]):
+//! The nine checks ([`Oracle::run_all`]):
 //!
 //! 1. **`kernel_vs_serial`** — [`MatchKernel`] / `EmbeddingCache` counts
 //!    and containment vs the serial VF2 walkers
@@ -36,6 +36,13 @@
 //!    growth, mixed deletion and novel-wave batches that each split a
 //!    cluster: membership, group order and CSG member sets must be
 //!    identical, and the memo may only name graphs still clustered.
+//! 9. **`swap_score_cache`** — the production swap, which scores each
+//!    candidate and pattern once per call from carried covered counts, vs
+//!    an oracle-local copy of the re-scoring loop it replaced: identical
+//!    swaps, scans, `replaced` pairs and final sets, query-log weighting
+//!    included; and on a bootstrapped [`Midas`]'s major batches every
+//!    carried count gives the `scov` that `ScovContext::scov` computes,
+//!    also over an empty sample.
 //!
 //! Divergences are reported as structured JSON (reusing `midas_obs::json`)
 //! with the offending graph pair **minimized** by greedy vertex removal
@@ -53,11 +60,17 @@
 #![warn(rust_2018_idioms)]
 
 use midas_catapult::score::diversity;
+use midas_catapult::WeightedCsg;
 use midas_cluster::{ClusterConfig, ClusterSet, FeatureSpace};
+use midas_core::candidate_gen::{
+    coverage_state, generate_promising_candidates, Candidate, GenerationParams,
+};
+use midas_core::ks::distributions_similar;
 use midas_core::metrics::ScovContext;
 use midas_core::monitor::GraphletMonitor;
-use midas_core::swap::{multi_scan_swap, SwapOutcome, SwapParams};
-use midas_core::{Midas, MidasConfig, PatternStore};
+use midas_core::query_log::QueryLog;
+use midas_core::swap::{multi_scan_swap, multi_scan_swap_weighted, SwapOutcome, SwapParams};
+use midas_core::{Midas, MidasConfig, ModificationKind, PatternStore};
 use midas_datagen::updates::boronic_ester_family;
 use midas_datagen::{
     deletion_batch, growth_batch, novel_family_batch, query_set, DatasetKind, DatasetSpec,
@@ -242,7 +255,7 @@ where
     }
 }
 
-/// The differential oracle: a seeded world plus the eight checks.
+/// The differential oracle: a seeded world plus the nine checks.
 pub struct Oracle {
     seed: u64,
 }
@@ -263,7 +276,7 @@ impl Oracle {
             checks: Vec::new(),
             divergences: Vec::new(),
         };
-        let checks: [(&'static str, CheckFn); 8] = [
+        let checks: [(&'static str, CheckFn); 9] = [
             ("kernel_vs_serial", Oracle::check_kernel_vs_serial),
             ("incremental_mining", Oracle::check_incremental_mining),
             ("graphlet_monitor", Oracle::check_monitor),
@@ -272,6 +285,7 @@ impl Oracle {
             ("plan_vs_vf2", Oracle::check_plan_vs_vf2),
             ("serve_vs_library", Oracle::check_serve_vs_library),
             ("fine_cluster_memo", Oracle::check_fine_cluster_memo),
+            ("swap_score_cache", Oracle::check_swap_score_cache),
         ];
         for (name, check) in checks {
             let cases = check(self, &mut report.divergences);
@@ -499,10 +513,6 @@ impl Oracle {
         }
         // Boundary cases: identical graphs, disjoint label alphabets,
         // isolated vertices vs a clique, single vertices.
-        let path = |labels: &[u32]| {
-            let vs: Vec<u32> = (0..labels.len() as u32).collect();
-            GraphBuilder::new().vertices(labels).path(&vs).build()
-        };
         let isolated = GraphBuilder::new().vertices(&[0, 0, 0]).build();
         let triangle = GraphBuilder::new()
             .vertices(&[0, 0, 0])
@@ -550,23 +560,26 @@ impl Oracle {
     /// Check 5: multi-scan swap — kernel/serial parity, sw3–sw5 set-level
     /// monotonicity, and an sw1 replay against brute-force coverage.
     fn check_swap(&self, out: &mut Vec<Divergence>) -> usize {
-        let mut cases = 0;
+        self.swap_worlds()
+            .into_iter()
+            .map(|w| self.swap_world(w.name, w.db, w.initial, w.candidates, out))
+            .sum()
+    }
+
+    /// The unweighted swap worlds checks 5 and 9 share.
+    fn swap_worlds(&self) -> Vec<SwapWorld> {
         // World A: a synthetic database engineered so exactly one
         // beneficial swap exists (stale C-O-N pattern vs dominant S-S-S
         // chains) — the brute-force sw1 replay has a real swap to audit.
-        let path = |labels: &[u32]| {
-            let vs: Vec<u32> = (0..labels.len() as u32).collect();
-            GraphBuilder::new().vertices(labels).path(&vs).build()
-        };
         let mut synthetic = vec![path(&[0, 1, 2])];
         synthetic.extend(vec![path(&[3, 3, 3]); 5]);
-        cases += self.swap_world(
-            "synthetic",
-            GraphDb::from_graphs(synthetic),
-            vec![path(&[0, 1, 2])],
-            vec![path(&[3, 3, 3])],
-            out,
-        );
+        let mut worlds = vec![SwapWorld {
+            name: "synthetic",
+            db: GraphDb::from_graphs(synthetic),
+            initial: vec![path(&[0, 1, 2])],
+            candidates: vec![path(&[3, 3, 3])],
+            log: None,
+        }];
         // World B: a messier generated world — parity and monotonicity
         // under realistic molecules.
         let db = DatasetSpec::new(DatasetKind::AidsLike, 14, self.seed ^ 0x40)
@@ -590,9 +603,15 @@ impl Oracle {
             }
         }
         if !initial.is_empty() && !candidates.is_empty() {
-            cases += self.swap_world("generated", db, initial, candidates, out);
+            worlds.push(SwapWorld {
+                name: "generated",
+                db,
+                initial,
+                candidates,
+                log: None,
+            });
         }
-        cases
+        worlds
     }
 
     /// Runs one swap world through a shared and a fresh kernel and audits
@@ -641,7 +660,9 @@ impl Oracle {
                 catalog: &catalog,
                 kernel,
             };
-            let outcome = multi_scan_swap(&mut store, candidates.clone(), &ctx, &params);
+            let coverage = coverage_state(&store, &ctx);
+            let scored = Candidate::scored(&ctx, candidates.clone());
+            let outcome = multi_scan_swap(&mut store, scored, &coverage, &ctx, &params);
             let graphs = store.graphs();
             (outcome, graphs, before, store)
         };
@@ -1041,6 +1062,212 @@ impl Oracle {
         }
         cases
     }
+
+    /// Check 9: the production swap, which scores each side once per call
+    /// from carried covered counts, against [`rescoring_swap`], a copy of
+    /// the loop it replaced that re-scores through `ctx.scov` every scan
+    /// and recomputes `set_measures(&before)` per candidate. Swaps, scans,
+    /// `replaced` pairs and the final set must be identical on check 5's
+    /// worlds plus one query-log-weighted world.
+    ///
+    /// On a bootstrapped [`Midas`]'s major batches, every covered count
+    /// candidate generation carries, and every pattern's count in the
+    /// [`midas_core::candidate_gen::CoverageState`], must give the `scov`
+    /// that `ctx.scov` computes — also over an empty sample, where both
+    /// are 0.
+    fn check_swap_score_cache(&self, out: &mut Vec<Divergence>) -> usize {
+        let mut worlds = self.swap_worlds();
+        // The log lifts the smaller S-family over the larger one, so the
+        // first swap replaces the coverage-free pattern with it. The second
+        // candidate then fails sw5 against C-O-N, whose edge labels reach
+        // the C-O and O-N graphs: only the set measures refreshed after
+        // the first swap reject it.
+        let mut graphs = vec![path(&[0, 1, 2])];
+        graphs.extend(vec![path(&[0, 1]); 3]);
+        graphs.extend(vec![path(&[1, 2]); 3]);
+        graphs.extend(vec![path(&[3, 3, 3]); 5]);
+        graphs.extend(vec![path(&[4, 4, 4]); 4]);
+        let mut log = QueryLog::new(16);
+        for _ in 0..5 {
+            log.record(path(&[4, 4, 4, 4]));
+        }
+        worlds.push(SwapWorld {
+            name: "log-weighted",
+            db: GraphDb::from_graphs(graphs),
+            initial: vec![path(&[0, 1, 2]), path(&[5, 5, 5])],
+            candidates: vec![path(&[3, 3, 3]), path(&[4, 4, 4])],
+            log: Some(log),
+        });
+        let mut cases = 0;
+        for w in &worlds {
+            cases += 1;
+            if let Some(d) = self.score_cache_world(w) {
+                out.push(d);
+            }
+        }
+        cases + self.carried_coverage(out)
+    }
+
+    /// Runs one world through the production swap and the re-scoring
+    /// reference; returns their disagreement, if any.
+    fn score_cache_world(&self, w: &SwapWorld) -> Option<Divergence> {
+        let refs: Vec<(GraphId, &LabeledGraph)> =
+            w.db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+        let catalog = EdgeCatalog::build(refs.iter().copied());
+        let sample: BTreeSet<GraphId> = w.db.ids().collect();
+        let fct = FctIndex::build(
+            std::iter::empty::<(TreeKey, &LabeledGraph)>(),
+            refs.iter().copied(),
+            std::iter::empty::<(PatternId, &LabeledGraph)>(),
+        );
+        let ife = IfeIndex::build(
+            BTreeSet::new(),
+            refs.iter().copied(),
+            std::iter::empty::<(PatternId, &LabeledGraph)>(),
+        );
+        let kernel = MatchKernel::new(1);
+        let ctx = ScovContext {
+            fct: &fct,
+            ife: &ife,
+            db: &w.db,
+            sample: &sample,
+            catalog: &catalog,
+            kernel: &kernel,
+        };
+        let params = SwapParams::default();
+        let store = || PatternStore::from_patterns(w.initial.iter().cloned());
+        let mut fast = store();
+        let coverage = coverage_state(&fast, &ctx);
+        let scored = Candidate::scored(&ctx, w.candidates.clone());
+        let got =
+            multi_scan_swap_weighted(&mut fast, scored, &coverage, &ctx, &params, w.log.as_ref());
+        let mut reference = store();
+        let want = rescoring_swap(
+            &mut reference,
+            w.candidates.clone(),
+            &ctx,
+            &params,
+            w.log.as_ref(),
+        );
+        let same = got.swaps == want.swaps
+            && got.scans == want.scans
+            && got.replaced == want.replaced
+            && fast.graphs() == reference.graphs();
+        let describe = |o: &SwapOutcome, store: &PatternStore| {
+            format!(
+                "swaps {}, scans {}, replaced {:?}, {} final patterns",
+                o.swaps,
+                o.scans,
+                o.replaced,
+                store.len()
+            )
+        };
+        (!same).then(|| Divergence {
+            check: "swap_score_cache",
+            case: format!("{}: cached scores vs re-scoring loop", w.name),
+            expected: describe(&want, &reference),
+            actual: describe(&got, &fast),
+            witness: None,
+        })
+    }
+
+    /// The carried-coverage half of check 9, on a bootstrapped [`Midas`].
+    fn carried_coverage(&self, out: &mut Vec<Divergence>) -> usize {
+        let db = DatasetSpec::new(DatasetKind::AidsLike, 24, self.seed ^ 0x90)
+            .generate()
+            .db;
+        // A low drift threshold makes every novel-family batch major.
+        let config = MidasConfig {
+            epsilon: 0.01,
+            ..MidasConfig::small_defaults()
+        };
+        let mut midas = match Midas::bootstrap(db, config) {
+            Ok(m) => m,
+            Err(e) => {
+                out.push(score_cache_divergence(
+                    "bootstrap".into(),
+                    "a bootstrapped Midas".into(),
+                    e,
+                ));
+                return 1;
+            }
+        };
+        let mut cases = 0;
+        let mut majors = 0;
+        for step in 0..3u64 {
+            let update = novel_family_batch(boronic_ester_family(), 10, self.seed ^ (0x91 + step));
+            if midas.apply_batch(update).kind != ModificationKind::Major {
+                continue;
+            }
+            majors += 1;
+            let full: BTreeSet<GraphId> = midas.db().ids().collect();
+            for (label, sample) in [("sample", full), ("empty sample", BTreeSet::new())] {
+                let ctx = ScovContext {
+                    fct: midas.fct_index(),
+                    ife: midas.ife_index(),
+                    db: midas.db(),
+                    sample: &sample,
+                    catalog: &midas.fct_state().edges,
+                    kernel: midas.kernel(),
+                };
+                let config = midas.config();
+                let csgs: Vec<WeightedCsg> = midas
+                    .clusters()
+                    .iter()
+                    .map(|(_, c)| {
+                        WeightedCsg::build(c.csg(), &midas.fct_state().edges, midas.db().len())
+                    })
+                    .collect();
+                let state = coverage_state(midas.pattern_store(), &ctx);
+                let params = GenerationParams {
+                    budget: config.budget,
+                    walks: config.walks,
+                    walk_length: config.walk_length,
+                    seeds_per_size: config.seeds_per_size,
+                    kappa: config.kappa,
+                };
+                let mut rng = StdRng::seed_from_u64(self.seed ^ (0x9A + step));
+                let candidates = generate_promising_candidates(
+                    &csgs,
+                    midas.pattern_store(),
+                    &ctx,
+                    &state,
+                    &params,
+                    &mut rng,
+                );
+                let carried = candidates
+                    .iter()
+                    .map(|c| ("candidate", &c.graph, c.covered))
+                    .chain(
+                        midas
+                            .pattern_store()
+                            .iter()
+                            .map(|(id, p)| ("pattern", p, state.covered[&id])),
+                    );
+                for (i, (side, graph, covered)) in carried.enumerate() {
+                    cases += 1;
+                    let (want, got) = (ctx.scov(graph), ctx.scov_of(covered));
+                    let empty_nonzero = sample.is_empty() && (want != 0.0 || got != 0.0);
+                    if want != got || empty_nonzero {
+                        out.push(score_cache_divergence(
+                            format!("step {step}, {label}: {side} {i} carried scov"),
+                            format!("{want:.6} (ctx.scov)"),
+                            format!("{got:.6} (carried count {covered})"),
+                        ));
+                    }
+                }
+            }
+        }
+        cases += 1;
+        if majors == 0 {
+            out.push(score_cache_divergence(
+                "coverage".into(),
+                "at least one major batch".into(),
+                "none".into(),
+            ));
+        }
+        cases
+    }
 }
 
 /// One differential check: collects divergences, returns its case count.
@@ -1054,6 +1281,136 @@ type SwapRunResult = (
     BTreeMap<PatternId, LabeledGraph>,
     PatternStore,
 );
+
+/// A swap world: database, initial patterns, candidates and an optional
+/// query log.
+struct SwapWorld {
+    name: &'static str,
+    db: GraphDb,
+    initial: Vec<LabeledGraph>,
+    candidates: Vec<LabeledGraph>,
+    log: Option<QueryLog>,
+}
+
+/// Check 9's reference: the multi-scan swap as it ran before scores were
+/// cached — every scan re-scores both sides through `ctx.scov`, and every
+/// candidate that reaches sw3 recomputes the current set's measures.
+fn rescoring_swap(
+    store: &mut PatternStore,
+    candidates: Vec<LabeledGraph>,
+    ctx: &ScovContext<'_>,
+    params: &SwapParams,
+    log: Option<&QueryLog>,
+) -> SwapOutcome {
+    let score = |p: &LabeledGraph, others: &[LabeledGraph]| {
+        ctx.midas_score(p, others) * log.map_or(1.0, |l| l.weight(p))
+    };
+    let mut outcome = SwapOutcome::default();
+    if candidates.is_empty() || store.is_empty() {
+        return outcome;
+    }
+    let mut pool = candidates;
+    let mut sigma = 0.25f64;
+    let mut kappa = params.kappa;
+    loop {
+        outcome.scans += 1;
+        let current = store.graphs();
+        let mut ranked: Vec<(f64, f64, LabeledGraph)> = pool
+            .iter()
+            .map(|c| (score(c, &current), ctx.scov(c), c.clone()))
+            .collect();
+        ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
+        let mut pq_patterns: Vec<(f64, f64, PatternId)> = store
+            .iter()
+            .map(|(id, p)| {
+                let others: Vec<LabeledGraph> = store
+                    .iter()
+                    .filter(|(other, _)| *other != id)
+                    .map(|(_, q)| q.clone())
+                    .collect();
+                (score(p, &others), ctx.scov(p), id)
+            })
+            .collect();
+        pq_patterns.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite scores"));
+        let mut swaps_this_scan = 0;
+        let mut consumed: BTreeSet<usize> = BTreeSet::new();
+        let mut victim_idx = 0usize;
+        for (ci, (cand_score, cand_scov, candidate)) in ranked.iter().enumerate() {
+            if victim_idx >= pq_patterns.len() {
+                break;
+            }
+            let (victim_score, victim_scov, victim_id) = pq_patterns[victim_idx];
+            if *cand_score < (1.0 + params.lambda) * victim_score {
+                break;
+            }
+            if *cand_scov < (1.0 + kappa) * victim_scov {
+                continue;
+            }
+            let victim_graph = store.get(victim_id).expect("live pattern").clone();
+            let before: Vec<LabeledGraph> = store.graphs();
+            let mut after: Vec<LabeledGraph> = store
+                .iter()
+                .filter(|(id, _)| *id != victim_id)
+                .map(|(_, p)| p.clone())
+                .collect();
+            after.push(candidate.clone());
+            let m_before = midas_catapult::score::set_measures(&before, ctx.catalog, ctx.sample);
+            let m_after = midas_catapult::score::set_measures(&after, ctx.catalog, ctx.sample);
+            let sw3 = m_after.div >= (1.0 + params.alpha_div) * m_before.div;
+            let sw4 = m_before.cog * (1.0 + params.alpha_cog) >= m_after.cog;
+            let sw5 = m_after.lcov >= (1.0 + params.alpha_lcov) * m_before.lcov;
+            let sizes_before = store.sizes();
+            let mut sizes_after: Vec<usize> = before.iter().map(|p| p.edge_count()).collect();
+            if let Some(pos) = sizes_after
+                .iter()
+                .position(|&s| s == victim_graph.edge_count())
+            {
+                sizes_after[pos] = candidate.edge_count();
+            }
+            let ks_ok = distributions_similar(&sizes_before, &sizes_after, params.ks_alpha);
+            if !(sw3 && sw4 && sw5 && ks_ok) {
+                continue;
+            }
+            store.remove(victim_id);
+            let new_id = store
+                .insert(candidate.clone())
+                .expect("candidates were deduplicated against the store");
+            outcome.replaced.push((victim_id, new_id));
+            outcome.swaps += 1;
+            swaps_this_scan += 1;
+            consumed.insert(ci);
+            victim_idx += 1;
+        }
+        pool = ranked
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| !consumed.contains(i))
+            .map(|(_, (_, _, c))| c)
+            .collect();
+        if swaps_this_scan == 0 || pool.is_empty() || sigma >= 0.5 {
+            break;
+        }
+        kappa = (1.0 - 2.0 * sigma).max(0.0);
+        sigma = 0.25 / (1.0 - sigma);
+    }
+    outcome
+}
+
+/// A path graph over `labels`.
+fn path(labels: &[u32]) -> LabeledGraph {
+    let vs: Vec<u32> = (0..labels.len() as u32).collect();
+    GraphBuilder::new().vertices(labels).path(&vs).build()
+}
+
+fn score_cache_divergence(case: String, expected: String, actual: String) -> Divergence {
+    Divergence {
+        check: "swap_score_cache",
+        case,
+        expected,
+        actual,
+        witness: None,
+    }
+}
 
 /// The frequent-closed-tree view of a state as a comparable map.
 fn fct_map(state: &FctState, db_len: usize) -> BTreeMap<TreeKey, BTreeSet<GraphId>> {
@@ -1384,11 +1741,6 @@ pub fn fault_containment_pass(seed: u64, target: u64) -> Result<String, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn path(labels: &[u32]) -> LabeledGraph {
-        let vs: Vec<u32> = (0..labels.len() as u32).collect();
-        GraphBuilder::new().vertices(labels).path(&vs).build()
-    }
 
     #[test]
     fn graph_json_is_valid_json() {

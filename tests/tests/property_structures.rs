@@ -2,17 +2,18 @@
 //! maintenance §4.4), the index matrices (§5.1), and the swap guarantees
 //! (§6.2).
 
+use midas_core::candidate_gen::{coverage_state, Candidate};
 use midas_core::metrics::ScovContext;
 use midas_core::patterns::PatternStore;
 use midas_core::swap::{multi_scan_swap, SwapParams};
 use midas_graph::isomorphism::count_embeddings;
 use midas_graph::{ClosureGraph, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
-use midas_index::scov::profile_pattern;
-use midas_index::{FctIndex, FeatureId, IfeIndex, PatternId, EMBED_CAP};
+use midas_index::scov::{candidate_graphs, profile_pattern, PatternProfile};
+use midas_index::{FctIndex, FeatureId, IfeIndex, PatternId, SparseMatrix, EMBED_CAP};
 use midas_mining::EdgeCatalog;
 use midas_tests::{connected_graph_strategy, tree_strategy};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -161,6 +162,53 @@ proptest! {
         prop_assert_eq!(ife.ep().col(id).collect::<Vec<_>>(), ife_counts);
     }
 
+    /// The merge-join dominance filter keeps exactly the universe graphs
+    /// whose TG and EG counts reach every profile entry, in ascending
+    /// order. Rows are dense against a sparse universe, so a merge pass
+    /// must skip several row entries between survivors. Universe ids
+    /// 12..16 appear in no row, feature 3 and edge label (2, 3) have no
+    /// row, and the generated profiles and universes include empty ones.
+    #[test]
+    fn candidate_graphs_match_a_per_graph_dominance_check(
+        tg in proptest::collection::vec((0u32..3, 0u64..12, 1u32..4), 0..60),
+        eg in proptest::collection::vec((0u32..2, 0u64..12, 1u32..4), 0..40),
+        fct_need in proptest::collection::vec((0u32..4, 1u32..4), 0..4),
+        ife_need in proptest::collection::vec((0u32..3, 1u32..4), 0..3),
+        universe in proptest::collection::vec(0u64..16, 0..10),
+    ) {
+        let edge = |l: u32| EdgeLabel::new(l, l + 1);
+        let tg = SparseMatrix::from_triples(
+            tg.into_iter().map(|(f, g, c)| (FeatureId(f), GraphId(g), c)),
+        );
+        let eg = SparseMatrix::from_triples(
+            eg.into_iter().map(|(l, g, c)| (edge(l), GraphId(g), c)),
+        );
+        // One entry per feature, as `pattern_counts` returns them.
+        let fct_need: BTreeMap<u32, u32> = fct_need.into_iter().collect();
+        let ife_need: BTreeMap<u32, u32> = ife_need.into_iter().collect();
+        let profile = PatternProfile {
+            fct_counts: fct_need.iter().map(|(&f, &n)| (FeatureId(f), n)).collect(),
+            ife_counts: ife_need.iter().map(|(&l, &n)| (edge(l), n)).collect(),
+        };
+        let universe: BTreeSet<GraphId> = universe.into_iter().map(GraphId).collect();
+        let naive: Vec<GraphId> = universe
+            .iter()
+            .copied()
+            .filter(|&g| {
+                profile.fct_counts.iter().all(|&(f, need)| tg.get(f, g) >= need)
+                    && profile.ife_counts.iter().all(|&(l, need)| eg.get(l, g) >= need)
+            })
+            .collect();
+        prop_assert_eq!(candidate_graphs(&tg, &eg, &profile, &universe), naive);
+        let all: Vec<GraphId> = universe.iter().copied().collect();
+        prop_assert_eq!(
+            candidate_graphs(&tg, &eg, &PatternProfile::default(), &universe),
+            all,
+            "an empty profile returns the whole universe"
+        );
+        prop_assert!(candidate_graphs(&tg, &eg, &profile, &BTreeSet::new()).is_empty());
+    }
+
     /// The swap never decreases sample-level coverage, diversity or label
     /// coverage, and never increases cognitive load (sw1–sw5 as a
     /// property).
@@ -199,7 +247,9 @@ proptest! {
             kernel: &MatchKernel::new(1),
         };
         let before = midas_core::quality_of(&store.graphs(), &db, &catalog, &sample);
-        multi_scan_swap(&mut store, candidates, &ctx, &SwapParams::default());
+        let coverage = coverage_state(&store, &ctx);
+        let candidates = Candidate::scored(&ctx, candidates);
+        multi_scan_swap(&mut store, candidates, &coverage, &ctx, &SwapParams::default());
         let after = midas_core::quality_of(&store.graphs(), &db, &catalog, &sample);
         prop_assert!(after.scov >= before.scov - 1e-9, "sw1: {} -> {}", before.scov, after.scov);
         prop_assert!(after.div >= before.div - 1e-9, "sw3: {} -> {}", before.div, after.div);
@@ -240,7 +290,9 @@ proptest! {
             catalog: &catalog,
             kernel: &MatchKernel::new(1),
         };
-        multi_scan_swap(&mut store, candidates, &ctx, &SwapParams::default());
+        let coverage = coverage_state(&store, &ctx);
+        let candidates = Candidate::scored(&ctx, candidates);
+        multi_scan_swap(&mut store, candidates, &coverage, &ctx, &SwapParams::default());
         prop_assert_eq!(store.len(), gamma);
     }
 }

@@ -73,6 +73,30 @@ fn phase_spans_tile_pattern_maintenance_time() {
 }
 
 #[test]
+fn swap_child_spans_nest_inside_batch_swap() {
+    let _g = exclusive();
+    let mut cfg = test_config(7);
+    cfg.telemetry.enabled = true;
+    let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    let report = midas.apply_batch(BatchUpdate::insert_only(dense_wave()));
+    TelemetryConfig::default().activate();
+
+    // One ranking and one candidate loop per scan, both inside the swap.
+    let telemetry = &report.telemetry;
+    assert!(telemetry.counter("monitor.major") == 1, "wave drifts");
+    let scans = telemetry.span("batch.swap.scan").count;
+    assert!(scans >= 1);
+    assert_eq!(telemetry.span("batch.swap.rank").count, scans);
+    assert_eq!(telemetry.span("batch.swap.check").count, scans);
+    let children = telemetry.span_total(&["batch.swap.rank", "batch.swap.check"]);
+    let swap = telemetry.span_total(&["batch.swap"]);
+    assert!(
+        children <= swap,
+        "rank + check {children:?} exceed batch.swap {swap:?}"
+    );
+}
+
+#[test]
 fn metrics_snapshot_exports_valid_json() {
     let _g = exclusive();
     let mut cfg = test_config(11);
