@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use midas_datagen::{DatasetKind, DatasetSpec};
-use midas_graph::{ClosureGraph, GraphId, LabeledGraph};
+use midas_graph::{ClosureGraph, GraphDb, GraphId, LabeledGraph};
 use midas_mining::{mine_lattice, MiningConfig};
 use std::hint::black_box;
 
@@ -132,18 +132,20 @@ fn bench_closure(c: &mut Criterion) {
 }
 
 fn bench_mining(c: &mut Criterion) {
-    let graphs = dataset(60);
-    let refs: Vec<(GraphId, &LabeledGraph)> = graphs
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (GraphId(i as u64), g))
-        .collect();
+    let db = GraphDb::from_graphs(dataset(60));
+    let ids: Vec<GraphId> = db.ids().collect();
     let config = MiningConfig {
         sup_min: 0.4,
         max_edges: 3,
     };
     c.bench_function("mining/fct_lattice_60_graphs", |b| {
-        b.iter(|| black_box(mine_lattice(black_box(&refs), black_box(&config))))
+        b.iter(|| {
+            black_box(mine_lattice(
+                black_box(&db),
+                black_box(&ids),
+                black_box(&config),
+            ))
+        })
     });
 }
 

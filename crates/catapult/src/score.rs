@@ -8,7 +8,7 @@
 
 use midas_graph::ged::ged_tight_lower_bound;
 use midas_graph::isomorphism::is_subgraph_of;
-use midas_graph::{LabeledGraph, MatchKernel};
+use midas_graph::{Csr, LabeledGraph, MatchKernel, MatchPlan};
 use midas_mining::EdgeCatalog;
 use std::collections::BTreeSet;
 
@@ -34,29 +34,32 @@ pub fn pattern_score(parts: PatternScoreParts) -> f64 {
 
 /// Cluster coverage `ccov(p, cw, C) = Σ cw_i · I_i` (Def. 2.1): `cw_i =
 /// |C_i| / |D|` and `I_i = 1` iff the CSG of `C_i` contains a subgraph
-/// isomorphic to `p` (tested on the CSG's labeled projection).
+/// isomorphic to `p` (tested on the CSR view of the CSG's labeled
+/// projection).
 pub fn ccov(pattern: &LabeledGraph, clusters: &midas_cluster::ClusterSet, db_len: usize) -> f64 {
-    let projections: Vec<(usize, LabeledGraph)> = clusters
-        .iter()
-        .map(|(_, c)| (c.len(), c.csg().to_labeled_graph().0))
-        .collect();
-    ccov_projected(pattern, &projections, db_len)
+    ccov_projected(pattern, &csg_projections(clusters), db_len)
 }
 
-/// [`ccov`] over precomputed `(cluster size, CSG projection)` pairs — the
-/// selection loop scores many candidates against the same CSGs, so the
-/// projections are computed once.
-pub fn ccov_projected(
-    pattern: &LabeledGraph,
-    projections: &[(usize, LabeledGraph)],
-    db_len: usize,
-) -> f64 {
+/// The `(cluster size, CSR view of the CSG's labeled projection)` pair of
+/// every cluster — the targets [`ccov_projected`] matches against.
+pub fn csg_projections(clusters: &midas_cluster::ClusterSet) -> Vec<(usize, Csr)> {
+    clusters
+        .iter()
+        .map(|(_, c)| (c.len(), Csr::from_graph(&c.csg().to_labeled_graph().0)))
+        .collect()
+}
+
+/// [`ccov`] over precomputed [`csg_projections`] — the selection loop
+/// scores many candidates against the same CSGs, so the projections are
+/// computed once and each candidate is compiled once.
+pub fn ccov_projected(pattern: &LabeledGraph, projections: &[(usize, Csr)], db_len: usize) -> f64 {
     if db_len == 0 {
         return 0.0;
     }
+    let plan = MatchPlan::compile(pattern);
     projections
         .iter()
-        .filter(|(_, projection)| is_subgraph_of(pattern, projection))
+        .filter(|(_, projection)| plan.is_subgraph_of(projection))
         .map(|(len, _)| *len as f64 / db_len as f64)
         .sum()
 }
@@ -237,9 +240,10 @@ mod tests {
     }
 
     fn clusters(db: &GraphDb) -> ClusterSet {
-        let graphs: Vec<_> = db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+        let ids: Vec<_> = db.ids().collect();
         let lattice = mine_lattice(
-            &graphs,
+            db,
+            &ids,
             &MiningConfig {
                 sup_min: 0.25,
                 max_edges: 3,

@@ -9,7 +9,9 @@
 
 use crate::candidates::generate_candidates;
 use crate::random_walk::random_walks;
-use crate::score::{ccov_projected, diversity, lcov_pattern, pattern_score, PatternScoreParts};
+use crate::score::{
+    ccov_projected, csg_projections, diversity, lcov_pattern, pattern_score, PatternScoreParts,
+};
 use crate::weights::WeightedCsg;
 use midas_cluster::ClusterSet;
 use midas_graph::canonical::canonical_code;
@@ -96,10 +98,7 @@ pub fn select_patterns(
         .collect();
     // CSG projections are immutable during selection; compute them once
     // for cluster-coverage scoring.
-    let projections: Vec<(usize, LabeledGraph)> = clusters
-        .iter()
-        .map(|(_, c)| (c.len(), c.csg().to_labeled_graph().0))
-        .collect();
+    let projections = csg_projections(clusters);
     let mut patterns: Vec<LabeledGraph> = Vec::new();
     let mut seen: BTreeSet<CanonicalCode> = BTreeSet::new();
     let mut per_size: BTreeMap<usize, usize> = BTreeMap::new();
@@ -170,9 +169,10 @@ mod tests {
     }
 
     fn build_world(db: &GraphDb) -> (ClusterSet, EdgeCatalog) {
-        let graphs: Vec<_> = db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+        let ids: Vec<_> = db.ids().collect();
         let lattice = mine_lattice(
-            &graphs,
+            db,
+            &ids,
             &MiningConfig {
                 sup_min: 0.25,
                 max_edges: 3,

@@ -433,8 +433,8 @@ mod tests {
     }
 
     fn build_set(db: &GraphDb, k: usize, max_size: usize) -> (ClusterSet, TreeLattice) {
-        let graphs: Vec<_> = db.iter().map(|(id, g)| (id, g.as_ref())).collect();
-        let lattice = mine_lattice(&graphs, &mining_config());
+        let ids: Vec<_> = db.ids().collect();
+        let lattice = mine_lattice(db, &ids, &mining_config());
         let space = FeatureSpace::from_frequent(&lattice, 0.2, db.len());
         let set = ClusterSet::build(
             db,

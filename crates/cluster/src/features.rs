@@ -124,9 +124,10 @@ mod tests {
             path(&[0, 1, 2]),
             path(&[3, 3]),
         ]);
-        let graphs: Vec<_> = db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+        let ids: Vec<_> = db.ids().collect();
         let lattice = mine_lattice(
-            &graphs,
+            &db,
+            &ids,
             &MiningConfig {
                 sup_min: 0.25,
                 max_edges: 3,

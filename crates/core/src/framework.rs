@@ -82,7 +82,7 @@ pub struct MaintenanceReport {
     /// Number of swaps performed.
     pub swaps: usize,
     /// Metrics delta scoped to this batch (empty when telemetry is off):
-    /// phase spans, `pmt_us`/`pgt_us`, VF2 and cache counters, exec
+    /// phase spans, `pmt_us`/`pgt_us`, matcher and cache counters, exec
     /// fan-out accounting.
     pub telemetry: MetricsSnapshot,
     /// A worker panic contained during this batch (e.g. an injected
@@ -179,12 +179,6 @@ impl Midas {
         };
         midas.publish_snapshot();
         midas.clusters.take_dirty(); // fresh clusters are not "modified"
-
-        // Bootstrap mining floods the VF2 tail-latency reservoir with
-        // one-time setup searches that carry no (pattern, graph)
-        // attribution; the sentry watches steady-state maintenance, so
-        // `/slow` starts fresh from the first batch.
-        midas_obs::exemplar::series("vf2.search_ns", "ns").reset();
         Ok(midas)
     }
 

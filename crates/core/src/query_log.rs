@@ -12,14 +12,14 @@
 //! [`crate::swap::multi_scan_swap_weighted`]), which biases maintenance
 //! toward keeping patterns users actually reach for.
 
-use midas_graph::isomorphism::is_subgraph_of;
-use midas_graph::LabeledGraph;
+use midas_graph::{Csr, LabeledGraph, MatchPlan};
 use std::collections::VecDeque;
 
-/// A bounded log of recently formulated queries.
+/// A bounded log of recently formulated queries, each kept as the CSR view
+/// the weight's containment tests match against.
 #[derive(Debug, Clone)]
 pub struct QueryLog {
-    queries: VecDeque<LabeledGraph>,
+    queries: VecDeque<Csr>,
     capacity: usize,
     /// Additive smoothing so unlogged patterns keep a positive weight
     /// (otherwise one empty log would zero every score).
@@ -41,7 +41,7 @@ impl QueryLog {
         if self.queries.len() == self.capacity {
             self.queries.pop_front();
         }
-        self.queries.push_back(query);
+        self.queries.push_back(Csr::from_graph(&query));
     }
 
     /// Records a batch of queries.
@@ -63,15 +63,17 @@ impl QueryLog {
 
     /// The pattern's log weight: `(hits + s) / (|log| + s)` where `hits`
     /// is the number of logged queries containing the pattern and `s` the
-    /// smoothing constant. An empty log yields the neutral weight 1.
+    /// smoothing constant. An empty log yields the neutral weight 1. The
+    /// pattern is compiled once per call.
     pub fn weight(&self, pattern: &LabeledGraph) -> f64 {
         if self.queries.is_empty() {
             return 1.0;
         }
+        let plan = MatchPlan::compile(pattern);
         let hits = self
             .queries
             .iter()
-            .filter(|q| is_subgraph_of(pattern, q))
+            .filter(|q| plan.is_subgraph_of(q))
             .count();
         (hits as f64 + self.smoothing) / (self.queries.len() as f64 + self.smoothing)
     }

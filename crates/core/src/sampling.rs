@@ -85,9 +85,10 @@ mod tests {
             graphs.push(path(&[3, 4, 3]));
         }
         let db = GraphDb::from_graphs(graphs);
-        let refs: Vec<_> = db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+        let ids: Vec<_> = db.ids().collect();
         let lattice = mine_lattice(
-            &refs,
+            &db,
+            &ids,
             &MiningConfig {
                 sup_min: 0.2,
                 max_edges: 2,

@@ -12,7 +12,7 @@
 
 use crate::molecule::{MoleculeGenerator, MoleculeParams};
 use crate::motifs::{MotifKind, MotifMix};
-use midas_graph::{BatchUpdate, GraphDb, GraphId, LabeledGraph};
+use midas_graph::{BatchUpdate, GraphDb, GraphId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -97,17 +97,16 @@ pub fn boronic_ester_family() -> MotifKind {
     MotifKind::BoronicEster
 }
 
-/// Checks whether a graph contains the given motif family (used by tests
-/// and by the balanced query generator).
-pub fn contains_family(graph: &LabeledGraph, family: MotifKind) -> bool {
-    let motif = family.build();
-    midas_graph::isomorphism::is_subgraph_of(&motif.graph, graph)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::{DatasetKind, DatasetSpec};
+
+    /// Whether `graph` contains the given motif family.
+    fn contains_family(graph: &midas_graph::LabeledGraph, family: MotifKind) -> bool {
+        let motif = family.build();
+        midas_graph::isomorphism::is_subgraph_of(&motif.graph, graph)
+    }
 
     #[test]
     fn growth_batch_matches_distribution_size() {

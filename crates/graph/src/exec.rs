@@ -14,7 +14,7 @@
 //! on which of the two a caller uses.
 //!
 //! Threads are plain `std::thread::scope` workers (no pool): the work items
-//! here are chunky (VF2 searches over whole graphs), so spawn overhead is
+//! here are chunky (subgraph searches over whole graphs), so spawn overhead is
 //! noise, and scoped threads let closures borrow the database and indices
 //! without `Arc` gymnastics.
 //!

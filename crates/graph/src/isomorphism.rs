@@ -12,6 +12,11 @@
 //! (≤ `η_max` = 12 edges), so worst-case exponential behaviour never
 //! materializes in practice — exactly the observation the paper makes after
 //! Lemma 5.3.
+//!
+//! VF2 is the **reference** matcher. Every production containment and
+//! embedding question runs on the plan-compiled matcher ([`crate::plan`]);
+//! VF2 runs only in the differential oracle, the tests, the kernel and
+//! micro benches, and the serial reference twins of the index layer.
 
 use crate::graph::{EdgeLabel, LabeledGraph, VertexId};
 use crate::labels::LabelId;
@@ -181,7 +186,13 @@ where
 /// the first of its connected component) is adjacent to at least one earlier
 /// vertex, and high-degree vertices come first. Returns, for each position,
 /// the vertex and its already-ordered neighbors.
-fn matching_order(pattern: &LabeledGraph) -> Vec<(VertexId, Vec<VertexId>)> {
+///
+/// This is the one ordering rule of the crate: [`crate::plan::MatchPlan`]
+/// compiles its levels from it too. Both matchers then try candidates in
+/// ascending target-vertex order at every level, so they enumerate the
+/// same embeddings in the same sequence — which the formulation
+/// simulator's first-fit packing depends on.
+pub(crate) fn matching_order(pattern: &LabeledGraph) -> Vec<(VertexId, Vec<VertexId>)> {
     let n = pattern.vertex_count();
     let mut order: Vec<(VertexId, Vec<VertexId>)> = Vec::with_capacity(n);
     let mut placed = vec![false; n];
@@ -252,18 +263,9 @@ where
         visit,
     );
     if let Some(start) = start {
-        let elapsed_ns = start.elapsed().as_nanos() as u64;
-        midas_obs::histogram_record!("vf2.search_ns", elapsed_ns);
-        // Tail exemplars: the reservoir keeps the slowest searches. VF2
-        // runs only in the reference paths, never inside an embedding-memo
-        // miss, so these are normally unattributed; the production
-        // matcher's (pattern, graph)-attributed series is
-        // `plan.search_ns`. Handle cached; sub-threshold offers are one
-        // relaxed load.
-        static SLOW: std::sync::OnceLock<&'static midas_obs::exemplar::Series> =
-            std::sync::OnceLock::new();
-        SLOW.get_or_init(|| midas_obs::exemplar::series("vf2.search_ns", "ns"))
-            .offer(elapsed_ns);
+        // VF2 is the reference matcher, so it offers no tail exemplars;
+        // the production matcher's attributed series is `plan.search_ns`.
+        midas_obs::histogram_record!("vf2.search_ns", start.elapsed().as_nanos() as u64);
     }
     midas_obs::counter_add!("vf2.searches", 1);
     midas_obs::counter_add!("vf2.nodes", nodes);

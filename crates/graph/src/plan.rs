@@ -28,9 +28,10 @@
 //! ([`MatchPlan::compile`]).
 //!
 //! Semantics are pinned to the VF2 reference: same non-induced
-//! monomorphism definition, same saturating caps, same embedding sets
-//! (enumeration order may differ). The differential oracle's
-//! `plan_vs_vf2` check and the workspace property tests enforce this.
+//! monomorphism definition, same saturating caps, and the same embeddings
+//! in the same enumeration order (both matchers share one vertex-ordering
+//! rule). The differential oracle's `plan_vs_vf2` check and the workspace
+//! property tests enforce this.
 
 use crate::canonical::CanonicalCode;
 use crate::csr::Csr;
@@ -38,7 +39,6 @@ use crate::fasthash::FxHashMap;
 use crate::graph::{LabeledGraph, VertexId};
 use crate::isomorphism::Control;
 use crate::labels::LabelId;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// One level of a compiled plan: the pattern vertex bound at this depth
@@ -120,58 +120,42 @@ pub struct MatchPlan {
 impl MatchPlan {
     /// Compiles `pattern` into a plan.
     ///
-    /// The order is chosen greedily per level: most already-bound pattern
-    /// neighbors first (connectivity ⇒ smallest candidate sets and never a
-    /// fresh component while an anchored vertex exists), then highest
-    /// degree, then rarest label within the pattern (a static proxy for
-    /// selectivity), then lowest id for determinism.
+    /// The vertex order is VF2's (`isomorphism::matching_order`): most
+    /// already-bound pattern neighbors first (connectivity ⇒ smallest
+    /// candidate sets and never a fresh component while an anchored
+    /// vertex exists), then highest degree, then lowest id. Both matchers
+    /// try candidates in ascending target-vertex order, so with one order
+    /// they enumerate embeddings in the same sequence.
     pub fn compile(pattern: &LabeledGraph) -> Self {
         let timed = midas_obs::enabled();
         let start = timed.then(std::time::Instant::now);
 
-        let n = pattern.vertex_count();
-        let mut label_freq: HashMap<LabelId, u32> = HashMap::new();
-        for v in pattern.vertices() {
-            *label_freq.entry(pattern.label(v)).or_insert(0) += 1;
+        let levels: Vec<PlanLevel> = crate::isomorphism::matching_order(pattern)
+            .into_iter()
+            .map(|(v, anchors)| {
+                // An anchored candidate is some vertex's neighbor, so its
+                // degree is at least 1 for free — a floor of 1 never
+                // prunes there. Storing 0 lets the interpreter skip the
+                // degree load.
+                let min_degree = match pattern.degree(v) as u32 {
+                    1 if !anchors.is_empty() => 0,
+                    d => d,
+                };
+                PlanLevel {
+                    vertex: v,
+                    label: pattern.label(v),
+                    min_degree,
+                    anchors,
+                }
+            })
+            .collect();
+        let mut label_needs: Vec<(LabelId, u32)> = Vec::new();
+        for label in pattern.sorted_labels() {
+            match label_needs.last_mut() {
+                Some((last, need)) if *last == label => *need += 1,
+                _ => label_needs.push((label, 1)),
+            }
         }
-        let mut levels: Vec<PlanLevel> = Vec::with_capacity(n);
-        let mut placed = vec![false; n];
-        for _ in 0..n {
-            let v = (0..n as VertexId)
-                .filter(|&v| !placed[v as usize])
-                .max_by_key(|&v| {
-                    let anchored = pattern
-                        .neighbors(v)
-                        .iter()
-                        .filter(|&&w| placed[w as usize])
-                        .count();
-                    let rarity = std::cmp::Reverse(label_freq[&pattern.label(v)]);
-                    (anchored, pattern.degree(v), rarity, std::cmp::Reverse(v))
-                })
-                .expect("unplaced vertex must exist");
-            let anchors: Vec<VertexId> = pattern
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&w| placed[w as usize])
-                .collect();
-            placed[v as usize] = true;
-            // An anchored candidate is some vertex's neighbor, so its
-            // degree is at least 1 for free — a floor of 1 never prunes
-            // there. Storing 0 lets the interpreter skip the degree load.
-            let min_degree = match pattern.degree(v) as u32 {
-                1 if !anchors.is_empty() => 0,
-                d => d,
-            };
-            levels.push(PlanLevel {
-                vertex: v,
-                label: pattern.label(v),
-                min_degree,
-                anchors,
-            });
-        }
-        let mut label_needs: Vec<(LabelId, u32)> = label_freq.into_iter().collect();
-        label_needs.sort_unstable();
 
         if let Some(start) = start {
             midas_obs::histogram_record!("plan.compile_ns", start.elapsed().as_nanos() as u64);
@@ -179,7 +163,7 @@ impl MatchPlan {
         midas_obs::counter_add!("plan.compiles", 1);
         MatchPlan {
             levels,
-            vertex_count: n,
+            vertex_count: pattern.vertex_count(),
             edge_count: pattern.edge_count(),
             label_needs,
             closed_form: detect_closed_form(pattern),
@@ -197,9 +181,9 @@ impl MatchPlan {
     }
 
     /// Invokes `visit` with each embedding (`pattern vertex → target
-    /// vertex`) until exhaustion or [`Control::Stop`]. Semantically equal
-    /// to [`crate::isomorphism::for_each_embedding`] up to enumeration
-    /// order.
+    /// vertex`) until exhaustion or [`Control::Stop`]. Equal to
+    /// [`crate::isomorphism::for_each_embedding`], enumeration order
+    /// included.
     pub fn for_each_embedding<F>(&self, target: &Csr, visit: &mut F)
     where
         F: FnMut(&[VertexId]) -> Control,

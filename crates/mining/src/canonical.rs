@@ -44,6 +44,15 @@ impl TreeKey {
     pub fn vertex_count(&self) -> usize {
         self.0.iter().filter(|&&t| t != SEPARATOR).count()
     }
+
+    /// A 64-bit digest of the key — equal for isomorphic trees, compact
+    /// enough to tag telemetry exemplars with.
+    pub fn digest(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.hash(&mut h);
+        h.finish()
+    }
 }
 
 /// Returns whether `g` is a tree: connected with `|E| = |V| − 1` (the empty

@@ -20,9 +20,8 @@
 use crate::canonical::TreeKey;
 use crate::edges::EdgeCatalog;
 use crate::lattice::{TreeEntry, TreeLattice};
-use crate::treenat::{mine_lattice, MiningConfig};
-use midas_graph::isomorphism::is_subgraph_of;
-use midas_graph::{GraphDb, GraphId, LabeledGraph};
+use crate::treenat::{mine_lattice, tree_in_graph, MiningConfig};
+use midas_graph::{GraphDb, GraphId, LabeledGraph, MatchPlan};
 use std::collections::BTreeSet;
 
 /// Frequent-structure state: tree lattice + edge catalog, kept in sync with
@@ -49,15 +48,14 @@ impl FctState {
 
     /// Builds the state from scratch for `db`.
     pub fn build(db: &GraphDb, config: MiningConfig) -> Self {
-        let graphs: Vec<(GraphId, &LabeledGraph)> =
-            db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+        let ids: Vec<GraphId> = db.ids().collect();
         let relaxed = MiningConfig {
             sup_min: config.sup_min / 2.0,
             ..config
         };
         FctState {
-            lattice: mine_lattice(&graphs, &relaxed),
-            edges: EdgeCatalog::build(graphs.iter().copied()),
+            lattice: mine_lattice(db, &ids, &relaxed),
+            edges: EdgeCatalog::build(db.iter().map(|(id, g)| (id, g.as_ref()))),
             config,
         }
     }
@@ -107,27 +105,20 @@ impl FctState {
             self.lattice.remove_graphs(&deleted_ids);
         }
 
-        // Step 2: insertions (CTMiningAdd analogue).
-        let inserted_graphs: Vec<(GraphId, &LabeledGraph)> = inserted
-            .iter()
-            .map(|&id| {
-                (
-                    id,
-                    db_after
-                        .get(id)
-                        .expect("inserted id must resolve in db_after")
-                        .as_ref(),
-                )
-            })
-            .collect();
-        for &(id, g) in &inserted_graphs {
+        // Step 2: insertions (CTMiningAdd analogue). Every containment
+        // test matches a tree compiled once against a graph's CSR twin.
+        for &id in inserted {
+            let g = db_after
+                .get(id)
+                .expect("inserted id must resolve in db_after");
             self.edges.add_graph(id, g);
         }
-        if !inserted_graphs.is_empty() {
+        if !inserted.is_empty() {
             // 2a: extend supports of already-tracked trees against Δ⁺ only.
-            for (_, entry) in self.lattice.iter_mut() {
-                for &(id, g) in &inserted_graphs {
-                    if is_subgraph_of(&entry.tree, g) {
+            for (key, entry) in self.lattice.iter_mut() {
+                let plan = MatchPlan::compile(&entry.tree);
+                for &id in inserted {
+                    if tree_in_graph(&plan, key, db_after, id) {
                         entry.support.insert(id);
                     }
                 }
@@ -138,15 +129,16 @@ impl FctState {
                 sup_min: self.relaxed_threshold(),
                 ..self.config
             };
-            let delta_lattice = mine_lattice(&inserted_graphs, &relaxed);
+            let delta_lattice = mine_lattice(db_after, inserted, &relaxed);
             let inserted_set: BTreeSet<GraphId> = inserted.iter().copied().collect();
             for (key, delta_entry) in delta_lattice.iter() {
                 if self.lattice.contains(key) {
                     continue; // support already extended in 2a
                 }
+                let plan = MatchPlan::compile(&delta_entry.tree);
                 let mut support = delta_entry.support.clone();
-                for (id, g) in db_after.iter() {
-                    if !inserted_set.contains(&id) && is_subgraph_of(&delta_entry.tree, g) {
+                for id in db_after.ids() {
+                    if !inserted_set.contains(&id) && tree_in_graph(&plan, key, db_after, id) {
                         support.insert(id);
                     }
                 }

@@ -15,8 +15,7 @@
 //! DESIGN.md §5).
 
 use crate::canonical::TreeKey;
-use midas_graph::isomorphism::is_subgraph_of;
-use midas_graph::{GraphId, LabeledGraph};
+use midas_graph::{Csr, GraphId, LabeledGraph, MatchPlan};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// One tracked tree: structure, exact support, derived closed flag.
@@ -125,7 +124,9 @@ impl TreeLattice {
     /// Trees are bucketed by support set; within a bucket, a tree is
     /// non-closed iff some strictly larger tree in the same bucket is a
     /// supertree of it. (Equal support across a proper subtree relation
-    /// forces equal support *sets* by anti-monotonicity.)
+    /// forces equal support *sets* by anti-monotonicity.) Each member of a
+    /// multi-tree bucket is compiled once and gets one CSR view, so every
+    /// containment test is a plan search.
     pub fn recompute_closed_flags(&mut self) {
         let mut buckets: HashMap<Vec<GraphId>, Vec<TreeKey>> = HashMap::new();
         for (key, entry) in &self.trees {
@@ -144,16 +145,20 @@ impl TreeLattice {
                 .map(|k| (self.trees[k].tree.edge_count(), k.clone()))
                 .collect();
             members.sort_by_key(|m| std::cmp::Reverse(m.0));
-            for i in 0..members.len() {
-                let (size_i, ref key_i) = members[i];
+            let compiled: Vec<(MatchPlan, Csr)> = members
+                .iter()
+                .map(|(_, key)| {
+                    let tree = &self.trees[key].tree;
+                    (MatchPlan::compile(tree), Csr::from_graph(tree))
+                })
+                .collect();
+            for (i, (size_i, key_i)) in members.iter().enumerate() {
                 let mut closed = true;
-                for (size_j, key_j) in members.iter().take(i) {
-                    if *size_j <= size_i {
+                for (j, (size_j, _)) in members.iter().enumerate().take(i) {
+                    if size_j <= size_i {
                         break; // sorted descending: no larger tree remains
                     }
-                    let small = &self.trees[key_i].tree;
-                    let large = &self.trees[key_j].tree;
-                    if is_subgraph_of(small, large) {
+                    if compiled[i].0.is_subgraph_of(&compiled[j].1) {
                         closed = false;
                         break;
                     }

@@ -4,15 +4,15 @@
 //! frequent edge labels, and a level-`k` tree is extended by attaching one
 //! new labeled vertex to each of its vertices. Duplicate extensions are
 //! collapsed through the canonical [`TreeKey`]; supports are counted by
-//! subtree-into-graph isomorphism, restricted to the parent's supporting
-//! graphs (anti-monotonicity). The result is a [`TreeLattice`] whose closed
-//! flags are derived from the exact support sets.
+//! subtree-into-graph isomorphism on the database's CSR twins, restricted
+//! to the parent's supporting graphs (anti-monotonicity). The result is a
+//! [`TreeLattice`] whose closed flags are derived from the exact support
+//! sets.
 
 use crate::canonical::{edge_tree, tree_key, TreeKey};
 use crate::edges::{min_count, EdgeCatalog};
 use crate::lattice::{TreeEntry, TreeLattice};
-use midas_graph::isomorphism::is_subgraph_of;
-use midas_graph::{EdgeLabel, GraphId, LabeledGraph, VertexId};
+use midas_graph::{EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchPlan, VertexId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Mining parameters.
@@ -36,18 +36,36 @@ impl Default for MiningConfig {
     }
 }
 
-/// Mines the frequent-tree lattice of `graphs` at `config.sup_min`.
+/// Whether the compiled tree `plan` (canonical key `key`) embeds in the
+/// database graph `id`, matched on the graph's CSR twin. The search runs
+/// under the `(key digest, graph id)` exemplar context, so its
+/// `plan.search_ns` tail exemplars are attributed.
+pub(crate) fn tree_in_graph(plan: &MatchPlan, key: &TreeKey, db: &GraphDb, id: GraphId) -> bool {
+    let _ctx = midas_obs::enabled().then(|| midas_obs::exemplar::with_context(key.digest(), id.0));
+    plan.is_subgraph_of(
+        db.csr(id)
+            .expect("mined graph id must resolve in the database"),
+    )
+}
+
+/// Mines the frequent-tree lattice of the graphs `ids` of `db` at
+/// `config.sup_min`.
 ///
-/// `graphs` is any consistent snapshot (the full database, or just `Δ⁺`
-/// during maintenance). Closed flags are recomputed before returning.
-pub fn mine_lattice(graphs: &[(GraphId, &LabeledGraph)], config: &MiningConfig) -> TreeLattice {
+/// `ids` is any subset of the database (all of it, or just `Δ⁺` during
+/// maintenance). Closed flags are recomputed before returning.
+pub fn mine_lattice(db: &GraphDb, ids: &[GraphId], config: &MiningConfig) -> TreeLattice {
     let mut lattice = TreeLattice::new();
-    let n = graphs.len();
+    let n = ids.len();
     if n == 0 || config.max_edges == 0 {
         return lattice;
     }
     let need = min_count(config.sup_min, n);
-    let catalog = EdgeCatalog::build(graphs.iter().map(|&(id, g)| (id, g)));
+    let catalog = EdgeCatalog::build(ids.iter().map(|&id| {
+        let g = db
+            .get(id)
+            .expect("mined graph id must resolve in the database");
+        (id, g.as_ref())
+    }));
 
     // Level 1: frequent edge labels as 2-vertex trees.
     let frequent_edges: Vec<(EdgeLabel, BTreeSet<GraphId>)> = catalog
@@ -73,8 +91,6 @@ pub fn mine_lattice(graphs: &[(GraphId, &LabeledGraph)], config: &MiningConfig) 
         );
     }
 
-    // Fast lookup of graphs by id for support counting.
-    let by_id: BTreeMap<GraphId, &LabeledGraph> = graphs.iter().map(|&(id, g)| (id, g)).collect();
     // Extension labels allowed per anchor label, derived from frequent edges
     // (a tree extension's new edge must itself be frequent).
     let mut extension_labels: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
@@ -115,10 +131,11 @@ pub fn mine_lattice(graphs: &[(GraphId, &LabeledGraph)], config: &MiningConfig) 
             if parent_support.len() < need {
                 continue;
             }
+            let plan = MatchPlan::compile(&tree);
             let support: BTreeSet<GraphId> = parent_support
                 .iter()
                 .copied()
-                .filter(|id| is_subgraph_of(&tree, by_id[id]))
+                .filter(|&id| tree_in_graph(&plan, &key, db, id))
                 .collect();
             if support.len() >= need {
                 lattice.insert(
@@ -216,8 +233,11 @@ mod tests {
         GraphBuilder::new().vertices(labels).path(&vs).build()
     }
 
-    fn gid(i: u64) -> GraphId {
-        GraphId(i)
+    /// A database of clones of `graphs` plus its ids in insertion order.
+    fn db_of(graphs: &[&LabeledGraph]) -> (GraphDb, Vec<GraphId>) {
+        let db = GraphDb::from_graphs(graphs.iter().map(|&g| g.clone()));
+        let ids = db.ids().collect();
+        (db, ids)
     }
 
     #[test]
@@ -225,9 +245,10 @@ mod tests {
         let g1 = path(&[0, 1]);
         let g2 = path(&[0, 1, 2]);
         let g3 = path(&[3, 3]);
-        let graphs = vec![(gid(1), &g1), (gid(2), &g2), (gid(3), &g3)];
+        let (db, ids) = db_of(&[&g1, &g2, &g3]);
         let lat = mine_lattice(
-            &graphs,
+            &db,
+            &ids,
             &MiningConfig {
                 sup_min: 0.5,
                 max_edges: 1,
@@ -244,9 +265,10 @@ mod tests {
     fn extends_to_larger_trees() {
         let g1 = path(&[0, 1, 2]);
         let g2 = path(&[0, 1, 2, 3]);
-        let graphs = vec![(gid(1), &g1), (gid(2), &g2)];
+        let (db, ids) = db_of(&[&g1, &g2]);
         let lat = mine_lattice(
-            &graphs,
+            &db,
+            &ids,
             &MiningConfig {
                 sup_min: 1.0,
                 max_edges: 3,
@@ -266,9 +288,10 @@ mod tests {
         // Every graph containing C-O also contains C-O-N => C-O not closed.
         let g1 = path(&[0, 1, 2]);
         let g2 = path(&[2, 1, 0]);
-        let graphs = vec![(gid(1), &g1), (gid(2), &g2)];
+        let (db, ids) = db_of(&[&g1, &g2]);
         let lat = mine_lattice(
-            &graphs,
+            &db,
+            &ids,
             &MiningConfig {
                 sup_min: 1.0,
                 max_edges: 2,
@@ -290,13 +313,10 @@ mod tests {
             path(&[0, 1, 3]),
             path(&[0, 2]), // C-N
         ];
-        let graphs: Vec<(GraphId, &LabeledGraph)> = g
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (gid(i as u64), g))
-            .collect();
+        let (db, ids) = db_of(&g.iter().collect::<Vec<_>>());
         let lat = mine_lattice(
-            &graphs,
+            &db,
+            &ids,
             &MiningConfig {
                 sup_min: 0.5,
                 max_edges: 3,
@@ -323,13 +343,15 @@ mod tests {
             .edge(1, 2)
             .edge(0, 2)
             .build(); // triangle: subtrees only
-        let graphs = vec![(gid(1), &g1), (gid(2), &g2), (gid(3), &g3)];
+        let (db, ids) = db_of(&[&g1, &g2, &g3]);
         for sup_min in [0.34, 0.5, 1.0] {
             let cfg = MiningConfig {
                 sup_min,
                 max_edges: 3,
             };
-            let fast = mine_lattice(&graphs, &cfg);
+            let fast = mine_lattice(&db, &ids, &cfg);
+            let graphs: Vec<(GraphId, &LabeledGraph)> =
+                db.iter().map(|(id, g)| (id, g.as_ref())).collect();
             let slow = mine_lattice_brute_force(&graphs, &cfg);
             let fast_keys: Vec<_> = fast
                 .iter()
@@ -345,11 +367,12 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let lat = mine_lattice(&[], &MiningConfig::default());
+        let (db, ids) = db_of(&[&path(&[0, 1])]);
+        let lat = mine_lattice(&db, &[], &MiningConfig::default());
         assert!(lat.is_empty());
-        let g = path(&[0, 1]);
         let lat2 = mine_lattice(
-            &[(gid(1), &g)],
+            &db,
+            &ids,
             &MiningConfig {
                 sup_min: 0.5,
                 max_edges: 0,
@@ -362,9 +385,10 @@ mod tests {
     fn max_edges_caps_tree_size() {
         let g1 = path(&[0, 1, 2, 3, 0]);
         let g2 = path(&[0, 1, 2, 3, 0]);
-        let graphs = vec![(gid(1), &g1), (gid(2), &g2)];
+        let (db, ids) = db_of(&[&g1, &g2]);
         let lat = mine_lattice(
-            &graphs,
+            &db,
+            &ids,
             &MiningConfig {
                 sup_min: 1.0,
                 max_edges: 2,
@@ -388,9 +412,10 @@ mod tests {
         };
         let g1 = claw(4);
         let g2 = claw(5);
-        let graphs = vec![(gid(1), &g1), (gid(2), &g2)];
+        let (db, ids) = db_of(&[&g1, &g2]);
         let lat = mine_lattice(
-            &graphs,
+            &db,
+            &ids,
             &MiningConfig {
                 sup_min: 1.0,
                 max_edges: 3,

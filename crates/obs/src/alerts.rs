@@ -59,8 +59,6 @@ pub struct SloConfig {
     /// Latency budget for each Algorithm-1 phase span, µs
     /// (0 = phase alerting disabled).
     pub phase_budget_us: u64,
-    /// Latency budget for a single VF2 search, ns (0 = disabled).
-    pub vf2_budget_ns: u64,
     /// Error budget: the fraction of observations allowed over budget,
     /// parts-per-million (default 10 000 = 1 %).
     pub allowed_ppm: u32,
@@ -73,7 +71,6 @@ impl Default for SloConfig {
     fn default() -> Self {
         SloConfig {
             phase_budget_us: 0,
-            vf2_budget_ns: 0,
             allowed_ppm: 10_000,
             burn_milli: 2_000,
         }
@@ -83,7 +80,7 @@ impl Default for SloConfig {
 impl SloConfig {
     /// Whether any budget is set.
     pub fn any_enabled(&self) -> bool {
-        self.phase_budget_us > 0 || self.vf2_budget_ns > 0
+        self.phase_budget_us > 0
     }
 }
 
@@ -132,7 +129,7 @@ pub struct AlertEval {
     pub name: &'static str,
     /// The latency budget, in the series' unit.
     pub budget: u64,
-    /// The series' unit (`"us"` for spans, `"ns"` for `vf2.search_ns`).
+    /// The series' unit (`"us"`: every monitored series is a phase span).
     pub unit: &'static str,
     /// Current state.
     pub state: AlertState,
@@ -232,17 +229,6 @@ pub fn evaluate_at(now: u64) -> Vec<AlertEval> {
             ));
         }
     }
-    if cfg.vf2_budget_ns > 0 {
-        let h = registry().histogram("vf2.search_ns");
-        out.push(evaluate_series(
-            "vf2.search_ns",
-            "ns",
-            h,
-            cfg.vf2_budget_ns,
-            &cfg,
-            now,
-        ));
-    }
     out
 }
 
@@ -274,8 +260,8 @@ pub fn render_json() -> String {
     let cfg = config();
     let evals = evaluate();
     let mut out = format!(
-        "{{\n  \"config\": {{\"phase_budget_us\": {}, \"vf2_budget_ns\": {}, \"allowed_ppm\": {}, \"burn_milli\": {}}},\n  \"alerts\": [\n",
-        cfg.phase_budget_us, cfg.vf2_budget_ns, cfg.allowed_ppm, cfg.burn_milli
+        "{{\n  \"config\": {{\"phase_budget_us\": {}, \"allowed_ppm\": {}, \"burn_milli\": {}}},\n  \"alerts\": [\n",
+        cfg.phase_budget_us, cfg.allowed_ppm, cfg.burn_milli
     );
     for (i, a) in evals.iter().enumerate() {
         out.push_str(&format!(
@@ -408,13 +394,11 @@ mod tests {
         let _g = exclusive();
         configure(SloConfig {
             phase_budget_us: 1_000,
-            vf2_budget_ns: 1_000_000,
             ..SloConfig::default()
         });
         let doc = render_json();
         crate::json::validate(&doc).expect("alerts JSON validates");
         assert!(doc.contains("\"batch.index\""));
-        assert!(doc.contains("\"vf2.search_ns\""));
         assert!(doc.contains("\"state\""));
         restore();
     }

@@ -19,7 +19,6 @@
 //! | `MIDAS_FLIGHT_DUMP`         | path                      | panic dump destination (default `./midas-flight-dump.json`) |
 //! | `MIDAS_PROFILE_HZ`          | integer                   | sampling-profiler rate behind `/profile` (0 = off, max 1000) |
 //! | `MIDAS_SLO_PHASE_US`        | integer                   | per-phase span budget arming `/alerts` (0 = off) |
-//! | `MIDAS_SLO_VF2_NS`          | integer                   | single-search budget arming `/alerts` (0 = off) |
 //! | `MIDAS_FAULT`               | `task:N` / `slow:US`      | panic the N-th exec task / sleep US µs inside `batch.index` |
 //! | `MIDAS_SERVE_ADDR`          | `host:port`               | daemon listen address, `/v1/*` and obs endpoints (default `127.0.0.1:0`) |
 //! | `MIDAS_SERVE_HTTP_WORKERS`  | integer                   | daemon HTTP workers (default 8) |
@@ -68,7 +67,6 @@ pub struct Env {
     pub flight_dump: Option<PathBuf>,
     pub profile_hz: Option<u32>,
     pub slo_phase_us: Option<u64>,
-    pub slo_vf2_ns: Option<u64>,
     pub fault: Option<Fault>,
     pub serve_addr: Option<String>,
     pub serve_http_workers: Option<usize>,
@@ -116,7 +114,6 @@ impl Env {
                 "MIDAS_FLIGHT_DUMP" => set(&mut env.flight_dump, text(v).map(PathBuf::from)),
                 "MIDAS_PROFILE_HZ" => set(&mut env.profile_hz, number(v)),
                 "MIDAS_SLO_PHASE_US" => set(&mut env.slo_phase_us, number(v)),
-                "MIDAS_SLO_VF2_NS" => set(&mut env.slo_vf2_ns, number(v)),
                 "MIDAS_FAULT" => set(&mut env.fault, Fault::parse(v)),
                 "MIDAS_SERVE_ADDR" => set(&mut env.serve_addr, text(v)),
                 "MIDAS_SERVE_HTTP_WORKERS" => set(&mut env.serve_http_workers, number(v)),
@@ -222,9 +219,6 @@ impl TelemetryConfig {
         if let Some(us) = env.slo_phase_us {
             self.slo.phase_budget_us = us;
         }
-        if let Some(ns) = env.slo_vf2_ns {
-            self.slo.vf2_budget_ns = ns;
-        }
         self
     }
 
@@ -303,7 +297,6 @@ mod tests {
             ("MIDAS_FLIGHT_DUMP", "d.json"),
             ("MIDAS_PROFILE_HZ", "97"),
             ("MIDAS_SLO_PHASE_US", "1000"),
-            ("MIDAS_SLO_VF2_NS", "5"),
             ("MIDAS_FAULT", "slow:200"),
             ("MIDAS_SERVE_ADDR", "127.0.0.1:9"),
             ("MIDAS_SERVE_HTTP_WORKERS", "3"),
@@ -330,7 +323,6 @@ mod tests {
             flight_dump: Some("d.json".into()),
             profile_hz: Some(97),
             slo_phase_us: Some(1000),
-            slo_vf2_ns: Some(5),
             fault: Some(Fault::Slow(200)),
             serve_addr: Some("127.0.0.1:9".into()),
             serve_http_workers: Some(3),
@@ -371,14 +363,13 @@ mod tests {
             ("MIDAS_LOG", "off"),
             ("MIDAS_PROFILE_HZ", "97"),
             ("MIDAS_SLO_PHASE_US", "1000"),
-            ("MIDAS_SLO_VF2_NS", "5"),
         ]);
         let c = TelemetryConfig::default().with_env(&env);
         assert!(!c.enabled && c.trace, "a trace path implies tracing only");
         assert_eq!(c.flight_capacity, 8);
         assert_eq!(c.log, LogLevel::Off);
         assert_eq!(c.profile_hz, 97);
-        assert_eq!((c.slo.phase_budget_us, c.slo.vf2_budget_ns), (1000, 5));
+        assert_eq!(c.slo.phase_budget_us, 1000);
         let (off, _) = Env::parse([("MIDAS_TELEMETRY", "0")]);
         let c = TelemetryConfig::on().with_env(&off);
         assert!(!c.enabled && !c.trace);

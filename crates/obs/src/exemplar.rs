@@ -1,11 +1,11 @@
 //! Tail-latency exemplars: *who* was slow, not just how slow.
 //!
-//! The latency histograms answer "what is p99 of `vf2.search_ns`?" but
+//! The latency histograms answer "what is p99 of `plan.search_ns`?" but
 //! not "which pattern against which graph produced that p99". This module
 //! keeps, per monitored series, a small top-K reservoir of the largest
 //! observations seen, each tagged with the pattern fingerprint and graph
 //! id that were live when it was recorded (a thread-local context set by
-//! the embedding cache) plus a process-global sequence number for
+//! the embedding cache and by FCT mining) plus a process-global sequence number for
 //! cross-referencing with traces. `GET /slow` serves the reservoirs as
 //! JSON; `prom.rs` appends them as OpenMetrics-style `# exemplar` comment
 //! hints after the owning family.
@@ -21,7 +21,7 @@
 //!
 //! # Cost
 //!
-//! The hot path (`vf2.search_ns`, millions of offers per batch) is guarded
+//! The hot path (`plan.search_ns`, millions of offers per batch) is guarded
 //! by one relaxed load of the per-series threshold: observations at or
 //! below it return before touching the reservoir lock. Only candidate
 //! tail observations — by construction at most K per threshold rotation —

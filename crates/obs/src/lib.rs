@@ -3,7 +3,7 @@
 //! Zero-dependency structured telemetry for the MIDAS maintenance pipeline.
 //!
 //! The paper's headline claims are throughput claims — PMT/PGT per batch
-//! (§7), VF2 work saved by pruning (§5.1), swap-scan convergence (§6.2) —
+//! (§7), matcher work saved by pruning (§5.1), swap-scan convergence (§6.2) —
 //! and verifying them needs finer instruments than one stopwatch per batch.
 //! This crate provides the three layers every other crate in the workspace
 //! shares:

@@ -324,10 +324,10 @@ mod tests {
     fn render_live_appends_alert_gauges_and_exemplar_hints() {
         let _g = crate::tests::exclusive();
         crate::alerts::configure(crate::alerts::SloConfig {
-            vf2_budget_ns: 1_000,
+            phase_budget_us: 1_000,
             ..crate::alerts::SloConfig::default()
         });
-        let s = crate::exemplar::series("vf2.search_ns", "ns");
+        let s = crate::exemplar::series("plan.search_ns", "ns");
         s.reset();
         {
             let _c = crate::exemplar::with_context(99, 3);
@@ -335,9 +335,9 @@ mod tests {
         }
         let doc = render_live(&MetricsSnapshot::default());
         assert!(doc.contains("# TYPE midas_alert_firing gauge"), "{doc}");
-        assert!(doc.contains("midas_alert_firing{alert=\"vf2.search_ns\"} 0"));
+        assert!(doc.contains("midas_alert_firing{alert=\"batch.index\"} 0"));
         assert!(
-            doc.contains("# exemplar midas_vf2_search_ns value=50000 unit=ns pattern=99 graph=3"),
+            doc.contains("# exemplar midas_plan_search_ns value=50000 unit=ns pattern=99 graph=3"),
             "{doc}"
         );
         s.reset();

@@ -160,7 +160,7 @@ impl Drop for Span {
         });
         registry().span(active.name).record(dur);
         // Phase spans feed the tail-latency exemplar store, so `/slow` can
-        // attribute slow batches, not just slow VF2 searches.
+        // attribute slow batches, not just slow plan searches.
         if active.name.starts_with("batch.") {
             crate::exemplar::offer_named(active.name, "us", dur.as_micros() as u64);
         }

@@ -12,7 +12,10 @@
 //!    rounds and the invalidation/generation boundary (a graph replaced
 //!    under the same [`GraphId`]).
 //! 2. **`incremental_mining`** — `FctState::apply_batch` vs re-mining the
-//!    post-batch database from scratch, over growth and deletion batches.
+//!    post-batch database from scratch — tracked keys, exact supports and
+//!    frequent trees' closed flags — after every batch of a small stream
+//!    that ends in the rebuild path and of a 20-batch servebench-scale
+//!    stream (120 PubchemLike graphs, novel / deletion / growth rotation).
 //! 3. **`graphlet_monitor`** — `GraphletMonitor` add/remove streams
 //!    (including id re-adds, bogus removes, and double removes) vs
 //!    recounting graphlets over a reference world.
@@ -26,7 +29,8 @@
 //! 6. **`plan_vs_vf2`** — the plan-compiled CSR matcher
 //!    ([`midas_graph::plan`]) vs the VF2 reference on random pairs:
 //!    capped counts at several caps, coverage booleans, and the full
-//!    embedding *sets* (as sorted mappings) must agree exactly.
+//!    embedding *sequences* (same mappings in the same order) must agree
+//!    exactly.
 //! 7. **`serve_vs_library`** — the `midas-serve` daemon vs an in-process
 //!    [`Midas`] fed the same bootstrap graphs and the same explicit
 //!    batch sequence through sync updates: the served pattern set,
@@ -71,9 +75,10 @@ use midas_core::monitor::GraphletMonitor;
 use midas_core::query_log::QueryLog;
 use midas_core::swap::{multi_scan_swap, multi_scan_swap_weighted, SwapOutcome, SwapParams};
 use midas_core::{Midas, MidasConfig, ModificationKind, PatternStore};
-use midas_datagen::updates::boronic_ester_family;
+use midas_datagen::updates::{boronic_ester_family, deletion_percent, growth_percent};
 use midas_datagen::{
     deletion_batch, growth_batch, novel_family_batch, query_set, DatasetKind, DatasetSpec,
+    MotifKind,
 };
 use midas_graph::exec::{set_fault_for_tests, Fault};
 use midas_graph::ged::{ged_exact, ged_label_lower_bound, ged_tight_lower_bound};
@@ -369,53 +374,60 @@ impl Oracle {
     }
 
     /// Check 2: incremental FCT maintenance against mining from scratch.
+    ///
+    /// Two batch streams, each compared after every batch against
+    /// `FctState::build` on the post-batch database: every tracked tree's
+    /// key and exact support, and every frequent tree's closed flag (see
+    /// `lattice_divergence`):
+    ///
+    /// * a small AidsLike world whose last batch deletes two thirds of the
+    ///   database, forcing the rebuild path;
+    /// * a servebench-scale world: 120 PubchemLike graphs at `sup_min`
+    ///   0.4 with 3-edge trees, under 20 batches of servebench's rotation
+    ///   (a novel-family wave every fifth batch, 4 % deletions on batches
+    ///   5k + 3, 4 % growth otherwise).
     fn check_incremental_mining(&self, out: &mut Vec<Divergence>) -> usize {
-        let mut db = DatasetSpec::new(DatasetKind::AidsLike, 24, self.seed ^ 0x10)
+        let small = DatasetSpec::new(DatasetKind::AidsLike, 24, self.seed ^ 0x10)
             .generate()
             .db;
+        let params = DatasetKind::AidsLike.params();
         let config = MiningConfig {
             sup_min: 0.3,
             max_edges: 3,
         };
-        let params = DatasetKind::AidsLike.params();
-        let mut state = FctState::build(&db, config);
-        let mut cases = 0;
-        for step in 0..4 {
-            let update = match step {
+        let mut cases = replay_mining("aids_like", small, config, 4, out, |step, db| {
+            match step {
                 0 => growth_batch(&params, 6, self.seed ^ 0x11),
-                1 => deletion_batch(&db, 4, self.seed ^ 0x12),
+                1 => deletion_batch(db, 4, self.seed ^ 0x12),
                 2 => growth_batch(&params, 5, self.seed ^ 0x13),
                 // A batch large enough to void Lemma 4.5's premise and
                 // force the rebuild path.
-                _ => deletion_batch(&db, db.len() * 2 / 3, self.seed ^ 0x14),
-            };
-            // Snapshot Δ⁻ graphs before they leave the database.
-            let deleted_pre: Vec<(GraphId, Arc<LabeledGraph>)> = update
-                .delete
-                .iter()
-                .filter_map(|&id| db.get(id).map(|g| (id, Arc::clone(g))))
-                .collect();
-            let (inserted, _) = db.apply(update);
-            let deleted_refs: Vec<(GraphId, &LabeledGraph)> = deleted_pre
-                .iter()
-                .map(|(id, g)| (*id, g.as_ref()))
-                .collect();
-            state.apply_batch(&db, &inserted, &deleted_refs);
-
-            let scratch = FctState::build(&db, config);
-            let fast = fct_map(&state, db.len());
-            let want = fct_map(&scratch, db.len());
-            cases += 1;
-            if fast != want {
-                out.push(Divergence {
-                    check: "incremental_mining",
-                    case: format!("step {step} (db of {} graphs)", db.len()),
-                    expected: describe_fct_diff(&want, &fast),
-                    actual: format!("{} frequent closed trees", fast.len()),
-                    witness: None,
-                });
+                _ => deletion_batch(db, db.len() * 2 / 3, self.seed ^ 0x14),
             }
-        }
+        });
+
+        let kind = DatasetKind::PubchemLike;
+        let world = DatasetSpec::new(kind, 120, self.seed ^ 0x15).generate().db;
+        let config = MiningConfig {
+            sup_min: 0.4,
+            max_edges: 3,
+        };
+        cases += replay_mining("pubchem_like", world, config, 20, out, |step, db| {
+            let round = step as u64 + 1;
+            let seed = self.seed ^ (0x1000 + round);
+            match round % 5 {
+                0 => {
+                    let family = if round.is_multiple_of(2) {
+                        MotifKind::BoronicEster
+                    } else {
+                        MotifKind::Phosphate
+                    };
+                    novel_family_batch(family, (db.len() / 5).max(1), seed)
+                }
+                3 => deletion_percent(db, 4.0, seed),
+                _ => growth_percent(&kind.params(), db, 4.0, seed),
+            }
+        });
         cases
     }
 
@@ -782,9 +794,9 @@ impl Oracle {
     /// Random (pattern, target) pairs — small enough that full embedding
     /// enumeration is cheap — compared on three axes: capped counts at a
     /// spread of caps (including cap 1 and an effectively-unbounded cap),
-    /// the coverage boolean, and the complete embedding sets as sorted
-    /// collections of mappings. Any disagreement minimizes to the
-    /// smallest violating pair.
+    /// the coverage boolean, the complete embedding sets, and the order in
+    /// which both matchers enumerate them. Any disagreement minimizes to
+    /// the smallest violating pair.
     fn check_plan_vs_vf2(&self, out: &mut Vec<Divergence>) -> usize {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x60);
         let mut cases = 0;
@@ -819,20 +831,28 @@ impl Oracle {
                     &target,
                 ));
             }
-            // Full embedding sets: both enumerate in pattern-vertex
-            // numbering, so the sets (order-free) must be identical.
-            cases += 1;
-            let want_set: BTreeSet<Vec<u32>> = find_embeddings(&pattern, &target, EMBED_LIMIT)
-                .into_iter()
-                .collect();
-            let got_set: BTreeSet<Vec<u32>> = find_embeddings_plan(&pattern, &target, EMBED_LIMIT)
-                .into_iter()
-                .collect();
+            // Full embeddings: both enumerate in pattern-vertex numbering
+            // under one vertex order, so the sets and then the sequences
+            // must be identical.
+            cases += 2;
+            let want = find_embeddings(&pattern, &target, EMBED_LIMIT);
+            let got = find_embeddings_plan(&pattern, &target, EMBED_LIMIT);
+            let want_set: BTreeSet<&Vec<u32>> = want.iter().collect();
+            let got_set: BTreeSet<&Vec<u32>> = got.iter().collect();
             if got_set != want_set {
                 out.push(plan_divergence(
                     format!("round {round}: embedding sets"),
                     format!("{} embeddings", want_set.len()),
                     format!("{} embeddings", got_set.len()),
+                    &pattern,
+                    &target,
+                ));
+            } else if got != want {
+                let first = want.iter().zip(&got).position(|(w, g)| w != g);
+                out.push(plan_divergence(
+                    format!("round {round}: embedding order"),
+                    format!("VF2 sequence of {} embeddings", want.len()),
+                    format!("plan sequence first differs at position {first:?}"),
                     &pattern,
                     &target,
                 ));
@@ -1412,30 +1432,78 @@ fn score_cache_divergence(case: String, expected: String, actual: String) -> Div
     }
 }
 
-/// The frequent-closed-tree view of a state as a comparable map.
-fn fct_map(state: &FctState, db_len: usize) -> BTreeMap<TreeKey, BTreeSet<GraphId>> {
-    state
-        .fct(db_len)
-        .into_iter()
-        .map(|(k, e)| (k.clone(), e.support.clone()))
-        .collect()
+/// Applies `batches` batches drawn by `next` to `db` through
+/// `FctState::apply_batch` and compares the lattice with a from-scratch
+/// build after each one. Returns the number of comparisons.
+fn replay_mining(
+    world: &str,
+    mut db: GraphDb,
+    config: MiningConfig,
+    batches: usize,
+    out: &mut Vec<Divergence>,
+    mut next: impl FnMut(usize, &GraphDb) -> BatchUpdate,
+) -> usize {
+    let mut state = FctState::build(&db, config);
+    for step in 0..batches {
+        let update = next(step, &db);
+        // Snapshot Δ⁻ graphs before they leave the database.
+        let deleted_pre: Vec<(GraphId, Arc<LabeledGraph>)> = update
+            .delete
+            .iter()
+            .filter_map(|&id| db.get(id).map(|g| (id, Arc::clone(g))))
+            .collect();
+        let (inserted, _) = db.apply(update);
+        let deleted_refs: Vec<(GraphId, &LabeledGraph)> = deleted_pre
+            .iter()
+            .map(|(id, g)| (*id, g.as_ref()))
+            .collect();
+        state.apply_batch(&db, &inserted, &deleted_refs);
+
+        let scratch = FctState::build(&db, config);
+        if let Some(diff) = lattice_divergence(&state, &scratch, db.len()) {
+            out.push(Divergence {
+                check: "incremental_mining",
+                case: format!("{world} step {step} (db of {} graphs)", db.len()),
+                expected: format!("{} tracked trees", scratch.lattice.len()),
+                actual: diff,
+                witness: None,
+            });
+        }
+    }
+    batches
 }
 
-/// Summarizes how two FCT maps differ (for the divergence record).
-fn describe_fct_diff(
-    want: &BTreeMap<TreeKey, BTreeSet<GraphId>>,
-    got: &BTreeMap<TreeKey, BTreeSet<GraphId>>,
-) -> String {
-    let missing = want.keys().filter(|k| !got.contains_key(k)).count();
-    let extra = got.keys().filter(|k| !want.contains_key(k)).count();
-    let support_drift = want
-        .iter()
-        .filter(|(k, s)| got.get(*k).is_some_and(|t| &t != s))
-        .count();
-    format!(
-        "{} frequent closed trees ({missing} missing, {extra} extra, {support_drift} with drifted support)",
-        want.len()
-    )
+/// How an incrementally maintained lattice departs from a from-scratch
+/// build of the same database, or `None` when it keeps every guarantee
+/// maintenance gives: each tracked tree carries its exact support set,
+/// and each tree frequent at `sup_min` is tracked (Lemma 4.5) with the
+/// same closed flag. A scratch tree below `sup_min` may be missing: a
+/// deletion can lift an untracked tree over the relaxed threshold without
+/// anything re-mining it.
+fn lattice_divergence(state: &FctState, scratch: &FctState, db_len: usize) -> Option<String> {
+    let (mut extra, mut drifted, mut missing, mut flipped) = (0, 0, 0, 0);
+    for (key, entry) in state.lattice.iter() {
+        match scratch.lattice.get(key) {
+            None => extra += 1,
+            Some(want) if want.support != entry.support => drifted += 1,
+            Some(_) => {}
+        }
+    }
+    for (key, want) in scratch.frequent_trees(db_len) {
+        match state.lattice.get(key) {
+            None => missing += 1,
+            Some(got) if got.closed != want.closed => flipped += 1,
+            Some(_) => {}
+        }
+    }
+    (extra + drifted + missing + flipped > 0).then(|| {
+        format!(
+            "{} tracked trees: {extra} not tracked from scratch, {drifted} with drifted \
+             support, {missing} frequent ones missing, {flipped} frequent ones with a \
+             flipped closed flag",
+            state.lattice.len()
+        )
+    })
 }
 
 /// A kernel-count divergence with a shrunk `(pattern, graph)` witness.
@@ -1479,12 +1547,7 @@ fn plan_divergence(
     let violates = |p: &LabeledGraph, g: &LabeledGraph| {
         count_embeddings_plan(p, g, COUNT_CAP) != count_embeddings(p, g, COUNT_CAP)
             || is_subgraph_plan(p, g) != is_subgraph_of(p, g)
-            || find_embeddings_plan(p, g, 4096)
-                .into_iter()
-                .collect::<BTreeSet<_>>()
-                != find_embeddings(p, g, 4096)
-                    .into_iter()
-                    .collect::<BTreeSet<_>>()
+            || find_embeddings_plan(p, g, 4096) != find_embeddings(p, g, 4096)
     };
     let witness = minimize_pair(pattern, graph, violates);
     Divergence {

@@ -6,17 +6,21 @@
 //!   when the pattern set `X` needs more steps than MIDAS's.
 
 use crate::steps::formulate;
-use midas_graph::isomorphism::is_subgraph_of;
-use midas_graph::LabeledGraph;
+use midas_graph::{Csr, LabeledGraph, MatchPlan};
 
-/// Missed percentage over a query set (in percent, 0–100).
+/// Missed percentage over a query set (in percent, 0–100). Each pattern is
+/// compiled once; each query gets one CSR view.
 pub fn missed_percentage(queries: &[LabeledGraph], patterns: &[LabeledGraph]) -> f64 {
     if queries.is_empty() {
         return 0.0;
     }
+    let plans: Vec<MatchPlan> = patterns.iter().map(MatchPlan::compile).collect();
     let missed = queries
         .iter()
-        .filter(|q| !patterns.iter().any(|p| is_subgraph_of(p, q)))
+        .filter(|q| {
+            let target = Csr::from_graph(q);
+            !plans.iter().any(|plan| plan.is_subgraph_of(&target))
+        })
         .count();
     missed as f64 / queries.len() as f64 * 100.0
 }

@@ -9,9 +9,17 @@
 //! Minimizing steps is a set-packing problem, so we use the natural greedy:
 //! largest patterns first, packing as many vertex-disjoint embeddings as
 //! fit.
+//!
+//! Matching runs on the plan-compiled matcher over one CSR view of the
+//! query. Each pattern is compiled privately ([`MatchPlan::compile`], not
+//! the shared plan cache): a cached plan may come from another
+//! representative of the pattern's isomorphism class and would enumerate
+//! embeddings in that representative's numbering. The plan matcher
+//! enumerates in the same order as the VF2 reference, so the greedy's
+//! first-fit choices — and hence every step count — are the reference's.
 
-use midas_graph::isomorphism::{for_each_embedding, is_subgraph_of, Control};
-use midas_graph::{LabeledGraph, VertexId};
+use midas_graph::isomorphism::Control;
+use midas_graph::{Csr, LabeledGraph, MatchPlan, VertexId};
 
 /// Result of formulating one query against a pattern set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,20 +57,27 @@ impl FormulationResult {
 /// pass, which never wins under the strict `<`; the stable sort keeps the
 /// other patterns' relative order.
 pub fn formulate(query: &LabeledGraph, patterns: &[LabeledGraph]) -> FormulationResult {
-    let mut by_size: Vec<&LabeledGraph> = patterns
+    let target = Csr::from_graph(query);
+    let mut by_size: Vec<MatchPlan> = patterns
         .iter()
-        .filter(|p| {
-            p.edge_count() > 0 && p.edge_count() <= query.edge_count() && is_subgraph_of(p, query)
-        })
+        .filter(|p| p.edge_count() > 0 && p.edge_count() <= query.edge_count())
+        .map(MatchPlan::compile)
+        .filter(|plan| plan.is_subgraph_of(&target))
         .collect();
-    by_size.sort_by_key(|p| std::cmp::Reverse(p.edge_count()));
+    by_size.sort_by_key(|plan| std::cmp::Reverse(plan.edge_count()));
+    best_packing(query, &target, &by_size)
+}
 
-    let mut best = pack(query, &by_size);
-    for promoted in 0..by_size.len() {
-        let mut order = by_size.clone();
+/// The multi-start greedy of [`formulate`] over compiled, size-ordered
+/// patterns: the size-ordered pass plus one pass per promoted pattern.
+fn best_packing(query: &LabeledGraph, target: &Csr, by_size: &[MatchPlan]) -> FormulationResult {
+    let size_order: Vec<&MatchPlan> = by_size.iter().collect();
+    let mut best = pack(query, target, &size_order);
+    for promoted in 0..size_order.len() {
+        let mut order = size_order.clone();
         let front = order.remove(promoted);
         order.insert(0, front);
-        let attempt = pack(query, &order);
+        let attempt = pack(query, target, &order);
         if attempt.steps < best.steps {
             best = attempt;
         }
@@ -70,8 +85,9 @@ pub fn formulate(query: &LabeledGraph, patterns: &[LabeledGraph]) -> Formulation
     best
 }
 
-/// One greedy packing pass over a fixed pattern order.
-fn pack(query: &LabeledGraph, order: &[&LabeledGraph]) -> FormulationResult {
+/// One greedy packing pass over a fixed pattern order; `target` is the
+/// CSR view of `query`.
+fn pack(query: &LabeledGraph, target: &Csr, order: &[&MatchPlan]) -> FormulationResult {
     let n = query.vertex_count();
     let edge_steps = n + query.edge_count();
     let mut used_vertex = vec![false; n];
@@ -82,7 +98,7 @@ fn pack(query: &LabeledGraph, order: &[&LabeledGraph]) -> FormulationResult {
         loop {
             // Find one embedding avoiding used vertices.
             let mut found: Option<Vec<VertexId>> = None;
-            for_each_embedding(pattern, query, &mut |mapping| {
+            pattern.for_each_embedding(target, &mut |mapping| {
                 if mapping.iter().all(|&tv| !used_vertex[tv as usize]) {
                     found = Some(mapping.to_vec());
                     Control::Stop
@@ -114,6 +130,7 @@ fn pack(query: &LabeledGraph, order: &[&LabeledGraph]) -> FormulationResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use midas_graph::isomorphism::{for_each_embedding, is_subgraph_of};
     use midas_graph::GraphBuilder;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -121,22 +138,48 @@ mod tests {
     /// [`formulate`] without the embedding prefilter: every size-eligible
     /// pattern gets its own promoted pass.
     fn formulate_unfiltered(query: &LabeledGraph, patterns: &[LabeledGraph]) -> FormulationResult {
-        let mut by_size: Vec<&LabeledGraph> = patterns
+        let mut by_size: Vec<MatchPlan> = patterns
             .iter()
             .filter(|p| p.edge_count() > 0 && p.edge_count() <= query.edge_count())
+            .map(MatchPlan::compile)
             .collect();
-        by_size.sort_by_key(|p| std::cmp::Reverse(p.edge_count()));
-        let mut best = pack(query, &by_size);
-        for promoted in 0..by_size.len() {
-            let mut order = by_size.clone();
-            let front = order.remove(promoted);
-            order.insert(0, front);
-            let attempt = pack(query, &order);
-            if attempt.steps < best.steps {
-                best = attempt;
+        by_size.sort_by_key(|plan| std::cmp::Reverse(plan.edge_count()));
+        best_packing(query, &Csr::from_graph(query), &by_size)
+    }
+
+    /// [`pack`] on the VF2 reference: keeps the first vertex-disjoint
+    /// embedding VF2 enumerates.
+    fn pack_vf2(query: &LabeledGraph, order: &[&LabeledGraph]) -> FormulationResult {
+        let n = query.vertex_count();
+        let mut used_vertex = vec![false; n];
+        let (mut patterns_used, mut covered_edges) = (0, 0);
+        for pattern in order {
+            loop {
+                let mut found: Option<Vec<VertexId>> = None;
+                for_each_embedding(pattern, query, &mut |mapping| {
+                    if mapping.iter().all(|&tv| !used_vertex[tv as usize]) {
+                        found = Some(mapping.to_vec());
+                        Control::Stop
+                    } else {
+                        Control::Continue
+                    }
+                });
+                let Some(mapping) = found else { break };
+                for &tv in &mapping {
+                    used_vertex[tv as usize] = true;
+                }
+                patterns_used += 1;
+                covered_edges += pattern.edge_count();
             }
         }
-        best
+        let covered_vertices = used_vertex.iter().filter(|&&u| u).count();
+        FormulationResult {
+            steps: patterns_used + (n - covered_vertices) + (query.edge_count() - covered_edges),
+            edge_steps: n + query.edge_count(),
+            patterns_used,
+            covered_vertices,
+            covered_edges,
+        }
     }
 
     fn random_graph(rng: &mut StdRng, vertices: usize, labels: &[u32], p: f64) -> LabeledGraph {
@@ -228,42 +271,54 @@ mod tests {
         assert_eq!(r.patterns_used, 0);
     }
 
+    /// The random-round harness: 300 `(query, patterns)` rounds mixing
+    /// patterns that embed, patterns that usually do not, and patterns
+    /// that are often larger than the query.
+    fn random_rounds() -> Vec<(LabeledGraph, Vec<LabeledGraph>)> {
+        let mut rng = StdRng::seed_from_u64(0x51ed);
+        (0..300)
+            .map(|_| {
+                let n = rng.random_range(3..=9);
+                let query = random_graph(&mut rng, n, &[0, 1, 2], 0.4);
+                let mut patterns = Vec::new();
+                for _ in 0..rng.random_range(0..=8) {
+                    patterns.push(match rng.random_range(0..4) {
+                        // Embeds: an induced subgraph of the query.
+                        0 | 1 => {
+                            let keep: Vec<u32> =
+                                (0..n as u32).filter(|_| rng.random_bool(0.5)).collect();
+                            query.induced_subgraph(&keep)
+                        }
+                        // Usually does not embed: query labels plus one it lacks.
+                        2 => {
+                            let size = rng.random_range(2..=4);
+                            random_graph(&mut rng, size, &[0, 1, 2, 9], 0.6)
+                        }
+                        // Often larger than the query.
+                        _ => {
+                            let size = rng.random_range(n..=n + 3);
+                            random_graph(&mut rng, size, &[0, 1, 2], 0.6)
+                        }
+                    });
+                }
+                (query, patterns)
+            })
+            .collect()
+    }
+
     #[test]
     fn embedding_prefilter_matches_unfiltered_formulation() {
-        let mut rng = StdRng::seed_from_u64(0x51ed);
         let (mut skipped, mut placed) = (0, 0);
-        for round in 0..300 {
-            let n = rng.random_range(3..=9);
-            let query = random_graph(&mut rng, n, &[0, 1, 2], 0.4);
-            let mut patterns = Vec::new();
-            for _ in 0..rng.random_range(0..=8) {
-                let pattern = match rng.random_range(0..4) {
-                    // Embeds: an induced subgraph of the query.
-                    0 | 1 => {
-                        let keep: Vec<u32> =
-                            (0..n as u32).filter(|_| rng.random_bool(0.5)).collect();
-                        query.induced_subgraph(&keep)
-                    }
-                    // Usually does not embed: query labels plus one it lacks.
-                    2 => {
-                        let size = rng.random_range(2..=4);
-                        random_graph(&mut rng, size, &[0, 1, 2, 9], 0.6)
-                    }
-                    // Often larger than the query.
-                    _ => {
-                        let size = rng.random_range(n..=n + 3);
-                        random_graph(&mut rng, size, &[0, 1, 2], 0.6)
-                    }
-                };
-                let embeds = is_subgraph_of(&pattern, &query);
+        for (round, (query, patterns)) in random_rounds().iter().enumerate() {
+            for pattern in patterns {
+                let embeds = is_subgraph_of(pattern, query);
                 let fits = pattern.edge_count() > 0 && pattern.edge_count() <= query.edge_count();
                 skipped += usize::from(fits && !embeds);
-                patterns.push(pattern);
             }
-            let result = formulate(&query, &patterns);
+            let result = formulate(query, patterns);
             assert_eq!(
                 result,
-                formulate_unfiltered(&query, &patterns),
+                formulate_unfiltered(query, patterns),
                 "round {round}: {query:?} with {patterns:?}"
             );
             placed += usize::from(result.used_any_pattern());
@@ -276,6 +331,46 @@ mod tests {
             placed > 100,
             "too few formulations used a pattern: {placed}"
         );
+    }
+
+    /// The greedy keeps the *first* vertex-disjoint embedding it finds, so
+    /// placements depend on enumeration order. Every pass [`formulate`]
+    /// may try — size order, then each pattern promoted — must pack
+    /// exactly as on the VF2 reference, and the best pass must be
+    /// `formulate`'s answer.
+    #[test]
+    fn formulation_matches_vf2_packing() {
+        for (round, (query, patterns)) in random_rounds().iter().enumerate() {
+            let target = Csr::from_graph(query);
+            let mut by_size: Vec<&LabeledGraph> = patterns
+                .iter()
+                .filter(|p| p.edge_count() > 0 && p.edge_count() <= query.edge_count())
+                .collect();
+            by_size.sort_by_key(|p| std::cmp::Reverse(p.edge_count()));
+            let plans: Vec<MatchPlan> = by_size.iter().map(|p| MatchPlan::compile(p)).collect();
+            let mut best: Option<FormulationResult> = None;
+            for promoted in std::iter::once(None).chain((0..by_size.len()).map(Some)) {
+                let mut order: Vec<usize> = (0..by_size.len()).collect();
+                if let Some(front) = promoted {
+                    order.remove(front);
+                    order.insert(0, front);
+                }
+                let reference = pack_vf2(
+                    query,
+                    &order.iter().map(|&i| by_size[i]).collect::<Vec<_>>(),
+                );
+                let plan_order: Vec<&MatchPlan> = order.iter().map(|&i| &plans[i]).collect();
+                assert_eq!(
+                    pack(query, &target, &plan_order),
+                    reference,
+                    "round {round}, promoted {promoted:?}: {query:?} with {patterns:?}"
+                );
+                if best.is_none_or(|b| reference.steps < b.steps) {
+                    best = Some(reference);
+                }
+            }
+            assert_eq!(Some(formulate(query, patterns)), best, "round {round}");
+        }
     }
 
     #[test]

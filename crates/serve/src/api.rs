@@ -315,6 +315,10 @@ fn epoch(tenant: &Arc<Tenant>) -> Response {
     )
 }
 
+/// The most graphs one request may have the server generate: the cap on
+/// `n` of `GET /queries` and on `count` of a generate spec.
+const MAX_GRAPHS_PER_REQUEST: u64 = 4096;
+
 /// `GET /v1/{tenant}/queries?n=16&min=3&max=8&seed=7` — samples a query
 /// workload (connected subgraphs of database graphs) from the tenant's
 /// current database: the queries a client posts back to `/querylog`.
@@ -323,7 +327,7 @@ fn queries(tenant: &Arc<Tenant>, req: &Request) -> Response {
         .query_param("n")
         .and_then(|v| v.parse().ok())
         .unwrap_or(16usize)
-        .min(4096);
+        .min(MAX_GRAPHS_PER_REQUEST as usize);
     let min = req
         .query_param("min")
         .and_then(|v| v.parse().ok())
@@ -350,6 +354,10 @@ fn queries(tenant: &Arc<Tenant>, req: &Request) -> Response {
     )
 }
 
+/// Decodes a `generate` spec. `percent` (default 4) must lie in
+/// `[0, 100]` and `count` (default 8) in `1..=4096`; anything else is a
+/// 400 naming the field, so a spec never reaches the generator with a
+/// size it cannot allocate.
 fn parse_gen_spec(v: &Value) -> Result<GenSpec, String> {
     let op = match v.get("op").and_then(Value::as_str) {
         Some("growth") => GenOp::Growth,
@@ -362,10 +370,24 @@ fn parse_gen_spec(v: &Value) -> Result<GenSpec, String> {
         None => None,
         Some(name) => Some(motif_kind(name).ok_or_else(|| format!("unknown motif {name:?}"))?),
     };
+    let percent = match v.get("percent") {
+        None => 4.0,
+        Some(p) => p
+            .as_f64()
+            .filter(|p| (0.0..=100.0).contains(p))
+            .ok_or("generate \"percent\" must be a number in [0, 100]")?,
+    };
+    let count = match v.get("count") {
+        None => 8,
+        Some(c) => c
+            .as_u64()
+            .filter(|c| (1..=MAX_GRAPHS_PER_REQUEST).contains(c))
+            .ok_or("generate \"count\" must be an integer in 1..=4096")?,
+    };
     Ok(GenSpec {
         op,
-        percent: v.get("percent").and_then(Value::as_f64).unwrap_or(4.0),
-        count: v.get("count").and_then(Value::as_u64).unwrap_or(8) as usize,
+        percent,
+        count: count as usize,
         motif,
         seed: v.get("seed").and_then(Value::as_u64).unwrap_or(7),
     })

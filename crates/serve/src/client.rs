@@ -174,22 +174,28 @@ impl ServeClient {
         self.request("POST", &updates_path(tenant, sync), Some(&body))
     }
 
-    /// `POST /v1/{tenant}/updates` with a server-side generator spec.
+    /// `POST /v1/{tenant}/updates` with a server-side generator spec. The
+    /// body carries only the size field the op reads: `percent` for
+    /// growth and deletion, `count` for novel.
     pub fn post_generate(&self, tenant: &str, spec: &GenSpec, sync: bool) -> Result<Reply, String> {
-        let op = match spec.op {
-            GenOp::Growth => "growth",
-            GenOp::Deletion => "deletion",
-            GenOp::Novel => "novel",
+        let (op, size) = match spec.op {
+            GenOp::Growth => (
+                "growth",
+                format!("\"percent\": {}", js::number(spec.percent)),
+            ),
+            GenOp::Deletion => (
+                "deletion",
+                format!("\"percent\": {}", js::number(spec.percent)),
+            ),
+            GenOp::Novel => ("novel", format!("\"count\": {}", spec.count)),
         };
         let motif = match spec.motif {
             Some(m) => format!(", \"motif\": {}", js::quote(motif_name(m))),
             None => String::new(),
         };
         let body = format!(
-            "{{\"generate\": {{\"op\": {}, \"percent\": {}, \"count\": {}, \"seed\": {}{motif}}}}}",
+            "{{\"generate\": {{\"op\": {}, {size}, \"seed\": {}{motif}}}}}",
             js::quote(op),
-            js::number(spec.percent),
-            spec.count,
             spec.seed
         );
         self.request("POST", &updates_path(tenant, sync), Some(&body))

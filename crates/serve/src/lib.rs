@@ -473,6 +473,35 @@ mod tests {
                 .status,
             400
         );
+        // Out-of-range generate sizes are 400s naming the field, before
+        // anything is queued: the tenant keeps serving sync updates.
+        for (body, field) in [
+            (
+                r#"{"generate": {"op": "growth", "percent": 1e30}}"#,
+                "percent",
+            ),
+            (r#"{"generate": {"op": "novel", "count": 100000}}"#, "count"),
+        ] {
+            let reply = client
+                .request("POST", "/v1/dup/updates", Some(body))
+                .unwrap();
+            assert_eq!(reply.status, 400, "{body}: {}", reply.body);
+            assert!(reply.body.contains(field), "{body}: {}", reply.body);
+        }
+        let begin = Instant::now();
+        let reply = client
+            .request(
+                "POST",
+                "/v1/dup/updates?mode=sync",
+                Some(r#"{"generate": {"op": "growth", "percent": 10}}"#),
+            )
+            .unwrap();
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert!(
+            begin.elapsed() < Duration::from_secs(30),
+            "sync update took {:?}",
+            begin.elapsed()
+        );
         assert_eq!(
             client
                 .request("POST", "/v1/dup/querylog", None)

@@ -77,10 +77,16 @@ fn main() {
         }
     }
     println!(
-        "\nvf2: {} searches, {} recursion nodes, {} prefilter rejects",
-        report.telemetry.counter("vf2.searches"),
-        report.telemetry.counter("vf2.nodes"),
-        report.telemetry.counter("vf2.prefilter_rejects")
+        "\nplan: {} searches ({} closed-form), {} recursion nodes, {} prefilter rejects, {} compiles",
+        report.telemetry.counter("plan.searches"),
+        report.telemetry.counter("plan.closed_forms"),
+        report.telemetry.counter("plan.nodes"),
+        report.telemetry.counter("plan.prefilter_rejects"),
+        report.telemetry.counter("plan.compiles")
+    );
+    println!(
+        "vf2 (reference matcher): {} searches",
+        report.telemetry.counter("vf2.searches")
     );
     println!(
         "cache: {} hits / {} misses, {} insertions, {} invalidations",

@@ -41,7 +41,7 @@ import json
 import re
 import sys
 
-REQUIRED_COUNTERS = ["pmt_us", "cache.hits", "vf2.nodes", "vf2.searches"]
+REQUIRED_COUNTERS = ["pmt_us", "cache.hits", "plan.nodes", "plan.searches"]
 REQUIRED_SECTIONS = ["counters", "gauges", "histograms", "spans"]
 REQUIRED_SPANS = ["batch.ingest", "batch.fct", "batch.cluster", "batch.index"]
 SPAN_FIELDS = ["count", "total_us", "max_us"]
@@ -55,7 +55,9 @@ SAMPLE_LINE = re.compile(
     r" (?P<value>[^ ]+)$"
 )
 LABEL_PAIR = re.compile(r'^[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\["\\n])*"$')
-REQUIRED_FAMILIES = ["midas_pmt_us", "midas_vf2_search_ns"]
+REQUIRED_FAMILIES = ["midas_pmt_us", "midas_plan_search_ns"]
+# VF2 is the reference matcher: a production scrape must show no search.
+REFERENCE_ONLY_COUNTERS = ["midas_vf2_searches"]
 BATCH_FIELDS = [
     "seq", "kind", "distance", "pmt_us", "pgt_us",
     "inserted", "deleted", "candidates", "swaps", "unix_ms",
@@ -171,6 +173,9 @@ def check_prom(path):
             fail(f"{path}:{lineno}: sample {name!r} has no preceding # TYPE")
         families.add(family)
         samples += 1
+        if name in REFERENCE_ONLY_COUNTERS and float(m.group("value")) != 0:
+            fail(f"{path}:{lineno}: {name} is {m.group('value')}; production "
+                 "code must match on the plan matcher only")
     if samples == 0:
         fail(f"{path}: no samples at all")
     for family in REQUIRED_FAMILIES:
@@ -260,9 +265,10 @@ def check_profile(path, require_nonempty=True):
 
 def check_slow(path, require_series=("plan.search_ns",)):
     """Validates a saved `GET /slow` body (exemplar reservoirs). The
-    required series is the production matcher's: memo misses run the
-    compiled plan under a (pattern, graph) context, so its exemplars must
-    be attributed. VF2 runs only in reference paths and carries none."""
+    required series is the production matcher's: memo misses and FCT
+    mining run the compiled plan under a (pattern, graph) context, so its
+    exemplars must be attributed. VF2 is the reference matcher and offers
+    none."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc.get("reservoir_k"), int) or doc["reservoir_k"] < 1:
@@ -306,7 +312,7 @@ def check_alerts(path, expect_firing=None):
     config = doc.get("config")
     if not isinstance(config, dict):
         fail(f"{path}: config missing")
-    for field in ["phase_budget_us", "vf2_budget_ns", "allowed_ppm", "burn_milli"]:
+    for field in ["phase_budget_us", "allowed_ppm", "burn_milli"]:
         if not isinstance(config.get(field), int):
             fail(f"{path}: config missing {field!r}")
     alerts = doc.get("alerts")

@@ -46,14 +46,14 @@ fn served_endpoints_answer_with_quantiles_and_bounded_flight_history() {
     assert!(body.contains("\"total_batches\": 10"));
 
     // /metrics — Prometheus text exposition with quantile-labeled series
-    // for the VF2 latency histogram fed by the isomorphism kernel.
+    // for the search latency histogram of the plan matcher.
     let (status, body) = http_get(addr, "/metrics");
     assert_eq!(status, 200);
     assert!(
-        body.contains("midas_vf2_search_ns{quantile=\"0.99\"}"),
-        "p99 VF2 latency series missing:\n{body}"
+        body.contains("midas_plan_search_ns{quantile=\"0.99\"}"),
+        "p99 plan search latency series missing:\n{body}"
     );
-    assert!(body.contains("# TYPE midas_vf2_search_ns summary"));
+    assert!(body.contains("# TYPE midas_plan_search_ns summary"));
     assert!(body.contains("midas_pmt_us "), "pmt counter series missing");
 
     // /healthz — drift + batch progress as JSON.

@@ -90,24 +90,15 @@ proptest! {
         base in proptest::collection::vec(connected_graph_strategy(6, 2), 3..7),
         delta in proptest::collection::vec(connected_graph_strategy(6, 2), 2..5),
     ) {
-        let refs_base: Vec<(GraphId, &LabeledGraph)> = base
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (GraphId(i as u64), g))
-            .collect();
-        let refs_delta: Vec<(GraphId, &LabeledGraph)> = delta
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (GraphId(1_000 + i as u64), g))
-            .collect();
-        let mut refs_union = refs_base.clone();
-        refs_union.extend(refs_delta.iter().copied());
+        let db = GraphDb::from_graphs(base.iter().chain(&delta).cloned());
+        let ids_union: Vec<GraphId> = db.ids().collect();
+        let (ids_base, ids_delta) = ids_union.split_at(base.len());
         // Mine everything at a permissive threshold so no tree is dropped
         // for frequency reasons — Lemma 3.4 is about closedness alone.
         let cfg = MiningConfig { sup_min: 1e-9, max_edges: 3 };
-        let lat_base = mine_lattice(&refs_base, &cfg);
-        let lat_delta = mine_lattice(&refs_delta, &cfg);
-        let lat_union = mine_lattice(&refs_union, &cfg);
+        let lat_base = mine_lattice(&db, ids_base, &cfg);
+        let lat_delta = mine_lattice(&db, ids_delta, &cfg);
+        let lat_union = mine_lattice(&db, &ids_union, &cfg);
         for (key, entry) in lat_base.iter().chain(lat_delta.iter()) {
             if entry.closed {
                 let in_union = lat_union.get(key).expect("union tracks all trees");
@@ -125,13 +116,10 @@ proptest! {
     fn support_anti_monotonicity(
         graphs in proptest::collection::vec(connected_graph_strategy(6, 2), 3..7),
     ) {
-        let refs: Vec<(GraphId, &LabeledGraph)> = graphs
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (GraphId(i as u64), g))
-            .collect();
+        let db = GraphDb::from_graphs(graphs);
+        let ids: Vec<GraphId> = db.ids().collect();
         let cfg = MiningConfig { sup_min: 0.2, max_edges: 3 };
-        let lattice = mine_lattice(&refs, &cfg);
+        let lattice = mine_lattice(&db, &ids, &cfg);
         let entries: Vec<_> = lattice.iter().collect();
         for (_, small) in &entries {
             for (_, large) in &entries {

@@ -1,8 +1,8 @@
 //! Property tests for the plan-compiled matcher: on random connected
 //! (pattern, target) pairs the plan interpreter over CSR label slices
 //! must agree exactly with the serial VF2 reference — counts at every
-//! cap, coverage booleans, full embedding sets, and the kernel's bulk
-//! operations against serial VF2 loops.
+//! cap, coverage booleans, full embedding sets and their enumeration
+//! order, and the kernel's bulk operations against serial VF2 loops.
 
 use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
 use midas_graph::plan::{count_embeddings_plan, find_embeddings_plan, is_subgraph_plan};
@@ -52,6 +52,26 @@ proptest! {
         let plan: BTreeSet<Vec<u32>> =
             find_embeddings_plan(&pattern, &target, 10_000).into_iter().collect();
         prop_assert_eq!(plan, reference);
+    }
+
+    /// Both matchers share one vertex-ordering rule and try candidates in
+    /// ascending target-vertex order, so they enumerate the same
+    /// embeddings in the same *sequence* — the formulation simulator's
+    /// first-fit packing depends on it. The pattern is an induced subgraph
+    /// of a two-label target, so it embeds, usually many times.
+    #[test]
+    fn plan_embedding_order_matches_vf2(
+        target in connected_graph_strategy(8, 2),
+        keep in proptest::collection::vec(0..2u8, 8),
+    ) {
+        let kept: Vec<u32> = (0..target.vertex_count() as u32)
+            .filter(|&v| keep[v as usize] == 1)
+            .collect();
+        let pattern = target.induced_subgraph(&kept);
+        prop_assert_eq!(
+            find_embeddings_plan(&pattern, &target, 10_000),
+            find_embeddings(&pattern, &target, 10_000)
+        );
     }
 
     /// The CSR twin reproduces the adjacency structure it was built from:

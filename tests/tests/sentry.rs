@@ -1,7 +1,7 @@
 //! The regression-sentry layer, end to end: the cooperative profiler must
 //! attribute samples to live span stacks, tail-latency exemplars must stay
-//! deterministic and carry (pattern, graph) attribution out of the VF2
-//! kernel, the burn-rate alert windows must rotate exactly at the slot
+//! deterministic and carry (pattern, graph) attribution out of the plan
+//! matcher, the burn-rate alert windows must rotate exactly at the slot
 //! boundary, and an injected `MIDAS_FAULT=slow:US` must flip `/alerts`
 //! and `/healthz` to firing within two batches.
 //!

@@ -6,7 +6,8 @@
 //! shared lock and restores the disabled default before releasing it.
 
 use midas_core::framework::Midas;
-use midas_graph::{BatchUpdate, GraphBuilder, LabeledGraph};
+use midas_core::query_log::QueryLog;
+use midas_graph::{BatchUpdate, GraphBuilder, GraphId, LabeledGraph};
 use midas_obs::{json, MetricsSnapshot, TelemetryConfig};
 use midas_tests::{exclusive, path, seed_db, test_config};
 
@@ -57,7 +58,7 @@ fn phase_spans_tile_pattern_maintenance_time() {
 
     // The counters the CI schema gate requires, plus phase accounting.
     assert!(telemetry.counter("pmt_us") > 0);
-    assert!(telemetry.counter("vf2.nodes") > 0);
+    assert!(telemetry.counter("plan.nodes") > 0);
     assert!(telemetry.counter("cache.hits") + telemetry.counter("cache.misses") > 0);
     assert_eq!(telemetry.counter("batch.inserted"), 16);
     assert_eq!(
@@ -107,7 +108,12 @@ fn metrics_snapshot_exports_valid_json() {
 
     let doc = report.telemetry.to_json();
     json::validate(&doc).expect("metrics JSON validates");
-    for key in ["\"pmt_us\"", "\"cache.hits\"", "\"vf2.nodes\"", "\"spans\""] {
+    for key in [
+        "\"pmt_us\"",
+        "\"cache.hits\"",
+        "\"plan.nodes\"",
+        "\"spans\"",
+    ] {
         assert!(doc.contains(key), "metrics.json must contain {key}");
     }
 
@@ -198,4 +204,49 @@ fn single_thread_bootstrap_fans_out_nothing() {
         midas.clusters().len()
     );
     assert_eq!(delta.counter("exec.fanouts"), 0);
+}
+
+/// VF2 is the reference matcher: no production path may run it. Over a
+/// bootstrap, a major, a minor and a deletion batch, formulation and
+/// query-log weighting, the VF2 search counter stays at zero while the
+/// plan matcher's rises.
+#[test]
+fn production_matching_runs_on_the_plan_matcher_only() {
+    let _g = exclusive();
+    let mut cfg = test_config(29);
+    cfg.telemetry.enabled = true;
+    let mut last = MetricsSnapshot::capture();
+    let mut step = |name: &str| {
+        let now = MetricsSnapshot::capture();
+        let delta = now.since(&last);
+        assert_eq!(delta.counter("vf2.searches"), 0, "{name} ran VF2");
+        assert!(delta.counter("plan.searches") > 0, "{name} matched nothing");
+        last = now;
+    };
+
+    let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    step("bootstrap");
+    let major = midas.apply_batch(BatchUpdate::insert_only(dense_wave()));
+    assert_eq!(major.telemetry.counter("monitor.major"), 1, "wave drifts");
+    step("major batch");
+    let minor = midas.apply_batch(BatchUpdate::insert_only(vec![path(&[0, 1, 2])]));
+    assert_eq!(minor.telemetry.counter("monitor.minor"), 1);
+    step("minor batch");
+    let victims: Vec<GraphId> = midas.db().ids().take(4).collect();
+    midas.apply_batch(BatchUpdate::delete_only(victims));
+    step("deletion batch");
+
+    let patterns = midas.patterns();
+    let queries = midas_datagen::query_set(midas.db(), 8, (3, 6), 5);
+    for q in &queries {
+        midas_queryform::formulate(q, &patterns);
+    }
+    step("formulate");
+    let mut log = QueryLog::new(16);
+    log.record_all(queries);
+    for p in &patterns {
+        log.weight(p);
+    }
+    step("QueryLog::weight");
+    TelemetryConfig::default().activate();
 }
