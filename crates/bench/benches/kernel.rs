@@ -16,7 +16,7 @@
 use criterion::{BatchSize, Criterion};
 use midas_datagen::{DatasetKind, DatasetSpec};
 use midas_graph::{Csr, GraphDb, GraphId, LabeledGraph, MatchKernel};
-use midas_index::{FctIndex, PatternId};
+use midas_index::FctIndex;
 use midas_mining::{tree_key, TreeKey};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -85,13 +85,12 @@ fn serial_build(s: &Scenario) -> FctIndex {
     FctIndex::build(
         s.features.iter().map(|(k, t)| (k.clone(), t)),
         graph_refs(&s.db),
-        std::iter::empty::<(PatternId, &LabeledGraph)>(),
     )
 }
 
 fn kernel_build(s: &Scenario, kernel: &MatchKernel) -> FctIndex {
     let csrs: Vec<(GraphId, &Csr)> = s.db.csrs().collect();
-    FctIndex::build_with(kernel, s.features.iter().cloned(), &csrs, &[]).expect("no fault injected")
+    FctIndex::build_with(kernel, s.features.iter().cloned(), &csrs).expect("no fault injected")
 }
 
 /// Batch maintenance through the kernel (maintenance rule 3 over `Δ⁺`).

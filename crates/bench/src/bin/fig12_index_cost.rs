@@ -8,7 +8,7 @@ use midas_bench::{fmt_duration, print_table};
 use midas_datagen::updates::growth_batch;
 use midas_datagen::{DatasetKind, DatasetSpec};
 use midas_graph::{GraphId, LabeledGraph};
-use midas_index::{FctIndex, IfeIndex, PatternId};
+use midas_index::{FctIndex, IfeIndex};
 use midas_mining::incremental::FctState;
 use midas_mining::MiningConfig;
 use std::collections::BTreeSet;
@@ -44,7 +44,6 @@ fn main() {
         let fct_index = FctIndex::build(
             features.iter().map(|(k, t)| (k.clone(), t)),
             graph_refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
         );
         let infrequent: BTreeSet<midas_graph::EdgeLabel> = state
             .edges
@@ -52,11 +51,7 @@ fn main() {
             .into_iter()
             .map(|(l, _)| l)
             .collect();
-        let ife_index = IfeIndex::build(
-            infrequent,
-            graph_refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
-        );
+        let ife_index = IfeIndex::build(infrequent, graph_refs.iter().copied());
         let index_time = t.elapsed();
         let index_bytes = fct_index.approx_bytes() + ife_index.approx_bytes();
         // FCT maintenance time for a +5% batch.

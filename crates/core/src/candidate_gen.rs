@@ -14,7 +14,7 @@
 //! from these counts without running the coverage filter again.
 
 use crate::metrics::ScovContext;
-use crate::patterns::PatternStore;
+use crate::patterns::{PatternId, PatternStore};
 use midas_catapult::candidates::generate_candidates;
 use midas_catapult::random_walk::random_walks;
 use midas_catapult::{PatternBudget, WeightedCsg};
@@ -53,9 +53,9 @@ pub struct CoverageState {
     /// `⋃_{p ∈ P} G_scov(p)` over the sample.
     pub covered_union: BTreeSet<GraphId>,
     /// Per pattern: `|G_scov(p)|` over the sample.
-    pub covered: BTreeMap<midas_index::PatternId, usize>,
+    pub covered: BTreeMap<PatternId, usize>,
     /// Per pattern: `|G_scov(p) \ ⋃_{p' ≠ p} G_scov(p')|`.
-    pub exclusive: BTreeMap<midas_index::PatternId, usize>,
+    pub exclusive: BTreeMap<PatternId, usize>,
     /// The minimum exclusive coverage across patterns (0 when `P` is
     /// empty — every candidate is then promising).
     pub min_exclusive: usize,
@@ -63,7 +63,7 @@ pub struct CoverageState {
 
 /// Computes the coverage state of `store` over the sample.
 pub fn coverage_state(store: &PatternStore, ctx: &ScovContext<'_>) -> CoverageState {
-    let per_pattern: Vec<(midas_index::PatternId, BTreeSet<GraphId>)> =
+    let per_pattern: Vec<(PatternId, BTreeSet<GraphId>)> =
         store.iter().map(|(id, p)| (id, ctx.covered(p))).collect();
     let mut covered_union = BTreeSet::new();
     for (_, covered) in &per_pattern {
@@ -164,7 +164,7 @@ pub fn generate_promising_candidates(
 mod tests {
     use super::*;
     use midas_graph::{ClosureGraph, GraphBuilder, GraphDb, MatchKernel};
-    use midas_index::{FctIndex, IfeIndex, PatternId};
+    use midas_index::{FctIndex, IfeIndex};
     use midas_mining::EdgeCatalog;
     use rand::SeedableRng;
 
@@ -189,13 +189,8 @@ mod tests {
         let fct = FctIndex::build(
             std::iter::empty::<(midas_mining::TreeKey, &LabeledGraph)>(),
             refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
         );
-        let ife = IfeIndex::build(
-            BTreeSet::new(),
-            refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
-        );
+        let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
         let catalog = EdgeCatalog::build(refs.iter().copied());
         let sample: BTreeSet<GraphId> = db.ids().collect();
         World {

@@ -29,7 +29,7 @@ use crate::candidate_gen::{
 use crate::config::MidasConfig;
 use crate::metrics::ScovContext;
 use crate::monitor::{classify, GraphletMonitor, Modification};
-use crate::patterns::PatternStore;
+use crate::patterns::{PatternId, PatternStore};
 use crate::published::{PatternSnapshot, Published};
 use crate::sampling::sample_database;
 use crate::swap::{multi_scan_swap, SwapParams};
@@ -39,7 +39,7 @@ use midas_cluster::{ClusterSet, FeatureSpace};
 use midas_graph::{
     BatchUpdate, Csr, EdgeLabel, GraphDb, GraphId, KernelError, LabeledGraph, MatchKernel,
 };
-use midas_index::{FctIndex, IfeIndex, PatternId};
+use midas_index::{FctIndex, IfeIndex};
 use midas_mining::incremental::FctState;
 use midas_mining::TreeKey;
 use midas_obs::MetricsSnapshot;
@@ -109,6 +109,10 @@ pub struct Midas {
     monitor: GraphletMonitor,
     fct_index: FctIndex,
     ife_index: IfeIndex,
+    /// Set when an index phase did not complete: the indices may miss
+    /// that batch's graph columns and feature rows, so the next index
+    /// phase rebuilds both from scratch.
+    indices_stale: bool,
     patterns: PatternStore,
     kernel: MatchKernel,
     batch_counter: u64,
@@ -162,7 +166,7 @@ impl Midas {
         ));
         let monitor = GraphletMonitor::build(&db);
         let kernel = MatchKernel::new(config.threads);
-        let (fct_index, ife_index) = build_indices(&db, &fct_state, &patterns, &config, &kernel)
+        let (fct_index, ife_index) = build_indices(&db, &fct_state, &config, &kernel)
             .map_err(|e| format!("index build failed: {e}"))?;
         let mut midas = Midas {
             config,
@@ -172,6 +176,7 @@ impl Midas {
             monitor,
             fct_index,
             ife_index,
+            indices_stale: false,
             patterns,
             kernel,
             batch_counter: 0,
@@ -277,7 +282,7 @@ impl Midas {
     /// Pattern-set quality over a fresh sample of the current database.
     pub fn quality(&self) -> SetQuality {
         let sample = self.sample();
-        crate::metrics::quality_of_with(
+        midas_catapult::score::set_quality_with(
             &self.kernel,
             &self.patterns.graphs(),
             &self.db,
@@ -385,7 +390,8 @@ impl Midas {
         // Index maintenance (line 12 — we keep indices fresh every batch so
         // minor modifications leave them consistent too). The kernel passes
         // here are the fallible `try_*` fan-outs: a contained task panic
-        // surfaces as a `KernelError` with the index left untouched.
+        // surfaces as a `KernelError`. A phase that fails or is skipped
+        // leaves the indices stale until the next one rebuilds them.
         let index_span = midas_obs::span!("batch.index");
         let index_start = Instant::now();
         // Injected slowdown (`MIDAS_FAULT=slow:US`): burns wall-clock inside
@@ -393,9 +399,11 @@ impl Midas {
         if let Some(delay) = midas_graph::exec::slow_fault() {
             std::thread::sleep(delay);
         }
-        if let Some(Err(e)) = contain("batch.index", &mut batch_error, || {
+        let indexed = contain("batch.index", &mut batch_error, || {
             self.maintain_indices(&inserted, &deleted_ids)
-        }) {
+        });
+        self.indices_stale = !matches!(indexed, Some(Ok(())));
+        if let Some(Err(e)) = indexed {
             record_kernel_error(&e);
             batch_error = Some(e);
         }
@@ -418,7 +426,6 @@ impl Midas {
         let mut candidates_generated = 0;
         let mut swaps = 0;
         if kind == Modification::Major && !self.patterns.is_empty() && batch_error.is_none() {
-            let ids_before: BTreeSet<PatternId> = self.patterns.iter().map(|(id, _)| id).collect();
             contain("batch.maintenance", &mut batch_error, || {
                 // Candidate generation from dirty CSGs (§5, lines 9–10).
                 let candidates_span = midas_obs::span!("batch.candidates");
@@ -495,9 +502,6 @@ impl Midas {
                     self.batch_counter
                 );
             });
-            // Also after a contained panic: the store holds whatever the
-            // swap step reached, and the columns must match it.
-            self.commit_pattern_columns(&ids_before);
         }
         // On a minor modification the dirty flags are deliberately *kept*:
         // clusters stay marked as modified until the next major round
@@ -571,30 +575,12 @@ impl Midas {
         }
     }
 
-    /// Commits the swap step's pattern-column delta to both indices: ids
-    /// in `before` that left the store lose their TP/EP columns, ids that
-    /// arrived gain one. The store never reuses an id, so the diff is
-    /// exact, and a pattern swapped in and out within the batch gets no
-    /// column.
-    fn commit_pattern_columns(&mut self, before: &BTreeSet<PatternId>) {
-        for &gone in before {
-            if self.patterns.get(gone).is_none() {
-                self.fct_index.remove_pattern(gone);
-                self.ife_index.remove_pattern(gone);
-            }
-        }
-        for (id, pattern) in self.patterns.iter() {
-            if !before.contains(&id) {
-                self.fct_index.add_pattern(id, pattern);
-                self.ife_index.add_pattern(id, pattern);
-            }
-        }
-    }
-
     /// Refreshes both indices after a batch: graph columns for `Δ⁺`/`Δ⁻`
     /// and feature rows against the current FCT ∪ frequent-edge set. The
     /// embedding cache is invalidated per touched graph first, then the
-    /// inserted TG columns are filled in one parallel kernel pass.
+    /// inserted TG columns are filled in one parallel kernel pass. Stale
+    /// indices (an earlier index phase failed) are rebuilt from scratch
+    /// instead.
     ///
     /// Runs every kernel fan-out through the fault-isolating `try_*` twins:
     /// a contained worker panic returns the [`KernelError`] with the failed
@@ -606,6 +592,11 @@ impl Midas {
     ) -> Result<(), KernelError> {
         for &id in deleted.iter().chain(inserted) {
             self.kernel.invalidate_graph(id);
+        }
+        if self.indices_stale {
+            (self.fct_index, self.ife_index) =
+                build_indices(&self.db, &self.fct_state, &self.config, &self.kernel)?;
+            return Ok(());
         }
         for &id in deleted {
             self.fct_index.remove_graph(id);
@@ -626,20 +617,10 @@ impl Midas {
         let target: Vec<(TreeKey, &LabeledGraph)> =
             features.iter().map(|(k, t)| (k.clone(), t)).collect();
         let csr_refs: Vec<(GraphId, &Csr)> = self.db.csrs().collect();
-        let pattern_refs: Vec<(PatternId, &LabeledGraph)> = self.patterns.iter().collect();
-        self.fct_index.try_refresh_features_kernel(
-            &self.kernel,
-            &target,
-            &csr_refs,
-            &pattern_refs,
-        )?;
-        let graph_refs: Vec<(GraphId, &LabeledGraph)> =
-            self.db.iter().map(|(id, g)| (id, g.as_ref())).collect();
-        self.ife_index.refresh_edges(
-            infrequent,
-            graph_refs.iter().copied(),
-            pattern_refs.iter().copied(),
-        );
+        self.fct_index
+            .try_refresh_features_kernel(&self.kernel, &target, &csr_refs)?;
+        self.ife_index
+            .refresh_edges(infrequent, self.db.iter().map(|(id, g)| (id, g.as_ref())));
         Ok(())
     }
 }
@@ -739,24 +720,18 @@ fn index_features(
     (features, infrequent)
 }
 
+/// Builds both indices from scratch over the current database and FCT
+/// state (bootstrap, and the rebuild of stale indices).
 fn build_indices(
     db: &GraphDb,
     fct_state: &FctState,
-    patterns: &PatternStore,
     config: &MidasConfig,
     kernel: &MatchKernel,
 ) -> Result<(FctIndex, IfeIndex), KernelError> {
-    let graph_refs: Vec<(GraphId, &LabeledGraph)> =
-        db.iter().map(|(id, g)| (id, g.as_ref())).collect();
-    let pattern_refs: Vec<(PatternId, &LabeledGraph)> = patterns.iter().collect();
     let (features, infrequent) = index_features(fct_state, config.sup_min, db.len());
     let csr_refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
-    let fct_index = FctIndex::build_with(kernel, features, &csr_refs, &pattern_refs)?;
-    let ife_index = IfeIndex::build(
-        infrequent,
-        graph_refs.iter().copied(),
-        pattern_refs.iter().copied(),
-    );
+    let fct_index = FctIndex::build_with(kernel, features, &csr_refs)?;
+    let ife_index = IfeIndex::build(infrequent, db.iter().map(|(id, g)| (id, g.as_ref())));
     Ok((fct_index, ife_index))
 }
 
@@ -874,44 +849,6 @@ mod tests {
         // With candidates present, random swapping must swap.
         if report.candidates_generated > 0 {
             assert!(report.swaps > 0);
-        }
-    }
-
-    #[test]
-    fn swap_commits_pattern_column_delta() {
-        let mut midas = Midas::bootstrap(seed_db(), config()).unwrap();
-        let before: BTreeSet<PatternId> = midas.pattern_store().iter().map(|(id, _)| id).collect();
-        // A novel dense family (a major modification); the Random strategy
-        // swaps every candidate in.
-        let brick = GraphBuilder::new()
-            .vertices(&[3, 3, 3, 3])
-            .path(&[0, 1, 2, 3])
-            .edge(0, 2)
-            .edge(1, 3)
-            .edge(0, 3)
-            .build();
-        let report = midas.apply_batch_with_strategy(
-            BatchUpdate::insert_only(vec![brick; 12]),
-            SwapStrategy::Random,
-        );
-        assert!(
-            report.swaps > 0,
-            "{} candidates",
-            report.candidates_generated
-        );
-        let after: BTreeSet<PatternId> = midas.pattern_store().iter().map(|(id, _)| id).collect();
-        // Swapped-out ids lost their columns.
-        for gone in before.difference(&after) {
-            assert!(midas.fct_index().tp().col(*gone).next().is_none());
-            assert!(midas.ife_index().ep().col(*gone).next().is_none());
-        }
-        // Every live id's columns are its counts, swapped-in ids included.
-        assert!(after.difference(&before).next().is_some());
-        for (id, p) in midas.pattern_store().iter() {
-            let tp: Vec<_> = midas.fct_index().tp().col(id).collect();
-            assert_eq!(tp, midas.fct_index().pattern_counts(p), "TP column of {id}");
-            let ep: Vec<_> = midas.ife_index().ep().col(id).collect();
-            assert_eq!(ep, midas.ife_index().pattern_counts(p), "EP column of {id}");
         }
     }
 

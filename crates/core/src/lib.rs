@@ -67,5 +67,5 @@ pub mod swap;
 pub use config::MidasConfig;
 pub use framework::{MaintenanceReport, Midas, ModificationKind};
 pub use metrics::quality_of;
-pub use patterns::PatternStore;
+pub use patterns::{PatternId, PatternStore};
 pub use published::{PatternSnapshot, Published};

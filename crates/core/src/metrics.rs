@@ -86,22 +86,10 @@ pub fn quality_of(
     midas_catapult::score::set_quality(patterns, db, catalog, universe)
 }
 
-/// [`quality_of`] with the containment scan routed through `kernel`.
-pub fn quality_of_with(
-    kernel: &MatchKernel,
-    patterns: &[LabeledGraph],
-    db: &GraphDb,
-    catalog: &EdgeCatalog,
-    universe: &BTreeSet<GraphId>,
-) -> SetQuality {
-    midas_catapult::score::set_quality_with(kernel, patterns, db, catalog, universe)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use midas_graph::GraphBuilder;
-    use midas_index::PatternId;
     use midas_mining::tree_key;
 
     fn path(labels: &[u32]) -> LabeledGraph {
@@ -121,16 +109,8 @@ mod tests {
         let refs: Vec<(GraphId, &LabeledGraph)> =
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
         let feature = path(&[0, 1]);
-        let fct = FctIndex::build(
-            [(tree_key(&feature), &feature)],
-            refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
-        );
-        let ife = IfeIndex::build(
-            BTreeSet::new(),
-            refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
-        );
+        let fct = FctIndex::build([(tree_key(&feature), &feature)], refs.iter().copied());
+        let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
         let catalog = EdgeCatalog::build(refs.iter().copied());
         World {
             db,

@@ -1,10 +1,21 @@
-//! The canned pattern store: stable [`PatternId`]s for the TP/EP matrix
-//! columns, isomorphism-deduplicated membership.
+//! The canned pattern store: isomorphism-deduplicated membership under
+//! stable [`PatternId`]s, which the swap step reports and keys its carried
+//! coverage by.
 
 use midas_graph::canonical::canonical_code;
 use midas_graph::{CanonicalCode, LabeledGraph};
-use midas_index::PatternId;
 use std::collections::BTreeMap;
+
+/// A stable identifier for a canned pattern, assigned by the pattern store
+/// and never reused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub struct PatternId(pub u64);
+
+impl std::fmt::Display for PatternId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "p{}", self.0)
+    }
+}
 
 /// The current canned pattern set `P`, with stable ids.
 #[derive(Debug, Clone, Default)]

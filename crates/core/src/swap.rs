@@ -17,8 +17,8 @@
 //! out, or a scan makes no swap. The first scan uses the configured `κ`.
 //!
 //! Swap decides against a read-only [`ScovContext`] and mutates only the
-//! [`PatternStore`]; the framework then commits the TP/EP column delta of
-//! the ids that left and arrived to both indices in one step.
+//! [`PatternStore`]: the indices hold graph-side rows only, so no index
+//! state follows the pattern set.
 //!
 //! Each side is scored once per call: only `div` in `s'_p = scov × lcov ×
 //! div / cog` depends on the current set, so `scov` (from the covered
@@ -30,13 +30,12 @@
 use crate::candidate_gen::{Candidate, CoverageState};
 use crate::ks::distributions_similar;
 use crate::metrics::ScovContext;
-use crate::patterns::PatternStore;
+use crate::patterns::{PatternId, PatternStore};
 use crate::query_log::QueryLog;
 use midas_catapult::score::{
     diversity, lcov_pattern, pattern_score, set_measures, PatternScoreParts,
 };
 use midas_graph::LabeledGraph;
-use midas_index::PatternId;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Swap parameters.
@@ -292,13 +291,8 @@ mod tests {
         let fct = FctIndex::build(
             std::iter::empty::<(midas_mining::TreeKey, &LabeledGraph)>(),
             refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
         );
-        let ife = IfeIndex::build(
-            BTreeSet::new(),
-            refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
-        );
+        let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
         World {
             db,
             catalog,
@@ -455,42 +449,5 @@ mod tests {
             store.contains_isomorphic(&path(&[4, 4, 4])),
             "log-weighted swap should prefer the formulated family"
         );
-    }
-
-    #[test]
-    fn indices_track_pattern_columns() {
-        // Swap leaves the index columns to the framework: it reports the
-        // replaced ids and mutates only the store.
-        let mut graphs = vec![path(&[0, 1, 2])];
-        graphs.extend(vec![path(&[3, 3, 3]); 5]);
-        let w = world(graphs);
-        let edge = path(&[0, 1]);
-        let refs: Vec<(GraphId, &LabeledGraph)> =
-            w.db.iter().map(|(id, g)| (id, g.as_ref())).collect();
-        let mut fct = FctIndex::build(
-            [(midas_mining::tree_key(&edge), &edge)],
-            refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
-        );
-        let mut store = PatternStore::new();
-        let old_id = store.insert(path(&[0, 1, 2])).unwrap();
-        fct.add_pattern(old_id, &path(&[0, 1, 2]));
-        let tp_before: Vec<_> = fct.tp().iter().collect();
-        assert_eq!(tp_before.len(), 1, "the old pattern has a column");
-        let ctx = ScovContext {
-            fct: &fct,
-            ife: &w.ife,
-            db: &w.db,
-            sample: &w.sample,
-            catalog: &w.catalog,
-            kernel: &MatchKernel::new(1),
-        };
-        let outcome = swap(&mut store, vec![path(&[3, 3, 3])], &ctx, None);
-        assert_eq!(outcome.swaps, 1);
-        let (removed, added) = outcome.replaced[0];
-        assert_eq!(removed, old_id);
-        assert!(store.get(removed).is_none());
-        assert!(store.get(added).is_some());
-        assert_eq!(fct.tp().iter().collect::<Vec<_>>(), tp_before);
     }
 }

@@ -10,10 +10,7 @@
 //! * [`MatchKernel::try_count_grid`] — many patterns against many data
 //!   graphs (TG-matrix columns for a batch of inserted graphs);
 //! * [`MatchKernel::covered_in`] — coverage verification after the
-//!   dominance filter (§6.1);
-//! * [`MatchKernel::try_count_plain_many`] — one pattern against targets
-//!   that have no stable [`GraphId`] (a new feature's TP-matrix row),
-//!   parallel but uncached.
+//!   dominance filter (§6.1).
 //!
 //! The counting operations are fallible: a contained worker panic comes
 //! back as a [`KernelError`]. The boolean scans re-raise it as a panic
@@ -130,22 +127,6 @@ impl MatchKernel {
     ) -> Result<Vec<Vec<u64>>, KernelError> {
         exec::try_par_map(self.threads, graphs, |&(id, g)| {
             self.cache.count_embeddings_many(patterns, id, g, cap)
-        })
-    }
-
-    /// Counts embeddings of `pattern` in targets without stable ids
-    /// (canned patterns): parallel, uncached, in input order. The plan is
-    /// compiled once (memoized per canonical class); the targets have no
-    /// [`GraphId`], so their CSR views are built per call.
-    pub fn try_count_plain_many(
-        &self,
-        pattern: &LabeledGraph,
-        targets: &[&LabeledGraph],
-        cap: u64,
-    ) -> Result<Vec<u64>, KernelError> {
-        let plan = self.prepare(pattern).plan();
-        exec::try_par_map(self.threads, targets, |t| {
-            plan.count_embeddings(&Csr::from_graph(t), cap)
         })
     }
 }

@@ -794,14 +794,6 @@ pub fn cached_plan(key: &CanonicalCode, pattern: &LabeledGraph) -> Arc<MatchPlan
     Arc::clone(cache.entry(key.clone()).or_insert(plan))
 }
 
-/// Number of memoized plans (tests, telemetry snapshots).
-pub fn plan_cache_len() -> usize {
-    plan_cache()
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .len()
-}
-
 /// Counts embeddings of `pattern` in `target` through a freshly compiled
 /// plan — the uncached convenience twin of
 /// [`crate::isomorphism::count_embeddings`].

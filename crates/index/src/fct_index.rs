@@ -1,9 +1,10 @@
-//! The FCT-Index (Def. 5.1): trie + TG-matrix + TP-matrix, with the
-//! maintenance rules of §5.1.
+//! The FCT-Index (Def. 5.1): trie + TG-matrix, with the maintenance rules
+//! of §5.1. The TP-matrix side is computed on demand by
+//! [`FctIndex::pattern_counts`].
 
 use crate::sparse::SparseMatrix;
 use crate::trie::Trie;
-use crate::{PatternId, EMBED_CAP};
+use crate::EMBED_CAP;
 use midas_graph::isomorphism::count_embeddings;
 use midas_graph::{Csr, GraphId, KernelError, LabeledGraph, MatchKernel, MatchPlan};
 use midas_mining::TreeKey;
@@ -32,15 +33,14 @@ impl Feature {
     }
 }
 
-/// The FCT-Index: canonical-string trie with embedding-count matrices over
-/// data graphs (TG) and canned patterns (TP).
+/// The FCT-Index: canonical-string trie with the embedding-count matrix
+/// over data graphs (TG).
 #[derive(Debug, Clone, Default)]
 pub struct FctIndex {
     trie: Trie,
     features: BTreeMap<FeatureId, Feature>,
     next_feature: u32,
     tg: SparseMatrix<FeatureId, GraphId>,
-    tp: SparseMatrix<FeatureId, PatternId>,
 }
 
 impl FctIndex {
@@ -50,24 +50,22 @@ impl FctIndex {
     }
 
     /// Builds the index over `features` (FCTs ∪ frequent edges), counting
-    /// embeddings in every `graph` and every `pattern`.
-    pub fn build<'a, F, G, P>(features: F, graphs: G, patterns: P) -> Self
+    /// embeddings in every `graph` with the VF2 reference matcher.
+    pub fn build<'a, F, G>(features: F, graphs: G) -> Self
     where
         F: IntoIterator<Item = (TreeKey, &'a LabeledGraph)>,
         G: IntoIterator<Item = (GraphId, &'a LabeledGraph)> + Clone,
-        P: IntoIterator<Item = (PatternId, &'a LabeledGraph)> + Clone,
     {
         let mut index = Self::new();
         for (key, tree) in features {
-            index.add_feature_with(key, tree, graphs.clone(), patterns.clone());
+            index.add_feature_with(key, tree, graphs.clone());
         }
         index
     }
 
     /// Parallel + memoized form of [`FctIndex::build`]: embedding counts
     /// run through `kernel` over the data graphs' CSR views (borrowed from
-    /// [`midas_graph::GraphDb::csrs`], cached by `(pattern key, GraphId)`);
-    /// canned-pattern columns come from [`FctIndex::pattern_counts`].
+    /// [`midas_graph::GraphDb::csrs`], cached by `(pattern key, GraphId)`).
     /// Produces a matrix identical to the serial build.
     ///
     /// All features are registered first and the whole TG-matrix is filled
@@ -79,7 +77,6 @@ impl FctIndex {
         kernel: &MatchKernel,
         features: impl IntoIterator<Item = (TreeKey, LabeledGraph)>,
         graphs: &[(GraphId, &Csr)],
-        patterns: &[(PatternId, &LabeledGraph)],
     ) -> Result<Self, KernelError> {
         let mut index = Self::new();
         // Register rows first (deduplicating by key, like the serial build).
@@ -107,17 +104,6 @@ impl FctIndex {
                         .map(move |(&(fid, _), count)| (fid, gid, count as u32))
                 }));
         }
-        // TP columns (pattern sets are tiny; no memo benefit).
-        let tp_triples: Vec<(FeatureId, PatternId, u32)> = patterns
-            .iter()
-            .flat_map(|&(pid, p)| {
-                index
-                    .pattern_counts(p)
-                    .into_iter()
-                    .map(move |(fid, count)| (fid, pid, count))
-            })
-            .collect();
-        index.tp = SparseMatrix::from_triples(tp_triples);
         Ok(index)
     }
 
@@ -136,11 +122,6 @@ impl FctIndex {
         &self.tg
     }
 
-    /// The TP-matrix (feature × canned pattern embedding counts).
-    pub fn tp(&self) -> &SparseMatrix<FeatureId, PatternId> {
-        &self.tp
-    }
-
     /// Iterates the features in id order.
     pub fn features(&self) -> impl Iterator<Item = (FeatureId, &Feature)> {
         self.features.iter().map(|(&id, f)| (id, f))
@@ -152,17 +133,15 @@ impl FctIndex {
     }
 
     /// Adds a feature row (maintenance rule 1), counting its embeddings in
-    /// the provided graphs and patterns. No-op if the key is present.
-    pub fn add_feature_with<'a, G, P>(
+    /// the provided graphs. No-op if the key is present.
+    pub fn add_feature_with<'a, G>(
         &mut self,
         key: TreeKey,
         tree: &LabeledGraph,
         graphs: G,
-        patterns: P,
     ) -> FeatureId
     where
         G: IntoIterator<Item = (GraphId, &'a LabeledGraph)>,
-        P: IntoIterator<Item = (PatternId, &'a LabeledGraph)>,
     {
         if let Some(existing) = self.trie.lookup(key.tokens()) {
             return existing;
@@ -174,10 +153,6 @@ impl FctIndex {
             let count = count_embeddings(tree, g, EMBED_CAP) as u32;
             self.tg.set(id, gid, count);
         }
-        for (pid, p) in patterns {
-            let count = count_embeddings(tree, p, EMBED_CAP) as u32;
-            self.tp.set(id, pid, count);
-        }
         self.features.insert(id, Feature::new(key, tree.clone()));
         id
     }
@@ -187,7 +162,6 @@ impl FctIndex {
         let id = self.trie.remove(key.tokens())?;
         self.features.remove(&id);
         self.tg.remove_row(id);
-        self.tp.remove_row(id);
         Some(id)
     }
 
@@ -207,9 +181,9 @@ impl FctIndex {
 
     /// The embedding count of every feature in `pattern`, saturating at
     /// [`EMBED_CAP`]: non-zero entries only, in feature-id order. This is
-    /// the pattern's TP-matrix column and the FCT half of its
-    /// [`crate::scov::PatternProfile`]. The pattern's CSR is built once
-    /// and each feature's compiled plan runs over it.
+    /// the pattern's TP-matrix column of Def. 5.1, computed on demand, and
+    /// the FCT half of its [`crate::scov::PatternProfile`]. The pattern's
+    /// CSR is built once and each feature's compiled plan runs over it.
     pub fn pattern_counts(&self, pattern: &LabeledGraph) -> Vec<(FeatureId, u32)> {
         let target = Csr::from_graph(pattern);
         self.features
@@ -219,19 +193,6 @@ impl FctIndex {
                 (count > 0).then_some((fid, count))
             })
             .collect()
-    }
-
-    /// Adds the column of a pattern id not yet in the TP-matrix
-    /// (maintenance rule 3).
-    pub fn add_pattern(&mut self, id: PatternId, pattern: &LabeledGraph) {
-        for (fid, count) in self.pattern_counts(pattern) {
-            self.tp.set(fid, id, count);
-        }
-    }
-
-    /// Removes a canned-pattern column (maintenance rule 4).
-    pub fn remove_pattern(&mut self, id: PatternId) {
-        self.tp.remove_col(id);
     }
 
     /// Batch, parallel + memoized form of [`FctIndex::add_graph`]
@@ -268,27 +229,24 @@ impl FctIndex {
     /// Reconciles the feature rows against a new feature set (the batch
     /// form of rules 1–2, run after FCT maintenance): rows for vanished
     /// keys are dropped, rows for new keys are added, counted through
-    /// `kernel` over `graphs` and `patterns`. The TG/TP rows of every
-    /// *new* feature are counted up front; only once all counts succeed
-    /// are stale rows dropped and new rows inserted. On [`KernelError`]
-    /// the index is unchanged.
+    /// `kernel` over `graphs`. The TG rows of every *new* feature are
+    /// counted up front; only once all counts succeed are stale rows
+    /// dropped and new rows inserted. On [`KernelError`] the index is
+    /// unchanged.
     pub fn try_refresh_features_kernel(
         &mut self,
         kernel: &MatchKernel,
         target: &[(TreeKey, &LabeledGraph)],
         graphs: &[(GraphId, &Csr)],
-        patterns: &[(PatternId, &LabeledGraph)],
     ) -> Result<(), KernelError> {
-        let pattern_targets: Vec<&LabeledGraph> = patterns.iter().map(|&(_, p)| p).collect();
-        let mut pending: Vec<(&TreeKey, &LabeledGraph, Vec<u64>, Vec<u64>)> = Vec::new();
+        let mut pending: Vec<(&TreeKey, &LabeledGraph, Vec<u64>)> = Vec::new();
         let mut queued: std::collections::BTreeSet<&TreeKey> = std::collections::BTreeSet::new();
         for (key, tree) in target {
             if self.trie.lookup(key.tokens()).is_some() || !queued.insert(key) {
                 continue;
             }
             let graph_counts = kernel.try_count_in_graphs(tree, graphs, EMBED_CAP)?;
-            let pattern_counts = kernel.try_count_plain_many(tree, &pattern_targets, EMBED_CAP)?;
-            pending.push((key, tree, graph_counts, pattern_counts));
+            pending.push((key, tree, graph_counts));
         }
         let want: BTreeMap<&TreeKey, &LabeledGraph> = target.iter().map(|(k, t)| (k, *t)).collect();
         let stale: Vec<TreeKey> = self
@@ -300,15 +258,12 @@ impl FctIndex {
         for key in stale {
             self.remove_feature(&key);
         }
-        for (key, tree, graph_counts, pattern_counts) in pending {
+        for (key, tree, graph_counts) in pending {
             let id = FeatureId(self.next_feature);
             self.next_feature += 1;
             self.trie.insert(key.tokens(), id);
             for (&(gid, _), count) in graphs.iter().zip(graph_counts) {
                 self.tg.set(id, gid, count as u32);
-            }
-            for (&(pid, _), count) in patterns.iter().zip(pattern_counts) {
-                self.tp.set(id, pid, count as u32);
             }
             self.features
                 .insert(id, Feature::new(key.clone(), tree.clone()));
@@ -319,10 +274,7 @@ impl FctIndex {
     /// Approximate heap size in bytes (for the Exp 2 memory report).
     pub fn approx_bytes(&self) -> usize {
         let entry = std::mem::size_of::<(FeatureId, GraphId, u32)>() * 2;
-        self.tg.nnz() * entry
-            + self.tp.nnz() * entry
-            + self.trie.node_count() * 48
-            + self.features.len() * 128
+        self.tg.nnz() * entry + self.trie.node_count() * 48 + self.features.len() * 128
     }
 }
 
@@ -341,28 +293,18 @@ mod tests {
         GraphId(i)
     }
 
-    fn pid(i: u64) -> PatternId {
-        PatternId(i)
-    }
-
     /// Features: C-O edge, C-O-N path. Graphs: G1 = C-O-N, G2 = O-C-O.
-    /// Pattern: P1 = C-O-N.
-    fn setup() -> (FctIndex, Vec<LabeledGraph>, Vec<LabeledGraph>) {
+    fn setup() -> (FctIndex, Vec<LabeledGraph>) {
         let features = [path(&[0, 1]), path(&[0, 1, 2])];
         let graphs = vec![path(&[0, 1, 2]), path(&[1, 0, 1])];
-        let patterns = vec![path(&[0, 1, 2])];
         let index = FctIndex::build(
             features.iter().map(|t| (tree_key(t), t)),
             graphs
                 .iter()
                 .enumerate()
                 .map(|(i, g)| (gid(i as u64 + 1), g)),
-            patterns
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (pid(i as u64 + 1), p)),
         );
-        (index, graphs, patterns)
+        (index, graphs)
     }
 
     #[test]
@@ -377,9 +319,6 @@ mod tests {
         assert_eq!(index.tg().get(co, gid(2)), 2);
         assert_eq!(index.tg().get(con, gid(1)), 1);
         assert_eq!(index.tg().get(con, gid(2)), 0);
-        // Pattern column.
-        assert_eq!(index.tp().get(co, pid(1)), 1);
-        assert_eq!(index.tp().get(con, pid(1)), 1);
     }
 
     #[test]
@@ -394,17 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn add_and_remove_pattern_columns() {
-        let (mut index, ..) = setup();
-        let p2 = path(&[0, 1]);
-        index.add_pattern(pid(2), &p2);
-        let co = index.feature_by_key(&tree_key(&path(&[0, 1]))).unwrap();
-        assert_eq!(index.tp().get(co, pid(2)), 1);
-        index.remove_pattern(pid(2));
-        assert_eq!(index.tp().get(co, pid(2)), 0);
-    }
-
-    #[test]
     fn remove_feature_drops_rows() {
         let (mut index, ..) = setup();
         let key = tree_key(&path(&[0, 1]));
@@ -412,14 +340,13 @@ mod tests {
         assert_eq!(index.remove_feature(&key), Some(id));
         assert_eq!(index.feature_count(), 1);
         assert!(index.tg().row(id).next().is_none());
-        assert!(index.tp().row(id).next().is_none());
         assert_eq!(index.feature_by_key(&key), None);
         assert_eq!(index.remove_feature(&key), None);
     }
 
     #[test]
     fn duplicate_feature_is_ignored() {
-        let (mut index, graphs, patterns) = setup();
+        let (mut index, graphs) = setup();
         let key = tree_key(&path(&[0, 1]));
         let before = index.feature_count();
         let id = index.add_feature_with(
@@ -429,10 +356,6 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, g)| (gid(i as u64 + 1), g)),
-            patterns
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (pid(i as u64 + 1), p)),
         );
         assert_eq!(index.feature_count(), before);
         assert_eq!(index.feature_by_key(&key), Some(id));
@@ -440,7 +363,7 @@ mod tests {
 
     #[test]
     fn refresh_features_diffs_rows() {
-        let (mut index, graphs, patterns) = setup();
+        let (mut index, graphs) = setup();
         // New target set: keep C-O-N, drop C-O, add O-N.
         let con = path(&[0, 1, 2]);
         let on = path(&[1, 2]);
@@ -451,14 +374,9 @@ mod tests {
             .enumerate()
             .map(|(i, c)| (gid(i as u64 + 1), c))
             .collect();
-        let pattern_refs: Vec<(PatternId, &LabeledGraph)> = patterns
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (pid(i as u64 + 1), p))
-            .collect();
         let con_id = index.feature_by_key(&tree_key(&con)).unwrap();
         index
-            .try_refresh_features_kernel(&MatchKernel::new(2), &target, &graph_refs, &pattern_refs)
+            .try_refresh_features_kernel(&MatchKernel::new(2), &target, &graph_refs)
             .expect("no fault injected");
         assert_eq!(index.feature_count(), 2);
         assert!(index.feature_by_key(&tree_key(&path(&[0, 1]))).is_none());
@@ -470,28 +388,20 @@ mod tests {
         let on_id = index.feature_by_key(&tree_key(&on)).unwrap();
         assert_eq!(index.tg().get(on_id, gid(1)), 1);
         assert_eq!(index.tg().get(on_id, gid(2)), 0);
-        assert_eq!(index.tp().get(on_id, pid(1)), 1, "new row's TP entry");
     }
 
     #[test]
     fn kernel_build_matches_serial_build() {
         let features = [path(&[0, 1]), path(&[0, 1, 2]), path(&[1, 2])];
         let graphs = [path(&[0, 1, 2]), path(&[1, 0, 1]), path(&[0, 1, 2, 1, 0])];
-        let patterns = [path(&[0, 1, 2]), path(&[0, 1])];
         let graph_refs: Vec<(GraphId, &LabeledGraph)> = graphs
             .iter()
             .enumerate()
             .map(|(i, g)| (gid(i as u64), g))
             .collect();
-        let pattern_refs: Vec<(PatternId, &LabeledGraph)> = patterns
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (pid(i as u64), p))
-            .collect();
         let serial = FctIndex::build(
             features.iter().map(|t| (tree_key(t), t)),
             graph_refs.iter().copied(),
-            pattern_refs.iter().copied(),
         );
         let csrs: Vec<Csr> = graphs.iter().map(Csr::from_graph).collect();
         let csr_refs: Vec<(GraphId, &Csr)> = csrs
@@ -504,16 +414,12 @@ mod tests {
             &kernel,
             features.iter().map(|t| (tree_key(t), t.clone())),
             &csr_refs,
-            &pattern_refs,
         )
         .expect("no fault injected");
         assert_eq!(serial.feature_count(), parallel.feature_count());
         for (fid, _) in serial.features() {
             for &(gid, _) in &graph_refs {
                 assert_eq!(serial.tg().get(fid, gid), parallel.tg().get(fid, gid));
-            }
-            for &(pid, _) in &pattern_refs {
-                assert_eq!(serial.tp().get(fid, pid), parallel.tp().get(fid, pid));
             }
         }
     }

@@ -1,12 +1,12 @@
 //! The IFE-Index (Def. 5.2): infrequent-edge embedding counts over data
-//! graphs (EG-matrix) and canned patterns (EP-matrix).
+//! graphs (EG-matrix). The EP-matrix side is computed on demand by
+//! [`IfeIndex::pattern_counts`].
 //!
 //! Edge "embeddings" are occurrences: the number of edges of a graph whose
-//! label matches. Both matrix sides use the same convention, so dominance
-//! comparisons in [`crate::scov`] are consistent.
+//! label matches. Graphs and patterns are counted the same way, so
+//! dominance comparisons in [`crate::scov`] are consistent.
 
 use crate::sparse::SparseMatrix;
-use crate::PatternId;
 use midas_graph::{EdgeLabel, GraphId, LabeledGraph};
 use std::collections::BTreeSet;
 
@@ -15,7 +15,6 @@ use std::collections::BTreeSet;
 pub struct IfeIndex {
     tracked: BTreeSet<EdgeLabel>,
     eg: SparseMatrix<EdgeLabel, GraphId>,
-    ep: SparseMatrix<EdgeLabel, PatternId>,
 }
 
 fn occurrences(graph: &LabeledGraph, label: EdgeLabel) -> u32 {
@@ -29,10 +28,9 @@ impl IfeIndex {
     }
 
     /// Builds the index over the infrequent edge labels `tracked`.
-    pub fn build<'a, G, P>(tracked: BTreeSet<EdgeLabel>, graphs: G, patterns: P) -> Self
+    pub fn build<'a, G>(tracked: BTreeSet<EdgeLabel>, graphs: G) -> Self
     where
         G: IntoIterator<Item = (GraphId, &'a LabeledGraph)>,
-        P: IntoIterator<Item = (PatternId, &'a LabeledGraph)>,
     {
         let mut index = IfeIndex {
             tracked,
@@ -40,9 +38,6 @@ impl IfeIndex {
         };
         for (id, g) in graphs {
             index.add_graph(id, g);
-        }
-        for (id, p) in patterns {
-            index.add_pattern(id, p);
         }
         index
     }
@@ -55,11 +50,6 @@ impl IfeIndex {
     /// The EG-matrix.
     pub fn eg(&self) -> &SparseMatrix<EdgeLabel, GraphId> {
         &self.eg
-    }
-
-    /// The EP-matrix.
-    pub fn ep(&self) -> &SparseMatrix<EdgeLabel, PatternId> {
-        &self.ep
     }
 
     /// Adds a data-graph column (rule 3).
@@ -76,8 +66,8 @@ impl IfeIndex {
 
     /// The occurrence count of every tracked edge label in `pattern`:
     /// non-zero entries only, in label order. This is the pattern's
-    /// EP-matrix column and the IFE half of its
-    /// [`crate::scov::PatternProfile`].
+    /// EP-matrix column of Def. 5.2, computed on demand, and the IFE half
+    /// of its [`crate::scov::PatternProfile`].
     pub fn pattern_counts(&self, pattern: &LabeledGraph) -> Vec<(EdgeLabel, u32)> {
         self.tracked
             .iter()
@@ -88,40 +78,20 @@ impl IfeIndex {
             .collect()
     }
 
-    /// Adds the column of a pattern id not yet in the EP-matrix (rule 3).
-    pub fn add_pattern(&mut self, id: PatternId, pattern: &LabeledGraph) {
-        for (label, count) in self.pattern_counts(pattern) {
-            self.ep.set(label, id, count);
-        }
-    }
-
-    /// Removes a canned-pattern column (rule 4).
-    pub fn remove_pattern(&mut self, id: PatternId) {
-        self.ep.remove_col(id);
-    }
-
     /// Reconciles the tracked edge set (rules 1–2): vanished labels lose
-    /// their rows; new labels get rows counted over the supplied graphs and
-    /// patterns.
-    pub fn refresh_edges<'a, G, P>(&mut self, target: BTreeSet<EdgeLabel>, graphs: G, patterns: P)
+    /// their rows; new labels get rows counted over the supplied graphs.
+    pub fn refresh_edges<'a, G>(&mut self, target: BTreeSet<EdgeLabel>, graphs: G)
     where
         G: IntoIterator<Item = (GraphId, &'a LabeledGraph)>,
-        P: IntoIterator<Item = (PatternId, &'a LabeledGraph)>,
     {
         for &gone in self.tracked.difference(&target) {
             self.eg.remove_row(gone);
-            self.ep.remove_row(gone);
         }
         let fresh: Vec<EdgeLabel> = target.difference(&self.tracked).copied().collect();
         if !fresh.is_empty() {
             for (id, g) in graphs {
                 for &label in &fresh {
                     self.eg.set(label, id, occurrences(g, label));
-                }
-            }
-            for (id, p) in patterns {
-                for &label in &fresh {
-                    self.ep.set(label, id, occurrences(p, label));
                 }
             }
         }
@@ -131,7 +101,7 @@ impl IfeIndex {
     /// Approximate heap size in bytes (for the Exp 2 memory report).
     pub fn approx_bytes(&self) -> usize {
         let entry = std::mem::size_of::<(EdgeLabel, GraphId, u32)>() * 2;
-        (self.eg.nnz() + self.ep.nnz()) * entry + self.tracked.len() * 16
+        self.eg.nnz() * entry + self.tracked.len() * 16
     }
 }
 
@@ -149,10 +119,6 @@ mod tests {
         GraphId(i)
     }
 
-    fn pid(i: u64) -> PatternId {
-        PatternId(i)
-    }
-
     #[test]
     fn build_counts_occurrences() {
         // Track C-N (paper's f11, Fig. 5(e)).
@@ -160,37 +126,31 @@ mod tests {
         let g1 = path(&[0, 2, 0]); // two C-N edges
         let g2 = path(&[0, 1]); // none
         let p1 = path(&[0, 2]); // one
-        let index = IfeIndex::build(
-            BTreeSet::from([cn]),
-            [(gid(1), &g1), (gid(2), &g2)],
-            [(pid(1), &p1)],
-        );
+        let index = IfeIndex::build(BTreeSet::from([cn]), [(gid(1), &g1), (gid(2), &g2)]);
         assert_eq!(index.eg().get(cn, gid(1)), 2);
         assert_eq!(index.eg().get(cn, gid(2)), 0);
-        assert_eq!(index.ep().get(cn, pid(1)), 1);
+        assert_eq!(index.pattern_counts(&p1), vec![(cn, 1)]);
     }
 
     #[test]
     fn untracked_labels_are_ignored() {
         let cn = EdgeLabel::new(0, 2);
         let g = path(&[0, 1, 0]); // C-O edges, untracked
-        let index = IfeIndex::build(BTreeSet::from([cn]), [(gid(1), &g)], []);
+        let index = IfeIndex::build(BTreeSet::from([cn]), [(gid(1), &g)]);
         assert_eq!(index.eg().nnz(), 0);
     }
 
     #[test]
     fn graph_and_pattern_columns_update() {
         let cn = EdgeLabel::new(0, 2);
-        let mut index = IfeIndex::build(BTreeSet::from([cn]), [], []);
+        let mut index = IfeIndex::build(BTreeSet::from([cn]), []);
         let g = path(&[2, 0, 2]);
         index.add_graph(gid(5), &g);
         assert_eq!(index.eg().get(cn, gid(5)), 2);
         index.remove_graph(gid(5));
         assert_eq!(index.eg().nnz(), 0);
-        index.add_pattern(pid(3), &g);
-        assert_eq!(index.ep().get(cn, pid(3)), 2);
-        index.remove_pattern(pid(3));
-        assert_eq!(index.ep().nnz(), 0);
+        // A pattern's side is counted on demand, never stored.
+        assert_eq!(index.pattern_counts(&g), vec![(cn, 2)]);
     }
 
     #[test]
@@ -198,9 +158,9 @@ mod tests {
         let cn = EdgeLabel::new(0, 2);
         let cs = EdgeLabel::new(0, 3);
         let g = path(&[2, 0, 3]); // one C-N, one C-S
-        let mut index = IfeIndex::build(BTreeSet::from([cn]), [(gid(1), &g)], []);
+        let mut index = IfeIndex::build(BTreeSet::from([cn]), [(gid(1), &g)]);
         assert_eq!(index.eg().get(cn, gid(1)), 1);
-        index.refresh_edges(BTreeSet::from([cs]), [(gid(1), &g)], []);
+        index.refresh_edges(BTreeSet::from([cs]), [(gid(1), &g)]);
         assert_eq!(index.eg().get(cn, gid(1)), 0, "C-N row dropped");
         assert_eq!(index.eg().get(cs, gid(1)), 1, "C-S row added");
         assert_eq!(index.tracked().len(), 1);
@@ -210,7 +170,7 @@ mod tests {
     fn approx_bytes_positive() {
         let cn = EdgeLabel::new(0, 2);
         let g = path(&[0, 2]);
-        let index = IfeIndex::build(BTreeSet::from([cn]), [(gid(1), &g)], []);
+        let index = IfeIndex::build(BTreeSet::from([cn]), [(gid(1), &g)]);
         assert!(index.approx_bytes() > 0);
     }
 }

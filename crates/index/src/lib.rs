@@ -4,21 +4,20 @@
 //!
 //! * [`FctIndex`] — the **FCT-Index** (Def. 5.1): a token trie over the
 //!   canonical strings of frequent closed trees and frequent edges, whose
-//!   terminal nodes point into two sparse embedding-count matrices — the
-//!   trie-graph matrix (TG) over data graphs and the trie-pattern matrix
-//!   (TP) over canned patterns.
-//! * [`IfeIndex`] — the **IFE-Index** (Def. 5.2): edge-graph (EG) and
-//!   edge-pattern (EP) matrices holding embedding counts of infrequent
-//!   edges.
+//!   terminal nodes point into the trie-graph matrix (TG) of embedding
+//!   counts over data graphs.
+//! * [`IfeIndex`] — the **IFE-Index** (Def. 5.2): the edge-graph (EG)
+//!   matrix holding occurrence counts of infrequent edges.
 //!
-//! Both are maintained incrementally under database and pattern-set changes
-//! (§5.1 "Index Maintenance", rules 1–4) and power [`scov`], the
-//! containment filter for subgraph coverage (§6.1): a pattern can only be
-//! contained in graphs whose feature counts dominate the pattern's, cutting
-//! subgraph-isomorphism checks drastically. A pattern's own counts (its
-//! TP/EP column, and the profile [`scov`] filters with) come from one
-//! routine per index: [`FctIndex::pattern_counts`] and
-//! [`IfeIndex::pattern_counts`].
+//! Both store graph-side rows only and are maintained incrementally under
+//! database changes (§5.1 "Index Maintenance", rules 1–4). They power
+//! [`scov`], the containment filter for subgraph coverage (§6.1): a
+//! pattern can only be contained in graphs whose feature counts dominate
+//! the pattern's, cutting subgraph-isomorphism checks drastically. The
+//! pattern side of Def. 5.1/5.2 (the TP/EP matrices) is not stored: a
+//! pattern's counts are computed on demand, one routine per index —
+//! [`FctIndex::pattern_counts`] and [`IfeIndex::pattern_counts`] — and
+//! form the profile [`scov`] filters with.
 //!
 //! Embedding counts saturate at [`EMBED_CAP`]; the dominance filter only
 //! compares counts computed under the same cap, so saturation never causes
@@ -37,16 +36,6 @@ pub use fct_index::{FctIndex, FeatureId};
 pub use ife_index::IfeIndex;
 pub use sparse::SparseMatrix;
 pub use trie::Trie;
-
-/// A stable identifier for a canned pattern, assigned by the pattern store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct PatternId(pub u64);
-
-impl std::fmt::Display for PatternId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "p{}", self.0)
-    }
-}
 
 /// Saturation cap for embedding counts stored in the index matrices.
 ///

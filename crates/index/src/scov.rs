@@ -25,9 +25,9 @@ pub struct PatternProfile {
     pub ife_counts: Vec<(EdgeLabel, u32)>,
 }
 
-/// Computes the profile of an arbitrary (candidate) pattern: the same
-/// counts [`FctIndex::add_pattern`] and [`IfeIndex::add_pattern`] write as
-/// the pattern's TP/EP column.
+/// Computes the profile of an arbitrary (candidate or canned) pattern:
+/// its TP/EP column of Def. 5.1/5.2, counted on demand by
+/// [`FctIndex::pattern_counts`] and [`IfeIndex::pattern_counts`].
 pub fn profile_pattern(fct: &FctIndex, ife: &IfeIndex, pattern: &LabeledGraph) -> PatternProfile {
     PatternProfile {
         fct_counts: fct.pattern_counts(pattern),
@@ -118,7 +118,6 @@ pub fn covered_graphs_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PatternId;
     use midas_graph::GraphBuilder;
     use midas_mining::tree_key;
 
@@ -138,12 +137,10 @@ mod tests {
         let fct = FctIndex::build(
             feature_refs.iter().map(|(k, t)| (k.clone(), *t)),
             graph_refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
         );
         let ife = IfeIndex::build(
             BTreeSet::from([EdgeLabel::new(2, 3)]), // N-S infrequent
             graph_refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
         );
         (fct, ife, db)
     }

@@ -3,7 +3,7 @@
 //! The paper stores only non-zero entries as `(row, column, value)` triples.
 //! We keep the same information in two ordered maps — row-major and
 //! column-major — so both row scans (all graphs containing a feature) and
-//! column scans (all features of a pattern) are cheap, and whole rows or
+//! column scans (all features of a graph) are cheap, and whole rows or
 //! columns can be deleted, which is exactly what the maintenance rules
 //! (1)–(4) of §5.1 require.
 

@@ -2,8 +2,9 @@
 //!
 //! Trie vertices correspond to tokens of the canonical strings of FCTs and
 //! frequent edges; an edge exists between adjacent tokens. Terminal tokens
-//! carry the feature id whose row in the TG-/TP-matrices plays the role of
-//! the paper's *graph pointer* / *pattern pointer*.
+//! carry the feature id whose TG-matrix row plays the role of the paper's
+//! *graph pointer*; the *pattern pointer* side is computed on demand by
+//! [`crate::FctIndex::pattern_counts`].
 
 use crate::fct_index::FeatureId;
 use std::collections::BTreeMap;

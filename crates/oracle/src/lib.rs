@@ -4,7 +4,7 @@
 //! in the workspace is cross-checked against its slow reference twin on a
 //! seeded, fully reproducible world from `midas-datagen`.
 //!
-//! The nine checks ([`Oracle::run_all`]):
+//! The ten checks ([`Oracle::run_all`]):
 //!
 //! 1. **`kernel_vs_serial`** — [`MatchKernel`] / `EmbeddingCache` counts
 //!    and containment vs the serial VF2 walkers
@@ -47,6 +47,12 @@
 //!    included; and on a bootstrapped [`Midas`]'s major batches every
 //!    carried count gives the `scov` that `ScovContext::scov` computes,
 //!    also over an empty sample.
+//! 10. **`index_maintenance`** — the FCT-Index and IFE-Index that
+//!     [`Midas::apply_batch`] maintains over check 2's servebench-scale
+//!     stream vs the VF2 reference builds ([`FctIndex::build`],
+//!     [`IfeIndex::build`]) over the post-batch database: feature keys, TG
+//!     cells keyed by tree key, tracked labels and EG cells must be
+//!     identical after every batch.
 //!
 //! Divergences are reported as structured JSON (reusing `midas_obs::json`)
 //! with the offending graph pair **minimized** by greedy vertex removal
@@ -58,7 +64,9 @@
 //! `MIDAS_FAULT=task:N`, drives a maintenance batch through [`Midas`],
 //! and requires the worker panic to surface as a contained
 //! [`KernelError`](midas_graph::KernelError) on the report — process
-//! alive, flight recorder carrying the event — instead of an abort.
+//! alive, flight recorder carrying the event — instead of an abort; the
+//! next healthy batch must leave both indices equal to a from-scratch
+//! build.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -74,7 +82,7 @@ use midas_core::metrics::ScovContext;
 use midas_core::monitor::GraphletMonitor;
 use midas_core::query_log::QueryLog;
 use midas_core::swap::{multi_scan_swap, multi_scan_swap_weighted, SwapOutcome, SwapParams};
-use midas_core::{Midas, MidasConfig, ModificationKind, PatternStore};
+use midas_core::{Midas, MidasConfig, ModificationKind, PatternId, PatternStore};
 use midas_datagen::updates::{boronic_ester_family, deletion_percent, growth_percent};
 use midas_datagen::{
     deletion_batch, growth_batch, novel_family_batch, query_set, DatasetKind, DatasetSpec,
@@ -86,8 +94,10 @@ use midas_graph::graphlets::{count_graphlets, GraphletCounts};
 use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
 use midas_graph::mccs::mccs_similarity;
 use midas_graph::plan::{count_embeddings_plan, find_embeddings_plan, is_subgraph_plan};
-use midas_graph::{BatchUpdate, Csr, GraphBuilder, GraphDb, GraphId, LabeledGraph, MatchKernel};
-use midas_index::{FctIndex, IfeIndex, PatternId};
+use midas_graph::{
+    BatchUpdate, Csr, EdgeLabel, GraphBuilder, GraphDb, GraphId, LabeledGraph, MatchKernel,
+};
+use midas_index::{FctIndex, FeatureId, IfeIndex};
 use midas_mining::incremental::FctState;
 use midas_mining::{EdgeCatalog, MiningConfig, TreeKey};
 use midas_obs::json;
@@ -98,6 +108,9 @@ use std::sync::Arc;
 
 /// Saturation cap for embedding counts in the kernel check.
 const COUNT_CAP: u64 = 64;
+
+/// Batches in the servebench-scale stream of checks 2 and 10.
+const SERVEBENCH_BATCHES: usize = 20;
 
 /// The checks run with the fault injector disarmed, so a kernel error is
 /// a bug in the harness.
@@ -260,7 +273,7 @@ where
     }
 }
 
-/// The differential oracle: a seeded world plus the nine checks.
+/// The differential oracle: a seeded world plus the ten checks.
 pub struct Oracle {
     seed: u64,
 }
@@ -281,7 +294,7 @@ impl Oracle {
             checks: Vec::new(),
             divergences: Vec::new(),
         };
-        let checks: [(&'static str, CheckFn); 9] = [
+        let checks: [(&'static str, CheckFn); 10] = [
             ("kernel_vs_serial", Oracle::check_kernel_vs_serial),
             ("incremental_mining", Oracle::check_incremental_mining),
             ("graphlet_monitor", Oracle::check_monitor),
@@ -291,6 +304,7 @@ impl Oracle {
             ("serve_vs_library", Oracle::check_serve_vs_library),
             ("fine_cluster_memo", Oracle::check_fine_cluster_memo),
             ("swap_score_cache", Oracle::check_swap_score_cache),
+            ("index_maintenance", Oracle::check_index_maintenance),
         ];
         for (name, check) in checks {
             let cases = check(self, &mut report.divergences);
@@ -406,29 +420,86 @@ impl Oracle {
             }
         });
 
-        let kind = DatasetKind::PubchemLike;
-        let world = DatasetSpec::new(kind, 120, self.seed ^ 0x15).generate().db;
         let config = MiningConfig {
             sup_min: 0.4,
             max_edges: 3,
         };
-        cases += replay_mining("pubchem_like", world, config, 20, out, |step, db| {
-            let round = step as u64 + 1;
-            let seed = self.seed ^ (0x1000 + round);
-            match round % 5 {
-                0 => {
-                    let family = if round.is_multiple_of(2) {
-                        MotifKind::BoronicEster
-                    } else {
-                        MotifKind::Phosphate
-                    };
-                    novel_family_batch(family, (db.len() / 5).max(1), seed)
-                }
-                3 => deletion_percent(db, 4.0, seed),
-                _ => growth_percent(&kind.params(), db, 4.0, seed),
-            }
-        });
+        cases += replay_mining(
+            "pubchem_like",
+            self.servebench_world(),
+            config,
+            SERVEBENCH_BATCHES,
+            out,
+            |step, db| self.servebench_batch(step, db),
+        );
         cases
+    }
+
+    /// The initial database of the servebench-scale stream checks 2 and
+    /// 10 replay: 120 PubchemLike graphs.
+    fn servebench_world(&self) -> GraphDb {
+        DatasetSpec::new(DatasetKind::PubchemLike, 120, self.seed ^ 0x15)
+            .generate()
+            .db
+    }
+
+    /// Batch `step` of the servebench-scale stream: servebench's rotation
+    /// of a novel-family wave every fifth batch, 4 % deletions on batches
+    /// 5k + 3 and 4 % growth otherwise.
+    fn servebench_batch(&self, step: usize, db: &GraphDb) -> BatchUpdate {
+        let round = step as u64 + 1;
+        let seed = self.seed ^ (0x1000 + round);
+        match round % 5 {
+            0 => {
+                let family = if round.is_multiple_of(2) {
+                    MotifKind::BoronicEster
+                } else {
+                    MotifKind::Phosphate
+                };
+                novel_family_batch(family, (db.len() / 5).max(1), seed)
+            }
+            3 => deletion_percent(db, 4.0, seed),
+            _ => growth_percent(&DatasetKind::PubchemLike.params(), db, 4.0, seed),
+        }
+    }
+
+    /// Check 10: the FCT-Index and IFE-Index that [`Midas::apply_batch`]
+    /// maintains against the VF2 reference builds over the same database
+    /// and FCT state (see `index_divergence`), after every batch of check
+    /// 2's servebench-scale stream.
+    fn check_index_maintenance(&self, out: &mut Vec<Divergence>) -> usize {
+        let mut midas =
+            match Midas::bootstrap_embedded(self.servebench_world(), MidasConfig::small_defaults())
+            {
+                Ok(midas) => midas,
+                Err(e) => {
+                    out.push(Divergence {
+                        check: "index_maintenance",
+                        case: "bootstrap".into(),
+                        expected: "a bootstrapped Midas".into(),
+                        actual: e,
+                        witness: None,
+                    });
+                    return 1;
+                }
+            };
+        for step in 0..SERVEBENCH_BATCHES {
+            let update = self.servebench_batch(step, midas.db());
+            midas.apply_batch(update);
+            if let Some(diff) = index_divergence(&midas) {
+                out.push(Divergence {
+                    check: "index_maintenance",
+                    case: format!(
+                        "pubchem_like step {step} (db of {} graphs)",
+                        midas.db().len()
+                    ),
+                    expected: "the indices a from-scratch VF2 build produces".into(),
+                    actual: diff,
+                    witness: None,
+                });
+            }
+        }
+        SERVEBENCH_BATCHES
     }
 
     /// Check 3: the graphlet monitor against recounting a reference world.
@@ -652,18 +723,11 @@ impl Oracle {
             }
             let before: BTreeMap<PatternId, LabeledGraph> =
                 store.iter().map(|(id, p)| (id, p.clone())).collect();
-            let pattern_refs: Vec<(PatternId, &LabeledGraph)> =
-                before.iter().map(|(&id, p)| (id, p)).collect();
             let fct = FctIndex::build(
                 std::iter::empty::<(TreeKey, &LabeledGraph)>(),
                 refs.iter().copied(),
-                pattern_refs.iter().copied(),
             );
-            let ife = IfeIndex::build(
-                BTreeSet::new(),
-                refs.iter().copied(),
-                pattern_refs.iter().copied(),
-            );
+            let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
             let ctx = ScovContext {
                 fct: &fct,
                 ife: &ife,
@@ -689,13 +753,8 @@ impl Oracle {
         let fct = FctIndex::build(
             std::iter::empty::<(TreeKey, &LabeledGraph)>(),
             refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
         );
-        let ife = IfeIndex::build(
-            BTreeSet::new(),
-            refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
-        );
+        let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
         let ctx = ScovContext {
             fct: &fct,
             ife: &ife,
@@ -1138,13 +1197,8 @@ impl Oracle {
         let fct = FctIndex::build(
             std::iter::empty::<(TreeKey, &LabeledGraph)>(),
             refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
         );
-        let ife = IfeIndex::build(
-            BTreeSet::new(),
-            refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
-        );
+        let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
         let kernel = MatchKernel::new(1);
         let ctx = ScovContext {
             fct: &fct,
@@ -1506,6 +1560,104 @@ fn lattice_divergence(state: &FctState, scratch: &FctState, db_len: usize) -> Op
     })
 }
 
+/// How `midas`'s maintained FCT-Index and IFE-Index depart from the VF2
+/// reference builds ([`FctIndex::build`], [`IfeIndex::build`]) over its
+/// current database, or `None` when they agree on the feature keys, every
+/// TG cell (keyed by [`TreeKey`], since feature ids depend on insertion
+/// history), the tracked labels and every EG cell. The expected feature
+/// sets are recomputed from `fct_state()` the way the framework forms
+/// them: FCTs, then frequent edges, deduplicated by key, with the
+/// infrequent edges tracked by the IFE-Index.
+fn index_divergence(midas: &Midas) -> Option<String> {
+    let db = midas.db();
+    let state = midas.fct_state();
+    let sup_min = midas.config().sup_min;
+    let fct_trees = state
+        .fct(db.len())
+        .into_iter()
+        .map(|(k, e)| (k.clone(), e.tree.clone()));
+    let edge_trees = state
+        .edges
+        .frequent(sup_min, db.len())
+        .into_iter()
+        .map(|(label, _)| {
+            let tree = midas_mining::canonical::edge_tree(label.0, label.1);
+            (midas_mining::tree_key(&tree), tree)
+        });
+    let mut seen = BTreeSet::new();
+    let features: Vec<(TreeKey, LabeledGraph)> = fct_trees
+        .chain(edge_trees)
+        .filter(|(k, _)| seen.insert(k.clone()))
+        .collect();
+    let infrequent: BTreeSet<EdgeLabel> = state
+        .edges
+        .infrequent(sup_min, db.len())
+        .into_iter()
+        .map(|(label, _)| label)
+        .collect();
+    let graphs: Vec<(GraphId, &LabeledGraph)> = db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+    let fct = FctIndex::build(
+        features.iter().map(|(k, t)| (k.clone(), t)),
+        graphs.iter().copied(),
+    );
+    let ife = IfeIndex::build(infrequent, graphs.iter().copied());
+
+    let (got_fct, got_ife) = (midas.fct_index(), midas.ife_index());
+    let keys = |index: &FctIndex| -> BTreeSet<TreeKey> {
+        index.features().map(|(_, f)| f.key.clone()).collect()
+    };
+    let tg_cells = |index: &FctIndex| -> BTreeMap<(TreeKey, GraphId), u32> {
+        let key: BTreeMap<FeatureId, &TreeKey> =
+            index.features().map(|(id, f)| (id, &f.key)).collect();
+        index
+            .tg()
+            .iter()
+            .map(|(fid, gid, count)| ((key[&fid].clone(), gid), count))
+            .collect()
+    };
+    let eg_cells = |index: &IfeIndex| -> BTreeMap<(EdgeLabel, GraphId), u32> {
+        index
+            .eg()
+            .iter()
+            .map(|(l, gid, count)| ((l, gid), count))
+            .collect()
+    };
+    let (want_keys, have_keys) = (keys(&fct), keys(got_fct));
+    let (want_tg, have_tg) = (tg_cells(&fct), tg_cells(got_fct));
+    let (want_eg, have_eg) = (eg_cells(&ife), eg_cells(got_ife));
+    let mut diffs = Vec::new();
+    if want_keys != have_keys {
+        diffs.push(format!(
+            "feature keys: {} missing, {} extra",
+            want_keys.difference(&have_keys).count(),
+            have_keys.difference(&want_keys).count()
+        ));
+    }
+    let tg_off = cells_differing(&want_tg, &have_tg);
+    if tg_off > 0 {
+        diffs.push(format!("{tg_off} of {} TG cells differ", want_tg.len()));
+    }
+    if ife.tracked() != got_ife.tracked() {
+        diffs.push(format!(
+            "tracked labels {:?}, expected {:?}",
+            got_ife.tracked(),
+            ife.tracked()
+        ));
+    }
+    let eg_off = cells_differing(&want_eg, &have_eg);
+    if eg_off > 0 {
+        diffs.push(format!("{eg_off} of {} EG cells differ", want_eg.len()));
+    }
+    (!diffs.is_empty()).then(|| diffs.join("; "))
+}
+
+/// Number of keys whose value differs between two sparse cell maps (an
+/// absent key reads as zero).
+fn cells_differing<K: Ord>(a: &BTreeMap<K, u32>, b: &BTreeMap<K, u32>) -> usize {
+    let only_b = b.keys().filter(|k| !a.contains_key(k)).count();
+    a.iter().filter(|(k, v)| b.get(k) != Some(v)).count() + only_b
+}
+
 /// A kernel-count divergence with a shrunk `(pattern, graph)` witness.
 fn count_divergence(
     case: String,
@@ -1746,8 +1898,11 @@ fn brute_scov(pattern: &LabeledGraph, db: &GraphDb, sample: &BTreeSet<GraphId>) 
 /// requires the injected worker panic to surface as a contained
 /// [`midas_graph::KernelError`] on the maintenance report (with the
 /// flight recorder carrying the `kernel_error` event) rather than an
-/// abort or hang. Returns a human-readable success line, or an error
-/// describing which containment guarantee failed.
+/// abort or hang. A healthy follow-up batch must then succeed and leave
+/// both indices equal to a from-scratch build (`index_divergence`): a
+/// failed batch's graphs may not stay missing from TG/EG. Returns a
+/// human-readable success line, or an error describing which containment
+/// guarantee failed.
 pub fn fault_containment_pass(seed: u64, target: u64) -> Result<String, String> {
     // Bootstrap must run clean — the injector counts tasks process-wide,
     // and the pass is about containment *inside* apply_batch.
@@ -1796,6 +1951,11 @@ pub fn fault_containment_pass(seed: u64, target: u64) -> Result<String, String> 
         let follow_up = midas.apply_batch(growth_batch(&params, 2, seed ^ 0xFF));
         if follow_up.error.is_some() {
             return Err("framework did not recover after the contained fault".into());
+        }
+        if let Some(diff) = index_divergence(&midas) {
+            return Err(format!(
+                "indices did not recover after the contained fault: {diff}"
+            ));
         }
     }
     result

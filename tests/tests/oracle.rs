@@ -12,8 +12,8 @@ fn full_oracle_run_is_clean_on_the_ci_seed() {
         "oracle divergences: {}",
         report.to_json()
     );
-    // All nine checks ran and actually compared something.
-    assert_eq!(report.checks.len(), 9);
+    // All ten checks ran and actually compared something.
+    assert_eq!(report.checks.len(), 10);
     for check in &report.checks {
         assert!(check.cases > 0, "check {} ran zero cases", check.name);
     }
@@ -30,6 +30,7 @@ fn full_oracle_run_is_clean_on_the_ci_seed() {
             "serve_vs_library",
             "fine_cluster_memo",
             "swap_score_cache",
+            "index_maintenance",
         ]
     );
 }

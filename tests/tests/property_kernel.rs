@@ -6,7 +6,7 @@
 use midas_graph::isomorphism::{count_embeddings, is_subgraph_of, GraphSignature};
 use midas_graph::{CachedPattern, Csr, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::scov::{covered_graphs, covered_graphs_with};
-use midas_index::{FctIndex, IfeIndex, PatternId};
+use midas_index::{FctIndex, IfeIndex};
 use midas_tests::connected_graph_strategy;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -135,12 +135,10 @@ proptest! {
             let fct = FctIndex::build(
                 std::iter::empty::<(midas_mining::TreeKey, &LabeledGraph)>(),
                 refs.iter().copied(),
-                std::iter::empty::<(PatternId, &LabeledGraph)>(),
             );
             let ife = IfeIndex::build(
                 BTreeSet::new(),
                 refs.iter().copied(),
-                std::iter::empty::<(PatternId, &LabeledGraph)>(),
             );
             (fct, ife)
         };

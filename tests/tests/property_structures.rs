@@ -9,7 +9,7 @@ use midas_core::swap::{multi_scan_swap, SwapParams};
 use midas_graph::isomorphism::count_embeddings;
 use midas_graph::{ClosureGraph, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::scov::{candidate_graphs, profile_pattern, PatternProfile};
-use midas_index::{FctIndex, FeatureId, IfeIndex, PatternId, SparseMatrix, EMBED_CAP};
+use midas_index::{FctIndex, FeatureId, IfeIndex, SparseMatrix, EMBED_CAP};
 use midas_mining::EdgeCatalog;
 use midas_tests::{connected_graph_strategy, tree_strategy};
 use proptest::prelude::*;
@@ -92,7 +92,6 @@ proptest! {
         let mut index = FctIndex::build(
             [(midas_mining::tree_key(&feature), &feature)],
             refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
         );
         let before: Vec<_> = index.tg().iter().collect::<Vec<_>>();
         index.add_graph(GraphId(999), &newcomer);
@@ -103,10 +102,9 @@ proptest! {
 
     /// One pattern profile: each index's `pattern_counts` equals the
     /// per-feature VF2 count at `EMBED_CAP` (per-label occurrences on the
-    /// IFE side), it is the profile the dominance filter uses, and it is
-    /// exactly the TP/EP column `add_pattern` writes.
+    /// IFE side), and it is the profile the dominance filter uses.
     #[test]
-    fn pattern_counts_match_vf2_and_the_written_columns(
+    fn pattern_counts_match_vf2_and_the_profile(
         trees in proptest::collection::vec(tree_strategy(4, 3), 1..6),
         graphs in proptest::collection::vec(connected_graph_strategy(6, 3), 1..5),
         pattern in connected_graph_strategy(6, 3),
@@ -116,19 +114,17 @@ proptest! {
             .enumerate()
             .map(|(i, g)| (GraphId(i as u64), g))
             .collect();
-        let mut fct = FctIndex::build(
+        let fct = FctIndex::build(
             trees
                 .iter()
                 .filter(|t| t.edge_count() > 0)
                 .map(|t| (midas_mining::tree_key(t), t)),
             refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
         );
         let tracked: BTreeSet<EdgeLabel> = graphs.iter().flat_map(|g| g.edge_labels()).collect();
-        let mut ife = IfeIndex::build(
+        let ife = IfeIndex::build(
             tracked,
             refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
         );
 
         let fct_counts = fct.pattern_counts(&pattern);
@@ -154,12 +150,6 @@ proptest! {
         let profile = profile_pattern(&fct, &ife, &pattern);
         prop_assert_eq!(&profile.fct_counts, &fct_counts);
         prop_assert_eq!(&profile.ife_counts, &ife_counts);
-
-        let id = PatternId(7);
-        fct.add_pattern(id, &pattern);
-        ife.add_pattern(id, &pattern);
-        prop_assert_eq!(fct.tp().col(id).collect::<Vec<_>>(), fct_counts);
-        prop_assert_eq!(ife.ep().col(id).collect::<Vec<_>>(), ife_counts);
     }
 
     /// The merge-join dominance filter keeps exactly the universe graphs
@@ -226,12 +216,10 @@ proptest! {
         let fct = FctIndex::build(
             std::iter::empty::<(midas_mining::TreeKey, &LabeledGraph)>(),
             refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
         );
         let ife = IfeIndex::build(
             BTreeSet::new(),
             refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
         );
         let mut store = PatternStore::new();
         for p in initial {
@@ -271,12 +259,10 @@ proptest! {
         let fct = FctIndex::build(
             std::iter::empty::<(midas_mining::TreeKey, &LabeledGraph)>(),
             refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
         );
         let ife = IfeIndex::build(
             BTreeSet::new(),
             refs.iter().copied(),
-            std::iter::empty::<(PatternId, &LabeledGraph)>(),
         );
         let mut store = PatternStore::new();
         store.insert(midas_tests::path(&[0, 1, 0]));
