@@ -90,14 +90,7 @@ fn serial_build(s: &Scenario) -> FctIndex {
 
 fn kernel_build(s: &Scenario, kernel: &MatchKernel) -> FctIndex {
     let csrs: Vec<(GraphId, &Csr)> = s.db.csrs().collect();
-    FctIndex::build_with(kernel, s.features.iter().cloned(), &csrs).expect("no fault injected")
-}
-
-/// Batch maintenance through the kernel (maintenance rule 3 over `Δ⁺`).
-fn kernel_add_graphs(index: &mut FctIndex, kernel: &MatchKernel, batch: &[(GraphId, &Csr)]) {
-    index
-        .try_add_graphs_kernel(kernel, batch)
-        .expect("no fault injected");
+    FctIndex::build_with(kernel, s.features.iter().cloned(), &csrs)
 }
 
 /// Appends one JSONL record for this run to `BENCH_history.jsonl` at the
@@ -214,7 +207,7 @@ fn main() {
         b.iter_batched(
             || (base.clone(), MatchKernel::new(1)),
             |(mut index, kernel)| {
-                kernel_add_graphs(&mut index, &kernel, &batch_csr_refs);
+                index.add_graphs_kernel(&kernel, &batch_csr_refs);
                 black_box(index)
             },
             BatchSize::LargeInput,
@@ -224,14 +217,14 @@ fn main() {
     // spawns would dominate it on a small host. The name is kept so the
     // history stays one series.
     let warm_batch = MatchKernel::new(1);
-    kernel_add_graphs(&mut base.clone(), &warm_batch, &batch_csr_refs); // warm once
+    base.clone().add_graphs_kernel(&warm_batch, &batch_csr_refs); // warm once
     c.bench_function("apply_batch/parallel_cached_repeat", |b| {
         // The same batch re-applied with a warm memo — the steady state
         // when scoring re-scans recently maintained graphs.
         b.iter_batched(
             || base.clone(),
             |mut index| {
-                kernel_add_graphs(&mut index, &warm_batch, &batch_csr_refs);
+                index.add_graphs_kernel(&warm_batch, &batch_csr_refs);
                 black_box(index)
             },
             BatchSize::LargeInput,

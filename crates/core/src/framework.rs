@@ -22,6 +22,13 @@
 //! `batch.cluster`, `batch.index`, `batch.classify`, `batch.candidates`,
 //! `batch.swap`), the batch records `pmt_us`/`pgt_us` counters, and the
 //! report carries a [`MetricsSnapshot`] delta scoped to just that batch.
+//!
+//! Each phase, and bootstrap's index build, runs under `contain`, the one
+//! place on the maintenance path that catches a panic: a worker panic
+//! unwinds out of the kernel fan-out to it and becomes a [`PhaseError`]
+//! on the report (or bootstrap's `Err`). A failed index phase marks the
+//! indices stale for a rebuild; a failed pattern-maintenance round keeps
+//! its dirty-cluster flags for the next major batch.
 
 use crate::candidate_gen::{
     coverage_state, generate_promising_candidates, Candidate, GenerationParams,
@@ -36,9 +43,7 @@ use crate::swap::{multi_scan_swap, SwapParams};
 use midas_catapult::score::SetQuality;
 use midas_catapult::{select_patterns, WeightedCsg};
 use midas_cluster::{ClusterSet, FeatureSpace};
-use midas_graph::{
-    BatchUpdate, Csr, EdgeLabel, GraphDb, GraphId, KernelError, LabeledGraph, MatchKernel,
-};
+use midas_graph::{BatchUpdate, Csr, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::{FctIndex, IfeIndex};
 use midas_mining::incremental::FctState;
 use midas_mining::TreeKey;
@@ -89,7 +94,7 @@ pub struct MaintenanceReport {
     /// `MIDAS_FAULT`): the failing phase was abandoned, later
     /// pattern-maintenance phases were skipped, and the process kept
     /// running. `None` on a healthy batch.
-    pub error: Option<KernelError>,
+    pub error: Option<PhaseError>,
 }
 
 impl MaintenanceReport {
@@ -127,7 +132,9 @@ impl Midas {
     /// clusters with FCT features (the CATAPULT++ configuration), selects
     /// the initial pattern set, and builds both indices.
     ///
-    /// Returns `Err` only if the database is empty.
+    /// Returns `Err` if the database is empty, or with the [`PhaseError`]
+    /// text when a worker panic is contained in the index build
+    /// (`bootstrap.index`).
     pub fn bootstrap(db: GraphDb, mut config: MidasConfig) -> Result<Self, String> {
         config.telemetry = config.telemetry.with_env(midas_obs::config::env());
         config.telemetry.activate();
@@ -166,8 +173,12 @@ impl Midas {
         ));
         let monitor = GraphletMonitor::build(&db);
         let kernel = MatchKernel::new(config.threads);
-        let (fct_index, ife_index) = build_indices(&db, &fct_state, &config, &kernel)
-            .map_err(|e| format!("index build failed: {e}"))?;
+        let mut failure = None;
+        let Some((fct_index, ife_index)) = contain("bootstrap.index", &mut failure, || {
+            build_indices(&db, &fct_state, &config, &kernel)
+        }) else {
+            return Err(failure.expect("contain records its failure").to_string());
+        };
         let mut midas = Midas {
             config,
             db,
@@ -349,11 +360,11 @@ impl Midas {
         drop(ingest_span);
 
         // Every phase below runs fan-outs through the kernel; a worker panic
-        // (including an injected `MIDAS_FAULT`) is contained here — the
-        // failing phase is abandoned, later pattern-maintenance phases are
-        // skipped, and the report carries the error instead of the process
-        // aborting.
-        let mut batch_error: Option<KernelError> = None;
+        // (including an injected `MIDAS_FAULT`) unwinds to the phase's
+        // `contain` — the failing phase is abandoned, later
+        // pattern-maintenance phases are skipped, and the report carries the
+        // error instead of the process aborting.
+        let mut batch_error: Option<PhaseError> = None;
 
         // FCT maintenance (line 5).
         let fct_span = midas_obs::span!("batch.fct");
@@ -388,10 +399,9 @@ impl Midas {
         midas_obs::alerts::record_phase("batch.cluster", clustering_time.as_micros() as u64);
 
         // Index maintenance (line 12 — we keep indices fresh every batch so
-        // minor modifications leave them consistent too). The kernel passes
-        // here are the fallible `try_*` fan-outs: a contained task panic
-        // surfaces as a `KernelError`. A phase that fails or is skipped
-        // leaves the indices stale until the next one rebuilds them.
+        // minor modifications leave them consistent too). A phase that
+        // fails (possibly mid-mutation) or is skipped leaves the indices
+        // stale until the next one rebuilds them.
         let index_span = midas_obs::span!("batch.index");
         let index_start = Instant::now();
         // Injected slowdown (`MIDAS_FAULT=slow:US`): burns wall-clock inside
@@ -399,14 +409,10 @@ impl Midas {
         if let Some(delay) = midas_graph::exec::slow_fault() {
             std::thread::sleep(delay);
         }
-        let indexed = contain("batch.index", &mut batch_error, || {
+        self.indices_stale = contain("batch.index", &mut batch_error, || {
             self.maintain_indices(&inserted, &deleted_ids)
-        });
-        self.indices_stale = !matches!(indexed, Some(Ok(())));
-        if let Some(Err(e)) = indexed {
-            record_kernel_error(&e);
-            batch_error = Some(e);
-        }
+        })
+        .is_none();
         let index_time = index_start.elapsed();
         drop(index_span);
         midas_obs::alerts::record_phase("batch.index", index_time.as_micros() as u64);
@@ -430,7 +436,6 @@ impl Midas {
                 // Candidate generation from dirty CSGs (§5, lines 9–10).
                 let candidates_span = midas_obs::span!("batch.candidates");
                 let cand_start = Instant::now();
-                let dirty = self.clusters.take_dirty();
                 let sample = self.sample();
                 let ctx = ScovContext {
                     fct: &self.fct_index,
@@ -440,10 +445,14 @@ impl Midas {
                     catalog: &self.fct_state.edges,
                     kernel: &self.kernel,
                 };
-                let csgs: Vec<WeightedCsg> = dirty
+                // The dirty flags are read here but cleared only once the
+                // round has completed: a round abandoned to a panic must not
+                // use up its delta (§4.3, §5).
+                let csgs: Vec<WeightedCsg> = self
+                    .clusters
                     .iter()
-                    .filter_map(|&cid| self.clusters.get(cid))
-                    .map(|c| WeightedCsg::build(c.csg(), &self.fct_state.edges, self.db.len()))
+                    .filter(|(_, c)| c.is_dirty())
+                    .map(|(_, c)| WeightedCsg::build(c.csg(), &self.fct_state.edges, self.db.len()))
                     .collect();
                 let state = coverage_state(&self.patterns, &ctx);
                 let params = GenerationParams {
@@ -501,12 +510,14 @@ impl Midas {
                     "batch {}: {candidates_generated} candidates, {swaps} swaps",
                     self.batch_counter
                 );
+                self.clusters.take_dirty();
             });
         }
-        // On a minor modification the dirty flags are deliberately *kept*:
-        // clusters stay marked as modified until the next major round
-        // consumes them, so candidate generation sees every cluster that
-        // changed since patterns were last maintained (§4.3, §5).
+        // On a minor modification, or a major round that did not complete,
+        // the dirty flags are deliberately *kept*: clusters stay marked as
+        // modified until a completed major round consumes them, so candidate
+        // generation sees every cluster that changed since patterns were
+        // last maintained (§4.3, §5).
 
         // Publish the post-batch pattern snapshot before reporting: even a
         // contained phase failure publishes (the store holds whatever state
@@ -581,22 +592,14 @@ impl Midas {
     /// inserted TG columns are filled in one parallel kernel pass. Stale
     /// indices (an earlier index phase failed) are rebuilt from scratch
     /// instead.
-    ///
-    /// Runs every kernel fan-out through the fault-isolating `try_*` twins:
-    /// a contained worker panic returns the [`KernelError`] with the failed
-    /// kernel pass never applied to the index.
-    fn maintain_indices(
-        &mut self,
-        inserted: &[GraphId],
-        deleted: &[GraphId],
-    ) -> Result<(), KernelError> {
+    fn maintain_indices(&mut self, inserted: &[GraphId], deleted: &[GraphId]) {
         for &id in deleted.iter().chain(inserted) {
             self.kernel.invalidate_graph(id);
         }
         if self.indices_stale {
             (self.fct_index, self.ife_index) =
-                build_indices(&self.db, &self.fct_state, &self.config, &self.kernel)?;
-            return Ok(());
+                build_indices(&self.db, &self.fct_state, &self.config, &self.kernel);
+            return;
         }
         for &id in deleted {
             self.fct_index.remove_graph(id);
@@ -607,7 +610,7 @@ impl Midas {
             .map(|&id| (id, self.db.csr(id).expect("inserted id")))
             .collect();
         self.fct_index
-            .try_add_graphs_kernel(&self.kernel, &inserted_csrs)?;
+            .add_graphs_kernel(&self.kernel, &inserted_csrs);
         for &id in inserted {
             self.ife_index
                 .add_graph(id, self.db.get(id).expect("inserted id"));
@@ -618,27 +621,41 @@ impl Midas {
             features.iter().map(|(k, t)| (k.clone(), t)).collect();
         let csr_refs: Vec<(GraphId, &Csr)> = self.db.csrs().collect();
         self.fct_index
-            .try_refresh_features_kernel(&self.kernel, &target, &csr_refs)?;
+            .refresh_features_kernel(&self.kernel, &target, &csr_refs);
         self.ife_index
             .refresh_edges(infrequent, self.db.iter().map(|(id, g)| (id, g.as_ref())));
-        Ok(())
     }
 }
 
-/// Logs a contained worker failure to telemetry and the flight recorder.
-fn record_kernel_error(e: &KernelError) {
-    midas_obs::counter_add!("batch.kernel_errors", 1);
-    midas_obs::obs_warn!("core::framework", "contained worker failure: {e}");
-    midas_obs::flight::record_event("kernel_error", e.to_string());
+/// A worker panic contained by a phase backstop: the phase span it
+/// abandoned (`batch.index`, `bootstrap.index`, ...) and the panic's own
+/// message (for an injected fault, it names the task ordinal).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PhaseError {
+    /// The phase that panicked.
+    pub phase: &'static str,
+    /// The panic payload, stringified.
+    pub message: String,
 }
 
-/// Runs one maintenance phase under a panic backstop. A panic that escapes
-/// an infallible fan-out (or any phase-internal bug) is converted into a
-/// phase-level [`KernelError`] instead of unwinding out of `apply_batch`;
-/// once a batch has failed, later phases are skipped (`None`).
+impl std::fmt::Display for PhaseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} panicked: {}", self.phase, self.message)
+    }
+}
+
+impl std::error::Error for PhaseError {}
+
+/// Runs one phase under the panic backstop — the one place on the
+/// maintenance path that catches a panic. A panic anywhere inside `f`
+/// (a kernel fan-out task, or any phase-internal bug) becomes a
+/// [`PhaseError`] in `error`, logged to telemetry and the flight recorder,
+/// instead of unwinding out of `apply_batch` or `bootstrap`. Once `error`
+/// holds a failure, later phases are skipped. Returns `None` when `f`
+/// failed or was skipped.
 fn contain<R>(
     phase: &'static str,
-    error: &mut Option<KernelError>,
+    error: &mut Option<PhaseError>,
     f: impl FnOnce() -> R,
 ) -> Option<R> {
     if error.is_some() {
@@ -647,11 +664,13 @@ fn contain<R>(
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(result) => Some(result),
         Err(payload) => {
-            let e = KernelError {
-                task: KernelError::PHASE,
-                message: format!("{phase}: {}", midas_graph::exec::panic_message(payload)),
+            let e = PhaseError {
+                phase,
+                message: midas_graph::exec::panic_message(payload),
             };
-            record_kernel_error(&e);
+            midas_obs::counter_add!("batch.kernel_errors", 1);
+            midas_obs::obs_warn!("core::framework", "contained worker failure: {e}");
+            midas_obs::flight::record_event("kernel_error", e.to_string());
             *error = Some(e);
             None
         }
@@ -727,12 +746,12 @@ fn build_indices(
     fct_state: &FctState,
     config: &MidasConfig,
     kernel: &MatchKernel,
-) -> Result<(FctIndex, IfeIndex), KernelError> {
+) -> (FctIndex, IfeIndex) {
     let (features, infrequent) = index_features(fct_state, config.sup_min, db.len());
     let csr_refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
-    let fct_index = FctIndex::build_with(kernel, features, &csr_refs)?;
+    let fct_index = FctIndex::build_with(kernel, features, &csr_refs);
     let ife_index = IfeIndex::build(infrequent, db.iter().map(|(id, g)| (id, g.as_ref())));
-    Ok((fct_index, ife_index))
+    (fct_index, ife_index)
 }
 
 #[cfg(test)]
@@ -768,6 +787,15 @@ mod tests {
     #[test]
     fn bootstrap_rejects_empty_db() {
         assert!(Midas::bootstrap(GraphDb::new(), config()).is_err());
+    }
+
+    #[test]
+    fn phase_error_displays_phase_and_message() {
+        let e = PhaseError {
+            phase: "batch.index",
+            message: "xyz".into(),
+        };
+        assert_eq!(e.to_string(), "batch.index panicked: xyz");
     }
 
     #[test]

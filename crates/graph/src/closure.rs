@@ -88,15 +88,6 @@ impl ClosureGraph {
             .is_some_and(|ns| ns.contains_key(&v))
     }
 
-    /// The support set of edge `(u, v)`, if the edge exists.
-    pub fn edge_support(
-        &self,
-        u: ClosureVertexId,
-        v: ClosureVertexId,
-    ) -> Option<&BTreeSet<GraphId>> {
-        self.adj.get(u as usize).and_then(|ns| ns.get(&v))
-    }
-
     /// Iterates live edges as `(u, v, support)` with `u < v`.
     pub fn edges(
         &self,

@@ -4,14 +4,8 @@
 //! dominated by embarrassingly parallel `(graph × pattern)` scans. This
 //! module centralizes the fork/join plumbing those scans share, so each
 //! call site is a data-parallel one-liner instead of hand-rolled chunk
-//! arithmetic:
-//!
-//! * [`try_par_map`] — map a function over a slice, preserving order,
-//!   with every task's panic contained;
-//! * [`par_map`] — the same, re-raising a contained failure as a panic.
-//!
-//! Both run one body, so a task's fault ordinal (below) does not depend
-//! on which of the two a caller uses.
+//! arithmetic: [`par_map`] maps a function over a slice, preserving
+//! order.
 //!
 //! Threads are plain `std::thread::scope` workers (no pool): the work items
 //! here are chunky (subgraph searches over whole graphs), so spawn overhead is
@@ -25,64 +19,37 @@
 //!
 //! # Thread-count selection
 //!
-//! [`thread_count`] resolves an explicit override (> 0, the
-//! `MidasConfig::threads` knob), else `std::thread::available_parallelism()`.
-//! Work is never split wider than the item count, and `1` means "run
-//! inline on the caller's thread".
+//! The width is an explicit override (> 0, the `MidasConfig::threads`
+//! knob), else `std::thread::available_parallelism()`. Work is never split
+//! wider than the item count, and `1` means "run inline on the caller's
+//! thread".
 //!
-//! The fan-outs additionally degrade to the serial path
-//! ([`effective_threads`]) when the host has a single core or the fan-out
-//! is narrower than [`SPAWN_THRESHOLD`] items — spawning scoped threads
-//! there only adds overhead (the kernel bench measured parallel at 0.83×
-//! serial on a 1-core host before this guard).
+//! The fan-outs additionally degrade to the serial path when the host has
+//! a single core or the fan-out is narrower than [`SPAWN_THRESHOLD`] items
+//! — spawning scoped threads there only adds overhead (the kernel bench
+//! measured parallel at 0.83× serial on a 1-core host before this guard).
 //!
-//! # Fault isolation
+//! # Panics
 //!
-//! [`try_par_map`] runs every task under [`std::panic::catch_unwind`]: a
-//! panicking task poisons only its own result slot and the whole fan-out
-//! returns a [`KernelError`] naming the first failed task, instead of
-//! aborting the process or wedging the caller. `MIDAS_FAULT=task:N` (or
-//! [`set_fault_for_tests`]) arms a deterministic injector that panics the
-//! Nth task executed through this module — the hook the oracle harness and
-//! CI use to prove containment end to end. `MIDAS_FAULT=slow:US` instead
-//! arms [`slow_fault`], the per-batch slowdown the framework burns inside
-//! its `batch.index` span.
+//! This module catches no panic. A panicking task unwinds out of
+//! [`par_map`] with its own payload: inline on the serial path, and on the
+//! threaded path re-raised (`resume_unwind`) from the first panicked
+//! worker in chunk order, so the message is the task's own and never
+//! `std::thread::scope`'s generic one. The one place on the maintenance
+//! path that catches it is the framework's phase backstop (`contain` in
+//! `midas-core`).
+//!
+//! `MIDAS_FAULT=task:N` (or [`set_fault_for_tests`]) arms a deterministic
+//! injector that panics the Nth task executed through this module — the
+//! hook the oracle harness and CI use to prove containment end to end.
+//! `MIDAS_FAULT=slow:US` instead arms [`slow_fault`], the per-batch
+//! slowdown the framework burns inside its `batch.index` span.
 
 pub use midas_obs::config::Fault;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
-
-/// A contained task failure surfaced by the fallible fan-outs
-/// ([`try_par_map`] and friends) instead of an abort or a wedged scope.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KernelError {
-    /// Index of the first failed work item within the fan-out.
-    pub task: usize,
-    /// The panic payload, stringified.
-    pub message: String,
-}
-
-impl KernelError {
-    /// Sentinel task index for failures contained at *phase* level (a panic
-    /// that escaped an infallible fan-out and was caught by the framework's
-    /// backstop) rather than in a specific fan-out slot.
-    pub const PHASE: usize = usize::MAX;
-}
-
-impl std::fmt::Display for KernelError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.task == Self::PHASE {
-            write!(f, "kernel phase panicked: {}", self.message)
-        } else {
-            write!(f, "kernel task {} panicked: {}", self.task, self.message)
-        }
-    }
-}
-
-impl std::error::Error for KernelError {}
 
 /// Override sentinel: defer to `MIDAS_FAULT`.
 const FROM_ENV: u64 = u64::MAX;
@@ -168,8 +135,8 @@ fn fault_point(ordinal: u64) {
     }
 }
 
-/// Stringifies a `catch_unwind` payload (also used by phase-level
-/// containment backstops in `midas-core`).
+/// Stringifies a caught panic payload (the framework's phase backstop
+/// reports it).
 pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -184,7 +151,7 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// `override_threads` wins when non-zero (this is the `MidasConfig::threads`
 /// knob); otherwise the machine's available parallelism.
-pub fn thread_count(override_threads: usize, items: usize) -> usize {
+fn thread_count(override_threads: usize, items: usize) -> usize {
     let configured = if override_threads > 0 {
         override_threads
     } else {
@@ -213,7 +180,7 @@ fn available_cores() -> usize {
 /// scoped threads there only add spawn and scheduling overhead — or when
 /// the fan-out is narrower than [`SPAWN_THRESHOLD`] items. Results are
 /// unchanged either way; only the execution strategy differs.
-pub fn effective_threads(override_threads: usize, items: usize) -> usize {
+fn effective_threads(override_threads: usize, items: usize) -> usize {
     let threads = thread_count(override_threads, items);
     if threads > 1 && (available_cores() == 1 || items < SPAWN_THRESHOLD) {
         return 1;
@@ -223,56 +190,19 @@ pub fn effective_threads(override_threads: usize, items: usize) -> usize {
 
 /// Maps `f` over `items` in parallel, preserving input order.
 ///
-/// `threads = 0` means auto (see [`thread_count`]). Falls back to a plain
-/// sequential map when one thread suffices. This is [`try_par_map`] with
-/// a contained task failure re-raised as a panic carrying the
-/// [`KernelError`] text, for callers whose phase-level backstop records
-/// it (the framework's `contain`).
+/// `threads = 0` means auto (available cores). Falls back to a plain
+/// sequential map when one thread suffices. A panicking task unwinds out
+/// of this call with its own payload (see the module docs).
 pub fn par_map<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    try_par_map(threads, items, f).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`par_map`]: every task runs under `catch_unwind`, a panic
-/// poisons only its own slot, and the call returns the first failure as a
-/// [`KernelError`] instead of unwinding across the scope join.
-pub fn try_par_map<T, U, F>(threads: usize, items: &[T], f: F) -> Result<Vec<U>, KernelError>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    try_par_map_indexed(threads, items, |_, item| f(item))
-}
-
-/// Maps `f(index, item)` over `items` in parallel, preserving input order
-/// — the one fan-out body behind [`par_map`] and [`try_par_map`]. Every
-/// task runs under `catch_unwind`; remaining healthy tasks still run to
-/// completion (the scope joins every worker), and only their results are
-/// discarded when an error is reported.
-fn try_par_map_indexed<T, U, F>(threads: usize, items: &[T], f: F) -> Result<Vec<U>, KernelError>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
     let first_ordinal = fault_ordinals(items.len());
-    let run_task = |i: usize, item: &T| -> Result<U, KernelError> {
-        catch_unwind(AssertUnwindSafe(|| {
-            fault_point(first_ordinal + i as u64);
-            f(i, item)
-        }))
-        .map_err(|payload| {
-            midas_obs::counter_add!("exec.task_panics", 1);
-            KernelError {
-                task: i,
-                message: panic_message(payload),
-            }
-        })
+    let run_task = |i: usize, item: &T| -> U {
+        fault_point(first_ordinal + i as u64);
+        f(item)
     };
     let threads = effective_threads(threads, items.len());
     if threads <= 1 {
@@ -284,28 +214,36 @@ where
     }
     midas_obs::counter_add!("exec.fanouts", 1);
     midas_obs::counter_add!("exec.tasks", items.len() as u64);
-    let mut out: Vec<Option<Result<U, KernelError>>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
     let chunk_len = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (chunk_idx, (in_chunk, out_chunk)) in items
+    let joined: Vec<std::thread::Result<Vec<U>>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = items
             .chunks(chunk_len)
-            .zip(out.chunks_mut(chunk_len))
             .enumerate()
-        {
-            let run_task = &run_task;
-            scope.spawn(move || {
-                let _busy = midas_obs::span!("exec.worker");
-                let base = chunk_idx * chunk_len;
-                for (offset, (item, slot)) in in_chunk.iter().zip(out_chunk).enumerate() {
-                    *slot = Some(run_task(base + offset, item));
-                }
-            });
-        }
+            .map(|(chunk_idx, chunk)| {
+                let run_task = &run_task;
+                scope.spawn(move || {
+                    let _busy = midas_obs::span!("exec.worker");
+                    let base = chunk_idx * chunk_len;
+                    chunk
+                        .iter()
+                        .enumerate()
+                        .map(|(offset, item)| run_task(base + offset, item))
+                        .collect()
+                })
+            })
+            .collect();
+        // Join every worker: an unjoined panicked one would make the scope
+        // raise its generic message instead of the task's own.
+        workers.into_iter().map(|w| w.join()).collect()
     });
-    out.into_iter()
-        .map(|slot| slot.expect("worker filled every slot"))
-        .collect()
+    let mut out = Vec::with_capacity(items.len());
+    for chunk in joined {
+        match chunk {
+            Ok(results) => out.extend(results),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -322,83 +260,9 @@ mod tests {
     }
 
     #[test]
-    fn par_map_indexed_sees_true_indices() {
-        let items = vec!["a"; 257];
-        let idxs = try_par_map_indexed(4, &items, |i, _| i).expect("no faults");
-        assert_eq!(idxs, (0..257).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_reraises_a_contained_failure() {
-        let items: Vec<u64> = (0..100).collect();
-        for threads in [1, 4] {
-            let payload = catch_unwind(|| {
-                par_map(threads, &items, |&x| {
-                    if x == 37 {
-                        panic!("boom at {x}");
-                    }
-                    x
-                })
-            })
-            .expect_err("task 37 panics");
-            let message = panic_message(payload);
-            assert_eq!(message, "kernel task 37 panicked: boom at 37");
-        }
-    }
-
-    #[test]
     fn empty_input_is_fine() {
         let none: Vec<u32> = Vec::new();
         assert!(par_map(8, &none, |&x| x).is_empty());
-        assert_eq!(try_par_map(8, &none, |&x| x), Ok(Vec::new()));
-    }
-
-    #[test]
-    fn try_par_map_matches_par_map_on_healthy_tasks() {
-        let items: Vec<u64> = (0..500).collect();
-        for threads in [1, 2, 8] {
-            let out = try_par_map(threads, &items, |&x| x * 3).expect("no faults");
-            assert_eq!(out, items.iter().map(|&x| x * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn try_par_map_contains_a_panicking_task() {
-        let items: Vec<u64> = (0..100).collect();
-        for threads in [1, 4] {
-            let err = try_par_map(threads, &items, |&x| {
-                if x == 37 {
-                    panic!("boom at {x}");
-                }
-                x
-            })
-            .expect_err("task 37 panics");
-            assert_eq!(err.task, 37);
-            assert!(err.message.contains("boom at 37"), "{err}");
-        }
-    }
-
-    #[test]
-    fn try_par_map_indexed_reports_first_failed_index() {
-        let items = vec![(); 64];
-        let err = try_par_map_indexed(2, &items, |i, ()| {
-            if i % 50 == 3 {
-                panic!("bad slot");
-            }
-            i
-        })
-        .expect_err("slot 3 and 53 panic");
-        assert_eq!(err.task, 3, "first error in slot order wins");
-        assert!(err.to_string().contains("task 3"));
-    }
-
-    #[test]
-    fn kernel_error_displays_task_and_message() {
-        let e = KernelError {
-            task: 9,
-            message: "xyz".into(),
-        };
-        assert_eq!(e.to_string(), "kernel task 9 panicked: xyz");
     }
 
     #[test]
@@ -437,7 +301,5 @@ mod tests {
         let items: Vec<u64> = (0..SPAWN_THRESHOLD as u64 - 1).collect();
         let out = par_map(8, &items, |&x| x * x);
         assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
-        let tried = try_par_map(8, &items, |&x| x + 1).expect("no faults");
-        assert_eq!(tried, items.iter().map(|&x| x + 1).collect::<Vec<_>>());
     }
 }

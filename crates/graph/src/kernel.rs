@@ -5,16 +5,15 @@
 //! [`EmbeddingCache`] — behind bulk operations shaped like the scans the
 //! MIDAS pipeline actually runs:
 //!
-//! * [`MatchKernel::try_count_in_graphs`] — one pattern against many data
+//! * [`MatchKernel::count_in_graphs`] — one pattern against many data
 //!   graphs (a TG-matrix row, Def. 5.1);
-//! * [`MatchKernel::try_count_grid`] — many patterns against many data
+//! * [`MatchKernel::count_grid`] — many patterns against many data
 //!   graphs (TG-matrix columns for a batch of inserted graphs);
 //! * [`MatchKernel::covered_in`] — coverage verification after the
 //!   dominance filter (§6.1).
 //!
-//! The counting operations are fallible: a contained worker panic comes
-//! back as a [`KernelError`]. The boolean scans re-raise it as a panic
-//! (see [`exec::par_map`]).
+//! Every operation is one [`exec::par_map`] fan-out and returns plain
+//! values: a worker panic unwinds to the caller's phase backstop.
 //!
 //! Data graphs arrive as `(GraphId, &Csr)` pairs borrowed from
 //! [`crate::GraphDb::csr`] / [`crate::GraphDb::csrs`]; the kernel never
@@ -29,7 +28,7 @@
 use crate::cache::{CachedPattern, EmbeddingCache};
 use crate::csr::Csr;
 use crate::db::GraphId;
-use crate::exec::{self, KernelError};
+use crate::exec;
 use crate::graph::LabeledGraph;
 use std::sync::Arc;
 
@@ -48,17 +47,12 @@ impl Default for MatchKernel {
 
 impl MatchKernel {
     /// A kernel with a fresh cache. `threads = 0` means auto (see
-    /// [`exec::thread_count`]).
+    /// [`exec::par_map`]).
     pub fn new(threads: usize) -> Self {
         MatchKernel {
             threads,
             cache: Arc::new(EmbeddingCache::new()),
         }
-    }
-
-    /// The configured thread override (0 = auto).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The shared embedding memo.
@@ -100,18 +94,15 @@ impl MatchKernel {
     }
 
     /// Counts embeddings of `pattern` in each graph (saturating at `cap`),
-    /// in input order — one TG-matrix row. A panic in any per-graph task
-    /// (including an injected `MIDAS_FAULT` one) is contained and surfaced
-    /// as a [`KernelError`] instead of aborting; the same holds for every
-    /// `try_` operation below.
-    pub fn try_count_in_graphs(
+    /// in input order — one TG-matrix row.
+    pub fn count_in_graphs(
         &self,
         pattern: &LabeledGraph,
         graphs: &[(GraphId, &Csr)],
         cap: u64,
-    ) -> Result<Vec<u64>, KernelError> {
+    ) -> Vec<u64> {
         let prepared = self.prepare(pattern);
-        exec::try_par_map(self.threads, graphs, |&(id, g)| {
+        exec::par_map(self.threads, graphs, |&(id, g)| {
             self.cache.count_embeddings(&prepared, id, g, cap)
         })
     }
@@ -119,13 +110,13 @@ impl MatchKernel {
     /// Counts embeddings of every pattern in every graph: result `[i][j]`
     /// is the count of `patterns[j]` in `graphs[i]`, saturating at `cap`.
     /// Parallel over graphs (the long axis in matrix maintenance).
-    pub fn try_count_grid(
+    pub fn count_grid(
         &self,
         patterns: &[CachedPattern],
         graphs: &[(GraphId, &Csr)],
         cap: u64,
-    ) -> Result<Vec<Vec<u64>>, KernelError> {
-        exec::try_par_map(self.threads, graphs, |&(id, g)| {
+    ) -> Vec<Vec<u64>> {
+        exec::par_map(self.threads, graphs, |&(id, g)| {
             self.cache.count_embeddings_many(patterns, id, g, cap)
         })
     }
@@ -165,7 +156,7 @@ mod tests {
         let refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         let kernel = MatchKernel::new(4);
         for pattern in [path(&[0, 1]), path(&[0, 0]), path(&[9, 9])] {
-            let counts = kernel.try_count_in_graphs(&pattern, &refs, 64).unwrap();
+            let counts = kernel.count_in_graphs(&pattern, &refs, 64);
             let covered = kernel.covered_in(&pattern, &refs);
             for (i, (_, g)) in db.iter().enumerate() {
                 assert_eq!(counts[i], count_embeddings(&pattern, g, 64));
@@ -183,7 +174,7 @@ mod tests {
             .iter()
             .map(|p| kernel.prepare(p))
             .collect();
-        let grid = kernel.try_count_grid(&patterns, &refs, 64).unwrap();
+        let grid = kernel.count_grid(&patterns, &refs, 64);
         for (i, (_, g)) in db.iter().enumerate() {
             for (j, p) in patterns.iter().enumerate() {
                 assert_eq!(grid[i][j], count_embeddings(p.graph(), g, 64));
@@ -197,13 +188,13 @@ mod tests {
         let refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         let kernel = MatchKernel::new(2);
         let p = path(&[0, 1]);
-        kernel.try_count_in_graphs(&p, &refs, 64).unwrap();
+        kernel.count_in_graphs(&p, &refs, 64);
         let misses_after_first = kernel.cache().stats().misses;
-        kernel.try_count_in_graphs(&p, &refs, 64).unwrap();
+        kernel.count_in_graphs(&p, &refs, 64);
         assert_eq!(kernel.cache().stats().misses, misses_after_first);
         // Invalidation forces exactly the touched graph to recompute.
         kernel.invalidate_graph(GraphId(0));
-        kernel.try_count_in_graphs(&p, &refs, 64).unwrap();
+        kernel.count_in_graphs(&p, &refs, 64);
         assert_eq!(kernel.cache().stats().misses, misses_after_first + 1);
     }
 }

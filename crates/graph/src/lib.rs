@@ -37,8 +37,9 @@
 //! * [`kernel`] — [`MatchKernel`], the parallel + memoized bulk
 //!   operations (TG-matrix rows and grids, coverage scans) that run the
 //!   plan matcher over `(GraphId, &Csr)` pairs from [`GraphDb`].
-//! * [`exec`] — scoped-thread `par_map`/`try_par_map` helpers shared by
-//!   every parallel `(graph × pattern)` scan in the workspace.
+//! * [`exec`] — the scoped-thread `par_map` fan-out shared by every
+//!   parallel `(graph × pattern)` scan in the workspace; it catches no
+//!   panic, so a failing task unwinds to the framework's phase backstop.
 //! * [`cache`] — a sharded [`EmbeddingCache`] memoizing capped embedding
 //!   counts (and nothing else) per `(pattern canonical key, GraphId)`,
 //!   invalidated per graph on batch updates.
@@ -72,7 +73,6 @@ pub use canonical::CanonicalCode;
 pub use closure::ClosureGraph;
 pub use csr::Csr;
 pub use db::{BatchUpdate, GraphDb, GraphId};
-pub use exec::KernelError;
 pub use graph::{EdgeLabel, GraphBuilder, LabeledGraph, VertexId};
 pub use graphlets::{GraphletCounts, GraphletDistribution, GraphletKind};
 pub use kernel::MatchKernel;

@@ -1,12 +1,17 @@
 //! The FCT-Index (Def. 5.1): trie + TG-matrix, with the maintenance rules
 //! of §5.1. The TP-matrix side is computed on demand by
 //! [`FctIndex::pattern_counts`].
+//!
+//! The kernel-backed build and mutators return plain values and are not
+//! transactional: a worker panic unwinds out of them mid-way, and the
+//! framework's phase backstop then marks the index stale and rebuilds it
+//! from scratch on the next batch.
 
 use crate::sparse::SparseMatrix;
 use crate::trie::Trie;
 use crate::EMBED_CAP;
 use midas_graph::isomorphism::count_embeddings;
-use midas_graph::{Csr, GraphId, KernelError, LabeledGraph, MatchKernel, MatchPlan};
+use midas_graph::{CachedPattern, Csr, GraphId, LabeledGraph, MatchKernel, MatchPlan};
 use midas_mining::TreeKey;
 use std::collections::BTreeMap;
 
@@ -69,42 +74,62 @@ impl FctIndex {
     /// Produces a matrix identical to the serial build.
     ///
     /// All features are registered first and the whole TG-matrix is filled
-    /// by a single [`MatchKernel::try_count_grid`] pass — one memo
-    /// round-trip per *graph* for every feature at once, instead of one per
-    /// `(feature, graph)` pair. A contained worker panic returns the
-    /// [`KernelError`].
+    /// by a single [`MatchKernel::count_grid`] pass — one memo round-trip
+    /// per *graph* for every feature at once, instead of one per
+    /// `(feature, graph)` pair — and bulk built from the nonzero triples
+    /// instead of nnz interior inserts.
     pub fn build_with(
         kernel: &MatchKernel,
         features: impl IntoIterator<Item = (TreeKey, LabeledGraph)>,
         graphs: &[(GraphId, &Csr)],
-    ) -> Result<Self, KernelError> {
+    ) -> Self {
         let mut index = Self::new();
-        // Register rows first (deduplicating by key, like the serial build).
-        let mut rows: Vec<(FeatureId, LabeledGraph)> = Vec::new();
         for (key, tree) in features {
-            if index.trie.lookup(key.tokens()).is_some() {
-                continue;
+            // Deduplicate by key, like the serial build.
+            if index.trie.lookup(key.tokens()).is_none() {
+                index.push_feature(key, tree);
             }
-            let id = FeatureId(index.next_feature);
-            index.next_feature += 1;
-            index.trie.insert(key.tokens(), id);
-            index.features.insert(id, Feature::new(key, tree.clone()));
-            rows.push((id, tree));
         }
-        // One grid pass fills every TG column; the matrix itself is bulk
-        // built from the nonzero triples instead of nnz interior inserts.
-        if !rows.is_empty() && !graphs.is_empty() {
-            let cached: Vec<midas_graph::CachedPattern> =
-                rows.iter().map(|(_, t)| kernel.prepare(t)).collect();
-            let grid = kernel.try_count_grid(&cached, graphs, EMBED_CAP)?;
-            index.tg =
-                SparseMatrix::from_triples(graphs.iter().zip(grid).flat_map(|(&(gid, _), row)| {
-                    rows.iter()
-                        .zip(row)
-                        .map(move |(&(fid, _), count)| (fid, gid, count as u32))
-                }));
+        index.tg = SparseMatrix::from_triples(index.count_columns(kernel, graphs));
+        index
+    }
+
+    /// Registers a row for a key the trie does not hold yet.
+    fn push_feature(&mut self, key: TreeKey, tree: LabeledGraph) -> FeatureId {
+        let id = FeatureId(self.next_feature);
+        self.next_feature += 1;
+        self.trie.insert(key.tokens(), id);
+        self.features.insert(id, Feature::new(key, tree));
+        id
+    }
+
+    /// The nonzero embedding counts of every feature in `graphs`, as
+    /// `(feature, graph, count)` triples from one [`MatchKernel::count_grid`]
+    /// pass (graph-major, features in id order).
+    fn count_columns(
+        &self,
+        kernel: &MatchKernel,
+        graphs: &[(GraphId, &Csr)],
+    ) -> Vec<(FeatureId, GraphId, u32)> {
+        if graphs.is_empty() || self.features.is_empty() {
+            return Vec::new();
         }
-        Ok(index)
+        let (ids, cached): (Vec<FeatureId>, Vec<CachedPattern>) = self
+            .features
+            .iter()
+            .map(|(&fid, f)| (fid, kernel.prepare(&f.tree)))
+            .unzip();
+        let grid = kernel.count_grid(&cached, graphs, EMBED_CAP);
+        graphs
+            .iter()
+            .zip(grid)
+            .flat_map(|(&(gid, _), row)| {
+                ids.iter()
+                    .zip(row)
+                    .filter(|&(_, count)| count > 0)
+                    .map(move |(&fid, count)| (fid, gid, count as u32))
+            })
+            .collect()
     }
 
     /// Number of features (rows).
@@ -146,14 +171,11 @@ impl FctIndex {
         if let Some(existing) = self.trie.lookup(key.tokens()) {
             return existing;
         }
-        let id = FeatureId(self.next_feature);
-        self.next_feature += 1;
-        self.trie.insert(key.tokens(), id);
+        let id = self.push_feature(key, tree.clone());
         for (gid, g) in graphs {
             let count = count_embeddings(tree, g, EMBED_CAP) as u32;
             self.tg.set(id, gid, count);
         }
-        self.features.insert(id, Feature::new(key, tree.clone()));
         id
     }
 
@@ -198,56 +220,24 @@ impl FctIndex {
     /// Batch, parallel + memoized form of [`FctIndex::add_graph`]
     /// (maintenance rule 3 over a whole `Δ⁺`): every feature is prepared
     /// once, then counted in every new graph's CSR view through the
-    /// kernel.
-    ///
-    /// The count grid is computed before any column is written, so on
-    /// [`KernelError`] the TG-matrix is untouched.
-    pub fn try_add_graphs_kernel(
-        &mut self,
-        kernel: &MatchKernel,
-        graphs: &[(GraphId, &Csr)],
-    ) -> Result<(), KernelError> {
-        if graphs.is_empty() || self.features.is_empty() {
-            return Ok(());
+    /// kernel. The graphs' columns must be empty, as `Δ⁺`'s fresh ids are.
+    pub fn add_graphs_kernel(&mut self, kernel: &MatchKernel, graphs: &[(GraphId, &Csr)]) {
+        for (fid, gid, count) in self.count_columns(kernel, graphs) {
+            self.tg.set(fid, gid, count);
         }
-        let prepared: Vec<(FeatureId, midas_graph::CachedPattern)> = self
-            .features
-            .iter()
-            .map(|(&fid, f)| (fid, kernel.prepare(&f.tree)))
-            .collect();
-        let cached: Vec<midas_graph::CachedPattern> =
-            prepared.iter().map(|(_, p)| p.clone()).collect();
-        let grid = kernel.try_count_grid(&cached, graphs, EMBED_CAP)?;
-        for (&(gid, _), row) in graphs.iter().zip(grid) {
-            for (&(fid, _), count) in prepared.iter().zip(row) {
-                self.tg.set(fid, gid, count as u32);
-            }
-        }
-        Ok(())
     }
 
     /// Reconciles the feature rows against a new feature set (the batch
     /// form of rules 1–2, run after FCT maintenance): rows for vanished
     /// keys are dropped, rows for new keys are added, counted through
-    /// `kernel` over `graphs`. The TG rows of every *new* feature are
-    /// counted up front; only once all counts succeed are stale rows
-    /// dropped and new rows inserted. On [`KernelError`] the index is
-    /// unchanged.
-    pub fn try_refresh_features_kernel(
+    /// `kernel` over `graphs`. A panic mid-way leaves a partial update;
+    /// the framework then marks the index stale and rebuilds it.
+    pub fn refresh_features_kernel(
         &mut self,
         kernel: &MatchKernel,
         target: &[(TreeKey, &LabeledGraph)],
         graphs: &[(GraphId, &Csr)],
-    ) -> Result<(), KernelError> {
-        let mut pending: Vec<(&TreeKey, &LabeledGraph, Vec<u64>)> = Vec::new();
-        let mut queued: std::collections::BTreeSet<&TreeKey> = std::collections::BTreeSet::new();
-        for (key, tree) in target {
-            if self.trie.lookup(key.tokens()).is_some() || !queued.insert(key) {
-                continue;
-            }
-            let graph_counts = kernel.try_count_in_graphs(tree, graphs, EMBED_CAP)?;
-            pending.push((key, tree, graph_counts));
-        }
+    ) {
         let want: BTreeMap<&TreeKey, &LabeledGraph> = target.iter().map(|(k, t)| (k, *t)).collect();
         let stale: Vec<TreeKey> = self
             .features
@@ -258,17 +248,16 @@ impl FctIndex {
         for key in stale {
             self.remove_feature(&key);
         }
-        for (key, tree, graph_counts) in pending {
-            let id = FeatureId(self.next_feature);
-            self.next_feature += 1;
-            self.trie.insert(key.tokens(), id);
+        for (key, tree) in target {
+            if self.trie.lookup(key.tokens()).is_some() {
+                continue;
+            }
+            let graph_counts = kernel.count_in_graphs(tree, graphs, EMBED_CAP);
+            let id = self.push_feature(key.clone(), (*tree).clone());
             for (&(gid, _), count) in graphs.iter().zip(graph_counts) {
                 self.tg.set(id, gid, count as u32);
             }
-            self.features
-                .insert(id, Feature::new(key.clone(), tree.clone()));
         }
-        Ok(())
     }
 
     /// Approximate heap size in bytes (for the Exp 2 memory report).
@@ -375,9 +364,7 @@ mod tests {
             .map(|(i, c)| (gid(i as u64 + 1), c))
             .collect();
         let con_id = index.feature_by_key(&tree_key(&con)).unwrap();
-        index
-            .try_refresh_features_kernel(&MatchKernel::new(2), &target, &graph_refs)
-            .expect("no fault injected");
+        index.refresh_features_kernel(&MatchKernel::new(2), &target, &graph_refs);
         assert_eq!(index.feature_count(), 2);
         assert!(index.feature_by_key(&tree_key(&path(&[0, 1]))).is_none());
         assert_eq!(
@@ -414,8 +401,7 @@ mod tests {
             &kernel,
             features.iter().map(|t| (tree_key(t), t.clone())),
             &csr_refs,
-        )
-        .expect("no fault injected");
+        );
         assert_eq!(serial.feature_count(), parallel.feature_count());
         for (fid, _) in serial.features() {
             for &(gid, _) in &graph_refs {
@@ -439,9 +425,7 @@ mod tests {
             .map(|(i, c)| (gid(10 + i as u64), c))
             .collect();
         let kernel = MatchKernel::new(2);
-        cached
-            .try_add_graphs_kernel(&kernel, &refs)
-            .expect("no fault injected");
+        cached.add_graphs_kernel(&kernel, &refs);
         for (fid, _) in serial.features() {
             for &(gid, _) in &refs {
                 assert_eq!(serial.tg().get(fid, gid), cached.tg().get(fid, gid));
@@ -449,9 +433,7 @@ mod tests {
         }
         // A second pass is served from the memo and stays identical.
         let before = kernel.cache().stats().misses;
-        cached
-            .try_add_graphs_kernel(&kernel, &refs)
-            .expect("no fault injected");
+        cached.add_graphs_kernel(&kernel, &refs);
         assert_eq!(kernel.cache().stats().misses, before);
     }
 

@@ -103,11 +103,6 @@ pub fn push_sample_event(leaf: &'static str, stack: String, tid: usize) {
     });
 }
 
-/// Number of events buffered right now.
-pub fn buffered_events() -> usize {
-    EVENTS.lock().expect("trace buffer lock").len()
-}
-
 /// Number of events dropped at the cap since the last drain.
 pub fn dropped_events() -> u64 {
     DROPPED.load(Ordering::Relaxed)

@@ -59,14 +59,14 @@
 //! ([`minimize_pair`]), so a failure lands as the smallest witness the
 //! shrinker can reach rather than a 40-vertex molecule.
 //!
-//! [`fault_containment_pass`] additionally proves the exec-layer fault
-//! isolation end to end: it arms the deterministic injector behind
+//! [`fault_containment_pass`] additionally proves the framework's one
+//! fault boundary end to end: it arms the deterministic injector behind
 //! `MIDAS_FAULT=task:N`, drives a maintenance batch through [`Midas`],
-//! and requires the worker panic to surface as a contained
-//! [`KernelError`](midas_graph::KernelError) on the report — process
-//! alive, flight recorder carrying the event — instead of an abort; the
-//! next healthy batch must leave both indices equal to a from-scratch
-//! build.
+//! and requires the worker panic to unwind to the phase backstop and
+//! surface as a [`PhaseError`](midas_core::PhaseError) on the report —
+//! process alive, flight recorder carrying the event — instead of an
+//! abort; the next healthy batch must leave both indices equal to a
+//! from-scratch build.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -111,10 +111,6 @@ const COUNT_CAP: u64 = 64;
 
 /// Batches in the servebench-scale stream of checks 2 and 10.
 const SERVEBENCH_BATCHES: usize = 20;
-
-/// The checks run with the fault injector disarmed, so a kernel error is
-/// a bug in the harness.
-const NO_FAULT: &str = "no fault is armed during the checks";
 
 /// One fast-path/reference disagreement.
 #[derive(Debug, Clone)]
@@ -328,9 +324,7 @@ impl Oracle {
         // that still agree with serial recomputation.
         for round in 0..2 {
             for (pi, p) in patterns.iter().enumerate() {
-                let fast_counts = kernel
-                    .try_count_in_graphs(p, &csrs, COUNT_CAP)
-                    .expect(NO_FAULT);
+                let fast_counts = kernel.count_in_graphs(p, &csrs, COUNT_CAP);
                 let fast_covered = kernel.covered_in(p, &csrs);
                 for (k, &(id, g)) in graphs.iter().enumerate() {
                     cases += 2;
@@ -366,12 +360,10 @@ impl Oracle {
             let p = &patterns[i % patterns.len()];
             // Warm the memo on the old content, then invalidate and probe
             // the replacement's CSR under the same id.
-            let _ = kernel.try_count_in_graphs(p, &[(id, old)], COUNT_CAP);
+            kernel.count_in_graphs(p, &[(id, old)], COUNT_CAP);
             kernel.invalidate_graph(id);
             let replacement_csr = Csr::from_graph(replacement);
-            let fast = kernel
-                .try_count_in_graphs(p, &[(id, &replacement_csr)], COUNT_CAP)
-                .expect(NO_FAULT);
+            let fast = kernel.count_in_graphs(p, &[(id, &replacement_csr)], COUNT_CAP);
             let want = count_embeddings(p, replacement, COUNT_CAP);
             cases += 1;
             if fast[0] != want {
@@ -1671,9 +1663,7 @@ fn count_divergence(
     // original pair as witness.
     let violates = |p: &LabeledGraph, g: &LabeledGraph| {
         let fresh = MatchKernel::new(1);
-        let fast = fresh
-            .try_count_in_graphs(p, &[(GraphId(0), &Csr::from_graph(g))], COUNT_CAP)
-            .expect(NO_FAULT);
+        let fast = fresh.count_in_graphs(p, &[(GraphId(0), &Csr::from_graph(g))], COUNT_CAP);
         fast[0] != count_embeddings(p, g, COUNT_CAP)
     };
     let witness = minimize_pair(pattern, graph, violates);
@@ -1895,10 +1885,10 @@ fn brute_scov(pattern: &LabeledGraph, db: &GraphDb, sample: &BTreeSet<GraphId>) 
 
 /// Proves end-to-end fault containment: arms the injector at exec task
 /// `target`, drives growth batches through a bootstrapped [`Midas`], and
-/// requires the injected worker panic to surface as a contained
-/// [`midas_graph::KernelError`] on the maintenance report (with the
-/// flight recorder carrying the `kernel_error` event) rather than an
-/// abort or hang. A healthy follow-up batch must then succeed and leave
+/// requires the injected worker panic to be caught by the phase backstop
+/// and surface as a [`midas_core::PhaseError`] on the maintenance report
+/// (with the flight recorder carrying the `kernel_error` event) rather
+/// than an abort or hang. A healthy follow-up batch must then succeed and leave
 /// both indices equal to a from-scratch build (`index_divergence`): a
 /// failed batch's graphs may not stay missing from TG/EG. Returns a
 /// human-readable success line, or an error describing which containment

@@ -1,21 +1,47 @@
 //! End-to-end fault-isolation test: an injected worker panic (the
-//! `MIDAS_FAULT=task:N` injector, armed programmatically) must be
-//! contained by the exec layer and surface as a [`KernelError`] on the
-//! maintenance report — the process stays alive, the flight recorder
-//! logs the event, and the framework keeps working afterwards.
+//! `MIDAS_FAULT=task:N` injector, armed programmatically) unwinds out of
+//! the exec fan-out to the framework's one fault boundary, the phase
+//! backstop, and surfaces as a [`PhaseError`] — on the maintenance report,
+//! or as bootstrap's `Err` — while the process stays alive, the flight
+//! recorder logs the event, and the framework keeps working afterwards.
 //!
 //! The injector is process-global, so this file holds a single test
 //! function: everything that arms it runs sequentially in here, and no
 //! other test in this process fans out through the kernel while armed.
 
-use midas_graph::exec::{set_fault_for_tests, slow_fault, try_par_map, Fault};
-use midas_graph::KernelError;
+use midas_core::{Midas, MidasConfig, PhaseError};
+use midas_datagen::{novel_family_batch, DatasetKind, DatasetSpec, MotifKind};
+use midas_graph::exec::{panic_message, par_map, set_fault_for_tests, slow_fault, Fault};
 use midas_oracle::fault_containment_pass;
+use midas_serve::client::ServeClient;
+use midas_serve::{ServeConfig, ServeDaemon};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Runs `f` with the fault injector armed at `fault` and the default
+/// panic hook silenced, then disarms both.
+fn armed<R>(fault: Fault, f: impl FnOnce() -> R) -> R {
+    let quiet = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    set_fault_for_tests(Some(fault));
+    let out = catch_unwind(AssertUnwindSafe(f));
+    set_fault_for_tests(None);
+    std::panic::set_hook(quiet);
+    out.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
+
+fn dirty_clusters(midas: &Midas) -> Vec<u64> {
+    midas
+        .clusters()
+        .iter()
+        .filter(|(_, c)| c.is_dirty())
+        .map(|(id, _)| id.0)
+        .collect()
+}
 
 #[test]
 fn injected_worker_panic_is_contained_end_to_end() {
     // Phase 1: the full framework pass — bootstrap, arm `task:3`, apply a
-    // growth batch, and require a KernelError-carrying report plus the
+    // growth batch, and require a PhaseError-carrying report plus the
     // flight-recorder trail instead of an abort.
     let line = fault_containment_pass(7, 3).expect("injected fault must be contained");
     assert!(
@@ -23,34 +49,87 @@ fn injected_worker_panic_is_contained_end_to_end() {
         "flight recorder must log the contained failure: {line}"
     );
     assert!(
-        line.contains("task 3"),
-        "the error must name the injected task: {line}"
+        line.contains("batch.index") && line.contains("task 3"),
+        "the error must name the phase and the injected task: {line}"
     );
 
-    // Phase 2: the exec primitive directly — the n-th task panics, the
-    // others complete, and the first failure (in slot order) is reported.
-    let quiet = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    set_fault_for_tests(Some(Fault::Task(2)));
-    let items: Vec<u64> = (0..16).collect();
-    let result = try_par_map(4, &items, |&x| x * 2);
-    set_fault_for_tests(None);
-    std::panic::set_hook(quiet);
-    let err = result.expect_err("the armed ordinal must surface as an error");
-    assert_eq!(err.task, 2);
-    assert!(err.to_string().contains("injected fault"));
-    assert_ne!(err.task, KernelError::PHASE);
+    // Phase 2: the exec primitive directly — nothing in the fan-out
+    // catches the injected panic; it unwinds with its own message, which
+    // names the global task ordinal, on the serial and the threaded path
+    // alike.
+    let items: Vec<u64> = (0..64).collect();
+    for (threads, target) in [(1, 2), (4, 40)] {
+        let payload = armed(Fault::Task(target), || {
+            catch_unwind(|| par_map(threads, &items, |&x| x * 2))
+                .expect_err("the armed ordinal must unwind")
+        });
+        assert_eq!(
+            panic_message(payload),
+            format!("injected fault at task {target} (MIDAS_FAULT)")
+        );
+    }
 
     // Phase 3: disarmed, the same fan-out succeeds — the injector left no
     // poisoned global state behind.
-    let clean = try_par_map(4, &items, |&x| x * 2).expect("disarmed run is clean");
-    assert_eq!(clean, (0..16).map(|x| x * 2).collect::<Vec<u64>>());
+    let clean = par_map(4, &items, |&x| x * 2);
+    assert_eq!(clean, (0..64).map(|x| x * 2).collect::<Vec<u64>>());
 
     // Phase 4: `slow:US` arms the batch.index delay and never a task
     // panic; disarming clears it.
     set_fault_for_tests(Some(Fault::Slow(250)));
     assert_eq!(slow_fault(), Some(std::time::Duration::from_micros(250)));
-    assert!(try_par_map(4, &items, |&x| x).is_ok());
+    assert_eq!(par_map(4, &items, |&x| x), items);
     set_fault_for_tests(None);
     assert_eq!(slow_fault(), None);
+
+    // Phase 5: a pattern-maintenance round abandoned to a panic keeps its
+    // delta. A novel-family batch is a major modification at ε = 0.01;
+    // its ε = 1.0 twin classifies the same batch as minor, which keeps
+    // every dirty flag, so both must end with the same dirty clusters.
+    let db = DatasetSpec::new(DatasetKind::AidsLike, 40, 7).generate().db;
+    let at_epsilon = |epsilon| MidasConfig {
+        epsilon,
+        ..MidasConfig::small_defaults()
+    };
+    let batch = novel_family_batch(MotifKind::BoronicEster, 12, 3);
+    let mut twin = Midas::bootstrap(db.clone(), at_epsilon(1.0)).expect("bootstrap");
+    assert!(twin.apply_batch(batch.clone()).error.is_none());
+    let mut midas = Midas::bootstrap(db, at_epsilon(0.01)).expect("bootstrap");
+    let report = armed(Fault::Task(100), || midas.apply_batch(batch));
+    let error = report.error.expect("the armed task must fail the batch");
+    assert_eq!(error.phase, "batch.maintenance", "{error}");
+    let dirty = dirty_clusters(&twin);
+    assert!(!dirty.is_empty(), "the batch must dirty some cluster");
+    assert_eq!(
+        dirty_clusters(&midas),
+        dirty,
+        "a failed maintenance round must keep its dirty clusters"
+    );
+
+    // Phase 6: a fault during bootstrap's index build is contained too:
+    // `Midas::bootstrap` returns `Err` naming the phase ...
+    let small = DatasetSpec::new(DatasetKind::AidsLike, 20, 7).generate().db;
+    let failed = armed(Fault::Task(0), || {
+        Midas::bootstrap(small, MidasConfig::small_defaults())
+    });
+    let message = failed
+        .err()
+        .expect("an injected bootstrap fault must be an Err");
+    let expected = PhaseError {
+        phase: "bootstrap.index",
+        message: "injected fault at task 0 (MIDAS_FAULT)".into(),
+    };
+    assert_eq!(message, expected.to_string());
+
+    // ... and over HTTP, `POST /v1/tenants` answers 400 and releases the
+    // name: the same create succeeds once the injector is disarmed.
+    let daemon = ServeDaemon::start(ServeConfig::default()).expect("start daemon");
+    let client = ServeClient::new(daemon.addr().to_string());
+    let create = || client.create_tenant("faulty", "aids_like", 20, 7, "small");
+    let reply = armed(Fault::Task(0), create).expect("request");
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(reply.body.contains("bootstrap.index"), "{}", reply.body);
+    let reply = create().expect("request");
+    assert_eq!(reply.status, 201, "{}", reply.body);
+    daemon.shutdown();
 }
