@@ -55,7 +55,6 @@ pub mod canonical;
 pub mod closure;
 pub mod csr;
 pub mod db;
-pub mod dot;
 pub mod exec;
 pub mod fasthash;
 pub mod ged;

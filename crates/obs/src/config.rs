@@ -22,7 +22,6 @@
 //! | `MIDAS_FAULT`               | `task:N` / `slow:US`      | panic the N-th exec task / sleep US µs inside `batch.index` |
 //! | `MIDAS_SERVE_ADDR`          | `host:port`               | daemon listen address, `/v1/*` and obs endpoints (default `127.0.0.1:0`) |
 //! | `MIDAS_SERVE_HTTP_WORKERS`  | integer                   | daemon HTTP workers (default 8) |
-//! | `MIDAS_SERVE_MAINT_WORKERS` | integer                   | daemon maintenance workers (default 2) |
 //! | `MIDAS_SERVE_TENANTS`       | `name:kind:size[:seed],…` | tenants `serve_daemon` creates at boot |
 //! | `MIDAS_ADDR_FILE`           | path                      | `serve_daemon` writes its bound address here once it listens |
 //! | `MIDAS_BENCH_QUICK`         | `1\|true\|on`             | CI-sized `kernel` bench scenarios |
@@ -70,7 +69,6 @@ pub struct Env {
     pub fault: Option<Fault>,
     pub serve_addr: Option<String>,
     pub serve_http_workers: Option<usize>,
-    pub serve_maint_workers: Option<usize>,
     pub serve_tenants: Option<String>,
     pub addr_file: Option<PathBuf>,
     pub bench_quick: bool,
@@ -117,7 +115,6 @@ impl Env {
                 "MIDAS_FAULT" => set(&mut env.fault, Fault::parse(v)),
                 "MIDAS_SERVE_ADDR" => set(&mut env.serve_addr, text(v)),
                 "MIDAS_SERVE_HTTP_WORKERS" => set(&mut env.serve_http_workers, number(v)),
-                "MIDAS_SERVE_MAINT_WORKERS" => set(&mut env.serve_maint_workers, number(v)),
                 "MIDAS_SERVE_TENANTS" => set(&mut env.serve_tenants, text(v)),
                 "MIDAS_ADDR_FILE" => set(&mut env.addr_file, text(v).map(PathBuf::from)),
                 "MIDAS_BENCH_QUICK" => parse_bool(v).map(|q| env.bench_quick = q).is_some(),
@@ -300,7 +297,6 @@ mod tests {
             ("MIDAS_FAULT", "slow:200"),
             ("MIDAS_SERVE_ADDR", "127.0.0.1:9"),
             ("MIDAS_SERVE_HTTP_WORKERS", "3"),
-            ("MIDAS_SERVE_MAINT_WORKERS", "5"),
             ("MIDAS_SERVE_TENANTS", "a:emol_like:9"),
             ("MIDAS_ADDR_FILE", "addr"),
             ("MIDAS_BENCH_QUICK", "1"),
@@ -326,7 +322,6 @@ mod tests {
             fault: Some(Fault::Slow(200)),
             serve_addr: Some("127.0.0.1:9".into()),
             serve_http_workers: Some(3),
-            serve_maint_workers: Some(5),
             serve_tenants: Some("a:emol_like:9".into()),
             addr_file: Some("addr".into()),
             bench_quick: true,

@@ -15,7 +15,10 @@
 //!
 //! Handlers run on the HTTP worker pool; everything that can block on
 //! maintenance is explicit: `GET` pattern reads never take the tenant's
-//! `Midas` mutex, `POST /updates` without `mode=sync` only enqueues.
+//! `Midas` mutex, `POST /updates` without `mode=sync` only enqueues, and
+//! with `mode=sync` it waits for its own batch on the tenant's
+//! maintenance thread. A tenant whose maintenance thread has exited
+//! answers updates with a 5xx at once and keeps serving reads.
 
 use crate::tenant::{GenOp, GenSpec, Ingest, Tenant};
 use crate::ServeState;
@@ -24,10 +27,11 @@ use midas_datagen::{DatasetKind, DatasetSpec, MotifKind};
 use midas_graph::io;
 use midas_obs::httpd::{Request, Response};
 use midas_obs::json::{self as js, Value};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long a `?mode=sync` update waits for the queue to drain before
+/// How long a `?mode=sync` update waits for its batch to apply before
 /// answering 503 (the batch stays queued and will still apply).
 const SYNC_TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -102,9 +106,7 @@ pub fn route(state: &ServeState, req: &Request) -> Response {
         ("GET", ["v1", tenant, "patterns"]) => with_tenant(state, tenant, patterns),
         ("GET", ["v1", tenant, "epoch"]) => with_tenant(state, tenant, epoch),
         ("GET", ["v1", tenant, "queries"]) => with_tenant(state, tenant, |t| queries(t, req)),
-        ("POST", ["v1", tenant, "updates"]) => {
-            with_tenant(state, tenant, |t| updates(state, t, req))
-        }
+        ("POST", ["v1", tenant, "updates"]) => with_tenant(state, tenant, |t| updates(t, req)),
         ("POST", ["v1", tenant, "querylog"]) => with_tenant(state, tenant, |t| querylog(t, req)),
         ("DELETE", ["v1", tenant]) => delete_tenant(state, tenant),
         (method, _) => midas_obs::http::route(req).unwrap_or_else(|| match method {
@@ -116,6 +118,18 @@ pub fn route(state: &ServeState, req: &Request) -> Response {
     }
 }
 
+/// A JSON error document naming the tenant.
+fn tenant_error(status: u16, error: &str, tenant: &str) -> Response {
+    Response::json(
+        status,
+        format!(
+            "{{\"error\": {}, \"tenant\": {}}}\n",
+            js::quote(error),
+            js::quote(tenant)
+        ),
+    )
+}
+
 fn with_tenant(
     state: &ServeState,
     name: &str,
@@ -123,29 +137,20 @@ fn with_tenant(
 ) -> Response {
     match state.tenant(name) {
         Some(tenant) => f(&tenant),
-        None => Response::json(
-            404,
-            format!(
-                "{{\"error\": \"unknown tenant\", \"tenant\": {}}}\n",
-                js::quote(name)
-            ),
-        ),
+        None => tenant_error(404, "unknown tenant", name),
     }
 }
 
 fn healthz(state: &ServeState) -> Response {
     midas_obs::http::healthz(
         state.uptime(),
-        &format!(
-            "\"tenants\": {}, \"maintenance_workers\": {}",
-            state.tenant_count(),
-            state.maintenance_workers()
-        ),
+        &format!("\"tenants\": {}", state.tenant_count()),
     )
 }
 
 fn tenant_summary(t: &Tenant) -> String {
     let snap = t.snapshot();
+    let pending = t.pending_len();
     format!(
         "{{\"tenant\": {}, \"kind\": {}, \"epoch\": {}, \"db_len\": {}, \"patterns\": {}, \"pending_batches\": {}, \"busy\": {}, \"created_unix_ms\": {}}}",
         js::quote(&t.name),
@@ -153,8 +158,8 @@ fn tenant_summary(t: &Tenant) -> String {
         snap.epoch,
         snap.db_len,
         snap.patterns.len(),
-        t.pending_len(),
-        t.busy(),
+        pending,
+        pending > 0,
         t.created_unix_ms()
     )
 }
@@ -230,13 +235,7 @@ fn create_tenant(state: &ServeState, req: &Request) -> Response {
     // Reserve the name first so two concurrent creates cannot both run a
     // (multi-second) bootstrap for the same tenant.
     if !state.reserve(&name) {
-        return Response::json(
-            409,
-            format!(
-                "{{\"error\": \"tenant exists\", \"tenant\": {}}}\n",
-                js::quote(&name)
-            ),
-        );
+        return tenant_error(409, "tenant exists", &name);
     }
     match Tenant::bootstrap(name.clone(), kind, db, config) {
         Ok(tenant) => {
@@ -255,13 +254,7 @@ fn delete_tenant(state: &ServeState, name: &str) -> Response {
     if state.remove(name) {
         Response::json(200, format!("{{\"removed\": {}}}\n", js::quote(name)))
     } else {
-        Response::json(
-            404,
-            format!(
-                "{{\"error\": \"unknown tenant\", \"tenant\": {}}}\n",
-                js::quote(name)
-            ),
-        )
+        tenant_error(404, "unknown tenant", name)
     }
 }
 
@@ -399,9 +392,11 @@ fn parse_gen_spec(v: &Value) -> Result<GenSpec, String> {
 /// (`{"generate": {"op": "growth", "percent": 4.0, "seed": 7}}`).
 ///
 /// Default mode enqueues and answers `202` immediately; `mode=sync`
-/// waits until the tenant's queue is fully drained (batches apply in
-/// FIFO order either way) and answers with the resulting epoch.
-fn updates(state: &ServeState, tenant: &Arc<Tenant>, req: &Request) -> Response {
+/// waits until this job's own batch has applied (batches apply in FIFO
+/// order either way) and answers with the epoch it published. If the
+/// tenant's maintenance thread has exited, the enqueue answers 503 and a
+/// waiting sync caller gets 500 at once.
+fn updates(tenant: &Arc<Tenant>, req: &Request) -> Response {
     let body = match req.body_str() {
         Some(b) if !b.trim().is_empty() => b,
         _ => return Response::bad_request("missing JSON body"),
@@ -429,28 +424,32 @@ fn updates(state: &ServeState, tenant: &Arc<Tenant>, req: &Request) -> Response 
             .counter(&crate::metric(&tenant.name, "serve.updates"))
             .add(1);
     }
-    let queued = tenant.enqueue(job);
-    state.wake(tenant);
-
-    if req.query_param("mode") == Some("sync") {
-        // Wait for the pool to drain this tenant (FIFO: everything up to
-        // and including our job has applied once the queue is empty and
-        // no worker is mid-batch).
-        let begin = Instant::now();
-        while tenant.pending_len() > 0 || tenant.busy() {
-            if begin.elapsed() > SYNC_TIMEOUT {
-                return Response::json(
-                    503,
-                    format!(
-                        "{{\"error\": \"sync apply timed out; batch remains queued\", \"tenant\": {}}}\n",
-                        js::quote(&tenant.name)
-                    ),
-                );
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let snap = tenant.snapshot();
-        Response::json(
+    let sync = req.query_param("mode") == Some("sync");
+    let (reply, applied) = if sync {
+        let (tx, rx) = mpsc::channel();
+        (Some(tx), Some(rx))
+    } else {
+        (None, None)
+    };
+    let Some(queued) = tenant.enqueue(job, reply) else {
+        return tenant_error(
+            503,
+            "maintenance thread has exited; batch not accepted",
+            &tenant.name,
+        );
+    };
+    let Some(applied) = applied else {
+        return Response::json(
+            202,
+            format!(
+                "{{\"tenant\": {}, \"mode\": \"async\", \"queued\": {}}}\n",
+                js::quote(&tenant.name),
+                queued
+            ),
+        );
+    };
+    match applied.recv_timeout(SYNC_TIMEOUT) {
+        Ok(snap) => Response::json(
             200,
             format!(
                 "{{\"tenant\": {}, \"mode\": \"sync\", \"epoch\": {}, \"db_len\": {}, \"patterns\": {}}}\n",
@@ -459,16 +458,17 @@ fn updates(state: &ServeState, tenant: &Arc<Tenant>, req: &Request) -> Response 
                 snap.db_len,
                 snap.patterns.len()
             ),
-        )
-    } else {
-        Response::json(
-            202,
-            format!(
-                "{{\"tenant\": {}, \"mode\": \"async\", \"queued\": {}}}\n",
-                js::quote(&tenant.name),
-                queued
-            ),
-        )
+        ),
+        Err(RecvTimeoutError::Timeout) => tenant_error(
+            503,
+            "sync apply timed out; batch remains queued",
+            &tenant.name,
+        ),
+        Err(RecvTimeoutError::Disconnected) => tenant_error(
+            500,
+            "maintenance thread exited before applying the batch",
+            &tenant.name,
+        ),
     }
 }
 

@@ -13,13 +13,13 @@
 //!   it never touches the tenant's `Midas` mutex, so one tenant's
 //!   multi-second `apply_batch` cannot delay another tenant's (or its
 //!   own) pattern reads.
-//! * **Maintenance is pooled.** `POST /v1/{tenant}/updates` enqueues on
-//!   the tenant's FIFO and wakes a shared pool of maintenance workers.
-//!   A busy-CAS in [`tenant::Tenant::drain`] guarantees at most one
-//!   worker applies a given tenant's batches at a time (keeping the
-//!   batch order — and therefore the resulting pattern set — a pure
-//!   function of the request sequence), while distinct tenants apply
-//!   concurrently on distinct workers.
+//! * **Maintenance is one thread per tenant.** `POST /v1/{tenant}/updates`
+//!   sends the job on the tenant's FIFO channel, and the tenant's own
+//!   maintenance thread applies the jobs one at a time in arrival order
+//!   (keeping the batch order — and therefore the resulting pattern set —
+//!   a pure function of the request sequence), while distinct tenants
+//!   apply concurrently on their own threads. A `?mode=sync` job carries
+//!   a reply sender, so the caller waits for its own batch only.
 //!
 //! The daemon listens on one address: [`api::route`] answers the `/v1`
 //! API and `/healthz`, and falls through to [`midas_obs::http::route`]
@@ -40,8 +40,7 @@ pub use tenant::{GenOp, GenSpec, Ingest, Tenant};
 
 use midas_obs::httpd::HttpServer;
 use std::collections::BTreeMap;
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -60,8 +59,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// HTTP worker threads (concurrent in-flight requests).
     pub http_workers: usize,
-    /// Maintenance worker threads (concurrent tenant batch applies).
-    pub maintenance_workers: usize,
 }
 
 impl Default for ServeConfig {
@@ -69,24 +66,19 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             http_workers: 8,
-            maintenance_workers: 2,
         }
     }
 }
 
 impl ServeConfig {
-    /// Applies the `MIDAS_SERVE_ADDR`, `MIDAS_SERVE_HTTP_WORKERS` and
-    /// `MIDAS_SERVE_MAINT_WORKERS` settings of `env` on top of the
-    /// current values.
+    /// Applies the `MIDAS_SERVE_ADDR` and `MIDAS_SERVE_HTTP_WORKERS`
+    /// settings of `env` on top of the current values.
     pub fn with_env(mut self, env: &midas_obs::Env) -> Self {
         if let Some(addr) = &env.serve_addr {
             self.addr = addr.clone();
         }
         if let Some(n) = env.serve_http_workers {
             self.http_workers = n.max(1);
-        }
-        if let Some(n) = env.serve_maint_workers {
-            self.maintenance_workers = n.max(1);
         }
         self
     }
@@ -100,32 +92,29 @@ enum Slot {
     Ready(Arc<Tenant>),
 }
 
-/// Shared daemon state: the tenant table and the maintenance work
-/// channel. Handlers receive `&ServeState`; the daemon owns the worker
-/// threads.
+/// Shared daemon state: the tenant table, each tenant with its own
+/// maintenance thread. Handlers receive `&ServeState`.
 pub struct ServeState {
     tenants: RwLock<BTreeMap<String, Slot>>,
-    work: Mutex<Option<Sender<Arc<Tenant>>>>,
+    /// Maintenance threads of removed tenants, joined at shutdown.
+    retired: Mutex<Vec<JoinHandle<()>>>,
     started: Instant,
-    maintenance_workers: usize,
 }
 
 impl std::fmt::Debug for ServeState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeState")
             .field("tenants", &self.tenant_count())
-            .field("maintenance_workers", &self.maintenance_workers)
             .finish()
     }
 }
 
 impl ServeState {
-    fn new(maintenance_workers: usize, work: Sender<Arc<Tenant>>) -> ServeState {
+    fn new() -> ServeState {
         ServeState {
             tenants: RwLock::new(BTreeMap::new()),
-            work: Mutex::new(Some(work)),
+            retired: Mutex::new(Vec::new()),
             started: Instant::now(),
-            maintenance_workers,
         }
     }
 
@@ -165,11 +154,6 @@ impl ServeState {
         self.started.elapsed()
     }
 
-    /// Size of the maintenance pool.
-    pub fn maintenance_workers(&self) -> usize {
-        self.maintenance_workers
-    }
-
     /// Claims `name` for an in-flight bootstrap. Returns false if the
     /// name is already taken (reserved or ready).
     pub fn reserve(&self, name: &str) -> bool {
@@ -195,40 +179,41 @@ impl ServeState {
         }
     }
 
-    /// Removes a ready tenant. Queued jobs for it are dropped once the
-    /// pool's in-flight `Arc`s resolve; held snapshots stay valid.
+    /// Removes a ready tenant and closes its job channel: its
+    /// maintenance thread applies the jobs it already accepted, then
+    /// exits. Held snapshots stay valid.
     pub fn remove(&self, name: &str) -> bool {
-        let mut map = self.tenants.write().unwrap_or_else(|e| e.into_inner());
-        matches!(map.remove(name), Some(Slot::Ready(_)))
-    }
-
-    /// Hands a tenant with pending work to the maintenance pool. If the
-    /// pool is already gone (shutdown race), drains on the calling
-    /// thread so no accepted job is silently dropped.
-    pub fn wake(&self, tenant: &Arc<Tenant>) {
-        let sent = {
-            let guard = self.work.lock().unwrap_or_else(|e| e.into_inner());
-            match guard.as_ref() {
-                Some(tx) => tx.send(Arc::clone(tenant)).is_ok(),
-                None => false,
-            }
+        let slot = self
+            .tenants
+            .write()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(name);
+        let Some(Slot::Ready(tenant)) = slot else {
+            return false;
         };
-        if !sent {
-            tenant.drain();
-        }
+        let mut retired = self.retired.lock().unwrap_or_else(|e| e.into_inner());
+        retired.retain(|t| !t.is_finished());
+        retired.extend(tenant.close());
+        true
     }
 
-    fn close_work_channel(&self) {
-        self.work.lock().unwrap_or_else(|e| e.into_inner()).take();
+    /// Closes every tenant's job channel, then joins every maintenance
+    /// thread, removed tenants' included.
+    fn join_maintenance(&self) {
+        let mut threads: Vec<JoinHandle<()>> =
+            self.tenants().iter().filter_map(|t| t.close()).collect();
+        threads.append(&mut self.retired.lock().unwrap_or_else(|e| e.into_inner()));
+        for t in threads {
+            let _ = t.join();
+        }
     }
 }
 
-/// The running daemon: an HTTP front end over a [`ServeState`] plus the
-/// maintenance worker pool. Shuts down (and joins every thread) on drop.
+/// The running daemon: an HTTP front end over a [`ServeState`]. Shuts
+/// down (and joins every thread) on drop.
 pub struct ServeDaemon {
     http: Option<HttpServer>,
     state: Arc<ServeState>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ServeDaemon {
@@ -241,26 +226,10 @@ impl std::fmt::Debug for ServeDaemon {
 }
 
 impl ServeDaemon {
-    /// Binds the listener, spawns the HTTP and maintenance pools, and
-    /// returns the running daemon.
+    /// Binds the listener, spawns the HTTP pool, and returns the running
+    /// daemon.
     pub fn start(config: ServeConfig) -> std::io::Result<ServeDaemon> {
-        let (tx, rx) = mpsc::channel::<Arc<Tenant>>();
-        let state = Arc::new(ServeState::new(config.maintenance_workers.max(1), tx));
-
-        // Maintenance pool: same shared-receiver discipline as the HTTP
-        // pool in `midas_obs::httpd` — take the guard, take one token,
-        // drop the guard *before* the (long) drain.
-        let rx = Arc::new(Mutex::new(rx));
-        let workers: Vec<JoinHandle<()>> = (0..config.maintenance_workers.max(1))
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("serve-maint-{i}"))
-                    .spawn(move || maintenance_worker(&rx))
-                    .expect("spawn maintenance worker")
-            })
-            .collect();
-
+        let state = Arc::new(ServeState::new());
         let handler_state = Arc::clone(&state);
         let http = HttpServer::start(
             &config.addr,
@@ -271,7 +240,6 @@ impl ServeDaemon {
         Ok(ServeDaemon {
             http: Some(http),
             state,
-            workers,
         })
     }
 
@@ -285,8 +253,9 @@ impl ServeDaemon {
         &self.state
     }
 
-    /// Stops the HTTP listener, closes the work channel, and joins every
-    /// worker. Idempotent via drop.
+    /// Stops the HTTP listener, then closes every tenant's job channel and
+    /// joins every maintenance thread once it has applied what it
+    /// accepted. Idempotent via drop.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -295,34 +264,13 @@ impl ServeDaemon {
         if let Some(http) = self.http.take() {
             http.shutdown();
         }
-        self.state.close_work_channel();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.state.join_maintenance();
     }
 }
 
 impl Drop for ServeDaemon {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn maintenance_worker(rx: &Mutex<Receiver<Arc<Tenant>>>) {
-    loop {
-        let tenant = {
-            let guard = match rx.lock() {
-                Ok(guard) => guard,
-                Err(_) => return,
-            };
-            let tenant = guard.recv();
-            drop(guard);
-            tenant
-        };
-        match tenant {
-            Ok(tenant) => tenant.drain(),
-            Err(_) => return, // channel closed: shutdown
-        }
     }
 }
 
@@ -409,6 +357,107 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
+        daemon.shutdown();
+    }
+
+    fn one_edge_batch() -> BatchUpdate {
+        BatchUpdate::insert_only(vec![GraphBuilder::new()
+            .vertices(&[0, 1])
+            .edge(0, 1)
+            .build()])
+    }
+
+    fn reply_epoch(reply: &client::Reply) -> u64 {
+        let doc = reply.json().expect("JSON reply");
+        doc.get("epoch").and_then(|e| e.as_u64()).expect("epoch")
+    }
+
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let begin = Instant::now();
+        while !done() {
+            assert!(begin.elapsed() < Duration::from_secs(30), "{what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// A sync update answers with the epoch its own batch published, even
+    /// when an async batch queued behind it applies before the caller
+    /// could look.
+    #[test]
+    fn sync_update_reports_its_own_batch() {
+        let (daemon, client) = daemon();
+        client
+            .create_tenant("t", "emol_like", 20, 5, "small")
+            .unwrap();
+        let tenant = daemon.state().tenant("t").unwrap();
+        // Holding the `Midas` lock keeps both batches from applying until
+        // both are queued.
+        let sync = tenant.with_midas(|_| {
+            let sync = std::thread::spawn({
+                let client = client.clone();
+                move || client.post_batch("t", &one_edge_batch(), true)
+            });
+            wait_until("the sync batch was never accepted", || {
+                let tenants = client.request("GET", "/v1/tenants", None).unwrap();
+                tenants.body.contains("\"busy\": true")
+            });
+            let queued = client.post_batch("t", &one_edge_batch(), false).unwrap();
+            assert_eq!(queued.status, 202, "{}", queued.body);
+            sync
+        });
+        let reply = sync.join().unwrap().unwrap();
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert_eq!(reply_epoch(&reply), 1, "{}", reply.body);
+        wait_until("the async batch never applied", || {
+            client.epoch("t").unwrap().epoch == 2
+        });
+        daemon.shutdown();
+    }
+
+    /// A maintenance thread that dies fails its own tenant's updates at
+    /// once, while reads and other tenants keep working.
+    #[test]
+    fn a_dead_maintenance_thread_fails_fast_and_locally() {
+        let (daemon, client) = daemon();
+        for name in ["doomed", "other"] {
+            let created = client
+                .create_tenant(name, "emol_like", 20, 5, "small")
+                .unwrap();
+            assert_eq!(created.status, 201, "{}", created.body);
+        }
+        let doomed = daemon.state().tenant("doomed").unwrap();
+        let waiting = doomed.with_midas(|_| {
+            assert_eq!(doomed.enqueue(Ingest::Panic, None), Some(1));
+            let waiting = std::thread::spawn({
+                let client = client.clone();
+                move || client.post_batch("doomed", &one_edge_batch(), true)
+            });
+            wait_until("the sync batch was never accepted", || {
+                doomed.pending_len() == 2
+            });
+            waiting
+        });
+        let released = Instant::now();
+        let reply = waiting.join().unwrap().unwrap();
+        assert_eq!(reply.status, 500, "{}", reply.body);
+        assert!(reply.body.contains("doomed"), "{}", reply.body);
+        assert!(
+            released.elapsed() < Duration::from_secs(1),
+            "the sync caller waited {:?}",
+            released.elapsed()
+        );
+
+        let refused = client
+            .post_batch("doomed", &one_edge_batch(), false)
+            .unwrap();
+        assert_eq!(refused.status, 503, "{}", refused.body);
+        let read = client.request("GET", "/v1/doomed/patterns", None).unwrap();
+        assert_eq!(read.status, 200, "{}", read.body);
+        assert_eq!(reply_epoch(&read), 0);
+
+        let applied = client.post_batch("other", &one_edge_batch(), true).unwrap();
+        assert_eq!(applied.status, 200, "{}", applied.body);
+        assert_eq!(reply_epoch(&applied), 1);
         daemon.shutdown();
     }
 
@@ -532,20 +581,17 @@ mod tests {
         let config = ServeConfig {
             addr: "127.0.0.1:0".into(),
             http_workers: 3,
-            maintenance_workers: 5,
         };
         // No settings: values pass through.
         let same = config.clone().with_env(&midas_obs::Env::default());
-        assert_eq!((same.http_workers, same.maintenance_workers), (3, 5));
+        assert_eq!(same.http_workers, 3);
         let (env, _) = midas_obs::Env::parse([
             ("MIDAS_SERVE_ADDR", "127.0.0.1:9"),
             ("MIDAS_SERVE_HTTP_WORKERS", "0"),
-            ("MIDAS_SERVE_MAINT_WORKERS", "4"),
         ]);
         let set = config.with_env(&env);
         assert_eq!(set.addr, "127.0.0.1:9");
         assert_eq!(set.http_workers, 1, "pools never shrink to zero");
-        assert_eq!(set.maintenance_workers, 4);
     }
 
     #[test]

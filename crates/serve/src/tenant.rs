@@ -1,35 +1,45 @@
-//! Tenants and the shared maintenance worker pool.
+//! Tenants and their maintenance threads.
 //!
-//! One [`Tenant`] = one embedded [`Midas`] instance serving one dataset.
-//! The two sides of a tenant touch disjoint synchronization:
+//! One [`Tenant`] = one embedded [`Midas`] instance serving one dataset,
+//! plus the one maintenance thread (`serve-maint-<n>`) that
+//! [`Tenant::bootstrap`] spawns for it. The two sides of a tenant touch
+//! disjoint synchronization:
 //!
 //! * **Reads** (`GET /v1/{tenant}/patterns`) go through the tenant's
 //!   [`Published<PatternSnapshot>`] handle — an `Arc` clone under a
 //!   nanosecond-scale pointer lock, never the `Midas` mutex — so a
 //!   tenant's (or any other tenant's) in-flight `apply_batch` cannot
 //!   block them.
-//! * **Maintenance** (`POST /v1/{tenant}/updates`) enqueues an
-//!   [`Ingest`] job on the tenant's FIFO and wakes the shared
-//!   [maintenance pool](crate::ServeDaemon); a worker claims the tenant
-//!   (busy CAS), drains its queue in order under the `Midas` mutex, and
-//!   publishes a fresh snapshot per batch. One worker per tenant at a
-//!   time keeps batch application serial per tenant — the final pattern
+//! * **Maintenance** (`POST /v1/{tenant}/updates`) sends one job on the
+//!   tenant's FIFO channel ([`Tenant::enqueue`]). The tenant's thread
+//!   receives the jobs in arrival order and applies each under the
+//!   `Midas` mutex, publishing a fresh snapshot per batch. One thread per
+//!   tenant keeps batch application serial per tenant — the final pattern
 //!   set is a pure function of the batch sequence, which is what the
 //!   oracle's serve-vs-library parity check pins — while different
-//!   tenants apply on different workers concurrently.
+//!   tenants apply on their own threads concurrently. A job may carry a
+//!   reply sender; the thread answers it with the snapshot that job's
+//!   batch published.
+//!
+//! A panic outside `apply_batch`'s phase backstop ends the thread, and
+//! its receiver drops with it: every job still queued is dropped (so
+//! each waiting reply disconnects), and [`Tenant::enqueue`] refuses new
+//! jobs. Reads keep serving the last published snapshot.
 //!
 //! The tenant also produces the user-side SLIs of [`midas_obs::sli`]:
 //! `POST /v1/{tenant}/querylog` feeds [`Tenant::observe`] one sample per
-//! query, and every batch [`Tenant::drain`] applies closes one tick over
-//! the samples logged since the previous batch.
+//! query, and every batch the thread applies closes one tick over the
+//! samples logged since the previous batch.
 
 use midas_core::{Midas, MidasConfig, PatternSnapshot, Published};
 use midas_datagen::{DatasetKind, MotifKind};
 use midas_graph::{BatchUpdate, GraphDb, LabeledGraph};
 use midas_obs::sli::{self, QuerySample, TickSummary};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Server-side batch generator spec: `POST /v1/{tenant}/updates` may ship
 /// either an explicit insert/delete batch or one of these, in which case
@@ -68,6 +78,9 @@ pub enum Ingest {
     Batch(BatchUpdate),
     /// A server-side generated batch.
     Generate(GenSpec),
+    /// Panics on the maintenance thread, outside `apply_batch`.
+    #[cfg(test)]
+    Panic,
 }
 
 /// Shared per-tick accumulators (drained once per applied batch).
@@ -106,22 +119,38 @@ impl TickCounters {
     }
 }
 
+/// One accepted job, as the maintenance thread receives it.
+struct Job {
+    ingest: Ingest,
+    enqueued: Instant,
+    reply: Option<Sender<Arc<PatternSnapshot>>>,
+}
+
+/// What the maintenance thread shares with the request handlers.
+struct Shared {
+    midas: Mutex<Midas>,
+    ticks: TickCounters,
+    /// Jobs accepted but not yet applied, the one in flight included.
+    pending: AtomicU64,
+}
+
+/// Numbers the maintenance threads `serve-maint-0`, `serve-maint-1`, …
+static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
+
 /// A named serving tenant: one embedded `Midas`, its lock-free snapshot
 /// handle, a frozen epoch-0 baseline pattern set (for SLI reduction
-/// math), a FIFO of pending maintenance jobs, and the SLI counters of the
-/// tick in progress.
+/// math), the sending end of its maintenance thread's job channel, and
+/// the SLI counters of the tick in progress.
 pub struct Tenant {
     /// The tenant name (validated by [`crate::api::valid_name`]).
     pub name: String,
     /// Dataset family — parameterizes server-side growth generation.
     pub kind: DatasetKind,
-    midas: Mutex<Midas>,
+    shared: Arc<Shared>,
     handle: Published<PatternSnapshot>,
     baseline: Vec<LabeledGraph>,
-    pending: Mutex<VecDeque<Ingest>>,
-    busy: AtomicBool,
-    queued: AtomicU64,
-    ticks: TickCounters,
+    jobs: Mutex<Option<Sender<Job>>>,
+    thread: Mutex<Option<JoinHandle<()>>>,
     created_unix_ms: u64,
 }
 
@@ -136,9 +165,9 @@ impl std::fmt::Debug for Tenant {
 }
 
 impl Tenant {
-    /// Bootstraps a tenant on `db`. Blocking (mining + clustering +
-    /// selection happen here); runs on the HTTP worker that took the
-    /// `POST /v1/tenants`.
+    /// Bootstraps a tenant on `db` and spawns its maintenance thread.
+    /// Blocking (mining + clustering + selection happen here); runs on
+    /// the HTTP worker that took the `POST /v1/tenants`.
     pub fn bootstrap(
         name: String,
         kind: DatasetKind,
@@ -148,20 +177,33 @@ impl Tenant {
         let midas = Midas::bootstrap_embedded(db, config)?;
         let handle = midas.snapshot_handle();
         let baseline = handle.read().patterns.clone();
-        let tenant = Tenant {
+        let shared = Arc::new(Shared {
+            midas: Mutex::new(midas),
+            ticks: TickCounters::default(),
+            pending: AtomicU64::new(0),
+        });
+        let (tx, rx) = mpsc::channel();
+        let thread = {
+            let (shared, name) = (Arc::clone(&shared), name.clone());
+            std::thread::Builder::new()
+                .name(format!(
+                    "serve-maint-{}",
+                    NEXT_THREAD.fetch_add(1, Ordering::Relaxed)
+                ))
+                .spawn(move || maintain(&shared, &name, kind, rx))
+                .map_err(|e| format!("spawn maintenance thread: {e}"))?
+        };
+        export_gauges(&name, &handle.read());
+        Ok(Tenant {
             name,
             kind,
-            midas: Mutex::new(midas),
+            shared,
             handle,
             baseline,
-            pending: Mutex::new(VecDeque::new()),
-            busy: AtomicBool::new(false),
-            queued: AtomicU64::new(0),
-            ticks: TickCounters::default(),
+            jobs: Mutex::new(Some(tx)),
+            thread: Mutex::new(Some(thread)),
             created_unix_ms: midas_obs::flight::unix_ms(),
-        };
-        tenant.export_gauges();
-        Ok(tenant)
+        })
     }
 
     /// The latest published pattern snapshot — lock-free with respect to
@@ -180,7 +222,7 @@ impl Tenant {
     /// tick the tenant's next applied batch closes.
     pub fn observe(&self, sample: &QuerySample) {
         sli::record_query(sample);
-        self.ticks.observe(sample);
+        self.shared.ticks.observe(sample);
     }
 
     /// Tenant creation time, unix milliseconds.
@@ -188,108 +230,119 @@ impl Tenant {
         self.created_unix_ms
     }
 
-    /// Jobs enqueued but not yet applied.
+    /// Jobs accepted but not yet applied, the one in flight included.
     pub fn pending_len(&self) -> u64 {
-        self.queued.load(Ordering::Acquire)
+        self.shared.pending.load(Ordering::Acquire)
     }
 
-    /// Enqueues one maintenance job; returns the new queue depth. The
-    /// caller is responsible for waking the maintenance pool.
-    pub fn enqueue(&self, job: Ingest) -> u64 {
-        let mut q = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-        q.push_back(job);
-        self.queued.store(q.len() as u64, Ordering::Release);
-        q.len() as u64
+    /// Sends one job to the maintenance thread, behind every job accepted
+    /// before it. `reply`, if given, receives the snapshot published by
+    /// this job's batch (the current one if the batch is empty). Returns
+    /// the pending count with this job included, or `None` once the
+    /// thread has exited or the tenant was closed.
+    pub fn enqueue(
+        &self,
+        ingest: Ingest,
+        reply: Option<Sender<Arc<PatternSnapshot>>>,
+    ) -> Option<u64> {
+        let jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
+        let tx = jobs.as_ref()?;
+        let pending = self.shared.pending.fetch_add(1, Ordering::AcqRel) + 1;
+        let job = Job {
+            ingest,
+            enqueued: Instant::now(),
+            reply,
+        };
+        if tx.send(job).is_ok() {
+            Some(pending)
+        } else {
+            self.shared.pending.fetch_sub(1, Ordering::AcqRel);
+            None
+        }
     }
 
-    fn pop_job(&self) -> Option<Ingest> {
-        let mut q = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-        let job = q.pop_front();
-        self.queued.store(q.len() as u64, Ordering::Release);
-        job
+    /// Closes the job channel: the thread applies every job it already
+    /// accepted, then exits. Returns the thread's handle, once, for the
+    /// caller to join.
+    pub(crate) fn close(&self) -> Option<JoinHandle<()>> {
+        self.jobs.lock().unwrap_or_else(|e| e.into_inner()).take();
+        self.thread.lock().unwrap_or_else(|e| e.into_inner()).take()
     }
 
     /// Runs a read-only closure against the tenant's `Midas` under its
     /// maintenance mutex (query-workload generation needs the live db).
     pub fn with_midas<R>(&self, f: impl FnOnce(&Midas) -> R) -> R {
-        let midas = self.midas.lock().unwrap_or_else(|e| e.into_inner());
+        let midas = self.shared.midas.lock().unwrap_or_else(|e| e.into_inner());
         f(&midas)
     }
+}
 
-    /// Applies every pending job in FIFO order, publishing one snapshot
-    /// and recording one SLI tick per batch. At most one thread drains a
-    /// tenant at a time (busy CAS); a loser returns immediately — the
-    /// winner re-checks the queue after releasing the claim, so no
-    /// enqueued job is stranded.
-    pub fn drain(&self) {
-        loop {
-            if self.busy.swap(true, Ordering::AcqRel) {
-                return; // someone else is draining and will re-check
+/// The maintenance thread: applies jobs in arrival order, publishing one
+/// snapshot and recording one SLI tick per non-empty batch, until every
+/// sender is gone.
+fn maintain(shared: &Shared, name: &str, kind: DatasetKind, jobs: Receiver<Job>) {
+    let queue_wait = crate::metric(name, "serve.queue_wait_us");
+    let pending = crate::metric(name, "serve.pending");
+    let set_pending = |n: u64| {
+        if midas_obs::enabled() {
+            midas_obs::registry::registry()
+                .gauge(&pending)
+                .set(n as f64);
+        }
+    };
+    for job in jobs {
+        if midas_obs::enabled() {
+            midas_obs::registry::registry()
+                .histogram(&queue_wait)
+                .record(job.enqueued.elapsed().as_micros() as u64);
+        }
+        set_pending(shared.pending.load(Ordering::Acquire));
+        let mut midas = shared.midas.lock().unwrap_or_else(|e| e.into_inner());
+        let batch = match job.ingest {
+            Ingest::Batch(b) => b,
+            Ingest::Generate(spec) => spec.build(&midas, kind),
+            #[cfg(test)]
+            Ingest::Panic => panic!("injected maintenance-thread panic"),
+        };
+        if !batch.is_empty() {
+            let _report = midas.apply_batch(batch);
+            let (queries, steps_live, steps_baseline, stale_max, drift_max) = shared.ticks.drain();
+            sli::record_tick(TickSummary {
+                tick: 0, // numbered by record_tick
+                epoch: midas.pattern_snapshot().epoch,
+                queries,
+                steps_live,
+                steps_baseline,
+                reduction: sli::reduction_from_steps(steps_live, steps_baseline),
+                staleness_batches_max: stale_max,
+                staleness_drift_max: drift_max,
+                unix_ms: midas_obs::flight::unix_ms(),
+            });
+            if midas_obs::enabled() {
+                midas_obs::registry::registry()
+                    .counter(&crate::metric(name, "serve.batches"))
+                    .add(1);
             }
-            while let Some(job) = self.pop_job() {
-                let mut midas = self.midas.lock().unwrap_or_else(|e| e.into_inner());
-                let batch = match job {
-                    Ingest::Batch(b) => b,
-                    Ingest::Generate(spec) => spec.build(&midas, self.kind),
-                };
-                if !batch.is_empty() {
-                    let _report = midas.apply_batch(batch);
-                    let (queries, steps_live, steps_baseline, stale_max, drift_max) =
-                        self.ticks.drain();
-                    sli::record_tick(TickSummary {
-                        tick: 0, // numbered by record_tick
-                        epoch: midas.pattern_snapshot().epoch,
-                        queries,
-                        steps_live,
-                        steps_baseline,
-                        reduction: sli::reduction_from_steps(steps_live, steps_baseline),
-                        staleness_batches_max: stale_max,
-                        staleness_drift_max: drift_max,
-                        unix_ms: midas_obs::flight::unix_ms(),
-                    });
-                    if midas_obs::enabled() {
-                        midas_obs::registry::registry()
-                            .counter(&crate::metric(&self.name, "serve.batches"))
-                            .add(1);
-                    }
-                }
-                self.export_gauges_from(&midas);
-            }
-            self.busy.store(false, Ordering::Release);
-            if self
-                .pending
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .is_empty()
-            {
-                return;
-            }
-            // A job raced in between the last pop and the release: loop
-            // and try to claim the tenant again.
+        }
+        let snap = midas.pattern_snapshot();
+        drop(midas);
+        export_gauges(name, &snap);
+        set_pending(shared.pending.fetch_sub(1, Ordering::AcqRel) - 1);
+        if let Some(reply) = job.reply {
+            let _ = reply.send(snap); // the caller may have timed out
         }
     }
+}
 
-    /// True while a worker is applying this tenant's batches.
-    pub fn busy(&self) -> bool {
-        self.busy.load(Ordering::Acquire)
+fn export_gauges(name: &str, snap: &PatternSnapshot) {
+    if !midas_obs::enabled() {
+        return;
     }
-
-    fn export_gauges(&self) {
-        let midas = self.midas.lock().unwrap_or_else(|e| e.into_inner());
-        self.export_gauges_from(&midas);
-    }
-
-    fn export_gauges_from(&self, _midas: &Midas) {
-        if !midas_obs::enabled() {
-            return;
-        }
-        let snap = self.handle.read();
-        let reg = midas_obs::registry::registry();
-        reg.gauge(&crate::metric(&self.name, "serve.epoch"))
-            .set(snap.epoch as f64);
-        reg.gauge(&crate::metric(&self.name, "serve.db_len"))
-            .set(snap.db_len as f64);
-    }
+    let reg = midas_obs::registry::registry();
+    reg.gauge(&crate::metric(name, "serve.epoch"))
+        .set(snap.epoch as f64);
+    reg.gauge(&crate::metric(name, "serve.db_len"))
+        .set(snap.db_len as f64);
 }
 
 impl GenSpec {

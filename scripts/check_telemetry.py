@@ -427,7 +427,11 @@ TENANT_SUMMARY_FIELDS = [
     "pending_batches", "busy", "created_unix_ms",
 ]
 
-SERVE_TENANT_FAMILIES = ["midas_serve_epoch", "midas_serve_db_len"]
+SERVE_TENANT_FAMILIES = [
+    "midas_serve_epoch", "midas_serve_db_len",
+    # Recorded by a tenant's maintenance thread as it dequeues a job.
+    "midas_serve_queue_wait_us", "midas_serve_pending",
+]
 
 
 def check_serve_tenants(path, expect_tenants=None):

@@ -87,7 +87,7 @@ fn interleaved_instances_share_one_flight_sequence() {
     let _g = exclusive();
     midas_obs::flight::clear();
     // Two tenants' worth of instances, batches interleaved the way a
-    // multi-tenant daemon's maintenance pool runs them.
+    // multi-tenant daemon's per-tenant maintenance threads run them.
     let mut a = Midas::bootstrap_embedded(seed_db(), test_config(7)).unwrap();
     let mut b = Midas::bootstrap_embedded(seed_db(), test_config(8)).unwrap();
     for i in 0..3u32 {
