@@ -12,10 +12,13 @@
 //! * [`Request`] carries method, normalized path, raw query string,
 //!   lower-cased headers and the (possibly empty) body;
 //! * [`Response`] is built by the handler and serialized as a complete
-//!   `HTTP/1.1` message with `Content-Length` and `Connection: close`.
+//!   `HTTP/1.1` message with `Content-Length` and a `Connection` header:
+//!   `keep-alive` when the worker keeps the connection (see below),
+//!   `close` otherwise.
 //!
 //! Protocol-level rejections happen *here*, before any handler runs, and
-//! are explicit rather than silent-drop:
+//! are explicit rather than silent-drop. Every one of them closes the
+//! connection:
 //!
 //! | Condition                                     | Status |
 //! |-----------------------------------------------|--------|
@@ -24,10 +27,44 @@
 //! | request head over [`MAX_HEAD_BYTES`]          | 431    |
 //! | declared body over [`MAX_BODY_BYTES`]         | 413    |
 //! | handler panic                                 | 500    |
+//! | accept queue full (sent by the accept thread) | 503, `Retry-After: 1` |
 //!
 //! Only a *clean* EOF — the peer connected and closed without sending a
 //! single byte (health-checker port probes do this) — is dropped without
 //! a response.
+//!
+//! ## Persistent connections
+//!
+//! Keep-alive is opt-in: a connection stays open only while each request
+//! carries `Connection: keep-alive`. Every other request (curl's default,
+//! a client that reads to EOF) is answered with `Connection: close` and
+//! the connection closes, which RFC 7230 allows after any response that
+//! says so. A worker serves a kept connection's requests in order over
+//! one buffered reader, so the bytes of a pipelined next request are
+//! never lost. It closes the connection after
+//!
+//! * a protocol error or a handler panic (the table above), because the
+//!   rest of the request may be unread;
+//! * a response written while the server stops or while another
+//!   connection waits in the accept queue.
+//!
+//! Between requests the worker waits for the next request head in
+//! read-timeout slices of `IDLE_SLICE` (100 ms), for at most [`IO_TIMEOUT`] in
+//! all, and checks the stop flag and the accept queue after each slice.
+//! So an idle kept connection delays a waiting connection by at most one
+//! slice, and [`HttpServer::shutdown`] never waits on an idle client. A
+//! worker closes an idle connection only before it has read any byte of
+//! the next request, so a client may safely resend a request that got no
+//! reply byte on a reused connection.
+//!
+//! The accept queue holds `QUEUE` (32) connections. A connection that finds
+//! it full is answered `503` with `Retry-After: 1` by the accept thread
+//! itself, under a write timeout of one slice, and closed: overload gets
+//! an explicit answer, and the accept thread never blocks on a client.
+//!
+//! With telemetry on, the counters `httpd.connections` (accepted),
+//! `httpd.requests` (answered by a worker) and `httpd.rejected`
+//! (queue-full 503s) count the traffic.
 //!
 //! ## Worker-pool locking discipline
 //!
@@ -41,13 +78,13 @@
 //! scope before touching the stream; a regression test pins the behavior
 //! with a deliberately stalled connection.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Hard cap on the request head (request line + headers), bytes.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -55,12 +92,19 @@ pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// Hard cap on a declared request body, bytes.
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
-/// Per-connection socket read/write timeout.
+/// Per-connection socket read/write timeout, and the longest a kept
+/// connection may sit idle between requests.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Pending-connection queue bound (beyond it, accepts block briefly —
-/// backpressure lands on clients, never on maintenance).
+/// Pending-connection queue bound. A connection that finds the queue
+/// full is answered 503 at once: backpressure lands on clients, never on
+/// maintenance, and never as an unbounded queue.
 const QUEUE: usize = 32;
+
+/// How long a worker waits on an idle kept connection before it checks
+/// the stop flag and the accept queue again; also the accept thread's
+/// write timeout for a queue-full 503.
+const IDLE_SLICE: Duration = Duration::from_millis(100);
 
 /// One parsed HTTP request, as seen by a [`Handler`].
 #[derive(Debug, Clone)]
@@ -153,14 +197,16 @@ impl Response {
         Response::text(400, format!("bad request: {msg}\n"))
     }
 
-    /// Serializes the complete `HTTP/1.1` message.
-    fn serialize(&self) -> String {
+    /// Serializes the complete `HTTP/1.1` message; `keep_alive` picks
+    /// the `Connection` header.
+    fn serialize(&self, keep_alive: bool) -> String {
         let mut head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             reason(self.status),
             self.content_type,
-            self.body.len()
+            self.body.len(),
+            if keep_alive { "keep-alive" } else { "close" }
         );
         for h in &self.extra_headers {
             head.push_str(h);
@@ -193,11 +239,27 @@ pub fn reason(status: u16) -> &'static str {
 /// workers; must be `Send + Sync`. Panics are caught and answered 500.
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
+/// What the accept thread and the workers share.
+#[derive(Default)]
+struct Gate {
+    stop: AtomicBool,
+    /// Connections accepted but not yet taken by a worker.
+    queued: AtomicUsize,
+}
+
+impl Gate {
+    /// True once a kept connection should give its worker back: the
+    /// server is stopping, or another connection waits for a worker.
+    fn crowded(&self) -> bool {
+        self.stop.load(Ordering::Acquire) || self.queued.load(Ordering::Acquire) > 0
+    }
+}
+
 /// A running HTTP server: accept thread + worker pool. Dropping (or
 /// [`HttpServer::shutdown`]) stops accepting and joins every thread.
 pub struct HttpServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    gate: Arc<Gate>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -221,7 +283,7 @@ impl HttpServer {
     ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let gate = Arc::new(Gate::default());
         let workers = workers.max(1);
         let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) = sync_channel(QUEUE);
         let rx = Arc::new(Mutex::new(rx));
@@ -229,6 +291,7 @@ impl HttpServer {
         for i in 0..workers {
             let rx = Arc::clone(&rx);
             let handler = Arc::clone(&handler);
+            let gate = Arc::clone(&gate);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("{name}-worker-{i}"))
@@ -247,26 +310,33 @@ impl HttpServer {
                             stream
                         };
                         match stream {
-                            Ok(stream) => handle_connection(stream, &handler),
+                            Ok(stream) => {
+                                gate.queued.fetch_sub(1, Ordering::AcqRel);
+                                handle_connection(stream, &handler, &gate)
+                            }
                             Err(_) => return, // sender gone: shutdown
                         }
                     })?,
             );
         }
         {
-            let stop = Arc::clone(&stop);
+            let gate = Arc::clone(&gate);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("{name}-accept"))
                     .spawn(move || {
                         for stream in listener.incoming() {
-                            if stop.load(Ordering::Acquire) {
+                            if gate.stop.load(Ordering::Acquire) {
                                 return; // drops tx → workers drain and exit
                             }
-                            if let Ok(stream) = stream {
-                                // A full queue applies backpressure to the
-                                // client, never to the maintenance loop.
-                                let _ = tx.send(stream);
+                            let Ok(stream) = stream else { continue };
+                            crate::counter_add!("httpd.connections", 1);
+                            // Counted before the send, so a worker's
+                            // decrement never runs ahead of it.
+                            gate.queued.fetch_add(1, Ordering::AcqRel);
+                            if let Err(TrySendError::Full(stream)) = tx.try_send(stream) {
+                                gate.queued.fetch_sub(1, Ordering::AcqRel);
+                                reject(stream);
                             }
                         }
                     })?,
@@ -274,7 +344,7 @@ impl HttpServer {
         }
         Ok(HttpServer {
             addr: local,
-            stop,
+            gate,
             threads,
         })
     }
@@ -290,7 +360,7 @@ impl HttpServer {
     }
 
     fn stop_threads(&mut self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
+        if self.gate.stop.swap(true, Ordering::AcqRel) {
             return;
         }
         // Unblock the accept loop with one throwaway connection.
@@ -305,6 +375,17 @@ impl Drop for HttpServer {
     fn drop(&mut self) {
         self.stop_threads();
     }
+}
+
+/// Answers a connection that found the accept queue full with 503 and
+/// `Retry-After`, then closes it. The write timeout keeps a client that
+/// does not read from blocking the accept thread.
+fn reject(stream: TcpStream) {
+    crate::counter_add!("httpd.rejected", 1);
+    let _ = stream.set_write_timeout(Some(IDLE_SLICE));
+    let response =
+        Response::text(503, "server busy: every worker is taken\n").with_header("Retry-After: 1");
+    let _ = (&stream).write_all(response.serialize(false).as_bytes());
 }
 
 /// Canonicalizes a request target for routing: the query string (and any
@@ -435,27 +516,79 @@ fn read_request(reader: &mut BufReader<&TcpStream>) -> Result<Request, ReadError
     })
 }
 
-/// Reads, routes and answers one connection. Transport errors on the
-/// response write are ignored — the client retries, the daemon does not
-/// care.
-fn handle_connection(stream: TcpStream, handler: &Handler) {
+/// True when the request asks to keep its connection open.
+fn wants_keep_alive(request: &Request) -> bool {
+    request.header("connection").is_some_and(|v| {
+        v.split(',')
+            .any(|token| token.trim().eq_ignore_ascii_case("keep-alive"))
+    })
+}
+
+/// Reads, routes and answers the requests of one connection: one, or —
+/// while each asks for keep-alive and no one else needs the worker — a
+/// sequence of them over one reader (see the module docs). Transport
+/// errors on the response write close the connection; the client
+/// retries, the daemon does not care.
+fn handle_connection(stream: TcpStream, handler: &Handler, gate: &Gate) {
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    // A kept connection must not leave the tail of a response to wait on
+    // the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(&stream);
-    let response = match read_request(&mut reader) {
-        Ok(request) => {
-            // A panicking handler answers 500 instead of silently
-            // shrinking the worker pool.
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(&request)))
-                .unwrap_or_else(|_| Response::text(500, "internal error\n"))
+    loop {
+        let (response, keep_alive) = match read_request(&mut reader) {
+            Ok(request) => {
+                // A panicking handler answers 500 instead of silently
+                // shrinking the worker pool.
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(&request))) {
+                    Ok(response) => (response, wants_keep_alive(&request)),
+                    Err(_) => (Response::text(500, "internal error\n"), false),
+                }
+            }
+            Err(e) => match e.response() {
+                Some(r) => (r, false),
+                None => return,
+            },
+        };
+        let keep_alive = keep_alive && !gate.crowded();
+        let written = (&stream).write_all(response.serialize(keep_alive).as_bytes());
+        crate::counter_add!("httpd.requests", 1);
+        if written.is_err() || !keep_alive || !await_next_request(&mut reader, gate) {
+            return;
         }
-        Err(e) => match e.response() {
-            Some(r) => r,
-            None => return,
-        },
+    }
+}
+
+/// Waits for the first byte of a kept connection's next request in
+/// [`IDLE_SLICE`] read-timeout slices, for at most [`IO_TIMEOUT`].
+/// Returns false — close the connection — on EOF, on a transport error,
+/// after the timeout, or once the server stops or another connection
+/// waits in the accept queue. It never consumes a byte, so a connection
+/// it gives up on was closed before any byte of a next request was read.
+fn await_next_request(reader: &mut BufReader<&TcpStream>, gate: &Gate) -> bool {
+    if !reader.buffer().is_empty() {
+        return true; // pipelined
+    }
+    let stream = *reader.get_ref();
+    let _ = stream.set_read_timeout(Some(IDLE_SLICE));
+    let idle_since = Instant::now();
+    let ready = loop {
+        match reader.fill_buf() {
+            Ok(buf) => break !buf.is_empty(),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if gate.crowded() || idle_since.elapsed() >= IO_TIMEOUT {
+                    break false;
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => break false,
+        }
     };
-    let _ = (&stream).write_all(response.serialize().as_bytes());
-    let _ = (&stream).flush();
+    if ready {
+        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    }
+    ready
 }
 
 #[cfg(test)]
@@ -491,12 +624,156 @@ pub(crate) mod tests {
         roundtrip(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
     }
 
+    fn keep_alive_get(path: &str) -> String {
+        format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n")
+    }
+
+    /// Reads one `Content-Length`-delimited response off a kept
+    /// connection: `(head, body)`.
+    fn read_response(reader: &mut BufReader<TcpStream>) -> (String, String) {
+        let mut head = String::new();
+        loop {
+            let mut line = String::new();
+            assert!(reader.read_line(&mut line).unwrap() > 0, "EOF in {head:?}");
+            if line == "\r\n" {
+                break;
+            }
+            head.push_str(&line);
+        }
+        let length: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .expect("Content-Length")
+            .parse()
+            .unwrap();
+        let mut body = vec![0; length];
+        reader.read_exact(&mut body).unwrap();
+        (head, String::from_utf8(body).unwrap())
+    }
+
+    /// A connection that has sent one keep-alive request and read its
+    /// answer, now idle.
+    fn idle_kept_connection(addr: SocketAddr) -> BufReader<TcpStream> {
+        let mut conn = BufReader::new(TcpStream::connect(addr).expect("connect"));
+        conn.get_mut()
+            .write_all(keep_alive_get("/ping").as_bytes())
+            .unwrap();
+        let (head, body) = read_response(&mut conn);
+        assert!(head.contains("Connection: keep-alive"), "{head}");
+        assert_eq!(body, "pong\n");
+        conn
+    }
+
+    /// True once the peer has closed the connection: EOF (or a reset)
+    /// with nothing left to read.
+    fn closed(conn: &mut BufReader<TcpStream>) -> bool {
+        let mut rest = Vec::new();
+        match conn.read_to_end(&mut rest) {
+            Ok(_) => rest.is_empty(),
+            Err(e) => e.kind() == ErrorKind::ConnectionReset,
+        }
+    }
+
     #[test]
     fn serves_get_and_404() {
         let server = echo_server(2);
         let addr = server.addr();
         assert!(get(addr, "/ping").contains("pong"));
         assert!(get(addr, "/nope").starts_with("HTTP/1.1 404"));
+        server.shutdown();
+    }
+
+    /// Without `Connection: keep-alive` the response says `close` and the
+    /// server closes (`roundtrip` reads to EOF).
+    #[test]
+    fn requests_without_keep_alive_are_closed() {
+        let server = echo_server(2);
+        for raw in [
+            "GET /ping HTTP/1.1\r\nHost: t\r\n\r\n",
+            "GET /ping HTTP/1.1\r\nConnection: close\r\n\r\n",
+            "GET /ping HTTP/1.0\r\n\r\n",
+        ] {
+            let out = roundtrip(server.addr(), raw);
+            assert!(out.contains("Connection: close\r\n"), "{raw:?} -> {out}");
+            assert!(out.ends_with("pong\n"), "{raw:?} -> {out}");
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn keep_alive_serves_many_requests_on_one_connection() {
+        let server = echo_server(1);
+        let mut conn = idle_kept_connection(server.addr());
+        for i in 0..20 {
+            let body = format!("request {i}");
+            let raw = format!(
+                "POST /echo HTTP/1.1\r\nConnection: Keep-Alive\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            conn.get_mut().write_all(raw.as_bytes()).unwrap();
+            let (head, echoed) = read_response(&mut conn);
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            assert!(head.contains("Connection: keep-alive"), "{head}");
+            assert_eq!(echoed, body);
+        }
+        // A last request without keep-alive ends the connection.
+        conn.get_mut()
+            .write_all(b"GET /ping HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let (head, _) = read_response(&mut conn);
+        assert!(head.contains("Connection: close"), "{head}");
+        assert!(closed(&mut conn));
+        server.shutdown();
+    }
+
+    /// Two requests written in one packet are both answered, in order:
+    /// the worker's one reader keeps the second request's bytes.
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        let server = echo_server(1);
+        let mut conn = BufReader::new(TcpStream::connect(server.addr()).unwrap());
+        let raw = format!(
+            "POST /echo HTTP/1.1\r\nConnection: keep-alive\r\nContent-Length: 5\r\n\r\nfirst{}",
+            keep_alive_get("/ping")
+        );
+        conn.get_mut().write_all(raw.as_bytes()).unwrap();
+        assert_eq!(read_response(&mut conn).1, "first");
+        assert_eq!(read_response(&mut conn).1, "pong\n");
+        server.shutdown();
+    }
+
+    /// A protocol error or a handler panic on a keep-alive request
+    /// answers `Connection: close` and closes.
+    #[test]
+    fn errors_close_a_kept_connection() {
+        let server = echo_server(2);
+        let huge = "x".repeat(MAX_HEAD_BYTES + 100);
+        for (raw, status) in [
+            (
+                "GET ping HTTP/1.1\r\nConnection: keep-alive\r\n\r\n".to_owned(),
+                400,
+            ),
+            (
+                format!(
+                    "POST /echo HTTP/1.1\r\nConnection: keep-alive\r\nContent-Length: {}\r\n\r\n",
+                    MAX_BODY_BYTES + 1
+                ),
+                413,
+            ),
+            (
+                format!("GET /ping HTTP/1.1\r\nConnection: keep-alive\r\nX-Huge: {huge}\r\n\r\n"),
+                431,
+            ),
+            (keep_alive_get("/panic"), 500),
+        ] {
+            let mut conn = BufReader::new(TcpStream::connect(server.addr()).unwrap());
+            conn.get_mut().write_all(raw.as_bytes()).unwrap();
+            let (head, _) = read_response(&mut conn);
+            assert!(head.starts_with(&format!("HTTP/1.1 {status}")), "{head}");
+            assert!(head.contains("Connection: close"), "{status}: {head}");
+            assert!(closed(&mut conn), "{status}: the connection stayed open");
+        }
+        assert!(get(server.addr(), "/ping").contains("pong"));
         server.shutdown();
     }
 
@@ -630,6 +907,92 @@ pub(crate) mod tests {
             "second request waited {waited:?} — pool serialized behind the stalled client"
         );
         drop(stalled);
+        server.shutdown();
+    }
+
+    /// The keep-alive form of the stalled-connection hazard: two clients
+    /// each send one keep-alive request and sit idle, pinning both
+    /// workers of the pool. A third, plain client is still answered
+    /// within a slice or so, because an idle worker gives its connection
+    /// up as soon as another connection waits in the accept queue.
+    #[test]
+    fn idle_keep_alive_clients_do_not_starve_the_pool() {
+        let server = echo_server(2);
+        let addr = server.addr();
+        let mut idle: Vec<_> = (0..2).map(|_| idle_kept_connection(addr)).collect();
+        let begin = Instant::now();
+        let out = get(addr, "/ping");
+        let waited = begin.elapsed();
+        assert!(out.contains("pong"), "{out}");
+        assert!(
+            waited < Duration::from_secs(1),
+            "a plain request waited {waited:?} behind idle kept connections"
+        );
+        // At least one idle connection was closed to make room.
+        assert!(idle.iter_mut().any(closed));
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_on_idle_kept_connections() {
+        let server = echo_server(2);
+        let _idle: Vec<_> = (0..2)
+            .map(|_| idle_kept_connection(server.addr()))
+            .collect();
+        let begin = Instant::now();
+        server.shutdown();
+        assert!(
+            begin.elapsed() < Duration::from_secs(1),
+            "shutdown took {:?}",
+            begin.elapsed()
+        );
+    }
+
+    /// A full accept queue answers 503 with `Retry-After` from the accept
+    /// thread, at once; the server serves normally again once the worker
+    /// is free.
+    #[test]
+    fn a_full_accept_queue_answers_503() {
+        let server = echo_server(1);
+        let addr = server.addr();
+        let mut stalled = TcpStream::connect(addr).expect("connect");
+        stalled.write_all(b"GET /pi").unwrap();
+        std::thread::sleep(Duration::from_millis(100)); // the worker takes it
+        let begin = Instant::now();
+        let mut waiting: Vec<TcpStream> = (0..QUEUE + 2)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        let mut last = waiting.pop().unwrap();
+        let mut out = String::new();
+        last.read_to_string(&mut out).expect("read the 503");
+        assert!(out.starts_with("HTTP/1.1 503"), "{out}");
+        assert!(out.contains("Retry-After: 1\r\n"), "{out}");
+        assert!(
+            begin.elapsed() < Duration::from_secs(1),
+            "the 503 took {:?}",
+            begin.elapsed()
+        );
+        drop(stalled);
+        drop(waiting);
+        let begin = Instant::now();
+        loop {
+            // A 503 closes with this request unread, so the socket may be
+            // reset after the answer: keep what arrived before the reset.
+            let mut conn = TcpStream::connect(addr).expect("connect");
+            conn.write_all(b"GET /ping HTTP/1.1\r\n\r\n").unwrap();
+            let mut raw = Vec::new();
+            let _ = conn.read_to_end(&mut raw);
+            let out = String::from_utf8_lossy(&raw);
+            if out.contains("pong") {
+                break;
+            }
+            assert!(out.starts_with("HTTP/1.1 503"), "{out}");
+            assert!(
+                begin.elapsed() < Duration::from_secs(2),
+                "the server never recovered"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
         server.shutdown();
     }
 

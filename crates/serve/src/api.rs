@@ -2,11 +2,11 @@
 //!
 //! | Method | Path                      | Effect                                              |
 //! |--------|---------------------------|-----------------------------------------------------|
-//! | GET    | `/healthz`                | Liveness, tenant count, drift, alerts, last batch   |
-//! | GET    | `/v1/tenants`             | List tenants with epochs and sizes                  |
+//! | GET    | `/healthz`                | Liveness, tenant and degraded counts, drift, alerts |
+//! | GET    | `/v1/tenants`             | List tenants with epochs, sizes, `degraded` flags   |
 //! | POST   | `/v1/tenants`             | Create a tenant (dataset spec or explicit graphs)   |
 //! | GET    | `/v1/{t}/patterns`        | Current pattern snapshot (lock-free read)           |
-//! | GET    | `/v1/{t}/epoch`           | Epoch/staleness probe (no pattern payload)          |
+//! | GET    | `/v1/{t}/epoch`           | Epoch/staleness probe, `degraded` (no patterns)     |
 //! | GET    | `/v1/{t}/queries`         | Sample a query workload from the tenant's database  |
 //! | POST   | `/v1/{t}/updates`         | Enqueue (or `?mode=sync` apply) an update batch     |
 //! | POST   | `/v1/{t}/querylog`        | Log formulated queries, feeding the `/sli` metrics  |
@@ -17,8 +17,9 @@
 //! maintenance is explicit: `GET` pattern reads never take the tenant's
 //! `Midas` mutex, `POST /updates` without `mode=sync` only enqueues, and
 //! with `mode=sync` it waits for its own batch on the tenant's
-//! maintenance thread. A tenant whose maintenance thread has exited
-//! answers updates with a 5xx at once and keeps serving reads.
+//! maintenance thread. A tenant whose maintenance thread has died is
+//! marked `"degraded": true`; it answers updates with a 5xx at once and
+//! keeps serving reads.
 
 use crate::tenant::{GenOp, GenSpec, Ingest, Tenant};
 use crate::ServeState;
@@ -144,7 +145,11 @@ fn with_tenant(
 fn healthz(state: &ServeState) -> Response {
     midas_obs::http::healthz(
         state.uptime(),
-        &format!("\"tenants\": {}", state.tenant_count()),
+        &format!(
+            "\"tenants\": {}, \"degraded_tenants\": {}",
+            state.tenant_count(),
+            state.tenants().iter().filter(|t| t.degraded()).count()
+        ),
     )
 }
 
@@ -152,7 +157,7 @@ fn tenant_summary(t: &Tenant) -> String {
     let snap = t.snapshot();
     let pending = t.pending_len();
     format!(
-        "{{\"tenant\": {}, \"kind\": {}, \"epoch\": {}, \"db_len\": {}, \"patterns\": {}, \"pending_batches\": {}, \"busy\": {}, \"created_unix_ms\": {}}}",
+        "{{\"tenant\": {}, \"kind\": {}, \"epoch\": {}, \"db_len\": {}, \"patterns\": {}, \"pending_batches\": {}, \"busy\": {}, \"degraded\": {}, \"created_unix_ms\": {}}}",
         js::quote(&t.name),
         js::quote(kind_name(t.kind)),
         snap.epoch,
@@ -160,6 +165,7 @@ fn tenant_summary(t: &Tenant) -> String {
         snap.patterns.len(),
         pending,
         pending > 0,
+        t.degraded(),
         t.created_unix_ms()
     )
 }
@@ -298,11 +304,12 @@ fn epoch(tenant: &Arc<Tenant>) -> Response {
     Response::json(
         200,
         format!(
-            "{{\"tenant\": {}, \"epoch\": {}, \"db_len\": {}, \"pending_batches\": {}, \"graphlets\": {}}}\n",
+            "{{\"tenant\": {}, \"epoch\": {}, \"db_len\": {}, \"pending_batches\": {}, \"degraded\": {}, \"graphlets\": {}}}\n",
             js::quote(&tenant.name),
             snap.epoch,
             snap.db_len,
             tenant.pending_len(),
+            tenant.degraded(),
             graphlets_json(&snap.graphlets.as_array())
         ),
     )

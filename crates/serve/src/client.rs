@@ -1,8 +1,22 @@
 //! A minimal blocking HTTP client for the serving API.
 //!
 //! Built on `std::net::TcpStream` only (the build is offline — no HTTP
-//! crates), speaking `Connection: close` HTTP/1.1: one TCP connection
-//! per request, status line + headers + `Content-Length`-delimited body.
+//! crates), speaking persistent HTTP/1.1: every request asks for
+//! `Connection: keep-alive`, and its reply is the status line, headers
+//! and exactly `Content-Length` body bytes. One [`ServeClient`] may be
+//! shared by many threads. It keeps a pool of idle connections, which
+//! grows to one per concurrent caller: a request takes one (or opens
+//! one) and puts it back after the reply, unless the reply said
+//! `Connection: close`.
+//!
+//! The server may close a kept connection while it sits idle in the pool
+//! (the daemon does so after an idle timeout, on shutdown, and when
+//! another connection needs the worker). It closes one only before it
+//! has read any byte of the next request, so a request that got no reply
+//! byte at all on a *reused* connection is sent once more on a new one —
+//! safe for `POST` too. A reply that breaks off after its first byte is
+//! an error, never a resend.
+//!
 //! The typed helpers cover every `/v1` endpoint; the oracle's parity
 //! check, the integration tests and servebench are built on this.
 
@@ -10,8 +24,9 @@ use crate::tenant::{GenOp, GenSpec};
 use midas_datagen::MotifKind;
 use midas_graph::{io, BatchUpdate, LabeledGraph};
 use midas_obs::json::{self as js, Value};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// One parsed HTTP reply.
@@ -59,11 +74,28 @@ pub struct EpochPayload {
     pub pending_batches: u64,
 }
 
-/// A blocking client bound to one daemon address.
-#[derive(Debug, Clone)]
+/// A blocking client bound to one daemon address, with a pool of idle
+/// kept connections (see the module docs).
+#[derive(Debug)]
 pub struct ServeClient {
     addr: String,
     timeout: Duration,
+    idle: Mutex<Vec<BufReader<TcpStream>>>,
+}
+
+impl Clone for ServeClient {
+    /// A client for the same address, with connections of its own.
+    fn clone(&self) -> ServeClient {
+        ServeClient::new(self.addr.clone())
+    }
+}
+
+/// Why an exchange failed.
+enum Failure {
+    /// Not one reply byte arrived: the server had closed the connection.
+    Unanswered(String),
+    /// The exchange broke off, or the reply was malformed.
+    Broken(String),
 }
 
 impl ServeClient {
@@ -72,32 +104,71 @@ impl ServeClient {
         ServeClient {
             addr: addr.into(),
             timeout: Duration::from_secs(300),
+            idle: Mutex::new(Vec::new()),
         }
     }
 
     /// Sends one request; `body` implies a JSON `Content-Type`.
     pub fn request(&self, method: &str, path: &str, body: Option<&str>) -> Result<Reply, String> {
-        let mut stream =
-            TcpStream::connect(&self.addr).map_err(|e| format!("connect {}: {e}", self.addr))?;
-        stream
-            .set_read_timeout(Some(self.timeout))
-            .map_err(|e| e.to_string())?;
         let body = body.unwrap_or("");
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nConnection: close\r\n{}Content-Length: {}\r\n\r\n",
+        // Head and body in one write: two small writes on a kept
+        // connection can stall on Nagle's algorithm and a delayed ACK.
+        let message = format!(
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nConnection: keep-alive\r\n{}Content-Length: {}\r\n\r\n{body}",
             self.addr,
             if body.is_empty() { "" } else { "Content-Type: application/json\r\n" },
             body.len()
         );
+        let pooled = self.idle.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        if let Some(conn) = pooled {
+            match self.exchange(conn, message.as_bytes()) {
+                // Closed while idle: send once more on a new connection.
+                Err(Failure::Unanswered(_)) => {}
+                Err(Failure::Broken(e)) => return Err(e),
+                Ok(reply) => return Ok(reply),
+            }
+        }
+        let stream =
+            TcpStream::connect(&self.addr).map_err(|e| format!("connect {}: {e}", self.addr))?;
+        stream.set_nodelay(true).map_err(|e| e.to_string())?;
         stream
-            .write_all(head.as_bytes())
+            .set_read_timeout(Some(self.timeout))
             .map_err(|e| e.to_string())?;
-        stream
-            .write_all(body.as_bytes())
-            .map_err(|e| e.to_string())?;
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).map_err(|e| e.to_string())?;
-        parse_reply(&raw)
+        self.exchange(BufReader::new(stream), message.as_bytes())
+            .map_err(|(Failure::Unanswered(e) | Failure::Broken(e))| e)
+    }
+
+    /// Writes one request on `conn` and reads its reply, then pools `conn`
+    /// unless the reply said `Connection: close`.
+    fn exchange(&self, mut conn: BufReader<TcpStream>, message: &[u8]) -> Result<Reply, Failure> {
+        let unanswered =
+            |e: &dyn std::fmt::Display| Failure::Unanswered(format!("{}: {e}", self.addr));
+        conn.get_mut()
+            .write_all(message)
+            .map_err(|e| unanswered(&e))?;
+        match conn.fill_buf() {
+            Ok([]) => return Err(unanswered(&"connection closed before the reply")),
+            Ok(_) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
+                ) =>
+            {
+                return Err(unanswered(&e))
+            }
+            // A timeout is no proof that the server never read the
+            // request, so it is not a reason to resend.
+            Err(e) => return Err(Failure::Broken(format!("{}: {e}", self.addr))),
+        }
+        let (reply, close) = read_reply(&mut conn).map_err(Failure::Broken)?;
+        if !close {
+            self.idle
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(conn);
+        }
+        Ok(reply)
     }
 
     /// `POST /v1/tenants` with a generated dataset.
@@ -293,32 +364,155 @@ pub fn motif_name(kind: MotifKind) -> &'static str {
     }
 }
 
-fn parse_reply(raw: &[u8]) -> Result<Reply, String> {
-    let text = String::from_utf8_lossy(raw);
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .ok_or("no header/body separator in reply")?;
-    let mut lines = head.lines();
-    let status_line = lines.next().ok_or("empty reply")?;
+/// Reads one reply: the status line, the headers, then exactly
+/// `Content-Length` body bytes. Also returns whether the server closes
+/// the connection after it.
+fn read_reply(conn: &mut BufReader<TcpStream>) -> Result<(Reply, bool), String> {
+    let mut status_line = String::new();
+    conn.read_line(&mut status_line)
+        .map_err(|e| format!("reading the reply: {e}"))?;
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    // Connection: close — the body is everything after the separator, but
-    // honor Content-Length if present (trailing bytes would be a bug).
-    let body = match head
-        .lines()
-        .find_map(|l| {
-            l.to_ascii_lowercase()
-                .strip_prefix("content-length:")
-                .map(str::trim)
-                .map(str::to_owned)
-        })
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(len) if len <= body.len() => body[..len].to_owned(),
-        _ => body.to_owned(),
-    };
-    Ok(Reply { status, body })
+    let (mut length, mut close) = (None, false);
+    loop {
+        let mut line = String::new();
+        match conn.read_line(&mut line) {
+            Ok(0) => return Err("reply ended inside its headers".to_owned()),
+            Ok(_) => {}
+            Err(e) => return Err(format!("reading the reply headers: {e}")),
+        }
+        let line = line.trim_end();
+        if line.is_empty() {
+            break;
+        }
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(format!("malformed reply header {line:?}"));
+        };
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("content-length") {
+            length = Some(
+                value
+                    .parse::<usize>()
+                    .map_err(|_| format!("bad Content-Length {value:?}"))?,
+            );
+        } else if name.eq_ignore_ascii_case("connection") {
+            close = value.eq_ignore_ascii_case("close");
+        }
+    }
+    let mut body = vec![0u8; length.ok_or("reply without Content-Length")?];
+    conn.read_exact(&mut body)
+        .map_err(|e| format!("reply body shorter than Content-Length: {e}"))?;
+    let body = String::from_utf8(body)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+    Ok((Reply { status, body }, close))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::{SocketAddr, TcpListener};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    const OK: &str = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
+
+    /// A test-local server for body-less requests. For the `i`-th request
+    /// on its `n`-th connection it writes `answer(n, i).0`, then closes the
+    /// connection if `answer(n, i).1`. Returns its address and a count of
+    /// the connections it accepted.
+    fn local_server(
+        answer: fn(usize, usize) -> (&'static str, bool),
+    ) -> (SocketAddr, Arc<AtomicUsize>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let accepted = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&accepted);
+        std::thread::spawn(move || {
+            for (n, stream) in listener.incoming().enumerate() {
+                count.fetch_add(1, Ordering::SeqCst);
+                let Ok(stream) = stream else { return };
+                std::thread::spawn(move || {
+                    let mut reader = BufReader::new(&stream);
+                    for i in 0.. {
+                        let mut line = String::new();
+                        while line != "\r\n" {
+                            line.clear();
+                            if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                                return;
+                            }
+                        }
+                        let (bytes, close) = answer(n, i);
+                        if (&stream).write_all(bytes.as_bytes()).is_err() || close {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        (addr, accepted)
+    }
+
+    fn get_ok(client: &ServeClient) {
+        let reply = client.request("GET", "/v1/t/patterns", None).unwrap();
+        assert_eq!((reply.status, reply.body.as_str()), (200, "ok"));
+    }
+
+    #[test]
+    fn sequential_requests_share_one_connection() {
+        let (addr, accepted) = local_server(|_, _| (OK, false));
+        let client = ServeClient::new(addr.to_string());
+        for _ in 0..50 {
+            get_ok(&client);
+        }
+        assert_eq!(accepted.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_close_reply_is_not_pooled() {
+        let (addr, accepted) = local_server(|_, _| {
+            (
+                "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok",
+                true,
+            )
+        });
+        let client = ServeClient::new(addr.to_string());
+        for _ in 0..3 {
+            get_ok(&client);
+        }
+        assert_eq!(accepted.load(Ordering::SeqCst), 3);
+    }
+
+    /// The server answers one request per connection without saying
+    /// `close`, then closes: each next request finds its pooled
+    /// connection dead before any reply byte, and is sent once more on a
+    /// new connection.
+    #[test]
+    fn a_stale_pooled_connection_is_retried() {
+        let (addr, accepted) = local_server(|_, _| (OK, true));
+        let client = ServeClient::new(addr.to_string());
+        for _ in 0..3 {
+            get_ok(&client);
+        }
+        assert_eq!(accepted.load(Ordering::SeqCst), 3);
+    }
+
+    /// A reply that breaks off after its first byte is an error: the
+    /// server may have acted on the request, so it is not sent again.
+    #[test]
+    fn a_reply_that_breaks_off_is_an_error_not_a_resend() {
+        let (addr, accepted) = local_server(|_, i| match i {
+            0 => (OK, false),
+            _ => ("HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc", true),
+        });
+        let client = ServeClient::new(addr.to_string());
+        get_ok(&client);
+        let err = client.request("GET", "/v1/t/patterns", None).unwrap_err();
+        assert!(err.contains("shorter than Content-Length"), "{err}");
+        assert_eq!(accepted.load(Ordering::SeqCst), 1);
+        get_ok(&client);
+        assert_eq!(accepted.load(Ordering::SeqCst), 2);
+    }
 }

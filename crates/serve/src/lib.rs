@@ -280,6 +280,7 @@ mod tests {
     use crate::client::ServeClient;
     use midas_graph::BatchUpdate;
     use midas_graph::GraphBuilder;
+    use midas_obs::json::Value;
 
     fn daemon() -> (ServeDaemon, ServeClient) {
         let daemon = ServeDaemon::start(ServeConfig::default()).expect("start daemon");
@@ -458,7 +459,62 @@ mod tests {
         let applied = client.post_batch("other", &one_edge_batch(), true).unwrap();
         assert_eq!(applied.status, 200, "{}", applied.body);
         assert_eq!(reply_epoch(&applied), 1);
+
+        // The dead tenant is marked, and only it.
+        assert!(doomed.degraded());
+        assert!(!daemon.state().tenant("other").unwrap().degraded());
+        let flag = |doc: &Value| match doc.get("degraded") {
+            Some(Value::Bool(b)) => *b,
+            other => panic!("\"degraded\" is {other:?}"),
+        };
+        let epoch_flag = |name: &str| {
+            let path = format!("/v1/{name}/epoch");
+            flag(&client.request("GET", &path, None).unwrap().json().unwrap())
+        };
+        assert!(epoch_flag("doomed"));
+        assert!(!epoch_flag("other"));
+        let tenants = client.request("GET", "/v1/tenants", None).unwrap();
+        let doc = tenants.json().unwrap();
+        let flags: Vec<(&str, bool)> = doc
+            .get("tenants")
+            .and_then(|t| t.as_arr())
+            .unwrap()
+            .iter()
+            .map(|t| {
+                let name = t.get("tenant").and_then(|n| n.as_str()).unwrap();
+                (name, flag(t))
+            })
+            .collect();
+        assert_eq!(flags, vec![("doomed", true), ("other", false)]);
+        let health = client.request("GET", "/healthz", None).unwrap();
+        let doc = health.json().unwrap();
+        assert_eq!(
+            doc.get("degraded_tenants").and_then(|n| n.as_u64()),
+            Some(1)
+        );
         daemon.shutdown();
+    }
+
+    /// Idle kept connections in a client's pool do not hold up shutdown.
+    #[test]
+    fn stop_does_not_wait_on_pooled_connections() {
+        let (daemon, client) = daemon();
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    for _ in 0..10 {
+                        assert_eq!(client.request("GET", "/healthz", None).unwrap().status, 200);
+                    }
+                });
+            }
+        });
+        let begin = Instant::now();
+        daemon.shutdown();
+        assert!(
+            begin.elapsed() < Duration::from_secs(1),
+            "stop took {:?}",
+            begin.elapsed()
+        );
     }
 
     #[test]

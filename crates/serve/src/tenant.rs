@@ -22,9 +22,11 @@
 //!   batch published.
 //!
 //! A panic outside `apply_batch`'s phase backstop ends the thread, and
-//! its receiver drops with it: every job still queued is dropped (so
-//! each waiting reply disconnects), and [`Tenant::enqueue`] refuses new
-//! jobs. Reads keep serving the last published snapshot.
+//! its receiver drops with it: the tenant is marked degraded
+//! ([`Tenant::degraded`]) before anyone can see the death, every job
+//! still queued is dropped (so each waiting reply disconnects), and
+//! [`Tenant::enqueue`] refuses new jobs. Reads keep serving the last
+//! published snapshot.
 //!
 //! The tenant also produces the user-side SLIs of [`midas_obs::sli`]:
 //! `POST /v1/{tenant}/querylog` feeds [`Tenant::observe`] one sample per
@@ -35,7 +37,7 @@ use midas_core::{Midas, MidasConfig, PatternSnapshot, Published};
 use midas_datagen::{DatasetKind, MotifKind};
 use midas_graph::{BatchUpdate, GraphDb, LabeledGraph};
 use midas_obs::sli::{self, QuerySample, TickSummary};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -132,6 +134,8 @@ struct Shared {
     ticks: TickCounters,
     /// Jobs accepted but not yet applied, the one in flight included.
     pending: AtomicU64,
+    /// Set when the maintenance thread dies other than through `close`.
+    degraded: AtomicBool,
 }
 
 /// Numbers the maintenance threads `serve-maint-0`, `serve-maint-1`, …
@@ -181,6 +185,7 @@ impl Tenant {
             midas: Mutex::new(midas),
             ticks: TickCounters::default(),
             pending: AtomicU64::new(0),
+            degraded: AtomicBool::new(false),
         });
         let (tx, rx) = mpsc::channel();
         let thread = {
@@ -233,6 +238,13 @@ impl Tenant {
     /// Jobs accepted but not yet applied, the one in flight included.
     pub fn pending_len(&self) -> u64 {
         self.shared.pending.load(Ordering::Acquire)
+    }
+
+    /// True once the maintenance thread has died other than through the
+    /// tenant's removal or shutdown: updates are refused, reads still
+    /// serve the last published snapshot.
+    pub fn degraded(&self) -> bool {
+        self.shared.degraded.load(Ordering::Acquire)
     }
 
     /// Sends one job to the maintenance thread, behind every job accepted
@@ -291,6 +303,10 @@ fn maintain(shared: &Shared, name: &str, kind: DatasetKind, jobs: Receiver<Job>)
         }
     };
     for job in jobs {
+        // Declared after `job` and the channel, so it drops before them
+        // when the job panics: the tenant reads degraded before any
+        // waiting caller sees its reply disconnect.
+        let _watch = DeathWatch(&shared.degraded);
         if midas_obs::enabled() {
             midas_obs::registry::registry()
                 .histogram(&queue_wait)
@@ -330,6 +346,17 @@ fn maintain(shared: &Shared, name: &str, kind: DatasetKind, jobs: Receiver<Job>)
         set_pending(shared.pending.fetch_sub(1, Ordering::AcqRel) - 1);
         if let Some(reply) = job.reply {
             let _ = reply.send(snap); // the caller may have timed out
+        }
+    }
+}
+
+/// Marks its tenant degraded if the maintenance thread unwinds past it.
+struct DeathWatch<'a>(&'a AtomicBool);
+
+impl Drop for DeathWatch<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Release);
         }
     }
 }

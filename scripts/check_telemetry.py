@@ -424,7 +424,7 @@ def check_sli_snapshot(path):
 
 TENANT_SUMMARY_FIELDS = [
     "tenant", "kind", "epoch", "db_len", "patterns",
-    "pending_batches", "busy", "created_unix_ms",
+    "pending_batches", "busy", "degraded", "created_unix_ms",
 ]
 
 SERVE_TENANT_FAMILIES = [
@@ -432,6 +432,10 @@ SERVE_TENANT_FAMILIES = [
     # Recorded by a tenant's maintenance thread as it dequeues a job.
     "midas_serve_queue_wait_us", "midas_serve_pending",
 ]
+
+# The HTTP core's traffic counters (unlabeled). The scrape must follow at
+# least one request that reused a kept connection.
+HTTPD_COUNTERS = ["midas_httpd_connections", "midas_httpd_requests"]
 
 
 def check_serve_tenants(path, expect_tenants=None):
@@ -510,11 +514,15 @@ def check_serve_metrics(path, expect_tenants=None):
     with open(path) as f:
         text = f.read()
     by_family = {}
+    unlabeled = {}
     for line in text.splitlines():
         if not line.strip() or line.startswith("#"):
             continue
         m = SAMPLE_LINE.match(line)
-        if not m or not m.group("labels"):
+        if not m:
+            continue
+        if not m.group("labels"):
+            unlabeled[m.group("name")] = float(m.group("value"))
             continue
         labels = dict(
             pair.split("=", 1) for pair in m.group("labels").split(",")
@@ -535,8 +543,17 @@ def check_serve_metrics(path, expect_tenants=None):
     if expect_tenants is not None and len(tenants) < int(expect_tenants):
         fail(f"{path}: tenant labels cover only {sorted(tenants)}, expected "
              f"at least {expect_tenants} tenants")
+    for counter in HTTPD_COUNTERS:
+        if counter not in unlabeled:
+            fail(f"{path}: required counter {counter!r} missing")
+    connections = unlabeled["midas_httpd_connections"]
+    requests = unlabeled["midas_httpd_requests"]
+    if requests <= connections:
+        fail(f"{path}: {requests:g} requests over {connections:g} "
+             "connections: no connection was kept for a second request")
     print(f"{path}: ok ({len(by_family)} tenant-labeled families over "
-          f"{len(tenants)} tenants)")
+          f"{len(tenants)} tenants; {requests:g} requests over "
+          f"{connections:g} connections)")
 
 
 def main():
