@@ -379,7 +379,6 @@ impl Midas {
         });
         let fct_time = fct_start.elapsed();
         drop(fct_span);
-        midas_obs::alerts::record_phase("batch.fct", fct_time.as_micros() as u64);
 
         // Cluster + CSG maintenance (lines 1–2, 6–7).
         let cluster_span = midas_obs::span!("batch.cluster");
@@ -396,7 +395,6 @@ impl Midas {
         });
         let clustering_time = cluster_start.elapsed();
         drop(cluster_span);
-        midas_obs::alerts::record_phase("batch.cluster", clustering_time.as_micros() as u64);
 
         // Index maintenance (line 12 — we keep indices fresh every batch so
         // minor modifications leave them consistent too). A phase that
@@ -405,7 +403,8 @@ impl Midas {
         let index_span = midas_obs::span!("batch.index");
         let index_start = Instant::now();
         // Injected slowdown (`MIDAS_FAULT=slow:US`): burns wall-clock inside
-        // this span so the SLO burn-rate alerts have a reproducible trigger.
+        // this span so `/slow` and the span summaries have a reproducible
+        // slow batch to attribute.
         if let Some(delay) = midas_graph::exec::slow_fault() {
             std::thread::sleep(delay);
         }
@@ -415,7 +414,6 @@ impl Midas {
         .is_none();
         let index_time = index_start.elapsed();
         drop(index_span);
-        midas_obs::alerts::record_phase("batch.index", index_time.as_micros() as u64);
 
         // Classification (line 8).
         let classify_span = midas_obs::span!("batch.classify");
@@ -474,10 +472,6 @@ impl Midas {
                 candidates_generated = candidates.len();
                 candidate_time = cand_start.elapsed();
                 drop(candidates_span);
-                midas_obs::alerts::record_phase(
-                    "batch.candidates",
-                    candidate_time.as_micros() as u64,
-                );
                 midas_obs::counter_add!("batch.candidates_generated", candidates_generated as u64);
 
                 // Swapping (§6).
@@ -503,7 +497,6 @@ impl Midas {
                 };
                 swap_time = swap_start.elapsed();
                 drop(swap_span);
-                midas_obs::alerts::record_phase("batch.swap", swap_time.as_micros() as u64);
                 midas_obs::counter_add!("batch.swaps", swaps as u64);
                 midas_obs::obs_info!(
                     "core::framework",

@@ -17,8 +17,6 @@
 //! | `MIDAS_LOG`                 | `off\|error\|warn\|info\|debug\|trace` | log level (default `warn`) |
 //! | `MIDAS_FLIGHT`              | integer > 0               | flight-recorder batch capacity (default 64) |
 //! | `MIDAS_FLIGHT_DUMP`         | path                      | panic dump destination (default `./midas-flight-dump.json`) |
-//! | `MIDAS_PROFILE_HZ`          | integer                   | sampling-profiler rate behind `/profile` (0 = off, max 1000) |
-//! | `MIDAS_SLO_PHASE_US`        | integer                   | per-phase span budget arming `/alerts` (0 = off) |
 //! | `MIDAS_FAULT`               | `task:N` / `slow:US`      | panic the N-th exec task / sleep US µs inside `batch.index` |
 //! | `MIDAS_SERVE_ADDR`          | `host:port`               | daemon listen address, `/v1/*` and obs endpoints (default `127.0.0.1:0`) |
 //! | `MIDAS_SERVE_HTTP_WORKERS`  | integer                   | daemon HTTP workers (default 8) |
@@ -26,7 +24,6 @@
 //! | `MIDAS_ADDR_FILE`           | path                      | `serve_daemon` writes its bound address here once it listens |
 //! | `MIDAS_BENCH_QUICK`         | `1\|true\|on`             | CI-sized `kernel` bench scenarios |
 
-use crate::alerts::SloConfig;
 use crate::log::LogLevel;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -64,8 +61,6 @@ pub struct Env {
     pub log: Option<LogLevel>,
     pub flight: Option<usize>,
     pub flight_dump: Option<PathBuf>,
-    pub profile_hz: Option<u32>,
-    pub slo_phase_us: Option<u64>,
     pub fault: Option<Fault>,
     pub serve_addr: Option<String>,
     pub serve_http_workers: Option<usize>,
@@ -110,8 +105,6 @@ impl Env {
                 "MIDAS_LOG" => set(&mut env.log, LogLevel::parse(v)),
                 "MIDAS_FLIGHT" => set(&mut env.flight, number(v).filter(|&c| c > 0)),
                 "MIDAS_FLIGHT_DUMP" => set(&mut env.flight_dump, text(v).map(PathBuf::from)),
-                "MIDAS_PROFILE_HZ" => set(&mut env.profile_hz, number(v)),
-                "MIDAS_SLO_PHASE_US" => set(&mut env.slo_phase_us, number(v)),
                 "MIDAS_FAULT" => set(&mut env.fault, Fault::parse(v)),
                 "MIDAS_SERVE_ADDR" => set(&mut env.serve_addr, text(v)),
                 "MIDAS_SERVE_HTTP_WORKERS" => set(&mut env.serve_http_workers, number(v)),
@@ -149,9 +142,8 @@ pub fn env() -> &'static Env {
 
 /// Telemetry knobs carried by `MidasConfig` (the struct stays `Copy`, so
 /// paths live in [`Env`], not here). [`TelemetryConfig::with_env`]
-/// applies the `MIDAS_TELEMETRY`, `MIDAS_TRACE_OUT`, `MIDAS_FLIGHT`,
-/// `MIDAS_LOG`, `MIDAS_PROFILE_HZ` and `MIDAS_SLO_*` rows of the module
-/// table.
+/// applies the `MIDAS_TELEMETRY`, `MIDAS_TRACE_OUT`, `MIDAS_FLIGHT` and
+/// `MIDAS_LOG` rows of the module table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Master switch for counters/gauges/histograms/span statistics.
@@ -163,11 +155,6 @@ pub struct TelemetryConfig {
     pub flight_capacity: usize,
     /// Log level for the [`crate::obs_warn!`]-family macros.
     pub log: LogLevel,
-    /// Sampling-profiler rate in Hz (0 = profiler off). Only takes effect
-    /// while [`Self::enabled`] is set.
-    pub profile_hz: u32,
-    /// SLO budgets driving the burn-rate alerts (see [`crate::alerts`]).
-    pub slo: SloConfig,
 }
 
 impl Default for TelemetryConfig {
@@ -178,8 +165,6 @@ impl Default for TelemetryConfig {
             trace: false,
             flight_capacity: crate::flight::DEFAULT_CAPACITY,
             log: LogLevel::Warn,
-            profile_hz: 0,
-            slo: SloConfig::default(),
         }
     }
 }
@@ -210,12 +195,6 @@ impl TelemetryConfig {
         if let Some(level) = env.log {
             self.log = level;
         }
-        if let Some(hz) = env.profile_hz {
-            self.profile_hz = hz;
-        }
-        if let Some(us) = env.slo_phase_us {
-            self.slo.phase_budget_us = us;
-        }
         self
     }
 
@@ -227,8 +206,6 @@ impl TelemetryConfig {
         crate::set_tracing(self.enabled && self.trace);
         crate::log::set_log_level(self.log);
         crate::flight::set_capacity(self.flight_capacity);
-        crate::alerts::configure(self.slo);
-        crate::profile::set_rate(if self.enabled { self.profile_hz } else { 0 });
     }
 }
 
@@ -252,8 +229,6 @@ mod tests {
         assert!(!c.trace);
         assert_eq!(c.flight_capacity, crate::flight::DEFAULT_CAPACITY);
         assert_eq!(c.log, LogLevel::Warn);
-        assert_eq!(c.profile_hz, 0);
-        assert!(!c.slo.any_enabled());
     }
 
     #[test]
@@ -292,8 +267,6 @@ mod tests {
             ("MIDAS_LOG", "debug"),
             ("MIDAS_FLIGHT", "8"),
             ("MIDAS_FLIGHT_DUMP", "d.json"),
-            ("MIDAS_PROFILE_HZ", "97"),
-            ("MIDAS_SLO_PHASE_US", "1000"),
             ("MIDAS_FAULT", "slow:200"),
             ("MIDAS_SERVE_ADDR", "127.0.0.1:9"),
             ("MIDAS_SERVE_HTTP_WORKERS", "3"),
@@ -317,8 +290,6 @@ mod tests {
             log: Some(LogLevel::Debug),
             flight: Some(8),
             flight_dump: Some("d.json".into()),
-            profile_hz: Some(97),
-            slo_phase_us: Some(1000),
             fault: Some(Fault::Slow(200)),
             serve_addr: Some("127.0.0.1:9".into()),
             serve_http_workers: Some(3),
@@ -338,7 +309,7 @@ mod tests {
             ("MIDAS_FAULT", "crash:3"),
             ("MIDAS_LOG", "verbose"),
             ("MIDAS_SERVE_HTTP_WORKERS", "-1"),
-            ("MIDAS_SLO_PHASE_MS", "50"),
+            ("MIDAS_TRACE_FILE", "50"),
             ("MIDAS_THREADS", "4"),
             ("HOME", "/home/x"),
         ]);
@@ -346,7 +317,7 @@ mod tests {
         assert_eq!(warnings.len(), 8, "{warnings:?}");
         assert!(warnings[0].contains("MIDAS_FLIGHT=\"abc\""), "{warnings:?}");
         assert!(warnings[2].contains("MIDAS_FAULT=\"task:x\""));
-        assert!(warnings[6].contains("unknown variable MIDAS_SLO_PHASE_MS"));
+        assert!(warnings[6].contains("unknown variable MIDAS_TRACE_FILE"));
         assert!(warnings[7].contains("unknown variable MIDAS_THREADS"));
     }
 
@@ -356,15 +327,11 @@ mod tests {
             ("MIDAS_TRACE_OUT", "t.json"),
             ("MIDAS_FLIGHT", "8"),
             ("MIDAS_LOG", "off"),
-            ("MIDAS_PROFILE_HZ", "97"),
-            ("MIDAS_SLO_PHASE_US", "1000"),
         ]);
         let c = TelemetryConfig::default().with_env(&env);
         assert!(!c.enabled && c.trace, "a trace path implies tracing only");
         assert_eq!(c.flight_capacity, 8);
         assert_eq!(c.log, LogLevel::Off);
-        assert_eq!(c.profile_hz, 97);
-        assert_eq!(c.slo.phase_budget_us, 1000);
         let (off, _) = Env::parse([("MIDAS_TELEMETRY", "0")]);
         let c = TelemetryConfig::on().with_env(&off);
         assert!(!c.enabled && !c.trace);

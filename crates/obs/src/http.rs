@@ -12,13 +12,11 @@
 //! | `/metrics`  | Prometheus text exposition ([`crate::prom::render`])     |
 //! | `/snapshot` | The full [`MetricsSnapshot`] JSON                        |
 //! | `/flight`   | Flight-recorder dump ([`crate::flight::dump_json`])      |
-//! | `/profile`  | Folded profiler stacks ([`crate::profile::folded`])      |
 //! | `/slow`     | Tail-latency exemplars ([`crate::exemplar::render_json`])|
-//! | `/alerts`   | Burn-rate alert states ([`crate::alerts::render_json`])  |
 //! | `/sli`      | User-facing SLIs ([`crate::sli::render_json`])           |
 //!
 //! `/healthz` belongs to the host, which renders it with [`healthz`]: its
-//! own members plus drift state, firing alerts and the last batch. All
+//! own members plus drift state and the last batch. All
 //! data served is read-only over the global registry and flight
 //! recorder, so a slow scraper never blocks a maintenance batch.
 
@@ -41,9 +39,7 @@ pub fn route(req: &Request) -> Option<Response> {
         },
         "/snapshot" => || Response::json(200, MetricsSnapshot::capture().to_json()),
         "/flight" => || Response::json(200, flight::dump_json()),
-        "/profile" => || Response::text(200, crate::profile::folded()),
         "/slow" => || Response::json(200, crate::exemplar::render_json()),
-        "/alerts" => || Response::json(200, crate::alerts::render_json()),
         "/sli" => || Response::json(200, crate::sli::render_json()),
         _ => return None,
     };
@@ -55,19 +51,11 @@ pub fn route(req: &Request) -> Option<Response> {
 }
 
 /// The health document: `status`, `uptime_s`, the host's own `members`
-/// (rendered `"key": value` pairs, comma-separated), then drift, firing
-/// alerts and the last batch outcome. `status` degrades from `"ok"` to
-/// `"alerting"` when any burn-rate alert is firing, so a plain
-/// healthcheck probe sees SLO burn without parsing `/alerts`.
+/// (rendered `"key": value` pairs, comma-separated), then drift and the
+/// last batch outcome. `status` is always `"ok"`: answering at all is the
+/// liveness signal.
 pub fn healthz(uptime: Duration, members: &str) -> Response {
     let drift = crate::registry::registry().gauge("monitor.drift").get();
-    let firing = crate::alerts::firing();
-    let status = if firing.is_empty() { "ok" } else { "alerting" };
-    let firing_json = firing
-        .iter()
-        .map(|n| crate::json::quote(n))
-        .collect::<Vec<_>>()
-        .join(", ");
     let last_json = match flight::last_batch() {
         Some(b) => format!(
             "{{\"seq\": {}, \"kind\": {}, \"distance\": {}, \"pmt_us\": {}, \"swaps\": {}, \"unix_ms\": {}}}",
@@ -83,12 +71,10 @@ pub fn healthz(uptime: Duration, members: &str) -> Response {
     Response::json(
         200,
         format!(
-            "{{\"status\": {}, \"uptime_s\": {}, {members}, \"telemetry_enabled\": {}, \"drift\": {}, \"alerts_firing\": [{}], \"batches\": {}, \"last_batch\": {}}}\n",
-            crate::json::quote(status),
+            "{{\"status\": \"ok\", \"uptime_s\": {}, {members}, \"telemetry_enabled\": {}, \"drift\": {}, \"batches\": {}, \"last_batch\": {}}}\n",
             uptime.as_secs(),
             crate::enabled(),
             crate::json::number(drift),
-            firing_json,
             flight::total_batches(),
             last_json
         ),
@@ -179,23 +165,16 @@ mod tests {
         json::validate(&body).expect("slow JSON");
         assert!(body.contains("\"reservoir_k\""));
 
-        let (status, body) = get(addr, "/alerts");
-        assert!(status.contains("200"));
-        json::validate(&body).expect("alerts JSON");
-        assert!(body.contains("\"alerts\""));
-
         let (status, body) = get(addr, "/sli");
         assert!(status.contains("200"));
         json::validate(&body).expect("sli JSON");
         assert!(body.contains("\"reduction\""), "{body}");
         assert!(body.contains("\"latency_ns\""), "{body}");
 
-        // /profile is plain text (possibly empty when nothing was sampled).
-        let (status, _) = get(addr, "/profile");
-        assert!(status.contains("200"));
-
-        let (status, _) = get(addr, "/nope");
-        assert!(status.contains("404"));
+        for gone in ["/nope", "/alerts", "/profile"] {
+            let (status, _) = get(addr, gone);
+            assert!(status.contains("404"), "{gone}: {status}");
+        }
 
         // Query strings are tolerated.
         let (status, _) = get(addr, "/healthz?verbose=1");
@@ -206,30 +185,39 @@ mod tests {
     }
 
     #[test]
-    fn healthz_degrades_to_alerting_while_an_alert_fires() {
+    fn healthz_stays_ok_through_a_slow_phase() {
         let _g = crate::tests::exclusive();
-        crate::alerts::configure(crate::alerts::SloConfig {
-            phase_budget_us: 10,
-            ..crate::alerts::SloConfig::default()
-        });
+        crate::flight::clear();
         let h = crate::registry::registry().span("batch.index").durations();
         h.reset();
-        // Violations in the current live tick: inside both windows.
+        // Slow phase spans in the live window: the health document reports
+        // the batch and nothing else; slowness is read off `/slow`.
         let now = crate::registry::current_tick();
         for _ in 0..8 {
             h.record_windowed_at(1_000_000, now);
         }
+        crate::flight::record_batch(crate::flight::BatchSummary {
+            seq: 1,
+            kind: "major",
+            distance: 0.5,
+            pmt_us: 8_000_000,
+            pgt_us: 0,
+            inserted: 4,
+            deleted: 0,
+            candidates: 0,
+            swaps: 0,
+            unix_ms: crate::flight::unix_ms(),
+        });
         let server = serve();
         let (status, body) = get(server.addr(), "/healthz");
         assert!(status.contains("200"));
         json::validate(&body).expect("healthz JSON");
-        assert!(body.contains("\"status\": \"alerting\""), "{body}");
-        assert!(body.contains("\"batch.index\""), "{body}");
-        let (_, body) = get(server.addr(), "/alerts");
-        assert!(body.contains("\"firing\""), "{body}");
+        assert!(body.contains("\"status\": \"ok\""), "{body}");
+        assert!(body.contains("\"pmt_us\": 8000000"), "{body}");
+        assert!(!body.contains("alerts_firing"), "{body}");
         server.shutdown();
         h.reset();
-        crate::alerts::configure(crate::alerts::SloConfig::default());
+        crate::flight::clear();
     }
 
     #[test]

@@ -59,8 +59,8 @@
 //!
 //! The accept queue holds `QUEUE` (32) connections. A connection that finds
 //! it full is answered `503` with `Retry-After: 1` by the accept thread
-//! itself, under a write timeout of one slice, and closed: overload gets
-//! an explicit answer, and the accept thread never blocks on a client.
+//! itself and closed, within one slice: overload gets an explicit answer,
+//! and the accept thread spends at most a slice on any one client.
 //!
 //! With telemetry on, the counters `httpd.connections` (accepted),
 //! `httpd.requests` (answered by a worker) and `httpd.rejected`
@@ -79,7 +79,7 @@
 //! with a deliberately stalled connection.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -103,8 +103,11 @@ const QUEUE: usize = 32;
 
 /// How long a worker waits on an idle kept connection before it checks
 /// the stop flag and the accept queue again; also the accept thread's
-/// write timeout for a queue-full 503.
+/// budget for answering a queue-full 503 and closing the connection.
 const IDLE_SLICE: Duration = Duration::from_millis(100);
+
+/// The most a queue-full 503 reads off its client before closing.
+const REJECT_DRAIN_BYTES: usize = 64 * 1024;
 
 /// One parsed HTTP request, as seen by a [`Handler`].
 #[derive(Debug, Clone)]
@@ -378,14 +381,39 @@ impl Drop for HttpServer {
 }
 
 /// Answers a connection that found the accept queue full with 503 and
-/// `Retry-After`, then closes it. The write timeout keeps a client that
-/// does not read from blocking the accept thread.
+/// `Retry-After`, then closes it, all within one [`IDLE_SLICE`] so a
+/// client that neither reads nor writes cannot block the accept thread.
+///
+/// Closing a socket with the client's request still unread makes the
+/// kernel send a reset, which may destroy the 503 before the client reads
+/// it. So after the answer the write side is half-closed and whatever the
+/// client sends (at most [`REJECT_DRAIN_BYTES`]) is read off until it
+/// closes too, or the slice runs out.
 fn reject(stream: TcpStream) {
     crate::counter_add!("httpd.rejected", 1);
+    let deadline = Instant::now() + IDLE_SLICE;
     let _ = stream.set_write_timeout(Some(IDLE_SLICE));
     let response =
         Response::text(503, "server busy: every worker is taken\n").with_header("Retry-After: 1");
-    let _ = (&stream).write_all(response.serialize(false).as_bytes());
+    if (&stream)
+        .write_all(response.serialize(false).as_bytes())
+        .is_err()
+        || stream.shutdown(Shutdown::Write).is_err()
+    {
+        return;
+    }
+    let mut buf = [0u8; 4096];
+    let mut drained = 0;
+    while drained < REJECT_DRAIN_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match (&stream).read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
+        }
+    }
 }
 
 /// Canonicalizes a request target for routing: the query string (and any
@@ -976,13 +1004,10 @@ pub(crate) mod tests {
         drop(waiting);
         let begin = Instant::now();
         loop {
-            // A 503 closes with this request unread, so the socket may be
-            // reset after the answer: keep what arrived before the reset.
             let mut conn = TcpStream::connect(addr).expect("connect");
             conn.write_all(b"GET /ping HTTP/1.1\r\n\r\n").unwrap();
-            let mut raw = Vec::new();
-            let _ = conn.read_to_end(&mut raw);
-            let out = String::from_utf8_lossy(&raw);
+            let mut out = String::new();
+            conn.read_to_string(&mut out).expect("read the answer");
             if out.contains("pong") {
                 break;
             }
@@ -993,6 +1018,36 @@ pub(crate) mod tests {
             );
             std::thread::sleep(Duration::from_millis(10));
         }
+        server.shutdown();
+    }
+
+    /// A client that sent a whole request before its connection was
+    /// refused reads the full 503 and a clean close, not a reset.
+    #[test]
+    fn a_refused_request_reads_the_whole_503() {
+        let server = echo_server(1);
+        let addr = server.addr();
+        let mut stalled = TcpStream::connect(addr).expect("connect");
+        stalled.write_all(b"GET /pi").unwrap();
+        std::thread::sleep(Duration::from_millis(100)); // the worker takes it
+        let queued: Vec<TcpStream> = (0..QUEUE)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        let mut refused = TcpStream::connect(addr).expect("connect");
+        refused
+            .write_all(b"POST /echo HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello")
+            .unwrap();
+        let mut out = String::new();
+        refused
+            .read_to_string(&mut out)
+            .expect("the 503 and a clean close");
+        assert!(out.starts_with("HTTP/1.1 503"), "{out}");
+        assert!(
+            out.ends_with("server busy: every worker is taken\n"),
+            "{out}"
+        );
+        drop(queued);
+        drop(stalled);
         server.shutdown();
     }
 

@@ -13,9 +13,9 @@
 //!   by name through the [`counter!`]/[`counter_add!`]/[`gauge_set!`]/
 //!   [`histogram_record!`] macros (each probe site caches its handle in a
 //!   `OnceLock`, so an enabled probe is one atomic op);
-//! * [`mod@span`] — RAII [`Span`] timers that nest into a per-thread span
-//!   stack; each completed span feeds a named duration statistic and,
-//!   when tracing is on, a Chrome-trace event;
+//! * [`mod@span`] — RAII [`Span`] timers: each completed span feeds a
+//!   named duration statistic and, when tracing is on, a Chrome-trace
+//!   event;
 //! * exporters — [`MetricsSnapshot`] renders the registry as the same
 //!   hand-rolled JSON style as `BENCH_kernel.json`, and [`trace`] writes
 //!   a `trace.json` loadable in `chrome://tracing` / Perfetto.
@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod alerts;
 pub mod config;
 pub mod exemplar;
 pub mod flight;
@@ -61,7 +60,6 @@ pub mod http;
 pub mod httpd;
 pub mod json;
 pub mod log;
-pub mod profile;
 pub mod prom;
 pub mod registry;
 pub mod sli;
@@ -69,7 +67,6 @@ pub mod snapshot;
 pub mod span;
 pub mod trace;
 
-pub use alerts::{AlertEval, AlertState, SloConfig};
 pub use config::{Env, Fault, TelemetryConfig};
 pub use flight::{BatchSummary, FlightEvent};
 pub use httpd::{Handler, HttpServer, Request, Response};

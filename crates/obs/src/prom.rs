@@ -158,8 +158,8 @@ fn push_summary(
 }
 
 /// Renders the whole snapshot as one Prometheus scrape body (pure over
-/// `snap`; see [`render_live`] for the full scrape with alert gauges and
-/// exemplar hints from process-global state).
+/// `snap`; see [`render_live`] for the full scrape with the exemplar
+/// hints from process-global state).
 pub fn render(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     let mut typed = std::collections::HashSet::new();
@@ -193,25 +193,12 @@ pub fn render(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// [`render`] plus the live sections that are not part of the snapshot:
-/// one `midas_alert_firing{alert="..."}` gauge per evaluated burn-rate
-/// alert and OpenMetrics-style `# exemplar` hint comments attributing each
-/// family's slowest observations (see [`crate::exemplar`]). This is what
+/// [`render`] plus the live section that is not part of the snapshot:
+/// OpenMetrics-style `# exemplar` hint comments attributing each family's
+/// slowest observations (see [`crate::exemplar`]). This is what
 /// `GET /metrics` serves.
 pub fn render_live(snap: &MetricsSnapshot) -> String {
     let mut out = render(snap);
-    let evals = crate::alerts::evaluate();
-    if !evals.is_empty() {
-        let _ = writeln!(out, "# TYPE {PREFIX}alert_firing gauge");
-        for a in &evals {
-            let _ = writeln!(
-                out,
-                "{PREFIX}alert_firing{{alert=\"{}\"}} {}",
-                escape_label_value(a.name),
-                u8::from(a.state == crate::alerts::AlertState::Firing)
-            );
-        }
-    }
     crate::exemplar::for_each_series(|name, series| {
         let family = format!("{PREFIX}{}", sanitize_name(name));
         for ex in series.top() {
@@ -321,12 +308,8 @@ mod tests {
     }
 
     #[test]
-    fn render_live_appends_alert_gauges_and_exemplar_hints() {
+    fn render_live_appends_exemplar_hints() {
         let _g = crate::tests::exclusive();
-        crate::alerts::configure(crate::alerts::SloConfig {
-            phase_budget_us: 1_000,
-            ..crate::alerts::SloConfig::default()
-        });
         let s = crate::exemplar::series("plan.search_ns", "ns");
         s.reset();
         {
@@ -334,14 +317,12 @@ mod tests {
             s.offer(50_000);
         }
         let doc = render_live(&MetricsSnapshot::default());
-        assert!(doc.contains("# TYPE midas_alert_firing gauge"), "{doc}");
-        assert!(doc.contains("midas_alert_firing{alert=\"batch.index\"} 0"));
+        assert!(!doc.contains("alert_firing"), "{doc}");
         assert!(
             doc.contains("# exemplar midas_plan_search_ns value=50000 unit=ns pattern=99 graph=3"),
             "{doc}"
         );
         s.reset();
-        crate::alerts::configure(crate::alerts::SloConfig::default());
     }
 
     #[test]

@@ -19,9 +19,11 @@ const COUNTER_SHARDS: usize = 16;
 /// (i.e. `v == 0` → bucket 0, else bucket `⌊log₂ v⌋ + 1`).
 const HISTOGRAM_BUCKETS: usize = 64;
 
-/// Sliding-window slots per histogram (ring of time slices). Sized so the
-/// burn-rate alerts ([`crate::alerts`]) can carve both their fast (1 min)
-/// and slow (15 min) windows out of one ring: 64 × 15 s ≈ 16 minutes.
+/// Sliding-window slots per histogram (ring of time slices): 64 × 15 s ≈
+/// 16 minutes of recent history. The `/metrics` `_window` summaries and
+/// the `/sli` `read_window`/`formulate_window` latency quantiles read it,
+/// so both describe the last quarter hour rather than the whole process
+/// lifetime.
 pub const WINDOW_SLOTS: usize = 64;
 
 /// Seconds each window slot covers. The live window therefore spans up to
@@ -300,15 +302,8 @@ impl Histogram {
     }
 
     /// Aggregate over only the most recent `slots` ring slots (the last
-    /// `slots × WINDOW_SLOT_SECS` seconds). This is how the burn-rate
-    /// alerts read a short "fast" and a long "slow" window off the same
-    /// ring.
-    pub fn windowed_recent(&self, slots: u64) -> WindowAggregate {
-        self.windowed_recent_at(current_tick(), slots)
-    }
-
-    /// [`Histogram::windowed_recent`] at an explicit tick, for
-    /// deterministic tests. `slots` is clamped to the ring size.
+    /// `slots × WINDOW_SLOT_SECS` seconds) as seen at tick `now`. `slots`
+    /// is clamped to the ring size.
     pub fn windowed_recent_at(&self, now: u64, slots: u64) -> WindowAggregate {
         let slots = slots.min(WINDOW_SLOTS as u64);
         let mut buckets = [0u64; HISTOGRAM_BUCKETS];

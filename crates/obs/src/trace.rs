@@ -1,14 +1,11 @@
 //! Chrome-trace-format event collection and export.
 //!
-//! Completed spans append *complete events* (`"ph": "X"`) and the sampling
-//! profiler ([`crate::profile`]) appends *sample events* (`"ph": "P"`) to
-//! one global buffer; [`write_trace`] drains it into a single JSON file
-//! loadable in `chrome://tracing` or <https://ui.perfetto.dev>, so the
-//! span timeline and the profiler's sampled stacks render interleaved on
-//! the same per-thread tracks. Timestamps are microseconds since the first
-//! event of the process (the format wants a monotonic epoch, not wall
-//! time), `tid` is the dense per-thread index of [`crate::registry`], and
-//! `pid` is constant.
+//! Completed spans append *complete events* (`"ph": "X"`) to one global
+//! buffer; [`write_trace`] drains it into a single JSON file loadable in
+//! `chrome://tracing` or <https://ui.perfetto.dev>. Timestamps are
+//! microseconds since the first event of the process (the format wants a
+//! monotonic epoch, not wall time), `tid` is the dense per-thread index of
+//! [`crate::registry`], and `pid` is constant.
 //!
 //! The buffer is capped at [`MAX_EVENTS`]; beyond it events are counted
 //! but dropped, and the drop count is reported by [`write_trace`] /
@@ -25,32 +22,17 @@ use std::time::{Duration, Instant};
 /// hundred; this bounds pathological loops.
 pub const MAX_EVENTS: usize = 1 << 20;
 
-/// What kind of Chrome-trace event a [`TraceEvent`] renders as.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A completed span: `"ph": "X"` with a real duration.
-    Complete,
-    /// A profiler sample: `"ph": "P"`, zero duration, the folded stack in
-    /// `args.stack`.
-    Sample {
-        /// Collapsed stack at the sample instant, `outer;inner`.
-        stack: String,
-    },
-}
-
-/// One Chrome-trace event (a span completion or a profiler sample).
+/// One Chrome-trace complete event: a finished span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Span name (for samples: the leaf frame).
+    /// Span name.
     pub name: &'static str,
     /// Microseconds since process trace epoch.
     pub ts_us: u64,
-    /// Duration in microseconds (0 for samples).
+    /// Duration in microseconds.
     pub dur_us: u64,
     /// Dense thread index.
     pub tid: usize,
-    /// Complete event or profiler sample.
-    pub kind: TraceKind,
 }
 
 static EVENTS: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
@@ -83,23 +65,6 @@ pub fn push_complete_event(name: &'static str, start: Instant, dur: Duration) {
         ts_us,
         dur_us: dur.as_micros().min(u64::MAX as u128) as u64,
         tid: crate::registry::thread_index(),
-        kind: TraceKind::Complete,
-    });
-}
-
-/// Appends a profiler sample: `leaf` is the deepest live frame and `stack`
-/// the full folded stack of the sampled thread `tid` (the *sampled*
-/// thread's index, not the sampler's — the sample must land on the track
-/// whose spans it describes). Called from [`crate::profile::sample_once`]
-/// when tracing is on.
-pub fn push_sample_event(leaf: &'static str, stack: String, tid: usize) {
-    let ts_us = epoch().elapsed().as_micros().min(u64::MAX as u128) as u64;
-    push(TraceEvent {
-        name: leaf,
-        ts_us,
-        dur_us: 0,
-        tid,
-        kind: TraceKind::Sample { stack },
     });
 }
 
@@ -118,23 +83,13 @@ pub fn take_events() -> Vec<TraceEvent> {
 pub fn render_trace(events: &[TraceEvent], dropped: u64) -> String {
     let mut out = String::from("{\n  \"traceEvents\": [\n");
     for (i, e) in events.iter().enumerate() {
-        let line = match &e.kind {
-            TraceKind::Complete => format!(
-                "    {{\"name\": {}, \"cat\": \"midas\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 1, \"tid\": {}}}",
-                json::quote(e.name),
-                e.ts_us,
-                e.dur_us,
-                e.tid,
-            ),
-            TraceKind::Sample { stack } => format!(
-                "    {{\"name\": {}, \"cat\": \"midas.profile\", \"ph\": \"P\", \"ts\": {}, \"dur\": 0, \"pid\": 1, \"tid\": {}, \"args\": {{\"stack\": {}}}}}",
-                json::quote(e.name),
-                e.ts_us,
-                e.tid,
-                json::quote(stack),
-            ),
-        };
-        out.push_str(&line);
+        out.push_str(&format!(
+            "    {{\"name\": {}, \"cat\": \"midas\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 1, \"tid\": {}}}",
+            json::quote(e.name),
+            e.ts_us,
+            e.dur_us,
+            e.tid,
+        ));
         out.push_str(if i + 1 < events.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
@@ -181,14 +136,12 @@ mod tests {
                 ts_us: 0,
                 dur_us: 120,
                 tid: 0,
-                kind: TraceKind::Complete,
             },
             TraceEvent {
                 name: "phase.b",
                 ts_us: 10,
                 dur_us: 50,
                 tid: 1,
-                kind: TraceKind::Complete,
             },
         ];
         let doc = render_trace(&events, 3);
@@ -200,51 +153,19 @@ mod tests {
     }
 
     #[test]
-    fn samples_interleave_with_complete_events() {
-        let events = vec![
-            TraceEvent {
-                name: "batch.fct",
-                ts_us: 0,
-                dur_us: 120,
-                tid: 0,
-                kind: TraceKind::Complete,
-            },
-            TraceEvent {
-                name: "batch.fct.count",
-                ts_us: 40,
-                dur_us: 0,
-                tid: 0,
-                kind: TraceKind::Sample {
-                    stack: "batch.fct;batch.fct.count".to_owned(),
-                },
-            },
-        ];
-        let doc = render_trace(&events, 0);
-        json::validate(&doc).expect("valid JSON");
-        assert!(doc.contains("\"ph\": \"X\""));
-        assert!(doc.contains("\"ph\": \"P\""));
-        assert!(doc.contains("\"cat\": \"midas.profile\""));
-        assert!(doc.contains("\"stack\": \"batch.fct;batch.fct.count\""));
-    }
-
-    #[test]
-    fn push_sample_event_lands_on_the_sampled_tid() {
+    fn push_complete_event_lands_on_the_calling_tid() {
+        let _g = crate::tests::exclusive();
         // Drain whatever other tests left behind, then check round trip.
         take_events();
-        push_sample_event("leaf.frame", "root;leaf.frame".to_owned(), 42);
+        let start = Instant::now();
+        push_complete_event("test.trace.frame", start, Duration::from_micros(7));
         let events = take_events();
-        let sample = events
+        let event = events
             .iter()
-            .find(|e| e.name == "leaf.frame")
-            .expect("sample buffered");
-        assert_eq!(sample.tid, 42);
-        assert_eq!(sample.dur_us, 0);
-        assert_eq!(
-            sample.kind,
-            TraceKind::Sample {
-                stack: "root;leaf.frame".to_owned()
-            }
-        );
+            .find(|e| e.name == "test.trace.frame")
+            .expect("event buffered");
+        assert_eq!(event.tid, crate::registry::thread_index());
+        assert_eq!(event.dur_us, 7);
     }
 
     #[test]

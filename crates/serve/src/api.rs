@@ -2,7 +2,7 @@
 //!
 //! | Method | Path                      | Effect                                              |
 //! |--------|---------------------------|-----------------------------------------------------|
-//! | GET    | `/healthz`                | Liveness, tenant and degraded counts, drift, alerts |
+//! | GET    | `/healthz`                | Liveness, tenant and degraded counts, drift, last batch |
 //! | GET    | `/v1/tenants`             | List tenants with epochs, sizes, `degraded` flags   |
 //! | POST   | `/v1/tenants`             | Create a tenant (dataset spec or explicit graphs)   |
 //! | GET    | `/v1/{t}/patterns`        | Current pattern snapshot (lock-free read)           |
@@ -11,7 +11,7 @@
 //! | POST   | `/v1/{t}/updates`         | Enqueue (or `?mode=sync` apply) an update batch     |
 //! | POST   | `/v1/{t}/querylog`        | Log formulated queries, feeding the `/sli` metrics  |
 //! | DELETE | `/v1/{t}`                 | Remove a tenant                                     |
-//! | GET    | `/metrics`, `/snapshot`, `/flight`, `/profile`, `/slow`, `/alerts`, `/sli` | [`midas_obs::http::route`] |
+//! | GET    | `/metrics`, `/snapshot`, `/flight`, `/slow`, `/sli` | [`midas_obs::http::route`] |
 //!
 //! Handlers run on the HTTP worker pool; everything that can block on
 //! maintenance is explicit: `GET` pattern reads never take the tenant's

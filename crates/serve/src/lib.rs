@@ -23,7 +23,8 @@
 //!
 //! The daemon listens on one address: [`api::route`] answers the `/v1`
 //! API and `/healthz`, and falls through to [`midas_obs::http::route`]
-//! for the observability endpoints (`/metrics`, `/flight`, `/sli`, …).
+//! for the observability endpoints (`/metrics`, `/snapshot`, `/flight`,
+//! `/slow`, `/sli`).
 //! See `DESIGN.md` §14 for the architecture and the API table in
 //! [`api`].
 

@@ -12,7 +12,7 @@
 //! curl -s http://127.0.0.1:9900/v1/acme/epoch
 //! curl -s http://127.0.0.1:9900/metrics | grep 'tenant="acme"'
 //! curl -s http://127.0.0.1:9900/flight    # recent batches, every tenant
-//! curl -s http://127.0.0.1:9900/slow      # slowest matcher searches, attributed
+//! curl -s http://127.0.0.1:9900/slow      # slowest phases and searches, attributed
 //! curl -s 'http://127.0.0.1:9900/v1/acme/queries?n=16' \
 //!   | curl -s -X POST http://127.0.0.1:9900/v1/acme/querylog -d @-
 //! curl -s http://127.0.0.1:9900/sli       # user-side SLIs, one tick per batch
@@ -20,11 +20,11 @@
 //!
 //! Boots one `midas_serve::ServeDaemon`: a single listener serving the
 //! `/v1` API, `/healthz`, and the observability endpoints (`/metrics`,
-//! `/snapshot`, `/flight`, `/profile`, `/slow`, `/alerts`, `/sli`).
+//! `/snapshot`, `/flight`, `/slow`, `/sli`).
 //! Tenants are created over HTTP (or at boot from `MIDAS_SERVE_TENANTS`,
 //! comma-separated `name:kind:size[:seed]` specs); each gets its own
 //! embedded MIDAS instance, with reads served lock-free off the published
-//! snapshot and maintenance running on the shared worker pool. It runs
+//! snapshot and maintenance running on the tenant's own thread. It runs
 //! until killed.
 //!
 //! Its settings — `MIDAS_SERVE_*`, `MIDAS_ADDR_FILE` and the telemetry
