@@ -94,65 +94,95 @@ fn centers(tree: &LabeledGraph) -> Vec<VertexId> {
         .collect()
 }
 
-/// Recursive subtree code rooted at `v` (coming from `parent`): the label,
-/// followed by children codes in sorted order, closed by a sentinel. Shifts
-/// labels by 2 so sentinels 0/1 never collide.
-fn subtree_code(tree: &LabeledGraph, v: VertexId, parent: Option<VertexId>, out: &mut Vec<u64>) {
-    out.push(tree.label(v) as u64 + 2);
-    let mut child_codes: Vec<Vec<u64>> = tree
-        .neighbors(v)
-        .iter()
-        .filter(|&&w| Some(w) != parent)
-        .map(|&w| {
-            let mut code = Vec::new();
-            subtree_code(tree, w, Some(v), &mut code);
-            code
-        })
-        .collect();
-    child_codes.sort();
-    for code in child_codes {
-        out.extend_from_slice(&code);
-    }
-    out.push(1); // end-of-children sentinel
+/// Every vertex's rooted code for the tree rooted at `root`, and each
+/// vertex's children in canonical order.
+///
+/// A vertex's code is its label, then its children's codes in sorted order,
+/// closed by a sentinel; labels are shifted by 2 so the sentinels 0/1 never
+/// collide. Codes are built bottom-up in one pass, so each subtree's code is
+/// computed once and reused by its parent and by [`bfs_string`]. All codes
+/// share one buffer, and all child lists another.
+struct Rooted {
+    codes: Vec<u64>,
+    code_of: Vec<std::ops::Range<usize>>,
+    children: Vec<VertexId>,
+    children_of: Vec<std::ops::Range<usize>>,
 }
 
-/// Orders the children of each vertex canonically and returns, for the tree
-/// rooted at `root`, the BFS canonical-string tokens.
-fn bfs_string(tree: &LabeledGraph, root: VertexId) -> Vec<u32> {
-    // Precompute subtree codes for deterministic child ordering.
-    fn ordered_children(
-        tree: &LabeledGraph,
-        v: VertexId,
-        parent: Option<VertexId>,
-    ) -> Vec<VertexId> {
-        let mut kids: Vec<(Vec<u64>, VertexId)> = tree
-            .neighbors(v)
-            .iter()
-            .filter(|&&w| Some(w) != parent)
-            .map(|&w| {
-                let mut code = Vec::new();
-                subtree_code(tree, w, Some(v), &mut code);
-                (code, w)
-            })
-            .collect();
-        kids.sort();
-        kids.into_iter().map(|(_, w)| w).collect()
-    }
-
-    let mut tokens = vec![tree.label(root), SEPARATOR];
-    let mut queue: std::collections::VecDeque<(VertexId, Option<VertexId>)> = [(root, None)].into();
-    // The root family was emitted above as a single label; now emit each
-    // dequeued vertex's children as one `$`-terminated family.
-    let mut order: Vec<(VertexId, Option<VertexId>)> = Vec::new();
-    while let Some((v, parent)) = queue.pop_front() {
-        order.push((v, parent));
-        for w in ordered_children(tree, v, parent) {
-            queue.push_back((w, Some(v)));
+impl Rooted {
+    fn new(tree: &LabeledGraph, root: VertexId) -> Self {
+        let n = tree.vertex_count();
+        let mut parent: Vec<Option<VertexId>> = vec![None; n];
+        let mut order = Vec::with_capacity(n);
+        order.push(root);
+        let mut next = 0;
+        while let Some(&v) = order.get(next) {
+            next += 1;
+            for &w in tree.neighbors(v) {
+                if Some(w) != parent[v as usize] {
+                    parent[w as usize] = Some(v);
+                    order.push(w);
+                }
+            }
+        }
+        let mut codes = Vec::with_capacity(2 * n);
+        let mut code_of = vec![0..0; n];
+        let mut children = Vec::with_capacity(n);
+        let mut children_of = vec![0..0; n];
+        for &v in order.iter().rev() {
+            let first = children.len();
+            children.extend(
+                tree.neighbors(v)
+                    .iter()
+                    .filter(|&&w| Some(w) != parent[v as usize]),
+            );
+            children[first..].sort_by(|&a: &VertexId, &b: &VertexId| {
+                codes[code_of[a as usize].clone()]
+                    .cmp(&codes[code_of[b as usize].clone()])
+                    .then(a.cmp(&b))
+            });
+            children_of[v as usize] = first..children.len();
+            let start = codes.len();
+            codes.push(tree.label(v) as u64 + 2);
+            for &w in &children[first..] {
+                codes.extend_from_within(code_of[w as usize].clone());
+            }
+            codes.push(1); // end-of-children sentinel
+            code_of[v as usize] = start..codes.len();
+        }
+        Rooted {
+            codes,
+            code_of,
+            children,
+            children_of,
         }
     }
-    for &(v, parent) in &order {
-        for w in ordered_children(tree, v, parent) {
+
+    /// The rooted code of `v`.
+    fn code(&self, v: VertexId) -> &[u64] {
+        &self.codes[self.code_of[v as usize].clone()]
+    }
+
+    /// The children of `v`, in canonical order.
+    fn children(&self, v: VertexId) -> &[VertexId] {
+        &self.children[self.children_of[v as usize].clone()]
+    }
+}
+
+/// The BFS canonical-string tokens of the tree rooted at `root`: the root's
+/// label, then each vertex's children (in canonical order) as one
+/// `$`-terminated family, vertices taken in BFS order.
+fn bfs_string(tree: &LabeledGraph, root: VertexId, rooted: &Rooted) -> Vec<u32> {
+    // One label per vertex and one separator per family, root's included.
+    let mut tokens = Vec::with_capacity(2 * tree.vertex_count() + 1);
+    tokens.extend([tree.label(root), SEPARATOR]);
+    let mut queue = vec![root];
+    let mut next = 0;
+    while let Some(&v) = queue.get(next) {
+        next += 1;
+        for &w in rooted.children(v) {
             tokens.push(tree.label(w));
+            queue.push(w);
         }
         tokens.push(SEPARATOR);
     }
@@ -166,20 +196,14 @@ fn bfs_string(tree: &LabeledGraph, root: VertexId) -> Vec<u32> {
 /// Panics if `g` is not a tree.
 pub fn tree_key(g: &LabeledGraph) -> TreeKey {
     assert!(is_tree(g), "tree_key requires a tree, got {g:?}");
-    let cs = centers(g);
-    let best = cs
-        .iter()
-        .map(|&c| {
-            // Order candidate roots by their full rooted code, then take the
-            // BFS string of the winner. Comparing BFS strings directly would
-            // also work; rooted codes are cheaper to compare.
-            let mut code = Vec::new();
-            subtree_code(g, c, None, &mut code);
-            (code, c)
-        })
-        .min()
+    // Root at the center with the smaller rooted code (ties: smaller id),
+    // and reuse that rooting's codes for the BFS string.
+    let (root, rooted) = centers(g)
+        .into_iter()
+        .map(|c| (c, Rooted::new(g, c)))
+        .min_by(|(a, ra), (b, rb)| ra.code(*a).cmp(rb.code(*b)).then(a.cmp(b)))
         .expect("a tree has at least one center");
-    TreeKey(bfs_string(g, best.1).into_boxed_slice())
+    TreeKey(bfs_string(g, root, &rooted).into_boxed_slice())
 }
 
 /// Builds the 2-vertex tree for an edge label — the level-1 mining seed and
@@ -320,6 +344,141 @@ mod tests {
             .build();
         let key = tree_key(&star);
         assert_eq!(key.tokens()[0], 7, "hub label leads the canonical string");
+    }
+
+    /// The recursive `tree_key` that the one-pass [`Rooted`] replaced, kept
+    /// only as the reference the proptest below pins the tokens to. It
+    /// recomputes every subtree's code for each center, and twice more per
+    /// vertex while ordering children for the BFS string.
+    mod recursive {
+        use super::super::{centers, SEPARATOR};
+        use midas_graph::{LabeledGraph, VertexId};
+
+        fn subtree_code(
+            tree: &LabeledGraph,
+            v: VertexId,
+            parent: Option<VertexId>,
+            out: &mut Vec<u64>,
+        ) {
+            out.push(tree.label(v) as u64 + 2);
+            let mut child_codes: Vec<Vec<u64>> = tree
+                .neighbors(v)
+                .iter()
+                .filter(|&&w| Some(w) != parent)
+                .map(|&w| {
+                    let mut code = Vec::new();
+                    subtree_code(tree, w, Some(v), &mut code);
+                    code
+                })
+                .collect();
+            child_codes.sort();
+            for code in child_codes {
+                out.extend_from_slice(&code);
+            }
+            out.push(1);
+        }
+
+        fn ordered_children(
+            tree: &LabeledGraph,
+            v: VertexId,
+            parent: Option<VertexId>,
+        ) -> Vec<VertexId> {
+            let mut kids: Vec<(Vec<u64>, VertexId)> = tree
+                .neighbors(v)
+                .iter()
+                .filter(|&&w| Some(w) != parent)
+                .map(|&w| {
+                    let mut code = Vec::new();
+                    subtree_code(tree, w, Some(v), &mut code);
+                    (code, w)
+                })
+                .collect();
+            kids.sort();
+            kids.into_iter().map(|(_, w)| w).collect()
+        }
+
+        fn bfs_string(tree: &LabeledGraph, root: VertexId) -> Vec<u32> {
+            let mut tokens = vec![tree.label(root), SEPARATOR];
+            let mut queue: std::collections::VecDeque<(VertexId, Option<VertexId>)> =
+                [(root, None)].into();
+            let mut order: Vec<(VertexId, Option<VertexId>)> = Vec::new();
+            while let Some((v, parent)) = queue.pop_front() {
+                order.push((v, parent));
+                for w in ordered_children(tree, v, parent) {
+                    queue.push_back((w, Some(v)));
+                }
+            }
+            for &(v, parent) in &order {
+                for w in ordered_children(tree, v, parent) {
+                    tokens.push(tree.label(w));
+                }
+                tokens.push(SEPARATOR);
+            }
+            tokens
+        }
+
+        pub(super) fn tree_key(g: &LabeledGraph) -> Vec<u32> {
+            let best = centers(g)
+                .iter()
+                .map(|&c| {
+                    let mut code = Vec::new();
+                    subtree_code(g, c, None, &mut code);
+                    (code, c)
+                })
+                .min()
+                .expect("a tree has at least one center");
+            bfs_string(g, best.1)
+        }
+    }
+
+    /// A random labeled tree on `n` (1–9) vertices with labels from `0..3`:
+    /// vertex `i` hangs off an earlier vertex, then the ids are permuted so
+    /// that neither the root nor the child order follows the build order.
+    fn random_tree() -> impl proptest::strategy::Strategy<Value = LabeledGraph> {
+        use proptest::prelude::*;
+        (
+            1..10usize,
+            proptest::collection::vec(0..3u32, 9),
+            proptest::collection::vec(proptest::num::usize::ANY, 9),
+            proptest::collection::vec(proptest::num::usize::ANY, 9),
+        )
+            .prop_map(|(n, labels, parents, swaps)| {
+                let mut ids: Vec<u32> = (0..n as u32).collect();
+                for i in (1..n).rev() {
+                    ids.swap(i, swaps[i] % (i + 1));
+                }
+                let mut vertex_labels = vec![0; n];
+                for (v, &id) in ids.iter().enumerate() {
+                    vertex_labels[id as usize] = labels[v];
+                }
+                let mut b = GraphBuilder::new().vertices(&vertex_labels);
+                for v in 1..n {
+                    b = b.edge(ids[v], ids[parents[v] % v]);
+                }
+                b.build()
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The one-pass key emits exactly the recursive key's tokens.
+        #[test]
+        fn one_pass_key_matches_the_recursive_key(tree in random_tree()) {
+            let key = tree_key(&tree);
+            proptest::prop_assert_eq!(key.tokens(), &recursive::tree_key(&tree)[..]);
+        }
+    }
+
+    #[test]
+    fn random_trees_have_one_and_two_centers() {
+        use proptest::prelude::*;
+        let mut runner = TestRunner::new_for("canonical::random_trees");
+        let mut seen = [0usize; 3];
+        for _ in 0..512 {
+            seen[centers(&random_tree().generate(&mut runner)).len()] += 1;
+        }
+        assert!(seen[1] > 50 && seen[2] > 50, "center counts: {seen:?}");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! coverage `lcov(e, X) = |L(e, X)| / |X|` used for CSG edge weights (§2.3).
 
 use midas_graph::{EdgeLabel, GraphId, LabeledGraph};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Support data for one edge label.
 #[derive(Debug, Clone, Default)]
@@ -122,6 +122,109 @@ pub(crate) fn min_count(sup_min: f64, db_len: usize) -> usize {
     ((sup_min * db_len as f64).ceil() as usize).max(1)
 }
 
+/// Catalog bounds over one state of an [`EdgeCatalog`].
+///
+/// The bound of a tree is the set of graphs that hold, for every edge label
+/// of the tree, at least as many edges with that label as the tree does.
+/// Every graph that contains the tree is in its bound, and a super-tree's
+/// bound is a subset of its subtree's, so the bound's size caps the support
+/// of the tree and of every extension of it. Sets are bitsets over a sorted
+/// `universe` of graph ids, and each `(label, multiplicity)` row is built
+/// from the catalog once.
+pub(crate) struct Bounds<'a> {
+    catalog: &'a EdgeCatalog,
+    universe: Vec<GraphId>,
+    rows: HashMap<(EdgeLabel, u32), GraphSet>,
+}
+
+/// A set of graphs: a bitset over the universe of a [`Bounds`].
+#[derive(Debug, Clone)]
+pub(crate) struct GraphSet(Vec<u64>);
+
+impl GraphSet {
+    /// Number of graphs in the set.
+    pub(crate) fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The intersection with `other`.
+    pub(crate) fn and(&self, other: &GraphSet) -> GraphSet {
+        GraphSet(self.0.iter().zip(&other.0).map(|(a, b)| a & b).collect())
+    }
+}
+
+impl<'a> Bounds<'a> {
+    /// Bounds over `catalog` for the graphs of `universe`, which must be
+    /// sorted and hold every graph of the catalog.
+    pub(crate) fn new(catalog: &'a EdgeCatalog, universe: Vec<GraphId>) -> Self {
+        debug_assert!(
+            universe.windows(2).all(|w| w[0] < w[1]),
+            "unsorted universe"
+        );
+        Bounds {
+            catalog,
+            universe,
+            rows: HashMap::new(),
+        }
+    }
+
+    /// The graphs with at least `count` edges labeled `label`.
+    pub(crate) fn row(&mut self, label: EdgeLabel, count: u32) -> &GraphSet {
+        let (catalog, universe) = (self.catalog, &self.universe);
+        self.rows.entry((label, count)).or_insert_with(|| {
+            let mut words = vec![0u64; universe.len().div_ceil(64)];
+            for (id, &c) in catalog
+                .get(label)
+                .map(|s| &s.occurrences)
+                .into_iter()
+                .flatten()
+            {
+                if c >= count {
+                    let slot = universe
+                        .binary_search(id)
+                        .expect("catalog graph in universe");
+                    words[slot / 64] |= 1 << (slot % 64);
+                }
+            }
+            GraphSet(words)
+        })
+    }
+
+    /// The bound of `tree`.
+    pub(crate) fn of(&mut self, tree: &LabeledGraph) -> GraphSet {
+        let n = self.universe.len();
+        let mut words = vec![u64::MAX; n.div_ceil(64)];
+        if let Some(last) = words.last_mut() {
+            *last >>= 64 * n.div_ceil(64) - n; // clear the slots past `n`
+        }
+        let mut set = GraphSet(words);
+        // Meeting the rows for counts 1..=m of a label is meeting row m.
+        let mut seen: Vec<EdgeLabel> = Vec::new();
+        for label in tree.edge_labels() {
+            seen.push(label);
+            let count = seen.iter().filter(|&&l| l == label).count() as u32;
+            set = set.and(self.row(label, count));
+        }
+        set
+    }
+
+    /// Whether `set` holds the graph `id`.
+    pub(crate) fn contains(&self, set: &GraphSet, id: GraphId) -> bool {
+        self.universe
+            .binary_search(&id)
+            .is_ok_and(|slot| set.0[slot / 64] >> (slot % 64) & 1 == 1)
+    }
+
+    /// The graphs of `set`, in id order.
+    pub(crate) fn ids<'s>(&'s self, set: &'s GraphSet) -> impl Iterator<Item = GraphId> + 's {
+        set.0.iter().enumerate().flat_map(move |(w, &word)| {
+            (0..64)
+                .filter(move |b| word >> b & 1 == 1)
+                .map(move |b| self.universe[w * 64 + b])
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,6 +304,52 @@ mod tests {
             .map(|(l, s)| (l, s.support.clone()))
             .collect();
         assert_eq!(lhs, rhs);
+    }
+
+    #[test]
+    fn bounds_count_label_multiplicity() {
+        // G1: C-O-C (two C-O); G2: C-O-N; G3: C-O; G4: S alone, no edge.
+        let g1 = path(&[0, 1, 0]);
+        let g2 = path(&[0, 1, 2]);
+        let g3 = path(&[0, 1]);
+        let cat = EdgeCatalog::build([(gid(1), &g1), (gid(2), &g2), (gid(3), &g3)]);
+        let mut bounds = Bounds::new(&cat, vec![gid(1), gid(2), gid(3), gid(4)]);
+        let mut bound = |tree: LabeledGraph| {
+            let set = bounds.of(&tree);
+            let ids: Vec<GraphId> = bounds.ids(&set).collect();
+            assert_eq!(set.len(), ids.len());
+            assert!(ids.iter().all(|&id| bounds.contains(&set, id)));
+            ids
+        };
+        assert_eq!(bound(path(&[3])), vec![gid(1), gid(2), gid(3), gid(4)]);
+        assert_eq!(bound(path(&[0, 1])), vec![gid(1), gid(2), gid(3)]);
+        assert_eq!(bound(path(&[1, 0, 1])), vec![gid(1)]);
+        assert_eq!(bound(path(&[0, 1, 2])), vec![gid(2)]);
+        assert_eq!(bound(path(&[0, 1, 0, 1])), vec![]);
+        assert_eq!(bound(path(&[5, 6])), vec![]);
+    }
+
+    #[test]
+    fn bounds_span_several_words() {
+        // 130 graphs: the bitset needs three words, the last one partial.
+        let graphs: Vec<LabeledGraph> = (0..130)
+            .map(|i| {
+                if i % 2 == 0 {
+                    path(&[0, 1])
+                } else {
+                    path(&[0, 2])
+                }
+            })
+            .collect();
+        let cat = EdgeCatalog::build(graphs.iter().enumerate().map(|(i, g)| (gid(i as u64), g)));
+        let mut bounds = Bounds::new(&cat, (0..130).map(gid).collect());
+        let co = bounds.of(&path(&[0, 1]));
+        assert_eq!(co.len(), 65);
+        assert_eq!(bounds.of(&path(&[0])).len(), 130);
+        let ids: Vec<GraphId> = bounds.ids(&co).collect();
+        assert_eq!(ids, (0..130).step_by(2).map(gid).collect::<Vec<_>>());
+        assert!(!bounds.contains(&co, gid(129)) && bounds.contains(&co, gid(128)));
+        assert!(!bounds.contains(&co, gid(500)));
     }
 
     #[test]

@@ -7,20 +7,33 @@
 //!
 //! 1. `Δ⁻`: remove deleted ids from every support set (Prop. 4.1 — a CT's
 //!    identity does not change, only counts) and from the edge catalog.
-//! 2. `Δ⁺`: extend tracked supports by testing only the inserted graphs;
-//!    mine the inserted graphs alone at the relaxed threshold (the
-//!    `F_{Δ⁺}` of §4.2) and, for trees newly seen, complete their support
-//!    against the pre-existing graphs (Corollary 4.3's case 2/3).
-//! 3. Prune below the relaxed threshold and re-derive closed flags.
+//! 2. `Δ⁺`: add the inserted graphs to the edge catalog, then
+//!    * 2a: extend tracked supports by testing only the inserted graphs;
+//!    * mine the inserted graphs alone at the relaxed threshold (the
+//!      `F_{Δ⁺}` of §4.2);
+//!    * 2b: for trees newly seen, complete their support against the
+//!      pre-existing graphs (Corollary 4.3's case 2/3).
+//!
+//!    Both the mining and 2b are bounded by the catalog. A tree's *bound*
+//!    is the set of graphs that have, for each of its edge labels, at
+//!    least as many edges with that label as the tree; it contains the
+//!    tree's support. Let `gneed` be step 3's pruning count over the
+//!    post-batch database. The mining drops a tree whose bound is below
+//!    `gneed`, with all its extensions (their bounds are subsets), and
+//!    tests containment only inside the bound; 2b scans only the bound's
+//!    pre-existing graphs.
+//! 3. Prune below the relaxed threshold (`gneed`) and re-derive closed
+//!    flags. Every tree the bound cut in step 2 has support below `gneed`,
+//!    so it would be pruned here: the cut leaves the result unchanged.
 //!
 //! If a deletion batch removes more than half the database, the relaxed
 //! threshold can no longer guarantee completeness (the premise behind
 //! Lemma 4.5), so the state falls back to mining from scratch.
 
 use crate::canonical::TreeKey;
-use crate::edges::EdgeCatalog;
+use crate::edges::{min_count, Bounds, EdgeCatalog};
 use crate::lattice::{TreeEntry, TreeLattice};
-use crate::treenat::{mine_lattice, tree_in_graph, MiningConfig};
+use crate::treenat::{catalog_of, mine_lattice, mine_supports, tree_in_graph, MiningConfig};
 use midas_graph::{GraphDb, GraphId, LabeledGraph, MatchPlan};
 use std::collections::BTreeSet;
 
@@ -115,6 +128,7 @@ impl FctState {
         }
         if !inserted.is_empty() {
             // 2a: extend supports of already-tracked trees against Δ⁺ only.
+            let extend_span = midas_obs::span!("batch.fct.extend");
             for (key, entry) in self.lattice.iter_mut() {
                 let plan = MatchPlan::compile(&entry.tree);
                 for &id in inserted {
@@ -123,21 +137,25 @@ impl FctState {
                     }
                 }
             }
-            // 2b: mine F_{Δ⁺} at the relaxed threshold and merge new trees,
-            // completing their supports over the pre-existing graphs.
-            let relaxed = MiningConfig {
-                sup_min: self.relaxed_threshold(),
-                ..self.config
-            };
-            let delta_lattice = mine_lattice(db_after, inserted, &relaxed);
+            drop(extend_span);
+            // 2b: mine F_{Δ⁺} at the relaxed threshold, cut by the catalog
+            // bound at step 3's pruning count, and merge new trees,
+            // completing their supports over the pre-existing graphs of
+            // their bound.
+            let gneed = self.gneed(db_after.len());
+            let mut bounds = Bounds::new(&self.edges, db_after.ids().collect());
+            let delta_lattice = self.mine_delta(db_after, inserted, &mut bounds);
+            let _scan_span = midas_obs::span!("batch.fct.support_scan");
             let inserted_set: BTreeSet<GraphId> = inserted.iter().copied().collect();
             for (key, delta_entry) in delta_lattice.iter() {
                 if self.lattice.contains(key) {
                     continue; // support already extended in 2a
                 }
+                let bound = bounds.of(&delta_entry.tree);
+                debug_assert!(bound.len() >= gneed, "the delta mining cuts below gneed");
                 let plan = MatchPlan::compile(&delta_entry.tree);
                 let mut support = delta_entry.support.clone();
-                for id in db_after.ids() {
+                for id in bounds.ids(&bound) {
                     if !inserted_set.contains(&id) && tree_in_graph(&plan, key, db_after, id) {
                         support.insert(id);
                     }
@@ -154,8 +172,36 @@ impl FctState {
         }
 
         // Step 3: prune to the relaxed threshold and re-derive closedness.
+        let _prune_span = midas_obs::span!("batch.fct.prune");
         self.lattice
             .prune_below(self.relaxed_threshold(), db_after.len());
+    }
+
+    /// The absolute support a tree needs to stay tracked in a database of
+    /// `db_len` graphs: step 3's pruning count.
+    fn gneed(&self, db_len: usize) -> usize {
+        min_count(self.relaxed_threshold(), db_len)
+    }
+
+    /// `F_{Δ⁺}`: the trees frequent in the inserted graphs at the relaxed
+    /// threshold, with their supports within `inserted`, minus every tree
+    /// whose catalog bound over `db_after` (`bounds`, on the catalog already
+    /// updated with the batch) is below step 3's pruning count. Closed flags
+    /// are left unset.
+    fn mine_delta(
+        &self,
+        db_after: &GraphDb,
+        inserted: &[GraphId],
+        bounds: &mut Bounds<'_>,
+    ) -> TreeLattice {
+        let _span = midas_obs::span!("batch.fct.delta_mine");
+        let relaxed = MiningConfig {
+            sup_min: self.relaxed_threshold(),
+            ..self.config
+        };
+        let local = catalog_of(db_after, inserted);
+        let floor = self.gneed(db_after.len());
+        mine_supports(db_after, inserted, &relaxed, &local, bounds, floor)
     }
 }
 
@@ -270,6 +316,79 @@ mod tests {
         state.apply_batch(&db, &inserted, &[]);
         let entry = state.lattice.get(&ss).expect("S-S now tracked");
         assert_eq!(entry.support.len(), 3, "old S-S graph must be counted");
+        assert_matches_scratch(&state, &db);
+    }
+
+    /// `copies` clones of each `(labels, count)` path, as one database.
+    fn db_of(paths: &[(&[u32], usize)]) -> GraphDb {
+        GraphDb::from_graphs(
+            paths
+                .iter()
+                .flat_map(|&(labels, count)| std::iter::repeat_n(path(labels), count)),
+        )
+    }
+
+    /// Inserts `newcomer` into `db`, applies the batch to `state`, and
+    /// returns the delta lattice the batch mined.
+    fn insert_one(state: &mut FctState, db: &mut GraphDb, newcomer: LabeledGraph) -> TreeLattice {
+        let (inserted, _) = db.apply(BatchUpdate::insert_only(vec![newcomer]));
+        state.apply_batch(db, &inserted, &[]);
+        let mut bounds = Bounds::new(&state.edges, db.ids().collect());
+        state.mine_delta(db, &inserted, &mut bounds)
+    }
+
+    /// The size of `tree`'s catalog bound over `db`.
+    fn bound_len(state: &FctState, db: &GraphDb, tree: &LabeledGraph) -> usize {
+        Bounds::new(&state.edges, db.ids().collect()).of(tree).len()
+    }
+
+    #[test]
+    fn a_globally_rare_label_never_enters_the_lattice() {
+        // 8 graphs after the batch: gneed = ceil(0.25 * 8) = 2. C-S occurs
+        // only in the newcomer (support 1 = gneed - 1), so neither the edge
+        // nor any tree holding it is mined, although Δ⁺ alone (one graph)
+        // makes every one of its subtrees frequent.
+        let mut db = db_of(&[(&[0, 1], 7)]);
+        let mut state = FctState::build(&db, config());
+        let delta = insert_one(&mut state, &mut db, path(&[1, 0, 3]));
+        assert!(delta.contains(&tree_key(&path(&[0, 1]))));
+        for rare in [path(&[0, 3]), path(&[1, 0, 3])] {
+            assert!(!delta.contains(&tree_key(&rare)));
+            assert!(!state.lattice.contains(&tree_key(&rare)));
+        }
+        assert_matches_scratch(&state, &db);
+    }
+
+    #[test]
+    fn label_multiplicity_cuts_a_tree_of_frequent_labels() {
+        // 9 graphs after the batch: gneed = ceil(0.25 * 9) = 3. C-O is in
+        // all of them, but only 2 (= gneed - 1) hold two C-O edges, so
+        // O-C-O is cut although each of its labels is frequent.
+        let mut db = db_of(&[(&[0, 1], 7), (&[1, 0, 1], 1)]);
+        let mut state = FctState::build(&db, config());
+        let delta = insert_one(&mut state, &mut db, path(&[1, 0, 1]));
+        let oco = tree_key(&path(&[1, 0, 1]));
+        assert_eq!(bound_len(&state, &db, &path(&[1, 0, 1])), 2);
+        assert!(delta.contains(&tree_key(&path(&[0, 1]))));
+        assert!(!delta.contains(&oco));
+        assert!(!state.lattice.contains(&oco));
+        assert_matches_scratch(&state, &db);
+    }
+
+    #[test]
+    fn a_tree_whose_bound_equals_gneed_is_kept() {
+        // 8 graphs after the batch: gneed = 2, and exactly 2 graphs hold two
+        // N-N edges. N-N-N was untracked (1 of 7, below ceil(0.25 * 7) =
+        // 2); the batch must surface it with the old graph's support found
+        // inside its bound.
+        let mut db = db_of(&[(&[0, 1], 6), (&[2, 2, 2], 1)]);
+        let mut state = FctState::build(&db, config());
+        let nnn = tree_key(&path(&[2, 2, 2]));
+        assert!(!state.lattice.contains(&nnn));
+        let delta = insert_one(&mut state, &mut db, path(&[2, 2, 2]));
+        assert_eq!(bound_len(&state, &db, &path(&[2, 2, 2])), 2);
+        assert!(delta.contains(&nnn));
+        assert_eq!(state.lattice.get(&nnn).expect("kept").support.len(), 2);
         assert_matches_scratch(&state, &db);
     }
 

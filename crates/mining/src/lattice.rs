@@ -15,6 +15,7 @@
 //! DESIGN.md §5).
 
 use crate::canonical::TreeKey;
+use crate::edges::min_count;
 use midas_graph::{Csr, GraphId, LabeledGraph, MatchPlan};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -95,10 +96,11 @@ impl TreeLattice {
     }
 
     /// Drops every tree whose absolute support falls below
-    /// `ceil(threshold * db_len)` and recomputes closed flags.
+    /// `min_count(threshold, db_len)`, the rounding every support threshold
+    /// of this crate uses, and recomputes closed flags.
     pub fn prune_below(&mut self, threshold: f64, db_len: usize) {
-        let min_count = (threshold * db_len as f64).ceil().max(1.0) as usize;
-        self.trees.retain(|_, e| e.support.len() >= min_count);
+        let need = min_count(threshold, db_len);
+        self.trees.retain(|_, e| e.support.len() >= need);
         self.recompute_closed_flags();
     }
 

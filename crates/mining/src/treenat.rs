@@ -5,12 +5,13 @@
 //! new labeled vertex to each of its vertices. Duplicate extensions are
 //! collapsed through the canonical [`TreeKey`]; supports are counted by
 //! subtree-into-graph isomorphism on the database's CSR twins, restricted
-//! to the parent's supporting graphs (anti-monotonicity). The result is a
+//! to the parent's supporting graphs (anti-monotonicity) that lie in the
+//! tree's edge-catalog bound ([`crate::edges`]). The result is a
 //! [`TreeLattice`] whose closed flags are derived from the exact support
 //! sets.
 
 use crate::canonical::{edge_tree, tree_key, TreeKey};
-use crate::edges::{min_count, EdgeCatalog};
+use crate::edges::{min_count, Bounds, EdgeCatalog, GraphSet};
 use crate::lattice::{TreeEntry, TreeLattice};
 use midas_graph::{EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchPlan, VertexId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -51,36 +52,71 @@ pub(crate) fn tree_in_graph(plan: &MatchPlan, key: &TreeKey, db: &GraphDb, id: G
 /// Mines the frequent-tree lattice of the graphs `ids` of `db` at
 /// `config.sup_min`.
 ///
-/// `ids` is any subset of the database (all of it, or just `Δ⁺` during
-/// maintenance). Closed flags are recomputed before returning.
+/// `ids` is any subset of the database. Closed flags are recomputed before
+/// returning.
 pub fn mine_lattice(db: &GraphDb, ids: &[GraphId], config: &MiningConfig) -> TreeLattice {
+    let catalog = catalog_of(db, ids);
+    let mut universe = ids.to_vec();
+    universe.sort_unstable();
+    let mut bounds = Bounds::new(&catalog, universe);
+    let need = min_count(config.sup_min, ids.len());
+    let mut lattice = mine_supports(db, ids, config, &catalog, &mut bounds, need);
+    lattice.recompute_closed_flags();
+    lattice
+}
+
+/// The edge catalog of the graphs `ids` of `db`.
+pub(crate) fn catalog_of(db: &GraphDb, ids: &[GraphId]) -> EdgeCatalog {
+    EdgeCatalog::build(ids.iter().map(|&id| {
+        let g = db
+            .get(id)
+            .expect("mined graph id must resolve in the database");
+        (id, g.as_ref())
+    }))
+}
+
+/// One mined tree: key, structure, support within the mined graphs, and
+/// catalog bound.
+type Mined = (TreeKey, LabeledGraph, BTreeSet<GraphId>, GraphSet);
+
+/// The support miner behind [`mine_lattice`]: the trees of at most
+/// `config.max_edges` edges that at least `min_count(config.sup_min,
+/// ids.len())` of the graphs `ids` contain, with their exact supports
+/// within `ids`. `local` is the edge catalog of `ids`. A tree whose bound
+/// under `bounds` holds fewer than `floor` graphs is cut before its key is
+/// built, and so is every extension of it. Closed flags are left unset.
+pub(crate) fn mine_supports(
+    db: &GraphDb,
+    ids: &[GraphId],
+    config: &MiningConfig,
+    local: &EdgeCatalog,
+    bounds: &mut Bounds<'_>,
+    floor: usize,
+) -> TreeLattice {
     let mut lattice = TreeLattice::new();
     let n = ids.len();
     if n == 0 || config.max_edges == 0 {
         return lattice;
     }
     let need = min_count(config.sup_min, n);
-    let catalog = EdgeCatalog::build(ids.iter().map(|&id| {
-        let g = db
-            .get(id)
-            .expect("mined graph id must resolve in the database");
-        (id, g.as_ref())
-    }));
 
-    // Level 1: frequent edge labels as 2-vertex trees.
-    let frequent_edges: Vec<(EdgeLabel, BTreeSet<GraphId>)> = catalog
-        .labels()
-        .filter(|(_, s)| s.support.len() >= need)
-        .map(|(l, s)| (l, s.support.clone()))
-        .collect();
-    let mut frontier: Vec<(TreeKey, LabeledGraph, BTreeSet<GraphId>)> = frequent_edges
-        .iter()
-        .map(|&(label, ref support)| {
-            let t = edge_tree(label.0, label.1);
-            (tree_key(&t), t, support.clone())
-        })
-        .collect();
-    for (key, tree, support) in &frontier {
+    // Level 1: edge labels frequent in `ids` whose bound clears the floor,
+    // as 2-vertex trees.
+    let mut frontier: Vec<Mined> = Vec::new();
+    let mut level_one: Vec<EdgeLabel> = Vec::new();
+    for (label, stats) in local.labels() {
+        if stats.support.len() < need {
+            continue;
+        }
+        let bound = bounds.row(label, 1).clone();
+        if bound.len() < floor {
+            continue;
+        }
+        let tree = edge_tree(label.0, label.1);
+        level_one.push(label);
+        frontier.push((tree_key(&tree), tree, stats.support.clone(), bound));
+    }
+    for (key, tree, support, _) in &frontier {
         lattice.insert(
             key.clone(),
             TreeEntry {
@@ -91,50 +127,64 @@ pub fn mine_lattice(db: &GraphDb, ids: &[GraphId], config: &MiningConfig) -> Tre
         );
     }
 
-    // Extension labels allowed per anchor label, derived from frequent edges
-    // (a tree extension's new edge must itself be frequent).
+    // Extension labels allowed per anchor label, derived from the level-1
+    // edges (a tree extension's new edge must itself be frequent).
     let mut extension_labels: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    for &(label, _) in &frequent_edges {
-        extension_labels.entry(label.0).or_default().push(label.1);
-        if label.0 != label.1 {
-            extension_labels.entry(label.1).or_default().push(label.0);
+    for &EdgeLabel(a, b) in &level_one {
+        extension_labels.entry(a).or_default().push(b);
+        if a != b {
+            extension_labels.entry(b).or_default().push(a);
         }
     }
 
     for _level in 2..=config.max_edges {
-        // Generate deduplicated candidates with one parent support each.
-        let mut candidates: BTreeMap<TreeKey, (LabeledGraph, BTreeSet<GraphId>)> = BTreeMap::new();
-        for (_, tree, support) in &frontier {
+        // Generate deduplicated candidates with one parent support each. An
+        // extension's bound is its parent's, met with the row of its new
+        // edge's label at the label's new multiplicity.
+        let mut candidates: BTreeMap<TreeKey, (LabeledGraph, BTreeSet<GraphId>, GraphSet)> =
+            BTreeMap::new();
+        for (_, tree, support, bound) in &frontier {
+            let labels: Vec<EdgeLabel> = tree.edge_labels().collect();
             for v in 0..tree.vertex_count() as VertexId {
                 let Some(new_labels) = extension_labels.get(&tree.label(v)) else {
                     continue;
                 };
                 for &nl in new_labels {
+                    let label = EdgeLabel::new(tree.label(v), nl);
+                    let count = labels.iter().filter(|&&l| l == label).count() as u32 + 1;
+                    let extended_bound = bound.and(bounds.row(label, count));
+                    if extended_bound.len() < floor {
+                        continue;
+                    }
                     let mut extended = tree.clone();
                     let nv = extended.add_vertex(nl);
                     extended.add_edge(v, nv);
                     let key = tree_key(&extended);
                     candidates
                         .entry(key)
-                        .and_modify(|(_, sup)| {
+                        .and_modify(|(_, sup, _)| {
                             // Intersect parent supports: the candidate's
                             // support is contained in every parent's.
                             *sup = sup.intersection(support).copied().collect();
                         })
-                        .or_insert_with(|| (extended, support.clone()));
+                        .or_insert_with(|| (extended, support.clone(), extended_bound));
                 }
             }
         }
-        // Count exact supports and keep the frequent ones.
-        let mut next: Vec<(TreeKey, LabeledGraph, BTreeSet<GraphId>)> = Vec::new();
-        for (key, (tree, parent_support)) in candidates {
-            if parent_support.len() < need {
+        // Count exact supports over the parents' graphs inside the bound,
+        // and keep the frequent trees.
+        let mut next: Vec<Mined> = Vec::new();
+        for (key, (tree, parent_support, bound)) in candidates {
+            let tests: Vec<GraphId> = parent_support
+                .into_iter()
+                .filter(|&id| bounds.contains(&bound, id))
+                .collect();
+            if tests.len() < need {
                 continue;
             }
             let plan = MatchPlan::compile(&tree);
-            let support: BTreeSet<GraphId> = parent_support
-                .iter()
-                .copied()
+            let support: BTreeSet<GraphId> = tests
+                .into_iter()
                 .filter(|&id| tree_in_graph(&plan, &key, db, id))
                 .collect();
             if support.len() >= need {
@@ -146,7 +196,7 @@ pub fn mine_lattice(db: &GraphDb, ids: &[GraphId], config: &MiningConfig) -> Tre
                         closed: false,
                     },
                 );
-                next.push((key, tree, support));
+                next.push((key, tree, support, bound));
             }
         }
         if next.is_empty() {
@@ -155,7 +205,6 @@ pub fn mine_lattice(db: &GraphDb, ids: &[GraphId], config: &MiningConfig) -> Tre
         frontier = next;
     }
 
-    lattice.recompute_closed_flags();
     lattice
 }
 

@@ -13,9 +13,11 @@
 //!    under the same [`GraphId`]).
 //! 2. **`incremental_mining`** — `FctState::apply_batch` vs re-mining the
 //!    post-batch database from scratch — tracked keys, exact supports and
-//!    frequent trees' closed flags — after every batch of a small stream
-//!    that ends in the rebuild path and of a 20-batch servebench-scale
-//!    stream (120 PubchemLike graphs, novel / deletion / growth rotation).
+//!    frequent trees' closed flags, and a tracked key set of exactly the
+//!    scratch trees tracked before the batch or frequent in its inserted
+//!    graphs — after every batch of a small stream that ends in the
+//!    rebuild path and of a 20-batch servebench-scale stream (120
+//!    PubchemLike graphs, novel / deletion / growth rotation).
 //! 3. **`graphlet_monitor`** — `GraphletMonitor` add/remove streams
 //!    (including id re-adds, bogus removes, and double removes) vs
 //!    recounting graphlets over a reference world.
@@ -99,7 +101,7 @@ use midas_graph::{
 };
 use midas_index::{FctIndex, FeatureId, IfeIndex};
 use midas_mining::incremental::FctState;
-use midas_mining::{EdgeCatalog, MiningConfig, TreeKey};
+use midas_mining::{mine_lattice, EdgeCatalog, MiningConfig, TreeKey};
 use midas_obs::json;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -383,8 +385,13 @@ impl Oracle {
     ///
     /// Two batch streams, each compared after every batch against
     /// `FctState::build` on the post-batch database: every tracked tree's
-    /// key and exact support, and every frequent tree's closed flag (see
-    /// `lattice_divergence`):
+    /// key and exact support, every frequent tree's closed flag, and the
+    /// tracked key set, which must hold exactly the scratch trees that were
+    /// tracked before the batch or are frequent in its inserted graphs at
+    /// the relaxed threshold (all of them after a rebuild; see
+    /// `lattice_divergence`). The last part pins the catalog-bound cut: a
+    /// cut one too high drops trees that clear the relaxed threshold
+    /// exactly.
     ///
     /// * a small AidsLike world whose last batch deletes two thirds of the
     ///   database, forcing the rebuild path;
@@ -1498,6 +1505,9 @@ fn replay_mining(
             .iter()
             .filter_map(|&id| db.get(id).map(|g| (id, Arc::clone(g))))
             .collect();
+        let tracked_before: BTreeSet<TreeKey> =
+            state.lattice.iter().map(|(k, _)| k.clone()).collect();
+        let old_len = db.len();
         let (inserted, _) = db.apply(update);
         let deleted_refs: Vec<(GraphId, &LabeledGraph)> = deleted_pre
             .iter()
@@ -1505,8 +1515,19 @@ fn replay_mining(
             .collect();
         state.apply_batch(&db, &inserted, &deleted_refs);
 
+        // Without the rebuild, maintenance tracks exactly the trees that
+        // were tracked before or are frequent in Δ⁺ at the relaxed
+        // threshold, and that clear it over the post-batch database.
+        let rebuilt = deleted_pre.len() * 2 > old_len;
+        let relaxed = MiningConfig {
+            sup_min: state.relaxed_threshold(),
+            ..config
+        };
+        let delta = mine_lattice(&db, &inserted, &relaxed);
+        let maintained =
+            |key: &TreeKey| rebuilt || tracked_before.contains(key) || delta.contains(key);
         let scratch = FctState::build(&db, config);
-        if let Some(diff) = lattice_divergence(&state, &scratch, db.len()) {
+        if let Some(diff) = lattice_divergence(&state, &scratch, db.len(), &maintained) {
             out.push(Divergence {
                 check: "incremental_mining",
                 case: format!("{world} step {step} (db of {} graphs)", db.len()),
@@ -1522,17 +1543,32 @@ fn replay_mining(
 /// How an incrementally maintained lattice departs from a from-scratch
 /// build of the same database, or `None` when it keeps every guarantee
 /// maintenance gives: each tracked tree carries its exact support set,
-/// and each tree frequent at `sup_min` is tracked (Lemma 4.5) with the
-/// same closed flag. A scratch tree below `sup_min` may be missing: a
+/// each tree frequent at `sup_min` is tracked (Lemma 4.5) with the same
+/// closed flag, and the tracked trees are exactly the scratch trees that
+/// `maintained` names. A scratch tree below `sup_min` may be missing: a
 /// deletion can lift an untracked tree over the relaxed threshold without
 /// anything re-mining it.
-fn lattice_divergence(state: &FctState, scratch: &FctState, db_len: usize) -> Option<String> {
+fn lattice_divergence(
+    state: &FctState,
+    scratch: &FctState,
+    db_len: usize,
+    maintained: &dyn Fn(&TreeKey) -> bool,
+) -> Option<String> {
     let (mut extra, mut drifted, mut missing, mut flipped) = (0, 0, 0, 0);
+    let (mut unmaintained, mut dropped) = (0, 0);
     for (key, entry) in state.lattice.iter() {
         match scratch.lattice.get(key) {
             None => extra += 1,
             Some(want) if want.support != entry.support => drifted += 1,
             Some(_) => {}
+        }
+        if !maintained(key) {
+            unmaintained += 1;
+        }
+    }
+    for (key, _) in scratch.lattice.iter() {
+        if maintained(key) && !state.lattice.contains(key) {
+            dropped += 1;
         }
     }
     for (key, want) in scratch.frequent_trees(db_len) {
@@ -1542,11 +1578,13 @@ fn lattice_divergence(state: &FctState, scratch: &FctState, db_len: usize) -> Op
             Some(_) => {}
         }
     }
-    (extra + drifted + missing + flipped > 0).then(|| {
+    (extra + drifted + missing + flipped + unmaintained + dropped > 0).then(|| {
         format!(
             "{} tracked trees: {extra} not tracked from scratch, {drifted} with drifted \
              support, {missing} frequent ones missing, {flipped} frequent ones with a \
-             flipped closed flag",
+             flipped closed flag, {unmaintained} neither tracked before nor frequent in \
+             the inserted graphs, {dropped} tracked before or frequent in the inserted \
+             graphs but dropped",
             state.lattice.len()
         )
     })

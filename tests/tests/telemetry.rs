@@ -98,6 +98,35 @@ fn swap_child_spans_nest_inside_batch_swap() {
 }
 
 #[test]
+fn fct_child_spans_nest_inside_batch_fct() {
+    let _g = exclusive();
+    let mut cfg = test_config(7);
+    cfg.telemetry.enabled = true;
+    let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    let report = midas.apply_batch(BatchUpdate::insert_only(dense_wave()));
+    TelemetryConfig::default().activate();
+
+    // One span per step of an inserting batch, all inside `batch.fct`.
+    const STEPS: &[&str] = &[
+        "batch.fct.extend",
+        "batch.fct.delta_mine",
+        "batch.fct.support_scan",
+        "batch.fct.prune",
+    ];
+    let telemetry = &report.telemetry;
+    assert_eq!(telemetry.span("batch.fct").count, 1);
+    for step in STEPS {
+        assert_eq!(telemetry.span(step).count, 1, "span {step}");
+    }
+    let children = telemetry.span_total(STEPS);
+    let fct = telemetry.span_total(&["batch.fct"]);
+    assert!(
+        children <= fct,
+        "fct steps {children:?} exceed batch.fct {fct:?}"
+    );
+}
+
+#[test]
 fn metrics_snapshot_exports_valid_json() {
     let _g = exclusive();
     let mut cfg = test_config(11);
