@@ -104,6 +104,17 @@ fn bench_mccs(c: &mut Criterion) {
             ))
         })
     });
+    // The same search on the reference twin: the per-search ratio of the
+    // bitset node state.
+    c.bench_function("mccs/reference_budget2k", |b| {
+        b.iter(|| {
+            black_box(midas_graph::mccs::reference_mccs_edges(
+                black_box(&graphs[0]),
+                black_box(&graphs[1]),
+                2_000,
+            ))
+        })
+    });
 }
 
 fn bench_canonical(c: &mut Criterion) {

@@ -83,14 +83,19 @@ impl MccsMemo {
         });
     }
 
-    /// `ω_MCCS(seed, member)`, searched on the first request only.
+    /// `ω_MCCS(seed, member)`, searched on the first request only. Each
+    /// search's wall time is one `cluster.mccs_ns` sample.
     fn score(&mut self, seed: (GraphId, &LabeledGraph), member: (GraphId, &LabeledGraph)) -> f64 {
         let row = self.by_seed.entry(seed.0).or_default();
         if let Some(&score) = row.get(&member.0) {
             self.hits += 1;
             return score;
         }
+        let start = midas_obs::enabled().then(std::time::Instant::now);
         let score = mccs_similarity(seed.1, member.1, self.budget);
+        if let Some(start) = start {
+            midas_obs::histogram_record!("cluster.mccs_ns", start.elapsed().as_nanos() as u64);
+        }
         row.insert(member.0, score);
         self.computed += 1;
         score

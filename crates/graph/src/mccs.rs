@@ -7,6 +7,46 @@
 //! molecule-sized graphs, and when the budget trips we return the best
 //! connected common subgraph found so far (a lower bound, which biases
 //! `ω_MCCS` conservatively; see DESIGN.md §5).
+//!
+//! # The search tree is the contract
+//!
+//! A capped search returns the best subgraph among the nodes it visited,
+//! so its answer depends on which nodes it visits and in what order.
+//! [`mccs_edges`] visits exactly the nodes of [`reference_mccs_edges`] in
+//! the same order and charges one budget unit per node entered: after
+//! the bound, it branches on the unmapped G1 vertices `u` in ascending
+//! id (after the seed only those with a mapped neighbour), and for each
+//! on its G2 images `v` in ascending id, skipping after the seed every
+//! pair that adds no matched edge. So both return the same `edges` and
+//! `exact` for every pair and budget, capped or not; a proptest and
+//! oracle check 11 (`mccs_vs_reference`) pin this. A different search,
+//! such as McSplit's label-class bound, would change capped scores, and
+//! with them the fine clusters and the pattern sets.
+//!
+//! # What a node costs
+//!
+//! The reference rescans every G1 edge for the bound, `map1` for "is
+//! anything mapped", each vertex's neighbours for the frontier test and
+//! all of G2 per frontier vertex, and counts each gain with binary
+//! searches. [`mccs_edges`] instead keeps state that mapping and
+//! unmapping a pair update:
+//!
+//! * `decided`, the G1 edges with both endpoints mapped, so the bound is
+//!   `matched + |E₁| − decided`;
+//! * `depth`, the number of mapped vertices (depth 0 is the seed level);
+//! * per G1 vertex, how many of its neighbours are mapped and a bitset
+//!   row of those neighbours' G2 images;
+//! * the frontier, a row of the unmapped G1 vertices whose count is
+//!   `> 0`, iterated in ascending bit order;
+//!
+//! and, built once per search, G2 adjacency rows and one row per G1
+//! vertex of the G2 vertices with its label. A frontier vertex `u`'s
+//! images are then `(⋃ adj₂[img]) & label[u] & free₂` over the images in
+//! its row, iterated in ascending bit order — the reference's ascending
+//! `v`, minus the pairs it skips for zero gain — and the gain of `u ↦ v`
+//! is `popcount(img_nbrs[u] & adj₂[v])`. A row is one `u64` when G2 has
+//! at most 64 vertices (every generated molecule) and `⌈|V₂| / 64⌉`
+//! words beyond; one search body serves both widths.
 
 use crate::graph::{LabeledGraph, VertexId};
 
@@ -19,7 +59,261 @@ pub struct MccsResult {
     pub exact: bool,
 }
 
-struct Search<'a> {
+/// Words per bitset row. The search is monomorphised once per width, so
+/// the one-word rows compile their word loops away.
+trait Width: Copy {
+    fn words(self) -> usize;
+}
+
+/// Rows of one word: G2 has at most 64 vertices.
+#[derive(Clone, Copy)]
+struct OneWord;
+
+impl Width for OneWord {
+    #[inline(always)]
+    fn words(self) -> usize {
+        1
+    }
+}
+
+/// Rows of `.0` words.
+#[derive(Clone, Copy)]
+struct Words(usize);
+
+impl Width for Words {
+    #[inline(always)]
+    fn words(self) -> usize {
+        self.0
+    }
+}
+
+/// Search state; every bitset field is a run of rows of `width` words,
+/// row `i` at `[i * w, (i + 1) * w)`, bit `v` naming vertex `v` of G2, or
+/// of G1 in `all1` and `frontier1` (`|V₁| ≤ |V₂|`, so G1 fits the width).
+struct Search<'a, W: Width> {
+    g1: &'a LabeledGraph,
+    width: W,
+    /// Row per G2 vertex: its neighbours.
+    adj2: Vec<u64>,
+    /// Row per G1 vertex: the G2 vertices with its label.
+    label2: Vec<u64>,
+    /// Row per G1 vertex: the G2 images of its mapped neighbours.
+    img_nbrs: Vec<u64>,
+    /// Per G1 vertex: how many of its neighbours are mapped.
+    mapped_nbrs: Vec<u32>,
+    /// Per G1 vertex: whether it is mapped.
+    mapped1: Vec<bool>,
+    /// One row: every G1 vertex, the branch set of the seed.
+    all1: Vec<u64>,
+    /// One row: the unmapped G1 vertices with a mapped neighbour.
+    frontier1: Vec<u64>,
+    /// One row: the G2 vertices not yet an image.
+    free2: Vec<u64>,
+    /// Row per depth: the images of the vertex that depth branches on.
+    cand: Vec<u64>,
+    depth: usize,
+    /// G1 edges with both endpoints mapped (matched or lost).
+    decided: usize,
+    matched: usize,
+    best: usize,
+    budget: u64,
+    exhausted: bool,
+}
+
+impl<W: Width> Search<'_, W> {
+    /// The reference's node, with the same bound, branch order and budget
+    /// accounting (see the module docs).
+    fn run(&mut self) {
+        if self.budget == 0 {
+            self.exhausted = true;
+            return;
+        }
+        self.budget -= 1;
+        self.best = self.best.max(self.matched);
+        if self.matched + self.g1.edge_count() - self.decided <= self.best {
+            return;
+        }
+        let w = self.width.words();
+        let at = self.depth * w;
+        for uword in 0..w {
+            let mut us = if self.depth == 0 {
+                self.all1[uword]
+            } else {
+                self.frontier1[uword]
+            };
+            while us != 0 {
+                let u = uword * 64 + us.trailing_zeros() as usize;
+                us &= us - 1;
+                self.candidates(u, at);
+                for word in 0..w {
+                    let mut vs = self.cand[at + word];
+                    while vs != 0 {
+                        let v = word * 64 + vs.trailing_zeros() as usize;
+                        vs &= vs - 1;
+                        let gain = self.gain(u, v);
+                        self.map(u, v, gain);
+                        self.run();
+                        self.unmap(u, v, gain);
+                        if self.exhausted {
+                            return;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Writes `u`'s images at this node into the candidate row at `at`:
+    /// every free G2 vertex with `u`'s label for the seed, and after it
+    /// only those adjacent to an image of a mapped neighbour of `u`.
+    fn candidates(&mut self, u: usize, at: usize) {
+        let w = self.width.words();
+        let row = u * w;
+        if self.depth == 0 {
+            for i in 0..w {
+                self.cand[at + i] = self.label2[row + i] & self.free2[i];
+            }
+            return;
+        }
+        for i in 0..w {
+            let mut reach = 0;
+            for word in 0..w {
+                let mut imgs = self.img_nbrs[row + word];
+                while imgs != 0 {
+                    let img = word * 64 + imgs.trailing_zeros() as usize;
+                    imgs &= imgs - 1;
+                    reach |= self.adj2[img * w + i];
+                }
+            }
+            self.cand[at + i] = reach & self.label2[row + i] & self.free2[i];
+        }
+    }
+
+    /// Matched edges that mapping `u ↦ v` adds.
+    fn gain(&self, u: usize, v: usize) -> usize {
+        let w = self.width.words();
+        (0..w)
+            .map(|i| (self.img_nbrs[u * w + i] & self.adj2[v * w + i]).count_ones() as usize)
+            .sum()
+    }
+
+    fn map(&mut self, u: usize, v: usize, gain: usize) {
+        let w = self.width.words();
+        let (word, bit) = (v / 64, 1u64 << (v % 64));
+        self.mapped1[u] = true;
+        self.frontier1[u / 64] &= !(1 << (u % 64));
+        self.free2[word] &= !bit;
+        self.decided += self.mapped_nbrs[u] as usize;
+        self.matched += gain;
+        self.depth += 1;
+        for &x in self.g1.neighbors(u as VertexId) {
+            let x = x as usize;
+            self.mapped_nbrs[x] += 1;
+            self.img_nbrs[x * w + word] |= bit;
+            if !self.mapped1[x] {
+                self.frontier1[x / 64] |= 1 << (x % 64);
+            }
+        }
+    }
+
+    fn unmap(&mut self, u: usize, v: usize, gain: usize) {
+        let w = self.width.words();
+        let (word, bit) = (v / 64, 1u64 << (v % 64));
+        for &x in self.g1.neighbors(u as VertexId) {
+            let x = x as usize;
+            self.mapped_nbrs[x] -= 1;
+            self.img_nbrs[x * w + word] &= !bit;
+            if self.mapped_nbrs[x] == 0 {
+                self.frontier1[x / 64] &= !(1 << (x % 64));
+            }
+        }
+        self.depth -= 1;
+        self.matched -= gain;
+        self.decided -= self.mapped_nbrs[u] as usize;
+        self.free2[word] |= bit;
+        self.mapped1[u] = false;
+        if self.mapped_nbrs[u] > 0 {
+            self.frontier1[u / 64] |= 1 << (u % 64);
+        }
+    }
+}
+
+/// Runs the search of `g1` into `g2` on rows of `width` words.
+fn search<W: Width>(g1: &LabeledGraph, g2: &LabeledGraph, budget: u64, width: W) -> MccsResult {
+    let w = width.words();
+    let (n1, n2) = (g1.vertex_count(), g2.vertex_count());
+    let set = |rows: &mut [u64], row: usize, v: usize| rows[row * w + v / 64] |= 1 << (v % 64);
+    let mut adj2 = vec![0; n2 * w];
+    for &(x, y) in g2.edges() {
+        set(&mut adj2, x as usize, y as usize);
+        set(&mut adj2, y as usize, x as usize);
+    }
+    let mut label2 = vec![0; n1 * w];
+    for u in 0..n1 {
+        for v in 0..n2 {
+            if g2.label(v as VertexId) == g1.label(u as VertexId) {
+                set(&mut label2, u, v);
+            }
+        }
+    }
+    let (mut all1, mut free2) = (vec![0; w], vec![0; w]);
+    for u in 0..n1 {
+        set(&mut all1, 0, u);
+    }
+    for v in 0..n2 {
+        set(&mut free2, 0, v);
+    }
+    let mut search = Search {
+        g1,
+        width,
+        adj2,
+        label2,
+        img_nbrs: vec![0; n1 * w],
+        mapped_nbrs: vec![0; n1],
+        mapped1: vec![false; n1],
+        all1,
+        frontier1: vec![0; w],
+        free2,
+        cand: vec![0; (n1 + 1) * w],
+        depth: 0,
+        decided: 0,
+        matched: 0,
+        best: 0,
+        budget,
+        exhausted: false,
+    };
+    search.run();
+    MccsResult {
+        edges: search.best,
+        exact: !search.exhausted,
+    }
+}
+
+/// Computes (a lower bound of) the MCCS edge count between `a` and `b`.
+///
+/// `budget` caps branch-and-bound node expansions; `exact` in the result
+/// tells whether the search completed. Equal to [`reference_mccs_edges`]
+/// for every input and budget.
+pub fn mccs_edges(a: &LabeledGraph, b: &LabeledGraph, budget: u64) -> MccsResult {
+    if a.edge_count() == 0 || b.edge_count() == 0 {
+        return MccsResult {
+            edges: 0,
+            exact: true,
+        };
+    }
+    // Search from the smaller-vertex-count side for a smaller branching tree.
+    let (g1, g2) = if a.vertex_count() <= b.vertex_count() {
+        (a, b)
+    } else {
+        (b, a)
+    };
+    match g2.vertex_count() {
+        0..=64 => search(g1, g2, budget, OneWord),
+        n2 => search(g1, g2, budget, Words(n2.div_ceil(64))),
+    }
+}
+
+struct ReferenceSearch<'a> {
     g1: &'a LabeledGraph,
     g2: &'a LabeledGraph,
     map1: Vec<u32>,
@@ -32,7 +326,7 @@ struct Search<'a> {
 
 const UNMAPPED: u32 = u32::MAX;
 
-impl Search<'_> {
+impl ReferenceSearch<'_> {
     /// Upper bound on the total matched edges attainable from this state:
     /// currently matched edges plus every G1 edge with at least one
     /// unmapped endpoint (edges with both endpoints mapped are decided —
@@ -110,11 +404,10 @@ impl Search<'_> {
     }
 }
 
-/// Computes (a lower bound of) the MCCS edge count between `a` and `b`.
-///
-/// `budget` caps branch-and-bound node expansions; `exact` in the result
-/// tells whether the search completed.
-pub fn mccs_edges(a: &LabeledGraph, b: &LabeledGraph, budget: u64) -> MccsResult {
+/// The reference twin of [`mccs_edges`]: the same search tree, with every
+/// node rescanning the graphs for its bound, frontier, candidates and
+/// gains. Only the differential oracle, the tests and the benches run it.
+pub fn reference_mccs_edges(a: &LabeledGraph, b: &LabeledGraph, budget: u64) -> MccsResult {
     if a.edge_count() == 0 || b.edge_count() == 0 {
         return MccsResult {
             edges: 0,
@@ -127,7 +420,7 @@ pub fn mccs_edges(a: &LabeledGraph, b: &LabeledGraph, budget: u64) -> MccsResult
     } else {
         (b, a)
     };
-    let mut search = Search {
+    let mut search = ReferenceSearch {
         g1,
         g2,
         map1: vec![UNMAPPED; g1.vertex_count()],
@@ -286,6 +579,28 @@ mod tests {
         assert!(ab.exact && ba.exact);
         assert_eq!(ab.edges, 3, "C-C-N-C path is common");
         assert_eq!(ba.edges, 3);
+    }
+
+    #[test]
+    fn wide_rows_match_the_reference() {
+        // 130 and 150 vertices: two- and three-word rows, capped and not.
+        let ring = |n: u32, labels: u32| {
+            let mut g = path(&(0..n).map(|i| i % labels).collect::<Vec<_>>());
+            g.add_edge(0, n - 1);
+            g.add_edge(0, n / 2);
+            g
+        };
+        let (a, b) = (ring(130, 3), ring(150, 2));
+        let small = path(&[0, 1, 0, 1, 0]);
+        for (x, y) in [(&a, &b), (&b, &a), (&small, &b), (&a, &a)] {
+            for budget in [0, 1, 7, 300] {
+                assert_eq!(
+                    mccs_edges(x, y, budget),
+                    reference_mccs_edges(x, y, budget),
+                    "budget {budget}"
+                );
+            }
+        }
     }
 
     #[test]

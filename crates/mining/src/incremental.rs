@@ -7,6 +7,7 @@
 //!
 //! 1. `Δ⁻`: remove deleted ids from every support set (Prop. 4.1 — a CT's
 //!    identity does not change, only counts) and from the edge catalog.
+//!    Closed flags are left stale: step 3 derives them once.
 //! 2. `Δ⁺`: add the inserted graphs to the edge catalog, then
 //!    * 2a: extend tracked supports by testing only the inserted graphs;
 //!    * mine the inserted graphs alone at the relaxed threshold (the
@@ -115,7 +116,7 @@ impl FctState {
         }
         let deleted_ids: BTreeSet<GraphId> = deleted.iter().map(|&(id, _)| id).collect();
         if !deleted_ids.is_empty() {
-            self.lattice.remove_graphs(&deleted_ids);
+            self.lattice.remove_supports(&deleted_ids);
         }
 
         // Step 2: insertions (CTMiningAdd analogue). Every containment

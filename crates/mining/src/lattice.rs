@@ -173,13 +173,20 @@ impl TreeLattice {
     /// Removes `ids` from every support set, drops empty-support trees, and
     /// refreshes closed flags. This is the `Δ⁻` half of maintenance.
     pub fn remove_graphs(&mut self, ids: &BTreeSet<GraphId>) {
+        self.remove_supports(ids);
+        self.recompute_closed_flags();
+    }
+
+    /// [`TreeLattice::remove_graphs`] without the closed-flag pass, for a
+    /// caller that recomputes the flags itself before reading them
+    /// (`FctState::apply_batch` prunes, and so recomputes, last).
+    pub(crate) fn remove_supports(&mut self, ids: &BTreeSet<GraphId>) {
         for entry in self.trees.values_mut() {
             for id in ids {
                 entry.support.remove(id);
             }
         }
         self.trees.retain(|_, e| !e.support.is_empty());
-        self.recompute_closed_flags();
     }
 }
 

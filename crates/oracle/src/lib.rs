@@ -4,7 +4,7 @@
 //! in the workspace is cross-checked against its slow reference twin on a
 //! seeded, fully reproducible world from `midas-datagen`.
 //!
-//! The ten checks ([`Oracle::run_all`]):
+//! The eleven checks ([`Oracle::run_all`]):
 //!
 //! 1. **`kernel_vs_serial`** — [`MatchKernel`] / `EmbeddingCache` counts
 //!    and containment vs the serial VF2 walkers
@@ -55,6 +55,11 @@
 //!     [`IfeIndex::build`]) over the post-batch database: feature keys, TG
 //!     cells keyed by tree key, tracked labels and EG cells must be
 //!     identical after every batch.
+//! 11. **`mccs_vs_reference`** — the bitset MCCS search
+//!     ([`mccs_edges`]) vs its reference twin ([`reference_mccs_edges`])
+//!     on PubchemLike and AidsLike pairs from the seed at budgets 50,
+//!     300, 2000 and 20000: `edges` and `exact` must be equal, and enough
+//!     of the cases must be capped that the visit order is under test.
 //!
 //! Divergences are reported as structured JSON (reusing `midas_obs::json`)
 //! with the offending graph pair **minimized** by greedy vertex removal
@@ -94,7 +99,7 @@ use midas_graph::exec::{set_fault_for_tests, Fault};
 use midas_graph::ged::{ged_exact, ged_label_lower_bound, ged_tight_lower_bound};
 use midas_graph::graphlets::{count_graphlets, GraphletCounts};
 use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
-use midas_graph::mccs::mccs_similarity;
+use midas_graph::mccs::{mccs_edges, mccs_similarity, reference_mccs_edges};
 use midas_graph::plan::{count_embeddings_plan, find_embeddings_plan, is_subgraph_plan};
 use midas_graph::{
     BatchUpdate, Csr, EdgeLabel, GraphBuilder, GraphDb, GraphId, LabeledGraph, MatchKernel,
@@ -271,7 +276,7 @@ where
     }
 }
 
-/// The differential oracle: a seeded world plus the ten checks.
+/// The differential oracle: a seeded world plus the eleven checks.
 pub struct Oracle {
     seed: u64,
 }
@@ -292,7 +297,7 @@ impl Oracle {
             checks: Vec::new(),
             divergences: Vec::new(),
         };
-        let checks: [(&'static str, CheckFn); 10] = [
+        let checks: [(&'static str, CheckFn); 11] = [
             ("kernel_vs_serial", Oracle::check_kernel_vs_serial),
             ("incremental_mining", Oracle::check_incremental_mining),
             ("graphlet_monitor", Oracle::check_monitor),
@@ -303,6 +308,7 @@ impl Oracle {
             ("fine_cluster_memo", Oracle::check_fine_cluster_memo),
             ("swap_score_cache", Oracle::check_swap_score_cache),
             ("index_maintenance", Oracle::check_index_maintenance),
+            ("mccs_vs_reference", Oracle::check_mccs_vs_reference),
         ];
         for (name, check) in checks {
             let cases = check(self, &mut report.divergences);
@@ -1137,6 +1143,59 @@ impl Oracle {
                 "no memo hit",
                 None,
             ));
+        }
+        cases
+    }
+
+    /// Check 11: the bitset MCCS search against its reference twin.
+    ///
+    /// Consecutive pairs of a seeded PubchemLike and AidsLike database (the
+    /// molecule shapes servebench and check 8 split), searched in both
+    /// argument orders at every budget. A capped result depends on the
+    /// visit order, so the check also fails when fewer than
+    /// `MIN_CAPPED` cases hit their budget.
+    fn check_mccs_vs_reference(&self, out: &mut Vec<Divergence>) -> usize {
+        const BUDGETS: [u64; 4] = [50, 300, 2_000, 20_000];
+        const MIN_CAPPED: usize = 40;
+        let (mut cases, mut capped) = (0, 0);
+        for (kind, salt) in [
+            (DatasetKind::PubchemLike, 0xB0),
+            (DatasetKind::AidsLike, 0xB1),
+        ] {
+            let db = DatasetSpec::new(kind, 10, self.seed ^ salt).generate().db;
+            let graphs: Vec<&LabeledGraph> = db.iter().map(|(_, g)| g.as_ref()).collect();
+            for (i, pair) in graphs.windows(2).enumerate() {
+                for (a, b) in [(pair[0], pair[1]), (pair[1], pair[0])] {
+                    for budget in BUDGETS {
+                        cases += 1;
+                        let want = reference_mccs_edges(a, b, budget);
+                        let got = mccs_edges(a, b, budget);
+                        capped += usize::from(!want.exact);
+                        if got != want {
+                            let violates = |a: &LabeledGraph, b: &LabeledGraph| {
+                                mccs_edges(a, b, budget) != reference_mccs_edges(a, b, budget)
+                            };
+                            out.push(Divergence {
+                                check: "mccs_vs_reference",
+                                case: format!("{kind:?} pair {i}, budget {budget}"),
+                                expected: format!("{want:?}"),
+                                actual: format!("{got:?}"),
+                                witness: Some(minimize_pair(a, b, violates)),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        cases += 1;
+        if capped < MIN_CAPPED {
+            out.push(Divergence {
+                check: "mccs_vs_reference",
+                case: "coverage".into(),
+                expected: format!("at least {MIN_CAPPED} capped cases"),
+                actual: format!("{capped} capped"),
+                witness: None,
+            });
         }
         cases
     }

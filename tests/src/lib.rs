@@ -70,7 +70,17 @@ pub fn connected_graph_strategy(
     max_vertices: usize,
     max_label: u32,
 ) -> impl Strategy<Value = LabeledGraph> {
-    (2..=max_vertices)
+    connected_graph_sized(2, max_vertices, max_label)
+}
+
+/// [`connected_graph_strategy`] with `min_vertices..=max_vertices`
+/// vertices (`min_vertices ≥ 1`).
+pub fn connected_graph_sized(
+    min_vertices: usize,
+    max_vertices: usize,
+    max_label: u32,
+) -> impl Strategy<Value = LabeledGraph> {
+    (min_vertices..=max_vertices)
         .prop_flat_map(move |n| {
             let labels = proptest::collection::vec(0..max_label, n);
             let extra_edges = proptest::collection::vec((0..n, 0..n), 0..=n);

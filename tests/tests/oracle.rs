@@ -12,8 +12,8 @@ fn full_oracle_run_is_clean_on_the_ci_seed() {
         "oracle divergences: {}",
         report.to_json()
     );
-    // All ten checks ran and actually compared something.
-    assert_eq!(report.checks.len(), 10);
+    // All eleven checks ran and actually compared something.
+    assert_eq!(report.checks.len(), 11);
     for check in &report.checks {
         assert!(check.cases > 0, "check {} ran zero cases", check.name);
     }
@@ -31,6 +31,7 @@ fn full_oracle_run_is_clean_on_the_ci_seed() {
             "fine_cluster_memo",
             "swap_score_cache",
             "index_maintenance",
+            "mccs_vs_reference",
         ]
     );
 }

@@ -5,8 +5,11 @@ use midas_graph::canonical::{are_isomorphic, canonical_code};
 use midas_graph::ged::{ged_exact, ged_label_lower_bound, ged_tight_lower_bound};
 use midas_graph::graphlets::{count_graphlets, count_graphlets_brute_force};
 use midas_graph::isomorphism::{count_embeddings, count_embeddings_brute_force, is_subgraph_of};
-use midas_graph::mccs::{mccs_edges, mccs_similarity};
-use midas_tests::{connected_graph_strategy, permutation_strategy, permute, tree_strategy};
+use midas_graph::mccs::{mccs_edges, mccs_similarity, reference_mccs_edges};
+use midas_graph::LabeledGraph;
+use midas_tests::{
+    connected_graph_sized, connected_graph_strategy, permutation_strategy, permute, tree_strategy,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -122,6 +125,19 @@ proptest! {
         prop_assert!(mccs_similarity(&a, &b, 50_000) <= 1.0 + 1e-9);
     }
 
+    /// The bitset MCCS search returns the reference's `edges` and `exact`
+    /// at every budget, capped searches included. A quarter of the pairs
+    /// have two graphs above 64 vertices and a quarter one, so multi-word
+    /// rows run on both sides.
+    #[test]
+    fn mccs_matches_the_reference(pair in mccs_pair_strategy()) {
+        let (a, b) = pair;
+        for budget in [0, 1, 50, 300, 2_000] {
+            let (got, want) = (mccs_edges(&a, &b, budget), reference_mccs_edges(&a, &b, budget));
+            prop_assert_eq!(got, want, "budget {}: {:?} != reference {:?}", budget, got, want);
+        }
+    }
+
     /// Tree canonical strings are permutation-invariant and decodable to
     /// the right vertex count.
     #[test]
@@ -168,4 +184,20 @@ fn permutation_strategy_smoke() {
     let mut perm = tree.current();
     perm.sort_unstable();
     assert_eq!(perm, vec![0, 1, 2, 3, 4]);
+}
+
+/// MCCS test pairs: both graphs wide (65–100 vertices), one wide, or both
+/// molecule-sized (at most 12 vertices).
+fn mccs_pair_strategy() -> impl Strategy<Value = (LabeledGraph, LabeledGraph)> {
+    (0..4u32).prop_flat_map(|kind| {
+        let (a, b) = match kind {
+            0 => ((65, 100), (65, 100)),
+            1 => ((2, 12), (65, 100)),
+            _ => ((2, 12), (2, 12)),
+        };
+        (
+            connected_graph_sized(a.0, a.1, 3),
+            connected_graph_sized(b.0, b.1, 3),
+        )
+    })
 }

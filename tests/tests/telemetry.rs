@@ -207,6 +207,10 @@ fn fine_clustering_splits_report_their_span_and_memo_counters() {
     // Later splits re-pick the same seed, so the memo serves its pairs.
     assert!(telemetry.counter("cluster.mccs_computed") > 0);
     assert!(telemetry.counter("cluster.mccs_memo_hits") > 0);
+    // One search-time sample per memo miss.
+    let searches = telemetry.histogram("cluster.mccs_ns");
+    assert_eq!(searches.count, telemetry.counter("cluster.mccs_computed"));
+    assert!(searches.sum > 0);
     assert!(
         telemetry.span("batch.cluster.split").total_us <= telemetry.span("batch.cluster").total_us
     );
