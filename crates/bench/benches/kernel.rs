@@ -26,7 +26,6 @@ const DB_SIZE: usize = 2_000;
 const BATCH_SIZE: usize = 100; // 5% of DB_SIZE
 const QUICK_DB_SIZE: usize = 300;
 const QUICK_BATCH_SIZE: usize = 20;
-const THREADS: usize = 4;
 const FEATURES: usize = 12;
 
 struct Scenario {
@@ -115,7 +114,7 @@ fn append_history(
         ));
     }
     let line = format!(
-        "{{\"unix_ms\": {}, \"quick\": {quick}, \"db_size\": {db_size}, \"batch_size\": {batch_size}, \"threads\": {THREADS}, \"disabled_probe_ns\": {probe_ns:.2}, \"median_ns\": {{{medians}}}}}\n",
+        "{{\"unix_ms\": {}, \"quick\": {quick}, \"db_size\": {db_size}, \"batch_size\": {batch_size}, \"disabled_probe_ns\": {probe_ns:.2}, \"median_ns\": {{{medians}}}}}\n",
         midas_obs::flight::unix_ms()
     );
     let append = |path: &str| -> std::io::Result<()> {
@@ -142,11 +141,10 @@ fn main() {
     };
     let s = scenario(db_size, batch_size);
     println!(
-        "kernel bench: |D| = {}, batch = {}, features = {}, threads = {}{}",
+        "kernel bench: |D| = {}, batch = {}, features = {}{}",
         s.db.len(),
         s.batch.len(),
         s.features.len(),
-        THREADS,
         if quick { " (quick mode)" } else { "" }
     );
     let mut c = Criterion::default().sample_size(10);
@@ -155,13 +153,15 @@ fn main() {
     c.bench_function("matrix_build/serial", |b| {
         b.iter(|| black_box(serial_build(&s)))
     });
-    let warm = MatchKernel::new(THREADS);
+    let warm = MatchKernel::new();
     kernel_build(&s, &warm); // warm the memo once
+                             // The warm memo; `parallel_` is a historical name, kept so the
+                             // history stays one series.
     c.bench_function("matrix_build/parallel_cached", |b| {
         b.iter(|| black_box(kernel_build(&s, &warm)))
     });
 
-    // --- The kernel on a cold memo, one worker --------------------------
+    // --- The kernel on a cold memo ---------------------------------------
     // Fresh embedding cache per iteration: the direct replacement for the
     // serial VF2 build above. Pattern plans are memoized per canonical
     // class in the process-wide plan cache and the CSR views belong to the
@@ -170,7 +170,7 @@ fn main() {
     // round sees.
     c.bench_function("matrix_build/plan_serial", |b| {
         b.iter_batched(
-            || MatchKernel::new(1),
+            MatchKernel::new,
             |kernel| black_box(kernel_build(&s, &kernel)),
             BatchSize::LargeInput,
         )
@@ -202,10 +202,10 @@ fn main() {
         )
     });
     c.bench_function("apply_batch/plan_serial", |b| {
-        // The kernel on a cold cache, one worker: a plan search per
-        // (feature, batch graph) pair.
+        // The kernel on a cold cache: a plan search per (feature, batch
+        // graph) pair.
         b.iter_batched(
-            || (base.clone(), MatchKernel::new(1)),
+            || (base.clone(), MatchKernel::new()),
             |(mut index, kernel)| {
                 index.add_graphs_kernel(&kernel, &batch_csr_refs);
                 black_box(index)
@@ -213,10 +213,9 @@ fn main() {
             BatchSize::LargeInput,
         )
     });
-    // One worker: the row measures the warm memo, and a fan-out's thread
-    // spawns would dominate it on a small host. The name is kept so the
+    // The warm memo; `parallel_` is a historical name, kept so the
     // history stays one series.
-    let warm_batch = MatchKernel::new(1);
+    let warm_batch = MatchKernel::new();
     base.clone().add_graphs_kernel(&warm_batch, &batch_csr_refs); // warm once
     c.bench_function("apply_batch/parallel_cached_repeat", |b| {
         // The same batch re-applied with a warm memo — the steady state
@@ -257,7 +256,7 @@ fn main() {
     for (_, t) in &s.features {
         black_box(midas_graph::MatchPlan::compile(t));
     }
-    let observed = MatchKernel::new(THREADS);
+    let observed = MatchKernel::new();
     kernel_build(&s, &observed); // cold: all misses
     kernel_build(&s, &observed); // warm: all hits
     let plan_telemetry = midas_obs::MetricsSnapshot::capture().since(&plan_base);
@@ -307,7 +306,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"config\": {{\"db_size\": {db_size}, \"batch_size\": {batch_size}, \"threads\": {THREADS}, \"features\": {FEATURES}, \"available_cores\": {cores}}},\n"
+        "  \"config\": {{\"db_size\": {db_size}, \"batch_size\": {batch_size}, \"features\": {FEATURES}, \"available_cores\": {cores}}},\n"
     ));
     json.push_str("  \"median_ns\": {\n");
     for (i, r) in results.iter().enumerate() {

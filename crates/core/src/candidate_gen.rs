@@ -199,7 +199,7 @@ mod tests {
             ife,
             catalog,
             sample,
-            kernel: MatchKernel::new(1),
+            kernel: MatchKernel::new(),
         }
     }
 

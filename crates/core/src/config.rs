@@ -39,12 +39,10 @@ pub struct MidasConfig {
     pub mwu_penalty: f64,
     /// KS-test significance level for the size-distribution guard (§6.2).
     pub ks_alpha: f64,
-    /// Number of single-edge "small pattern" slots maintained next to the
-    /// main panel when `η_min ≤ 2` would otherwise be wanted (§3.1 Remark;
-    /// see [`crate::small_patterns`]). Zero disables the feature.
-    pub small_pattern_slots: usize,
-    /// Worker threads for the parallel isomorphism kernel. `0` means auto:
-    /// the machine's available parallelism.
+    /// Has no effect. The isomorphism kernel runs serially on the thread
+    /// that maintains the database: concurrency comes from tenants and
+    /// requests, not from inside one batch. The field stays only because
+    /// the serve benchmark's configuration still sets it.
     pub threads: usize,
     /// Master RNG seed; every stochastic component derives from it.
     pub seed: u64,
@@ -72,7 +70,6 @@ impl Default for MidasConfig {
             seeds_per_size: 3,
             mwu_penalty: 0.5,
             ks_alpha: 0.05,
-            small_pattern_slots: 0,
             threads: 0,
             seed: 0,
             telemetry: TelemetryConfig::default(),

@@ -24,8 +24,8 @@
 //! report carries a [`MetricsSnapshot`] delta scoped to just that batch.
 //!
 //! Each phase, and bootstrap's index build, runs under `contain`, the one
-//! place on the maintenance path that catches a panic: a worker panic
-//! unwinds out of the kernel fan-out to it and becomes a [`PhaseError`]
+//! place on the maintenance path that catches a panic: a task panic
+//! unwinds out of the kernel to it and becomes a [`PhaseError`]
 //! on the report (or bootstrap's `Err`). A failed index phase marks the
 //! indices stale for a rebuild; a failed pattern-maintenance round keeps
 //! its dirty-cluster flags for the next major batch.
@@ -87,10 +87,9 @@ pub struct MaintenanceReport {
     /// Number of swaps performed.
     pub swaps: usize,
     /// Metrics delta scoped to this batch (empty when telemetry is off):
-    /// phase spans, `pmt_us`/`pgt_us`, matcher and cache counters, exec
-    /// fan-out accounting.
+    /// phase spans, `pmt_us`/`pgt_us`, matcher and cache counters.
     pub telemetry: MetricsSnapshot,
-    /// A worker panic contained during this batch (e.g. an injected
+    /// A task panic contained during this batch (e.g. an injected
     /// `MIDAS_FAULT`): the failing phase was abandoned, later
     /// pattern-maintenance phases were skipped, and the process kept
     /// running. `None` on a healthy batch.
@@ -133,7 +132,7 @@ impl Midas {
     /// the initial pattern set, and builds both indices.
     ///
     /// Returns `Err` if the database is empty, or with the [`PhaseError`]
-    /// text when a worker panic is contained in the index build
+    /// text when a task panic is contained in the index build
     /// (`bootstrap.index`).
     pub fn bootstrap(db: GraphDb, mut config: MidasConfig) -> Result<Self, String> {
         config.telemetry = config.telemetry.with_env(midas_obs::config::env());
@@ -172,7 +171,7 @@ impl Midas {
             &config.selection(),
         ));
         let monitor = GraphletMonitor::build(&db);
-        let kernel = MatchKernel::new(config.threads);
+        let kernel = MatchKernel::new();
         let mut failure = None;
         let Some((fct_index, ife_index)) = contain("bootstrap.index", &mut failure, || {
             build_indices(&db, &fct_state, &config, &kernel)
@@ -245,17 +244,6 @@ impl Midas {
         });
         midas_obs::counter_add!("patterns.published", 1);
         midas_obs::gauge_set!("patterns.snapshot_epoch", self.batch_counter as f64);
-    }
-
-    /// The maintained small-pattern strip (single frequent edges), empty
-    /// unless `config.small_pattern_slots > 0`. Refreshed from the edge
-    /// catalog, so it is always consistent with the current database —
-    /// the η_min ≤ 2 maintenance of §3.1's Remark.
-    pub fn small_patterns(&self) -> Vec<LabeledGraph> {
-        crate::small_patterns::small_pattern_set(
-            &self.fct_state.edges,
-            self.config.small_pattern_slots,
-        )
     }
 
     /// The pattern store (ids + graphs).
@@ -359,7 +347,7 @@ impl Midas {
         let psi_after = self.monitor.distribution();
         drop(ingest_span);
 
-        // Every phase below runs fan-outs through the kernel; a worker panic
+        // Every phase below runs tasks through the kernel; a task panic
         // (including an injected `MIDAS_FAULT`) unwinds to the phase's
         // `contain` — the failing phase is abandoned, later
         // pattern-maintenance phases are skipped, and the report carries the
@@ -620,7 +608,7 @@ impl Midas {
     }
 }
 
-/// A worker panic contained by a phase backstop: the phase span it
+/// A task panic contained by a phase backstop: the phase span it
 /// abandoned (`batch.index`, `bootstrap.index`, ...) and the panic's own
 /// message (for an injected fault, it names the task ordinal).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -641,7 +629,7 @@ impl std::error::Error for PhaseError {}
 
 /// Runs one phase under the panic backstop — the one place on the
 /// maintenance path that catches a panic. A panic anywhere inside `f`
-/// (a kernel fan-out task, or any phase-internal bug) becomes a
+/// (a kernel task, or any phase-internal bug) becomes a
 /// [`PhaseError`] in `error`, logged to telemetry and the flight recorder,
 /// instead of unwinding out of `apply_batch` or `bootstrap`. Once `error`
 /// holds a failure, later phases are skipped. Returns `None` when `f`
@@ -871,27 +859,6 @@ mod tests {
         if report.candidates_generated > 0 {
             assert!(report.swaps > 0);
         }
-    }
-
-    #[test]
-    fn small_pattern_strip_tracks_the_catalog() {
-        let mut cfg = config();
-        cfg.small_pattern_slots = 3;
-        let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
-        let strip = midas.small_patterns();
-        assert_eq!(strip.len(), 3);
-        assert!(strip.iter().all(|p| p.edge_count() == 1));
-        // A wave of S-S edges must surface in the strip after maintenance.
-        let wave: Vec<LabeledGraph> = (0..30).map(|_| path(&[3, 3, 3])).collect();
-        midas.apply_batch(BatchUpdate::insert_only(wave));
-        let strip = midas.small_patterns();
-        assert!(
-            strip.iter().any(|p| p.sorted_labels() == vec![3, 3]),
-            "S-S should rank into the refreshed strip: {strip:?}"
-        );
-        // Disabled by default.
-        let plain = Midas::bootstrap(seed_db(), config()).unwrap();
-        assert!(plain.small_patterns().is_empty());
     }
 
     #[test]

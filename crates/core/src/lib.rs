@@ -61,7 +61,6 @@ pub mod patterns;
 pub mod published;
 pub mod query_log;
 pub mod sampling;
-pub mod small_patterns;
 pub mod swap;
 
 pub use config::MidasConfig;

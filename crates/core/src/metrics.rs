@@ -130,7 +130,7 @@ mod tests {
             db: &w.db,
             sample: &sample,
             catalog: &w.catalog,
-            kernel: &MatchKernel::new(1),
+            kernel: &MatchKernel::new(),
         };
         assert!((ctx.scov(&path(&[0, 1])) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(ctx.scov(&path(&[7, 7])), 0.0);
@@ -152,7 +152,7 @@ mod tests {
             db: &w.db,
             sample: &sample,
             catalog: &w.catalog,
-            kernel: &MatchKernel::new(1),
+            kernel: &MatchKernel::new(),
         };
         let s = ctx.midas_score(&path(&[0, 1]), &[path(&[3, 4])]);
         assert!(s > 0.0);

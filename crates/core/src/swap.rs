@@ -338,7 +338,7 @@ mod tests {
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
-            kernel: &MatchKernel::new(1),
+            kernel: &MatchKernel::new(),
         };
         let outcome = swap(&mut store, vec![path(&[3, 3, 3])], &ctx, None);
         assert_eq!(outcome.swaps, 1);
@@ -361,7 +361,7 @@ mod tests {
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
-            kernel: &MatchKernel::new(1),
+            kernel: &MatchKernel::new(),
         };
         let before = crate::metrics::quality_of(&store.graphs(), &w.db, &w.catalog, &w.sample);
         swap(
@@ -389,7 +389,7 @@ mod tests {
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
-            kernel: &MatchKernel::new(1),
+            kernel: &MatchKernel::new(),
         };
         // Candidate covering nothing.
         let outcome = swap(&mut store, vec![path(&[7, 7, 7])], &ctx, None);
@@ -407,7 +407,7 @@ mod tests {
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
-            kernel: &MatchKernel::new(1),
+            kernel: &MatchKernel::new(),
         };
         let outcome = swap(&mut store, vec![path(&[0, 1])], &ctx, None);
         assert_eq!(outcome.swaps, 0, "empty store: nothing to swap");
@@ -431,7 +431,7 @@ mod tests {
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
-            kernel: &MatchKernel::new(1),
+            kernel: &MatchKernel::new(),
         };
         let mut log = QueryLog::new(16);
         for _ in 0..5 {

@@ -47,7 +47,7 @@ use crate::plan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Number of independent lock shards. Power of two, sized so a dozen worker
+/// Number of independent lock shards. Power of two, sized so a dozen
 /// threads rarely contend on one lock.
 const SHARDS: usize = 64;
 
@@ -255,8 +255,8 @@ impl CacheStats {
 
 /// A sharded, thread-safe memo of capped embedding counts.
 ///
-/// Cheap to share (`Arc<EmbeddingCache>`), safe to hit from the scoped
-/// worker threads of [`crate::exec`].
+/// Cheap to share (`Arc<EmbeddingCache>`) and safe to hit from many
+/// threads at once.
 #[derive(Debug)]
 pub struct EmbeddingCache {
     shards: Vec<RwLock<Shard>>,
@@ -899,7 +899,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_queries_agree_with_serial(/* exercised via exec */) {
+    fn concurrent_queries_agree_with_serial() {
         let cache = EmbeddingCache::new();
         let patterns: Vec<CachedPattern> = [path(&[0, 0]), path(&[0, 0, 0]), triangle()]
             .iter()
@@ -916,15 +916,33 @@ mod tests {
                 (GraphId(i), g, csr)
             })
             .collect();
-        let results = crate::exec::par_map(8, &targets, |(id, _, t)| {
-            patterns
-                .iter()
-                .map(|p| cache.count_embeddings(p, *id, t, 64))
-                .collect::<Vec<u64>>()
+        // Eight threads scan every graph through the shared memo at once.
+        let scans: Vec<Vec<Vec<u64>>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        targets
+                            .iter()
+                            .map(|(id, _, t)| {
+                                patterns
+                                    .iter()
+                                    .map(|p| cache.count_embeddings(p, *id, t, 64))
+                                    .collect()
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("scan"))
+                .collect()
         });
-        for ((_, g, _), row) in targets.iter().zip(&results) {
-            for (p, &got) in patterns.iter().zip(row) {
-                assert_eq!(got, count_embeddings(p.graph(), g, 64));
+        for rows in &scans {
+            for ((_, g, _), row) in targets.iter().zip(rows) {
+                for (p, &got) in patterns.iter().zip(row) {
+                    assert_eq!(got, count_embeddings(p.graph(), g, 64));
+                }
             }
         }
     }

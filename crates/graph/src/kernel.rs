@@ -1,9 +1,8 @@
-//! The parallel + memoized subgraph-isomorphism kernel.
+//! The memoized subgraph-isomorphism kernel.
 //!
-//! [`MatchKernel`] bundles the two ingredients every hot `(graph × pattern)`
-//! scan needs — a thread count for [`crate::exec`] and a shared
-//! [`EmbeddingCache`] — behind bulk operations shaped like the scans the
-//! MIDAS pipeline actually runs:
+//! [`MatchKernel`] puts a shared [`EmbeddingCache`] behind bulk operations
+//! shaped like the `(graph × pattern)` scans the MIDAS pipeline actually
+//! runs:
 //!
 //! * [`MatchKernel::count_in_graphs`] — one pattern against many data
 //!   graphs (a TG-matrix row, Def. 5.1);
@@ -12,8 +11,9 @@
 //! * [`MatchKernel::covered_in`] — coverage verification after the
 //!   dominance filter (§6.1).
 //!
-//! Every operation is one [`exec::par_map`] fan-out and returns plain
-//! values: a worker panic unwinds to the caller's phase backstop.
+//! Every operation is one [`exec::map_tasks`] call, one task per data
+//! graph, and returns plain values: a task panic unwinds to the caller's
+//! phase backstop.
 //!
 //! Data graphs arrive as `(GraphId, &Csr)` pairs borrowed from
 //! [`crate::GraphDb::csr`] / [`crate::GraphDb::csrs`]; the kernel never
@@ -32,27 +32,16 @@ use crate::exec;
 use crate::graph::LabeledGraph;
 use std::sync::Arc;
 
-/// Parallel, memoized bulk isomorphism operations.
-#[derive(Debug, Clone)]
+/// Memoized bulk isomorphism operations.
+#[derive(Debug, Clone, Default)]
 pub struct MatchKernel {
-    threads: usize,
     cache: Arc<EmbeddingCache>,
 }
 
-impl Default for MatchKernel {
-    fn default() -> Self {
-        Self::new(0)
-    }
-}
-
 impl MatchKernel {
-    /// A kernel with a fresh cache. `threads = 0` means auto (see
-    /// [`exec::par_map`]).
-    pub fn new(threads: usize) -> Self {
-        MatchKernel {
-            threads,
-            cache: Arc::new(EmbeddingCache::new()),
-        }
+    /// A kernel with a fresh cache.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The shared embedding memo.
@@ -75,9 +64,7 @@ impl MatchKernel {
     /// the verification step of coverage.
     pub fn covered_in(&self, pattern: &LabeledGraph, graphs: &[(GraphId, &Csr)]) -> Vec<bool> {
         let prepared = self.prepare(pattern);
-        exec::par_map(self.threads, graphs, |&(id, g)| {
-            self.cache.is_subgraph(&prepared, id, g)
-        })
+        exec::map_tasks(graphs, |&(id, g)| self.cache.is_subgraph(&prepared, id, g))
     }
 
     /// Whether any of `patterns` is contained in each graph — the
@@ -88,7 +75,7 @@ impl MatchKernel {
         patterns: &[CachedPattern],
         graphs: &[(GraphId, &Csr)],
     ) -> Vec<bool> {
-        exec::par_map(self.threads, graphs, |&(id, g)| {
+        exec::map_tasks(graphs, |&(id, g)| {
             patterns.iter().any(|p| self.cache.is_subgraph(p, id, g))
         })
     }
@@ -102,21 +89,21 @@ impl MatchKernel {
         cap: u64,
     ) -> Vec<u64> {
         let prepared = self.prepare(pattern);
-        exec::par_map(self.threads, graphs, |&(id, g)| {
+        exec::map_tasks(graphs, |&(id, g)| {
             self.cache.count_embeddings(&prepared, id, g, cap)
         })
     }
 
     /// Counts embeddings of every pattern in every graph: result `[i][j]`
     /// is the count of `patterns[j]` in `graphs[i]`, saturating at `cap`.
-    /// Parallel over graphs (the long axis in matrix maintenance).
+    /// One task per graph (the long axis in matrix maintenance).
     pub fn count_grid(
         &self,
         patterns: &[CachedPattern],
         graphs: &[(GraphId, &Csr)],
         cap: u64,
     ) -> Vec<Vec<u64>> {
-        exec::par_map(self.threads, graphs, |&(id, g)| {
+        exec::map_tasks(graphs, |&(id, g)| {
             self.cache.count_embeddings_many(patterns, id, g, cap)
         })
     }
@@ -154,7 +141,7 @@ mod tests {
     fn bulk_ops_match_serial_loops() {
         let db = mini_db();
         let refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
-        let kernel = MatchKernel::new(4);
+        let kernel = MatchKernel::new();
         for pattern in [path(&[0, 1]), path(&[0, 0]), path(&[9, 9])] {
             let counts = kernel.count_in_graphs(&pattern, &refs, 64);
             let covered = kernel.covered_in(&pattern, &refs);
@@ -169,7 +156,7 @@ mod tests {
     fn grid_matches_nested_loops() {
         let db = mini_db();
         let refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
-        let kernel = MatchKernel::new(3);
+        let kernel = MatchKernel::new();
         let patterns: Vec<CachedPattern> = [path(&[0, 1]), path(&[0, 0, 0])]
             .iter()
             .map(|p| kernel.prepare(p))
@@ -186,7 +173,7 @@ mod tests {
     fn repeated_scans_hit_the_cache() {
         let db = mini_db();
         let refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
-        let kernel = MatchKernel::new(2);
+        let kernel = MatchKernel::new();
         let p = path(&[0, 1]);
         kernel.count_in_graphs(&p, &refs, 64);
         let misses_after_first = kernel.cache().stats().misses;

@@ -34,12 +34,12 @@
 //! * [`plan`] — patterns compiled once into static [`MatchPlan`]s
 //!   (vertex order + per-level candidate filters) and interpreted over
 //!   CSR label slices; the only production matcher.
-//! * [`kernel`] — [`MatchKernel`], the parallel + memoized bulk
+//! * [`kernel`] — [`MatchKernel`], the memoized bulk
 //!   operations (TG-matrix rows and grids, coverage scans) that run the
 //!   plan matcher over `(GraphId, &Csr)` pairs from [`GraphDb`].
-//! * [`exec`] — the scoped-thread `par_map` fan-out shared by every
-//!   parallel `(graph × pattern)` scan in the workspace; it catches no
-//!   panic, so a failing task unwinds to the framework's phase backstop.
+//! * [`exec`] — the serial task map every kernel `(graph × pattern)` scan
+//!   runs through, with the `MIDAS_FAULT` injector; it catches no panic,
+//!   so a failing task unwinds to the framework's phase backstop.
 //! * [`cache`] — a sharded [`EmbeddingCache`] memoizing capped embedding
 //!   counts (and nothing else) per `(pattern canonical key, GraphId)`,
 //!   invalidated per graph on batch updates.

@@ -3,7 +3,7 @@
 //! [`FctIndex::pattern_counts`].
 //!
 //! The kernel-backed build and mutators return plain values and are not
-//! transactional: a worker panic unwinds out of them mid-way, and the
+//! transactional: a task panic unwinds out of them mid-way, and the
 //! framework's phase backstop then marks the index stale and rebuilds it
 //! from scratch on the next batch.
 
@@ -364,7 +364,7 @@ mod tests {
             .map(|(i, c)| (gid(i as u64 + 1), c))
             .collect();
         let con_id = index.feature_by_key(&tree_key(&con)).unwrap();
-        index.refresh_features_kernel(&MatchKernel::new(2), &target, &graph_refs);
+        index.refresh_features_kernel(&MatchKernel::new(), &target, &graph_refs);
         assert_eq!(index.feature_count(), 2);
         assert!(index.feature_by_key(&tree_key(&path(&[0, 1]))).is_none());
         assert_eq!(
@@ -396,7 +396,7 @@ mod tests {
             .enumerate()
             .map(|(i, c)| (gid(i as u64), c))
             .collect();
-        let kernel = MatchKernel::new(4);
+        let kernel = MatchKernel::new();
         let parallel = FctIndex::build_with(
             &kernel,
             features.iter().map(|t| (tree_key(t), t.clone())),
@@ -424,7 +424,7 @@ mod tests {
             .enumerate()
             .map(|(i, c)| (gid(10 + i as u64), c))
             .collect();
-        let kernel = MatchKernel::new(2);
+        let kernel = MatchKernel::new();
         cached.add_graphs_kernel(&kernel, &refs);
         for (fid, _) in serial.features() {
             for &(gid, _) in &refs {

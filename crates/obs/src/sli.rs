@@ -24,9 +24,8 @@
 //!
 //! Every sample lands in the global [`crate::registry`] under `sli.*`
 //! names, so the existing exporters pick it up for free: Prometheus
-//! serves `midas_sli_*` families on `/metrics`, `/snapshot` carries the
-//! histograms and windows, and [`render_json`] (the `GET /sli` endpoint)
-//! serves the digest. Per-tick summaries additionally go to a bounded
+//! serves `midas_sli_*` families (histograms and windows) on `/metrics`,
+//! and [`render_json`] (the `GET /sli` endpoint) serves the digest. Per-tick summaries additionally go to a bounded
 //! ring here (mirrored into the flight recorder as `sli.tick` events) so
 //! `/sli` can show the recent trajectory, not just totals. The serving
 //! daemon is the producer: `POST /v1/{t}/querylog` records one sample per

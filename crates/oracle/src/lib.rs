@@ -24,7 +24,7 @@
 //! 4. **`ged_bounds`** — the GED lower-bound chain
 //!    `label ≤ tight ≤ exact` on random and adversarial boundary pairs.
 //! 5. **`multi_scan_swap`** — swap runs scored through a shared, warm
-//!    kernel and through a fresh single-thread one must agree exactly;
+//!    kernel and through a fresh one must agree exactly;
 //!    the scoring context's `scov` must equal brute-force VF2 coverage;
 //!    set measures guarded by sw3–sw5 must not degrade; a single
 //!    accepted swap must replay sw1 against brute-force coverage.
@@ -69,7 +69,7 @@
 //! [`fault_containment_pass`] additionally proves the framework's one
 //! fault boundary end to end: it arms the deterministic injector behind
 //! `MIDAS_FAULT=task:N`, drives a maintenance batch through [`Midas`],
-//! and requires the worker panic to unwind to the phase backstop and
+//! and requires the task panic to unwind to the phase backstop and
 //! surface as a [`PhaseError`](midas_core::PhaseError) on the report —
 //! process alive, flight recorder carrying the event — instead of an
 //! abort; the next healthy batch must leave both indices equal to a
@@ -323,7 +323,7 @@ impl Oracle {
             .generate()
             .db;
         let patterns = query_set(&db, 6, (1, 3), self.seed ^ 0x01);
-        let kernel = MatchKernel::new(4);
+        let kernel = MatchKernel::new();
         let graphs: Vec<(GraphId, &LabeledGraph)> =
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
         let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
@@ -717,10 +717,10 @@ impl Oracle {
         let catalog = EdgeCatalog::build(refs.iter().copied());
         let sample: BTreeSet<GraphId> = db.ids().collect();
         let params = SwapParams::default();
-        let kernel = MatchKernel::new(2);
+        let kernel = MatchKernel::new();
 
-        // The reference run scores through a fresh single-thread kernel,
-        // the fast run through the shared two-thread one.
+        // The reference run scores through a fresh kernel, the fast run
+        // through the shared one, whose memo the parity checks below reuse.
         let run = |kernel: &MatchKernel| -> SwapRunResult {
             let mut store = PatternStore::new();
             for p in &initial {
@@ -749,7 +749,7 @@ impl Oracle {
         };
 
         let (fast_out, fast_set, before_map, _store_fast) = run(&kernel);
-        let (ref_out, ref_set, _, _store_ref) = run(&MatchKernel::new(1));
+        let (ref_out, ref_set, _, _store_ref) = run(&MatchKernel::new());
         let mut cases = 0;
 
         // Coverage parity: the scoring context (dominance filter + the
@@ -1257,7 +1257,7 @@ impl Oracle {
             refs.iter().copied(),
         );
         let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
-        let kernel = MatchKernel::new(1);
+        let kernel = MatchKernel::new();
         let ctx = ScovContext {
             fct: &fct,
             ife: &ife,
@@ -1759,7 +1759,7 @@ fn count_divergence(
     // reproducible property of the pair minimize; staleness bugs keep the
     // original pair as witness.
     let violates = |p: &LabeledGraph, g: &LabeledGraph| {
-        let fresh = MatchKernel::new(1);
+        let fresh = MatchKernel::new();
         let fast = fresh.count_in_graphs(p, &[(GraphId(0), &Csr::from_graph(g))], COUNT_CAP);
         fast[0] != count_embeddings(p, g, COUNT_CAP)
     };
@@ -1982,7 +1982,7 @@ fn brute_scov(pattern: &LabeledGraph, db: &GraphDb, sample: &BTreeSet<GraphId>) 
 
 /// Proves end-to-end fault containment: arms the injector at exec task
 /// `target`, drives growth batches through a bootstrapped [`Midas`], and
-/// requires the injected worker panic to be caught by the phase backstop
+/// requires the injected task panic to be caught by the phase backstop
 /// and surface as a [`midas_core::PhaseError`] on the maintenance report
 /// (with the flight recorder carrying the `kernel_error` event) rather
 /// than an abort or hang. A healthy follow-up batch must then succeed and leave

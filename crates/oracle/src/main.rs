@@ -34,7 +34,7 @@ fn main() -> ExitCode {
                 println!("prints a JSON divergence report.");
                 println!();
                 println!("Set MIDAS_FAULT=task:N to additionally verify that an");
-                println!("injected worker panic at exec task N is contained.");
+                println!("injected task panic at exec task N is contained.");
                 return ExitCode::SUCCESS;
             }
             other => {

@@ -11,7 +11,7 @@
 //! | POST   | `/v1/{t}/updates`         | Enqueue (or `?mode=sync` apply) an update batch     |
 //! | POST   | `/v1/{t}/querylog`        | Log formulated queries, feeding the `/sli` metrics  |
 //! | DELETE | `/v1/{t}`                 | Remove a tenant                                     |
-//! | GET    | `/metrics`, `/snapshot`, `/flight`, `/slow`, `/sli` | [`midas_obs::http::route`] |
+//! | GET    | `/metrics`, `/flight`, `/slow`, `/sli` | [`midas_obs::http::route`] |
 //!
 //! Handlers run on the HTTP worker pool; everything that can block on
 //! maintenance is explicit: `GET` pattern reads never take the tenant's

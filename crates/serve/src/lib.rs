@@ -18,13 +18,15 @@
 //!   maintenance thread applies the jobs one at a time in arrival order
 //!   (keeping the batch order — and therefore the resulting pattern set —
 //!   a pure function of the request sequence), while distinct tenants
-//!   apply concurrently on their own threads. A `?mode=sync` job carries
-//!   a reply sender, so the caller waits for its own batch only.
+//!   apply concurrently on their own threads. A batch runs entirely on
+//!   its tenant's thread: the match kernel starts no threads of its own,
+//!   so concurrency comes from tenants and requests. A `?mode=sync` job
+//!   carries a reply sender, so the caller waits for its own batch only.
 //!
 //! The daemon listens on one address: [`api::route`] answers the `/v1`
 //! API and `/healthz`, and falls through to [`midas_obs::http::route`]
-//! for the observability endpoints (`/metrics`, `/snapshot`, `/flight`,
-//! `/slow`, `/sli`).
+//! for the observability endpoints (`/metrics`, `/flight`, `/slow`,
+//! `/sli`).
 //! See `DESIGN.md` §14 for the architecture and the API table in
 //! [`api`].
 

@@ -8,10 +8,9 @@
 //! ```
 //!
 //! Open `trace.json` in `chrome://tracing` or <https://ui.perfetto.dev> to
-//! see the Algorithm-1 phases (`batch.*` spans) with the `exec.worker`
-//! lanes of the parallel kernel nested underneath. `metrics.json` holds
-//! the counter/histogram snapshot for the same batch — this is the file
-//! the CI telemetry gate validates.
+//! see the Algorithm-1 phases (`batch.*` spans) with their child spans
+//! nested underneath. `metrics.json` holds the counter/histogram snapshot
+//! for the same batch — this is the file the CI telemetry gate validates.
 
 use midas_core::{Midas, MidasConfig};
 use midas_datagen::{DatasetKind, DatasetSpec, MotifKind};
@@ -94,11 +93,6 @@ fn main() {
         report.telemetry.counter("cache.misses"),
         report.telemetry.counter("cache.insertions"),
         report.telemetry.counter("cache.invalidations")
-    );
-    println!(
-        "exec: {} fan-outs, {} tasks",
-        report.telemetry.counter("exec.fanouts"),
-        report.telemetry.counter("exec.tasks")
     );
     println!(
         "\nwrote metrics.json; trace at {}",

@@ -20,7 +20,7 @@
 //!
 //! Boots one `midas_serve::ServeDaemon`: a single listener serving the
 //! `/v1` API, `/healthz`, and the observability endpoints (`/metrics`,
-//! `/snapshot`, `/flight`, `/slow`, `/sli`).
+//! `/flight`, `/slow`, `/sli`).
 //! Tenants are created over HTTP (or at boot from `MIDAS_SERVE_TENANTS`,
 //! comma-separated `name:kind:size[:seed]` specs); each gets its own
 //! embedded MIDAS instance, with reads served lock-free off the published

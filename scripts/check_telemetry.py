@@ -18,12 +18,12 @@ Two modes:
       check_telemetry.py --prom <metrics.txt> [--healthz <healthz.json>] [--flight <flight.json>] \
                          [--slow <slow.json>]
 
-* SLI gate — runs after the load-harness smoke step; validates the saved
+* SLI gate — runs after the serve smoke step; validates the saved
   `GET /sli` response (user-facing SLIs: formulation-cost reduction,
   staleness, read/formulation latency), optionally cross-checking that a
-  saved `GET /snapshot` carries the `sli.*` histograms.
+  saved `GET /metrics` scrape carries the `midas_sli_*` families.
 
-      check_telemetry.py --sli <sli.json> [--snapshot <snapshot.json>]
+      check_telemetry.py --sli <sli.json> [--sli-metrics <metrics.txt>]
 
 * Serving-daemon gate — runs after the multi-tenant serve smoke step;
   validates the saved `GET /v1/tenants`, `GET /v1/{t}/patterns` and sync
@@ -339,25 +339,28 @@ def check_sli(path):
           f"read p99 {latency['read']['p99']} ns)")
 
 
-def check_sli_snapshot(path):
-    """Cross-check: the full `/snapshot` carries the `sli.*` histograms the
-    `/sli` digest is derived from."""
+def check_sli_metrics(path):
+    """Cross-check: the `/metrics` scrape carries the `midas_sli_*`
+    families the `/sli` digest is derived from, each with samples."""
     with open(path) as f:
-        doc = json.load(f)
-    hists = doc.get("histograms")
-    if not isinstance(hists, dict):
-        fail(f"{path}: histograms section missing")
-    for name in ["sli.read_ns", "sli.formulate_ns", "sli.staleness_batches"]:
-        h = hists.get(name)
-        if not isinstance(h, dict):
-            fail(f"{path}: histogram {name!r} missing from snapshot")
-        if not isinstance(h.get("count"), int) or h["count"] < 1:
-            fail(f"{path}: histogram {name!r} recorded no samples")
-    counters = doc.get("counters", {})
-    if not isinstance(counters.get("sli.queries"), int) or counters["sli.queries"] < 1:
-        fail(f"{path}: counter 'sli.queries' missing or zero")
-    print(f"{path}: ok (sli.* histograms present, "
-          f"{counters['sli.queries']} queries)")
+        text = f.read()
+    values = {}
+    for line in text.splitlines():
+        m = SAMPLE_LINE.match(line)
+        if m and not m.group("labels"):
+            values[m.group("name")] = float(m.group("value"))
+    for family in ["midas_sli_read_ns", "midas_sli_formulate_ns",
+                   "midas_sli_staleness_batches"]:
+        count = values.get(f"{family}_count")
+        if count is None:
+            fail(f"{path}: summary {family!r} missing from the scrape")
+        if count < 1:
+            fail(f"{path}: summary {family!r} recorded no samples")
+    queries = values.get("midas_sli_queries", 0)
+    if queries < 1:
+        fail(f"{path}: counter 'midas_sli_queries' missing or zero")
+    print(f"{path}: ok (midas_sli_* summaries present, "
+          f"{queries:g} queries)")
 
 
 TENANT_SUMMARY_FIELDS = [
@@ -515,8 +518,8 @@ def main():
         if "--sli" not in opts:
             fail("--sli requires a file argument")
         check_sli(opts["--sli"])
-        if "--snapshot" in opts:
-            check_sli_snapshot(opts["--snapshot"])
+        if "--sli-metrics" in opts:
+            check_sli_metrics(opts["--sli-metrics"])
         print("sli endpoint check passed")
         return
     if "--prom" in args:
@@ -539,7 +542,7 @@ def main():
             "[--healthz <healthz.json>] [--flight <flight.json>] "
             "[--slow <slow.json>]\n"
             "   or: check_telemetry.py --sli <sli.json> "
-            "[--snapshot <snapshot.json>]\n"
+            "[--sli-metrics <metrics.txt>]\n"
             "   or: check_telemetry.py --serve <tenants.json> "
             "[--patterns <patterns.json>] [--update <update.json>] "
             "[--serve-metrics <metrics.txt>] [--expect-tenants <n>]"

@@ -1,17 +1,17 @@
-//! End-to-end fault-isolation test: an injected worker panic (the
+//! End-to-end fault-isolation test: an injected task panic (the
 //! `MIDAS_FAULT=task:N` injector, armed programmatically) unwinds out of
-//! the exec fan-out to the framework's one fault boundary, the phase
+//! the exec task map to the framework's one fault boundary, the phase
 //! backstop, and surfaces as a [`PhaseError`] — on the maintenance report,
 //! or as bootstrap's `Err` — while the process stays alive, the flight
 //! recorder logs the event, and the framework keeps working afterwards.
 //!
 //! The injector is process-global, so this file holds a single test
 //! function: everything that arms it runs sequentially in here, and no
-//! other test in this process fans out through the kernel while armed.
+//! other test in this process runs kernel tasks while armed.
 
 use midas_core::{Midas, MidasConfig, PhaseError};
 use midas_datagen::{novel_family_batch, DatasetKind, DatasetSpec, MotifKind};
-use midas_graph::exec::{panic_message, par_map, set_fault_for_tests, slow_fault, Fault};
+use midas_graph::exec::{map_tasks, panic_message, set_fault_for_tests, slow_fault, Fault};
 use midas_oracle::fault_containment_pass;
 use midas_serve::client::ServeClient;
 use midas_serve::{ServeConfig, ServeDaemon};
@@ -53,32 +53,28 @@ fn injected_worker_panic_is_contained_end_to_end() {
         "the error must name the phase and the injected task: {line}"
     );
 
-    // Phase 2: the exec primitive directly — nothing in the fan-out
+    // Phase 2: the exec primitive directly — nothing in the task map
     // catches the injected panic; it unwinds with its own message, which
-    // names the global task ordinal, on the serial and the threaded path
-    // alike.
+    // names the global task ordinal.
     let items: Vec<u64> = (0..64).collect();
-    for (threads, target) in [(1, 2), (4, 40)] {
-        let payload = armed(Fault::Task(target), || {
-            catch_unwind(|| par_map(threads, &items, |&x| x * 2))
-                .expect_err("the armed ordinal must unwind")
-        });
-        assert_eq!(
-            panic_message(payload),
-            format!("injected fault at task {target} (MIDAS_FAULT)")
-        );
-    }
+    let payload = armed(Fault::Task(2), || {
+        catch_unwind(|| map_tasks(&items, |&x| x * 2)).expect_err("the armed ordinal must unwind")
+    });
+    assert_eq!(
+        panic_message(payload),
+        "injected fault at task 2 (MIDAS_FAULT)"
+    );
 
-    // Phase 3: disarmed, the same fan-out succeeds — the injector left no
+    // Phase 3: disarmed, the same map succeeds — the injector left no
     // poisoned global state behind.
-    let clean = par_map(4, &items, |&x| x * 2);
+    let clean = map_tasks(&items, |&x| x * 2);
     assert_eq!(clean, (0..64).map(|x| x * 2).collect::<Vec<u64>>());
 
     // Phase 4: `slow:US` arms the batch.index delay and never a task
     // panic; disarming clears it.
     set_fault_for_tests(Some(Fault::Slow(250)));
     assert_eq!(slow_fault(), Some(std::time::Duration::from_micros(250)));
-    assert_eq!(par_map(4, &items, |&x| x), items);
+    assert_eq!(map_tasks(&items, |&x| x), items);
     set_fault_for_tests(None);
     assert_eq!(slow_fault(), None);
 

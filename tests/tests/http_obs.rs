@@ -1,6 +1,6 @@
 //! Live observability, end to end: with a `Midas` instance running
 //! batches, a `ServeDaemon` in the same process must answer `/metrics`
-//! (with quantile series), `/snapshot`, `/healthz` and `/flight` over
+//! (with quantile series), `/healthz` and `/flight` over
 //! plain HTTP on its one listener, and the flight recorder must retain
 //! exactly its configured capacity after wraparound, numbering batches in
 //! one process-wide sequence across instances.
@@ -63,12 +63,6 @@ fn served_endpoints_answer_with_quantiles_and_bounded_flight_history() {
     assert!(body.contains("\"status\": \"ok\""));
     assert!(body.contains("\"batches\": 10"));
     assert!(body.contains("\"tenants\": 0"), "one document: {body}");
-
-    // /snapshot — the full registry snapshot, also valid JSON.
-    let (status, body) = http_get(addr, "/snapshot");
-    assert_eq!(status, 200);
-    json::validate(&body).expect("snapshot is valid JSON");
-    assert!(body.contains("\"counters\""));
 
     // Unknown routes 404 without killing the worker.
     let (status, _) = http_get(addr, "/nope");

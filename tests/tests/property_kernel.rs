@@ -34,7 +34,7 @@ proptest! {
         let db = GraphDb::from_graphs(graphs);
         let refs = db_refs(&db);
         let csrs = csr_refs(&db);
-        let kernel = MatchKernel::new(4);
+        let kernel = MatchKernel::new();
         for pass in 0..2 {
             for p in &patterns {
                 let got = kernel.count_in_graphs(p, &csrs, CAP);
@@ -55,7 +55,7 @@ proptest! {
     ) {
         let db = GraphDb::from_graphs(graphs);
         let refs = db_refs(&db);
-        let kernel = MatchKernel::new(3);
+        let kernel = MatchKernel::new();
         let prepared: Vec<CachedPattern> = patterns.iter().map(|p| kernel.prepare(p)).collect();
         let grid = kernel.count_grid(&prepared, &csr_refs(&db), CAP);
         for (i, &(_, g)) in refs.iter().enumerate() {
@@ -78,7 +78,7 @@ proptest! {
     ) {
         let delete_first = delete_first == 1;
         let mut db = GraphDb::from_graphs(initial);
-        let kernel = MatchKernel::new(2);
+        let kernel = MatchKernel::new();
         // Warm the cache on the initial state.
         kernel.count_in_graphs(&pattern, &csr_refs(&db), CAP);
 
@@ -128,7 +128,7 @@ proptest! {
         pattern in connected_graph_strategy(4, 3),
     ) {
         let mut db = GraphDb::from_graphs(initial);
-        let kernel = MatchKernel::new(2);
+        let kernel = MatchKernel::new();
 
         let build = |db: &GraphDb| {
             let refs = db_refs(db);
@@ -169,7 +169,7 @@ proptest! {
         let db = GraphDb::from_graphs(graphs);
         let catalog = midas_mining::EdgeCatalog::build(db_refs(&db).into_iter());
         let universe: BTreeSet<GraphId> = db.ids().collect();
-        let kernel = MatchKernel::new(2);
+        let kernel = MatchKernel::new();
         let serial = midas_catapult::score::set_quality(&patterns, &db, &catalog, &universe);
         let cached =
             midas_catapult::score::set_quality_with(&kernel, &patterns, &db, &catalog, &universe);

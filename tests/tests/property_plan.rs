@@ -118,7 +118,7 @@ proptest! {
         graphs in proptest::collection::vec(connected_graph_strategy(6, 3), 2..6),
         patterns in proptest::collection::vec(connected_graph_strategy(4, 3), 1..4),
     ) {
-        let kernel = MatchKernel::new(1);
+        let kernel = MatchKernel::new();
         let db = GraphDb::from_graphs(graphs.iter().cloned());
         let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         for p in &patterns {

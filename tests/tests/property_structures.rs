@@ -232,7 +232,7 @@ proptest! {
             db: &db,
             sample: &sample,
             catalog: &catalog,
-            kernel: &MatchKernel::new(1),
+            kernel: &MatchKernel::new(),
         };
         let before = midas_core::quality_of(&store.graphs(), &db, &catalog, &sample);
         let coverage = coverage_state(&store, &ctx);
@@ -274,7 +274,7 @@ proptest! {
             db: &db,
             sample: &sample,
             catalog: &catalog,
-            kernel: &MatchKernel::new(1),
+            kernel: &MatchKernel::new(),
         };
         let coverage = coverage_state(&store, &ctx);
         let candidates = Candidate::scored(&ctx, candidates);
