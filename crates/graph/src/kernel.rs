@@ -1,8 +1,8 @@
 //! The memoized subgraph-isomorphism kernel.
 //!
-//! [`MatchKernel`] puts a shared [`EmbeddingCache`] behind bulk operations
-//! shaped like the `(graph × pattern)` scans the MIDAS pipeline actually
-//! runs:
+//! [`MatchKernel`] owns an [`EmbeddingCache`] and puts it behind bulk
+//! operations shaped like the `(graph × pattern)` scans the MIDAS pipeline
+//! actually runs:
 //!
 //! * [`MatchKernel::count_in_graphs`] — one pattern against many data
 //!   graphs (a TG-matrix row, Def. 5.1);
@@ -30,12 +30,17 @@ use crate::csr::Csr;
 use crate::db::GraphId;
 use crate::exec;
 use crate::graph::LabeledGraph;
-use std::sync::Arc;
 
-/// Memoized bulk isomorphism operations.
-#[derive(Debug, Clone, Default)]
+/// Memoized bulk isomorphism operations over the kernel's own memo. Like
+/// the memo, a kernel belongs to one thread at a time:
+///
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<midas_graph::MatchKernel>();
+/// ```
+#[derive(Debug, Default)]
 pub struct MatchKernel {
-    cache: Arc<EmbeddingCache>,
+    cache: EmbeddingCache,
 }
 
 impl MatchKernel {
@@ -44,8 +49,8 @@ impl MatchKernel {
         Self::default()
     }
 
-    /// The shared embedding memo.
-    pub fn cache(&self) -> &Arc<EmbeddingCache> {
+    /// The kernel's embedding memo.
+    pub fn cache(&self) -> &EmbeddingCache {
         &self.cache
     }
 

@@ -40,7 +40,7 @@
 //! * [`exec`] — the serial task map every kernel `(graph × pattern)` scan
 //!   runs through, with the `MIDAS_FAULT` injector; it catches no panic,
 //!   so a failing task unwinds to the framework's phase backstop.
-//! * [`cache`] — a sharded [`EmbeddingCache`] memoizing capped embedding
+//! * [`cache`] — a single-owner [`EmbeddingCache`] memoizing capped embedding
 //!   counts (and nothing else) per `(pattern canonical key, GraphId)`,
 //!   invalidated per graph on batch updates.
 //!

@@ -35,8 +35,9 @@ use crate::canonical::TreeKey;
 use crate::edges::{min_count, Bounds, EdgeCatalog};
 use crate::lattice::{TreeEntry, TreeLattice};
 use crate::treenat::{catalog_of, mine_lattice, mine_supports, tree_in_graph, MiningConfig};
-use midas_graph::{GraphDb, GraphId, LabeledGraph, MatchPlan};
+use midas_graph::{GraphDb, GraphId, LabeledGraph};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Frequent-structure state: tree lattice + edge catalog, kept in sync with
 /// the database by [`FctState::apply_batch`].
@@ -120,7 +121,7 @@ impl FctState {
         }
 
         // Step 2: insertions (CTMiningAdd analogue). Every containment
-        // test matches a tree compiled once against a graph's CSR twin.
+        // test matches a tree's stored plan against a graph's CSR twin.
         for &id in inserted {
             let g = db_after
                 .get(id)
@@ -131,9 +132,8 @@ impl FctState {
             // 2a: extend supports of already-tracked trees against Δ⁺ only.
             let extend_span = midas_obs::span!("batch.fct.extend");
             for (key, entry) in self.lattice.iter_mut() {
-                let plan = MatchPlan::compile(&entry.tree);
                 for &id in inserted {
-                    if tree_in_graph(&plan, key, db_after, id) {
+                    if tree_in_graph(&entry.plan, key, db_after, id) {
                         entry.support.insert(id);
                     }
                 }
@@ -154,10 +154,11 @@ impl FctState {
                 }
                 let bound = bounds.of(&delta_entry.tree);
                 debug_assert!(bound.len() >= gneed, "the delta mining cuts below gneed");
-                let plan = MatchPlan::compile(&delta_entry.tree);
                 let mut support = delta_entry.support.clone();
                 for id in bounds.ids(&bound) {
-                    if !inserted_set.contains(&id) && tree_in_graph(&plan, key, db_after, id) {
+                    if !inserted_set.contains(&id)
+                        && tree_in_graph(&delta_entry.plan, key, db_after, id)
+                    {
                         support.insert(id);
                     }
                 }
@@ -165,6 +166,7 @@ impl FctState {
                     key.clone(),
                     TreeEntry {
                         tree: delta_entry.tree.clone(),
+                        plan: Arc::clone(&delta_entry.plan),
                         support,
                         closed: false,
                     },

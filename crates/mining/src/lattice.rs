@@ -18,12 +18,16 @@ use crate::canonical::TreeKey;
 use crate::edges::min_count;
 use midas_graph::{Csr, GraphId, LabeledGraph, MatchPlan};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// One tracked tree: structure, exact support, derived closed flag.
 #[derive(Debug, Clone)]
 pub struct TreeEntry {
     /// The tree itself.
     pub tree: LabeledGraph,
+    /// `tree` compiled once, when mining first counted its support; every
+    /// later containment test (support extension, closedness) reuses it.
+    pub(crate) plan: Arc<MatchPlan>,
     /// Ids of database graphs containing the tree.
     pub support: BTreeSet<GraphId>,
     /// Whether the tree is closed (no proper supertree with equal support).
@@ -127,8 +131,8 @@ impl TreeLattice {
     /// non-closed iff some strictly larger tree in the same bucket is a
     /// supertree of it. (Equal support across a proper subtree relation
     /// forces equal support *sets* by anti-monotonicity.) Each member of a
-    /// multi-tree bucket is compiled once and gets one CSR view, so every
-    /// containment test is a plan search.
+    /// multi-tree bucket gets one CSR view, so every containment test is a
+    /// search of its stored plan.
     pub fn recompute_closed_flags(&mut self) {
         let mut buckets: HashMap<Vec<GraphId>, Vec<TreeKey>> = HashMap::new();
         for (key, entry) in &self.trees {
@@ -147,11 +151,11 @@ impl TreeLattice {
                 .map(|k| (self.trees[k].tree.edge_count(), k.clone()))
                 .collect();
             members.sort_by_key(|m| std::cmp::Reverse(m.0));
-            let compiled: Vec<(MatchPlan, Csr)> = members
+            let compiled: Vec<(Arc<MatchPlan>, Csr)> = members
                 .iter()
                 .map(|(_, key)| {
-                    let tree = &self.trees[key].tree;
-                    (MatchPlan::compile(tree), Csr::from_graph(tree))
+                    let entry = &self.trees[key];
+                    (Arc::clone(&entry.plan), Csr::from_graph(&entry.tree))
                 })
                 .collect();
             for (i, (size_i, key_i)) in members.iter().enumerate() {
@@ -201,6 +205,7 @@ mod tests {
 
     fn entry(tree: LabeledGraph, support: &[u64]) -> TreeEntry {
         TreeEntry {
+            plan: Arc::new(MatchPlan::compile(&tree)),
             tree,
             support: ids(support),
             closed: false,

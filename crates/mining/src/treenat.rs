@@ -15,6 +15,7 @@ use crate::edges::{min_count, Bounds, EdgeCatalog, GraphSet};
 use crate::lattice::{TreeEntry, TreeLattice};
 use midas_graph::{EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchPlan, VertexId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Mining parameters.
 #[derive(Debug, Clone, Copy)]
@@ -121,6 +122,7 @@ pub(crate) fn mine_supports(
             key.clone(),
             TreeEntry {
                 tree: tree.clone(),
+                plan: Arc::new(MatchPlan::compile(tree)),
                 support: support.clone(),
                 closed: false,
             },
@@ -182,7 +184,7 @@ pub(crate) fn mine_supports(
             if tests.len() < need {
                 continue;
             }
-            let plan = MatchPlan::compile(&tree);
+            let plan = Arc::new(MatchPlan::compile(&tree));
             let support: BTreeSet<GraphId> = tests
                 .into_iter()
                 .filter(|&id| tree_in_graph(&plan, &key, db, id))
@@ -192,6 +194,7 @@ pub(crate) fn mine_supports(
                     key.clone(),
                     TreeEntry {
                         tree: tree.clone(),
+                        plan,
                         support: support.clone(),
                         closed: false,
                     },
@@ -261,6 +264,7 @@ pub fn mine_lattice_brute_force(
             lattice.insert(
                 key,
                 TreeEntry {
+                    plan: Arc::new(MatchPlan::compile(&tree)),
                     tree,
                     support,
                     closed: false,

@@ -8,7 +8,7 @@
 //! This crate provides the three layers every other crate in the workspace
 //! shares:
 //!
-//! * [`registry`] — a global metrics registry of sharded atomic
+//! * [`registry`] — a global metrics registry of atomic
 //!   [`Counter`]s, [`Gauge`]s and log₂-bucketed [`Histogram`]s, addressed
 //!   by name through the [`counter!`]/[`counter_add!`]/[`gauge_set!`]/
 //!   [`histogram_record!`] macros (each probe site caches its handle in a

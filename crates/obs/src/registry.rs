@@ -11,10 +11,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-/// Number of counter shards. Power of two; sized so the worker threads of
-/// `midas_graph::exec` rarely collide on one cache line.
-const COUNTER_SHARDS: usize = 16;
-
 /// Histogram bucket count: bucket `i` holds values whose bit length is `i`
 /// (i.e. `v == 0` → bucket 0, else bucket `⌊log₂ v⌋ + 1`).
 const HISTOGRAM_BUCKETS: usize = 64;
@@ -45,14 +41,8 @@ pub fn current_tick() -> u64 {
     process_epoch().elapsed().as_secs() / WINDOW_SLOT_SECS
 }
 
-/// One cache line per shard so concurrent `add`s from different threads do
-/// not false-share.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedAtomicU64(AtomicU64);
-
 thread_local! {
-    /// Dense per-thread index used to pick counter shards and trace tids.
+    /// Dense per-thread index used as the Chrome-trace tid.
     static THREAD_INDEX: usize = next_thread_index();
 }
 
@@ -66,38 +56,32 @@ pub(crate) fn thread_index() -> usize {
     THREAD_INDEX.with(|i| *i)
 }
 
-/// A monotonically increasing sum, sharded across cache lines.
+/// A monotonically increasing sum in one atomic.
 #[derive(Debug)]
 pub struct Counter {
-    shards: [PaddedAtomicU64; COUNTER_SHARDS],
+    total: AtomicU64,
 }
 
 impl Counter {
     fn new() -> Self {
         Counter {
-            shards: Default::default(),
+            total: AtomicU64::new(0),
         }
     }
 
-    /// Adds `n` to the counter (relaxed; per-thread shard).
+    /// Adds `n` to the counter (relaxed).
     #[inline]
     pub fn add(&self, n: u64) {
-        let shard = thread_index() % COUNTER_SHARDS;
-        self.shards[shard].0.fetch_add(n, Ordering::Relaxed);
+        self.total.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The current total across all shards.
+    /// The current total.
     pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.total.load(Ordering::Relaxed)
     }
 
     fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
+        self.total.store(0, Ordering::Relaxed);
     }
 }
 

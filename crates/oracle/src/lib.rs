@@ -9,7 +9,7 @@
 //! 1. **`kernel_vs_serial`** — [`MatchKernel`] / `EmbeddingCache` counts
 //!    and containment vs the serial VF2 walkers
 //!    ([`count_embeddings`] / [`is_subgraph_of`]), including memo-hit
-//!    rounds and the invalidation/generation boundary (a graph replaced
+//!    rounds and the invalidation boundary (a graph replaced
 //!    under the same [`GraphId`]).
 //! 2. **`incremental_mining`** — `FctState::apply_batch` vs re-mining the
 //!    post-batch database from scratch — tracked keys, exact supports and
@@ -359,7 +359,7 @@ impl Oracle {
                 }
             }
         }
-        // Invalidation / generation boundary: replace each of the first
+        // Invalidation boundary: replace each of the first
         // three graphs' content under its *existing* id. A stale memo
         // entry keyed on (pattern, id) would serve the old graph's count.
         let replacements = query_set(&db, 3, (2, 4), self.seed ^ 0x02);
@@ -376,7 +376,7 @@ impl Oracle {
             cases += 1;
             if fast[0] != want {
                 out.push(count_divergence(
-                    format!("generation boundary: graph {} replaced", id.0),
+                    format!("invalidation boundary: graph {} replaced", id.0),
                     want,
                     fast[0],
                     p,

@@ -12,6 +12,8 @@
 use midas_core::{Midas, MidasConfig, PhaseError};
 use midas_datagen::{novel_family_batch, DatasetKind, DatasetSpec, MotifKind};
 use midas_graph::exec::{map_tasks, panic_message, set_fault_for_tests, slow_fault, Fault};
+use midas_graph::isomorphism::count_embeddings;
+use midas_graph::{CachedPattern, Csr, GraphId, MatchKernel};
 use midas_oracle::fault_containment_pass;
 use midas_serve::client::ServeClient;
 use midas_serve::{ServeConfig, ServeDaemon};
@@ -128,4 +130,45 @@ fn injected_worker_panic_is_contained_end_to_end() {
     let reply = create().expect("request");
     assert_eq!(reply.status, 201, "{}", reply.body);
     daemon.shutdown();
+
+    // Phase 7: a task panic inside a kernel grid scan leaves the kernel's
+    // memo coherent. Task 17 fails before graph 17 is probed, so graphs
+    // 0..17 are memoized and nothing else. Disarmed, a rerun on the same
+    // kernel equals the VF2 reference, every cell is one hit or one miss,
+    // and exactly the cells stored before the panic hit.
+    let db = DatasetSpec::new(DatasetKind::AidsLike, 40, 11)
+        .generate()
+        .db;
+    let graphs: Vec<(GraphId, &Csr)> = db.csrs().collect();
+    let kernel = MatchKernel::new();
+    let patterns: Vec<CachedPattern> = db
+        .iter()
+        .take(4)
+        .map(|(_, g)| kernel.prepare(&g.edge_subgraph(&g.edges()[..2])))
+        .collect();
+    let payload = armed(Fault::Task(17), || {
+        catch_unwind(AssertUnwindSafe(|| {
+            kernel.count_grid(&patterns, &graphs, 64)
+        }))
+        .expect_err("the armed task must unwind out of the grid")
+    });
+    assert_eq!(
+        panic_message(payload),
+        "injected fault at task 17 (MIDAS_FAULT)"
+    );
+    let before = kernel.cache().stats();
+    assert_eq!(
+        (before.hits, before.misses),
+        (0, 17 * patterns.len() as u64)
+    );
+    let grid = kernel.count_grid(&patterns, &graphs, 64);
+    for ((_, g), row) in db.iter().zip(&grid) {
+        for (p, &got) in patterns.iter().zip(row) {
+            assert_eq!(got, count_embeddings(p.graph(), g, 64));
+        }
+    }
+    let after = kernel.cache().stats();
+    let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+    assert_eq!(hits + misses, (graphs.len() * patterns.len()) as u64);
+    assert_eq!(hits, before.misses);
 }
