@@ -116,7 +116,7 @@ pub fn set_quality(
 }
 
 /// [`set_quality`] with the `f_scov` containment scan routed through a
-/// parallel + memoized kernel. Identical result, much cheaper when the same
+/// memoized kernel. Identical result, much cheaper when the same
 /// patterns are evaluated over overlapping universes batch after batch.
 pub fn set_quality_with(
     kernel: &MatchKernel,

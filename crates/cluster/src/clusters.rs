@@ -106,7 +106,7 @@ pub struct ClusterSet {
 impl ClusterSet {
     /// Builds the cluster set from scratch: k-means++ coarse clustering on
     /// feature vectors, fine clustering of oversized clusters, then one CSG
-    /// per cluster (built in parallel).
+    /// per cluster.
     pub fn build(
         db: &GraphDb,
         lattice: &TreeLattice,

@@ -20,8 +20,8 @@
 //! `MIDAS_TELEMETRY` environment variable — see `midas-obs`), each phase
 //! additionally runs under a span (`batch.ingest`, `batch.fct`,
 //! `batch.cluster`, `batch.index`, `batch.classify`, `batch.candidates`,
-//! `batch.swap`), the batch records `pmt_us`/`pgt_us` counters, and the
-//! report carries a [`MetricsSnapshot`] delta scoped to just that batch.
+//! `batch.swap`) and the batch records `pmt_us`/`pgt_us` counters in the
+//! process-wide registry, which `GET /metrics` renders.
 //!
 //! Each phase, and bootstrap's index build, runs under `contain`, the one
 //! place on the maintenance path that catches a panic: a task panic
@@ -47,7 +47,6 @@ use midas_graph::{BatchUpdate, Csr, EdgeLabel, GraphDb, GraphId, LabeledGraph, M
 use midas_index::{FctIndex, IfeIndex};
 use midas_mining::incremental::FctState;
 use midas_mining::TreeKey;
-use midas_obs::MetricsSnapshot;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -86,9 +85,6 @@ pub struct MaintenanceReport {
     pub candidates_generated: usize,
     /// Number of swaps performed.
     pub swaps: usize,
-    /// Metrics delta scoped to this batch (empty when telemetry is off):
-    /// phase spans, `pmt_us`/`pgt_us`, matcher and cache counters.
-    pub telemetry: MetricsSnapshot,
     /// A task panic contained during this batch (e.g. an injected
     /// `MIDAS_FAULT`): the failing phase was abandoned, later
     /// pattern-maintenance phases were skipped, and the process kept
@@ -271,7 +267,7 @@ impl Midas {
         &self.ife_index
     }
 
-    /// The parallel + memoized isomorphism kernel shared by every hot
+    /// The memoized isomorphism kernel shared by every hot
     /// `(graph × pattern)` scan. Its cache is invalidated per graph as
     /// batches arrive, so answers are always current.
     pub fn kernel(&self) -> &MatchKernel {
@@ -311,14 +307,6 @@ impl Midas {
         update: BatchUpdate,
         strategy: SwapStrategy,
     ) -> MaintenanceReport {
-        let telemetry_on = midas_obs::enabled();
-        let baseline = if telemetry_on {
-            MetricsSnapshot::capture()
-        } else {
-            MetricsSnapshot::default()
-        };
-        // PMT starts after the telemetry baseline: the snapshot is the
-        // instrumentation's own cost, not maintenance work.
         let total_start = Instant::now();
         self.batch_counter += 1;
 
@@ -526,27 +514,21 @@ impl Midas {
             swaps,
             unix_ms: midas_obs::flight::unix_ms(),
         });
-        let telemetry = if telemetry_on {
-            let snap = MetricsSnapshot::capture().since(&baseline);
-            if midas_obs::tracing_enabled() {
-                let path = midas_obs::trace::output_path();
-                match midas_obs::trace::write_trace(&path) {
-                    Ok(n) => midas_obs::obs_debug!(
-                        "core::framework",
-                        "wrote {n} trace events to {}",
-                        path.display()
-                    ),
-                    Err(e) => midas_obs::obs_warn!(
-                        "core::framework",
-                        "failed to write trace to {}: {e}",
-                        path.display()
-                    ),
-                }
+        if midas_obs::enabled() && midas_obs::tracing_enabled() {
+            let path = midas_obs::trace::output_path();
+            match midas_obs::trace::write_trace(&path) {
+                Ok(n) => midas_obs::obs_debug!(
+                    "core::framework",
+                    "wrote {n} trace events to {}",
+                    path.display()
+                ),
+                Err(e) => midas_obs::obs_warn!(
+                    "core::framework",
+                    "failed to write trace to {}: {e}",
+                    path.display()
+                ),
             }
-            snap
-        } else {
-            MetricsSnapshot::default()
-        };
+        }
 
         MaintenanceReport {
             kind: match kind {
@@ -562,7 +544,6 @@ impl Midas {
             swap_time,
             candidates_generated,
             swaps,
-            telemetry,
             error: batch_error,
         }
     }
@@ -570,7 +551,7 @@ impl Midas {
     /// Refreshes both indices after a batch: graph columns for `Δ⁺`/`Δ⁻`
     /// and feature rows against the current FCT ∪ frequent-edge set. The
     /// embedding cache is invalidated per touched graph first, then the
-    /// inserted TG columns are filled in one parallel kernel pass. Stale
+    /// inserted TG columns are filled in one kernel pass. Stale
     /// indices (an earlier index phase failed) are rebuilt from scratch
     /// instead.
     fn maintain_indices(&mut self, inserted: &[GraphId], deleted: &[GraphId]) {
@@ -885,10 +866,16 @@ mod tests {
     // default (disabled) configs, which would race with it.
 
     #[test]
-    fn telemetry_disabled_report_is_empty() {
+    fn telemetry_off_batch_leaves_registry_unchanged() {
         let mut midas = Midas::bootstrap(seed_db(), config()).unwrap();
-        let report = midas.apply_batch(BatchUpdate::insert_only(vec![path(&[0, 1, 2])]));
-        assert!(report.telemetry.is_empty());
+        let before = midas_obs::MetricsSnapshot::capture();
+        midas.apply_batch(BatchUpdate::insert_only(vec![path(&[0, 1, 2])]));
+        let after = midas_obs::MetricsSnapshot::capture();
+        let delta = after.since(&before);
+        assert!(delta.counters.is_empty(), "{:?}", delta.counters);
+        assert!(delta.histograms.is_empty(), "{:?}", delta.histograms);
+        assert!(delta.spans.is_empty(), "{:?}", delta.spans);
+        assert_eq!(after.gauges, before.gauges);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub struct ScovContext<'a> {
     pub sample: &'a BTreeSet<GraphId>,
     /// The edge catalog (for `lcov`).
     pub catalog: &'a EdgeCatalog,
-    /// The parallel + memoized kernel for the isomorphism verification
+    /// The memoized kernel for the isomorphism verification
     /// step. The serial VF2 reference ([`covered_graphs`]) produces the
     /// same sets; the property tests and the oracle pin this.
     ///

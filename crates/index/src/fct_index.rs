@@ -68,7 +68,7 @@ impl FctIndex {
         index
     }
 
-    /// Parallel + memoized form of [`FctIndex::build`]: embedding counts
+    /// Memoized form of [`FctIndex::build`]: embedding counts
     /// run through `kernel` over the data graphs' CSR views (borrowed from
     /// [`midas_graph::GraphDb::csrs`], cached by `(pattern key, GraphId)`).
     /// Produces a matrix identical to the serial build.
@@ -217,7 +217,7 @@ impl FctIndex {
             .collect()
     }
 
-    /// Batch, parallel + memoized form of [`FctIndex::add_graph`]
+    /// Batch, memoized form of [`FctIndex::add_graph`]
     /// (maintenance rule 3 over a whole `Δ⁺`): every feature is prepared
     /// once, then counted in every new graph's CSR view through the
     /// kernel. The graphs' columns must be empty, as `Δ⁺`'s fresh ids are.
@@ -397,15 +397,15 @@ mod tests {
             .map(|(i, c)| (gid(i as u64), c))
             .collect();
         let kernel = MatchKernel::new();
-        let parallel = FctIndex::build_with(
+        let memoized = FctIndex::build_with(
             &kernel,
             features.iter().map(|t| (tree_key(t), t.clone())),
             &csr_refs,
         );
-        assert_eq!(serial.feature_count(), parallel.feature_count());
+        assert_eq!(serial.feature_count(), memoized.feature_count());
         for (fid, _) in serial.features() {
             for &(gid, _) in &graph_refs {
-                assert_eq!(serial.tg().get(fid, gid), parallel.tg().get(fid, gid));
+                assert_eq!(serial.tg().get(fid, gid), memoized.tg().get(fid, gid));
             }
         }
     }

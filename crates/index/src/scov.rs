@@ -89,10 +89,10 @@ pub fn covered_graphs(
         .collect()
 }
 
-/// Parallel + memoized form of [`covered_graphs`]: the dominance filter is
+/// Memoized form of [`covered_graphs`]: the dominance filter is
 /// unchanged, the surviving candidates' CSR views (from [`GraphDb::csr`])
 /// are verified through `kernel` (cached per `(pattern, GraphId)`, the
-/// compiled plan in parallel on misses). Always returns the same set as
+/// compiled plan on misses). Always returns the same set as
 /// the serial VF2 reference path.
 pub fn covered_graphs_with(
     kernel: &MatchKernel,

@@ -181,7 +181,7 @@ mod tests {
     fn healthz_stays_ok_through_a_slow_phase() {
         let _g = crate::tests::exclusive();
         crate::flight::clear();
-        let h = crate::registry::registry().span("batch.index").durations();
+        let h = crate::registry::registry().span("batch.index");
         h.reset();
         // Slow phase spans in the live window: the health document reports
         // the batch and nothing else; slowness is read off `/slow`.

@@ -13,11 +13,11 @@
 //!   by name through the [`counter!`]/[`counter_add!`]/[`gauge_set!`]/
 //!   [`histogram_record!`] macros (each probe site caches its handle in a
 //!   `OnceLock`, so an enabled probe is one atomic op);
-//! * [`mod@span`] — RAII [`Span`] timers: each completed span feeds a
-//!   named duration statistic and, when tracing is on, a Chrome-trace
-//!   event;
-//! * exporters — [`MetricsSnapshot`] renders the registry as the same
-//!   hand-rolled JSON style as `BENCH_kernel.json`, and [`trace`] writes
+//! * [`mod@span`] — RAII [`Span`] timers: each completed span records its
+//!   duration (µs) into the registry histogram of its name and, when
+//!   tracing is on, a Chrome-trace event;
+//! * exporters — a [`MetricsSnapshot`] of the registry renders as
+//!   Prometheus text ([`prom`], the `/metrics` body), and [`trace`] writes
 //!   a `trace.json` loadable in `chrome://tracing` / Perfetto.
 //!
 //! Plus a leveled [`obs_error!`]/[`obs_warn!`]/[`obs_info!`]/[`obs_debug!`]
@@ -46,7 +46,7 @@
 //! let snap = midas_obs::MetricsSnapshot::capture();
 //! assert_eq!(snap.counter("demo.items"), 3);
 //! assert_eq!(snap.span("demo.phase").count, 1);
-//! assert!(snap.to_json().contains("\"demo.items\": 3"));
+//! assert!(midas_obs::prom::render(&snap).contains("midas_demo_items 3"));
 //! midas_obs::set_enabled(false);
 //! ```
 
@@ -73,7 +73,7 @@ pub use httpd::{Handler, HttpServer, Request, Response};
 pub use log::LogLevel;
 pub use registry::{Counter, Gauge, Histogram};
 pub use sli::{QuerySample, TickSummary};
-pub use snapshot::{HistogramSnapshot, MetricsSnapshot, SpanStatSnapshot};
+pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
 pub use span::Span;
 
 use std::sync::atomic::{AtomicBool, Ordering};

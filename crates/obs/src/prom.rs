@@ -11,10 +11,12 @@
 //!
 //! * counters → `midas_<name>` with `# TYPE ... counter`;
 //! * gauges → `midas_<name>` with `# TYPE ... gauge` (non-finite values
-//!   render as `0`, mirroring the JSON exporter);
-//! * histograms and span durations → summary-style families: the quantile
-//!   series `midas_<name>{quantile="0.5|0.9|0.99"}` plus `_sum`, `_count`
-//!   and `_max`;
+//!   render as `0`, as [`crate::json::number`] does);
+//! * histograms → summary-style families: the quantile series
+//!   `midas_<name>{quantile="0.5|0.9|0.99"}` plus `_sum`, `_count` and
+//!   `_max`;
+//! * span duration histograms (µs) → the same shape under
+//!   `midas_span_<name>_duration_us`;
 //! * sliding windows → the same family shape under `midas_<name>_window`,
 //!   so dashboards can plot recent percentiles next to lifetime ones.
 
@@ -180,10 +182,10 @@ pub fn render(snap: &MetricsSnapshot) -> String {
         let family = format!("{PREFIX}{fam}");
         push_summary(&mut out, &mut typed, &family, labels, h);
     }
-    for (name, s) in &snap.spans {
+    for (name, h) in &snap.spans {
         let (fam, labels) = family_of(name);
         let family = format!("{PREFIX}span_{fam}_duration_us");
-        push_summary(&mut out, &mut typed, &family, labels, &s.durations);
+        push_summary(&mut out, &mut typed, &family, labels, h);
     }
     for (name, w) in &snap.windows {
         let (fam, labels) = family_of(name);
@@ -222,7 +224,6 @@ pub fn render_live(snap: &MetricsSnapshot) -> String {
 mod tests {
     use super::*;
     use crate::registry::registry;
-    use crate::snapshot::SpanStatSnapshot;
 
     /// Every name must match the exposition-format identifier rule.
     fn is_valid_name(name: &str) -> bool {
@@ -380,6 +381,40 @@ mod tests {
         );
     }
 
+    /// A span's lifetime and window families for three known durations
+    /// (10, 30 and 1000 µs), byte for byte.
+    #[test]
+    fn span_families_render_known_durations() {
+        let h = registry().span("test.prom.pinned");
+        h.reset();
+        for us in [10, 30, 1000] {
+            h.record(us);
+        }
+        let doc = render(&MetricsSnapshot::capture());
+        let pinned: Vec<&str> = doc
+            .lines()
+            .filter(|l| l.contains("test_prom_pinned"))
+            .collect();
+        let family = |name: &str| {
+            [
+                format!("# TYPE {name} summary"),
+                format!("{name}{{quantile=\"0.5\"}} 31"),
+                format!("{name}{{quantile=\"0.9\"}} 1000"),
+                format!("{name}{{quantile=\"0.99\"}} 1000"),
+                format!("{name}_sum 1040"),
+                format!("{name}_count 3"),
+                format!("# TYPE {name}_max gauge"),
+                format!("{name}_max 1000"),
+            ]
+        };
+        let want: Vec<String> = family("midas_span_test_prom_pinned_duration_us")
+            .into_iter()
+            .chain(family("midas_test_prom_pinned_duration_us_window"))
+            .collect();
+        assert_eq!(pinned, want, "{doc}");
+        h.reset();
+    }
+
     #[test]
     fn render_produces_wellformed_exposition_lines() {
         let mut snap = MetricsSnapshot::default();
@@ -396,16 +431,11 @@ mod tests {
         );
         snap.spans.insert(
             "batch.fct".into(),
-            SpanStatSnapshot {
+            HistogramSnapshot {
                 count: 1,
-                total_us: 42,
-                max_us: 42,
-                durations: HistogramSnapshot {
-                    count: 1,
-                    sum: 42,
-                    max: 42,
-                    buckets: vec![(63, 1)],
-                },
+                sum: 42,
+                max: 42,
+                buckets: vec![(63, 1)],
             },
         );
         snap.windows.insert(

@@ -1,15 +1,17 @@
-//! The global metrics registry: named counters, gauges, histograms and
-//! span statistics backed by atomics.
+//! The global metrics registry: named counters, gauges and histograms
+//! backed by atomics. A span's statistic is the histogram of its
+//! completion durations in microseconds, kept in a namespace of its own.
 //!
 //! Metric handles are `&'static` — registered once (the maps leak their
 //! values deliberately; the set of metric names is small and fixed by the
 //! instrumentation sites) and then shared lock-free. The handle maps are
 //! only locked on first registration and at snapshot time.
 
+use crate::snapshot::HistogramSnapshot;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Histogram bucket count: bucket `i` holds values whose bit length is `i`
 /// (i.e. `v == 0` → bucket 0, else bucket `⌊log₂ v⌋ + 1`).
@@ -150,18 +152,14 @@ impl BucketSet {
         )
     }
 
-    fn buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                if n == 0 {
-                    return None;
-                }
-                Some((bucket_upper(i), n))
-            })
-            .collect()
+    fn snapshot(&self) -> HistogramSnapshot {
+        let (count, sum, max) = self.totals();
+        HistogramSnapshot {
+            count,
+            sum,
+            max,
+            buckets: nonempty_buckets(self.buckets.iter().map(|b| b.load(Ordering::Relaxed))),
+        }
     }
 
     fn reset(&self) {
@@ -189,26 +187,23 @@ fn bucket_upper(i: usize) -> u64 {
     }
 }
 
+/// Per-bucket counts (indexed by bucket) as the non-empty
+/// `(inclusive upper bound, count)` pairs, ascending.
+fn nonempty_buckets(counts: impl IntoIterator<Item = u64>) -> Vec<(u64, u64)> {
+    counts
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, n)| n > 0)
+        .map(|(i, n)| (bucket_upper(i), n))
+        .collect()
+}
+
 /// One time slice of a histogram's sliding window.
 #[derive(Debug)]
 struct WindowSlot {
     /// The tick this slot currently holds, or [`TICK_EMPTY`].
     tick: AtomicU64,
     set: BucketSet,
-}
-
-/// Aggregate of a histogram's live sliding window — what the last
-/// ~`WINDOW_SLOTS × WINDOW_SLOT_SECS` seconds recorded.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WindowAggregate {
-    /// Samples recorded inside the window.
-    pub count: u64,
-    /// Sum of those samples.
-    pub sum: u64,
-    /// Largest sample inside the window.
-    pub max: u64,
-    /// Non-empty log₂ buckets as `(inclusive upper bound, count)`.
-    pub buckets: Vec<(u64, u64)>,
 }
 
 /// A log₂-bucketed histogram of `u64` samples with exact count/sum/max
@@ -268,22 +263,22 @@ impl Histogram {
         self.base.totals()
     }
 
-    /// Non-empty lifetime buckets as `(inclusive upper bound, count)`
-    /// pairs, in ascending order.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        self.base.buckets()
+    /// The lifetime totals and non-empty buckets, ascending.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        self.base.snapshot()
     }
 
-    /// Aggregate over the live sliding window.
-    pub fn windowed(&self) -> WindowAggregate {
+    /// Aggregate over the live sliding window — what the last
+    /// ~`WINDOW_SLOTS × WINDOW_SLOT_SECS` seconds recorded.
+    pub fn windowed(&self) -> HistogramSnapshot {
         self.windowed_at(current_tick())
     }
 
     /// Window aggregate as seen at an explicit tick (slots older than
     /// `WINDOW_SLOTS` ticks are excluded). Exposed for deterministic tests.
-    pub fn windowed_at(&self, now: u64) -> WindowAggregate {
+    pub fn windowed_at(&self, now: u64) -> HistogramSnapshot {
         let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        let mut agg = WindowAggregate::default();
+        let mut agg = HistogramSnapshot::default();
         for slot in &self.window {
             let tick = slot.tick.load(Ordering::Acquire);
             if tick == TICK_EMPTY || tick > now || now - tick >= WINDOW_SLOTS as u64 {
@@ -297,12 +292,7 @@ impl Histogram {
                 buckets[i] += b.load(Ordering::Relaxed);
             }
         }
-        agg.buckets = buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(i, &n)| (bucket_upper(i), n))
-            .collect();
+        agg.buckets = nonempty_buckets(buckets);
         agg
     }
 
@@ -317,65 +307,13 @@ impl Histogram {
     }
 }
 
-/// Aggregate duration statistics for one span name: exact count/total/max
-/// plus a log₂ histogram of per-completion durations (µs) so phase times
-/// get percentile estimates, not just means.
-#[derive(Debug)]
-pub struct SpanStat {
-    count: AtomicU64,
-    total_ns: AtomicU64,
-    max_ns: AtomicU64,
-    durations_us: Histogram,
-}
-
-impl SpanStat {
-    fn new() -> Self {
-        SpanStat {
-            count: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-            durations_us: Histogram::new(),
-        }
-    }
-
-    /// Records one completed span.
-    pub fn record(&self, dur: Duration) {
-        let ns = dur.as_nanos().min(u64::MAX as u128) as u64;
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-        self.durations_us.record(ns / 1_000);
-    }
-
-    /// `(count, total, max)` so far.
-    pub fn totals(&self) -> (u64, Duration, Duration) {
-        (
-            self.count.load(Ordering::Relaxed),
-            Duration::from_nanos(self.total_ns.load(Ordering::Relaxed)),
-            Duration::from_nanos(self.max_ns.load(Ordering::Relaxed)),
-        )
-    }
-
-    /// The log₂ histogram of completion durations, in microseconds.
-    pub fn durations(&self) -> &Histogram {
-        &self.durations_us
-    }
-
-    fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.total_ns.store(0, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-        self.durations_us.reset();
-    }
-}
-
 /// The process-wide registry of named metrics.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: RwLock<BTreeMap<String, &'static Counter>>,
     gauges: RwLock<BTreeMap<String, &'static Gauge>>,
     histograms: RwLock<BTreeMap<String, &'static Histogram>>,
-    spans: RwLock<BTreeMap<String, &'static SpanStat>>,
+    spans: RwLock<BTreeMap<String, &'static Histogram>>,
 }
 
 fn lookup_or_register<T>(
@@ -407,9 +345,10 @@ impl Registry {
         lookup_or_register(&self.histograms, name, Histogram::new)
     }
 
-    /// The span statistic named `name`, registering it on first use.
-    pub fn span(&self, name: &str) -> &'static SpanStat {
-        lookup_or_register(&self.spans, name, SpanStat::new)
+    /// The duration histogram (µs) of the span named `name`, registering
+    /// it on first use. Span names and histogram names do not collide.
+    pub fn span(&self, name: &str) -> &'static Histogram {
+        lookup_or_register(&self.spans, name, Histogram::new)
     }
 
     /// Visits every registered counter.
@@ -433,8 +372,8 @@ impl Registry {
         }
     }
 
-    /// Visits every registered span statistic.
-    pub fn for_each_span(&self, mut f: impl FnMut(&str, &SpanStat)) {
+    /// Visits every registered span's duration histogram.
+    pub fn for_each_span(&self, mut f: impl FnMut(&str, &Histogram)) {
         for (name, s) in self.spans.read().expect("registry lock").iter() {
             f(name, s);
         }
@@ -492,7 +431,10 @@ mod tests {
         let (count, sum, max) = h.totals();
         assert_eq!((count, sum, max), (6, 1010, 1000));
         // 0 → [0,0]; 1 → (0,1]; 2,3 → (1,3]; 4 → (3,7]; 1000 → (511,1023].
-        assert_eq!(h.buckets(), vec![(0, 1), (1, 1), (3, 2), (7, 1), (1023, 1)]);
+        assert_eq!(
+            h.snapshot().buckets,
+            vec![(0, 1), (1, 1), (3, 2), (7, 1), (1023, 1)]
+        );
     }
 
     #[test]
@@ -507,15 +449,15 @@ mod tests {
     fn span_stat_accumulates() {
         let s = registry().span("test.registry.span");
         s.reset();
-        s.record(Duration::from_micros(10));
-        s.record(Duration::from_micros(30));
-        let (count, total, max) = s.totals();
-        assert_eq!(count, 2);
-        assert_eq!(total, Duration::from_micros(40));
-        assert_eq!(max, Duration::from_micros(30));
-        // Durations also land in the µs histogram (10 → (7,15], 30 → (15,31]).
-        let (hcount, hsum, hmax) = s.durations().totals();
-        assert_eq!((hcount, hsum, hmax), (2, 40, 30));
+        s.record(10);
+        s.record(30);
+        assert_eq!(s.totals(), (2, 40, 30));
+        // 10 → (7,15], 30 → (15,31].
+        assert_eq!(s.snapshot().buckets, vec![(15, 1), (31, 1)]);
+        // A span and a histogram of the same name are two statistics.
+        let h = registry().histogram("test.registry.span");
+        assert!(!std::ptr::eq(s, h));
+        assert_eq!(h.totals().0, 0);
     }
 
     #[test]
@@ -532,7 +474,7 @@ mod tests {
         assert_eq!(w.max, 40);
         // Far in the future, every slot has aged out.
         let empty = h.windowed_at(3 + WINDOW_SLOTS as u64);
-        assert_eq!(empty, WindowAggregate::default());
+        assert_eq!(empty, HistogramSnapshot::default());
     }
 
     #[test]

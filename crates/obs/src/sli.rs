@@ -202,21 +202,7 @@ pub fn clear_ticks() {
 /// Lifetime + windowed snapshot of one `sli.*` histogram.
 fn hist(name: &str) -> (HistogramSnapshot, HistogramSnapshot) {
     let h = registry().histogram(name);
-    let (count, sum, max) = h.totals();
-    let life = HistogramSnapshot {
-        count,
-        sum,
-        max,
-        buckets: h.buckets(),
-    };
-    let w = h.windowed();
-    let win = HistogramSnapshot {
-        count: w.count,
-        sum: w.sum,
-        max: w.max,
-        buckets: w.buckets,
-    };
-    (life, win)
+    (h.snapshot(), h.windowed())
 }
 
 fn quantile_json(h: &HistogramSnapshot) -> String {

@@ -1,56 +1,12 @@
-//! Point-in-time snapshots of the metrics registry, with delta arithmetic
-//! and a hand-rolled JSON exporter (`metrics.json`).
+//! Point-in-time snapshots of the metrics registry, with delta
+//! arithmetic. [`crate::prom::render`] is their text form.
 
-use crate::json;
 use crate::registry::registry;
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::path::Path;
 use std::time::Duration;
 
-/// Snapshot of one span statistic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SpanStatSnapshot {
-    /// Completed spans.
-    pub count: u64,
-    /// Total time across completions, microseconds.
-    pub total_us: u64,
-    /// Longest single completion, microseconds.
-    pub max_us: u64,
-    /// Log₂ histogram of per-completion durations, microseconds — the
-    /// source of the percentile estimates.
-    pub durations: HistogramSnapshot,
-}
-
-impl SpanStatSnapshot {
-    /// Total as a [`Duration`].
-    pub fn total(&self) -> Duration {
-        Duration::from_micros(self.total_us)
-    }
-
-    /// Estimated q-quantile of completion durations, microseconds (see
-    /// [`HistogramSnapshot::quantile`] for the error bound).
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        self.durations.quantile(q)
-    }
-
-    /// Estimated median completion duration, microseconds.
-    pub fn p50_us(&self) -> u64 {
-        self.quantile_us(0.50)
-    }
-
-    /// Estimated 90th-percentile completion duration, microseconds.
-    pub fn p90_us(&self) -> u64 {
-        self.quantile_us(0.90)
-    }
-
-    /// Estimated 99th-percentile completion duration, microseconds.
-    pub fn p99_us(&self) -> u64 {
-        self.quantile_us(0.99)
-    }
-}
-
-/// Snapshot of one histogram.
+/// Snapshot of one histogram: a registry histogram, a span's durations
+/// (µs) or the sliding window of either.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Samples recorded.
@@ -95,11 +51,6 @@ impl HistogramSnapshot {
         self.quantile(0.50)
     }
 
-    /// Estimated 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
     /// Estimated 99th percentile.
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
@@ -131,8 +82,8 @@ impl HistogramSnapshot {
 ///
 /// Captured with [`MetricsSnapshot::capture`]; two captures subtract with
 /// [`MetricsSnapshot::since`] to isolate one region of work (how
-/// `MaintenanceReport.telemetry` scopes a single batch). Serializes to the
-/// `metrics.json` schema via [`MetricsSnapshot::to_json`].
+/// `profile_batch` scopes a single batch). `GET /metrics` renders one with
+/// [`crate::prom::render_live`].
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Counter totals by name.
@@ -142,8 +93,8 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Histogram snapshots by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Span statistics by name.
-    pub spans: BTreeMap<String, SpanStatSnapshot>,
+    /// Span duration histograms (µs) by span name.
+    pub spans: BTreeMap<String, HistogramSnapshot>,
     /// Sliding-window aggregates captured at snapshot time: one entry per
     /// histogram with recent samples, plus `<span>.duration_us` entries for
     /// spans that completed inside the window. Like gauges these describe
@@ -164,52 +115,27 @@ impl MetricsSnapshot {
             snap.gauges.insert(name.to_owned(), g.get());
         });
         reg.for_each_histogram(|name, h| {
-            let (count, sum, max) = h.totals();
-            snap.histograms.insert(
-                name.to_owned(),
-                HistogramSnapshot {
-                    count,
-                    sum,
-                    max,
-                    buckets: h.buckets(),
-                },
-            );
-            let w = h.windowed();
-            if w.count > 0 {
-                snap.windows.insert(name.to_owned(), window_snapshot(w));
-            }
+            snap.histograms.insert(name.to_owned(), h.snapshot());
+            snap.insert_window(name.to_owned(), h.windowed());
         });
-        reg.for_each_span(|name, s| {
-            let (count, total, max) = s.totals();
-            let dh = s.durations();
-            let (dcount, dsum, dmax) = dh.totals();
-            snap.spans.insert(
-                name.to_owned(),
-                SpanStatSnapshot {
-                    count,
-                    total_us: total.as_micros().min(u64::MAX as u128) as u64,
-                    max_us: max.as_micros().min(u64::MAX as u128) as u64,
-                    durations: HistogramSnapshot {
-                        count: dcount,
-                        sum: dsum,
-                        max: dmax,
-                        buckets: dh.buckets(),
-                    },
-                },
-            );
-            let w = dh.windowed();
-            if w.count > 0 {
-                snap.windows
-                    .insert(format!("{name}.duration_us"), window_snapshot(w));
-            }
+        reg.for_each_span(|name, h| {
+            snap.spans.insert(name.to_owned(), h.snapshot());
+            snap.insert_window(format!("{name}.duration_us"), h.windowed());
         });
         snap
     }
 
-    /// The delta `self − baseline`: counters and span count/total subtract
-    /// (saturating), gauges and maxima keep `self`'s value. Metrics absent
-    /// from `baseline` pass through unchanged; zero-delta entries are
-    /// dropped so a batch snapshot lists only what the batch touched.
+    fn insert_window(&mut self, name: String, w: HistogramSnapshot) {
+        if w.count > 0 {
+            self.windows.insert(name, w);
+        }
+    }
+
+    /// The delta `self − baseline`: counters and histogram counts, sums
+    /// and buckets subtract (saturating), gauges and maxima keep `self`'s
+    /// value. Metrics absent from `baseline` pass through unchanged;
+    /// zero-delta entries are dropped so a batch snapshot lists only what
+    /// the batch touched.
     pub fn since(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
         let mut out = MetricsSnapshot::default();
         for (name, &v) in &self.counters {
@@ -220,27 +146,16 @@ impl MetricsSnapshot {
         }
         out.gauges = self.gauges.clone();
         out.windows = self.windows.clone();
-        for (name, h) in &self.histograms {
-            let delta = h.since(baseline.histograms.get(name));
-            if delta.count > 0 {
-                out.histograms.insert(name.clone(), delta);
+        for (mine, base, into) in [
+            (&self.histograms, &baseline.histograms, &mut out.histograms),
+            (&self.spans, &baseline.spans, &mut out.spans),
+        ] {
+            for (name, h) in mine {
+                let delta = h.since(base.get(name));
+                if delta.count > 0 {
+                    into.insert(name.clone(), delta);
+                }
             }
-        }
-        for (name, s) in &self.spans {
-            let base = baseline.spans.get(name);
-            let count = s.count.saturating_sub(base.map_or(0, |b| b.count));
-            if count == 0 {
-                continue;
-            }
-            out.spans.insert(
-                name.clone(),
-                SpanStatSnapshot {
-                    count,
-                    total_us: s.total_us.saturating_sub(base.map_or(0, |b| b.total_us)),
-                    max_us: s.max_us,
-                    durations: s.durations.since(base.map(|b| &b.durations)),
-                },
-            );
         }
         out
     }
@@ -255,8 +170,8 @@ impl MetricsSnapshot {
         self.gauges.get(name).copied().unwrap_or(0.0)
     }
 
-    /// The named span statistic (zeroed when absent).
-    pub fn span(&self, name: &str) -> SpanStatSnapshot {
+    /// The named span's duration histogram, µs (zeroed when absent).
+    pub fn span(&self, name: &str) -> HistogramSnapshot {
         self.spans.get(name).cloned().unwrap_or_default()
     }
 
@@ -266,101 +181,10 @@ impl MetricsSnapshot {
         self.histograms.get(name).cloned().unwrap_or_default()
     }
 
-    /// Sum of `total_us` over the named spans — e.g. the Algorithm-1 phase
+    /// Sum of the named spans' durations — e.g. the Algorithm-1 phase
     /// roll-up compared against PMT.
     pub fn span_total(&self, names: &[&str]) -> Duration {
-        Duration::from_micros(names.iter().map(|n| self.span(n).total_us).sum())
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
-            && self.windows.is_empty()
-    }
-
-    /// Renders the snapshot as JSON (the `metrics.json` schema):
-    ///
-    /// ```json
-    /// {
-    ///   "counters": {"cache.hits": 10},
-    ///   "gauges": {"monitor.drift": 0.01},
-    ///   "histograms": {"vf2.nodes_per_search": {"count": 1, "sum": 7, "max": 7, "p50": 7, "p90": 7, "p99": 7, "buckets": [[7, 1]]}},
-    ///   "spans": {"batch.fct": {"count": 1, "total_us": 42, "max_us": 42, "p50_us": 42, "p90_us": 42, "p99_us": 42}},
-    ///   "windows": {"vf2.nodes_per_search": {"count": 1, "sum": 7, "max": 7, "p50": 7, "p90": 7, "p99": 7, "buckets": [[7, 1]]}}
-    /// }
-    /// ```
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"counters\": {\n");
-        push_entries(&mut out, &self.counters, |v| v.to_string());
-        out.push_str("  },\n  \"gauges\": {\n");
-        push_entries(&mut out, &self.gauges, |v| json::number(*v));
-        out.push_str("  },\n  \"histograms\": {\n");
-        push_entries(&mut out, &self.histograms, render_histogram);
-        out.push_str("  },\n  \"spans\": {\n");
-        push_entries(&mut out, &self.spans, |s| {
-            format!(
-                "{{\"count\": {}, \"total_us\": {}, \"max_us\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}}}",
-                s.count,
-                s.total_us,
-                s.max_us,
-                s.p50_us(),
-                s.p90_us(),
-                s.p99_us()
-            )
-        });
-        out.push_str("  },\n  \"windows\": {\n");
-        push_entries(&mut out, &self.windows, render_histogram);
-        out.push_str("  }\n}\n");
-        out
-    }
-
-    /// Writes [`Self::to_json`] to `path`.
-    pub fn write(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(self.to_json().as_bytes())
-    }
-}
-
-/// Converts a registry [`WindowAggregate`] into the snapshot type.
-fn window_snapshot(w: crate::registry::WindowAggregate) -> HistogramSnapshot {
-    HistogramSnapshot {
-        count: w.count,
-        sum: w.sum,
-        max: w.max,
-        buckets: w.buckets,
-    }
-}
-
-fn render_histogram(h: &HistogramSnapshot) -> String {
-    let buckets: Vec<String> = h
-        .buckets
-        .iter()
-        .map(|(upper, n)| format!("[{upper}, {n}]"))
-        .collect();
-    format!(
-        "{{\"count\": {}, \"sum\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [{}]}}",
-        h.count,
-        h.sum,
-        h.max,
-        h.p50(),
-        h.p90(),
-        h.p99(),
-        buckets.join(", ")
-    )
-}
-
-fn push_entries<V>(out: &mut String, map: &BTreeMap<String, V>, render: impl Fn(&V) -> String) {
-    for (i, (name, v)) in map.iter().enumerate() {
-        out.push_str(&format!(
-            "    {}: {}{}\n",
-            json::quote(name),
-            render(v),
-            if i + 1 < map.len() { "," } else { "" }
-        ));
+        Duration::from_micros(names.iter().map(|n| self.span(n).sum).sum())
     }
 }
 
@@ -388,26 +212,8 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_through_validator() {
-        let _g = exclusive();
-        crate::set_enabled(true);
-        crate::counter_add!("test.snap.json", 1);
-        crate::gauge_set!("test.snap.gauge", 0.25);
-        crate::histogram_record!("test.snap.hist", 9);
-        let snap = MetricsSnapshot::capture();
-        crate::set_enabled(false);
-        let doc = snap.to_json();
-        json::validate(&doc).expect("snapshot JSON validates");
-        assert!(doc.contains("\"test.snap.json\": 1"));
-        assert!(doc.contains("\"test.snap.gauge\": 0.25"));
-        assert!(doc.contains("\"buckets\": [[15, 1]]"));
-    }
-
-    #[test]
     fn empty_snapshot_serializes() {
-        let snap = MetricsSnapshot::default();
-        assert!(snap.is_empty());
-        json::validate(&snap.to_json()).expect("empty snapshot validates");
+        assert_eq!(crate::prom::render(&MetricsSnapshot::default()), "");
     }
 
     #[test]
@@ -415,20 +221,20 @@ mod tests {
         let mut snap = MetricsSnapshot::default();
         snap.spans.insert(
             "a".into(),
-            SpanStatSnapshot {
+            HistogramSnapshot {
                 count: 1,
-                total_us: 30,
-                max_us: 30,
-                ..Default::default()
+                sum: 30,
+                max: 30,
+                buckets: vec![(31, 1)],
             },
         );
         snap.spans.insert(
             "b".into(),
-            SpanStatSnapshot {
+            HistogramSnapshot {
                 count: 2,
-                total_us: 70,
-                max_us: 50,
-                ..Default::default()
+                sum: 70,
+                max: 50,
+                buckets: vec![(31, 1), (63, 1)],
             },
         );
         assert_eq!(
@@ -507,9 +313,10 @@ mod tests {
         // since() keeps windows (they are already time-scoped).
         let delta = snap.since(&snap.clone());
         assert!(delta.windows.contains_key("test.snap.window"));
-        let doc = snap.to_json();
-        json::validate(&doc).expect("snapshot with windows validates");
-        assert!(doc.contains("\"windows\""));
-        assert!(doc.contains("\"p99\""));
+        let doc = crate::prom::render(&snap);
+        assert!(
+            doc.contains("midas_test_snap_window_window{quantile=\"0.99\"} 42"),
+            "{doc}"
+        );
     }
 }

@@ -1,16 +1,18 @@
 //! RAII span timers.
 //!
-//! A [`Span`] measures one named region of work: it is a name and a start
-//! time. On drop it records the duration into the registry's span
-//! statistic of the same name, feeds `batch.*` phases to the `/slow`
-//! exemplar store, and — when tracing is on — appends a Chrome-trace
-//! complete event. Nesting therefore comes for free: a `batch.swap.scan`
-//! span opened while `batch.swap` is live renders inside it both in the
-//! snapshot (two named statistics) and in the trace (time containment on
-//! the same `tid`). Entering and dropping a span takes no lock of its
-//! own; the disabled path is one relaxed atomic load.
+//! A [`Span`] measures one named region of work: it is a name, a start
+//! time and the registry's duration histogram of that name, resolved at
+//! entry so a name's first-use registration is charged to its own span.
+//! On drop it records the duration in microseconds, feeds `batch.*`
+//! phases to the `/slow` exemplar store, and — when tracing is on —
+//! appends a Chrome-trace complete event. Nesting therefore comes for
+//! free: a `batch.swap.scan` span opened while `batch.swap` is live
+//! renders inside it both in the snapshot (two named statistics) and in
+//! the trace (time containment on the same `tid`). Entering and dropping
+//! a span takes no lock of its own; the disabled path is one relaxed
+//! atomic load.
 
-use crate::registry::registry;
+use crate::registry::{registry, Histogram};
 use crate::trace;
 use std::time::Instant;
 
@@ -27,6 +29,7 @@ pub struct Span {
 struct ActiveSpan {
     name: &'static str,
     start: Instant,
+    durations_us: &'static Histogram,
 }
 
 impl Span {
@@ -37,10 +40,12 @@ impl Span {
         if !crate::enabled() {
             return Span { active: None };
         }
+        let start = Instant::now();
         Span {
             active: Some(ActiveSpan {
                 name,
-                start: Instant::now(),
+                start,
+                durations_us: registry().span(name),
             }),
         }
     }
@@ -57,17 +62,18 @@ impl Drop for Span {
             return;
         };
         let dur = active.start.elapsed();
-        registry().span(active.name).record(dur);
+        let us = dur.as_micros().min(u64::MAX as u128) as u64;
+        active.durations_us.record(us);
         // Phase spans feed the tail-latency exemplar store, so `/slow` can
         // attribute slow batches, not just slow plan searches.
         if active.name.starts_with("batch.") {
-            crate::exemplar::offer_named(active.name, "us", dur.as_micros() as u64);
+            crate::exemplar::offer_named(active.name, "us", us);
         }
         if crate::tracing_enabled() {
             trace::push_complete_event(active.name, active.start, dur);
         }
         if crate::flight::span_capture_enabled() {
-            crate::flight::record_event("SPAN", format!("{} {}µs", active.name, dur.as_micros()));
+            crate::flight::record_event("SPAN", format!("{} {us}µs", active.name));
         }
     }
 }
@@ -91,13 +97,13 @@ mod tests {
             }
         }
         crate::set_enabled(false);
-        let (inner_count, inner_total, _) = registry().span("test.span.inner").totals();
-        let (outer_count, outer_total, _) = registry().span("test.span.outer").totals();
+        let (inner_count, inner_us, _) = registry().span("test.span.inner").totals();
+        let (outer_count, outer_us, _) = registry().span("test.span.outer").totals();
         assert_eq!((outer_count, inner_count), (1, 1));
-        assert!(inner_total >= Duration::from_millis(2), "{inner_total:?}");
+        assert!(inner_us >= 2_000, "{inner_us} µs");
         assert!(
-            outer_total >= inner_total,
-            "the outer span contains the inner one: {outer_total:?} < {inner_total:?}"
+            outer_us >= inner_us,
+            "the outer span contains the inner one: {outer_us} µs < {inner_us} µs"
         );
     }
 

@@ -1,5 +1,5 @@
 //! Profiling a batch: run one maintenance cycle with full telemetry and
-//! export `metrics.json` + `trace.json`.
+//! export `metrics.prom` + `trace.json`.
 //!
 //! ```sh
 //! cargo run -p midas-examples --bin profile_batch
@@ -9,12 +9,13 @@
 //!
 //! Open `trace.json` in `chrome://tracing` or <https://ui.perfetto.dev> to
 //! see the Algorithm-1 phases (`batch.*` spans) with their child spans
-//! nested underneath. `metrics.json` holds the counter/histogram snapshot
-//! for the same batch — this is the file the CI telemetry gate validates.
+//! nested underneath. `metrics.prom` holds the registry delta of the same
+//! batch in the Prometheus text format `GET /metrics` serves — this is the
+//! file the CI telemetry gate validates.
 
 use midas_core::{Midas, MidasConfig};
 use midas_datagen::{DatasetKind, DatasetSpec, MotifKind};
-use midas_obs::TelemetryConfig;
+use midas_obs::{MetricsSnapshot, TelemetryConfig};
 
 fn main() {
     // Telemetry on: metrics + trace + info logging. The environment can
@@ -42,7 +43,9 @@ fn main() {
     );
 
     let update = midas_datagen::novel_family_batch(MotifKind::BoronicEster, 50, 99);
+    let before = MetricsSnapshot::capture();
     let report = midas.apply_batch(update);
+    let telemetry = MetricsSnapshot::capture().since(&before);
     println!(
         "batch classified {:?} (drift {:.3}): {} candidates, {} swaps, PMT {:?}",
         report.kind,
@@ -52,13 +55,10 @@ fn main() {
         report.pattern_maintenance_time
     );
 
-    // The report's snapshot is scoped to the batch; persist it next to the
-    // Chrome trace (written by apply_batch itself, honoring
-    // MIDAS_TRACE_OUT).
-    report
-        .telemetry
-        .write("metrics.json")
-        .expect("write metrics.json");
+    // The delta is scoped to the batch; persist it next to the Chrome
+    // trace (written by apply_batch itself, honoring MIDAS_TRACE_OUT).
+    std::fs::write("metrics.prom", midas_obs::prom::render(&telemetry))
+        .expect("write metrics.prom");
     let phases = [
         "batch.ingest",
         "batch.fct",
@@ -70,32 +70,32 @@ fn main() {
     ];
     println!("\nphase breakdown (spans, µs):");
     for phase in phases {
-        let s = report.telemetry.span(phase);
+        let s = telemetry.span(phase);
         if s.count > 0 {
-            println!("  {phase:<18} {:>10}", s.total_us);
+            println!("  {phase:<18} {:>10}", s.sum);
         }
     }
     println!(
         "\nplan: {} searches ({} closed-form), {} recursion nodes, {} prefilter rejects, {} compiles",
-        report.telemetry.counter("plan.searches"),
-        report.telemetry.counter("plan.closed_forms"),
-        report.telemetry.counter("plan.nodes"),
-        report.telemetry.counter("plan.prefilter_rejects"),
-        report.telemetry.counter("plan.compiles")
+        telemetry.counter("plan.searches"),
+        telemetry.counter("plan.closed_forms"),
+        telemetry.counter("plan.nodes"),
+        telemetry.counter("plan.prefilter_rejects"),
+        telemetry.counter("plan.compiles")
     );
     println!(
         "vf2 (reference matcher): {} searches",
-        report.telemetry.counter("vf2.searches")
+        telemetry.counter("vf2.searches")
     );
     println!(
         "cache: {} hits / {} misses, {} insertions, {} invalidations",
-        report.telemetry.counter("cache.hits"),
-        report.telemetry.counter("cache.misses"),
-        report.telemetry.counter("cache.insertions"),
-        report.telemetry.counter("cache.invalidations")
+        telemetry.counter("cache.hits"),
+        telemetry.counter("cache.misses"),
+        telemetry.counter("cache.insertions"),
+        telemetry.counter("cache.invalidations")
     );
     println!(
-        "\nwrote metrics.json; trace at {}",
+        "\nwrote metrics.prom; trace at {}",
         midas_obs::trace::output_path().display()
     );
 }

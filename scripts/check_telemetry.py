@@ -4,10 +4,11 @@
 Two modes:
 
 * Batch-profile gate — runs after an example batch with telemetry
-  enabled; validates that `metrics.json` and `trace.json` parse as JSON
-  and contain the keys the documented schema promises.
+  enabled; validates that `metrics.prom` (the batch's registry delta in
+  the `GET /metrics` text format) is well-formed and carries the required
+  counters and phase spans, and that `trace.json` is a Chrome trace.
 
-      check_telemetry.py <metrics.json> <trace.json>
+      check_telemetry.py <metrics.prom> <trace.json>
 
 * Live-endpoint gate — runs in the serving-daemon smoke step; validates
   the saved responses of `GET /metrics` (Prometheus text exposition
@@ -42,9 +43,8 @@ import re
 import sys
 
 REQUIRED_COUNTERS = ["pmt_us", "cache.hits", "plan.nodes", "plan.searches"]
-REQUIRED_SECTIONS = ["counters", "gauges", "histograms", "spans"]
 REQUIRED_SPANS = ["batch.ingest", "batch.fct", "batch.cluster", "batch.index"]
-SPAN_FIELDS = ["count", "total_us", "max_us"]
+SPAN_SERIES = ["_count", "_sum", "_max"]
 EVENT_FIELDS = ["name", "cat", "ph", "ts", "dur", "pid", "tid"]
 
 # Prometheus exposition format 0.0.4.
@@ -69,30 +69,36 @@ def fail(msg):
     sys.exit(1)
 
 
-def check_metrics(path):
+def prom_family(name):
+    """The exposition family of a registry name (`prom::sanitize_name`)."""
+    return "midas_" + re.sub(r"[^a-zA-Z0-9_:]", "_", name)
+
+
+def check_batch_metrics(path):
+    """Validates the batch delta `profile_batch` writes to `metrics.prom`:
+    well-formed exposition text, the required counters above zero, and
+    one completed span family per required phase."""
+    check_prom(path)
     with open(path) as f:
-        doc = json.load(f)
-    for section in REQUIRED_SECTIONS:
-        if not isinstance(doc.get(section), dict):
-            fail(f"{path}: missing section {section!r}")
+        text = f.read()
+    values = {}
+    for line in text.splitlines():
+        m = SAMPLE_LINE.match(line)
+        if m and not m.group("labels"):
+            values[m.group("name")] = float(m.group("value"))
     for name in REQUIRED_COUNTERS:
-        value = doc["counters"].get(name)
-        if not isinstance(value, int) or value <= 0:
-            fail(f"{path}: counter {name!r} missing or not a positive int ({value!r})")
+        value = values.get(prom_family(name))
+        if value is None or value <= 0:
+            fail(f"{path}: counter {name!r} missing or not positive ({value!r})")
     for name in REQUIRED_SPANS:
-        span = doc["spans"].get(name)
-        if not isinstance(span, dict):
-            fail(f"{path}: span {name!r} missing")
-        for field in SPAN_FIELDS:
-            if not isinstance(span.get(field), int):
-                fail(f"{path}: span {name!r} missing field {field!r}")
-        if span["count"] < 1:
+        family = "midas_span_" + prom_family(name)[len("midas_"):] + "_duration_us"
+        for series in SPAN_SERIES:
+            if family + series not in values:
+                fail(f"{path}: span {name!r} missing series {family + series!r}")
+        if values[family + "_count"] < 1:
             fail(f"{path}: span {name!r} never completed")
-    for name, hist in doc["histograms"].items():
-        for field in ["count", "sum", "max", "buckets"]:
-            if field not in hist:
-                fail(f"{path}: histogram {name!r} missing field {field!r}")
-    print(f"{path}: ok ({len(doc['counters'])} counters, {len(doc['spans'])} spans)")
+    print(f"{path}: ok ({len(REQUIRED_COUNTERS)} counters, "
+          f"{len(REQUIRED_SPANS)} phase spans)")
 
 
 def check_trace(path):
@@ -537,7 +543,7 @@ def main():
         return
     if len(args) != 2:
         fail(
-            "usage: check_telemetry.py <metrics.json> <trace.json>\n"
+            "usage: check_telemetry.py <metrics.prom> <trace.json>\n"
             "   or: check_telemetry.py --prom <metrics.txt> "
             "[--healthz <healthz.json>] [--flight <flight.json>] "
             "[--slow <slow.json>]\n"
@@ -547,7 +553,7 @@ def main():
             "[--patterns <patterns.json>] [--update <update.json>] "
             "[--serve-metrics <metrics.txt>] [--expect-tenants <n>]"
         )
-    check_metrics(args[0])
+    check_batch_metrics(args[0])
     check_trace(args[1])
     print("telemetry schema check passed")
 

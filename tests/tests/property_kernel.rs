@@ -1,7 +1,7 @@
-//! Property tests for the parallel + memoized isomorphism kernel: every
-//! cached/parallel path must agree exactly with the serial uncached
-//! reference, including across insert/delete invalidation, and the
-//! signature prefilter must never reject a true embedding.
+//! Property tests for the memoized isomorphism kernel: every cached
+//! path must agree exactly with the uncached VF2 reference, including
+//! across insert/delete invalidation, and the signature prefilter must
+//! never reject a true embedding.
 
 use midas_graph::isomorphism::{count_embeddings, is_subgraph_of, GraphSignature};
 use midas_graph::{CachedPattern, Csr, GraphDb, GraphId, LabeledGraph, MatchKernel};

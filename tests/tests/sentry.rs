@@ -60,7 +60,7 @@ fn injected_slowdown_shows_in_slow_metrics_and_healthz() {
     let (env, warnings) = Env::parse([("MIDAS_FAULT", "slow:200000")]); // +200 ms in batch.index
     assert!(warnings.is_empty(), "{warnings:?}");
     set_fault_for_tests(env.fault);
-    registry().span("batch.index").durations().reset();
+    registry().span("batch.index").reset();
     exemplar::series("batch.index", "us").reset();
 
     let mut cfg = test_config(7);
@@ -133,7 +133,7 @@ fn injected_slowdown_shows_in_slow_metrics_and_healthz() {
     assert!(pmt_us >= SLOW_US, "last batch PMT {pmt_us} µs");
 
     server.shutdown();
-    registry().span("batch.index").durations().reset();
+    registry().span("batch.index").reset();
     exemplar::series("batch.index", "us").reset();
     TelemetryConfig::default().activate();
 }

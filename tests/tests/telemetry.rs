@@ -1,11 +1,12 @@
 //! End-to-end telemetry: Algorithm-1 phase spans must tile PMT, the
-//! required counters must appear in a batch's snapshot, and both exporters
-//! must emit valid JSON.
+//! required counters must appear in a batch's registry delta, the delta
+//! must render the Prometheus families the CI gate requires, and the
+//! Chrome trace must be valid JSON.
 //!
 //! The telemetry switch is process-global, so every test here holds a
 //! shared lock and restores the disabled default before releasing it.
 
-use midas_core::framework::Midas;
+use midas_core::framework::{MaintenanceReport, Midas, ModificationKind};
 use midas_core::query_log::QueryLog;
 use midas_graph::{BatchUpdate, GraphBuilder, GraphId, LabeledGraph};
 use midas_obs::{json, MetricsSnapshot, TelemetryConfig};
@@ -20,6 +21,14 @@ fn dense_wave() -> Vec<LabeledGraph> {
         .edge(0, 3)
         .build();
     vec![brick; 16]
+}
+
+/// Applies one batch and returns its report with the registry delta the
+/// batch left behind.
+fn measured_batch(midas: &mut Midas, update: BatchUpdate) -> (MaintenanceReport, MetricsSnapshot) {
+    let before = MetricsSnapshot::capture();
+    let report = midas.apply_batch(update);
+    (report, MetricsSnapshot::capture().since(&before))
 }
 
 /// The Algorithm-1 phase spans, in pipeline order.
@@ -39,13 +48,12 @@ fn phase_spans_tile_pattern_maintenance_time() {
     let mut cfg = test_config(7);
     cfg.telemetry.enabled = true; // metrics only; no trace.json side effect
     let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
-    let report = midas.apply_batch(BatchUpdate::insert_only(dense_wave()));
+    let (report, telemetry) = measured_batch(&mut midas, BatchUpdate::insert_only(dense_wave()));
     TelemetryConfig::default().activate();
 
     // Every phase that ran left exactly one span; together they must cover
     // at least 95% of PMT (what is left over is Vec bookkeeping between
-    // phases and the snapshot captures themselves).
-    let telemetry = &report.telemetry;
+    // phases).
     for phase in &PHASES[..5] {
         assert_eq!(telemetry.span(phase).count, 1, "span {phase}");
     }
@@ -79,11 +87,10 @@ fn swap_child_spans_nest_inside_batch_swap() {
     let mut cfg = test_config(7);
     cfg.telemetry.enabled = true;
     let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
-    let report = midas.apply_batch(BatchUpdate::insert_only(dense_wave()));
+    let (_, telemetry) = measured_batch(&mut midas, BatchUpdate::insert_only(dense_wave()));
     TelemetryConfig::default().activate();
 
     // One ranking and one candidate loop per scan, both inside the swap.
-    let telemetry = &report.telemetry;
     assert!(telemetry.counter("monitor.major") == 1, "wave drifts");
     let scans = telemetry.span("batch.swap.scan").count;
     assert!(scans >= 1);
@@ -103,7 +110,7 @@ fn fct_child_spans_nest_inside_batch_fct() {
     let mut cfg = test_config(7);
     cfg.telemetry.enabled = true;
     let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
-    let report = midas.apply_batch(BatchUpdate::insert_only(dense_wave()));
+    let (_, telemetry) = measured_batch(&mut midas, BatchUpdate::insert_only(dense_wave()));
     TelemetryConfig::default().activate();
 
     // One span per step of an inserting batch, all inside `batch.fct`.
@@ -113,7 +120,6 @@ fn fct_child_spans_nest_inside_batch_fct() {
         "batch.fct.support_scan",
         "batch.fct.prune",
     ];
-    let telemetry = &report.telemetry;
     assert_eq!(telemetry.span("batch.fct").count, 1);
     for step in STEPS {
         assert_eq!(telemetry.span(step).count, 1, "span {step}");
@@ -126,32 +132,36 @@ fn fct_child_spans_nest_inside_batch_fct() {
     );
 }
 
+/// One batch's delta rendered as Prometheus text — what `profile_batch`
+/// writes to `metrics.prom` — carries every family the CI telemetry gate
+/// (`scripts/check_telemetry.py`) requires.
 #[test]
-fn metrics_snapshot_exports_valid_json() {
+fn batch_delta_renders_the_gated_prom_families() {
     let _g = exclusive();
     let mut cfg = test_config(11);
     cfg.telemetry.enabled = true;
     let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
-    let report = midas.apply_batch(BatchUpdate::insert_only(dense_wave()));
+    let (_, delta) = measured_batch(&mut midas, BatchUpdate::insert_only(dense_wave()));
     TelemetryConfig::default().activate();
 
-    let doc = report.telemetry.to_json();
-    json::validate(&doc).expect("metrics JSON validates");
-    for key in [
-        "\"pmt_us\"",
-        "\"cache.hits\"",
-        "\"plan.nodes\"",
-        "\"spans\"",
-    ] {
-        assert!(doc.contains(key), "metrics.json must contain {key}");
+    let doc = midas_obs::prom::render(&delta);
+    let value = |series: &str| -> f64 {
+        doc.lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("{series} missing:\n{doc}"))
+            .parse()
+            .expect("numeric sample")
+    };
+    for counter in ["pmt_us", "cache_hits", "plan_nodes", "plan_searches"] {
+        assert!(value(&format!("midas_{counter}")) > 0.0, "{counter}");
     }
-
-    // Round-trip through a file, as the CI gate consumes it.
-    let file = std::env::temp_dir().join(format!("midas-metrics-{}.json", std::process::id()));
-    report.telemetry.write(&file).expect("write metrics.json");
-    let read_back = std::fs::read_to_string(&file).expect("read metrics.json");
-    json::validate(&read_back).expect("file round-trip validates");
-    let _ = std::fs::remove_file(&file);
+    for phase in ["ingest", "fct", "cluster", "index"] {
+        let family = format!("midas_span_batch_{phase}_duration_us");
+        assert!(value(&format!("{family}_count")) >= 1.0, "{family}");
+        value(&format!("{family}_sum"));
+        value(&format!("{family}_max"));
+    }
+    assert!(doc.contains("# TYPE midas_plan_search_ns summary"), "{doc}");
 }
 
 #[test]
@@ -177,16 +187,18 @@ fn trace_export_is_valid_chrome_trace() {
 }
 
 #[test]
-fn disabled_telemetry_leaves_no_trace_in_reports() {
+fn disabled_telemetry_leaves_the_registry_unchanged() {
     let _g = exclusive();
     TelemetryConfig::default().activate();
     let mut midas = Midas::bootstrap(seed_db(), test_config(17)).unwrap();
-    let report = midas.apply_batch(BatchUpdate::insert_only(vec![path(&[0, 1, 2])]));
-    assert!(report.telemetry.is_empty());
-    assert!(MetricsSnapshot::capture()
-        .since(&MetricsSnapshot::capture())
-        .counters
-        .is_empty());
+    let before = MetricsSnapshot::capture();
+    midas.apply_batch(BatchUpdate::insert_only(vec![path(&[0, 1, 2])]));
+    let after = MetricsSnapshot::capture();
+    let delta = after.since(&before);
+    assert!(delta.counters.is_empty(), "{:?}", delta.counters);
+    assert!(delta.histograms.is_empty(), "{:?}", delta.histograms);
+    assert!(delta.spans.is_empty(), "{:?}", delta.spans);
+    assert_eq!(after.gauges, before.gauges);
 }
 
 #[test]
@@ -197,10 +209,9 @@ fn fine_clustering_splits_report_their_span_and_memo_counters() {
     // Small clusters: the 16-graph wave overflows its cluster repeatedly.
     cfg.max_cluster_size = 8;
     let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
-    let report = midas.apply_batch(BatchUpdate::insert_only(dense_wave()));
+    let (_, telemetry) = measured_batch(&mut midas, BatchUpdate::insert_only(dense_wave()));
     TelemetryConfig::default().activate();
 
-    let telemetry = &report.telemetry;
     let splits = telemetry.span("batch.cluster.split").count;
     assert!(splits >= 2, "the wave must split more than once: {splits}");
     assert_eq!(telemetry.counter("cluster.splits"), splits);
@@ -211,9 +222,7 @@ fn fine_clustering_splits_report_their_span_and_memo_counters() {
     let searches = telemetry.histogram("cluster.mccs_ns");
     assert_eq!(searches.count, telemetry.counter("cluster.mccs_computed"));
     assert!(searches.sum > 0);
-    assert!(
-        telemetry.span("batch.cluster.split").total_us <= telemetry.span("batch.cluster").total_us
-    );
+    assert!(telemetry.span("batch.cluster.split").sum <= telemetry.span("batch.cluster").sum);
 }
 
 /// VF2 is the reference matcher: no production path may run it. Over a
@@ -237,10 +246,10 @@ fn production_matching_runs_on_the_plan_matcher_only() {
     let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
     step("bootstrap");
     let major = midas.apply_batch(BatchUpdate::insert_only(dense_wave()));
-    assert_eq!(major.telemetry.counter("monitor.major"), 1, "wave drifts");
+    assert_eq!(major.kind, ModificationKind::Major, "wave drifts");
     step("major batch");
     let minor = midas.apply_batch(BatchUpdate::insert_only(vec![path(&[0, 1, 2])]));
-    assert_eq!(minor.telemetry.counter("monitor.minor"), 1);
+    assert_eq!(minor.kind, ModificationKind::Minor);
     step("minor batch");
     let victims: Vec<GraphId> = midas.db().ids().take(4).collect();
     midas.apply_batch(BatchUpdate::delete_only(victims));
