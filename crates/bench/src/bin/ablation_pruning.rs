@@ -10,7 +10,7 @@ use midas_bench::{experiment_config, fmt_duration, print_table, scaled_dataset};
 use midas_catapult::candidates::generate_candidates;
 use midas_catapult::random_walk::random_walks;
 use midas_catapult::WeightedCsg;
-use midas_core::candidate_gen::{coverage_state, generate_promising_candidates, GenerationParams};
+use midas_core::candidate_gen::{coverage_state, generate_promising_candidates};
 use midas_core::metrics::ScovContext;
 use midas_core::Midas;
 use midas_datagen::updates::novel_family_batch;
@@ -44,13 +44,7 @@ fn main() {
         .map(|(_, c)| WeightedCsg::build(c.csg(), &midas.fct_state().edges, midas.db().len()))
         .collect();
     let state = coverage_state(midas.pattern_store(), &ctx);
-    let params = GenerationParams {
-        budget: config.budget,
-        walks: config.walks,
-        walk_length: config.walk_length,
-        seeds_per_size: config.seeds_per_size,
-        kappa: config.kappa,
-    };
+    let params = config.generation();
 
     // Pruned (MIDAS).
     let t = Instant::now();
@@ -71,16 +65,15 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7_700);
     let mut unpruned = Vec::new();
     for csg in &csgs {
-        let stats = random_walks(csg, params.walks, params.walk_length, &mut rng);
+        let order =
+            random_walks(csg, params.walks, params.walk_length, &mut rng).edges_by_frequency();
         for size in params.budget.eta_min..=params.budget.eta_max {
             let mut pass = |_: &[(u32, u32)], _: (u32, u32)| true;
-            unpruned.extend(generate_candidates(
-                csg,
-                &stats,
-                size,
-                params.seeds_per_size,
-                &mut pass,
-            ));
+            unpruned.extend(
+                generate_candidates(csg, &order, size, params.seeds_per_size, &mut pass)
+                    .into_iter()
+                    .map(|(graph, _)| graph),
+            );
         }
     }
     let unpruned_time = t.elapsed();

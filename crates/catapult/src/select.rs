@@ -14,7 +14,6 @@ use crate::score::{
 };
 use crate::weights::WeightedCsg;
 use midas_cluster::ClusterSet;
-use midas_graph::canonical::canonical_code;
 use midas_graph::{CanonicalCode, LabeledGraph};
 use midas_mining::EdgeCatalog;
 use rand::rngs::StdRng;
@@ -110,18 +109,18 @@ pub fn select_patterns(
             break;
         }
         // Propose candidates from every CSG and admissible size.
-        let mut best: Option<(f64, LabeledGraph, usize)> = None;
+        let mut best: Option<(f64, LabeledGraph, CanonicalCode, usize)> = None;
         for (ci, csg) in csgs.iter().enumerate() {
-            let stats = random_walks(csg, config.walks, config.walk_length, &mut rng);
+            let order =
+                random_walks(csg, config.walks, config.walk_length, &mut rng).edges_by_frequency();
             for size in config.budget.eta_min..=config.budget.eta_max {
                 if per_size.get(&size).copied().unwrap_or(0) >= cap {
                     continue;
                 }
                 let mut no_hook = |_: &[(u32, u32)], _: (u32, u32)| true;
                 let candidates =
-                    generate_candidates(csg, &stats, size, config.seeds_per_size, &mut no_hook);
-                for candidate in candidates {
-                    let code = canonical_code(&candidate);
+                    generate_candidates(csg, &order, size, config.seeds_per_size, &mut no_hook);
+                for (candidate, code) in candidates {
                     if seen.contains(&code) {
                         continue;
                     }
@@ -132,16 +131,16 @@ pub fn select_patterns(
                         cog: candidate.cognitive_load(),
                     };
                     let score = pattern_score(parts);
-                    if best.as_ref().is_none_or(|(b, _, _)| score > *b) {
-                        best = Some((score, candidate, ci));
+                    if best.as_ref().is_none_or(|(b, ..)| score > *b) {
+                        best = Some((score, candidate, code, ci));
                     }
                 }
             }
         }
-        let Some((_, chosen, source)) = best else {
+        let Some((_, chosen, code, source)) = best else {
             break; // no new pattern can be found
         };
-        seen.insert(canonical_code(&chosen));
+        seen.insert(code);
         *per_size.entry(chosen.edge_count()).or_insert(0) += 1;
         csgs[source].penalize(&chosen, config.mwu_penalty);
         patterns.push(chosen);

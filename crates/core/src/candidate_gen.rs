@@ -8,6 +8,15 @@
 //! coverage of any existing pattern, the candidate cannot become a
 //! *promising FCP* (Def. 5.5) and generation stops.
 //!
+//! [`generate_promising_candidates`] asks each question once per call, in
+//! two passes. [`new_classes`] runs the walks and the growth; the Eq. 2
+//! answer depends only on the next edge's label, so it is kept per label,
+//! and each isomorphism class is kept once, as its first grown graph.
+//! [`promising_candidates`] then runs the Def. 5.5 test once per class,
+//! which depends only on the class. DESIGN §5 has the argument that the
+//! output is that of the loop which re-asked both
+//! ([`reference_promising_candidates`], kept for the oracle and tests).
+//!
 //! The Def. 5.5 test needs each candidate's covered graphs anyway, so every
 //! [`Candidate`] leaves generation with its covered count, and
 //! [`CoverageState`] keeps each pattern's: the §6.2 swap scores both sides
@@ -19,7 +28,7 @@ use midas_catapult::candidates::generate_candidates;
 use midas_catapult::random_walk::random_walks;
 use midas_catapult::{PatternBudget, WeightedCsg};
 use midas_graph::canonical::canonical_code;
-use midas_graph::{GraphId, LabeledGraph};
+use midas_graph::{EdgeLabel, GraphId, LabeledGraph};
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -48,7 +57,7 @@ impl Candidate {
 }
 
 /// Coverage bookkeeping for the current pattern set over the sample.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageState {
     /// `⋃_{p ∈ P} G_scov(p)` over the sample.
     pub covered_union: BTreeSet<GraphId>,
@@ -61,27 +70,35 @@ pub struct CoverageState {
     pub min_exclusive: usize,
 }
 
+impl CoverageState {
+    /// The bar of Eq. 2 and Def. 5.5: a marginal coverage of at least
+    /// `⌈(1 + κ) · min_exclusive⌉` graphs.
+    pub fn threshold(&self, kappa: f64) -> usize {
+        ((1.0 + kappa) * self.min_exclusive as f64).ceil() as usize
+    }
+}
+
 /// Computes the coverage state of `store` over the sample.
+///
+/// One pass counts, per graph, how many patterns cover it; a pattern's
+/// exclusive graphs are its graphs covered once.
 pub fn coverage_state(store: &PatternStore, ctx: &ScovContext<'_>) -> CoverageState {
     let per_pattern: Vec<(PatternId, BTreeSet<GraphId>)> =
         store.iter().map(|(id, p)| (id, ctx.covered(p))).collect();
-    let mut covered_union = BTreeSet::new();
+    let mut multiplicity: BTreeMap<GraphId, usize> = BTreeMap::new();
     for (_, covered) in &per_pattern {
-        covered_union.extend(covered.iter().copied());
+        for &id in covered {
+            *multiplicity.entry(id).or_insert(0) += 1;
+        }
     }
     let covered = per_pattern.iter().map(|(id, c)| (*id, c.len())).collect();
-    let mut exclusive = BTreeMap::new();
-    for (id, covered) in &per_pattern {
-        let others: BTreeSet<GraphId> = per_pattern
-            .iter()
-            .filter(|(other, _)| other != id)
-            .flat_map(|(_, c)| c.iter().copied())
-            .collect();
-        exclusive.insert(*id, covered.difference(&others).count());
-    }
+    let exclusive: BTreeMap<PatternId, usize> = per_pattern
+        .iter()
+        .map(|(id, c)| (*id, c.iter().filter(|g| multiplicity[g] == 1).count()))
+        .collect();
     let min_exclusive = exclusive.values().copied().min().unwrap_or(0);
     CoverageState {
-        covered_union,
+        covered_union: multiplicity.into_keys().collect(),
         covered,
         exclusive,
         min_exclusive,
@@ -105,8 +122,98 @@ pub struct GenerationParams {
 
 /// Generates promising FCPs from the given weighted CSGs with Eq. 2
 /// pruning, deduplicated up to isomorphism and against the current pattern
-/// set, each with the covered count its Def. 5.5 test computed.
+/// set, each with the covered count its Def. 5.5 test computed:
+/// [`new_classes`], then [`promising_candidates`].
 pub fn generate_promising_candidates(
+    csgs: &[WeightedCsg],
+    store: &PatternStore,
+    ctx: &ScovContext<'_>,
+    state: &CoverageState,
+    params: &GenerationParams,
+    rng: &mut StdRng,
+) -> Vec<Candidate> {
+    let classes = new_classes(csgs, store, ctx, state, params, rng);
+    promising_candidates(classes, ctx, state, params.kappa)
+}
+
+/// The generation pass: walks and Eq. 2-pruned growth on every CSG in
+/// order, then every size, keeping the first grown graph of each
+/// isomorphism class that `store` does not hold, in first-seen order.
+///
+/// The Eq. 2 hook's answer for an extension depends only on its edge
+/// label (`sample`, `covered_union` and the threshold are fixed for the
+/// call), so each label's is computed once.
+pub fn new_classes(
+    csgs: &[WeightedCsg],
+    store: &PatternStore,
+    ctx: &ScovContext<'_>,
+    state: &CoverageState,
+    params: &GenerationParams,
+    rng: &mut StdRng,
+) -> Vec<LabeledGraph> {
+    let threshold = state.threshold(params.kappa);
+    let mut eq2: BTreeMap<EdgeLabel, bool> = BTreeMap::new();
+    let mut seen = BTreeSet::new();
+    let mut out = Vec::new();
+    for csg in csgs {
+        let order = random_walks(csg, params.walks, params.walk_length, rng).edges_by_frequency();
+        // Eq. 2 hook: veto extensions whose edge has low marginal
+        // coverage. The edge's coverage set comes from the edge catalog
+        // through the context.
+        let mut hook = |_partial: &[(u32, u32)], next: (u32, u32)| {
+            let label = csg.graph.edge_label(next.0, next.1);
+            *eq2.entry(label).or_insert_with(|| {
+                let marginal = ctx.catalog.get(label).map_or(0, |stats| {
+                    stats
+                        .support
+                        .iter()
+                        .filter(|id| ctx.sample.contains(id) && !state.covered_union.contains(id))
+                        .count()
+                });
+                marginal >= threshold
+            })
+        };
+        for size in params.budget.eta_min..=params.budget.eta_max {
+            for (candidate, code) in
+                generate_candidates(csg, &order, size, params.seeds_per_size, &mut hook)
+            {
+                if !store.contains_code(&code) && seen.insert(code) {
+                    out.push(candidate);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The Def. 5.5 pass: keeps each class whose marginal coverage reaches
+/// `(1 + κ)` × the smallest exclusive coverage of an existing pattern,
+/// with its covered count, in input order.
+pub fn promising_candidates(
+    classes: Vec<LabeledGraph>,
+    ctx: &ScovContext<'_>,
+    state: &CoverageState,
+    kappa: f64,
+) -> Vec<Candidate> {
+    let threshold = state.threshold(kappa);
+    classes
+        .into_iter()
+        .filter_map(|graph| {
+            let covered = ctx.covered(&graph);
+            (covered.difference(&state.covered_union).count() >= threshold).then_some(Candidate {
+                graph,
+                covered: covered.len(),
+            })
+        })
+        .collect()
+}
+
+/// [`generate_promising_candidates`] as it ran before each question was
+/// asked once per call: the Eq. 2 hook walks the label's support on every
+/// extension, and every grown FCP is looked up in the store and scored by
+/// Def. 5.5, repeats of a class included. Only the oracle and the tests
+/// call it; production code must not (CI greps for it).
+pub fn reference_promising_candidates(
     csgs: &[WeightedCsg],
     store: &PatternStore,
     ctx: &ScovContext<'_>,
@@ -120,9 +227,6 @@ pub fn generate_promising_candidates(
     for csg in csgs {
         let stats = random_walks(csg, params.walks, params.walk_length, rng);
         for size in params.budget.eta_min..=params.budget.eta_max {
-            // Eq. 2 hook: veto extensions whose edge has low marginal
-            // coverage. The edge's coverage set comes from the edge
-            // catalog through the context.
             let mut hook = |_partial: &[(u32, u32)], next: (u32, u32)| {
                 let label = csg.graph.edge_label(next.0, next.1);
                 let marginal = ctx.catalog.get(label).map_or(0, |stats| {
@@ -134,15 +238,13 @@ pub fn generate_promising_candidates(
                 });
                 marginal >= threshold
             };
-            for candidate in
-                generate_candidates(csg, &stats, size, params.seeds_per_size, &mut hook)
+            let order = stats.edges_by_frequency();
+            for (candidate, _) in
+                generate_candidates(csg, &order, size, params.seeds_per_size, &mut hook)
             {
                 if store.contains_isomorphic(&candidate) {
                     continue;
                 }
-                // Promising-FCP test (Def. 5.5): the candidate's marginal
-                // coverage must reach (1 + κ) × the smallest exclusive
-                // coverage of an existing pattern.
                 let covered = ctx.covered(&candidate);
                 if covered.difference(&state.covered_union).count() < threshold {
                     continue;
@@ -219,6 +321,10 @@ mod tests {
         WeightedCsg::build(&closure, catalog, db.len())
     }
 
+    fn rng(seed: u64) -> StdRng {
+        StdRng::seed_from_u64(seed)
+    }
+
     fn params(kappa: f64) -> GenerationParams {
         GenerationParams {
             budget: PatternBudget {
@@ -251,6 +357,78 @@ mod tests {
         assert_eq!(state.exclusive[&p1], 1);
         assert_eq!(state.exclusive[&p2], 1);
         assert_eq!(state.min_exclusive, 1);
+    }
+
+    #[test]
+    fn coverage_state_counts_exclusive_graphs_under_three_overlapping_patterns() {
+        let w = world(vec![
+            path(&[0, 1, 2, 3]), // P1, P2 and P3
+            path(&[0, 1, 2]),    // P1 and P2
+            path(&[0, 1]),       // only P1
+            path(&[0, 1]),       // only P1
+            path(&[2, 3]),       // only P3
+            path(&[5, 5]),       // uncovered
+        ]);
+        let mut store = PatternStore::new();
+        let p1 = store.insert(path(&[0, 1])).unwrap();
+        let p2 = store.insert(path(&[1, 2])).unwrap();
+        let p3 = store.insert(path(&[2, 3])).unwrap();
+        let c = ctx(&w);
+        let state = coverage_state(&store, &c);
+        let ids: Vec<GraphId> = w.db.ids().collect();
+        assert_eq!(state.covered_union, ids[..5].iter().copied().collect());
+        assert_eq!(state.covered, BTreeMap::from([(p1, 4), (p2, 2), (p3, 2)]));
+        assert_eq!(state.exclusive, BTreeMap::from([(p1, 2), (p2, 0), (p3, 1)]));
+        assert_eq!(state.min_exclusive, 0);
+    }
+
+    #[test]
+    fn a_class_grown_by_two_csgs_is_scored_once() {
+        // Two clusters of the same S-S-S family grow the same classes; a
+        // C-O pattern (exclusive coverage 3, bar ⌈1.1 · 3⌉ = 4) leaves
+        // the 12 S-chains promising.
+        let mut graphs = vec![path(&[0, 1]); 3];
+        graphs.extend(vec![path(&[3, 3, 3, 3]); 12]);
+        let w = world(graphs);
+        let ids: Vec<GraphId> = w.db.ids().collect();
+        let csg = |part: &[GraphId]| {
+            let closure = ClosureGraph::from_graphs(
+                part.iter().map(|&id| (id, w.db.get(id).unwrap().as_ref())),
+            );
+            WeightedCsg::build(&closure, &w.catalog, w.db.len())
+        };
+        let csgs = [csg(&ids[3..9]), csg(&ids[9..])];
+        let mut store = PatternStore::new();
+        store.insert(path(&[0, 1])).unwrap();
+        let c = ctx(&w);
+        let state = coverage_state(&store, &c);
+        let before = w.kernel.cache().stats();
+        let got =
+            generate_promising_candidates(&csgs, &store, &c, &state, &params(0.1), &mut rng(5));
+        let after = w.kernel.cache().stats();
+        assert!(!got.is_empty(), "S-chain candidates expected");
+        // Distinct classes never share a memo entry, so a hit means a
+        // class was tested twice.
+        assert_eq!(after.hits, before.hits, "every class tested once");
+        assert!(after.misses > before.misses);
+
+        // The loop that re-tests repeats hits the memo on this world, and
+        // returns the same candidates.
+        let fresh = World {
+            kernel: MatchKernel::new(),
+            ..w
+        };
+        let c = ctx(&fresh);
+        let want =
+            reference_promising_candidates(&csgs, &store, &c, &state, &params(0.1), &mut rng(5));
+        assert!(
+            fresh.kernel.cache().stats().hits > 0,
+            "the world repeats a class"
+        );
+        let graphs = |cs: &[Candidate]| -> Vec<(LabeledGraph, usize)> {
+            cs.iter().map(|c| (c.graph.clone(), c.covered)).collect()
+        };
+        assert_eq!(graphs(&got), graphs(&want));
     }
 
     #[test]

@@ -119,6 +119,17 @@ impl MidasConfig {
         }
     }
 
+    /// The candidate-generation parameters implied by this config.
+    pub fn generation(&self) -> crate::candidate_gen::GenerationParams {
+        crate::candidate_gen::GenerationParams {
+            budget: self.budget,
+            walks: self.walks,
+            walk_length: self.walk_length,
+            seeds_per_size: self.seeds_per_size,
+            kappa: self.kappa,
+        }
+    }
+
     /// The clustering configuration implied by this config.
     pub fn clustering(&self) -> midas_cluster::ClusterConfig {
         midas_cluster::ClusterConfig {

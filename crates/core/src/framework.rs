@@ -30,9 +30,7 @@
 //! indices stale for a rebuild; a failed pattern-maintenance round keeps
 //! its dirty-cluster flags for the next major batch.
 
-use crate::candidate_gen::{
-    coverage_state, generate_promising_candidates, Candidate, GenerationParams,
-};
+use crate::candidate_gen::{coverage_state, new_classes, promising_candidates, Candidate};
 use crate::config::MidasConfig;
 use crate::metrics::ScovContext;
 use crate::monitor::{classify, GraphletMonitor, Modification};
@@ -419,6 +417,11 @@ impl Midas {
                     catalog: &self.fct_state.edges,
                     kernel: &self.kernel,
                 };
+                // Coverage work (`coverage_state`, then the Def. 5.5 tests)
+                // brackets generation, so its span is timed in two pieces.
+                let mut covered_span = midas_obs::SplitSpan::enter("batch.candidates.covered");
+                let state = covered_span.time(|| coverage_state(&self.patterns, &ctx));
+                let generate_span = midas_obs::span!("batch.candidates.generate");
                 // The dirty flags are read here but cleared only once the
                 // round has completed: a round abandoned to a panic must not
                 // use up its delta (§4.3, §5).
@@ -428,23 +431,13 @@ impl Midas {
                     .filter(|(_, c)| c.is_dirty())
                     .map(|(_, c)| WeightedCsg::build(c.csg(), &self.fct_state.edges, self.db.len()))
                     .collect();
-                let state = coverage_state(&self.patterns, &ctx);
-                let params = GenerationParams {
-                    budget: self.config.budget,
-                    walks: self.config.walks,
-                    walk_length: self.config.walk_length,
-                    seeds_per_size: self.config.seeds_per_size,
-                    kappa: self.config.kappa,
-                };
+                let params = self.config.generation();
                 let mut rng = StdRng::seed_from_u64(self.config.seed ^ (self.batch_counter << 16));
-                let candidates = generate_promising_candidates(
-                    &csgs,
-                    &self.patterns,
-                    &ctx,
-                    &state,
-                    &params,
-                    &mut rng,
-                );
+                let classes = new_classes(&csgs, &self.patterns, &ctx, &state, &params, &mut rng);
+                drop(generate_span);
+                let candidates =
+                    covered_span.time(|| promising_candidates(classes, &ctx, &state, params.kappa));
+                drop(covered_span);
                 candidates_generated = candidates.len();
                 candidate_time = cand_start.elapsed();
                 drop(candidates_span);

@@ -46,7 +46,7 @@ impl PatternStore {
     /// pattern is already present.
     pub fn insert(&mut self, pattern: LabeledGraph) -> Option<PatternId> {
         let code = canonical_code(&pattern);
-        if self.patterns.values().any(|(_, c)| *c == code) {
+        if self.contains_code(&code) {
             return None;
         }
         let id = PatternId(self.next);
@@ -67,8 +67,13 @@ impl PatternStore {
 
     /// Whether an isomorphic pattern is present.
     pub fn contains_isomorphic(&self, pattern: &LabeledGraph) -> bool {
-        let code = canonical_code(pattern);
-        self.patterns.values().any(|(_, c)| *c == code)
+        self.contains_code(&canonical_code(pattern))
+    }
+
+    /// Whether a pattern of canonical code `code` is present — for callers
+    /// that already hold the code.
+    pub fn contains_code(&self, code: &CanonicalCode) -> bool {
+        self.patterns.values().any(|(_, c)| c == code)
     }
 
     /// Number of patterns `|P|`.

@@ -74,7 +74,7 @@ pub use log::LogLevel;
 pub use registry::{Counter, Gauge, Histogram};
 pub use sli::{QuerySample, TickSummary};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
-pub use span::Span;
+pub use span::{Span, SplitSpan};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

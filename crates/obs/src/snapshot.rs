@@ -99,7 +99,7 @@ pub struct MetricsSnapshot {
     /// histogram with recent samples, plus `<span>.duration_us` entries for
     /// spans that completed inside the window. Like gauges these describe
     /// "now" rather than an interval, so [`Self::since`] passes them
-    /// through unchanged.
+    /// through unchanged — for the families its delta keeps.
     pub windows: BTreeMap<String, HistogramSnapshot>,
 }
 
@@ -135,7 +135,8 @@ impl MetricsSnapshot {
     /// and buckets subtract (saturating), gauges and maxima keep `self`'s
     /// value. Metrics absent from `baseline` pass through unchanged;
     /// zero-delta entries are dropped so a batch snapshot lists only what
-    /// the batch touched.
+    /// the batch touched. Windows are kept unchanged, but only for the
+    /// histograms and spans left in the delta.
     pub fn since(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
         let mut out = MetricsSnapshot::default();
         for (name, &v) in &self.counters {
@@ -145,7 +146,6 @@ impl MetricsSnapshot {
             }
         }
         out.gauges = self.gauges.clone();
-        out.windows = self.windows.clone();
         for (mine, base, into) in [
             (&self.histograms, &baseline.histograms, &mut out.histograms),
             (&self.spans, &baseline.spans, &mut out.spans),
@@ -155,6 +155,18 @@ impl MetricsSnapshot {
                 if delta.count > 0 {
                     into.insert(name.clone(), delta);
                 }
+            }
+        }
+        // A window is kept only for a family the region touched: a
+        // histogram, or a span (`<span>.duration_us`), with a non-empty
+        // delta.
+        for (name, w) in &self.windows {
+            let touched = out.histograms.contains_key(name)
+                || name
+                    .strip_suffix(".duration_us")
+                    .is_some_and(|span| out.spans.contains_key(span));
+            if touched {
+                out.windows.insert(name.clone(), w.clone());
             }
         }
         out
@@ -303,20 +315,34 @@ mod tests {
         let _g = exclusive();
         crate::set_enabled(true);
         crate::histogram_record!("test.snap.window", 42);
+        {
+            let _s = crate::span!("test.snap.window_span");
+        }
+        let baseline = MetricsSnapshot::capture();
+        crate::histogram_record!("test.snap.window", 43);
         let snap = MetricsSnapshot::capture();
         crate::set_enabled(false);
         let w = snap
             .windows
             .get("test.snap.window")
             .expect("window captured");
-        assert!(w.count >= 1);
-        // since() keeps windows (they are already time-scoped).
-        let delta = snap.since(&snap.clone());
-        assert!(delta.windows.contains_key("test.snap.window"));
-        let doc = crate::prom::render(&snap);
+        assert!(w.count >= 2);
+        assert!(snap
+            .windows
+            .contains_key("test.snap.window_span.duration_us"));
+        // since() keeps the window of a family the region touched, as it
+        // is, and drops the windows of untouched ones.
+        let delta = snap.since(&baseline);
+        assert_eq!(delta.windows.get("test.snap.window"), Some(w));
+        assert!(!delta
+            .windows
+            .contains_key("test.snap.window_span.duration_us"));
+        assert!(snap.since(&snap).windows.is_empty());
+        let doc = crate::prom::render(&delta);
         assert!(
-            doc.contains("midas_test_snap_window_window{quantile=\"0.99\"} 42"),
+            doc.contains("midas_test_snap_window_window{quantile=\"0.99\"} 43"),
             "{doc}"
         );
+        assert!(!doc.contains("window_span_duration_us_window"), "{doc}");
     }
 }

@@ -8,13 +8,15 @@
 //! appends a Chrome-trace complete event. Nesting therefore comes for
 //! free: a `batch.swap.scan` span opened while `batch.swap` is live
 //! renders inside it both in the snapshot (two named statistics) and in
-//! the trace (time containment on the same `tid`). Entering and dropping
+//! the trace (time containment on the same `tid`). A [`SplitSpan`] times
+//! a region that other work interrupts, one piece at a time, and records
+//! the pieces' sum as one sample. Entering and dropping
 //! a span takes no lock of its own; the disabled path is one relaxed
 //! atomic load.
 
 use crate::registry::{registry, Histogram};
 use crate::trace;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// An RAII guard timing one named region. Construct via
 /// [`crate::span!`] or [`Span::enter`]; inert (zero work on drop) when
@@ -62,19 +64,68 @@ impl Drop for Span {
             return;
         };
         let dur = active.start.elapsed();
-        let us = dur.as_micros().min(u64::MAX as u128) as u64;
-        active.durations_us.record(us);
-        // Phase spans feed the tail-latency exemplar store, so `/slow` can
-        // attribute slow batches, not just slow plan searches.
-        if active.name.starts_with("batch.") {
-            crate::exemplar::offer_named(active.name, "us", us);
-        }
         if crate::tracing_enabled() {
             trace::push_complete_event(active.name, active.start, dur);
         }
-        if crate::flight::span_capture_enabled() {
-            crate::flight::record_event("SPAN", format!("{} {us}µs", active.name));
+        record(active.name, active.durations_us, dur);
+    }
+}
+
+/// A span over a region that other work interrupts, timed piece by piece
+/// with [`SplitSpan::time`]. It records **one** sample, the sum of its
+/// pieces, when dropped, so its count stays one per region; each piece is
+/// its own trace event. Inert when metrics were disabled at entry.
+#[derive(Debug)]
+#[must_use = "a split span records its pieces when dropped"]
+pub struct SplitSpan {
+    name: &'static str,
+    active: Option<(Duration, &'static Histogram)>,
+}
+
+impl SplitSpan {
+    /// Opens a split span named `name`; no piece is timed yet.
+    pub fn enter(name: &'static str) -> SplitSpan {
+        SplitSpan {
+            name,
+            active: crate::enabled().then(|| (Duration::ZERO, registry().span(name))),
         }
+    }
+
+    /// Runs `f` as one piece of the span.
+    pub fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let Some((total, _)) = self.active.as_mut() else {
+            return f();
+        };
+        let start = Instant::now();
+        let out = f();
+        let dur = start.elapsed();
+        *total += dur;
+        if crate::tracing_enabled() {
+            trace::push_complete_event(self.name, start, dur);
+        }
+        out
+    }
+}
+
+impl Drop for SplitSpan {
+    fn drop(&mut self) {
+        if let Some((total, durations_us)) = self.active.take() {
+            record(self.name, durations_us, total);
+        }
+    }
+}
+
+/// Records one completed span sample of `dur`.
+fn record(name: &'static str, durations_us: &Histogram, dur: Duration) {
+    let us = dur.as_micros().min(u64::MAX as u128) as u64;
+    durations_us.record(us);
+    // Phase spans feed the tail-latency exemplar store, so `/slow` can
+    // attribute slow batches, not just slow plan searches.
+    if name.starts_with("batch.") {
+        crate::exemplar::offer_named(name, "us", us);
+    }
+    if crate::flight::span_capture_enabled() {
+        crate::flight::record_event("SPAN", format!("{name} {us}µs"));
     }
 }
 
@@ -104,6 +155,26 @@ mod tests {
         assert!(
             outer_us >= inner_us,
             "the outer span contains the inner one: {outer_us} µs < {inner_us} µs"
+        );
+    }
+
+    #[test]
+    fn split_span_records_one_sample_of_its_pieces() {
+        let _g = exclusive();
+        crate::set_enabled(true);
+        {
+            let mut split = SplitSpan::enter("test.span.split");
+            assert_eq!(split.time(|| 7), 7);
+            split.time(|| std::thread::sleep(Duration::from_millis(2)));
+            std::thread::sleep(Duration::from_millis(20)); // between pieces
+            split.time(|| std::thread::sleep(Duration::from_millis(2)));
+        }
+        crate::set_enabled(false);
+        let (count, us, _) = registry().span("test.span.split").totals();
+        assert_eq!(count, 1, "one sample per split span");
+        assert!(
+            (4_000..20_000).contains(&us),
+            "the pieces' sum, not the gap between them: {us} µs"
         );
     }
 

@@ -4,7 +4,7 @@
 //! in the workspace is cross-checked against its slow reference twin on a
 //! seeded, fully reproducible world from `midas-datagen`.
 //!
-//! The eleven checks ([`Oracle::run_all`]):
+//! The twelve checks ([`Oracle::run_all`]):
 //!
 //! 1. **`kernel_vs_serial`** — [`MatchKernel`] / `EmbeddingCache` counts
 //!    and containment vs the serial VF2 walkers
@@ -60,6 +60,14 @@
 //!     on PubchemLike and AidsLike pairs from the seed at budgets 50,
 //!     300, 2000 and 20000: `edges` and `exact` must be equal, and enough
 //!     of the cases must be capped that the visit order is under test.
+//! 12. **`candidates_vs_reference`** — candidate generation, which asks
+//!     each Eq. 2 question once per edge label and each Def. 5.5 question
+//!     once per isomorphism class, vs [`reference_promising_candidates`],
+//!     the loop that re-asked them: the same candidates in the same order
+//!     with the same covered counts, and the same next RNG draw, on check
+//!     9's swap worlds (CSGs of the whole database and of each half, and
+//!     one CSG per graph) and on the major batches of its carried-coverage
+//!     [`Midas`].
 //!
 //! Divergences are reported as structured JSON (reusing `midas_obs::json`)
 //! with the offending graph pair **minimized** by greedy vertex removal
@@ -80,9 +88,10 @@
 
 use midas_catapult::score::diversity;
 use midas_catapult::WeightedCsg;
-use midas_cluster::{ClusterConfig, ClusterSet, FeatureSpace};
+use midas_cluster::{ClusterConfig, ClusterId, ClusterSet, FeatureSpace};
 use midas_core::candidate_gen::{
-    coverage_state, generate_promising_candidates, Candidate, GenerationParams,
+    coverage_state, generate_promising_candidates, reference_promising_candidates, Candidate,
+    GenerationParams,
 };
 use midas_core::ks::distributions_similar;
 use midas_core::metrics::ScovContext;
@@ -102,14 +111,15 @@ use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of
 use midas_graph::mccs::{mccs_edges, mccs_similarity, reference_mccs_edges};
 use midas_graph::plan::{count_embeddings_plan, find_embeddings_plan, is_subgraph_plan};
 use midas_graph::{
-    BatchUpdate, Csr, EdgeLabel, GraphBuilder, GraphDb, GraphId, LabeledGraph, MatchKernel,
+    BatchUpdate, ClosureGraph, Csr, EdgeLabel, GraphBuilder, GraphDb, GraphId, LabeledGraph,
+    MatchKernel,
 };
 use midas_index::{FctIndex, FeatureId, IfeIndex};
 use midas_mining::incremental::FctState;
 use midas_mining::{mine_lattice, EdgeCatalog, MiningConfig, TreeKey};
 use midas_obs::json;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::{RngCore, RngExt, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -276,7 +286,7 @@ where
     }
 }
 
-/// The differential oracle: a seeded world plus the eleven checks.
+/// The differential oracle: a seeded world plus the twelve checks.
 pub struct Oracle {
     seed: u64,
 }
@@ -297,7 +307,7 @@ impl Oracle {
             checks: Vec::new(),
             divergences: Vec::new(),
         };
-        let checks: [(&'static str, CheckFn); 11] = [
+        let checks: [(&'static str, CheckFn); 12] = [
             ("kernel_vs_serial", Oracle::check_kernel_vs_serial),
             ("incremental_mining", Oracle::check_incremental_mining),
             ("graphlet_monitor", Oracle::check_monitor),
@@ -309,6 +319,10 @@ impl Oracle {
             ("swap_score_cache", Oracle::check_swap_score_cache),
             ("index_maintenance", Oracle::check_index_maintenance),
             ("mccs_vs_reference", Oracle::check_mccs_vs_reference),
+            (
+                "candidates_vs_reference",
+                Oracle::check_candidates_vs_reference,
+            ),
         ];
         for (name, check) in checks {
             let cases = check(self, &mut report.divergences);
@@ -1213,6 +1227,18 @@ impl Oracle {
     /// that `ctx.scov` computes — also over an empty sample, where both
     /// are 0.
     fn check_swap_score_cache(&self, out: &mut Vec<Divergence>) -> usize {
+        let mut cases = 0;
+        for w in &self.score_cache_worlds() {
+            cases += 1;
+            if let Some(d) = self.score_cache_world(w) {
+                out.push(d);
+            }
+        }
+        cases + self.carried_coverage(out)
+    }
+
+    /// Check 5's swap worlds plus check 9's query-log-weighted one.
+    fn score_cache_worlds(&self) -> Vec<SwapWorld> {
         let mut worlds = self.swap_worlds();
         // The log lifts the smaller S-family over the larger one, so the
         // first swap replaces the coverage-free pattern with it. The second
@@ -1235,37 +1261,14 @@ impl Oracle {
             candidates: vec![path(&[3, 3, 3]), path(&[4, 4, 4])],
             log: Some(log),
         });
-        let mut cases = 0;
-        for w in &worlds {
-            cases += 1;
-            if let Some(d) = self.score_cache_world(w) {
-                out.push(d);
-            }
-        }
-        cases + self.carried_coverage(out)
+        worlds
     }
 
     /// Runs one world through the production swap and the re-scoring
     /// reference; returns their disagreement, if any.
     fn score_cache_world(&self, w: &SwapWorld) -> Option<Divergence> {
-        let refs: Vec<(GraphId, &LabeledGraph)> =
-            w.db.iter().map(|(id, g)| (id, g.as_ref())).collect();
-        let catalog = EdgeCatalog::build(refs.iter().copied());
-        let sample: BTreeSet<GraphId> = w.db.ids().collect();
-        let fct = FctIndex::build(
-            std::iter::empty::<(TreeKey, &LabeledGraph)>(),
-            refs.iter().copied(),
-        );
-        let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
-        let kernel = MatchKernel::new();
-        let ctx = ScovContext {
-            fct: &fct,
-            ife: &ife,
-            db: &w.db,
-            sample: &sample,
-            catalog: &catalog,
-            kernel: &kernel,
-        };
+        let indices = WorldIndices::build(&w.db);
+        let ctx = indices.ctx(&w.db);
         let params = SwapParams::default();
         let store = || PatternStore::from_patterns(w.initial.iter().cloned());
         let mut fast = store();
@@ -1305,15 +1308,7 @@ impl Oracle {
 
     /// The carried-coverage half of check 9, on a bootstrapped [`Midas`].
     fn carried_coverage(&self, out: &mut Vec<Divergence>) -> usize {
-        let db = DatasetSpec::new(DatasetKind::AidsLike, 24, self.seed ^ 0x90)
-            .generate()
-            .db;
-        // A low drift threshold makes every novel-family batch major.
-        let config = MidasConfig {
-            epsilon: 0.01,
-            ..MidasConfig::small_defaults()
-        };
-        let mut midas = match Midas::bootstrap(db, config) {
+        let mut midas = match self.carried_coverage_midas() {
             Ok(m) => m,
             Err(e) => {
                 out.push(score_cache_divergence(
@@ -1326,9 +1321,9 @@ impl Oracle {
         };
         let mut cases = 0;
         let mut majors = 0;
-        for step in 0..3u64 {
-            let update = novel_family_batch(boronic_ester_family(), 10, self.seed ^ (0x91 + step));
-            if midas.apply_batch(update).kind != ModificationKind::Major {
+        for step in 0..CARRIED_STEPS {
+            if midas.apply_batch(self.carried_coverage_batch(step)).kind != ModificationKind::Major
+            {
                 continue;
             }
             majors += 1;
@@ -1342,7 +1337,6 @@ impl Oracle {
                     catalog: &midas.fct_state().edges,
                     kernel: midas.kernel(),
                 };
-                let config = midas.config();
                 let csgs: Vec<WeightedCsg> = midas
                     .clusters()
                     .iter()
@@ -1351,13 +1345,7 @@ impl Oracle {
                     })
                     .collect();
                 let state = coverage_state(midas.pattern_store(), &ctx);
-                let params = GenerationParams {
-                    budget: config.budget,
-                    walks: config.walks,
-                    walk_length: config.walk_length,
-                    seeds_per_size: config.seeds_per_size,
-                    kappa: config.kappa,
-                };
+                let params = midas.config().generation();
                 let mut rng = StdRng::seed_from_u64(self.seed ^ (0x9A + step));
                 let candidates = generate_promising_candidates(
                     &csgs,
@@ -1399,6 +1387,258 @@ impl Oracle {
             ));
         }
         cases
+    }
+}
+
+impl Oracle {
+    /// Check 9's carried-coverage world: a bootstrapped [`Midas`] whose
+    /// low drift threshold makes every novel-family batch major.
+    fn carried_coverage_midas(&self) -> Result<Midas, String> {
+        let db = DatasetSpec::new(DatasetKind::AidsLike, 24, self.seed ^ 0x90)
+            .generate()
+            .db;
+        let config = MidasConfig {
+            epsilon: 0.01,
+            ..MidasConfig::small_defaults()
+        };
+        Midas::bootstrap(db, config)
+    }
+
+    /// Step `step` of the carried-coverage stream.
+    fn carried_coverage_batch(&self, step: u64) -> BatchUpdate {
+        novel_family_batch(boronic_ester_family(), 10, self.seed ^ (0x91 + step))
+    }
+
+    /// Check 12: candidate generation, which asks each Eq. 2 and Def. 5.5
+    /// question once per call, against [`reference_promising_candidates`],
+    /// the loop that re-asked them. Candidate graphs, their order and
+    /// covered counts, and the next `u64` of the RNG afterwards must be
+    /// equal.
+    ///
+    /// Worlds: check 9's swap worlds, with the initial patterns as the
+    /// store, at κ 0 and 0.1, over CSGs of the whole database and of each
+    /// half, and over one CSG per graph (so classes repeat across CSGs, and
+    /// one edge index names different labels in different CSGs); and the
+    /// major batches of check 9's carried-coverage [`Midas`], over the CSGs
+    /// of the clusters each batch changed and over every cluster's CSG.
+    fn check_candidates_vs_reference(&self, out: &mut Vec<Divergence>) -> usize {
+        let mut cases = 0;
+        for (wi, w) in self.score_cache_worlds().iter().enumerate() {
+            let indices = WorldIndices::build(&w.db);
+            let ctx = indices.ctx(&w.db);
+            let store = PatternStore::from_patterns(w.initial.iter().cloned());
+            let state = coverage_state(&store, &ctx);
+            let ids: Vec<GraphId> = w.db.ids().collect();
+            let (front, back) = ids.split_at(ids.len() / 2);
+            let halves = vec![ids.clone(), front.to_vec(), back.to_vec()];
+            let singles = ids.iter().map(|&id| vec![id]).collect();
+            for (li, (layout, parts)) in [("whole and halves", halves), ("one per graph", singles)]
+                .into_iter()
+                .enumerate()
+            {
+                let csgs: Vec<WeightedCsg> = parts
+                    .iter()
+                    .map(|part| {
+                        let closure = ClosureGraph::from_graphs(
+                            part.iter()
+                                .filter_map(|&id| Some((id, w.db.get(id)?.as_ref()))),
+                        );
+                        WeightedCsg::build(&closure, &indices.catalog, w.db.len())
+                    })
+                    .collect();
+                for (ki, kappa) in [0.0, 0.1].into_iter().enumerate() {
+                    cases += 1;
+                    let params = GenerationParams {
+                        budget: midas_catapult::PatternBudget {
+                            eta_min: 1,
+                            eta_max: 4,
+                            gamma: 4,
+                        },
+                        walks: 40,
+                        walk_length: 10,
+                        seeds_per_size: 2,
+                        kappa,
+                    };
+                    let seed = self.seed ^ (0xC0 + (wi * 4 + li * 2 + ki) as u64);
+                    out.extend(candidate_divergence(
+                        format!("{}, {layout}, κ {kappa}", w.name),
+                        &csgs,
+                        &store,
+                        &ctx,
+                        &state,
+                        &params,
+                        seed,
+                    ));
+                }
+            }
+        }
+        cases + self.candidates_on_major_batches(out)
+    }
+
+    /// The carried-coverage half of check 12.
+    fn candidates_on_major_batches(&self, out: &mut Vec<Divergence>) -> usize {
+        let divergence = |case: &str, expected: &str, actual: String| Divergence {
+            check: "candidates_vs_reference",
+            case: case.into(),
+            expected: expected.into(),
+            actual,
+            witness: None,
+        };
+        let mut midas = match self.carried_coverage_midas() {
+            Ok(m) => m,
+            Err(e) => {
+                out.push(divergence("bootstrap", "a bootstrapped Midas", e));
+                return 1;
+            }
+        };
+        let members = |midas: &Midas| -> BTreeMap<ClusterId, BTreeSet<GraphId>> {
+            midas
+                .clusters()
+                .iter()
+                .map(|(id, c)| (id, c.members().clone()))
+                .collect()
+        };
+        let (mut cases, mut majors) = (0, 0);
+        for step in 0..CARRIED_STEPS {
+            let before = members(&midas);
+            if midas.apply_batch(self.carried_coverage_batch(step)).kind != ModificationKind::Major
+            {
+                continue;
+            }
+            majors += 1;
+            let sample: BTreeSet<GraphId> = midas.db().ids().collect();
+            let ctx = ScovContext {
+                fct: midas.fct_index(),
+                ife: midas.ife_index(),
+                db: midas.db(),
+                sample: &sample,
+                catalog: &midas.fct_state().edges,
+                kernel: midas.kernel(),
+            };
+            let params = midas.config().generation();
+            let state = coverage_state(midas.pattern_store(), &ctx);
+            // The batch consumed its dirty flags: the clusters it changed
+            // are the ones whose members moved. Every cluster's CSG makes
+            // a second world, in which classes repeat across CSGs.
+            for (label, changed_only) in [("changed clusters", true), ("all clusters", false)] {
+                let csgs: Vec<WeightedCsg> = midas
+                    .clusters()
+                    .iter()
+                    .filter(|(id, c)| !changed_only || before.get(id) != Some(c.members()))
+                    .map(|(_, c)| {
+                        WeightedCsg::build(c.csg(), &midas.fct_state().edges, midas.db().len())
+                    })
+                    .collect();
+                cases += 1;
+                out.extend(candidate_divergence(
+                    format!("major batch {step}, {label}"),
+                    &csgs,
+                    midas.pattern_store(),
+                    &ctx,
+                    &state,
+                    &params,
+                    self.seed ^ (0xCA + step),
+                ));
+            }
+        }
+        cases += 1;
+        if majors == 0 {
+            out.push(divergence(
+                "coverage",
+                "at least one major batch",
+                "none".into(),
+            ));
+        }
+        cases
+    }
+}
+
+/// Batches in check 9's carried-coverage stream (check 12 replays it).
+const CARRIED_STEPS: u64 = 3;
+
+/// Runs production candidate generation and its reference from the same
+/// RNG seed; returns their disagreement, if any.
+fn candidate_divergence(
+    case: String,
+    csgs: &[WeightedCsg],
+    store: &PatternStore,
+    ctx: &ScovContext<'_>,
+    state: &midas_core::candidate_gen::CoverageState,
+    params: &GenerationParams,
+    seed: u64,
+) -> Option<Divergence> {
+    let run = |generate: GenerateFn| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let candidates = generate(csgs, store, ctx, state, params, &mut rng);
+        let outcome: Vec<(LabeledGraph, usize)> = candidates
+            .into_iter()
+            .map(|c| (c.graph, c.covered))
+            .collect();
+        (outcome, rng.next_u64())
+    };
+    let got = run(generate_promising_candidates);
+    let want = run(reference_promising_candidates);
+    let describe = |(outcome, next): &(Vec<(LabeledGraph, usize)>, u64)| {
+        let graphs: Vec<String> = outcome
+            .iter()
+            .map(|(g, covered)| format!("{} covering {covered}", graph_json(g)))
+            .collect();
+        format!("[{}], next u64 {next}", graphs.join(", "))
+    };
+    (got != want).then(|| Divergence {
+        check: "candidates_vs_reference",
+        case,
+        expected: describe(&want),
+        actual: describe(&got),
+        witness: None,
+    })
+}
+
+/// The signature `generate_promising_candidates` and its reference share.
+type GenerateFn = fn(
+    &[WeightedCsg],
+    &PatternStore,
+    &ScovContext<'_>,
+    &midas_core::candidate_gen::CoverageState,
+    &GenerationParams,
+    &mut StdRng,
+) -> Vec<Candidate>;
+
+/// The owned parts of a swap world's scoring context: no FCT features, no
+/// tracked infrequent edges, and the whole database as the sample.
+struct WorldIndices {
+    fct: FctIndex,
+    ife: IfeIndex,
+    catalog: EdgeCatalog,
+    sample: BTreeSet<GraphId>,
+    kernel: MatchKernel,
+}
+
+impl WorldIndices {
+    fn build(db: &GraphDb) -> Self {
+        let refs: Vec<(GraphId, &LabeledGraph)> =
+            db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+        WorldIndices {
+            fct: FctIndex::build(
+                std::iter::empty::<(TreeKey, &LabeledGraph)>(),
+                refs.iter().copied(),
+            ),
+            ife: IfeIndex::build(BTreeSet::new(), refs.iter().copied()),
+            catalog: EdgeCatalog::build(refs.iter().copied()),
+            sample: db.ids().collect(),
+            kernel: MatchKernel::new(),
+        }
+    }
+
+    fn ctx<'a>(&'a self, db: &'a GraphDb) -> ScovContext<'a> {
+        ScovContext {
+            fct: &self.fct,
+            ife: &self.ife,
+            db,
+            sample: &self.sample,
+            catalog: &self.catalog,
+            kernel: &self.kernel,
+        }
     }
 }
 

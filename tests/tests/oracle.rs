@@ -12,8 +12,8 @@ fn full_oracle_run_is_clean_on_the_ci_seed() {
         "oracle divergences: {}",
         report.to_json()
     );
-    // All eleven checks ran and actually compared something.
-    assert_eq!(report.checks.len(), 11);
+    // All twelve checks ran and actually compared something.
+    assert_eq!(report.checks.len(), 12);
     for check in &report.checks {
         assert!(check.cases > 0, "check {} ran zero cases", check.name);
     }
@@ -32,6 +32,7 @@ fn full_oracle_run_is_clean_on_the_ci_seed() {
             "swap_score_cache",
             "index_maintenance",
             "mccs_vs_reference",
+            "candidates_vs_reference",
         ]
     );
 }

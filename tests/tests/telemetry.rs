@@ -105,6 +105,41 @@ fn swap_child_spans_nest_inside_batch_swap() {
 }
 
 #[test]
+fn candidate_child_spans_nest_inside_batch_candidates() {
+    let _g = exclusive();
+    let mut cfg = test_config(7);
+    cfg.telemetry.enabled = true;
+    let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    let before = MetricsSnapshot::capture();
+    let mut majors = 0;
+    for update in [
+        BatchUpdate::insert_only(dense_wave()),
+        BatchUpdate::insert_only(vec![path(&[0, 1, 2]); 2]),
+        BatchUpdate::insert_only(vec![path(&[5, 6, 5, 6, 5]); 12]),
+    ] {
+        majors += usize::from(midas.apply_batch(update).kind == ModificationKind::Major);
+    }
+    let telemetry = MetricsSnapshot::capture().since(&before);
+    TelemetryConfig::default().activate();
+
+    // One generation pass and one (two-piece) coverage span per major
+    // batch, both inside `batch.candidates`.
+    const STEPS: &[&str] = &["batch.candidates.generate", "batch.candidates.covered"];
+    assert_eq!(majors, 2, "two of the three batches drift");
+    let majors = majors as u64;
+    assert_eq!(telemetry.span("batch.candidates").count, majors);
+    for step in STEPS {
+        assert_eq!(telemetry.span(step).count, majors, "span {step}");
+    }
+    let children = telemetry.span_total(STEPS);
+    let candidates = telemetry.span_total(&["batch.candidates"]);
+    assert!(
+        children <= candidates,
+        "candidate steps {children:?} exceed batch.candidates {candidates:?}"
+    );
+}
+
+#[test]
 fn fct_child_spans_nest_inside_batch_fct() {
     let _g = exclusive();
     let mut cfg = test_config(7);
