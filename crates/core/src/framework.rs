@@ -229,13 +229,13 @@ impl Midas {
     /// Builds and publishes a fresh [`PatternSnapshot`] from the current
     /// store, monitor and batch counter.
     fn publish_snapshot(&self) {
-        self.published.publish(PatternSnapshot {
-            epoch: self.batch_counter,
-            patterns: self.patterns.graphs(),
-            graphlets: self.monitor.distribution(),
-            db_len: self.db.len(),
-            published_unix_ms: midas_obs::flight::unix_ms(),
-        });
+        self.published.publish(PatternSnapshot::new(
+            self.batch_counter,
+            self.patterns.graphs(),
+            self.monitor.distribution(),
+            self.db.len(),
+            midas_obs::flight::unix_ms(),
+        ));
         midas_obs::counter_add!("patterns.published", 1);
         midas_obs::gauge_set!("patterns.snapshot_epoch", self.batch_counter as f64);
     }

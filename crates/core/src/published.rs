@@ -23,13 +23,16 @@
 //! monotone epoch (batches applied when the snapshot was built), and the
 //! graphlet distribution of the database at publish time — enough for a
 //! reader to compute its own *staleness* (batches behind + graphlet drift)
-//! against a later snapshot without touching `Midas` at all.
+//! against a later snapshot without touching `Midas` at all. Its JSON
+//! rendering ([`PatternSnapshot::json_fields`]) is made on the first read
+//! that asks for it and kept with the snapshot, so a serving daemon renders
+//! each published pattern set once, not once per request.
 //!
 //! [`PatternStore`]: crate::patterns::PatternStore
 
 use midas_graph::graphlets::GraphletDistribution;
-use midas_graph::LabeledGraph;
-use std::sync::{Arc, RwLock};
+use midas_graph::{io, LabeledGraph};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// A shared cell holding the latest published `Arc<T>`.
 ///
@@ -82,7 +85,12 @@ impl<T: Default> Default for Published<T> {
 
 /// One immutable publication of the canned pattern set, with everything a
 /// reader needs to judge how stale its copy is.
-#[derive(Debug, Clone, Default)]
+///
+/// The snapshot caches its own JSON rendering ([`Self::json_fields`]). The
+/// cache does not watch the public fields, so edit an owned snapshot
+/// before its first render; a published one sits behind an `Arc` and
+/// cannot be edited. A clone starts with an empty cache.
+#[derive(Debug, Default)]
 pub struct PatternSnapshot {
     /// Batches applied when this snapshot was published (0 = bootstrap).
     /// Monotone per `Midas` instance: `latest.epoch - mine.epoch` is the
@@ -100,9 +108,87 @@ pub struct PatternSnapshot {
     /// Wall-clock publish time (unix milliseconds; 0 if the clock is
     /// unavailable).
     pub published_unix_ms: u64,
+    /// The JSON rendering of `graphlets` and `patterns`, made on first use.
+    rendered: OnceLock<Rendered>,
+}
+
+/// `"graphlets": [...], "patterns": [...]`, the two members of a snapshot's
+/// JSON document that only change with the snapshot.
+#[derive(Debug)]
+struct Rendered {
+    text: String,
+    /// Length of the `"graphlets": [...]` member at the start of `text`.
+    graphlets_len: usize,
+}
+
+impl Clone for PatternSnapshot {
+    /// Copies the payload; the clone renders its own JSON, so a clone
+    /// edited before its first read never serves the original's bytes.
+    fn clone(&self) -> Self {
+        PatternSnapshot::new(
+            self.epoch,
+            self.patterns.clone(),
+            self.graphlets,
+            self.db_len,
+            self.published_unix_ms,
+        )
+    }
 }
 
 impl PatternSnapshot {
+    /// A snapshot with an empty render cache.
+    pub fn new(
+        epoch: u64,
+        patterns: Vec<LabeledGraph>,
+        graphlets: GraphletDistribution,
+        db_len: usize,
+        published_unix_ms: u64,
+    ) -> Self {
+        PatternSnapshot {
+            epoch,
+            patterns,
+            graphlets,
+            db_len,
+            published_unix_ms,
+            rendered: OnceLock::new(),
+        }
+    }
+
+    /// The `"graphlets": [f, ...], "patterns": [graph, ...]` members of this
+    /// snapshot's JSON document (graphs in the `midas_graph::io` format).
+    /// Rendered on the first call; every later call returns the same
+    /// bytes.
+    pub fn json_fields(&self) -> &str {
+        &self.rendered().text
+    }
+
+    /// The `"graphlets": [f, ...]` member alone: the start of
+    /// [`Self::json_fields`].
+    pub fn graphlets_json_field(&self) -> &str {
+        let rendered = self.rendered();
+        &rendered.text[..rendered.graphlets_len]
+    }
+
+    fn rendered(&self) -> &Rendered {
+        self.rendered.get_or_init(|| {
+            let mut text = String::from("\"graphlets\": [");
+            for (i, f) in self.graphlets.as_array().iter().enumerate() {
+                if i > 0 {
+                    text.push_str(", ");
+                }
+                text.push_str(&midas_obs::json::number(*f));
+            }
+            text.push(']');
+            let graphlets_len = text.len();
+            text.push_str(", \"patterns\": ");
+            text.push_str(&io::patterns_to_json(&self.patterns).unwrap_or_else(|_| "[]".into()));
+            Rendered {
+                text,
+                graphlets_len,
+            }
+        })
+    }
+
     /// Batches applied between this snapshot and `latest` (saturating, so
     /// comparing snapshots from different `Midas` instances degrades to 0
     /// instead of wrapping).
@@ -170,6 +256,73 @@ mod tests {
             stop.store(true, Ordering::Relaxed);
         });
         assert_eq!(*cell.read(), (1000, 1000));
+    }
+
+    fn path(labels: &[u32]) -> LabeledGraph {
+        let mut b = midas_graph::GraphBuilder::new().vertices(labels);
+        for v in 1..labels.len() as u32 {
+            b = b.edge(v - 1, v);
+        }
+        b.build()
+    }
+
+    fn snapshot(patterns: Vec<LabeledGraph>) -> PatternSnapshot {
+        PatternSnapshot::new(
+            4,
+            patterns,
+            GraphletDistribution::default(),
+            10,
+            1_700_000_000_000,
+        )
+    }
+
+    #[test]
+    fn json_fields_render_graphlets_then_patterns() {
+        let patterns = vec![path(&[0, 1]), path(&[2, 3, 4])];
+        let snap = snapshot(patterns.clone());
+        let graphlets: Vec<String> = snap
+            .graphlets
+            .as_array()
+            .iter()
+            .map(|f| midas_obs::json::number(*f))
+            .collect();
+        let graphlets = format!("\"graphlets\": [{}]", graphlets.join(", "));
+        assert_eq!(snap.graphlets_json_field(), graphlets);
+        assert_eq!(
+            snap.json_fields(),
+            format!(
+                "{graphlets}, \"patterns\": {}",
+                io::patterns_to_json(&patterns).unwrap()
+            )
+        );
+    }
+
+    #[test]
+    fn reads_of_one_snapshot_share_one_render() {
+        let cell = Published::new(snapshot(vec![path(&[0, 1, 2])]));
+        let (first, second) = (cell.read(), cell.read());
+        assert!(std::ptr::eq(
+            first.json_fields().as_ptr(),
+            second.json_fields().as_ptr()
+        ));
+        assert!(std::ptr::eq(
+            first.graphlets_json_field().as_ptr(),
+            second.json_fields().as_ptr()
+        ));
+    }
+
+    #[test]
+    fn an_edited_clone_renders_its_own_patterns() {
+        let original = snapshot(vec![path(&[0, 1])]);
+        let before = original.json_fields().to_owned();
+        let mut clone = original.clone();
+        clone.patterns = vec![path(&[5, 6, 7])];
+        assert_eq!(
+            clone.json_fields(),
+            snapshot(vec![path(&[5, 6, 7])]).json_fields()
+        );
+        assert_ne!(clone.json_fields(), before);
+        assert_eq!(original.json_fields(), before);
     }
 
     #[test]

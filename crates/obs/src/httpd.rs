@@ -78,6 +78,7 @@
 //! scope before touching the stream; a regression test pins the behavior
 //! with a deliberately stalled connection.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -128,10 +129,9 @@ pub struct Request {
 impl Request {
     /// First header with this (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let want = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(k, _)| *k == want)
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 
@@ -203,19 +203,28 @@ impl Response {
     /// Serializes the complete `HTTP/1.1` message; `keep_alive` picks
     /// the `Connection` header.
     fn serialize(&self, keep_alive: bool) -> String {
-        let mut head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+        let status = reason(self.status);
+        let extra: usize = self.extra_headers.iter().map(|h| h.len() + 2).sum();
+        // 100 bytes hold the fixed text of the head with a 5-digit status,
+        // a 20-digit length and `keep-alive`.
+        let mut out = String::with_capacity(
+            100 + status.len() + self.content_type.len() + extra + self.body.len(),
+        );
+        let _ = write!(
+            out,
+            "HTTP/1.1 {} {status}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
-            reason(self.status),
             self.content_type,
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" }
         );
         for h in &self.extra_headers {
-            head.push_str(h);
-            head.push_str("\r\n");
+            out.push_str(h);
+            out.push_str("\r\n");
         }
-        format!("{head}\r\n{}", self.body)
+        out.push_str("\r\n");
+        out.push_str(&self.body);
+        out
     }
 }
 
@@ -624,6 +633,36 @@ pub(crate) mod tests {
     use super::*;
     use std::sync::mpsc;
     use std::time::Instant;
+
+    #[test]
+    fn serialize_writes_the_head_then_the_body() {
+        let response = Response::json(201, "{}\n").with_header("Allow: GET");
+        assert_eq!(
+            response.serialize(true),
+            "HTTP/1.1 201 Created\r\nContent-Type: application/json; charset=utf-8\r\n\
+             Content-Length: 3\r\nConnection: keep-alive\r\nAllow: GET\r\n\r\n{}\n"
+        );
+        assert_eq!(
+            Response::text(404, "").serialize(false),
+            "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain; charset=utf-8\r\n\
+             Content-Length: 0\r\nConnection: close\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn header_lookup_ignores_the_case_of_the_name() {
+        let request = Request {
+            method: "GET".into(),
+            path: "/".into(),
+            query: None,
+            headers: vec![("connection".into(), "Keep-Alive".into())],
+            body: Vec::new(),
+        };
+        assert_eq!(request.header("Connection"), Some("Keep-Alive"));
+        assert_eq!(request.header("connection"), Some("Keep-Alive"));
+        assert_eq!(request.header("content-length"), None);
+        assert!(wants_keep_alive(&request));
+    }
 
     fn echo_server(workers: usize) -> HttpServer {
         let handler: Handler = Arc::new(|req: &Request| match req.path.as_str() {

@@ -56,9 +56,9 @@ impl HistogramSnapshot {
         self.quantile(0.99)
     }
 
-    /// The delta `self − baseline`, bucket by bucket (saturating).
+    /// The delta `self − baseline`, bucket by bucket (saturating); the
+    /// count is the sum of the bucket deltas.
     fn since(&self, base: Option<&HistogramSnapshot>) -> HistogramSnapshot {
-        let count = self.count.saturating_sub(base.map_or(0, |b| b.count));
         let mut buckets: Vec<(u64, u64)> = Vec::new();
         for &(upper, n) in &self.buckets {
             let base_n = base
@@ -70,7 +70,7 @@ impl HistogramSnapshot {
             }
         }
         HistogramSnapshot {
-            count,
+            count: buckets.iter().map(|(_, n)| n).sum(),
             sum: self.sum.saturating_sub(base.map_or(0, |b| b.sum)),
             max: self.max,
             buckets,
@@ -97,9 +97,8 @@ pub struct MetricsSnapshot {
     pub spans: BTreeMap<String, HistogramSnapshot>,
     /// Sliding-window aggregates captured at snapshot time: one entry per
     /// histogram with recent samples, plus `<span>.duration_us` entries for
-    /// spans that completed inside the window. Like gauges these describe
-    /// "now" rather than an interval, so [`Self::since`] passes them
-    /// through unchanged — for the families its delta keeps.
+    /// spans that completed inside the window. [`Self::since`] subtracts
+    /// the baseline's window, for the families its delta keeps.
     pub windows: BTreeMap<String, HistogramSnapshot>,
 }
 
@@ -135,8 +134,17 @@ impl MetricsSnapshot {
     /// and buckets subtract (saturating), gauges and maxima keep `self`'s
     /// value. Metrics absent from `baseline` pass through unchanged;
     /// zero-delta entries are dropped so a batch snapshot lists only what
-    /// the batch touched. Windows are kept unchanged, but only for the
-    /// histograms and spans left in the delta.
+    /// the batch touched. A window is kept only for a histogram or span
+    /// left in the delta, minus the baseline's window of the same family,
+    /// so it counts the region's own samples.
+    ///
+    /// That window delta is exact when no window slot expired between the
+    /// two captures. A slot that expired in between takes samples from
+    /// before the baseline out of `self`'s window that the baseline still
+    /// counts, so the subtraction (saturating, bucket by bucket) then
+    /// undercounts the region; it never counts a sample recorded before
+    /// the baseline. Its `max` is `self`'s window maximum, as for
+    /// histograms.
     pub fn since(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
         let mut out = MetricsSnapshot::default();
         for (name, &v) in &self.counters {
@@ -166,7 +174,7 @@ impl MetricsSnapshot {
                     .strip_suffix(".duration_us")
                     .is_some_and(|span| out.spans.contains_key(span));
             if touched {
-                out.windows.insert(name.clone(), w.clone());
+                out.insert_window(name.clone(), w.since(baseline.windows.get(name)));
             }
         }
         out
@@ -311,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn windows_pass_through_since_and_render() {
+    fn windows_in_since_count_the_region_and_render() {
         let _g = exclusive();
         crate::set_enabled(true);
         crate::histogram_record!("test.snap.window", 42);
@@ -330,10 +338,12 @@ mod tests {
         assert!(snap
             .windows
             .contains_key("test.snap.window_span.duration_us"));
-        // since() keeps the window of a family the region touched, as it
-        // is, and drops the windows of untouched ones.
+        // since() keeps the window of a family the region touched, less
+        // the baseline's window, and drops the windows of untouched ones.
         let delta = snap.since(&baseline);
-        assert_eq!(delta.windows.get("test.snap.window"), Some(w));
+        let region = delta.windows.get("test.snap.window").expect("kept");
+        assert_eq!((region.count, region.sum), (1, 43));
+        assert_eq!(region.buckets, vec![(63, 1)]);
         assert!(!delta
             .windows
             .contains_key("test.snap.window_span.duration_us"));
@@ -343,6 +353,44 @@ mod tests {
             doc.contains("midas_test_snap_window_window{quantile=\"0.99\"} 43"),
             "{doc}"
         );
+        assert!(
+            doc.contains("midas_test_snap_window_window_count 1"),
+            "{doc}"
+        );
         assert!(!doc.contains("window_span_duration_us_window"), "{doc}");
+    }
+
+    fn histogram(samples: &[(u64, u64)]) -> HistogramSnapshot {
+        HistogramSnapshot {
+            count: samples.iter().map(|(_, n)| n).sum(),
+            sum: samples.iter().map(|(upper, n)| upper * n).sum(),
+            max: samples.iter().map(|(upper, _)| *upper).max().unwrap_or(0),
+            buckets: samples.to_vec(),
+        }
+    }
+
+    fn with_window(lifetime: &[(u64, u64)], window: &[(u64, u64)]) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::default();
+        snap.histograms.insert("h".into(), histogram(lifetime));
+        snap.windows.insert("h".into(), histogram(window));
+        snap
+    }
+
+    #[test]
+    fn samples_before_the_baseline_leave_the_window_delta() {
+        // Five samples of 7 precede the baseline; the region adds two of
+        // 7 and one of 63, all inside the window.
+        let baseline = with_window(&[(7, 5)], &[(7, 5)]);
+        let later = with_window(&[(7, 7), (63, 1)], &[(7, 7), (63, 1)]);
+        let delta = later.since(&baseline);
+        assert_eq!(delta.histogram("h"), histogram(&[(7, 2), (63, 1)]));
+        assert_eq!(delta.windows["h"], histogram(&[(7, 2), (63, 1)]));
+
+        // A slot holding three of the early samples expires between the
+        // captures: the window delta undercounts the region's 7s and
+        // still counts no sample from before the baseline.
+        let expired = with_window(&[(7, 7), (63, 1)], &[(7, 4), (63, 1)]);
+        let w = &expired.since(&baseline).windows["h"];
+        assert_eq!((w.count, w.buckets.clone()), (1, vec![(63, 1)]));
     }
 }

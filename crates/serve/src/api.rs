@@ -28,6 +28,7 @@ use midas_datagen::{DatasetKind, DatasetSpec, MotifKind};
 use midas_graph::io;
 use midas_obs::httpd::{Request, Response};
 use midas_obs::json::{self as js, Value};
+use std::fmt::Write as _;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -264,15 +265,12 @@ fn delete_tenant(state: &ServeState, name: &str) -> Response {
     }
 }
 
-fn graphlets_json(freqs: &[f64; 8]) -> String {
-    let items: Vec<String> = freqs.iter().map(|f| js::number(*f)).collect();
-    format!("[{}]", items.join(", "))
-}
-
 /// `GET /v1/{tenant}/patterns` — the read hot path: one `Arc` clone off
-/// the published snapshot, one JSON render. Epoch + publish time +
-/// pending queue depth let the client judge staleness; the graphlet
-/// frequencies let it compute drift against a later epoch probe.
+/// the published snapshot, then the per-read header fields written around
+/// the snapshot's cached `graphlets` and `patterns` members (rendered once
+/// per snapshot, by its first read). Epoch + publish time + pending queue
+/// depth let the client judge staleness; the graphlet frequencies let it
+/// compute drift against a later epoch probe.
 fn patterns(tenant: &Arc<Tenant>) -> Response {
     let snap = tenant.snapshot();
     if midas_obs::enabled() {
@@ -280,21 +278,25 @@ fn patterns(tenant: &Arc<Tenant>) -> Response {
             .counter(&crate::metric(&tenant.name, "serve.reads"))
             .add(1);
     }
-    let patterns_json = io::patterns_to_json(&snap.patterns).unwrap_or_else(|_| "[]".into());
-    Response::json(
-        200,
-        format!(
-            "{{\"tenant\": {}, \"epoch\": {}, \"db_len\": {}, \"published_unix_ms\": {}, \"pending_batches\": {}, \"graphlets\": {}, \"patterns\": {}}}\n",
-            js::quote(&tenant.name),
-            snap.epoch,
-            snap.db_len,
-            snap.published_unix_ms,
-            tenant.pending_len(),
-            graphlets_json(&snap.graphlets.as_array()),
-            patterns_json
-        ),
-    )
+    let fields = snap.json_fields();
+    let mut body = String::with_capacity(HEADER_FIELDS_BYTES + fields.len());
+    let _ = write!(
+        body,
+        "{{\"tenant\": {}, \"epoch\": {}, \"db_len\": {}, \"published_unix_ms\": {}, \"pending_batches\": {}, ",
+        js::quote(&tenant.name),
+        snap.epoch,
+        snap.db_len,
+        snap.published_unix_ms,
+        tenant.pending_len(),
+    );
+    body.push_str(fields);
+    body.push_str("}\n");
+    Response::json(200, body)
 }
+
+/// Room for the per-read fields in front of a snapshot's cached members:
+/// a 64-char tenant name and four 20-digit integers with their keys.
+const HEADER_FIELDS_BYTES: usize = 256;
 
 /// `GET /v1/{tenant}/epoch` — the cheap staleness probe (no pattern
 /// payload; a reader holding an older snapshot compares epochs and
@@ -304,13 +306,13 @@ fn epoch(tenant: &Arc<Tenant>) -> Response {
     Response::json(
         200,
         format!(
-            "{{\"tenant\": {}, \"epoch\": {}, \"db_len\": {}, \"pending_batches\": {}, \"degraded\": {}, \"graphlets\": {}}}\n",
+            "{{\"tenant\": {}, \"epoch\": {}, \"db_len\": {}, \"pending_batches\": {}, \"degraded\": {}, {}}}\n",
             js::quote(&tenant.name),
             snap.epoch,
             snap.db_len,
             tenant.pending_len(),
             tenant.degraded(),
-            graphlets_json(&snap.graphlets.as_array())
+            snap.graphlets_json_field()
         ),
     )
 }
@@ -539,4 +541,146 @@ fn querylog(tenant: &Arc<Tenant>, req: &Request) -> Response {
             js::number(midas_obs::sli::reduction_from_steps(steps_live, steps_baseline))
         ),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tenant::{GenOp, GenSpec, Ingest};
+    use midas_core::PatternSnapshot;
+
+    /// The `/patterns` body as rendered before snapshots cached their JSON.
+    fn reference_patterns_body(tenant: &Tenant, snap: &PatternSnapshot) -> String {
+        format!(
+            "{{\"tenant\": {}, \"epoch\": {}, \"db_len\": {}, \"published_unix_ms\": {}, \"pending_batches\": {}, \"graphlets\": {}, \"patterns\": {}}}\n",
+            js::quote(&tenant.name),
+            snap.epoch,
+            snap.db_len,
+            snap.published_unix_ms,
+            tenant.pending_len(),
+            reference_graphlets(snap),
+            io::patterns_to_json(&snap.patterns).unwrap()
+        )
+    }
+
+    /// The `/epoch` body as rendered before snapshots cached their JSON.
+    fn reference_epoch_body(tenant: &Tenant, snap: &PatternSnapshot) -> String {
+        format!(
+            "{{\"tenant\": {}, \"epoch\": {}, \"db_len\": {}, \"pending_batches\": {}, \"degraded\": {}, \"graphlets\": {}}}\n",
+            js::quote(&tenant.name),
+            snap.epoch,
+            snap.db_len,
+            tenant.pending_len(),
+            tenant.degraded(),
+            reference_graphlets(snap)
+        )
+    }
+
+    fn reference_graphlets(snap: &PatternSnapshot) -> String {
+        let items: Vec<String> = snap
+            .graphlets
+            .as_array()
+            .iter()
+            .map(|f| js::number(*f))
+            .collect();
+        format!("[{}]", items.join(", "))
+    }
+
+    fn get(state: &ServeState, path: &str) -> String {
+        let response = route(
+            state,
+            &Request {
+                method: "GET".to_owned(),
+                path: path.to_owned(),
+                query: None,
+                headers: Vec::new(),
+                body: Vec::new(),
+            },
+        );
+        assert_eq!(response.status, 200, "{}", response.body);
+        response.body
+    }
+
+    /// Applies one generated batch on the tenant's maintenance thread and
+    /// waits for the snapshot it published. `size` is the percent of a
+    /// growth batch and the graph count of a novel one.
+    fn apply(tenant: &Tenant, op: GenOp, size: f64, seed: u64) -> Arc<PatternSnapshot> {
+        let (tx, rx) = mpsc::channel();
+        let spec = GenSpec {
+            op,
+            percent: size,
+            count: size as usize,
+            motif: None,
+            seed,
+        };
+        tenant.enqueue(Ingest::Generate(spec), Some(tx)).unwrap();
+        rx.recv_timeout(SYNC_TIMEOUT).expect("batch applied")
+    }
+
+    fn assert_bodies_match(state: &ServeState, tenant: &Tenant, snap: &Arc<PatternSnapshot>) {
+        assert!(
+            Arc::ptr_eq(&tenant.snapshot(), snap),
+            "a later snapshot was published"
+        );
+        assert_eq!(
+            get(state, "/v1/t/patterns"),
+            reference_patterns_body(tenant, snap)
+        );
+        assert_eq!(
+            get(state, "/v1/t/epoch"),
+            reference_epoch_body(tenant, snap)
+        );
+    }
+
+    /// The cached render serves the bytes the per-read render served: at
+    /// bootstrap, after a batch that changes the pattern set and after a
+    /// batch that leaves it as it was.
+    #[test]
+    fn cached_bodies_equal_the_per_read_render() {
+        let state = ServeState::new();
+        // Servebench's tenant configuration: unlike `small`, it swaps
+        // patterns on a novel batch over a 40-graph database.
+        let mut config = MidasConfig::default();
+        (
+            config.budget.eta_min,
+            config.budget.eta_max,
+            config.budget.gamma,
+        ) = (3, 6, 10);
+        (
+            config.sup_min,
+            config.max_tree_edges,
+            config.coarse_clusters,
+        ) = (0.4, 3, 5);
+        config.epsilon = 0.01;
+        let db = DatasetSpec::new(DatasetKind::PubchemLike, 40, 41)
+            .generate()
+            .db;
+        let tenant = Arc::new(
+            Tenant::bootstrap("t".to_owned(), DatasetKind::PubchemLike, db, config).unwrap(),
+        );
+        state.install(Arc::clone(&tenant));
+
+        let boot = tenant.snapshot();
+        assert_eq!(boot.epoch, 0);
+        assert_bodies_match(&state, &tenant, &boot);
+
+        let changed = apply(&tenant, GenOp::Novel, 20.0, 7);
+        assert_eq!(changed.epoch, 1);
+        assert_ne!(
+            changed.patterns, boot.patterns,
+            "the novel batch kept the set"
+        );
+        assert_bodies_match(&state, &tenant, &changed);
+
+        let kept = apply(&tenant, GenOp::Growth, 2.0, 9);
+        assert_eq!(kept.epoch, 2);
+        assert_eq!(
+            kept.patterns, changed.patterns,
+            "the growth batch changed the set"
+        );
+        assert_bodies_match(&state, &tenant, &kept);
+
+        assert!(state.remove("t"));
+        state.join_maintenance();
+    }
 }
