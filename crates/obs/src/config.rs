@@ -15,7 +15,6 @@
 //! | `MIDAS_TELEMETRY`           | `1\|true\|on` / `0\|false\|off` | metrics **and** tracing on / off |
 //! | `MIDAS_TRACE_OUT`           | path                      | enables tracing; `trace.json` destination (default `./trace.json`) |
 //! | `MIDAS_LOG`                 | `off\|error\|warn\|info\|debug\|trace` | log level (default `warn`) |
-//! | `MIDAS_FLIGHT`              | integer > 0               | flight-recorder batch capacity (default 64) |
 //! | `MIDAS_FLIGHT_DUMP`         | path                      | panic dump destination (default `./midas-flight-dump.json`) |
 //! | `MIDAS_FAULT`               | `task:N` / `slow:US`      | panic the N-th exec task / sleep US µs inside `batch.index` |
 //! | `MIDAS_SERVE_ADDR`          | `host:port`               | daemon listen address, `/v1/*` and obs endpoints (default `127.0.0.1:0`) |
@@ -59,7 +58,6 @@ pub struct Env {
     pub telemetry: Option<bool>,
     pub trace_out: Option<PathBuf>,
     pub log: Option<LogLevel>,
-    pub flight: Option<usize>,
     pub flight_dump: Option<PathBuf>,
     pub fault: Option<Fault>,
     pub serve_addr: Option<String>,
@@ -103,7 +101,6 @@ impl Env {
                 "MIDAS_TELEMETRY" => set(&mut env.telemetry, parse_bool(v)),
                 "MIDAS_TRACE_OUT" => set(&mut env.trace_out, text(v).map(PathBuf::from)),
                 "MIDAS_LOG" => set(&mut env.log, LogLevel::parse(v)),
-                "MIDAS_FLIGHT" => set(&mut env.flight, number(v).filter(|&c| c > 0)),
                 "MIDAS_FLIGHT_DUMP" => set(&mut env.flight_dump, text(v).map(PathBuf::from)),
                 "MIDAS_FAULT" => set(&mut env.fault, Fault::parse(v)),
                 "MIDAS_SERVE_ADDR" => set(&mut env.serve_addr, text(v)),
@@ -142,8 +139,8 @@ pub fn env() -> &'static Env {
 
 /// Telemetry knobs carried by `MidasConfig` (the struct stays `Copy`, so
 /// paths live in [`Env`], not here). [`TelemetryConfig::with_env`]
-/// applies the `MIDAS_TELEMETRY`, `MIDAS_TRACE_OUT`, `MIDAS_FLIGHT` and
-/// `MIDAS_LOG` rows of the module table.
+/// applies the `MIDAS_TELEMETRY`, `MIDAS_TRACE_OUT` and `MIDAS_LOG` rows
+/// of the module table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Master switch for counters/gauges/histograms/span statistics.
@@ -151,8 +148,6 @@ pub struct TelemetryConfig {
     /// Also collect Chrome-trace events and write `trace.json` after each
     /// batch. Implies nothing unless [`Self::enabled`] is set.
     pub trace: bool,
-    /// How many batch summaries the flight recorder retains.
-    pub flight_capacity: usize,
     /// Log level for the [`crate::obs_warn!`]-family macros.
     pub log: LogLevel,
 }
@@ -163,7 +158,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             enabled: false,
             trace: false,
-            flight_capacity: crate::flight::DEFAULT_CAPACITY,
             log: LogLevel::Warn,
         }
     }
@@ -176,7 +170,6 @@ impl TelemetryConfig {
             enabled: true,
             trace: true,
             log: LogLevel::Info,
-            ..TelemetryConfig::default()
         }
     }
 
@@ -189,9 +182,6 @@ impl TelemetryConfig {
         if env.trace_out.is_some() {
             self.trace = true;
         }
-        if let Some(cap) = env.flight {
-            self.flight_capacity = cap;
-        }
         if let Some(level) = env.log {
             self.log = level;
         }
@@ -200,12 +190,11 @@ impl TelemetryConfig {
 
     /// Applies this config to the process-global switches
     /// ([`crate::set_enabled`], [`crate::set_tracing`],
-    /// [`crate::log::set_log_level`], [`crate::flight::set_capacity`]).
+    /// [`crate::log::set_log_level`]).
     pub fn activate(&self) {
         crate::set_enabled(self.enabled);
         crate::set_tracing(self.enabled && self.trace);
         crate::log::set_log_level(self.log);
-        crate::flight::set_capacity(self.flight_capacity);
     }
 }
 
@@ -227,7 +216,6 @@ mod tests {
         let c = TelemetryConfig::default();
         assert!(!c.enabled);
         assert!(!c.trace);
-        assert_eq!(c.flight_capacity, crate::flight::DEFAULT_CAPACITY);
         assert_eq!(c.log, LogLevel::Warn);
     }
 
@@ -265,7 +253,6 @@ mod tests {
             ("MIDAS_TELEMETRY", "on"),
             ("MIDAS_TRACE_OUT", "t.json"),
             ("MIDAS_LOG", "debug"),
-            ("MIDAS_FLIGHT", "8"),
             ("MIDAS_FLIGHT_DUMP", "d.json"),
             ("MIDAS_FAULT", "slow:200"),
             ("MIDAS_SERVE_ADDR", "127.0.0.1:9"),
@@ -288,7 +275,6 @@ mod tests {
             telemetry: Some(true),
             trace_out: Some("t.json".into()),
             log: Some(LogLevel::Debug),
-            flight: Some(8),
             flight_dump: Some("d.json".into()),
             fault: Some(Fault::Slow(200)),
             serve_addr: Some("127.0.0.1:9".into()),
@@ -303,8 +289,8 @@ mod tests {
     #[test]
     fn malformed_values_and_unknown_names_warn_and_keep_defaults() {
         let (env, warnings) = Env::parse([
-            ("MIDAS_FLIGHT", "abc"),
-            ("MIDAS_FLIGHT", "0"),
+            ("MIDAS_SERVE_HTTP_WORKERS", "abc"),
+            ("MIDAS_FLIGHT_DUMP", ""),
             ("MIDAS_FAULT", "task:x"),
             ("MIDAS_FAULT", "crash:3"),
             ("MIDAS_LOG", "verbose"),
@@ -315,7 +301,10 @@ mod tests {
         ]);
         assert_eq!(env, Env::default());
         assert_eq!(warnings.len(), 8, "{warnings:?}");
-        assert!(warnings[0].contains("MIDAS_FLIGHT=\"abc\""), "{warnings:?}");
+        assert!(
+            warnings[0].contains("MIDAS_SERVE_HTTP_WORKERS=\"abc\""),
+            "{warnings:?}"
+        );
         assert!(warnings[2].contains("MIDAS_FAULT=\"task:x\""));
         assert!(warnings[6].contains("unknown variable MIDAS_TRACE_FILE"));
         assert!(warnings[7].contains("unknown variable MIDAS_THREADS"));
@@ -323,14 +312,9 @@ mod tests {
 
     #[test]
     fn with_env_applies_the_telemetry_rows() {
-        let (env, _) = Env::parse([
-            ("MIDAS_TRACE_OUT", "t.json"),
-            ("MIDAS_FLIGHT", "8"),
-            ("MIDAS_LOG", "off"),
-        ]);
+        let (env, _) = Env::parse([("MIDAS_TRACE_OUT", "t.json"), ("MIDAS_LOG", "off")]);
         let c = TelemetryConfig::default().with_env(&env);
         assert!(!c.enabled && c.trace, "a trace path implies tracing only");
-        assert_eq!(c.flight_capacity, 8);
         assert_eq!(c.log, LogLevel::Off);
         let (off, _) = Env::parse([("MIDAS_TELEMETRY", "0")]);
         let c = TelemetryConfig::on().with_env(&off);

@@ -5,7 +5,7 @@
 //! A long-running maintenance daemon fails *eventually* — one pathological
 //! batch out of thousands. By the time anyone looks, the interesting
 //! state is gone unless something cheap retained it. The recorder keeps
-//! the last [`capacity`] [`BatchSummary`]s (one per `apply_batch`) and the
+//! the last [`CAPACITY`] [`BatchSummary`]s (one per `apply_batch`) and the
 //! last [`EVENT_CAPACITY`] [`FlightEvent`]s (log lines, plus span
 //! completions when [`set_span_capture`] is on), so a post-hoc dump shows
 //! what the process was doing right before it misbehaved.
@@ -18,12 +18,12 @@
 
 use crate::json;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Default number of batch summaries retained.
-pub const DEFAULT_CAPACITY: usize = 64;
+/// Number of batch summaries retained.
+pub const CAPACITY: usize = 64;
 
 /// Fixed bound on retained span/log events.
 pub const EVENT_CAPACITY: usize = 256;
@@ -106,8 +106,6 @@ pub fn unix_ms() -> u64 {
 struct Recorder {
     batches: Mutex<VecDeque<BatchSummary>>,
     events: Mutex<VecDeque<FlightEvent>>,
-    /// How many batch summaries to retain; adjustable at runtime.
-    capacity: AtomicUsize,
     /// Total batches ever recorded (survives ring eviction).
     total_batches: AtomicU64,
 }
@@ -117,7 +115,6 @@ fn recorder() -> &'static Recorder {
     RECORDER.get_or_init(|| Recorder {
         batches: Mutex::new(VecDeque::new()),
         events: Mutex::new(VecDeque::new()),
-        capacity: AtomicUsize::new(DEFAULT_CAPACITY),
         total_batches: AtomicU64::new(0),
     })
 }
@@ -138,33 +135,15 @@ pub fn span_capture_enabled() -> bool {
     SPAN_CAPTURE.load(Ordering::Relaxed)
 }
 
-/// Sets how many batch summaries the ring retains (min 1). Trims the ring
-/// immediately if it shrank.
-pub fn set_capacity(n: usize) {
-    let n = n.max(1);
-    let r = recorder();
-    r.capacity.store(n, Ordering::Relaxed);
-    let mut batches = r.batches.lock().unwrap_or_else(|e| e.into_inner());
-    while batches.len() > n {
-        batches.pop_front();
-    }
-}
-
-/// The current batch-ring capacity.
-pub fn capacity() -> usize {
-    recorder().capacity.load(Ordering::Relaxed)
-}
-
 /// Appends one batch summary, evicting the oldest beyond capacity. The
 /// caller's `seq` is overwritten with the next process-lifetime number,
 /// taken under the ring lock, so the ring stays in `seq` order even when
 /// several tenants' batches finish concurrently.
 pub fn record_batch(mut summary: BatchSummary) {
     let r = recorder();
-    let cap = r.capacity.load(Ordering::Relaxed);
     let mut batches = r.batches.lock().unwrap_or_else(|e| e.into_inner());
     summary.seq = r.total_batches.fetch_add(1, Ordering::Relaxed) + 1;
-    while batches.len() >= cap {
+    if batches.len() == CAPACITY {
         batches.pop_front();
     }
     batches.push_back(summary);
@@ -233,7 +212,7 @@ pub fn clear() {
 /// Renders the recorder as one JSON document:
 ///
 /// ```json
-/// {"total_batches": 12, "capacity": 8, "batches": [...], "events": [...]}
+/// {"total_batches": 12, "capacity": 64, "batches": [...], "events": [...]}
 /// ```
 pub fn dump_json() -> String {
     let batches = batches();
@@ -241,7 +220,7 @@ pub fn dump_json() -> String {
     let mut out = format!(
         "{{\n  \"total_batches\": {},\n  \"capacity\": {},\n  \"batches\": [\n",
         total_batches(),
-        capacity()
+        CAPACITY
     );
     for (i, b) in batches.iter().enumerate() {
         out.push_str("    ");
@@ -309,31 +288,21 @@ mod tests {
     fn ring_wraps_at_capacity() {
         let _g = crate::tests::exclusive();
         clear();
-        set_capacity(8);
-        for seq in 1..=20 {
+        let total = CAPACITY as u64 + 12;
+        for seq in 1..=total {
             record_batch(summary(seq));
         }
-        let kept = batches();
-        assert_eq!(kept.len(), 8);
-        let seqs: Vec<u64> = kept.iter().map(|b| b.seq).collect();
-        assert_eq!(seqs, (13..=20).collect::<Vec<u64>>());
-        assert_eq!(total_batches(), 20);
-        assert_eq!(last_batch().unwrap().seq, 20);
-        // Shrinking trims the front immediately.
-        set_capacity(3);
-        assert_eq!(
-            batches().iter().map(|b| b.seq).collect::<Vec<_>>(),
-            vec![18, 19, 20]
-        );
+        let seqs: Vec<u64> = batches().iter().map(|b| b.seq).collect();
+        assert_eq!(seqs, (13..=total).collect::<Vec<u64>>(), "the newest 64");
+        assert_eq!(total_batches(), total);
+        assert_eq!(last_batch().unwrap().seq, total);
         clear();
-        set_capacity(DEFAULT_CAPACITY);
     }
 
     #[test]
     fn concurrent_writers_never_exceed_bounds() {
         let _g = crate::tests::exclusive();
         clear();
-        set_capacity(16);
         std::thread::scope(|scope| {
             for t in 0..8u64 {
                 scope.spawn(move || {
@@ -346,16 +315,15 @@ mod tests {
         });
         assert_eq!(total_batches(), 1600);
         // The recorder numbers summaries itself, so the survivors are the
-        // newest 16 in strictly increasing order whatever the interleaving.
+        // newest 64 in strictly increasing order whatever the interleaving.
         assert_eq!(
             batches().iter().map(|b| b.seq).collect::<Vec<_>>(),
-            (1585..=1600).collect::<Vec<u64>>()
+            (1537..=1600).collect::<Vec<u64>>()
         );
         assert!(events().len() <= EVENT_CAPACITY);
         // The dump stays valid JSON under whatever interleaving happened.
         json::validate(&dump_json()).expect("dump validates");
         clear();
-        set_capacity(DEFAULT_CAPACITY);
     }
 
     #[test]

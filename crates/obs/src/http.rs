@@ -12,7 +12,9 @@
 //! | `/metrics`  | Prometheus text exposition ([`crate::prom::render`])     |
 //! | `/flight`   | Flight-recorder dump ([`crate::flight::dump_json`])      |
 //! | `/slow`     | Tail-latency exemplars ([`crate::exemplar::render_json`])|
-//! | `/sli`      | User-facing SLIs ([`crate::sli::render_json`])           |
+//!
+//! The user-facing SLIs of [`crate::sli`] have no endpoint of their own:
+//! they are the `midas_sli_*` families of `/metrics`.
 //!
 //! `/healthz` belongs to the host, which renders it with [`healthz`]: its
 //! own members plus drift state and the last batch. All
@@ -38,7 +40,6 @@ pub fn route(req: &Request) -> Option<Response> {
         },
         "/flight" => || Response::json(200, flight::dump_json()),
         "/slow" => || Response::json(200, crate::exemplar::render_json()),
-        "/sli" => || Response::json(200, crate::sli::render_json()),
         _ => return None,
     };
     Some(if req.method == "GET" {
@@ -158,13 +159,7 @@ mod tests {
         json::validate(&body).expect("slow JSON");
         assert!(body.contains("\"reservoir_k\""));
 
-        let (status, body) = get(addr, "/sli");
-        assert!(status.contains("200"));
-        json::validate(&body).expect("sli JSON");
-        assert!(body.contains("\"reduction\""), "{body}");
-        assert!(body.contains("\"latency_ns\""), "{body}");
-
-        for gone in ["/nope", "/alerts", "/profile"] {
+        for gone in ["/nope", "/alerts", "/profile", "/sli"] {
             let (status, _) = get(addr, gone);
             assert!(status.contains("404"), "{gone}: {status}");
         }

@@ -72,7 +72,7 @@ pub use flight::{BatchSummary, FlightEvent};
 pub use httpd::{Handler, HttpServer, Request, Response};
 pub use log::LogLevel;
 pub use registry::{Counter, Gauge, Histogram};
-pub use sli::{QuerySample, TickSummary};
+pub use sli::QuerySample;
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
 pub use span::{Span, SplitSpan};
 

@@ -18,10 +18,9 @@ use std::time::Instant;
 const HISTOGRAM_BUCKETS: usize = 64;
 
 /// Sliding-window slots per histogram (ring of time slices): 64 × 15 s ≈
-/// 16 minutes of recent history. The `/metrics` `_window` summaries and
-/// the `/sli` `read_window`/`formulate_window` latency quantiles read it,
-/// so both describe the last quarter hour rather than the whole process
-/// lifetime.
+/// 16 minutes of recent history. The `/metrics` `_window` summaries read
+/// it (the `midas_sli_read_ns_window` read latency among them), so they
+/// describe the last quarter hour rather than the whole process lifetime.
 pub const WINDOW_SLOTS: usize = 64;
 
 /// Seconds each window slot covers. The live window therefore spans up to

@@ -9,9 +9,9 @@
 //! | GET    | `/v1/{t}/epoch`           | Epoch/staleness probe, `degraded` (no patterns)     |
 //! | GET    | `/v1/{t}/queries`         | Sample a query workload from the tenant's database  |
 //! | POST   | `/v1/{t}/updates`         | Enqueue (or `?mode=sync` apply) an update batch     |
-//! | POST   | `/v1/{t}/querylog`        | Log formulated queries, feeding the `/sli` metrics  |
+//! | POST   | `/v1/{t}/querylog`        | Log formulated queries, feeding `midas_sli_*`       |
 //! | DELETE | `/v1/{t}`                 | Remove a tenant                                     |
-//! | GET    | `/metrics`, `/flight`, `/slow`, `/sli` | [`midas_obs::http::route`] |
+//! | GET    | `/metrics`, `/flight`, `/slow` | [`midas_obs::http::route`]         |
 //!
 //! Handlers run on the HTTP worker pool; everything that can block on
 //! maintenance is explicit: `GET` pattern reads never take the tenant's
@@ -19,9 +19,10 @@
 //! with `mode=sync` it waits for its own batch on the tenant's
 //! maintenance thread. A tenant whose maintenance thread has died is
 //! marked `"degraded": true`; it answers updates with a 5xx at once and
-//! keeps serving reads.
+//! keeps serving reads. A tenant with a full job channel answers updates
+//! `429` with `Retry-After: 1`.
 
-use crate::tenant::{GenOp, GenSpec, Ingest, Tenant};
+use crate::tenant::{GenOp, GenSpec, Ingest, Refused, Tenant};
 use crate::ServeState;
 use midas_core::MidasConfig;
 use midas_datagen::{DatasetKind, DatasetSpec, MotifKind};
@@ -402,9 +403,10 @@ fn parse_gen_spec(v: &Value) -> Result<GenSpec, String> {
 ///
 /// Default mode enqueues and answers `202` immediately; `mode=sync`
 /// waits until this job's own batch has applied (batches apply in FIFO
-/// order either way) and answers with the epoch it published. If the
-/// tenant's maintenance thread has exited, the enqueue answers 503 and a
-/// waiting sync caller gets 500 at once.
+/// order either way) and answers with the epoch it published. A full job
+/// channel answers 429 with `Retry-After: 1`. If the tenant's
+/// maintenance thread has exited, the enqueue answers 503 and a waiting
+/// sync caller gets 500 at once.
 fn updates(tenant: &Arc<Tenant>, req: &Request) -> Response {
     let body = match req.body_str() {
         Some(b) if !b.trim().is_empty() => b,
@@ -440,12 +442,19 @@ fn updates(tenant: &Arc<Tenant>, req: &Request) -> Response {
     } else {
         (None, None)
     };
-    let Some(queued) = tenant.enqueue(job, reply) else {
-        return tenant_error(
-            503,
-            "maintenance thread has exited; batch not accepted",
-            &tenant.name,
-        );
+    let queued = match tenant.enqueue(job, reply) {
+        Ok(queued) => queued,
+        Err(Refused::Full) => {
+            return tenant_error(429, "job queue is full; batch not accepted", &tenant.name)
+                .with_header("Retry-After: 1")
+        }
+        Err(Refused::Closed) => {
+            return tenant_error(
+                503,
+                "maintenance thread has exited; batch not accepted",
+                &tenant.name,
+            )
+        }
     };
     let Some(applied) = applied else {
         return Response::json(
@@ -483,10 +492,10 @@ fn updates(tenant: &Arc<Tenant>, req: &Request) -> Response {
 
 /// `POST /v1/{tenant}/querylog` — body `{"queries": [graph, ...]}`. Each
 /// query is formulated against the tenant's *live* snapshot and its
-/// frozen epoch-0 baseline; the samples feed the global `/sli` document,
-/// the `midas_sli_*` families, the tenant's current SLI tick, and the
-/// per-tenant query counter. Every sample carries the time of the one
-/// snapshot read the request made.
+/// frozen epoch-0 baseline; the samples feed the `midas_sli_*` families
+/// ([`midas_obs::sli::record_query`]) and the per-tenant query counter.
+/// Every sample carries the time of the one snapshot read the request
+/// made.
 fn querylog(tenant: &Arc<Tenant>, req: &Request) -> Response {
     let body = match req.body_str() {
         Some(b) if !b.trim().is_empty() => b,
@@ -515,7 +524,7 @@ fn querylog(tenant: &Arc<Tenant>, req: &Request) -> Response {
         steps_baseline += base;
         // Staleness vs the snapshot published *now*, after formulation.
         let latest = tenant.snapshot();
-        tenant.observe(&midas_obs::QuerySample {
+        midas_obs::sli::record_query(&midas_obs::QuerySample {
             read_ns,
             formulate_ns,
             steps_live: live,

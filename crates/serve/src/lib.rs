@@ -25,8 +25,7 @@
 //!
 //! The daemon listens on one address: [`api::route`] answers the `/v1`
 //! API and `/healthz`, and falls through to [`midas_obs::http::route`]
-//! for the observability endpoints (`/metrics`, `/flight`, `/slow`,
-//! `/sli`).
+//! for the observability endpoints (`/metrics`, `/flight`, `/slow`).
 //! See `DESIGN.md` §14 for the architecture and the API table in
 //! [`api`].
 
@@ -431,7 +430,7 @@ mod tests {
         }
         let doomed = daemon.state().tenant("doomed").unwrap();
         let waiting = doomed.with_midas(|_| {
-            assert_eq!(doomed.enqueue(Ingest::Panic, None), Some(1));
+            assert_eq!(doomed.enqueue(Ingest::Panic, None), Ok(1));
             let waiting = std::thread::spawn({
                 let client = client.clone();
                 move || client.post_batch("doomed", &one_edge_batch(), true)
@@ -495,6 +494,54 @@ mod tests {
             doc.get("degraded_tenants").and_then(|n| n.as_u64()),
             Some(1)
         );
+        daemon.shutdown();
+    }
+
+    /// A full job channel refuses an update with 429 and `Retry-After`,
+    /// without counting it as pending, and every accepted job applies.
+    #[test]
+    fn a_full_job_channel_answers_429() {
+        let (daemon, client) = daemon();
+        client
+            .create_tenant("t", "emol_like", 20, 5, "small")
+            .unwrap();
+        let tenant = daemon.state().tenant("t").unwrap();
+        let bound = tenant::JOB_CAPACITY as u64;
+        // Holding the `Midas` lock blocks the thread on its first job.
+        let accepted = tenant.with_midas(|_| {
+            let mut accepted = 0;
+            let refused = loop {
+                let reply = client.post_batch("t", &one_edge_batch(), false).unwrap();
+                if reply.status != 202 {
+                    break reply;
+                }
+                accepted += 1;
+                assert!(accepted <= bound + 1, "the channel never filled");
+            };
+            assert_eq!(refused.status, 429, "{}", refused.body);
+            // The thread may have taken the first job off the channel.
+            assert!(accepted == bound || accepted == bound + 1, "{accepted}");
+            let again = api::route(
+                daemon.state(),
+                &midas_obs::httpd::Request {
+                    method: "POST".to_owned(),
+                    path: "/v1/t/updates".to_owned(),
+                    query: None,
+                    headers: Vec::new(),
+                    body: midas_graph::io::batch_to_json(&one_edge_batch())
+                        .unwrap()
+                        .into_bytes(),
+                },
+            );
+            assert_eq!(again.status, 429, "{}", again.body);
+            assert_eq!(again.extra_headers, ["Retry-After: 1"]);
+            assert_eq!(tenant.pending_len(), accepted, "a refusal is not pending");
+            accepted
+        });
+        wait_until("the accepted jobs never applied", || {
+            client.epoch("t").unwrap().epoch == accepted
+        });
+        assert_eq!(tenant.pending_len(), 0);
         daemon.shutdown();
     }
 

@@ -11,7 +11,9 @@
 //!   tenant's (or any other tenant's) in-flight `apply_batch` cannot
 //!   block them.
 //! * **Maintenance** (`POST /v1/{tenant}/updates`) sends one job on the
-//!   tenant's FIFO channel ([`Tenant::enqueue`]). The tenant's thread
+//!   tenant's FIFO channel ([`Tenant::enqueue`]), which holds at most
+//!   [`JOB_CAPACITY`] jobs: a full channel refuses the job, and the
+//!   request is answered `429`. The tenant's thread
 //!   receives the jobs in arrival order and applies each under the
 //!   `Midas` mutex, publishing a fresh snapshot per batch. One thread per
 //!   tenant keeps batch application serial per tenant — the final pattern
@@ -27,18 +29,12 @@
 //! still queued is dropped (so each waiting reply disconnects), and
 //! [`Tenant::enqueue`] refuses new jobs. Reads keep serving the last
 //! published snapshot.
-//!
-//! The tenant also produces the user-side SLIs of [`midas_obs::sli`]:
-//! `POST /v1/{tenant}/querylog` feeds [`Tenant::observe`] one sample per
-//! query, and every batch the thread applies closes one tick over the
-//! samples logged since the previous batch.
 
 use midas_core::{Midas, MidasConfig, PatternSnapshot, Published};
 use midas_datagen::{DatasetKind, MotifKind};
 use midas_graph::{BatchUpdate, GraphDb, LabeledGraph};
-use midas_obs::sli::{self, QuerySample, TickSummary};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -85,40 +81,17 @@ pub enum Ingest {
     Panic,
 }
 
-/// Shared per-tick accumulators (drained once per applied batch).
-#[derive(Default)]
-struct TickCounters {
-    queries: AtomicU64,
-    steps_live: AtomicU64,
-    steps_baseline: AtomicU64,
-    staleness_batches_max: AtomicU64,
-    /// Worst drift this tick, stored as `f64` bits (valid for
-    /// `fetch_max` because non-negative IEEE-754 floats order like their
-    /// bit patterns).
-    drift_max_bits: AtomicU64,
-}
+/// How many jobs a tenant's channel holds before [`Tenant::enqueue`]
+/// refuses the next one; the job in flight is not counted.
+pub const JOB_CAPACITY: usize = 64;
 
-impl TickCounters {
-    fn observe(&self, s: &QuerySample) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.steps_live.fetch_add(s.steps_live, Ordering::Relaxed);
-        self.steps_baseline
-            .fetch_add(s.steps_baseline, Ordering::Relaxed);
-        self.staleness_batches_max
-            .fetch_max(s.staleness_batches, Ordering::Relaxed);
-        self.drift_max_bits
-            .fetch_max(s.staleness_drift.max(0.0).to_bits(), Ordering::Relaxed);
-    }
-
-    fn drain(&self) -> (u64, u64, u64, u64, f64) {
-        (
-            self.queries.swap(0, Ordering::Relaxed),
-            self.steps_live.swap(0, Ordering::Relaxed),
-            self.steps_baseline.swap(0, Ordering::Relaxed),
-            self.staleness_batches_max.swap(0, Ordering::Relaxed),
-            f64::from_bits(self.drift_max_bits.swap(0, Ordering::Relaxed)),
-        )
-    }
+/// Why [`Tenant::enqueue`] refused a job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refused {
+    /// [`JOB_CAPACITY`] jobs are already waiting; a retry may succeed.
+    Full,
+    /// The maintenance thread has exited or the tenant was closed.
+    Closed,
 }
 
 /// One accepted job, as the maintenance thread receives it.
@@ -131,7 +104,6 @@ struct Job {
 /// What the maintenance thread shares with the request handlers.
 struct Shared {
     midas: Mutex<Midas>,
-    ticks: TickCounters,
     /// Jobs accepted but not yet applied, the one in flight included.
     pending: AtomicU64,
     /// Set when the maintenance thread dies other than through `close`.
@@ -143,8 +115,7 @@ static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
 
 /// A named serving tenant: one embedded `Midas`, its lock-free snapshot
 /// handle, a frozen epoch-0 baseline pattern set (for SLI reduction
-/// math), the sending end of its maintenance thread's job channel, and
-/// the SLI counters of the tick in progress.
+/// math), and the sending end of its maintenance thread's job channel.
 pub struct Tenant {
     /// The tenant name (validated by [`crate::api::valid_name`]).
     pub name: String,
@@ -153,7 +124,7 @@ pub struct Tenant {
     shared: Arc<Shared>,
     handle: Published<PatternSnapshot>,
     baseline: Vec<LabeledGraph>,
-    jobs: Mutex<Option<Sender<Job>>>,
+    jobs: Mutex<Option<SyncSender<Job>>>,
     thread: Mutex<Option<JoinHandle<()>>>,
     created_unix_ms: u64,
 }
@@ -183,11 +154,10 @@ impl Tenant {
         let baseline = handle.read().patterns.clone();
         let shared = Arc::new(Shared {
             midas: Mutex::new(midas),
-            ticks: TickCounters::default(),
             pending: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
         });
-        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = mpsc::sync_channel(JOB_CAPACITY);
         let thread = {
             let (shared, name) = (Arc::clone(&shared), name.clone());
             std::thread::Builder::new()
@@ -223,13 +193,6 @@ impl Tenant {
         &self.baseline
     }
 
-    /// Records one logged query: into the `sli.*` metrics, and into the
-    /// tick the tenant's next applied batch closes.
-    pub fn observe(&self, sample: &QuerySample) {
-        sli::record_query(sample);
-        self.shared.ticks.observe(sample);
-    }
-
     /// Tenant creation time, unix milliseconds.
     pub fn created_unix_ms(&self) -> u64 {
         self.created_unix_ms
@@ -248,29 +211,32 @@ impl Tenant {
     }
 
     /// Sends one job to the maintenance thread, behind every job accepted
-    /// before it. `reply`, if given, receives the snapshot published by
-    /// this job's batch (the current one if the batch is empty). Returns
-    /// the pending count with this job included, or `None` once the
-    /// thread has exited or the tenant was closed.
+    /// before it, without blocking. `reply`, if given, receives the
+    /// snapshot published by this job's batch (the current one if the
+    /// batch is empty). Returns the pending count with this job included;
+    /// a refused job leaves the count as it was.
     pub fn enqueue(
         &self,
         ingest: Ingest,
         reply: Option<Sender<Arc<PatternSnapshot>>>,
-    ) -> Option<u64> {
+    ) -> Result<u64, Refused> {
         let jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        let tx = jobs.as_ref()?;
+        let tx = jobs.as_ref().ok_or(Refused::Closed)?;
+        // Counted before the send: the thread may apply the job and count
+        // it down before `try_send` returns.
         let pending = self.shared.pending.fetch_add(1, Ordering::AcqRel) + 1;
         let job = Job {
             ingest,
             enqueued: Instant::now(),
             reply,
         };
-        if tx.send(job).is_ok() {
-            Some(pending)
-        } else {
+        tx.try_send(job).map(|()| pending).map_err(|e| {
             self.shared.pending.fetch_sub(1, Ordering::AcqRel);
-            None
-        }
+            match e {
+                TrySendError::Full(_) => Refused::Full,
+                TrySendError::Disconnected(_) => Refused::Closed,
+            }
+        })
     }
 
     /// Closes the job channel: the thread applies every job it already
@@ -290,8 +256,7 @@ impl Tenant {
 }
 
 /// The maintenance thread: applies jobs in arrival order, publishing one
-/// snapshot and recording one SLI tick per non-empty batch, until every
-/// sender is gone.
+/// snapshot per non-empty batch, until every sender is gone.
 fn maintain(shared: &Shared, name: &str, kind: DatasetKind, jobs: Receiver<Job>) {
     let queue_wait = crate::metric(name, "serve.queue_wait_us");
     let pending = crate::metric(name, "serve.pending");
@@ -322,18 +287,6 @@ fn maintain(shared: &Shared, name: &str, kind: DatasetKind, jobs: Receiver<Job>)
         };
         if !batch.is_empty() {
             let _report = midas.apply_batch(batch);
-            let (queries, steps_live, steps_baseline, stale_max, drift_max) = shared.ticks.drain();
-            sli::record_tick(TickSummary {
-                tick: 0, // numbered by record_tick
-                epoch: midas.pattern_snapshot().epoch,
-                queries,
-                steps_live,
-                steps_baseline,
-                reduction: sli::reduction_from_steps(steps_live, steps_baseline),
-                staleness_batches_max: stale_max,
-                staleness_drift_max: drift_max,
-                unix_ms: midas_obs::flight::unix_ms(),
-            });
             if midas_obs::enabled() {
                 midas_obs::registry::registry()
                     .counter(&crate::metric(name, "serve.batches"))

@@ -15,12 +15,12 @@
 //! curl -s http://127.0.0.1:9900/slow      # slowest phases and searches, attributed
 //! curl -s 'http://127.0.0.1:9900/v1/acme/queries?n=16' \
 //!   | curl -s -X POST http://127.0.0.1:9900/v1/acme/querylog -d @-
-//! curl -s http://127.0.0.1:9900/sli       # user-side SLIs, one tick per batch
+//! curl -s http://127.0.0.1:9900/metrics | grep midas_sli_   # user-side SLIs
 //! ```
 //!
 //! Boots one `midas_serve::ServeDaemon`: a single listener serving the
 //! `/v1` API, `/healthz`, and the observability endpoints (`/metrics`,
-//! `/flight`, `/slow`, `/sli`).
+//! `/flight`, `/slow`).
 //! Tenants are created over HTTP (or at boot from `MIDAS_SERVE_TENANTS`,
 //! comma-separated `name:kind:size[:seed]` specs); each gets its own
 //! embedded MIDAS instance, with reads served lock-free off the published

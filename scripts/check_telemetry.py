@@ -19,12 +19,12 @@ Two modes:
       check_telemetry.py --prom <metrics.txt> [--healthz <healthz.json>] [--flight <flight.json>] \
                          [--slow <slow.json>]
 
-* SLI gate — runs after the serve smoke step; validates the saved
-  `GET /sli` response (user-facing SLIs: formulation-cost reduction,
-  staleness, read/formulation latency), optionally cross-checking that a
-  saved `GET /metrics` scrape carries the `midas_sli_*` families.
+* SLI gate — runs after the serve smoke step; validates that a saved
+  `GET /metrics` scrape carries the `midas_sli_*` families, the daemon's
+  one record of the user-facing SLIs (formulation-cost reduction,
+  staleness, read/formulation latency).
 
-      check_telemetry.py --sli <sli.json> [--sli-metrics <metrics.txt>]
+      check_telemetry.py --sli-metrics <metrics.txt>
 
 * Serving-daemon gate — runs after the multi-tenant serve smoke step;
   validates the saved `GET /v1/tenants`, `GET /v1/{t}/patterns` and sync
@@ -280,83 +280,32 @@ def check_slow(path, require_series=("plan.search_ns",)):
     print(f"{path}: ok ({len(series)} series; phases {phases})")
 
 
-QUANTILE_FIELDS = ["count", "p50", "p99", "max"]
-
-SLI_TICK_FIELDS = [
-    "tick", "epoch", "queries", "steps_live", "steps_baseline",
-    "reduction", "staleness_batches_max", "staleness_drift_max", "unix_ms",
-]
-
-
-def check_sli(path):
-    """Validates a saved `GET /sli` body after a load-harness run."""
-    with open(path) as f:
-        doc = json.load(f)
-    for field in ["ticks", "queries", "steps_live", "steps_baseline"]:
-        if not isinstance(doc.get(field), int):
-            fail(f"{path}: field {field!r} missing or non-integer")
-    if doc["ticks"] < 1:
-        fail(f"{path}: no ticks recorded; the load driver never ran")
-    if doc["queries"] < 1:
-        fail(f"{path}: no queries recorded; the simulated users never ran")
-    reduction = doc.get("reduction")
-    if not isinstance(reduction, dict):
-        fail(f"{path}: reduction section missing")
-    for field in ["cumulative", "last_tick"]:
-        v = reduction.get(field)
-        if not isinstance(v, (int, float)) or not -10.0 <= v <= 1.0:
-            fail(f"{path}: reduction.{field} missing or implausible ({v!r})")
-    staleness = doc.get("staleness")
-    if not isinstance(staleness, dict):
-        fail(f"{path}: staleness section missing")
-    for name in ["batches", "drift_micro"]:
-        q = staleness.get(name)
-        if not isinstance(q, dict):
-            fail(f"{path}: staleness.{name} missing")
-        for field in QUANTILE_FIELDS:
-            if not isinstance(q.get(field), (int, float)):
-                fail(f"{path}: staleness.{name}.{field} missing")
-    latency = doc.get("latency_ns")
-    if not isinstance(latency, dict):
-        fail(f"{path}: latency_ns section missing")
-    for name in ["read", "formulate"]:
-        q = latency.get(name)
-        if not isinstance(q, dict):
-            fail(f"{path}: latency_ns.{name} missing")
-        for field in QUANTILE_FIELDS:
-            if not isinstance(q.get(field), (int, float)):
-                fail(f"{path}: latency_ns.{name}.{field} missing")
-        if q["count"] < 1:
-            fail(f"{path}: latency_ns.{name} recorded no samples")
-        if not q["p50"] <= q["p99"] <= q["max"]:
-            fail(f"{path}: latency_ns.{name} quantiles not monotone: {q}")
-    ticks = doc.get("recent_ticks")
-    if not isinstance(ticks, list) or not ticks:
-        fail(f"{path}: recent_ticks missing or empty")
-    for t in ticks:
-        for field in SLI_TICK_FIELDS:
-            if field not in t:
-                fail(f"{path}: tick summary missing field {field!r}: {t}")
-    seq = [t["tick"] for t in ticks]
-    if seq != sorted(seq):
-        fail(f"{path}: tick summaries out of order: {seq}")
-    print(f"{path}: ok ({doc['queries']} queries over {doc['ticks']} ticks, "
-          f"reduction {reduction['cumulative']}, "
-          f"read p99 {latency['read']['p99']} ns)")
+SLI_SUMMARIES = ["midas_sli_read_ns", "midas_sli_formulate_ns",
+                 "midas_sli_staleness_batches",
+                 "midas_sli_staleness_drift_micro"]
 
 
 def check_sli_metrics(path):
-    """Cross-check: the `/metrics` scrape carries the `midas_sli_*`
-    families the `/sli` digest is derived from, each with samples."""
+    """Validates the `midas_sli_*` families of a `/metrics` scrape taken
+    after `/querylog` traffic: each summary has samples, the step counters
+    and the reduction gauge are present and plausible, and the read and
+    formulation latency quantiles are monotone."""
     with open(path) as f:
         text = f.read()
     values = {}
+    quantiles = {}
     for line in text.splitlines():
         m = SAMPLE_LINE.match(line)
-        if m and not m.group("labels"):
+        if not m:
+            continue
+        labels = m.group("labels")
+        if not labels:
             values[m.group("name")] = float(m.group("value"))
-    for family in ["midas_sli_read_ns", "midas_sli_formulate_ns",
-                   "midas_sli_staleness_batches"]:
+            continue
+        q = re.fullmatch(r'quantile="([^"]*)"', labels)
+        if q:
+            quantiles[(m.group("name"), q.group(1))] = float(m.group("value"))
+    for family in SLI_SUMMARIES:
         count = values.get(f"{family}_count")
         if count is None:
             fail(f"{path}: summary {family!r} missing from the scrape")
@@ -365,8 +314,25 @@ def check_sli_metrics(path):
     queries = values.get("midas_sli_queries", 0)
     if queries < 1:
         fail(f"{path}: counter 'midas_sli_queries' missing or zero")
-    print(f"{path}: ok (midas_sli_* summaries present, "
-          f"{queries:g} queries)")
+    if "midas_sli_steps_live" not in values:
+        fail(f"{path}: counter 'midas_sli_steps_live' missing")
+    if values.get("midas_sli_steps_baseline", 0) < 1:
+        fail(f"{path}: counter 'midas_sli_steps_baseline' missing or zero")
+    reduction = values.get("midas_sli_formulation_reduction")
+    if reduction is None or not -10.0 <= reduction <= 1.0:
+        fail(f"{path}: gauge 'midas_sli_formulation_reduction' missing or "
+             f"implausible ({reduction!r})")
+    for family in ["midas_sli_read_ns", "midas_sli_formulate_ns"]:
+        p50 = quantiles.get((family, "0.5"))
+        p99 = quantiles.get((family, "0.99"))
+        top = values.get(f"{family}_max")
+        if p50 is None or p99 is None or top is None:
+            fail(f"{path}: {family} lacks its 0.5/0.99 quantiles or _max")
+        if not p50 <= p99 <= top:
+            fail(f"{path}: {family} quantiles not monotone: "
+                 f"p50 {p50:g}, p99 {p99:g}, max {top:g}")
+    print(f"{path}: ok ({queries:g} queries, reduction {reduction:g}, "
+          f"read p99 {quantiles[('midas_sli_read_ns', '0.99')]:g} ns)")
 
 
 TENANT_SUMMARY_FIELDS = [
@@ -519,14 +485,12 @@ def main():
             check_serve_metrics(opts["--serve-metrics"], expect)
         print("serve daemon check passed")
         return
-    if "--sli" in args:
+    if "--sli-metrics" in args:
         opts = dict(zip(args[::2], args[1::2]))
-        if "--sli" not in opts:
-            fail("--sli requires a file argument")
-        check_sli(opts["--sli"])
-        if "--sli-metrics" in opts:
-            check_sli_metrics(opts["--sli-metrics"])
-        print("sli endpoint check passed")
+        if "--sli-metrics" not in opts:
+            fail("--sli-metrics requires a file argument")
+        check_sli_metrics(opts["--sli-metrics"])
+        print("sli metrics check passed")
         return
     if "--prom" in args:
         opts = dict(zip(args[::2], args[1::2]))
@@ -547,8 +511,7 @@ def main():
             "   or: check_telemetry.py --prom <metrics.txt> "
             "[--healthz <healthz.json>] [--flight <flight.json>] "
             "[--slow <slow.json>]\n"
-            "   or: check_telemetry.py --sli <sli.json> "
-            "[--sli-metrics <metrics.txt>]\n"
+            "   or: check_telemetry.py --sli-metrics <metrics.txt>\n"
             "   or: check_telemetry.py --serve <tenants.json> "
             "[--patterns <patterns.json>] [--update <update.json>] "
             "[--serve-metrics <metrics.txt>] [--expect-tenants <n>]"

@@ -2,8 +2,8 @@
 //! batches, a `ServeDaemon` in the same process must answer `/metrics`
 //! (with quantile series), `/healthz` and `/flight` over
 //! plain HTTP on its one listener, and the flight recorder must retain
-//! exactly its configured capacity after wraparound, numbering batches in
-//! one process-wide sequence across instances.
+//! exactly its capacity after wraparound, numbering batches in one
+//! process-wide sequence across instances.
 //!
 //! The telemetry switch and the flight recorder are process-global, so
 //! every test here holds a shared lock and restores the defaults before
@@ -23,27 +23,40 @@ fn served_endpoints_answer_with_quantiles_and_bounded_flight_history() {
     let server = ServeDaemon::start(ServeConfig::default()).expect("bind daemon");
     let addr = server.addr();
     midas_obs::flight::clear();
-    midas_obs::flight::set_capacity(8);
 
     let mut cfg = test_config(7);
     cfg.telemetry.enabled = true;
-    cfg.telemetry.flight_capacity = 8;
     let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
-
-    // More batches than the flight recorder holds, to force wraparound.
     for i in 0..10u32 {
         midas.apply_batch(BatchUpdate::insert_only(wave(i)));
     }
+    // More summaries than the flight recorder holds, to force wraparound:
+    // the recorder numbers them after the 10 real batches.
+    let capacity = midas_obs::flight::CAPACITY as u64;
+    let last = midas_obs::flight::last_batch().expect("batches were recorded");
+    for _ in 0..capacity {
+        midas_obs::flight::record_batch(last.clone());
+    }
+    let total = 10 + capacity;
 
     // /flight — valid JSON, exactly `capacity` summaries survive, and they
-    // are the *newest* ones (seq 3..=10 after 10 batches into a ring of 8).
+    // are the *newest* ones (seq 11..=74 after 74 into a ring of 64).
     let (status, body) = http_get(addr, "/flight");
     assert_eq!(status, 200);
     json::validate(&body).expect("flight dump is valid JSON");
-    assert_eq!(body.matches("\"seq\": ").count(), 8, "ring keeps 8 of 10");
-    assert!(!body.contains("\"seq\": 2,"), "oldest summaries evicted");
-    assert!(body.contains("\"seq\": 10,"), "newest summary retained");
-    assert!(body.contains("\"total_batches\": 10"));
+    assert_eq!(
+        body.matches("\"seq\": ").count() as u64,
+        capacity,
+        "ring keeps the newest 64"
+    );
+    assert!(!body.contains("\"seq\": 10,"), "oldest summaries evicted");
+    assert!(body.contains("\"seq\": 11,"), "oldest survivor retained");
+    assert!(
+        body.contains(&format!("\"seq\": {total},")),
+        "newest retained"
+    );
+    assert!(body.contains(&format!("\"total_batches\": {total}")));
+    assert!(body.contains("\"capacity\": 64"));
 
     // /metrics — Prometheus text exposition with quantile-labeled series
     // for the search latency histogram of the plan matcher.
@@ -61,7 +74,7 @@ fn served_endpoints_answer_with_quantiles_and_bounded_flight_history() {
     assert_eq!(status, 200);
     json::validate(&body).expect("healthz is valid JSON");
     assert!(body.contains("\"status\": \"ok\""));
-    assert!(body.contains("\"batches\": 10"));
+    assert!(body.contains(&format!("\"batches\": {total}")));
     assert!(body.contains("\"tenants\": 0"), "one document: {body}");
 
     // Unknown routes 404 without killing the worker.
@@ -71,7 +84,6 @@ fn served_endpoints_answer_with_quantiles_and_bounded_flight_history() {
     assert_eq!(status, 200, "server survives a 404");
 
     server.shutdown();
-    midas_obs::flight::set_capacity(midas_obs::flight::DEFAULT_CAPACITY);
     midas_obs::flight::clear();
     TelemetryConfig::default().activate();
 }
