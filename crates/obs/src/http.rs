@@ -178,11 +178,10 @@ mod tests {
         crate::flight::clear();
         let h = crate::registry::registry().span("batch.index");
         h.reset();
-        // Slow phase spans in the live window: the health document reports
-        // the batch and nothing else; slowness is read off `/slow`.
-        let now = crate::registry::current_tick();
+        // Slow phase spans: the health document reports the batch and
+        // nothing else; slowness is read off `/slow`.
         for _ in 0..8 {
-            h.record_windowed_at(1_000_000, now);
+            h.record(1_000_000);
         }
         crate::flight::record_batch(crate::flight::BatchSummary {
             seq: 1,

@@ -12,7 +12,8 @@
 //!   [`Counter`]s, [`Gauge`]s and log₂-bucketed [`Histogram`]s, addressed
 //!   by name through the [`counter!`]/[`counter_add!`]/[`gauge_set!`]/
 //!   [`histogram_record!`] macros (each probe site caches its handle in a
-//!   `OnceLock`, so an enabled probe is one atomic op);
+//!   `OnceLock`, so an enabled counter or gauge probe is one atomic op and
+//!   a histogram sample four);
 //! * [`mod@span`] — RAII [`Span`] timers: each completed span records its
 //!   duration (µs) into the registry histogram of its name and, when
 //!   tracing is on, a Chrome-trace event;

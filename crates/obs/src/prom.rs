@@ -16,9 +16,7 @@
 //!   `midas_<name>{quantile="0.5|0.9|0.99"}` plus `_sum`, `_count` and
 //!   `_max`;
 //! * span duration histograms (µs) → the same shape under
-//!   `midas_span_<name>_duration_us`;
-//! * sliding windows → the same family shape under `midas_<name>_window`,
-//!   so dashboards can plot recent percentiles next to lifetime ones.
+//!   `midas_span_<name>_duration_us`.
 
 use crate::snapshot::{HistogramSnapshot, MetricsSnapshot};
 use std::fmt::Write as _;
@@ -126,10 +124,11 @@ fn push_type(
 /// Renders one summary-style family (quantiles + `_sum`/`_count`/`_max`),
 /// merging any embedded label block into every series.
 ///
-/// A family with zero samples (possible for sliding windows whose samples
-/// all aged out) emits *no* quantile series — a quantile of an empty sample
-/// set is undefined (`NaN` in Prometheus semantics, which its text parser
-/// rejects for summaries), so only `_sum`/`_count`/`_max` are kept.
+/// A family with zero samples (a span registers its histogram on entry, so
+/// a scrape during a span's first run sees it empty) emits *no* quantile
+/// series — a quantile of an empty sample set is undefined (`NaN` in
+/// Prometheus semantics, which its text parser rejects for summaries), so
+/// only `_sum`/`_count`/`_max` are kept.
 fn push_summary(
     out: &mut String,
     typed: &mut std::collections::HashSet<String>,
@@ -186,11 +185,6 @@ pub fn render(snap: &MetricsSnapshot) -> String {
         let (fam, labels) = family_of(name);
         let family = format!("{PREFIX}span_{fam}_duration_us");
         push_summary(&mut out, &mut typed, &family, labels, h);
-    }
-    for (name, w) in &snap.windows {
-        let (fam, labels) = family_of(name);
-        let family = format!("{PREFIX}{fam}_window");
-        push_summary(&mut out, &mut typed, &family, labels, w);
     }
     out
 }
@@ -283,28 +277,24 @@ mod tests {
 
     #[test]
     fn empty_histograms_emit_no_quantile_series() {
-        // Regression: a windowed-out (empty) family used to emit quantile
-        // samples for a sample set that does not exist; the undefined
+        // A span registers its duration histogram on entry, so a scrape
+        // during its first run captures an empty family. The undefined
         // quantile of an empty summary must be *omitted*, never rendered
         // (a `NaN` value would make Prometheus reject the whole scrape).
-        let mut snap = MetricsSnapshot::default();
-        snap.windows
-            .insert("batch.swap".into(), HistogramSnapshot::default());
-        snap.histograms.insert(
-            "vf2.nodes_per_search".into(),
-            HistogramSnapshot {
-                count: 1,
-                sum: 15,
-                max: 15,
-                buckets: vec![(15, 1)],
-            },
-        );
-        let doc = render(&snap);
-        assert!(!doc.contains("midas_batch_swap_window{quantile"), "{doc}");
-        assert!(doc.contains("midas_batch_swap_window_count 0"));
-        assert!(doc.contains("midas_batch_swap_window_sum 0"));
+        let _g = crate::tests::exclusive();
+        crate::set_enabled(true);
+        let open = crate::span!("test.prom.open");
+        crate::histogram_record!("test.prom.nonempty", 15);
+        let doc = render(&MetricsSnapshot::capture());
+        drop(open);
+        crate::set_enabled(false);
+        let family = "midas_span_test_prom_open_duration_us";
+        assert!(!doc.contains(&format!("{family}{{quantile")), "{doc}");
+        for series in ["_count 0", "_sum 0", "_max 0"] {
+            assert!(doc.contains(&format!("{family}{series}\n")), "{doc}");
+        }
         // Non-empty families keep their quantiles.
-        assert!(doc.contains("midas_vf2_nodes_per_search{quantile=\"0.5\"}"));
+        assert!(doc.contains("midas_test_prom_nonempty{quantile=\"0.5\"}"));
         assert!(!doc.contains("NaN"), "no NaN token anywhere: {doc}");
     }
 
@@ -381,8 +371,8 @@ mod tests {
         );
     }
 
-    /// A span's lifetime and window families for three known durations
-    /// (10, 30 and 1000 µs), byte for byte.
+    /// A span's family for three known durations (10, 30 and 1000 µs),
+    /// byte for byte.
     #[test]
     fn span_families_render_known_durations() {
         let h = registry().span("test.prom.pinned");
@@ -395,22 +385,17 @@ mod tests {
             .lines()
             .filter(|l| l.contains("test_prom_pinned"))
             .collect();
-        let family = |name: &str| {
-            [
-                format!("# TYPE {name} summary"),
-                format!("{name}{{quantile=\"0.5\"}} 31"),
-                format!("{name}{{quantile=\"0.9\"}} 1000"),
-                format!("{name}{{quantile=\"0.99\"}} 1000"),
-                format!("{name}_sum 1040"),
-                format!("{name}_count 3"),
-                format!("# TYPE {name}_max gauge"),
-                format!("{name}_max 1000"),
-            ]
-        };
-        let want: Vec<String> = family("midas_span_test_prom_pinned_duration_us")
-            .into_iter()
-            .chain(family("midas_test_prom_pinned_duration_us_window"))
-            .collect();
+        let name = "midas_span_test_prom_pinned_duration_us";
+        let want = [
+            format!("# TYPE {name} summary"),
+            format!("{name}{{quantile=\"0.5\"}} 31"),
+            format!("{name}{{quantile=\"0.9\"}} 1000"),
+            format!("{name}{{quantile=\"0.99\"}} 1000"),
+            format!("{name}_sum 1040"),
+            format!("{name}_count 3"),
+            format!("# TYPE {name}_max gauge"),
+            format!("{name}_max 1000"),
+        ];
         assert_eq!(pinned, want, "{doc}");
         h.reset();
     }
@@ -438,22 +423,12 @@ mod tests {
                 buckets: vec![(63, 1)],
             },
         );
-        snap.windows.insert(
-            "vf2.nodes_per_search".into(),
-            HistogramSnapshot {
-                count: 1,
-                sum: 15,
-                max: 15,
-                buckets: vec![(15, 1)],
-            },
-        );
         let doc = render(&snap);
         assert!(doc.contains("# TYPE midas_vf2_searches counter"));
         assert!(doc.contains("midas_vf2_searches 7"));
         assert!(doc.contains("midas_monitor_drift 0"), "NaN renders as 0");
         assert!(doc.contains("midas_vf2_nodes_per_search{quantile=\"0.99\"}"));
         assert!(doc.contains("midas_span_batch_fct_duration_us{quantile=\"0.5\"} 42"));
-        assert!(doc.contains("midas_vf2_nodes_per_search_window{quantile=\"0.9\"}"));
         // Every non-comment line is `name[{labels}] value`.
         for line in doc.lines() {
             if line.starts_with('#') {

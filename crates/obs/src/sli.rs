@@ -19,13 +19,13 @@
 //!   distance that classifies modifications, recorded here in millionths
 //!   so a log₂ histogram can hold it).
 //! * **Read / formulation latency** — end-to-end time for a snapshot read
-//!   and for one query formulation, as histograms with lifetime and
-//!   sliding-window quantiles.
+//!   and for one query formulation, as histograms with lifetime
+//!   quantiles.
 //!
 //! Every sample lands in the global [`crate::registry`] under `sli.*`
 //! names, and that is the one SLI record: `/metrics` serves it as the
-//! `midas_sli_*` families (counters, the reduction gauge, and lifetime
-//! plus windowed summaries). The serving daemon is the producer: `POST
+//! `midas_sli_*` families (counters, the reduction gauge and lifetime
+//! summaries). The serving daemon is the producer: `POST
 //! /v1/{t}/querylog` records one sample per query.
 //!
 //! Like every probe in this crate, recording is gated on

@@ -5,8 +5,8 @@ use crate::registry::registry;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// Snapshot of one histogram: a registry histogram, a span's durations
-/// (µs) or the sliding window of either.
+/// Snapshot of one histogram: a registry histogram or a span's durations
+/// (µs), over its lifetime or over a region ([`MetricsSnapshot::since`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Samples recorded.
@@ -95,11 +95,6 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Span duration histograms (µs) by span name.
     pub spans: BTreeMap<String, HistogramSnapshot>,
-    /// Sliding-window aggregates captured at snapshot time: one entry per
-    /// histogram with recent samples, plus `<span>.duration_us` entries for
-    /// spans that completed inside the window. [`Self::since`] subtracts
-    /// the baseline's window, for the families its delta keeps.
-    pub windows: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -115,36 +110,20 @@ impl MetricsSnapshot {
         });
         reg.for_each_histogram(|name, h| {
             snap.histograms.insert(name.to_owned(), h.snapshot());
-            snap.insert_window(name.to_owned(), h.windowed());
         });
         reg.for_each_span(|name, h| {
             snap.spans.insert(name.to_owned(), h.snapshot());
-            snap.insert_window(format!("{name}.duration_us"), h.windowed());
         });
         snap
-    }
-
-    fn insert_window(&mut self, name: String, w: HistogramSnapshot) {
-        if w.count > 0 {
-            self.windows.insert(name, w);
-        }
     }
 
     /// The delta `self − baseline`: counters and histogram counts, sums
     /// and buckets subtract (saturating), gauges and maxima keep `self`'s
     /// value. Metrics absent from `baseline` pass through unchanged;
     /// zero-delta entries are dropped so a batch snapshot lists only what
-    /// the batch touched. A window is kept only for a histogram or span
-    /// left in the delta, minus the baseline's window of the same family,
-    /// so it counts the region's own samples.
-    ///
-    /// That window delta is exact when no window slot expired between the
-    /// two captures. A slot that expired in between takes samples from
-    /// before the baseline out of `self`'s window that the baseline still
-    /// counts, so the subtraction (saturating, bucket by bucket) then
-    /// undercounts the region; it never counts a sample recorded before
-    /// the baseline. Its `max` is `self`'s window maximum, as for
-    /// histograms.
+    /// the batch touched. Every delta is exact: a histogram's count, sum
+    /// and buckets are the region's own samples. Its `max` is `self`'s
+    /// lifetime maximum.
     pub fn since(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
         let mut out = MetricsSnapshot::default();
         for (name, &v) in &self.counters {
@@ -163,18 +142,6 @@ impl MetricsSnapshot {
                 if delta.count > 0 {
                     into.insert(name.clone(), delta);
                 }
-            }
-        }
-        // A window is kept only for a family the region touched: a
-        // histogram, or a span (`<span>.duration_us`), with a non-empty
-        // delta.
-        for (name, w) in &self.windows {
-            let touched = out.histograms.contains_key(name)
-                || name
-                    .strip_suffix(".duration_us")
-                    .is_some_and(|span| out.spans.contains_key(span));
-            if touched {
-                out.insert_window(name.clone(), w.since(baseline.windows.get(name)));
             }
         }
         out
@@ -319,78 +286,38 @@ mod tests {
     }
 
     #[test]
-    fn windows_in_since_count_the_region_and_render() {
+    fn since_counts_the_region_and_renders() {
         let _g = exclusive();
+        let s = registry().span("test.snap.region_span");
+        s.reset();
         crate::set_enabled(true);
-        crate::histogram_record!("test.snap.window", 42);
-        {
-            let _s = crate::span!("test.snap.window_span");
-        }
+        crate::histogram_record!("test.snap.region", 42);
+        s.record(5);
         let baseline = MetricsSnapshot::capture();
-        crate::histogram_record!("test.snap.window", 43);
+        crate::histogram_record!("test.snap.region", 43);
+        crate::histogram_record!("test.snap.region", 100);
+        s.record(20);
         let snap = MetricsSnapshot::capture();
         crate::set_enabled(false);
-        let w = snap
-            .windows
-            .get("test.snap.window")
-            .expect("window captured");
-        assert!(w.count >= 2);
-        assert!(snap
-            .windows
-            .contains_key("test.snap.window_span.duration_us"));
-        // since() keeps the window of a family the region touched, less
-        // the baseline's window, and drops the windows of untouched ones.
+        // The delta holds the region's samples and nothing from before
+        // the baseline: 43 → (31,63], 100 → (63,127], 20 → (15,31].
         let delta = snap.since(&baseline);
-        let region = delta.windows.get("test.snap.window").expect("kept");
-        assert_eq!((region.count, region.sum), (1, 43));
-        assert_eq!(region.buckets, vec![(63, 1)]);
-        assert!(!delta
-            .windows
-            .contains_key("test.snap.window_span.duration_us"));
-        assert!(snap.since(&snap).windows.is_empty());
+        let h = delta.histogram("test.snap.region");
+        assert_eq!((h.count, h.sum, h.max), (2, 143, 100));
+        assert_eq!(h.buckets, vec![(63, 1), (127, 1)]);
+        let span = delta.span("test.snap.region_span");
+        assert_eq!((span.count, span.sum), (1, 20));
+        assert_eq!(span.buckets, vec![(31, 1)]);
+        // A region that recorded nothing keeps no family.
+        let none = snap.since(&snap);
+        assert!(none.histograms.is_empty() && none.spans.is_empty());
         let doc = crate::prom::render(&delta);
+        assert!(doc.contains("midas_test_snap_region_count 2"), "{doc}");
+        assert!(doc.contains("midas_test_snap_region_sum 143"), "{doc}");
         assert!(
-            doc.contains("midas_test_snap_window_window{quantile=\"0.99\"} 43"),
+            doc.contains("midas_span_test_snap_region_span_duration_us_sum 20"),
             "{doc}"
         );
-        assert!(
-            doc.contains("midas_test_snap_window_window_count 1"),
-            "{doc}"
-        );
-        assert!(!doc.contains("window_span_duration_us_window"), "{doc}");
-    }
-
-    fn histogram(samples: &[(u64, u64)]) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: samples.iter().map(|(_, n)| n).sum(),
-            sum: samples.iter().map(|(upper, n)| upper * n).sum(),
-            max: samples.iter().map(|(upper, _)| *upper).max().unwrap_or(0),
-            buckets: samples.to_vec(),
-        }
-    }
-
-    fn with_window(lifetime: &[(u64, u64)], window: &[(u64, u64)]) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        snap.histograms.insert("h".into(), histogram(lifetime));
-        snap.windows.insert("h".into(), histogram(window));
-        snap
-    }
-
-    #[test]
-    fn samples_before_the_baseline_leave_the_window_delta() {
-        // Five samples of 7 precede the baseline; the region adds two of
-        // 7 and one of 63, all inside the window.
-        let baseline = with_window(&[(7, 5)], &[(7, 5)]);
-        let later = with_window(&[(7, 7), (63, 1)], &[(7, 7), (63, 1)]);
-        let delta = later.since(&baseline);
-        assert_eq!(delta.histogram("h"), histogram(&[(7, 2), (63, 1)]));
-        assert_eq!(delta.windows["h"], histogram(&[(7, 2), (63, 1)]));
-
-        // A slot holding three of the early samples expires between the
-        // captures: the window delta undercounts the region's 7s and
-        // still counts no sample from before the baseline.
-        let expired = with_window(&[(7, 7), (63, 1)], &[(7, 4), (63, 1)]);
-        let w = &expired.since(&baseline).windows["h"];
-        assert_eq!((w.count, w.buckets.clone()), (1, vec![(63, 1)]));
+        s.reset();
     }
 }

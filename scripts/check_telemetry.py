@@ -56,6 +56,8 @@ SAMPLE_LINE = re.compile(
 )
 LABEL_PAIR = re.compile(r'^[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\["\\n])*"$')
 REQUIRED_FAMILIES = ["midas_pmt_us", "midas_plan_search_ns"]
+# Every summary renders these quantiles, then its `_max` gauge.
+SUMMARY_QUANTILES = ["0.5", "0.9", "0.99"]
 # VF2 is the reference matcher: a production scrape must show no search.
 REFERENCE_ONLY_COUNTERS = ["midas_vf2_searches"]
 BATCH_FIELDS = [
@@ -127,12 +129,16 @@ def check_trace(path):
 
 
 def check_prom(path):
-    """Validates a saved `GET /metrics` body as exposition format 0.0.4."""
+    """Validates a saved `GET /metrics` body as exposition format 0.0.4:
+    every sample typed, and each summary series (per label set) monotone,
+    `quantile="0.5"` <= `"0.9"` <= `"0.99"` <= `_max`."""
     with open(path) as f:
         text = f.read()
     typed = set()
     families = set()
     quantile_series = 0
+    quantiles = {}
+    maxima = {}
     samples = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -146,6 +152,8 @@ def check_prom(path):
                 fail(f"{path}:{lineno}: invalid family name {name!r}")
             if kind not in ("counter", "gauge", "summary", "histogram", "untyped"):
                 fail(f"{path}:{lineno}: unknown metric type {kind!r}")
+            if re.sub(r"_max$", "", name).endswith("_window"):
+                fail(f"{path}:{lineno}: family {name!r}: the window ring is gone")
             typed.add(name)
             continue
         if line.startswith("#"):
@@ -156,19 +164,25 @@ def check_prom(path):
         name = m.group("name")
         if not METRIC_NAME.match(name):
             fail(f"{path}:{lineno}: invalid metric name {name!r}")
-        labels = m.group("labels")
-        if labels:
-            for pair in labels.split(","):
-                if not LABEL_PAIR.match(pair):
-                    fail(f"{path}:{lineno}: malformed label pair {pair!r}")
-            if 'quantile="' in labels:
-                quantile_series += 1
+        pairs = m.group("labels").split(",") if m.group("labels") else []
+        for pair in pairs:
+            if not LABEL_PAIR.match(pair):
+                fail(f"{path}:{lineno}: malformed label pair {pair!r}")
         try:
-            float(m.group("value"))
+            value = float(m.group("value"))
         except ValueError:
             fail(f"{path}:{lineno}: non-numeric sample value {m.group('value')!r}")
         # A summary's _sum/_count/quantile series share the family TYPE.
         family = re.sub(r"_(sum|count|max)$", "", name)
+        # One series of a summary: its family and the labels other than
+        # `quantile` (a tenant, say).
+        quantile = [p for p in pairs if p.startswith('quantile="')]
+        series = (family, ",".join(p for p in pairs if p not in quantile))
+        if quantile:
+            quantile_series += 1
+            quantiles.setdefault(series, {})[quantile[0]] = value
+        elif name.endswith("_max"):
+            maxima[series] = value
         if name not in typed and family not in typed:
             fail(f"{path}:{lineno}: sample {name!r} has no preceding # TYPE")
         families.add(family)
@@ -183,6 +197,17 @@ def check_prom(path):
             fail(f"{path}: required family {family!r} missing")
     if quantile_series == 0:
         fail(f"{path}: no quantile-labeled series (summaries missing)")
+    for (family, labels), qs in quantiles.items():
+        chain = [qs.get(f'quantile="{q}"') for q in SUMMARY_QUANTILES]
+        chain.append(maxima.get((family, labels)))
+        series = f"{family}{{{labels}}}" if labels else family
+        if None in chain:
+            fail(f"{path}: summary {series} lacks a quantile of "
+                 "0.5/0.9/0.99 or its _max")
+        if chain != sorted(chain):
+            fail(f"{path}: summary {series} not monotone: "
+                 f"p50 {chain[0]:g}, p90 {chain[1]:g}, p99 {chain[2]:g}, "
+                 f"max {chain[3]:g}")
     print(f"{path}: ok ({samples} samples, {len(families)} families, "
           f"{quantile_series} quantile series)")
 
@@ -287,24 +312,16 @@ SLI_SUMMARIES = ["midas_sli_read_ns", "midas_sli_formulate_ns",
 
 def check_sli_metrics(path):
     """Validates the `midas_sli_*` families of a `/metrics` scrape taken
-    after `/querylog` traffic: each summary has samples, the step counters
-    and the reduction gauge are present and plausible, and the read and
-    formulation latency quantiles are monotone."""
+    after `/querylog` traffic: each summary has samples, and the step
+    counters and the reduction gauge are present and plausible. `--prom`
+    checks that every summary's quantiles are monotone."""
     with open(path) as f:
         text = f.read()
     values = {}
-    quantiles = {}
     for line in text.splitlines():
         m = SAMPLE_LINE.match(line)
-        if not m:
-            continue
-        labels = m.group("labels")
-        if not labels:
+        if m and not m.group("labels"):
             values[m.group("name")] = float(m.group("value"))
-            continue
-        q = re.fullmatch(r'quantile="([^"]*)"', labels)
-        if q:
-            quantiles[(m.group("name"), q.group(1))] = float(m.group("value"))
     for family in SLI_SUMMARIES:
         count = values.get(f"{family}_count")
         if count is None:
@@ -322,17 +339,8 @@ def check_sli_metrics(path):
     if reduction is None or not -10.0 <= reduction <= 1.0:
         fail(f"{path}: gauge 'midas_sli_formulation_reduction' missing or "
              f"implausible ({reduction!r})")
-    for family in ["midas_sli_read_ns", "midas_sli_formulate_ns"]:
-        p50 = quantiles.get((family, "0.5"))
-        p99 = quantiles.get((family, "0.99"))
-        top = values.get(f"{family}_max")
-        if p50 is None or p99 is None or top is None:
-            fail(f"{path}: {family} lacks its 0.5/0.99 quantiles or _max")
-        if not p50 <= p99 <= top:
-            fail(f"{path}: {family} quantiles not monotone: "
-                 f"p50 {p50:g}, p99 {p99:g}, max {top:g}")
     print(f"{path}: ok ({queries:g} queries, reduction {reduction:g}, "
-          f"read p99 {quantiles[('midas_sli_read_ns', '0.99')]:g} ns)")
+          f"{values['midas_sli_read_ns_count']:g} reads)")
 
 
 TENANT_SUMMARY_FIELDS = [
