@@ -194,19 +194,16 @@ pub fn set_measures(
             }
         }
     }
-    let div = patterns
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let others: Vec<LabeledGraph> = patterns
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, q)| q.clone())
-                .collect();
-            diversity(p, &others)
-        })
-        .fold(f64::INFINITY, f64::min);
+    // The minimum of every pattern's `diversity` against the others: over
+    // ordered pairs, since the bound is not symmetric. A lone pattern has
+    // the neutral 1.0, and an empty set is not finite, so 0 below.
+    let div = match patterns.len() {
+        1 => 1.0,
+        n => (0..n)
+            .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
+            .map(|(i, j)| ged_tight_lower_bound(&patterns[i], &patterns[j]) as f64)
+            .fold(f64::INFINITY, f64::min),
+    };
     let cog = patterns
         .iter()
         .map(|p| p.cognitive_load())
@@ -313,6 +310,32 @@ mod tests {
         assert!((pattern_score(parts) - 0.2).abs() < 1e-12);
         let zero_cog = PatternScoreParts { cog: 0.0, ..parts };
         assert!(pattern_score(zero_cog).is_finite() || pattern_score(zero_cog) > 0.0);
+    }
+
+    #[test]
+    fn set_diversity_is_the_least_ordered_pair_bound() {
+        // A star and a path with equal edge counts: the bound differs by
+        // direction, and f_div takes the smaller.
+        let star = GraphBuilder::new()
+            .vertices(&[0, 1, 2, 3, 4])
+            .edge(0, 1)
+            .edge(0, 2)
+            .edge(0, 3)
+            .edge(0, 4)
+            .build();
+        let chain = path(&[1, 2, 3, 4, 0]);
+        let (there, back) = (
+            ged_tight_lower_bound(&star, &chain),
+            ged_tight_lower_bound(&chain, &star),
+        );
+        assert_ne!(there, back);
+        let catalog = EdgeCatalog::build(std::iter::empty());
+        let universe = BTreeSet::new();
+        let div = |set: &[LabeledGraph]| set_measures(set, &catalog, &universe).div;
+        assert_eq!(div(&[star.clone(), chain.clone()]), there.min(back) as f64);
+        assert_eq!(div(&[chain, star]), there.min(back) as f64);
+        assert_eq!(div(&[path(&[0, 1])]), 1.0, "a lone pattern");
+        assert_eq!(div(&[]), 0.0, "an empty set");
     }
 
     #[test]

@@ -20,23 +20,28 @@
 //! [`PatternStore`]: the indices hold graph-side rows only, so no index
 //! state follows the pattern set.
 //!
-//! Each side is scored once per call: only `div` in `s'_p = scov × lcov ×
-//! div / cog` depends on the current set, so `scov` (from the covered
-//! counts candidate generation already computed), `lcov`, `cog` and the
-//! log weight form one table, and each scan recomputes only diversity.
-//! sw3–sw5's measures of the current set are recomputed only when a swap
-//! changes it.
+//! Every measure is read from tables built once per call. Only `div` in
+//! `s'_p = scov × lcov × div / cog` depends on the current set, so `scov`
+//! (from the covered counts candidate generation already computed), `lcov`,
+//! `cog` and the log weight form one `ScoreRow` per pattern and
+//! candidate. Diversity and sw3's `f_div` are minima over one table of
+//! `ged_tight_lower_bound`s: one per ordered pair of patterns, and each
+//! candidate's bounds to and from every pattern. A swap adds one pattern,
+//! so it adds one pair per remaining candidate. sw5's `f_lcov` is the
+//! popcount of label bitsets (OR-ed [`Bounds`] rows) over the sample, and
+//! sw4's `f_cog` the maximum of the rows' `cog`. Each is the same min, max
+//! or integer ratio that `diversity` and `set_measures` compute, so the
+//! swap decides exactly as re-scoring through them would (DESIGN §5).
 
 use crate::candidate_gen::{Candidate, CoverageState};
 use crate::ks::distributions_similar;
 use crate::metrics::ScovContext;
 use crate::patterns::{PatternId, PatternStore};
 use crate::query_log::QueryLog;
-use midas_catapult::score::{
-    diversity, lcov_pattern, pattern_score, set_measures, PatternScoreParts,
-};
+use midas_catapult::score::{pattern_score, PatternScoreParts, SetMeasures};
+use midas_graph::ged::ged_tight_lower_bound;
 use midas_graph::LabeledGraph;
-use std::collections::{BTreeMap, BTreeSet};
+use midas_mining::edges::{Bounds, GraphSet};
 
 /// Swap parameters.
 #[derive(Debug, Clone, Copy)]
@@ -84,27 +89,35 @@ pub struct SwapOutcome {
 }
 
 /// The set-independent parts of a pattern's score: everything in `s'_p`
-/// but `div`, and the query-log weight.
-#[derive(Debug, Clone, Copy)]
+/// but `div`, the query-log weight, and the label bits behind `lcov`.
+#[derive(Debug, Clone)]
 struct ScoreRow {
     scov: f64,
     lcov: f64,
     cog: f64,
     weight: f64,
+    /// The database graphs holding at least one of the pattern's edge
+    /// labels: the union `lcov_pattern` counts.
+    labels: GraphSet,
 }
 
 impl ScoreRow {
     fn new(
         ctx: &ScovContext<'_>,
+        bounds: &mut Bounds<'_>,
         pattern: &LabeledGraph,
         covered: usize,
         log: Option<&QueryLog>,
     ) -> Self {
+        let labels = pattern
+            .edge_labels()
+            .fold(bounds.set_of([]), |set, label| set.or(bounds.row(label, 1)));
         ScoreRow {
             scov: ctx.scov_of(covered),
-            lcov: lcov_pattern(pattern, ctx.catalog, ctx.db.len()),
+            lcov: labels.len() as f64 / ctx.db.len().max(1) as f64,
             cog: pattern.cognitive_load(),
             weight: log.map_or(1.0, |l| l.weight(pattern)),
+            labels,
         }
     }
 
@@ -116,6 +129,193 @@ impl ScoreRow {
             div,
             cog: self.cog,
         }) * self.weight
+    }
+}
+
+/// `div` from the minimum bound to the other patterns: the neutral 1.0
+/// when there is no other pattern, as `catapult::score::diversity` has it.
+fn diversity(min: Option<u32>) -> f64 {
+    min.map_or(1.0, f64::from)
+}
+
+/// A pooled candidate with its bounds against the current patterns, in
+/// the [`Table`]'s order.
+struct Pooled {
+    graph: LabeledGraph,
+    row: ScoreRow,
+    /// `ged_tight_lower_bound(graph, p)` for each pattern `p`.
+    to: Vec<u32>,
+    /// `ged_tight_lower_bound(p, graph)` for each pattern `p`.
+    from: Vec<u32>,
+}
+
+impl Pooled {
+    /// `div(c, P)`: the minimum of the candidate's bounds to the patterns.
+    fn diversity(&self) -> f64 {
+        diversity(self.to.iter().copied().min())
+    }
+
+    /// Drops the bounds to the pattern at `victim` and adds those to
+    /// `added`, the pattern that replaced it at the end of the table.
+    fn replace(&mut self, victim: usize, added: &LabeledGraph) {
+        self.to.remove(victim);
+        self.from.remove(victim);
+        self.to.push(ged_tight_lower_bound(&self.graph, added));
+        self.from.push(ged_tight_lower_bound(added, &self.graph));
+    }
+}
+
+/// The current pattern set as the swap scores it, in store (id) order: a
+/// swapped-in pattern has the largest id, so it goes last.
+struct Table {
+    ids: Vec<PatternId>,
+    rows: Vec<ScoreRow>,
+    /// `bounds[i][j]` is `ged_tight_lower_bound(p_i, p_j)`; the bound is
+    /// not symmetric, so both orders are kept. The diagonal is unused.
+    bounds: Vec<Vec<u32>>,
+    /// The sample's graphs, over the same universe as the label bits.
+    sample: GraphSet,
+    sample_len: usize,
+}
+
+impl Table {
+    /// Scores the store and the candidates against it.
+    fn new(
+        store: &PatternStore,
+        candidates: Vec<Candidate>,
+        coverage: &CoverageState,
+        ctx: &ScovContext<'_>,
+        log: Option<&QueryLog>,
+    ) -> (Table, Vec<Pooled>) {
+        // The catalog is the database's, so every row fits this universe.
+        let mut bounds = Bounds::new(ctx.catalog, ctx.db.ids().collect());
+        let patterns: Vec<(PatternId, &LabeledGraph)> = store.iter().collect();
+        let table = Table {
+            ids: patterns.iter().map(|&(id, _)| id).collect(),
+            rows: patterns
+                .iter()
+                .map(|&(id, p)| {
+                    let covered = *coverage
+                        .covered
+                        .get(&id)
+                        .expect("the coverage state is the store's");
+                    ScoreRow::new(ctx, &mut bounds, p, covered, log)
+                })
+                .collect(),
+            bounds: patterns
+                .iter()
+                .enumerate()
+                .map(|(i, &(_, p))| {
+                    patterns
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &(_, q))| {
+                            if i == j {
+                                0
+                            } else {
+                                ged_tight_lower_bound(p, q)
+                            }
+                        })
+                        .collect()
+                })
+                .collect(),
+            sample: bounds.set_of(ctx.sample.iter().copied()),
+            sample_len: ctx.sample.len(),
+        };
+        let pool = candidates
+            .into_iter()
+            .map(|c| Pooled {
+                row: ScoreRow::new(ctx, &mut bounds, &c.graph, c.covered, log),
+                to: patterns
+                    .iter()
+                    .map(|&(_, p)| ged_tight_lower_bound(&c.graph, p))
+                    .collect(),
+                from: patterns
+                    .iter()
+                    .map(|&(_, p)| ged_tight_lower_bound(p, &c.graph))
+                    .collect(),
+                graph: c.graph,
+            })
+            .collect();
+        (table, pool)
+    }
+
+    /// The position of pattern `id`.
+    fn index(&self, id: PatternId) -> usize {
+        self.ids
+            .iter()
+            .position(|&p| p == id)
+            .expect("live pattern")
+    }
+
+    /// The patterns by `s'_p` ascending, ties in store order.
+    fn ranked(&self) -> Vec<(f64, PatternId)> {
+        let mut ranked: Vec<(f64, PatternId)> = (0..self.ids.len())
+            .map(|i| {
+                let others = self.bounds[i]
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != i)
+                    .map(|(_, &b)| b);
+                (self.rows[i].score(diversity(others.min())), self.ids[i])
+            })
+            .collect();
+        ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite scores"));
+        ranked
+    }
+
+    /// `f_lcov`, `f_div` and `f_cog` of the set, or of `P'` when `swap`
+    /// puts a candidate in the place of the pattern at its index. A swap
+    /// keeps the set's size and the store is never empty, so the set has a
+    /// member and `set_measures`' 0 for an empty set never applies.
+    fn measures(&self, swap: Option<(usize, &Pooled)>) -> SetMeasures {
+        let victim = swap.map(|(v, _)| v);
+        let kept: Vec<usize> = (0..self.ids.len()).filter(|&i| Some(i) != victim).collect();
+        let members = || {
+            kept.iter()
+                .map(|&i| &self.rows[i])
+                .chain(swap.map(|(_, c)| &c.row))
+        };
+        let pattern_pairs = kept.iter().flat_map(|&i| {
+            kept.iter()
+                .filter(move |&&j| j != i)
+                .map(move |&j| self.bounds[i][j])
+        });
+        let candidate_pairs = swap
+            .into_iter()
+            .flat_map(|(_, c)| kept.iter().flat_map(move |&j| [c.to[j], c.from[j]]));
+        let mut rows = members();
+        let first = rows.next().expect("a non-empty set");
+        let labels = rows.fold(first.labels.clone(), |set, r| set.or(&r.labels));
+        SetMeasures {
+            lcov: labels.and(&self.sample).len() as f64 / self.sample_len.max(1) as f64,
+            div: diversity(pattern_pairs.chain(candidate_pairs).min()),
+            cog: members().map(|r| r.cog).fold(0.0, f64::max),
+        }
+    }
+
+    /// Puts the candidate in the place of the pattern at `victim`: its row
+    /// and its bounds become the new pattern's, under `id`.
+    fn replace(&mut self, victim: usize, id: PatternId, candidate: Pooled) {
+        let Pooled {
+            row,
+            mut to,
+            mut from,
+            ..
+        } = candidate;
+        self.ids.remove(victim);
+        self.rows.remove(victim);
+        self.bounds.remove(victim);
+        to.remove(victim);
+        from.remove(victim);
+        for (bounds, b) in self.bounds.iter_mut().zip(from) {
+            bounds.remove(victim);
+            bounds.push(b);
+        }
+        to.push(0); // the diagonal
+        self.bounds.push(to);
+        self.ids.push(id);
+        self.rows.push(row);
     }
 }
 
@@ -147,111 +347,88 @@ pub fn multi_scan_swap_weighted(
     if candidates.is_empty() || store.is_empty() {
         return outcome;
     }
-    // The score table; a swapped-in candidate carries its row over.
-    let mut pattern_rows: BTreeMap<PatternId, ScoreRow> = store
-        .iter()
-        .map(|(id, p)| {
-            let covered = *coverage
-                .covered
-                .get(&id)
-                .expect("the coverage state is the store's");
-            (id, ScoreRow::new(ctx, p, covered, log))
-        })
-        .collect();
-    // Remaining candidate pool across scans, in the last scan's rank order.
-    let mut pool: Vec<(ScoreRow, LabeledGraph)> = candidates
-        .into_iter()
-        .map(|c| (ScoreRow::new(ctx, &c.graph, c.covered, log), c.graph))
-        .collect();
-    let mut m_before = set_measures(&store.graphs(), ctx.catalog, ctx.sample);
+    // The pool holds the remaining candidates across scans, in the last
+    // scan's rank order.
+    let (mut table, mut pool) = Table::new(store, candidates, coverage, ctx, log);
+    let mut m_before = table.measures(None);
     let mut sigma = 0.25f64;
     let mut kappa = params.kappa;
     loop {
         let _scan_span = midas_obs::span!("batch.swap.scan");
         outcome.scans += 1;
         let rank_span = midas_obs::span!("batch.swap.rank");
-        // Rank candidates by s' descending against the current set.
-        let current = store.graphs();
-        let mut ranked: Vec<(f64, (ScoreRow, LabeledGraph))> = pool
+        // Rank candidates by s' descending against the current set; a
+        // consumed candidate leaves `None` behind.
+        let mut ranked: Vec<(f64, Option<Pooled>)> = pool
             .into_iter()
-            .map(|(row, c)| (row.score(diversity(&c, &current)), (row, c)))
+            .map(|c| (c.row.score(c.diversity()), Some(c)))
             .collect();
         ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
         // Rank patterns by s' ascending.
-        let mut pq_patterns: Vec<(f64, PatternId)> = store
-            .iter()
-            .map(|(id, p)| {
-                let others: Vec<LabeledGraph> = store
-                    .iter()
-                    .filter(|(other, _)| *other != id)
-                    .map(|(_, q)| q.clone())
-                    .collect();
-                (pattern_rows[&id].score(diversity(p, &others)), id)
-            })
-            .collect();
-        pq_patterns.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite scores"));
+        let pq_patterns = table.ranked();
         drop(rank_span);
 
         let _check_span = midas_obs::span!("batch.swap.check");
         let mut swaps_this_scan = 0;
-        let mut consumed: BTreeSet<usize> = BTreeSet::new();
+        let mut examined = 0u64;
         let mut victim_idx = 0usize;
-        'candidates: for (ci, (cand_score, (cand_row, candidate))) in ranked.iter().enumerate() {
+        for ci in 0..ranked.len() {
             if victim_idx >= pq_patterns.len() {
                 break;
             }
             let (victim_score, victim_id) = pq_patterns[victim_idx];
+            let (cand_score, candidate) = &ranked[ci];
+            let candidate = candidate
+                .as_ref()
+                .expect("only swapped-in candidates are taken");
             // sw2 failure terminates the scan (sorted candidates).
             if *cand_score < (1.0 + params.lambda) * victim_score {
-                break 'candidates;
+                break;
             }
             // sw1: benefit vs loss (Def. 6.2 — the coverage delta).
-            if cand_row.scov < (1.0 + kappa) * pattern_rows[&victim_id].scov {
+            let victim = table.index(victim_id);
+            if candidate.row.scov < (1.0 + kappa) * table.rows[victim].scov {
                 continue; // try the next candidate against the same victim
             }
             // sw3–sw5 and the KS guard on the hypothetical P'.
-            let victim_size = store.get(victim_id).expect("live pattern").edge_count();
-            let mut after: Vec<LabeledGraph> = store
-                .iter()
-                .filter(|(id, _)| *id != victim_id)
-                .map(|(_, p)| p.clone())
-                .collect();
-            after.push(candidate.clone());
-            let m_after = set_measures(&after, ctx.catalog, ctx.sample);
+            examined += 1;
+            let m_after = table.measures(Some((victim, candidate)));
             let sw3 = m_after.div >= (1.0 + params.alpha_div) * m_before.div;
             let sw4 = m_before.cog * (1.0 + params.alpha_cog) >= m_after.cog;
             let sw5 = m_after.lcov >= (1.0 + params.alpha_lcov) * m_before.lcov;
+            let victim_size = store.get(victim_id).expect("live pattern").edge_count();
             let sizes_before = store.sizes();
             let mut sizes_after = sizes_before.clone();
             // Replace the victim's size by the candidate's.
             if let Some(pos) = sizes_after.iter().position(|&s| s == victim_size) {
-                sizes_after[pos] = candidate.edge_count();
+                sizes_after[pos] = candidate.graph.edge_count();
             }
             let ks_ok = distributions_similar(&sizes_before, &sizes_after, params.ks_alpha);
             if !(sw3 && sw4 && sw5 && ks_ok) {
                 continue; // candidate unusable against this victim
             }
             // Swap.
+            let candidate = ranked[ci].1.take().expect("examined above");
             store.remove(victim_id);
             let new_id = store
-                .insert(candidate.clone())
+                .insert(candidate.graph.clone())
                 .expect("candidates were deduplicated against the store");
-            pattern_rows.remove(&victim_id);
-            pattern_rows.insert(new_id, *cand_row);
-            m_before = set_measures(&store.graphs(), ctx.catalog, ctx.sample);
+            table.replace(victim, new_id, candidate);
+            let added = store.get(new_id).expect("just inserted");
+            for (_, c) in &mut ranked {
+                if let Some(c) = c {
+                    c.replace(victim, added);
+                }
+            }
+            m_before = table.measures(None);
             outcome.replaced.push((victim_id, new_id));
             outcome.swaps += 1;
             swaps_this_scan += 1;
-            consumed.insert(ci);
             victim_idx += 1;
         }
-        // Remove consumed candidates from the pool.
-        pool = ranked
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| !consumed.contains(i))
-            .map(|(_, (_, c))| c)
-            .collect();
+        midas_obs::counter_add!("swap.ranked", ranked.len() as u64);
+        midas_obs::counter_add!("swap.examined", examined);
+        pool = ranked.into_iter().filter_map(|(_, c)| c).collect();
         // SWAP_α schedule (Lemma 6.3).
         if swaps_this_scan == 0 || pool.is_empty() || sigma >= 0.5 {
             break;
@@ -268,6 +445,7 @@ mod tests {
     use midas_graph::{GraphBuilder, GraphDb, GraphId, MatchKernel};
     use midas_index::{FctIndex, IfeIndex};
     use midas_mining::EdgeCatalog;
+    use std::collections::BTreeSet;
 
     fn path(labels: &[u32]) -> LabeledGraph {
         let vs: Vec<u32> = (0..labels.len() as u32).collect();
@@ -280,6 +458,20 @@ mod tests {
         sample: BTreeSet<GraphId>,
         fct: FctIndex,
         ife: IfeIndex,
+        kernel: MatchKernel,
+    }
+
+    impl World {
+        fn ctx(&self) -> ScovContext<'_> {
+            ScovContext {
+                fct: &self.fct,
+                ife: &self.ife,
+                db: &self.db,
+                sample: &self.sample,
+                catalog: &self.catalog,
+                kernel: &self.kernel,
+            }
+        }
     }
 
     fn world(graphs: Vec<LabeledGraph>) -> World {
@@ -299,6 +491,7 @@ mod tests {
             sample,
             fct,
             ife,
+            kernel: MatchKernel::new(),
         }
     }
 
@@ -323,6 +516,102 @@ mod tests {
         multi_scan_swap_weighted(store, candidates, &coverage, ctx, &params(), log)
     }
 
+    /// The table and pool the swap starts from.
+    fn table(
+        store: &PatternStore,
+        graphs: Vec<LabeledGraph>,
+        ctx: &ScovContext<'_>,
+    ) -> (Table, Vec<Pooled>) {
+        let coverage = crate::candidate_gen::coverage_state(store, ctx);
+        Table::new(store, Candidate::scored(ctx, graphs), &coverage, ctx, None)
+    }
+
+    /// `set_measures` on an explicit set, over the context's sample.
+    fn explicit(set: &[LabeledGraph], ctx: &ScovContext<'_>) -> SetMeasures {
+        midas_catapult::score::set_measures(set, ctx.catalog, ctx.sample)
+    }
+
+    #[test]
+    fn patterns_tied_on_diversity_rank_in_store_order() {
+        // Two families with disjoint labels cover two graphs each; a third
+        // covers six.
+        let mut graphs = vec![path(&[0, 1, 2]); 2];
+        graphs.extend(vec![path(&[3, 4, 5]); 2]);
+        graphs.extend(vec![path(&[7, 7, 7]); 6]);
+        let w = world(graphs);
+        let ctx = w.ctx();
+        let mut store = PatternStore::new();
+        let first = store.insert(path(&[0, 1, 2])).unwrap();
+        let second = store.insert(path(&[3, 4, 5])).unwrap();
+        let (table, _) = table(&store, vec![], &ctx);
+        assert_eq!(table.bounds[0][1], table.bounds[1][0], "tied diversity");
+        let ranked = table.ranked();
+        assert_eq!(ranked[0].0, ranked[1].0, "tied scores");
+        assert_eq!([ranked[0].1, ranked[1].1], [first, second]);
+        // The first of the tied patterns is the one swapped out.
+        let outcome = swap(&mut store, vec![path(&[7, 7, 7])], &ctx, None);
+        assert_eq!(outcome.replaced.len(), 1);
+        assert_eq!(outcome.replaced[0].0, first);
+        assert!(store.contains_isomorphic(&path(&[3, 4, 5])));
+    }
+
+    #[test]
+    fn directed_bounds_give_the_explicit_f_div() {
+        // A star and two paths over the same five labels, four edges each.
+        // On equal edge counts the bound takes its max degree from its
+        // first argument, so a star-path pair differs by direction.
+        let star = GraphBuilder::new()
+            .vertices(&[0, 1, 2, 3, 4])
+            .edge(0, 1)
+            .edge(0, 2)
+            .edge(0, 3)
+            .edge(0, 4)
+            .build();
+        let chain = path(&[1, 2, 3, 4, 0]);
+        let other_chain = path(&[2, 3, 4, 1, 0]);
+        for p in [&chain, &other_chain] {
+            assert_ne!(
+                ged_tight_lower_bound(&star, p),
+                ged_tight_lower_bound(p, &star)
+            );
+        }
+        let w = world(vec![star.clone(), chain.clone(), other_chain.clone()]);
+        let ctx = w.ctx();
+        let store = PatternStore::from_patterns([star.clone(), chain.clone()]);
+        let (table, pool) = table(&store, vec![other_chain.clone()], &ctx);
+        assert_eq!(table.measures(None), explicit(&store.graphs(), &ctx));
+        let replacing = |victim: usize| table.measures(Some((victim, &pool[0])));
+        assert_eq!(replacing(1), explicit(&[star, other_chain.clone()], &ctx));
+        assert_eq!(replacing(0), explicit(&[chain, other_chain], &ctx));
+    }
+
+    #[test]
+    fn a_lone_pattern_has_diversity_one() {
+        let w = world(vec![path(&[0, 1, 2]), path(&[3, 3, 3])]);
+        let ctx = w.ctx();
+        let store = PatternStore::from_patterns([path(&[0, 1, 2])]);
+        let (table, pool) = table(&store, vec![path(&[3, 3, 3])], &ctx);
+        assert_eq!(table.ranked()[0].0, table.rows[0].score(1.0));
+        let (before, after) = (table.measures(None), table.measures(Some((0, &pool[0]))));
+        assert_eq!((before.div, after.div), (1.0, 1.0));
+        assert_eq!(before, explicit(&store.graphs(), &ctx));
+        assert_eq!(after, explicit(&[path(&[3, 3, 3])], &ctx));
+    }
+
+    #[test]
+    fn an_empty_sample_has_no_label_coverage() {
+        let mut w = world(vec![path(&[0, 1, 2]), path(&[3, 3, 3])]);
+        w.sample.clear();
+        let ctx = w.ctx();
+        let store = PatternStore::from_patterns([path(&[0, 1, 2])]);
+        let (table, pool) = table(&store, vec![path(&[3, 3, 3])], &ctx);
+        let (before, after) = (table.measures(None), table.measures(Some((0, &pool[0]))));
+        assert_eq!((before.lcov, after.lcov), (0.0, 0.0));
+        assert_eq!(before, explicit(&store.graphs(), &ctx));
+        // `s'_p`'s own lcov is over the database, not the sample.
+        assert_eq!(table.rows[0].lcov, 0.5);
+    }
+
     #[test]
     fn beneficial_swap_happens() {
         // DB dominated by S-S-S chains; current pattern is a stale C-O-N
@@ -332,14 +621,7 @@ mod tests {
         let w = world(graphs);
         let mut store = PatternStore::new();
         store.insert(path(&[0, 1, 2])).unwrap();
-        let ctx = ScovContext {
-            fct: &w.fct,
-            ife: &w.ife,
-            db: &w.db,
-            sample: &w.sample,
-            catalog: &w.catalog,
-            kernel: &MatchKernel::new(),
-        };
+        let ctx = w.ctx();
         let outcome = swap(&mut store, vec![path(&[3, 3, 3])], &ctx, None);
         assert_eq!(outcome.swaps, 1);
         assert_eq!(store.len(), 1);
@@ -355,14 +637,7 @@ mod tests {
         let mut store = PatternStore::new();
         store.insert(path(&[0, 1, 2])).unwrap();
         store.insert(path(&[0, 1, 0])).unwrap();
-        let ctx = ScovContext {
-            fct: &w.fct,
-            ife: &w.ife,
-            db: &w.db,
-            sample: &w.sample,
-            catalog: &w.catalog,
-            kernel: &MatchKernel::new(),
-        };
+        let ctx = w.ctx();
         let before = crate::metrics::quality_of(&store.graphs(), &w.db, &w.catalog, &w.sample);
         swap(
             &mut store,
@@ -383,14 +658,7 @@ mod tests {
         let w = world(graphs);
         let mut store = PatternStore::new();
         store.insert(path(&[0, 1, 2])).unwrap();
-        let ctx = ScovContext {
-            fct: &w.fct,
-            ife: &w.ife,
-            db: &w.db,
-            sample: &w.sample,
-            catalog: &w.catalog,
-            kernel: &MatchKernel::new(),
-        };
+        let ctx = w.ctx();
         // Candidate covering nothing.
         let outcome = swap(&mut store, vec![path(&[7, 7, 7])], &ctx, None);
         assert_eq!(outcome.swaps, 0);
@@ -401,14 +669,7 @@ mod tests {
     fn empty_inputs_are_noops() {
         let w = world(vec![path(&[0, 1])]);
         let mut store = PatternStore::new();
-        let ctx = ScovContext {
-            fct: &w.fct,
-            ife: &w.ife,
-            db: &w.db,
-            sample: &w.sample,
-            catalog: &w.catalog,
-            kernel: &MatchKernel::new(),
-        };
+        let ctx = w.ctx();
         let outcome = swap(&mut store, vec![path(&[0, 1])], &ctx, None);
         assert_eq!(outcome.swaps, 0, "empty store: nothing to swap");
         store.insert(path(&[0, 1])).unwrap();
@@ -425,14 +686,7 @@ mod tests {
         let w = world(graphs);
         let mut store = PatternStore::new();
         store.insert(path(&[0, 1, 2])).unwrap();
-        let ctx = ScovContext {
-            fct: &w.fct,
-            ife: &w.ife,
-            db: &w.db,
-            sample: &w.sample,
-            catalog: &w.catalog,
-            kernel: &MatchKernel::new(),
-        };
+        let ctx = w.ctx();
         let mut log = QueryLog::new(16);
         for _ in 0..5 {
             log.record(path(&[4, 4, 4, 4]));

@@ -131,7 +131,11 @@ pub(crate) fn min_count(sup_min: f64, db_len: usize) -> usize {
 /// of the tree and of every extension of it. Sets are bitsets over a sorted
 /// `universe` of graph ids, and each `(label, multiplicity)` row is built
 /// from the catalog once.
-pub(crate) struct Bounds<'a> {
+///
+/// The swap step (`midas_core::swap`) reads the `(label, 1)` rows as label
+/// coverage: the OR of a pattern's rows is the set of graphs holding one of
+/// its edge labels.
+pub struct Bounds<'a> {
     catalog: &'a EdgeCatalog,
     universe: Vec<GraphId>,
     rows: HashMap<(EdgeLabel, u32), GraphSet>,
@@ -139,24 +143,34 @@ pub(crate) struct Bounds<'a> {
 
 /// A set of graphs: a bitset over the universe of a [`Bounds`].
 #[derive(Debug, Clone)]
-pub(crate) struct GraphSet(Vec<u64>);
+pub struct GraphSet(Vec<u64>);
 
 impl GraphSet {
     /// Number of graphs in the set.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.0.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Whether the set holds no graph.
+    pub fn is_empty(&self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+
     /// The intersection with `other`.
-    pub(crate) fn and(&self, other: &GraphSet) -> GraphSet {
+    pub fn and(&self, other: &GraphSet) -> GraphSet {
         GraphSet(self.0.iter().zip(&other.0).map(|(a, b)| a & b).collect())
+    }
+
+    /// The union with `other`.
+    pub fn or(&self, other: &GraphSet) -> GraphSet {
+        GraphSet(self.0.iter().zip(&other.0).map(|(a, b)| a | b).collect())
     }
 }
 
 impl<'a> Bounds<'a> {
     /// Bounds over `catalog` for the graphs of `universe`, which must be
     /// sorted and hold every graph of the catalog.
-    pub(crate) fn new(catalog: &'a EdgeCatalog, universe: Vec<GraphId>) -> Self {
+    pub fn new(catalog: &'a EdgeCatalog, universe: Vec<GraphId>) -> Self {
         debug_assert!(
             universe.windows(2).all(|w| w[0] < w[1]),
             "unsorted universe"
@@ -169,7 +183,7 @@ impl<'a> Bounds<'a> {
     }
 
     /// The graphs with at least `count` edges labeled `label`.
-    pub(crate) fn row(&mut self, label: EdgeLabel, count: u32) -> &GraphSet {
+    pub fn row(&mut self, label: EdgeLabel, count: u32) -> &GraphSet {
         let (catalog, universe) = (self.catalog, &self.universe);
         self.rows.entry((label, count)).or_insert_with(|| {
             let mut words = vec![0u64; universe.len().div_ceil(64)];
@@ -188,6 +202,17 @@ impl<'a> Bounds<'a> {
             }
             GraphSet(words)
         })
+    }
+
+    /// The graphs of `ids` that lie in the universe.
+    pub fn set_of(&self, ids: impl IntoIterator<Item = GraphId>) -> GraphSet {
+        let mut words = vec![0u64; self.universe.len().div_ceil(64)];
+        for id in ids {
+            if let Ok(slot) = self.universe.binary_search(&id) {
+                words[slot / 64] |= 1 << (slot % 64);
+            }
+        }
+        GraphSet(words)
     }
 
     /// The bound of `tree`.
@@ -350,6 +375,27 @@ mod tests {
         assert_eq!(ids, (0..130).step_by(2).map(gid).collect::<Vec<_>>());
         assert!(!bounds.contains(&co, gid(129)) && bounds.contains(&co, gid(128)));
         assert!(!bounds.contains(&co, gid(500)));
+    }
+
+    #[test]
+    fn label_rows_union_and_id_sets() {
+        // G1: C-O; G2: C-N; G3: O-N.
+        let g1 = path(&[0, 1]);
+        let g2 = path(&[0, 2]);
+        let g3 = path(&[1, 2]);
+        let cat = EdgeCatalog::build([(gid(1), &g1), (gid(2), &g2), (gid(3), &g3)]);
+        let mut bounds = Bounds::new(&cat, vec![gid(1), gid(2), gid(3)]);
+        let co = bounds.row(EdgeLabel::new(0, 1), 1).clone();
+        let union = co.or(bounds.row(EdgeLabel::new(0, 2), 1));
+        assert_eq!(bounds.ids(&union).collect::<Vec<_>>(), vec![gid(1), gid(2)]);
+        // Ids outside the universe are dropped.
+        let picked = bounds.set_of([gid(2), gid(3), gid(9)]);
+        assert_eq!(
+            bounds.ids(&picked).collect::<Vec<_>>(),
+            vec![gid(2), gid(3)]
+        );
+        assert_eq!(union.and(&picked).len(), 1);
+        assert!(bounds.set_of([]).is_empty() && !picked.is_empty());
     }
 
     #[test]

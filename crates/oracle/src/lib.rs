@@ -42,11 +42,13 @@
 //!    growth, mixed deletion and novel-wave batches that each split a
 //!    cluster: membership, group order and CSG member sets must be
 //!    identical, and the memo may only name graphs still clustered.
-//! 9. **`swap_score_cache`** — the production swap, which scores each
-//!    candidate and pattern once per call from carried covered counts, vs
-//!    an oracle-local copy of the re-scoring loop it replaced: identical
+//! 9. **`swap_score_cache`** — the production swap, which scores from
+//!    tables of GED bounds and label bitsets built once per call, vs an
+//!    oracle-local copy of the re-scoring loop it replaced: identical
 //!    swaps, scans, `replaced` pairs and final sets, query-log weighting
-//!    included; and on a bootstrapped [`Midas`]'s major batches every
+//!    included, on small worlds and after the major batches of two
+//!    [`Midas`] streams (check 10's servebench-scale one and a
+//!    carried-coverage one); and on those carried-coverage batches every
 //!    carried count gives the `scov` that `ScovContext::scov` computes,
 //!    also over an empty sample.
 //! 10. **`index_maintenance`** — the FCT-Index and IFE-Index that
@@ -1214,12 +1216,15 @@ impl Oracle {
         cases
     }
 
-    /// Check 9: the production swap, which scores each side once per call
-    /// from carried covered counts, against [`rescoring_swap`], a copy of
-    /// the loop it replaced that re-scores through `ctx.scov` every scan
-    /// and recomputes `set_measures(&before)` per candidate. Swaps, scans,
-    /// `replaced` pairs and the final set must be identical on check 5's
-    /// worlds plus one query-log-weighted world.
+    /// Check 9: the production swap, which scores from tables built once
+    /// per call, against [`rescoring_swap`], a copy of the loop it
+    /// replaced that re-scores through `ctx.midas_score` every scan and
+    /// recomputes `set_measures` per candidate. Swaps, scans, `replaced`
+    /// pairs and the final set must be identical on check 5's worlds plus
+    /// one query-log-weighted world. They must also be identical after
+    /// every major batch of check 10's servebench-scale stream and of the
+    /// carried-coverage stream below, on the store the batch started from
+    /// and candidates generated from every cluster's CSG.
     ///
     /// On a bootstrapped [`Midas`]'s major batches, every covered count
     /// candidate generation carries, and every pattern's count in the
@@ -1230,11 +1235,124 @@ impl Oracle {
         let mut cases = 0;
         for w in &self.score_cache_worlds() {
             cases += 1;
-            if let Some(d) = self.score_cache_world(w) {
-                out.push(d);
-            }
+            let indices = WorldIndices::build(&w.db);
+            let ctx = indices.ctx(&w.db);
+            let store = PatternStore::from_patterns(w.initial.iter().cloned());
+            let candidates = Candidate::scored(&ctx, w.candidates.clone());
+            let case = format!("{}: table swap vs re-scoring loop", w.name);
+            let params = SwapParams::default();
+            let log = w.log.as_ref();
+            out.extend(swap_divergence(case, &store, candidates, &ctx, &params, log).1);
         }
-        cases + self.carried_coverage(out)
+        cases + self.carried_coverage(out) + self.swaps_on_major_batches(out)
+    }
+
+    /// The major-batch half of check 9's swap comparison. Fails also when
+    /// neither stream makes a swap, since then no swap was compared.
+    fn swaps_on_major_batches(&self, out: &mut Vec<Divergence>) -> usize {
+        // Check 10's stream, with check 9's drift threshold so that batches
+        // turn major.
+        let config = MidasConfig {
+            epsilon: 0.01,
+            ..MidasConfig::small_defaults()
+        };
+        let servebench = Midas::bootstrap_embedded(self.servebench_world(), config);
+        let (mut cases, mut swaps) = self.swap_stream(
+            "servebench-scale",
+            servebench,
+            SERVEBENCH_BATCHES,
+            |step, db| self.servebench_batch(step, db),
+            out,
+        );
+        let (more_cases, more_swaps) = self.swap_stream(
+            "carried-coverage",
+            self.carried_coverage_midas(),
+            CARRIED_STEPS as usize,
+            |step, _| self.carried_coverage_batch(step as u64),
+            out,
+        );
+        cases += more_cases + 1;
+        swaps += more_swaps;
+        if swaps == 0 {
+            out.push(score_cache_divergence(
+                "major batches".into(),
+                "at least one swap".into(),
+                "none".into(),
+            ));
+        }
+        cases
+    }
+
+    /// Drives `midas` through `steps` batches drawn by `next` and, after
+    /// each major one, compares both swaps on clones of its store. Returns
+    /// the cases and the swaps compared.
+    fn swap_stream(
+        &self,
+        name: &str,
+        midas: Result<Midas, String>,
+        steps: usize,
+        next: impl Fn(usize, &GraphDb) -> BatchUpdate,
+        out: &mut Vec<Divergence>,
+    ) -> (usize, usize) {
+        let mut midas = match midas {
+            Ok(m) => m,
+            Err(e) => {
+                out.push(score_cache_divergence(
+                    format!("{name}: bootstrap"),
+                    "a bootstrapped Midas".into(),
+                    e,
+                ));
+                return (1, 0);
+            }
+        };
+        let (mut cases, mut swaps) = (0, 0);
+        for step in 0..steps {
+            // The store the batch's own swap started from.
+            let store = midas.pattern_store().clone();
+            let update = next(step, midas.db());
+            if midas.apply_batch(update).kind != ModificationKind::Major {
+                continue;
+            }
+            let sample: BTreeSet<GraphId> = midas.db().ids().collect();
+            let ctx = ScovContext {
+                fct: midas.fct_index(),
+                ife: midas.ife_index(),
+                db: midas.db(),
+                sample: &sample,
+                catalog: &midas.fct_state().edges,
+                kernel: midas.kernel(),
+            };
+            let csgs: Vec<WeightedCsg> = midas
+                .clusters()
+                .iter()
+                .map(|(_, c)| {
+                    WeightedCsg::build(c.csg(), &midas.fct_state().edges, midas.db().len())
+                })
+                .collect();
+            let state = coverage_state(&store, &ctx);
+            let config = midas.config();
+            let mut rng = StdRng::seed_from_u64(self.seed ^ (0x9C + step as u64));
+            let candidates = generate_promising_candidates(
+                &csgs,
+                &store,
+                &ctx,
+                &state,
+                &config.generation(),
+                &mut rng,
+            );
+            let params = SwapParams {
+                kappa: config.kappa,
+                lambda: config.lambda,
+                ks_alpha: config.ks_alpha,
+                ..SwapParams::default()
+            };
+            cases += 1;
+            let case = format!("{name} major batch {step}: table swap vs re-scoring loop");
+            let (made, divergence) = swap_divergence(case, &store, candidates, &ctx, &params, None);
+            swaps += made;
+            out.extend(divergence);
+        }
+        (cases, swaps)
     }
 
     /// Check 5's swap worlds plus check 9's query-log-weighted one.
@@ -1262,48 +1380,6 @@ impl Oracle {
             log: Some(log),
         });
         worlds
-    }
-
-    /// Runs one world through the production swap and the re-scoring
-    /// reference; returns their disagreement, if any.
-    fn score_cache_world(&self, w: &SwapWorld) -> Option<Divergence> {
-        let indices = WorldIndices::build(&w.db);
-        let ctx = indices.ctx(&w.db);
-        let params = SwapParams::default();
-        let store = || PatternStore::from_patterns(w.initial.iter().cloned());
-        let mut fast = store();
-        let coverage = coverage_state(&fast, &ctx);
-        let scored = Candidate::scored(&ctx, w.candidates.clone());
-        let got =
-            multi_scan_swap_weighted(&mut fast, scored, &coverage, &ctx, &params, w.log.as_ref());
-        let mut reference = store();
-        let want = rescoring_swap(
-            &mut reference,
-            w.candidates.clone(),
-            &ctx,
-            &params,
-            w.log.as_ref(),
-        );
-        let same = got.swaps == want.swaps
-            && got.scans == want.scans
-            && got.replaced == want.replaced
-            && fast.graphs() == reference.graphs();
-        let describe = |o: &SwapOutcome, store: &PatternStore| {
-            format!(
-                "swaps {}, scans {}, replaced {:?}, {} final patterns",
-                o.swaps,
-                o.scans,
-                o.replaced,
-                store.len()
-            )
-        };
-        (!same).then(|| Divergence {
-            check: "swap_score_cache",
-            case: format!("{}: cached scores vs re-scoring loop", w.name),
-            expected: describe(&want, &reference),
-            actual: describe(&got, &fast),
-            witness: None,
-        })
     }
 
     /// The carried-coverage half of check 9, on a bootstrapped [`Midas`].
@@ -1662,6 +1738,41 @@ struct SwapWorld {
     initial: Vec<LabeledGraph>,
     candidates: Vec<LabeledGraph>,
     log: Option<QueryLog>,
+}
+
+/// Runs the production swap and [`rescoring_swap`] on clones of `store`.
+/// Returns the production swap's count and the two runs' disagreement, if
+/// any.
+fn swap_divergence(
+    case: String,
+    store: &PatternStore,
+    candidates: Vec<Candidate>,
+    ctx: &ScovContext<'_>,
+    params: &SwapParams,
+    log: Option<&QueryLog>,
+) -> (usize, Option<Divergence>) {
+    let graphs = candidates.iter().map(|c| c.graph.clone()).collect();
+    let mut fast = store.clone();
+    let coverage = coverage_state(&fast, ctx);
+    let got = multi_scan_swap_weighted(&mut fast, candidates, &coverage, ctx, params, log);
+    let mut reference = store.clone();
+    let want = rescoring_swap(&mut reference, graphs, ctx, params, log);
+    let same = got.swaps == want.swaps
+        && got.scans == want.scans
+        && got.replaced == want.replaced
+        && fast.graphs() == reference.graphs();
+    let describe = |o: &SwapOutcome, store: &PatternStore| {
+        format!(
+            "swaps {}, scans {}, replaced {:?}, {} final patterns",
+            o.swaps,
+            o.scans,
+            o.replaced,
+            store.len()
+        )
+    };
+    let divergence = (!same)
+        .then(|| score_cache_divergence(case, describe(&want, &reference), describe(&got, &fast)));
+    (got.swaps, divergence)
 }
 
 /// Check 9's reference: the multi-scan swap as it ran before scores were

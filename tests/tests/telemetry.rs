@@ -87,7 +87,7 @@ fn swap_child_spans_nest_inside_batch_swap() {
     let mut cfg = test_config(7);
     cfg.telemetry.enabled = true;
     let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
-    let (_, telemetry) = measured_batch(&mut midas, BatchUpdate::insert_only(dense_wave()));
+    let (report, telemetry) = measured_batch(&mut midas, BatchUpdate::insert_only(dense_wave()));
     TelemetryConfig::default().activate();
 
     // One ranking and one candidate loop per scan, both inside the swap.
@@ -101,6 +101,15 @@ fn swap_child_spans_nest_inside_batch_swap() {
     assert!(
         children <= swap,
         "rank + check {children:?} exceed batch.swap {swap:?}"
+    );
+    // Every swap was examined against sw3–sw5, and every examined
+    // candidate was ranked.
+    let ranked = telemetry.counter("swap.ranked");
+    let examined = telemetry.counter("swap.examined");
+    assert!(
+        report.swaps as u64 <= examined && examined <= ranked && ranked > 0,
+        "{} swaps, {examined} examined, {ranked} ranked",
+        report.swaps
     );
 }
 
