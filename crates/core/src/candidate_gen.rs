@@ -17,10 +17,14 @@
 //! output is that of the loop which re-asked both
 //! ([`reference_promising_candidates`], kept for the oracle and tests).
 //!
-//! The Def. 5.5 test needs each candidate's covered graphs anyway, so every
-//! [`Candidate`] leaves generation with its covered count, and
-//! [`CoverageState`] keeps each pattern's: the §6.2 swap scores both sides
-//! from these counts without running the coverage filter again.
+//! A [`Candidate`] leaves generation with its dominance-filter survivors
+//! over the sample (§6.1), which contain its covered graphs, and is
+//! verified only when the §6.2 swap reaches it ([`Coverage`]). At a
+//! Def. 5.5 threshold of 0 the test rejects nothing, so no class is
+//! verified here; above 0 a class whose survivors alone fall short is
+//! rejected unverified, and the rest are verified and leave exact.
+//! [`CoverageState`] keeps each pattern's covered count, so the swap
+//! scores the patterns without running the coverage filter again.
 
 use crate::metrics::ScovContext;
 use crate::patterns::{PatternId, PatternStore};
@@ -32,14 +36,24 @@ use midas_graph::{EdgeLabel, GraphId, LabeledGraph};
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A promising candidate with its covered count over the sample,
-/// `|G_scov(c) ∩ D_s|`.
+/// A candidate's coverage of the sample, `G_scov(c) ∩ D_s`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Coverage {
+    /// Verified: how many sampled graphs contain the candidate.
+    Covered(usize),
+    /// Not verified yet: the sampled graphs the dominance filter keeps,
+    /// ascending. They contain the covered graphs, so their number bounds
+    /// the covered count from above.
+    Survivors(Vec<GraphId>),
+}
+
+/// A promising candidate with its coverage of the sample.
 #[derive(Debug, Clone)]
 pub struct Candidate {
     /// The candidate pattern.
     pub graph: LabeledGraph,
-    /// How many sampled graphs contain it.
-    pub covered: usize,
+    /// Its covered count, or the survivors that bound it.
+    pub coverage: Coverage,
 }
 
 impl Candidate {
@@ -49,10 +63,44 @@ impl Candidate {
         graphs
             .into_iter()
             .map(|graph| Candidate {
-                covered: ctx.covered(&graph).len(),
+                coverage: Coverage::Covered(ctx.covered(&graph).len()),
                 graph,
             })
             .collect()
+    }
+
+    /// Runs only the dominance filter for each graph: the unverified
+    /// candidates [`promising_candidates`] makes at threshold 0.
+    pub fn filtered(ctx: &ScovContext<'_>, graphs: Vec<LabeledGraph>) -> Vec<Candidate> {
+        graphs
+            .into_iter()
+            .map(|graph| Candidate {
+                coverage: Coverage::Survivors(ctx.survivors(&graph)),
+                graph,
+            })
+            .collect()
+    }
+
+    /// Whether the covered count is exact.
+    pub fn is_verified(&self) -> bool {
+        matches!(self.coverage, Coverage::Covered(_))
+    }
+
+    /// The covered count, or its bound while unverified.
+    pub fn bound(&self) -> usize {
+        match &self.coverage {
+            Coverage::Covered(n) => *n,
+            Coverage::Survivors(survivors) => survivors.len(),
+        }
+    }
+
+    /// The covered count, verifying the survivors through `ctx`'s kernel
+    /// on the first call.
+    pub fn verify(&mut self, ctx: &ScovContext<'_>) -> usize {
+        if let Coverage::Survivors(survivors) = &self.coverage {
+            self.coverage = Coverage::Covered(ctx.verify(&self.graph, survivors).len());
+        }
+        self.bound()
     }
 }
 
@@ -122,8 +170,8 @@ pub struct GenerationParams {
 
 /// Generates promising FCPs from the given weighted CSGs with Eq. 2
 /// pruning, deduplicated up to isomorphism and against the current pattern
-/// set, each with the covered count its Def. 5.5 test computed:
-/// [`new_classes`], then [`promising_candidates`].
+/// set, each with its survivors or, when its Def. 5.5 test verified it,
+/// its covered count: [`new_classes`], then [`promising_candidates`].
 pub fn generate_promising_candidates(
     csgs: &[WeightedCsg],
     store: &PatternStore,
@@ -187,8 +235,14 @@ pub fn new_classes(
 }
 
 /// The Def. 5.5 pass: keeps each class whose marginal coverage reaches
-/// `(1 + κ)` × the smallest exclusive coverage of an existing pattern,
-/// with its covered count, in input order.
+/// `(1 + κ)` × the smallest exclusive coverage of an existing pattern, in
+/// input order.
+///
+/// Each class's dominance-filter survivors contain its covered graphs, so
+/// the survivors outside `covered_union` bound its marginal coverage.
+/// Threshold 0 rejects nothing: every class is kept unverified. Above 0, a
+/// class whose bound falls short is rejected unverified, and the rest are
+/// verified over their survivors and kept exact when they pass.
 pub fn promising_candidates(
     classes: Vec<LabeledGraph>,
     ctx: &ScovContext<'_>,
@@ -196,13 +250,24 @@ pub fn promising_candidates(
     kappa: f64,
 ) -> Vec<Candidate> {
     let threshold = state.threshold(kappa);
+    let outside = |id: &&GraphId| !state.covered_union.contains(*id);
     classes
         .into_iter()
         .filter_map(|graph| {
-            let covered = ctx.covered(&graph);
-            (covered.difference(&state.covered_union).count() >= threshold).then_some(Candidate {
+            let survivors = ctx.survivors(&graph);
+            if threshold == 0 {
+                return Some(Candidate {
+                    graph,
+                    coverage: Coverage::Survivors(survivors),
+                });
+            }
+            if survivors.iter().filter(outside).count() < threshold {
+                return None;
+            }
+            let covered = ctx.verify(&graph, &survivors);
+            (covered.iter().filter(outside).count() >= threshold).then_some(Candidate {
                 graph,
-                covered: covered.len(),
+                coverage: Coverage::Covered(covered.len()),
             })
         })
         .collect()
@@ -253,7 +318,7 @@ pub fn reference_promising_candidates(
                 if codes.insert(code) {
                     out.push(Candidate {
                         graph: candidate,
-                        covered: covered.len(),
+                        coverage: Coverage::Covered(covered.len()),
                     });
                 }
             }
@@ -303,6 +368,16 @@ mod tests {
             sample,
             kernel: MatchKernel::new(),
         }
+    }
+
+    /// A world whose IFE-Index tracks every edge label, so the dominance
+    /// filter keeps only graphs with enough edges of each of a pattern's
+    /// labels.
+    fn filtered_world(graphs: Vec<LabeledGraph>) -> World {
+        let w = world(graphs);
+        let labels = w.catalog.labels().map(|(l, _)| l).collect();
+        let ife = IfeIndex::build(labels, w.db.iter().map(|(id, g)| (id, g.as_ref())));
+        World { ife, ..w }
     }
 
     fn ctx<'a>(w: &'a World) -> ScovContext<'a> {
@@ -425,8 +500,10 @@ mod tests {
             fresh.kernel.cache().stats().hits > 0,
             "the world repeats a class"
         );
-        let graphs = |cs: &[Candidate]| -> Vec<(LabeledGraph, usize)> {
-            cs.iter().map(|c| (c.graph.clone(), c.covered)).collect()
+        let graphs = |cs: &[Candidate]| -> Vec<(LabeledGraph, Coverage)> {
+            cs.iter()
+                .map(|c| (c.graph.clone(), c.coverage.clone()))
+                .collect()
         };
         assert_eq!(graphs(&got), graphs(&want));
     }
@@ -443,8 +520,9 @@ mod tests {
         let candidates =
             generate_promising_candidates(&[csg], &store, &c, &state, &params(0.1), &mut rng);
         assert!(!candidates.is_empty());
-        for cand in &candidates {
-            assert_eq!(cand.covered, c.covered(&cand.graph).len());
+        for mut cand in candidates {
+            assert!(!cand.is_verified(), "threshold 0 verifies nothing");
+            assert_eq!(cand.verify(&c), c.covered(&cand.graph).len());
         }
     }
 
@@ -508,5 +586,38 @@ mod tests {
                 .any(|c| c.graph.sorted_labels().contains(&3)),
             "S-family candidate expected: {candidates:?}"
         );
+    }
+
+    #[test]
+    fn a_class_short_on_survivors_is_rejected_unverified() {
+        // C-O covers three graphs alone, so the bar is ⌈1.1 · 3⌉ = 4. The
+        // two S-S-S chains are all an S-S-S class's survivors, so it fails
+        // unverified; the six N-N-N chains pass and are verified.
+        let mut graphs = vec![path(&[0, 1]); 3];
+        graphs.extend(vec![path(&[3, 3, 3]); 2]);
+        graphs.extend(vec![path(&[5, 5, 5]); 6]);
+        let w = filtered_world(graphs);
+        let mut store = PatternStore::new();
+        store.insert(path(&[0, 1])).unwrap();
+        let c = ctx(&w);
+        let state = coverage_state(&store, &c);
+        assert_eq!(state.threshold(0.1), 4);
+        let misses = || w.kernel.cache().stats().misses;
+        let before = misses();
+        let classes = vec![path(&[3, 3, 3]), path(&[5, 5, 5])];
+        let got = promising_candidates(classes, &c, &state, 0.1);
+        assert_eq!(misses() - before, 6, "only N-N-N's survivors were verified");
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].coverage, Coverage::Covered(6));
+
+        let csgs = [csg_of(&w.db, &w.catalog)];
+        let outcome = |cs: Vec<Candidate>| -> Vec<(LabeledGraph, Coverage)> {
+            cs.into_iter().map(|c| (c.graph, c.coverage)).collect()
+        };
+        let p = params(0.1);
+        let got = generate_promising_candidates(&csgs, &store, &c, &state, &p, &mut rng(6));
+        let want = reference_promising_candidates(&csgs, &store, &c, &state, &p, &mut rng(6));
+        assert!(!got.is_empty(), "N-N-N candidates expected");
+        assert_eq!(outcome(got), outcome(want));
     }
 }

@@ -421,6 +421,11 @@ impl Midas {
                 // brackets generation, so its span is timed in two pieces.
                 let mut covered_span = midas_obs::SplitSpan::enter("batch.candidates.covered");
                 let state = covered_span.time(|| coverage_state(&self.patterns, &ctx));
+                let params = self.config.generation();
+                midas_obs::gauge_set!(
+                    "candidates.def55_threshold",
+                    state.threshold(params.kappa) as f64
+                );
                 let generate_span = midas_obs::span!("batch.candidates.generate");
                 // The dirty flags are read here but cleared only once the
                 // round has completed: a round abandoned to a panic must not
@@ -431,7 +436,6 @@ impl Midas {
                     .filter(|(_, c)| c.is_dirty())
                     .map(|(_, c)| WeightedCsg::build(c.csg(), &self.fct_state.edges, self.db.len()))
                     .collect();
-                let params = self.config.generation();
                 let mut rng = StdRng::seed_from_u64(self.config.seed ^ (self.batch_counter << 16));
                 let classes = new_classes(&csgs, &self.patterns, &ctx, &state, &params, &mut rng);
                 drop(generate_span);
@@ -460,6 +464,7 @@ impl Midas {
                                 ..SwapParams::default()
                             },
                         );
+                        midas_obs::counter_add!("swap.verified", outcome.verified as u64);
                         outcome.swaps
                     }
                     SwapStrategy::Random => random_swap(&mut self.patterns, candidates, &mut rng),

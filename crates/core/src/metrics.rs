@@ -8,7 +8,7 @@ use midas_catapult::score::{
     diversity, lcov_pattern, pattern_score, PatternScoreParts, SetQuality,
 };
 use midas_graph::{GraphDb, GraphId, LabeledGraph, MatchKernel};
-use midas_index::scov::covered_graphs_with;
+use midas_index::scov::{candidate_graphs, covered_graphs_with, profile_pattern, verify_with};
 use midas_index::{FctIndex, IfeIndex};
 use midas_mining::EdgeCatalog;
 use std::collections::BTreeSet;
@@ -34,7 +34,8 @@ pub struct ScovContext<'a> {
 }
 
 impl ScovContext<'_> {
-    /// The sampled graphs containing `pattern`.
+    /// The sampled graphs containing `pattern`: [`Self::verify`] over
+    /// [`Self::survivors`].
     pub fn covered(&self, pattern: &LabeledGraph) -> BTreeSet<GraphId> {
         covered_graphs_with(
             self.kernel,
@@ -44,6 +45,20 @@ impl ScovContext<'_> {
             pattern,
             self.sample,
         )
+    }
+
+    /// The sampled graphs that the dominance filter (§6.1) keeps for
+    /// `pattern`, ascending. They contain every sampled graph that
+    /// contains `pattern`.
+    pub fn survivors(&self, pattern: &LabeledGraph) -> Vec<GraphId> {
+        let profile = profile_pattern(self.fct, self.ife, pattern);
+        candidate_graphs(self.fct.tg(), self.ife.eg(), &profile, self.sample)
+    }
+
+    /// The graphs of `survivors` that contain `pattern`, verified through
+    /// the kernel.
+    pub fn verify(&self, pattern: &LabeledGraph, survivors: &[GraphId]) -> BTreeSet<GraphId> {
+        verify_with(self.kernel, self.db, pattern, survivors)
     }
 
     /// `scov(p, D_s) = |G_p ∩ D_s| / |D_s|`.

@@ -22,16 +22,25 @@
 //!
 //! Every measure is read from tables built once per call. Only `div` in
 //! `s'_p = scov × lcov × div / cog` depends on the current set, so `scov`
-//! (from the covered counts candidate generation already computed), `lcov`,
-//! `cog` and the log weight form one `ScoreRow` per pattern and
-//! candidate. Diversity and sw3's `f_div` are minima over one table of
-//! `ged_tight_lower_bound`s: one per ordered pair of patterns, and each
-//! candidate's bounds to and from every pattern. A swap adds one pattern,
-//! so it adds one pair per remaining candidate. sw5's `f_lcov` is the
-//! popcount of label bitsets (OR-ed [`Bounds`] rows) over the sample, and
-//! sw4's `f_cog` the maximum of the rows' `cog`. Each is the same min, max
-//! or integer ratio that `diversity` and `set_measures` compute, so the
-//! swap decides exactly as re-scoring through them would (DESIGN §5).
+//! (from the covered counts carried in), `lcov`, `cog` and the log weight
+//! form one `ScoreRow` per pattern and candidate. Diversity and sw3's
+//! `f_div` are minima over one table of `ged_tight_lower_bound`s: one per
+//! ordered pair of patterns, and each candidate's bounds to and from every
+//! pattern. A swap adds one pattern, so it adds one pair per remaining
+//! candidate. sw5's `f_lcov` is the popcount of label bitsets (OR-ed
+//! [`Bounds`] rows) over the sample, and sw4's `f_cog` the maximum of the
+//! rows' `cog`. Each is the same min, max or integer ratio that
+//! `diversity` and `set_measures` compute, so the swap decides exactly as
+//! re-scoring through them would (DESIGN §5).
+//!
+//! A candidate may arrive unverified, with its dominance-filter survivors
+//! ([`crate::candidate_gen::Coverage`]). Every factor of `s'_p` is
+//! non-negative, so its score at `scov = |survivors| / |D_s|` bounds its
+//! exact score from above. Each scan ranks the candidates by that key and
+//! verifies one only when it reaches the front, then ranks it again by its
+//! exact score. A candidate below the scan's sw2 stop is never verified,
+//! and the verified ones come off the front in the order that ranking
+//! every candidate by its exact score gives (`rank` has the tie rule).
 
 use crate::candidate_gen::{Candidate, CoverageState};
 use crate::ks::distributions_similar;
@@ -42,6 +51,7 @@ use midas_catapult::score::{pattern_score, PatternScoreParts, SetMeasures};
 use midas_graph::ged::ged_tight_lower_bound;
 use midas_graph::LabeledGraph;
 use midas_mining::edges::{Bounds, GraphSet};
+use std::cmp::Ordering;
 
 /// Swap parameters.
 #[derive(Debug, Clone, Copy)]
@@ -86,6 +96,8 @@ pub struct SwapOutcome {
     pub scans: usize,
     /// The ids removed and added, in order.
     pub replaced: Vec<(PatternId, PatternId)>,
+    /// Candidates whose coverage the swap verified.
+    pub verified: usize,
 }
 
 /// The set-independent parts of a pattern's score: everything in `s'_p`
@@ -141,12 +153,19 @@ fn diversity(min: Option<u32>) -> f64 {
 /// A pooled candidate with its bounds against the current patterns, in
 /// the [`Table`]'s order.
 struct Pooled {
-    graph: LabeledGraph,
+    candidate: Candidate,
+    /// The candidate's place in the input: the last tie-break of the rank
+    /// order.
+    index: usize,
+    /// The candidate's row; its `scov` is the bound until the candidate
+    /// is verified.
     row: ScoreRow,
     /// `ged_tight_lower_bound(graph, p)` for each pattern `p`.
     to: Vec<u32>,
     /// `ged_tight_lower_bound(p, graph)` for each pattern `p`.
     from: Vec<u32>,
+    /// `div(c, P)` at the start of each scan so far.
+    divs: Vec<f64>,
 }
 
 impl Pooled {
@@ -155,14 +174,59 @@ impl Pooled {
         diversity(self.to.iter().copied().min())
     }
 
+    /// The rank key in the current scan: `s'_p` at the scan's starting
+    /// diversity, from the exact count or its bound.
+    fn key(&self) -> f64 {
+        self.row
+            .score(*self.divs.last().expect("keyed within a scan"))
+    }
+
+    /// `s'_p` at the start of each earlier scan, the latest first.
+    fn earlier_scores(&self) -> impl Iterator<Item = f64> + '_ {
+        let (_, earlier) = self.divs.split_last().expect("ranked within a scan");
+        earlier.iter().rev().map(|&div| self.row.score(div))
+    }
+
+    /// Verifies the candidate's coverage and scores its row from it.
+    fn verify(&mut self, ctx: &ScovContext<'_>) {
+        self.row.scov = ctx.scov_of(self.candidate.verify(ctx));
+    }
+
     /// Drops the bounds to the pattern at `victim` and adds those to
     /// `added`, the pattern that replaced it at the end of the table.
     fn replace(&mut self, victim: usize, added: &LabeledGraph) {
+        let graph = &self.candidate.graph;
         self.to.remove(victim);
         self.from.remove(victim);
-        self.to.push(ged_tight_lower_bound(&self.graph, added));
-        self.from.push(ged_tight_lower_bound(added, &self.graph));
+        self.to.push(ged_tight_lower_bound(graph, added));
+        self.from.push(ged_tight_lower_bound(added, graph));
     }
+}
+
+/// The rank order of a scan, as a sort key: `Greater` when `a` ranks
+/// ahead of `b`. Higher keys rank first, and on equal keys an unverified
+/// candidate goes first, so a verified candidate reaches the front only
+/// when no unverified one could still outrank it. Two verified
+/// candidates with equal keys compare by their scores in the previous
+/// scan, then the one before, and so on, then by input order: the order
+/// in which a stable sort per scan, fed the previous scan's order, puts
+/// them.
+fn rank(a: &Pooled, b: &Pooled) -> Ordering {
+    compare(a.key(), b.key())
+        .then_with(|| b.candidate.is_verified().cmp(&a.candidate.is_verified()))
+        .then_with(|| {
+            a.earlier_scores()
+                .zip(b.earlier_scores())
+                .map(|(x, y)| compare(x, y))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        })
+        .then_with(|| b.index.cmp(&a.index))
+}
+
+/// Orders two finite scores.
+fn compare(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).expect("finite scores")
 }
 
 /// The current pattern set as the swap scores it, in store (id) order: a
@@ -224,8 +288,9 @@ impl Table {
         };
         let pool = candidates
             .into_iter()
-            .map(|c| Pooled {
-                row: ScoreRow::new(ctx, &mut bounds, &c.graph, c.covered, log),
+            .enumerate()
+            .map(|(index, c)| Pooled {
+                row: ScoreRow::new(ctx, &mut bounds, &c.graph, c.bound(), log),
                 to: patterns
                     .iter()
                     .map(|&(_, p)| ged_tight_lower_bound(&c.graph, p))
@@ -234,7 +299,9 @@ impl Table {
                     .iter()
                     .map(|&(_, p)| ged_tight_lower_bound(p, &c.graph))
                     .collect(),
-                graph: c.graph,
+                candidate: c,
+                index,
+                divs: Vec::new(),
             })
             .collect();
         (table, pool)
@@ -347,8 +414,7 @@ pub fn multi_scan_swap_weighted(
     if candidates.is_empty() || store.is_empty() {
         return outcome;
     }
-    // The pool holds the remaining candidates across scans, in the last
-    // scan's rank order.
+    // The pool holds the remaining candidates across scans.
     let (mut table, mut pool) = Table::new(store, candidates, coverage, ctx, log);
     let mut m_before = table.measures(None);
     let mut sigma = 0.25f64;
@@ -357,42 +423,52 @@ pub fn multi_scan_swap_weighted(
         let _scan_span = midas_obs::span!("batch.swap.scan");
         outcome.scans += 1;
         let rank_span = midas_obs::span!("batch.swap.rank");
-        // Rank candidates by s' descending against the current set; a
-        // consumed candidate leaves `None` behind.
-        let mut ranked: Vec<(f64, Option<Pooled>)> = pool
-            .into_iter()
-            .map(|c| (c.row.score(c.diversity()), Some(c)))
-            .collect();
-        ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
+        // Rank candidates by s' descending against the current set, the
+        // front last so that it pops.
+        for c in &mut pool {
+            c.divs.push(c.diversity());
+        }
+        let mut queue = pool;
+        queue.sort_by(rank);
+        let ranked = queue.len();
         // Rank patterns by s' ascending.
         let pq_patterns = table.ranked();
         drop(rank_span);
 
         let _check_span = midas_obs::span!("batch.swap.check");
+        // Candidates taken off the queue and not swapped in.
+        let mut passed = Vec::new();
         let mut swaps_this_scan = 0;
         let mut examined = 0u64;
         let mut victim_idx = 0usize;
-        for ci in 0..ranked.len() {
+        while let Some(front) = queue.last() {
             if victim_idx >= pq_patterns.len() {
                 break;
             }
             let (victim_score, victim_id) = pq_patterns[victim_idx];
-            let (cand_score, candidate) = &ranked[ci];
-            let candidate = candidate
-                .as_ref()
-                .expect("only swapped-in candidates are taken");
-            // sw2 failure terminates the scan (sorted candidates).
-            if *cand_score < (1.0 + params.lambda) * victim_score {
+            // sw2 failure terminates the scan. The front's key is the
+            // highest, and an unverified key bounds the exact score, so no
+            // candidate can pass.
+            if front.key() < (1.0 + params.lambda) * victim_score {
                 break;
+            }
+            let mut candidate = queue.pop().expect("the front");
+            if !candidate.candidate.is_verified() {
+                candidate.verify(ctx);
+                outcome.verified += 1;
+                let at = queue.partition_point(|c| rank(c, &candidate).is_lt());
+                queue.insert(at, candidate);
+                continue;
             }
             // sw1: benefit vs loss (Def. 6.2 — the coverage delta).
             let victim = table.index(victim_id);
             if candidate.row.scov < (1.0 + kappa) * table.rows[victim].scov {
+                passed.push(candidate);
                 continue; // try the next candidate against the same victim
             }
             // sw3–sw5 and the KS guard on the hypothetical P'.
             examined += 1;
-            let m_after = table.measures(Some((victim, candidate)));
+            let m_after = table.measures(Some((victim, &candidate)));
             let sw3 = m_after.div >= (1.0 + params.alpha_div) * m_before.div;
             let sw4 = m_before.cog * (1.0 + params.alpha_cog) >= m_after.cog;
             let sw5 = m_after.lcov >= (1.0 + params.alpha_lcov) * m_before.lcov;
@@ -401,24 +477,22 @@ pub fn multi_scan_swap_weighted(
             let mut sizes_after = sizes_before.clone();
             // Replace the victim's size by the candidate's.
             if let Some(pos) = sizes_after.iter().position(|&s| s == victim_size) {
-                sizes_after[pos] = candidate.graph.edge_count();
+                sizes_after[pos] = candidate.candidate.graph.edge_count();
             }
             let ks_ok = distributions_similar(&sizes_before, &sizes_after, params.ks_alpha);
             if !(sw3 && sw4 && sw5 && ks_ok) {
+                passed.push(candidate);
                 continue; // candidate unusable against this victim
             }
             // Swap.
-            let candidate = ranked[ci].1.take().expect("examined above");
             store.remove(victim_id);
             let new_id = store
-                .insert(candidate.graph.clone())
+                .insert(candidate.candidate.graph.clone())
                 .expect("candidates were deduplicated against the store");
             table.replace(victim, new_id, candidate);
             let added = store.get(new_id).expect("just inserted");
-            for (_, c) in &mut ranked {
-                if let Some(c) = c {
-                    c.replace(victim, added);
-                }
+            for c in queue.iter_mut().chain(&mut passed) {
+                c.replace(victim, added);
             }
             m_before = table.measures(None);
             outcome.replaced.push((victim_id, new_id));
@@ -426,9 +500,10 @@ pub fn multi_scan_swap_weighted(
             swaps_this_scan += 1;
             victim_idx += 1;
         }
-        midas_obs::counter_add!("swap.ranked", ranked.len() as u64);
+        midas_obs::counter_add!("swap.ranked", ranked as u64);
         midas_obs::counter_add!("swap.examined", examined);
-        pool = ranked.into_iter().filter_map(|(_, c)| c).collect();
+        pool = queue;
+        pool.append(&mut passed);
         // SWAP_α schedule (Lemma 6.3).
         if swaps_this_scan == 0 || pool.is_empty() || sigma >= 0.5 {
             break;
@@ -442,9 +517,11 @@ pub fn multi_scan_swap_weighted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use midas_graph::{GraphBuilder, GraphDb, GraphId, MatchKernel};
+    use midas_graph::canonical::canonical_code;
+    use midas_graph::{EdgeLabel, GraphBuilder, GraphDb, GraphId, MatchKernel};
     use midas_index::{FctIndex, IfeIndex};
     use midas_mining::EdgeCatalog;
+    use proptest::prelude::*;
     use std::collections::BTreeSet;
 
     fn path(labels: &[u32]) -> LabeledGraph {
@@ -475,6 +552,18 @@ mod tests {
     }
 
     fn world(graphs: Vec<LabeledGraph>) -> World {
+        tracking(graphs, |_| false)
+    }
+
+    /// A world whose IFE-Index tracks every edge label, so the dominance
+    /// filter keeps only graphs with enough edges of each of a pattern's
+    /// labels.
+    fn filtered_world(graphs: Vec<LabeledGraph>) -> World {
+        tracking(graphs, |_| true)
+    }
+
+    /// A world whose IFE-Index tracks the edge labels `track` picks.
+    fn tracking(graphs: Vec<LabeledGraph>, track: impl Fn(EdgeLabel) -> bool) -> World {
         let db = GraphDb::from_graphs(graphs);
         let refs: Vec<(GraphId, &LabeledGraph)> =
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
@@ -484,7 +573,8 @@ mod tests {
             std::iter::empty::<(midas_mining::TreeKey, &LabeledGraph)>(),
             refs.iter().copied(),
         );
-        let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
+        let tracked = catalog.labels().map(|(l, _)| l).filter(|&l| track(l));
+        let ife = IfeIndex::build(tracked.collect(), refs.iter().copied());
         World {
             db,
             catalog,
@@ -703,5 +793,159 @@ mod tests {
             store.contains_isomorphic(&path(&[4, 4, 4])),
             "log-weighted swap should prefer the formulated family"
         );
+    }
+
+    #[test]
+    fn a_candidate_below_the_sw2_stop_is_never_verified() {
+        // S-S-S covers five graphs and replaces C-O-N, which covers one. A
+        // 4-4-4 path passes the filter on a graph of two disjoint 4-4
+        // edges, but its bound scores below the sw2 stop of scan 2.
+        let mut graphs = vec![path(&[3, 3, 3]); 5];
+        graphs.push(path(&[0, 1, 2]));
+        graphs.push(
+            GraphBuilder::new()
+                .vertices(&[4, 4, 4, 4])
+                .edge(0, 1)
+                .edge(2, 3)
+                .build(),
+        );
+        let w = filtered_world(graphs);
+        let ctx = w.ctx();
+        let mut store = PatternStore::from_patterns([path(&[0, 1, 2])]);
+        let coverage = crate::candidate_gen::coverage_state(&store, &ctx);
+        let candidates = Candidate::filtered(&ctx, vec![path(&[3, 3, 3]), path(&[4, 4, 4])]);
+        assert_eq!(
+            candidates.iter().map(Candidate::bound).collect::<Vec<_>>(),
+            [5, 1]
+        );
+        let misses = || w.kernel.cache().stats().misses;
+        let before = misses();
+        let outcome = multi_scan_swap(&mut store, candidates, &coverage, &ctx, &params());
+        assert_eq!((outcome.swaps, outcome.scans, outcome.verified), (1, 2, 1));
+        assert!(store.contains_isomorphic(&path(&[3, 3, 3])));
+        assert_eq!(misses() - before, 5, "only S-S-S's survivors were verified");
+    }
+
+    #[test]
+    fn equal_scores_keep_the_previous_scans_order() {
+        let w = world(vec![path(&[0, 1, 2]), path(&[3, 3, 3]), path(&[4, 4, 4])]);
+        let ctx = w.ctx();
+        let store = PatternStore::from_patterns([path(&[0, 1, 2])]);
+        let (_, mut pool) = table(&store, vec![path(&[3, 3, 3]), path(&[4, 4, 4])], &ctx);
+        // The same row, so the scores differ only by diversity: the second
+        // candidate ranks ahead in scan 1, and the two tie in scan 2.
+        pool[1].row = pool[0].row.clone();
+        pool[0].divs = vec![1.0, 2.0];
+        pool[1].divs = vec![1.5, 2.0];
+        assert_eq!(pool[0].key(), pool[1].key(), "tied in scan 2");
+        let want = per_scan_stable_sort(&pool);
+        assert_eq!(want, [1, 0], "not input order");
+        assert_eq!(rank_order(&pool), want);
+    }
+
+    /// The input indices of `pool` as a stable sort by exact score per
+    /// scan, fed the previous scan's order, puts them: the order the swap
+    /// had when it ranked every candidate exactly.
+    fn per_scan_stable_sort(pool: &[Pooled]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..pool.len()).collect();
+        for scan in 0..pool[0].divs.len() {
+            order.sort_by(|&a, &b| {
+                let score = |i: usize| pool[i].row.score(pool[i].divs[scan]);
+                compare(score(b), score(a))
+            });
+        }
+        order
+    }
+
+    /// The input indices of `pool` front first, as [`rank`] orders them.
+    fn rank_order(pool: &[Pooled]) -> Vec<usize> {
+        let mut queue: Vec<&Pooled> = pool.iter().collect();
+        queue.sort_by(|a, b| rank(a, b));
+        queue.iter().rev().map(|c| c.index).collect()
+    }
+
+    /// A random tree on 2–5 vertices over three labels, so that patterns
+    /// and graphs share labels in different shapes.
+    fn small_tree() -> impl Strategy<Value = LabeledGraph> {
+        (
+            proptest::collection::vec(0u32..3, 2..6),
+            proptest::collection::vec(0usize..8, 4),
+        )
+            .prop_map(|(labels, parents)| {
+                let mut g = LabeledGraph::new();
+                for &l in &labels {
+                    g.add_vertex(l);
+                }
+                for v in 1..labels.len() {
+                    g.add_edge((parents[v - 1] % v) as u32, v as u32);
+                }
+                g
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// With every candidate verified, `rank` puts the pool in the
+        /// per-scan stable sort's order. Scores drawn from three coverages
+        /// and two diversities tie often, within a scan and across scans.
+        #[test]
+        fn rank_is_the_per_scan_stable_sort(
+            covered in proptest::collection::vec(0usize..3, 2..9),
+            divs in proptest::collection::vec(proptest::collection::vec(1u32..3, 4), 9),
+            scans in 1usize..5,
+        ) {
+            let w = world(vec![path(&[0, 1, 2]), path(&[3, 3, 3])]);
+            let ctx = w.ctx();
+            let store = PatternStore::from_patterns([path(&[0, 1, 2])]);
+            let (_, mut pool) = table(&store, vec![path(&[3, 3, 3]); covered.len()], &ctx);
+            for (c, (&n, d)) in pool.iter_mut().zip(covered.iter().zip(&divs)) {
+                c.row.scov = n as f64 / 4.0;
+                c.divs = d[..scans].iter().map(|&x| f64::from(x)).collect();
+            }
+            prop_assert_eq!(rank_order(&pool), per_scan_stable_sort(&pool));
+        }
+
+        /// Filtered candidates, verified only when they reach the front of
+        /// a scan, make the swaps that the same candidates scored up front
+        /// make: tight and loose bounds, ties on small label sets, and
+        /// several scans.
+        #[test]
+        fn lazy_candidates_swap_as_scored_ones(
+            graphs in proptest::collection::vec(small_tree(), 4..14),
+            initial in proptest::collection::vec(small_tree(), 1..4),
+            grown in proptest::collection::vec(small_tree(), 1..10),
+            mask in 0u32..8,
+            lambda in 0usize..2,
+        ) {
+            let track = |l: EdgeLabel| mask & (1 << ((l.0 + l.1) % 3)) != 0;
+            let store = PatternStore::from_patterns(initial);
+            let mut codes: BTreeSet<_> = store.iter().map(|(_, p)| canonical_code(p)).collect();
+            let grown: Vec<LabeledGraph> =
+                grown.into_iter().filter(|g| codes.insert(canonical_code(g))).collect();
+            prop_assume!(!grown.is_empty());
+            let params = SwapParams {
+                lambda: 0.1 * lambda as f64,
+                ..params()
+            };
+            let run = |make: fn(&ScovContext<'_>, Vec<LabeledGraph>) -> Vec<Candidate>| {
+                let w = tracking(graphs.clone(), track);
+                let ctx = w.ctx();
+                let mut store = store.clone();
+                let coverage = crate::candidate_gen::coverage_state(&store, &ctx);
+                let candidates = make(&ctx, grown.clone());
+                let outcome = multi_scan_swap(&mut store, candidates, &coverage, &ctx, &params);
+                (outcome, store.graphs())
+            };
+            let (lazy, lazy_set) = run(Candidate::filtered);
+            let (eager, eager_set) = run(Candidate::scored);
+            prop_assert_eq!(
+                (lazy.swaps, lazy.scans, &lazy.replaced),
+                (eager.swaps, eager.scans, &eager.replaced)
+            );
+            prop_assert_eq!(lazy_set, eager_set);
+            prop_assert_eq!(eager.verified, 0);
+            prop_assert!(lazy.verified <= grown.len());
+        }
     }
 }

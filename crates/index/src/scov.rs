@@ -103,9 +103,22 @@ pub fn covered_graphs_with(
     universe: &BTreeSet<GraphId>,
 ) -> BTreeSet<GraphId> {
     let profile = profile_pattern(fct, ife, pattern);
-    let candidates: Vec<(GraphId, &Csr)> = candidate_graphs(fct.tg(), ife.eg(), &profile, universe)
-        .into_iter()
-        .filter_map(|id| db.csr(id).map(|g| (id, g)))
+    let survivors = candidate_graphs(fct.tg(), ife.eg(), &profile, universe);
+    verify_with(kernel, db, pattern, &survivors)
+}
+
+/// The verification half of [`covered_graphs_with`]: the graphs of
+/// `survivors` that contain `pattern`, each tested through `kernel` on
+/// its CSR view. Ids the database lacks are dropped.
+pub fn verify_with(
+    kernel: &MatchKernel,
+    db: &GraphDb,
+    pattern: &LabeledGraph,
+    survivors: &[GraphId],
+) -> BTreeSet<GraphId> {
+    let candidates: Vec<(GraphId, &Csr)> = survivors
+        .iter()
+        .filter_map(|&id| db.csr(id).map(|g| (id, g)))
         .collect();
     kernel
         .covered_in(pattern, &candidates)

@@ -46,17 +46,20 @@
 //!    tables of GED bounds and label bitsets built once per call, vs an
 //!    oracle-local copy of the re-scoring loop it replaced: identical
 //!    swaps, scans, `replaced` pairs and final sets, query-log weighting
-//!    included, on small worlds and after the major batches of two
-//!    [`Midas`] streams (check 10's servebench-scale one and a
-//!    carried-coverage one); and on those carried-coverage batches every
-//!    carried count gives the `scov` that `ScovContext::scov` computes,
-//!    also over an empty sample.
+//!    included, on small worlds (with verified and with unverified
+//!    candidates) and after the major batches of two [`Midas`] streams
+//!    (check 10's servebench-scale one and a carried-coverage one), whose
+//!    candidates reach the swap unverified; and on those carried-coverage
+//!    batches every count [`Candidate::verify`] and `coverage_state` give
+//!    is the `scov` that `ScovContext::scov` computes, also over an empty
+//!    sample.
 //! 10. **`index_maintenance`** — the FCT-Index and IFE-Index that
 //!     [`Midas::apply_batch`] maintains over check 2's servebench-scale
 //!     stream vs the VF2 reference builds ([`FctIndex::build`],
 //!     [`IfeIndex::build`]) over the post-batch database: feature keys, TG
 //!     cells keyed by tree key, tracked labels and EG cells must be
-//!     identical after every batch.
+//!     identical after every batch. The stream runs at ε 0.01, and the
+//!     check fails unless a batch turns major.
 //! 11. **`mccs_vs_reference`** — the bitset MCCS search
 //!     ([`mccs_edges`]) vs its reference twin ([`reference_mccs_edges`])
 //!     on PubchemLike and AidsLike pairs from the seed at budgets 50,
@@ -66,7 +69,10 @@
 //!     each Eq. 2 question once per edge label and each Def. 5.5 question
 //!     once per isomorphism class, vs [`reference_promising_candidates`],
 //!     the loop that re-asked them: the same candidates in the same order
-//!     with the same covered counts, and the same next RNG draw, on check
+//!     with the same covered counts (an unverified candidate's forced
+//!     through [`Candidate::verify`], the swap's verification, and its
+//!     survivors containing every sampled graph serial VF2 finds it in),
+//!     and the same next RNG draw, on check
 //!     9's swap worlds (CSGs of the whole database and of each half, and
 //!     one CSG per graph) and on the major batches of its carried-coverage
 //!     [`Midas`].
@@ -93,7 +99,7 @@ use midas_catapult::WeightedCsg;
 use midas_cluster::{ClusterConfig, ClusterId, ClusterSet, FeatureSpace};
 use midas_core::candidate_gen::{
     coverage_state, generate_promising_candidates, reference_promising_candidates, Candidate,
-    GenerationParams,
+    Coverage, GenerationParams,
 };
 use midas_core::ks::distributions_similar;
 use midas_core::metrics::ScovContext;
@@ -487,40 +493,52 @@ impl Oracle {
     /// Check 10: the FCT-Index and IFE-Index that [`Midas::apply_batch`]
     /// maintains against the VF2 reference builds over the same database
     /// and FCT state (see `index_divergence`), after every batch of check
-    /// 2's servebench-scale stream.
+    /// 2's servebench-scale stream. The stream runs at check 9's drift
+    /// threshold, so that batches turn major and the indices are compared
+    /// after candidate generation and the swap too; the check fails when
+    /// none does.
     fn check_index_maintenance(&self, out: &mut Vec<Divergence>) -> usize {
-        let mut midas =
-            match Midas::bootstrap_embedded(self.servebench_world(), MidasConfig::small_defaults())
-            {
-                Ok(midas) => midas,
-                Err(e) => {
-                    out.push(Divergence {
-                        check: "index_maintenance",
-                        case: "bootstrap".into(),
-                        expected: "a bootstrapped Midas".into(),
-                        actual: e,
-                        witness: None,
-                    });
-                    return 1;
-                }
-            };
+        let divergence = |case: String, expected: &str, actual: String| Divergence {
+            check: "index_maintenance",
+            case,
+            expected: expected.into(),
+            actual,
+            witness: None,
+        };
+        let config = MidasConfig {
+            epsilon: 0.01,
+            ..MidasConfig::small_defaults()
+        };
+        let mut midas = match Midas::bootstrap_embedded(self.servebench_world(), config) {
+            Ok(midas) => midas,
+            Err(e) => {
+                out.push(divergence("bootstrap".into(), "a bootstrapped Midas", e));
+                return 1;
+            }
+        };
+        let mut majors = 0;
         for step in 0..SERVEBENCH_BATCHES {
             let update = self.servebench_batch(step, midas.db());
-            midas.apply_batch(update);
+            majors += usize::from(midas.apply_batch(update).kind == ModificationKind::Major);
             if let Some(diff) = index_divergence(&midas) {
-                out.push(Divergence {
-                    check: "index_maintenance",
-                    case: format!(
+                out.push(divergence(
+                    format!(
                         "pubchem_like step {step} (db of {} graphs)",
                         midas.db().len()
                     ),
-                    expected: "the indices a from-scratch VF2 build produces".into(),
-                    actual: diff,
-                    witness: None,
-                });
+                    "the indices a from-scratch VF2 build produces",
+                    diff,
+                ));
             }
         }
-        SERVEBENCH_BATCHES
+        if majors == 0 {
+            out.push(divergence(
+                "coverage".into(),
+                "at least one major batch",
+                "none".into(),
+            ));
+        }
+        SERVEBENCH_BATCHES + 1
     }
 
     /// Check 3: the graphlet monitor against recounting a reference world.
@@ -1221,28 +1239,35 @@ impl Oracle {
     /// replaced that re-scores through `ctx.midas_score` every scan and
     /// recomputes `set_measures` per candidate. Swaps, scans, `replaced`
     /// pairs and the final set must be identical on check 5's worlds plus
-    /// one query-log-weighted world. They must also be identical after
+    /// one query-log-weighted world, with the candidates scored up front
+    /// and with them filtered only. They must also be identical after
     /// every major batch of check 10's servebench-scale stream and of the
     /// carried-coverage stream below, on the store the batch started from
-    /// and candidates generated from every cluster's CSG.
+    /// and candidates generated from every cluster's CSG, which reach the
+    /// swap unverified.
     ///
-    /// On a bootstrapped [`Midas`]'s major batches, every covered count
-    /// candidate generation carries, and every pattern's count in the
+    /// On a bootstrapped [`Midas`]'s major batches, every candidate's
+    /// covered count as [`Candidate::verify`] gives it, and every
+    /// pattern's count in the
     /// [`midas_core::candidate_gen::CoverageState`], must give the `scov`
     /// that `ctx.scov` computes — also over an empty sample, where both
     /// are 0.
     fn check_swap_score_cache(&self, out: &mut Vec<Divergence>) -> usize {
         let mut cases = 0;
         for w in &self.score_cache_worlds() {
-            cases += 1;
             let indices = WorldIndices::build(&w.db);
             let ctx = indices.ctx(&w.db);
             let store = PatternStore::from_patterns(w.initial.iter().cloned());
-            let candidates = Candidate::scored(&ctx, w.candidates.clone());
-            let case = format!("{}: table swap vs re-scoring loop", w.name);
             let params = SwapParams::default();
             let log = w.log.as_ref();
-            out.extend(swap_divergence(case, &store, candidates, &ctx, &params, log).1);
+            for (kind, candidates) in [
+                ("scored", Candidate::scored(&ctx, w.candidates.clone())),
+                ("filtered", Candidate::filtered(&ctx, w.candidates.clone())),
+            ] {
+                cases += 1;
+                let case = format!("{}: {kind} table swap vs re-scoring loop", w.name);
+                out.extend(swap_divergence(case, &store, candidates, &ctx, &params, log).1);
+            }
         }
         cases + self.carried_coverage(out) + self.swaps_on_major_batches(out)
     }
@@ -1423,7 +1448,7 @@ impl Oracle {
                 let state = coverage_state(midas.pattern_store(), &ctx);
                 let params = midas.config().generation();
                 let mut rng = StdRng::seed_from_u64(self.seed ^ (0x9A + step));
-                let candidates = generate_promising_candidates(
+                let mut candidates = generate_promising_candidates(
                     &csgs,
                     midas.pattern_store(),
                     &ctx,
@@ -1431,9 +1456,11 @@ impl Oracle {
                     &params,
                     &mut rng,
                 );
+                let counts: Vec<usize> = candidates.iter_mut().map(|c| c.verify(&ctx)).collect();
                 let carried = candidates
                     .iter()
-                    .map(|c| ("candidate", &c.graph, c.covered))
+                    .zip(counts)
+                    .map(|(c, covered)| ("candidate", &c.graph, covered))
                     .chain(
                         midas
                             .pattern_store()
@@ -1489,7 +1516,7 @@ impl Oracle {
     /// question once per call, against [`reference_promising_candidates`],
     /// the loop that re-asked them. Candidate graphs, their order and
     /// covered counts, and the next `u64` of the RNG afterwards must be
-    /// equal.
+    /// equal; see `candidate_divergence` for the unverified candidates.
     ///
     /// Worlds: check 9's swap worlds, with the initial patterns as the
     /// store, at κ 0 and 0.1, over CSGs of the whole database and of each
@@ -1523,7 +1550,6 @@ impl Oracle {
                     })
                     .collect();
                 for (ki, kappa) in [0.0, 0.1].into_iter().enumerate() {
-                    cases += 1;
                     let params = GenerationParams {
                         budget: midas_catapult::PatternBudget {
                             eta_min: 1,
@@ -1536,7 +1562,7 @@ impl Oracle {
                         kappa,
                     };
                     let seed = self.seed ^ (0xC0 + (wi * 4 + li * 2 + ki) as u64);
-                    out.extend(candidate_divergence(
+                    cases += candidate_divergence(
                         format!("{}, {layout}, κ {kappa}", w.name),
                         &csgs,
                         &store,
@@ -1544,7 +1570,8 @@ impl Oracle {
                         &state,
                         &params,
                         seed,
-                    ));
+                        out,
+                    );
                 }
             }
         }
@@ -1605,8 +1632,7 @@ impl Oracle {
                         WeightedCsg::build(c.csg(), &midas.fct_state().edges, midas.db().len())
                     })
                     .collect();
-                cases += 1;
-                out.extend(candidate_divergence(
+                cases += candidate_divergence(
                     format!("major batch {step}, {label}"),
                     &csgs,
                     midas.pattern_store(),
@@ -1614,7 +1640,8 @@ impl Oracle {
                     &state,
                     &params,
                     self.seed ^ (0xCA + step),
-                ));
+                    out,
+                );
             }
         }
         cases += 1;
@@ -1633,7 +1660,12 @@ impl Oracle {
 const CARRIED_STEPS: u64 = 3;
 
 /// Runs production candidate generation and its reference from the same
-/// RNG seed; returns their disagreement, if any.
+/// RNG seed and pushes their disagreement, if any. Each unverified
+/// candidate's count is forced through [`Candidate::verify`], the
+/// verification the swap runs, and its survivors must contain every
+/// sampled graph that serial VF2 finds it in. Returns the cases: the
+/// comparison and one per unverified candidate.
+#[allow(clippy::too_many_arguments)]
 fn candidate_divergence(
     case: String,
     csgs: &[WeightedCsg],
@@ -1642,18 +1674,54 @@ fn candidate_divergence(
     state: &midas_core::candidate_gen::CoverageState,
     params: &GenerationParams,
     seed: u64,
-) -> Option<Divergence> {
+    out: &mut Vec<Divergence>,
+) -> usize {
+    let divergence = |case: String, expected: String, actual: String| Divergence {
+        check: "candidates_vs_reference",
+        case,
+        expected,
+        actual,
+        witness: None,
+    };
     let run = |generate: GenerateFn| {
         let mut rng = StdRng::seed_from_u64(seed);
         let candidates = generate(csgs, store, ctx, state, params, &mut rng);
+        (candidates, rng.next_u64())
+    };
+    let (got, got_next) = run(generate_promising_candidates);
+    let (want, want_next) = run(reference_promising_candidates);
+    let mut cases = 1;
+    for (i, c) in got.iter().enumerate() {
+        let Coverage::Survivors(survivors) = &c.coverage else {
+            continue;
+        };
+        cases += 1;
+        let missed: Vec<GraphId> = ctx
+            .sample
+            .iter()
+            .copied()
+            .filter(|&id| ctx.db.get(id).is_some_and(|g| is_subgraph_of(&c.graph, g)))
+            .filter(|id| survivors.binary_search(id).is_err())
+            .collect();
+        if !missed.is_empty() {
+            out.push(divergence(
+                format!("{case}: candidate {i} survivors"),
+                "every sampled graph that contains the candidate".into(),
+                format!("{} missing: {missed:?}", graph_json(&c.graph)),
+            ));
+        }
+    }
+    let counted = |candidates: Vec<Candidate>, next: u64| {
         let outcome: Vec<(LabeledGraph, usize)> = candidates
             .into_iter()
-            .map(|c| (c.graph, c.covered))
+            .map(|mut c| {
+                let covered = c.verify(ctx);
+                (c.graph, covered)
+            })
             .collect();
-        (outcome, rng.next_u64())
+        (outcome, next)
     };
-    let got = run(generate_promising_candidates);
-    let want = run(reference_promising_candidates);
+    let (got, want) = (counted(got, got_next), counted(want, want_next));
     let describe = |(outcome, next): &(Vec<(LabeledGraph, usize)>, u64)| {
         let graphs: Vec<String> = outcome
             .iter()
@@ -1661,13 +1729,10 @@ fn candidate_divergence(
             .collect();
         format!("[{}], next u64 {next}", graphs.join(", "))
     };
-    (got != want).then(|| Divergence {
-        check: "candidates_vs_reference",
-        case,
-        expected: describe(&want),
-        actual: describe(&got),
-        witness: None,
-    })
+    if got != want {
+        out.push(divergence(case, describe(&want), describe(&got)));
+    }
+    cases
 }
 
 /// The signature `generate_promising_candidates` and its reference share.

@@ -111,6 +111,16 @@ fn swap_child_spans_nest_inside_batch_swap() {
         "{} swaps, {examined} examined, {ranked} ranked",
         report.swaps
     );
+    // The batch's Def. 5.5 threshold is 0, so every swapped-in candidate
+    // was verified by the swap, and none twice.
+    let verified = telemetry.counter("swap.verified");
+    let generated = telemetry.counter("batch.candidates_generated");
+    assert_eq!(telemetry.gauge("candidates.def55_threshold"), 0.0);
+    assert!(
+        report.swaps as u64 <= verified && verified <= generated,
+        "{} swaps, {verified} verified, {generated} generated",
+        report.swaps
+    );
 }
 
 #[test]
