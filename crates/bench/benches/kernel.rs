@@ -7,13 +7,17 @@
 //! regressions against.
 //!
 //! Scenario: a 2 000-graph molecule database, a 12-feature FCT-Index, and
-//! a 100-graph (5 %) insertion batch — the shape of one Algorithm 1 round.
+//! a 100-graph (5 %) insertion batch — the shape of one Algorithm 1 round;
+//! plus one tenant bootstrap (`bootstrap/pubchem120`) on a 120-graph
+//! database.
 //! `MIDAS_BENCH_QUICK=1` shrinks that to 300 graphs / 20 insertions for
 //! CI: the medians are smaller (history records carry a `quick` flag so
 //! the gate never compares across modes) but the relative regressions the
 //! gate watches for still show.
 
 use criterion::{BatchSize, Criterion};
+use midas_catapult::PatternBudget;
+use midas_core::{Midas, MidasConfig};
 use midas_datagen::{DatasetKind, DatasetSpec};
 use midas_graph::{Csr, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::FctIndex;
@@ -226,6 +230,33 @@ fn main() {
                 index.add_graphs_kernel(&warm_batch, &batch_csr_refs);
                 black_box(index)
             },
+            BatchSize::LargeInput,
+        )
+    });
+
+    // --- Tenant bootstrap -------------------------------------------------
+    // `Midas::bootstrap_embedded` on servebench's tenant shape: mining,
+    // clustering, CATAPULT selection and the index builds over 120
+    // PubchemLike graphs at γ 10, η 3–6 and 5 coarse clusters. The same
+    // size in both modes.
+    let tenant_db = DatasetSpec::new(DatasetKind::PubchemLike, 120, 41)
+        .generate()
+        .db;
+    let tenant_config = MidasConfig {
+        budget: PatternBudget {
+            eta_min: 3,
+            eta_max: 6,
+            gamma: 10,
+        },
+        sup_min: 0.4,
+        max_tree_edges: 3,
+        coarse_clusters: 5,
+        ..MidasConfig::default()
+    };
+    c.bench_function("bootstrap/pubchem120", |b| {
+        b.iter_batched(
+            || tenant_db.clone(),
+            |db| black_box(Midas::bootstrap_embedded(db, tenant_config)),
             BatchSize::LargeInput,
         )
     });

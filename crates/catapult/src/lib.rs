@@ -35,5 +35,7 @@ pub mod weights;
 
 pub use candidates::{generate_fcp, CandidateHook};
 pub use score::{ccov, lcov_pattern, pattern_score, PatternScoreParts};
-pub use select::{select_patterns, PatternBudget, SelectionConfig};
+pub use select::{
+    select_patterns, select_patterns_with_stats, PatternBudget, SelectionConfig, SelectionStats,
+};
 pub use weights::WeightedCsg;

@@ -6,6 +6,19 @@
 //! multiplicatively \[7\]. Selection stops at `γ` patterns or when no new
 //! pattern can be found, honouring the per-size cap
 //! `⌈γ / (η_max − η_min + 1)⌉` of Def. 3.1.
+//!
+//! A candidate's `ccov`, `lcov` and `cog` are invariant under isomorphism
+//! and the CSG projections, the catalog and `|D|` are fixed for the call,
+//! so each isomorphism class is asked them once per call: a per-call map
+//! from the class's canonical code holds its `lcov` and `cog`, and its
+//! `ccov` once matched. Only `div` depends on the growing `P`, so it is
+//! computed per candidate. The CSG-coverage match, the dearest question,
+//! runs only when the class can win: `ccov` sums a subset of the terms of
+//! `cover_max`, the coverage with every projection matched, in the same
+//! order, so the score with `cover_max` bounds the class's score, and a
+//! class whose bound does not beat the round's best is skipped
+//! (DESIGN §5). The selected patterns are the ones re-scoring every
+//! candidate gives.
 
 use crate::candidates::generate_candidates;
 use crate::random_walk::random_walks;
@@ -14,6 +27,7 @@ use crate::score::{
 };
 use crate::weights::WeightedCsg;
 use midas_cluster::ClusterSet;
+use midas_graph::fasthash::FxHashMap;
 use midas_graph::{CanonicalCode, LabeledGraph};
 use midas_mining::EdgeCatalog;
 use rand::rngs::StdRng;
@@ -79,6 +93,28 @@ impl Default for SelectionConfig {
     }
 }
 
+/// The isomorphism-invariant parts of a class's score, asked once per
+/// [`select_patterns`] call.
+struct ClassScore {
+    lcov: f64,
+    cog: f64,
+    /// `ccov`, once the class has been matched against the projections.
+    ccov: Option<f64>,
+}
+
+/// What one selection call asked, also added to the `select.*` counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SelectionStats {
+    /// Candidates scored (those not already selected), repeats of a class
+    /// included.
+    pub candidates: u64,
+    /// Distinct isomorphism classes among them.
+    pub classes: u64,
+    /// Classes matched against the CSG projections; the bound skipped the
+    /// rest.
+    pub ccov_matched: u64,
+}
+
 /// Runs CATAPULT's canned pattern selection over the given clusters.
 ///
 /// Returns at most `γ` patterns, deduplicated up to isomorphism. The same
@@ -90,6 +126,16 @@ pub fn select_patterns(
     db_len: usize,
     config: &SelectionConfig,
 ) -> Vec<LabeledGraph> {
+    select_patterns_with_stats(clusters, catalog, db_len, config).0
+}
+
+/// [`select_patterns`], also returning what the call asked.
+pub fn select_patterns_with_stats(
+    clusters: &ClusterSet,
+    catalog: &EdgeCatalog,
+    db_len: usize,
+    config: &SelectionConfig,
+) -> (Vec<LabeledGraph>, SelectionStats) {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut csgs: Vec<WeightedCsg> = clusters
         .iter()
@@ -98,6 +144,17 @@ pub fn select_patterns(
     // CSG projections are immutable during selection; compute them once
     // for cluster-coverage scoring.
     let projections = csg_projections(clusters);
+    // `ccov_projected`'s sum with every projection matched.
+    let cover_max: f64 = if db_len == 0 {
+        0.0
+    } else {
+        projections
+            .iter()
+            .map(|(len, _)| *len as f64 / db_len as f64)
+            .sum()
+    };
+    let mut classes: FxHashMap<CanonicalCode, ClassScore> = FxHashMap::default();
+    let mut stats = SelectionStats::default();
     let mut patterns: Vec<LabeledGraph> = Vec::new();
     let mut seen: BTreeSet<CanonicalCode> = BTreeSet::new();
     let mut per_size: BTreeMap<usize, usize> = BTreeMap::new();
@@ -124,13 +181,37 @@ pub fn select_patterns(
                     if seen.contains(&code) {
                         continue;
                     }
-                    let parts = PatternScoreParts {
-                        coverage: ccov_projected(&candidate, &projections, db_len),
+                    stats.candidates += 1;
+                    let class = classes.entry(code.clone()).or_insert_with(|| ClassScore {
                         lcov: lcov_pattern(&candidate, catalog, db_len),
-                        div: diversity(&candidate, &patterns),
                         cog: candidate.cognitive_load(),
+                        ccov: None,
+                    });
+                    let div = diversity(&candidate, &patterns);
+                    let score_with = |coverage| {
+                        pattern_score(PatternScoreParts {
+                            coverage,
+                            lcov: class.lcov,
+                            div,
+                            cog: class.cog,
+                        })
                     };
-                    let score = pattern_score(parts);
+                    let coverage = match class.ccov {
+                        Some(ccov) => ccov,
+                        None => {
+                            if best
+                                .as_ref()
+                                .is_some_and(|(b, ..)| score_with(cover_max) <= *b)
+                            {
+                                continue; // cannot beat the best (DESIGN §5)
+                            }
+                            stats.ccov_matched += 1;
+                            let ccov = ccov_projected(&candidate, &projections, db_len);
+                            class.ccov = Some(ccov);
+                            ccov
+                        }
+                    };
+                    let score = score_with(coverage);
                     if best.as_ref().is_none_or(|(b, ..)| score > *b) {
                         best = Some((score, candidate, code, ci));
                     }
@@ -145,6 +226,10 @@ pub fn select_patterns(
         csgs[source].penalize(&chosen, config.mwu_penalty);
         patterns.push(chosen);
     }
+    stats.classes = classes.len() as u64;
+    midas_obs::counter_add!("select.candidates", stats.candidates);
+    midas_obs::counter_add!("select.classes", stats.classes);
+    midas_obs::counter_add!("select.ccov_matched", stats.ccov_matched);
     midas_obs::obs_info!(
         "catapult::select",
         "selected {} of γ = {} patterns from {} clusters",
@@ -152,7 +237,7 @@ pub fn select_patterns(
         config.budget.gamma,
         clusters.len()
     );
-    patterns
+    (patterns, stats)
 }
 
 #[cfg(test)]

@@ -155,21 +155,30 @@ impl Midas {
             return Err("cannot bootstrap MIDAS on an empty database".into());
         }
         let _span = midas_obs::span!("bootstrap");
+        let fct_span = midas_obs::span!("bootstrap.fct");
         let fct_state = FctState::build(&db, config.mining());
+        drop(fct_span);
+        let cluster_span = midas_obs::span!("bootstrap.cluster");
         let space = FeatureSpace::from_fct(&fct_state.lattice, config.sup_min, db.len());
         let clusters = ClusterSet::build(&db, &fct_state.lattice, space, config.clustering());
+        drop(cluster_span);
+        let select_span = midas_obs::span!("bootstrap.select");
         let patterns = PatternStore::from_patterns(select_patterns(
             &clusters,
             &fct_state.edges,
             db.len(),
             &config.selection(),
         ));
+        drop(select_span);
         let monitor = GraphletMonitor::build(&db);
         let kernel = MatchKernel::new();
         let mut failure = None;
-        let Some((fct_index, ife_index)) = contain("bootstrap.index", &mut failure, || {
+        let index_span = midas_obs::span!("bootstrap.index");
+        let indices = contain("bootstrap.index", &mut failure, || {
             build_indices(&db, &fct_state, &config, &kernel)
-        }) else {
+        });
+        drop(index_span);
+        let Some((fct_index, ife_index)) = indices else {
             return Err(failure.expect("contain records its failure").to_string());
         };
         let mut midas = Midas {

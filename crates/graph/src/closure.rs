@@ -135,39 +135,50 @@ impl ClosureGraph {
 
         let mut mapping = vec![u32::MAX; n];
         let mut used = vec![false; self.vertex_labels.len()];
+        // Matched adjacent edges per closure vertex, and the vertices
+        // counted for the current graph vertex.
+        let mut edge_score = vec![0usize; self.vertex_labels.len()];
+        let mut touched: Vec<ClosureVertexId> = Vec::new();
 
         for &v in &order {
             let label = graph.label(v);
-            let mapped_neighbors: Vec<ClosureVertexId> = graph
-                .neighbors(v)
-                .iter()
-                .filter_map(|&w| {
-                    let m = mapping[w as usize];
-                    (m != u32::MAX).then_some(m)
-                })
-                .collect();
-            let mut best: Option<(usize, bool, std::cmp::Reverse<u32>)> = None;
-            let mut best_vertex = None;
-            for c in 0..self.vertex_labels.len() as ClosureVertexId {
-                if used[c as usize] || self.vertex_labels[c as usize].is_empty() {
+            let mut any_mapped = false;
+            // Adjacency is symmetric, so walking the images' neighbours
+            // counts, for every closure vertex, the mapped neighbours it
+            // has an edge to.
+            for &w in graph.neighbors(v) {
+                let m = mapping[w as usize];
+                if m == u32::MAX {
                     continue;
                 }
-                let label_match = self.vertex_labels[c as usize].contains_key(&label);
-                let edge_score = mapped_neighbors
-                    .iter()
-                    .filter(|&&m| self.has_edge(c, m))
-                    .count();
-                // Accept only alignments that share structure or, for
-                // frontier-free vertices, at least the label.
-                if edge_score == 0 && !(mapped_neighbors.is_empty() && label_match) {
-                    continue;
-                }
-                let key = (edge_score, label_match, std::cmp::Reverse(c));
-                if best.as_ref().is_none_or(|b| key > *b) {
-                    best = Some(key);
-                    best_vertex = Some(c);
+                any_mapped = true;
+                for &c in self.adj[m as usize].keys() {
+                    if used[c as usize] || self.vertex_labels[c as usize].is_empty() {
+                        continue;
+                    }
+                    if edge_score[c as usize] == 0 {
+                        touched.push(c);
+                    }
+                    edge_score[c as usize] += 1;
                 }
             }
+            // Accept only alignments that share structure or, for
+            // frontier-free vertices, at least the label: the key is
+            // `(matched adjacent edges, exact label match, lowest id)`.
+            let best_vertex = if any_mapped {
+                let best = touched.iter().copied().max_by_key(|&c| {
+                    let label_match = self.vertex_labels[c as usize].contains_key(&label);
+                    (edge_score[c as usize], label_match, std::cmp::Reverse(c))
+                });
+                for c in touched.drain(..) {
+                    edge_score[c as usize] = 0;
+                }
+                best
+            } else {
+                (0..self.vertex_labels.len() as ClosureVertexId).find(|&c| {
+                    !used[c as usize] && self.vertex_labels[c as usize].contains_key(&label)
+                })
+            };
             let target = match best_vertex {
                 Some(c) => c,
                 None => {
@@ -175,6 +186,7 @@ impl ClosureGraph {
                     self.vertex_support.push(BTreeSet::new());
                     self.adj.push(BTreeMap::new());
                     used.push(false);
+                    edge_score.push(0);
                     (self.vertex_labels.len() - 1) as ClosureVertexId
                 }
             };
@@ -276,6 +288,7 @@ impl ClosureGraph {
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
+    use proptest::prelude::*;
 
     fn gid(i: u64) -> GraphId {
         GraphId(i)
@@ -428,5 +441,129 @@ mod tests {
             .filter(|&v| c.vertex_label_counts(v).len() == 2)
             .count();
         assert_eq!(multi, 1, "exactly one vertex carries {{O, N}}");
+    }
+
+    /// The alignment loop `insert_graph` replaced, which scans every
+    /// closure slot and probes its edges to each mapped neighbour: the
+    /// reference the production insert is checked against.
+    fn reference_insert(
+        closure: &mut ClosureGraph,
+        id: GraphId,
+        graph: &LabeledGraph,
+    ) -> Vec<ClosureVertexId> {
+        assert!(closure.members.insert(id));
+        let n = graph.vertex_count();
+        let mut order: Vec<VertexId> = (0..n as VertexId).collect();
+        order.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
+        let mut mapping = vec![u32::MAX; n];
+        let mut used = vec![false; closure.vertex_labels.len()];
+        for &v in &order {
+            let label = graph.label(v);
+            let mapped_neighbors: Vec<ClosureVertexId> = graph
+                .neighbors(v)
+                .iter()
+                .filter_map(|&w| {
+                    let m = mapping[w as usize];
+                    (m != u32::MAX).then_some(m)
+                })
+                .collect();
+            let mut best: Option<(usize, bool, std::cmp::Reverse<u32>)> = None;
+            let mut best_vertex = None;
+            for c in 0..closure.vertex_labels.len() as ClosureVertexId {
+                if used[c as usize] || closure.vertex_labels[c as usize].is_empty() {
+                    continue;
+                }
+                let label_match = closure.vertex_labels[c as usize].contains_key(&label);
+                let edge_score = mapped_neighbors
+                    .iter()
+                    .filter(|&&m| closure.has_edge(c, m))
+                    .count();
+                if edge_score == 0 && !(mapped_neighbors.is_empty() && label_match) {
+                    continue;
+                }
+                let key = (edge_score, label_match, std::cmp::Reverse(c));
+                if best.as_ref().is_none_or(|b| key > *b) {
+                    best = Some(key);
+                    best_vertex = Some(c);
+                }
+            }
+            let target = match best_vertex {
+                Some(c) => c,
+                None => {
+                    closure.vertex_labels.push(BTreeMap::new());
+                    closure.vertex_support.push(BTreeSet::new());
+                    closure.adj.push(BTreeMap::new());
+                    used.push(false);
+                    (closure.vertex_labels.len() - 1) as ClosureVertexId
+                }
+            };
+            used[target as usize] = true;
+            mapping[v as usize] = target;
+            *closure.vertex_labels[target as usize]
+                .entry(label)
+                .or_insert(0) += 1;
+            closure.vertex_support[target as usize].insert(id);
+        }
+        for &(u, v) in graph.edges() {
+            let (cu, cv) = (mapping[u as usize], mapping[v as usize]);
+            closure.adj[cu as usize].entry(cv).or_default().insert(id);
+            closure.adj[cv as usize].entry(cu).or_default().insert(id);
+        }
+        mapping
+    }
+
+    /// A labelled graph on up to 7 vertices and 3 labels, possibly
+    /// disconnected.
+    fn small_graph() -> impl Strategy<Value = LabeledGraph> {
+        (
+            proptest::collection::vec(0u32..3, 1..8),
+            proptest::collection::vec((0u32..7, 0u32..7), 0..14),
+        )
+            .prop_map(|(labels, pairs)| {
+                let mut g = LabeledGraph::new();
+                for &l in &labels {
+                    g.add_vertex(l);
+                }
+                let n = labels.len() as u32;
+                for (u, v) in pairs {
+                    let (u, v) = (u % n, v % n);
+                    if u != v && !g.has_edge(u, v) {
+                        g.add_edge(u, v);
+                    }
+                }
+                g
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over a stream of inserts and removals, the neighbour-walking
+        /// alignment returns the mappings of the slot-scanning one and
+        /// leaves an identical closure (labels, supports, adjacency,
+        /// members).
+        #[test]
+        fn neighbour_walk_alignment_matches_slot_scan(
+            graphs in proptest::collection::vec(small_graph(), 1..10),
+            ops in proptest::collection::vec((0usize..10, 0u32..3), 1..24),
+        ) {
+            let mut fast = ClosureGraph::new();
+            let mut slow = ClosureGraph::new();
+            for (step, (pick, action)) in ops.into_iter().enumerate() {
+                let i = pick % graphs.len();
+                let id = gid(i as u64);
+                if fast.members().contains(&id) {
+                    if action == 0 {
+                        fast.remove_graph(id, &graphs[i]);
+                        slow.remove_graph(id, &graphs[i]);
+                    }
+                } else {
+                    let got = fast.insert_graph(id, &graphs[i]);
+                    let want = reference_insert(&mut slow, id, &graphs[i]);
+                    prop_assert_eq!(got, want, "step {}", step);
+                }
+                prop_assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "step {}", step);
+            }
+        }
     }
 }

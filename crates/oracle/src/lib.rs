@@ -4,7 +4,7 @@
 //! in the workspace is cross-checked against its slow reference twin on a
 //! seeded, fully reproducible world from `midas-datagen`.
 //!
-//! The twelve checks ([`Oracle::run_all`]):
+//! The thirteen checks ([`Oracle::run_all`]):
 //!
 //! 1. **`kernel_vs_serial`** — [`MatchKernel`] / `EmbeddingCache` counts
 //!    and containment vs the serial VF2 walkers
@@ -76,6 +76,17 @@
 //!     9's swap worlds (CSGs of the whole database and of each half, and
 //!     one CSG per graph) and on the major batches of its carried-coverage
 //!     [`Midas`].
+//! 13. **`select_vs_reference`** — CATAPULT selection
+//!     ([`select_patterns_with_stats`]), which asks each isomorphism
+//!     class's `lcov`, `cog` and `ccov` once per call and matches `ccov`
+//!     only when the class's bound can beat the round's best, vs
+//!     `rescoring_selection`, the loop that re-scored every candidate: the
+//!     same patterns, vertex numbering included, in the same order, on
+//!     AidsLike and PubchemLike worlds of 30 graphs at η 3–4 / γ 4 and
+//!     η 3–6 / γ 10 and two selection seeds, and on the bootstrap of check
+//!     10's servebench-scale world at servebench's configuration (γ 10, η
+//!     3–6, 5 coarse clusters), where the check fails unless the bound
+//!     skipped a class.
 //!
 //! Divergences are reported as structured JSON (reusing `midas_obs::json`)
 //! with the offending graph pair **minimized** by greedy vertex removal
@@ -94,8 +105,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use midas_catapult::score::diversity;
-use midas_catapult::WeightedCsg;
+use midas_catapult::candidates::generate_candidates;
+use midas_catapult::random_walk::random_walks;
+use midas_catapult::score::{
+    ccov_projected, csg_projections, diversity, lcov_pattern, pattern_score, PatternScoreParts,
+};
+use midas_catapult::{select_patterns_with_stats, SelectionConfig, WeightedCsg};
 use midas_cluster::{ClusterConfig, ClusterId, ClusterSet, FeatureSpace};
 use midas_core::candidate_gen::{
     coverage_state, generate_promising_candidates, reference_promising_candidates, Candidate,
@@ -119,8 +134,8 @@ use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of
 use midas_graph::mccs::{mccs_edges, mccs_similarity, reference_mccs_edges};
 use midas_graph::plan::{count_embeddings_plan, find_embeddings_plan, is_subgraph_plan};
 use midas_graph::{
-    BatchUpdate, ClosureGraph, Csr, EdgeLabel, GraphBuilder, GraphDb, GraphId, LabeledGraph,
-    MatchKernel,
+    BatchUpdate, CanonicalCode, ClosureGraph, Csr, EdgeLabel, GraphBuilder, GraphDb, GraphId,
+    LabeledGraph, MatchKernel,
 };
 use midas_index::{FctIndex, FeatureId, IfeIndex};
 use midas_mining::incremental::FctState;
@@ -294,7 +309,7 @@ where
     }
 }
 
-/// The differential oracle: a seeded world plus the twelve checks.
+/// The differential oracle: a seeded world plus the thirteen checks.
 pub struct Oracle {
     seed: u64,
 }
@@ -315,7 +330,7 @@ impl Oracle {
             checks: Vec::new(),
             divergences: Vec::new(),
         };
-        let checks: [(&'static str, CheckFn); 12] = [
+        let checks: [(&'static str, CheckFn); 13] = [
             ("kernel_vs_serial", Oracle::check_kernel_vs_serial),
             ("incremental_mining", Oracle::check_incremental_mining),
             ("graphlet_monitor", Oracle::check_monitor),
@@ -331,6 +346,7 @@ impl Oracle {
                 "candidates_vs_reference",
                 Oracle::check_candidates_vs_reference,
             ),
+            ("select_vs_reference", Oracle::check_select_vs_reference),
         ];
         for (name, check) in checks {
             let cases = check(self, &mut report.divergences);
@@ -1654,6 +1670,155 @@ impl Oracle {
         }
         cases
     }
+
+    /// Check 13: CATAPULT selection, which asks each class's `lcov`, `cog`
+    /// and `ccov` once per call and matches `ccov` only when the class's
+    /// bound can beat the round's best, vs [`rescoring_selection`], the
+    /// loop that re-scored every candidate. The patterns must be equal
+    /// graph for graph (vertex numbering included) and in order, on two
+    /// small seeded worlds at two budgets and two selection seeds, and on
+    /// the bootstrap of check 10's servebench-scale world at servebench's
+    /// configuration, where the check also fails if the bound skipped no
+    /// class.
+    fn check_select_vs_reference(&self, out: &mut Vec<Divergence>) -> usize {
+        let divergence = |case: String, expected: String, actual: String| Divergence {
+            check: "select_vs_reference",
+            case,
+            expected,
+            actual,
+            witness: None,
+        };
+        let compare = |case: String, db: &GraphDb, config: &MidasConfig, out: &mut Vec<_>| {
+            let fct = FctState::build(db, config.mining());
+            let space = FeatureSpace::from_fct(&fct.lattice, config.sup_min, db.len());
+            let clusters = ClusterSet::build(db, &fct.lattice, space, config.clustering());
+            let selection = config.selection();
+            let (got, stats) =
+                select_patterns_with_stats(&clusters, &fct.edges, db.len(), &selection);
+            let want = rescoring_selection(&clusters, &fct.edges, db.len(), &selection);
+            if got != want {
+                let render = |ps: &[LabeledGraph]| {
+                    let graphs: Vec<String> = ps.iter().map(graph_json).collect();
+                    format!("[{}]", graphs.join(", "))
+                };
+                out.push(divergence(case, render(&want), render(&got)));
+            }
+            stats
+        };
+        let mut cases = 0;
+        for (name, kind) in [
+            ("aids_like", DatasetKind::AidsLike),
+            ("pubchem_like", DatasetKind::PubchemLike),
+        ] {
+            let db = DatasetSpec::new(kind, 30, self.seed ^ 0x50).generate().db;
+            for (eta_max, gamma) in [(4, 4), (6, 10)] {
+                for seed in [self.seed, self.seed ^ 0x51] {
+                    let config = MidasConfig {
+                        budget: midas_catapult::PatternBudget {
+                            eta_min: 3,
+                            eta_max,
+                            gamma,
+                        },
+                        coarse_clusters: 3,
+                        seed,
+                        ..MidasConfig::small_defaults()
+                    };
+                    let case = format!("{name}, η 3–{eta_max}, γ {gamma}, seed {seed}");
+                    compare(case, &db, &config, out);
+                    cases += 1;
+                }
+            }
+        }
+        let config = MidasConfig {
+            budget: midas_catapult::PatternBudget {
+                eta_min: 3,
+                eta_max: 6,
+                gamma: 10,
+            },
+            sup_min: 0.4,
+            max_tree_edges: 3,
+            coarse_clusters: 5,
+            ..MidasConfig::default()
+        };
+        let stats = compare(
+            "servebench-scale bootstrap".into(),
+            &self.servebench_world(),
+            &config,
+            out,
+        );
+        if stats.ccov_matched >= stats.classes {
+            out.push(divergence(
+                "servebench-scale bootstrap: bound".into(),
+                "fewer ccov matches than classes".into(),
+                format!(
+                    "{} of {} classes matched",
+                    stats.ccov_matched, stats.classes
+                ),
+            ));
+        }
+        cases + 1
+    }
+}
+
+/// Check 13's reference: CATAPULT's selection loop as it ran before the
+/// per-class scores, which re-scores every candidate it grows, repeats of
+/// a class included, and matches each against every CSG projection.
+fn rescoring_selection(
+    clusters: &ClusterSet,
+    catalog: &EdgeCatalog,
+    db_len: usize,
+    config: &SelectionConfig,
+) -> Vec<LabeledGraph> {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut csgs: Vec<WeightedCsg> = clusters
+        .iter()
+        .map(|(_, c)| WeightedCsg::build(c.csg(), catalog, db_len))
+        .collect();
+    let projections = csg_projections(clusters);
+    let mut patterns: Vec<LabeledGraph> = Vec::new();
+    let mut seen: BTreeSet<CanonicalCode> = BTreeSet::new();
+    let mut per_size: BTreeMap<usize, usize> = BTreeMap::new();
+    let cap = config.budget.per_size_cap();
+    for _ in 0..config.budget.gamma * 4 {
+        if patterns.len() >= config.budget.gamma {
+            break;
+        }
+        let mut best: Option<(f64, LabeledGraph, CanonicalCode, usize)> = None;
+        for (ci, csg) in csgs.iter().enumerate() {
+            let order =
+                random_walks(csg, config.walks, config.walk_length, &mut rng).edges_by_frequency();
+            for size in config.budget.eta_min..=config.budget.eta_max {
+                if per_size.get(&size).copied().unwrap_or(0) >= cap {
+                    continue;
+                }
+                let mut no_hook = |_: &[(u32, u32)], _: (u32, u32)| true;
+                let candidates =
+                    generate_candidates(csg, &order, size, config.seeds_per_size, &mut no_hook);
+                for (candidate, code) in candidates {
+                    if seen.contains(&code) {
+                        continue;
+                    }
+                    let score = pattern_score(PatternScoreParts {
+                        coverage: ccov_projected(&candidate, &projections, db_len),
+                        lcov: lcov_pattern(&candidate, catalog, db_len),
+                        div: diversity(&candidate, &patterns),
+                        cog: candidate.cognitive_load(),
+                    });
+                    if best.as_ref().is_none_or(|(b, ..)| score > *b) {
+                        best = Some((score, candidate, code, ci));
+                    }
+                }
+            }
+        }
+        let Some((_, chosen, code, source)) = best else {
+            break;
+        };
+        seen.insert(code);
+        *per_size.entry(chosen.edge_count()).or_insert(0) += 1;
+        csgs[source].penalize(&chosen, config.mwu_penalty);
+        patterns.push(chosen);
+    }
+    patterns
 }
 
 /// Batches in check 9's carried-coverage stream (check 12 replays it).

@@ -1,4 +1,4 @@
-//! Oracle CLI: runs the twelve differential checks (and, when `MIDAS_FAULT`
+//! Oracle CLI: runs the thirteen differential checks (and, when `MIDAS_FAULT`
 //! is set, the fault-containment pass first) and prints the JSON report.
 //!
 //! ```text

@@ -12,8 +12,8 @@ fn full_oracle_run_is_clean_on_the_ci_seed() {
         "oracle divergences: {}",
         report.to_json()
     );
-    // All twelve checks ran and actually compared something.
-    assert_eq!(report.checks.len(), 12);
+    // All thirteen checks ran and actually compared something.
+    assert_eq!(report.checks.len(), 13);
     for check in &report.checks {
         assert!(check.cases > 0, "check {} ran zero cases", check.name);
     }
@@ -33,6 +33,7 @@ fn full_oracle_run_is_clean_on_the_ci_seed() {
             "index_maintenance",
             "mccs_vs_reference",
             "candidates_vs_reference",
+            "select_vs_reference",
         ]
     );
 }

@@ -159,6 +159,44 @@ fn candidate_child_spans_nest_inside_batch_candidates() {
 }
 
 #[test]
+fn bootstrap_layer_spans_and_selection_counters() {
+    let _g = exclusive();
+    let mut cfg = test_config(7);
+    cfg.telemetry.enabled = true;
+    let before = MetricsSnapshot::capture();
+    Midas::bootstrap(seed_db(), cfg).unwrap();
+    let telemetry = MetricsSnapshot::capture().since(&before);
+    TelemetryConfig::default().activate();
+
+    // One span per layer, together inside `bootstrap`.
+    const LAYERS: &[&str] = &[
+        "bootstrap.fct",
+        "bootstrap.cluster",
+        "bootstrap.select",
+        "bootstrap.index",
+    ];
+    assert_eq!(telemetry.span("bootstrap").count, 1);
+    for layer in LAYERS {
+        assert_eq!(telemetry.span(layer).count, 1, "span {layer}");
+    }
+    let layers = telemetry.span_total(LAYERS);
+    let bootstrap = telemetry.span_total(&["bootstrap"]);
+    assert!(
+        layers <= bootstrap,
+        "layers {layers:?} exceed bootstrap {bootstrap:?}"
+    );
+    // Each class is matched at most once, and a class is one or more
+    // scored candidates.
+    let candidates = telemetry.counter("select.candidates");
+    let classes = telemetry.counter("select.classes");
+    let matched = telemetry.counter("select.ccov_matched");
+    assert!(
+        0 < matched && matched <= classes && classes <= candidates,
+        "{matched} matched, {classes} classes, {candidates} candidates"
+    );
+}
+
+#[test]
 fn fct_child_spans_nest_inside_batch_fct() {
     let _g = exclusive();
     let mut cfg = test_config(7);
