@@ -108,7 +108,7 @@ fn bench_mccs(c: &mut Criterion) {
     // bitset node state.
     c.bench_function("mccs/reference_budget2k", |b| {
         b.iter(|| {
-            black_box(midas_graph::mccs::reference_mccs_edges(
+            black_box(midas_oracle::reference_mccs_edges(
                 black_box(&graphs[0]),
                 black_box(&graphs[1]),
                 2_000,

@@ -2,12 +2,13 @@
 //! memory), and FCT/index maintenance across dataset scales.
 //!
 //! Paper setting: PubChem at 100K / 500K / 1M. Here: PubChem-like at
-//! 1/500 scale (200 / 1 000 / 2 000 graphs).
+//! 1/500 scale (200 / 1 000 / 2 000 graphs). The FCT-Index is built and
+//! maintained as a tenant's is, through a cold [`MatchKernel`].
 
 use midas_bench::{fmt_duration, print_table};
 use midas_datagen::updates::growth_batch;
 use midas_datagen::{DatasetKind, DatasetSpec};
-use midas_graph::{GraphId, LabeledGraph};
+use midas_graph::{Csr, GraphId, LabeledGraph, MatchKernel};
 use midas_index::{FctIndex, IfeIndex};
 use midas_mining::incremental::FctState;
 use midas_mining::MiningConfig;
@@ -41,17 +42,16 @@ fn main() {
             .into_iter()
             .map(|(k, e)| (k.clone(), e.tree.clone()))
             .collect();
-        let fct_index = FctIndex::build(
-            features.iter().map(|(k, t)| (k.clone(), t)),
-            graph_refs.iter().copied(),
-        );
+        let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
+        let kernel = MatchKernel::new();
+        let mut fct_index = FctIndex::build(&kernel, features, &csrs);
         let infrequent: BTreeSet<midas_graph::EdgeLabel> = state
             .edges
             .infrequent(mining.sup_min, db.len())
             .into_iter()
             .map(|(l, _)| l)
             .collect();
-        let ife_index = IfeIndex::build(infrequent, graph_refs.iter().copied());
+        let mut ife_index = IfeIndex::build(infrequent, graph_refs.iter().copied());
         let index_time = t.elapsed();
         let index_bytes = fct_index.approx_bytes() + ife_index.approx_bytes();
         // FCT maintenance time for a +5% batch.
@@ -62,13 +62,14 @@ fn main() {
         state.apply_batch(&evolving, &inserted, &[]);
         let fct_maint = t.elapsed();
         // Index maintenance: add the new graph columns.
-        let mut fct_index = fct_index;
-        let mut ife_index = ife_index;
         let t = Instant::now();
+        let inserted_csrs: Vec<(GraphId, &Csr)> = inserted
+            .iter()
+            .map(|&id| (id, evolving.csr(id).expect("inserted")))
+            .collect();
+        fct_index.add_graphs_kernel(&kernel, &inserted_csrs);
         for &id in &inserted {
-            let g = evolving.get(id).expect("inserted");
-            fct_index.add_graph(id, g);
-            ife_index.add_graph(id, g);
+            ife_index.add_graph(id, evolving.get(id).expect("inserted"));
         }
         let index_maint = t.elapsed();
         rows.push(vec![

@@ -6,6 +6,7 @@
 //! balanced over Δ⁺ (§7.1), which is where stale pattern sets lose.
 
 use midas_bench::{experiment_config, print_table, scaled_dataset};
+use midas_catapult::score::set_quality;
 use midas_core::Midas;
 use midas_datagen::updates::{deletion_percent, growth_percent, novel_family_batch};
 use midas_datagen::{DatasetKind, MotifKind};
@@ -56,13 +57,15 @@ fn main() {
         let queries =
             midas_datagen::balanced_query_set(midas.db(), &inserted, 60, (3, 10), 1_300 + i as u64);
         let universe: BTreeSet<GraphId> = midas.db().ids().collect();
-        let q_midas = midas_core::quality_of(
+        let q_midas = set_quality(
+            midas.kernel(),
             &midas.patterns(),
             midas.db(),
             &midas.fct_state().edges,
             &universe,
         );
-        let q_stale = midas_core::quality_of(
+        let q_stale = set_quality(
+            midas.kernel(),
             &stale_patterns,
             midas.db(),
             &midas.fct_state().edges,

@@ -158,8 +158,13 @@ impl BaselineBench {
         world: &Midas,
     ) -> ApproachRow {
         let universe: std::collections::BTreeSet<GraphId> = world.db().ids().collect();
-        let quality =
-            midas_core::quality_of(&patterns, world.db(), &world.fct_state().edges, &universe);
+        let quality = midas_catapult::score::set_quality(
+            world.kernel(),
+            &patterns,
+            world.db(),
+            &world.fct_state().edges,
+            &universe,
+        );
         ApproachRow {
             name: name.to_owned(),
             time,

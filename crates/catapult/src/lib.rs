@@ -34,7 +34,7 @@ pub mod select;
 pub mod weights;
 
 pub use candidates::{generate_fcp, CandidateHook};
-pub use score::{ccov, lcov_pattern, pattern_score, PatternScoreParts};
+pub use score::{lcov_pattern, pattern_score, PatternScoreParts};
 pub use select::{
     select_patterns, select_patterns_with_stats, PatternBudget, SelectionConfig, SelectionStats,
 };

@@ -7,7 +7,6 @@
 //! here is shared by both.
 
 use midas_graph::ged::ged_tight_lower_bound;
-use midas_graph::isomorphism::is_subgraph_of;
 use midas_graph::{Csr, LabeledGraph, MatchKernel, MatchPlan};
 use midas_mining::EdgeCatalog;
 use std::collections::BTreeSet;
@@ -32,14 +31,6 @@ pub fn pattern_score(parts: PatternScoreParts) -> f64 {
     parts.coverage * parts.lcov * parts.div / parts.cog.max(f64::MIN_POSITIVE)
 }
 
-/// Cluster coverage `ccov(p, cw, C) = Σ cw_i · I_i` (Def. 2.1): `cw_i =
-/// |C_i| / |D|` and `I_i = 1` iff the CSG of `C_i` contains a subgraph
-/// isomorphic to `p` (tested on the CSR view of the CSG's labeled
-/// projection).
-pub fn ccov(pattern: &LabeledGraph, clusters: &midas_cluster::ClusterSet, db_len: usize) -> f64 {
-    ccov_projected(pattern, &csg_projections(clusters), db_len)
-}
-
 /// The `(cluster size, CSR view of the CSG's labeled projection)` pair of
 /// every cluster — the targets [`ccov_projected`] matches against.
 pub fn csg_projections(clusters: &midas_cluster::ClusterSet) -> Vec<(usize, Csr)> {
@@ -49,9 +40,11 @@ pub fn csg_projections(clusters: &midas_cluster::ClusterSet) -> Vec<(usize, Csr)
         .collect()
 }
 
-/// [`ccov`] over precomputed [`csg_projections`] — the selection loop
-/// scores many candidates against the same CSGs, so the projections are
-/// computed once and each candidate is compiled once.
+/// Cluster coverage `ccov(p, cw, C) = Σ cw_i · I_i` (Def. 2.1): `cw_i =
+/// |C_i| / |D|` and `I_i = 1` iff the CSG of `C_i` contains a subgraph
+/// isomorphic to `p`, tested on precomputed [`csg_projections`] — the
+/// selection loop scores many candidates against the same CSGs, so the
+/// projections are computed once and each candidate is compiled once.
 pub fn ccov_projected(pattern: &LabeledGraph, projections: &[(usize, Csr)], db_len: usize) -> f64 {
     if db_len == 0 {
         return 0.0;
@@ -105,62 +98,31 @@ pub struct SetQuality {
     pub cog: f64,
 }
 
-/// Computes the set-level quality over an explicit universe of graphs.
+/// Computes the set-level quality over an explicit universe of graphs,
+/// with the `f_scov` containment scan run through `kernel`'s memo: cheap
+/// when the same patterns are evaluated over overlapping universes batch
+/// after batch.
 pub fn set_quality(
-    patterns: &[LabeledGraph],
-    db: &midas_graph::GraphDb,
-    catalog: &EdgeCatalog,
-    universe: &BTreeSet<midas_graph::GraphId>,
-) -> SetQuality {
-    set_quality_impl(patterns, db, catalog, universe, None)
-}
-
-/// [`set_quality`] with the `f_scov` containment scan routed through a
-/// memoized kernel. Identical result, much cheaper when the same
-/// patterns are evaluated over overlapping universes batch after batch.
-pub fn set_quality_with(
     kernel: &MatchKernel,
     patterns: &[LabeledGraph],
     db: &midas_graph::GraphDb,
     catalog: &EdgeCatalog,
     universe: &BTreeSet<midas_graph::GraphId>,
 ) -> SetQuality {
-    set_quality_impl(patterns, db, catalog, universe, Some(kernel))
-}
-
-fn set_quality_impl(
-    patterns: &[LabeledGraph],
-    db: &midas_graph::GraphDb,
-    catalog: &EdgeCatalog,
-    universe: &BTreeSet<midas_graph::GraphId>,
-    kernel: Option<&MatchKernel>,
-) -> SetQuality {
-    let denom = universe.len().max(1) as f64;
-    let covered = match kernel {
-        Some(kernel) => {
-            let graphs: Vec<(midas_graph::GraphId, &midas_graph::Csr)> = universe
-                .iter()
-                .map(|&id| (id, db.csr(id).expect("live id")))
-                .collect();
-            let prepared: Vec<midas_graph::CachedPattern> =
-                patterns.iter().map(|p| kernel.prepare(p)).collect();
-            kernel
-                .any_covered_in(&prepared, &graphs)
-                .into_iter()
-                .filter(|&hit| hit)
-                .count()
-        }
-        None => universe
-            .iter()
-            .filter(|&&id| {
-                let g = db.get(id).expect("live id");
-                patterns.iter().any(|p| is_subgraph_of(p, g))
-            })
-            .count(),
-    };
+    let graphs: Vec<(midas_graph::GraphId, &Csr)> = universe
+        .iter()
+        .map(|&id| (id, db.csr(id).expect("live id")))
+        .collect();
+    let prepared: Vec<midas_graph::CachedPattern> =
+        patterns.iter().map(|p| kernel.prepare(p)).collect();
+    let covered = kernel
+        .any_covered_in(&prepared, &graphs)
+        .into_iter()
+        .filter(|&hit| hit)
+        .count();
     let measures = set_measures(patterns, catalog, universe);
     SetQuality {
-        scov: covered as f64 / denom,
+        scov: covered as f64 / universe.len().max(1) as f64,
         lcov: measures.lcov,
         div: measures.div,
         cog: measures.cog,
@@ -263,14 +225,14 @@ mod tests {
         let db = sample_db();
         let set = clusters(&db);
         // C-O edge appears in the C-O-N cluster's CSG only.
-        let co = path(&[0, 1]);
-        let got = ccov(&co, &set, db.len());
+        let projections = csg_projections(&set);
+        let ccov = |p: &LabeledGraph| ccov_projected(p, &projections, db.len());
+        let got = ccov(&path(&[0, 1]));
         assert!((got - 0.75).abs() < 1e-12, "got {got}");
         // S-P in the other cluster (1 graph).
-        let sp = path(&[3, 4]);
-        assert!((ccov(&sp, &set, db.len()) - 0.25).abs() < 1e-12);
+        assert!((ccov(&path(&[3, 4])) - 0.25).abs() < 1e-12);
         // Absent label: zero.
-        assert_eq!(ccov(&path(&[7, 7]), &set, db.len()), 0.0);
+        assert_eq!(ccov(&path(&[7, 7])), 0.0);
     }
 
     #[test]
@@ -344,13 +306,14 @@ mod tests {
         let catalog = EdgeCatalog::build(db.iter().map(|(id, g)| (id, g.as_ref())));
         let universe: BTreeSet<GraphId> = db.ids().collect();
         let patterns = vec![path(&[0, 1]), path(&[3, 4])];
-        let q = set_quality(&patterns, &db, &catalog, &universe);
+        let kernel = MatchKernel::new();
+        let q = set_quality(&kernel, &patterns, &db, &catalog, &universe);
         assert!((q.scov - 1.0).abs() < 1e-12, "all graphs covered");
         assert!((q.lcov - 1.0).abs() < 1e-12);
         assert!(q.div > 0.0);
         assert!(q.cog > 0.0);
         // Empty pattern set: zero coverage, zero div, zero cog.
-        let empty = set_quality(&[], &db, &catalog, &universe);
+        let empty = set_quality(&kernel, &[], &db, &catalog, &universe);
         assert_eq!(empty.scov, 0.0);
         assert_eq!(empty.cog, 0.0);
     }

@@ -15,7 +15,7 @@
 //! [`promising_candidates`] then runs the Def. 5.5 test once per class,
 //! which depends only on the class. DESIGN §5 has the argument that the
 //! output is that of the loop which re-asked both
-//! ([`reference_promising_candidates`], kept for the oracle and tests).
+//! (`reference_promising_candidates` in the `midas-oracle` crate).
 //!
 //! A [`Candidate`] leaves generation with its dominance-filter survivors
 //! over the sample (§6.1), which contain its covered graphs, and is
@@ -31,7 +31,6 @@ use crate::patterns::{PatternId, PatternStore};
 use midas_catapult::candidates::generate_candidates;
 use midas_catapult::random_walk::random_walks;
 use midas_catapult::{PatternBudget, WeightedCsg};
-use midas_graph::canonical::canonical_code;
 use midas_graph::{EdgeLabel, GraphId, LabeledGraph};
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -273,60 +272,6 @@ pub fn promising_candidates(
         .collect()
 }
 
-/// [`generate_promising_candidates`] as it ran before each question was
-/// asked once per call: the Eq. 2 hook walks the label's support on every
-/// extension, and every grown FCP is looked up in the store and scored by
-/// Def. 5.5, repeats of a class included. Only the oracle and the tests
-/// call it; production code must not (CI greps for it).
-pub fn reference_promising_candidates(
-    csgs: &[WeightedCsg],
-    store: &PatternStore,
-    ctx: &ScovContext<'_>,
-    state: &CoverageState,
-    params: &GenerationParams,
-    rng: &mut StdRng,
-) -> Vec<Candidate> {
-    let threshold = ((1.0 + params.kappa) * state.min_exclusive as f64).ceil() as usize;
-    let mut out = Vec::new();
-    let mut codes = BTreeSet::new();
-    for csg in csgs {
-        let stats = random_walks(csg, params.walks, params.walk_length, rng);
-        for size in params.budget.eta_min..=params.budget.eta_max {
-            let mut hook = |_partial: &[(u32, u32)], next: (u32, u32)| {
-                let label = csg.graph.edge_label(next.0, next.1);
-                let marginal = ctx.catalog.get(label).map_or(0, |stats| {
-                    stats
-                        .support
-                        .iter()
-                        .filter(|id| ctx.sample.contains(id) && !state.covered_union.contains(id))
-                        .count()
-                });
-                marginal >= threshold
-            };
-            let order = stats.edges_by_frequency();
-            for (candidate, _) in
-                generate_candidates(csg, &order, size, params.seeds_per_size, &mut hook)
-            {
-                if store.contains_isomorphic(&candidate) {
-                    continue;
-                }
-                let covered = ctx.covered(&candidate);
-                if covered.difference(&state.covered_union).count() < threshold {
-                    continue;
-                }
-                let code = canonical_code(&candidate);
-                if codes.insert(code) {
-                    out.push(Candidate {
-                        graph: candidate,
-                        coverage: Coverage::Covered(covered.len()),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,10 +298,7 @@ mod tests {
         let db = GraphDb::from_graphs(graphs);
         let refs: Vec<(GraphId, &LabeledGraph)> =
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
-        let fct = FctIndex::build(
-            std::iter::empty::<(midas_mining::TreeKey, &LabeledGraph)>(),
-            refs.iter().copied(),
-        );
+        let fct = FctIndex::new();
         let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
         let catalog = EdgeCatalog::build(refs.iter().copied());
         let sample: BTreeSet<GraphId> = db.ids().collect();
@@ -486,26 +428,6 @@ mod tests {
         // class was tested twice.
         assert_eq!(after.hits, before.hits, "every class tested once");
         assert!(after.misses > before.misses);
-
-        // The loop that re-tests repeats hits the memo on this world, and
-        // returns the same candidates.
-        let fresh = World {
-            kernel: MatchKernel::new(),
-            ..w
-        };
-        let c = ctx(&fresh);
-        let want =
-            reference_promising_candidates(&csgs, &store, &c, &state, &params(0.1), &mut rng(5));
-        assert!(
-            fresh.kernel.cache().stats().hits > 0,
-            "the world repeats a class"
-        );
-        let graphs = |cs: &[Candidate]| -> Vec<(LabeledGraph, Coverage)> {
-            cs.iter()
-                .map(|c| (c.graph.clone(), c.coverage.clone()))
-                .collect()
-        };
-        assert_eq!(graphs(&got), graphs(&want));
     }
 
     #[test]
@@ -609,15 +531,5 @@ mod tests {
         assert_eq!(misses() - before, 6, "only N-N-N's survivors were verified");
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].coverage, Coverage::Covered(6));
-
-        let csgs = [csg_of(&w.db, &w.catalog)];
-        let outcome = |cs: Vec<Candidate>| -> Vec<(LabeledGraph, Coverage)> {
-            cs.into_iter().map(|c| (c.graph, c.coverage)).collect()
-        };
-        let p = params(0.1);
-        let got = generate_promising_candidates(&csgs, &store, &c, &state, &p, &mut rng(6));
-        let want = reference_promising_candidates(&csgs, &store, &c, &state, &p, &mut rng(6));
-        assert!(!got.is_empty(), "N-N-N candidates expected");
-        assert_eq!(outcome(got), outcome(want));
     }
 }

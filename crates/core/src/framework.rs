@@ -284,7 +284,7 @@ impl Midas {
     /// Pattern-set quality over a fresh sample of the current database.
     pub fn quality(&self) -> SetQuality {
         let sample = self.sample();
-        midas_catapult::score::set_quality_with(
+        midas_catapult::score::set_quality(
             &self.kernel,
             &self.patterns.graphs(),
             &self.db,
@@ -718,7 +718,7 @@ fn build_indices(
 ) -> (FctIndex, IfeIndex) {
     let (features, infrequent) = index_features(fct_state, config.sup_min, db.len());
     let csr_refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
-    let fct_index = FctIndex::build_with(kernel, features, &csr_refs);
+    let fct_index = FctIndex::build(kernel, features, &csr_refs);
     let ife_index = IfeIndex::build(infrequent, db.iter().map(|(id, g)| (id, g.as_ref())));
     (fct_index, ife_index)
 }

@@ -65,6 +65,5 @@ pub mod swap;
 
 pub use config::MidasConfig;
 pub use framework::{MaintenanceReport, Midas, ModificationKind, PhaseError};
-pub use metrics::quality_of;
 pub use patterns::{PatternId, PatternStore};
 pub use published::{PatternSnapshot, Published};

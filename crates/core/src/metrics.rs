@@ -4,11 +4,9 @@
 //! the MIDAS way: the FCT/IFE indices for dominance filtering (§6.1) and
 //! the lazy sample `D_s` that bounds the cost.
 
-use midas_catapult::score::{
-    diversity, lcov_pattern, pattern_score, PatternScoreParts, SetQuality,
-};
+use midas_catapult::score::{diversity, lcov_pattern, pattern_score, PatternScoreParts};
 use midas_graph::{GraphDb, GraphId, LabeledGraph, MatchKernel};
-use midas_index::scov::{candidate_graphs, covered_graphs_with, profile_pattern, verify_with};
+use midas_index::scov::{candidate_graphs, covered_graphs, profile_pattern, verify_with};
 use midas_index::{FctIndex, IfeIndex};
 use midas_mining::EdgeCatalog;
 use std::collections::BTreeSet;
@@ -25,11 +23,8 @@ pub struct ScovContext<'a> {
     pub sample: &'a BTreeSet<GraphId>,
     /// The edge catalog (for `lcov`).
     pub catalog: &'a EdgeCatalog,
-    /// The memoized kernel for the isomorphism verification
-    /// step. The serial VF2 reference ([`covered_graphs`]) produces the
-    /// same sets; the property tests and the oracle pin this.
-    ///
-    /// [`covered_graphs`]: midas_index::scov::covered_graphs
+    /// The memoized kernel for the isomorphism verification step. The
+    /// property tests and the oracle pin its sets to brute-force VF2.
     pub kernel: &'a MatchKernel,
 }
 
@@ -37,7 +32,7 @@ impl ScovContext<'_> {
     /// The sampled graphs containing `pattern`: [`Self::verify`] over
     /// [`Self::survivors`].
     pub fn covered(&self, pattern: &LabeledGraph) -> BTreeSet<GraphId> {
-        covered_graphs_with(
+        covered_graphs(
             self.kernel,
             self.fct,
             self.ife,
@@ -89,22 +84,10 @@ impl ScovContext<'_> {
     }
 }
 
-/// Pattern-set quality `(f_scov, f_lcov, f_div, f_cog)` over an explicit
-/// universe — re-exported convenience over
-/// [`midas_catapult::score::set_quality`].
-pub fn quality_of(
-    patterns: &[LabeledGraph],
-    db: &GraphDb,
-    catalog: &EdgeCatalog,
-    universe: &BTreeSet<GraphId>,
-) -> SetQuality {
-    midas_catapult::score::set_quality(patterns, db, catalog, universe)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use midas_graph::GraphBuilder;
+    use midas_graph::{Csr, GraphBuilder};
     use midas_mining::tree_key;
 
     fn path(labels: &[u32]) -> LabeledGraph {
@@ -124,7 +107,8 @@ mod tests {
         let refs: Vec<(GraphId, &LabeledGraph)> =
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
         let feature = path(&[0, 1]);
-        let fct = FctIndex::build([(tree_key(&feature), &feature)], refs.iter().copied());
+        let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
+        let fct = FctIndex::build(&MatchKernel::new(), [(tree_key(&feature), feature)], &csrs);
         let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
         let catalog = EdgeCatalog::build(refs.iter().copied());
         World {

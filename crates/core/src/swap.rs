@@ -517,6 +517,7 @@ pub fn multi_scan_swap_weighted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use midas_catapult::score::set_quality;
     use midas_graph::canonical::canonical_code;
     use midas_graph::{EdgeLabel, GraphBuilder, GraphDb, GraphId, MatchKernel};
     use midas_index::{FctIndex, IfeIndex};
@@ -569,10 +570,7 @@ mod tests {
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
         let catalog = EdgeCatalog::build(refs.iter().copied());
         let sample: BTreeSet<GraphId> = db.ids().collect();
-        let fct = FctIndex::build(
-            std::iter::empty::<(midas_mining::TreeKey, &LabeledGraph)>(),
-            refs.iter().copied(),
-        );
+        let fct = FctIndex::new();
         let tracked = catalog.labels().map(|(l, _)| l).filter(|&l| track(l));
         let ife = IfeIndex::build(tracked.collect(), refs.iter().copied());
         World {
@@ -728,14 +726,17 @@ mod tests {
         store.insert(path(&[0, 1, 2])).unwrap();
         store.insert(path(&[0, 1, 0])).unwrap();
         let ctx = w.ctx();
-        let before = crate::metrics::quality_of(&store.graphs(), &w.db, &w.catalog, &w.sample);
+        let quality = |store: &PatternStore| {
+            set_quality(&w.kernel, &store.graphs(), &w.db, &w.catalog, &w.sample)
+        };
+        let before = quality(&store);
         swap(
             &mut store,
             vec![path(&[3, 3, 3]), path(&[3, 3])],
             &ctx,
             None,
         );
-        let after = crate::metrics::quality_of(&store.graphs(), &w.db, &w.catalog, &w.sample);
+        let after = quality(&store);
         assert!(after.scov >= before.scov, "sw1 guarantees coverage gain");
         assert!(after.div >= before.div, "sw3");
         assert!(after.cog <= before.cog + 1e-9, "sw4");

@@ -15,8 +15,8 @@
 //!
 //! VF2 is the **reference** matcher. Every production containment and
 //! embedding question runs on the plan-compiled matcher ([`crate::plan`]);
-//! VF2 runs only in the differential oracle, the tests, the kernel and
-//! micro benches, and the serial reference twins of the index layer.
+//! VF2 runs only in the differential oracle (whose reference TG builder
+//! the kernel bench times), the tests and the micro benches.
 
 use crate::graph::{EdgeLabel, LabeledGraph, VertexId};
 use crate::labels::LabelId;

@@ -14,8 +14,7 @@
 //! * [`isomorphism`] — VF2-style subgraph isomorphism: containment tests,
 //!   embedding counting and embedding enumeration. It is the reference the
 //!   differential oracle, the tests and the benches check the production
-//!   matcher ([`plan`]) against, and it backs the serial reference twins
-//!   of the index layer; no production path runs it.
+//!   matcher ([`plan`]) against; no production path runs it.
 //! * [`ged`] — graph edit distance: an exact branch-and-bound solver for
 //!   small graphs, the label lower bound `GED_l`, and the paper's tightened
 //!   bound `GED'_l` (Lemma 6.1).

@@ -10,7 +10,6 @@
 use crate::sparse::SparseMatrix;
 use crate::trie::Trie;
 use crate::EMBED_CAP;
-use midas_graph::isomorphism::count_embeddings;
 use midas_graph::{CachedPattern, Csr, GraphId, LabeledGraph, MatchKernel, MatchPlan};
 use midas_mining::TreeKey;
 use std::collections::BTreeMap;
@@ -54,38 +53,23 @@ impl FctIndex {
         Self::default()
     }
 
-    /// Builds the index over `features` (FCTs ∪ frequent edges), counting
-    /// embeddings in every `graph` with the VF2 reference matcher.
-    pub fn build<'a, F, G>(features: F, graphs: G) -> Self
-    where
-        F: IntoIterator<Item = (TreeKey, &'a LabeledGraph)>,
-        G: IntoIterator<Item = (GraphId, &'a LabeledGraph)> + Clone,
-    {
-        let mut index = Self::new();
-        for (key, tree) in features {
-            index.add_feature_with(key, tree, graphs.clone());
-        }
-        index
-    }
-
-    /// Memoized form of [`FctIndex::build`]: embedding counts
-    /// run through `kernel` over the data graphs' CSR views (borrowed from
-    /// [`midas_graph::GraphDb::csrs`], cached by `(pattern key, GraphId)`).
-    /// Produces a matrix identical to the serial build.
+    /// Builds the index over `features` (FCTs ∪ frequent edges, deduplicated
+    /// by key), counting embeddings through `kernel` over the data graphs'
+    /// CSR views (borrowed from [`midas_graph::GraphDb::csrs`], cached by
+    /// `(pattern key, GraphId)`).
     ///
     /// All features are registered first and the whole TG-matrix is filled
     /// by a single [`MatchKernel::count_grid`] pass — one memo round-trip
     /// per *graph* for every feature at once, instead of one per
     /// `(feature, graph)` pair — and bulk built from the nonzero triples
     /// instead of nnz interior inserts.
-    pub fn build_with(
+    pub fn build(
         kernel: &MatchKernel,
         features: impl IntoIterator<Item = (TreeKey, LabeledGraph)>,
         graphs: &[(GraphId, &Csr)],
     ) -> Self {
         let mut index = Self::new();
         for (key, tree) in features {
-            // Deduplicate by key, like the serial build.
             if index.trie.lookup(key.tokens()).is_none() {
                 index.push_feature(key, tree);
             }
@@ -157,43 +141,12 @@ impl FctIndex {
         self.trie.lookup(key.tokens())
     }
 
-    /// Adds a feature row (maintenance rule 1), counting its embeddings in
-    /// the provided graphs. No-op if the key is present.
-    pub fn add_feature_with<'a, G>(
-        &mut self,
-        key: TreeKey,
-        tree: &LabeledGraph,
-        graphs: G,
-    ) -> FeatureId
-    where
-        G: IntoIterator<Item = (GraphId, &'a LabeledGraph)>,
-    {
-        if let Some(existing) = self.trie.lookup(key.tokens()) {
-            return existing;
-        }
-        let id = self.push_feature(key, tree.clone());
-        for (gid, g) in graphs {
-            let count = count_embeddings(tree, g, EMBED_CAP) as u32;
-            self.tg.set(id, gid, count);
-        }
-        id
-    }
-
     /// Removes a feature row (maintenance rule 2).
     pub fn remove_feature(&mut self, key: &TreeKey) -> Option<FeatureId> {
         let id = self.trie.remove(key.tokens())?;
         self.features.remove(&id);
         self.tg.remove_row(id);
         Some(id)
-    }
-
-    /// Adds a data-graph column (maintenance rule 3): counts every feature's
-    /// embeddings in `graph`.
-    pub fn add_graph(&mut self, id: GraphId, graph: &LabeledGraph) {
-        for (&fid, feature) in &self.features {
-            let count = count_embeddings(&feature.tree, graph, EMBED_CAP) as u32;
-            self.tg.set(fid, id, count);
-        }
     }
 
     /// Removes a data-graph column (maintenance rule 4).
@@ -217,10 +170,10 @@ impl FctIndex {
             .collect()
     }
 
-    /// Batch, memoized form of [`FctIndex::add_graph`]
-    /// (maintenance rule 3 over a whole `Δ⁺`): every feature is prepared
-    /// once, then counted in every new graph's CSR view through the
-    /// kernel. The graphs' columns must be empty, as `Δ⁺`'s fresh ids are.
+    /// Adds data-graph columns (maintenance rule 3 over a whole `Δ⁺`):
+    /// every feature is prepared once, then counted in every new graph's
+    /// CSR view through the kernel. The graphs' columns must be empty, as
+    /// `Δ⁺`'s fresh ids are.
     pub fn add_graphs_kernel(&mut self, kernel: &MatchKernel, graphs: &[(GraphId, &Csr)]) {
         for (fid, gid, count) in self.count_columns(kernel, graphs) {
             self.tg.set(fid, gid, count);
@@ -270,6 +223,7 @@ impl FctIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use midas_graph::isomorphism::count_embeddings;
     use midas_graph::GraphBuilder;
     use midas_mining::tree_key;
 
@@ -282,17 +236,40 @@ mod tests {
         GraphId(i)
     }
 
+    /// The CSR view of each graph, under ids from `first` up.
+    fn csrs(graphs: &[LabeledGraph], first: u64) -> Vec<(GraphId, Csr)> {
+        graphs
+            .iter()
+            .enumerate()
+            .map(|(i, g)| (gid(first + i as u64), Csr::from_graph(g)))
+            .collect()
+    }
+
+    fn refs(csrs: &[(GraphId, Csr)]) -> Vec<(GraphId, &Csr)> {
+        csrs.iter().map(|(id, c)| (*id, c)).collect()
+    }
+
+    fn keyed(features: &[LabeledGraph]) -> Vec<(TreeKey, LabeledGraph)> {
+        features.iter().map(|t| (tree_key(t), t.clone())).collect()
+    }
+
+    /// Every TG cell of `index` in the graphs numbered from `first` equals
+    /// VF2's capped count: the whole universe, no dominance filter.
+    fn assert_cells_match_vf2(index: &FctIndex, graphs: &[LabeledGraph], first: u64) {
+        for (fid, feature) in index.features() {
+            for (i, g) in graphs.iter().enumerate() {
+                let want = count_embeddings(&feature.tree, g, EMBED_CAP) as u32;
+                assert_eq!(index.tg().get(fid, gid(first + i as u64)), want);
+            }
+        }
+    }
+
     /// Features: C-O edge, C-O-N path. Graphs: G1 = C-O-N, G2 = O-C-O.
     fn setup() -> (FctIndex, Vec<LabeledGraph>) {
         let features = [path(&[0, 1]), path(&[0, 1, 2])];
         let graphs = vec![path(&[0, 1, 2]), path(&[1, 0, 1])];
-        let index = FctIndex::build(
-            features.iter().map(|t| (tree_key(t), t)),
-            graphs
-                .iter()
-                .enumerate()
-                .map(|(i, g)| (gid(i as u64 + 1), g)),
-        );
+        let views = csrs(&graphs, 1);
+        let index = FctIndex::build(&MatchKernel::new(), keyed(&features), &refs(&views));
         (index, graphs)
     }
 
@@ -313,8 +290,8 @@ mod tests {
     #[test]
     fn add_and_remove_graph_columns() {
         let (mut index, ..) = setup();
-        let g3 = path(&[0, 1, 0, 1]);
-        index.add_graph(gid(3), &g3);
+        let views = csrs(&[path(&[0, 1, 0, 1])], 3);
+        index.add_graphs_kernel(&MatchKernel::new(), &refs(&views));
         let co = index.feature_by_key(&tree_key(&path(&[0, 1]))).unwrap();
         assert_eq!(index.tg().get(co, gid(3)), 3);
         index.remove_graph(gid(3));
@@ -335,19 +312,20 @@ mod tests {
 
     #[test]
     fn duplicate_feature_is_ignored() {
-        let (mut index, graphs) = setup();
-        let key = tree_key(&path(&[0, 1]));
-        let before = index.feature_count();
-        let id = index.add_feature_with(
-            key.clone(),
-            &path(&[0, 1]),
-            graphs
-                .iter()
-                .enumerate()
-                .map(|(i, g)| (gid(i as u64 + 1), g)),
-        );
-        assert_eq!(index.feature_count(), before);
+        // A repeated key gets one row at build time (rule 1 is a no-op for
+        // a present key), and a refresh that names it again keeps the row.
+        let (_, graphs) = setup();
+        let views = csrs(&graphs, 1);
+        let co = path(&[0, 1]);
+        let kernel = MatchKernel::new();
+        let mut index = FctIndex::build(&kernel, keyed(&[co.clone(), co.clone()]), &refs(&views));
+        assert_eq!(index.feature_count(), 1);
+        let key = tree_key(&co);
+        let id = index.feature_by_key(&key).unwrap();
+        index.refresh_features_kernel(&kernel, &[(key.clone(), &co)], &refs(&views));
+        assert_eq!(index.feature_count(), 1);
         assert_eq!(index.feature_by_key(&key), Some(id));
+        assert_eq!(index.tg().get(id, gid(2)), 2);
     }
 
     #[test]
@@ -357,14 +335,9 @@ mod tests {
         let con = path(&[0, 1, 2]);
         let on = path(&[1, 2]);
         let target = vec![(tree_key(&con), &con), (tree_key(&on), &on)];
-        let csrs: Vec<Csr> = graphs.iter().map(Csr::from_graph).collect();
-        let graph_refs: Vec<(GraphId, &Csr)> = csrs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (gid(i as u64 + 1), c))
-            .collect();
+        let views = csrs(&graphs, 1);
         let con_id = index.feature_by_key(&tree_key(&con)).unwrap();
-        index.refresh_features_kernel(&MatchKernel::new(), &target, &graph_refs);
+        index.refresh_features_kernel(&MatchKernel::new(), &target, &refs(&views));
         assert_eq!(index.feature_count(), 2);
         assert!(index.feature_by_key(&tree_key(&path(&[0, 1]))).is_none());
         assert_eq!(
@@ -375,66 +348,32 @@ mod tests {
         let on_id = index.feature_by_key(&tree_key(&on)).unwrap();
         assert_eq!(index.tg().get(on_id, gid(1)), 1);
         assert_eq!(index.tg().get(on_id, gid(2)), 0);
+        assert_cells_match_vf2(&index, &graphs, 1);
     }
 
     #[test]
     fn kernel_build_matches_serial_build() {
         let features = [path(&[0, 1]), path(&[0, 1, 2]), path(&[1, 2])];
         let graphs = [path(&[0, 1, 2]), path(&[1, 0, 1]), path(&[0, 1, 2, 1, 0])];
-        let graph_refs: Vec<(GraphId, &LabeledGraph)> = graphs
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (gid(i as u64), g))
-            .collect();
-        let serial = FctIndex::build(
-            features.iter().map(|t| (tree_key(t), t)),
-            graph_refs.iter().copied(),
-        );
-        let csrs: Vec<Csr> = graphs.iter().map(Csr::from_graph).collect();
-        let csr_refs: Vec<(GraphId, &Csr)> = csrs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (gid(i as u64), c))
-            .collect();
-        let kernel = MatchKernel::new();
-        let memoized = FctIndex::build_with(
-            &kernel,
-            features.iter().map(|t| (tree_key(t), t.clone())),
-            &csr_refs,
-        );
-        assert_eq!(serial.feature_count(), memoized.feature_count());
-        for (fid, _) in serial.features() {
-            for &(gid, _) in &graph_refs {
-                assert_eq!(serial.tg().get(fid, gid), memoized.tg().get(fid, gid));
-            }
-        }
+        let views = csrs(&graphs, 0);
+        let index = FctIndex::build(&MatchKernel::new(), keyed(&features), &refs(&views));
+        assert_eq!(index.feature_count(), features.len());
+        assert_cells_match_vf2(&index, &graphs, 0);
     }
 
     #[test]
     fn add_graphs_kernel_matches_serial_columns() {
-        let (mut serial, ..) = setup();
-        let (mut cached, ..) = setup();
+        let (mut index, ..) = setup();
         let news = [path(&[0, 1, 0, 1]), path(&[2, 1, 0])];
-        for (i, g) in news.iter().enumerate() {
-            serial.add_graph(gid(10 + i as u64), g);
-        }
-        let csrs: Vec<Csr> = news.iter().map(Csr::from_graph).collect();
-        let refs: Vec<(GraphId, &Csr)> = csrs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (gid(10 + i as u64), c))
-            .collect();
+        let views = csrs(&news, 10);
         let kernel = MatchKernel::new();
-        cached.add_graphs_kernel(&kernel, &refs);
-        for (fid, _) in serial.features() {
-            for &(gid, _) in &refs {
-                assert_eq!(serial.tg().get(fid, gid), cached.tg().get(fid, gid));
-            }
-        }
+        index.add_graphs_kernel(&kernel, &refs(&views));
+        assert_cells_match_vf2(&index, &news, 10);
         // A second pass is served from the memo and stays identical.
         let before = kernel.cache().stats().misses;
-        cached.add_graphs_kernel(&kernel, &refs);
+        index.add_graphs_kernel(&kernel, &refs(&views));
         assert_eq!(kernel.cache().stats().misses, before);
+        assert_cells_match_vf2(&index, &news, 10);
     }
 
     #[test]
@@ -442,7 +381,8 @@ mod tests {
         let (mut index, ..) = setup();
         let before = index.approx_bytes();
         assert!(before > 0);
-        index.add_graph(gid(9), &path(&[0, 1, 2, 1, 0]));
+        let views = csrs(&[path(&[0, 1, 2, 1, 0])], 9);
+        index.add_graphs_kernel(&MatchKernel::new(), &refs(&views));
         assert!(index.approx_bytes() > before);
     }
 }

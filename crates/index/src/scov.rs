@@ -12,7 +12,6 @@
 use crate::fct_index::{FctIndex, FeatureId};
 use crate::ife_index::IfeIndex;
 use crate::sparse::SparseMatrix;
-use midas_graph::isomorphism::is_subgraph_of;
 use midas_graph::{Csr, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use std::collections::BTreeSet;
 
@@ -73,28 +72,11 @@ pub fn candidate_graphs(
     survivors
 }
 
-/// Computes the exact set of graphs in `universe` containing `pattern`,
-/// using the dominance filter before VF2 verification.
+/// Computes the exact set of graphs in `universe` containing `pattern`:
+/// the dominance filter, then the surviving candidates' CSR views (from
+/// [`GraphDb::csr`]) verified through `kernel` (cached per `(pattern,
+/// GraphId)`, the compiled plan on misses).
 pub fn covered_graphs(
-    fct: &FctIndex,
-    ife: &IfeIndex,
-    db: &GraphDb,
-    pattern: &LabeledGraph,
-    universe: &BTreeSet<GraphId>,
-) -> BTreeSet<GraphId> {
-    let profile = profile_pattern(fct, ife, pattern);
-    candidate_graphs(fct.tg(), ife.eg(), &profile, universe)
-        .into_iter()
-        .filter(|&id| db.get(id).is_some_and(|g| is_subgraph_of(pattern, g)))
-        .collect()
-}
-
-/// Memoized form of [`covered_graphs`]: the dominance filter is
-/// unchanged, the surviving candidates' CSR views (from [`GraphDb::csr`])
-/// are verified through `kernel` (cached per `(pattern, GraphId)`, the
-/// compiled plan on misses). Always returns the same set as
-/// the serial VF2 reference path.
-pub fn covered_graphs_with(
     kernel: &MatchKernel,
     fct: &FctIndex,
     ife: &IfeIndex,
@@ -107,7 +89,7 @@ pub fn covered_graphs_with(
     verify_with(kernel, db, pattern, &survivors)
 }
 
-/// The verification half of [`covered_graphs_with`]: the graphs of
+/// The verification half of [`covered_graphs`]: the graphs of
 /// `survivors` that contain `pattern`, each tested through `kernel` on
 /// its CSR view. Ids the database lacks are dropped.
 pub fn verify_with(
@@ -131,6 +113,7 @@ pub fn verify_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use midas_graph::isomorphism::is_subgraph_of;
     use midas_graph::GraphBuilder;
     use midas_mining::tree_key;
 
@@ -143,13 +126,13 @@ mod tests {
         // DB: G0 = C-O-N-S, G1 = C-O-C, G2 = S-N.
         let db = GraphDb::from_graphs([path(&[0, 1, 2, 3]), path(&[0, 1, 0]), path(&[3, 2])]);
         let features = [path(&[0, 1]), path(&[1, 2])]; // C-O, O-N
-        let feature_refs: Vec<(midas_mining::TreeKey, &LabeledGraph)> =
-            features.iter().map(|t| (tree_key(t), t)).collect();
         let graph_refs: Vec<(GraphId, &LabeledGraph)> =
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+        let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         let fct = FctIndex::build(
-            feature_refs.iter().map(|(k, t)| (k.clone(), *t)),
-            graph_refs.iter().copied(),
+            &MatchKernel::new(),
+            features.iter().map(|t| (tree_key(t), t.clone())),
+            &csrs,
         );
         let ife = IfeIndex::build(
             BTreeSet::from([EdgeLabel::new(2, 3)]), // N-S infrequent
@@ -178,46 +161,55 @@ mod tests {
         assert_eq!(candidates, vec![db.ids().next().unwrap()]);
     }
 
+    /// VF2 over every graph of `universe`, with no dominance filter.
+    fn brute_force(
+        db: &GraphDb,
+        pattern: &LabeledGraph,
+        universe: &BTreeSet<GraphId>,
+    ) -> BTreeSet<GraphId> {
+        universe
+            .iter()
+            .copied()
+            .filter(|&id| is_subgraph_of(pattern, db.get(id).unwrap()))
+            .collect()
+    }
+
+    const PATTERNS: [&[u32]; 5] = [&[0, 1], &[0, 1, 2], &[2, 3], &[0, 1, 0], &[3, 3]];
+
     #[test]
     fn covered_graphs_matches_direct_isomorphism() {
         let (fct, ife, db) = setup();
         let universe: BTreeSet<GraphId> = db.ids().collect();
-        for pattern in [
-            path(&[0, 1]),
-            path(&[0, 1, 2]),
-            path(&[2, 3]),
-            path(&[0, 1, 0]),
-            path(&[3, 3]),
-        ] {
-            let via_index = covered_graphs(&fct, &ife, &db, &pattern, &universe);
-            let direct: BTreeSet<GraphId> = db
-                .iter()
-                .filter(|(_, g)| is_subgraph_of(&pattern, g))
-                .map(|(id, _)| id)
-                .collect();
-            assert_eq!(via_index, direct, "pattern {pattern:?}");
+        let kernel = MatchKernel::new();
+        for pattern in PATTERNS.map(path) {
+            let via_index = covered_graphs(&kernel, &fct, &ife, &db, &pattern, &universe);
+            assert_eq!(
+                via_index,
+                brute_force(&db, &pattern, &universe),
+                "pattern {pattern:?}"
+            );
         }
     }
 
     #[test]
     fn kernel_covered_graphs_matches_serial() {
+        // Every sub-universe, so the filter's survivors are checked against
+        // VF2 over graphs it may not prune.
         let (fct, ife, db) = setup();
-        let universe: BTreeSet<GraphId> = db.ids().collect();
+        let ids: Vec<GraphId> = db.ids().collect();
         let kernel = MatchKernel::new();
-        for pattern in [
-            path(&[0, 1]),
-            path(&[0, 1, 2]),
-            path(&[2, 3]),
-            path(&[0, 1, 0]),
-            path(&[3, 3]),
-        ] {
-            let serial = covered_graphs(&fct, &ife, &db, &pattern, &universe);
-            let cached = covered_graphs_with(&kernel, &fct, &ife, &db, &pattern, &universe);
-            assert_eq!(serial, cached, "pattern {pattern:?}");
-            // Repeat: answered from the memo, still identical.
-            let again = covered_graphs_with(&kernel, &fct, &ife, &db, &pattern, &universe);
-            assert_eq!(serial, again);
+        for mask in 0..1u32 << ids.len() {
+            let universe: BTreeSet<GraphId> = (0..ids.len())
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| ids[i])
+                .collect();
+            for pattern in PATTERNS.map(path) {
+                let want = brute_force(&db, &pattern, &universe);
+                let got = covered_graphs(&kernel, &fct, &ife, &db, &pattern, &universe);
+                assert_eq!(got, want, "pattern {pattern:?}, universe {universe:?}");
+            }
         }
+        // The repeats were answered from the memo.
         assert!(kernel.cache().stats().hits > 0);
     }
 
@@ -233,7 +225,8 @@ mod tests {
         let candidates = candidate_graphs(fct.tg(), ife.eg(), &profile, &universe);
         assert_eq!(candidates, universe.iter().copied().collect::<Vec<_>>());
         // But verification still rejects everything.
-        assert!(covered_graphs(&fct, &ife, &db, &pattern, &universe).is_empty());
+        let kernel = MatchKernel::new();
+        assert!(covered_graphs(&kernel, &fct, &ife, &db, &pattern, &universe).is_empty());
     }
 
     #[test]
@@ -241,14 +234,13 @@ mod tests {
         let (fct, ife, db) = setup();
         let universe: BTreeSet<GraphId> = db.ids().collect();
         let pattern = path(&[0, 1]); // in G0 and G1
+        let kernel = MatchKernel::new();
         assert_eq!(
-            covered_graphs(&fct, &ife, &db, &pattern, &universe),
+            covered_graphs(&kernel, &fct, &ife, &db, &pattern, &universe),
             db.ids().take(2).collect()
         );
         // Restrict the universe to G2 only.
         let small: BTreeSet<GraphId> = db.ids().skip(2).collect();
-        assert!(covered_graphs(&fct, &ife, &db, &pattern, &small).is_empty());
-        let kernel = MatchKernel::new();
-        assert!(covered_graphs_with(&kernel, &fct, &ife, &db, &pattern, &small).is_empty());
+        assert!(covered_graphs(&kernel, &fct, &ife, &db, &pattern, &small).is_empty());
     }
 }

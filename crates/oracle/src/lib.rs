@@ -55,10 +55,10 @@
 //!    sample.
 //! 10. **`index_maintenance`** — the FCT-Index and IFE-Index that
 //!     [`Midas::apply_batch`] maintains over check 2's servebench-scale
-//!     stream vs the VF2 reference builds ([`FctIndex::build`],
-//!     [`IfeIndex::build`]) over the post-batch database: feature keys, TG
-//!     cells keyed by tree key, tracked labels and EG cells must be
-//!     identical after every batch. The stream runs at ε 0.01, and the
+//!     stream vs references over the post-batch database: TG cells counted
+//!     by VF2 ([`reference_tg_cells`]) and [`IfeIndex::build`]. Feature
+//!     keys, TG cells keyed by tree key, tracked labels and EG cells must
+//!     be identical after every batch. The stream runs at ε 0.01, and the
 //!     check fails unless a batch turns major.
 //! 11. **`mccs_vs_reference`** — the bitset MCCS search
 //!     ([`mccs_edges`]) vs its reference twin ([`reference_mccs_edges`])
@@ -105,6 +105,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod reference;
+
+pub use reference::{reference_mccs_edges, reference_promising_candidates, reference_tg_cells};
+
 use midas_catapult::candidates::generate_candidates;
 use midas_catapult::random_walk::random_walks;
 use midas_catapult::score::{
@@ -113,8 +117,7 @@ use midas_catapult::score::{
 use midas_catapult::{select_patterns_with_stats, SelectionConfig, WeightedCsg};
 use midas_cluster::{ClusterConfig, ClusterId, ClusterSet, FeatureSpace};
 use midas_core::candidate_gen::{
-    coverage_state, generate_promising_candidates, reference_promising_candidates, Candidate,
-    Coverage, GenerationParams,
+    coverage_state, generate_promising_candidates, Candidate, Coverage, GenerationParams,
 };
 use midas_core::ks::distributions_similar;
 use midas_core::metrics::ScovContext;
@@ -131,7 +134,7 @@ use midas_graph::exec::{set_fault_for_tests, Fault};
 use midas_graph::ged::{ged_exact, ged_label_lower_bound, ged_tight_lower_bound};
 use midas_graph::graphlets::{count_graphlets, GraphletCounts};
 use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
-use midas_graph::mccs::{mccs_edges, mccs_similarity, reference_mccs_edges};
+use midas_graph::mccs::{mccs_edges, mccs_similarity};
 use midas_graph::plan::{count_embeddings_plan, find_embeddings_plan, is_subgraph_plan};
 use midas_graph::{
     BatchUpdate, CanonicalCode, ClosureGraph, Csr, EdgeLabel, GraphBuilder, GraphDb, GraphId,
@@ -778,10 +781,7 @@ impl Oracle {
             }
             let before: BTreeMap<PatternId, LabeledGraph> =
                 store.iter().map(|(id, p)| (id, p.clone())).collect();
-            let fct = FctIndex::build(
-                std::iter::empty::<(TreeKey, &LabeledGraph)>(),
-                refs.iter().copied(),
-            );
+            let fct = FctIndex::new();
             let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
             let ctx = ScovContext {
                 fct: &fct,
@@ -805,10 +805,7 @@ impl Oracle {
         // Coverage parity: the scoring context (dominance filter + the
         // now-warm kernel memo) must agree with brute-force VF2 coverage
         // on every pattern the swap scored.
-        let fct = FctIndex::build(
-            std::iter::empty::<(TreeKey, &LabeledGraph)>(),
-            refs.iter().copied(),
-        );
+        let fct = FctIndex::new();
         let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
         let ctx = ScovContext {
             fct: &fct,
@@ -1925,10 +1922,7 @@ impl WorldIndices {
         let refs: Vec<(GraphId, &LabeledGraph)> =
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
         WorldIndices {
-            fct: FctIndex::build(
-                std::iter::empty::<(TreeKey, &LabeledGraph)>(),
-                refs.iter().copied(),
-            ),
+            fct: FctIndex::new(),
             ife: IfeIndex::build(BTreeSet::new(), refs.iter().copied()),
             catalog: EdgeCatalog::build(refs.iter().copied()),
             sample: db.ids().collect(),
@@ -2230,11 +2224,12 @@ fn lattice_divergence(
     })
 }
 
-/// How `midas`'s maintained FCT-Index and IFE-Index depart from the VF2
-/// reference builds ([`FctIndex::build`], [`IfeIndex::build`]) over its
-/// current database, or `None` when they agree on the feature keys, every
-/// TG cell (keyed by [`TreeKey`], since feature ids depend on insertion
-/// history), the tracked labels and every EG cell. The expected feature
+/// How `midas`'s maintained FCT-Index and IFE-Index depart from the
+/// references over its current database (TG cells counted by VF2 in
+/// [`reference_tg_cells`], and [`IfeIndex::build`]), or `None` when they
+/// agree on the feature keys, every TG cell (keyed by [`TreeKey`], since
+/// feature ids depend on insertion history), the tracked labels and every
+/// EG cell. The expected feature
 /// sets are recomputed from `fct_state()` the way the framework forms
 /// them: FCTs, then frequent edges, deduplicated by key, with the
 /// infrequent edges tracked by the IFE-Index.
@@ -2254,10 +2249,10 @@ fn index_divergence(midas: &Midas) -> Option<String> {
             let tree = midas_mining::canonical::edge_tree(label.0, label.1);
             (midas_mining::tree_key(&tree), tree)
         });
-    let mut seen = BTreeSet::new();
+    let mut want_keys = BTreeSet::new();
     let features: Vec<(TreeKey, LabeledGraph)> = fct_trees
         .chain(edge_trees)
-        .filter(|(k, _)| seen.insert(k.clone()))
+        .filter(|(k, _)| want_keys.insert(k.clone()))
         .collect();
     let infrequent: BTreeSet<EdgeLabel> = state
         .edges
@@ -2266,25 +2261,18 @@ fn index_divergence(midas: &Midas) -> Option<String> {
         .map(|(label, _)| label)
         .collect();
     let graphs: Vec<(GraphId, &LabeledGraph)> = db.iter().map(|(id, g)| (id, g.as_ref())).collect();
-    let fct = FctIndex::build(
-        features.iter().map(|(k, t)| (k.clone(), t)),
-        graphs.iter().copied(),
-    );
+    let want_tg = reference_tg_cells(&features, graphs.iter().copied());
     let ife = IfeIndex::build(infrequent, graphs.iter().copied());
 
     let (got_fct, got_ife) = (midas.fct_index(), midas.ife_index());
-    let keys = |index: &FctIndex| -> BTreeSet<TreeKey> {
-        index.features().map(|(_, f)| f.key.clone()).collect()
-    };
-    let tg_cells = |index: &FctIndex| -> BTreeMap<(TreeKey, GraphId), u32> {
-        let key: BTreeMap<FeatureId, &TreeKey> =
-            index.features().map(|(id, f)| (id, &f.key)).collect();
-        index
-            .tg()
-            .iter()
-            .map(|(fid, gid, count)| ((key[&fid].clone(), gid), count))
-            .collect()
-    };
+    let key: BTreeMap<FeatureId, &TreeKey> =
+        got_fct.features().map(|(id, f)| (id, &f.key)).collect();
+    let have_keys: BTreeSet<TreeKey> = key.values().map(|&k| k.clone()).collect();
+    let have_tg: BTreeMap<(TreeKey, GraphId), u32> = got_fct
+        .tg()
+        .iter()
+        .map(|(fid, gid, count)| ((key[&fid].clone(), gid), count))
+        .collect();
     let eg_cells = |index: &IfeIndex| -> BTreeMap<(EdgeLabel, GraphId), u32> {
         index
             .eg()
@@ -2292,8 +2280,6 @@ fn index_divergence(midas: &Midas) -> Option<String> {
             .map(|(l, gid, count)| ((l, gid), count))
             .collect()
     };
-    let (want_keys, have_keys) = (keys(&fct), keys(got_fct));
-    let (want_tg, have_tg) = (tg_cells(&fct), tg_cells(got_fct));
     let (want_eg, have_eg) = (eg_cells(&ife), eg_cells(got_ife));
     let mut diffs = Vec::new();
     if want_keys != have_keys {

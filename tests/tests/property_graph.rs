@@ -5,10 +5,12 @@ use midas_graph::canonical::{are_isomorphic, canonical_code};
 use midas_graph::ged::{ged_exact, ged_label_lower_bound, ged_tight_lower_bound};
 use midas_graph::graphlets::{count_graphlets, count_graphlets_brute_force};
 use midas_graph::isomorphism::{count_embeddings, count_embeddings_brute_force, is_subgraph_of};
-use midas_graph::mccs::{mccs_edges, mccs_similarity, reference_mccs_edges};
+use midas_graph::mccs::{mccs_edges, mccs_similarity};
 use midas_graph::LabeledGraph;
+use midas_oracle::reference_mccs_edges;
 use midas_tests::{
-    connected_graph_sized, connected_graph_strategy, permutation_strategy, permute, tree_strategy,
+    connected_graph_sized, connected_graph_strategy, path, permutation_strategy, permute,
+    tree_strategy,
 };
 use proptest::prelude::*;
 
@@ -184,6 +186,29 @@ fn permutation_strategy_smoke() {
     let mut perm = tree.current();
     perm.sort_unstable();
     assert_eq!(perm, vec![0, 1, 2, 3, 4]);
+}
+
+/// Two- and three-word rows (130 and 150 vertices), capped and not: the
+/// bitset search returns the reference's `edges` and `exact`.
+#[test]
+fn wide_rows_match_the_reference() {
+    let ring = |n: u32, labels: u32| {
+        let mut g = path(&(0..n).map(|i| i % labels).collect::<Vec<_>>());
+        g.add_edge(0, n - 1);
+        g.add_edge(0, n / 2);
+        g
+    };
+    let (a, b) = (ring(130, 3), ring(150, 2));
+    let small = path(&[0, 1, 0, 1, 0]);
+    for (x, y) in [(&a, &b), (&b, &a), (&small, &b), (&a, &a)] {
+        for budget in [0, 1, 7, 300] {
+            assert_eq!(
+                mccs_edges(x, y, budget),
+                reference_mccs_edges(x, y, budget),
+                "budget {budget}"
+            );
+        }
+    }
 }
 
 /// MCCS test pairs: both graphs wide (65–100 vertices), one wide, or both

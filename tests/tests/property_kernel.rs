@@ -3,10 +3,13 @@
 //! across insert/delete invalidation, and the signature prefilter must
 //! never reject a true embedding.
 
+use midas_catapult::score::{set_measures, set_quality, SetQuality};
 use midas_graph::isomorphism::{count_embeddings, is_subgraph_of, GraphSignature};
-use midas_graph::{CachedPattern, Csr, GraphDb, GraphId, LabeledGraph, MatchKernel};
-use midas_index::scov::{covered_graphs, covered_graphs_with};
+use midas_graph::{CachedPattern, Csr, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
+use midas_index::scov::covered_graphs;
 use midas_index::{FctIndex, IfeIndex};
+use midas_mining::canonical::edge_tree;
+use midas_mining::tree_key;
 use midas_tests::connected_graph_strategy;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -119,8 +122,11 @@ proptest! {
         );
     }
 
-    /// Index-accelerated coverage through the kernel equals the serial
-    /// uncached path, before and after a batch update.
+    /// Index-accelerated coverage through the kernel equals VF2 over the
+    /// whole universe with no dominance filter, before and after a batch
+    /// update. The indices hold every edge of the database as a feature
+    /// and track every edge label, so the filter prunes and its soundness
+    /// is under test.
     #[test]
     fn covered_graphs_kernel_matches_serial_across_updates(
         initial in proptest::collection::vec(connected_graph_strategy(6, 3), 3..7),
@@ -129,38 +135,34 @@ proptest! {
     ) {
         let mut db = GraphDb::from_graphs(initial);
         let kernel = MatchKernel::new();
-
-        let build = |db: &GraphDb| {
+        let check = |db: &GraphDb| -> Result<(), TestCaseError> {
             let refs = db_refs(db);
-            let fct = FctIndex::build(
-                std::iter::empty::<(midas_mining::TreeKey, &LabeledGraph)>(),
-                refs.iter().copied(),
-            );
-            let ife = IfeIndex::build(
-                BTreeSet::new(),
-                refs.iter().copied(),
-            );
-            (fct, ife)
+            let labels: BTreeSet<EdgeLabel> = refs.iter().flat_map(|(_, g)| g.edge_labels()).collect();
+            let edges = labels.iter().map(|l| {
+                let tree = edge_tree(l.0, l.1);
+                (tree_key(&tree), tree)
+            });
+            let fct = FctIndex::build(&kernel, edges, &csr_refs(db));
+            let ife = IfeIndex::build(labels, refs.iter().copied());
+            let universe: BTreeSet<GraphId> = db.ids().collect();
+            let want: BTreeSet<GraphId> = refs
+                .iter()
+                .filter(|(_, g)| is_subgraph_of(&pattern, g))
+                .map(|&(id, _)| id)
+                .collect();
+            prop_assert_eq!(covered_graphs(&kernel, &fct, &ife, db, &pattern, &universe), want);
+            Ok(())
         };
-
-        let (fct, ife) = build(&db);
-        let universe: BTreeSet<GraphId> = db.ids().collect();
-        let serial = covered_graphs(&fct, &ife, &db, &pattern, &universe);
-        let cached = covered_graphs_with(&kernel, &fct, &ife, &db, &pattern, &universe);
-        prop_assert_eq!(serial, cached);
-
+        check(&db)?;
         let (inserted, deleted) = db.apply(midas_graph::BatchUpdate::insert_only(added));
         for &id in deleted.iter().chain(&inserted) {
             kernel.invalidate_graph(id);
         }
-        let (fct, ife) = build(&db);
-        let universe: BTreeSet<GraphId> = db.ids().collect();
-        let serial = covered_graphs(&fct, &ife, &db, &pattern, &universe);
-        let cached = covered_graphs_with(&kernel, &fct, &ife, &db, &pattern, &universe);
-        prop_assert_eq!(serial, cached);
+        check(&db)?;
     }
 
-    /// Set quality through the kernel equals the serial computation.
+    /// Set quality through the kernel equals VF2 coverage over the whole
+    /// universe, with the same label, diversity and cognitive measures.
     #[test]
     fn set_quality_kernel_matches_serial(
         graphs in proptest::collection::vec(connected_graph_strategy(6, 3), 2..6),
@@ -169,10 +171,18 @@ proptest! {
         let db = GraphDb::from_graphs(graphs);
         let catalog = midas_mining::EdgeCatalog::build(db_refs(&db).into_iter());
         let universe: BTreeSet<GraphId> = db.ids().collect();
-        let kernel = MatchKernel::new();
-        let serial = midas_catapult::score::set_quality(&patterns, &db, &catalog, &universe);
-        let cached =
-            midas_catapult::score::set_quality_with(&kernel, &patterns, &db, &catalog, &universe);
-        prop_assert_eq!(serial, cached);
+        let covered = db_refs(&db)
+            .iter()
+            .filter(|(_, g)| patterns.iter().any(|p| is_subgraph_of(p, g)))
+            .count();
+        let measures = set_measures(&patterns, &catalog, &universe);
+        let want = SetQuality {
+            scov: covered as f64 / universe.len() as f64,
+            lcov: measures.lcov,
+            div: measures.div,
+            cog: measures.cog,
+        };
+        let got = set_quality(&MatchKernel::new(), &patterns, &db, &catalog, &universe);
+        prop_assert_eq!(got, want);
     }
 }

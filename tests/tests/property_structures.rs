@@ -2,12 +2,13 @@
 //! maintenance §4.4), the index matrices (§5.1), and the swap guarantees
 //! (§6.2).
 
+use midas_catapult::score::set_quality;
 use midas_core::candidate_gen::{coverage_state, Candidate};
 use midas_core::metrics::ScovContext;
 use midas_core::patterns::PatternStore;
 use midas_core::swap::{multi_scan_swap, SwapParams};
 use midas_graph::isomorphism::count_embeddings;
-use midas_graph::{ClosureGraph, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
+use midas_graph::{ClosureGraph, Csr, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::scov::{candidate_graphs, profile_pattern, PatternProfile};
 use midas_index::{FctIndex, FeatureId, IfeIndex, SparseMatrix, EMBED_CAP};
 use midas_mining::EdgeCatalog;
@@ -84,17 +85,13 @@ proptest! {
     ) {
         // Only tree-shaped features are meaningful; skip others.
         prop_assume!(midas_mining::canonical::is_tree(&feature));
-        let refs: Vec<(GraphId, &LabeledGraph)> = graphs
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (GraphId(i as u64), g))
-            .collect();
-        let mut index = FctIndex::build(
-            [(midas_mining::tree_key(&feature), &feature)],
-            refs.iter().copied(),
-        );
+        let db = GraphDb::from_graphs(graphs);
+        let kernel = MatchKernel::new();
+        let key = midas_mining::tree_key(&feature);
+        let mut index = FctIndex::build(&kernel, [(key, feature)], &db.csrs().collect::<Vec<_>>());
         let before: Vec<_> = index.tg().iter().collect::<Vec<_>>();
-        index.add_graph(GraphId(999), &newcomer);
+        let newcomer = Csr::from_graph(&newcomer);
+        index.add_graphs_kernel(&kernel, &[(GraphId(999), &newcomer)]);
         index.remove_graph(GraphId(999));
         let after: Vec<_> = index.tg().iter().collect::<Vec<_>>();
         prop_assert_eq!(before, after);
@@ -109,23 +106,17 @@ proptest! {
         graphs in proptest::collection::vec(connected_graph_strategy(6, 3), 1..5),
         pattern in connected_graph_strategy(6, 3),
     ) {
-        let refs: Vec<(GraphId, &LabeledGraph)> = graphs
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (GraphId(i as u64), g))
-            .collect();
-        let fct = FctIndex::build(
-            trees
-                .iter()
-                .filter(|t| t.edge_count() > 0)
-                .map(|t| (midas_mining::tree_key(t), t)),
-            refs.iter().copied(),
-        );
         let tracked: BTreeSet<EdgeLabel> = graphs.iter().flat_map(|g| g.edge_labels()).collect();
-        let ife = IfeIndex::build(
-            tracked,
-            refs.iter().copied(),
+        let db = GraphDb::from_graphs(graphs);
+        let fct = FctIndex::build(
+            &MatchKernel::new(),
+            trees
+                .into_iter()
+                .filter(|t| t.edge_count() > 0)
+                .map(|t| (midas_mining::tree_key(&t), t)),
+            &db.csrs().collect::<Vec<_>>(),
         );
+        let ife = IfeIndex::build(tracked, db.iter().map(|(id, g)| (id, g.as_ref())));
 
         let fct_counts = fct.pattern_counts(&pattern);
         let vf2: Vec<(FeatureId, u32)> = fct
@@ -213,10 +204,7 @@ proptest! {
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
         let catalog = EdgeCatalog::build(refs.iter().copied());
         let sample: BTreeSet<GraphId> = db.ids().collect();
-        let fct = FctIndex::build(
-            std::iter::empty::<(midas_mining::TreeKey, &LabeledGraph)>(),
-            refs.iter().copied(),
-        );
+        let fct = FctIndex::new();
         let ife = IfeIndex::build(
             BTreeSet::new(),
             refs.iter().copied(),
@@ -234,11 +222,15 @@ proptest! {
             catalog: &catalog,
             kernel: &MatchKernel::new(),
         };
-        let before = midas_core::quality_of(&store.graphs(), &db, &catalog, &sample);
+        let kernel = MatchKernel::new();
+        let quality = |store: &PatternStore| {
+            set_quality(&kernel, &store.graphs(), &db, &catalog, &sample)
+        };
+        let before = quality(&store);
         let coverage = coverage_state(&store, &ctx);
         let candidates = Candidate::scored(&ctx, candidates);
         multi_scan_swap(&mut store, candidates, &coverage, &ctx, &SwapParams::default());
-        let after = midas_core::quality_of(&store.graphs(), &db, &catalog, &sample);
+        let after = quality(&store);
         prop_assert!(after.scov >= before.scov - 1e-9, "sw1: {} -> {}", before.scov, after.scov);
         prop_assert!(after.div >= before.div - 1e-9, "sw3: {} -> {}", before.div, after.div);
         prop_assert!(after.cog <= before.cog + 1e-9, "sw4: {} -> {}", before.cog, after.cog);
@@ -256,10 +248,7 @@ proptest! {
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
         let catalog = EdgeCatalog::build(refs.iter().copied());
         let sample: BTreeSet<GraphId> = db.ids().collect();
-        let fct = FctIndex::build(
-            std::iter::empty::<(midas_mining::TreeKey, &LabeledGraph)>(),
-            refs.iter().copied(),
-        );
+        let fct = FctIndex::new();
         let ife = IfeIndex::build(
             BTreeSet::new(),
             refs.iter().copied(),

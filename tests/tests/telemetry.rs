@@ -8,9 +8,10 @@
 
 use midas_core::framework::{MaintenanceReport, Midas, ModificationKind};
 use midas_core::query_log::QueryLog;
-use midas_graph::{BatchUpdate, GraphBuilder, GraphId, LabeledGraph};
+use midas_graph::{BatchUpdate, GraphBuilder, GraphId, LabeledGraph, MatchKernel};
 use midas_obs::{json, MetricsSnapshot, TelemetryConfig};
 use midas_tests::{exclusive, path, seed_db, test_config};
+use std::collections::BTreeSet;
 
 fn dense_wave() -> Vec<LabeledGraph> {
     let brick = GraphBuilder::new()
@@ -318,8 +319,8 @@ fn fine_clustering_splits_report_their_span_and_memo_counters() {
 }
 
 /// VF2 is the reference matcher: no production path may run it. Over a
-/// bootstrap, a major, a minor and a deletion batch, formulation and
-/// query-log weighting, the VF2 search counter stays at zero while the
+/// bootstrap, a major, a minor and a deletion batch, formulation,
+/// query-log weighting and set quality, the VF2 search counter stays at zero while the
 /// plan matcher's rises.
 #[test]
 fn production_matching_runs_on_the_plan_matcher_only() {
@@ -359,5 +360,11 @@ fn production_matching_runs_on_the_plan_matcher_only() {
         log.weight(p);
     }
     step("QueryLog::weight");
+    // Set quality as the experiment harnesses compute it, on a cold
+    // kernel so that the containment scan searches.
+    let universe: BTreeSet<GraphId> = midas.db().ids().collect();
+    let (kernel, catalog) = (MatchKernel::new(), &midas.fct_state().edges);
+    midas_catapult::score::set_quality(&kernel, &patterns, midas.db(), catalog, &universe);
+    step("score::set_quality");
     TelemetryConfig::default().activate();
 }
