@@ -342,12 +342,11 @@ fn main() {
         "  \"speedups\": {{\n    \"matrix_build_parallel_cached\": {build_cached_speedup:.2},\n    \"matrix_build_plan_serial\": {plan_build_speedup:.2},\n    \"apply_batch_repeat_cached\": {batch_repeat_speedup:.2},\n    \"apply_batch_plan_serial\": {plan_batch_speedup:.2}\n  }},\n"
     ));
     json.push_str(&format!(
-        "  \"telemetry\": {{\n    \"disabled_probe_ns\": {probe_ns:.2},\n    \"cache_hit_rate\": {hit_rate:.4},\n    \"prefilter_reject_rate\": {prefilter_reject_rate:.4},\n    \"vf2_search_p50_ns\": {vf2_search_p50_ns},\n    \"vf2_search_p99_ns\": {vf2_search_p99_ns},\n    \"cache_hits\": {},\n    \"cache_misses\": {},\n    \"prefilter_rejects\": {prefilter_rejects},\n    \"vf2_nodes\": {},\n    \"plan_search_p50_ns\": {plan_search_p50_ns},\n    \"plan_search_p99_ns\": {plan_search_p99_ns},\n    \"plan_compile_p50_ns\": {plan_compile_p50_ns},\n    \"plan_compiles\": {},\n    \"plan_cache_hits\": {},\n    \"plan_searches\": {},\n    \"plan_intersections\": {},\n    \"plan_candidates_pruned\": {},\n    \"plan_prefilter_rejects\": {}\n  }}\n",
+        "  \"telemetry\": {{\n    \"disabled_probe_ns\": {probe_ns:.2},\n    \"cache_hit_rate\": {hit_rate:.4},\n    \"prefilter_reject_rate\": {prefilter_reject_rate:.4},\n    \"vf2_search_p50_ns\": {vf2_search_p50_ns},\n    \"vf2_search_p99_ns\": {vf2_search_p99_ns},\n    \"cache_hits\": {},\n    \"cache_misses\": {},\n    \"prefilter_rejects\": {prefilter_rejects},\n    \"vf2_nodes\": {},\n    \"plan_search_p50_ns\": {plan_search_p50_ns},\n    \"plan_search_p99_ns\": {plan_search_p99_ns},\n    \"plan_compile_p50_ns\": {plan_compile_p50_ns},\n    \"plan_compiles\": {},\n    \"plan_searches\": {},\n    \"plan_intersections\": {},\n    \"plan_candidates_pruned\": {},\n    \"plan_prefilter_rejects\": {}\n  }}\n",
         cache_stats.hits,
         cache_stats.misses,
         telemetry.counter("vf2.nodes"),
         plan_telemetry.counter("plan.compiles"),
-        plan_telemetry.counter("plan.cache_hits"),
         plan_telemetry.counter("plan.searches"),
         plan_telemetry.counter("plan.intersections"),
         plan_telemetry.counter("plan.candidates_pruned"),

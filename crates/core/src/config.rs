@@ -130,6 +130,15 @@ impl MidasConfig {
         }
     }
 
+    /// The swap parameters implied by this config.
+    pub fn swap(&self) -> crate::swap::SwapParams {
+        crate::swap::SwapParams {
+            kappa: self.kappa,
+            lambda: self.lambda,
+            ks_alpha: self.ks_alpha,
+        }
+    }
+
     /// The clustering configuration implied by this config.
     pub fn clustering(&self) -> midas_cluster::ClusterConfig {
         midas_cluster::ClusterConfig {
@@ -164,11 +173,14 @@ mod tests {
             sup_min: 0.3,
             max_tree_edges: 5,
             seed: 42,
+            lambda: 0.2,
             ..MidasConfig::default()
         };
         assert!((c.mining().sup_min - 0.3).abs() < 1e-12);
         assert_eq!(c.mining().max_edges, 5);
         assert_eq!(c.selection().seed, 42);
         assert_eq!(c.clustering().seed, 42);
+        let swap = c.swap();
+        assert_eq!((swap.kappa, swap.lambda, swap.ks_alpha), (0.1, 0.2, 0.05));
     }
 }

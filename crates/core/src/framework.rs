@@ -37,7 +37,7 @@ use crate::monitor::{classify, GraphletMonitor, Modification};
 use crate::patterns::{PatternId, PatternStore};
 use crate::published::{PatternSnapshot, Published};
 use crate::sampling::sample_database;
-use crate::swap::{multi_scan_swap, SwapParams};
+use crate::swap::multi_scan_swap;
 use midas_catapult::score::SetQuality;
 use midas_catapult::{select_patterns, WeightedCsg};
 use midas_cluster::{ClusterSet, FeatureSpace};
@@ -466,12 +466,7 @@ impl Midas {
                             candidates,
                             &state,
                             &ctx,
-                            &SwapParams {
-                                kappa: self.config.kappa,
-                                lambda: self.config.lambda,
-                                ks_alpha: self.config.ks_alpha,
-                                ..SwapParams::default()
-                            },
+                            &self.config.swap(),
                         );
                         midas_obs::counter_add!("swap.verified", outcome.verified as u64);
                         outcome.swaps

@@ -59,7 +59,6 @@ pub mod metrics;
 pub mod monitor;
 pub mod patterns;
 pub mod published;
-pub mod query_log;
 pub mod sampling;
 pub mod swap;
 

@@ -1,10 +1,11 @@
-//! Scoring context and pattern-set quality metrics.
+//! The scoring context.
 //!
 //! [`ScovContext`] bundles everything needed to evaluate subgraph coverage
 //! the MIDAS way: the FCT/IFE indices for dominance filtering (§6.1) and
-//! the lazy sample `D_s` that bounds the cost.
+//! the lazy sample `D_s` that bounds the cost. `scov` is read from covered
+//! counts ([`ScovContext::scov_of`]) that candidate generation computes
+//! once and the swap carries.
 
-use midas_catapult::score::{diversity, lcov_pattern, pattern_score, PatternScoreParts};
 use midas_graph::{GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::scov::{candidate_graphs, covered_graphs, profile_pattern, verify_with};
 use midas_index::{FctIndex, IfeIndex};
@@ -56,31 +57,13 @@ impl ScovContext<'_> {
         verify_with(self.kernel, self.db, pattern, survivors)
     }
 
-    /// `scov(p, D_s) = |G_p ∩ D_s| / |D_s|`.
-    pub fn scov(&self, pattern: &LabeledGraph) -> f64 {
-        self.scov_of(self.covered(pattern).len())
-    }
-
-    /// `scov` from an already computed covered count `|G_p ∩ D_s|`; 0 on
-    /// an empty sample.
+    /// `scov(p, D_s) = |G_p ∩ D_s| / |D_s|` from the covered count
+    /// `|G_p ∩ D_s|`; 0 on an empty sample.
     pub fn scov_of(&self, covered: usize) -> f64 {
         if self.sample.is_empty() {
             return 0.0;
         }
         covered as f64 / self.sample.len() as f64
-    }
-
-    /// The MIDAS pattern score `s'_p = scov × lcov × div / cog` (§6.1),
-    /// with diversity measured against `others`. Every part is recomputed,
-    /// coverage included; [`crate::swap`] scores from carried covered
-    /// counts instead.
-    pub fn midas_score(&self, pattern: &LabeledGraph, others: &[LabeledGraph]) -> f64 {
-        pattern_score(PatternScoreParts {
-            coverage: self.scov(pattern),
-            lcov: lcov_pattern(pattern, self.catalog, self.db.len()),
-            div: diversity(pattern, others),
-            cog: pattern.cognitive_load(),
-        })
     }
 }
 
@@ -131,31 +114,14 @@ mod tests {
             catalog: &w.catalog,
             kernel: &MatchKernel::new(),
         };
-        assert!((ctx.scov(&path(&[0, 1])) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(ctx.scov(&path(&[7, 7])), 0.0);
+        let scov = |ctx: &ScovContext<'_>, p: &LabeledGraph| ctx.scov_of(ctx.covered(p).len());
+        assert!((scov(&ctx, &path(&[0, 1])) - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(scov(&ctx, &path(&[7, 7])), 0.0);
         let empty = BTreeSet::new();
         let ctx2 = ScovContext {
             sample: &empty,
             ..ctx
         };
-        assert_eq!(ctx2.scov(&path(&[0, 1])), 0.0);
-    }
-
-    #[test]
-    fn midas_score_is_positive_for_covered_patterns() {
-        let w = world();
-        let sample: BTreeSet<GraphId> = w.db.ids().collect();
-        let ctx = ScovContext {
-            fct: &w.fct,
-            ife: &w.ife,
-            db: &w.db,
-            sample: &sample,
-            catalog: &w.catalog,
-            kernel: &MatchKernel::new(),
-        };
-        let s = ctx.midas_score(&path(&[0, 1]), &[path(&[3, 4])]);
-        assert!(s > 0.0);
-        // Uncovered pattern scores zero via the coverage factor.
-        assert_eq!(ctx.midas_score(&path(&[7, 7]), &[]), 0.0);
+        assert_eq!(scov(&ctx2, &path(&[0, 1])), 0.0);
     }
 }

@@ -1,6 +1,8 @@
-//! The canned pattern store: isomorphism-deduplicated membership under
-//! stable [`PatternId`]s, which the swap step reports and keys its carried
-//! coverage by.
+//! The canned pattern store: membership deduplicated by canonical code
+//! under stable [`PatternId`]s, which the swap step reports and keys its
+//! carried coverage by. Each pattern's code is computed once, on insert,
+//! and [`PatternStore::contains_code`] is the store's one isomorphism
+//! test.
 
 use midas_graph::canonical::canonical_code;
 use midas_graph::{CanonicalCode, LabeledGraph};
@@ -65,13 +67,8 @@ impl PatternStore {
         self.patterns.get(&id).map(|(g, _)| g)
     }
 
-    /// Whether an isomorphic pattern is present.
-    pub fn contains_isomorphic(&self, pattern: &LabeledGraph) -> bool {
-        self.contains_code(&canonical_code(pattern))
-    }
-
-    /// Whether a pattern of canonical code `code` is present — for callers
-    /// that already hold the code.
+    /// Whether a pattern of canonical code `code` is present: the store's
+    /// one isomorphism test.
     pub fn contains_code(&self, code: &CanonicalCode) -> bool {
         self.patterns.values().any(|(_, c)| c == code)
     }
@@ -132,7 +129,7 @@ mod tests {
         // Same path written backwards.
         assert!(store.insert(path(&[2, 1, 0])).is_none());
         assert_eq!(store.len(), 1);
-        assert!(store.contains_isomorphic(&path(&[0, 1, 2])));
+        assert!(store.contains_code(&canonical_code(&path(&[0, 1, 2]))));
     }
 
     #[test]

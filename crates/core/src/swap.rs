@@ -16,14 +16,18 @@
 //! to `σ_t = 0.25 / (1 − σ_{t−1})`, stopping once `σ ≥ 0.5`, candidates run
 //! out, or a scan makes no swap. The first scan uses the configured `κ`.
 //!
+//! The swap is query-log oblivious, as the paper's framework is (§3.5): a
+//! score depends on the database and the pattern set alone, and sw3–sw5
+//! compare the set measures of `P` and `P'` with no extra margin.
+//!
 //! Swap decides against a read-only [`ScovContext`] and mutates only the
 //! [`PatternStore`]: the indices hold graph-side rows only, so no index
 //! state follows the pattern set.
 //!
 //! Every measure is read from tables built once per call. Only `div` in
 //! `s'_p = scov × lcov × div / cog` depends on the current set, so `scov`
-//! (from the covered counts carried in), `lcov`, `cog` and the log weight
-//! form one `ScoreRow` per pattern and candidate. Diversity and sw3's
+//! (from the covered counts carried in), `lcov` and `cog` form one
+//! `ScoreRow` per pattern and candidate. Diversity and sw3's
 //! `f_div` are minima over one table of `ged_tight_lower_bound`s: one per
 //! ordered pair of patterns, and each candidate's bounds to and from every
 //! pattern. A swap adds one pattern, so it adds one pair per remaining
@@ -46,7 +50,6 @@ use crate::candidate_gen::{Candidate, CoverageState};
 use crate::ks::distributions_similar;
 use crate::metrics::ScovContext;
 use crate::patterns::{PatternId, PatternStore};
-use crate::query_log::QueryLog;
 use midas_catapult::score::{pattern_score, PatternScoreParts, SetMeasures};
 use midas_graph::ged::ged_tight_lower_bound;
 use midas_graph::LabeledGraph;
@@ -62,27 +65,15 @@ pub struct SwapParams {
     pub lambda: f64,
     /// KS significance level for the size-distribution guard.
     pub ks_alpha: f64,
-    /// Optional stricter user requirement on diversity (§6.2):
-    /// `f_div(P') ≥ (1 + α₁) · f_div(P)`. Zero recovers sw3.
-    pub alpha_div: f64,
-    /// Optional stricter requirement on cognitive load:
-    /// `f_cog(P) · (1 + α₂) ≥ f_cog(P')`. Zero recovers sw4.
-    pub alpha_cog: f64,
-    /// Optional stricter requirement on label coverage:
-    /// `f_lcov(P') ≥ (1 + α₃) · f_lcov(P)`. Zero recovers sw5.
-    pub alpha_lcov: f64,
 }
 
 impl Default for SwapParams {
-    /// Paper defaults: `κ = λ = 0.1`, KS at 5%, no extra α requirements.
+    /// Paper defaults: `κ = λ = 0.1`, KS at 5%.
     fn default() -> Self {
         SwapParams {
             kappa: 0.1,
             lambda: 0.1,
             ks_alpha: 0.05,
-            alpha_div: 0.0,
-            alpha_cog: 0.0,
-            alpha_lcov: 0.0,
         }
     }
 }
@@ -101,13 +92,12 @@ pub struct SwapOutcome {
 }
 
 /// The set-independent parts of a pattern's score: everything in `s'_p`
-/// but `div`, the query-log weight, and the label bits behind `lcov`.
+/// but `div`, and the label bits behind `lcov`.
 #[derive(Debug, Clone)]
 struct ScoreRow {
     scov: f64,
     lcov: f64,
     cog: f64,
-    weight: f64,
     /// The database graphs holding at least one of the pattern's edge
     /// labels: the union `lcov_pattern` counts.
     labels: GraphSet,
@@ -119,7 +109,6 @@ impl ScoreRow {
         bounds: &mut Bounds<'_>,
         pattern: &LabeledGraph,
         covered: usize,
-        log: Option<&QueryLog>,
     ) -> Self {
         let labels = pattern
             .edge_labels()
@@ -128,19 +117,18 @@ impl ScoreRow {
             scov: ctx.scov_of(covered),
             lcov: labels.len() as f64 / ctx.db.len().max(1) as f64,
             cog: pattern.cognitive_load(),
-            weight: log.map_or(1.0, |l| l.weight(pattern)),
             labels,
         }
     }
 
-    /// The (log-weighted) `s'_p` at diversity `div`.
+    /// `s'_p` at diversity `div`.
     fn score(&self, div: f64) -> f64 {
         pattern_score(PatternScoreParts {
             coverage: self.scov,
             lcov: self.lcov,
             div,
             cog: self.cog,
-        }) * self.weight
+        })
     }
 }
 
@@ -249,7 +237,6 @@ impl Table {
         candidates: Vec<Candidate>,
         coverage: &CoverageState,
         ctx: &ScovContext<'_>,
-        log: Option<&QueryLog>,
     ) -> (Table, Vec<Pooled>) {
         // The catalog is the database's, so every row fits this universe.
         let mut bounds = Bounds::new(ctx.catalog, ctx.db.ids().collect());
@@ -263,7 +250,7 @@ impl Table {
                         .covered
                         .get(&id)
                         .expect("the coverage state is the store's");
-                    ScoreRow::new(ctx, &mut bounds, p, covered, log)
+                    ScoreRow::new(ctx, &mut bounds, p, covered)
                 })
                 .collect(),
             bounds: patterns
@@ -290,7 +277,7 @@ impl Table {
             .into_iter()
             .enumerate()
             .map(|(index, c)| Pooled {
-                row: ScoreRow::new(ctx, &mut bounds, &c.graph, c.bound(), log),
+                row: ScoreRow::new(ctx, &mut bounds, &c.graph, c.bound()),
                 to: patterns
                     .iter()
                     .map(|&(_, p)| ged_tight_lower_bound(&c.graph, p))
@@ -395,27 +382,12 @@ pub fn multi_scan_swap(
     ctx: &ScovContext<'_>,
     params: &SwapParams,
 ) -> SwapOutcome {
-    multi_scan_swap_weighted(store, candidates, coverage, ctx, params, None)
-}
-
-/// The query-log-aware variant (§3.5's extension): pattern and candidate
-/// scores are multiplied by their log weight, biasing swaps toward
-/// structures users actually formulate. `log = None` is the log-oblivious
-/// default.
-pub fn multi_scan_swap_weighted(
-    store: &mut PatternStore,
-    candidates: Vec<Candidate>,
-    coverage: &CoverageState,
-    ctx: &ScovContext<'_>,
-    params: &SwapParams,
-    log: Option<&QueryLog>,
-) -> SwapOutcome {
     let mut outcome = SwapOutcome::default();
     if candidates.is_empty() || store.is_empty() {
         return outcome;
     }
     // The pool holds the remaining candidates across scans.
-    let (mut table, mut pool) = Table::new(store, candidates, coverage, ctx, log);
+    let (mut table, mut pool) = Table::new(store, candidates, coverage, ctx);
     let mut m_before = table.measures(None);
     let mut sigma = 0.25f64;
     let mut kappa = params.kappa;
@@ -469,9 +441,9 @@ pub fn multi_scan_swap_weighted(
             // sw3–sw5 and the KS guard on the hypothetical P'.
             examined += 1;
             let m_after = table.measures(Some((victim, &candidate)));
-            let sw3 = m_after.div >= (1.0 + params.alpha_div) * m_before.div;
-            let sw4 = m_before.cog * (1.0 + params.alpha_cog) >= m_after.cog;
-            let sw5 = m_after.lcov >= (1.0 + params.alpha_lcov) * m_before.lcov;
+            let sw3 = m_after.div >= m_before.div;
+            let sw4 = m_before.cog >= m_after.cog;
+            let sw5 = m_after.lcov >= m_before.lcov;
             let victim_size = store.get(victim_id).expect("live pattern").edge_count();
             let sizes_before = store.sizes();
             let mut sizes_after = sizes_before.clone();
@@ -583,25 +555,20 @@ mod tests {
         }
     }
 
-    fn params() -> SwapParams {
-        SwapParams {
-            kappa: 0.1,
-            lambda: 0.1,
-            ks_alpha: 0.05,
-            ..Default::default()
-        }
-    }
-
     /// Scores `graphs` and the store through `ctx`, then swaps.
     fn swap(
         store: &mut PatternStore,
         graphs: Vec<LabeledGraph>,
         ctx: &ScovContext<'_>,
-        log: Option<&QueryLog>,
     ) -> SwapOutcome {
         let coverage = crate::candidate_gen::coverage_state(store, ctx);
         let candidates = Candidate::scored(ctx, graphs);
-        multi_scan_swap_weighted(store, candidates, &coverage, ctx, &params(), log)
+        multi_scan_swap(store, candidates, &coverage, ctx, &SwapParams::default())
+    }
+
+    /// Whether the store holds a pattern isomorphic to `pattern`.
+    fn holds(store: &PatternStore, pattern: &LabeledGraph) -> bool {
+        store.contains_code(&canonical_code(pattern))
     }
 
     /// The table and pool the swap starts from.
@@ -611,7 +578,7 @@ mod tests {
         ctx: &ScovContext<'_>,
     ) -> (Table, Vec<Pooled>) {
         let coverage = crate::candidate_gen::coverage_state(store, ctx);
-        Table::new(store, Candidate::scored(ctx, graphs), &coverage, ctx, None)
+        Table::new(store, Candidate::scored(ctx, graphs), &coverage, ctx)
     }
 
     /// `set_measures` on an explicit set, over the context's sample.
@@ -637,10 +604,10 @@ mod tests {
         assert_eq!(ranked[0].0, ranked[1].0, "tied scores");
         assert_eq!([ranked[0].1, ranked[1].1], [first, second]);
         // The first of the tied patterns is the one swapped out.
-        let outcome = swap(&mut store, vec![path(&[7, 7, 7])], &ctx, None);
+        let outcome = swap(&mut store, vec![path(&[7, 7, 7])], &ctx);
         assert_eq!(outcome.replaced.len(), 1);
         assert_eq!(outcome.replaced[0].0, first);
-        assert!(store.contains_isomorphic(&path(&[3, 4, 5])));
+        assert!(holds(&store, &path(&[3, 4, 5])));
     }
 
     #[test]
@@ -710,10 +677,10 @@ mod tests {
         let mut store = PatternStore::new();
         store.insert(path(&[0, 1, 2])).unwrap();
         let ctx = w.ctx();
-        let outcome = swap(&mut store, vec![path(&[3, 3, 3])], &ctx, None);
+        let outcome = swap(&mut store, vec![path(&[3, 3, 3])], &ctx);
         assert_eq!(outcome.swaps, 1);
         assert_eq!(store.len(), 1);
-        assert!(store.contains_isomorphic(&path(&[3, 3, 3])));
+        assert!(holds(&store, &path(&[3, 3, 3])));
     }
 
     #[test]
@@ -730,12 +697,7 @@ mod tests {
             set_quality(&w.kernel, &store.graphs(), &w.db, &w.catalog, &w.sample)
         };
         let before = quality(&store);
-        swap(
-            &mut store,
-            vec![path(&[3, 3, 3]), path(&[3, 3])],
-            &ctx,
-            None,
-        );
+        swap(&mut store, vec![path(&[3, 3, 3]), path(&[3, 3])], &ctx);
         let after = quality(&store);
         assert!(after.scov >= before.scov, "sw1 guarantees coverage gain");
         assert!(after.div >= before.div, "sw3");
@@ -751,9 +713,9 @@ mod tests {
         store.insert(path(&[0, 1, 2])).unwrap();
         let ctx = w.ctx();
         // Candidate covering nothing.
-        let outcome = swap(&mut store, vec![path(&[7, 7, 7])], &ctx, None);
+        let outcome = swap(&mut store, vec![path(&[7, 7, 7])], &ctx);
         assert_eq!(outcome.swaps, 0);
-        assert!(store.contains_isomorphic(&path(&[0, 1, 2])));
+        assert!(holds(&store, &path(&[0, 1, 2])));
     }
 
     #[test]
@@ -761,39 +723,11 @@ mod tests {
         let w = world(vec![path(&[0, 1])]);
         let mut store = PatternStore::new();
         let ctx = w.ctx();
-        let outcome = swap(&mut store, vec![path(&[0, 1])], &ctx, None);
+        let outcome = swap(&mut store, vec![path(&[0, 1])], &ctx);
         assert_eq!(outcome.swaps, 0, "empty store: nothing to swap");
         store.insert(path(&[0, 1])).unwrap();
-        let outcome2 = swap(&mut store, vec![], &ctx, None);
+        let outcome2 = swap(&mut store, vec![], &ctx);
         assert_eq!(outcome2.swaps, 0, "no candidates: nothing to do");
-    }
-
-    #[test]
-    fn query_log_weighting_changes_priorities() {
-        // Two candidates with similar coverage; the log favours one.
-        let mut graphs = vec![path(&[0, 1, 2])];
-        graphs.extend(vec![path(&[3, 3, 3]); 4]);
-        graphs.extend(vec![path(&[4, 4, 4]); 4]);
-        let w = world(graphs);
-        let mut store = PatternStore::new();
-        store.insert(path(&[0, 1, 2])).unwrap();
-        let ctx = w.ctx();
-        let mut log = QueryLog::new(16);
-        for _ in 0..5 {
-            log.record(path(&[4, 4, 4, 4]));
-        }
-        let outcome = swap(
-            &mut store,
-            vec![path(&[3, 3, 3]), path(&[4, 4, 4])],
-            &ctx,
-            Some(&log),
-        );
-        assert!(outcome.swaps >= 1);
-        // The single slot must have gone to the logged family.
-        assert!(
-            store.contains_isomorphic(&path(&[4, 4, 4])),
-            "log-weighted swap should prefer the formulated family"
-        );
     }
 
     #[test]
@@ -821,9 +755,15 @@ mod tests {
         );
         let misses = || w.kernel.cache().stats().misses;
         let before = misses();
-        let outcome = multi_scan_swap(&mut store, candidates, &coverage, &ctx, &params());
+        let outcome = multi_scan_swap(
+            &mut store,
+            candidates,
+            &coverage,
+            &ctx,
+            &SwapParams::default(),
+        );
         assert_eq!((outcome.swaps, outcome.scans, outcome.verified), (1, 2, 1));
-        assert!(store.contains_isomorphic(&path(&[3, 3, 3])));
+        assert!(holds(&store, &path(&[3, 3, 3])));
         assert_eq!(misses() - before, 5, "only S-S-S's survivors were verified");
     }
 
@@ -927,7 +867,7 @@ mod tests {
             prop_assume!(!grown.is_empty());
             let params = SwapParams {
                 lambda: 0.1 * lambda as f64,
-                ..params()
+                ..SwapParams::default()
             };
             let run = |make: fn(&ScovContext<'_>, Vec<LabeledGraph>) -> Vec<Candidate>| {
                 let w = tracking(graphs.clone(), track);

@@ -45,27 +45,28 @@
 //!
 //! The memo stores counts only. Misses run the pattern's compiled plan
 //! over the CSR view the caller borrows from [`crate::db::GraphDb::csr`],
-//! so the database owns the only CSR of each graph.
+//! so the database owns the only CSR of each graph. The plan belongs to
+//! the [`CachedPattern`]: compiled on its first miss and dropped with it,
+//! never shared through process-wide state.
 
 use crate::canonical::{canonical_code, CanonicalCode};
 use crate::csr::Csr;
 use crate::db::GraphId;
 use crate::fasthash::FxHashMap;
 use crate::graph::LabeledGraph;
-use crate::plan;
+use crate::plan::MatchPlan;
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A pattern prepared for cached matching: the graph plus its canonical
-/// key, computed once.
+/// key, computed once, and its match plan, compiled on the first memo
+/// miss.
 #[derive(Debug, Clone)]
 pub struct CachedPattern {
     graph: Arc<LabeledGraph>,
     key: CanonicalCode,
     fingerprint: u64,
-    /// Pattern-local memo of the compiled plan, so the per-probe cost is
-    /// one atomic load instead of a global-cache round trip.
-    plan: std::sync::OnceLock<Arc<crate::plan::MatchPlan>>,
+    plan: OnceLock<MatchPlan>,
 }
 
 impl CachedPattern {
@@ -82,7 +83,7 @@ impl CachedPattern {
             graph: Arc::new(pattern.clone()),
             key,
             fingerprint,
-            plan: std::sync::OnceLock::new(),
+            plan: OnceLock::new(),
         }
     }
 
@@ -102,18 +103,10 @@ impl CachedPattern {
         &self.key
     }
 
-    /// The pattern's compiled match plan, compiled at most once per
-    /// canonical class per process (via [`plan::cached_plan`]) and then
-    /// pinned in this instance, so repeat probes skip the global cache.
-    pub fn plan(&self) -> std::sync::Arc<crate::plan::MatchPlan> {
-        self.plan_ref().clone()
-    }
-
-    /// Borrowing twin of [`Self::plan`] for hot loops — no refcount
-    /// traffic.
-    pub fn plan_ref(&self) -> &std::sync::Arc<crate::plan::MatchPlan> {
-        self.plan
-            .get_or_init(|| plan::cached_plan(&self.key, &self.graph))
+    /// The pattern's match plan, compiled from this pattern on first use
+    /// and kept for the instance's lifetime.
+    pub fn plan(&self) -> &MatchPlan {
+        self.plan.get_or_init(|| MatchPlan::compile(&self.graph))
     }
 }
 
@@ -145,7 +138,7 @@ impl StoredCount {
 fn compute_miss(pattern: &CachedPattern, id: GraphId, target: &Csr, cap: u64) -> u64 {
     let _ctx =
         midas_obs::enabled().then(|| midas_obs::exemplar::with_context(pattern.fingerprint, id.0));
-    pattern.plan_ref().count_embeddings(target, cap)
+    pattern.plan().count_embeddings(target, cap)
 }
 
 /// Everything memoized about one data graph.
@@ -269,7 +262,7 @@ impl EmbeddingCache {
         cap: u64,
     ) -> u64 {
         let mut out = [0];
-        self.fill(std::slice::from_ref(pattern), id, target, cap, &mut out);
+        self.fill(&[pattern], id, target, cap, &mut out);
         out[0]
     }
 
@@ -278,7 +271,7 @@ impl EmbeddingCache {
     /// [`Self::count_embeddings`] call per pattern.
     pub fn count_embeddings_many(
         &self,
-        patterns: &[CachedPattern],
+        patterns: &[&CachedPattern],
         id: GraphId,
         target: &Csr,
         cap: u64,
@@ -294,7 +287,7 @@ impl EmbeddingCache {
     /// memoizes the fresh counts.
     fn fill(
         &self,
-        patterns: &[CachedPattern],
+        patterns: &[&CachedPattern],
         id: GraphId,
         target: &Csr,
         cap: u64,
@@ -323,7 +316,7 @@ impl EmbeddingCache {
             return;
         }
         for &i in &gaps {
-            out[i] = compute_miss(&patterns[i], id, target, cap);
+            out[i] = compute_miss(patterns[i], id, target, cap);
         }
         let misses = gaps.len() as u64;
         let mut map = self.map.borrow_mut();
@@ -332,7 +325,7 @@ impl EmbeddingCache {
         let mut inserted = 0u64;
         for &i in &gaps {
             let stored = StoredCount { cap, count: out[i] };
-            inserted += u64::from(entry.store(&patterns[i], stored));
+            inserted += u64::from(entry.store(patterns[i], stored));
         }
         self.record(|s| {
             s.misses += misses;
@@ -384,6 +377,11 @@ mod tests {
             .edge(1, 2)
             .edge(0, 2)
             .build()
+    }
+
+    /// The batch form the memo takes: one reference per pattern.
+    fn refs(patterns: &[CachedPattern]) -> Vec<&CachedPattern> {
+        patterns.iter().collect()
     }
 
     /// `after - before`, field by field.
@@ -554,13 +552,13 @@ mod tests {
         let id = GraphId(3);
         // Partially warm the memo, then batch over everything.
         cache.count_embeddings(&patterns[0], id, &t, 64);
-        let batch = cache.count_embeddings_many(&patterns, id, &t, 64);
+        let batch = cache.count_embeddings_many(&refs(&patterns), id, &t, 64);
         for (p, &got) in patterns.iter().zip(&batch) {
             assert_eq!(got, count_embeddings(p.graph(), &g, 64));
         }
         // Second batch: all hits, no new misses.
         let misses = cache.stats().misses;
-        let again = cache.count_embeddings_many(&patterns, id, &t, 64);
+        let again = cache.count_embeddings_many(&refs(&patterns), id, &t, 64);
         assert_eq!(again, batch);
         assert_eq!(cache.stats().misses, misses);
     }
@@ -576,10 +574,7 @@ mod tests {
         let id = GraphId(11);
         assert_eq!(cache.count_embeddings(&p, id, &t, 64), 6);
         assert_eq!(cache.stats().misses, 1);
-        assert_eq!(
-            cache.count_embeddings_many(std::slice::from_ref(&p), id, &t, 64),
-            vec![6]
-        );
+        assert_eq!(cache.count_embeddings_many(&[&p], id, &t, 64), vec![6]);
         assert!(cache.is_subgraph(&p, id, &t));
         assert_eq!(cache.stats().hits, 2);
         // The cold batched route equals the serial VF2 reference,
@@ -588,7 +583,7 @@ mod tests {
             .iter()
             .map(CachedPattern::new)
             .collect();
-        let batch = cache.count_embeddings_many(&patterns, GraphId(12), &t, 64);
+        let batch = cache.count_embeddings_many(&refs(&patterns), GraphId(12), &t, 64);
         for (p, &got) in patterns.iter().zip(&batch) {
             assert_eq!(got, count_embeddings(p.graph(), &g, 64));
         }
@@ -614,7 +609,7 @@ mod tests {
             .collect();
         for entry_point in ["count_embeddings", "count_embeddings_many", "is_subgraph"] {
             assert_eq!(
-                cache.count_embeddings_many(&patterns, id, &old, 64),
+                cache.count_embeddings_many(&refs(&patterns), id, &old, 64),
                 vec![6, 6]
             );
             cache.invalidate_graph(id);
@@ -624,7 +619,9 @@ mod tests {
                     .iter()
                     .map(|p| cache.count_embeddings(p, id, &new, 64))
                     .collect(),
-                "count_embeddings_many" => cache.count_embeddings_many(&patterns, id, &new, 64),
+                "count_embeddings_many" => {
+                    cache.count_embeddings_many(&refs(&patterns), id, &new, 64)
+                }
                 _ => patterns
                     .iter()
                     .map(|p| u64::from(cache.is_subgraph(p, id, &new)))
@@ -636,7 +633,7 @@ mod tests {
             // The rows stored now are the new graph's exact zeros, served
             // on repeat at any cap.
             assert_eq!(
-                cache.count_embeddings_many(&patterns, id, &new, 64),
+                cache.count_embeddings_many(&refs(&patterns), id, &new, 64),
                 vec![0, 0]
             );
             assert_eq!(delta(before, cache.stats()).hits, 2, "{entry_point}");

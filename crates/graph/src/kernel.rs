@@ -104,7 +104,7 @@ impl MatchKernel {
     /// One task per graph (the long axis in matrix maintenance).
     pub fn count_grid(
         &self,
-        patterns: &[CachedPattern],
+        patterns: &[&CachedPattern],
         graphs: &[(GraphId, &Csr)],
         cap: u64,
     ) -> Vec<Vec<u64>> {
@@ -166,7 +166,7 @@ mod tests {
             .iter()
             .map(|p| kernel.prepare(p))
             .collect();
-        let grid = kernel.count_grid(&patterns, &refs, 64);
+        let grid = kernel.count_grid(&patterns.iter().collect::<Vec<_>>(), &refs, 64);
         for (i, (_, g)) in db.iter().enumerate() {
             for (j, p) in patterns.iter().enumerate() {
                 assert_eq!(grid[i][j], count_embeddings(p.graph(), g, 64));

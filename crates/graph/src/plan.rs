@@ -19,13 +19,11 @@
 //! * **early exit** — the embedding visitor returns [`Control`], so
 //!   boolean coverage queries stop at the first embedding.
 //!
-//! Plans are memoized globally by [`CanonicalCode`] ([`cached_plan`]):
-//! isomorphic patterns — common, since candidates come from random walks
-//! on many CSGs — compile once per process. Counts and containment are
-//! isomorphism-invariant, so a cached plan compiled from a different
-//! representative of the same class is sound for those queries; callers
-//! that need embeddings *in their own vertex numbering* compile privately
-//! ([`MatchPlan::compile`]).
+//! A plan belongs to the pattern it was compiled from: a prepared
+//! pattern ([`crate::CachedPattern`]) compiles its own on its first memo
+//! miss, and an FCT-Index feature row keeps its prepared pattern for the
+//! row's lifetime. No plan is shared across patterns, tenants or kernels,
+//! so the matching path holds no lock.
 //!
 //! Semantics are pinned to the VF2 reference: same non-induced
 //! monomorphism definition, same saturating caps, and the same embeddings
@@ -33,13 +31,11 @@
 //! rule). The differential oracle's `plan_vs_vf2` check and the workspace
 //! property tests enforce this.
 
-use crate::canonical::CanonicalCode;
 use crate::csr::Csr;
-use crate::fasthash::FxHashMap;
 use crate::graph::{LabeledGraph, VertexId};
 use crate::isomorphism::Control;
 use crate::labels::LabelId;
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::OnceLock;
 
 /// One level of a compiled plan: the pattern vertex bound at this depth
 /// and the static filters its candidates must pass.
@@ -764,64 +760,32 @@ fn intersect_in_place(buf: &mut Vec<VertexId>, other: &[VertexId]) {
     buf.truncate(write);
 }
 
-/// The global plan memo, keyed by canonical pattern code.
-fn plan_cache() -> &'static RwLock<FxHashMap<CanonicalCode, Arc<MatchPlan>>> {
-    static CACHE: OnceLock<RwLock<FxHashMap<CanonicalCode, Arc<MatchPlan>>>> = OnceLock::new();
-    CACHE.get_or_init(|| RwLock::new(FxHashMap::default()))
-}
-
-/// Returns the memoized plan for `key`, compiling from `pattern` on first
-/// sight. A batch that matches the same (or an isomorphic) pattern against
-/// thousands of graphs compiles exactly once per process.
-///
-/// The returned plan may have been compiled from a *different* isomorphic
-/// representative, so its embeddings are numbered in that representative's
-/// vertex ids — counts and containment are isomorphism-invariant and
-/// always sound; callers needing embeddings in their own numbering should
-/// use [`MatchPlan::compile`] directly.
-pub fn cached_plan(key: &CanonicalCode, pattern: &LabeledGraph) -> Arc<MatchPlan> {
-    if let Some(plan) = plan_cache()
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(key)
-    {
-        midas_obs::counter_add!("plan.cache_hits", 1);
-        return Arc::clone(plan);
-    }
-    let plan = Arc::new(MatchPlan::compile(pattern));
-    let mut cache = plan_cache().write().unwrap_or_else(PoisonError::into_inner);
-    // First compile wins a compile race; both are equivalent.
-    Arc::clone(cache.entry(key.clone()).or_insert(plan))
-}
-
-/// Counts embeddings of `pattern` in `target` through a freshly compiled
-/// plan — the uncached convenience twin of
-/// [`crate::isomorphism::count_embeddings`].
-pub fn count_embeddings_plan(pattern: &LabeledGraph, target: &LabeledGraph, cap: u64) -> u64 {
-    MatchPlan::compile(pattern).count_embeddings(&Csr::from_graph(target), cap)
-}
-
-/// Whether `pattern ⊆ target` through a freshly compiled plan.
-pub fn is_subgraph_plan(pattern: &LabeledGraph, target: &LabeledGraph) -> bool {
-    MatchPlan::compile(pattern).is_subgraph_of(&Csr::from_graph(target))
-}
-
-/// Collects up to `limit` embeddings through a freshly compiled plan, in
-/// `pattern`'s own vertex numbering.
-pub fn find_embeddings_plan(
-    pattern: &LabeledGraph,
-    target: &LabeledGraph,
-    limit: usize,
-) -> Vec<Vec<VertexId>> {
-    MatchPlan::compile(pattern).find_embeddings(&Csr::from_graph(target), limit)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::canonical::canonical_code;
     use crate::graph::GraphBuilder;
     use crate::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
+
+    /// Counts embeddings of `pattern` in `target` through a freshly
+    /// compiled plan.
+    fn count_embeddings_plan(pattern: &LabeledGraph, target: &LabeledGraph, cap: u64) -> u64 {
+        MatchPlan::compile(pattern).count_embeddings(&Csr::from_graph(target), cap)
+    }
+
+    /// Whether `pattern ⊆ target` through a freshly compiled plan.
+    fn is_subgraph_plan(pattern: &LabeledGraph, target: &LabeledGraph) -> bool {
+        MatchPlan::compile(pattern).is_subgraph_of(&Csr::from_graph(target))
+    }
+
+    /// Up to `limit` embeddings through a freshly compiled plan, in
+    /// `pattern`'s own vertex numbering.
+    fn find_embeddings_plan(
+        pattern: &LabeledGraph,
+        target: &LabeledGraph,
+        limit: usize,
+    ) -> Vec<Vec<VertexId>> {
+        MatchPlan::compile(pattern).find_embeddings(&Csr::from_graph(target), limit)
+    }
 
     fn path(labels: &[u32]) -> LabeledGraph {
         let vs: Vec<u32> = (0..labels.len() as u32).collect();
@@ -1071,28 +1035,6 @@ mod tests {
         assert_eq!(plan.count_embeddings(&t, u64::MAX), 6);
         assert_eq!(plan.find_embeddings(&t, 3).len(), 3);
         assert!(plan.find_embeddings(&t, 0).is_empty());
-    }
-
-    #[test]
-    fn cached_plan_compiles_once_per_canonical_class() {
-        // Two isomorphic paths under different vertex numberings share one
-        // cached plan.
-        let a = path(&[0, 1, 0]);
-        let b = GraphBuilder::new()
-            .vertices(&[0, 0, 1])
-            .edge(0, 2)
-            .edge(1, 2)
-            .build();
-        let (ka, kb) = (canonical_code(&a), canonical_code(&b));
-        assert_eq!(ka, kb);
-        let pa = cached_plan(&ka, &a);
-        let pb = cached_plan(&kb, &b);
-        assert!(Arc::ptr_eq(&pa, &pb), "isomorphic patterns share a plan");
-        let t = Csr::from_graph(&path(&[0, 1, 0, 1, 0]));
-        assert_eq!(
-            pb.count_embeddings(&t, u64::MAX),
-            count_embeddings(&b, &path(&[0, 1, 0, 1, 0]), u64::MAX)
-        );
     }
 
     #[test]

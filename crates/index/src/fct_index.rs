@@ -10,7 +10,7 @@
 use crate::sparse::SparseMatrix;
 use crate::trie::Trie;
 use crate::EMBED_CAP;
-use midas_graph::{CachedPattern, Csr, GraphId, LabeledGraph, MatchKernel, MatchPlan};
+use midas_graph::{CachedPattern, Csr, GraphId, LabeledGraph, MatchKernel};
 use midas_mining::TreeKey;
 use std::collections::BTreeMap;
 
@@ -18,22 +18,22 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FeatureId(pub u32);
 
-/// One indexed feature: its canonical key and its tree structure.
+/// One indexed feature: its canonical key and its tree, prepared once
+/// when the row is created. Later batches count the row's TG cells
+/// through that prepared pattern and [`FctIndex::pattern_counts`] runs
+/// its plan, so neither its canonical code nor its plan is recomputed
+/// per batch.
 #[derive(Debug, Clone)]
 pub struct Feature {
     /// Canonical string key (also the trie path).
     pub key: TreeKey,
-    /// The feature tree (frequent edges are 2-vertex trees).
-    pub tree: LabeledGraph,
-    /// The tree's match plan, compiled once when the row is created and
-    /// run by [`FctIndex::pattern_counts`].
-    plan: MatchPlan,
+    pattern: CachedPattern,
 }
 
 impl Feature {
-    fn new(key: TreeKey, tree: LabeledGraph) -> Self {
-        let plan = MatchPlan::compile(&tree);
-        Feature { key, tree, plan }
+    /// The feature tree (frequent edges are 2-vertex trees).
+    pub fn tree(&self) -> &LabeledGraph {
+        self.pattern.graph()
     }
 }
 
@@ -71,7 +71,7 @@ impl FctIndex {
         let mut index = Self::new();
         for (key, tree) in features {
             if index.trie.lookup(key.tokens()).is_none() {
-                index.push_feature(key, tree);
+                index.push_feature(key, kernel.prepare(&tree));
             }
         }
         index.tg = SparseMatrix::from_triples(index.count_columns(kernel, graphs));
@@ -79,11 +79,11 @@ impl FctIndex {
     }
 
     /// Registers a row for a key the trie does not hold yet.
-    fn push_feature(&mut self, key: TreeKey, tree: LabeledGraph) -> FeatureId {
+    fn push_feature(&mut self, key: TreeKey, pattern: CachedPattern) -> FeatureId {
         let id = FeatureId(self.next_feature);
         self.next_feature += 1;
         self.trie.insert(key.tokens(), id);
-        self.features.insert(id, Feature::new(key, tree));
+        self.features.insert(id, Feature { key, pattern });
         id
     }
 
@@ -98,10 +98,10 @@ impl FctIndex {
         if graphs.is_empty() || self.features.is_empty() {
             return Vec::new();
         }
-        let (ids, cached): (Vec<FeatureId>, Vec<CachedPattern>) = self
+        let (ids, cached): (Vec<FeatureId>, Vec<&CachedPattern>) = self
             .features
             .iter()
-            .map(|(&fid, f)| (fid, kernel.prepare(&f.tree)))
+            .map(|(&fid, f)| (fid, &f.pattern))
             .unzip();
         let grid = kernel.count_grid(&cached, graphs, EMBED_CAP);
         graphs
@@ -158,13 +158,13 @@ impl FctIndex {
     /// [`EMBED_CAP`]: non-zero entries only, in feature-id order. This is
     /// the pattern's TP-matrix column of Def. 5.1, computed on demand, and
     /// the FCT half of its [`crate::scov::PatternProfile`]. The pattern's
-    /// CSR is built once and each feature's compiled plan runs over it.
+    /// CSR is built once and each feature's plan runs over it.
     pub fn pattern_counts(&self, pattern: &LabeledGraph) -> Vec<(FeatureId, u32)> {
         let target = Csr::from_graph(pattern);
         self.features
             .iter()
             .filter_map(|(&fid, feature)| {
-                let count = feature.plan.count_embeddings(&target, EMBED_CAP) as u32;
+                let count = feature.pattern.plan().count_embeddings(&target, EMBED_CAP) as u32;
                 (count > 0).then_some((fid, count))
             })
             .collect()
@@ -206,7 +206,7 @@ impl FctIndex {
                 continue;
             }
             let graph_counts = kernel.count_in_graphs(tree, graphs, EMBED_CAP);
-            let id = self.push_feature(key.clone(), (*tree).clone());
+            let id = self.push_feature(key.clone(), kernel.prepare(tree));
             for (&(gid, _), count) in graphs.iter().zip(graph_counts) {
                 self.tg.set(id, gid, count as u32);
             }
@@ -258,7 +258,7 @@ mod tests {
     fn assert_cells_match_vf2(index: &FctIndex, graphs: &[LabeledGraph], first: u64) {
         for (fid, feature) in index.features() {
             for (i, g) in graphs.iter().enumerate() {
-                let want = count_embeddings(&feature.tree, g, EMBED_CAP) as u32;
+                let want = count_embeddings(feature.tree(), g, EMBED_CAP) as u32;
                 assert_eq!(index.tg().get(fid, gid(first + i as u64)), want);
             }
         }

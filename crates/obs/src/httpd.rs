@@ -929,6 +929,51 @@ pub(crate) mod tests {
         server.shutdown();
     }
 
+    /// A body that ends before its declared length, because the client
+    /// half-closed, is answered 400 rather than handed to the handler.
+    #[test]
+    fn body_shorter_than_content_length_is_400() {
+        let server = echo_server(2);
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let raw = format!(
+            "POST /echo HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}",
+            "x".repeat(10)
+        );
+        stream.write_all(raw.as_bytes()).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut out = String::new();
+        stream.read_to_string(&mut out).expect("read response");
+        assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+        assert!(out.contains("body shorter than content-length"), "{out}");
+        server.shutdown();
+    }
+
+    /// A client that drops its socket mid-body frees the only worker: a
+    /// fresh request behind it is answered well within `IO_TIMEOUT`.
+    #[test]
+    fn client_dropping_mid_body_does_not_hold_the_worker() {
+        let server = echo_server(1);
+        let addr = server.addr();
+        {
+            let mut dropped = TcpStream::connect(addr).expect("connect");
+            let raw = format!(
+                "POST /echo HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}",
+                "x".repeat(10)
+            );
+            dropped.write_all(raw.as_bytes()).unwrap();
+            std::thread::sleep(Duration::from_millis(100)); // the worker reads the body
+        }
+        let begin = Instant::now();
+        let out = get(addr, "/ping");
+        let waited = begin.elapsed();
+        assert!(out.contains("pong"), "{out}");
+        assert!(
+            waited < IO_TIMEOUT,
+            "a fresh request waited {waited:?} behind a dropped mid-body client"
+        );
+        server.shutdown();
+    }
+
     #[test]
     fn clean_eof_is_dropped_and_server_survives() {
         let server = echo_server(2);

@@ -45,14 +45,15 @@
 //! 9. **`swap_score_cache`** — the production swap, which scores from
 //!    tables of GED bounds and label bitsets built once per call, vs an
 //!    oracle-local copy of the re-scoring loop it replaced: identical
-//!    swaps, scans, `replaced` pairs and final sets, query-log weighting
-//!    included, on small worlds (with verified and with unverified
-//!    candidates) and after the major batches of two [`Midas`] streams
+//!    swaps, scans, `replaced` pairs and final sets on small worlds (with
+//!    verified and with unverified candidates; one world's second swap
+//!    fails sw5 only against the set measures refreshed after its first)
+//!    and after the major batches of two [`Midas`] streams
 //!    (check 10's servebench-scale one and a carried-coverage one), whose
 //!    candidates reach the swap unverified; and on those carried-coverage
 //!    batches every count [`Candidate::verify`] and `coverage_state` give
-//!    is the `scov` that `ScovContext::scov` computes, also over an empty
-//!    sample.
+//!    is the `scov` recomputed through the dominance filter, also over an
+//!    empty sample.
 //! 10. **`index_maintenance`** — the FCT-Index and IFE-Index that
 //!     [`Midas::apply_batch`] maintains over check 2's servebench-scale
 //!     stream vs references over the post-batch database: TG cells counted
@@ -107,6 +108,8 @@
 
 mod reference;
 
+use reference::{reference_pattern_score, reference_scov};
+
 pub use reference::{reference_mccs_edges, reference_promising_candidates, reference_tg_cells};
 
 use midas_catapult::candidates::generate_candidates;
@@ -122,8 +125,7 @@ use midas_core::candidate_gen::{
 use midas_core::ks::distributions_similar;
 use midas_core::metrics::ScovContext;
 use midas_core::monitor::GraphletMonitor;
-use midas_core::query_log::QueryLog;
-use midas_core::swap::{multi_scan_swap, multi_scan_swap_weighted, SwapOutcome, SwapParams};
+use midas_core::swap::{multi_scan_swap, SwapOutcome, SwapParams};
 use midas_core::{Midas, MidasConfig, ModificationKind, PatternId, PatternStore};
 use midas_datagen::updates::{boronic_ester_family, deletion_percent, growth_percent};
 use midas_datagen::{
@@ -135,10 +137,9 @@ use midas_graph::ged::{ged_exact, ged_label_lower_bound, ged_tight_lower_bound};
 use midas_graph::graphlets::{count_graphlets, GraphletCounts};
 use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
 use midas_graph::mccs::{mccs_edges, mccs_similarity};
-use midas_graph::plan::{count_embeddings_plan, find_embeddings_plan, is_subgraph_plan};
 use midas_graph::{
     BatchUpdate, CanonicalCode, ClosureGraph, Csr, EdgeLabel, GraphBuilder, GraphDb, GraphId,
-    LabeledGraph, MatchKernel,
+    LabeledGraph, MatchKernel, MatchPlan,
 };
 use midas_index::{FctIndex, FeatureId, IfeIndex};
 use midas_mining::incremental::FctState;
@@ -719,7 +720,6 @@ impl Oracle {
             db: GraphDb::from_graphs(synthetic),
             initial: vec![path(&[0, 1, 2])],
             candidates: vec![path(&[3, 3, 3])],
-            log: None,
         }];
         // World B: a messier generated world — parity and monotonicity
         // under realistic molecules.
@@ -749,7 +749,6 @@ impl Oracle {
                 db,
                 initial,
                 candidates,
-                log: None,
             });
         }
         worlds
@@ -817,7 +816,7 @@ impl Oracle {
         };
         for (i, p) in initial.iter().chain(&candidates).enumerate() {
             cases += 1;
-            let (want, got) = (brute_scov(p, &db, &sample), ctx.scov(p));
+            let (want, got) = (brute_scov(p, &db, &sample), reference_scov(&ctx, p));
             if want != got {
                 out.push(Divergence {
                     check: "multi_scan_swap",
@@ -1249,22 +1248,22 @@ impl Oracle {
 
     /// Check 9: the production swap, which scores from tables built once
     /// per call, against [`rescoring_swap`], a copy of the loop it
-    /// replaced that re-scores through `ctx.midas_score` every scan and
-    /// recomputes `set_measures` per candidate. Swaps, scans, `replaced`
-    /// pairs and the final set must be identical on check 5's worlds plus
-    /// one query-log-weighted world, with the candidates scored up front
-    /// and with them filtered only. They must also be identical after
-    /// every major batch of check 10's servebench-scale stream and of the
-    /// carried-coverage stream below, on the store the batch started from
-    /// and candidates generated from every cluster's CSG, which reach the
-    /// swap unverified.
+    /// replaced that re-scores through [`reference_pattern_score`] every scan
+    /// and recomputes `set_measures` per candidate. Swaps, scans,
+    /// `replaced` pairs and the final set must be identical on check 5's
+    /// worlds plus a refreshed-measures one, with the candidates scored up
+    /// front and with them filtered only. They must also be identical
+    /// after every major batch of check 10's servebench-scale stream and of
+    /// the carried-coverage stream below, on the store the batch started
+    /// from and candidates generated from every cluster's CSG, which reach
+    /// the swap unverified.
     ///
     /// On a bootstrapped [`Midas`]'s major batches, every candidate's
     /// covered count as [`Candidate::verify`] gives it, and every
     /// pattern's count in the
     /// [`midas_core::candidate_gen::CoverageState`], must give the `scov`
-    /// that `ctx.scov` computes — also over an empty sample, where both
-    /// are 0.
+    /// that [`reference_scov`] recomputes — also over an empty sample,
+    /// where both are 0.
     fn check_swap_score_cache(&self, out: &mut Vec<Divergence>) -> usize {
         let mut cases = 0;
         for w in &self.score_cache_worlds() {
@@ -1272,14 +1271,13 @@ impl Oracle {
             let ctx = indices.ctx(&w.db);
             let store = PatternStore::from_patterns(w.initial.iter().cloned());
             let params = SwapParams::default();
-            let log = w.log.as_ref();
             for (kind, candidates) in [
                 ("scored", Candidate::scored(&ctx, w.candidates.clone())),
                 ("filtered", Candidate::filtered(&ctx, w.candidates.clone())),
             ] {
                 cases += 1;
                 let case = format!("{}: {kind} table swap vs re-scoring loop", w.name);
-                out.extend(swap_divergence(case, &store, candidates, &ctx, &params, log).1);
+                out.extend(swap_divergence(case, &store, candidates, &ctx, &params).1);
             }
         }
         cases + self.carried_coverage(out) + self.swaps_on_major_batches(out)
@@ -1378,44 +1376,33 @@ impl Oracle {
                 &config.generation(),
                 &mut rng,
             );
-            let params = SwapParams {
-                kappa: config.kappa,
-                lambda: config.lambda,
-                ks_alpha: config.ks_alpha,
-                ..SwapParams::default()
-            };
             cases += 1;
             let case = format!("{name} major batch {step}: table swap vs re-scoring loop");
-            let (made, divergence) = swap_divergence(case, &store, candidates, &ctx, &params, None);
+            let (made, divergence) =
+                swap_divergence(case, &store, candidates, &ctx, &config.swap());
             swaps += made;
             out.extend(divergence);
         }
         (cases, swaps)
     }
 
-    /// Check 5's swap worlds plus check 9's query-log-weighted one.
+    /// Check 5's swap worlds plus check 9's refreshed-measures one.
     fn score_cache_worlds(&self) -> Vec<SwapWorld> {
         let mut worlds = self.swap_worlds();
-        // The log lifts the smaller S-family over the larger one, so the
-        // first swap replaces the coverage-free pattern with it. The second
-        // candidate then fails sw5 against C-O-N, whose edge labels reach
-        // the C-O and O-N graphs: only the set measures refreshed after
-        // the first swap reject it.
+        // The larger S-family replaces the coverage-free pattern first.
+        // The smaller one then fails sw5 against C-O-N, whose edge labels
+        // reach the C-O and O-N graphs: only the set measures refreshed
+        // after the first swap reject it.
         let mut graphs = vec![path(&[0, 1, 2])];
         graphs.extend(vec![path(&[0, 1]); 3]);
         graphs.extend(vec![path(&[1, 2]); 3]);
         graphs.extend(vec![path(&[3, 3, 3]); 5]);
         graphs.extend(vec![path(&[4, 4, 4]); 4]);
-        let mut log = QueryLog::new(16);
-        for _ in 0..5 {
-            log.record(path(&[4, 4, 4, 4]));
-        }
         worlds.push(SwapWorld {
-            name: "log-weighted",
+            name: "refreshed-measures",
             db: GraphDb::from_graphs(graphs),
             initial: vec![path(&[0, 1, 2]), path(&[5, 5, 5])],
             candidates: vec![path(&[3, 3, 3]), path(&[4, 4, 4])],
-            log: Some(log),
         });
         worlds
     }
@@ -1482,12 +1469,12 @@ impl Oracle {
                     );
                 for (i, (side, graph, covered)) in carried.enumerate() {
                     cases += 1;
-                    let (want, got) = (ctx.scov(graph), ctx.scov_of(covered));
+                    let (want, got) = (reference_scov(&ctx, graph), ctx.scov_of(covered));
                     let empty_nonzero = sample.is_empty() && (want != 0.0 || got != 0.0);
                     if want != got || empty_nonzero {
                         out.push(score_cache_divergence(
                             format!("step {step}, {label}: {side} {i} carried scov"),
-                            format!("{want:.6} (ctx.scov)"),
+                            format!("{want:.6} (recomputed)"),
                             format!("{got:.6} (carried count {covered})"),
                         ));
                     }
@@ -1954,14 +1941,12 @@ type SwapRunResult = (
     PatternStore,
 );
 
-/// A swap world: database, initial patterns, candidates and an optional
-/// query log.
+/// A swap world: database, initial patterns and candidates.
 struct SwapWorld {
     name: &'static str,
     db: GraphDb,
     initial: Vec<LabeledGraph>,
     candidates: Vec<LabeledGraph>,
-    log: Option<QueryLog>,
 }
 
 /// Runs the production swap and [`rescoring_swap`] on clones of `store`.
@@ -1973,14 +1958,13 @@ fn swap_divergence(
     candidates: Vec<Candidate>,
     ctx: &ScovContext<'_>,
     params: &SwapParams,
-    log: Option<&QueryLog>,
 ) -> (usize, Option<Divergence>) {
     let graphs = candidates.iter().map(|c| c.graph.clone()).collect();
     let mut fast = store.clone();
     let coverage = coverage_state(&fast, ctx);
-    let got = multi_scan_swap_weighted(&mut fast, candidates, &coverage, ctx, params, log);
+    let got = multi_scan_swap(&mut fast, candidates, &coverage, ctx, params);
     let mut reference = store.clone();
-    let want = rescoring_swap(&mut reference, graphs, ctx, params, log);
+    let want = rescoring_swap(&mut reference, graphs, ctx, params);
     let same = got.swaps == want.swaps
         && got.scans == want.scans
         && got.replaced == want.replaced
@@ -2000,18 +1984,16 @@ fn swap_divergence(
 }
 
 /// Check 9's reference: the multi-scan swap as it ran before scores were
-/// cached — every scan re-scores both sides through `ctx.scov`, and every
-/// candidate that reaches sw3 recomputes the current set's measures.
+/// cached — every scan re-scores both sides through [`reference_scov`],
+/// and every candidate that reaches sw3 recomputes the current set's
+/// measures.
 fn rescoring_swap(
     store: &mut PatternStore,
     candidates: Vec<LabeledGraph>,
     ctx: &ScovContext<'_>,
     params: &SwapParams,
-    log: Option<&QueryLog>,
 ) -> SwapOutcome {
-    let score = |p: &LabeledGraph, others: &[LabeledGraph]| {
-        ctx.midas_score(p, others) * log.map_or(1.0, |l| l.weight(p))
-    };
+    let score = |p: &LabeledGraph, others: &[LabeledGraph]| reference_pattern_score(ctx, p, others);
     let mut outcome = SwapOutcome::default();
     if candidates.is_empty() || store.is_empty() {
         return outcome;
@@ -2024,7 +2006,7 @@ fn rescoring_swap(
         let current = store.graphs();
         let mut ranked: Vec<(f64, f64, LabeledGraph)> = pool
             .iter()
-            .map(|c| (score(c, &current), ctx.scov(c), c.clone()))
+            .map(|c| (score(c, &current), reference_scov(ctx, c), c.clone()))
             .collect();
         ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
         let mut pq_patterns: Vec<(f64, f64, PatternId)> = store
@@ -2035,7 +2017,7 @@ fn rescoring_swap(
                     .filter(|(other, _)| *other != id)
                     .map(|(_, q)| q.clone())
                     .collect();
-                (score(p, &others), ctx.scov(p), id)
+                (score(p, &others), reference_scov(ctx, p), id)
             })
             .collect();
         pq_patterns.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite scores"));
@@ -2063,9 +2045,9 @@ fn rescoring_swap(
             after.push(candidate.clone());
             let m_before = midas_catapult::score::set_measures(&before, ctx.catalog, ctx.sample);
             let m_after = midas_catapult::score::set_measures(&after, ctx.catalog, ctx.sample);
-            let sw3 = m_after.div >= (1.0 + params.alpha_div) * m_before.div;
-            let sw4 = m_before.cog * (1.0 + params.alpha_cog) >= m_after.cog;
-            let sw5 = m_after.lcov >= (1.0 + params.alpha_lcov) * m_before.lcov;
+            let sw3 = m_after.div >= m_before.div;
+            let sw4 = m_before.cog >= m_after.cog;
+            let sw5 = m_after.lcov >= m_before.lcov;
             let sizes_before = store.sizes();
             let mut sizes_after: Vec<usize> = before.iter().map(|p| p.edge_count()).collect();
             if let Some(pos) = sizes_after
@@ -2101,6 +2083,27 @@ fn rescoring_swap(
         sigma = 0.25 / (1.0 - sigma);
     }
     outcome
+}
+
+/// Counts embeddings of `pattern` in `target` through a freshly compiled
+/// plan: check 6's fast side.
+fn count_embeddings_plan(pattern: &LabeledGraph, target: &LabeledGraph, cap: u64) -> u64 {
+    MatchPlan::compile(pattern).count_embeddings(&Csr::from_graph(target), cap)
+}
+
+/// Whether `pattern ⊆ target` through a freshly compiled plan.
+fn is_subgraph_plan(pattern: &LabeledGraph, target: &LabeledGraph) -> bool {
+    MatchPlan::compile(pattern).is_subgraph_of(&Csr::from_graph(target))
+}
+
+/// Up to `limit` embeddings through a freshly compiled plan, in
+/// `pattern`'s own vertex numbering.
+fn find_embeddings_plan(
+    pattern: &LabeledGraph,
+    target: &LabeledGraph,
+    limit: usize,
+) -> Vec<Vec<u32>> {
+    MatchPlan::compile(pattern).find_embeddings(&Csr::from_graph(target), limit)
 }
 
 /// A path graph over `labels`.

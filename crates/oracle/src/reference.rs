@@ -4,6 +4,7 @@
 
 use midas_catapult::candidates::generate_candidates;
 use midas_catapult::random_walk::random_walks;
+use midas_catapult::score::{diversity, lcov_pattern, pattern_score, PatternScoreParts};
 use midas_catapult::WeightedCsg;
 use midas_core::candidate_gen::{Candidate, Coverage, CoverageState, GenerationParams};
 use midas_core::metrics::ScovContext;
@@ -34,6 +35,28 @@ pub fn reference_tg_cells<'a>(
         }
     }
     cells
+}
+
+/// `scov(p, D_s)` recomputed through the dominance filter and the
+/// kernel: the value the swap's carried covered counts must give.
+pub(crate) fn reference_scov(ctx: &ScovContext<'_>, pattern: &LabeledGraph) -> f64 {
+    ctx.scov_of(ctx.covered(pattern).len())
+}
+
+/// The MIDAS pattern score `s'_p = scov × lcov × div / cog` (§6.1), with
+/// diversity measured against `others` and every part recomputed,
+/// coverage included: the score the swap's tables must reproduce.
+pub(crate) fn reference_pattern_score(
+    ctx: &ScovContext<'_>,
+    pattern: &LabeledGraph,
+    others: &[LabeledGraph],
+) -> f64 {
+    pattern_score(PatternScoreParts {
+        coverage: reference_scov(ctx, pattern),
+        lcov: lcov_pattern(pattern, ctx.catalog, ctx.db.len()),
+        div: diversity(pattern, others),
+        cog: pattern.cognitive_load(),
+    })
 }
 
 struct ReferenceSearch<'a> {
@@ -194,14 +217,14 @@ pub fn reference_promising_candidates(
             for (candidate, _) in
                 generate_candidates(csg, &order, size, params.seeds_per_size, &mut hook)
             {
-                if store.contains_isomorphic(&candidate) {
+                let code = canonical_code(&candidate);
+                if store.contains_code(&code) {
                     continue;
                 }
                 let covered = ctx.covered(&candidate);
                 if covered.difference(&state.covered_union).count() < threshold {
                     continue;
                 }
-                let code = canonical_code(&candidate);
                 if codes.insert(code) {
                     out.push(Candidate {
                         graph: candidate,
@@ -212,4 +235,43 @@ pub fn reference_promising_candidates(
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use midas_graph::{Csr, GraphBuilder, GraphDb, MatchKernel};
+    use midas_index::{FctIndex, IfeIndex};
+    use midas_mining::{tree_key, EdgeCatalog};
+
+    fn path(labels: &[u32]) -> LabeledGraph {
+        let vs: Vec<u32> = (0..labels.len() as u32).collect();
+        GraphBuilder::new().vertices(labels).path(&vs).build()
+    }
+
+    #[test]
+    fn midas_score_is_positive_for_covered_patterns() {
+        let db = GraphDb::from_graphs([path(&[0, 1, 2]), path(&[0, 1]), path(&[3, 4])]);
+        let refs: Vec<(GraphId, &LabeledGraph)> =
+            db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+        let feature = path(&[0, 1]);
+        let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
+        let kernel = MatchKernel::new();
+        let fct = FctIndex::build(&kernel, [(tree_key(&feature), feature)], &csrs);
+        let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
+        let catalog = EdgeCatalog::build(refs.iter().copied());
+        let sample: BTreeSet<GraphId> = db.ids().collect();
+        let ctx = ScovContext {
+            fct: &fct,
+            ife: &ife,
+            db: &db,
+            sample: &sample,
+            catalog: &catalog,
+            kernel: &kernel,
+        };
+        let s = reference_pattern_score(&ctx, &path(&[0, 1]), &[path(&[3, 4])]);
+        assert!(s > 0.0);
+        // Uncovered pattern scores zero via the coverage factor.
+        assert_eq!(reference_pattern_score(&ctx, &path(&[7, 7]), &[]), 0.0);
+    }
 }

@@ -146,11 +146,10 @@ fn injected_worker_panic_is_contained_end_to_end() {
         .take(4)
         .map(|(_, g)| kernel.prepare(&g.edge_subgraph(&g.edges()[..2])))
         .collect();
+    let batch: Vec<&CachedPattern> = patterns.iter().collect();
     let payload = armed(Fault::Task(17), || {
-        catch_unwind(AssertUnwindSafe(|| {
-            kernel.count_grid(&patterns, &graphs, 64)
-        }))
-        .expect_err("the armed task must unwind out of the grid")
+        catch_unwind(AssertUnwindSafe(|| kernel.count_grid(&batch, &graphs, 64)))
+            .expect_err("the armed task must unwind out of the grid")
     });
     assert_eq!(
         panic_message(payload),
@@ -161,7 +160,7 @@ fn injected_worker_panic_is_contained_end_to_end() {
         (before.hits, before.misses),
         (0, 17 * patterns.len() as u64)
     );
-    let grid = kernel.count_grid(&patterns, &graphs, 64);
+    let grid = kernel.count_grid(&batch, &graphs, 64);
     for ((_, g), row) in db.iter().zip(&grid) {
         for (p, &got) in patterns.iter().zip(row) {
             assert_eq!(got, count_embeddings(p.graph(), g, 64));

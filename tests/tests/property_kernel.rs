@@ -60,7 +60,8 @@ proptest! {
         let refs = db_refs(&db);
         let kernel = MatchKernel::new();
         let prepared: Vec<CachedPattern> = patterns.iter().map(|p| kernel.prepare(p)).collect();
-        let grid = kernel.count_grid(&prepared, &csr_refs(&db), CAP);
+        let batch: Vec<&CachedPattern> = prepared.iter().collect();
+        let grid = kernel.count_grid(&batch, &csr_refs(&db), CAP);
         for (i, &(_, g)) in refs.iter().enumerate() {
             for (j, p) in patterns.iter().enumerate() {
                 prop_assert_eq!(grid[i][j], count_embeddings(p, g, CAP));

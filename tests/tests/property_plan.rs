@@ -5,11 +5,31 @@
 //! order, and the kernel's bulk operations against serial VF2 loops.
 
 use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
-use midas_graph::plan::{count_embeddings_plan, find_embeddings_plan, is_subgraph_plan};
-use midas_graph::{Csr, GraphDb, GraphId, MatchKernel, MatchPlan};
+use midas_graph::{Csr, GraphDb, GraphId, LabeledGraph, MatchKernel, MatchPlan};
 use midas_tests::connected_graph_strategy;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+/// Counts embeddings of `pattern` in `target` through a freshly compiled
+/// plan.
+fn count_embeddings_plan(pattern: &LabeledGraph, target: &LabeledGraph, cap: u64) -> u64 {
+    MatchPlan::compile(pattern).count_embeddings(&Csr::from_graph(target), cap)
+}
+
+/// Whether `pattern ⊆ target` through a freshly compiled plan.
+fn is_subgraph_plan(pattern: &LabeledGraph, target: &LabeledGraph) -> bool {
+    MatchPlan::compile(pattern).is_subgraph_of(&Csr::from_graph(target))
+}
+
+/// Up to `limit` embeddings through a freshly compiled plan, in
+/// `pattern`'s own vertex numbering.
+fn find_embeddings_plan(
+    pattern: &LabeledGraph,
+    target: &LabeledGraph,
+    limit: usize,
+) -> Vec<Vec<u32>> {
+    MatchPlan::compile(pattern).find_embeddings(&Csr::from_graph(target), limit)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -140,6 +160,7 @@ proptest! {
             .iter()
             .map(|g| patterns.iter().map(|p| count_embeddings(p, g, 64)).collect())
             .collect();
+        let prepared: Vec<_> = prepared.iter().collect();
         prop_assert_eq!(kernel.count_grid(&prepared, &csrs, 64), grid);
     }
 }

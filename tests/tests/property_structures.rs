@@ -122,7 +122,7 @@ proptest! {
         let vf2: Vec<(FeatureId, u32)> = fct
             .features()
             .filter_map(|(fid, f)| {
-                let c = count_embeddings(&f.tree, &pattern, EMBED_CAP) as u32;
+                let c = count_embeddings(f.tree(), &pattern, EMBED_CAP) as u32;
                 (c > 0).then_some((fid, c))
             })
             .collect();

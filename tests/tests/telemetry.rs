@@ -7,7 +7,6 @@
 //! shared lock and restores the disabled default before releasing it.
 
 use midas_core::framework::{MaintenanceReport, Midas, ModificationKind};
-use midas_core::query_log::QueryLog;
 use midas_graph::{BatchUpdate, GraphBuilder, GraphId, LabeledGraph, MatchKernel};
 use midas_obs::{json, MetricsSnapshot, TelemetryConfig};
 use midas_tests::{exclusive, path, seed_db, test_config};
@@ -319,9 +318,9 @@ fn fine_clustering_splits_report_their_span_and_memo_counters() {
 }
 
 /// VF2 is the reference matcher: no production path may run it. Over a
-/// bootstrap, a major, a minor and a deletion batch, formulation,
-/// query-log weighting and set quality, the VF2 search counter stays at zero while the
-/// plan matcher's rises.
+/// bootstrap, a major, a minor and a deletion batch, formulation and set
+/// quality, the VF2 search counter stays at zero while the plan matcher's
+/// rises.
 #[test]
 fn production_matching_runs_on_the_plan_matcher_only() {
     let _g = exclusive();
@@ -354,12 +353,6 @@ fn production_matching_runs_on_the_plan_matcher_only() {
         midas_queryform::formulate(q, &patterns);
     }
     step("formulate");
-    let mut log = QueryLog::new(16);
-    log.record_all(queries);
-    for p in &patterns {
-        log.weight(p);
-    }
-    step("QueryLog::weight");
     // Set quality as the experiment harnesses compute it, on a cold
     // kernel so that the containment scan searches.
     let universe: BTreeSet<GraphId> = midas.db().ids().collect();
