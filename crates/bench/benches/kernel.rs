@@ -200,7 +200,7 @@ fn main() {
         b.iter_batched(
             || (base.clone(), MatchKernel::new()),
             |(mut index, kernel)| {
-                index.add_graphs_kernel(&kernel, &batch_csr_refs);
+                index.add_graphs(&kernel, &batch_csr_refs);
                 black_box(index)
             },
             BatchSize::LargeInput,
@@ -209,14 +209,14 @@ fn main() {
     // The warm memo; `parallel_` is a historical name, kept so the
     // history stays one series.
     let warm_batch = MatchKernel::new();
-    base.clone().add_graphs_kernel(&warm_batch, &batch_csr_refs); // warm once
+    base.clone().add_graphs(&warm_batch, &batch_csr_refs); // warm once
     c.bench_function("apply_batch/parallel_cached_repeat", |b| {
         // The same batch re-applied with a warm memo — the steady state
         // when scoring re-scans recently maintained graphs.
         b.iter_batched(
             || base.clone(),
             |mut index| {
-                index.add_graphs_kernel(&warm_batch, &batch_csr_refs);
+                index.add_graphs(&warm_batch, &batch_csr_refs);
                 black_box(index)
             },
             BatchSize::LargeInput,
@@ -224,7 +224,7 @@ fn main() {
     });
 
     // --- Tenant bootstrap -------------------------------------------------
-    // `Midas::bootstrap_embedded` on servebench's tenant shape: mining,
+    // `Midas::bootstrap` on servebench's tenant shape: mining,
     // clustering, CATAPULT selection and the index builds over 120
     // PubchemLike graphs at γ 10, η 3–6 and 5 coarse clusters. The same
     // size in both modes.
@@ -245,7 +245,7 @@ fn main() {
     c.bench_function("bootstrap/pubchem120", |b| {
         b.iter_batched(
             || tenant_db.clone(),
-            |db| black_box(Midas::bootstrap_embedded(db, tenant_config)),
+            |db| black_box(Midas::bootstrap(db, tenant_config)),
             BatchSize::LargeInput,
         )
     });

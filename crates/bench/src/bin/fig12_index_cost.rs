@@ -67,7 +67,7 @@ fn main() {
             .iter()
             .map(|&id| (id, evolving.csr(id).expect("inserted")))
             .collect();
-        fct_index.add_graphs_kernel(&kernel, &inserted_csrs);
+        fct_index.add_graphs(&kernel, &inserted_csrs);
         for &id in &inserted {
             ife_index.add_graph(id, evolving.get(id).expect("inserted"));
         }

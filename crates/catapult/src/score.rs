@@ -7,7 +7,7 @@
 //! here is shared by both.
 
 use midas_graph::ged::ged_tight_lower_bound;
-use midas_graph::{Csr, LabeledGraph, MatchKernel, MatchPlan};
+use midas_graph::{CachedPattern, Csr, LabeledGraph, MatchKernel, MatchPlan};
 use midas_mining::EdgeCatalog;
 use std::collections::BTreeSet;
 
@@ -113,8 +113,7 @@ pub fn set_quality(
         .iter()
         .map(|&id| (id, db.csr(id).expect("live id")))
         .collect();
-    let prepared: Vec<midas_graph::CachedPattern> =
-        patterns.iter().map(|p| kernel.prepare(p)).collect();
+    let prepared: Vec<CachedPattern> = patterns.iter().map(CachedPattern::new).collect();
     let covered = kernel
         .any_covered_in(&prepared, &graphs)
         .into_iter()

@@ -62,6 +62,12 @@ impl Cluster {
     }
 }
 
+/// Node budget per pairwise MCCS search in fine clustering.
+pub const MCCS_BUDGET: u64 = 2_000;
+
+/// Lloyd-iteration cap for k-means.
+const KMEANS_MAX_ITERATIONS: usize = 30;
+
 /// Clustering parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
@@ -69,10 +75,6 @@ pub struct ClusterConfig {
     pub coarse_clusters: usize,
     /// Maximum cluster size `N`; larger clusters are fine-clustered.
     pub max_cluster_size: usize,
-    /// Node budget per pairwise MCCS search in fine clustering.
-    pub mccs_budget: u64,
-    /// Lloyd-iteration cap for k-means.
-    pub kmeans_max_iterations: usize,
     /// Seed for k-means++.
     pub seed: u64,
 }
@@ -82,8 +84,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             coarse_clusters: 10,
             max_cluster_size: 100,
-            mccs_budget: 2_000,
-            kmeans_max_iterations: 30,
             seed: 0,
         }
     }
@@ -123,7 +123,7 @@ impl ClusterSet {
             feature_space.dims(),
             config.coarse_clusters,
             config.seed,
-            config.kmeans_max_iterations,
+            KMEANS_MAX_ITERATIONS,
         );
         // Group members per coarse cluster.
         let mut coarse: BTreeMap<usize, Vec<GraphId>> = BTreeMap::new();
@@ -132,7 +132,7 @@ impl ClusterSet {
             coarse.entry(slot).or_default().push(id);
         }
         // Fine-cluster oversized groups.
-        let mut mccs_memo = MccsMemo::new(config.mccs_budget);
+        let mut mccs_memo = MccsMemo::new(MCCS_BUDGET);
         let mut groups: Vec<Vec<GraphId>> = Vec::new();
         for members in coarse.into_values() {
             if members.len() <= config.max_cluster_size {
@@ -256,7 +256,7 @@ impl ClusterSet {
     /// The groups do not change, only the time they take, which is how
     /// the differential oracle checks the memo.
     pub fn clear_mccs_memo(&mut self) {
-        self.mccs_memo = MccsMemo::new(self.config.mccs_budget);
+        self.mccs_memo = MccsMemo::new(MCCS_BUDGET);
     }
 
     /// Assigns a newly inserted graph to the nearest cluster by centroid

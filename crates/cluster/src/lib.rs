@@ -23,7 +23,7 @@ pub mod features;
 pub mod fine;
 pub mod kmeans;
 
-pub use clusters::{Cluster, ClusterConfig, ClusterId, ClusterSet};
+pub use clusters::{Cluster, ClusterConfig, ClusterId, ClusterSet, MCCS_BUDGET};
 pub use features::{FeatureSpace, FeatureVector};
 pub use fine::MccsMemo;
 pub use kmeans::{kmeans, KmeansResult};

@@ -2,7 +2,6 @@
 
 use midas_catapult::PatternBudget;
 use midas_mining::MiningConfig;
-use midas_obs::TelemetryConfig;
 
 /// All tunables of the MIDAS framework, defaulting to the paper's settings
 /// (§7.1): `η_min = 3`, `η_max = 12`, `γ = 30`, `sup_min = 0.5`, `ε = 0.1`,
@@ -46,11 +45,6 @@ pub struct MidasConfig {
     pub threads: usize,
     /// Master RNG seed; every stochastic component derives from it.
     pub seed: u64,
-    /// Telemetry knobs (spans, counters, trace export, log level).
-    /// [`crate::Midas::bootstrap`] applies this after folding in the
-    /// process's `MIDAS_*` telemetry settings
-    /// ([`TelemetryConfig::with_env`]).
-    pub telemetry: TelemetryConfig,
 }
 
 impl Default for MidasConfig {
@@ -72,7 +66,6 @@ impl Default for MidasConfig {
             ks_alpha: 0.05,
             threads: 0,
             seed: 0,
-            telemetry: TelemetryConfig::default(),
         }
     }
 }
@@ -145,7 +138,6 @@ impl MidasConfig {
             coarse_clusters: self.coarse_clusters,
             max_cluster_size: self.max_cluster_size,
             seed: self.seed,
-            ..midas_cluster::ClusterConfig::default()
         }
     }
 }

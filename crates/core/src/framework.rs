@@ -16,8 +16,8 @@
 //! Every phase is timed; the report exposes PMT (total) and PGT
 //! (candidate generation + swapping), the quantities §7 plots.
 //!
-//! When telemetry is enabled (`MidasConfig::telemetry`, or the
-//! `MIDAS_TELEMETRY` environment variable — see `midas-obs`), each phase
+//! When the host process has switched telemetry on (see `midas-obs`;
+//! nothing in this crate sets the switch), each phase
 //! additionally runs under a span (`batch.ingest`, `batch.fct`,
 //! `batch.cluster`, `batch.index`, `batch.classify`, `batch.candidates`,
 //! `batch.swap`) and the batch records `pmt_us`/`pgt_us` counters in the
@@ -109,7 +109,7 @@ pub struct Midas {
     ife_index: IfeIndex,
     /// Set when an index phase did not complete: the indices may miss
     /// that batch's graph columns and feature rows, so the next index
-    /// phase rebuilds both from scratch.
+    /// phase resets both to empty before it applies the rules.
     indices_stale: bool,
     patterns: PatternStore,
     kernel: MatchKernel,
@@ -123,34 +123,19 @@ pub struct Midas {
 impl Midas {
     /// Bootstraps MIDAS on an initial database: mines the FCT state,
     /// clusters with FCT features (the CATAPULT++ configuration), selects
-    /// the initial pattern set, and builds both indices.
+    /// the initial pattern set, and fills both indices by running the
+    /// index phase's maintenance rules over empty indices.
+    ///
+    /// The configuration is taken exactly as given: bootstrap reads no
+    /// environment and sets no process-wide switch, so a host that embeds
+    /// many instances (one per tenant in `midas-serve`) keeps its
+    /// telemetry settings, and the host that wants `MIDAS_*` telemetry
+    /// activates it itself.
     ///
     /// Returns `Err` if the database is empty, or with the [`PhaseError`]
     /// text when a task panic is contained in the index build
     /// (`bootstrap.index`).
-    pub fn bootstrap(db: GraphDb, mut config: MidasConfig) -> Result<Self, String> {
-        config.telemetry = config.telemetry.with_env(midas_obs::config::env());
-        config.telemetry.activate();
-        Midas::bootstrap_inner(db, config)
-    }
-
-    /// [`Midas::bootstrap`] for instances *embedded in a host daemon*
-    /// (one per tenant in `midas-serve`): the configuration is taken
-    /// exactly as given — no `MIDAS_*` environment overrides. Everything
-    /// else — mining, clustering, selection, index builds, snapshot
-    /// publication — is identical, so an embedded instance fed the same
-    /// batches is bit-identical to a standalone one (the oracle's
-    /// serve-vs-library parity check pins this).
-    ///
-    /// Unlike [`Midas::bootstrap`], this never calls
-    /// [`midas_obs::TelemetryConfig::activate`]: global telemetry switches
-    /// belong to the host process, and a tenant bootstrapping mid-flight
-    /// must not flip them out from under the other tenants.
-    pub fn bootstrap_embedded(db: GraphDb, config: MidasConfig) -> Result<Self, String> {
-        Midas::bootstrap_inner(db, config)
-    }
-
-    fn bootstrap_inner(db: GraphDb, config: MidasConfig) -> Result<Self, String> {
+    pub fn bootstrap(db: GraphDb, config: MidasConfig) -> Result<Self, String> {
         if db.is_empty() {
             return Err("cannot bootstrap MIDAS on an empty database".into());
         }
@@ -171,33 +156,38 @@ impl Midas {
         ));
         drop(select_span);
         let monitor = GraphletMonitor::build(&db);
-        let kernel = MatchKernel::new();
-        let mut failure = None;
-        let index_span = midas_obs::span!("bootstrap.index");
-        let indices = contain("bootstrap.index", &mut failure, || {
-            build_indices(&db, &fct_state, &config, &kernel)
-        });
-        drop(index_span);
-        let Some((fct_index, ife_index)) = indices else {
-            return Err(failure.expect("contain records its failure").to_string());
-        };
         let mut midas = Midas {
             config,
             db,
             fct_state,
             clusters,
             monitor,
-            fct_index,
-            ife_index,
+            fct_index: FctIndex::new(),
+            ife_index: IfeIndex::new(),
             indices_stale: false,
             patterns,
-            kernel,
+            kernel: MatchKernel::new(),
             batch_counter: 0,
             published: Published::default(),
         };
+        let mut failure = None;
+        let index_span = midas_obs::span!("bootstrap.index");
+        contain("bootstrap.index", &mut failure, || {
+            midas.maintain_indices(&[], &[])
+        });
+        drop(index_span);
+        if let Some(e) = failure {
+            return Err(e.to_string());
+        }
         midas.publish_snapshot();
         midas.clusters.take_dirty(); // fresh clusters are not "modified"
         Ok(midas)
+    }
+
+    /// [`Midas::bootstrap`] under its former name, kept only because the
+    /// serve benchmark (`servebench/`) still calls it.
+    pub fn bootstrap_embedded(db: GraphDb, config: MidasConfig) -> Result<Self, String> {
+        Midas::bootstrap(db, config)
     }
 
     /// The configuration.
@@ -550,20 +540,20 @@ impl Midas {
         }
     }
 
-    /// Refreshes both indices after a batch: graph columns for `Δ⁺`/`Δ⁻`
-    /// and feature rows against the current FCT ∪ frequent-edge set. The
-    /// embedding cache is invalidated per touched graph first, then the
-    /// inserted TG columns are filled in one kernel pass. Stale
-    /// indices (an earlier index phase failed) are rebuilt from scratch
-    /// instead.
+    /// The index phase, maintenance rules 1–4 of §5.1: the embedding
+    /// cache is invalidated per touched graph, `Δ⁻` columns are dropped
+    /// (rule 4), `Δ⁺` columns are counted (rule 3), then the feature rows
+    /// are reconciled with the current FCT ∪ frequent-edge set over the
+    /// whole database (rules 1–2). Stale indices (an earlier index phase
+    /// failed) are first reset to empty, as at bootstrap: rules 3–4 then
+    /// have no rows to touch, and rules 1–2 fill every row.
     fn maintain_indices(&mut self, inserted: &[GraphId], deleted: &[GraphId]) {
         for &id in deleted.iter().chain(inserted) {
             self.kernel.invalidate_graph(id);
         }
         if self.indices_stale {
-            (self.fct_index, self.ife_index) =
-                build_indices(&self.db, &self.fct_state, &self.config, &self.kernel);
-            return;
+            self.fct_index = FctIndex::new();
+            self.ife_index = IfeIndex::new();
         }
         for &id in deleted {
             self.fct_index.remove_graph(id);
@@ -573,8 +563,7 @@ impl Midas {
             .iter()
             .map(|&id| (id, self.db.csr(id).expect("inserted id")))
             .collect();
-        self.fct_index
-            .add_graphs_kernel(&self.kernel, &inserted_csrs);
+        self.fct_index.add_graphs(&self.kernel, &inserted_csrs);
         for &id in inserted {
             self.ife_index
                 .add_graph(id, self.db.get(id).expect("inserted id"));
@@ -585,7 +574,7 @@ impl Midas {
             features.iter().map(|(k, t)| (k.clone(), t)).collect();
         let csr_refs: Vec<(GraphId, &Csr)> = self.db.csrs().collect();
         self.fct_index
-            .refresh_features_kernel(&self.kernel, &target, &csr_refs);
+            .refresh_features(&self.kernel, &target, &csr_refs);
         self.ife_index
             .refresh_edges(infrequent, self.db.iter().map(|(id, g)| (id, g.as_ref())));
     }
@@ -701,21 +690,6 @@ fn index_features(
         .map(|(label, _)| label)
         .collect();
     (features, infrequent)
-}
-
-/// Builds both indices from scratch over the current database and FCT
-/// state (bootstrap, and the rebuild of stale indices).
-fn build_indices(
-    db: &GraphDb,
-    fct_state: &FctState,
-    config: &MidasConfig,
-    kernel: &MatchKernel,
-) -> (FctIndex, IfeIndex) {
-    let (features, infrequent) = index_features(fct_state, config.sup_min, db.len());
-    let csr_refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
-    let fct_index = FctIndex::build(kernel, features, &csr_refs);
-    let ife_index = IfeIndex::build(infrequent, db.iter().map(|(id, g)| (id, g.as_ref())));
-    (fct_index, ife_index)
 }
 
 #[cfg(test)]
@@ -863,9 +837,10 @@ mod tests {
     }
 
     // Enabled-telemetry behavior (phase spans, pmt_us, snapshot deltas) is
-    // exercised in the `midas-tests` integration binary: the enable flag is
-    // process-global, and unit tests here bootstrap concurrently with
-    // default (disabled) configs, which would race with it.
+    // exercised in the `midas-tests` integration binary, whose tests hold
+    // a lock around the process-global switch. Nothing in this binary
+    // turns it on, and bootstrap never sets it, so the test below sees it
+    // off.
 
     #[test]
     fn telemetry_off_batch_leaves_registry_unchanged() {

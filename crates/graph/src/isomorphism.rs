@@ -20,6 +20,7 @@
 
 use crate::graph::{EdgeLabel, LabeledGraph, VertexId};
 use crate::labels::LabelId;
+use crate::plan::{matching_order, Control};
 use std::collections::BTreeMap;
 
 /// A cheap necessary-condition summary of a graph for subgraph-isomorphism
@@ -164,15 +165,6 @@ pub fn find_embeddings(
     result
 }
 
-/// Visitor control for [`for_each_embedding`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Control {
-    /// Keep enumerating embeddings.
-    Continue,
-    /// Stop the search immediately.
-    Stop,
-}
-
 /// Invokes `visit` with each embedding (`pattern vertex -> target vertex`)
 /// until exhaustion or until the visitor returns [`Control::Stop`].
 pub fn for_each_embedding<F>(pattern: &LabeledGraph, target: &LabeledGraph, visit: &mut F)
@@ -180,49 +172,6 @@ where
     F: FnMut(&[VertexId]) -> Control,
 {
     search(pattern, target, visit);
-}
-
-/// Computes a matching order over the pattern vertices: each vertex (after
-/// the first of its connected component) is adjacent to at least one earlier
-/// vertex, and high-degree vertices come first. Returns, for each position,
-/// the vertex and its already-ordered neighbors.
-///
-/// This is the one ordering rule of the crate: [`crate::plan::MatchPlan`]
-/// compiles its levels from it too. Both matchers then try candidates in
-/// ascending target-vertex order at every level, so they enumerate the
-/// same embeddings in the same sequence — which the formulation
-/// simulator's first-fit packing depends on.
-pub(crate) fn matching_order(pattern: &LabeledGraph) -> Vec<(VertexId, Vec<VertexId>)> {
-    let n = pattern.vertex_count();
-    let mut order: Vec<(VertexId, Vec<VertexId>)> = Vec::with_capacity(n);
-    let mut placed = vec![false; n];
-    let mut placed_count = 0;
-    while placed_count < n {
-        // Pick the best next vertex: prefer most already-placed neighbors
-        // (never start a fresh component while an anchored vertex exists),
-        // then highest degree, then lowest id (determinism).
-        let v = (0..n as VertexId)
-            .filter(|&v| !placed[v as usize])
-            .max_by_key(|&v| {
-                let anchored = pattern
-                    .neighbors(v)
-                    .iter()
-                    .filter(|&&w| placed[w as usize])
-                    .count();
-                (anchored, pattern.degree(v), std::cmp::Reverse(v))
-            })
-            .expect("unplaced vertex must exist");
-        let anchors: Vec<VertexId> = pattern
-            .neighbors(v)
-            .iter()
-            .copied()
-            .filter(|&w| placed[w as usize])
-            .collect();
-        placed[v as usize] = true;
-        placed_count += 1;
-        order.push((v, anchors));
-    }
-    order
 }
 
 fn search<F>(pattern: &LabeledGraph, target: &LabeledGraph, visit: &mut F)

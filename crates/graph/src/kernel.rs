@@ -4,10 +4,9 @@
 //! operations shaped like the `(graph × pattern)` scans the MIDAS pipeline
 //! actually runs:
 //!
-//! * [`MatchKernel::count_in_graphs`] — one pattern against many data
-//!   graphs (a TG-matrix row, Def. 5.1);
 //! * [`MatchKernel::count_grid`] — many patterns against many data
-//!   graphs (TG-matrix columns for a batch of inserted graphs);
+//!   graphs (the TG-matrix cells of new feature rows or of a batch's
+//!   inserted graph columns, Def. 5.1);
 //! * [`MatchKernel::covered_in`] — coverage verification after the
 //!   dominance filter (§6.1).
 //!
@@ -60,15 +59,10 @@ impl MatchKernel {
         self.cache.invalidate_graph(id);
     }
 
-    /// Prepares a pattern for repeated cached matching.
-    pub fn prepare(&self, pattern: &LabeledGraph) -> CachedPattern {
-        CachedPattern::new(pattern)
-    }
-
     /// Whether `pattern` is contained in each graph, in input order —
     /// the verification step of coverage.
     pub fn covered_in(&self, pattern: &LabeledGraph, graphs: &[(GraphId, &Csr)]) -> Vec<bool> {
-        let prepared = self.prepare(pattern);
+        let prepared = CachedPattern::new(pattern);
         exec::map_tasks(graphs, |&(id, g)| self.cache.is_subgraph(&prepared, id, g))
     }
 
@@ -85,23 +79,10 @@ impl MatchKernel {
         })
     }
 
-    /// Counts embeddings of `pattern` in each graph (saturating at `cap`),
-    /// in input order — one TG-matrix row.
-    pub fn count_in_graphs(
-        &self,
-        pattern: &LabeledGraph,
-        graphs: &[(GraphId, &Csr)],
-        cap: u64,
-    ) -> Vec<u64> {
-        let prepared = self.prepare(pattern);
-        exec::map_tasks(graphs, |&(id, g)| {
-            self.cache.count_embeddings(&prepared, id, g, cap)
-        })
-    }
-
     /// Counts embeddings of every pattern in every graph: result `[i][j]`
     /// is the count of `patterns[j]` in `graphs[i]`, saturating at `cap`.
-    /// One task per graph (the long axis in matrix maintenance).
+    /// One task per graph (the long axis in matrix maintenance). A single
+    /// pattern's row is the one-pattern grid.
     pub fn count_grid(
         &self,
         patterns: &[&CachedPattern],
@@ -148,10 +129,10 @@ mod tests {
         let refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         let kernel = MatchKernel::new();
         for pattern in [path(&[0, 1]), path(&[0, 0]), path(&[9, 9])] {
-            let counts = kernel.count_in_graphs(&pattern, &refs, 64);
+            let counts = kernel.count_grid(&[&CachedPattern::new(&pattern)], &refs, 64);
             let covered = kernel.covered_in(&pattern, &refs);
             for (i, (_, g)) in db.iter().enumerate() {
-                assert_eq!(counts[i], count_embeddings(&pattern, g, 64));
+                assert_eq!(counts[i], [count_embeddings(&pattern, g, 64)]);
                 assert_eq!(covered[i], is_subgraph_of(&pattern, g));
             }
         }
@@ -164,7 +145,7 @@ mod tests {
         let kernel = MatchKernel::new();
         let patterns: Vec<CachedPattern> = [path(&[0, 1]), path(&[0, 0, 0])]
             .iter()
-            .map(|p| kernel.prepare(p))
+            .map(CachedPattern::new)
             .collect();
         let grid = kernel.count_grid(&patterns.iter().collect::<Vec<_>>(), &refs, 64);
         for (i, (_, g)) in db.iter().enumerate() {
@@ -179,14 +160,14 @@ mod tests {
         let db = mini_db();
         let refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         let kernel = MatchKernel::new();
-        let p = path(&[0, 1]);
-        kernel.count_in_graphs(&p, &refs, 64);
+        let p = CachedPattern::new(&path(&[0, 1]));
+        kernel.count_grid(&[&p], &refs, 64);
         let misses_after_first = kernel.cache().stats().misses;
-        kernel.count_in_graphs(&p, &refs, 64);
+        kernel.count_grid(&[&p], &refs, 64);
         assert_eq!(kernel.cache().stats().misses, misses_after_first);
         // Invalidation forces exactly the touched graph to recompute.
         kernel.invalidate_graph(GraphId(0));
-        kernel.count_in_graphs(&p, &refs, 64);
+        kernel.count_grid(&[&p], &refs, 64);
         assert_eq!(kernel.cache().stats().misses, misses_after_first + 1);
     }
 }

@@ -33,9 +33,19 @@
 
 use crate::csr::Csr;
 use crate::graph::{LabeledGraph, VertexId};
-use crate::isomorphism::Control;
 use crate::labels::LabelId;
 use std::sync::OnceLock;
+
+/// Visitor control for the embedding enumerators
+/// ([`MatchPlan::for_each_embedding`] and the VF2 reference's
+/// [`crate::isomorphism::for_each_embedding`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Control {
+    /// Keep enumerating embeddings.
+    Continue,
+    /// Stop the search immediately.
+    Stop,
+}
 
 /// One level of a compiled plan: the pattern vertex bound at this depth
 /// and the static filters its candidates must pass.
@@ -113,10 +123,54 @@ pub struct MatchPlan {
     closed_form: Option<ClosedForm>,
 }
 
+/// Computes a matching order over the pattern vertices: each vertex (after
+/// the first of its connected component) is adjacent to at least one earlier
+/// vertex, and high-degree vertices come first. Returns, for each position,
+/// the vertex and its already-ordered neighbors.
+///
+/// This is the one ordering rule of the crate: [`MatchPlan`] compiles its
+/// levels from it, and the VF2 reference ([`crate::isomorphism`]) searches
+/// in the same order. Both matchers then try candidates in
+/// ascending target-vertex order at every level, so they enumerate the
+/// same embeddings in the same sequence — which the formulation
+/// simulator's first-fit packing depends on.
+pub(crate) fn matching_order(pattern: &LabeledGraph) -> Vec<(VertexId, Vec<VertexId>)> {
+    let n = pattern.vertex_count();
+    let mut order: Vec<(VertexId, Vec<VertexId>)> = Vec::with_capacity(n);
+    let mut placed = vec![false; n];
+    let mut placed_count = 0;
+    while placed_count < n {
+        // Pick the best next vertex: prefer most already-placed neighbors
+        // (never start a fresh component while an anchored vertex exists),
+        // then highest degree, then lowest id (determinism).
+        let v = (0..n as VertexId)
+            .filter(|&v| !placed[v as usize])
+            .max_by_key(|&v| {
+                let anchored = pattern
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&w| placed[w as usize])
+                    .count();
+                (anchored, pattern.degree(v), std::cmp::Reverse(v))
+            })
+            .expect("unplaced vertex must exist");
+        let anchors: Vec<VertexId> = pattern
+            .neighbors(v)
+            .iter()
+            .copied()
+            .filter(|&w| placed[w as usize])
+            .collect();
+        placed[v as usize] = true;
+        placed_count += 1;
+        order.push((v, anchors));
+    }
+    order
+}
+
 impl MatchPlan {
     /// Compiles `pattern` into a plan.
     ///
-    /// The vertex order is VF2's (`isomorphism::matching_order`): most
+    /// The vertex order is `matching_order`'s, which VF2 shares: most
     /// already-bound pattern neighbors first (connectivity ⇒ smallest
     /// candidate sets and never a fresh component while an anchored
     /// vertex exists), then highest degree, then lowest id. Both matchers
@@ -126,7 +180,7 @@ impl MatchPlan {
         let timed = midas_obs::enabled();
         let start = timed.then(std::time::Instant::now);
 
-        let levels: Vec<PlanLevel> = crate::isomorphism::matching_order(pattern)
+        let levels: Vec<PlanLevel> = matching_order(pattern)
             .into_iter()
             .map(|(v, anchors)| {
                 // An anchored candidate is some vertex's neighbor, so its

@@ -2,10 +2,13 @@
 //! of §5.1. The TP-matrix side is computed on demand by
 //! [`FctIndex::pattern_counts`].
 //!
-//! The kernel-backed build and mutators return plain values and are not
-//! transactional: a task panic unwinds out of them mid-way, and the
-//! framework's phase backstop then marks the index stale and rebuilds it
-//! from scratch on the next batch.
+//! Rows and columns are filled only by the maintenance rules: new rows
+//! ([`FctIndex::refresh_features`], rules 1–2) and new columns
+//! ([`FctIndex::add_graphs`], rule 3) share one graph-major counting pass,
+//! and an index built from nothing is the empty index after one refresh.
+//! The mutators return plain values and are not transactional: a task
+//! panic unwinds out of them mid-way, and the framework's phase backstop
+//! then marks the index stale and rebuilds it from empty on the next batch.
 
 use crate::sparse::SparseMatrix;
 use crate::trie::Trie;
@@ -53,28 +56,19 @@ impl FctIndex {
         Self::default()
     }
 
-    /// Builds the index over `features` (FCTs ∪ frequent edges, deduplicated
-    /// by key), counting embeddings through `kernel` over the data graphs'
-    /// CSR views (borrowed from [`midas_graph::GraphDb::csrs`], cached by
-    /// `(pattern key, GraphId)`).
-    ///
-    /// All features are registered first and the whole TG-matrix is filled
-    /// by a single [`MatchKernel::count_grid`] pass — one memo round-trip
-    /// per *graph* for every feature at once, instead of one per
-    /// `(feature, graph)` pair — and bulk built from the nonzero triples
-    /// instead of nnz interior inserts.
+    /// An index over `features` (FCTs ∪ frequent edges; a repeated key
+    /// gets one row) and `graphs`: the empty index after one
+    /// [`Self::refresh_features`], the rules' own row path.
     pub fn build(
         kernel: &MatchKernel,
         features: impl IntoIterator<Item = (TreeKey, LabeledGraph)>,
         graphs: &[(GraphId, &Csr)],
     ) -> Self {
+        let features: Vec<(TreeKey, LabeledGraph)> = features.into_iter().collect();
+        let target: Vec<(TreeKey, &LabeledGraph)> =
+            features.iter().map(|(k, t)| (k.clone(), t)).collect();
         let mut index = Self::new();
-        for (key, tree) in features {
-            if index.trie.lookup(key.tokens()).is_none() {
-                index.push_feature(key, kernel.prepare(&tree));
-            }
-        }
-        index.tg = SparseMatrix::from_triples(index.count_columns(kernel, graphs));
+        index.refresh_features(kernel, &target, graphs);
         index
     }
 
@@ -87,33 +81,34 @@ impl FctIndex {
         id
     }
 
-    /// The nonzero embedding counts of every feature in `graphs`, as
-    /// `(feature, graph, count)` triples from one [`MatchKernel::count_grid`]
-    /// pass (graph-major, features in id order).
-    fn count_columns(
-        &self,
-        kernel: &MatchKernel,
-        graphs: &[(GraphId, &Csr)],
-    ) -> Vec<(FeatureId, GraphId, u32)> {
-        if graphs.is_empty() || self.features.is_empty() {
-            return Vec::new();
+    /// Counts the `rows` features in `graphs` with one graph-major
+    /// [`MatchKernel::count_grid`] pass (one memo round-trip per graph for
+    /// every row at once) and stores the nonzero cells. The cells must be
+    /// empty, as those of new rows and of `Δ⁺`'s fresh columns are. An
+    /// empty matrix (a build from nothing) is bulk built from the cells,
+    /// which the warm-memo matrix build measured cheaper than one
+    /// interior insert per cell.
+    fn count_grid(&mut self, kernel: &MatchKernel, rows: &[FeatureId], graphs: &[(GraphId, &Csr)]) {
+        if rows.is_empty() || graphs.is_empty() {
+            return;
         }
-        let (ids, cached): (Vec<FeatureId>, Vec<&CachedPattern>) = self
-            .features
-            .iter()
-            .map(|(&fid, f)| (fid, &f.pattern))
-            .unzip();
-        let grid = kernel.count_grid(&cached, graphs, EMBED_CAP);
-        graphs
-            .iter()
-            .zip(grid)
-            .flat_map(|(&(gid, _), row)| {
-                ids.iter()
-                    .zip(row)
-                    .filter(|&(_, count)| count > 0)
-                    .map(move |(&fid, count)| (fid, gid, count as u32))
-            })
-            .collect()
+        let patterns: Vec<&CachedPattern> =
+            rows.iter().map(|id| &self.features[id].pattern).collect();
+        let grid = kernel.count_grid(&patterns, graphs, EMBED_CAP);
+        let cells = graphs.iter().zip(grid).flat_map(|(&(gid, _), counts)| {
+            rows.iter()
+                .zip(counts)
+                .map(move |(&fid, count)| (fid, gid, count as u32))
+        });
+        if self.tg.is_empty() {
+            self.tg = SparseMatrix::from_triples(cells);
+        } else {
+            for (fid, gid, count) in cells {
+                if count > 0 {
+                    self.tg.set(fid, gid, count);
+                }
+            }
+        }
     }
 
     /// Number of features (rows).
@@ -171,21 +166,19 @@ impl FctIndex {
     }
 
     /// Adds data-graph columns (maintenance rule 3 over a whole `Δ⁺`):
-    /// every feature is prepared once, then counted in every new graph's
-    /// CSR view through the kernel. The graphs' columns must be empty, as
-    /// `Δ⁺`'s fresh ids are.
-    pub fn add_graphs_kernel(&mut self, kernel: &MatchKernel, graphs: &[(GraphId, &Csr)]) {
-        for (fid, gid, count) in self.count_columns(kernel, graphs) {
-            self.tg.set(fid, gid, count);
-        }
+    /// every feature is counted in every new graph's CSR view. The graphs'
+    /// columns must be empty, as `Δ⁺`'s fresh ids are.
+    pub fn add_graphs(&mut self, kernel: &MatchKernel, graphs: &[(GraphId, &Csr)]) {
+        let rows: Vec<FeatureId> = self.features.keys().copied().collect();
+        self.count_grid(kernel, &rows, graphs);
     }
 
     /// Reconciles the feature rows against a new feature set (the batch
     /// form of rules 1–2, run after FCT maintenance): rows for vanished
-    /// keys are dropped, rows for new keys are added, counted through
-    /// `kernel` over `graphs`. A panic mid-way leaves a partial update;
+    /// keys are dropped, rows for new keys are added, each prepared once
+    /// and counted over `graphs`. A panic mid-way leaves a partial update;
     /// the framework then marks the index stale and rebuilds it.
-    pub fn refresh_features_kernel(
+    pub fn refresh_features(
         &mut self,
         kernel: &MatchKernel,
         target: &[(TreeKey, &LabeledGraph)],
@@ -201,16 +194,13 @@ impl FctIndex {
         for key in stale {
             self.remove_feature(&key);
         }
+        let mut fresh = Vec::new();
         for (key, tree) in target {
-            if self.trie.lookup(key.tokens()).is_some() {
-                continue;
-            }
-            let graph_counts = kernel.count_in_graphs(tree, graphs, EMBED_CAP);
-            let id = self.push_feature(key.clone(), kernel.prepare(tree));
-            for (&(gid, _), count) in graphs.iter().zip(graph_counts) {
-                self.tg.set(id, gid, count as u32);
+            if self.trie.lookup(key.tokens()).is_none() {
+                fresh.push(self.push_feature(key.clone(), CachedPattern::new(tree)));
             }
         }
+        self.count_grid(kernel, &fresh, graphs);
     }
 
     /// Approximate heap size in bytes (for the Exp 2 memory report).
@@ -291,7 +281,7 @@ mod tests {
     fn add_and_remove_graph_columns() {
         let (mut index, ..) = setup();
         let views = csrs(&[path(&[0, 1, 0, 1])], 3);
-        index.add_graphs_kernel(&MatchKernel::new(), &refs(&views));
+        index.add_graphs(&MatchKernel::new(), &refs(&views));
         let co = index.feature_by_key(&tree_key(&path(&[0, 1]))).unwrap();
         assert_eq!(index.tg().get(co, gid(3)), 3);
         index.remove_graph(gid(3));
@@ -322,7 +312,7 @@ mod tests {
         assert_eq!(index.feature_count(), 1);
         let key = tree_key(&co);
         let id = index.feature_by_key(&key).unwrap();
-        index.refresh_features_kernel(&kernel, &[(key.clone(), &co)], &refs(&views));
+        index.refresh_features(&kernel, &[(key.clone(), &co)], &refs(&views));
         assert_eq!(index.feature_count(), 1);
         assert_eq!(index.feature_by_key(&key), Some(id));
         assert_eq!(index.tg().get(id, gid(2)), 2);
@@ -337,7 +327,7 @@ mod tests {
         let target = vec![(tree_key(&con), &con), (tree_key(&on), &on)];
         let views = csrs(&graphs, 1);
         let con_id = index.feature_by_key(&tree_key(&con)).unwrap();
-        index.refresh_features_kernel(&MatchKernel::new(), &target, &refs(&views));
+        index.refresh_features(&MatchKernel::new(), &target, &refs(&views));
         assert_eq!(index.feature_count(), 2);
         assert!(index.feature_by_key(&tree_key(&path(&[0, 1]))).is_none());
         assert_eq!(
@@ -367,11 +357,11 @@ mod tests {
         let news = [path(&[0, 1, 0, 1]), path(&[2, 1, 0])];
         let views = csrs(&news, 10);
         let kernel = MatchKernel::new();
-        index.add_graphs_kernel(&kernel, &refs(&views));
+        index.add_graphs(&kernel, &refs(&views));
         assert_cells_match_vf2(&index, &news, 10);
         // A second pass is served from the memo and stays identical.
         let before = kernel.cache().stats().misses;
-        index.add_graphs_kernel(&kernel, &refs(&views));
+        index.add_graphs(&kernel, &refs(&views));
         assert_eq!(kernel.cache().stats().misses, before);
         assert_cells_match_vf2(&index, &news, 10);
     }
@@ -382,7 +372,7 @@ mod tests {
         let before = index.approx_bytes();
         assert!(before > 0);
         let views = csrs(&[path(&[0, 1, 2, 1, 0])], 9);
-        index.add_graphs_kernel(&MatchKernel::new(), &refs(&views));
+        index.add_graphs(&MatchKernel::new(), &refs(&views));
         assert!(index.approx_bytes() > before);
     }
 }

@@ -27,18 +27,15 @@ impl IfeIndex {
         Self::default()
     }
 
-    /// Builds the index over the infrequent edge labels `tracked`.
+    /// An index over the infrequent edge labels `tracked` and `graphs`:
+    /// the empty index after one [`Self::refresh_edges`], the rules' own
+    /// row path.
     pub fn build<'a, G>(tracked: BTreeSet<EdgeLabel>, graphs: G) -> Self
     where
         G: IntoIterator<Item = (GraphId, &'a LabeledGraph)>,
     {
-        let mut index = IfeIndex {
-            tracked,
-            ..Self::default()
-        };
-        for (id, g) in graphs {
-            index.add_graph(id, g);
-        }
+        let mut index = Self::new();
+        index.refresh_edges(tracked, graphs);
         index
     }
 

@@ -1,5 +1,5 @@
 //! Process configuration: the one reader of `MIDAS_*` environment
-//! variables, and the telemetry config embedded in `MidasConfig`.
+//! variables, and the telemetry config a host process activates.
 //!
 //! [`Env::parse`] turns `(name, value)` pairs into typed settings;
 //! [`env()`] runs it once over the process environment. Every consumer —
@@ -12,9 +12,9 @@
 //!
 //! | Variable                    | Value                     | Effect |
 //! |-----------------------------|---------------------------|--------|
-//! | `MIDAS_TELEMETRY`           | `1\|true\|on` / `0\|false\|off` | metrics **and** tracing on / off |
-//! | `MIDAS_TRACE_OUT`           | path                      | enables tracing; `trace.json` destination (default `./trace.json`) |
-//! | `MIDAS_LOG`                 | `off\|error\|warn\|info\|debug\|trace` | log level (default `warn`) |
+//! | `MIDAS_TELEMETRY`           | `1\|true\|on` / `0\|false\|off` | metrics **and** tracing on / off; read by `serve_daemon` and `profile_batch` |
+//! | `MIDAS_TRACE_OUT`           | path                      | enables tracing in `serve_daemon` and `profile_batch`; `trace.json` destination of any process that writes a trace (default `./trace.json`) |
+//! | `MIDAS_LOG`                 | `off\|error\|warn\|info\|debug\|trace` | log level (default `warn`); read by `serve_daemon` and `profile_batch` |
 //! | `MIDAS_FLIGHT_DUMP`         | path                      | panic dump destination (default `./midas-flight-dump.json`) |
 //! | `MIDAS_FAULT`               | `task:N` / `slow:US`      | panic the N-th exec task / sleep US µs inside `batch.index` |
 //! | `MIDAS_SERVE_ADDR`          | `host:port`               | daemon listen address, `/v1/*` and obs endpoints (default `127.0.0.1:0`) |
@@ -137,8 +137,9 @@ pub fn env() -> &'static Env {
     })
 }
 
-/// Telemetry knobs carried by `MidasConfig` (the struct stays `Copy`, so
-/// paths live in [`Env`], not here). [`TelemetryConfig::with_env`]
+/// Telemetry knobs a host process activates once, before it runs any
+/// maintenance (paths live in [`Env`], not here). The library never
+/// activates one: the switches are process-wide. [`TelemetryConfig::with_env`]
 /// applies the `MIDAS_TELEMETRY`, `MIDAS_TRACE_OUT` and `MIDAS_LOG` rows
 /// of the module table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -33,7 +33,8 @@
 //! it reads `false`; the kernel benches guard this (`BENCH_kernel.json`
 //! records the per-probe cost). [`Span::enter`] likewise returns an inert
 //! guard. Enabling is process-global, via [`set_enabled`] or
-//! [`TelemetryConfig::activate`].
+//! [`TelemetryConfig::activate`], and belongs to the host binary: the
+//! maintenance library records into the switches but never sets them.
 //!
 //! # Quick tour
 //!

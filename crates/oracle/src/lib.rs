@@ -73,10 +73,11 @@
 //!     with the same covered counts (an unverified candidate's forced
 //!     through [`Candidate::verify`], the swap's verification, and its
 //!     survivors containing every sampled graph serial VF2 finds it in),
-//!     and the same next RNG draw, on check
-//!     9's swap worlds (CSGs of the whole database and of each half, and
-//!     one CSG per graph) and on the major batches of its carried-coverage
-//!     [`Midas`].
+//!     and the same next RNG draw, on its own list of swap worlds (the
+//!     synthetic, generated and refreshed-measures worlds; CSGs of the
+//!     whole database and of each half, and one CSG per graph), failing
+//!     when one is missing or compares nothing, and on the major batches
+//!     of check 9's carried-coverage [`Midas`].
 //! 13. **`select_vs_reference`** — CATAPULT selection
 //!     ([`select_patterns_with_stats`]), which asks each isomorphism
 //!     class's `lcov`, `cog` and `ccov` once per call and matches `ccov`
@@ -118,7 +119,7 @@ use midas_catapult::score::{
     ccov_projected, csg_projections, diversity, lcov_pattern, pattern_score, PatternScoreParts,
 };
 use midas_catapult::{select_patterns_with_stats, SelectionConfig, WeightedCsg};
-use midas_cluster::{ClusterConfig, ClusterId, ClusterSet, FeatureSpace};
+use midas_cluster::{ClusterConfig, ClusterId, ClusterSet, FeatureSpace, MCCS_BUDGET};
 use midas_core::candidate_gen::{
     coverage_state, generate_promising_candidates, Candidate, Coverage, GenerationParams,
 };
@@ -138,8 +139,8 @@ use midas_graph::graphlets::{count_graphlets, GraphletCounts};
 use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
 use midas_graph::mccs::{mccs_edges, mccs_similarity};
 use midas_graph::{
-    BatchUpdate, CanonicalCode, ClosureGraph, Csr, EdgeLabel, GraphBuilder, GraphDb, GraphId,
-    LabeledGraph, MatchKernel, MatchPlan,
+    BatchUpdate, CachedPattern, CanonicalCode, ClosureGraph, Csr, EdgeLabel, GraphBuilder, GraphDb,
+    GraphId, LabeledGraph, MatchKernel, MatchPlan,
 };
 use midas_index::{FctIndex, FeatureId, IfeIndex};
 use midas_mining::incremental::FctState;
@@ -374,7 +375,7 @@ impl Oracle {
         // that still agree with serial recomputation.
         for round in 0..2 {
             for (pi, p) in patterns.iter().enumerate() {
-                let fast_counts = kernel.count_in_graphs(p, &csrs, COUNT_CAP);
+                let fast_counts = count_row(&kernel, p, &csrs);
                 let fast_covered = kernel.covered_in(p, &csrs);
                 for (k, &(id, g)) in graphs.iter().enumerate() {
                     cases += 2;
@@ -410,10 +411,10 @@ impl Oracle {
             let p = &patterns[i % patterns.len()];
             // Warm the memo on the old content, then invalidate and probe
             // the replacement's CSR under the same id.
-            kernel.count_in_graphs(p, &[(id, old)], COUNT_CAP);
+            count_row(&kernel, p, &[(id, old)]);
             kernel.invalidate_graph(id);
             let replacement_csr = Csr::from_graph(replacement);
-            let fast = kernel.count_in_graphs(p, &[(id, &replacement_csr)], COUNT_CAP);
+            let fast = count_row(&kernel, p, &[(id, &replacement_csr)]);
             let want = count_embeddings(p, replacement, COUNT_CAP);
             cases += 1;
             if fast[0] != want {
@@ -529,7 +530,7 @@ impl Oracle {
             epsilon: 0.01,
             ..MidasConfig::small_defaults()
         };
-        let mut midas = match Midas::bootstrap_embedded(self.servebench_world(), config) {
+        let mut midas = match Midas::bootstrap(self.servebench_world(), config) {
             Ok(midas) => midas,
             Err(e) => {
                 out.push(divergence("bootstrap".into(), "a bootstrapped Midas", e));
@@ -710,19 +711,16 @@ impl Oracle {
 
     /// The unweighted swap worlds checks 5 and 9 share.
     fn swap_worlds(&self) -> Vec<SwapWorld> {
-        // World A: a synthetic database engineered so exactly one
-        // beneficial swap exists (stale C-O-N pattern vs dominant S-S-S
-        // chains) — the brute-force sw1 replay has a real swap to audit.
-        let mut synthetic = vec![path(&[0, 1, 2])];
-        synthetic.extend(vec![path(&[3, 3, 3]); 5]);
-        let mut worlds = vec![SwapWorld {
-            name: "synthetic",
-            db: GraphDb::from_graphs(synthetic),
-            initial: vec![path(&[0, 1, 2])],
-            candidates: vec![path(&[3, 3, 3])],
-        }];
-        // World B: a messier generated world — parity and monotonicity
-        // under realistic molecules.
+        [Some(synthetic_world()), self.generated_world()]
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
+    /// A messier generated world — parity and monotonicity under
+    /// realistic molecules — or `None` when its query draw leaves no
+    /// initial pattern or no candidate.
+    fn generated_world(&self) -> Option<SwapWorld> {
         let db = DatasetSpec::new(DatasetKind::AidsLike, 14, self.seed ^ 0x40)
             .generate()
             .db;
@@ -743,15 +741,12 @@ impl Oracle {
                 candidates.push(q);
             }
         }
-        if !initial.is_empty() && !candidates.is_empty() {
-            worlds.push(SwapWorld {
-                name: "generated",
-                db,
-                initial,
-                candidates,
-            });
-        }
-        worlds
+        (!initial.is_empty() && !candidates.is_empty()).then_some(SwapWorld {
+            name: "generated",
+            db,
+            initial,
+            candidates,
+        })
     }
 
     /// Runs one swap world through a shared and a fresh kernel and audits
@@ -973,8 +968,8 @@ impl Oracle {
 
     /// Check 7: the serving daemon against the library, bit for bit.
     ///
-    /// Both sides bootstrap [`Midas`] (via the same embedded entry point
-    /// and the same `small` config preset) on the same graphs, then apply
+    /// Both sides bootstrap [`Midas`] (through [`Midas::bootstrap`], with
+    /// the same `small` config preset) on the same graphs, then apply
     /// the same explicit batch sequence — the library side directly, the
     /// serve side through `POST /updates?mode=sync` over real HTTP. After
     /// bootstrap and after every batch, the pattern set the daemon serves
@@ -989,10 +984,9 @@ impl Oracle {
         let graphs: Vec<LabeledGraph> = world.db.iter().map(|(_, g)| g.as_ref().clone()).collect();
         let params = DatasetKind::EmolLike.params();
 
-        // Library side: the same embedded bootstrap the daemon uses.
+        // Library side: the same bootstrap the daemon's tenants use.
         let library_db = GraphDb::from_graphs(graphs.iter().cloned());
-        let mut library = match Midas::bootstrap_embedded(library_db, MidasConfig::small_defaults())
-        {
+        let mut library = match Midas::bootstrap(library_db, MidasConfig::small_defaults()) {
             Ok(m) => m,
             Err(e) => {
                 out.push(serve_divergence(
@@ -1292,7 +1286,7 @@ impl Oracle {
             epsilon: 0.01,
             ..MidasConfig::small_defaults()
         };
-        let servebench = Midas::bootstrap_embedded(self.servebench_world(), config);
+        let servebench = Midas::bootstrap(self.servebench_world(), config);
         let (mut cases, mut swaps) = self.swap_stream(
             "servebench-scale",
             servebench,
@@ -1389,21 +1383,7 @@ impl Oracle {
     /// Check 5's swap worlds plus check 9's refreshed-measures one.
     fn score_cache_worlds(&self) -> Vec<SwapWorld> {
         let mut worlds = self.swap_worlds();
-        // The larger S-family replaces the coverage-free pattern first.
-        // The smaller one then fails sw5 against C-O-N, whose edge labels
-        // reach the C-O and O-N graphs: only the set measures refreshed
-        // after the first swap reject it.
-        let mut graphs = vec![path(&[0, 1, 2])];
-        graphs.extend(vec![path(&[0, 1]); 3]);
-        graphs.extend(vec![path(&[1, 2]); 3]);
-        graphs.extend(vec![path(&[3, 3, 3]); 5]);
-        graphs.extend(vec![path(&[4, 4, 4]); 4]);
-        worlds.push(SwapWorld {
-            name: "refreshed-measures",
-            db: GraphDb::from_graphs(graphs),
-            initial: vec![path(&[0, 1, 2]), path(&[5, 5, 5])],
-            candidates: vec![path(&[3, 3, 3]), path(&[4, 4, 4])],
-        });
+        worlds.push(refreshed_measures_world());
         worlds
     }
 
@@ -1518,15 +1498,37 @@ impl Oracle {
     /// covered counts, and the next `u64` of the RNG afterwards must be
     /// equal; see `candidate_divergence` for the unverified candidates.
     ///
-    /// Worlds: check 9's swap worlds, with the initial patterns as the
-    /// store, at κ 0 and 0.1, over CSGs of the whole database and of each
-    /// half, and over one CSG per graph (so classes repeat across CSGs, and
+    /// Worlds: its own list of the synthetic, generated and
+    /// refreshed-measures worlds of checks 5 and 9, with the initial
+    /// patterns as the store, at κ 0 and 0.1, over CSGs of the whole
+    /// database and of each half, and over one CSG per graph (so classes repeat across CSGs, and
     /// one edge index names different labels in different CSGs); and the
     /// major batches of check 9's carried-coverage [`Midas`], over the CSGs
     /// of the clusters each batch changed and over every cluster's CSG.
+    /// The check fails when a listed world is missing or contributes no
+    /// case.
     fn check_candidates_vs_reference(&self, out: &mut Vec<Divergence>) -> usize {
+        let missing = |name: &str| Divergence {
+            check: "candidates_vs_reference",
+            case: format!("world {name}"),
+            expected: "at least one case".into(),
+            actual: "none".into(),
+            witness: None,
+        };
+        // Its own list, so that a change to another check's worlds cannot
+        // shrink this one unseen.
+        let worlds = [
+            ("synthetic", Some(synthetic_world())),
+            ("generated", self.generated_world()),
+            ("refreshed-measures", Some(refreshed_measures_world())),
+        ];
         let mut cases = 0;
-        for (wi, w) in self.score_cache_worlds().iter().enumerate() {
+        for (wi, (name, w)) in worlds.into_iter().enumerate() {
+            let before = cases;
+            let Some(w) = w else {
+                out.push(missing(name));
+                continue;
+            };
             let indices = WorldIndices::build(&w.db);
             let ctx = indices.ctx(&w.db);
             let store = PatternStore::from_patterns(w.initial.iter().cloned());
@@ -1573,6 +1575,9 @@ impl Oracle {
                         out,
                     );
                 }
+            }
+            if cases == before {
+                out.push(missing(name));
             }
         }
         cases + self.candidates_on_major_batches(out)
@@ -1940,6 +1945,38 @@ type SwapRunResult = (
     BTreeMap<PatternId, LabeledGraph>,
     PatternStore,
 );
+
+/// A synthetic database engineered so exactly one beneficial swap exists
+/// (stale C-O-N pattern vs dominant S-S-S chains): the brute-force sw1
+/// replay has a real swap to audit.
+fn synthetic_world() -> SwapWorld {
+    let mut graphs = vec![path(&[0, 1, 2])];
+    graphs.extend(vec![path(&[3, 3, 3]); 5]);
+    SwapWorld {
+        name: "synthetic",
+        db: GraphDb::from_graphs(graphs),
+        initial: vec![path(&[0, 1, 2])],
+        candidates: vec![path(&[3, 3, 3])],
+    }
+}
+
+/// Check 9's refreshed-measures world. The larger S-family replaces the
+/// coverage-free pattern first. The smaller one then fails sw5 against
+/// C-O-N, whose edge labels reach the C-O and O-N graphs: only the set
+/// measures refreshed after the first swap reject it.
+fn refreshed_measures_world() -> SwapWorld {
+    let mut graphs = vec![path(&[0, 1, 2])];
+    graphs.extend(vec![path(&[0, 1]); 3]);
+    graphs.extend(vec![path(&[1, 2]); 3]);
+    graphs.extend(vec![path(&[3, 3, 3]); 5]);
+    graphs.extend(vec![path(&[4, 4, 4]); 4]);
+    SwapWorld {
+        name: "refreshed-measures",
+        db: GraphDb::from_graphs(graphs),
+        initial: vec![path(&[0, 1, 2]), path(&[5, 5, 5])],
+        candidates: vec![path(&[3, 3, 3]), path(&[4, 4, 4])],
+    }
+}
 
 /// A swap world: database, initial patterns and candidates.
 struct SwapWorld {
@@ -2317,6 +2354,14 @@ fn cells_differing<K: Ord>(a: &BTreeMap<K, u32>, b: &BTreeMap<K, u32>) -> usize 
     a.iter().filter(|(k, v)| b.get(k) != Some(v)).count() + only_b
 }
 
+/// `pattern`'s capped count in each of `graphs` through `kernel`: the
+/// one-pattern [`MatchKernel::count_grid`].
+fn count_row(kernel: &MatchKernel, pattern: &LabeledGraph, graphs: &[(GraphId, &Csr)]) -> Vec<u64> {
+    let prepared = CachedPattern::new(pattern);
+    let grid = kernel.count_grid(&[&prepared], graphs, COUNT_CAP);
+    grid.into_iter().map(|row| row[0]).collect()
+}
+
 /// A kernel-count divergence with a shrunk `(pattern, graph)` witness.
 fn count_divergence(
     case: String,
@@ -2330,7 +2375,7 @@ fn count_divergence(
     // original pair as witness.
     let violates = |p: &LabeledGraph, g: &LabeledGraph| {
         let fresh = MatchKernel::new();
-        let fast = fresh.count_in_graphs(p, &[(GraphId(0), &Csr::from_graph(g))], COUNT_CAP);
+        let fast = count_row(&fresh, p, &[(GraphId(0), &Csr::from_graph(g))]);
         fast[0] != count_embeddings(p, g, COUNT_CAP)
     };
     let witness = minimize_pair(pattern, graph, violates);
@@ -2430,7 +2475,7 @@ fn memo_witness(
     set: &ClusterSet,
     group: Option<&[GraphId]>,
 ) -> Option<(LabeledGraph, LabeledGraph)> {
-    let budget = set.config().mccs_budget;
+    let budget = MCCS_BUDGET;
     let mut entries: Vec<(GraphId, GraphId, f64)> = set.mccs_memo().entries().collect();
     entries.sort_by_key(|&(s, m, _)| (s, m));
     let stale = entries.into_iter().find_map(|(s, m, cached)| {

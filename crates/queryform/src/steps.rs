@@ -18,7 +18,7 @@
 //! enumerates in the same order as the VF2 reference, so the greedy's
 //! first-fit choices — and hence every step count — are the reference's.
 
-use midas_graph::isomorphism::Control;
+use midas_graph::plan::Control;
 use midas_graph::{Csr, LabeledGraph, MatchPlan, VertexId};
 
 /// Result of formulating one query against a pattern set.

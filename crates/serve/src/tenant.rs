@@ -149,7 +149,7 @@ impl Tenant {
         db: GraphDb,
         config: MidasConfig,
     ) -> Result<Tenant, String> {
-        let midas = Midas::bootstrap_embedded(db, config)?;
+        let midas = Midas::bootstrap(db, config)?;
         let handle = midas.snapshot_handle();
         let baseline = handle.read().patterns.clone();
         let shared = Arc::new(Shared {

@@ -3,8 +3,8 @@
 //!
 //! ```sh
 //! cargo run -p midas-examples --bin profile_batch
-//! # or via the environment switches, with any binary:
-//! MIDAS_TELEMETRY=1 MIDAS_TRACE_OUT=trace.json cargo run -p midas-examples --bin quickstart
+//! # the environment switches override its defaults:
+//! MIDAS_TELEMETRY=1 MIDAS_TRACE_OUT=trace.json cargo run -p midas-examples --bin profile_batch
 //! ```
 //!
 //! Open `trace.json` in `chrome://tracing` or <https://ui.perfetto.dev> to
@@ -18,8 +18,13 @@ use midas_datagen::{DatasetKind, DatasetSpec, MotifKind};
 use midas_obs::{MetricsSnapshot, TelemetryConfig};
 
 fn main() {
-    // Telemetry on: metrics + trace + info logging. The environment can
-    // still override (MIDAS_TELEMETRY=0 silences this example).
+    // Telemetry on: metrics + trace + info logging. The switches are
+    // process-wide and belong to the host, so this binary activates them
+    // itself; the environment can still override (MIDAS_TELEMETRY=0
+    // silences this example).
+    TelemetryConfig::on()
+        .with_env(midas_obs::config::env())
+        .activate();
     let config = MidasConfig {
         budget: midas_catapult::PatternBudget {
             eta_min: 3,
@@ -30,7 +35,6 @@ fn main() {
         max_tree_edges: 3,
         coarse_clusters: 4,
         epsilon: 0.01,
-        telemetry: TelemetryConfig::on(),
         ..MidasConfig::default()
     };
 

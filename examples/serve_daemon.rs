@@ -47,8 +47,8 @@ fn tenant_spec(spec: &str) -> Option<(&str, &str, usize, u64)> {
 }
 
 fn main() {
-    // One process-wide telemetry activation; tenants bootstrap with
-    // `bootstrap_embedded`, which leaves it alone. The flight recorder is
+    // One process-wide telemetry activation; a tenant's bootstrap never
+    // touches it. The flight recorder is
     // armed before any tenant runs a batch, so the very first crash or
     // `/flight` scrape has context.
     let env = midas_obs::config::env();

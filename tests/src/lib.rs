@@ -2,7 +2,7 @@
 
 use midas_catapult::PatternBudget;
 use midas_core::MidasConfig;
-use midas_graph::{GraphBuilder, GraphDb, LabeledGraph};
+use midas_graph::{CachedPattern, Csr, GraphBuilder, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -11,6 +11,17 @@ use std::sync::{Mutex, MutexGuard};
 pub fn exclusive() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Switches the process-global metrics on (tracing stays off), as a host
+/// does before it bootstraps; a test calling it holds [`exclusive`] and
+/// restores the default before releasing it.
+pub fn metrics_on() {
+    midas_obs::TelemetryConfig {
+        enabled: true,
+        ..midas_obs::TelemetryConfig::default()
+    }
+    .activate();
 }
 
 /// A 24-graph database of five-vertex paths over three label patterns.
@@ -53,6 +64,19 @@ pub fn test_config(seed: u64) -> MidasConfig {
         seed,
         ..MidasConfig::default()
     }
+}
+
+/// `pattern`'s count, capped at `cap`, in each of `graphs` through
+/// `kernel`: the one-pattern [`MatchKernel::count_grid`].
+pub fn count_row(
+    kernel: &MatchKernel,
+    pattern: &LabeledGraph,
+    graphs: &[(GraphId, &Csr)],
+    cap: u64,
+) -> Vec<u64> {
+    let prepared = CachedPattern::new(pattern);
+    let grid = kernel.count_grid(&[&prepared], graphs, cap);
+    grid.into_iter().map(|row| row[0]).collect()
 }
 
 /// Builds a labeled path graph.

@@ -144,7 +144,7 @@ fn injected_worker_panic_is_contained_end_to_end() {
     let patterns: Vec<CachedPattern> = db
         .iter()
         .take(4)
-        .map(|(_, g)| kernel.prepare(&g.edge_subgraph(&g.edges()[..2])))
+        .map(|(_, g)| CachedPattern::new(&g.edge_subgraph(&g.edges()[..2])))
         .collect();
     let batch: Vec<&CachedPattern> = patterns.iter().collect();
     let payload = armed(Fault::Task(17), || {

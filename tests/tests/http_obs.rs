@@ -13,7 +13,7 @@ use midas_core::framework::Midas;
 use midas_graph::BatchUpdate;
 use midas_obs::{json, TelemetryConfig};
 use midas_serve::{ServeConfig, ServeDaemon};
-use midas_tests::{exclusive, http_get, seed_db, test_config, wave};
+use midas_tests::{exclusive, http_get, metrics_on, seed_db, test_config, wave};
 
 #[test]
 fn served_endpoints_answer_with_quantiles_and_bounded_flight_history() {
@@ -24,9 +24,8 @@ fn served_endpoints_answer_with_quantiles_and_bounded_flight_history() {
     let addr = server.addr();
     midas_obs::flight::clear();
 
-    let mut cfg = test_config(7);
-    cfg.telemetry.enabled = true;
-    let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    metrics_on();
+    let mut midas = Midas::bootstrap(seed_db(), test_config(7)).unwrap();
     for i in 0..10u32 {
         midas.apply_batch(BatchUpdate::insert_only(wave(i)));
     }
@@ -94,8 +93,8 @@ fn interleaved_instances_share_one_flight_sequence() {
     midas_obs::flight::clear();
     // Two tenants' worth of instances, batches interleaved the way a
     // multi-tenant daemon's per-tenant maintenance threads run them.
-    let mut a = Midas::bootstrap_embedded(seed_db(), test_config(7)).unwrap();
-    let mut b = Midas::bootstrap_embedded(seed_db(), test_config(8)).unwrap();
+    let mut a = Midas::bootstrap(seed_db(), test_config(7)).unwrap();
+    let mut b = Midas::bootstrap(seed_db(), test_config(8)).unwrap();
     for i in 0..3u32 {
         a.apply_batch(BatchUpdate::insert_only(wave(i)));
         b.apply_batch(BatchUpdate::insert_only(wave(i + 10)));

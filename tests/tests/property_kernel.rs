@@ -10,7 +10,7 @@ use midas_index::scov::covered_graphs;
 use midas_index::{FctIndex, IfeIndex};
 use midas_mining::canonical::edge_tree;
 use midas_mining::tree_key;
-use midas_tests::connected_graph_strategy;
+use midas_tests::{connected_graph_strategy, count_row};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -40,7 +40,7 @@ proptest! {
         let kernel = MatchKernel::new();
         for pass in 0..2 {
             for p in &patterns {
-                let got = kernel.count_in_graphs(p, &csrs, CAP);
+                let got = count_row(&kernel, p, &csrs, CAP);
                 let covered = kernel.covered_in(p, &csrs);
                 for (i, &(_, g)) in refs.iter().enumerate() {
                     prop_assert_eq!(got[i], count_embeddings(p, g, CAP), "pass {}", pass);
@@ -59,7 +59,7 @@ proptest! {
         let db = GraphDb::from_graphs(graphs);
         let refs = db_refs(&db);
         let kernel = MatchKernel::new();
-        let prepared: Vec<CachedPattern> = patterns.iter().map(|p| kernel.prepare(p)).collect();
+        let prepared: Vec<CachedPattern> = patterns.iter().map(CachedPattern::new).collect();
         let batch: Vec<&CachedPattern> = prepared.iter().collect();
         let grid = kernel.count_grid(&batch, &csr_refs(&db), CAP);
         for (i, &(_, g)) in refs.iter().enumerate() {
@@ -84,7 +84,7 @@ proptest! {
         let mut db = GraphDb::from_graphs(initial);
         let kernel = MatchKernel::new();
         // Warm the cache on the initial state.
-        kernel.count_in_graphs(&pattern, &csr_refs(&db), CAP);
+        count_row(&kernel, &pattern, &csr_refs(&db), CAP);
 
         // Mutate: optionally delete the first graph, then insert `added`.
         let mut update = midas_graph::BatchUpdate::insert_only(added);
@@ -97,7 +97,7 @@ proptest! {
         }
 
         let refs = db_refs(&db);
-        let got = kernel.count_in_graphs(&pattern, &csr_refs(&db), CAP);
+        let got = count_row(&kernel, &pattern, &csr_refs(&db), CAP);
         for (i, &(_, g)) in refs.iter().enumerate() {
             prop_assert_eq!(got[i], count_embeddings(&pattern, g, CAP));
         }

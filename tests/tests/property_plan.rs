@@ -5,8 +5,8 @@
 //! order, and the kernel's bulk operations against serial VF2 loops.
 
 use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
-use midas_graph::{Csr, GraphDb, GraphId, LabeledGraph, MatchKernel, MatchPlan};
-use midas_tests::connected_graph_strategy;
+use midas_graph::{CachedPattern, Csr, GraphDb, GraphId, LabeledGraph, MatchKernel, MatchPlan};
+use midas_tests::{connected_graph_strategy, count_row};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -143,7 +143,7 @@ proptest! {
         let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         for p in &patterns {
             let counts: Vec<u64> = graphs.iter().map(|g| count_embeddings(p, g, 64)).collect();
-            prop_assert_eq!(kernel.count_in_graphs(p, &csrs, 64), counts);
+            prop_assert_eq!(count_row(&kernel, p, &csrs, 64), counts);
             let covered: Vec<bool> = graphs.iter().map(|g| is_subgraph_of(p, g)).collect();
             prop_assert_eq!(kernel.covered_in(p, &csrs), covered);
             let unbounded: Vec<u64> =
@@ -155,7 +155,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(uncapped, unbounded);
         }
-        let prepared: Vec<_> = patterns.iter().map(|p| kernel.prepare(p)).collect();
+        let prepared: Vec<_> = patterns.iter().map(CachedPattern::new).collect();
         let grid: Vec<Vec<u64>> = graphs
             .iter()
             .map(|g| patterns.iter().map(|p| count_embeddings(p, g, 64)).collect())

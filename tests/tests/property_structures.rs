@@ -91,7 +91,7 @@ proptest! {
         let mut index = FctIndex::build(&kernel, [(key, feature)], &db.csrs().collect::<Vec<_>>());
         let before: Vec<_> = index.tg().iter().collect::<Vec<_>>();
         let newcomer = Csr::from_graph(&newcomer);
-        index.add_graphs_kernel(&kernel, &[(GraphId(999), &newcomer)]);
+        index.add_graphs(&kernel, &[(GraphId(999), &newcomer)]);
         index.remove_graph(GraphId(999));
         let after: Vec<_> = index.tg().iter().collect::<Vec<_>>();
         prop_assert_eq!(before, after);

@@ -54,7 +54,7 @@ fn injected_slowdown_shows_in_slow_metrics_and_healthz() {
     let _g = exclusive();
     // The documented fault-injection path: the settings parse from the
     // same `MIDAS_*` spellings an operator exports, and flow through
-    // TelemetryConfig::with_env into Midas::bootstrap.
+    // TelemetryConfig::with_env, which the host activates.
     let server = ServeDaemon::start(ServeConfig::default()).expect("bind daemon");
     let addr = server.addr();
     let (env, warnings) = Env::parse([("MIDAS_FAULT", "slow:200000")]); // +200 ms in batch.index
@@ -63,10 +63,13 @@ fn injected_slowdown_shows_in_slow_metrics_and_healthz() {
     registry().span("batch.index").reset();
     exemplar::series("batch.index", "us").reset();
 
-    let mut cfg = test_config(7);
-    cfg.telemetry.enabled = true;
-    cfg.telemetry = cfg.telemetry.with_env(&env);
-    let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    TelemetryConfig {
+        enabled: true,
+        ..TelemetryConfig::default()
+    }
+    .with_env(&env)
+    .activate();
+    let mut midas = Midas::bootstrap(seed_db(), test_config(7)).unwrap();
 
     // Two batches, each sleeping 200 ms inside the batch.index span.
     for i in 0..2u32 {

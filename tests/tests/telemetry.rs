@@ -7,9 +7,10 @@
 //! shared lock and restores the disabled default before releasing it.
 
 use midas_core::framework::{MaintenanceReport, Midas, ModificationKind};
+use midas_core::MidasConfig;
 use midas_graph::{BatchUpdate, GraphBuilder, GraphId, LabeledGraph, MatchKernel};
-use midas_obs::{json, MetricsSnapshot, TelemetryConfig};
-use midas_tests::{exclusive, path, seed_db, test_config};
+use midas_obs::{json, LogLevel, MetricsSnapshot, TelemetryConfig};
+use midas_tests::{exclusive, metrics_on, path, seed_db, test_config};
 use std::collections::BTreeSet;
 
 fn dense_wave() -> Vec<LabeledGraph> {
@@ -45,9 +46,8 @@ const PHASES: &[&str] = &[
 #[test]
 fn phase_spans_tile_pattern_maintenance_time() {
     let _g = exclusive();
-    let mut cfg = test_config(7);
-    cfg.telemetry.enabled = true; // metrics only; no trace.json side effect
-    let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    metrics_on(); // metrics only; no trace.json side effect
+    let mut midas = Midas::bootstrap(seed_db(), test_config(7)).unwrap();
     let (report, telemetry) = measured_batch(&mut midas, BatchUpdate::insert_only(dense_wave()));
     TelemetryConfig::default().activate();
 
@@ -84,9 +84,8 @@ fn phase_spans_tile_pattern_maintenance_time() {
 #[test]
 fn swap_child_spans_nest_inside_batch_swap() {
     let _g = exclusive();
-    let mut cfg = test_config(7);
-    cfg.telemetry.enabled = true;
-    let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    metrics_on();
+    let mut midas = Midas::bootstrap(seed_db(), test_config(7)).unwrap();
     let (report, telemetry) = measured_batch(&mut midas, BatchUpdate::insert_only(dense_wave()));
     TelemetryConfig::default().activate();
 
@@ -126,9 +125,8 @@ fn swap_child_spans_nest_inside_batch_swap() {
 #[test]
 fn candidate_child_spans_nest_inside_batch_candidates() {
     let _g = exclusive();
-    let mut cfg = test_config(7);
-    cfg.telemetry.enabled = true;
-    let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    metrics_on();
+    let mut midas = Midas::bootstrap(seed_db(), test_config(7)).unwrap();
     let before = MetricsSnapshot::capture();
     let mut majors = 0;
     for update in [
@@ -161,10 +159,9 @@ fn candidate_child_spans_nest_inside_batch_candidates() {
 #[test]
 fn bootstrap_layer_spans_and_selection_counters() {
     let _g = exclusive();
-    let mut cfg = test_config(7);
-    cfg.telemetry.enabled = true;
+    metrics_on();
     let before = MetricsSnapshot::capture();
-    Midas::bootstrap(seed_db(), cfg).unwrap();
+    Midas::bootstrap(seed_db(), test_config(7)).unwrap();
     let telemetry = MetricsSnapshot::capture().since(&before);
     TelemetryConfig::default().activate();
 
@@ -199,9 +196,8 @@ fn bootstrap_layer_spans_and_selection_counters() {
 #[test]
 fn fct_child_spans_nest_inside_batch_fct() {
     let _g = exclusive();
-    let mut cfg = test_config(7);
-    cfg.telemetry.enabled = true;
-    let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    metrics_on();
+    let mut midas = Midas::bootstrap(seed_db(), test_config(7)).unwrap();
     let (_, telemetry) = measured_batch(&mut midas, BatchUpdate::insert_only(dense_wave()));
     TelemetryConfig::default().activate();
 
@@ -230,9 +226,8 @@ fn fct_child_spans_nest_inside_batch_fct() {
 #[test]
 fn batch_delta_renders_the_gated_prom_families() {
     let _g = exclusive();
-    let mut cfg = test_config(11);
-    cfg.telemetry.enabled = true;
-    let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    metrics_on();
+    let mut midas = Midas::bootstrap(seed_db(), test_config(11)).unwrap();
     let (_, delta) = measured_batch(&mut midas, BatchUpdate::insert_only(dense_wave()));
     TelemetryConfig::default().activate();
 
@@ -261,10 +256,13 @@ fn trace_export_is_valid_chrome_trace() {
     let _g = exclusive();
     let trace_file = std::env::temp_dir().join(format!("midas-trace-{}.json", std::process::id()));
     midas_obs::trace::set_output_path(Some(trace_file.clone()));
-    let mut cfg = test_config(13);
-    cfg.telemetry.enabled = true;
-    cfg.telemetry.trace = true;
-    let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    TelemetryConfig {
+        enabled: true,
+        trace: true,
+        ..TelemetryConfig::default()
+    }
+    .activate();
+    let mut midas = Midas::bootstrap(seed_db(), test_config(13)).unwrap();
     let _report = midas.apply_batch(BatchUpdate::insert_only(dense_wave()));
     TelemetryConfig::default().activate();
     midas_obs::trace::set_output_path(None);
@@ -276,6 +274,26 @@ fn trace_export_is_valid_chrome_trace() {
     assert!(doc.contains("\"ph\": \"X\""));
     assert!(doc.contains("\"batch.ingest\""));
     assert!(doc.contains("\"displayTimeUnit\": \"ms\""));
+}
+
+/// The switches belong to the host: a bootstrap with a default
+/// configuration leaves telemetry the host turned on switched on, at the
+/// log level the host chose.
+#[test]
+fn bootstrap_leaves_the_process_switches_alone() {
+    let _g = exclusive();
+    TelemetryConfig {
+        enabled: true,
+        trace: false,
+        log: LogLevel::Error,
+    }
+    .activate();
+    let bootstrapped = Midas::bootstrap(seed_db(), MidasConfig::small_defaults()).is_ok();
+    let (enabled, level) = (midas_obs::enabled(), midas_obs::log::log_level());
+    TelemetryConfig::default().activate();
+    assert!(bootstrapped);
+    assert!(enabled, "bootstrap switched metrics off");
+    assert_eq!(level, LogLevel::Error, "bootstrap changed the log level");
 }
 
 #[test]
@@ -296,8 +314,8 @@ fn disabled_telemetry_leaves_the_registry_unchanged() {
 #[test]
 fn fine_clustering_splits_report_their_span_and_memo_counters() {
     let _g = exclusive();
+    metrics_on();
     let mut cfg = test_config(19);
-    cfg.telemetry.enabled = true;
     // Small clusters: the 16-graph wave overflows its cluster repeatedly.
     cfg.max_cluster_size = 8;
     let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
@@ -324,8 +342,7 @@ fn fine_clustering_splits_report_their_span_and_memo_counters() {
 #[test]
 fn production_matching_runs_on_the_plan_matcher_only() {
     let _g = exclusive();
-    let mut cfg = test_config(29);
-    cfg.telemetry.enabled = true;
+    metrics_on();
     let mut last = MetricsSnapshot::capture();
     let mut step = |name: &str| {
         let now = MetricsSnapshot::capture();
@@ -335,7 +352,7 @@ fn production_matching_runs_on_the_plan_matcher_only() {
         last = now;
     };
 
-    let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    let mut midas = Midas::bootstrap(seed_db(), test_config(29)).unwrap();
     step("bootstrap");
     let major = midas.apply_batch(BatchUpdate::insert_only(dense_wave()));
     assert_eq!(major.kind, ModificationKind::Major, "wave drifts");
