@@ -32,7 +32,6 @@ fn main() {
     let sample: std::collections::BTreeSet<midas_graph::GraphId> = midas.db().ids().collect();
     let ctx = ScovContext {
         fct: midas.fct_index(),
-        ife: midas.ife_index(),
         db: midas.db(),
         sample: &sample,
         catalog: &midas.fct_state().edges,

@@ -276,7 +276,7 @@ pub fn promising_candidates(
 mod tests {
     use super::*;
     use midas_graph::{ClosureGraph, GraphBuilder, GraphDb, MatchKernel};
-    use midas_index::{FctIndex, IfeIndex};
+    use midas_index::FctIndex;
     use midas_mining::EdgeCatalog;
     use rand::SeedableRng;
 
@@ -288,44 +288,32 @@ mod tests {
     struct World {
         db: GraphDb,
         fct: FctIndex,
-        ife: IfeIndex,
         catalog: EdgeCatalog,
         sample: BTreeSet<GraphId>,
         kernel: MatchKernel,
     }
 
+    /// A world with no FCT-Index rows: the dominance filter keeps the
+    /// graphs with enough edges of each of a pattern's labels.
     fn world(graphs: Vec<LabeledGraph>) -> World {
         let db = GraphDb::from_graphs(graphs);
         let refs: Vec<(GraphId, &LabeledGraph)> =
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
         let fct = FctIndex::new();
-        let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
         let catalog = EdgeCatalog::build(refs.iter().copied());
         let sample: BTreeSet<GraphId> = db.ids().collect();
         World {
             db,
             fct,
-            ife,
             catalog,
             sample,
             kernel: MatchKernel::new(),
         }
     }
 
-    /// A world whose IFE-Index tracks every edge label, so the dominance
-    /// filter keeps only graphs with enough edges of each of a pattern's
-    /// labels.
-    fn filtered_world(graphs: Vec<LabeledGraph>) -> World {
-        let w = world(graphs);
-        let labels = w.catalog.labels().map(|(l, _)| l).collect();
-        let ife = IfeIndex::build(labels, w.db.iter().map(|(id, g)| (id, g.as_ref())));
-        World { ife, ..w }
-    }
-
     fn ctx<'a>(w: &'a World) -> ScovContext<'a> {
         ScovContext {
             fct: &w.fct,
-            ife: &w.ife,
             db: &w.db,
             sample: &w.sample,
             catalog: &w.catalog,
@@ -518,7 +506,7 @@ mod tests {
         let mut graphs = vec![path(&[0, 1]); 3];
         graphs.extend(vec![path(&[3, 3, 3]); 2]);
         graphs.extend(vec![path(&[5, 5, 5]); 6]);
-        let w = filtered_world(graphs);
+        let w = world(graphs);
         let mut store = PatternStore::new();
         store.insert(path(&[0, 1])).unwrap();
         let c = ctx(&w);

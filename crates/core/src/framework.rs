@@ -1,14 +1,14 @@
 //! The MIDAS framework — Algorithm 1 end to end.
 //!
 //! [`Midas`] owns the database and every derived structure (FCT lattice,
-//! edge catalog, clusters + CSGs, graphlet monitor, FCT-/IFE-Index, and the
+//! edge catalog, clusters + CSGs, graphlet monitor, FCT-Index, and the
 //! canned pattern set). [`Midas::apply_batch`] is Algorithm 1:
 //!
 //! 1. capture `ψ_D`, apply `ΔD` to the database;
 //! 2. maintain the FCT state (§4.2) and the edge catalog;
 //! 3. assign `Δ⁺` to clusters / remove `Δ⁻` (§4.3), with CSG updates
 //!    (§4.4) and fine re-clustering along the way;
-//! 4. maintain the indices (§5.1);
+//! 4. maintain the FCT-Index (§5.1);
 //! 5. classify the modification by graphlet drift (§3.4); for a **major**
 //!    one, generate promising candidates from dirty CSGs (§5.2) and run
 //!    the multi-scan swap (§6.2).
@@ -27,7 +27,7 @@
 //! place on the maintenance path that catches a panic: a task panic
 //! unwinds out of the kernel to it and becomes a [`PhaseError`]
 //! on the report (or bootstrap's `Err`). A failed index phase marks the
-//! indices stale for a rebuild; a failed pattern-maintenance round keeps
+//! index stale for a rebuild; a failed pattern-maintenance round keeps
 //! its dirty-cluster flags for the next major batch.
 
 use crate::candidate_gen::{coverage_state, new_classes, promising_candidates, Candidate};
@@ -41,8 +41,8 @@ use crate::swap::multi_scan_swap;
 use midas_catapult::score::SetQuality;
 use midas_catapult::{select_patterns, WeightedCsg};
 use midas_cluster::{ClusterSet, FeatureSpace};
-use midas_graph::{BatchUpdate, Csr, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
-use midas_index::{FctIndex, IfeIndex};
+use midas_graph::{BatchUpdate, Csr, GraphDb, GraphId, LabeledGraph, MatchKernel};
+use midas_index::FctIndex;
 use midas_mining::incremental::FctState;
 use midas_mining::TreeKey;
 use rand::rngs::StdRng;
@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 pub enum ModificationKind {
     /// Type 1: patterns were maintained.
     Major,
-    /// Type 2: only clusters/CSGs/indices were maintained.
+    /// Type 2: only clusters/CSGs/the index were maintained.
     Minor,
 }
 
@@ -106,11 +106,10 @@ pub struct Midas {
     clusters: ClusterSet,
     monitor: GraphletMonitor,
     fct_index: FctIndex,
-    ife_index: IfeIndex,
-    /// Set when an index phase did not complete: the indices may miss
-    /// that batch's graph columns and feature rows, so the next index
-    /// phase resets both to empty before it applies the rules.
-    indices_stale: bool,
+    /// Set when an index phase did not complete: the index may miss that
+    /// batch's graph columns and feature rows, so the next index phase
+    /// resets it to empty before it applies the rules.
+    index_stale: bool,
     patterns: PatternStore,
     kernel: MatchKernel,
     batch_counter: u64,
@@ -123,8 +122,8 @@ pub struct Midas {
 impl Midas {
     /// Bootstraps MIDAS on an initial database: mines the FCT state,
     /// clusters with FCT features (the CATAPULT++ configuration), selects
-    /// the initial pattern set, and fills both indices by running the
-    /// index phase's maintenance rules over empty indices.
+    /// the initial pattern set, and fills the FCT-Index by running the
+    /// index phase's maintenance rules over an empty index.
     ///
     /// The configuration is taken exactly as given: bootstrap reads no
     /// environment and sets no process-wide switch, so a host that embeds
@@ -163,8 +162,7 @@ impl Midas {
             clusters,
             monitor,
             fct_index: FctIndex::new(),
-            ife_index: IfeIndex::new(),
-            indices_stale: false,
+            index_stale: false,
             patterns,
             kernel: MatchKernel::new(),
             batch_counter: 0,
@@ -173,7 +171,7 @@ impl Midas {
         let mut failure = None;
         let index_span = midas_obs::span!("bootstrap.index");
         contain("bootstrap.index", &mut failure, || {
-            midas.maintain_indices(&[], &[])
+            midas.maintain_index(&[], &[])
         });
         drop(index_span);
         if let Some(e) = failure {
@@ -257,11 +255,6 @@ impl Midas {
     /// The FCT-Index.
     pub fn fct_index(&self) -> &FctIndex {
         &self.fct_index
-    }
-
-    /// The IFE-Index.
-    pub fn ife_index(&self) -> &IfeIndex {
-        &self.ife_index
     }
 
     /// The memoized isomorphism kernel shared by every hot
@@ -369,10 +362,12 @@ impl Midas {
         let clustering_time = cluster_start.elapsed();
         drop(cluster_span);
 
-        // Index maintenance (line 12 — we keep indices fresh every batch so
-        // minor modifications leave them consistent too). A phase that
-        // fails (possibly mid-mutation) or is skipped leaves the indices
-        // stale until the next one rebuilds them.
+        // Index maintenance (line 12 — we keep the index fresh every batch
+        // so minor modifications leave it consistent too). A phase that
+        // fails (possibly mid-mutation) or is skipped leaves the index
+        // stale until the next one rebuilds it. The edge-label counts the
+        // dominance filter reads are the catalog's, maintained with the
+        // FCT state above.
         let index_span = midas_obs::span!("batch.index");
         let index_start = Instant::now();
         // Injected slowdown (`MIDAS_FAULT=slow:US`): burns wall-clock inside
@@ -381,8 +376,8 @@ impl Midas {
         if let Some(delay) = midas_graph::exec::slow_fault() {
             std::thread::sleep(delay);
         }
-        self.indices_stale = contain("batch.index", &mut batch_error, || {
-            self.maintain_indices(&inserted, &deleted_ids)
+        self.index_stale = contain("batch.index", &mut batch_error, || {
+            self.maintain_index(&inserted, &deleted_ids)
         })
         .is_none();
         let index_time = index_start.elapsed();
@@ -410,7 +405,6 @@ impl Midas {
                 let sample = self.sample();
                 let ctx = ScovContext {
                     fct: &self.fct_index,
-                    ife: &self.ife_index,
                     db: &self.db,
                     sample: &sample,
                     catalog: &self.fct_state.edges,
@@ -543,40 +537,34 @@ impl Midas {
     /// The index phase, maintenance rules 1–4 of §5.1: the embedding
     /// cache is invalidated per touched graph, `Δ⁻` columns are dropped
     /// (rule 4), `Δ⁺` columns are counted (rule 3), then the feature rows
-    /// are reconciled with the current FCT ∪ frequent-edge set over the
-    /// whole database (rules 1–2). Stale indices (an earlier index phase
-    /// failed) are first reset to empty, as at bootstrap: rules 3–4 then
+    /// are reconciled with [`FctState::index_trees`] over the whole
+    /// database (rules 1–2). A stale index (an earlier index phase
+    /// failed) is first reset to empty, as at bootstrap: rules 3–4 then
     /// have no rows to touch, and rules 1–2 fill every row.
-    fn maintain_indices(&mut self, inserted: &[GraphId], deleted: &[GraphId]) {
+    fn maintain_index(&mut self, inserted: &[GraphId], deleted: &[GraphId]) {
         for &id in deleted.iter().chain(inserted) {
             self.kernel.invalidate_graph(id);
         }
-        if self.indices_stale {
+        if self.index_stale {
             self.fct_index = FctIndex::new();
-            self.ife_index = IfeIndex::new();
         }
         for &id in deleted {
             self.fct_index.remove_graph(id);
-            self.ife_index.remove_graph(id);
         }
         let inserted_csrs: Vec<(GraphId, &Csr)> = inserted
             .iter()
             .map(|&id| (id, self.db.csr(id).expect("inserted id")))
             .collect();
         self.fct_index.add_graphs(&self.kernel, &inserted_csrs);
-        for &id in inserted {
-            self.ife_index
-                .add_graph(id, self.db.get(id).expect("inserted id"));
-        }
-        let (features, infrequent) =
-            index_features(&self.fct_state, self.config.sup_min, self.db.len());
-        let target: Vec<(TreeKey, &LabeledGraph)> =
-            features.iter().map(|(k, t)| (k.clone(), t)).collect();
+        let target: Vec<(TreeKey, &LabeledGraph)> = self
+            .fct_state
+            .index_trees(self.db.len())
+            .into_iter()
+            .map(|(k, e)| (k.clone(), &e.tree))
+            .collect();
         let csr_refs: Vec<(GraphId, &Csr)> = self.db.csrs().collect();
         self.fct_index
             .refresh_features(&self.kernel, &target, &csr_refs);
-        self.ife_index
-            .refresh_edges(infrequent, self.db.iter().map(|(id, g)| (id, g.as_ref())));
     }
 }
 
@@ -656,40 +644,6 @@ fn random_swap(store: &mut PatternStore, candidates: Vec<Candidate>, rng: &mut S
         }
     }
     swaps
-}
-
-/// The two index feature sets: FCT-Index rows, FCT ∪ E_freq (Def. 5.1)
-/// deduplicated by key with the first occurrence kept, and the IFE-Index's
-/// tracked labels, E_inf (Def. 5.2).
-fn index_features(
-    fct_state: &FctState,
-    sup_min: f64,
-    db_len: usize,
-) -> (Vec<(TreeKey, LabeledGraph)>, BTreeSet<EdgeLabel>) {
-    let fct_trees = fct_state
-        .fct(db_len)
-        .into_iter()
-        .map(|(k, e)| (k.clone(), e.tree.clone()));
-    let freq_edges = fct_state
-        .edges
-        .frequent(sup_min, db_len)
-        .into_iter()
-        .map(|(label, _)| {
-            let tree = midas_mining::canonical::edge_tree(label.0, label.1);
-            (midas_mining::tree_key(&tree), tree)
-        });
-    let mut seen = BTreeSet::new();
-    let features = fct_trees
-        .chain(freq_edges)
-        .filter(|(k, _)| seen.insert(k.clone()))
-        .collect();
-    let infrequent = fct_state
-        .edges
-        .infrequent(sup_min, db_len)
-        .into_iter()
-        .map(|(label, _)| label)
-        .collect();
-    (features, infrequent)
 }
 
 #[cfg(test)]

@@ -1,14 +1,15 @@
 //! The scoring context.
 //!
 //! [`ScovContext`] bundles everything needed to evaluate subgraph coverage
-//! the MIDAS way: the FCT/IFE indices for dominance filtering (§6.1) and
+//! the MIDAS way: the FCT-Index and the edge catalog for dominance
+//! filtering (§6.1), and
 //! the lazy sample `D_s` that bounds the cost. `scov` is read from covered
 //! counts ([`ScovContext::scov_of`]) that candidate generation computes
 //! once and the swap carries.
 
 use midas_graph::{GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::scov::{candidate_graphs, covered_graphs, profile_pattern, verify_with};
-use midas_index::{FctIndex, IfeIndex};
+use midas_index::FctIndex;
 use midas_mining::EdgeCatalog;
 use std::collections::BTreeSet;
 
@@ -16,13 +17,12 @@ use std::collections::BTreeSet;
 pub struct ScovContext<'a> {
     /// The FCT-Index.
     pub fct: &'a FctIndex,
-    /// The IFE-Index.
-    pub ife: &'a IfeIndex,
     /// The database.
     pub db: &'a GraphDb,
     /// The sampled universe `D_s` (§6.1).
     pub sample: &'a BTreeSet<GraphId>,
-    /// The edge catalog (for `lcov`).
+    /// The edge catalog: the dominance filter's edge-label counts, and
+    /// `lcov`.
     pub catalog: &'a EdgeCatalog,
     /// The memoized kernel for the isomorphism verification step. The
     /// property tests and the oracle pin its sets to brute-force VF2.
@@ -36,7 +36,7 @@ impl ScovContext<'_> {
         covered_graphs(
             self.kernel,
             self.fct,
-            self.ife,
+            self.catalog,
             self.db,
             pattern,
             self.sample,
@@ -47,8 +47,8 @@ impl ScovContext<'_> {
     /// `pattern`, ascending. They contain every sampled graph that
     /// contains `pattern`.
     pub fn survivors(&self, pattern: &LabeledGraph) -> Vec<GraphId> {
-        let profile = profile_pattern(self.fct, self.ife, pattern);
-        candidate_graphs(self.fct.tg(), self.ife.eg(), &profile, self.sample)
+        let profile = profile_pattern(self.fct, self.catalog, pattern);
+        candidate_graphs(self.fct.tg(), self.catalog, &profile, self.sample)
     }
 
     /// The graphs of `survivors` that contain `pattern`, verified through
@@ -81,7 +81,6 @@ mod tests {
     struct World {
         db: GraphDb,
         fct: FctIndex,
-        ife: IfeIndex,
         catalog: EdgeCatalog,
     }
 
@@ -89,17 +88,11 @@ mod tests {
         let db = GraphDb::from_graphs([path(&[0, 1, 2]), path(&[0, 1]), path(&[3, 4])]);
         let refs: Vec<(GraphId, &LabeledGraph)> =
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
-        let feature = path(&[0, 1]);
+        let feature = path(&[0, 1, 2]);
         let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         let fct = FctIndex::build(&MatchKernel::new(), [(tree_key(&feature), feature)], &csrs);
-        let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
         let catalog = EdgeCatalog::build(refs.iter().copied());
-        World {
-            db,
-            fct,
-            ife,
-            catalog,
-        }
+        World { db, fct, catalog }
     }
 
     #[test]
@@ -108,7 +101,6 @@ mod tests {
         let sample: BTreeSet<GraphId> = w.db.ids().collect();
         let ctx = ScovContext {
             fct: &w.fct,
-            ife: &w.ife,
             db: &w.db,
             sample: &sample,
             catalog: &w.catalog,

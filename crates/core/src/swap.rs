@@ -491,8 +491,8 @@ mod tests {
     use super::*;
     use midas_catapult::score::set_quality;
     use midas_graph::canonical::canonical_code;
-    use midas_graph::{EdgeLabel, GraphBuilder, GraphDb, GraphId, MatchKernel};
-    use midas_index::{FctIndex, IfeIndex};
+    use midas_graph::{GraphBuilder, GraphDb, GraphId, MatchKernel};
+    use midas_index::FctIndex;
     use midas_mining::EdgeCatalog;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
@@ -507,7 +507,6 @@ mod tests {
         catalog: EdgeCatalog,
         sample: BTreeSet<GraphId>,
         fct: FctIndex,
-        ife: IfeIndex,
         kernel: MatchKernel,
     }
 
@@ -515,7 +514,6 @@ mod tests {
         fn ctx(&self) -> ScovContext<'_> {
             ScovContext {
                 fct: &self.fct,
-                ife: &self.ife,
                 db: &self.db,
                 sample: &self.sample,
                 catalog: &self.catalog,
@@ -524,33 +522,17 @@ mod tests {
         }
     }
 
+    /// A world with no FCT-Index rows: the dominance filter keeps the
+    /// graphs with enough edges of each of a pattern's labels.
     fn world(graphs: Vec<LabeledGraph>) -> World {
-        tracking(graphs, |_| false)
-    }
-
-    /// A world whose IFE-Index tracks every edge label, so the dominance
-    /// filter keeps only graphs with enough edges of each of a pattern's
-    /// labels.
-    fn filtered_world(graphs: Vec<LabeledGraph>) -> World {
-        tracking(graphs, |_| true)
-    }
-
-    /// A world whose IFE-Index tracks the edge labels `track` picks.
-    fn tracking(graphs: Vec<LabeledGraph>, track: impl Fn(EdgeLabel) -> bool) -> World {
         let db = GraphDb::from_graphs(graphs);
-        let refs: Vec<(GraphId, &LabeledGraph)> =
-            db.iter().map(|(id, g)| (id, g.as_ref())).collect();
-        let catalog = EdgeCatalog::build(refs.iter().copied());
+        let catalog = EdgeCatalog::build(db.iter().map(|(id, g)| (id, g.as_ref())));
         let sample: BTreeSet<GraphId> = db.ids().collect();
-        let fct = FctIndex::new();
-        let tracked = catalog.labels().map(|(l, _)| l).filter(|&l| track(l));
-        let ife = IfeIndex::build(tracked.collect(), refs.iter().copied());
         World {
             db,
             catalog,
             sample,
-            fct,
-            ife,
+            fct: FctIndex::new(),
             kernel: MatchKernel::new(),
         }
     }
@@ -744,7 +726,7 @@ mod tests {
                 .edge(2, 3)
                 .build(),
         );
-        let w = filtered_world(graphs);
+        let w = world(graphs);
         let ctx = w.ctx();
         let mut store = PatternStore::from_patterns([path(&[0, 1, 2])]);
         let coverage = crate::candidate_gen::coverage_state(&store, &ctx);
@@ -856,10 +838,8 @@ mod tests {
             graphs in proptest::collection::vec(small_tree(), 4..14),
             initial in proptest::collection::vec(small_tree(), 1..4),
             grown in proptest::collection::vec(small_tree(), 1..10),
-            mask in 0u32..8,
             lambda in 0usize..2,
         ) {
-            let track = |l: EdgeLabel| mask & (1 << ((l.0 + l.1) % 3)) != 0;
             let store = PatternStore::from_patterns(initial);
             let mut codes: BTreeSet<_> = store.iter().map(|(_, p)| canonical_code(p)).collect();
             let grown: Vec<LabeledGraph> =
@@ -870,7 +850,7 @@ mod tests {
                 ..SwapParams::default()
             };
             let run = |make: fn(&ScovContext<'_>, Vec<LabeledGraph>) -> Vec<Candidate>| {
-                let w = tracking(graphs.clone(), track);
+                let w = world(graphs.clone());
                 let ctx = w.ctx();
                 let mut store = store.clone();
                 let coverage = crate::candidate_gen::coverage_state(&store, &ctx);

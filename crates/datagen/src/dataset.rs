@@ -21,6 +21,30 @@ pub enum DatasetKind {
 }
 
 impl DatasetKind {
+    /// Every dataset kind.
+    pub const ALL: [DatasetKind; 3] = [
+        DatasetKind::AidsLike,
+        DatasetKind::PubchemLike,
+        DatasetKind::EmolLike,
+    ];
+
+    /// The preset's wire name (`"pubchem_like"`), as the serving API and
+    /// `MIDAS_SERVE_TENANTS` spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            DatasetKind::AidsLike => "aids_like",
+            DatasetKind::PubchemLike => "pubchem_like",
+            DatasetKind::EmolLike => "emol_like",
+        }
+    }
+
+    /// The preset whose [`Self::name`] is `name`.
+    pub fn from_name(name: &str) -> Option<DatasetKind> {
+        DatasetKind::ALL
+            .into_iter()
+            .find(|kind| kind.name() == name)
+    }
+
     /// The molecule parameters for this preset.
     pub fn params(self) -> MoleculeParams {
         match self {
@@ -137,6 +161,14 @@ pub struct GeneratedDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_dataset_name_round_trips() {
+        for kind in DatasetKind::ALL {
+            assert_eq!(DatasetKind::from_name(kind.name()), Some(kind));
+        }
+        assert_eq!(DatasetKind::from_name("pubchem"), None);
+    }
 
     #[test]
     fn generate_produces_requested_size() {

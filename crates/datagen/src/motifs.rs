@@ -76,6 +76,35 @@ impl MotifKind {
         MotifKind::Chain,
     ];
 
+    /// The motif's wire name (`"boronic_ester"`), as the serving API's
+    /// generate specs spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            MotifKind::BenzeneRing => "benzene_ring",
+            MotifKind::FiveRing => "five_ring",
+            MotifKind::PyridineRing => "pyridine_ring",
+            MotifKind::ThiopheneRing => "thiophene_ring",
+            MotifKind::Carboxyl => "carboxyl",
+            MotifKind::Amine => "amine",
+            MotifKind::Amide => "amide",
+            MotifKind::Hydroxyl => "hydroxyl",
+            MotifKind::Thiol => "thiol",
+            MotifKind::Phosphate => "phosphate",
+            MotifKind::Chloride => "chloride",
+            MotifKind::Fluoride => "fluoride",
+            MotifKind::BoronicAcid => "boronic_acid",
+            MotifKind::BoronicEster => "boronic_ester",
+            MotifKind::Chain => "chain",
+            MotifKind::Cyclopropane => "cyclopropane",
+            MotifKind::FusedBicycle => "fused_bicycle",
+        }
+    }
+
+    /// The motif whose [`Self::name`] is `name`.
+    pub fn from_name(name: &str) -> Option<MotifKind> {
+        MotifKind::ALL.into_iter().find(|kind| kind.name() == name)
+    }
+
     /// Builds the motif graph.
     pub fn build(self) -> Motif {
         let (c, o, n, s, p, cl, f, b, h) = (
@@ -298,6 +327,14 @@ impl MotifMix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_motif_name_round_trips() {
+        for kind in MotifKind::ALL {
+            assert_eq!(MotifKind::from_name(kind.name()), Some(kind));
+        }
+        assert_eq!(MotifKind::from_name("benzene"), None);
+    }
 
     #[test]
     fn all_motifs_are_connected_simple_graphs() {

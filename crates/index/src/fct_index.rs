@@ -17,7 +17,7 @@ use midas_graph::{CachedPattern, Csr, GraphId, LabeledGraph, MatchKernel};
 use midas_mining::TreeKey;
 use std::collections::BTreeMap;
 
-/// Dense identifier of a feature (an FCT or a frequent edge) in the index.
+/// Dense identifier of a feature (an FCT of two or more edges) in the index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FeatureId(pub u32);
 
@@ -34,7 +34,7 @@ pub struct Feature {
 }
 
 impl Feature {
-    /// The feature tree (frequent edges are 2-vertex trees).
+    /// The feature tree.
     pub fn tree(&self) -> &LabeledGraph {
         self.pattern.graph()
     }
@@ -56,8 +56,7 @@ impl FctIndex {
         Self::default()
     }
 
-    /// An index over `features` (FCTs ∪ frequent edges; a repeated key
-    /// gets one row) and `graphs`: the empty index after one
+    /// An index over `features` (a repeated key gets one row) and `graphs`: the empty index after one
     /// [`Self::refresh_features`], the rules' own row path.
     pub fn build(
         kernel: &MatchKernel,

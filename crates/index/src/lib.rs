@@ -1,23 +1,26 @@
 //! # midas-index
 //!
-//! The two index structures MIDAS adds on top of CATAPULT (§5.1):
+//! The index structure MIDAS adds on top of CATAPULT (§5.1), and the
+//! containment filter it powers:
 //!
 //! * [`FctIndex`] — the **FCT-Index** (Def. 5.1): a token trie over the
-//!   canonical strings of frequent closed trees and frequent edges, whose
-//!   terminal nodes point into the trie-graph matrix (TG) of embedding
-//!   counts over data graphs.
-//! * [`IfeIndex`] — the **IFE-Index** (Def. 5.2): the edge-graph (EG)
-//!   matrix holding occurrence counts of infrequent edges.
+//!   canonical strings of the frequent closed trees with at least two
+//!   edges, whose terminal nodes point into the trie-graph matrix (TG) of
+//!   embedding counts over data graphs. It stores graph-side rows only and
+//!   is maintained incrementally under database changes (§5.1 "Index
+//!   Maintenance", rules 1–4).
+//! * [`scov`] — the containment filter for subgraph coverage (§6.1): a
+//!   pattern can only be contained in graphs whose counts dominate the
+//!   pattern's, cutting subgraph-isomorphism checks drastically.
 //!
-//! Both store graph-side rows only and are maintained incrementally under
-//! database changes (§5.1 "Index Maintenance", rules 1–4). They power
-//! [`scov`], the containment filter for subgraph coverage (§6.1): a
-//! pattern can only be contained in graphs whose feature counts dominate
-//! the pattern's, cutting subgraph-isomorphism checks drastically. The
-//! pattern side of Def. 5.1/5.2 (the TP/EP matrices) is not stored: a
-//! pattern's counts are computed on demand, one routine per index —
-//! [`FctIndex::pattern_counts`] and [`IfeIndex::pattern_counts`] — and
-//! form the profile [`scov`] filters with.
+//! The per-(edge label, graph) counts of Def. 5.1's frequent edges and of
+//! Def. 5.2's IFE-Index (the EG matrix of infrequent edges) are not stored
+//! here: the filter reads them from the edge catalog
+//! ([`midas_mining::EdgeCatalog`]) that FCT maintenance keeps current, as
+//! occurrence counts. The pattern side of Def. 5.1/5.2 (the TP/EP
+//! matrices) is not stored either: [`scov::profile_pattern`] computes a
+//! pattern's feature counts ([`FctIndex::pattern_counts`]) and edge-label
+//! multiplicities on demand.
 //!
 //! Embedding counts saturate at [`EMBED_CAP`]; the dominance filter only
 //! compares counts computed under the same cap, so saturation never causes
@@ -27,13 +30,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod fct_index;
-pub mod ife_index;
 pub mod scov;
 pub mod sparse;
 pub mod trie;
 
 pub use fct_index::{FctIndex, FeatureId};
-pub use ife_index::IfeIndex;
 pub use sparse::SparseMatrix;
 pub use trie::Trie;
 

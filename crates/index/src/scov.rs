@@ -4,47 +4,71 @@
 //! > column entries for `p` in TP-matrix must be smaller than or equal to
 //! > that of `G` in TG-matrix."
 //!
-//! Given a pattern, we compute its feature-count profile (over FCTs,
-//! frequent edges, and infrequent edges), intersect the graphs whose counts
-//! dominate it, and only verify isomorphism on the survivors — exactly the
-//! `(p₃, G₈), (p₃, G₉)` pruning of the paper's example.
+//! Given a pattern, we compute its profile (embedding counts of the
+//! FCT-Index features, and the multiplicity of each of its edge labels),
+//! intersect the graphs whose counts dominate it, and only verify
+//! isomorphism on the survivors — exactly the `(p₃, G₈), (p₃, G₉)`
+//! pruning of the paper's example.
+//!
+//! Edge labels are read from the [`EdgeCatalog`]'s occurrence counts,
+//! frequent and infrequent alike. Def. 5.1 keeps a frequent edge as a
+//! one-edge FCT-Index row of embedding counts, but that count is the
+//! label's occurrence count, doubled when both end labels are equal, and
+//! capped at [`EMBED_CAP`](crate::EMBED_CAP). For a pattern with fewer
+//! than 32 edges of one label neither side saturates, so the two tests
+//! keep the same graphs (DESIGN.md §5).
 
 use crate::fct_index::{FctIndex, FeatureId};
-use crate::ife_index::IfeIndex;
 use crate::sparse::SparseMatrix;
 use midas_graph::{Csr, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
-use std::collections::BTreeSet;
+use midas_mining::EdgeCatalog;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// A pattern's feature-count profile against the current indices.
+/// A pattern's profile against the current FCT-Index and edge catalog.
 #[derive(Debug, Clone, Default)]
 pub struct PatternProfile {
     /// Counts over FCT-Index features (only non-zero entries).
     pub fct_counts: Vec<(FeatureId, u32)>,
-    /// Counts over tracked infrequent edges (only non-zero entries).
-    pub ife_counts: Vec<(EdgeLabel, u32)>,
+    /// The pattern's edge-label multiplicities, in label order, for the
+    /// labels the catalog holds.
+    pub edge_counts: Vec<(EdgeLabel, u32)>,
 }
 
 /// Computes the profile of an arbitrary (candidate or canned) pattern:
-/// its TP/EP column of Def. 5.1/5.2, counted on demand by
-/// [`FctIndex::pattern_counts`] and [`IfeIndex::pattern_counts`].
-pub fn profile_pattern(fct: &FctIndex, ife: &IfeIndex, pattern: &LabeledGraph) -> PatternProfile {
+/// its TP column of Def. 5.1, counted on demand by
+/// [`FctIndex::pattern_counts`], and the number of its edges with each
+/// label of `catalog`. A label the catalog lacks is left out, so it adds
+/// no constraint.
+pub fn profile_pattern(
+    fct: &FctIndex,
+    catalog: &EdgeCatalog,
+    pattern: &LabeledGraph,
+) -> PatternProfile {
+    let mut edge_counts: BTreeMap<EdgeLabel, u32> = BTreeMap::new();
+    for label in pattern.edge_labels() {
+        *edge_counts.entry(label).or_insert(0) += 1;
+    }
     PatternProfile {
         fct_counts: fct.pattern_counts(pattern),
-        ife_counts: ife.pattern_counts(pattern),
+        edge_counts: edge_counts
+            .into_iter()
+            .filter(|&(label, _)| catalog.get(label).is_some())
+            .collect(),
     }
 }
 
-/// Returns the ids of graphs in `universe` whose TG/EG columns dominate
-/// `profile` — the candidate set that still needs isomorphism
-/// verification — in ascending order.
+/// Returns the ids of graphs in `universe` whose TG column and catalog
+/// occurrence counts dominate `profile` — the candidate set that still
+/// needs isomorphism verification — in ascending order.
 ///
 /// `universe` bounds the candidates (e.g. a sampled database `D_s`). When
 /// the profile is empty the filter is vacuous and the whole universe
-/// returns. Matrix rows iterate in `GraphId` order, so each profile entry
-/// narrows the sorted survivors with one merge pass over its row.
+/// returns. TG rows and occurrence maps iterate in `GraphId` order, so
+/// each profile entry narrows the sorted survivors with one merge pass.
+/// A label absent from `catalog` adds no constraint.
 pub fn candidate_graphs(
     tg: &SparseMatrix<FeatureId, GraphId>,
-    eg: &SparseMatrix<EdgeLabel, GraphId>,
+    catalog: &EdgeCatalog,
     profile: &PatternProfile,
     universe: &BTreeSet<GraphId>,
 ) -> Vec<GraphId> {
@@ -63,11 +87,17 @@ pub fn candidate_graphs(
         }
         narrow(&mut survivors, tg.row(fid), need);
     }
-    for &(label, need) in &profile.ife_counts {
+    for &(label, need) in &profile.edge_counts {
         if survivors.is_empty() {
             break;
         }
-        narrow(&mut survivors, eg.row(label), need);
+        if let Some(stats) = catalog.get(label) {
+            narrow(
+                &mut survivors,
+                stats.occurrences.iter().map(|(&g, &c)| (g, c)),
+                need,
+            );
+        }
     }
     survivors
 }
@@ -79,13 +109,13 @@ pub fn candidate_graphs(
 pub fn covered_graphs(
     kernel: &MatchKernel,
     fct: &FctIndex,
-    ife: &IfeIndex,
+    catalog: &EdgeCatalog,
     db: &GraphDb,
     pattern: &LabeledGraph,
     universe: &BTreeSet<GraphId>,
 ) -> BTreeSet<GraphId> {
-    let profile = profile_pattern(fct, ife, pattern);
-    let survivors = candidate_graphs(fct.tg(), ife.eg(), &profile, universe);
+    let profile = profile_pattern(fct, catalog, pattern);
+    let survivors = candidate_graphs(fct.tg(), catalog, &profile, universe);
     verify_with(kernel, db, pattern, &survivors)
 }
 
@@ -122,43 +152,45 @@ mod tests {
         GraphBuilder::new().vertices(labels).path(&vs).build()
     }
 
-    fn setup() -> (FctIndex, IfeIndex, GraphDb) {
+    fn setup() -> (FctIndex, EdgeCatalog, GraphDb) {
         // DB: G0 = C-O-N-S, G1 = C-O-C, G2 = S-N.
         let db = GraphDb::from_graphs([path(&[0, 1, 2, 3]), path(&[0, 1, 0]), path(&[3, 2])]);
-        let features = [path(&[0, 1]), path(&[1, 2])]; // C-O, O-N
-        let graph_refs: Vec<(GraphId, &LabeledGraph)> =
-            db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+        let feature = path(&[1, 0, 1]); // O-C-O
         let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
-        let fct = FctIndex::build(
-            &MatchKernel::new(),
-            features.iter().map(|t| (tree_key(t), t.clone())),
-            &csrs,
-        );
-        let ife = IfeIndex::build(
-            BTreeSet::from([EdgeLabel::new(2, 3)]), // N-S infrequent
-            graph_refs.iter().copied(),
-        );
-        (fct, ife, db)
+        let fct = FctIndex::build(&MatchKernel::new(), [(tree_key(&feature), feature)], &csrs);
+        let catalog = EdgeCatalog::build(db.iter().map(|(id, g)| (id, g.as_ref())));
+        (fct, catalog, db)
     }
 
     #[test]
     fn profile_counts_features_and_infrequent_edges() {
-        let (fct, ife, _) = setup();
-        let pattern = path(&[0, 1, 2, 3]); // C-O-N-S
-        let profile = profile_pattern(&fct, &ife, &pattern);
-        assert_eq!(profile.fct_counts.len(), 2);
-        assert_eq!(profile.ife_counts, vec![(EdgeLabel::new(2, 3), 1)]);
+        // O-N is in one graph of three, C-O in two: an infrequent label is
+        // profiled as a frequent one is.
+        let (fct, catalog, _) = setup();
+        let pattern = path(&[1, 0, 1, 2]); // O-C-O-N
+        let profile = profile_pattern(&fct, &catalog, &pattern);
+        assert_eq!(profile.fct_counts.len(), 1);
+        assert_eq!(
+            profile.edge_counts,
+            vec![(EdgeLabel::new(0, 1), 2), (EdgeLabel::new(1, 2), 1)]
+        );
     }
 
     #[test]
     fn dominance_filter_prunes_incompatible_graphs() {
-        let (fct, ife, db) = setup();
+        let (fct, catalog, db) = setup();
         let universe: BTreeSet<GraphId> = db.ids().collect();
-        let pattern = path(&[0, 1, 2]); // C-O-N
-        let profile = profile_pattern(&fct, &ife, &pattern);
-        let candidates = candidate_graphs(fct.tg(), ife.eg(), &profile, &universe);
-        // Only G0 has both a C-O and an O-N embedding.
-        assert_eq!(candidates, vec![db.ids().next().unwrap()]);
+        let ids: Vec<GraphId> = db.ids().collect();
+        let survivors = |labels: &[u32]| {
+            let profile = profile_pattern(&fct, &catalog, &path(labels));
+            candidate_graphs(fct.tg(), &catalog, &profile, &universe)
+        };
+        // Only G0 has both a C-O and an O-N edge.
+        assert_eq!(survivors(&[0, 1, 2]), vec![ids[0]]);
+        // Only G1 has two C-O edges, but its O-C-O row is empty: the
+        // feature prunes what the edge labels let through.
+        assert_eq!(survivors(&[0, 1, 0]), vec![ids[1]]);
+        assert!(survivors(&[1, 0, 1]).is_empty());
     }
 
     /// VF2 over every graph of `universe`, with no dominance filter.
@@ -174,15 +206,22 @@ mod tests {
             .collect()
     }
 
-    const PATTERNS: [&[u32]; 5] = [&[0, 1], &[0, 1, 2], &[2, 3], &[0, 1, 0], &[3, 3]];
+    const PATTERNS: [&[u32]; 6] = [
+        &[0, 1],
+        &[0, 1, 2],
+        &[2, 3],
+        &[0, 1, 0],
+        &[1, 0, 1],
+        &[3, 3],
+    ];
 
     #[test]
     fn covered_graphs_matches_direct_isomorphism() {
-        let (fct, ife, db) = setup();
+        let (fct, catalog, db) = setup();
         let universe: BTreeSet<GraphId> = db.ids().collect();
         let kernel = MatchKernel::new();
         for pattern in PATTERNS.map(path) {
-            let via_index = covered_graphs(&kernel, &fct, &ife, &db, &pattern, &universe);
+            let via_index = covered_graphs(&kernel, &fct, &catalog, &db, &pattern, &universe);
             assert_eq!(
                 via_index,
                 brute_force(&db, &pattern, &universe),
@@ -195,7 +234,7 @@ mod tests {
     fn kernel_covered_graphs_matches_serial() {
         // Every sub-universe, so the filter's survivors are checked against
         // VF2 over graphs it may not prune.
-        let (fct, ife, db) = setup();
+        let (fct, catalog, db) = setup();
         let ids: Vec<GraphId> = db.ids().collect();
         let kernel = MatchKernel::new();
         for mask in 0..1u32 << ids.len() {
@@ -205,7 +244,7 @@ mod tests {
                 .collect();
             for pattern in PATTERNS.map(path) {
                 let want = brute_force(&db, &pattern, &universe);
-                let got = covered_graphs(&kernel, &fct, &ife, &db, &pattern, &universe);
+                let got = covered_graphs(&kernel, &fct, &catalog, &db, &pattern, &universe);
                 assert_eq!(got, want, "pattern {pattern:?}, universe {universe:?}");
             }
         }
@@ -215,32 +254,32 @@ mod tests {
 
     #[test]
     fn empty_profile_returns_universe() {
-        let (fct, ife, db) = setup();
+        let (fct, catalog, db) = setup();
         let universe: BTreeSet<GraphId> = db.ids().collect();
-        // A pattern over labels unknown to the indices: P-P.
+        // A pattern over labels unknown to the index and the catalog: P-P.
         let pattern = path(&[4, 4]);
-        let profile = profile_pattern(&fct, &ife, &pattern);
+        let profile = profile_pattern(&fct, &catalog, &pattern);
         assert!(profile.fct_counts.is_empty());
-        assert!(profile.ife_counts.is_empty());
-        let candidates = candidate_graphs(fct.tg(), ife.eg(), &profile, &universe);
+        assert!(profile.edge_counts.is_empty());
+        let candidates = candidate_graphs(fct.tg(), &catalog, &profile, &universe);
         assert_eq!(candidates, universe.iter().copied().collect::<Vec<_>>());
         // But verification still rejects everything.
         let kernel = MatchKernel::new();
-        assert!(covered_graphs(&kernel, &fct, &ife, &db, &pattern, &universe).is_empty());
+        assert!(covered_graphs(&kernel, &fct, &catalog, &db, &pattern, &universe).is_empty());
     }
 
     #[test]
     fn covered_graphs_respects_universe() {
-        let (fct, ife, db) = setup();
+        let (fct, catalog, db) = setup();
         let universe: BTreeSet<GraphId> = db.ids().collect();
         let pattern = path(&[0, 1]); // in G0 and G1
         let kernel = MatchKernel::new();
         assert_eq!(
-            covered_graphs(&kernel, &fct, &ife, &db, &pattern, &universe),
+            covered_graphs(&kernel, &fct, &catalog, &db, &pattern, &universe),
             db.ids().take(2).collect()
         );
         // Restrict the universe to G2 only.
         let small: BTreeSet<GraphId> = db.ids().skip(2).collect();
-        assert!(covered_graphs(&kernel, &fct, &ife, &db, &pattern, &small).is_empty());
+        assert!(covered_graphs(&kernel, &fct, &catalog, &db, &pattern, &small).is_empty());
     }
 }

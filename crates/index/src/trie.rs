@@ -1,7 +1,7 @@
 //! The canonical-string token trie of the FCT-Index (Def. 5.1, Fig. 5(d)).
 //!
-//! Trie vertices correspond to tokens of the canonical strings of FCTs and
-//! frequent edges; an edge exists between adjacent tokens. Terminal tokens
+//! Trie vertices correspond to tokens of the canonical strings of the
+//! indexed FCTs; an edge exists between adjacent tokens. Terminal tokens
 //! carry the feature id whose TG-matrix row plays the role of the paper's
 //! *graph pointer*; the *pattern pointer* side is computed on demand by
 //! [`crate::FctIndex::pattern_counts`].

@@ -206,8 +206,7 @@ pub fn tree_key(g: &LabeledGraph) -> TreeKey {
     TreeKey(bfs_string(g, root, &rooted).into_boxed_slice())
 }
 
-/// Builds the 2-vertex tree for an edge label — the level-1 mining seed and
-/// the trie entry for frequent edges.
+/// Builds the 2-vertex tree for an edge label — the level-1 mining seed.
 pub fn edge_tree(a: LabelId, b: LabelId) -> LabeledGraph {
     let (a, b) = if a <= b { (a, b) } else { (b, a) };
     let mut g = LabeledGraph::new();

@@ -1,10 +1,13 @@
 //! Frequent / infrequent edge extraction (§3.3, §5.1).
 //!
-//! The FCT-Index covers frequent closed trees *and frequent edges*; the
-//! IFE-Index covers infrequent edges. This module maintains, per edge
-//! label, the supporting graphs and per-graph occurrence counts, updated
-//! incrementally as the database evolves. It also provides the label
-//! coverage `lcov(e, X) = |L(e, X)| / |X|` used for CSG edge weights (§2.3).
+//! This module maintains, per edge label, the supporting graphs and
+//! per-graph occurrence counts, updated incrementally as the database
+//! evolves. It is the one store of per-(edge label, graph) counts: the
+//! §6.1 dominance filter (`midas_index::scov`) reads a pattern's edge
+//! labels from it, frequent and infrequent alike, where Def. 5.1/5.2 keep
+//! the frequent edges' embedding counts in the FCT-Index and the
+//! infrequent ones' in the IFE-Index. It also provides the label coverage
+//! `lcov(e, X) = |L(e, X)| / |X|` used for CSG edge weights (§2.3).
 
 use midas_graph::{EdgeLabel, GraphId, LabeledGraph};
 use std::collections::{BTreeMap, BTreeSet, HashMap};

@@ -81,6 +81,16 @@ impl FctState {
         self.lattice.frequent_closed(self.config.sup_min, db_len)
     }
 
+    /// The FCT-Index rows (Def. 5.1): the FCTs with at least two edges. A
+    /// one-edge tree's counts are its label's [`EdgeCatalog`] occurrences
+    /// (doubled when both end labels are equal), so the dominance filter
+    /// reads those from the catalog instead of a row of its own.
+    pub fn index_trees(&self, db_len: usize) -> Vec<(&TreeKey, &TreeEntry)> {
+        let mut trees = self.fct(db_len);
+        trees.retain(|(_, entry)| entry.tree.edge_count() >= 2);
+        trees
+    }
+
     /// The frequent-subtree set at the user threshold (CATAPULT's FS
     /// features).
     pub fn frequent_trees(&self, db_len: usize) -> Vec<(&TreeKey, &TreeEntry)> {
@@ -241,6 +251,20 @@ mod tests {
             .map(|(k, e)| (k.clone(), e.support.clone(), e.closed))
             .collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn index_trees_are_the_fcts_of_two_or_more_edges() {
+        // C-O (support 3) and C-O-N (support 2) are both closed.
+        let db = GraphDb::from_graphs([path(&[0, 1, 2]), path(&[0, 1, 2]), path(&[0, 1])]);
+        let state = FctState::build(&db, config());
+        let edges = |trees: Vec<(&TreeKey, &TreeEntry)>| -> Vec<usize> {
+            trees.iter().map(|(_, e)| e.tree.edge_count()).collect()
+        };
+        assert_eq!(edges(state.fct(db.len())), [1, 2]);
+        let index_trees = state.index_trees(db.len());
+        assert_eq!(index_trees[0].0, &tree_key(&path(&[0, 1, 2])));
+        assert_eq!(edges(index_trees), [2]);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   trees are mined only from `Δ⁺`, and the lattice is tracked at the
 //!   relaxed threshold `sup_min / 2` (Lemma 4.5) so trees that *become*
 //!   frequent after an update are never missed.
-//! * [`edges`] — frequent / infrequent edge extraction (the `E_freq` /
-//!   `E_inf` sets behind the FCT- and IFE-Index).
+//! * [`edges`] — the per-edge-label catalog of supports and occurrence
+//!   counts (the `E_freq` / `E_inf` sets of §5.1, and the edge-label
+//!   counts the dominance filter reads).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

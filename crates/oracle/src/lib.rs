@@ -54,13 +54,14 @@
 //!    batches every count [`Candidate::verify`] and `coverage_state` give
 //!    is the `scov` recomputed through the dominance filter, also over an
 //!    empty sample.
-//! 10. **`index_maintenance`** — the FCT-Index and IFE-Index that
+//! 10. **`index_maintenance`** — the edge catalog and the FCT-Index that
 //!     [`Midas::apply_batch`] maintains over check 2's servebench-scale
-//!     stream vs references over the post-batch database: TG cells counted
-//!     by VF2 ([`reference_tg_cells`]) and [`IfeIndex::build`]. Feature
-//!     keys, TG cells keyed by tree key, tracked labels and EG cells must
-//!     be identical after every batch. The stream runs at ε 0.01, and the
-//!     check fails unless a batch turns major.
+//!     stream vs references over the post-batch database: every label's
+//!     support and occurrence counts must equal [`EdgeCatalog::build`]'s,
+//!     and the feature keys must be [`FctState::index_trees`]' with TG
+//!     cells, keyed by tree key, equal to VF2's counts
+//!     ([`reference_tg_cells`]), after every batch. The stream runs at ε
+//!     0.01, and the check fails unless a batch turns major.
 //! 11. **`mccs_vs_reference`** — the bitset MCCS search
 //!     ([`mccs_edges`]) vs its reference twin ([`reference_mccs_edges`])
 //!     on PubchemLike and AidsLike pairs from the seed at budgets 50,
@@ -101,8 +102,8 @@
 //! and requires the task panic to unwind to the phase backstop and
 //! surface as a [`PhaseError`](midas_core::PhaseError) on the report —
 //! process alive, flight recorder carrying the event — instead of an
-//! abort; the next healthy batch must leave both indices equal to a
-//! from-scratch build.
+//! abort; the next healthy batch must leave the edge catalog and the
+//! FCT-Index equal to a from-scratch build.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -142,7 +143,7 @@ use midas_graph::{
     BatchUpdate, CachedPattern, CanonicalCode, ClosureGraph, Csr, EdgeLabel, GraphBuilder, GraphDb,
     GraphId, LabeledGraph, MatchKernel, MatchPlan,
 };
-use midas_index::{FctIndex, FeatureId, IfeIndex};
+use midas_index::{FctIndex, FeatureId};
 use midas_mining::incremental::FctState;
 use midas_mining::{mine_lattice, EdgeCatalog, MiningConfig, TreeKey};
 use midas_obs::json;
@@ -511,13 +512,14 @@ impl Oracle {
         }
     }
 
-    /// Check 10: the FCT-Index and IFE-Index that [`Midas::apply_batch`]
-    /// maintains against the VF2 reference builds over the same database
-    /// and FCT state (see `index_divergence`), after every batch of check
-    /// 2's servebench-scale stream. The stream runs at check 9's drift
-    /// threshold, so that batches turn major and the indices are compared
-    /// after candidate generation and the swap too; the check fails when
-    /// none does.
+    /// Check 10: the edge catalog and the FCT-Index that
+    /// [`Midas::apply_batch`] maintains against from-scratch references
+    /// over the same database and FCT state (see `catalog_divergence` and
+    /// `index_divergence`), after every batch of check 2's
+    /// servebench-scale stream: two cases a batch. The stream runs at
+    /// check 9's drift threshold, so that batches turn major and both are
+    /// compared after candidate generation and the swap too; the check
+    /// fails when none does.
     fn check_index_maintenance(&self, out: &mut Vec<Divergence>) -> usize {
         let divergence = |case: String, expected: &str, actual: String| Divergence {
             check: "index_maintenance",
@@ -541,13 +543,21 @@ impl Oracle {
         for step in 0..SERVEBENCH_BATCHES {
             let update = self.servebench_batch(step, midas.db());
             majors += usize::from(midas.apply_batch(update).kind == ModificationKind::Major);
+            let case = format!(
+                "pubchem_like step {step} (db of {} graphs)",
+                midas.db().len()
+            );
+            if let Some(diff) = catalog_divergence(&midas) {
+                out.push(divergence(
+                    case.clone(),
+                    "the edge catalog a from-scratch build produces",
+                    diff,
+                ));
+            }
             if let Some(diff) = index_divergence(&midas) {
                 out.push(divergence(
-                    format!(
-                        "pubchem_like step {step} (db of {} graphs)",
-                        midas.db().len()
-                    ),
-                    "the indices a from-scratch VF2 build produces",
+                    case,
+                    "the FCT-Index a from-scratch VF2 build produces",
                     diff,
                 ));
             }
@@ -559,7 +569,7 @@ impl Oracle {
                 "none".into(),
             ));
         }
-        SERVEBENCH_BATCHES + 1
+        2 * SERVEBENCH_BATCHES + 1
     }
 
     /// Check 3: the graphlet monitor against recounting a reference world.
@@ -776,10 +786,8 @@ impl Oracle {
             let before: BTreeMap<PatternId, LabeledGraph> =
                 store.iter().map(|(id, p)| (id, p.clone())).collect();
             let fct = FctIndex::new();
-            let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
             let ctx = ScovContext {
                 fct: &fct,
-                ife: &ife,
                 db: &db,
                 sample: &sample,
                 catalog: &catalog,
@@ -800,10 +808,8 @@ impl Oracle {
         // now-warm kernel memo) must agree with brute-force VF2 coverage
         // on every pattern the swap scored.
         let fct = FctIndex::new();
-        let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
         let ctx = ScovContext {
             fct: &fct,
-            ife: &ife,
             db: &db,
             sample: &sample,
             catalog: &catalog,
@@ -1346,7 +1352,6 @@ impl Oracle {
             let sample: BTreeSet<GraphId> = midas.db().ids().collect();
             let ctx = ScovContext {
                 fct: midas.fct_index(),
-                ife: midas.ife_index(),
                 db: midas.db(),
                 sample: &sample,
                 catalog: &midas.fct_state().edges,
@@ -1412,7 +1417,6 @@ impl Oracle {
             for (label, sample) in [("sample", full), ("empty sample", BTreeSet::new())] {
                 let ctx = ScovContext {
                     fct: midas.fct_index(),
-                    ife: midas.ife_index(),
                     db: midas.db(),
                     sample: &sample,
                     catalog: &midas.fct_state().edges,
@@ -1617,7 +1621,6 @@ impl Oracle {
             let sample: BTreeSet<GraphId> = midas.db().ids().collect();
             let ctx = ScovContext {
                 fct: midas.fct_index(),
-                ife: midas.ife_index(),
                 db: midas.db(),
                 sample: &sample,
                 catalog: &midas.fct_state().edges,
@@ -1899,11 +1902,10 @@ type GenerateFn = fn(
     &mut StdRng,
 ) -> Vec<Candidate>;
 
-/// The owned parts of a swap world's scoring context: no FCT features, no
-/// tracked infrequent edges, and the whole database as the sample.
+/// The owned parts of a swap world's scoring context: no FCT-Index rows,
+/// and the whole database as the sample.
 struct WorldIndices {
     fct: FctIndex,
-    ife: IfeIndex,
     catalog: EdgeCatalog,
     sample: BTreeSet<GraphId>,
     kernel: MatchKernel,
@@ -1915,7 +1917,6 @@ impl WorldIndices {
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
         WorldIndices {
             fct: FctIndex::new(),
-            ife: IfeIndex::build(BTreeSet::new(), refs.iter().copied()),
             catalog: EdgeCatalog::build(refs.iter().copied()),
             sample: db.ids().collect(),
             kernel: MatchKernel::new(),
@@ -1925,7 +1926,6 @@ impl WorldIndices {
     fn ctx<'a>(&'a self, db: &'a GraphDb) -> ScovContext<'a> {
         ScovContext {
             fct: &self.fct,
-            ife: &self.ife,
             db,
             sample: &self.sample,
             catalog: &self.catalog,
@@ -2264,63 +2264,59 @@ fn lattice_divergence(
     })
 }
 
-/// How `midas`'s maintained FCT-Index and IFE-Index depart from the
-/// references over its current database (TG cells counted by VF2 in
-/// [`reference_tg_cells`], and [`IfeIndex::build`]), or `None` when they
-/// agree on the feature keys, every TG cell (keyed by [`TreeKey`], since
-/// feature ids depend on insertion history), the tracked labels and every
-/// EG cell. The expected feature
-/// sets are recomputed from `fct_state()` the way the framework forms
-/// them: FCTs, then frequent edges, deduplicated by key, with the
-/// infrequent edges tracked by the IFE-Index.
+/// How `midas`'s maintained edge catalog departs from
+/// [`EdgeCatalog::build`] over its current database, or `None` when every
+/// label has the same supporting graphs and the same occurrence counts.
+fn catalog_divergence(midas: &Midas) -> Option<String> {
+    let db = midas.db();
+    let want = EdgeCatalog::build(db.iter().map(|(id, g)| (id, g.as_ref())));
+    let have = &midas.fct_state().edges;
+    let labels: BTreeSet<EdgeLabel> = want.labels().chain(have.labels()).map(|(l, _)| l).collect();
+    let (mut missing, mut extra, mut support, mut occurrences) = (0, 0, 0, 0);
+    for label in labels {
+        match (want.get(label), have.get(label)) {
+            (Some(_), None) => missing += 1,
+            (None, Some(_)) => extra += 1,
+            (Some(w), Some(h)) => {
+                support += usize::from(w.support != h.support);
+                occurrences += usize::from(w.occurrences != h.occurrences);
+            }
+            (None, None) => {}
+        }
+    }
+    (missing + extra + support + occurrences > 0).then(|| {
+        format!(
+            "{} labels: {missing} missing, {extra} extra, {support} with other supporting \
+             graphs, {occurrences} with other occurrence counts",
+            want.len()
+        )
+    })
+}
+
+/// How `midas`'s maintained FCT-Index departs from the reference over its
+/// current database, or `None` when its feature keys are those of
+/// [`FctState::index_trees`] (the function the framework reads) and
+/// every TG cell, keyed by [`TreeKey`] since feature ids depend on
+/// insertion history, equals VF2's count in [`reference_tg_cells`].
 fn index_divergence(midas: &Midas) -> Option<String> {
     let db = midas.db();
-    let state = midas.fct_state();
-    let sup_min = midas.config().sup_min;
-    let fct_trees = state
-        .fct(db.len())
+    let features: Vec<(TreeKey, LabeledGraph)> = midas
+        .fct_state()
+        .index_trees(db.len())
         .into_iter()
-        .map(|(k, e)| (k.clone(), e.tree.clone()));
-    let edge_trees = state
-        .edges
-        .frequent(sup_min, db.len())
-        .into_iter()
-        .map(|(label, _)| {
-            let tree = midas_mining::canonical::edge_tree(label.0, label.1);
-            (midas_mining::tree_key(&tree), tree)
-        });
-    let mut want_keys = BTreeSet::new();
-    let features: Vec<(TreeKey, LabeledGraph)> = fct_trees
-        .chain(edge_trees)
-        .filter(|(k, _)| want_keys.insert(k.clone()))
+        .map(|(k, e)| (k.clone(), e.tree.clone()))
         .collect();
-    let infrequent: BTreeSet<EdgeLabel> = state
-        .edges
-        .infrequent(sup_min, db.len())
-        .into_iter()
-        .map(|(label, _)| label)
-        .collect();
-    let graphs: Vec<(GraphId, &LabeledGraph)> = db.iter().map(|(id, g)| (id, g.as_ref())).collect();
-    let want_tg = reference_tg_cells(&features, graphs.iter().copied());
-    let ife = IfeIndex::build(infrequent, graphs.iter().copied());
+    let want_keys: BTreeSet<TreeKey> = features.iter().map(|(k, _)| k.clone()).collect();
+    let want_tg = reference_tg_cells(&features, db.iter().map(|(id, g)| (id, g.as_ref())));
 
-    let (got_fct, got_ife) = (midas.fct_index(), midas.ife_index());
-    let key: BTreeMap<FeatureId, &TreeKey> =
-        got_fct.features().map(|(id, f)| (id, &f.key)).collect();
+    let got = midas.fct_index();
+    let key: BTreeMap<FeatureId, &TreeKey> = got.features().map(|(id, f)| (id, &f.key)).collect();
     let have_keys: BTreeSet<TreeKey> = key.values().map(|&k| k.clone()).collect();
-    let have_tg: BTreeMap<(TreeKey, GraphId), u32> = got_fct
+    let have_tg: BTreeMap<(TreeKey, GraphId), u32> = got
         .tg()
         .iter()
         .map(|(fid, gid, count)| ((key[&fid].clone(), gid), count))
         .collect();
-    let eg_cells = |index: &IfeIndex| -> BTreeMap<(EdgeLabel, GraphId), u32> {
-        index
-            .eg()
-            .iter()
-            .map(|(l, gid, count)| ((l, gid), count))
-            .collect()
-    };
-    let (want_eg, have_eg) = (eg_cells(&ife), eg_cells(got_ife));
     let mut diffs = Vec::new();
     if want_keys != have_keys {
         diffs.push(format!(
@@ -2332,17 +2328,6 @@ fn index_divergence(midas: &Midas) -> Option<String> {
     let tg_off = cells_differing(&want_tg, &have_tg);
     if tg_off > 0 {
         diffs.push(format!("{tg_off} of {} TG cells differ", want_tg.len()));
-    }
-    if ife.tracked() != got_ife.tracked() {
-        diffs.push(format!(
-            "tracked labels {:?}, expected {:?}",
-            got_ife.tracked(),
-            ife.tracked()
-        ));
-    }
-    let eg_off = cells_differing(&want_eg, &have_eg);
-    if eg_off > 0 {
-        diffs.push(format!("{eg_off} of {} EG cells differ", want_eg.len()));
     }
     (!diffs.is_empty()).then(|| diffs.join("; "))
 }
@@ -2602,8 +2587,9 @@ fn brute_scov(pattern: &LabeledGraph, db: &GraphDb, sample: &BTreeSet<GraphId>) 
 /// and surface as a [`midas_core::PhaseError`] on the maintenance report
 /// (with the flight recorder carrying the `kernel_error` event) rather
 /// than an abort or hang. A healthy follow-up batch must then succeed and leave
-/// both indices equal to a from-scratch build (`index_divergence`): a
-/// failed batch's graphs may not stay missing from TG/EG. Returns a
+/// the edge catalog and the FCT-Index equal to a from-scratch build
+/// (`catalog_divergence`, `index_divergence`): a failed batch's graphs
+/// may not stay missing from either. Returns a
 /// human-readable success line, or an error describing which containment
 /// guarantee failed.
 pub fn fault_containment_pass(seed: u64, target: u64) -> Result<String, String> {
@@ -2660,7 +2646,7 @@ pub fn fault_containment_pass(seed: u64, target: u64) -> Result<String, String> 
         if follow_up.error.is_some() {
             return Err("framework did not recover after the contained fault".into());
         }
-        if let Some(diff) = index_divergence(&midas) {
+        if let Some(diff) = catalog_divergence(&midas).or_else(|| index_divergence(&midas)) {
             return Err(format!(
                 "indices did not recover after the contained fault: {diff}"
             ));

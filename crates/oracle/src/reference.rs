@@ -241,7 +241,7 @@ pub fn reference_promising_candidates(
 mod tests {
     use super::*;
     use midas_graph::{Csr, GraphBuilder, GraphDb, MatchKernel};
-    use midas_index::{FctIndex, IfeIndex};
+    use midas_index::FctIndex;
     use midas_mining::{tree_key, EdgeCatalog};
 
     fn path(labels: &[u32]) -> LabeledGraph {
@@ -254,16 +254,14 @@ mod tests {
         let db = GraphDb::from_graphs([path(&[0, 1, 2]), path(&[0, 1]), path(&[3, 4])]);
         let refs: Vec<(GraphId, &LabeledGraph)> =
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
-        let feature = path(&[0, 1]);
+        let feature = path(&[0, 1, 2]);
         let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         let kernel = MatchKernel::new();
         let fct = FctIndex::build(&kernel, [(tree_key(&feature), feature)], &csrs);
-        let ife = IfeIndex::build(BTreeSet::new(), refs.iter().copied());
         let catalog = EdgeCatalog::build(refs.iter().copied());
         let sample: BTreeSet<GraphId> = db.ids().collect();
         let ctx = ScovContext {
             fct: &fct,
-            ife: &ife,
             db: &db,
             sample: &sample,
             catalog: &catalog,

@@ -11,12 +11,11 @@
 //! fit.
 //!
 //! Matching runs on the plan-compiled matcher over one CSR view of the
-//! query. Each pattern is compiled privately ([`MatchPlan::compile`], not
-//! the shared plan cache): a cached plan may come from another
-//! representative of the pattern's isomorphism class and would enumerate
-//! embeddings in that representative's numbering. The plan matcher
-//! enumerates in the same order as the VF2 reference, so the greedy's
-//! first-fit choices — and hence every step count — are the reference's.
+//! query. Each pattern is compiled from its own graph
+//! ([`MatchPlan::compile`]), because the greedy places embeddings in that
+//! pattern's own vertex numbering. The plan matcher enumerates in the
+//! same order as the VF2 reference, so the greedy's first-fit choices —
+//! and hence every step count — are the reference's.
 
 use midas_graph::plan::Control;
 use midas_graph::{Csr, LabeledGraph, MatchPlan, VertexId};

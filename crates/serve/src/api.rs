@@ -59,46 +59,6 @@ pub fn config_preset(name: &str) -> Option<MidasConfig> {
     }
 }
 
-fn dataset_kind(name: &str) -> Option<DatasetKind> {
-    match name {
-        "aids_like" => Some(DatasetKind::AidsLike),
-        "pubchem_like" => Some(DatasetKind::PubchemLike),
-        "emol_like" => Some(DatasetKind::EmolLike),
-        _ => None,
-    }
-}
-
-fn kind_name(kind: DatasetKind) -> &'static str {
-    match kind {
-        DatasetKind::AidsLike => "aids_like",
-        DatasetKind::PubchemLike => "pubchem_like",
-        DatasetKind::EmolLike => "emol_like",
-    }
-}
-
-fn motif_kind(name: &str) -> Option<MotifKind> {
-    Some(match name {
-        "benzene_ring" => MotifKind::BenzeneRing,
-        "five_ring" => MotifKind::FiveRing,
-        "pyridine_ring" => MotifKind::PyridineRing,
-        "thiophene_ring" => MotifKind::ThiopheneRing,
-        "carboxyl" => MotifKind::Carboxyl,
-        "amine" => MotifKind::Amine,
-        "amide" => MotifKind::Amide,
-        "hydroxyl" => MotifKind::Hydroxyl,
-        "thiol" => MotifKind::Thiol,
-        "phosphate" => MotifKind::Phosphate,
-        "chloride" => MotifKind::Chloride,
-        "fluoride" => MotifKind::Fluoride,
-        "boronic_acid" => MotifKind::BoronicAcid,
-        "boronic_ester" => MotifKind::BoronicEster,
-        "chain" => MotifKind::Chain,
-        "cyclopropane" => MotifKind::Cyclopropane,
-        "fused_bicycle" => MotifKind::FusedBicycle,
-        _ => return None,
-    })
-}
-
 /// Routes one request against the daemon state.
 pub fn route(state: &ServeState, req: &Request) -> Response {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
@@ -161,7 +121,7 @@ fn tenant_summary(t: &Tenant) -> String {
     format!(
         "{{\"tenant\": {}, \"kind\": {}, \"epoch\": {}, \"db_len\": {}, \"patterns\": {}, \"pending_batches\": {}, \"busy\": {}, \"degraded\": {}, \"created_unix_ms\": {}}}",
         js::quote(&t.name),
-        js::quote(kind_name(t.kind)),
+        js::quote(t.kind.name()),
         snap.epoch,
         snap.db_len,
         snap.patterns.len(),
@@ -208,24 +168,32 @@ fn create_tenant(state: &ServeState, req: &Request) -> Response {
         }
         None => return Response::bad_request("missing \"name\""),
     };
-    let config = match doc.get("config").and_then(Value::as_str) {
+    let config = match doc.get("config") {
         None => MidasConfig::small_defaults(),
-        Some(preset) => match config_preset(preset) {
+        Some(preset) => match preset.as_str().and_then(config_preset) {
             Some(c) => c,
-            None => return Response::bad_request(&format!("unknown config preset {preset:?}")),
+            None => return Response::bad_request("\"config\" must be \"small\" or \"default\""),
         },
     };
     let (kind, db) = if let Some(spec) = doc.get("dataset") {
-        let kind = match spec.get("kind").and_then(Value::as_str).map(dataset_kind) {
+        let kind = match spec
+            .get("kind")
+            .and_then(Value::as_str)
+            .map(DatasetKind::from_name)
+        {
             Some(Some(k)) => k,
             Some(None) => return Response::bad_request("unknown dataset kind"),
             None => return Response::bad_request("dataset missing \"kind\""),
         };
-        let size = spec.get("size").and_then(Value::as_u64).unwrap_or(100) as usize;
-        let seed = spec.get("seed").and_then(Value::as_u64).unwrap_or(41);
-        if size == 0 || size > 100_000 {
-            return Response::bad_request("dataset size out of range (1..=100000)");
-        }
+        let size = match optional_u64(spec, "dataset", "size", 100) {
+            Ok(size) if (1..=100_000).contains(&size) => size as usize,
+            Ok(_) => return Response::bad_request("dataset size out of range (1..=100000)"),
+            Err(e) => return Response::bad_request(&e),
+        };
+        let seed = match optional_u64(spec, "dataset", "seed", 41) {
+            Ok(seed) => seed,
+            Err(e) => return Response::bad_request(&e),
+        };
         (kind, DatasetSpec::new(kind, size, seed).generate().db)
     } else if let Some(graphs) = doc.get("graphs") {
         match io::graphs_from_value(graphs) {
@@ -357,10 +325,23 @@ fn queries(tenant: &Arc<Tenant>, req: &Request) -> Response {
     )
 }
 
+/// The non-negative integer field `key` of the `object` spec `v`, or
+/// `default` when it is absent; a present value of another kind (a
+/// string, a negative or fractional number) is an error naming the field.
+fn optional_u64(v: &Value, object: &str, key: &str, default: u64) -> Result<u64, String> {
+    match v.get(key) {
+        None => Ok(default),
+        Some(x) => x
+            .as_u64()
+            .ok_or_else(|| format!("{object} {key:?} must be a non-negative integer")),
+    }
+}
+
 /// Decodes a `generate` spec. `percent` (default 4) must lie in
-/// `[0, 100]` and `count` (default 8) in `1..=4096`; anything else is a
-/// 400 naming the field, so a spec never reaches the generator with a
-/// size it cannot allocate.
+/// `[0, 100]`, `count` (default 8) in `1..=4096`, `seed` (default 7) be
+/// a non-negative integer and `motif` (default boronic ester) a
+/// [`MotifKind::name`]; anything else is a 400 naming the field, so a
+/// spec never reaches the generator with a size it cannot allocate.
 fn parse_gen_spec(v: &Value) -> Result<GenSpec, String> {
     let op = match v.get("op").and_then(Value::as_str) {
         Some("growth") => GenOp::Growth,
@@ -369,9 +350,13 @@ fn parse_gen_spec(v: &Value) -> Result<GenSpec, String> {
         Some(other) => return Err(format!("unknown generate op {other:?}")),
         None => return Err("generate spec missing \"op\"".into()),
     };
-    let motif = match v.get("motif").and_then(Value::as_str) {
+    let motif = match v.get("motif") {
         None => None,
-        Some(name) => Some(motif_kind(name).ok_or_else(|| format!("unknown motif {name:?}"))?),
+        Some(name) => Some(
+            name.as_str()
+                .and_then(MotifKind::from_name)
+                .ok_or("generate \"motif\" must be a motif name such as \"boronic_ester\"")?,
+        ),
     };
     let percent = match v.get("percent") {
         None => 4.0,
@@ -392,7 +377,7 @@ fn parse_gen_spec(v: &Value) -> Result<GenSpec, String> {
         percent,
         count: count as usize,
         motif,
-        seed: v.get("seed").and_then(Value::as_u64).unwrap_or(7),
+        seed: optional_u64(v, "generate", "seed", 7)?,
     })
 }
 

@@ -21,7 +21,6 @@
 //! check, the integration tests and servebench are built on this.
 
 use crate::tenant::{GenOp, GenSpec};
-use midas_datagen::MotifKind;
 use midas_graph::{io, BatchUpdate, LabeledGraph};
 use midas_obs::json::{self as js, Value};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -261,7 +260,7 @@ impl ServeClient {
             GenOp::Novel => ("novel", format!("\"count\": {}", spec.count)),
         };
         let motif = match spec.motif {
-            Some(m) => format!(", \"motif\": {}", js::quote(motif_name(m))),
+            Some(m) => format!(", \"motif\": {}", js::quote(m.name())),
             None => String::new(),
         };
         let body = format!(
@@ -339,29 +338,6 @@ fn field_u64(doc: &Value, key: &str) -> Result<u64, String> {
     doc.get(key)
         .and_then(Value::as_u64)
         .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-/// The wire name of a motif (inverse of the updates endpoint's parser).
-pub fn motif_name(kind: MotifKind) -> &'static str {
-    match kind {
-        MotifKind::BenzeneRing => "benzene_ring",
-        MotifKind::FiveRing => "five_ring",
-        MotifKind::PyridineRing => "pyridine_ring",
-        MotifKind::ThiopheneRing => "thiophene_ring",
-        MotifKind::Carboxyl => "carboxyl",
-        MotifKind::Amine => "amine",
-        MotifKind::Amide => "amide",
-        MotifKind::Hydroxyl => "hydroxyl",
-        MotifKind::Thiol => "thiol",
-        MotifKind::Phosphate => "phosphate",
-        MotifKind::Chloride => "chloride",
-        MotifKind::Fluoride => "fluoride",
-        MotifKind::BoronicAcid => "boronic_acid",
-        MotifKind::BoronicEster => "boronic_ester",
-        MotifKind::Chain => "chain",
-        MotifKind::Cyclopropane => "cyclopropane",
-        MotifKind::FusedBicycle => "fused_bicycle",
-    }
 }
 
 /// Reads one reply: the status line, the headers, then exactly

@@ -568,6 +568,64 @@ mod tests {
     }
 
     #[test]
+    fn malformed_create_and_generate_fields_are_400s_naming_the_field() {
+        let (daemon, client) = daemon();
+        for (field, value) in [
+            ("size", "\"120\""),
+            ("size", "-5"),
+            ("size", "1.5"),
+            ("seed", "\"41\""),
+            ("seed", "-1"),
+            ("seed", "2.5"),
+        ] {
+            let size = if field == "size" { value } else { "12" };
+            let seed = if field == "seed" { value } else { "41" };
+            let body = format!(
+                r#"{{"name": "m", "dataset": {{"kind": "emol_like", "size": {size}, "seed": {seed}}}}}"#
+            );
+            let reply = client.request("POST", "/v1/tenants", Some(&body)).unwrap();
+            assert_eq!(reply.status, 400, "{body}: {}", reply.body);
+            assert!(reply.body.contains(field), "{body}: {}", reply.body);
+        }
+        // An absent seed keeps its default.
+        let created = client
+            .request(
+                "POST",
+                "/v1/tenants",
+                Some(r#"{"name": "m", "dataset": {"kind": "emol_like", "size": 12}}"#),
+            )
+            .unwrap();
+        assert_eq!(created.status, 201, "{}", created.body);
+        let body = r#"{"name": "c", "dataset": {"kind": "emol_like", "size": 12}, "config": 1}"#;
+        let reply = client.request("POST", "/v1/tenants", Some(body)).unwrap();
+        assert_eq!(reply.status, 400, "{body}: {}", reply.body);
+        assert!(reply.body.contains("config"), "{body}: {}", reply.body);
+        for (field, value) in [
+            ("seed", "\"7\""),
+            ("seed", "-1"),
+            ("seed", "2.5"),
+            ("motif", "5"),
+            ("motif", "\"benzene\""),
+        ] {
+            let body = format!(r#"{{"generate": {{"op": "novel", "{field}": {value}}}}}"#);
+            let reply = client
+                .request("POST", "/v1/m/updates", Some(&body))
+                .unwrap();
+            assert_eq!(reply.status, 400, "{body}: {}", reply.body);
+            assert!(reply.body.contains(field), "{body}: {}", reply.body);
+        }
+        let reply = client
+            .request(
+                "POST",
+                "/v1/m/updates?mode=sync",
+                Some(r#"{"generate": {"op": "growth"}}"#),
+            )
+            .unwrap();
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        daemon.shutdown();
+    }
+
+    #[test]
     fn protocol_errors_are_typed() {
         let (daemon, client) = daemon();
         // Unknown tenant.

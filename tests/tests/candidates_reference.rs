@@ -9,7 +9,7 @@ use midas_core::candidate_gen::{coverage_state, generate_promising_candidates, G
 use midas_core::metrics::ScovContext;
 use midas_core::PatternStore;
 use midas_graph::{ClosureGraph, GraphDb, GraphId, LabeledGraph, MatchKernel};
-use midas_index::{FctIndex, IfeIndex};
+use midas_index::FctIndex;
 use midas_mining::EdgeCatalog;
 use midas_oracle::reference_promising_candidates;
 use midas_tests::path;
@@ -19,28 +19,19 @@ use std::collections::BTreeSet;
 
 /// Generates from one CSG per part of the database's ids (as `split`
 /// cuts them) with a C-O pattern in the store, in production and in the
-/// reference, each through its own cold kernel. The IFE-Index tracks every
-/// edge label when `filtered`, so the dominance filter keeps only graphs
-/// with enough edges of each of a pattern's labels. Asserts equal
-/// candidates and coverage, and returns how many there are and the
-/// reference kernel's memo hits.
+/// reference, each through its own cold kernel. The FCT-Index has no
+/// rows, so the dominance filter keeps the graphs with enough edges of
+/// each of a pattern's labels. Asserts equal candidates and coverage, and
+/// returns how many there are and the reference kernel's memo hits.
 fn compare(
     graphs: Vec<LabeledGraph>,
-    filtered: bool,
     split: fn(&[GraphId]) -> Vec<&[GraphId]>,
     seed: u64,
 ) -> (usize, u64) {
     let db = GraphDb::from_graphs(graphs);
     let refs: Vec<(GraphId, &LabeledGraph)> = db.iter().map(|(id, g)| (id, g.as_ref())).collect();
     let catalog = EdgeCatalog::build(refs.iter().copied());
-    let tracked = match filtered {
-        true => catalog.labels().map(|(l, _)| l).collect(),
-        false => BTreeSet::new(),
-    };
-    let (fct, ife) = (
-        FctIndex::new(),
-        IfeIndex::build(tracked, refs.iter().copied()),
-    );
+    let fct = FctIndex::new();
     let sample: BTreeSet<GraphId> = db.ids().collect();
     let ids: Vec<GraphId> = db.ids().collect();
     let csgs: Vec<WeightedCsg> = split(&ids)
@@ -67,7 +58,6 @@ fn compare(
     let (fast, slow) = (MatchKernel::new(), MatchKernel::new());
     let ctx = ScovContext {
         fct: &fct,
-        ife: &ife,
         db: &db,
         sample: &sample,
         catalog: &catalog,
@@ -99,7 +89,7 @@ fn a_class_grown_by_two_csgs_matches_the_reference() {
     // hits.
     let mut graphs = vec![path(&[0, 1]); 3];
     graphs.extend(vec![path(&[3, 3, 3, 3]); 12]);
-    let (candidates, reference_hits) = compare(graphs, false, |ids| vec![&ids[3..9], &ids[9..]], 5);
+    let (candidates, reference_hits) = compare(graphs, |ids| vec![&ids[3..9], &ids[9..]], 5);
     assert!(candidates > 0, "S-chain candidates expected");
     assert!(reference_hits > 0, "the world repeats a class");
 }
@@ -111,6 +101,6 @@ fn a_class_short_on_survivors_matches_the_reference() {
     let mut graphs = vec![path(&[0, 1]); 3];
     graphs.extend(vec![path(&[3, 3, 3]); 2]);
     graphs.extend(vec![path(&[5, 5, 5]); 6]);
-    let (candidates, _) = compare(graphs, true, |ids| vec![ids], 6);
+    let (candidates, _) = compare(graphs, |ids| vec![ids], 6);
     assert!(candidates > 0, "N-N-N candidates expected");
 }

@@ -5,14 +5,13 @@
 
 use midas_catapult::score::{set_measures, set_quality, SetQuality};
 use midas_graph::isomorphism::{count_embeddings, is_subgraph_of, GraphSignature};
-use midas_graph::{CachedPattern, Csr, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
+use midas_graph::{CachedPattern, Csr, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::scov::covered_graphs;
-use midas_index::{FctIndex, IfeIndex};
-use midas_mining::canonical::edge_tree;
-use midas_mining::tree_key;
-use midas_tests::{connected_graph_strategy, count_row};
+use midas_index::FctIndex;
+use midas_mining::{tree_key, EdgeCatalog, TreeKey};
+use midas_tests::{connected_graph_strategy, count_row, path};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 const CAP: u64 = 64;
 
@@ -22,6 +21,20 @@ fn db_refs(db: &GraphDb) -> Vec<(GraphId, &LabeledGraph)> {
 
 fn csr_refs(db: &GraphDb) -> Vec<(GraphId, &Csr)> {
     db.csrs().collect()
+}
+
+/// Every labeled 2-edge path `a-v-b` of `g`.
+fn two_edge_paths(g: &LabeledGraph) -> Vec<LabeledGraph> {
+    let mut paths = Vec::new();
+    for v in g.vertices() {
+        let around = g.neighbors(v);
+        for (i, &a) in around.iter().enumerate() {
+            for &b in &around[i + 1..] {
+                paths.push(path(&[g.label(a), g.label(v), g.label(b)]));
+            }
+        }
+    }
+    paths
 }
 
 proptest! {
@@ -71,7 +84,7 @@ proptest! {
 
     /// Cached answers stay correct across insert/delete invalidation:
     /// after a batch mutates the database, re-querying through the kernel
-    /// (with per-graph invalidation, as `Midas::maintain_indices` does)
+    /// (with per-graph invalidation, as `Midas::maintain_index` does)
     /// matches a fresh serial scan of the new database state.
     #[test]
     fn kernel_stays_correct_across_batches(
@@ -125,9 +138,9 @@ proptest! {
 
     /// Index-accelerated coverage through the kernel equals VF2 over the
     /// whole universe with no dominance filter, before and after a batch
-    /// update. The indices hold every edge of the database as a feature
-    /// and track every edge label, so the filter prunes and its soundness
-    /// is under test.
+    /// update. The FCT-Index holds every 2-edge path of the database as a
+    /// feature and the catalog every edge label, so the filter prunes and
+    /// its soundness is under test.
     #[test]
     fn covered_graphs_kernel_matches_serial_across_updates(
         initial in proptest::collection::vec(connected_graph_strategy(6, 3), 3..7),
@@ -138,20 +151,20 @@ proptest! {
         let kernel = MatchKernel::new();
         let check = |db: &GraphDb| -> Result<(), TestCaseError> {
             let refs = db_refs(db);
-            let labels: BTreeSet<EdgeLabel> = refs.iter().flat_map(|(_, g)| g.edge_labels()).collect();
-            let edges = labels.iter().map(|l| {
-                let tree = edge_tree(l.0, l.1);
-                (tree_key(&tree), tree)
-            });
-            let fct = FctIndex::build(&kernel, edges, &csr_refs(db));
-            let ife = IfeIndex::build(labels, refs.iter().copied());
+            let paths: BTreeMap<TreeKey, LabeledGraph> = refs
+                .iter()
+                .flat_map(|(_, g)| two_edge_paths(g))
+                .map(|tree| (tree_key(&tree), tree))
+                .collect();
+            let fct = FctIndex::build(&kernel, paths, &csr_refs(db));
+            let catalog = EdgeCatalog::build(refs.iter().copied());
             let universe: BTreeSet<GraphId> = db.ids().collect();
             let want: BTreeSet<GraphId> = refs
                 .iter()
                 .filter(|(_, g)| is_subgraph_of(&pattern, g))
                 .map(|&(id, _)| id)
                 .collect();
-            prop_assert_eq!(covered_graphs(&kernel, &fct, &ife, db, &pattern, &universe), want);
+            prop_assert_eq!(covered_graphs(&kernel, &fct, &catalog, db, &pattern, &universe), want);
             Ok(())
         };
         check(&db)?;

@@ -10,9 +10,11 @@ use midas_core::swap::{multi_scan_swap, SwapParams};
 use midas_graph::isomorphism::count_embeddings;
 use midas_graph::{ClosureGraph, Csr, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::scov::{candidate_graphs, profile_pattern, PatternProfile};
-use midas_index::{FctIndex, FeatureId, IfeIndex, SparseMatrix, EMBED_CAP};
-use midas_mining::EdgeCatalog;
-use midas_tests::{connected_graph_strategy, tree_strategy};
+use midas_index::{FctIndex, FeatureId, SparseMatrix, EMBED_CAP};
+use midas_mining::canonical::edge_tree;
+use midas_mining::incremental::FctState;
+use midas_mining::{tree_key, EdgeCatalog, MiningConfig, TreeKey};
+use midas_tests::{connected_graph_sized, connected_graph_strategy, tree_strategy};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -97,26 +99,26 @@ proptest! {
         prop_assert_eq!(before, after);
     }
 
-    /// One pattern profile: each index's `pattern_counts` equals the
-    /// per-feature VF2 count at `EMBED_CAP` (per-label occurrences on the
-    /// IFE side), and it is the profile the dominance filter uses.
+    /// One pattern profile: the FCT-Index's `pattern_counts` equals the
+    /// per-feature VF2 count at `EMBED_CAP`, the edge counts are the
+    /// pattern's per-label multiplicities over the catalog's labels, and
+    /// both are the profile the dominance filter uses.
     #[test]
     fn pattern_counts_match_vf2_and_the_profile(
         trees in proptest::collection::vec(tree_strategy(4, 3), 1..6),
         graphs in proptest::collection::vec(connected_graph_strategy(6, 3), 1..5),
-        pattern in connected_graph_strategy(6, 3),
+        pattern in connected_graph_strategy(6, 4),
     ) {
-        let tracked: BTreeSet<EdgeLabel> = graphs.iter().flat_map(|g| g.edge_labels()).collect();
         let db = GraphDb::from_graphs(graphs);
         let fct = FctIndex::build(
             &MatchKernel::new(),
             trees
                 .into_iter()
-                .filter(|t| t.edge_count() > 0)
-                .map(|t| (midas_mining::tree_key(&t), t)),
+                .filter(|t| t.edge_count() > 1)
+                .map(|t| (tree_key(&t), t)),
             &db.csrs().collect::<Vec<_>>(),
         );
-        let ife = IfeIndex::build(tracked, db.iter().map(|(id, g)| (id, g.as_ref())));
+        let catalog = EdgeCatalog::build(db.iter().map(|(id, g)| (id, g.as_ref())));
 
         let fct_counts = fct.pattern_counts(&pattern);
         let vf2: Vec<(FeatureId, u32)> = fct
@@ -127,49 +129,52 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(&fct_counts, &vf2);
-        let ife_counts = ife.pattern_counts(&pattern);
-        let occurrences: Vec<(EdgeLabel, u32)> = ife
-            .tracked()
-            .iter()
-            .filter_map(|&label| {
+        let occurrences: Vec<(EdgeLabel, u32)> = catalog
+            .labels()
+            .filter_map(|(label, _)| {
                 let c = pattern.edge_labels().filter(|&l| l == label).count() as u32;
                 (c > 0).then_some((label, c))
             })
             .collect();
-        prop_assert_eq!(&ife_counts, &occurrences);
 
-        let profile = profile_pattern(&fct, &ife, &pattern);
+        let profile = profile_pattern(&fct, &catalog, &pattern);
         prop_assert_eq!(&profile.fct_counts, &fct_counts);
-        prop_assert_eq!(&profile.ife_counts, &ife_counts);
+        prop_assert_eq!(&profile.edge_counts, &occurrences);
     }
 
     /// The merge-join dominance filter keeps exactly the universe graphs
-    /// whose TG and EG counts reach every profile entry, in ascending
-    /// order. Rows are dense against a sparse universe, so a merge pass
-    /// must skip several row entries between survivors. Universe ids
-    /// 12..16 appear in no row, feature 3 and edge label (2, 3) have no
-    /// row, and the generated profiles and universes include empty ones.
+    /// whose TG counts and catalog occurrence counts reach every profile
+    /// entry, in ascending order. Rows are dense against a sparse
+    /// universe, so a merge pass must skip several row entries between
+    /// survivors. Universe ids 12..16 appear in no row, feature 3 has no
+    /// row, edge label (3, 4) is absent from the catalog (no constraint),
+    /// and the generated profiles and universes include empty ones.
     #[test]
     fn candidate_graphs_match_a_per_graph_dominance_check(
         tg in proptest::collection::vec((0u32..3, 0u64..12, 1u32..4), 0..60),
-        eg in proptest::collection::vec((0u32..2, 0u64..12, 1u32..4), 0..40),
+        eg in proptest::collection::vec((0u32..3, 0u64..12, 1u32..4), 0..40),
         fct_need in proptest::collection::vec((0u32..4, 1u32..4), 0..4),
-        ife_need in proptest::collection::vec((0u32..3, 1u32..4), 0..3),
+        edge_need in proptest::collection::vec((0u32..4, 1u32..4), 0..4),
         universe in proptest::collection::vec(0u64..16, 0..10),
     ) {
         let edge = |l: u32| EdgeLabel::new(l, l + 1);
         let tg = SparseMatrix::from_triples(
             tg.into_iter().map(|(f, g, c)| (FeatureId(f), GraphId(g), c)),
         );
+        // Edge cells hold labels 0..3, so label 3 is absent from the catalog.
         let eg = SparseMatrix::from_triples(
             eg.into_iter().map(|(l, g, c)| (edge(l), GraphId(g), c)),
         );
-        // One entry per feature, as `pattern_counts` returns them.
+        let graphs: BTreeMap<GraphId, LabeledGraph> = (0..12)
+            .map(|g| (GraphId(g), disjoint_edges(eg.iter().filter(|&(_, id, _)| id == GraphId(g)))))
+            .collect();
+        let catalog = EdgeCatalog::build(graphs.iter().map(|(&id, g)| (id, g)));
+        // One entry per feature and per label, as `profile_pattern` makes them.
         let fct_need: BTreeMap<u32, u32> = fct_need.into_iter().collect();
-        let ife_need: BTreeMap<u32, u32> = ife_need.into_iter().collect();
+        let edge_need: BTreeMap<u32, u32> = edge_need.into_iter().collect();
         let profile = PatternProfile {
             fct_counts: fct_need.iter().map(|(&f, &n)| (FeatureId(f), n)).collect(),
-            ife_counts: ife_need.iter().map(|(&l, &n)| (edge(l), n)).collect(),
+            edge_counts: edge_need.iter().map(|(&l, &n)| (edge(l), n)).collect(),
         };
         let universe: BTreeSet<GraphId> = universe.into_iter().map(GraphId).collect();
         let naive: Vec<GraphId> = universe
@@ -177,17 +182,81 @@ proptest! {
             .copied()
             .filter(|&g| {
                 profile.fct_counts.iter().all(|&(f, need)| tg.get(f, g) >= need)
-                    && profile.ife_counts.iter().all(|&(l, need)| eg.get(l, g) >= need)
+                    && profile.edge_counts.iter().all(|&(l, need)| {
+                        catalog.get(l).is_none() || eg.get(l, g) >= need
+                    })
             })
             .collect();
-        prop_assert_eq!(candidate_graphs(&tg, &eg, &profile, &universe), naive);
+        prop_assert_eq!(candidate_graphs(&tg, &catalog, &profile, &universe), naive);
         let all: Vec<GraphId> = universe.iter().copied().collect();
         prop_assert_eq!(
-            candidate_graphs(&tg, &eg, &PatternProfile::default(), &universe),
+            candidate_graphs(&tg, &catalog, &PatternProfile::default(), &universe),
             all,
             "an empty profile returns the whole universe"
         );
-        prop_assert!(candidate_graphs(&tg, &eg, &profile, &BTreeSet::new()).is_empty());
+        prop_assert!(candidate_graphs(&tg, &catalog, &profile, &BTreeSet::new()).is_empty());
+    }
+
+    /// The filter over ≥ 2-edge FCT rows and catalog occurrences keeps the
+    /// graphs that Def. 5.1/5.2's formulation keeps: VF2 embedding counts
+    /// at `EMBED_CAP` of every FCT and every frequent edge, plus occurrence
+    /// counts of the infrequent edge labels. Patterns have at most 12 edges
+    /// over two labels, so same-label edges repeat.
+    #[test]
+    fn survivors_match_the_fct_and_edge_count_reference(
+        graphs in proptest::collection::vec(connected_graph_sized(2, 8, 2), 3..9),
+        pattern in connected_graph_sized(2, 7, 2),
+        high_support in 0u8..2,
+        universe in proptest::collection::vec(0u64..9, 0..9),
+    ) {
+        prop_assume!(pattern.edge_count() <= 12);
+        let sup_min = if high_support == 1 { 0.6 } else { 0.3 };
+        let db = GraphDb::from_graphs(graphs);
+        let state = FctState::build(&db, MiningConfig { sup_min, max_edges: 3 });
+        let rows: Vec<(TreeKey, LabeledGraph)> = state
+            .index_trees(db.len())
+            .into_iter()
+            .map(|(k, e)| (k.clone(), e.tree.clone()))
+            .collect();
+        let fct = FctIndex::build(&MatchKernel::new(), rows, &db.csrs().collect::<Vec<_>>());
+        let catalog = &state.edges;
+        let universe: BTreeSet<GraphId> = universe.into_iter().map(GraphId).collect();
+        let profile = profile_pattern(&fct, catalog, &pattern);
+        let survivors = candidate_graphs(fct.tg(), catalog, &profile, &universe);
+
+        // Def. 5.1's rows: every FCT, then every frequent edge as a tree.
+        let mut features: BTreeMap<TreeKey, LabeledGraph> = state
+            .fct(db.len())
+            .into_iter()
+            .map(|(k, e)| (k.clone(), e.tree.clone()))
+            .collect();
+        for (label, _) in catalog.frequent(sup_min, db.len()) {
+            let tree = edge_tree(label.0, label.1);
+            features.insert(tree_key(&tree), tree);
+        }
+        let infrequent: Vec<EdgeLabel> = catalog
+            .infrequent(sup_min, db.len())
+            .into_iter()
+            .map(|(label, _)| label)
+            .collect();
+        let occurrences = |g: &LabeledGraph, label: EdgeLabel| {
+            g.edge_labels().filter(|&l| l == label).count()
+        };
+        // An id outside the database has no counts, as in the matrices.
+        let empty = LabeledGraph::new();
+        let reference: Vec<GraphId> = universe
+            .iter()
+            .copied()
+            .filter(|&id| {
+                let g = db.get(id).map_or(&empty, |g| g.as_ref());
+                features.values().all(|f| {
+                    count_embeddings(f, g, EMBED_CAP) >= count_embeddings(f, &pattern, EMBED_CAP)
+                }) && infrequent
+                    .iter()
+                    .all(|&label| occurrences(g, label) >= occurrences(&pattern, label))
+            })
+            .collect();
+        prop_assert_eq!(survivors, reference);
     }
 
     /// The swap never decreases sample-level coverage, diversity or label
@@ -205,10 +274,6 @@ proptest! {
         let catalog = EdgeCatalog::build(refs.iter().copied());
         let sample: BTreeSet<GraphId> = db.ids().collect();
         let fct = FctIndex::new();
-        let ife = IfeIndex::build(
-            BTreeSet::new(),
-            refs.iter().copied(),
-        );
         let mut store = PatternStore::new();
         for p in initial {
             store.insert(p);
@@ -216,7 +281,6 @@ proptest! {
         prop_assume!(!store.is_empty());
         let ctx = ScovContext {
             fct: &fct,
-            ife: &ife,
             db: &db,
             sample: &sample,
             catalog: &catalog,
@@ -249,17 +313,12 @@ proptest! {
         let catalog = EdgeCatalog::build(refs.iter().copied());
         let sample: BTreeSet<GraphId> = db.ids().collect();
         let fct = FctIndex::new();
-        let ife = IfeIndex::build(
-            BTreeSet::new(),
-            refs.iter().copied(),
-        );
         let mut store = PatternStore::new();
         store.insert(midas_tests::path(&[0, 1, 0]));
         store.insert(midas_tests::path(&[1, 0, 1]));
         let gamma = store.len();
         let ctx = ScovContext {
             fct: &fct,
-            ife: &ife,
             db: &db,
             sample: &sample,
             catalog: &catalog,
@@ -270,4 +329,18 @@ proptest! {
         multi_scan_swap(&mut store, candidates, &coverage, &ctx, &SwapParams::default());
         prop_assert_eq!(store.len(), gamma);
     }
+}
+
+/// A graph of disjoint edges: `count` edges labeled `label` for each
+/// `(label, _, count)` cell.
+fn disjoint_edges<'a>(cells: impl Iterator<Item = (EdgeLabel, GraphId, u32)> + 'a) -> LabeledGraph {
+    let mut g = LabeledGraph::new();
+    for (label, _, count) in cells {
+        for _ in 0..count {
+            let u = g.add_vertex(label.0);
+            let v = g.add_vertex(label.1);
+            g.add_edge(u, v);
+        }
+    }
+    g
 }
