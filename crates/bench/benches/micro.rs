@@ -34,7 +34,7 @@ fn bench_isomorphism(c: &mut Criterion) {
     let pattern = pattern_of(&target, 5, 1);
     c.bench_function("vf2/contains_5edge_pattern", |b| {
         b.iter(|| {
-            black_box(midas_graph::isomorphism::is_subgraph_of(
+            black_box(midas_oracle::vf2::is_subgraph_of(
                 black_box(&pattern),
                 black_box(&target),
             ))
@@ -42,7 +42,7 @@ fn bench_isomorphism(c: &mut Criterion) {
     });
     c.bench_function("vf2/count_embeddings_cap64", |b| {
         b.iter(|| {
-            black_box(midas_graph::isomorphism::count_embeddings(
+            black_box(midas_oracle::vf2::count_embeddings(
                 black_box(&pattern),
                 black_box(&target),
                 64,
@@ -67,7 +67,7 @@ fn bench_ged(c: &mut Criterion) {
     let small_b = pattern_of(&graphs[3], 3, 5);
     c.bench_function("ged/exact_small", |b| {
         b.iter(|| {
-            black_box(midas_graph::ged::ged_exact_bounded(
+            black_box(midas_oracle::ged_exact_bounded(
                 black_box(&small_a),
                 black_box(&small_b),
                 16,

@@ -407,7 +407,7 @@ fn build_csg(db: &GraphDb, group: &[GraphId]) -> ClosureGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use midas_graph::GraphBuilder;
+    use midas_graph::{Csr, GraphBuilder, MatchPlan};
     use midas_mining::{mine_lattice, MiningConfig};
 
     fn path(labels: &[u32]) -> LabeledGraph {
@@ -547,7 +547,7 @@ mod tests {
         let keys: Vec<_> = lattice.iter().map(|(k, _)| k.clone()).collect();
         for key in keys {
             let entry = lattice.get(&key).unwrap();
-            if midas_graph::isomorphism::is_subgraph_of(&entry.tree, &graph) {
+            if MatchPlan::compile(&entry.tree).is_subgraph_of(&Csr::from_graph(&graph)) {
                 let mut e = entry.clone();
                 e.support.insert(id);
                 lattice.insert(key, e);

@@ -140,7 +140,7 @@ fn draw_from(
 mod tests {
     use super::*;
     use crate::dataset::{DatasetKind, DatasetSpec};
-    use midas_graph::isomorphism::is_subgraph_of;
+    use midas_graph::{Csr, MatchPlan};
 
     #[test]
     fn subgraph_is_connected_and_contained() {
@@ -153,7 +153,10 @@ mod tests {
             let q = random_connected_subgraph(g, 4, &mut rng).expect("big enough");
             assert!(q.is_connected());
             assert_eq!(q.edge_count(), 4);
-            assert!(is_subgraph_of(&q, g), "query must embed in its source");
+            assert!(
+                MatchPlan::compile(&q).is_subgraph_of(&Csr::from_graph(g)),
+                "query must embed in its source"
+            );
         }
     }
 
@@ -188,9 +191,10 @@ mod tests {
         let delta_hits = qs
             .iter()
             .filter(|q| {
+                let plan = MatchPlan::compile(q);
                 inserted
                     .iter()
-                    .any(|&id| is_subgraph_of(q, db.get(id).unwrap()))
+                    .any(|&id| plan.is_subgraph_of(db.csr(id).unwrap()))
             })
             .count();
         assert!(delta_hits >= 10, "got {delta_hits} delta-embedded queries");

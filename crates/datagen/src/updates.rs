@@ -101,11 +101,12 @@ pub fn boronic_ester_family() -> MotifKind {
 mod tests {
     use super::*;
     use crate::dataset::{DatasetKind, DatasetSpec};
+    use midas_graph::{Csr, MatchPlan};
 
     /// Whether `graph` contains the given motif family.
     fn contains_family(graph: &midas_graph::LabeledGraph, family: MotifKind) -> bool {
         let motif = family.build();
-        midas_graph::isomorphism::is_subgraph_of(&motif.graph, graph)
+        MatchPlan::compile(&motif.graph).is_subgraph_of(&Csr::from_graph(graph))
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Graph edit distance (GED) — exact solver and the paper's lower bounds.
+//! Graph edit distance (GED) — the paper's lower bounds.
 //!
 //! Diversity of a pattern set is defined through GED (§2.2):
 //! `div(p, P\p) = min GED(p, p_i)`. Exact GED is NP-hard, so the paper
 //! computes diversity with a *lower bound* `GED_l`, tightened in MIDAS to
-//! `GED'_l = GED_l + n` using relaxed-edge counts (Lemma 6.1, §6.1).
+//! `GED'_l = GED_l + n` using relaxed-edge counts (Lemma 6.1, §6.1). The
+//! exact solver the bounds are checked against is a reference in
+//! `midas-oracle`; as in the paper, it is never computed at scale.
 //!
 //! Cost model: vertex insertion / deletion / relabel cost 1 each; edge
 //! insertion / deletion cost 1 each. Edge labels are derived from endpoint
@@ -46,7 +48,7 @@ pub fn ged_label_lower_bound(a: &LabeledGraph, b: &LabeledGraph) -> u32 {
 /// (unavoidable vertex insert/delete/relabel operations) and the edge part
 /// (the unavoidable edge-count difference). [`ged_tight_lower_bound`]
 /// tightens the vertex part only, so it needs them apart.
-pub fn ged_label_parts(a: &LabeledGraph, b: &LabeledGraph) -> (u32, u32) {
+fn ged_label_parts(a: &LabeledGraph, b: &LabeledGraph) -> (u32, u32) {
     let (na, nb) = (a.vertex_count(), b.vertex_count());
     let la = a.sorted_labels();
     let lb = b.sorted_labels();
@@ -63,7 +65,7 @@ pub fn ged_label_parts(a: &LabeledGraph, b: &LabeledGraph) -> (u32, u32) {
 /// The paper derives `n` from PF-matrix feature embeddings; at graph level
 /// this is exactly the edge-label multiset deficit: at most
 /// `|L(E_i) ∩ L(E_j)|` edges can match, so `n = |E_i| − |L(E_i) ∩ L(E_j)|`.
-pub fn relaxed_edge_count(a: &LabeledGraph, b: &LabeledGraph) -> u32 {
+fn relaxed_edge_count(a: &LabeledGraph, b: &LabeledGraph) -> u32 {
     let ea = a.sorted_edge_labels();
     let eb = b.sorted_edge_labels();
     let common = sorted_multiset_intersection(&ea, &eb);
@@ -89,12 +91,7 @@ pub fn relaxed_edge_count(a: &LabeledGraph, b: &LabeledGraph) -> u32 {
 /// one relabel repairs several mismatched edge labels — edge labels are
 /// *derived* from endpoint labels here (§2.1) — so it can exceed exact GED;
 /// this form cannot.
-pub fn ged_tight_from_parts(
-    vertex_part: u32,
-    edge_part: u32,
-    relaxed: u32,
-    max_degree: u32,
-) -> u32 {
+fn ged_tight_from_parts(vertex_part: u32, edge_part: u32, relaxed: u32, max_degree: u32) -> u32 {
     let d = max_degree.max(1);
     vertex_part.max(relaxed.div_ceil(d)) + edge_part
 }
@@ -108,10 +105,12 @@ fn max_degree(g: &LabeledGraph) -> u32 {
 }
 
 /// MIDAS's tightened lower bound `GED'_l` (Lemma 6.1), made admissible:
-/// the relaxed-edge count `n` is folded in through
-/// [`ged_tight_from_parts`] instead of the paper's additive `GED_l + n`,
-/// so `GED_l ≤ GED'_l ≤ exact GED` always holds (property-tested in the
-/// workspace's `tests` crate and cross-checked by the oracle harness).
+/// the relaxed-edge count `n` is folded in as
+/// `max(vertex_part, ⌈n / d_max⌉) + edge_part` (`ged_tight_from_parts`
+/// gives the soundness argument) instead of the paper's additive
+/// `GED_l + n`, so `GED_l ≤ GED'_l ≤ exact GED` always holds (property-tested in the
+/// workspace's `tests` crate and cross-checked against exact GED by the
+/// oracle's check 4, `ged_bounds`).
 ///
 /// This is the quantity MIDAS plugs into diversity computations.
 pub fn ged_tight_lower_bound(a: &LabeledGraph, b: &LabeledGraph) -> u32 {
@@ -125,126 +124,6 @@ pub fn ged_tight_lower_bound(a: &LabeledGraph, b: &LabeledGraph) -> u32 {
         b
     };
     ged_tight_from_parts(vertex_part, edge_part, relaxed, max_degree(small))
-}
-
-/// Exact GED by branch-and-bound over vertex assignments.
-///
-/// Returns `None` if the distance exceeds `limit` (use `u32::MAX` for an
-/// unbounded search). Exponential in `|V_A|`; intended for validation and
-/// property tests on graphs with ≤ ~8 vertices, exactly the role exact GED
-/// plays in the paper (it is never computed at scale there either).
-pub fn ged_exact_bounded(a: &LabeledGraph, b: &LabeledGraph, limit: u32) -> Option<u32> {
-    // Map vertices of A in order; each maps to an unused B vertex or ε.
-    let na = a.vertex_count();
-    let nb = b.vertex_count();
-    let mut best = limit.saturating_add(1);
-    let mut mapping: Vec<u32> = vec![u32::MAX; na]; // u32::MAX - 1 encodes ε
-    const EPS: u32 = u32::MAX - 1;
-    let mut used = vec![false; nb];
-
-    // Admissible heuristic on remaining vertex costs: label-multiset deficit.
-    fn vertex_heuristic(a: &LabeledGraph, b: &LabeledGraph, depth: usize, used: &[bool]) -> u32 {
-        let mut ra: Vec<u32> = (depth..a.vertex_count())
-            .map(|v| a.label(v as VertexId))
-            .collect();
-        let mut rb: Vec<u32> = (0..b.vertex_count())
-            .filter(|&v| !used[v])
-            .map(|v| b.label(v as VertexId))
-            .collect();
-        ra.sort_unstable();
-        rb.sort_unstable();
-        let common = sorted_multiset_intersection(&ra, &rb);
-        (ra.len().abs_diff(rb.len()) + ra.len().min(rb.len()) - common) as u32
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        a: &LabeledGraph,
-        b: &LabeledGraph,
-        depth: usize,
-        cost: u32,
-        mapping: &mut [u32],
-        used: &mut [bool],
-        best: &mut u32,
-    ) {
-        const EPS: u32 = u32::MAX - 1;
-        if cost >= *best {
-            return;
-        }
-        let na = a.vertex_count();
-        if depth == na {
-            // Remaining B vertices are insertions; B edges not yet accounted
-            // for (incident to an unused vertex) are insertions too.
-            let mut total = cost;
-            total += used.iter().filter(|&&u| !u).count() as u32;
-            for &(x, y) in b.edges() {
-                if !used[x as usize] || !used[y as usize] {
-                    total += 1;
-                }
-            }
-            if total < *best {
-                *best = total;
-            }
-            return;
-        }
-        if cost + vertex_heuristic(a, b, depth, used) >= *best {
-            return;
-        }
-        let av = depth as VertexId;
-        // Try mapping av to each unused B vertex.
-        for bv in 0..b.vertex_count() as VertexId {
-            if used[bv as usize] {
-                continue;
-            }
-            let mut step = u32::from(a.label(av) != b.label(bv));
-            // Edge deletions: A edges (w, av) with w already decided.
-            for &w in a.neighbors(av) {
-                if (w as usize) < depth {
-                    let img = mapping[w as usize];
-                    if img == EPS || !b.has_edge(img, bv) {
-                        step += 1;
-                    }
-                }
-            }
-            // Edge insertions: B edges (x, bv) with x an image of a decided A
-            // vertex w such that (w, av) is not an A edge.
-            for &x in b.neighbors(bv) {
-                if used[x as usize] {
-                    let w = mapping[..depth]
-                        .iter()
-                        .position(|&m| m == x)
-                        .expect("used image must have a preimage");
-                    if !a.has_edge(w as VertexId, av) {
-                        step += 1;
-                    }
-                }
-            }
-            mapping[depth] = bv;
-            used[bv as usize] = true;
-            rec(a, b, depth + 1, cost + step, mapping, used, best);
-            used[bv as usize] = false;
-            mapping[depth] = u32::MAX;
-        }
-        // Try deleting av: the vertex plus every edge to a decided vertex.
-        let mut step = 1;
-        for &w in a.neighbors(av) {
-            if (w as usize) < depth {
-                step += 1;
-            }
-        }
-        mapping[depth] = EPS;
-        rec(a, b, depth + 1, cost + step, mapping, used, best);
-        mapping[depth] = u32::MAX;
-    }
-
-    let _ = EPS;
-    rec(a, b, 0, 0, &mut mapping, &mut used, &mut best);
-    (best <= limit).then_some(best)
-}
-
-/// Exact GED with no limit. See [`ged_exact_bounded`].
-pub fn ged_exact(a: &LabeledGraph, b: &LabeledGraph) -> u32 {
-    ged_exact_bounded(a, b, u32::MAX - 2).expect("unbounded search always returns")
 }
 
 #[cfg(test)]
@@ -269,88 +148,15 @@ mod tests {
     #[test]
     fn identical_graphs_have_zero_distance() {
         let g = path(&[0, 1, 2]);
-        assert_eq!(ged_exact(&g, &g), 0);
         assert_eq!(ged_label_lower_bound(&g, &g), 0);
         assert_eq!(ged_tight_lower_bound(&g, &g), 0);
-    }
-
-    #[test]
-    fn single_relabel_costs_one() {
-        let a = path(&[0, 1, 0]);
-        let b = path(&[0, 2, 0]);
-        assert_eq!(ged_exact(&a, &b), 1);
     }
 
     #[test]
     fn edge_insertion_costs_one() {
         let a = path(&[0, 0, 0]); // 2 edges
         let b = triangle(0); // 3 edges
-        assert_eq!(ged_exact(&a, &b), 1);
         assert_eq!(ged_label_lower_bound(&a, &b), 1);
-    }
-
-    #[test]
-    fn vertex_insertion_with_edge() {
-        let a = path(&[0, 0]);
-        let b = path(&[0, 0, 0]);
-        // Insert one vertex and one edge.
-        assert_eq!(ged_exact(&a, &b), 2);
-    }
-
-    #[test]
-    fn distance_is_symmetric_on_samples() {
-        let gs = [
-            path(&[0, 1, 0]),
-            triangle(0),
-            path(&[1, 1]),
-            path(&[0, 1, 2, 0]),
-        ];
-        for x in &gs {
-            for y in &gs {
-                assert_eq!(ged_exact(x, y), ged_exact(y, x), "x={x:?} y={y:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn lower_bounds_never_exceed_exact() {
-        let gs = [
-            path(&[0, 1, 0]),
-            triangle(0),
-            triangle(1),
-            path(&[1, 1]),
-            path(&[0, 1, 2, 0]),
-            GraphBuilder::new()
-                .vertices(&[0, 1, 1, 2])
-                .edge(0, 1)
-                .edge(0, 2)
-                .edge(0, 3)
-                .build(),
-        ];
-        for x in &gs {
-            for y in &gs {
-                let exact = ged_exact(x, y);
-                assert!(
-                    ged_label_lower_bound(x, y) <= exact,
-                    "GED_l violated for {x:?} vs {y:?}"
-                );
-                assert!(ged_tight_lower_bound(x, y) >= ged_label_lower_bound(x, y));
-                assert!(
-                    ged_tight_lower_bound(x, y) <= exact,
-                    "GED'_l inadmissible for {x:?} vs {y:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_search_gives_none_beyond_limit() {
-        let a = path(&[0, 0]);
-        let b = triangle(1);
-        let exact = ged_exact(&a, &b);
-        assert!(exact > 1);
-        assert_eq!(ged_exact_bounded(&a, &b, 1), None);
-        assert_eq!(ged_exact_bounded(&a, &b, exact), Some(exact));
     }
 
     #[test]
@@ -372,9 +178,7 @@ mod tests {
         let a = path(&[0, 0, 0]);
         let b = path(&[0, 1, 0]);
         assert_eq!(relaxed_edge_count(&a, &b), 2);
-        assert_eq!(ged_exact(&a, &b), 1);
         let tight = ged_tight_lower_bound(&a, &b);
-        assert!(tight <= ged_exact(&a, &b), "admissible");
         assert!(tight >= ged_label_lower_bound(&a, &b));
         assert_eq!(tight, 1);
     }
@@ -389,7 +193,6 @@ mod tests {
         assert_eq!(ged_label_lower_bound(&a, &b), 0);
         let tight = ged_tight_lower_bound(&a, &b);
         assert!(tight >= 1, "relaxed edges force work");
-        assert!(tight <= ged_exact(&a, &b), "still admissible");
     }
 
     #[test]
@@ -397,7 +200,6 @@ mod tests {
         let e = LabeledGraph::new();
         let t = triangle(0);
         // 3 vertex insertions + 3 edge insertions.
-        assert_eq!(ged_exact(&e, &t), 6);
         assert_eq!(ged_label_lower_bound(&e, &t), 6);
     }
 }

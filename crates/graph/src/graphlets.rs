@@ -235,32 +235,33 @@ fn extend(
     }
 }
 
-/// Brute-force counter for testing: enumerates all 3- and 4-vertex subsets.
-pub fn count_graphlets_brute_force(g: &LabeledGraph) -> GraphletCounts {
-    let mut counts = GraphletCounts::default();
-    let n = g.vertex_count() as VertexId;
-    let connected = |vs: &[VertexId]| g.induced_subgraph(vs).is_connected();
-    for a in 0..n {
-        for b in a + 1..n {
-            for c in b + 1..n {
-                if connected(&[a, b, c]) {
-                    record(g, &[a, b, c], &mut counts);
-                }
-                for d in c + 1..n {
-                    if connected(&[a, b, c, d]) {
-                        record(g, &[a, b, c, d], &mut counts);
-                    }
-                }
-            }
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
+    use proptest::prelude::*;
+
+    /// The reference counter: enumerates all 3- and 4-vertex subsets.
+    fn count_graphlets_brute_force(g: &LabeledGraph) -> GraphletCounts {
+        let mut counts = GraphletCounts::default();
+        let n = g.vertex_count() as VertexId;
+        let connected = |vs: &[VertexId]| g.induced_subgraph(vs).is_connected();
+        for a in 0..n {
+            for b in a + 1..n {
+                for c in b + 1..n {
+                    if connected(&[a, b, c]) {
+                        record(g, &[a, b, c], &mut counts);
+                    }
+                    for d in c + 1..n {
+                        if connected(&[a, b, c, d]) {
+                            record(g, &[a, b, c, d], &mut counts);
+                        }
+                    }
+                }
+            }
+        }
+        counts
+    }
 
     fn path(n: usize) -> LabeledGraph {
         let labels = vec![0u32; n];
@@ -438,5 +439,32 @@ mod tests {
         assert_eq!(total.total(), a.total() + b.total());
         total.sub(&b);
         assert_eq!(total, a);
+    }
+
+    /// A connected graph of 2–8 vertices: a spanning path plus up to `n`
+    /// extra edges.
+    fn connected_graph() -> impl Strategy<Value = LabeledGraph> {
+        (2usize..=8)
+            .prop_flat_map(|n| (Just(n), proptest::collection::vec((0..n, 0..n), 0..=n)))
+            .prop_map(|(n, extra)| {
+                let mut g = path(n);
+                for (a, b) in extra {
+                    let (a, b) = (a as u32, b as u32);
+                    if a != b && !g.has_edge(a, b) {
+                        g.add_edge(a, b);
+                    }
+                }
+                g
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// ESU graphlet counting agrees with subset enumeration.
+        #[test]
+        fn graphlets_match_brute_force(g in connected_graph()) {
+            prop_assert_eq!(count_graphlets(&g), count_graphlets_brute_force(&g));
+        }
     }
 }

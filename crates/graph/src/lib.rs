@@ -11,13 +11,8 @@
 //! * [`GraphDb`] — a database `D` of small/medium data graphs with stable
 //!   [`GraphId`]s and batch insert/delete ([`BatchUpdate`]), matching the
 //!   paper's `D ⊕ ΔD` model (§3.1).
-//! * [`isomorphism`] — VF2-style subgraph isomorphism: containment tests,
-//!   embedding counting and embedding enumeration. It is the reference the
-//!   differential oracle, the tests and the benches check the production
-//!   matcher ([`plan`]) against; no production path runs it.
-//! * [`ged`] — graph edit distance: an exact branch-and-bound solver for
-//!   small graphs, the label lower bound `GED_l`, and the paper's tightened
-//!   bound `GED'_l` (Lemma 6.1).
+//! * [`ged`] — graph edit distance lower bounds: the label bound `GED_l`
+//!   and the paper's tightened bound `GED'_l` (Lemma 6.1).
 //! * [`graphlets`] — exact counting of all connected 3-node and 4-node
 //!   graphlets and the graphlet frequency distribution `ψ` whose Euclidean
 //!   drift classifies modifications as major/minor (§3.4).
@@ -32,7 +27,8 @@
 //!   at insertion; the kernel and its memo borrow it.
 //! * [`plan`] — patterns compiled once into static [`MatchPlan`]s
 //!   (vertex order + per-level candidate filters) and interpreted over
-//!   CSR label slices; the only production matcher.
+//!   CSR label slices; the crate's one subgraph matcher, for containment
+//!   tests, embedding counts and embedding enumeration.
 //! * [`kernel`] — [`MatchKernel`], the memoized bulk
 //!   operations (TG-matrix rows and grids, coverage scans) that run the
 //!   plan matcher over `(GraphId, &Csr)` pairs from [`GraphDb`].
@@ -42,6 +38,10 @@
 //! * [`cache`] — a single-owner [`EmbeddingCache`] memoizing capped embedding
 //!   counts (and nothing else) per `(pattern canonical key, GraphId)`,
 //!   invalidated per graph on batch updates.
+//!
+//! The references these are checked against — VF2 subgraph isomorphism
+//! and exact GED — live in `midas-oracle`, which no production crate
+//! depends on, so no production path can run them.
 //!
 //! All stochastic components take explicit seeds; nothing in this crate
 //! reads ambient randomness, so every experiment is reproducible.
@@ -60,7 +60,6 @@ pub mod ged;
 pub mod graph;
 pub mod graphlets;
 pub mod io;
-pub mod isomorphism;
 pub mod kernel;
 pub mod labels;
 pub mod mccs;

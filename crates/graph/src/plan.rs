@@ -1,10 +1,9 @@
-//! Plan-compiled subgraph matching over [`Csr`] graphs.
+//! Plan-compiled subgraph matching over [`Csr`] graphs: the one
+//! production matcher.
 //!
-//! The VF2 path ([`crate::isomorphism`]) re-derives everything per call:
-//! both graph signatures, the matching order, and per-node feasibility by
-//! scanning whole neighbor lists. That is the right reference semantics,
-//! but MIDAS matches the *same* small patterns against thousands of data
-//! graphs per batch (§5.1, Algorithm 1), so almost all of that work is
+//! MIDAS matches the *same* small patterns against thousands of data
+//! graphs per batch (§5.1, Algorithm 1), so almost all per-call work —
+//! the vertex order, the per-level filters, the label demand — is
 //! amortizable. Following the GraphMini direction, this module compiles a
 //! pattern once into a [`MatchPlan`] — a static vertex order plus
 //! per-level candidate filters — and interprets it over the [`Csr`] label
@@ -25,20 +24,20 @@
 //! row's lifetime. No plan is shared across patterns, tenants or kernels,
 //! so the matching path holds no lock.
 //!
-//! Semantics are pinned to the VF2 reference: same non-induced
-//! monomorphism definition, same saturating caps, and the same embeddings
-//! in the same enumeration order (both matchers share one vertex-ordering
-//! rule). The differential oracle's `plan_vs_vf2` check and the workspace
-//! property tests enforce this.
+//! Semantics are pinned to the VF2 reference in `midas-oracle`: the same
+//! non-induced monomorphism definition, the same saturating caps, and the
+//! same embeddings in the same enumeration order (both matchers search in
+//! [`matching_order`]). The oracle's `plan_vs_vf2` check (check 6) and
+//! the workspace property tests enforce this.
 
 use crate::csr::Csr;
 use crate::graph::{LabeledGraph, VertexId};
 use crate::labels::LabelId;
 use std::sync::OnceLock;
 
-/// Visitor control for the embedding enumerators
-/// ([`MatchPlan::for_each_embedding`] and the VF2 reference's
-/// [`crate::isomorphism::for_each_embedding`]).
+/// Visitor control for the embedding enumerators:
+/// [`MatchPlan::for_each_embedding`] here, and the VF2 reference's
+/// `for_each_embedding` in `midas-oracle`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Control {
     /// Keep enumerating embeddings.
@@ -128,13 +127,13 @@ pub struct MatchPlan {
 /// vertex, and high-degree vertices come first. Returns, for each position,
 /// the vertex and its already-ordered neighbors.
 ///
-/// This is the one ordering rule of the crate: [`MatchPlan`] compiles its
-/// levels from it, and the VF2 reference ([`crate::isomorphism`]) searches
-/// in the same order. Both matchers then try candidates in
-/// ascending target-vertex order at every level, so they enumerate the
-/// same embeddings in the same sequence — which the formulation
-/// simulator's first-fit packing depends on.
-pub(crate) fn matching_order(pattern: &LabeledGraph) -> Vec<(VertexId, Vec<VertexId>)> {
+/// This is the crate's one ordering rule: [`MatchPlan`] compiles its
+/// levels from it, and the reference searches in it (VF2, in
+/// `midas-oracle`). Both matchers then try candidates in ascending
+/// target-vertex order at every level, so they enumerate the same
+/// embeddings in the same sequence — which the formulation simulator's
+/// first-fit packing depends on.
+pub fn matching_order(pattern: &LabeledGraph) -> Vec<(VertexId, Vec<VertexId>)> {
     let n = pattern.vertex_count();
     let mut order: Vec<(VertexId, Vec<VertexId>)> = Vec::with_capacity(n);
     let mut placed = vec![false; n];
@@ -231,9 +230,8 @@ impl MatchPlan {
     }
 
     /// Invokes `visit` with each embedding (`pattern vertex → target
-    /// vertex`) until exhaustion or [`Control::Stop`]. Equal to
-    /// [`crate::isomorphism::for_each_embedding`], enumeration order
-    /// included.
+    /// vertex`) until exhaustion or [`Control::Stop`], in the order oracle
+    /// check 6 (`plan_vs_vf2`) pins.
     pub fn for_each_embedding<F>(&self, target: &Csr, visit: &mut F)
     where
         F: FnMut(&[VertexId]) -> Control,
@@ -311,8 +309,9 @@ impl MatchPlan {
         midas_obs::counter_add!("plan.candidates_pruned", pruned);
     }
 
-    /// Counts embeddings in `target`, saturating at `cap`. Equal to
-    /// [`crate::isomorphism::count_embeddings`] on the same pair.
+    /// Counts embeddings in `target`, saturating at `cap`: one per
+    /// injective mapping, as the VF2 reference counts them (oracle check
+    /// 6, `plan_vs_vf2`, pins the two equal).
     pub fn count_embeddings(&self, target: &Csr, cap: u64) -> u64 {
         if cap == 0 {
             return 0;
@@ -818,28 +817,6 @@ fn intersect_in_place(buf: &mut Vec<VertexId>, other: &[VertexId]) {
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
-    use crate::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
-
-    /// Counts embeddings of `pattern` in `target` through a freshly
-    /// compiled plan.
-    fn count_embeddings_plan(pattern: &LabeledGraph, target: &LabeledGraph, cap: u64) -> u64 {
-        MatchPlan::compile(pattern).count_embeddings(&Csr::from_graph(target), cap)
-    }
-
-    /// Whether `pattern ⊆ target` through a freshly compiled plan.
-    fn is_subgraph_plan(pattern: &LabeledGraph, target: &LabeledGraph) -> bool {
-        MatchPlan::compile(pattern).is_subgraph_of(&Csr::from_graph(target))
-    }
-
-    /// Up to `limit` embeddings through a freshly compiled plan, in
-    /// `pattern`'s own vertex numbering.
-    fn find_embeddings_plan(
-        pattern: &LabeledGraph,
-        target: &LabeledGraph,
-        limit: usize,
-    ) -> Vec<Vec<VertexId>> {
-        MatchPlan::compile(pattern).find_embeddings(&Csr::from_graph(target), limit)
-    }
 
     fn path(labels: &[u32]) -> LabeledGraph {
         let vs: Vec<u32> = (0..labels.len() as u32).collect();
@@ -853,166 +830,6 @@ mod tests {
             .edge(1, 2)
             .edge(0, 2)
             .build()
-    }
-
-    fn suite() -> (Vec<LabeledGraph>, Vec<LabeledGraph>) {
-        let patterns = vec![
-            path(&[0, 0]),
-            path(&[0, 1, 0]),
-            triangle(0),
-            // Square with alternating labels — two anchors at the closing
-            // vertex exercise the intersection path.
-            GraphBuilder::new()
-                .vertices(&[0, 1, 0, 1])
-                .edge(0, 1)
-                .edge(1, 2)
-                .edge(2, 3)
-                .edge(3, 0)
-                .build(),
-            // Disconnected pattern: two components.
-            GraphBuilder::new().vertices(&[0, 0]).build(),
-            // Star: degree pruning.
-            GraphBuilder::new()
-                .vertices(&[0, 1, 1, 1])
-                .edge(0, 1)
-                .edge(0, 2)
-                .edge(0, 3)
-                .build(),
-            // Star with mixed leaf labels (falling-factorial grouping).
-            GraphBuilder::new()
-                .vertices(&[1, 0, 0, 1])
-                .edge(0, 1)
-                .edge(0, 2)
-                .edge(0, 3)
-                .build(),
-            // 4-paths: every end/mid label coincidence the double-star
-            // closed form special-cases (a = d, c = a, b = d, all equal).
-            path(&[0, 1, 0, 1]),
-            path(&[0, 1, 1, 0]),
-            path(&[0, 0, 0, 0]),
-            path(&[0, 1, 1, 2]),
-            path(&[1, 0, 1, 0]),
-            // Double stars with multi-leaf sides: cross-side collisions
-            // within one label exercise the inclusion–exclusion.
-            GraphBuilder::new()
-                .vertices(&[1, 0, 0, 1, 0])
-                .edge(0, 1)
-                .edge(0, 2)
-                .edge(0, 3)
-                .edge(3, 4)
-                .build(),
-            GraphBuilder::new()
-                .vertices(&[0, 0, 0, 0, 0])
-                .edge(0, 1)
-                .edge(0, 2)
-                .edge(0, 3)
-                .edge(3, 4)
-                .build(),
-            GraphBuilder::new()
-                .vertices(&[0, 1, 1, 0, 1, 1])
-                .edge(0, 1)
-                .edge(0, 2)
-                .edge(0, 3)
-                .edge(3, 4)
-                .edge(3, 5)
-                .build(),
-            // 5-paths: uniform labels maximize end-collision corrections.
-            path(&[0, 0, 0, 0, 0]),
-            path(&[0, 1, 2, 1, 0]),
-            path(&[0, 0, 1, 0, 0]),
-            path(&[1, 0, 0, 0, 2]),
-            // Triangle + isolated vertex: tree edge count but NOT a tree —
-            // must fall through to the interpreter.
-            GraphBuilder::new()
-                .vertices(&[0, 0, 0, 0])
-                .edge(0, 1)
-                .edge(1, 2)
-                .edge(0, 2)
-                .build(),
-        ];
-        let targets = vec![
-            triangle(0),
-            path(&[0, 1, 0, 1, 0]),
-            GraphBuilder::new()
-                .vertices(&[0, 1, 0, 1, 0])
-                .edge(0, 1)
-                .edge(1, 2)
-                .edge(2, 3)
-                .edge(3, 0)
-                .edge(3, 4)
-                .build(),
-            GraphBuilder::new()
-                .vertices(&[0, 1, 1, 1, 1])
-                .edge(0, 1)
-                .edge(0, 2)
-                .edge(0, 3)
-                .edge(0, 4)
-                .edge(1, 2)
-                .build(),
-            // K4, uniform labels: every pair of adjacent vertices shares
-            // two common neighbors — the worst case for the closed forms'
-            // collision corrections.
-            GraphBuilder::new()
-                .vertices(&[0, 0, 0, 0])
-                .edge(0, 1)
-                .edge(0, 2)
-                .edge(0, 3)
-                .edge(1, 2)
-                .edge(1, 3)
-                .edge(2, 3)
-                .build(),
-            // Butterfly (two triangles sharing vertex 2) with a pendant
-            // path: mixed degrees, shared neighborhoods, a 2-label split.
-            GraphBuilder::new()
-                .vertices(&[0, 0, 0, 0, 0, 1, 0])
-                .edge(0, 1)
-                .edge(0, 2)
-                .edge(1, 2)
-                .edge(2, 3)
-                .edge(2, 4)
-                .edge(3, 4)
-                .edge(2, 5)
-                .edge(5, 6)
-                .build(),
-            LabeledGraph::new(),
-        ];
-        (patterns, targets)
-    }
-
-    #[test]
-    fn counts_match_vf2_reference() {
-        let (patterns, targets) = suite();
-        for p in &patterns {
-            let plan = MatchPlan::compile(p);
-            for t in &targets {
-                let csr = Csr::from_graph(t);
-                for cap in [1, 3, u64::MAX] {
-                    assert_eq!(
-                        plan.count_embeddings(&csr, cap),
-                        count_embeddings(p, t, cap),
-                        "count mismatch for {p:?} in {t:?} at cap {cap}"
-                    );
-                }
-                assert_eq!(plan.is_subgraph_of(&csr), is_subgraph_of(p, t));
-            }
-        }
-    }
-
-    #[test]
-    fn embedding_sets_match_vf2_reference() {
-        use std::collections::BTreeSet;
-        let (patterns, targets) = suite();
-        for p in &patterns {
-            let plan = MatchPlan::compile(p);
-            for t in &targets {
-                let csr = Csr::from_graph(t);
-                let ours: BTreeSet<Vec<VertexId>> =
-                    plan.find_embeddings(&csr, usize::MAX).into_iter().collect();
-                let reference: BTreeSet<Vec<VertexId>> =
-                    find_embeddings(p, t, usize::MAX).into_iter().collect();
-                assert_eq!(ours, reference, "embedding sets differ for {p:?} in {t:?}");
-            }
-        }
     }
 
     /// Spider / broom on 5 vertices: center 0 with leaves 1, 2 and the
@@ -1089,22 +906,5 @@ mod tests {
         assert_eq!(plan.count_embeddings(&t, u64::MAX), 6);
         assert_eq!(plan.find_embeddings(&t, 3).len(), 3);
         assert!(plan.find_embeddings(&t, 0).is_empty());
-    }
-
-    #[test]
-    fn convenience_twins_match_reference() {
-        let p = path(&[0, 1, 0]);
-        let t = path(&[0, 1, 0, 1, 0]);
-        assert_eq!(
-            count_embeddings_plan(&p, &t, u64::MAX),
-            count_embeddings(&p, &t, u64::MAX)
-        );
-        assert_eq!(is_subgraph_plan(&p, &t), is_subgraph_of(&p, &t));
-        use std::collections::BTreeSet;
-        let ours: BTreeSet<_> = find_embeddings_plan(&p, &t, usize::MAX)
-            .into_iter()
-            .collect();
-        let reference: BTreeSet<_> = find_embeddings(&p, &t, usize::MAX).into_iter().collect();
-        assert_eq!(ours, reference);
     }
 }

@@ -143,7 +143,6 @@ pub fn verify_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use midas_graph::isomorphism::is_subgraph_of;
     use midas_graph::GraphBuilder;
     use midas_mining::tree_key;
 
@@ -191,65 +190,6 @@ mod tests {
         // feature prunes what the edge labels let through.
         assert_eq!(survivors(&[0, 1, 0]), vec![ids[1]]);
         assert!(survivors(&[1, 0, 1]).is_empty());
-    }
-
-    /// VF2 over every graph of `universe`, with no dominance filter.
-    fn brute_force(
-        db: &GraphDb,
-        pattern: &LabeledGraph,
-        universe: &BTreeSet<GraphId>,
-    ) -> BTreeSet<GraphId> {
-        universe
-            .iter()
-            .copied()
-            .filter(|&id| is_subgraph_of(pattern, db.get(id).unwrap()))
-            .collect()
-    }
-
-    const PATTERNS: [&[u32]; 6] = [
-        &[0, 1],
-        &[0, 1, 2],
-        &[2, 3],
-        &[0, 1, 0],
-        &[1, 0, 1],
-        &[3, 3],
-    ];
-
-    #[test]
-    fn covered_graphs_matches_direct_isomorphism() {
-        let (fct, catalog, db) = setup();
-        let universe: BTreeSet<GraphId> = db.ids().collect();
-        let kernel = MatchKernel::new();
-        for pattern in PATTERNS.map(path) {
-            let via_index = covered_graphs(&kernel, &fct, &catalog, &db, &pattern, &universe);
-            assert_eq!(
-                via_index,
-                brute_force(&db, &pattern, &universe),
-                "pattern {pattern:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn kernel_covered_graphs_matches_serial() {
-        // Every sub-universe, so the filter's survivors are checked against
-        // VF2 over graphs it may not prune.
-        let (fct, catalog, db) = setup();
-        let ids: Vec<GraphId> = db.ids().collect();
-        let kernel = MatchKernel::new();
-        for mask in 0..1u32 << ids.len() {
-            let universe: BTreeSet<GraphId> = (0..ids.len())
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| ids[i])
-                .collect();
-            for pattern in PATTERNS.map(path) {
-                let want = brute_force(&db, &pattern, &universe);
-                let got = covered_graphs(&kernel, &fct, &catalog, &db, &pattern, &universe);
-                assert_eq!(got, want, "pattern {pattern:?}, universe {universe:?}");
-            }
-        }
-        // The repeats were answered from the memo.
-        assert!(kernel.cache().stats().hits > 0);
     }
 
     #[test]

@@ -211,75 +211,75 @@ pub(crate) fn mine_supports(
     lattice
 }
 
-/// Reference miner for testing: enumerates *all* trees up to `max_edges` by
-/// brute-force expansion from every graph's spanning substructures.
-///
-/// Exponential and tiny-input-only; used to validate [`mine_lattice`].
-pub fn mine_lattice_brute_force(
-    graphs: &[(GraphId, &LabeledGraph)],
-    config: &MiningConfig,
-) -> TreeLattice {
-    let n = graphs.len();
-    let mut lattice = TreeLattice::new();
-    if n == 0 {
-        return lattice;
-    }
-    let need = min_count(config.sup_min, n);
-    // Enumerate all connected subtrees of every graph (by edge-set growth).
-    let mut seen: BTreeMap<TreeKey, (LabeledGraph, BTreeSet<GraphId>)> = BTreeMap::new();
-    for &(id, g) in graphs {
-        let mut subtrees: BTreeSet<TreeKey> = BTreeSet::new();
-        // BFS over connected edge subsets that stay acyclic.
-        let mut queue: Vec<Vec<(VertexId, VertexId)>> =
-            g.edges().iter().map(|&e| vec![e]).collect();
-        while let Some(edge_set) = queue.pop() {
-            let sub = g.edge_subgraph(&edge_set);
-            if !crate::canonical::is_tree(&sub) {
-                continue;
-            }
-            let key = tree_key(&sub);
-            let new = subtrees.insert(key.clone());
-            if new {
-                seen.entry(key)
-                    .and_modify(|(_, sup)| {
-                        sup.insert(id);
-                    })
-                    .or_insert_with(|| (sub.clone(), [id].into()));
-            }
-            if edge_set.len() < config.max_edges {
-                for &e in g.edges() {
-                    if !edge_set.contains(&e) {
-                        let mut bigger = edge_set.clone();
-                        bigger.push(e);
-                        bigger.sort_unstable();
-                        bigger.dedup();
-                        queue.push(bigger);
-                    }
-                }
-            }
-        }
-    }
-    for (key, (tree, support)) in seen {
-        if support.len() >= need {
-            lattice.insert(
-                key,
-                TreeEntry {
-                    plan: Arc::new(MatchPlan::compile(&tree)),
-                    tree,
-                    support,
-                    closed: false,
-                },
-            );
-        }
-    }
-    lattice.recompute_closed_flags();
-    lattice
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use midas_graph::GraphBuilder;
+
+    /// The reference miner: enumerates *all* trees up to `max_edges` by
+    /// brute-force expansion from every graph's spanning substructures.
+    ///
+    /// Exponential and tiny-input-only; used to validate [`mine_lattice`].
+    fn mine_lattice_brute_force(
+        graphs: &[(GraphId, &LabeledGraph)],
+        config: &MiningConfig,
+    ) -> TreeLattice {
+        let n = graphs.len();
+        let mut lattice = TreeLattice::new();
+        if n == 0 {
+            return lattice;
+        }
+        let need = min_count(config.sup_min, n);
+        // Enumerate all connected subtrees of every graph (by edge-set growth).
+        let mut seen: BTreeMap<TreeKey, (LabeledGraph, BTreeSet<GraphId>)> = BTreeMap::new();
+        for &(id, g) in graphs {
+            let mut subtrees: BTreeSet<TreeKey> = BTreeSet::new();
+            // BFS over connected edge subsets that stay acyclic.
+            let mut queue: Vec<Vec<(VertexId, VertexId)>> =
+                g.edges().iter().map(|&e| vec![e]).collect();
+            while let Some(edge_set) = queue.pop() {
+                let sub = g.edge_subgraph(&edge_set);
+                if !crate::canonical::is_tree(&sub) {
+                    continue;
+                }
+                let key = tree_key(&sub);
+                let new = subtrees.insert(key.clone());
+                if new {
+                    seen.entry(key)
+                        .and_modify(|(_, sup)| {
+                            sup.insert(id);
+                        })
+                        .or_insert_with(|| (sub.clone(), [id].into()));
+                }
+                if edge_set.len() < config.max_edges {
+                    for &e in g.edges() {
+                        if !edge_set.contains(&e) {
+                            let mut bigger = edge_set.clone();
+                            bigger.push(e);
+                            bigger.sort_unstable();
+                            bigger.dedup();
+                            queue.push(bigger);
+                        }
+                    }
+                }
+            }
+        }
+        for (key, (tree, support)) in seen {
+            if support.len() >= need {
+                lattice.insert(
+                    key,
+                    TreeEntry {
+                        plan: Arc::new(MatchPlan::compile(&tree)),
+                        tree,
+                        support,
+                        closed: false,
+                    },
+                );
+            }
+        }
+        lattice.recompute_closed_flags();
+        lattice
+    }
 
     fn path(labels: &[u32]) -> LabeledGraph {
         let vs: Vec<u32> = (0..labels.len() as u32).collect();

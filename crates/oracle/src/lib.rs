@@ -109,10 +109,14 @@
 #![warn(rust_2018_idioms)]
 
 mod reference;
+pub mod vf2;
 
 use reference::{reference_pattern_score, reference_scov};
 
-pub use reference::{reference_mccs_edges, reference_promising_candidates, reference_tg_cells};
+pub use reference::{
+    ged_exact, ged_exact_bounded, reference_mccs_edges, reference_promising_candidates,
+    reference_tg_cells,
+};
 
 use midas_catapult::candidates::generate_candidates;
 use midas_catapult::random_walk::random_walks;
@@ -135,9 +139,8 @@ use midas_datagen::{
     MotifKind,
 };
 use midas_graph::exec::{set_fault_for_tests, Fault};
-use midas_graph::ged::{ged_exact, ged_label_lower_bound, ged_tight_lower_bound};
+use midas_graph::ged::{ged_label_lower_bound, ged_tight_lower_bound};
 use midas_graph::graphlets::{count_graphlets, GraphletCounts};
-use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
 use midas_graph::mccs::{mccs_edges, mccs_similarity};
 use midas_graph::{
     BatchUpdate, CachedPattern, CanonicalCode, ClosureGraph, Csr, EdgeLabel, GraphBuilder, GraphDb,
@@ -151,6 +154,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use vf2::{count_embeddings, find_embeddings, is_subgraph_of};
 
 /// Saturation cap for embedding counts in the kernel check.
 const COUNT_CAP: u64 = 64;

@@ -10,13 +10,14 @@ use midas_core::candidate_gen::{Candidate, Coverage, CoverageState, GenerationPa
 use midas_core::metrics::ScovContext;
 use midas_core::PatternStore;
 use midas_graph::canonical::canonical_code;
-use midas_graph::isomorphism::count_embeddings;
 use midas_graph::mccs::MccsResult;
 use midas_graph::{GraphId, LabeledGraph, VertexId};
 use midas_index::EMBED_CAP;
 use midas_mining::TreeKey;
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
+
+use crate::vf2::count_embeddings;
 
 /// The TG matrix of an FCT-Index over `features` and `graphs`, counted by
 /// VF2 ([`count_embeddings`] at [`EMBED_CAP`]): the non-zero cells,
@@ -237,6 +238,143 @@ pub fn reference_promising_candidates(
     out
 }
 
+/// Multiset intersection size of two sorted slices.
+fn sorted_multiset_intersection<T: Ord>(a: &[T], b: &[T]) -> usize {
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                common += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    common
+}
+
+/// Exact GED by branch-and-bound over vertex assignments.
+///
+/// Returns `None` if the distance exceeds `limit` (use `u32::MAX` for an
+/// unbounded search). Exponential in `|V_A|`; intended for validation and
+/// property tests on graphs with ≤ ~8 vertices, exactly the role exact GED
+/// plays in the paper (it is never computed at scale there either). The
+/// cost model is `midas_graph::ged`'s: vertex insert / delete / relabel
+/// and edge insert / delete cost 1 each.
+pub fn ged_exact_bounded(a: &LabeledGraph, b: &LabeledGraph, limit: u32) -> Option<u32> {
+    // Map vertices of A in order; each maps to an unused B vertex or ε.
+    let na = a.vertex_count();
+    let nb = b.vertex_count();
+    let mut best = limit.saturating_add(1);
+    let mut mapping: Vec<u32> = vec![u32::MAX; na]; // u32::MAX - 1 encodes ε
+    let mut used = vec![false; nb];
+
+    // Admissible heuristic on remaining vertex costs: label-multiset deficit.
+    fn vertex_heuristic(a: &LabeledGraph, b: &LabeledGraph, depth: usize, used: &[bool]) -> u32 {
+        let mut ra: Vec<u32> = (depth..a.vertex_count())
+            .map(|v| a.label(v as VertexId))
+            .collect();
+        let mut rb: Vec<u32> = (0..b.vertex_count())
+            .filter(|&v| !used[v])
+            .map(|v| b.label(v as VertexId))
+            .collect();
+        ra.sort_unstable();
+        rb.sort_unstable();
+        let common = sorted_multiset_intersection(&ra, &rb);
+        (ra.len().abs_diff(rb.len()) + ra.len().min(rb.len()) - common) as u32
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn rec(
+        a: &LabeledGraph,
+        b: &LabeledGraph,
+        depth: usize,
+        cost: u32,
+        mapping: &mut [u32],
+        used: &mut [bool],
+        best: &mut u32,
+    ) {
+        const EPS: u32 = u32::MAX - 1;
+        if cost >= *best {
+            return;
+        }
+        let na = a.vertex_count();
+        if depth == na {
+            // Remaining B vertices are insertions; B edges not yet accounted
+            // for (incident to an unused vertex) are insertions too.
+            let mut total = cost;
+            total += used.iter().filter(|&&u| !u).count() as u32;
+            for &(x, y) in b.edges() {
+                if !used[x as usize] || !used[y as usize] {
+                    total += 1;
+                }
+            }
+            if total < *best {
+                *best = total;
+            }
+            return;
+        }
+        if cost + vertex_heuristic(a, b, depth, used) >= *best {
+            return;
+        }
+        let av = depth as VertexId;
+        // Try mapping av to each unused B vertex.
+        for bv in 0..b.vertex_count() as VertexId {
+            if used[bv as usize] {
+                continue;
+            }
+            let mut step = u32::from(a.label(av) != b.label(bv));
+            // Edge deletions: A edges (w, av) with w already decided.
+            for &w in a.neighbors(av) {
+                if (w as usize) < depth {
+                    let img = mapping[w as usize];
+                    if img == EPS || !b.has_edge(img, bv) {
+                        step += 1;
+                    }
+                }
+            }
+            // Edge insertions: B edges (x, bv) with x an image of a decided A
+            // vertex w such that (w, av) is not an A edge.
+            for &x in b.neighbors(bv) {
+                if used[x as usize] {
+                    let w = mapping[..depth]
+                        .iter()
+                        .position(|&m| m == x)
+                        .expect("used image must have a preimage");
+                    if !a.has_edge(w as VertexId, av) {
+                        step += 1;
+                    }
+                }
+            }
+            mapping[depth] = bv;
+            used[bv as usize] = true;
+            rec(a, b, depth + 1, cost + step, mapping, used, best);
+            used[bv as usize] = false;
+            mapping[depth] = u32::MAX;
+        }
+        // Try deleting av: the vertex plus every edge to a decided vertex.
+        let mut step = 1;
+        for &w in a.neighbors(av) {
+            if (w as usize) < depth {
+                step += 1;
+            }
+        }
+        mapping[depth] = EPS;
+        rec(a, b, depth + 1, cost + step, mapping, used, best);
+        mapping[depth] = u32::MAX;
+    }
+
+    rec(a, b, 0, 0, &mut mapping, &mut used, &mut best);
+    (best <= limit).then_some(best)
+}
+
+/// Exact GED with no limit. See [`ged_exact_bounded`].
+pub fn ged_exact(a: &LabeledGraph, b: &LabeledGraph) -> u32 {
+    ged_exact_bounded(a, b, u32::MAX - 2).expect("unbounded search always returns")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,5 +409,62 @@ mod tests {
         assert!(s > 0.0);
         // Uncovered pattern scores zero via the coverage factor.
         assert_eq!(reference_pattern_score(&ctx, &path(&[7, 7]), &[]), 0.0);
+    }
+
+    fn triangle(l: u32) -> LabeledGraph {
+        GraphBuilder::new()
+            .vertices(&[l, l, l])
+            .edge(0, 1)
+            .edge(1, 2)
+            .edge(0, 2)
+            .build()
+    }
+
+    #[test]
+    fn single_relabel_costs_one() {
+        let a = path(&[0, 1, 0]);
+        let b = path(&[0, 2, 0]);
+        assert_eq!(ged_exact(&a, &b), 1);
+    }
+
+    #[test]
+    fn vertex_insertion_with_edge() {
+        let a = path(&[0, 0]);
+        let b = path(&[0, 0, 0]);
+        // Insert one vertex and one edge.
+        assert_eq!(ged_exact(&a, &b), 2);
+    }
+
+    #[test]
+    fn distance_is_symmetric_on_samples() {
+        let gs = [
+            path(&[0, 1, 0]),
+            triangle(0),
+            path(&[1, 1]),
+            path(&[0, 1, 2, 0]),
+        ];
+        for x in &gs {
+            for y in &gs {
+                assert_eq!(ged_exact(x, y), ged_exact(y, x), "x={x:?} y={y:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_search_gives_none_beyond_limit() {
+        let a = path(&[0, 0]);
+        let b = triangle(1);
+        let exact = ged_exact(&a, &b);
+        assert!(exact > 1);
+        assert_eq!(ged_exact_bounded(&a, &b, 1), None);
+        assert_eq!(ged_exact_bounded(&a, &b, exact), Some(exact));
+    }
+
+    #[test]
+    fn edge_insertion_and_build_cost() {
+        // One edge closes a 3-path into a triangle; building a triangle
+        // from nothing is 3 vertex plus 3 edge insertions.
+        assert_eq!(ged_exact(&path(&[0, 0, 0]), &triangle(0)), 1);
+        assert_eq!(ged_exact(&LabeledGraph::new(), &triangle(0)), 6);
     }
 }

@@ -1,4 +1,5 @@
-//! Subgraph isomorphism (VF2-style backtracking, Cordella et al. \[17\]).
+//! Subgraph isomorphism (VF2-style backtracking, Cordella et al. \[17\]):
+//! the reference matcher.
 //!
 //! The paper uses subgraph isomorphism in three places:
 //!
@@ -7,20 +8,20 @@
 //! * embedding counts for the TG/TP/EG/EP matrices (§5.1);
 //! * the formulation simulator, which needs the actual embeddings.
 //!
-//! This module implements label- and degree-pruned backtracking with a
-//! connectivity-aware matching order. Pattern graphs here are small
-//! (≤ `η_max` = 12 edges), so worst-case exponential behaviour never
-//! materializes in practice — exactly the observation the paper makes after
-//! Lemma 5.3.
-//!
-//! VF2 is the **reference** matcher. Every production containment and
-//! embedding question runs on the plan-compiled matcher ([`crate::plan`]);
-//! VF2 runs only in the differential oracle (whose reference TG builder
-//! the kernel bench times), the tests and the micro benches.
+//! Every production containment and embedding question runs on the
+//! plan-compiled matcher ([`midas_graph::plan`]). This module is its
+//! yardstick: label- and degree-pruned backtracking that re-derives
+//! everything per call, searching in the order of
+//! [`matching_order`], the one ordering rule of `midas-graph`. It lives in
+//! the oracle crate, which no production crate depends on, so only the
+//! oracle's checks (and the reference TG builder the kernel bench times),
+//! the tests and the micro benches can run it. Pattern graphs here are
+//! small (≤ `η_max` = 12 edges), so worst-case exponential behaviour never
+//! materializes in practice — exactly the observation the paper makes
+//! after Lemma 5.3.
 
-use crate::graph::{EdgeLabel, LabeledGraph, VertexId};
-use crate::labels::LabelId;
-use crate::plan::{matching_order, Control};
+use midas_graph::plan::{matching_order, Control};
+use midas_graph::{EdgeLabel, LabelId, LabeledGraph, VertexId};
 use std::collections::BTreeMap;
 
 /// A cheap necessary-condition summary of a graph for subgraph-isomorphism
@@ -131,17 +132,6 @@ pub fn count_embeddings(pattern: &LabeledGraph, target: &LabeledGraph, cap: u64)
         }
     });
     count
-}
-
-/// Returns one embedding of `pattern` in `target` as a map
-/// `pattern vertex -> target vertex`, if any exists.
-pub fn find_embedding(pattern: &LabeledGraph, target: &LabeledGraph) -> Option<Vec<VertexId>> {
-    let mut result = None;
-    search(pattern, target, &mut |mapping| {
-        result = Some(mapping.to_vec());
-        Control::Stop
-    });
-    result
 }
 
 /// Collects up to `limit` embeddings of `pattern` in `target`.
@@ -298,8 +288,8 @@ where
 
 /// Brute-force embedding count for testing: tries every injective mapping.
 ///
-/// Exponential; only usable on graphs with ≤ ~8 vertices. Exposed (not
-/// `cfg(test)`) so property tests in other crates can cross-check VF2.
+/// Exponential; only usable on graphs with ≤ ~8 vertices. Public so the
+/// workspace's property tests can cross-check VF2.
 pub fn count_embeddings_brute_force(pattern: &LabeledGraph, target: &LabeledGraph) -> u64 {
     let pn = pattern.vertex_count();
     let tn = target.vertex_count();
@@ -348,7 +338,7 @@ pub fn count_embeddings_brute_force(pattern: &LabeledGraph, target: &LabeledGrap
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::GraphBuilder;
+    use midas_graph::GraphBuilder;
 
     fn triangle(l: u32) -> LabeledGraph {
         GraphBuilder::new()
@@ -416,7 +406,7 @@ mod tests {
             .vertices(&[0, 1, 0, 2])
             .path(&[0, 1, 2, 3])
             .build();
-        let m = find_embedding(&p, &t).expect("embedding exists");
+        let m = find_embeddings(&p, &t, 1).pop().expect("embedding exists");
         for &(u, v) in p.edges() {
             assert!(t.has_edge(m[u as usize], m[v as usize]));
         }

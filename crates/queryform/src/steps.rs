@@ -14,8 +14,9 @@
 //! query. Each pattern is compiled from its own graph
 //! ([`MatchPlan::compile`]), because the greedy places embeddings in that
 //! pattern's own vertex numbering. The plan matcher enumerates in the
-//! same order as the VF2 reference, so the greedy's first-fit choices —
-//! and hence every step count — are the reference's.
+//! same order as the VF2 reference in `midas-oracle`, so the greedy's
+//! first-fit choices — and hence every step count — are the reference's;
+//! the workspace's `formulation_matches_vf2_packing` test pins that.
 
 use midas_graph::plan::Control;
 use midas_graph::{Csr, LabeledGraph, MatchPlan, VertexId};
@@ -129,72 +130,7 @@ fn pack(query: &LabeledGraph, target: &Csr, order: &[&MatchPlan]) -> Formulation
 #[cfg(test)]
 mod tests {
     use super::*;
-    use midas_graph::isomorphism::{for_each_embedding, is_subgraph_of};
     use midas_graph::GraphBuilder;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
-
-    /// [`formulate`] without the embedding prefilter: every size-eligible
-    /// pattern gets its own promoted pass.
-    fn formulate_unfiltered(query: &LabeledGraph, patterns: &[LabeledGraph]) -> FormulationResult {
-        let mut by_size: Vec<MatchPlan> = patterns
-            .iter()
-            .filter(|p| p.edge_count() > 0 && p.edge_count() <= query.edge_count())
-            .map(MatchPlan::compile)
-            .collect();
-        by_size.sort_by_key(|plan| std::cmp::Reverse(plan.edge_count()));
-        best_packing(query, &Csr::from_graph(query), &by_size)
-    }
-
-    /// [`pack`] on the VF2 reference: keeps the first vertex-disjoint
-    /// embedding VF2 enumerates.
-    fn pack_vf2(query: &LabeledGraph, order: &[&LabeledGraph]) -> FormulationResult {
-        let n = query.vertex_count();
-        let mut used_vertex = vec![false; n];
-        let (mut patterns_used, mut covered_edges) = (0, 0);
-        for pattern in order {
-            loop {
-                let mut found: Option<Vec<VertexId>> = None;
-                for_each_embedding(pattern, query, &mut |mapping| {
-                    if mapping.iter().all(|&tv| !used_vertex[tv as usize]) {
-                        found = Some(mapping.to_vec());
-                        Control::Stop
-                    } else {
-                        Control::Continue
-                    }
-                });
-                let Some(mapping) = found else { break };
-                for &tv in &mapping {
-                    used_vertex[tv as usize] = true;
-                }
-                patterns_used += 1;
-                covered_edges += pattern.edge_count();
-            }
-        }
-        let covered_vertices = used_vertex.iter().filter(|&&u| u).count();
-        FormulationResult {
-            steps: patterns_used + (n - covered_vertices) + (query.edge_count() - covered_edges),
-            edge_steps: n + query.edge_count(),
-            patterns_used,
-            covered_vertices,
-            covered_edges,
-        }
-    }
-
-    fn random_graph(rng: &mut StdRng, vertices: usize, labels: &[u32], p: f64) -> LabeledGraph {
-        let mut g = LabeledGraph::new();
-        for _ in 0..vertices {
-            g.add_vertex(labels[rng.random_range(0..labels.len())]);
-        }
-        for u in 0..vertices as u32 {
-            for v in (u + 1)..vertices as u32 {
-                if rng.random_bool(p) {
-                    g.add_edge(u, v);
-                }
-            }
-        }
-        g
-    }
 
     fn path(labels: &[u32]) -> LabeledGraph {
         let vs: Vec<u32> = (0..labels.len() as u32).collect();
@@ -268,108 +204,6 @@ mod tests {
         let q = path(&[0, 1, 0]);
         let r = formulate(&q, &[path(&[3, 3])]);
         assert_eq!(r.patterns_used, 0);
-    }
-
-    /// The random-round harness: 300 `(query, patterns)` rounds mixing
-    /// patterns that embed, patterns that usually do not, and patterns
-    /// that are often larger than the query.
-    fn random_rounds() -> Vec<(LabeledGraph, Vec<LabeledGraph>)> {
-        let mut rng = StdRng::seed_from_u64(0x51ed);
-        (0..300)
-            .map(|_| {
-                let n = rng.random_range(3..=9);
-                let query = random_graph(&mut rng, n, &[0, 1, 2], 0.4);
-                let mut patterns = Vec::new();
-                for _ in 0..rng.random_range(0..=8) {
-                    patterns.push(match rng.random_range(0..4) {
-                        // Embeds: an induced subgraph of the query.
-                        0 | 1 => {
-                            let keep: Vec<u32> =
-                                (0..n as u32).filter(|_| rng.random_bool(0.5)).collect();
-                            query.induced_subgraph(&keep)
-                        }
-                        // Usually does not embed: query labels plus one it lacks.
-                        2 => {
-                            let size = rng.random_range(2..=4);
-                            random_graph(&mut rng, size, &[0, 1, 2, 9], 0.6)
-                        }
-                        // Often larger than the query.
-                        _ => {
-                            let size = rng.random_range(n..=n + 3);
-                            random_graph(&mut rng, size, &[0, 1, 2], 0.6)
-                        }
-                    });
-                }
-                (query, patterns)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn embedding_prefilter_matches_unfiltered_formulation() {
-        let (mut skipped, mut placed) = (0, 0);
-        for (round, (query, patterns)) in random_rounds().iter().enumerate() {
-            for pattern in patterns {
-                let embeds = is_subgraph_of(pattern, query);
-                let fits = pattern.edge_count() > 0 && pattern.edge_count() <= query.edge_count();
-                skipped += usize::from(fits && !embeds);
-            }
-            let result = formulate(query, patterns);
-            assert_eq!(
-                result,
-                formulate_unfiltered(query, patterns),
-                "round {round}: {query:?} with {patterns:?}"
-            );
-            placed += usize::from(result.used_any_pattern());
-        }
-        assert!(
-            skipped > 50,
-            "too few size-eligible non-embedding patterns: {skipped}"
-        );
-        assert!(
-            placed > 100,
-            "too few formulations used a pattern: {placed}"
-        );
-    }
-
-    /// The greedy keeps the *first* vertex-disjoint embedding it finds, so
-    /// placements depend on enumeration order. Every pass [`formulate`]
-    /// may try — size order, then each pattern promoted — must pack
-    /// exactly as on the VF2 reference, and the best pass must be
-    /// `formulate`'s answer.
-    #[test]
-    fn formulation_matches_vf2_packing() {
-        for (round, (query, patterns)) in random_rounds().iter().enumerate() {
-            let target = Csr::from_graph(query);
-            let mut by_size: Vec<&LabeledGraph> = patterns
-                .iter()
-                .filter(|p| p.edge_count() > 0 && p.edge_count() <= query.edge_count())
-                .collect();
-            by_size.sort_by_key(|p| std::cmp::Reverse(p.edge_count()));
-            let plans: Vec<MatchPlan> = by_size.iter().map(|p| MatchPlan::compile(p)).collect();
-            let mut best: Option<FormulationResult> = None;
-            for promoted in std::iter::once(None).chain((0..by_size.len()).map(Some)) {
-                let mut order: Vec<usize> = (0..by_size.len()).collect();
-                if let Some(front) = promoted {
-                    order.remove(front);
-                    order.insert(0, front);
-                }
-                let reference = pack_vf2(
-                    query,
-                    &order.iter().map(|&i| by_size[i]).collect::<Vec<_>>(),
-                );
-                let plan_order: Vec<&MatchPlan> = order.iter().map(|&i| &plans[i]).collect();
-                assert_eq!(
-                    pack(query, &target, &plan_order),
-                    reference,
-                    "round {round}, promoted {promoted:?}: {query:?} with {patterns:?}"
-                );
-                if best.is_none_or(|b| reference.steps < b.steps) {
-                    best = Some(reference);
-                }
-            }
-            assert_eq!(Some(formulate(query, patterns)), best, "round {round}");
-        }
     }
 
     #[test]

@@ -85,6 +85,16 @@ pub fn path(labels: &[u32]) -> LabeledGraph {
     GraphBuilder::new().vertices(labels).path(&vs).build()
 }
 
+/// Builds a triangle whose three vertices carry `label`.
+pub fn triangle(label: u32) -> LabeledGraph {
+    GraphBuilder::new()
+        .vertices(&[label; 3])
+        .edge(0, 1)
+        .edge(1, 2)
+        .edge(0, 2)
+        .build()
+}
+
 /// Proptest strategy: a small connected labeled graph with up to
 /// `max_vertices` vertices and `max_label` distinct labels.
 ///

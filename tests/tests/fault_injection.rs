@@ -12,9 +12,9 @@
 use midas_core::{Midas, MidasConfig, PhaseError};
 use midas_datagen::{novel_family_batch, DatasetKind, DatasetSpec, MotifKind};
 use midas_graph::exec::{map_tasks, panic_message, set_fault_for_tests, slow_fault, Fault};
-use midas_graph::isomorphism::count_embeddings;
 use midas_graph::{CachedPattern, Csr, GraphId, MatchKernel};
 use midas_oracle::fault_containment_pass;
+use midas_oracle::vf2::count_embeddings;
 use midas_serve::client::ServeClient;
 use midas_serve::{ServeConfig, ServeDaemon};
 use std::panic::{catch_unwind, AssertUnwindSafe};

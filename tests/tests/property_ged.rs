@@ -8,8 +8,10 @@
 //! strengthened bound (`GED'_l + n`) inadmissible, so the generator must
 //! reach them.
 
-use midas_graph::ged::{ged_exact, ged_label_lower_bound, ged_tight_lower_bound};
+use midas_graph::ged::{ged_label_lower_bound, ged_tight_lower_bound};
 use midas_graph::{GraphBuilder, LabeledGraph};
+use midas_oracle::ged_exact;
+use midas_tests::triangle;
 use proptest::prelude::*;
 
 /// A small labeled graph that may be disconnected and may contain
@@ -127,4 +129,40 @@ fn isolated_vertices_vs_triangle() {
     let tight = ged_tight_lower_bound(&isolated, &triangle);
     assert!(tight <= exact);
     assert!(tight >= ged_label_lower_bound(&isolated, &triangle));
+}
+
+/// The chain on fixed pairs: relabels, edge-count gaps, a star, and two
+/// 4-paths with equal vertex labels and edge counts but mismatched edge
+/// labels, where only the relaxation lifts the tight bound above 0.
+#[test]
+fn lower_bounds_never_exceed_exact() {
+    let gs = [
+        path(&[0, 1, 0]),
+        triangle(0),
+        triangle(1),
+        path(&[1, 1]),
+        path(&[0, 1, 2, 0]),
+        GraphBuilder::new()
+            .vertices(&[0, 1, 1, 2])
+            .edge(0, 1)
+            .edge(0, 2)
+            .edge(0, 3)
+            .build(),
+        path(&[0, 1, 0, 1]),
+        path(&[0, 0, 1, 1]),
+    ];
+    for x in &gs {
+        for y in &gs {
+            let exact = ged_exact(x, y);
+            assert!(
+                ged_label_lower_bound(x, y) <= exact,
+                "GED_l violated for {x:?} vs {y:?}"
+            );
+            assert!(ged_tight_lower_bound(x, y) >= ged_label_lower_bound(x, y));
+            assert!(
+                ged_tight_lower_bound(x, y) <= exact,
+                "GED'_l inadmissible for {x:?} vs {y:?}"
+            );
+        }
+    }
 }

@@ -2,12 +2,12 @@
 //! bounds, graphlets, MCCS, and tree canonical strings.
 
 use midas_graph::canonical::{are_isomorphic, canonical_code};
-use midas_graph::ged::{ged_exact, ged_label_lower_bound, ged_tight_lower_bound};
-use midas_graph::graphlets::{count_graphlets, count_graphlets_brute_force};
-use midas_graph::isomorphism::{count_embeddings, count_embeddings_brute_force, is_subgraph_of};
+use midas_graph::ged::{ged_label_lower_bound, ged_tight_lower_bound};
+use midas_graph::graphlets::count_graphlets;
 use midas_graph::mccs::{mccs_edges, mccs_similarity};
 use midas_graph::LabeledGraph;
-use midas_oracle::reference_mccs_edges;
+use midas_oracle::vf2::{count_embeddings, count_embeddings_brute_force, is_subgraph_of};
+use midas_oracle::{ged_exact, reference_mccs_edges};
 use midas_tests::{
     connected_graph_sized, connected_graph_strategy, path, permutation_strategy, permute,
     tree_strategy,
@@ -85,12 +85,6 @@ proptest! {
     ) {
         prop_assert_eq!(ged_exact(&a, &a), 0);
         prop_assert_eq!(ged_exact(&a, &b), ged_exact(&b, &a));
-    }
-
-    /// ESU graphlet counting agrees with subset enumeration.
-    #[test]
-    fn graphlets_match_brute_force(g in connected_graph_strategy(8, 2)) {
-        prop_assert_eq!(count_graphlets(&g), count_graphlets_brute_force(&g));
     }
 
     /// Graphlet distributions of isomorphic graphs coincide.

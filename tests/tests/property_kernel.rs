@@ -1,15 +1,18 @@
 //! Property tests for the memoized isomorphism kernel: every cached
-//! path must agree exactly with the uncached VF2 reference, including
-//! across insert/delete invalidation, and the signature prefilter must
-//! never reject a true embedding.
+//! path — the memo, the kernel's bulk operations, the FCT-Index's cells
+//! and index-accelerated coverage — must agree exactly with the uncached
+//! VF2 reference, including across insert/delete invalidation, and the
+//! signature prefilter must never reject a true embedding.
 
 use midas_catapult::score::{set_measures, set_quality, SetQuality};
-use midas_graph::isomorphism::{count_embeddings, is_subgraph_of, GraphSignature};
-use midas_graph::{CachedPattern, Csr, GraphDb, GraphId, LabeledGraph, MatchKernel};
+use midas_graph::{
+    CachedPattern, Csr, EmbeddingCache, GraphDb, GraphId, LabeledGraph, MatchKernel,
+};
 use midas_index::scov::covered_graphs;
-use midas_index::FctIndex;
+use midas_index::{FctIndex, EMBED_CAP};
 use midas_mining::{tree_key, EdgeCatalog, TreeKey};
-use midas_tests::{connected_graph_strategy, count_row, path};
+use midas_oracle::vf2::{count_embeddings, is_subgraph_of, GraphSignature};
+use midas_tests::{connected_graph_strategy, count_row, path, triangle};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -199,4 +202,136 @@ proptest! {
         let got = set_quality(&MatchKernel::new(), &patterns, &db, &catalog, &universe);
         prop_assert_eq!(got, want);
     }
+}
+
+/// The memo's batched route equals the serial VF2 reference, on a cold
+/// memo and on a partially warm one, including a pattern the plan's
+/// label-demand prefilter proves absent.
+#[test]
+fn cache_batched_counts_match_vf2() {
+    let patterns: Vec<CachedPattern> = [path(&[0, 0]), path(&[0, 9]), triangle(0)]
+        .iter()
+        .map(CachedPattern::new)
+        .collect();
+    let batch: Vec<&CachedPattern> = patterns.iter().collect();
+    let g = triangle(0);
+    let t = Csr::from_graph(&g);
+    let want: Vec<u64> = patterns
+        .iter()
+        .map(|p| count_embeddings(p.graph(), &g, CAP))
+        .collect();
+    let cache = EmbeddingCache::new();
+    assert_eq!(
+        cache.count_embeddings_many(&batch, GraphId(12), &t, CAP),
+        want
+    );
+    cache.count_embeddings(&patterns[0], GraphId(3), &t, CAP);
+    assert_eq!(
+        cache.count_embeddings_many(&batch, GraphId(3), &t, CAP),
+        want
+    );
+}
+
+/// Every TG cell of `index` in `graphs` (numbered from `first`) equals
+/// VF2's capped count: the whole universe, no dominance filter.
+fn assert_cells_match_vf2(index: &FctIndex, graphs: &[LabeledGraph], first: u64) {
+    for (fid, feature) in index.features() {
+        for (i, g) in graphs.iter().enumerate() {
+            let want = count_embeddings(feature.tree(), g, EMBED_CAP) as u32;
+            assert_eq!(index.tg().get(fid, GraphId(first + i as u64)), want);
+        }
+    }
+}
+
+/// The CSR view of each graph, under ids from `first` up.
+fn numbered_csrs(graphs: &[LabeledGraph], first: u64) -> Vec<(GraphId, Csr)> {
+    graphs
+        .iter()
+        .enumerate()
+        .map(|(i, g)| (GraphId(first + i as u64), Csr::from_graph(g)))
+        .collect()
+}
+
+fn borrowed(csrs: &[(GraphId, Csr)]) -> Vec<(GraphId, &Csr)> {
+    csrs.iter().map(|(id, c)| (*id, c)).collect()
+}
+
+fn keyed(features: &[LabeledGraph]) -> Vec<(TreeKey, LabeledGraph)> {
+    features.iter().map(|t| (tree_key(t), t.clone())).collect()
+}
+
+/// An FCT-Index built through the kernel, then refreshed to a new
+/// feature set, holds VF2's counts in every cell.
+#[test]
+fn kernel_build_matches_serial_build() {
+    let features = [path(&[0, 1]), path(&[0, 1, 2]), path(&[1, 2])];
+    let graphs = [path(&[0, 1, 2]), path(&[1, 0, 1]), path(&[0, 1, 2, 1, 0])];
+    let views = numbered_csrs(&graphs, 0);
+    let kernel = MatchKernel::new();
+    let mut index = FctIndex::build(&kernel, keyed(&features), &borrowed(&views));
+    assert_eq!(index.feature_count(), features.len());
+    assert_cells_match_vf2(&index, &graphs, 0);
+    // Keep C-O-N, drop C-O and O-N, add N-O-N.
+    let con = path(&[0, 1, 2]);
+    let non = path(&[2, 1, 2]);
+    let target = vec![(tree_key(&con), &con), (tree_key(&non), &non)];
+    index.refresh_features(&kernel, &target, &borrowed(&views));
+    assert_eq!(index.feature_count(), 2);
+    assert_cells_match_vf2(&index, &graphs, 0);
+}
+
+/// Graph columns added through the kernel hold VF2's counts, and a
+/// second pass is served from the memo and stays identical.
+#[test]
+fn add_graphs_kernel_matches_serial_columns() {
+    let features = [path(&[0, 1]), path(&[0, 1, 2])];
+    let seeds = numbered_csrs(&[path(&[0, 1, 2]), path(&[1, 0, 1])], 1);
+    let kernel = MatchKernel::new();
+    let mut index = FctIndex::build(&kernel, keyed(&features), &borrowed(&seeds));
+    let news = [path(&[0, 1, 0, 1]), path(&[2, 1, 0])];
+    let views = numbered_csrs(&news, 10);
+    index.add_graphs(&kernel, &borrowed(&views));
+    assert_cells_match_vf2(&index, &news, 10);
+    let before = kernel.cache().stats().misses;
+    index.add_graphs(&kernel, &borrowed(&views));
+    assert_eq!(kernel.cache().stats().misses, before);
+    assert_cells_match_vf2(&index, &news, 10);
+}
+
+/// Index-accelerated coverage equals VF2 over every sub-universe of a
+/// three-graph database, so the filter's survivors are checked against
+/// VF2 over graphs it may not prune, and the repeats are answered from
+/// the memo.
+#[test]
+fn kernel_covered_graphs_matches_serial() {
+    // DB: G0 = C-O-N-S, G1 = C-O-C, G2 = S-N; one feature, O-C-O.
+    let db = GraphDb::from_graphs([path(&[0, 1, 2, 3]), path(&[0, 1, 0]), path(&[3, 2])]);
+    let kernel = MatchKernel::new();
+    let fct = FctIndex::build(&kernel, keyed(&[path(&[1, 0, 1])]), &csr_refs(&db));
+    let catalog = EdgeCatalog::build(db_refs(&db));
+    let ids: Vec<GraphId> = db.ids().collect();
+    let patterns: [&[u32]; 6] = [
+        &[0, 1],
+        &[0, 1, 2],
+        &[2, 3],
+        &[0, 1, 0],
+        &[1, 0, 1],
+        &[3, 3],
+    ];
+    for mask in 0..1u32 << ids.len() {
+        let universe: BTreeSet<GraphId> = (0..ids.len())
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| ids[i])
+            .collect();
+        for pattern in patterns.map(path) {
+            let want: BTreeSet<GraphId> = universe
+                .iter()
+                .copied()
+                .filter(|&id| is_subgraph_of(&pattern, db.get(id).unwrap()))
+                .collect();
+            let got = covered_graphs(&kernel, &fct, &catalog, &db, &pattern, &universe);
+            assert_eq!(got, want, "pattern {pattern:?}, universe {universe:?}");
+        }
+    }
+    assert!(kernel.cache().stats().hits > 0);
 }

@@ -124,7 +124,7 @@ proptest! {
         for (_, small) in &entries {
             for (_, large) in &entries {
                 if large.tree.edge_count() > small.tree.edge_count()
-                    && midas_graph::isomorphism::is_subgraph_of(&small.tree, &large.tree)
+                    && midas_oracle::vf2::is_subgraph_of(&small.tree, &large.tree)
                 {
                     prop_assert!(
                         large.support.is_subset(&small.support),

@@ -7,13 +7,13 @@ use midas_core::candidate_gen::{coverage_state, Candidate};
 use midas_core::metrics::ScovContext;
 use midas_core::patterns::PatternStore;
 use midas_core::swap::{multi_scan_swap, SwapParams};
-use midas_graph::isomorphism::count_embeddings;
 use midas_graph::{ClosureGraph, Csr, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::scov::{candidate_graphs, profile_pattern, PatternProfile};
 use midas_index::{FctIndex, FeatureId, SparseMatrix, EMBED_CAP};
 use midas_mining::canonical::edge_tree;
 use midas_mining::incremental::FctState;
 use midas_mining::{tree_key, EdgeCatalog, MiningConfig, TreeKey};
+use midas_oracle::vf2::count_embeddings;
 use midas_tests::{connected_graph_sized, connected_graph_strategy, tree_strategy};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
