@@ -1,7 +1,7 @@
 //! Kernel benchmark: the serial VF2 reference (the oracle's
-//! `reference_tg_cells`) vs the `MatchKernel` (plan-compiled matcher over
-//! the database's CSR views, cold and with a warm memo) for matrix builds
-//! and batch maintenance (§5.1). Writes
+//! `reference_tg_cells`) vs the FCT-Index's own counting (each feature's
+//! compiled plan over the database's CSR views) for matrix builds and
+//! batch maintenance (§5.1). Writes
 //! `BENCH_kernel.json` at the repo root with medians and the measured
 //! speedups, and appends one timestamped record per run to
 //! `BENCH_history.jsonl` — the trajectory `scripts/bench_gate.py` gates
@@ -88,9 +88,9 @@ fn serial_build(s: &Scenario) -> BTreeMap<(TreeKey, GraphId), u32> {
     reference_tg_cells(&s.features, s.db.iter().map(|(id, g)| (id, g.as_ref())))
 }
 
-fn kernel_build(s: &Scenario, kernel: &MatchKernel) -> FctIndex {
+fn kernel_build(s: &Scenario) -> FctIndex {
     let csrs: Vec<(GraphId, &Csr)> = s.db.csrs().collect();
-    FctIndex::build(kernel, s.features.iter().cloned(), &csrs)
+    FctIndex::build(s.features.iter().cloned(), &csrs)
 }
 
 /// Appends one JSONL record for this run to `BENCH_history.jsonl` at the
@@ -154,31 +154,16 @@ fn main() {
     c.bench_function("matrix_build/serial", |b| {
         b.iter(|| black_box(serial_build(&s)))
     });
-    let warm = MatchKernel::new();
-    kernel_build(&s, &warm); // warm the memo once
-                             // The warm memo; `parallel_` is a historical name, kept so the
-                             // history stays one series.
-    c.bench_function("matrix_build/parallel_cached", |b| {
-        b.iter(|| black_box(kernel_build(&s, &warm)))
-    });
-
-    // --- The kernel on a cold memo ---------------------------------------
-    // Fresh embedding cache per iteration: the direct replacement for the
-    // serial VF2 build above. Pattern plans are memoized per canonical
-    // class in the process-wide plan cache and the CSR views belong to the
-    // database, so after the first iteration the measured work is the
-    // plan searches plus memo stores — the steady state a maintenance
-    // round sees.
+    // --- The index's own counting ----------------------------------------
+    // The direct replacement for the serial VF2 build above: each
+    // iteration compiles every feature's plan once and runs it over the
+    // database's CSR views, as a tenant's bootstrap does.
     c.bench_function("matrix_build/plan_serial", |b| {
-        b.iter_batched(
-            MatchKernel::new,
-            |kernel| black_box(kernel_build(&s, &kernel)),
-            BatchSize::LargeInput,
-        )
+        b.iter(|| black_box(kernel_build(&s)))
     });
 
     // --- Batch maintenance: 5% insertion, TG columns --------------------
-    let base = kernel_build(&s, &MatchKernel::new());
+    let base = kernel_build(&s);
     let batch_refs: Vec<(GraphId, &LabeledGraph)> =
         s.batch.iter().map(|(id, g)| (*id, g)).collect();
     // The batch graphs' CSR views, built once outside the timed sections
@@ -195,28 +180,11 @@ fn main() {
         b.iter(|| black_box(reference_tg_cells(&s.features, batch_refs.iter().copied())))
     });
     c.bench_function("apply_batch/plan_serial", |b| {
-        // The kernel on a cold cache: a plan search per (feature, batch
-        // graph) pair.
-        b.iter_batched(
-            || (base.clone(), MatchKernel::new()),
-            |(mut index, kernel)| {
-                index.add_graphs(&kernel, &batch_csr_refs);
-                black_box(index)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    // The warm memo; `parallel_` is a historical name, kept so the
-    // history stays one series.
-    let warm_batch = MatchKernel::new();
-    base.clone().add_graphs(&warm_batch, &batch_csr_refs); // warm once
-    c.bench_function("apply_batch/parallel_cached_repeat", |b| {
-        // The same batch re-applied with a warm memo — the steady state
-        // when scoring re-scans recently maintained graphs.
+        // One plan search per (feature, batch graph) pair.
         b.iter_batched(
             || base.clone(),
             |mut index| {
-                index.add_graphs(&warm_batch, &batch_csr_refs);
+                index.add_graphs(&batch_csr_refs);
                 black_box(index)
             },
             BatchSize::LargeInput,
@@ -255,8 +223,9 @@ fn main() {
     // so the medians measure the kernel itself. Two extra readings feed
     // the report: the cost of a disabled probe (the overhead-budget
     // guard), one instrumented serial reference build for the VF2 search
-    // latency and signature-prefilter reject-rate, and one instrumented
-    // cold+warm kernel pass for the cache hit-rate and plan statistics.
+    // latency and signature-prefilter reject-rate, one instrumented index
+    // build for the plan statistics, and a cold then a warm `covered_in`
+    // scan of every feature for the containment memo's hit rate.
     let probe_ns = {
         let n = 1_000_000u64;
         let start = std::time::Instant::now();
@@ -269,17 +238,20 @@ fn main() {
     let telemetry_base = midas_obs::MetricsSnapshot::capture();
     black_box(serial_build(&s));
     let telemetry = midas_obs::MetricsSnapshot::capture().since(&telemetry_base);
-    // Plan-matcher pass: fresh compiles (bypassing the process-wide plan
-    // cache) for compile-time stats, then a cold + warm build through a
-    // plan kernel for search latency, intersection and pruning counters.
+    // Plan-matcher pass: one index build (a compile per feature, then
+    // the searches) for compile-time stats, search latency, intersection
+    // and pruning counters; then the memo's cold and warm scans.
     let plan_base = midas_obs::MetricsSnapshot::capture();
-    for (_, t) in &s.features {
-        black_box(midas_graph::MatchPlan::compile(t));
-    }
-    let observed = MatchKernel::new();
-    kernel_build(&s, &observed); // cold: all misses
-    kernel_build(&s, &observed); // warm: all hits
+    black_box(kernel_build(&s));
     let plan_telemetry = midas_obs::MetricsSnapshot::capture().since(&plan_base);
+    let observed = MatchKernel::new();
+    let csrs: Vec<(GraphId, &Csr)> = s.db.csrs().collect();
+    for _ in 0..2 {
+        // Cold: all misses; warm: all hits.
+        for (_, t) in &s.features {
+            black_box(observed.covered_in(t, &csrs));
+        }
+    }
     midas_obs::set_enabled(false);
     let cache_stats = observed.cache().stats();
     let hit_rate = cache_stats.hit_rate();
@@ -318,8 +290,6 @@ fn main() {
         }
         median_ns(num) as f64 / d as f64
     };
-    let build_cached_speedup = ratio("matrix_build/serial", "matrix_build/parallel_cached");
-    let batch_repeat_speedup = ratio("apply_batch/serial", "apply_batch/parallel_cached_repeat");
     let plan_build_speedup = ratio("matrix_build/serial", "matrix_build/plan_serial");
     let plan_batch_speedup = ratio("apply_batch/serial", "apply_batch/plan_serial");
 
@@ -339,7 +309,7 @@ fn main() {
     }
     json.push_str("  },\n");
     json.push_str(&format!(
-        "  \"speedups\": {{\n    \"matrix_build_parallel_cached\": {build_cached_speedup:.2},\n    \"matrix_build_plan_serial\": {plan_build_speedup:.2},\n    \"apply_batch_repeat_cached\": {batch_repeat_speedup:.2},\n    \"apply_batch_plan_serial\": {plan_batch_speedup:.2}\n  }},\n"
+        "  \"speedups\": {{\n    \"matrix_build_plan_serial\": {plan_build_speedup:.2},\n    \"apply_batch_plan_serial\": {plan_batch_speedup:.2}\n  }},\n"
     ));
     json.push_str(&format!(
         "  \"telemetry\": {{\n    \"disabled_probe_ns\": {probe_ns:.2},\n    \"cache_hit_rate\": {hit_rate:.4},\n    \"prefilter_reject_rate\": {prefilter_reject_rate:.4},\n    \"vf2_search_p50_ns\": {vf2_search_p50_ns},\n    \"vf2_search_p99_ns\": {vf2_search_p99_ns},\n    \"cache_hits\": {},\n    \"cache_misses\": {},\n    \"prefilter_rejects\": {prefilter_rejects},\n    \"vf2_nodes\": {},\n    \"plan_search_p50_ns\": {plan_search_p50_ns},\n    \"plan_search_p99_ns\": {plan_search_p99_ns},\n    \"plan_compile_p50_ns\": {plan_compile_p50_ns},\n    \"plan_compiles\": {},\n    \"plan_searches\": {},\n    \"plan_intersections\": {},\n    \"plan_candidates_pruned\": {},\n    \"plan_prefilter_rejects\": {}\n  }}\n",
@@ -363,11 +333,7 @@ fn main() {
     append_history(quick, db_size, batch_size, &results, probe_ns);
     println!("{json}");
     println!(
-        "matrix_build cached {build_cached_speedup:.2}x, apply_batch repeated cached \
-         {batch_repeat_speedup:.2}x (target >= 10x)"
-    );
-    println!(
-        "kernel, cold memo: matrix_build {plan_build_speedup:.2}x vs serial VF2 \
+        "index counting: matrix_build {plan_build_speedup:.2}x vs serial VF2 \
          (target >= 5x), apply_batch {plan_batch_speedup:.2}x, \
          search p50 {plan_search_p50_ns}ns p99 {plan_search_p99_ns}ns, \
          compile p50 {plan_compile_p50_ns}ns"

@@ -555,7 +555,7 @@ impl Midas {
             .iter()
             .map(|&id| (id, self.db.csr(id).expect("inserted id")))
             .collect();
-        self.fct_index.add_graphs(&self.kernel, &inserted_csrs);
+        self.fct_index.add_graphs(&inserted_csrs);
         let target: Vec<(TreeKey, &LabeledGraph)> = self
             .fct_state
             .index_trees(self.db.len())
@@ -563,8 +563,7 @@ impl Midas {
             .map(|(k, e)| (k.clone(), &e.tree))
             .collect();
         let csr_refs: Vec<(GraphId, &Csr)> = self.db.csrs().collect();
-        self.fct_index
-            .refresh_features(&self.kernel, &target, &csr_refs);
+        self.fct_index.refresh_features(&target, &csr_refs);
     }
 }
 

@@ -48,7 +48,7 @@ impl ScovContext<'_> {
     /// contains `pattern`.
     pub fn survivors(&self, pattern: &LabeledGraph) -> Vec<GraphId> {
         let profile = profile_pattern(self.fct, self.catalog, pattern);
-        candidate_graphs(self.fct.tg(), self.catalog, &profile, self.sample)
+        candidate_graphs(|f| self.fct.row(f), self.catalog, &profile, self.sample)
     }
 
     /// The graphs of `survivors` that contain `pattern`, verified through
@@ -90,7 +90,7 @@ mod tests {
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
         let feature = path(&[0, 1, 2]);
         let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
-        let fct = FctIndex::build(&MatchKernel::new(), [(tree_key(&feature), feature)], &csrs);
+        let fct = FctIndex::build([(tree_key(&feature), feature)], &csrs);
         let catalog = EdgeCatalog::build(refs.iter().copied());
         World { db, fct, catalog }
     }

@@ -1,30 +1,23 @@
-//! Memoized subgraph-isomorphism counts keyed by `(pattern, data graph)`.
+//! Memoized subgraph-containment answers keyed by `(pattern, data graph)`.
 //!
-//! The TG/TP matrices (§5.1), scov coverage (§2.2) and the swap/quality
-//! machinery all keep asking the same question — "how many embeddings of
-//! pattern `p` does graph `G` contain (capped)?" — against a database that
-//! changes only at batch boundaries. [`EmbeddingCache`] memoizes those
-//! answers so that a batch touching 1% of the database recomputes ~1% of a
-//! matrix, and a rebuilt index reuses every surviving cell.
+//! Coverage (§2.2, §6.1) and the swap/quality machinery keep asking the
+//! same question — "is pattern `p` contained in graph `G`?" — against a
+//! database that changes only at batch boundaries. [`EmbeddingCache`]
+//! memoizes those answers so that a batch touching 1% of the database
+//! re-verifies ~1% of a pattern's coverage. Embedding counts are not
+//! memoized here: the FCT-Index's TG rows are their one store, filled by
+//! each feature's own plan (`midas-index`).
 //!
 //! # Keying
 //!
 //! Entries are keyed **graph-first**: a map `GraphId → (pattern-key
-//! → count)`. The inner key is the pattern's [`CanonicalCode`],
+//! → contained)`. The inner key is the pattern's [`CanonicalCode`],
 //! so isomorphic patterns — common, since candidates are generated from
 //! random walks on many CSGs — share one entry per graph. Graph-first
 //! nesting makes invalidation O(1) per touched graph:
 //! [`EmbeddingCache::invalidate_graph`] simply drops the graph's inner map.
-//!
-//! # Cap soundness
-//!
-//! Counts are saturating ([`crate::plan::MatchPlan::count_embeddings`]'s
-//! `cap`). Each entry stores
-//! the cap it was computed at. A stored value serves a request when it is
-//! *exact* (`count < stored_cap`, so `min(count, cap)` is the true answer)
-//! or *saturated at or above the requested cap* (`cap ≤ stored_cap ≤ count`
-//! implies the answer is exactly `cap`). Otherwise the entry is recomputed
-//! at the larger cap and upgraded in place.
+//! A containment answer holds at every cap, so an entry is one bit and is
+//! never upgraded.
 //!
 //! # Ownership
 //!
@@ -43,11 +36,11 @@
 //! with stale entries because [`crate::db::GraphDb`] never reuses ids, but
 //! invalidating both keeps the contract independent of that detail).
 //!
-//! The memo stores counts only. Misses run the pattern's compiled plan
-//! over the CSR view the caller borrows from [`crate::db::GraphDb::csr`],
-//! so the database owns the only CSR of each graph. The plan belongs to
-//! the [`CachedPattern`]: compiled on its first miss and dropped with it,
-//! never shared through process-wide state.
+//! Misses run the pattern's compiled plan over the CSR view the caller
+//! borrows from [`crate::db::GraphDb::csr`], so the database owns the only
+//! CSR of each graph. The plan belongs to the [`CachedPattern`]: compiled
+//! on its first miss and dropped with it, never shared through
+//! process-wide state.
 
 use crate::canonical::{canonical_code, CanonicalCode};
 use crate::csr::Csr;
@@ -110,78 +103,35 @@ impl CachedPattern {
     }
 }
 
-/// One stored answer: the cap it was computed at and the (saturating) count.
-#[derive(Debug, Clone, Copy)]
-struct StoredCount {
-    cap: u64,
-    count: u64,
-}
-
-impl StoredCount {
-    /// The answer for a request at `cap`, when this entry can serve it.
-    fn serve(&self, cap: u64) -> Option<u64> {
-        if self.count < self.cap {
-            // Exact count: valid at any cap.
-            Some(self.count.min(cap))
-        } else if cap <= self.cap {
-            // Saturated at stored cap ≥ requested cap: true count ≥ cap.
-            Some(cap)
-        } else {
-            None
-        }
-    }
-}
-
 /// One memo miss: runs `pattern`'s compiled plan over the target's CSR
-/// view, tagged so tail exemplars attribute to this (pattern, graph); the
-/// guard unwinds the thread-local tag.
-fn compute_miss(pattern: &CachedPattern, id: GraphId, target: &Csr, cap: u64) -> u64 {
+/// view, stopping at the first embedding, tagged so tail exemplars
+/// attribute to this (pattern, graph); the guard unwinds the thread-local
+/// tag.
+fn compute_miss(pattern: &CachedPattern, id: GraphId, target: &Csr) -> bool {
     let _ctx =
         midas_obs::enabled().then(|| midas_obs::exemplar::with_context(pattern.fingerprint, id.0));
-    pattern.plan().count_embeddings(target, cap)
+    pattern.plan().is_subgraph_of(target)
 }
 
 /// Everything memoized about one data graph.
 #[derive(Debug, Default)]
 struct GraphEntry {
-    /// Capped embedding counts per pattern, as `(fingerprint, key, count)`
-    /// rows. A flat vector beats a per-graph hash map here: the feature
-    /// set probed against one graph is small (a TG-matrix row, typically
-    /// tens of patterns), a probe sweep touches a couple of contiguous
-    /// cache lines instead of scattered buckets, and the 64-bit
-    /// fingerprint prescreen makes full key compares rare.
-    counts: Vec<(u64, CanonicalCode, StoredCount)>,
+    /// Containment answers per pattern, as `(fingerprint, key, contained)`
+    /// rows. A flat vector beats a per-graph hash map here: the patterns
+    /// probed against one graph are few (a pattern set and its
+    /// candidates), a probe sweep touches a couple of contiguous cache
+    /// lines instead of scattered buckets, and the 64-bit fingerprint
+    /// prescreen makes full key compares rare.
+    answers: Vec<(u64, CanonicalCode, bool)>,
 }
 
 impl GraphEntry {
-    /// The stored count for `pattern`, if any.
-    fn find(&self, pattern: &CachedPattern) -> Option<&StoredCount> {
-        self.counts
+    /// The stored answer for `pattern`, if any.
+    fn find(&self, pattern: &CachedPattern) -> Option<bool> {
+        self.answers
             .iter()
             .find(|(fp, k, _)| *fp == pattern.fingerprint && *k == pattern.key)
-            .map(|(_, _, stored)| stored)
-    }
-
-    /// Stores `stored` for `pattern`, overwriting its row in place: a miss
-    /// on an existing row means the request's cap exceeded the stored one.
-    /// Returns `true` when a fresh row was added (the insertion-accounting
-    /// event).
-    fn store(&mut self, pattern: &CachedPattern, stored: StoredCount) -> bool {
-        match self
-            .counts
-            .iter_mut()
-            .find(|(fp, k, _)| *fp == pattern.fingerprint && *k == pattern.key)
-        {
-            Some((_, _, existing)) => {
-                *existing = stored;
-                false
-            }
-            None => {
-                self.counts
-                    .push((pattern.fingerprint, pattern.key.clone(), stored));
-                true
-            }
-        }
+            .map(|&(_, _, contained)| contained)
     }
 }
 
@@ -196,8 +146,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Requests that ran the compiled plan.
     pub misses: u64,
-    /// Fresh `(pattern, graph)` entries stored (cap upgrades of an existing
-    /// entry do not count).
+    /// Fresh `(pattern, graph)` entries stored: one per miss.
     pub insertions: u64,
     /// Graphs whose memoized entries were dropped by
     /// [`EmbeddingCache::invalidate_graph`] (only graphs that actually had
@@ -218,7 +167,7 @@ impl CacheStats {
     }
 }
 
-/// A single-owner memo of capped embedding counts (see the module's
+/// A single-owner memo of containment answers (see the module's
 /// *Ownership* section). Sharing one across threads does not compile:
 ///
 /// ```compile_fail
@@ -251,96 +200,30 @@ impl EmbeddingCache {
         self.stats.set(stats);
     }
 
-    /// Counts embeddings of `pattern` in graph `id`, whose CSR view is
-    /// `target` (borrowed from [`crate::db::GraphDb::csr`]), saturating at
-    /// `cap`, consulting and updating the memo.
-    pub fn count_embeddings(
-        &self,
-        pattern: &CachedPattern,
-        id: GraphId,
-        target: &Csr,
-        cap: u64,
-    ) -> u64 {
-        let mut out = [0];
-        self.fill(&[pattern], id, target, cap, &mut out);
-        out[0]
-    }
-
-    /// Counts embeddings of every pattern in graph `id` in one pass — the
-    /// inner loop of a matrix-column build. Equal to one
-    /// [`Self::count_embeddings`] call per pattern.
-    pub fn count_embeddings_many(
-        &self,
-        patterns: &[&CachedPattern],
-        id: GraphId,
-        target: &Csr,
-        cap: u64,
-    ) -> Vec<u64> {
-        let mut out = vec![0; patterns.len()];
-        self.fill(patterns, id, target, cap, &mut out);
-        out
-    }
-
-    /// The one memo body: one probe sweep serves every stored answer into
-    /// `out`, the plan runs for the gaps with no borrow of the map held
-    /// (a panicking search leaves the map untouched), and one store pass
-    /// memoizes the fresh counts.
-    fn fill(
-        &self,
-        patterns: &[&CachedPattern],
-        id: GraphId,
-        target: &Csr,
-        cap: u64,
-        out: &mut [u64],
-    ) {
-        if cap == 0 {
-            return;
-        }
-        let mut gaps = Vec::new();
-        {
-            let map = self.map.borrow();
-            let entry = map.get(&id);
-            for (i, (slot, p)) in out.iter_mut().zip(patterns).enumerate() {
-                match entry.and_then(|e| e.find(p)).and_then(|s| s.serve(cap)) {
-                    Some(answer) => *slot = answer,
-                    None => gaps.push(i),
-                }
-            }
-        }
-        let hits = (patterns.len() - gaps.len()) as u64;
-        if hits > 0 {
-            self.record(|s| s.hits += hits);
-            midas_obs::counter_add!("cache.hits", hits);
-        }
-        if gaps.is_empty() {
-            return;
-        }
-        for &i in &gaps {
-            out[i] = compute_miss(patterns[i], id, target, cap);
-        }
-        let misses = gaps.len() as u64;
-        let mut map = self.map.borrow_mut();
-        let entry = map.entry(id).or_default();
-        entry.counts.reserve(gaps.len());
-        let mut inserted = 0u64;
-        for &i in &gaps {
-            let stored = StoredCount { cap, count: out[i] };
-            inserted += u64::from(entry.store(patterns[i], stored));
-        }
-        self.record(|s| {
-            s.misses += misses;
-            s.insertions += inserted;
-        });
-        midas_obs::counter_add!("cache.misses", misses);
-        if inserted > 0 {
-            midas_obs::counter_add!("cache.insertions", inserted);
-        }
-    }
-
-    /// Whether `pattern ⊆ target`, through the memo: a cap-1 count, which
-    /// the plan interpreter answers by stopping at the first embedding.
+    /// Whether `pattern ⊆ target`, for graph `id` whose CSR view is
+    /// `target` (borrowed from [`crate::db::GraphDb::csr`]), consulting
+    /// and updating the memo. A miss runs the plan with no borrow of the
+    /// map held, so a panicking search leaves the map untouched.
     pub fn is_subgraph(&self, pattern: &CachedPattern, id: GraphId, target: &Csr) -> bool {
-        self.count_embeddings(pattern, id, target, 1) > 0
+        let stored = self.map.borrow().get(&id).and_then(|e| e.find(pattern));
+        if let Some(contained) = stored {
+            self.record(|s| s.hits += 1);
+            midas_obs::counter_add!("cache.hits", 1);
+            return contained;
+        }
+        let contained = compute_miss(pattern, id, target);
+        self.map.borrow_mut().entry(id).or_default().answers.push((
+            pattern.fingerprint,
+            pattern.key.clone(),
+            contained,
+        ));
+        self.record(|s| {
+            s.misses += 1;
+            s.insertions += 1;
+        });
+        midas_obs::counter_add!("cache.misses", 1);
+        midas_obs::counter_add!("cache.insertions", 1);
+        contained
     }
 
     /// Drops everything memoized about `id`. Call for every graph a batch
@@ -363,6 +246,7 @@ impl EmbeddingCache {
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
+    use crate::kernel::MatchKernel;
 
     fn path(labels: &[u32]) -> LabeledGraph {
         let vs: Vec<u32> = (0..labels.len() as u32).collect();
@@ -378,11 +262,6 @@ mod tests {
             .build()
     }
 
-    /// The batch form the memo takes: one reference per pattern.
-    fn refs(patterns: &[CachedPattern]) -> Vec<&CachedPattern> {
-        patterns.iter().collect()
-    }
-
     /// `after - before`, field by field.
     fn delta(before: CacheStats, after: CacheStats) -> CacheStats {
         CacheStats {
@@ -393,6 +272,8 @@ mod tests {
         }
     }
 
+    // Named for the count memo it replaced: a containment answer is the
+    // cap-1 count.
     #[test]
     fn memoizes_counts() {
         let cache = EmbeddingCache::new();
@@ -400,9 +281,9 @@ mod tests {
         let t = Csr::from_graph(&triangle());
         let id = GraphId(7);
         let before = cache.stats();
-        assert_eq!(cache.count_embeddings(&p, id, &t, 64), 6);
+        assert!(cache.is_subgraph(&p, id, &t));
         assert_eq!(delta(before, cache.stats()).misses, 1);
-        assert_eq!(cache.count_embeddings(&p, id, &t, 64), 6);
+        assert!(cache.is_subgraph(&p, id, &t));
         assert_eq!(
             delta(before, cache.stats()),
             CacheStats {
@@ -429,43 +310,23 @@ mod tests {
         assert_eq!(a.key(), b.key());
         let t = Csr::from_graph(&path(&[0, 1, 0, 1, 0]));
         let id = GraphId(0);
-        let first = cache.count_embeddings(&a, id, &t, 64);
-        let second = cache.count_embeddings(&b, id, &t, 64);
-        assert_eq!(first, second);
+        assert!(cache.is_subgraph(&a, id, &t));
+        assert!(cache.is_subgraph(&b, id, &t));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
     }
 
     #[test]
-    fn cap_upgrades_are_sound() {
-        let cache = EmbeddingCache::new();
-        let p = CachedPattern::new(&path(&[0, 0]));
-        let t = Csr::from_graph(&triangle());
-        let id = GraphId(1);
-        // Boolean query first: stored saturated at cap 1.
-        assert!(cache.is_subgraph(&p, id, &t));
-        // Same cap served from memo.
-        assert_eq!(cache.count_embeddings(&p, id, &t, 1), 1);
-        assert_eq!(cache.stats().hits, 1);
-        // Larger cap forces a recompute, upgrading the entry.
-        assert_eq!(cache.count_embeddings(&p, id, &t, 64), 6);
-        // Now exact: every cap served from memo.
-        assert_eq!(cache.count_embeddings(&p, id, &t, 3), 3);
-        assert_eq!(cache.count_embeddings(&p, id, &t, 1000), 6);
-        assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
     fn prefilter_zero_is_exact() {
-        // The plan's label-demand prefilter proves zero; a zero below the
-        // cap is exact, so it serves every later cap.
+        // The plan's label-demand prefilter proves absence; the stored
+        // `false` serves the repeat.
         let cache = EmbeddingCache::new();
         let p = CachedPattern::new(&path(&[0, 9]));
         let t = Csr::from_graph(&triangle());
         let id = GraphId(2);
-        assert_eq!(cache.count_embeddings(&p, id, &t, 1), 0);
-        assert_eq!(cache.count_embeddings(&p, id, &t, u64::MAX), 0);
-        // Second query hits the stored exact zero.
+        assert!(!cache.is_subgraph(&p, id, &t));
+        assert!(!cache.is_subgraph(&p, id, &t));
+        // Second query hits the stored answer.
         assert_eq!(cache.stats().hits, 1);
     }
 
@@ -474,16 +335,16 @@ mod tests {
         let cache = EmbeddingCache::new();
         let p = CachedPattern::new(&path(&[0, 0]));
         let t = Csr::from_graph(&triangle());
-        cache.count_embeddings(&p, GraphId(0), &t, 64);
-        cache.count_embeddings(&p, GraphId(1), &t, 64);
+        cache.is_subgraph(&p, GraphId(0), &t);
+        cache.is_subgraph(&p, GraphId(1), &t);
         let before = cache.stats();
         cache.invalidate_graph(GraphId(0));
         assert_eq!(delta(before, cache.stats()).invalidations, 1);
         // Graph 1 still served from memo; graph 0 recomputed.
-        cache.count_embeddings(&p, GraphId(1), &t, 64);
+        cache.is_subgraph(&p, GraphId(1), &t);
         let d = delta(before, cache.stats());
         assert_eq!((d.hits, d.misses), (1, 0));
-        cache.count_embeddings(&p, GraphId(0), &t, 64);
+        cache.is_subgraph(&p, GraphId(0), &t);
         let d = delta(before, cache.stats());
         assert_eq!((d.hits, d.misses, d.insertions), (1, 1, 1));
     }
@@ -513,10 +374,10 @@ mod tests {
 
         // Warm two graphs (2 misses, 2 insertions), re-query both (2 hits).
         for id in [GraphId(0), GraphId(1)] {
-            cache.count_embeddings(&p, id, &t, 64);
+            cache.is_subgraph(&p, id, &t);
         }
         for id in [GraphId(0), GraphId(1)] {
-            cache.count_embeddings(&p, id, &t, 64);
+            cache.is_subgraph(&p, id, &t);
         }
         let warm = delta(start, cache.stats());
         assert_eq!((warm.hits, warm.misses, warm.insertions), (2, 2, 2));
@@ -532,100 +393,121 @@ mod tests {
         // Post-cycle queries: graph 1 survives (hit), graphs 0 and 2 are
         // recomputed and re-inserted (misses + insertions).
         for id in [GraphId(0), GraphId(1), GraphId(2)] {
-            cache.count_embeddings(&p, id, &t, 64);
+            cache.is_subgraph(&p, id, &t);
         }
         let end = delta(start, cache.stats());
         assert_eq!((end.hits, end.misses, end.insertions), (3, 4, 4));
         assert_eq!(end.hit_rate(), 3.0 / 7.0);
     }
 
+    // Named for the count memo it replaced: the batched route is now the
+    // kernel's `any_covered_in`.
     #[test]
     fn batched_counts_match_single_queries() {
-        let cache = EmbeddingCache::new();
-        let patterns: Vec<CachedPattern> = [path(&[0, 0]), path(&[0, 9]), triangle()]
+        let kernel = MatchKernel::new();
+        let patterns: Vec<CachedPattern> = [path(&[0, 9]), path(&[0, 0]), triangle()]
             .iter()
             .map(CachedPattern::new)
             .collect();
-        let t = Csr::from_graph(&triangle());
-        let id = GraphId(3);
-        // Partially warm the memo, then batch over everything: each count
-        // equals the single query on a cold memo.
-        cache.count_embeddings(&patterns[0], id, &t, 64);
-        let batch = cache.count_embeddings_many(&refs(&patterns), id, &t, 64);
-        for (p, &got) in patterns.iter().zip(&batch) {
-            assert_eq!(got, EmbeddingCache::new().count_embeddings(p, id, &t, 64));
-        }
+        let views = [path(&[0, 9]), triangle(), path(&[1, 1])].map(|g| Csr::from_graph(&g));
+        let graphs: Vec<(GraphId, &Csr)> = views
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (GraphId(i as u64), c))
+            .collect();
+        // Partially warm the memo, then batch over everything: each answer
+        // is the OR of the single queries on a cold memo.
+        kernel
+            .cache()
+            .is_subgraph(&patterns[0], graphs[1].0, graphs[1].1);
+        let batch = kernel.any_covered_in(&patterns, &graphs);
+        let single: Vec<bool> = graphs
+            .iter()
+            .map(|&(id, g)| {
+                patterns
+                    .iter()
+                    .any(|p| EmbeddingCache::new().is_subgraph(p, id, g))
+            })
+            .collect();
+        assert_eq!(batch, vec![true, true, false]);
+        assert_eq!(batch, single);
         // Second batch: all hits, no new misses.
-        let misses = cache.stats().misses;
-        let again = cache.count_embeddings_many(&refs(&patterns), id, &t, 64);
-        assert_eq!(again, batch);
-        assert_eq!(cache.stats().misses, misses);
+        let misses = kernel.cache().stats().misses;
+        assert_eq!(kernel.any_covered_in(&patterns, &graphs), batch);
+        assert_eq!(kernel.cache().stats().misses, misses);
     }
 
     #[test]
     fn single_batched_and_boolean_routes_share_the_memo() {
         // Entries are keyed by canonical code and graph id only, so an
-        // answer stored by one entry point serves the others.
-        let cache = EmbeddingCache::new();
-        let p = CachedPattern::new(&path(&[0, 0]));
+        // answer stored through one kernel route serves the others.
+        let kernel = MatchKernel::new();
+        let pattern = path(&[0, 0]);
+        let p = CachedPattern::new(&pattern);
         let t = Csr::from_graph(&triangle());
         let id = GraphId(11);
-        assert_eq!(cache.count_embeddings(&p, id, &t, 64), 6);
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.count_embeddings_many(&[&p], id, &t, 64), vec![6]);
-        assert!(cache.is_subgraph(&p, id, &t));
-        assert_eq!(cache.stats().hits, 2);
+        assert_eq!(kernel.covered_in(&pattern, &[(id, &t)]), vec![true]);
+        assert_eq!(kernel.cache().stats().misses, 1);
+        assert_eq!(
+            kernel.any_covered_in(std::slice::from_ref(&p), &[(id, &t)]),
+            vec![true]
+        );
+        assert!(kernel.cache().is_subgraph(&p, id, &t));
+        assert_eq!(kernel.cache().stats().hits, 2);
         // After invalidation the entry is recomputed, not served.
-        cache.invalidate_graph(id);
-        let misses = cache.stats().misses;
-        assert_eq!(cache.count_embeddings(&p, id, &t, 64), 6);
-        assert_eq!(cache.stats().misses, misses + 1);
+        kernel.invalidate_graph(id);
+        let misses = kernel.cache().stats().misses;
+        assert_eq!(kernel.covered_in(&pattern, &[(id, &t)]), vec![true]);
+        assert_eq!(kernel.cache().stats().misses, misses + 1);
     }
 
     #[test]
     fn reused_id_after_invalidation_is_recomputed_by_every_entry_point() {
         // After invalidate_graph, a different graph stored under the same
-        // GraphId must be recomputed, never served the old graph's counts,
-        // whichever entry point asks.
-        let cache = EmbeddingCache::new();
+        // GraphId must be recomputed, never served the old graph's answer,
+        // whichever kernel route asks.
+        let kernel = MatchKernel::new();
         let id = GraphId(6);
-        let old = Csr::from_graph(&triangle()); // 6 embeddings of each
-        let new = Csr::from_graph(&path(&[9, 9])); // none
-        let patterns: Vec<CachedPattern> = [path(&[0, 0]), triangle()]
-            .iter()
-            .map(CachedPattern::new)
-            .collect();
-        for entry_point in ["count_embeddings", "count_embeddings_many", "is_subgraph"] {
-            assert_eq!(
-                cache.count_embeddings_many(&refs(&patterns), id, &old, 64),
-                vec![6, 6]
-            );
-            cache.invalidate_graph(id);
-            let before = cache.stats();
-            let answers: Vec<u64> = match entry_point {
-                "count_embeddings" => patterns
+        let old = Csr::from_graph(&triangle()); // contains both
+        let new = Csr::from_graph(&path(&[9, 9])); // contains neither
+        let graphs = [path(&[0, 0]), triangle()];
+        let patterns: Vec<CachedPattern> = graphs.iter().map(CachedPattern::new).collect();
+        let answers = |entry_point: &str, target: &Csr| -> Vec<bool> {
+            match entry_point {
+                "covered_in" => graphs
                     .iter()
-                    .map(|p| cache.count_embeddings(p, id, &new, 64))
+                    .map(|g| kernel.covered_in(g, &[(id, target)])[0])
                     .collect(),
-                "count_embeddings_many" => {
-                    cache.count_embeddings_many(&refs(&patterns), id, &new, 64)
-                }
+                "any_covered_in" => patterns
+                    .iter()
+                    .map(|p| kernel.any_covered_in(std::slice::from_ref(p), &[(id, target)])[0])
+                    .collect(),
                 _ => patterns
                     .iter()
-                    .map(|p| u64::from(cache.is_subgraph(p, id, &new)))
+                    .map(|p| kernel.cache().is_subgraph(p, id, target))
                     .collect(),
-            };
-            assert_eq!(answers, vec![0, 0], "{entry_point} served a stale count");
-            let d = delta(before, cache.stats());
-            assert_eq!((d.hits, d.misses, d.insertions), (0, 2, 2), "{entry_point}");
-            // The rows stored now are the new graph's exact zeros, served
-            // on repeat at any cap.
+            }
+        };
+        for entry_point in ["covered_in", "any_covered_in", "is_subgraph"] {
+            assert_eq!(answers("is_subgraph", &old), vec![true, true]);
+            kernel.invalidate_graph(id);
+            let before = kernel.cache().stats();
             assert_eq!(
-                cache.count_embeddings_many(&refs(&patterns), id, &new, 64),
-                vec![0, 0]
+                answers(entry_point, &new),
+                vec![false, false],
+                "{entry_point} served a stale answer"
             );
-            assert_eq!(delta(before, cache.stats()).hits, 2, "{entry_point}");
-            cache.invalidate_graph(id);
+            let d = delta(before, kernel.cache().stats());
+            assert_eq!((d.hits, d.misses, d.insertions), (0, 2, 2), "{entry_point}");
+            // The rows stored now are the new graph's answers, served on
+            // repeat.
+            assert_eq!(answers(entry_point, &new), vec![false, false]);
+            assert_eq!(
+                delta(before, kernel.cache().stats()).hits,
+                2,
+                "{entry_point}"
+            );
+            kernel.invalidate_graph(id);
         }
     }
 }

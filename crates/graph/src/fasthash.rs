@@ -1,7 +1,7 @@
 //! A fast, non-cryptographic hasher for the matcher's hot maps.
 //!
-//! The embedding memo and the plan cache hash a key per `(pattern, graph)`
-//! probe — millions of times per maintenance batch. SipHash's DoS
+//! The containment memo hashes a `GraphId` per `(pattern, graph)` probe —
+//! thousands of times per maintenance batch. SipHash's DoS
 //! resistance buys nothing there (keys are canonical codes and graph ids
 //! produced by this workspace, not attacker input), so these maps use an
 //! Fx-style multiply-rotate hash: a few cycles per word instead of a few

@@ -1,14 +1,14 @@
-//! The memoized subgraph-isomorphism kernel.
+//! The memoized subgraph-containment kernel.
 //!
 //! [`MatchKernel`] owns an [`EmbeddingCache`] and puts it behind bulk
-//! operations shaped like the `(graph × pattern)` scans the MIDAS pipeline
-//! actually runs:
+//! operations shaped like the coverage scans the MIDAS pipeline runs:
 //!
-//! * [`MatchKernel::count_grid`] — many patterns against many data
-//!   graphs (the TG-matrix cells of new feature rows or of a batch's
-//!   inserted graph columns, Def. 5.1);
 //! * [`MatchKernel::covered_in`] — coverage verification after the
-//!   dominance filter (§6.1).
+//!   dominance filter (§6.1);
+//! * [`MatchKernel::any_covered_in`] — the `f_scov` set-coverage scan.
+//!
+//! Embedding counts do not go through the kernel: the FCT-Index counts
+//! its own TG cells with each feature's plan (`midas-index`).
 //!
 //! Every operation is one [`exec::map_tasks`] call, one task per data
 //! graph, and returns plain values: a task panic unwinds to the caller's
@@ -46,7 +46,7 @@ impl MatchKernel {
         Self::default()
     }
 
-    /// The kernel's embedding memo.
+    /// The kernel's containment memo.
     pub fn cache(&self) -> &EmbeddingCache {
         &self.cache
     }
@@ -74,21 +74,6 @@ impl MatchKernel {
     ) -> Vec<bool> {
         exec::map_tasks(graphs, |&(id, g)| {
             patterns.iter().any(|p| self.cache.is_subgraph(p, id, g))
-        })
-    }
-
-    /// Counts embeddings of every pattern in every graph: result `[i][j]`
-    /// is the count of `patterns[j]` in `graphs[i]`, saturating at `cap`.
-    /// One task per graph (the long axis in matrix maintenance). A single
-    /// pattern's row is the one-pattern grid.
-    pub fn count_grid(
-        &self,
-        patterns: &[&CachedPattern],
-        graphs: &[(GraphId, &Csr)],
-        cap: u64,
-    ) -> Vec<Vec<u64>> {
-        exec::map_tasks(graphs, |&(id, g)| {
-            self.cache.count_embeddings_many(patterns, id, g, cap)
         })
     }
 }
@@ -125,14 +110,14 @@ mod tests {
         let db = mini_db();
         let refs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         let kernel = MatchKernel::new();
-        let p = CachedPattern::new(&path(&[0, 1]));
-        kernel.count_grid(&[&p], &refs, 64);
+        let p = path(&[0, 1]);
+        kernel.covered_in(&p, &refs);
         let misses_after_first = kernel.cache().stats().misses;
-        kernel.count_grid(&[&p], &refs, 64);
+        kernel.covered_in(&p, &refs);
         assert_eq!(kernel.cache().stats().misses, misses_after_first);
         // Invalidation forces exactly the touched graph to recompute.
         kernel.invalidate_graph(GraphId(0));
-        kernel.count_grid(&[&p], &refs, 64);
+        kernel.covered_in(&p, &refs);
         assert_eq!(kernel.cache().stats().misses, misses_after_first + 1);
     }
 }

@@ -29,14 +29,14 @@
 //!   (vertex order + per-level candidate filters) and interpreted over
 //!   CSR label slices; the crate's one subgraph matcher, for containment
 //!   tests, embedding counts and embedding enumeration.
-//! * [`kernel`] — [`MatchKernel`], the memoized bulk
-//!   operations (TG-matrix rows and grids, coverage scans) that run the
-//!   plan matcher over `(GraphId, &Csr)` pairs from [`GraphDb`].
+//! * [`kernel`] — [`MatchKernel`], the memoized bulk coverage scans
+//!   that run the plan matcher over `(GraphId, &Csr)` pairs from
+//!   [`GraphDb`].
 //! * [`exec`] — the serial task map every kernel `(graph × pattern)` scan
 //!   runs through, with the `MIDAS_FAULT` injector; it catches no panic,
 //!   so a failing task unwinds to the framework's phase backstop.
-//! * [`cache`] — a single-owner [`EmbeddingCache`] memoizing capped embedding
-//!   counts (and nothing else) per `(pattern canonical key, GraphId)`,
+//! * [`cache`] — a single-owner [`EmbeddingCache`] memoizing containment
+//!   answers (and nothing else) per `(pattern canonical key, GraphId)`,
 //!   invalidated per graph on batch updates.
 //!
 //! The references these are checked against — VF2 subgraph isomorphism

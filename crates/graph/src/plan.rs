@@ -20,8 +20,8 @@
 //!
 //! A plan belongs to the pattern it was compiled from: a prepared
 //! pattern ([`crate::CachedPattern`]) compiles its own on its first memo
-//! miss, and an FCT-Index feature row keeps its prepared pattern for the
-//! row's lifetime. No plan is shared across patterns, tenants or kernels,
+//! miss, and an FCT-Index feature row compiles its tree's plan when the
+//! row is created and keeps it for the row's lifetime. No plan is shared across patterns, tenants or kernels,
 //! so the matching path holds no lock.
 //!
 //! Semantics are pinned to the VF2 reference in `midas-oracle`: the same

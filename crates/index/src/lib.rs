@@ -6,9 +6,11 @@
 //! * [`FctIndex`] — the **FCT-Index** (Def. 5.1): a token trie over the
 //!   canonical strings of the frequent closed trees with at least two
 //!   edges, whose terminal nodes point into the trie-graph matrix (TG) of
-//!   embedding counts over data graphs. It stores graph-side rows only and
-//!   is maintained incrementally under database changes (§5.1 "Index
-//!   Maintenance", rules 1–4).
+//!   embedding counts over data graphs. It stores graph-side rows only,
+//!   each feature's nonzero cells once in ascending graph-id order, counts
+//!   them with the feature's own compiled plan, and is maintained
+//!   incrementally under database changes (§5.1 "Index Maintenance",
+//!   rules 1–4).
 //! * [`scov`] — the containment filter for subgraph coverage (§6.1): a
 //!   pattern can only be contained in graphs whose counts dominate the
 //!   pattern's, cutting subgraph-isomorphism checks drastically.
@@ -31,11 +33,9 @@
 
 pub mod fct_index;
 pub mod scov;
-pub mod sparse;
 pub mod trie;
 
 pub use fct_index::{FctIndex, FeatureId};
-pub use sparse::SparseMatrix;
 pub use trie::Trie;
 
 /// Saturation cap for embedding counts stored in the index matrices.

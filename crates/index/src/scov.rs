@@ -19,7 +19,6 @@
 //! keep the same graphs (DESIGN.md §5).
 
 use crate::fct_index::{FctIndex, FeatureId};
-use crate::sparse::SparseMatrix;
 use midas_graph::{Csr, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_mining::EdgeCatalog;
 use std::collections::{BTreeMap, BTreeSet};
@@ -61,13 +60,15 @@ pub fn profile_pattern(
 /// occurrence counts dominate `profile` — the candidate set that still
 /// needs isomorphism verification — in ascending order.
 ///
+/// `row` gives a feature's TG row ([`FctIndex::row`]): its nonzero
+/// counts in ascending `GraphId` order, empty for a feature without one.
 /// `universe` bounds the candidates (e.g. a sampled database `D_s`). When
 /// the profile is empty the filter is vacuous and the whole universe
 /// returns. TG rows and occurrence maps iterate in `GraphId` order, so
 /// each profile entry narrows the sorted survivors with one merge pass.
 /// A label absent from `catalog` adds no constraint.
-pub fn candidate_graphs(
-    tg: &SparseMatrix<FeatureId, GraphId>,
+pub fn candidate_graphs<'a>(
+    row: impl Fn(FeatureId) -> &'a [(GraphId, u32)],
     catalog: &EdgeCatalog,
     profile: &PatternProfile,
     universe: &BTreeSet<GraphId>,
@@ -85,7 +86,7 @@ pub fn candidate_graphs(
         if survivors.is_empty() {
             break;
         }
-        narrow(&mut survivors, tg.row(fid), need);
+        narrow(&mut survivors, row(fid).iter().copied(), need);
     }
     for &(label, need) in &profile.edge_counts {
         if survivors.is_empty() {
@@ -115,7 +116,7 @@ pub fn covered_graphs(
     universe: &BTreeSet<GraphId>,
 ) -> BTreeSet<GraphId> {
     let profile = profile_pattern(fct, catalog, pattern);
-    let survivors = candidate_graphs(fct.tg(), catalog, &profile, universe);
+    let survivors = candidate_graphs(|f| fct.row(f), catalog, &profile, universe);
     verify_with(kernel, db, pattern, &survivors)
 }
 
@@ -156,7 +157,7 @@ mod tests {
         let db = GraphDb::from_graphs([path(&[0, 1, 2, 3]), path(&[0, 1, 0]), path(&[3, 2])]);
         let feature = path(&[1, 0, 1]); // O-C-O
         let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
-        let fct = FctIndex::build(&MatchKernel::new(), [(tree_key(&feature), feature)], &csrs);
+        let fct = FctIndex::build([(tree_key(&feature), feature)], &csrs);
         let catalog = EdgeCatalog::build(db.iter().map(|(id, g)| (id, g.as_ref())));
         (fct, catalog, db)
     }
@@ -182,7 +183,7 @@ mod tests {
         let ids: Vec<GraphId> = db.ids().collect();
         let survivors = |labels: &[u32]| {
             let profile = profile_pattern(&fct, &catalog, &path(labels));
-            candidate_graphs(fct.tg(), &catalog, &profile, &universe)
+            candidate_graphs(|f| fct.row(f), &catalog, &profile, &universe)
         };
         // Only G0 has both a C-O and an O-N edge.
         assert_eq!(survivors(&[0, 1, 2]), vec![ids[0]]);
@@ -201,7 +202,7 @@ mod tests {
         let profile = profile_pattern(&fct, &catalog, &pattern);
         assert!(profile.fct_counts.is_empty());
         assert!(profile.edge_counts.is_empty());
-        let candidates = candidate_graphs(fct.tg(), &catalog, &profile, &universe);
+        let candidates = candidate_graphs(|f| fct.row(f), &catalog, &profile, &universe);
         assert_eq!(candidates, universe.iter().copied().collect::<Vec<_>>());
         // But verification still rejects everything.
         let kernel = MatchKernel::new();

@@ -6,11 +6,11 @@
 //!
 //! The thirteen checks ([`Oracle::run_all`]):
 //!
-//! 1. **`kernel_vs_serial`** — [`MatchKernel`] / `EmbeddingCache` counts
-//!    and containment vs the serial VF2 walkers
-//!    ([`count_embeddings`] / [`is_subgraph_of`]), including memo-hit
-//!    rounds and the invalidation boundary (a graph replaced
-//!    under the same [`GraphId`]).
+//! 1. **`kernel_vs_serial`** — [`MatchKernel`] / `EmbeddingCache`
+//!    containment vs the serial VF2 walker ([`is_subgraph_of`]),
+//!    including memo-hit rounds and the invalidation boundary (a graph
+//!    replaced under the same [`GraphId`]). Embedding counts are pinned
+//!    by check 6 (the plan) and check 10 (the FCT-Index's TG cells).
 //! 2. **`incremental_mining`** — `FctState::apply_batch` vs re-mining the
 //!    post-batch database from scratch — tracked keys, exact supports and
 //!    frequent trees' closed flags, and a tracked key set of exactly the
@@ -143,8 +143,8 @@ use midas_graph::ged::{ged_label_lower_bound, ged_tight_lower_bound};
 use midas_graph::graphlets::{count_graphlets, GraphletCounts};
 use midas_graph::mccs::{mccs_edges, mccs_similarity};
 use midas_graph::{
-    BatchUpdate, CachedPattern, CanonicalCode, ClosureGraph, Csr, EdgeLabel, GraphBuilder, GraphDb,
-    GraphId, LabeledGraph, MatchKernel, MatchPlan,
+    BatchUpdate, CanonicalCode, ClosureGraph, Csr, EdgeLabel, GraphBuilder, GraphDb, GraphId,
+    LabeledGraph, MatchKernel, MatchPlan,
 };
 use midas_index::{FctIndex, FeatureId};
 use midas_mining::incremental::FctState;
@@ -380,26 +380,15 @@ impl Oracle {
         // that still agree with serial recomputation.
         for round in 0..2 {
             for (pi, p) in patterns.iter().enumerate() {
-                let fast_counts = count_row(&kernel, p, &csrs);
-                let fast_covered = kernel.covered_in(p, &csrs);
+                let fast = kernel.covered_in(p, &csrs);
                 for (k, &(id, g)) in graphs.iter().enumerate() {
-                    cases += 2;
-                    let want = count_embeddings(p, g, COUNT_CAP);
-                    if fast_counts[k] != want {
-                        out.push(count_divergence(
+                    cases += 1;
+                    let want = is_subgraph_of(p, g);
+                    if fast[k] != want {
+                        out.push(containment_divergence(
                             format!("round {round}, pattern {pi}, graph {}", id.0),
                             want,
-                            fast_counts[k],
-                            p,
-                            g,
-                        ));
-                    }
-                    let want_cov = is_subgraph_of(p, g);
-                    if fast_covered[k] != want_cov {
-                        out.push(count_divergence(
-                            format!("containment: round {round}, pattern {pi}, graph {}", id.0),
-                            want_cov as u64,
-                            fast_covered[k] as u64,
+                            fast[k],
                             p,
                             g,
                         ));
@@ -409,24 +398,24 @@ impl Oracle {
         }
         // Invalidation boundary: replace each of the first
         // three graphs' content under its *existing* id. A stale memo
-        // entry keyed on (pattern, id) would serve the old graph's count.
+        // entry keyed on (pattern, id) would serve the old graph's answer.
         let replacements = query_set(&db, 3, (2, 4), self.seed ^ 0x02);
         for (i, replacement) in replacements.iter().enumerate() {
             let (id, old) = csrs[i];
             let p = &patterns[i % patterns.len()];
             // Warm the memo on the old content, then invalidate and probe
             // the replacement's CSR under the same id.
-            count_row(&kernel, p, &[(id, old)]);
+            kernel.covered_in(p, &[(id, old)]);
             kernel.invalidate_graph(id);
             let replacement_csr = Csr::from_graph(replacement);
-            let fast = count_row(&kernel, p, &[(id, &replacement_csr)]);
-            let want = count_embeddings(p, replacement, COUNT_CAP);
+            let fast = kernel.covered_in(p, &[(id, &replacement_csr)])[0];
+            let want = is_subgraph_of(p, replacement);
             cases += 1;
-            if fast[0] != want {
-                out.push(count_divergence(
+            if fast != want {
+                out.push(containment_divergence(
                     format!("invalidation boundary: graph {} replaced", id.0),
                     want,
-                    fast[0],
+                    fast,
                     p,
                     replacement,
                 ));
@@ -2317,8 +2306,7 @@ fn index_divergence(midas: &Midas) -> Option<String> {
     let key: BTreeMap<FeatureId, &TreeKey> = got.features().map(|(id, f)| (id, &f.key)).collect();
     let have_keys: BTreeSet<TreeKey> = key.values().map(|&k| k.clone()).collect();
     let have_tg: BTreeMap<(TreeKey, GraphId), u32> = got
-        .tg()
-        .iter()
+        .cells()
         .map(|(fid, gid, count)| ((key[&fid].clone(), gid), count))
         .collect();
     let mut diffs = Vec::new();
@@ -2343,19 +2331,12 @@ fn cells_differing<K: Ord>(a: &BTreeMap<K, u32>, b: &BTreeMap<K, u32>) -> usize 
     a.iter().filter(|(k, v)| b.get(k) != Some(v)).count() + only_b
 }
 
-/// `pattern`'s capped count in each of `graphs` through `kernel`: the
-/// one-pattern [`MatchKernel::count_grid`].
-fn count_row(kernel: &MatchKernel, pattern: &LabeledGraph, graphs: &[(GraphId, &Csr)]) -> Vec<u64> {
-    let prepared = CachedPattern::new(pattern);
-    let grid = kernel.count_grid(&[&prepared], graphs, COUNT_CAP);
-    grid.into_iter().map(|row| row[0]).collect()
-}
-
-/// A kernel-count divergence with a shrunk `(pattern, graph)` witness.
-fn count_divergence(
+/// A kernel containment divergence with a shrunk `(pattern, graph)`
+/// witness.
+fn containment_divergence(
     case: String,
-    want: u64,
-    got: u64,
+    want: bool,
+    got: bool,
     pattern: &LabeledGraph,
     graph: &LabeledGraph,
 ) -> Divergence {
@@ -2364,8 +2345,7 @@ fn count_divergence(
     // original pair as witness.
     let violates = |p: &LabeledGraph, g: &LabeledGraph| {
         let fresh = MatchKernel::new();
-        let fast = count_row(&fresh, p, &[(GraphId(0), &Csr::from_graph(g))]);
-        fast[0] != count_embeddings(p, g, COUNT_CAP)
+        fresh.covered_in(p, &[(GraphId(0), &Csr::from_graph(g))])[0] != is_subgraph_of(p, g)
     };
     let witness = minimize_pair(pattern, graph, violates);
     Divergence {

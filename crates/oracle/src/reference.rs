@@ -395,7 +395,7 @@ mod tests {
         let feature = path(&[0, 1, 2]);
         let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         let kernel = MatchKernel::new();
-        let fct = FctIndex::build(&kernel, [(tree_key(&feature), feature)], &csrs);
+        let fct = FctIndex::build([(tree_key(&feature), feature)], &csrs);
         let catalog = EdgeCatalog::build(refs.iter().copied());
         let sample: BTreeSet<GraphId> = db.ids().collect();
         let ctx = ScovContext {

@@ -22,7 +22,7 @@
 //! keeps serving reads. A tenant with a full job channel answers updates
 //! `429` with `Retry-After: 1`.
 
-use crate::tenant::{GenOp, GenSpec, Ingest, Refused, Tenant};
+use crate::tenant::{Applied, GenOp, GenSpec, Ingest, Refused, Tenant};
 use crate::ServeState;
 use midas_core::MidasConfig;
 use midas_datagen::{DatasetKind, DatasetSpec, MotifKind};
@@ -388,8 +388,10 @@ fn parse_gen_spec(v: &Value) -> Result<GenSpec, String> {
 ///
 /// Default mode enqueues and answers `202` immediately; `mode=sync`
 /// waits until this job's own batch has applied (batches apply in FIFO
-/// order either way) and answers with the epoch it published. A full job
-/// channel answers 429 with `Retry-After: 1`. If the tenant's
+/// order either way) and answers with the epoch it published: `200`, or
+/// `500` naming the failed `phase` and its `error` when a phase backstop
+/// contained a panic in this batch (the epoch is published either way).
+/// A full job channel answers 429 with `Retry-After: 1`. If the tenant's
 /// maintenance thread has exited, the enqueue answers 503 and a waiting
 /// sync caller gets 500 at once.
 fn updates(tenant: &Arc<Tenant>, req: &Request) -> Response {
@@ -452,7 +454,23 @@ fn updates(tenant: &Arc<Tenant>, req: &Request) -> Response {
         );
     };
     match applied.recv_timeout(SYNC_TIMEOUT) {
-        Ok(snap) => Response::json(
+        Ok(Applied {
+            snapshot,
+            error: Some(e),
+        }) => Response::json(
+            500,
+            format!(
+                "{{\"tenant\": {}, \"mode\": \"sync\", \"phase\": {}, \"error\": {}, \"epoch\": {}}}\n",
+                js::quote(&tenant.name),
+                js::quote(e.phase),
+                js::quote(&e.message),
+                snapshot.epoch
+            ),
+        ),
+        Ok(Applied {
+            snapshot: snap,
+            error: None,
+        }) => Response::json(
             200,
             format!(
                 "{{\"tenant\": {}, \"mode\": \"sync\", \"epoch\": {}, \"db_len\": {}, \"patterns\": {}}}\n",
@@ -608,7 +626,9 @@ mod tests {
             seed,
         };
         tenant.enqueue(Ingest::Generate(spec), Some(tx)).unwrap();
-        rx.recv_timeout(SYNC_TIMEOUT).expect("batch applied")
+        rx.recv_timeout(SYNC_TIMEOUT)
+            .expect("batch applied")
+            .snapshot
     }
 
     fn assert_bodies_match(state: &ServeState, tenant: &Tenant, snap: &Arc<PatternSnapshot>) {

@@ -38,7 +38,7 @@ pub mod tenant;
 
 pub use api::{config_preset, valid_name};
 pub use client::ServeClient;
-pub use tenant::{GenOp, GenSpec, Ingest, Tenant};
+pub use tenant::{Applied, GenOp, GenSpec, Ingest, Tenant};
 
 use midas_obs::httpd::HttpServer;
 use std::collections::BTreeMap;

@@ -30,7 +30,7 @@
 //! [`Tenant::enqueue`] refuses new jobs. Reads keep serving the last
 //! published snapshot.
 
-use midas_core::{Midas, MidasConfig, PatternSnapshot, Published};
+use midas_core::{Midas, MidasConfig, PatternSnapshot, PhaseError, Published};
 use midas_datagen::{DatasetKind, MotifKind};
 use midas_graph::{BatchUpdate, GraphDb, LabeledGraph};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -98,7 +98,19 @@ pub enum Refused {
 struct Job {
     ingest: Ingest,
     enqueued: Instant,
-    reply: Option<Sender<Arc<PatternSnapshot>>>,
+    reply: Option<Sender<Applied>>,
+}
+
+/// A job's reply: the snapshot its batch published (the current one if
+/// the batch was empty) and the [`PhaseError`] the batch's maintenance
+/// report carried, if a phase backstop contained a panic. A failed batch
+/// still publishes its epoch.
+#[derive(Debug, Clone)]
+pub struct Applied {
+    /// The snapshot published after the job.
+    pub snapshot: Arc<PatternSnapshot>,
+    /// The contained failure of the job's batch, if any.
+    pub error: Option<PhaseError>,
 }
 
 /// What the maintenance thread shares with the request handlers.
@@ -212,14 +224,9 @@ impl Tenant {
 
     /// Sends one job to the maintenance thread, behind every job accepted
     /// before it, without blocking. `reply`, if given, receives the
-    /// snapshot published by this job's batch (the current one if the
-    /// batch is empty). Returns the pending count with this job included;
+    /// job's [`Applied`]. Returns the pending count with this job included;
     /// a refused job leaves the count as it was.
-    pub fn enqueue(
-        &self,
-        ingest: Ingest,
-        reply: Option<Sender<Arc<PatternSnapshot>>>,
-    ) -> Result<u64, Refused> {
+    pub fn enqueue(&self, ingest: Ingest, reply: Option<Sender<Applied>>) -> Result<u64, Refused> {
         let jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
         let tx = jobs.as_ref().ok_or(Refused::Closed)?;
         // Counted before the send: the thread may apply the job and count
@@ -285,8 +292,9 @@ fn maintain(shared: &Shared, name: &str, kind: DatasetKind, jobs: Receiver<Job>)
             #[cfg(test)]
             Ingest::Panic => panic!("injected maintenance-thread panic"),
         };
+        let mut error = None;
         if !batch.is_empty() {
-            let _report = midas.apply_batch(batch);
+            error = midas.apply_batch(batch).error;
             if midas_obs::enabled() {
                 midas_obs::registry::registry()
                     .counter(&crate::metric(name, "serve.batches"))
@@ -298,7 +306,11 @@ fn maintain(shared: &Shared, name: &str, kind: DatasetKind, jobs: Receiver<Job>)
         export_gauges(name, &snap);
         set_pending(shared.pending.fetch_sub(1, Ordering::AcqRel) - 1);
         if let Some(reply) = job.reply {
-            let _ = reply.send(snap); // the caller may have timed out
+            let applied = Applied {
+                snapshot: snap,
+                error,
+            };
+            let _ = reply.send(applied); // the caller may have timed out
         }
     }
 }

@@ -1,5 +1,7 @@
-//! Profiling a batch: run one maintenance cycle with full telemetry and
-//! export `metrics.prom` + `trace.json`.
+//! Profiling a batch: run two maintenance cycles with full telemetry and
+//! export the second's `metrics.prom` + `trace.json`. The second batch's
+//! coverage scans are answered in part from the containment memo the
+//! first filled, as a serving tenant's later batches are.
 //!
 //! ```sh
 //! cargo run -p midas-examples --bin profile_batch
@@ -46,7 +48,9 @@ fn main() {
         midas.patterns().len()
     );
 
-    let update = midas_datagen::novel_family_batch(MotifKind::BoronicEster, 50, 99);
+    let warmup = midas_datagen::novel_family_batch(MotifKind::BoronicEster, 50, 99);
+    midas.apply_batch(warmup);
+    let update = midas_datagen::novel_family_batch(MotifKind::BoronicEster, 50, 100);
     let before = MetricsSnapshot::capture();
     let report = midas.apply_batch(update);
     let telemetry = MetricsSnapshot::capture().since(&before);

@@ -26,7 +26,9 @@ Policy:
   exit code stays 0, so noisy numbers annotate instead of block.
 * Kernel metrics are lower-is-better; a ``TRACKED`` one fails when
   ``latest > tolerance x trailing median``, any other warns beyond
-  ``SOFT_TOLERANCE``.
+  ``SOFT_TOLERANCE``. A ``TRACKED`` kernel metric that the newest kernel
+  record does not carry fails too: a row the bench stops emitting would
+  otherwise leave the gate without saying so.
 * Serve metrics take their direction (``better``) and tolerance
   (``bound``, a relative change) from the ``end_to_end`` table of
   ``BENCHMARK.json``. A serve run whose ``correct`` is false fails.
@@ -57,9 +59,8 @@ import time
 # this multiple of the trailing median. For a serve metric (``None``): the
 # ``bound`` that BENCHMARK.json states for it.
 TRACKED = {
-    "matrix_build/parallel_cached": 2.0,
-    "apply_batch/parallel_cached_repeat": 2.0,
     "matrix_build/plan_serial": 2.0,
+    "apply_batch/plan_serial": 2.0,
     # The serve read path over real HTTP, as wall time and as server CPU
     # per read: new work on `GET /v1/{t}/patterns` shows in both.
     "read_p50_us": None,
@@ -125,6 +126,10 @@ def gate(records, min_baseline=MIN_BASELINE):
     mode_name = "quick" if mode else "full"
 
     ok = True
+    for metric, tol in sorted(TRACKED.items()):
+        if tol is not None and metric not in latest["median_ns"]:
+            ok = False
+            lines.append(f"FAIL {metric}: tracked, but missing from the newest record")
     probe = latest.get("disabled_probe_ns")
     if probe is not None and float(probe) >= PROBE_BUDGET_NS:
         ok = False
@@ -288,15 +293,15 @@ def self_test():
     """The gate's own acceptance check: synthetic kernel and serve
     regressions must be caught, flat runs must pass."""
 
-    def rec(cached, repeat, probe=0.3, quick=False):
+    def rec(build, batch, probe=0.3, quick=False):
         return {
             "unix_ms": 0,
             "quick": quick,
             "disabled_probe_ns": probe,
             "median_ns": {
-                "matrix_build/parallel_cached": cached,
-                "apply_batch/parallel_cached_repeat": repeat,
-                "matrix_build/serial": 10 * cached,
+                "matrix_build/plan_serial": build,
+                "apply_batch/plan_serial": batch,
+                "matrix_build/serial": 10 * build,
             },
         }
 
@@ -304,7 +309,17 @@ def self_test():
 
     ok, lines = gate(baseline + [rec(205_000, 50_000)])
     assert not ok, f"2x regression must fail: {lines}"
-    assert any(l.startswith("FAIL matrix_build/parallel_cached") for l in lines), lines
+    assert any(l.startswith("FAIL matrix_build/plan_serial") for l in lines), lines
+
+    # A tracked kernel row the newest record lacks fails and is named,
+    # however good the rows it does carry look.
+    dropped = rec(90_000, 50_000)
+    del dropped["median_ns"]["apply_batch/plan_serial"]
+    ok, lines = gate(baseline + [dropped])
+    assert not ok, f"missing tracked metric must fail: {lines}"
+    assert any(
+        l.startswith("FAIL apply_batch/plan_serial") and "missing" in l for l in lines
+    ), lines
 
     ok, lines = gate(baseline + [rec(101_000, 51_000)])
     assert ok, f"flat run must pass: {lines}"
@@ -319,22 +334,17 @@ def self_test():
     # A newly tracked metric absent from older records skips (no baseline)
     # instead of failing, so extending TRACKED never breaks existing
     # histories.
-    fresh = rec(100_000, 50_000)
-    fresh["median_ns"]["matrix_build/plan_serial"] = 12_000_000
-    ok, lines = gate(baseline + [fresh])
+    old = [rec(100_000, 50_000) for _ in range(3)]
+    for r in old:
+        del r["median_ns"]["apply_batch/plan_serial"]
+    ok, lines = gate(old + [rec(100_000, 50_000)])
     assert ok, f"metric without baseline must skip, not fail: {lines}"
-    assert any(l.startswith("SKIP matrix_build/plan_serial") for l in lines), lines
+    assert any(l.startswith("SKIP apply_batch/plan_serial") for l in lines), lines
 
-    # Once the plan metric has history, a regression gates like the rest.
-    def rec_plan(plan):
-        r = rec(100_000, 50_000)
-        r["median_ns"]["matrix_build/plan_serial"] = plan
-        return r
-
-    plan_base = [rec_plan(10_000_000) for _ in range(3)]
-    ok, lines = gate(plan_base + [rec_plan(25_000_000)])
-    assert not ok, f"plan_serial 2.5x regression must fail: {lines}"
-    assert any(l.startswith("FAIL matrix_build/plan_serial") for l in lines), lines
+    # Once the batch metric has history, a regression gates like the rest.
+    ok, lines = gate(baseline + [rec(100_000, 125_000)])
+    assert not ok, f"apply_batch/plan_serial 2.5x regression must fail: {lines}"
+    assert any(l.startswith("FAIL apply_batch/plan_serial") for l in lines), lines
 
     # Serve records live in the same history: the kernel gate skips them
     # and the serve gate skips kernel records.

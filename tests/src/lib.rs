@@ -2,7 +2,7 @@
 
 use midas_catapult::PatternBudget;
 use midas_core::MidasConfig;
-use midas_graph::{CachedPattern, Csr, GraphBuilder, GraphDb, GraphId, LabeledGraph, MatchKernel};
+use midas_graph::{GraphBuilder, GraphDb, LabeledGraph};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -64,19 +64,6 @@ pub fn test_config(seed: u64) -> MidasConfig {
         seed,
         ..MidasConfig::default()
     }
-}
-
-/// `pattern`'s count, capped at `cap`, in each of `graphs` through
-/// `kernel`: the one-pattern [`MatchKernel::count_grid`].
-pub fn count_row(
-    kernel: &MatchKernel,
-    pattern: &LabeledGraph,
-    graphs: &[(GraphId, &Csr)],
-    cap: u64,
-) -> Vec<u64> {
-    let prepared = CachedPattern::new(pattern);
-    let grid = kernel.count_grid(&[&prepared], graphs, cap);
-    grid.into_iter().map(|row| row[0]).collect()
 }
 
 /// Builds a labeled path graph.

@@ -102,7 +102,7 @@ fn substrate_stays_consistent_across_batches() {
             }
         }
         // Index graph columns only reference live graphs.
-        for (_, gid, _) in midas.fct_index().tg().iter() {
+        for (_, gid, _) in midas.fct_index().cells() {
             assert!(midas.db().contains(gid));
         }
     }

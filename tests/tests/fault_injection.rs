@@ -12,11 +12,12 @@
 use midas_core::{Midas, MidasConfig, PhaseError};
 use midas_datagen::{novel_family_batch, DatasetKind, DatasetSpec, MotifKind};
 use midas_graph::exec::{map_tasks, panic_message, set_fault_for_tests, slow_fault, Fault};
-use midas_graph::{CachedPattern, Csr, GraphId, MatchKernel};
+use midas_graph::{Csr, GraphId, LabeledGraph, MatchKernel};
 use midas_oracle::fault_containment_pass;
-use midas_oracle::vf2::count_embeddings;
+use midas_oracle::vf2::is_subgraph_of;
 use midas_serve::client::ServeClient;
-use midas_serve::{ServeConfig, ServeDaemon};
+use midas_serve::json::Value;
+use midas_serve::{GenOp, GenSpec, ServeConfig, ServeDaemon};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Runs `f` with the fault injector armed at `fault` and the default
@@ -131,43 +132,89 @@ fn injected_worker_panic_is_contained_end_to_end() {
     assert_eq!(reply.status, 201, "{}", reply.body);
     daemon.shutdown();
 
-    // Phase 7: a task panic inside a kernel grid scan leaves the kernel's
-    // memo coherent. Task 17 fails before graph 17 is probed, so graphs
-    // 0..17 are memoized and nothing else. Disarmed, a rerun on the same
-    // kernel equals the VF2 reference, every cell is one hit or one miss,
-    // and exactly the cells stored before the panic hit.
+    // Phase 7: a task panic inside a kernel coverage scan leaves the
+    // kernel's memo coherent. The scan is pattern-major, one `covered_in`
+    // per pattern: task 17 fails before the first pattern probes graph
+    // 17, so its answers for graphs 0..17 are memoized and nothing else.
+    // Disarmed, a rerun on the same kernel equals the VF2 reference, every
+    // cell is one hit or one miss, and exactly the cells stored before the
+    // panic hit.
     let db = DatasetSpec::new(DatasetKind::AidsLike, 40, 11)
         .generate()
         .db;
     let graphs: Vec<(GraphId, &Csr)> = db.csrs().collect();
     let kernel = MatchKernel::new();
-    let patterns: Vec<CachedPattern> = db
+    let patterns: Vec<LabeledGraph> = db
         .iter()
         .take(4)
-        .map(|(_, g)| CachedPattern::new(&g.edge_subgraph(&g.edges()[..2])))
+        .map(|(_, g)| g.edge_subgraph(&g.edges()[..2]))
         .collect();
-    let batch: Vec<&CachedPattern> = patterns.iter().collect();
+    let scan = || -> Vec<Vec<bool>> {
+        patterns
+            .iter()
+            .map(|p| kernel.covered_in(p, &graphs))
+            .collect()
+    };
     let payload = armed(Fault::Task(17), || {
-        catch_unwind(AssertUnwindSafe(|| kernel.count_grid(&batch, &graphs, 64)))
-            .expect_err("the armed task must unwind out of the grid")
+        catch_unwind(AssertUnwindSafe(scan))
+            .expect_err("the armed task must unwind out of the scan")
     });
     assert_eq!(
         panic_message(payload),
         "injected fault at task 17 (MIDAS_FAULT)"
     );
     let before = kernel.cache().stats();
-    assert_eq!(
-        (before.hits, before.misses),
-        (0, 17 * patterns.len() as u64)
-    );
-    let grid = kernel.count_grid(&batch, &graphs, 64);
-    for ((_, g), row) in db.iter().zip(&grid) {
-        for (p, &got) in patterns.iter().zip(row) {
-            assert_eq!(got, count_embeddings(p.graph(), g, 64));
+    assert_eq!((before.hits, before.misses), (0, 17));
+    let answers = scan();
+    for (p, row) in patterns.iter().zip(&answers) {
+        for ((_, g), &got) in db.iter().zip(row) {
+            assert_eq!(got, is_subgraph_of(p, g));
         }
     }
     let after = kernel.cache().stats();
     let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
     assert_eq!(hits + misses, (graphs.len() * patterns.len()) as u64);
     assert_eq!(hits, before.misses);
+
+    // Phase 8: a sync update whose batch hits a contained fault answers
+    // 500 naming the phase, and the failed batch still publishes its
+    // epoch; the next sync update answers 200.
+    let daemon = ServeDaemon::start(ServeConfig::default()).expect("start daemon");
+    let client = ServeClient::new(daemon.addr().to_string());
+    let reply = client
+        .create_tenant("synced", "aids_like", 20, 7, "small")
+        .expect("request");
+    assert_eq!(reply.status, 201, "{}", reply.body);
+    let epoch = client.epoch("synced").expect("epoch").epoch;
+    let growth = |seed| GenSpec {
+        op: GenOp::Growth,
+        percent: 20.0,
+        count: 0,
+        motif: None,
+        seed,
+    };
+    let reply = armed(Fault::Task(0), || {
+        client.post_generate("synced", &growth(3), true)
+    })
+    .expect("request");
+    assert_eq!(reply.status, 500, "{}", reply.body);
+    let doc = Value::parse(&reply.body).expect("error body is JSON");
+    assert_eq!(
+        doc.get("phase").and_then(Value::as_str),
+        Some("batch.index"),
+        "{}",
+        reply.body
+    );
+    assert_eq!(
+        doc.get("error").and_then(Value::as_str),
+        Some("injected fault at task 0 (MIDAS_FAULT)")
+    );
+    let failed_epoch = doc.get("epoch").and_then(Value::as_u64).expect("epoch");
+    assert!(failed_epoch > epoch, "{}", reply.body);
+    assert_eq!(client.epoch("synced").expect("epoch").epoch, failed_epoch);
+    let reply = client
+        .post_generate("synced", &growth(4), true)
+        .expect("request");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    daemon.shutdown();
 }

@@ -1,8 +1,8 @@
-//! Property tests for the memoized isomorphism kernel: every cached
-//! path — the memo, the kernel's bulk operations, the FCT-Index's cells
-//! and index-accelerated coverage — must agree exactly with the uncached
-//! VF2 reference, including across insert/delete invalidation, and the
-//! signature prefilter must never reject a true embedding.
+//! Property tests for the memoized containment kernel and the FCT-Index's
+//! own counting: the memo, the kernel's bulk operations, the index's TG
+//! cells and index-accelerated coverage must agree exactly with the
+//! uncached VF2 reference, including across insert/delete invalidation,
+//! and the signature prefilter must never reject a true embedding.
 
 use midas_catapult::score::{set_measures, set_quality, SetQuality};
 use midas_graph::{
@@ -12,11 +12,9 @@ use midas_index::scov::covered_graphs;
 use midas_index::{FctIndex, EMBED_CAP};
 use midas_mining::{tree_key, EdgeCatalog, TreeKey};
 use midas_oracle::vf2::{count_embeddings, is_subgraph_of, GraphSignature};
-use midas_tests::{connected_graph_strategy, count_row, path, triangle};
+use midas_tests::{connected_graph_strategy, path, triangle};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-
-const CAP: u64 = 64;
 
 fn db_refs(db: &GraphDb) -> Vec<(GraphId, &LabeledGraph)> {
     db.iter().map(|(id, g)| (id, g.as_ref())).collect()
@@ -43,8 +41,9 @@ fn two_edge_paths(g: &LabeledGraph) -> Vec<LabeledGraph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Kernel bulk counts equal the serial uncached loop, on first
-    /// (cold) and second (fully memoized) passes alike.
+    /// Kernel containment answers (the memo's cap-1 counts) equal the
+    /// serial uncached loop, on first (cold) and second (fully memoized)
+    /// passes alike.
     #[test]
     fn kernel_counts_match_serial(
         graphs in proptest::collection::vec(connected_graph_strategy(6, 3), 2..8),
@@ -56,17 +55,16 @@ proptest! {
         let kernel = MatchKernel::new();
         for pass in 0..2 {
             for p in &patterns {
-                let got = count_row(&kernel, p, &csrs, CAP);
                 let covered = kernel.covered_in(p, &csrs);
                 for (i, &(_, g)) in refs.iter().enumerate() {
-                    prop_assert_eq!(got[i], count_embeddings(p, g, CAP), "pass {}", pass);
                     prop_assert_eq!(covered[i], is_subgraph_of(p, g), "pass {}", pass);
                 }
             }
         }
     }
 
-    /// The grid (many patterns × many graphs) equals nested serial loops.
+    /// The set-coverage scan (many patterns × many graphs) equals nested
+    /// serial loops, cold and warm.
     #[test]
     fn kernel_grid_matches_serial(
         graphs in proptest::collection::vec(connected_graph_strategy(6, 3), 2..6),
@@ -76,11 +74,11 @@ proptest! {
         let refs = db_refs(&db);
         let kernel = MatchKernel::new();
         let prepared: Vec<CachedPattern> = patterns.iter().map(CachedPattern::new).collect();
-        let batch: Vec<&CachedPattern> = prepared.iter().collect();
-        let grid = kernel.count_grid(&batch, &csr_refs(&db), CAP);
-        for (i, &(_, g)) in refs.iter().enumerate() {
-            for (j, p) in patterns.iter().enumerate() {
-                prop_assert_eq!(grid[i][j], count_embeddings(p, g, CAP));
+        for pass in 0..2 {
+            let any = kernel.any_covered_in(&prepared, &csr_refs(&db));
+            for (i, &(_, g)) in refs.iter().enumerate() {
+                let want = patterns.iter().any(|p| is_subgraph_of(p, g));
+                prop_assert_eq!(any[i], want, "pass {}", pass);
             }
         }
     }
@@ -100,7 +98,7 @@ proptest! {
         let mut db = GraphDb::from_graphs(initial);
         let kernel = MatchKernel::new();
         // Warm the cache on the initial state.
-        count_row(&kernel, &pattern, &csr_refs(&db), CAP);
+        kernel.covered_in(&pattern, &csr_refs(&db));
 
         // Mutate: optionally delete the first graph, then insert `added`.
         let mut update = midas_graph::BatchUpdate::insert_only(added);
@@ -113,9 +111,9 @@ proptest! {
         }
 
         let refs = db_refs(&db);
-        let got = count_row(&kernel, &pattern, &csr_refs(&db), CAP);
+        let got = kernel.covered_in(&pattern, &csr_refs(&db));
         for (i, &(_, g)) in refs.iter().enumerate() {
-            prop_assert_eq!(got[i], count_embeddings(&pattern, g, CAP));
+            prop_assert_eq!(got[i], is_subgraph_of(&pattern, g));
         }
     }
 
@@ -159,7 +157,7 @@ proptest! {
                 .flat_map(|(_, g)| two_edge_paths(g))
                 .map(|tree| (tree_key(&tree), tree))
                 .collect();
-            let fct = FctIndex::build(&kernel, paths, &csr_refs(db));
+            let fct = FctIndex::build(paths, &csr_refs(db));
             let catalog = EdgeCatalog::build(refs.iter().copied());
             let universe: BTreeSet<GraphId> = db.ids().collect();
             let want: BTreeSet<GraphId> = refs
@@ -204,32 +202,34 @@ proptest! {
     }
 }
 
-/// The memo's batched route equals the serial VF2 reference, on a cold
-/// memo and on a partially warm one, including a pattern the plan's
-/// label-demand prefilter proves absent.
+/// The memo's containment answers equal the serial VF2 reference, on a
+/// cold memo and on a partially warm one, including a pattern the plan's
+/// label-demand prefilter proves absent. (Named for the count memo it
+/// replaced: an answer is the cap-1 count.)
 #[test]
 fn cache_batched_counts_match_vf2() {
     let patterns: Vec<CachedPattern> = [path(&[0, 0]), path(&[0, 9]), triangle(0)]
         .iter()
         .map(CachedPattern::new)
         .collect();
-    let batch: Vec<&CachedPattern> = patterns.iter().collect();
     let g = triangle(0);
     let t = Csr::from_graph(&g);
-    let want: Vec<u64> = patterns
+    let want: Vec<bool> = patterns
         .iter()
-        .map(|p| count_embeddings(p.graph(), &g, CAP))
+        .map(|p| is_subgraph_of(p.graph(), &g))
         .collect();
+    assert_eq!(want, vec![true, false, true]);
     let cache = EmbeddingCache::new();
-    assert_eq!(
-        cache.count_embeddings_many(&batch, GraphId(12), &t, CAP),
-        want
-    );
-    cache.count_embeddings(&patterns[0], GraphId(3), &t, CAP);
-    assert_eq!(
-        cache.count_embeddings_many(&batch, GraphId(3), &t, CAP),
-        want
-    );
+    let answers = |id: GraphId| -> Vec<bool> {
+        patterns
+            .iter()
+            .map(|p| cache.is_subgraph(p, id, &t))
+            .collect()
+    };
+    assert_eq!(answers(GraphId(12)), want);
+    cache.is_subgraph(&patterns[0], GraphId(3), &t);
+    assert_eq!(answers(GraphId(3)), want);
+    assert_eq!(cache.stats().hits, 1);
 }
 
 /// Every TG cell of `index` in `graphs` (numbered from `first`) equals
@@ -238,7 +238,7 @@ fn assert_cells_match_vf2(index: &FctIndex, graphs: &[LabeledGraph], first: u64)
     for (fid, feature) in index.features() {
         for (i, g) in graphs.iter().enumerate() {
             let want = count_embeddings(feature.tree(), g, EMBED_CAP) as u32;
-            assert_eq!(index.tg().get(fid, GraphId(first + i as u64)), want);
+            assert_eq!(index.count(fid, GraphId(first + i as u64)), want);
         }
     }
 }
@@ -260,42 +260,46 @@ fn keyed(features: &[LabeledGraph]) -> Vec<(TreeKey, LabeledGraph)> {
     features.iter().map(|t| (tree_key(t), t.clone())).collect()
 }
 
-/// An FCT-Index built through the kernel, then refreshed to a new
+/// An FCT-Index built by its own counting, then refreshed to a new
 /// feature set, holds VF2's counts in every cell.
 #[test]
 fn kernel_build_matches_serial_build() {
     let features = [path(&[0, 1]), path(&[0, 1, 2]), path(&[1, 2])];
     let graphs = [path(&[0, 1, 2]), path(&[1, 0, 1]), path(&[0, 1, 2, 1, 0])];
     let views = numbered_csrs(&graphs, 0);
-    let kernel = MatchKernel::new();
-    let mut index = FctIndex::build(&kernel, keyed(&features), &borrowed(&views));
+    let mut index = FctIndex::build(keyed(&features), &borrowed(&views));
     assert_eq!(index.feature_count(), features.len());
     assert_cells_match_vf2(&index, &graphs, 0);
     // Keep C-O-N, drop C-O and O-N, add N-O-N.
     let con = path(&[0, 1, 2]);
     let non = path(&[2, 1, 2]);
     let target = vec![(tree_key(&con), &con), (tree_key(&non), &non)];
-    index.refresh_features(&kernel, &target, &borrowed(&views));
+    index.refresh_features(&target, &borrowed(&views));
     assert_eq!(index.feature_count(), 2);
     assert_cells_match_vf2(&index, &graphs, 0);
 }
 
-/// Graph columns added through the kernel hold VF2's counts, and a
-/// second pass is served from the memo and stays identical.
+/// Graph columns added to the index hold VF2's counts, whether `Δ⁺`
+/// arrives at once or in two waves whose ids interleave with the rows'.
 #[test]
 fn add_graphs_kernel_matches_serial_columns() {
     let features = [path(&[0, 1]), path(&[0, 1, 2])];
     let seeds = numbered_csrs(&[path(&[0, 1, 2]), path(&[1, 0, 1])], 1);
-    let kernel = MatchKernel::new();
-    let mut index = FctIndex::build(&kernel, keyed(&features), &borrowed(&seeds));
+    let mut index = FctIndex::build(keyed(&features), &borrowed(&seeds));
+    let mut waves = index.clone();
     let news = [path(&[0, 1, 0, 1]), path(&[2, 1, 0])];
     let views = numbered_csrs(&news, 10);
-    index.add_graphs(&kernel, &borrowed(&views));
+    index.add_graphs(&borrowed(&views));
     assert_cells_match_vf2(&index, &news, 10);
-    let before = kernel.cache().stats().misses;
-    index.add_graphs(&kernel, &borrowed(&views));
-    assert_eq!(kernel.cache().stats().misses, before);
-    assert_cells_match_vf2(&index, &news, 10);
+    let low = numbered_csrs(&news, 0);
+    waves.add_graphs(&borrowed(&views[1..]));
+    waves.add_graphs(&borrowed(&low[..1]));
+    waves.add_graphs(&borrowed(&views[..1]));
+    assert_cells_match_vf2(&waves, &news, 10);
+    assert_cells_match_vf2(&waves, &news[..1], 0);
+    for (_, feature) in waves.features() {
+        assert!(feature.row().windows(2).all(|w| w[0].0 < w[1].0));
+    }
 }
 
 /// Index-accelerated coverage equals VF2 over every sub-universe of a
@@ -307,7 +311,7 @@ fn kernel_covered_graphs_matches_serial() {
     // DB: G0 = C-O-N-S, G1 = C-O-C, G2 = S-N; one feature, O-C-O.
     let db = GraphDb::from_graphs([path(&[0, 1, 2, 3]), path(&[0, 1, 0]), path(&[3, 2])]);
     let kernel = MatchKernel::new();
-    let fct = FctIndex::build(&kernel, keyed(&[path(&[1, 0, 1])]), &csr_refs(&db));
+    let fct = FctIndex::build(keyed(&[path(&[1, 0, 1])]), &csr_refs(&db));
     let catalog = EdgeCatalog::build(db_refs(&db));
     let ids: Vec<GraphId> = db.ids().collect();
     let patterns: [&[u32]; 6] = [

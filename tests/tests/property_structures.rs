@@ -9,10 +9,11 @@ use midas_core::patterns::PatternStore;
 use midas_core::swap::{multi_scan_swap, SwapParams};
 use midas_graph::{ClosureGraph, Csr, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::scov::{candidate_graphs, profile_pattern, PatternProfile};
-use midas_index::{FctIndex, FeatureId, SparseMatrix, EMBED_CAP};
+use midas_index::{FctIndex, FeatureId, EMBED_CAP};
 use midas_mining::canonical::edge_tree;
 use midas_mining::incremental::FctState;
 use midas_mining::{tree_key, EdgeCatalog, MiningConfig, TreeKey};
+use midas_oracle::reference_tg_cells;
 use midas_oracle::vf2::count_embeddings;
 use midas_tests::{connected_graph_sized, connected_graph_strategy, tree_strategy};
 use proptest::prelude::*;
@@ -88,15 +89,82 @@ proptest! {
         // Only tree-shaped features are meaningful; skip others.
         prop_assume!(midas_mining::canonical::is_tree(&feature));
         let db = GraphDb::from_graphs(graphs);
-        let kernel = MatchKernel::new();
         let key = midas_mining::tree_key(&feature);
-        let mut index = FctIndex::build(&kernel, [(key, feature)], &db.csrs().collect::<Vec<_>>());
-        let before: Vec<_> = index.tg().iter().collect::<Vec<_>>();
+        let mut index = FctIndex::build([(key, feature)], &db.csrs().collect::<Vec<_>>());
+        let before: Vec<_> = index.cells().collect::<Vec<_>>();
         let newcomer = Csr::from_graph(&newcomer);
-        index.add_graphs(&kernel, &[(GraphId(999), &newcomer)]);
+        index.add_graphs(&[(GraphId(999), &newcomer)]);
         index.remove_graph(GraphId(999));
-        let after: Vec<_> = index.tg().iter().collect::<Vec<_>>();
+        let after: Vec<_> = index.cells().collect::<Vec<_>>();
         prop_assert_eq!(before, after);
+    }
+
+    /// The TG rows under interleaved maintenance: `Δ⁺` waves whose fresh
+    /// ids arrive out of order (and below ids already present), column
+    /// removals and feature refreshes. After every step each row is
+    /// strictly increasing in `GraphId` and holds no zero, the rows are
+    /// exactly the wanted features, and every cell equals VF2's count over
+    /// the live graphs.
+    #[test]
+    fn tg_rows_stay_sorted_and_exact_under_interleaved_maintenance(
+        trees in proptest::collection::vec(tree_strategy(4, 3), 1..6),
+        pool in proptest::collection::vec(connected_graph_strategy(6, 3), 4..12),
+        ids in Just((0..12u64).collect::<Vec<u64>>()).prop_shuffle(),
+        ops in proptest::collection::vec((0u8..3, 0usize..64), 1..12),
+    ) {
+        let keyed: Vec<(TreeKey, LabeledGraph)> =
+            trees.iter().map(|t| (tree_key(t), t.clone())).collect();
+        let mut wanted: Vec<(TreeKey, LabeledGraph)> = keyed.clone();
+        let mut index = FctIndex::build(keyed.iter().cloned(), &[]);
+        let mut live: BTreeMap<GraphId, (LabeledGraph, Csr)> = BTreeMap::new();
+        let mut next = 0;
+        for (step, &(op, arg)) in ops.iter().enumerate() {
+            match op {
+                0 => {
+                    let take = (1 + arg % 3).min(pool.len() - next);
+                    let wave: Vec<(GraphId, Csr)> = (next..next + take)
+                        .map(|i| (GraphId(ids[i]), Csr::from_graph(&pool[i])))
+                        .collect();
+                    let views: Vec<(GraphId, &Csr)> = wave.iter().map(|(id, c)| (*id, c)).collect();
+                    index.add_graphs(&views);
+                    for (i, (id, csr)) in (next..next + take).zip(wave) {
+                        live.insert(id, (pool[i].clone(), csr));
+                    }
+                    next += take;
+                }
+                1 if !live.is_empty() => {
+                    let id = *live.keys().nth(arg % live.len()).unwrap();
+                    live.remove(&id);
+                    index.remove_graph(id);
+                }
+                _ => {
+                    wanted = keyed
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| arg & (1 << i) != 0)
+                        .map(|(_, f)| f.clone())
+                        .collect();
+                    let target: Vec<(TreeKey, &LabeledGraph)> =
+                        wanted.iter().map(|(k, t)| (k.clone(), t)).collect();
+                    let views: Vec<(GraphId, &Csr)> =
+                        live.iter().map(|(&id, (_, c))| (id, c)).collect();
+                    index.refresh_features(&target, &views);
+                }
+            }
+            for (_, feature) in index.features() {
+                let row = feature.row();
+                prop_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "step {}: unsorted row", step);
+                prop_assert!(row.iter().all(|&(_, c)| c > 0), "step {}: stored zero", step);
+            }
+            let keys: BTreeSet<&TreeKey> = index.features().map(|(_, f)| &f.key).collect();
+            prop_assert_eq!(keys, wanted.iter().map(|(k, _)| k).collect::<BTreeSet<_>>());
+            let want = reference_tg_cells(&wanted, live.iter().map(|(&id, (g, _))| (id, g)));
+            let have: BTreeMap<(TreeKey, GraphId), u32> = index
+                .features()
+                .flat_map(|(_, f)| f.row().iter().map(move |&(g, c)| ((f.key.clone(), g), c)))
+                .collect();
+            prop_assert_eq!(have, want, "step {}", step);
+        }
     }
 
     /// One pattern profile: the FCT-Index's `pattern_counts` equals the
@@ -111,7 +179,6 @@ proptest! {
     ) {
         let db = GraphDb::from_graphs(graphs);
         let fct = FctIndex::build(
-            &MatchKernel::new(),
             trees
                 .into_iter()
                 .filter(|t| t.edge_count() > 1)
@@ -158,15 +225,26 @@ proptest! {
         universe in proptest::collection::vec(0u64..16, 0..10),
     ) {
         let edge = |l: u32| EdgeLabel::new(l, l + 1);
-        let tg = SparseMatrix::from_triples(
-            tg.into_iter().map(|(f, g, c)| (FeatureId(f), GraphId(g), c)),
-        );
+        // The last write to a repeated cell wins.
+        let tg: BTreeMap<(FeatureId, GraphId), u32> = tg
+            .into_iter()
+            .map(|(f, g, c)| ((FeatureId(f), GraphId(g)), c))
+            .collect();
+        let mut rows: BTreeMap<FeatureId, Vec<(GraphId, u32)>> = BTreeMap::new();
+        for (&(f, g), &c) in &tg {
+            rows.entry(f).or_default().push((g, c));
+        }
+        let row = |f: FeatureId| rows.get(&f).map_or(&[][..], Vec::as_slice);
         // Edge cells hold labels 0..3, so label 3 is absent from the catalog.
-        let eg = SparseMatrix::from_triples(
-            eg.into_iter().map(|(l, g, c)| (edge(l), GraphId(g), c)),
-        );
+        let eg: BTreeMap<(EdgeLabel, GraphId), u32> = eg
+            .into_iter()
+            .map(|(l, g, c)| ((edge(l), GraphId(g)), c))
+            .collect();
         let graphs: BTreeMap<GraphId, LabeledGraph> = (0..12)
-            .map(|g| (GraphId(g), disjoint_edges(eg.iter().filter(|&(_, id, _)| id == GraphId(g)))))
+            .map(|g| {
+                let cells = eg.iter().filter(|&(&(_, id), _)| id == GraphId(g));
+                (GraphId(g), disjoint_edges(cells.map(|(&(label, _), &count)| (label, count))))
+            })
             .collect();
         let catalog = EdgeCatalog::build(graphs.iter().map(|(&id, g)| (id, g)));
         // One entry per feature and per label, as `profile_pattern` makes them.
@@ -181,20 +259,23 @@ proptest! {
             .iter()
             .copied()
             .filter(|&g| {
-                profile.fct_counts.iter().all(|&(f, need)| tg.get(f, g) >= need)
+                profile
+                    .fct_counts
+                    .iter()
+                    .all(|&(f, need)| tg.get(&(f, g)).is_some_and(|&c| c >= need))
                     && profile.edge_counts.iter().all(|&(l, need)| {
-                        catalog.get(l).is_none() || eg.get(l, g) >= need
+                        catalog.get(l).is_none() || eg.get(&(l, g)).is_some_and(|&c| c >= need)
                     })
             })
             .collect();
-        prop_assert_eq!(candidate_graphs(&tg, &catalog, &profile, &universe), naive);
+        prop_assert_eq!(candidate_graphs(row, &catalog, &profile, &universe), naive);
         let all: Vec<GraphId> = universe.iter().copied().collect();
         prop_assert_eq!(
-            candidate_graphs(&tg, &catalog, &PatternProfile::default(), &universe),
+            candidate_graphs(row, &catalog, &PatternProfile::default(), &universe),
             all,
             "an empty profile returns the whole universe"
         );
-        prop_assert!(candidate_graphs(&tg, &catalog, &profile, &BTreeSet::new()).is_empty());
+        prop_assert!(candidate_graphs(row, &catalog, &profile, &BTreeSet::new()).is_empty());
     }
 
     /// The filter over ≥ 2-edge FCT rows and catalog occurrences keeps the
@@ -218,11 +299,11 @@ proptest! {
             .into_iter()
             .map(|(k, e)| (k.clone(), e.tree.clone()))
             .collect();
-        let fct = FctIndex::build(&MatchKernel::new(), rows, &db.csrs().collect::<Vec<_>>());
+        let fct = FctIndex::build(rows, &db.csrs().collect::<Vec<_>>());
         let catalog = &state.edges;
         let universe: BTreeSet<GraphId> = universe.into_iter().map(GraphId).collect();
         let profile = profile_pattern(&fct, catalog, &pattern);
-        let survivors = candidate_graphs(fct.tg(), catalog, &profile, &universe);
+        let survivors = candidate_graphs(|f| fct.row(f), catalog, &profile, &universe);
 
         // Def. 5.1's rows: every FCT, then every frequent edge as a tree.
         let mut features: BTreeMap<TreeKey, LabeledGraph> = state
@@ -332,10 +413,10 @@ proptest! {
 }
 
 /// A graph of disjoint edges: `count` edges labeled `label` for each
-/// `(label, _, count)` cell.
-fn disjoint_edges<'a>(cells: impl Iterator<Item = (EdgeLabel, GraphId, u32)> + 'a) -> LabeledGraph {
+/// `(label, count)` cell.
+fn disjoint_edges(cells: impl Iterator<Item = (EdgeLabel, u32)>) -> LabeledGraph {
     let mut g = LabeledGraph::new();
-    for (label, _, count) in cells {
+    for (label, count) in cells {
         for _ in 0..count {
             let u = g.add_vertex(label.0);
             let v = g.add_vertex(label.1);

@@ -222,12 +222,15 @@ fn fct_child_spans_nest_inside_batch_fct() {
 
 /// One batch's delta rendered as Prometheus text — what `profile_batch`
 /// writes to `metrics.prom` — carries every family the CI telemetry gate
-/// (`scripts/check_telemetry.py`) requires.
+/// (`scripts/check_telemetry.py`) requires. As in `profile_batch`, the
+/// measured batch is the second: its coverage scans are answered in part
+/// from containment answers the first batch memoized.
 #[test]
 fn batch_delta_renders_the_gated_prom_families() {
     let _g = exclusive();
     metrics_on();
     let mut midas = Midas::bootstrap(seed_db(), test_config(11)).unwrap();
+    midas.apply_batch(BatchUpdate::insert_only(dense_wave()));
     let (_, delta) = measured_batch(&mut midas, BatchUpdate::insert_only(dense_wave()));
     TelemetryConfig::default().activate();
 
