@@ -66,12 +66,11 @@ fn main() {
         &rows,
     );
 
-    // Sweep κ = λ.
+    // Sweep κ (λ = κ).
     let mut rows = Vec::new();
     for kappa in [0.05, 0.1, 0.2, 0.4] {
         let mut config = experiment_config(11);
         config.kappa = kappa;
-        config.lambda = kappa;
         config.epsilon = 0.0; // force pattern maintenance so PGT is visible
         let mut midas = Midas::bootstrap(db.clone(), config).expect("non-empty");
         let update = growth_batch(&kind.params(), batch_size, 43);

@@ -37,5 +37,6 @@ pub use candidates::{generate_fcp, CandidateHook};
 pub use score::{lcov_pattern, pattern_score, PatternScoreParts};
 pub use select::{
     select_patterns, select_patterns_with_stats, PatternBudget, SelectionConfig, SelectionStats,
+    MWU_PENALTY,
 };
 pub use weights::WeightedCsg;

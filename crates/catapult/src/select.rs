@@ -63,6 +63,10 @@ impl PatternBudget {
     }
 }
 
+/// Multiplicative-weights penalty factor applied to a CSG's edges after
+/// each selection from it.
+pub const MWU_PENALTY: f64 = 0.5;
+
 /// Selection parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct SelectionConfig {
@@ -74,8 +78,6 @@ pub struct SelectionConfig {
     pub walk_length: usize,
     /// Seed ranks tried per (CSG, size) when proposing candidates.
     pub seeds_per_size: usize,
-    /// Multiplicative-weights penalty factor applied after each selection.
-    pub mwu_penalty: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -87,7 +89,6 @@ impl Default for SelectionConfig {
             walks: 100,
             walk_length: 24,
             seeds_per_size: 3,
-            mwu_penalty: 0.5,
             seed: 0,
         }
     }
@@ -223,7 +224,7 @@ pub fn select_patterns_with_stats(
         };
         seen.insert(code);
         *per_size.entry(chosen.edge_count()).or_insert(0) += 1;
-        csgs[source].penalize(&chosen, config.mwu_penalty);
+        csgs[source].penalize(&chosen, MWU_PENALTY);
         patterns.push(chosen);
     }
     stats.classes = classes.len() as u64;

@@ -20,29 +20,29 @@ impl std::fmt::Display for ClusterId {
     }
 }
 
-/// One graph cluster: members, centroid, and its cluster summary graph.
+/// One graph cluster: its cluster summary graph, whose member set is the
+/// cluster's, and its centroid.
 #[derive(Debug, Clone)]
 pub struct Cluster {
-    members: BTreeSet<GraphId>,
     centroid: Vec<f64>,
     csg: ClosureGraph,
     dirty: bool,
 }
 
 impl Cluster {
-    /// Member graph ids.
+    /// Member graph ids: the CSG's member set.
     pub fn members(&self) -> &BTreeSet<GraphId> {
-        &self.members
+        self.csg.members()
     }
 
     /// Number of members `|C_i|`.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.members().len()
     }
 
     /// Whether the cluster has no members.
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.members().is_empty()
     }
 
     /// The cluster summary graph.
@@ -178,7 +178,6 @@ impl ClusterSet {
         self.clusters.insert(
             id,
             Cluster {
-                members: members.into_iter().collect(),
                 centroid,
                 csg,
                 dirty: true,
@@ -295,8 +294,7 @@ impl ClusterSet {
         };
         {
             let cluster = self.clusters.get_mut(&target).expect("target exists");
-            let m = cluster.members.len() as f64;
-            cluster.members.insert(id);
+            let m = cluster.len() as f64;
             cluster.csg.insert_graph(id, graph);
             cluster.dirty = true;
             // Incremental centroid update: c' = (c·m + x) / (m + 1).
@@ -308,7 +306,7 @@ impl ClusterSet {
             }
         }
         self.membership.insert(id, target);
-        if self.clusters[&target].members.len() > self.config.max_cluster_size {
+        if self.clusters[&target].len() > self.config.max_cluster_size {
             self.split(db, target)
         } else {
             vec![target]
@@ -324,10 +322,9 @@ impl ClusterSet {
         let cid = self.membership.remove(&id)?;
         let v = self.member_vectors.remove(&id).unwrap_or_default();
         let cluster = self.clusters.get_mut(&cid).expect("membership consistent");
-        cluster.members.remove(&id);
         cluster.csg.remove_graph(id, graph);
         cluster.dirty = true;
-        let m = cluster.members.len() as f64;
+        let m = cluster.len() as f64;
         if m == 0.0 {
             self.clusters.remove(&cid);
         } else {
@@ -347,7 +344,7 @@ impl ClusterSet {
     fn split(&mut self, db: &GraphDb, cid: ClusterId) -> Vec<ClusterId> {
         let _span = midas_obs::span!("batch.cluster.split");
         let cluster = self.clusters.remove(&cid).expect("cluster exists");
-        let members: Vec<GraphId> = cluster.members.iter().copied().collect();
+        let members: Vec<GraphId> = cluster.members().iter().copied().collect();
         for id in &members {
             self.membership.remove(id);
         }
@@ -480,10 +477,14 @@ mod tests {
 
     #[test]
     fn csgs_cover_cluster_members() {
+        // Each member's edges are in its cluster's CSG, supported by it.
         let db = two_family_db();
         let (set, _) = build_set(&db, 2, 100);
         for (_, cluster) in set.iter() {
-            assert_eq!(cluster.csg().members().len(), cluster.len());
+            for &id in cluster.members() {
+                let supported = cluster.csg().edges().filter(|(_, _, s)| s.contains(&id));
+                assert_eq!(supported.count(), db.get(id).unwrap().edge_count());
+            }
         }
     }
 

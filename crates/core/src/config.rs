@@ -5,7 +5,10 @@ use midas_mining::MiningConfig;
 
 /// All tunables of the MIDAS framework, defaulting to the paper's settings
 /// (§7.1): `η_min = 3`, `η_max = 12`, `γ = 30`, `sup_min = 0.5`, `ε = 0.1`,
-/// `κ = λ = 0.1`.
+/// `κ = λ = 0.1`. The paper sets the score threshold `λ` equal to `κ`, so
+/// `λ` is derived from `κ`, not set; the selection penalty and the KS
+/// level are the constants [`midas_catapult::MWU_PENALTY`] and
+/// [`crate::swap::KS_ALPHA`].
 #[derive(Debug, Clone, Copy)]
 pub struct MidasConfig {
     /// Pattern budget `b = (η_min, η_max, γ)`.
@@ -17,10 +20,8 @@ pub struct MidasConfig {
     /// Evolution ratio threshold `ε`: graphlet-distribution distance at or
     /// above this marks a *major* modification (§3.4).
     pub epsilon: f64,
-    /// Swapping threshold `κ` (Eq. 2, sw1).
+    /// Swapping thresholds `κ` (Eq. 2, sw1) and `λ = κ` (sw2).
     pub kappa: f64,
-    /// Swapping threshold `λ` (sw2); the paper sets `λ = κ`.
-    pub lambda: f64,
     /// Number of coarse clusters. The paper's `τ = 10 / |D|` translates to
     /// `τ · |D| = 10` coarse clusters.
     pub coarse_clusters: usize,
@@ -34,10 +35,6 @@ pub struct MidasConfig {
     pub walk_length: usize,
     /// Seed ranks tried per (CSG, size) during candidate generation.
     pub seeds_per_size: usize,
-    /// Multiplicative-weights penalty after each selection.
-    pub mwu_penalty: f64,
-    /// KS-test significance level for the size-distribution guard (§6.2).
-    pub ks_alpha: f64,
     /// Has no effect. The isomorphism kernel runs serially on the thread
     /// that maintains the database: concurrency comes from tenants and
     /// requests, not from inside one batch. The field stays only because
@@ -55,15 +52,12 @@ impl Default for MidasConfig {
             max_tree_edges: 4,
             epsilon: 0.1,
             kappa: 0.1,
-            lambda: 0.1,
             coarse_clusters: 10,
             max_cluster_size: 100,
             sample_size: 200,
             walks: 100,
             walk_length: 24,
             seeds_per_size: 3,
-            mwu_penalty: 0.5,
-            ks_alpha: 0.05,
             threads: 0,
             seed: 0,
         }
@@ -107,7 +101,6 @@ impl MidasConfig {
             walks: self.walks,
             walk_length: self.walk_length,
             seeds_per_size: self.seeds_per_size,
-            mwu_penalty: self.mwu_penalty,
             seed: self.seed,
         }
     }
@@ -125,11 +118,7 @@ impl MidasConfig {
 
     /// The swap parameters implied by this config.
     pub fn swap(&self) -> crate::swap::SwapParams {
-        crate::swap::SwapParams {
-            kappa: self.kappa,
-            lambda: self.lambda,
-            ks_alpha: self.ks_alpha,
-        }
+        crate::swap::SwapParams { kappa: self.kappa }
     }
 
     /// The clustering configuration implied by this config.
@@ -155,7 +144,6 @@ mod tests {
         assert!((c.sup_min - 0.5).abs() < 1e-12);
         assert!((c.epsilon - 0.1).abs() < 1e-12);
         assert!((c.kappa - 0.1).abs() < 1e-12);
-        assert!((c.lambda - c.kappa).abs() < 1e-12, "paper sets λ = κ");
         assert_eq!(c.coarse_clusters, 10, "τ·|D| = 10");
     }
 
@@ -165,14 +153,14 @@ mod tests {
             sup_min: 0.3,
             max_tree_edges: 5,
             seed: 42,
-            lambda: 0.2,
+            kappa: 0.2,
             ..MidasConfig::default()
         };
         assert!((c.mining().sup_min - 0.3).abs() < 1e-12);
         assert_eq!(c.mining().max_edges, 5);
         assert_eq!(c.selection().seed, 42);
         assert_eq!(c.clustering().seed, 42);
-        let swap = c.swap();
-        assert_eq!((swap.kappa, swap.lambda, swap.ks_alpha), (0.1, 0.2, 0.05));
+        assert_eq!(c.swap().kappa, 0.2);
+        assert_eq!(c.generation().kappa, 0.2);
     }
 }

@@ -26,9 +26,10 @@
 //! Each phase, and bootstrap's index build, runs under `contain`, the one
 //! place on the maintenance path that catches a panic: a task panic
 //! unwinds out of the kernel to it and becomes a [`PhaseError`]
-//! on the report (or bootstrap's `Err`). A failed index phase marks the
-//! index stale for a rebuild; a failed pattern-maintenance round keeps
-//! its dirty-cluster flags for the next major batch.
+//! on the report (or bootstrap's `Err`). A failed or skipped index phase
+//! needs no repair of its own: the next one syncs every row to the FCT
+//! state again. A failed pattern-maintenance round keeps its
+//! dirty-cluster flags for the next major batch.
 
 use crate::candidate_gen::{coverage_state, new_classes, promising_candidates, Candidate};
 use crate::config::MidasConfig;
@@ -41,10 +42,9 @@ use crate::swap::multi_scan_swap;
 use midas_catapult::score::SetQuality;
 use midas_catapult::{select_patterns, WeightedCsg};
 use midas_cluster::{ClusterSet, FeatureSpace};
-use midas_graph::{BatchUpdate, Csr, GraphDb, GraphId, LabeledGraph, MatchKernel};
+use midas_graph::{BatchUpdate, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::FctIndex;
 use midas_mining::incremental::FctState;
-use midas_mining::TreeKey;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -106,10 +106,6 @@ pub struct Midas {
     clusters: ClusterSet,
     monitor: GraphletMonitor,
     fct_index: FctIndex,
-    /// Set when an index phase did not complete: the index may miss that
-    /// batch's graph columns and feature rows, so the next index phase
-    /// resets it to empty before it applies the rules.
-    index_stale: bool,
     patterns: PatternStore,
     kernel: MatchKernel,
     batch_counter: u64,
@@ -123,7 +119,7 @@ impl Midas {
     /// Bootstraps MIDAS on an initial database: mines the FCT state,
     /// clusters with FCT features (the CATAPULT++ configuration), selects
     /// the initial pattern set, and fills the FCT-Index by running the
-    /// index phase's maintenance rules over an empty index.
+    /// index phase over an empty index.
     ///
     /// The configuration is taken exactly as given: bootstrap reads no
     /// environment and sets no process-wide switch, so a host that embeds
@@ -162,7 +158,6 @@ impl Midas {
             clusters,
             monitor,
             fct_index: FctIndex::new(),
-            index_stale: false,
             patterns,
             kernel: MatchKernel::new(),
             batch_counter: 0,
@@ -170,9 +165,7 @@ impl Midas {
         };
         let mut failure = None;
         let index_span = midas_obs::span!("bootstrap.index");
-        contain("bootstrap.index", &mut failure, || {
-            midas.maintain_index(&[], &[])
-        });
+        contain("bootstrap.index", &mut failure, || midas.maintain_index());
         drop(index_span);
         if let Some(e) = failure {
             return Err(e.to_string());
@@ -311,6 +304,11 @@ impl Midas {
             .filter_map(|&id| self.db.get(id).map(|g| (id, g.clone())))
             .collect();
         let (inserted, deleted_ids) = self.db.apply(update);
+        // The memo's contract: every id the batch touched is invalidated,
+        // whichever later phase fails.
+        for &id in deleted_ids.iter().chain(&inserted) {
+            self.kernel.invalidate_graph(id);
+        }
         midas_obs::counter_add!("batch.inserted", inserted.len() as u64);
         midas_obs::counter_add!("batch.deleted", deleted_ids.len() as u64);
 
@@ -363,11 +361,10 @@ impl Midas {
         drop(cluster_span);
 
         // Index maintenance (line 12 — we keep the index fresh every batch
-        // so minor modifications leave it consistent too). A phase that
-        // fails (possibly mid-mutation) or is skipped leaves the index
-        // stale until the next one rebuilds it. The edge-label counts the
-        // dominance filter reads are the catalog's, maintained with the
-        // FCT state above.
+        // so minor modifications leave it consistent too). The rows follow
+        // the FCT state, so a phase that fails or is skipped is completed
+        // by the next one. The edge-label counts the dominance filter
+        // reads are the catalog's, maintained with the FCT state above.
         let index_span = midas_obs::span!("batch.index");
         let index_start = Instant::now();
         // Injected slowdown (`MIDAS_FAULT=slow:US`): burns wall-clock inside
@@ -376,10 +373,7 @@ impl Midas {
         if let Some(delay) = midas_graph::exec::slow_fault() {
             std::thread::sleep(delay);
         }
-        self.index_stale = contain("batch.index", &mut batch_error, || {
-            self.maintain_index(&inserted, &deleted_ids)
-        })
-        .is_none();
+        contain("batch.index", &mut batch_error, || self.maintain_index());
         let index_time = index_start.elapsed();
         drop(index_span);
 
@@ -534,36 +528,11 @@ impl Midas {
         }
     }
 
-    /// The index phase, maintenance rules 1–4 of §5.1: the embedding
-    /// cache is invalidated per touched graph, `Δ⁻` columns are dropped
-    /// (rule 4), `Δ⁺` columns are counted (rule 3), then the feature rows
-    /// are reconciled with [`FctState::index_trees`] over the whole
-    /// database (rules 1–2). A stale index (an earlier index phase
-    /// failed) is first reset to empty, as at bootstrap: rules 3–4 then
-    /// have no rows to touch, and rules 1–2 fill every row.
-    fn maintain_index(&mut self, inserted: &[GraphId], deleted: &[GraphId]) {
-        for &id in deleted.iter().chain(inserted) {
-            self.kernel.invalidate_graph(id);
-        }
-        if self.index_stale {
-            self.fct_index = FctIndex::new();
-        }
-        for &id in deleted {
-            self.fct_index.remove_graph(id);
-        }
-        let inserted_csrs: Vec<(GraphId, &Csr)> = inserted
-            .iter()
-            .map(|&id| (id, self.db.csr(id).expect("inserted id")))
-            .collect();
-        self.fct_index.add_graphs(&inserted_csrs);
-        let target: Vec<(TreeKey, &LabeledGraph)> = self
-            .fct_state
-            .index_trees(self.db.len())
-            .into_iter()
-            .map(|(k, e)| (k.clone(), &e.tree))
-            .collect();
-        let csr_refs: Vec<(GraphId, &Csr)> = self.db.csrs().collect();
-        self.fct_index.refresh_features(&target, &csr_refs);
+    /// The index phase, maintenance rules 1–4 of §5.1: the FCT-Index's
+    /// rows sync to [`FctState::index_trees`] and their supports.
+    fn maintain_index(&mut self) {
+        let trees = self.fct_state.index_trees(self.db.len());
+        self.fct_index.sync(trees, &self.db);
     }
 }
 

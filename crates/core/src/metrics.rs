@@ -70,8 +70,8 @@ impl ScovContext<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use midas_graph::{Csr, GraphBuilder};
-    use midas_mining::tree_key;
+    use midas_graph::GraphBuilder;
+    use midas_mining::{tree_key, TreeEntry};
 
     fn path(labels: &[u32]) -> LabeledGraph {
         let vs: Vec<u32> = (0..labels.len() as u32).collect();
@@ -88,9 +88,11 @@ mod tests {
         let db = GraphDb::from_graphs([path(&[0, 1, 2]), path(&[0, 1]), path(&[3, 4])]);
         let refs: Vec<(GraphId, &LabeledGraph)> =
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+        // C-O-N, in the first graph only.
         let feature = path(&[0, 1, 2]);
-        let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
-        let fct = FctIndex::build([(tree_key(&feature), feature)], &csrs);
+        let key = tree_key(&feature);
+        let entry = TreeEntry::new(feature, db.ids().take(1).collect());
+        let fct = FctIndex::build([(&key, &entry)], &db);
         let catalog = EdgeCatalog::build(refs.iter().copied());
         World { db, fct, catalog }
     }

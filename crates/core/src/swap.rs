@@ -56,25 +56,21 @@ use midas_graph::LabeledGraph;
 use midas_mining::edges::{Bounds, GraphSet};
 use std::cmp::Ordering;
 
+/// KS significance level of the size-distribution guard (§6.2).
+pub const KS_ALPHA: f64 = 0.05;
+
 /// Swap parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct SwapParams {
-    /// Benefit/loss threshold `κ` (sw1) for the first scan.
+    /// Benefit/loss threshold `κ` (sw1) for the first scan, and the score
+    /// threshold `λ` (sw2): the paper sets `λ = κ` (§7.1).
     pub kappa: f64,
-    /// Score threshold `λ` (sw2); the paper sets `λ = κ`.
-    pub lambda: f64,
-    /// KS significance level for the size-distribution guard.
-    pub ks_alpha: f64,
 }
 
 impl Default for SwapParams {
-    /// Paper defaults: `κ = λ = 0.1`, KS at 5%.
+    /// Paper default: `κ = λ = 0.1`.
     fn default() -> Self {
-        SwapParams {
-            kappa: 0.1,
-            lambda: 0.1,
-            ks_alpha: 0.05,
-        }
+        SwapParams { kappa: 0.1 }
     }
 }
 
@@ -421,7 +417,7 @@ pub fn multi_scan_swap(
             // sw2 failure terminates the scan. The front's key is the
             // highest, and an unverified key bounds the exact score, so no
             // candidate can pass.
-            if front.key() < (1.0 + params.lambda) * victim_score {
+            if front.key() < (1.0 + params.kappa) * victim_score {
                 break;
             }
             let mut candidate = queue.pop().expect("the front");
@@ -451,7 +447,7 @@ pub fn multi_scan_swap(
             if let Some(pos) = sizes_after.iter().position(|&s| s == victim_size) {
                 sizes_after[pos] = candidate.candidate.graph.edge_count();
             }
-            let ks_ok = distributions_similar(&sizes_before, &sizes_after, params.ks_alpha);
+            let ks_ok = distributions_similar(&sizes_before, &sizes_after, KS_ALPHA);
             if !(sw3 && sw4 && sw5 && ks_ok) {
                 passed.push(candidate);
                 continue; // candidate unusable against this victim
@@ -838,7 +834,7 @@ mod tests {
             graphs in proptest::collection::vec(small_tree(), 4..14),
             initial in proptest::collection::vec(small_tree(), 1..4),
             grown in proptest::collection::vec(small_tree(), 1..10),
-            lambda in 0usize..2,
+            kappa in 0usize..2,
         ) {
             let store = PatternStore::from_patterns(initial);
             let mut codes: BTreeSet<_> = store.iter().map(|(_, p)| canonical_code(p)).collect();
@@ -846,8 +842,7 @@ mod tests {
                 grown.into_iter().filter(|g| codes.insert(canonical_code(g))).collect();
             prop_assume!(!grown.is_empty());
             let params = SwapParams {
-                lambda: 0.1 * lambda as f64,
-                ..SwapParams::default()
+                kappa: 0.1 * kappa as f64,
             };
             let run = |make: fn(&ScovContext<'_>, Vec<LabeledGraph>) -> Vec<Candidate>| {
                 let w = world(graphs.clone());

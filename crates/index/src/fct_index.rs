@@ -4,35 +4,42 @@
 //!
 //! The TG matrix is stored once, row by row: each feature owns its
 //! nonzero `(GraphId, count)` cells in ascending id order, the order the
-//! dominance filter merges in. Rows and columns are filled only by the
-//! maintenance rules: new rows ([`FctIndex::refresh_features`], rules
-//! 1–2) and new columns ([`FctIndex::add_graphs`], rule 3) share one
-//! graph-major counting pass that runs each feature's own plan, and an
-//! index built from nothing is the empty index after one refresh. The
-//! mutators return plain values and are not transactional: a task panic
-//! unwinds out of them mid-way, and the framework's phase backstop then
-//! marks the index stale and rebuilds it from empty on the next batch.
+//! dominance filter merges in. A tree's count is nonzero exactly in the
+//! graphs that contain it, so a row's ids are its tree's support, which
+//! the FCT lattice already tracks exactly (`TreeEntry::support`).
+//! [`FctIndex::sync`], the one mutator, makes every row follow it: rows
+//! of trees that left the index set are dropped (rule 2), new rows are
+//! counted over their support (rule 1), and kept rows drop the ids that
+//! left the support (rule 4) and count the ones they lack (rule 3). Each
+//! row is counted with the plan its lattice entry already compiled.
+//!
+//! A sync counts every cell before it changes any row, and a live
+//! graph's cell never changes (graphs are immutable and ids are never
+//! reused). So a sync that a task panic interrupts leaves rows that the
+//! next sync completes: bootstrap, every batch, and the batch after a
+//! failed one all make the same call.
 
 use crate::trie::Trie;
 use crate::EMBED_CAP;
-use midas_graph::{exec, Csr, GraphId, LabeledGraph, MatchPlan};
-use midas_mining::TreeKey;
-use std::collections::BTreeMap;
+use midas_graph::{exec, Csr, GraphDb, GraphId, LabeledGraph, MatchPlan};
+use midas_mining::{TreeEntry, TreeKey};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Dense identifier of a feature (an FCT of two or more edges) in the index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FeatureId(pub u32);
 
 /// One indexed feature: its canonical key, its tree with the match plan
-/// compiled once when the row is created, and its TG row. Later batches
-/// count the row's new cells and [`FctIndex::pattern_counts`] runs that
-/// plan, so it is never recompiled per batch.
+/// its lattice entry compiled, and its TG row. Syncs count the row's new
+/// cells and [`FctIndex::pattern_counts`] runs that plan, so the index
+/// never compiles one of its own.
 #[derive(Debug, Clone)]
 pub struct Feature {
     /// Canonical string key (also the trie path).
     pub key: TreeKey,
     tree: LabeledGraph,
-    plan: MatchPlan,
+    plan: Arc<MatchPlan>,
     row: Vec<(GraphId, u32)>,
 }
 
@@ -47,16 +54,15 @@ impl Feature {
     pub fn row(&self) -> &[(GraphId, u32)] {
         &self.row
     }
+}
 
-    /// The feature's count in `target` (data graph `id`), saturating at
-    /// [`EMBED_CAP`]. The search runs under the `(key digest, graph id)`
-    /// exemplar context, so its `plan.search_ns` tail exemplars are
-    /// attributed.
-    fn count_in(&self, id: GraphId, target: &Csr) -> u32 {
-        let _ctx = midas_obs::enabled()
-            .then(|| midas_obs::exemplar::with_context(self.key.digest(), id.0));
-        self.plan.count_embeddings(target, EMBED_CAP) as u32
-    }
+/// The count of the tree `plan` (canonical key `key`) in `target` (data
+/// graph `id`), saturating at [`EMBED_CAP`]. The search runs under the
+/// `(key digest, graph id)` exemplar context, so its `plan.search_ns` tail
+/// exemplars are attributed.
+fn count_in(key: &TreeKey, plan: &MatchPlan, id: GraphId, target: &Csr) -> u32 {
+    let _ctx = midas_obs::enabled().then(|| midas_obs::exemplar::with_context(key.digest(), id.0));
+    plan.count_embeddings(target, EMBED_CAP) as u32
 }
 
 /// The FCT-Index: canonical-string trie with the embedding-count matrix
@@ -74,72 +80,144 @@ impl FctIndex {
         Self::default()
     }
 
-    /// An index over `features` (a repeated key gets one row) and `graphs`: the empty index after one
-    /// [`Self::refresh_features`], the rules' own row path.
-    pub fn build(
-        features: impl IntoIterator<Item = (TreeKey, LabeledGraph)>,
-        graphs: &[(GraphId, &Csr)],
+    /// The empty index after one [`Self::sync`] to `trees` over `db`.
+    pub fn build<'a>(
+        trees: impl IntoIterator<Item = (&'a TreeKey, &'a TreeEntry)>,
+        db: &GraphDb,
     ) -> Self {
-        let features: Vec<(TreeKey, LabeledGraph)> = features.into_iter().collect();
-        let target: Vec<(TreeKey, &LabeledGraph)> =
-            features.iter().map(|(k, t)| (k.clone(), t)).collect();
         let mut index = Self::new();
-        index.refresh_features(&target, graphs);
+        index.sync(trees, db);
         index
     }
 
-    /// Registers an empty row for a key the trie does not hold yet,
-    /// compiling the tree's plan.
-    fn push_feature(&mut self, key: TreeKey, tree: &LabeledGraph) -> FeatureId {
+    /// Makes the rows those of `trees` (the index trees, a repeated key
+    /// getting one row) over `db`, the database their supports describe:
+    /// maintenance rules 1–4 of §5.1. Rows of keys not in `trees` are
+    /// dropped; every other row ends up holding one cell per graph of
+    /// its tree's support. The missing cells are counted first, one task
+    /// per graph, each graph's task running every row that lacks it; the
+    /// rows change only after every count is made.
+    ///
+    /// # Panics
+    ///
+    /// If a support id is not live in `db`.
+    pub fn sync<'a>(
+        &mut self,
+        trees: impl IntoIterator<Item = (&'a TreeKey, &'a TreeEntry)>,
+        db: &GraphDb,
+    ) {
+        let trees: Vec<(&TreeKey, &TreeEntry)> = trees
+            .into_iter()
+            .collect::<BTreeMap<_, _>>()
+            .into_iter()
+            .collect();
+        // The `(graph, tree)` cells the rows lack, by index into `trees`,
+        // and whether a tree's row keeps all its cells (no id left the
+        // support).
+        let mut lacking: Vec<(GraphId, usize)> = Vec::new();
+        let mut keeps_all = vec![true; trees.len()];
+        for (i, &(key, entry)) in trees.iter().enumerate() {
+            let row = self
+                .trie
+                .lookup(key.tokens())
+                .map_or(&[][..], |id| self.row(id));
+            let mut kept = 0;
+            let mut cells = row.iter().peekable();
+            for &gid in &entry.support {
+                while cells.next_if(|&&(g, _)| g < gid).is_some() {}
+                match cells.next_if(|&&(g, _)| g == gid) {
+                    Some(_) => kept += 1,
+                    None => lacking.push((gid, i)),
+                }
+            }
+            keeps_all[i] = kept == row.len();
+        }
+        // Graph-major: each tree's run is ascending, so the stable sort
+        // merges the runs.
+        lacking.sort_by_key(|&(gid, _)| gid);
+        let tasks: Vec<_> = lacking
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| (run[0].0, db.csr(run[0].0).expect("support id is live"), run))
+            .collect();
+        let counts = exec::map_tasks(&tasks, |&(gid, target, run)| {
+            run.iter()
+                .map(|&(_, i)| count_in(trees[i].0, trees[i].1.plan(), gid, target))
+                .collect::<Vec<u32>>()
+        });
+        // Every count is made; the rows change from here on.
+        let mut fresh: Vec<Vec<(GraphId, u32)>> = vec![Vec::new(); trees.len()];
+        for (&(gid, _, run), counts) in tasks.iter().zip(counts) {
+            for (&(_, i), count) in run.iter().zip(counts) {
+                debug_assert!(count > 0, "a support graph contains the tree");
+                fresh[i].push((gid, count));
+            }
+        }
+        let wanted: BTreeSet<&TreeKey> = trees.iter().map(|&(key, _)| key).collect();
+        let stale: Vec<TreeKey> = self
+            .features
+            .values()
+            .filter(|f| !wanted.contains(&f.key))
+            .map(|f| f.key.clone())
+            .collect();
+        for key in &stale {
+            self.remove_feature(key);
+        }
+        for (((key, entry), fresh), keeps_all) in trees.into_iter().zip(fresh).zip(keeps_all) {
+            let id = match self.trie.lookup(key.tokens()) {
+                Some(id) => id,
+                None => self.push_feature(key, entry),
+            };
+            let row = &mut self.features.get_mut(&id).expect("synced row").row;
+            let last = row.last().map(|&(gid, _)| gid);
+            if keeps_all && fresh.first().is_none_or(|&(gid, _)| last < Some(gid)) {
+                // Fresh graphs only, all above the row's ids.
+                row.extend(fresh);
+                continue;
+            }
+            // One cell per support id: the row's own where it has one, else
+            // the fresh count, which came in the same ascending order.
+            let mut kept = row.iter().peekable();
+            let mut fresh = fresh.into_iter();
+            *row = entry
+                .support
+                .iter()
+                .map(|&gid| {
+                    while kept.next_if(|&&(g, _)| g < gid).is_some() {}
+                    match kept.next_if(|&&(g, _)| g == gid) {
+                        Some(&cell) => cell,
+                        None => fresh.next().expect("a counted cell"),
+                    }
+                })
+                .collect();
+        }
+    }
+
+    /// Registers an empty row for `key`, which the trie does not hold yet,
+    /// sharing `entry`'s compiled plan.
+    fn push_feature(&mut self, key: &TreeKey, entry: &TreeEntry) -> FeatureId {
         let id = FeatureId(self.next_feature);
         self.next_feature += 1;
         self.trie.insert(key.tokens(), id);
         let feature = Feature {
-            key,
-            tree: tree.clone(),
-            plan: MatchPlan::compile(tree),
+            key: key.clone(),
+            tree: entry.tree.clone(),
+            plan: Arc::clone(entry.plan()),
             row: Vec::new(),
         };
         self.features.insert(id, feature);
         id
     }
 
-    /// Counts the `rows` features in `graphs`, one task per graph, and
-    /// adds the nonzero cells to the rows, which stay in ascending id
-    /// order. The cells must be empty, as those of new rows and of `Δ⁺`'s
-    /// fresh columns are. No row changes until every graph is counted.
-    fn count_cells(&mut self, rows: &[FeatureId], graphs: &[(GraphId, &Csr)]) {
-        if rows.is_empty() || graphs.is_empty() {
-            return;
-        }
-        let features: Vec<&Feature> = rows.iter().map(|id| &self.features[id]).collect();
-        let grid = exec::map_tasks(graphs, |&(gid, g)| {
-            features
-                .iter()
-                .map(|f| f.count_in(gid, g))
-                .collect::<Vec<u32>>()
-        });
-        for (i, fid) in rows.iter().enumerate() {
-            let row = &mut self.features.get_mut(fid).expect("counted row").row;
-            let fresh = graphs
-                .iter()
-                .zip(&grid)
-                .map(|(&(gid, _), counts)| (gid, counts[i]));
-            row.extend(fresh.filter(|&(_, count)| count > 0));
-            // Two sorted runs when `Δ⁺`'s ids follow the row's, as fresh
-            // ids do: the stable sort merges them in one pass.
-            row.sort_by_key(|&(gid, _)| gid);
-        }
+    /// Removes a feature row (maintenance rule 2).
+    fn remove_feature(&mut self, key: &TreeKey) -> Option<FeatureId> {
+        let id = self.trie.remove(key.tokens())?;
+        self.features.remove(&id);
+        Some(id)
     }
 
     /// Number of features (rows).
     pub fn feature_count(&self) -> usize {
         self.features.len()
-    }
-
-    /// The trie (for size statistics and direct lookups).
-    pub fn trie(&self) -> &Trie {
-        &self.trie
     }
 
     /// The TG row of `id` (empty for an unknown feature): nonzero counts
@@ -167,28 +245,6 @@ impl FctIndex {
         self.features.iter().map(|(&id, f)| (id, f))
     }
 
-    /// Looks up a feature by canonical key.
-    pub fn feature_by_key(&self, key: &TreeKey) -> Option<FeatureId> {
-        self.trie.lookup(key.tokens())
-    }
-
-    /// Removes a feature row (maintenance rule 2).
-    pub fn remove_feature(&mut self, key: &TreeKey) -> Option<FeatureId> {
-        let id = self.trie.remove(key.tokens())?;
-        self.features.remove(&id);
-        Some(id)
-    }
-
-    /// Removes a data-graph column (maintenance rule 4): the id leaves
-    /// every row.
-    pub fn remove_graph(&mut self, id: GraphId) {
-        for feature in self.features.values_mut() {
-            if let Ok(i) = feature.row.binary_search_by_key(&id, |&(gid, _)| gid) {
-                feature.row.remove(i);
-            }
-        }
-    }
-
     /// The embedding count of every feature in `pattern`, saturating at
     /// [`EMBED_CAP`]: non-zero entries only, in feature-id order. This is
     /// the pattern's TP-matrix column of Def. 5.1, computed on demand, and
@@ -203,43 +259,6 @@ impl FctIndex {
                 (count > 0).then_some((fid, count))
             })
             .collect()
-    }
-
-    /// Adds data-graph columns (maintenance rule 3 over a whole `Δ⁺`):
-    /// every feature is counted in every new graph's CSR view. The graphs'
-    /// columns must be empty, as `Δ⁺`'s fresh ids are.
-    pub fn add_graphs(&mut self, graphs: &[(GraphId, &Csr)]) {
-        let rows: Vec<FeatureId> = self.features.keys().copied().collect();
-        self.count_cells(&rows, graphs);
-    }
-
-    /// Reconciles the feature rows against a new feature set (the batch
-    /// form of rules 1–2, run after FCT maintenance): rows for vanished
-    /// keys are dropped, rows for new keys are added, each compiled once
-    /// and counted over `graphs`. A panic mid-way leaves a partial update;
-    /// the framework then marks the index stale and rebuilds it.
-    pub fn refresh_features(
-        &mut self,
-        target: &[(TreeKey, &LabeledGraph)],
-        graphs: &[(GraphId, &Csr)],
-    ) {
-        let want: BTreeMap<&TreeKey, &LabeledGraph> = target.iter().map(|(k, t)| (k, *t)).collect();
-        let stale: Vec<TreeKey> = self
-            .features
-            .values()
-            .filter(|f| !want.contains_key(&f.key))
-            .map(|f| f.key.clone())
-            .collect();
-        for key in stale {
-            self.remove_feature(&key);
-        }
-        let mut fresh = Vec::new();
-        for (key, tree) in target {
-            if self.trie.lookup(key.tokens()).is_none() {
-                fresh.push(self.push_feature(key.clone(), tree));
-            }
-        }
-        self.count_cells(&fresh, graphs);
     }
 
     /// Approximate heap size in bytes (for the Exp 2 memory report): one
@@ -267,118 +286,136 @@ mod tests {
         GraphId(i)
     }
 
-    /// The CSR view of each graph, under ids from `first` up.
-    fn csrs(graphs: &[LabeledGraph], first: u64) -> Vec<(GraphId, Csr)> {
-        graphs
+    /// Each tree keyed, with its exact support in `db`.
+    fn entries(trees: &[LabeledGraph], db: &GraphDb) -> BTreeMap<TreeKey, TreeEntry> {
+        trees
             .iter()
-            .enumerate()
-            .map(|(i, g)| (gid(first + i as u64), Csr::from_graph(g)))
+            .map(|t| {
+                let plan = MatchPlan::compile(t);
+                let support: BTreeSet<GraphId> = db
+                    .csrs()
+                    .filter(|(_, g)| plan.is_subgraph_of(g))
+                    .map(|(id, _)| id)
+                    .collect();
+                (tree_key(t), TreeEntry::new(t.clone(), support))
+            })
             .collect()
     }
 
-    fn refs(csrs: &[(GraphId, Csr)]) -> Vec<(GraphId, &Csr)> {
-        csrs.iter().map(|(id, c)| (*id, c)).collect()
+    fn id_of(index: &FctIndex, tree: &LabeledGraph) -> Option<FeatureId> {
+        index.trie.lookup(tree_key(tree).tokens())
     }
 
-    fn keyed(features: &[LabeledGraph]) -> Vec<(TreeKey, LabeledGraph)> {
-        features.iter().map(|t| (tree_key(t), t.clone())).collect()
-    }
-
-    /// Features: C-O edge, C-O-N path. Graphs: G1 = C-O-N, G2 = O-C-O.
-    fn setup() -> (FctIndex, Vec<LabeledGraph>) {
-        let features = [path(&[0, 1]), path(&[0, 1, 2])];
-        let graphs = vec![path(&[0, 1, 2]), path(&[1, 0, 1])];
-        let views = csrs(&graphs, 1);
-        let index = FctIndex::build(keyed(&features), &refs(&views));
-        (index, graphs)
+    /// Features: C-O edge, C-O-N path. Graphs: G0 = C-O-N, G1 = O-C-O.
+    fn setup() -> (FctIndex, GraphDb) {
+        let db = GraphDb::from_graphs([path(&[0, 1, 2]), path(&[1, 0, 1])]);
+        let features = entries(&[path(&[0, 1]), path(&[0, 1, 2])], &db);
+        (FctIndex::build(&features, &db), db)
     }
 
     #[test]
     fn build_counts_embeddings() {
-        let (index, ..) = setup();
+        let (index, _) = setup();
         assert_eq!(index.feature_count(), 2);
-        let co = index.feature_by_key(&tree_key(&path(&[0, 1]))).unwrap();
-        let con = index.feature_by_key(&tree_key(&path(&[0, 1, 2]))).unwrap();
-        // G1 = C-O-N: one C-O embedding; G2 = O-C-O: two (C maps one way,
+        let co = id_of(&index, &path(&[0, 1])).unwrap();
+        let con = id_of(&index, &path(&[0, 1, 2])).unwrap();
+        // G0 = C-O-N: one C-O embedding; G1 = O-C-O: two (C maps one way,
         // O either side).
-        assert_eq!(index.count(co, gid(1)), 1);
-        assert_eq!(index.count(co, gid(2)), 2);
-        assert_eq!(index.count(con, gid(1)), 1);
-        assert_eq!(index.count(con, gid(2)), 0);
+        assert_eq!(index.count(co, gid(0)), 1);
+        assert_eq!(index.count(co, gid(1)), 2);
+        assert_eq!(index.count(con, gid(0)), 1);
+        assert_eq!(index.count(con, gid(1)), 0);
+        assert_eq!(index.row(con), &[(gid(0), 1)], "only the support");
     }
 
     #[test]
     fn add_and_remove_graph_columns() {
-        let (mut index, ..) = setup();
-        let views = csrs(&[path(&[0, 1, 0, 1])], 3);
-        index.add_graphs(&refs(&views));
-        let co = index.feature_by_key(&tree_key(&path(&[0, 1]))).unwrap();
-        assert_eq!(index.count(co, gid(3)), 3);
-        index.remove_graph(gid(3));
-        assert_eq!(index.count(co, gid(3)), 0);
+        // A graph joining the supports gets a column (rule 3), and one
+        // leaving them loses it (rule 4); other cells are not recounted.
+        let (mut index, mut db) = setup();
+        let co = id_of(&index, &path(&[0, 1])).unwrap();
+        let (inserted, _) = db.apply(midas_graph::BatchUpdate::insert_only(vec![path(&[
+            0, 1, 0, 1,
+        ])]));
+        let features = entries(&[path(&[0, 1]), path(&[0, 1, 2])], &db);
+        index.sync(&features, &db);
+        assert_eq!(index.count(co, inserted[0]), 3);
+        assert_eq!(index.count(co, gid(1)), 2);
+        db.apply(midas_graph::BatchUpdate::delete_only(inserted.clone()));
+        let features = entries(&[path(&[0, 1]), path(&[0, 1, 2])], &db);
+        index.sync(&features, &db);
+        assert_eq!(index.count(co, inserted[0]), 0);
+        assert_eq!(index.row(co), &[(gid(0), 1), (gid(1), 2)]);
     }
 
     #[test]
     fn remove_feature_drops_rows() {
-        let (mut index, ..) = setup();
+        let (mut index, _) = setup();
         let key = tree_key(&path(&[0, 1]));
-        let id = index.feature_by_key(&key).unwrap();
+        let id = id_of(&index, &path(&[0, 1])).unwrap();
         assert_eq!(index.remove_feature(&key), Some(id));
         assert_eq!(index.feature_count(), 1);
         assert!(index.row(id).is_empty());
-        assert_eq!(index.feature_by_key(&key), None);
+        assert_eq!(id_of(&index, &path(&[0, 1])), None);
         assert_eq!(index.remove_feature(&key), None);
     }
 
     #[test]
     fn duplicate_feature_is_ignored() {
         // A repeated key gets one row at build time (rule 1 is a no-op for
-        // a present key), and a refresh that names it again keeps the row.
-        let (_, graphs) = setup();
-        let views = csrs(&graphs, 1);
+        // a present key), and a sync that names it again keeps the row.
+        let (_, db) = setup();
         let co = path(&[0, 1]);
-        let mut index = FctIndex::build(keyed(&[co.clone(), co.clone()]), &refs(&views));
+        let once = entries(std::slice::from_ref(&co), &db);
+        let mut index = FctIndex::build(once.iter().chain(&once), &db);
         assert_eq!(index.feature_count(), 1);
-        let key = tree_key(&co);
-        let id = index.feature_by_key(&key).unwrap();
-        index.refresh_features(&[(key.clone(), &co)], &refs(&views));
+        let id = id_of(&index, &co).unwrap();
+        index.sync(&once, &db);
         assert_eq!(index.feature_count(), 1);
-        assert_eq!(index.feature_by_key(&key), Some(id));
-        assert_eq!(index.count(id, gid(2)), 2);
+        assert_eq!(id_of(&index, &co), Some(id));
+        assert_eq!(index.count(id, gid(1)), 2);
     }
 
     #[test]
-    fn refresh_features_diffs_rows() {
-        let (mut index, graphs) = setup();
+    fn sync_diffs_rows() {
+        let (mut index, db) = setup();
         // New target set: keep C-O-N, drop C-O, add O-N.
-        let con = path(&[0, 1, 2]);
-        let on = path(&[1, 2]);
-        let target = vec![(tree_key(&con), &con), (tree_key(&on), &on)];
-        let views = csrs(&graphs, 1);
-        let con_id = index.feature_by_key(&tree_key(&con)).unwrap();
-        index.refresh_features(&target, &refs(&views));
+        let con_id = id_of(&index, &path(&[0, 1, 2])).unwrap();
+        let features = entries(&[path(&[0, 1, 2]), path(&[1, 2])], &db);
+        index.sync(&features, &db);
         assert_eq!(index.feature_count(), 2);
-        assert!(index.feature_by_key(&tree_key(&path(&[0, 1]))).is_none());
-        assert_eq!(
-            index.feature_by_key(&tree_key(&con)),
-            Some(con_id),
-            "kept row"
-        );
-        let on_id = index.feature_by_key(&tree_key(&on)).unwrap();
-        assert_eq!(index.count(on_id, gid(1)), 1);
-        assert_eq!(index.count(on_id, gid(2)), 0);
+        assert!(id_of(&index, &path(&[0, 1])).is_none());
+        assert_eq!(id_of(&index, &path(&[0, 1, 2])), Some(con_id), "kept row");
+        let on_id = id_of(&index, &path(&[1, 2])).unwrap();
+        assert_eq!(index.count(on_id, gid(0)), 1);
+        assert_eq!(index.count(on_id, gid(1)), 0);
         // The kept row keeps its cells.
-        assert_eq!(index.count(con_id, gid(1)), 1);
-        assert_eq!(index.count(con_id, gid(2)), 0);
+        assert_eq!(index.count(con_id, gid(0)), 1);
+        assert_eq!(index.count(con_id, gid(1)), 0);
+    }
+
+    #[test]
+    fn rows_share_the_entry_plans() {
+        let (_, db) = setup();
+        let features = entries(&[path(&[0, 1, 2])], &db);
+        let index = FctIndex::build(&features, &db);
+        let (_, feature) = index.features().next().unwrap();
+        assert!(Arc::ptr_eq(
+            &feature.plan,
+            features.values().next().unwrap().plan()
+        ));
     }
 
     #[test]
     fn approx_bytes_is_positive_and_grows() {
-        let (mut index, ..) = setup();
+        let (mut index, mut db) = setup();
         let before = index.approx_bytes();
         assert!(before > 0);
-        let views = csrs(&[path(&[0, 1, 2, 1, 0])], 9);
-        index.add_graphs(&refs(&views));
+        db.apply(midas_graph::BatchUpdate::insert_only(vec![path(&[
+            0, 1, 2, 1, 0,
+        ])]));
+        let features = entries(&[path(&[0, 1]), path(&[0, 1, 2])], &db);
+        index.sync(&features, &db);
         assert!(index.approx_bytes() > before);
     }
 }

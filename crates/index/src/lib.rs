@@ -7,10 +7,12 @@
 //!   canonical strings of the frequent closed trees with at least two
 //!   edges, whose terminal nodes point into the trie-graph matrix (TG) of
 //!   embedding counts over data graphs. It stores graph-side rows only,
-//!   each feature's nonzero cells once in ascending graph-id order, counts
-//!   them with the feature's own compiled plan, and is maintained
-//!   incrementally under database changes (§5.1 "Index Maintenance",
-//!   rules 1–4).
+//!   each feature's nonzero cells once in ascending graph-id order: one
+//!   cell per graph of the tree's support, which the FCT lattice tracks
+//!   exactly. Its one mutator, [`FctIndex::sync`], applies §5.1's "Index
+//!   Maintenance" rules 1–4 by making every row follow its tree's
+//!   support, counting only the cells a row lacks, with the plan the
+//!   tree's lattice entry compiled.
 //! * [`scov`] — the containment filter for subgraph coverage (§6.1): a
 //!   pattern can only be contained in graphs whose counts dominate the
 //!   pattern's, cutting subgraph-isomorphism checks drastically.

@@ -144,8 +144,8 @@ pub fn verify_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use midas_graph::GraphBuilder;
-    use midas_mining::tree_key;
+    use midas_graph::{GraphBuilder, MatchPlan};
+    use midas_mining::{tree_key, TreeEntry};
 
     fn path(labels: &[u32]) -> LabeledGraph {
         let vs: Vec<u32> = (0..labels.len() as u32).collect();
@@ -156,8 +156,11 @@ mod tests {
         // DB: G0 = C-O-N-S, G1 = C-O-C, G2 = S-N.
         let db = GraphDb::from_graphs([path(&[0, 1, 2, 3]), path(&[0, 1, 0]), path(&[3, 2])]);
         let feature = path(&[1, 0, 1]); // O-C-O
-        let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
-        let fct = FctIndex::build([(tree_key(&feature), feature)], &csrs);
+        let plan = MatchPlan::compile(&feature);
+        let support = db.csrs().filter(|(_, g)| plan.is_subgraph_of(g));
+        let support = support.map(|(id, _)| id).collect();
+        let entry = (tree_key(&feature), TreeEntry::new(feature, support));
+        let fct = FctIndex::build([(&entry.0, &entry.1)], &db);
         let catalog = EdgeCatalog::build(db.iter().map(|(id, g)| (id, g.as_ref())));
         (fct, catalog, db)
     }

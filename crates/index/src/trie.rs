@@ -76,24 +76,6 @@ impl Trie {
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
-
-    /// Number of terminals (stored canonical strings).
-    pub fn terminal_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.terminal.is_some()).count()
-    }
-
-    /// Maximum depth reached (the `m` of Lemma 5.3's space bound).
-    pub fn max_depth(&self) -> usize {
-        fn depth(trie: &Trie, at: usize) -> usize {
-            trie.nodes[at]
-                .children
-                .values()
-                .map(|&c| 1 + depth(trie, c))
-                .max()
-                .unwrap_or(0)
-        }
-        depth(self, 0)
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +100,8 @@ mod tests {
         trie.insert(&[1, 2, 4], FeatureId(1));
         // Only one new node for the diverging token.
         assert_eq!(trie.node_count(), after_first + 1);
-        assert_eq!(trie.terminal_count(), 2);
+        assert_eq!(trie.lookup(&[1, 2, 3]), Some(FeatureId(0)));
+        assert_eq!(trie.lookup(&[1, 2, 4]), Some(FeatureId(1)));
     }
 
     #[test]
@@ -151,12 +134,15 @@ mod tests {
 
     #[test]
     fn depth_and_counts() {
+        // A string adds one node per token below the root; a stored
+        // prefix of it adds a terminal, not a node.
         let mut trie = Trie::new();
-        assert_eq!(trie.max_depth(), 0);
+        assert_eq!(trie.node_count(), 1);
         trie.insert(&[1, 2, 3, 4], FeatureId(0));
         trie.insert(&[1], FeatureId(1));
-        assert_eq!(trie.max_depth(), 4);
-        assert_eq!(trie.terminal_count(), 2);
+        assert_eq!(trie.node_count(), 5);
+        assert_eq!(trie.lookup(&[1]), Some(FeatureId(1)));
+        assert_eq!(trie.lookup(&[1, 2, 3, 4]), Some(FeatureId(0)));
     }
 
     #[test]

@@ -36,6 +36,24 @@ pub struct TreeEntry {
 }
 
 impl TreeEntry {
+    /// An entry for `tree` whose exact support is `support`, its plan
+    /// compiled here. The closed flag is `false` until
+    /// [`TreeLattice::recompute_closed_flags`] derives it.
+    pub fn new(tree: LabeledGraph, support: BTreeSet<GraphId>) -> Self {
+        TreeEntry {
+            plan: Arc::new(MatchPlan::compile(&tree)),
+            tree,
+            support,
+            closed: false,
+        }
+    }
+
+    /// The tree's compiled plan, shared with every reader that searches
+    /// for the tree (the FCT-Index counts its TG row with it).
+    pub fn plan(&self) -> &Arc<MatchPlan> {
+        &self.plan
+    }
+
     /// Relative support w.r.t. a database of `db_len` graphs.
     pub fn relative_support(&self, db_len: usize) -> f64 {
         if db_len == 0 {
@@ -204,12 +222,7 @@ mod tests {
     }
 
     fn entry(tree: LabeledGraph, support: &[u64]) -> TreeEntry {
-        TreeEntry {
-            plan: Arc::new(MatchPlan::compile(&tree)),
-            tree,
-            support: ids(support),
-            closed: false,
-        }
+        TreeEntry::new(tree, ids(support))
     }
 
     #[test]

@@ -118,15 +118,7 @@ pub(crate) fn mine_supports(
         frontier.push((tree_key(&tree), tree, stats.support.clone(), bound));
     }
     for (key, tree, support, _) in &frontier {
-        lattice.insert(
-            key.clone(),
-            TreeEntry {
-                tree: tree.clone(),
-                plan: Arc::new(MatchPlan::compile(tree)),
-                support: support.clone(),
-                closed: false,
-            },
-        );
+        lattice.insert(key.clone(), TreeEntry::new(tree.clone(), support.clone()));
     }
 
     // Extension labels allowed per anchor label, derived from the level-1
@@ -266,15 +258,7 @@ mod tests {
         }
         for (key, (tree, support)) in seen {
             if support.len() >= need {
-                lattice.insert(
-                    key,
-                    TreeEntry {
-                        plan: Arc::new(MatchPlan::compile(&tree)),
-                        tree,
-                        support,
-                        closed: false,
-                    },
-                );
+                lattice.insert(key, TreeEntry::new(tree, support));
             }
         }
         lattice.recompute_closed_flags();

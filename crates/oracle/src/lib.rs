@@ -40,7 +40,7 @@
 //! 8. **`fine_cluster_memo`** — a [`ClusterSet`] whose MCCS memo persists
 //!    across splits vs a shadow that forgets it before every insert, over
 //!    growth, mixed deletion and novel-wave batches that each split a
-//!    cluster: membership, group order and CSG member sets must be
+//!    cluster: membership (each CSG's member set) and group order must be
 //!    identical, and the memo may only name graphs still clustered.
 //! 9. **`swap_score_cache`** — the production swap, which scores from
 //!    tables of GED bounds and label bitsets built once per call, vs an
@@ -60,8 +60,10 @@
 //!     support and occurrence counts must equal [`EdgeCatalog::build`]'s,
 //!     and the feature keys must be [`FctState::index_trees`]' with TG
 //!     cells, keyed by tree key, equal to VF2's counts
-//!     ([`reference_tg_cells`]), after every batch. The stream runs at ε
-//!     0.01, and the check fails unless a batch turns major.
+//!     ([`reference_tg_cells`]), and each TG row's graph ids must be its
+//!     tree's lattice support, the invariant `FctIndex::sync` keeps,
+//!     after every batch. The stream runs at ε 0.01, and the check fails
+//!     unless a batch turns major.
 //! 11. **`mccs_vs_reference`** — the bitset MCCS search
 //!     ([`mccs_edges`]) vs its reference twin ([`reference_mccs_edges`])
 //!     on PubchemLike and AidsLike pairs from the seed at budgets 50,
@@ -114,8 +116,8 @@ pub mod vf2;
 use reference::{reference_pattern_score, reference_scov};
 
 pub use reference::{
-    ged_exact, ged_exact_bounded, reference_mccs_edges, reference_promising_candidates,
-    reference_tg_cells,
+    ged_exact, ged_exact_bounded, reference_entries, reference_mccs_edges,
+    reference_promising_candidates, reference_tg_cells,
 };
 
 use midas_catapult::candidates::generate_candidates;
@@ -123,7 +125,7 @@ use midas_catapult::random_walk::random_walks;
 use midas_catapult::score::{
     ccov_projected, csg_projections, diversity, lcov_pattern, pattern_score, PatternScoreParts,
 };
-use midas_catapult::{select_patterns_with_stats, SelectionConfig, WeightedCsg};
+use midas_catapult::{select_patterns_with_stats, SelectionConfig, WeightedCsg, MWU_PENALTY};
 use midas_cluster::{ClusterConfig, ClusterId, ClusterSet, FeatureSpace, MCCS_BUDGET};
 use midas_core::candidate_gen::{
     coverage_state, generate_promising_candidates, Candidate, Coverage, GenerationParams,
@@ -131,7 +133,7 @@ use midas_core::candidate_gen::{
 use midas_core::ks::distributions_similar;
 use midas_core::metrics::ScovContext;
 use midas_core::monitor::GraphletMonitor;
-use midas_core::swap::{multi_scan_swap, SwapOutcome, SwapParams};
+use midas_core::swap::{multi_scan_swap, SwapOutcome, SwapParams, KS_ALPHA};
 use midas_core::{Midas, MidasConfig, ModificationKind, PatternId, PatternStore};
 use midas_datagen::updates::{boronic_ester_family, deletion_percent, growth_percent};
 use midas_datagen::{
@@ -508,8 +510,9 @@ impl Oracle {
     /// Check 10: the edge catalog and the FCT-Index that
     /// [`Midas::apply_batch`] maintains against from-scratch references
     /// over the same database and FCT state (see `catalog_divergence` and
-    /// `index_divergence`), after every batch of check 2's
-    /// servebench-scale stream: two cases a batch. The stream runs at
+    /// `index_divergence`), and each TG row against its tree's lattice
+    /// support (`support_divergence`), after every batch of check 2's
+    /// servebench-scale stream: three cases a batch. The stream runs at
     /// check 9's drift threshold, so that batches turn major and both are
     /// compared after candidate generation and the swap too; the check
     /// fails when none does.
@@ -549,8 +552,15 @@ impl Oracle {
             }
             if let Some(diff) = index_divergence(&midas) {
                 out.push(divergence(
-                    case,
+                    case.clone(),
                     "the FCT-Index a from-scratch VF2 build produces",
+                    diff,
+                ));
+            }
+            if let Some(diff) = support_divergence(&midas) {
+                out.push(divergence(
+                    case,
+                    "every TG row's graph ids equal to its tree's lattice support",
                     diff,
                 ));
             }
@@ -562,7 +572,7 @@ impl Oracle {
                 "none".into(),
             ));
         }
-        2 * SERVEBENCH_BATCHES + 1
+        3 * SERVEBENCH_BATCHES + 1
     }
 
     /// Check 3: the graphlet monitor against recounting a reference world.
@@ -1800,7 +1810,7 @@ fn rescoring_selection(
         };
         seen.insert(code);
         *per_size.entry(chosen.edge_count()).or_insert(0) += 1;
-        csgs[source].penalize(&chosen, config.mwu_penalty);
+        csgs[source].penalize(&chosen, MWU_PENALTY);
         patterns.push(chosen);
     }
     patterns
@@ -2059,7 +2069,7 @@ fn rescoring_swap(
                 break;
             }
             let (victim_score, victim_scov, victim_id) = pq_patterns[victim_idx];
-            if *cand_score < (1.0 + params.lambda) * victim_score {
+            if *cand_score < (1.0 + params.kappa) * victim_score {
                 break;
             }
             if *cand_scov < (1.0 + kappa) * victim_scov {
@@ -2086,7 +2096,7 @@ fn rescoring_swap(
             {
                 sizes_after[pos] = candidate.edge_count();
             }
-            let ks_ok = distributions_similar(&sizes_before, &sizes_after, params.ks_alpha);
+            let ks_ok = distributions_similar(&sizes_before, &sizes_after, KS_ALPHA);
             if !(sw3 && sw4 && sw5 && ks_ok) {
                 continue;
             }
@@ -2324,6 +2334,32 @@ fn index_divergence(midas: &Midas) -> Option<String> {
     (!diffs.is_empty()).then(|| diffs.join("; "))
 }
 
+/// How `midas`'s TG rows depart from the lattice, or `None` when every
+/// row's graph ids are exactly the support of its tree's entry in the FCT
+/// lattice (a row whose key the lattice lacks counts as departing).
+fn support_divergence(midas: &Midas) -> Option<String> {
+    let lattice = &midas.fct_state().lattice;
+    let rows = midas.fct_index().features().count();
+    let off: Vec<String> = midas
+        .fct_index()
+        .features()
+        .filter(|(_, f)| {
+            let ids = f.row().iter().map(|&(gid, _)| gid);
+            lattice
+                .get(&f.key)
+                .is_none_or(|entry| !ids.eq(entry.support.iter().copied()))
+        })
+        .map(|(_, f)| format!("{:?}", f.key.tokens()))
+        .collect();
+    (!off.is_empty()).then(|| {
+        format!(
+            "{} of {rows} rows hold other graph ids than their tree's support: {}",
+            off.len(),
+            off.join(", ")
+        )
+    })
+}
+
 /// Number of keys whose value differs between two sparse cell maps (an
 /// absent key reads as zero).
 fn cells_differing<K: Ord>(a: &BTreeMap<K, u32>, b: &BTreeMap<K, u32>) -> usize {
@@ -2395,21 +2431,17 @@ fn serve_divergence(case: &str, expected: &str, actual: &str) -> Divergence {
 }
 
 /// The first difference between two cluster sets, comparing cluster ids
-/// with their members in group order and each cluster's CSG member set.
-/// The shadow is the expectation; the witness comes from [`memo_witness`].
+/// with their members (each CSG's member set) in group order. The shadow
+/// is the expectation; the witness comes from [`memo_witness`].
 fn cluster_diff(
     step: usize,
     db: &GraphDb,
     primary: &ClusterSet,
     shadow: &ClusterSet,
 ) -> Option<Divergence> {
-    let groups = |set: &ClusterSet| -> Vec<(u64, Vec<GraphId>, Vec<GraphId>)> {
+    let groups = |set: &ClusterSet| -> Vec<(u64, Vec<GraphId>)> {
         set.iter()
-            .map(|(cid, c)| {
-                let members = c.members().iter().copied().collect();
-                let csg = c.csg().members().iter().copied().collect();
-                (cid.0, members, csg)
-            })
+            .map(|(cid, c)| (cid.0, c.members().iter().copied().collect()))
             .collect()
     };
     let (want, got) = (groups(shadow), groups(primary));
@@ -2421,10 +2453,8 @@ fn cluster_diff(
         .zip(&got)
         .position(|(w, g)| w != g)
         .unwrap_or(want.len().min(got.len()));
-    let show = |g: Option<&(u64, Vec<GraphId>, Vec<GraphId>)>| match g {
-        Some((cid, members, csg)) => {
-            format!("C{cid}: members {members:?}, CSG members {csg:?}")
-        }
+    let show = |g: Option<&(u64, Vec<GraphId>)>| match g {
+        Some((cid, members)) => format!("C{cid}: members {members:?}"),
         None => "no cluster".to_owned(),
     };
     Some(memo_divergence(
@@ -2630,7 +2660,10 @@ pub fn fault_containment_pass(seed: u64, target: u64) -> Result<String, String> 
         if follow_up.error.is_some() {
             return Err("framework did not recover after the contained fault".into());
         }
-        if let Some(diff) = catalog_divergence(&midas).or_else(|| index_divergence(&midas)) {
+        if let Some(diff) = catalog_divergence(&midas)
+            .or_else(|| index_divergence(&midas))
+            .or_else(|| support_divergence(&midas))
+        {
             return Err(format!(
                 "indices did not recover after the contained fault: {diff}"
             ));

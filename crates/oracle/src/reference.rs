@@ -11,13 +11,33 @@ use midas_core::metrics::ScovContext;
 use midas_core::PatternStore;
 use midas_graph::canonical::canonical_code;
 use midas_graph::mccs::MccsResult;
-use midas_graph::{GraphId, LabeledGraph, VertexId};
+use midas_graph::{GraphDb, GraphId, LabeledGraph, VertexId};
 use midas_index::EMBED_CAP;
-use midas_mining::TreeKey;
+use midas_mining::{TreeEntry, TreeKey};
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::vf2::count_embeddings;
+use crate::vf2::{count_embeddings, is_subgraph_of};
+
+/// `features` as lattice entries over `db`, each tree's support found by
+/// VF2 ([`is_subgraph_of`]): what `FctIndex::sync` takes, for a feature
+/// set no lattice mined. A repeated key gets one entry.
+pub fn reference_entries(
+    features: impl IntoIterator<Item = (TreeKey, LabeledGraph)>,
+    db: &GraphDb,
+) -> BTreeMap<TreeKey, TreeEntry> {
+    features
+        .into_iter()
+        .map(|(key, tree)| {
+            let support = db
+                .iter()
+                .filter(|(_, g)| is_subgraph_of(&tree, g))
+                .map(|(id, _)| id)
+                .collect();
+            (key, TreeEntry::new(tree, support))
+        })
+        .collect()
+}
 
 /// The TG matrix of an FCT-Index over `features` and `graphs`, counted by
 /// VF2 ([`count_embeddings`] at [`EMBED_CAP`]): the non-zero cells,
@@ -378,7 +398,7 @@ pub fn ged_exact(a: &LabeledGraph, b: &LabeledGraph) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use midas_graph::{Csr, GraphBuilder, GraphDb, MatchKernel};
+    use midas_graph::{GraphBuilder, GraphDb, MatchKernel};
     use midas_index::FctIndex;
     use midas_mining::{tree_key, EdgeCatalog};
 
@@ -393,9 +413,9 @@ mod tests {
         let refs: Vec<(GraphId, &LabeledGraph)> =
             db.iter().map(|(id, g)| (id, g.as_ref())).collect();
         let feature = path(&[0, 1, 2]);
-        let csrs: Vec<(GraphId, &Csr)> = db.csrs().collect();
         let kernel = MatchKernel::new();
-        let fct = FctIndex::build([(tree_key(&feature), feature)], &csrs);
+        let entries = reference_entries([(tree_key(&feature), feature)], &db);
+        let fct = FctIndex::build(&entries, &db);
         let catalog = EdgeCatalog::build(refs.iter().copied());
         let sample: BTreeSet<GraphId> = db.ids().collect();
         let ctx = ScovContext {

@@ -11,6 +11,7 @@ use midas_graph::{
 use midas_index::scov::covered_graphs;
 use midas_index::{FctIndex, EMBED_CAP};
 use midas_mining::{tree_key, EdgeCatalog, TreeKey};
+use midas_oracle::reference_entries;
 use midas_oracle::vf2::{count_embeddings, is_subgraph_of, GraphSignature};
 use midas_tests::{connected_graph_strategy, path, triangle};
 use proptest::prelude::*;
@@ -157,7 +158,8 @@ proptest! {
                 .flat_map(|(_, g)| two_edge_paths(g))
                 .map(|tree| (tree_key(&tree), tree))
                 .collect();
-            let fct = FctIndex::build(paths, &csr_refs(db));
+            let entries = reference_entries(paths, db);
+            let fct = FctIndex::build(&entries, db);
             let catalog = EdgeCatalog::build(refs.iter().copied());
             let universe: BTreeSet<GraphId> = db.ids().collect();
             let want: BTreeSet<GraphId> = refs
@@ -232,72 +234,60 @@ fn cache_batched_counts_match_vf2() {
     assert_eq!(cache.stats().hits, 1);
 }
 
-/// Every TG cell of `index` in `graphs` (numbered from `first`) equals
-/// VF2's capped count: the whole universe, no dominance filter.
-fn assert_cells_match_vf2(index: &FctIndex, graphs: &[LabeledGraph], first: u64) {
+/// Every TG cell of `index` over `db` equals VF2's capped count: the
+/// whole database, no dominance filter.
+fn assert_cells_match_vf2(index: &FctIndex, db: &GraphDb) {
     for (fid, feature) in index.features() {
-        for (i, g) in graphs.iter().enumerate() {
+        for (id, g) in db.iter() {
             let want = count_embeddings(feature.tree(), g, EMBED_CAP) as u32;
-            assert_eq!(index.count(fid, GraphId(first + i as u64)), want);
+            assert_eq!(index.count(fid, id), want);
         }
     }
-}
-
-/// The CSR view of each graph, under ids from `first` up.
-fn numbered_csrs(graphs: &[LabeledGraph], first: u64) -> Vec<(GraphId, Csr)> {
-    graphs
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (GraphId(first + i as u64), Csr::from_graph(g)))
-        .collect()
-}
-
-fn borrowed(csrs: &[(GraphId, Csr)]) -> Vec<(GraphId, &Csr)> {
-    csrs.iter().map(|(id, c)| (*id, c)).collect()
 }
 
 fn keyed(features: &[LabeledGraph]) -> Vec<(TreeKey, LabeledGraph)> {
     features.iter().map(|t| (tree_key(t), t.clone())).collect()
 }
 
-/// An FCT-Index built by its own counting, then refreshed to a new
-/// feature set, holds VF2's counts in every cell.
+/// An FCT-Index built by its own counting, then synced to a new feature
+/// set, holds VF2's counts in every cell.
 #[test]
 fn kernel_build_matches_serial_build() {
     let features = [path(&[0, 1]), path(&[0, 1, 2]), path(&[1, 2])];
-    let graphs = [path(&[0, 1, 2]), path(&[1, 0, 1]), path(&[0, 1, 2, 1, 0])];
-    let views = numbered_csrs(&graphs, 0);
-    let mut index = FctIndex::build(keyed(&features), &borrowed(&views));
+    let db = GraphDb::from_graphs([path(&[0, 1, 2]), path(&[1, 0, 1]), path(&[0, 1, 2, 1, 0])]);
+    let mut index = FctIndex::build(&reference_entries(keyed(&features), &db), &db);
     assert_eq!(index.feature_count(), features.len());
-    assert_cells_match_vf2(&index, &graphs, 0);
+    assert_cells_match_vf2(&index, &db);
     // Keep C-O-N, drop C-O and O-N, add N-O-N.
-    let con = path(&[0, 1, 2]);
-    let non = path(&[2, 1, 2]);
-    let target = vec![(tree_key(&con), &con), (tree_key(&non), &non)];
-    index.refresh_features(&target, &borrowed(&views));
+    let target = reference_entries(keyed(&[path(&[0, 1, 2]), path(&[2, 1, 2])]), &db);
+    index.sync(&target, &db);
     assert_eq!(index.feature_count(), 2);
-    assert_cells_match_vf2(&index, &graphs, 0);
+    assert_cells_match_vf2(&index, &db);
 }
 
-/// Graph columns added to the index hold VF2's counts, whether `Δ⁺`
-/// arrives at once or in two waves whose ids interleave with the rows'.
+/// A sync counts the cells a row lacks wherever their ids fall: support
+/// ids above the row's (fresh graphs) and below them (a row left short by
+/// an interrupted sync) merge into VF2's counts in ascending id order.
 #[test]
-fn add_graphs_kernel_matches_serial_columns() {
-    let features = [path(&[0, 1]), path(&[0, 1, 2])];
-    let seeds = numbered_csrs(&[path(&[0, 1, 2]), path(&[1, 0, 1])], 1);
-    let mut index = FctIndex::build(keyed(&features), &borrowed(&seeds));
-    let mut waves = index.clone();
-    let news = [path(&[0, 1, 0, 1]), path(&[2, 1, 0])];
-    let views = numbered_csrs(&news, 10);
-    index.add_graphs(&borrowed(&views));
-    assert_cells_match_vf2(&index, &news, 10);
-    let low = numbered_csrs(&news, 0);
-    waves.add_graphs(&borrowed(&views[1..]));
-    waves.add_graphs(&borrowed(&low[..1]));
-    waves.add_graphs(&borrowed(&views[..1]));
-    assert_cells_match_vf2(&waves, &news, 10);
-    assert_cells_match_vf2(&waves, &news[..1], 0);
-    for (_, feature) in waves.features() {
+fn sync_fills_lacking_cells_in_id_order() {
+    let features = keyed(&[path(&[0, 1]), path(&[0, 1, 2])]);
+    let mut db = GraphDb::from_graphs([path(&[0, 1, 2]), path(&[1, 0, 1])]);
+    let mut index = FctIndex::build(&reference_entries(features.clone(), &db), &db);
+    db.apply(midas_graph::BatchUpdate::insert_only(vec![
+        path(&[0, 1, 0, 1]),
+        path(&[2, 1, 0]),
+        path(&[1, 0, 1, 2]),
+    ]));
+    let full = reference_entries(features, &db);
+    // First only the support ids from 3 up, then every one.
+    let mut short = full.clone();
+    for entry in short.values_mut() {
+        entry.support.retain(|id| id.0 >= 3);
+    }
+    index.sync(&short, &db);
+    index.sync(&full, &db);
+    assert_cells_match_vf2(&index, &db);
+    for (_, feature) in index.features() {
         assert!(feature.row().windows(2).all(|w| w[0].0 < w[1].0));
     }
 }
@@ -311,7 +301,7 @@ fn kernel_covered_graphs_matches_serial() {
     // DB: G0 = C-O-N-S, G1 = C-O-C, G2 = S-N; one feature, O-C-O.
     let db = GraphDb::from_graphs([path(&[0, 1, 2, 3]), path(&[0, 1, 0]), path(&[3, 2])]);
     let kernel = MatchKernel::new();
-    let fct = FctIndex::build(keyed(&[path(&[1, 0, 1])]), &csr_refs(&db));
+    let fct = FctIndex::build(&reference_entries(keyed(&[path(&[1, 0, 1])]), &db), &db);
     let catalog = EdgeCatalog::build(db_refs(&db));
     let ids: Vec<GraphId> = db.ids().collect();
     let patterns: [&[u32]; 6] = [

@@ -7,14 +7,16 @@ use midas_core::candidate_gen::{coverage_state, Candidate};
 use midas_core::metrics::ScovContext;
 use midas_core::patterns::PatternStore;
 use midas_core::swap::{multi_scan_swap, SwapParams};
-use midas_graph::{ClosureGraph, Csr, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel};
+use midas_graph::{
+    BatchUpdate, ClosureGraph, EdgeLabel, GraphDb, GraphId, LabeledGraph, MatchKernel,
+};
 use midas_index::scov::{candidate_graphs, profile_pattern, PatternProfile};
 use midas_index::{FctIndex, FeatureId, EMBED_CAP};
 use midas_mining::canonical::edge_tree;
 use midas_mining::incremental::FctState;
 use midas_mining::{tree_key, EdgeCatalog, MiningConfig, TreeKey};
-use midas_oracle::reference_tg_cells;
 use midas_oracle::vf2::count_embeddings;
+use midas_oracle::{reference_entries, reference_tg_cells};
 use midas_tests::{connected_graph_sized, connected_graph_strategy, tree_strategy};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -78,8 +80,8 @@ proptest! {
         }
     }
 
-    /// Index graph columns: adding then removing a graph leaves the
-    /// matrices untouched (§5.1 rules 3–4).
+    /// Index graph columns: a graph joining the supports and then leaving
+    /// them leaves the matrices untouched (§5.1 rules 3–4).
     #[test]
     fn index_graph_column_roundtrip(
         feature in connected_graph_strategy(3, 2),
@@ -88,77 +90,77 @@ proptest! {
     ) {
         // Only tree-shaped features are meaningful; skip others.
         prop_assume!(midas_mining::canonical::is_tree(&feature));
-        let db = GraphDb::from_graphs(graphs);
-        let key = midas_mining::tree_key(&feature);
-        let mut index = FctIndex::build([(key, feature)], &db.csrs().collect::<Vec<_>>());
+        let mut db = GraphDb::from_graphs(graphs);
+        let feature = [(tree_key(&feature), feature)];
+        let mut index = FctIndex::build(&reference_entries(feature.clone(), &db), &db);
         let before: Vec<_> = index.cells().collect::<Vec<_>>();
-        let newcomer = Csr::from_graph(&newcomer);
-        index.add_graphs(&[(GraphId(999), &newcomer)]);
-        index.remove_graph(GraphId(999));
+        let (inserted, _) = db.apply(BatchUpdate::insert_only(vec![newcomer]));
+        index.sync(&reference_entries(feature.clone(), &db), &db);
+        db.apply(BatchUpdate::delete_only(inserted));
+        index.sync(&reference_entries(feature, &db), &db);
         let after: Vec<_> = index.cells().collect::<Vec<_>>();
         prop_assert_eq!(before, after);
     }
 
-    /// The TG rows under interleaved maintenance: `Δ⁺` waves whose fresh
-    /// ids arrive out of order (and below ids already present), column
-    /// removals and feature refreshes. After every step each row is
-    /// strictly increasing in `GraphId` and holds no zero, the rows are
-    /// exactly the wanted features, and every cell equals VF2's count over
-    /// the live graphs.
+    /// The TG rows under interleaved maintenance: insertion waves, graph
+    /// deletions and changes of the feature set, each followed by a sync,
+    /// and syncs to supports cut short (as an interrupted phase leaves a
+    /// row) before the next full one. After every full sync each row is
+    /// strictly increasing in `GraphId`, holds no zero and has exactly
+    /// its tree's support as ids, the rows are exactly the wanted
+    /// features, and every cell equals VF2's count over the live graphs.
     #[test]
     fn tg_rows_stay_sorted_and_exact_under_interleaved_maintenance(
         trees in proptest::collection::vec(tree_strategy(4, 3), 1..6),
         pool in proptest::collection::vec(connected_graph_strategy(6, 3), 4..12),
-        ids in Just((0..12u64).collect::<Vec<u64>>()).prop_shuffle(),
-        ops in proptest::collection::vec((0u8..3, 0usize..64), 1..12),
+        ops in proptest::collection::vec((0u8..4, 0usize..64), 1..12),
     ) {
         let keyed: Vec<(TreeKey, LabeledGraph)> =
             trees.iter().map(|t| (tree_key(t), t.clone())).collect();
         let mut wanted: Vec<(TreeKey, LabeledGraph)> = keyed.clone();
-        let mut index = FctIndex::build(keyed.iter().cloned(), &[]);
-        let mut live: BTreeMap<GraphId, (LabeledGraph, Csr)> = BTreeMap::new();
+        let mut db = GraphDb::new();
+        let mut index = FctIndex::new();
         let mut next = 0;
         for (step, &(op, arg)) in ops.iter().enumerate() {
             match op {
                 0 => {
                     let take = (1 + arg % 3).min(pool.len() - next);
-                    let wave: Vec<(GraphId, Csr)> = (next..next + take)
-                        .map(|i| (GraphId(ids[i]), Csr::from_graph(&pool[i])))
-                        .collect();
-                    let views: Vec<(GraphId, &Csr)> = wave.iter().map(|(id, c)| (*id, c)).collect();
-                    index.add_graphs(&views);
-                    for (i, (id, csr)) in (next..next + take).zip(wave) {
-                        live.insert(id, (pool[i].clone(), csr));
-                    }
+                    db.apply(BatchUpdate::insert_only(pool[next..next + take].to_vec()));
                     next += take;
                 }
-                1 if !live.is_empty() => {
-                    let id = *live.keys().nth(arg % live.len()).unwrap();
-                    live.remove(&id);
-                    index.remove_graph(id);
+                1 if !db.is_empty() => {
+                    let id = db.ids().nth(arg % db.len()).unwrap();
+                    db.apply(BatchUpdate::delete_only(vec![id]));
                 }
-                _ => {
+                2 => {
                     wanted = keyed
                         .iter()
                         .enumerate()
                         .filter(|(i, _)| arg & (1 << i) != 0)
                         .map(|(_, f)| f.clone())
                         .collect();
-                    let target: Vec<(TreeKey, &LabeledGraph)> =
-                        wanted.iter().map(|(k, t)| (k.clone(), t)).collect();
-                    let views: Vec<(GraphId, &Csr)> =
-                        live.iter().map(|(&id, (_, c))| (id, c)).collect();
-                    index.refresh_features(&target, &views);
+                }
+                _ => {
+                    let mut short = reference_entries(wanted.clone(), &db);
+                    for entry in short.values_mut() {
+                        let keep = arg % (entry.support.len() + 1);
+                        entry.support = entry.support.iter().copied().skip(keep).collect();
+                    }
+                    index.sync(&short, &db);
                 }
             }
+            let entries = reference_entries(wanted.clone(), &db);
+            index.sync(&entries, &db);
             for (_, feature) in index.features() {
                 let row = feature.row();
                 prop_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "step {}: unsorted row", step);
                 prop_assert!(row.iter().all(|&(_, c)| c > 0), "step {}: stored zero", step);
+                let ids: BTreeSet<GraphId> = row.iter().map(|&(g, _)| g).collect();
+                prop_assert_eq!(&ids, &entries[&feature.key].support, "step {}", step);
             }
             let keys: BTreeSet<&TreeKey> = index.features().map(|(_, f)| &f.key).collect();
             prop_assert_eq!(keys, wanted.iter().map(|(k, _)| k).collect::<BTreeSet<_>>());
-            let want = reference_tg_cells(&wanted, live.iter().map(|(&id, (g, _))| (id, g)));
+            let want = reference_tg_cells(&wanted, db.iter().map(|(id, g)| (id, g.as_ref())));
             let have: BTreeMap<(TreeKey, GraphId), u32> = index
                 .features()
                 .flat_map(|(_, f)| f.row().iter().map(move |&(g, c)| ((f.key.clone(), g), c)))
@@ -178,13 +180,8 @@ proptest! {
         pattern in connected_graph_strategy(6, 4),
     ) {
         let db = GraphDb::from_graphs(graphs);
-        let fct = FctIndex::build(
-            trees
-                .into_iter()
-                .filter(|t| t.edge_count() > 1)
-                .map(|t| (tree_key(&t), t)),
-            &db.csrs().collect::<Vec<_>>(),
-        );
+        let trees = trees.into_iter().filter(|t| t.edge_count() > 1);
+        let fct = FctIndex::build(&reference_entries(trees.map(|t| (tree_key(&t), t)), &db), &db);
         let catalog = EdgeCatalog::build(db.iter().map(|(id, g)| (id, g.as_ref())));
 
         let fct_counts = fct.pattern_counts(&pattern);
@@ -294,12 +291,7 @@ proptest! {
         let sup_min = if high_support == 1 { 0.6 } else { 0.3 };
         let db = GraphDb::from_graphs(graphs);
         let state = FctState::build(&db, MiningConfig { sup_min, max_edges: 3 });
-        let rows: Vec<(TreeKey, LabeledGraph)> = state
-            .index_trees(db.len())
-            .into_iter()
-            .map(|(k, e)| (k.clone(), e.tree.clone()))
-            .collect();
-        let fct = FctIndex::build(rows, &db.csrs().collect::<Vec<_>>());
+        let fct = FctIndex::build(state.index_trees(db.len()), &db);
         let catalog = &state.edges;
         let universe: BTreeSet<GraphId> = universe.into_iter().map(GraphId).collect();
         let profile = profile_pattern(&fct, catalog, &pattern);
